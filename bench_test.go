@@ -1,8 +1,7 @@
 // Benchmarks regenerating the paper's evaluation artefacts, one per table
 // and figure (§5). Each benchmark runs the corresponding internal/bench
 // experiment at a reduced scale so `go test -bench=.` completes in minutes;
-// use cmd/fembench for full-scale runs and EXPERIMENTS.md for the
-// paper-vs-measured comparison.
+// use cmd/fembench for full-scale runs.
 package repro_test
 
 import (

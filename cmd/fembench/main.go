@@ -13,8 +13,7 @@
 //	fembench -soak -duration 30s -window 5s -json .    # BENCH_soak.json
 //
 // Each experiment prints a table whose rows mirror the corresponding
-// artefact in the paper (see EXPERIMENTS.md for the mapping and the
-// paper-vs-measured discussion). The -loadgen mode replays a query set from
+// artefact in the paper. The -loadgen mode replays a query set from
 // a pool of concurrent clients against one shared engine, once with a cold
 // path cache and once hot, and reports queries/sec for each round. The
 // -soak mode drives sustained mixed read/mutation load for a fixed wall

@@ -118,11 +118,12 @@ func fail(format string, args ...any) {
 // request counters, and the default algorithm for queries that don't name
 // one.
 type server struct {
+	// q answers every query: eng, or shard under -shards. main sets it once.
+	q   querier
 	eng *core.Engine
 	// shard is the partition-parallel coordinator when the server runs with
-	// -shards; eng is nil then, and the query paths route through it. The
-	// single-engine-only surfaces (mutations, snapshots, landmark intervals)
-	// answer 409 in that mode.
+	// -shards; eng is nil then. The single-engine-only surfaces (mutations,
+	// snapshots, landmark intervals) answer 409 in that mode.
 	shard      *shard.ShardedEngine
 	defaultAlg core.Algorithm
 	start      time.Time
@@ -308,21 +309,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// query routes one request to whichever engine this server runs: the
-// sharded coordinator under -shards, the single engine otherwise.
-func (sv *server) query(ctx context.Context, req core.QueryRequest) (core.QueryResult, error) {
-	if sv.shard != nil {
-		return sv.shard.Query(ctx, req)
-	}
-	return sv.eng.Query(ctx, req)
-}
-
-// queryBatch is the batch twin of query.
-func (sv *server) queryBatch(ctx context.Context, reqs []core.QueryRequest, workers int) []core.QueryResponse {
-	if sv.shard != nil {
-		return sv.shard.QueryBatch(ctx, reqs, workers)
-	}
-	return sv.eng.QueryBatch(ctx, reqs, workers)
+// querier is the query surface both engine types serve.
+type querier interface {
+	Query(ctx context.Context, req core.QueryRequest) (core.QueryResult, error)
+	QueryBatch(ctx context.Context, reqs []core.QueryRequest, workers int) []core.QueryResponse
 }
 
 // rejectSharded answers 409 for endpoints the sharded mode does not carry
@@ -345,7 +335,7 @@ func (sv *server) answer(ctx context.Context, req core.QueryRequest, trace bool)
 	sv.inflight.Add(1)
 	defer sv.inflight.Add(-1)
 	t0 := time.Now()
-	res, err := sv.query(ctx, req)
+	res, err := sv.q.Query(ctx, req)
 	wall := time.Since(t0)
 	if err != nil {
 		sv.noteSlow(req, res.Stats, wall, err.Error())
@@ -555,7 +545,7 @@ func (sv *server) runBatch(ctx context.Context, reqs []core.QueryRequest, worker
 	sv.inflight.Add(int64(len(reqs)))
 	defer sv.inflight.Add(-int64(len(reqs)))
 	t0 := time.Now()
-	results := sv.queryBatch(ctx, reqs, workers)
+	results := sv.q.QueryBatch(ctx, reqs, workers)
 	out := make([]pathResponse, len(results))
 	for i, res := range results {
 		if res.Err != nil {
@@ -1122,8 +1112,10 @@ func main() {
 	}
 	sv.reg = obs.NewRegistry()
 	if shardEng != nil {
+		sv.q = shardEng
 		sv.reg.Register(shardEng)
 	} else {
+		sv.q = eng
 		sv.reg.Register(eng)
 		sv.reg.Register(db)
 	}

@@ -27,7 +27,7 @@ func newTestServer(t *testing.T) *server {
 	if err := eng.LoadGraph(graph.Power(500, 3, 42)); err != nil {
 		t.Fatal(err)
 	}
-	return &server{eng: eng, defaultAlg: core.AlgBSDJ, start: time.Now()}
+	return &server{q: eng, eng: eng, defaultAlg: core.AlgBSDJ, start: time.Now()}
 }
 
 // newOracleServer is newTestServer plus a built landmark oracle, for the

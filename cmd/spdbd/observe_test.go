@@ -109,7 +109,7 @@ func TestReadyzTransitions(t *testing.T) {
 	t.Cleanup(func() { db.Close() })
 	eng := core.NewEngine(db, core.Options{})
 	t.Cleanup(func() { eng.Close() })
-	sv := &server{eng: eng, defaultAlg: core.AlgBSDJ, start: time.Now()}
+	sv := &server{q: eng, eng: eng, defaultAlg: core.AlgBSDJ, start: time.Now()}
 
 	ready := func() int {
 		rec := httptest.NewRecorder()

@@ -1,8 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§5). Each experiment id (Table2, Fig6a, ... Fig9h) has a
 // runner returning a formatted Table whose rows mirror the paper's plots:
-// same series, same x-axes, scaled-down sizes (see DESIGN.md §2 and
-// EXPERIMENTS.md for the scale mapping).
+// same series, same x-axes, scaled-down sizes.
 package bench
 
 import (

@@ -8,7 +8,7 @@ import (
 	"repro/internal/rdb"
 )
 
-// The statement shapes of Algorithm 1 (djInit..djDist) are rendered per
+// The statement shapes of Algorithm 1 (djInit..djTarget) are rendered per
 // scratch set at mint time: the MaxDist/NoParent sentinels bind as
 // parameters (not integer literals), so the texts are per-set constants and
 // every execution reuses the cached plan.
@@ -22,8 +22,7 @@ import (
 // legitimately affect nothing while unfinalized nodes (and the target)
 // remain — e.g. when every neighbor of the frontier already holds a
 // smaller distance. We instead terminate when no frontier candidate is
-// left or the target is finalized, which is the sound reading; see
-// EXPERIMENTS.md.
+// left or the target is finalized, which is the sound reading.
 func (e *Engine) dj(ctx context.Context, sc *scratchSet, s, t int64, budget int64) (Path, *QueryStats, error) {
 	qs := &QueryStats{Algorithm: "DJ", budget: budget}
 	start := time.Now()
@@ -97,14 +96,14 @@ func (e *Engine) dj(ctx context.Context, sc *scratchSet, s, t int64, budget int6
 		return Path{Found: false}, qs, nil
 	}
 
-	dist, null, err := e.queryInt(ctx, qs, &qs.FPR, sc.djDist, t)
+	dist, null, err := e.queryInt(ctx, qs, &qs.FPR, sc.distF, t)
 	if err != nil {
 		return Path{}, qs, err
 	}
 	if null {
 		return Path{}, qs, fmt.Errorf("core: DJ finalized target without a distance")
 	}
-	nodes, err := e.recoverForward(ctx, qs, sc, s, t, false)
+	nodes, err := walkChain(ctx, []*Superstep{{e: e, sc: sc, qs: qs}}, soleOwner, t, s, true, false)
 	if err != nil {
 		return Path{}, qs, err
 	}

@@ -579,32 +579,11 @@ func (e *Engine) checkBudget(ctx context.Context, qs *QueryStats) error {
 // search dispatches to the relational algorithms over the leased scratch
 // set; callers hold the query gate (shared for reads, exclusive for the
 // degraded path). budget is the per-query statement cap (0 = unlimited).
+// The bi-directional algorithms are the FEM loop over this one engine.
 func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t int64, budget int64) (Path, *QueryStats, error) {
 	switch alg {
 	case AlgDJ:
 		return e.dj(ctx, sc, s, t, budget)
-	case AlgBDJ:
-		return e.bidirectional(ctx, sc, specBDJ(sc), s, t, budget)
-	case AlgBSDJ:
-		return e.bidirectional(ctx, sc, specBSDJ(sc), s, t, budget)
-	case AlgBBFS:
-		return e.bidirectional(ctx, sc, specBBFS(sc), s, t, budget)
-	case AlgBSEG:
-		e.mu.RLock()
-		segBuilt, segLthd := e.segBuilt, e.segLthd
-		e.mu.RUnlock()
-		if !segBuilt {
-			return Path{}, nil, fmt.Errorf("core: BSEG requires BuildSegTable first")
-		}
-		return e.bidirectional(ctx, sc, specBSEG(sc, segLthd), s, t, budget)
-	case AlgALT:
-		e.mu.RLock()
-		built := e.orc != nil
-		e.mu.RUnlock()
-		if !built {
-			return Path{}, nil, fmt.Errorf("core: ALT requires BuildOracle first (rebuild after graph changes)")
-		}
-		return e.bidirectional(ctx, sc, specALT(sc, s, t), s, t, budget)
 	case AlgLabel:
 		e.mu.RLock()
 		built := e.lbl != nil
@@ -614,7 +593,41 @@ func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t
 		}
 		return e.labelSearch(ctx, s, t, budget)
 	}
-	return Path{}, nil, fmt.Errorf("core: unknown algorithm %v", alg)
+	spec, err := e.specFor(alg, sc, s, t)
+	if err != nil {
+		return Path{}, nil, err
+	}
+	return RunSupersteps(ctx, []*Superstep{e.newSuperstep(sc, spec, budget)}, soleOwner, s, t, 4*MaxDist)
+}
+
+// soleOwner is the owner function of a one-handle loop.
+func soleOwner(int64) int { return 0 }
+
+// specFor renders a bi-directional algorithm's femSpec over sc, refusing
+// the ones whose index is not built.
+func (e *Engine) specFor(alg Algorithm, sc *scratchSet, s, t int64) (femSpec, error) {
+	e.mu.RLock()
+	segBuilt, segLthd, orcBuilt := e.segBuilt, e.segLthd, e.orc != nil
+	e.mu.RUnlock()
+	switch alg {
+	case AlgBDJ:
+		return specBDJ(sc), nil
+	case AlgBSDJ:
+		return specBSDJ(sc), nil
+	case AlgBBFS:
+		return specBBFS(sc), nil
+	case AlgBSEG:
+		if !segBuilt {
+			return femSpec{}, fmt.Errorf("core: BSEG requires BuildSegTable first")
+		}
+		return specBSEG(sc, segLthd), nil
+	case AlgALT:
+		if !orcBuilt {
+			return femSpec{}, fmt.Errorf("core: ALT requires BuildOracle first (rebuild after graph changes)")
+		}
+		return specALT(sc, s, t), nil
+	}
+	return femSpec{}, fmt.Errorf("core: unknown algorithm %v", alg)
 }
 
 // maxIters resolves Options.MaxIters: an explicit positive cap wins, the

@@ -138,6 +138,18 @@ func (e *Engine) buildExpand(d direction, edgeTbl, frontier string, frontierArgs
 	return x
 }
 
+// pruneArgs binds x's Theorem-1 placeholders (none when x does not prune).
+func (e *Engine) pruneArgs(x *expandSQL, lOther, minCost int64) []any {
+	if !x.prune {
+		return nil
+	}
+	bound := minCost
+	if e.opts.DisablePruning || bound >= MaxDist {
+		bound = 4 * MaxDist // effectively unbounded
+	}
+	return []any{lOther, bound}
+}
+
 // runExpand executes one E+M round, returning the number of affected
 // TVisited rows (the SQLCA count Algorithm 1/2 read). The statement shape
 // depends on the dialect and engine profile:
@@ -150,15 +162,7 @@ func (e *Engine) runExpand(ctx context.Context, qs *QueryStats, x *expandSQL, fr
 	if len(frontierArgs) != x.frontierArgs {
 		return 0, fmt.Errorf("core: expansion expects %d frontier args, got %d", x.frontierArgs, len(frontierArgs))
 	}
-	var pruneArgs []any
-	if x.prune {
-		bound := minCost
-		if e.opts.DisablePruning || bound >= MaxDist {
-			bound = 4 * MaxDist // effectively unbounded
-		}
-		pruneArgs = []any{lOther, bound}
-	}
-	eArgs := append(append([]any{}, frontierArgs...), pruneArgs...)
+	eArgs := append(append([]any{}, frontierArgs...), e.pruneArgs(x, lOther, minCost)...)
 
 	useTraditional := e.opts.TraditionalSQL
 	useMerge := e.db.Profile().SupportsMerge && !useTraditional

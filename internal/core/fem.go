@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/oracle"
@@ -185,48 +189,77 @@ func specALT(sc *scratchSet, s, t int64) femSpec {
 	return spec
 }
 
-// bidirectional runs the generic FEM loop of Algorithm 2: initialize
-// TVisited with s and t, repeatedly pick the direction with the smaller
-// frontier, run F (sign update), E+M (expansion), collect lf/lb/minCost,
-// and stop when lf + lb >= minCost or either search exhausts (§4.1's
-// termination; exhaustion of one side finalizes that side's distances, so
-// minCost is then exact). Every statement shape is prepared once — the
-// loop only binds fresh parameters.
-func (e *Engine) bidirectional(ctx context.Context, sc *scratchSet, spec femSpec, s, t int64, budget int64) (Path, *QueryStats, error) {
-	qs := &QueryStats{Algorithm: spec.name, budget: budget}
+// StopCondition is the paper's §4.1 termination term: once some s-t meeting
+// is known (minCost) and the two frontier minima lf and lb together cannot
+// beat it, no undiscovered path can either — every such path still crosses
+// a forward candidate (≥ lf) and a backward candidate (≥ lb).
+func StopCondition(lf, lb, minCost int64) bool {
+	return minCost < MaxDist && lf+lb >= minCost
+}
+
+// RunSupersteps runs the generic FEM loop of Algorithm 2 over one handle per
+// engine; owner maps a node to the handle holding its authoritative visited
+// row. It seeds s and t at their owners, then repeatedly picks a direction,
+// runs F (sign update) on every handle, E+M (expansion, with a boundary
+// exchange when there are peers), collects lf/lb/minCost folded across the
+// handles, and stops when lf + lb >= minCost or either search exhausts
+// (§4.1's termination; exhaustion of one side finalizes that side's
+// distances, so minCost is then exact). The single engine is the one-handle
+// case with owner ≡ 0: every fold is over one value and nothing is routed.
+//
+// upper is an external upper bound on dist(s,t) — the length of a real walk
+// the caller knows, 4*MaxDist for none. It tightens termination and the
+// Theorem-1 prune; when the search stops against it before recording a
+// meeting that cheap, the path comes back Found with Length == upper and
+// nil Nodes: the caller holds the witness.
+//
+// The returned stats fold every handle's accounting; phase durations sum
+// handle wall clocks, so with peers working in parallel they read as
+// aggregate work, like CPU time. Handles serve one run.
+func RunSupersteps(ctx context.Context, hs []*Superstep, owner func(nid int64) int, s, t, upper int64) (Path, *QueryStats, error) {
+	spec, e := hs[0].spec, hs[0].e
+	qs := &QueryStats{Algorithm: spec.name}
 	start := time.Now()
 	defer func() {
+		for _, h := range hs {
+			qs.fold(h.qs)
+		}
 		qs.Total = time.Since(start)
 	}()
 
-	if err := e.resetVisited(ctx, qs, sc); err != nil {
+	if err := each(hs, func(_ int, h *Superstep) error { return h.e.resetVisited(ctx, h.qs, h.sc) }); err != nil {
 		return Path{}, qs, err
 	}
 	if s == t {
 		return Path{Found: true, Length: 0, Nodes: []int64{s}}, qs, nil
 	}
-	// Initialize with the two endpoints (line 1 of Algorithm 2); the
-	// MaxDist/NoParent sentinels bind as parameters like everything else.
-	if _, err := e.exec(ctx, qs, &qs.PE, nil, sc.biInit,
-		s, s, MaxDist, NoParent, t, MaxDist, NoParent, t); err != nil {
+	// Initialize with the two endpoints (line 1 of Algorithm 2; the
+	// MaxDist/NoParent sentinels bind as parameters like everything else).
+	// Endpoints with different owners are merged in at each one instead,
+	// which on an empty table writes the same two rows.
+	var err error
+	if hS, hT := hs[owner(s)], hs[owner(t)]; hS == hT {
+		_, err = hS.e.exec(ctx, hS.qs, &hS.qs.PE, nil, hS.sc.biInit,
+			s, s, MaxDist, NoParent, t, MaxDist, NoParent, t)
+	} else if err = hS.inject(ctx, true, []frontierCand{{s, s, 0}}); err == nil {
+		err = hT.inject(ctx, false, []frontierCand{{t, t, 0}})
+	}
+	if err != nil {
 		return Path{}, qs, err
 	}
 
-	fwd, bwd := fwdDir(), bwdDir()
-	xpF := e.buildExpand(fwd, spec.edgeFwd, "q.f = 2", 0, spec.prune, sc)
-	xpB := e.buildExpand(bwd, spec.edgeBwd, "q.b = 2", 0, spec.prune, sc)
-	frontF, frontB := spec.frontier(fwd), spec.frontier(bwd)
-	var preF, preB stmtShape
-	if spec.preFrontier != nil {
-		preF, preB = spec.preFrontier(fwd), spec.preFrontier(bwd)
+	// Per-direction loop state: l is the frontier minimum (lf / lb), n the
+	// last frontier size, k the expansion counter, live whether candidates
+	// remain.
+	type dirState struct {
+		l, n, k int64
+		live    bool
 	}
-
-	var lf, lb int64
-	nf, nb := int64(1), int64(1)
-	candF, candB := true, true
-	kf, kb := int64(0), int64(0)
-	minCost := int64(4 * MaxDist)
+	fw, bw := &dirState{n: 1, live: true}, &dirState{n: 1, live: true}
+	minCost := int64(4 * MaxDist) // cheapest meeting the visited tables record
+	var best int64                // ... or the caller's bound, if cheaper
 	limit := e.maxIters()
+	counts, mins := make([]int64, len(hs)), make([]int64, len(hs))
 
 	for iter := 0; ; iter++ {
 		// Cooperative cancellation: one check per frontier iteration, so a
@@ -238,46 +271,40 @@ func (e *Engine) bidirectional(ctx context.Context, sc *scratchSet, spec femSpec
 			return Path{}, qs, fmt.Errorf("core: %s exceeded %d iterations (s=%d t=%d)", spec.name, limit, s, t)
 		}
 		qs.Iterations = iter + 1
-		// Statistics collection: current best meeting cost (line 16).
-		mc, null, err := e.queryInt(ctx, qs, &qs.SC, sc.biMinSum)
+		// Statistics collection: current best meeting cost (line 16). Every
+		// candidate is routed to its owner, so the owner row carries the
+		// global minimum d2s AND d2t per node and the fold sees every
+		// meeting — including one whose halves were found by different peers.
+		mc, ok, err := minOver(ctx, hs, mins, func(h *Superstep) string { return h.sc.biMinSum })
 		if err != nil {
 			return Path{}, qs, err
 		}
-		if !null {
+		if ok {
 			minCost = mc
 		}
-		pathFound := minCost < MaxDist
-		if spec.trackL && StopCondition(lf, lb, minCost) {
+		best = min(minCost, upper)
+		if spec.trackL && StopCondition(fw.l, bw.l, best) {
 			break
 		}
-		if !candF && !candB {
+		if !fw.live && !bw.live {
 			break
 		}
 		var forward bool
 		switch {
 		case e.opts.AlternateDirections:
-			forward = candF && (!candB || iter%2 == 0)
+			forward = fw.live && (!bw.live || iter%2 == 0)
 		case spec.smallerL:
-			forward = candF && (!candB || lf <= lb)
+			forward = fw.live && (!bw.live || fw.l <= bw.l)
 		default:
 			// The paper's §4.1 policy: expand the direction with fewer
 			// frontier nodes to limit intermediate results.
-			forward = candF && (!candB || nf <= nb)
+			forward = fw.live && (!bw.live || fw.n <= bw.n)
 		}
-		var xp *expandSQL
-		var front, pre stmtShape
-		var reset, minQ string
-		var lOther int64
-		var k int64
+		cur, other := bw, fw
 		if forward {
-			xp, front, pre, reset, minQ, lOther = xpF, frontF, preF, sc.biResetF, sc.biMinF, lb
-			kf++
-			k = kf
-		} else {
-			xp, front, pre, reset, minQ, lOther = xpB, frontB, preB, sc.biResetB, sc.biMinB, lf
-			kb++
-			k = kb
+			cur, other = fw, bw
 		}
+		cur.k++
 
 		// ALT pruning: once a path is known, settle frontier-minimum
 		// candidates the landmark bound proves unable to improve it, before
@@ -286,10 +313,12 @@ func (e *Engine) bidirectional(ctx context.Context, sc *scratchSet, spec femSpec
 		// bounded — every round either affects nothing (stop) or shrinks
 		// the candidate pool.
 		var pruned int64
-		if spec.preFrontier != nil && pathFound {
-			pargs := pre.bind(minCost)
+		if spec.preFrontier != nil && best < MaxDist {
 			for {
-				n, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, pre.text, pargs...)
+				n, err := tally(hs, counts, func(h *Superstep) (int64, error) {
+					pre := h.side(forward).pre
+					return h.e.exec(ctx, h.qs, &h.qs.PE, &h.qs.FOp, pre.text, pre.bind(best)...)
+				})
 				if err != nil {
 					return Path{}, qs, err
 				}
@@ -301,36 +330,36 @@ func (e *Engine) bidirectional(ctx context.Context, sc *scratchSet, spec femSpec
 			qs.PrunedRows += pruned
 		}
 
-		// F-operator: select and mark the frontier (Listing 4(1)).
-		cnt, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, front.text, front.bind(k)...)
+		// F-operator: select and mark the frontier (Listing 4(1)). With
+		// peers, a handle whose local minimum exceeds the global one expands
+		// "prematurely"; the M-operator re-opens any row a later candidate
+		// improves, so distances stay exact (label-correcting), and the
+		// handle holding the global minimum always expands it.
+		cnt, err := tally(hs, counts, func(h *Superstep) (int64, error) {
+			front := h.side(forward).front
+			return h.e.exec(ctx, h.qs, &h.qs.PE, &h.qs.FOp, front.text, front.bind(cur.k)...)
+		})
 		if err != nil {
 			return Path{}, qs, err
 		}
 		if cnt == 0 {
-			if forward {
-				kf--
-			} else {
-				kb--
-			}
-			if pruned > 0 {
-				// Every candidate the frontier would have taken was settled
-				// by the ALT bound this round; candidates may remain (the
-				// pool only shrinks while no expansion runs, so this cannot
-				// loop forever). Retry the direction choice from the top.
-				continue
-			}
-			// This side is exhausted: its distances are final, so minCost
-			// is exact; the loop re-checks at the top.
-			if forward {
-				candF = false
-			} else {
-				candB = false
+			cur.k--
+			// If the ALT bound settled every candidate the frontier would
+			// have taken, candidates may remain (the pool only shrinks while
+			// no expansion runs, so this cannot loop forever): retry the
+			// direction choice from the top. Otherwise this side is
+			// exhausted: its distances are final, so minCost is exact; the
+			// loop re-checks at the top.
+			if pruned == 0 {
+				cur.live = false
 			}
 			continue
 		}
 
 		// E + M operators (Listing 4(2)).
-		if _, err := e.runExpand(ctx, qs, xp, nil, lOther, minCost); err != nil {
+		routed, err := expandMerge(ctx, hs, owner, forward, counts, other.l, best)
+		qs.Exchanged += routed
+		if err != nil {
 			return Path{}, qs, err
 		}
 		if forward {
@@ -340,45 +369,162 @@ func (e *Engine) bidirectional(ctx context.Context, sc *scratchSet, spec femSpec
 		}
 
 		// Mark the frontier as expanded (Listing 4(3)).
-		if _, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, reset); err != nil {
+		if err := each(hs, func(i int, h *Superstep) error {
+			if counts[i] == 0 {
+				return nil
+			}
+			_, err := h.e.exec(ctx, h.qs, &h.qs.PE, &h.qs.FOp, h.side(forward).reset)
+			return err
+		}); err != nil {
 			return Path{}, qs, err
 		}
 
-		// Collect the latest minimal distance (Listing 4(4)).
-		l, lnull, err := e.queryInt(ctx, qs, &qs.SC, minQ)
+		// Collect the latest minimal distance (Listing 4(4)). Only the
+		// expanded direction's: its merge never touches the other
+		// direction's distance or sign, so that bound cannot have moved.
+		l, ok, err := minOver(ctx, hs, mins, func(h *Superstep) string { return h.side(forward).min })
 		if err != nil {
 			return Path{}, qs, err
 		}
-		if forward {
-			if lnull {
-				candF = false
-			} else {
-				lf = l
-			}
-			nf = cnt
+		if ok {
+			cur.l = l
 		} else {
-			if lnull {
-				candB = false
-			} else {
-				lb = l
-			}
-			nb = cnt
+			cur.live = false
 		}
+		cur.n = cnt
 	}
 	qs.Expansions = qs.ForwardExpansions + qs.BackwardExpansions
 
-	vc, err := e.visitedCount(ctx, qs, sc)
+	vc, err := tally(hs, counts, func(h *Superstep) (int64, error) {
+		n, err := h.e.visitedCount(ctx, h.qs, h.sc)
+		return int64(n), err
+	})
 	if err != nil {
 		return Path{}, qs, err
 	}
-	qs.VisitedRows = vc
+	qs.VisitedRows = int(vc)
 
-	if minCost >= MaxDist {
+	if best >= MaxDist {
 		return Path{Found: false}, qs, nil
 	}
-	nodes, err := e.recoverBidirectional(ctx, qs, sc, s, t, minCost, spec.edgeFwd != TblEdges)
+	if upper < minCost {
+		return Path{Found: true, Length: upper}, qs, nil
+	}
+	nodes, err := recoverPath(ctx, hs, owner, s, t, minCost, spec.edgeFwd != TblEdges)
 	if err != nil {
 		return Path{}, qs, err
 	}
 	return Path{Found: true, Length: minCost, Nodes: nodes}, qs, nil
+}
+
+// each runs fn on every handle — concurrently when there are peers — and
+// joins the errors.
+func each(hs []*Superstep, fn func(i int, h *Superstep) error) error {
+	if len(hs) == 1 {
+		return fn(0, hs[0])
+	}
+	errs := make([]error, len(hs))
+	var wg sync.WaitGroup
+	for i, h := range hs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i, h)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// tally runs a row-counting step on every handle, leaving each handle's
+// count in counts and returning their sum.
+func tally(hs []*Superstep, counts []int64, fn func(h *Superstep) (int64, error)) (int64, error) {
+	err := each(hs, func(i int, h *Superstep) error {
+		var err error
+		counts[i], err = fn(h)
+		return err
+	})
+	var sum int64
+	for _, c := range counts {
+		sum += c
+	}
+	return sum, err
+}
+
+// minOver runs each handle's scalar MIN query in the statistics-collection
+// phase and folds the results; ok is false when every handle answered NULL
+// (no rows / no candidates). mins is scratch space, one slot per handle.
+func minOver(ctx context.Context, hs []*Superstep, mins []int64, q func(h *Superstep) string) (int64, bool, error) {
+	err := each(hs, func(i int, h *Superstep) error {
+		v, null, err := h.e.queryInt(ctx, h.qs, &h.qs.SC, q(h))
+		if null {
+			v = math.MaxInt64
+		}
+		mins[i] = v
+		return err
+	})
+	m := slices.Min(mins)
+	return m, m != math.MaxInt64, err
+}
+
+// prefetchWorkers is the per-handle concurrency that warms the adjacency
+// pages of a selected frontier before the expansion scans them serially.
+const prefetchWorkers = 8
+
+// expandMerge is the E+M step, the one place the loop depends on how many
+// handles it drives. Alone, the handle expands and merges in place — the
+// fused MERGE, or the engine's separate-operator / no-MERGE / traditional
+// forms. With peers, every handle that selected a frontier materializes its
+// expansion, the loop harvests the (nid, parent, cost) candidates before the
+// local merge consumes them, and routes each to the handle owning nid,
+// keeping the cheapest per node (TExpand's nid is a primary key, and the
+// owner's merge would pick the minimum anyway — deduping just saves
+// traffic); candidates a handle produced for its own nodes were already
+// merged locally. lOther and best bind the Theorem-1 prune; they are global
+// values, at least as large as any handle-local view, so the prune stays
+// sound. Returns the number of candidates routed.
+func expandMerge(ctx context.Context, hs []*Superstep, owner func(nid int64) int, forward bool, counts []int64, lOther, best int64) (int, error) {
+	if len(hs) == 1 {
+		h := hs[0]
+		_, err := h.e.runExpand(ctx, h.qs, h.side(forward).xp, nil, lOther, best)
+		return 0, err
+	}
+	harvested := make([][]frontierCand, len(hs))
+	if err := each(hs, func(i int, h *Superstep) error {
+		if counts[i] == 0 {
+			return nil
+		}
+		if counts[i] > 1 {
+			if err := h.prefetchFrontier(ctx, forward); err != nil {
+				return err
+			}
+		}
+		var err error
+		harvested[i], err = h.expandHarvest(ctx, forward, lOther, best)
+		return err
+	}); err != nil {
+		return 0, err
+	}
+	cheapest := make(map[int64]frontierCand)
+	for prod, cands := range harvested {
+		for _, c := range cands {
+			if owner(c.nid) == prod {
+				continue
+			}
+			if b, ok := cheapest[c.nid]; !ok || c.cost < b.cost {
+				cheapest[c.nid] = c
+			}
+		}
+	}
+	if len(cheapest) == 0 {
+		return 0, nil
+	}
+	batches := make([][]frontierCand, len(hs))
+	for _, c := range cheapest {
+		o := owner(c.nid)
+		batches[o] = append(batches[o], c)
+	}
+	return len(cheapest), each(hs, func(i int, h *Superstep) error {
+		return h.inject(ctx, forward, batches[i])
+	})
 }

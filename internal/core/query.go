@@ -510,9 +510,16 @@ type QueryResponse struct {
 // admission re-check — and distinct uncached searches run in parallel
 // under shared admissions, each over its own scratch-table set.
 func (e *Engine) QueryBatch(ctx context.Context, reqs []QueryRequest, workers int) []QueryResponse {
+	return BatchQuery(ctx, reqs, workers, e.Query)
+}
+
+// BatchQuery is QueryBatch over any engine's Query method (the sharded
+// engine answers batches through it too).
+func BatchQuery(ctx context.Context, reqs []QueryRequest, workers int,
+	query func(context.Context, QueryRequest) (QueryResult, error)) []QueryResponse {
 	results := make([]QueryResponse, len(reqs))
 	runBatch(ctx, len(reqs), workers, func(i int) {
-		res, err := e.Query(ctx, reqs[i])
+		res, err := query(ctx, reqs[i])
 		results[i] = QueryResponse{Request: reqs[i], Result: res, Err: err}
 	}, func(i int) {
 		results[i] = QueryResponse{Request: reqs[i], Err: ctx.Err()}

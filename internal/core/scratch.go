@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -46,9 +47,15 @@ type scratchSet struct {
 	// Bi-directional FEM loop (fem.go).
 	biInit, biResetF, biResetB, biMinSum, biMinF, biMinB string
 	// Single-directional Dijkstra (dj.go).
-	djInit, djMid, djFinalize, djTarget, djDist string
+	djInit, djMid, djFinalize, djTarget string
 	// Path recovery (recover.go).
 	recP2S, recP2T, meet string
+	// A node's tentative distance (dj.go's answer, cross-handle unfolding).
+	distF, distB string
+	// Boundary exchange between peer handles (superstep.go): harvest reads
+	// the materialized E-output back out, inj1/injN push routed candidates
+	// in (1 and injectChunk rows), markedF/markedB read the selected frontier.
+	harvest, inj1, injN, markedF, markedB string
 	// Working-table reset and the search-space metric (loader.go).
 	resets [3]string
 	count  string
@@ -75,10 +82,16 @@ func newScratchSet(id int) *scratchSet {
 	sc.djMid = "SELECT TOP 1 nid FROM " + v + " WHERE f = 0 AND d2s = (SELECT MIN(d2s) FROM " + v + " WHERE f = 0)"
 	sc.djFinalize = "UPDATE " + v + " SET f = 1 WHERE nid = ?"
 	sc.djTarget = "SELECT nid FROM " + v + " WHERE f = 1 AND nid = ?"
-	sc.djDist = "SELECT d2s FROM " + v + " WHERE nid = ?"
 	sc.recP2S = "SELECT p2s FROM " + v + " WHERE nid = ?"
 	sc.recP2T = "SELECT p2t FROM " + v + " WHERE nid = ?"
 	sc.meet = "SELECT TOP 1 nid FROM " + v + " WHERE d2s + d2t = ?"
+	sc.harvest = "SELECT nid, par, cost FROM " + sc.expand
+	sc.inj1 = "INSERT INTO " + sc.expand + " (nid, par, cost) VALUES (?, ?, ?)"
+	sc.injN = sc.inj1 + strings.Repeat(", (?, ?, ?)", injectChunk-1)
+	sc.markedF = "SELECT nid FROM " + v + " WHERE f = 2"
+	sc.markedB = "SELECT nid FROM " + v + " WHERE b = 2"
+	sc.distF = "SELECT d2s FROM " + v + " WHERE nid = ?"
+	sc.distB = "SELECT d2t FROM " + v + " WHERE nid = ?"
 	sc.resets = [3]string{"DELETE FROM " + sc.visited, "DELETE FROM " + sc.expand, "DELETE FROM " + sc.expCost}
 	sc.count = "SELECT COUNT(*) FROM " + v
 	return sc

@@ -50,6 +50,9 @@ type QueryStats struct {
 	PrunedRows int64
 	// VisitedRows is |TVisited| when the search stops (search space).
 	VisitedRows int
+	// Exchanged counts expansion candidates routed between peer handles
+	// (zero unless the loop ran over more than one engine).
+	Exchanged int
 	// Phase timings (Fig 6(b)).
 	PE, SC, FPR time.Duration
 	// Operator timings (Fig 6(c); populated when SeparateOperators is on,
@@ -73,6 +76,19 @@ type QueryStats struct {
 	// budget is the per-query statement cap (QueryRequest.MaxStatements);
 	// exec/queryInt enforce it. 0 = unlimited.
 	budget int64
+}
+
+// fold adds one handle's accounting — what exec, queryInt and queryRows
+// charge — into the query's stats.
+func (q *QueryStats) fold(h *QueryStats) {
+	q.Statements += h.Statements
+	q.TuplesAffected += h.TuplesAffected
+	q.PE += h.PE
+	q.SC += h.SC
+	q.FPR += h.FPR
+	q.FOp += h.FOp
+	q.EOp += h.EOp
+	q.MOp += h.MOp
 }
 
 // SQLDur is the time the query spent executing SQL statements: the sum of

@@ -1,104 +1,98 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
-
-	"context"
 
 	"repro/internal/rdb"
 )
 
-// Partition-parallel FEM support.
-//
-// The bi-directional loop in fem.go owns its whole frontier: F selects, E+M
-// expand and merge, and the stopping condition reads engine-local minima.
-// Horizontal sharding (internal/shard) needs the same machinery one
-// superstep at a time, against a frontier the coordinator seeds from
-// outside: each shard expands its local candidates, the coordinator
-// harvests the boundary (nid, parent, cost) candidates out of the scratch
-// TExpand table, routes every candidate to the shard that owns the node,
-// and injects the routed batches back through the same MERGE the local
-// M-operator uses. A Superstep is that per-query, per-shard handle: it
-// leases a scratch set under the shared read gate and exposes F / E+M /
-// stats / recovery as separate calls, all through the engine's prepared
-// statements.
+// A Superstep is one engine's seat in the FEM loop (RunSupersteps in
+// fem.go): a scratch set, the algorithm's statement shapes rendered over it,
+// and the handle-local accounting. The engine's own search builds one on the
+// scratch set it already leased and runs the loop over that single handle.
+// Horizontal sharding (internal/shard) admits one handle per shard engine
+// with BeginSuperstep and runs the same loop over all of them; what the
+// loop needs from a handle only then — reading an expansion back out as
+// data, merging in candidates routed from peers, warming a frontier's pages
+// — lives here.
 
-// ErrUnsupportedSuperstep reports an algorithm the superstep surface cannot
-// drive. Node-at-a-time BDJ/DJ never fan out (their frontier is one node),
-// and ALT/Label lean on whole-graph landmark indexes that are unsound on a
+// ErrUnsupportedSuperstep reports an algorithm BeginSuperstep cannot admit.
+// Node-at-a-time BDJ/DJ never fan out (their frontier is one node), and
+// ALT/Label lean on whole-graph landmark indexes that are unsound on a
 // partition's subgraph, so only the set-at-a-time frontier algorithms
 // (BSDJ, BBFS, BSEG) are exposed.
 var ErrUnsupportedSuperstep = errors.New("core: algorithm not supported by the superstep surface (want BSDJ, BBFS or BSEG)")
 
-// FrontierCand is one harvested expansion candidate: node nid is reachable
-// at distance Cost through parent Par. The coordinator exchanges these
-// between shards; Inject applies them through the M-operator MERGE.
-type FrontierCand struct {
-	Nid  int64
-	Par  int64
-	Cost int64
-}
-
-// StopCondition is the paper's §4.1 termination term over the global state:
-// once some s-t meeting is known (minCost) and the two frontier minima lf
-// and lb together cannot beat it, no undiscovered path can either — every
-// such path still crosses a forward candidate (≥ lf) and a backward
-// candidate (≥ lb). The single-engine loop and the shard coordinator
-// evaluate the same term; the coordinator just feeds it global minima.
-func StopCondition(lf, lb, minCost int64) bool {
-	return minCost < MaxDist && lf+lb >= minCost
-}
-
-// SuperstepMins is one shard's statistics-collection round: the best local
-// meeting sum and the two frontier minima, each with a validity flag
-// (false = the aggregate was NULL, i.e. no rows / no candidates).
-type SuperstepMins struct {
-	Sum, MinF, MinB          int64
-	HasSum, HasMinF, HasMinB bool
-}
+// frontierCand is one harvested expansion candidate: node nid is reachable
+// at distance cost through parent par. The loop exchanges these between
+// peer handles; inject applies them through the M-operator MERGE.
+type frontierCand struct{ nid, par, cost int64 }
 
 // injectChunk is the wide INSERT shape used to push routed candidates into
 // the scratch TExpand table: fixed row counts keep the statement-text
 // population bounded so prepared handles and cached plans recycle.
 const injectChunk = 16
 
-// Superstep is a per-query handle on one engine's FEM machinery, factored
-// so a coordinator can drive the loop one superstep at a time with an
-// injected seed frontier. The handle holds a shared-gate admission and a
-// leased scratch set from Begin until Close.
+// Superstep is a per-query handle on one engine's FEM machinery. A handle
+// from BeginSuperstep holds a shared-gate admission and a leased scratch
+// set until Close; the ones the engine builds for itself borrow both from
+// the query that builds them and are never closed.
 type Superstep struct {
-	e    *Engine
-	sc   *scratchSet
-	qs   *QueryStats
-	spec femSpec
-	xpF  *expandSQL
-	xpB  *expandSQL
-
-	frontF, frontB stmtShape
-	harvest        string // SELECT the materialized E-output back out
-	distF, distB   string // per-node tentative distance lookups
-	inj1, injN     string // TExpand VALUES shapes (1 and injectChunk rows)
-	segCostF       string // TOutSegs cost probe
-	segCostB       string // TInSegs cost probe
-	fNidsF, fNidsB string // selected-frontier readback (sign = 2)
-	probeF, probeB string // adjacency prefetch probes (per frontier nid)
-
-	closed bool
+	e        *Engine
+	sc       *scratchSet
+	qs       *QueryStats
+	spec     femSpec
+	fwd, bwd femSide
+	closed   bool
 }
 
-// BeginSuperstep admits a coordinator-driven search on this engine: it
+// femSide is one direction's statements on one handle: the E+M shapes, the
+// F-operator (and ALT's pre-frontier prune, when the spec has one), the
+// un-mark of the expanded frontier (Listing 4(3)) and the candidate minimum
+// (Listing 4(4)).
+type femSide struct {
+	xp         *expandSQL
+	front, pre stmtShape
+	reset, min string
+}
+
+func (ss *Superstep) side(forward bool) *femSide {
+	if forward {
+		return &ss.fwd
+	}
+	return &ss.bwd
+}
+
+// newSuperstep renders spec over sc. budget caps the handle's statement
+// count (0 = unlimited). The caller holds the query gate and owns sc.
+func (e *Engine) newSuperstep(sc *scratchSet, spec femSpec, budget int64) *Superstep {
+	fwd, bwd := fwdDir(), bwdDir()
+	ss := &Superstep{
+		e: e, sc: sc, spec: spec,
+		qs: &QueryStats{Algorithm: spec.name, budget: budget},
+		fwd: femSide{xp: e.buildExpand(fwd, spec.edgeFwd, "q.f = 2", 0, spec.prune, sc),
+			front: spec.frontier(fwd), reset: sc.biResetF, min: sc.biMinF},
+		bwd: femSide{xp: e.buildExpand(bwd, spec.edgeBwd, "q.b = 2", 0, spec.prune, sc),
+			front: spec.frontier(bwd), reset: sc.biResetB, min: sc.biMinB},
+	}
+	if spec.preFrontier != nil {
+		ss.fwd.pre, ss.bwd.pre = spec.preFrontier(fwd), spec.preFrontier(bwd)
+	}
+	return ss
+}
+
+// BeginSuperstep admits this engine to a search driven from outside: it
 // validates the algorithm, takes a shared gate slot (concurrent with other
-// readers, excluded from mutations), leases a scratch set and clears it.
-// budget caps the shard's statement count (0 = unlimited). The caller must
-// Close the handle — also on error paths — to release both.
+// readers, excluded from mutations) and leases a scratch set. budget caps
+// the handle's statement count (0 = unlimited). The caller must Close the
+// handle — also on error paths — to release both.
 func (e *Engine) BeginSuperstep(ctx context.Context, alg Algorithm, budget int64) (*Superstep, error) {
 	e.mu.RLock()
 	nodes := e.nodes
-	segBuilt, segLthd := e.segBuilt, e.segLthd
 	e.mu.RUnlock()
 	if e.optErr != nil {
 		return nil, e.optErr
@@ -109,6 +103,11 @@ func (e *Engine) BeginSuperstep(ctx context.Context, alg Algorithm, budget int64
 	if !e.db.Profile().SupportsMerge || !e.db.Profile().SupportsWindow {
 		return nil, fmt.Errorf("core: superstep surface needs MERGE and window support in the database profile")
 	}
+	switch alg {
+	case AlgBSDJ, AlgBBFS, AlgBSEG:
+	default:
+		return nil, fmt.Errorf("%w: %v", ErrUnsupportedSuperstep, alg)
+	}
 
 	if err := e.lockShared(ctx); err != nil {
 		return nil, err
@@ -118,168 +117,94 @@ func (e *Engine) BeginSuperstep(ctx context.Context, alg Algorithm, budget int64
 		e.unlockShared()
 		return nil, err
 	}
-
-	ss := &Superstep{e: e, sc: sc, qs: &QueryStats{budget: budget}}
-	switch alg {
-	case AlgBSDJ:
-		ss.spec = specBSDJ(sc)
-	case AlgBBFS:
-		ss.spec = specBBFS(sc)
-	case AlgBSEG:
-		if !segBuilt {
-			ss.Close()
-			return nil, fmt.Errorf("core: BSEG superstep requires BuildSegTable first")
-		}
-		ss.spec = specBSEG(sc, segLthd)
-	default:
-		ss.Close()
-		return nil, fmt.Errorf("%w: %v", ErrUnsupportedSuperstep, alg)
-	}
-	ss.qs.Algorithm = ss.spec.name
-
-	fwd, bwd := fwdDir(), bwdDir()
-	ss.xpF = e.buildExpand(fwd, ss.spec.edgeFwd, "q.f = 2", 0, ss.spec.prune, sc)
-	ss.xpB = e.buildExpand(bwd, ss.spec.edgeBwd, "q.b = 2", 0, ss.spec.prune, sc)
-	ss.frontF, ss.frontB = ss.spec.frontier(fwd), ss.spec.frontier(bwd)
-	ss.harvest = "SELECT nid, par, cost FROM " + sc.expand
-	ss.distF = "SELECT d2s FROM " + sc.visited + " WHERE nid = ?"
-	ss.distB = "SELECT d2t FROM " + sc.visited + " WHERE nid = ?"
-	ss.inj1 = "INSERT INTO " + sc.expand + " (nid, par, cost) VALUES (?, ?, ?)"
-	ss.injN = "INSERT INTO " + sc.expand + " (nid, par, cost) VALUES (?, ?, ?)" +
-		strings.Repeat(", (?, ?, ?)", injectChunk-1)
-	ss.segCostF = "SELECT cost FROM " + TblOutSegs + " WHERE fid = ? AND tid = ?"
-	ss.segCostB = "SELECT cost FROM " + TblInSegs + " WHERE fid = ? AND tid = ?"
-	ss.fNidsF = "SELECT nid FROM " + sc.visited + " WHERE f = 2"
-	ss.fNidsB = "SELECT nid FROM " + sc.visited + " WHERE b = 2"
-	// MIN(cost) rather than COUNT(*): cost lives only in the base rows, so
-	// the probe must fetch the same heap pages the expansion join will read,
-	// not satisfy itself from an index.
-	ss.probeF = "SELECT MIN(cost) FROM " + ss.spec.edgeFwd + " WHERE fid = ?"
-	ss.probeB = "SELECT MIN(cost) FROM " + ss.spec.edgeBwd + " WHERE tid = ?"
-
-	if err := e.resetVisited(ctx, ss.qs, sc); err != nil {
-		ss.Close()
+	spec, err := e.specFor(alg, sc, 0, 0)
+	if err != nil {
+		e.scratch.release(sc)
+		e.unlockShared()
 		return nil, err
 	}
-	return ss, nil
+	return e.newSuperstep(sc, spec, budget), nil
 }
 
-// Stats exposes the shard-local accounting (statements, tuples, phase
-// durations) accumulated so far; the coordinator sums these into the
-// query's global QueryStats.
-func (ss *Superstep) Stats() *QueryStats { return ss.qs }
+// Close releases the scratch set and the gate admission BeginSuperstep
+// took. Idempotent.
+func (ss *Superstep) Close() {
+	if ss.closed {
+		return
+	}
+	ss.closed = true
+	ss.e.scratch.release(ss.sc)
+	ss.e.unlockShared()
+}
 
-// Inject applies routed candidates through the M-operator: the scratch
-// TExpand table is cleared, the batch is inserted (deduplicated by the
-// caller — TExpand's nid is a primary key), and the direction's MERGE
+// inject applies candidates routed from peers through the M-operator: the
+// scratch TExpand table is cleared, the batch is inserted (deduplicated by
+// the caller — TExpand's nid is a primary key), and the direction's MERGE
 // relaxes the visited table, re-opening (sign=0) any settled row the batch
 // improves. Seeding works the same way: injecting (s, s, 0) forward into an
-// empty table reproduces the biInit row for s. Returns the number of
-// visited rows the merge touched.
-func (ss *Superstep) Inject(ctx context.Context, forward bool, cands []FrontierCand) (int64, error) {
+// empty table reproduces the biInit row for s.
+func (ss *Superstep) inject(ctx context.Context, forward bool, cands []frontierCand) error {
 	if len(cands) == 0 {
-		return 0, nil
+		return nil
 	}
-	e, qs := ss.e, ss.qs
-	xp := ss.xpB
-	if forward {
-		xp = ss.xpF
-	}
+	e, qs, xp := ss.e, ss.qs, ss.side(forward).xp
 	if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.clearExpand); err != nil {
-		return 0, err
+		return err
 	}
-	rest := cands
-	for len(rest) >= injectChunk {
-		args := make([]any, 0, 3*injectChunk)
-		for _, c := range rest[:injectChunk] {
-			args = append(args, c.Nid, c.Par, c.Cost)
+	for len(cands) > 0 {
+		q, n := ss.sc.inj1, 1
+		if len(cands) >= injectChunk {
+			q, n = ss.sc.injN, injectChunk
 		}
-		if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, ss.injN, args...); err != nil {
-			return 0, err
+		args := make([]any, 0, 3*n)
+		for _, c := range cands[:n] {
+			args = append(args, c.nid, c.par, c.cost)
 		}
-		rest = rest[injectChunk:]
+		if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, q, args...); err != nil {
+			return err
+		}
+		cands = cands[n:]
 	}
-	for _, c := range rest {
-		if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, ss.inj1, c.Nid, c.Par, c.Cost); err != nil {
-			return 0, err
-		}
-	}
-	return e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.mMerge, sentinelArgs...)
+	_, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.mMerge, sentinelArgs...)
+	return err
 }
 
-// SelectFrontier runs the F-operator for one direction, marking sign=2 on
-// the selected candidates and returning the frontier size. k is the
-// direction's 1-based expansion counter (BSEG's k*lthd rule binds it).
-func (ss *Superstep) SelectFrontier(ctx context.Context, forward bool, k int64) (int64, error) {
-	front := ss.frontB
-	if forward {
-		front = ss.frontF
-	}
-	return ss.e.exec(ctx, ss.qs, &ss.qs.PE, &ss.qs.FOp, front.text, front.bind(k)...)
-}
-
-// ExpandHarvest runs the E-operator for the marked frontier, harvests the
-// materialized candidate set (before the local merge consumes it), applies
-// the local M-operator, and un-marks the frontier. lOther and minCost bind
-// the Theorem-1 prune exactly as in the single-engine loop; the coordinator
-// passes global values, which are at least as large as any shard-local view
-// would be, so the prune stays sound. The returned candidates are what this
-// shard learned this superstep — the coordinator routes each to the shard
-// owning its node.
-func (ss *Superstep) ExpandHarvest(ctx context.Context, forward bool, lOther, minCost int64) ([]FrontierCand, error) {
-	e, qs := ss.e, ss.qs
-	xp, reset := ss.xpB, ss.sc.biResetB
-	if forward {
-		xp, reset = ss.xpF, ss.sc.biResetF
-	}
-	bound := minCost
-	if e.opts.DisablePruning || bound >= MaxDist {
-		bound = 4 * MaxDist
-	}
+// expandHarvest runs the E-operator for the marked frontier into the
+// scratch TExpand table, reads the candidate set back out (before the local
+// merge consumes it) and applies the local M-operator. lOther and minCost
+// bind the Theorem-1 prune exactly as runExpand binds them.
+func (ss *Superstep) expandHarvest(ctx context.Context, forward bool, lOther, minCost int64) ([]frontierCand, error) {
+	e, qs, xp := ss.e, ss.qs, ss.side(forward).xp
 	if _, err := e.exec(ctx, qs, &qs.PE, &qs.EOp, xp.clearExpand); err != nil {
 		return nil, err
 	}
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.EOp, xp.insExpand, lOther, bound); err != nil {
+	if _, err := e.exec(ctx, qs, &qs.PE, &qs.EOp, xp.insExpand, e.pruneArgs(xp, lOther, minCost)...); err != nil {
 		return nil, err
 	}
-	rows, err := e.queryRows(ctx, qs, &qs.PE, ss.harvest)
+	rows, err := e.queryRows(ctx, qs, &qs.PE, ss.sc.harvest)
 	if err != nil {
 		return nil, err
 	}
-	var cands []FrontierCand
-	if n := rows.Len(); n > 0 {
-		cands = make([]FrontierCand, 0, n)
-		for _, r := range rows.Data {
-			cands = append(cands, FrontierCand{Nid: r[0].I, Par: r[1].I, Cost: r[2].I})
-		}
+	cands := make([]frontierCand, 0, rows.Len())
+	for _, r := range rows.Data {
+		cands = append(cands, frontierCand{nid: r[0].I, par: r[1].I, cost: r[2].I})
 	}
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.mMerge, sentinelArgs...); err != nil {
-		return nil, err
-	}
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, reset); err != nil {
-		return nil, err
-	}
-	if forward {
-		qs.ForwardExpansions++
-	} else {
-		qs.BackwardExpansions++
-	}
-	qs.Expansions++
-	return cands, nil
+	_, err = e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.mMerge, sentinelArgs...)
+	return cands, err
 }
 
-// PrefetchFrontier warms the buffer pool with the adjacency pages the
+// prefetchFrontier warms the buffer pool with the adjacency pages the
 // direction's E-operator is about to scan: the selected frontier (sign=2)
 // is read back from the resident visited table, split round-robin across
-// workers goroutines, and each worker probes the edge (or segment) table
-// for its nids through the engine's concurrent read path. The probes fault
-// in the same index and heap pages the expansion join will touch, but in
-// parallel instead of serially inside one statement — on a cold pool this
-// converts the expansion's page waits from frontier-sized serial chains
-// into overlapped transfers. The expansion itself is unchanged; a warm pool
-// makes this a cheap no-op per nid. This lever exists only on the superstep
-// surface: the coordinator materializes its frontier as data, while the
-// single-engine fused MERGE never surfaces it outside one statement.
+// prefetchWorkers goroutines, and each worker probes the edge (or segment)
+// table for its nids through the engine's concurrent read path. The probes
+// fault in the same index and heap pages the expansion join will touch, but
+// in parallel instead of serially inside one statement — on a cold pool
+// this converts the expansion's page waits from frontier-sized serial
+// chains into overlapped transfers. The expansion itself is unchanged; a
+// warm pool makes this a cheap no-op per nid. The lever exists only with
+// peers: their loop materializes the frontier as data, while the lone
+// handle's fused MERGE never surfaces it outside one statement.
 //
 // Prefetch pays for itself when the warmed pages stay resident until the
 // expansion reads them. A frontier whose adjacency rivals the whole buffer
@@ -287,14 +212,14 @@ func (ss *Superstep) ExpandHarvest(ctx context.Context, forward bool, lOther, mi
 // churn — partitioning is what keeps both sides small (each shard sees 1/k
 // of the frontier and 1/k of the visited rows), so the technique composes
 // with sharding rather than substituting for memory.
-func (ss *Superstep) PrefetchFrontier(ctx context.Context, forward bool, workers int) error {
-	if workers <= 1 {
-		return nil
-	}
+func (ss *Superstep) prefetchFrontier(ctx context.Context, forward bool) error {
 	e, qs := ss.e, ss.qs
-	nidQ, probeQ := ss.fNidsB, ss.probeB
+	// MIN(cost) rather than COUNT(*): cost lives only in the base rows, so
+	// the probe must fetch the same heap pages the expansion join will read,
+	// not satisfy itself from an index.
+	nidQ, probeQ := ss.sc.markedB, "SELECT MIN(cost) FROM "+ss.spec.edgeBwd+" WHERE tid = ?"
 	if forward {
-		nidQ, probeQ = ss.fNidsF, ss.probeF
+		nidQ, probeQ = ss.sc.markedF, "SELECT MIN(cost) FROM "+ss.spec.edgeFwd+" WHERE fid = ?"
 	}
 	rows, err := e.queryRows(ctx, qs, &qs.EOp, nidQ)
 	if err != nil {
@@ -311,15 +236,13 @@ func (ss *Superstep) PrefetchFrontier(ctx context.Context, forward bool, workers
 	if err != nil {
 		return err
 	}
-	if workers > len(nids) {
-		workers = len(nids)
-	}
+	workers := min(prefetchWorkers, len(nids))
 	t0 := time.Now()
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := w; i < len(nids); i += workers {
 				if _, _, err := st.QueryIntContext(ctx, nids[i]); err != nil {
@@ -327,125 +250,19 @@ func (ss *Superstep) PrefetchFrontier(ctx context.Context, forward bool, workers
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	dt := time.Since(t0)
 	qs.Statements += len(nids)
 	qs.PE += dt
 	qs.EOp += dt
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Mins is the statistics-collection round (Listing 4(4,5)): the best local
-// d2s+d2t sum and the per-direction candidate minima. The coordinator folds
-// these across shards into the global minCost / lf / lb the stopping
-// condition reads.
-func (ss *Superstep) Mins(ctx context.Context) (SuperstepMins, error) {
-	e, qs, sc := ss.e, ss.qs, ss.sc
-	var m SuperstepMins
-	var null bool
-	var err error
-	if m.Sum, null, err = e.queryInt(ctx, qs, &qs.SC, sc.biMinSum); err != nil {
-		return m, err
-	}
-	m.HasSum = !null
-	if m.MinF, null, err = e.queryInt(ctx, qs, &qs.SC, sc.biMinF); err != nil {
-		return m, err
-	}
-	m.HasMinF = !null
-	if m.MinB, null, err = e.queryInt(ctx, qs, &qs.SC, sc.biMinB); err != nil {
-		return m, err
-	}
-	m.HasMinB = !null
-	return m, nil
-}
-
-// MeetNode looks for a node whose d2s+d2t equals cost (Listing 4(6)).
-func (ss *Superstep) MeetNode(ctx context.Context, cost int64) (int64, bool, error) {
-	v, null, err := ss.e.queryInt(ctx, ss.qs, &ss.qs.FPR, ss.sc.meet, cost)
-	return v, !null && err == nil, err
-}
-
-// Parent returns a node's recorded parent link for one direction, with
-// ok=false when the node has no row or an unset link.
-func (ss *Superstep) Parent(ctx context.Context, forward bool, nid int64) (int64, bool, error) {
-	q := ss.sc.recP2T
-	if forward {
-		q = ss.sc.recP2S
-	}
-	p, null, err := ss.e.queryInt(ctx, ss.qs, &ss.qs.FPR, q, nid)
-	if err != nil {
-		return 0, false, err
-	}
-	return p, !null && p != NoParent, nil
-}
-
-// Dist returns a node's tentative distance for one direction, with
-// ok=false when the node has no visited row.
-func (ss *Superstep) Dist(ctx context.Context, forward bool, nid int64) (int64, bool, error) {
-	q := ss.distB
-	if forward {
-		q = ss.distF
-	}
-	d, null, err := ss.e.queryInt(ctx, ss.qs, &ss.qs.FPR, q, nid)
-	if err != nil {
-		return 0, false, err
-	}
-	return d, !null, nil
-}
-
-// SegCost probes this shard's segment table for a recorded u->v segment
-// (TOutSegs forward, TInSegs backward) and returns its cost. During
-// cross-shard path recovery the coordinator uses it to find a shard whose
-// recorded segment achieves the exact distance difference before unfolding
-// there.
-func (ss *Superstep) SegCost(ctx context.Context, forward bool, u, v int64) (int64, bool, error) {
-	q := ss.segCostB
-	if forward {
-		q = ss.segCostF
-	}
-	c, null, err := ss.e.queryInt(ctx, ss.qs, &ss.qs.FPR, q, u, v)
-	if err != nil {
-		return 0, false, err
-	}
-	return c, !null, nil
-}
-
-// UnfoldSegment expands a recorded segment's interior through the pid
-// chains: forward returns the interior of the TOutSegs segment u->v in
-// reverse order (closest-to-v first), backward the TInSegs interior in path
-// order — the same contracts recoverForward/recoverBackward consume.
-func (ss *Superstep) UnfoldSegment(ctx context.Context, forward bool, u, v int64) ([]int64, error) {
-	if forward {
-		return ss.e.unfoldOutSegment(ctx, ss.qs, u, v)
-	}
-	return ss.e.unfoldInSegment(ctx, ss.qs, u, v)
-}
-
-// VisitedRows reports the search-space metric |TVisited| for this shard.
-func (ss *Superstep) VisitedRows(ctx context.Context) (int, error) {
-	return ss.e.visitedCount(ctx, ss.qs, ss.sc)
-}
-
-// Close releases the scratch set and the gate admission. Idempotent.
-func (ss *Superstep) Close() {
-	if ss.closed {
-		return
-	}
-	ss.closed = true
-	ss.e.scratch.release(ss.sc)
-	ss.e.unlockShared()
+	return errors.Join(errs...)
 }
 
 // queryRows runs a row-returning query through the prepared-statement cache
 // with the usual budget/cancellation/accounting treatment (exec and
-// queryInt cover the scalar cases; the superstep harvest needs whole rows).
+// queryInt cover the scalar cases; the harvest needs whole rows).
 func (e *Engine) queryRows(ctx context.Context, qs *QueryStats, phase *time.Duration, q string, args ...any) (*rdb.Rows, error) {
 	if err := e.checkBudget(ctx, qs); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/rdb"
@@ -45,96 +46,58 @@ func TestSuperstepUnsupportedAlg(t *testing.T) {
 	}
 }
 
-// TestSuperstepSeedMatchesQuery drives one full coordinator-style search on
-// a single engine through the superstep surface — seed injection, frontier
-// select, expand+harvest with self-routing, stats collection, stop
-// condition — and checks it reproduces Engine.Query exactly. This is the
-// k=1 degenerate case of the shard coordinator, pinned here so the core
-// surface stays sufficient on its own.
-func TestSuperstepSeedMatchesQuery(t *testing.T) {
+// TestSuperstepMatchesQuery runs the FEM loop over one admitted handle —
+// the way a coordinator would with a single engine — and checks it does
+// exactly what Engine.Query does over the handle it builds itself: same
+// path, same iterations, same statements. Two handles on the same engine
+// with the nodes split between them must still find the same distance.
+func TestSuperstepMatchesQuery(t *testing.T) {
 	e := newLineEngine(t, 24)
 	ctx := context.Background()
-
 	want, err := e.Query(ctx, QueryRequest{Source: 2, Target: 19, Alg: AlgBSDJ})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ss, err := e.BeginSuperstep(ctx, AlgBSDJ, 0)
+	begin := func() *Superstep {
+		ss, err := e.BeginSuperstep(ctx, AlgBSDJ, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ss.Close)
+		return ss
+	}
+	p, qs, err := RunSupersteps(ctx, []*Superstep{begin()}, soleOwner, 2, 19, 4*MaxDist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
-	if _, err := ss.Inject(ctx, true, []FrontierCand{{Nid: 2, Par: 2, Cost: 0}}); err != nil {
+	if !slices.Equal(p.Nodes, want.Path.Nodes) || p.Length != want.Distance {
+		t.Fatalf("one handle: path %v (%d), Query found %v (%d)", p.Nodes, p.Length, want.Path.Nodes, want.Distance)
+	}
+	if qs.Iterations != want.Stats.Iterations || qs.Statements != want.Stats.Statements {
+		t.Fatalf("one handle: %d iterations / %d statements, Query took %d / %d",
+			qs.Iterations, qs.Statements, want.Stats.Iterations, want.Stats.Statements)
+	}
+
+	p, qs, err = RunSupersteps(ctx, []*Superstep{begin(), begin()}, func(nid int64) int { return int(nid % 2) }, 2, 19, 4*MaxDist)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.Inject(ctx, false, []FrontierCand{{Nid: 19, Par: 19, Cost: 0}}); err != nil {
+	if !slices.Equal(p.Nodes, want.Path.Nodes) || p.Length != want.Distance {
+		t.Fatalf("two handles: path %v (%d), Query found %v (%d)", p.Nodes, p.Length, want.Path.Nodes, want.Distance)
+	}
+	if qs.Exchanged == 0 {
+		t.Fatal("two handles over a line must exchange candidates")
+	}
+
+	// An external bound below the true distance wins: the loop stops against
+	// it and leaves the witness to the caller.
+	p, _, err = RunSupersteps(ctx, []*Superstep{begin()}, soleOwner, 2, 19, want.Distance-1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var lf, lb int64
-	nf, nb := int64(1), int64(1)
-	candF, candB := true, true
-	var kf, kb int64
-	minCost := int64(4 * MaxDist)
-	for iter := 0; ; iter++ {
-		if iter > 1000 {
-			t.Fatal("superstep loop did not terminate")
-		}
-		m, err := ss.Mins(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.HasSum && m.Sum < minCost {
-			minCost = m.Sum
-		}
-		candF, candB = m.HasMinF, m.HasMinB
-		if candF {
-			lf = m.MinF
-		}
-		if candB {
-			lb = m.MinB
-		}
-		if StopCondition(lf, lb, minCost) {
-			break
-		}
-		if !candF && !candB {
-			break
-		}
-		forward := candF && (!candB || nf <= nb)
-		var k int64
-		if forward {
-			kf++
-			k = kf
-		} else {
-			kb++
-			k = kb
-		}
-		cnt, err := ss.SelectFrontier(ctx, forward, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lOther := lb
-		if !forward {
-			lOther = lf
-		}
-		if _, err := ss.ExpandHarvest(ctx, forward, lOther, minCost); err != nil {
-			t.Fatal(err)
-		}
-		if forward {
-			nf = cnt
-		} else {
-			nb = cnt
-		}
-	}
-	if minCost != want.Distance {
-		t.Fatalf("superstep distance %d, want %d", minCost, want.Distance)
-	}
-	meet, ok, err := ss.MeetNode(ctx, minCost)
-	if err != nil || !ok {
-		t.Fatalf("MeetNode: ok=%v err=%v", ok, err)
-	}
-	if d, ok, err := ss.Dist(ctx, true, meet); err != nil || !ok || d > minCost {
-		t.Fatalf("meet d2s = %d (ok=%v err=%v), want <= %d", d, ok, err, minCost)
+	if !p.Found || p.Length != want.Distance-1 || p.Nodes != nil {
+		t.Fatalf("bounded run: %+v, want Found at %d with nil Nodes", p, want.Distance-1)
 	}
 }
 

@@ -3,12 +3,9 @@ package shard
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rdb"
 )
 
 // ErrUnsupportedAlgorithm reports a Query hint outside the coordinator's
@@ -16,17 +13,15 @@ import (
 // sentinel so errors.Is matches either layer.
 var ErrUnsupportedAlgorithm = core.ErrUnsupportedSuperstep
 
-// Query answers a shortest-path request through the superstep coordinator:
-// it seeds s forward into s's owner shard and t backward into t's owner
-// shard, then loops supersteps — global statistics collection, direction
-// choice by the paper's fewer-frontier rule, parallel F + E + M across
-// every shard, and a boundary exchange that routes each harvested
-// (nid, parent, cost) candidate to the shard owning nid — until the §4.1
-// stopping condition holds over the global minima or both directions
-// exhaust. Path recovery stitches per-shard parent chains across cut
-// vertices. MaxStatements applies per shard (each shard budgets its own
-// statement stream). MaxRelError is ignored: every answer is exact, which
-// satisfies any tolerance.
+// Query answers a shortest-path request by admitting every shard engine to
+// one run of the FEM loop (core.RunSupersteps) with the partition as the
+// owner function: the loop seeds s and t at their owner shards, runs
+// F + E + M on every shard in parallel each superstep, and routes each
+// harvested (nid, parent, cost) candidate to the shard owning nid, until
+// the §4.1 stopping condition holds over the global minima or both
+// directions exhaust. MaxStatements applies per shard (each shard budgets
+// its own statement stream). MaxRelError is ignored: every answer is
+// exact, which satisfies any tolerance.
 func (se *ShardedEngine) Query(ctx context.Context, req core.QueryRequest) (core.QueryResult, error) {
 	start := time.Now()
 	se.queries.Add(1)
@@ -34,8 +29,6 @@ func (se *ShardedEngine) Query(ctx context.Context, req core.QueryRequest) (core
 	se.queryDur.Observe(time.Since(start).Seconds())
 	if err != nil {
 		se.errors.Add(1)
-	} else if res.Stats != nil {
-		res.Stats.Total = time.Since(start)
 	}
 	return res, err
 }
@@ -71,311 +64,56 @@ func (se *ShardedEngine) run(ctx context.Context, req core.QueryRequest) (core.Q
 	if err != nil {
 		return core.QueryResult{}, err
 	}
-	qs := &core.QueryStats{Algorithm: alg.String(), Planner: decision}
-	if s == t {
-		p := core.Path{Found: true, Length: 0, Nodes: []int64{s}}
-		return core.QueryResult{Found: true, Path: p, Algorithm: alg, Stats: qs}, nil
-	}
 
 	// Admit one superstep handle per shard (shared gate + scratch lease).
-	sts := make([]*core.Superstep, se.part.K)
+	hs := make([]*core.Superstep, se.part.K)
 	defer func() {
-		for _, ss := range sts {
-			if ss != nil {
-				ss.Close()
+		for _, h := range hs {
+			if h != nil {
+				h.Close()
 			}
 		}
 	}()
 	if err := se.fanout(func(i int, sh *shardInstance) error {
-		ss, err := sh.eng.BeginSuperstep(ctx, alg, req.MaxStatements)
-		sts[i] = ss
+		h, err := sh.eng.BeginSuperstep(ctx, alg, req.MaxStatements)
+		hs[i] = h
 		return err
 	}); err != nil {
 		return core.QueryResult{}, err
 	}
 
-	// Seed the two endpoint rows into their owner shards; injecting
-	// (s, s, 0) into an empty visited table reproduces biInit exactly.
-	if _, err := sts[se.part.Owner(s)].Inject(ctx, true, []core.FrontierCand{{Nid: s, Par: s, Cost: 0}}); err != nil {
-		return se.fail(qs, sts, err)
-	}
-	if _, err := sts[se.part.Owner(t)].Inject(ctx, false, []core.FrontierCand{{Nid: t, Par: t, Cost: 0}}); err != nil {
-		return se.fail(qs, sts, err)
-	}
-
 	// Admissible sketch bound: the length of a real s->portal->t walk.
-	var sketchBound int64
-	sketchPortal, sketchOK := -1, false
+	upper, portal := int64(4*core.MaxDist), -1
 	if se.sk != nil {
-		sketchBound, sketchPortal, sketchOK = se.sk.Bound(s, t)
-	}
-
-	trackL := alg != core.AlgBBFS // BBFS terminates by exhaustion only
-	var lf, lb int64
-	nf, nb := int64(1), int64(1)
-	candF, candB := true, true
-	var kf, kb int64
-	minCost := int64(4 * core.MaxDist)
-	limit := 16*int(se.nodes) + 1024
-	if se.opts.MaxIters > 0 {
-		limit = se.opts.MaxIters
-	}
-
-	mins := make([]core.SuperstepMins, se.part.K)
-	counts := make([]int64, se.part.K)
-	harvested := make([][]core.FrontierCand, se.part.K)
-
-	for iter := 0; ; iter++ {
-		if err := rdb.ContextErr(ctx); err != nil {
-			return se.fail(qs, sts, fmt.Errorf("shard: %s cancelled after %d supersteps: %w", alg, iter, err))
-		}
-		if iter > limit {
-			return se.fail(qs, sts, fmt.Errorf("shard: %s exceeded %d supersteps (s=%d t=%d)", alg, limit, s, t))
-		}
-		qs.Iterations = iter + 1
-		se.supersteps.Add(1)
-
-		// Global statistics collection: fold per-shard minima. Routing every
-		// candidate to its owner guarantees the owner row carries the global
-		// minimum d2s AND d2t per node, so the fold over per-shard
-		// MIN(d2s+d2t) sees every meeting — including one whose halves were
-		// discovered in different shards.
-		if err := se.fanout(func(i int, _ *shardInstance) error {
-			var err error
-			mins[i], err = sts[i].Mins(ctx)
-			return err
-		}); err != nil {
-			return se.fail(qs, sts, err)
-		}
-		candF, candB = false, false
-		for _, m := range mins {
-			if m.HasSum && m.Sum < minCost {
-				minCost = m.Sum
-			}
-			if m.HasMinF && (!candF || m.MinF < lf) {
-				lf, candF = m.MinF, true
-			}
-			if m.HasMinB && (!candB || m.MinB < lb) {
-				lb, candB = m.MinB, true
-			}
-		}
-		best := minCost
-		if sketchOK && sketchBound < best {
-			best = sketchBound
-		}
-		if trackL && core.StopCondition(lf, lb, best) {
-			break
-		}
-		if !candF && !candB {
-			break
-		}
-
-		// §4.1 direction policy over the GLOBAL frontier sizes.
-		forward := candF && (!candB || nf <= nb)
-		var k int64
-		if forward {
-			kf++
-			k = kf
-		} else {
-			kb++
-			k = kb
-		}
-
-		// F: every shard selects its local slice of the frontier. A shard
-		// whose local minimum exceeds the global one expands "prematurely";
-		// the M-operator re-opens any row a later candidate improves, so
-		// distances stay exact (label-correcting), and the shard holding
-		// the global minimum always expands it, so progress is Dijkstra's.
-		if err := se.fanout(func(i int, _ *shardInstance) error {
-			var err error
-			counts[i], err = sts[i].SelectFrontier(ctx, forward, k)
-			return err
-		}); err != nil {
-			return se.fail(qs, sts, err)
-		}
-		var cnt int64
-		for _, c := range counts {
-			cnt += c
-		}
-		if cnt == 0 {
-			// Unreachable: a non-null direction minimum guarantees at least
-			// its own row matches the frontier rule.
-			return se.fail(qs, sts, fmt.Errorf("shard: empty frontier with live candidates (internal)"))
-		}
-
-		// E + M + harvest on every shard that selected something.
-		lOther := lb
-		if !forward {
-			lOther = lf
-		}
-		if err := se.fanout(func(i int, _ *shardInstance) error {
-			harvested[i] = nil
-			if counts[i] == 0 {
-				return nil
-			}
-			// Warm the frontier's adjacency pages with concurrent probes
-			// before the expansion statement reads them serially; on a cold
-			// pool this turns the superstep's dominant page waits into
-			// overlapped transfers (see core.Superstep.PrefetchFrontier).
-			if w := se.opts.prefetchWorkers(); w > 1 && counts[i] > 1 {
-				if err := sts[i].PrefetchFrontier(ctx, forward, w); err != nil {
-					return err
-				}
-			}
-			var err error
-			harvested[i], err = sts[i].ExpandHarvest(ctx, forward, lOther, best)
-			return err
-		}); err != nil {
-			return se.fail(qs, sts, err)
-		}
-
-		// Boundary exchange: route each candidate to its owner, keeping the
-		// cheapest per node (TExpand's nid is a primary key, and the owner
-		// merge would pick the minimum anyway — deduping here just saves
-		// traffic). Producer-owned candidates were already merged locally.
-		bestCand := make(map[int64]core.FrontierCand)
-		for prod, cands := range harvested {
-			for _, c := range cands {
-				if se.part.Owner(c.Nid) == prod {
-					continue
-				}
-				if b, ok := bestCand[c.Nid]; !ok || c.Cost < b.Cost {
-					bestCand[c.Nid] = c
-				}
-			}
-		}
-		if len(bestCand) > 0 {
-			batches := make([][]core.FrontierCand, se.part.K)
-			for _, c := range bestCand {
-				o := se.part.Owner(c.Nid)
-				batches[o] = append(batches[o], c)
-			}
-			se.exchanged.Add(uint64(len(bestCand)))
-			if err := se.fanout(func(i int, _ *shardInstance) error {
-				if len(batches[i]) == 0 {
-					return nil
-				}
-				_, err := sts[i].Inject(ctx, forward, batches[i])
-				return err
-			}); err != nil {
-				return se.fail(qs, sts, err)
-			}
-		}
-
-		if forward {
-			nf = cnt
-		} else {
-			nb = cnt
+		if b, p, ok := se.sk.Bound(s, t); ok {
+			upper, portal = b, p
 		}
 	}
 
-	if err := se.fanout(func(i int, _ *shardInstance) error {
-		vc, err := sts[i].VisitedRows(ctx)
-		mins[i].Sum = int64(vc) // reuse the slot; folded below
-		return err
-	}); err != nil {
-		return se.fail(qs, sts, err)
+	p, qs, err := core.RunSupersteps(ctx, hs, se.part.Owner, s, t, upper)
+	qs.Planner = decision
+	se.supersteps.Add(uint64(qs.Iterations))
+	se.exchanged.Add(uint64(qs.Exchanged))
+	if err != nil {
+		return core.QueryResult{Stats: qs}, err
 	}
-	for _, m := range mins {
-		qs.VisitedRows += int(m.Sum)
+	if !p.Found {
+		return core.QueryResult{Lower: core.MaxDist, Upper: core.MaxDist, Algorithm: alg, Stats: qs}, nil
 	}
-
-	best := minCost
-	if sketchOK && sketchBound < best {
-		best = sketchBound
-	}
-	if best >= core.MaxDist {
-		mergeStats(qs, sts)
-		return core.QueryResult{Found: false, Path: core.Path{}, Lower: core.MaxDist, Upper: core.MaxDist,
-			Algorithm: alg, Stats: qs}, nil
-	}
-
-	var nodes []int64
-	if sketchOK && sketchBound < minCost {
+	if p.Nodes == nil {
 		// The relational search terminated against the sketch bound before
 		// recording a meeting at that cost; the portal trees carry the path.
 		se.sketchWins.Add(1)
-		nodes = se.sk.Path(s, t, sketchPortal)
-	} else {
-		nodes, err = se.stitchPath(ctx, sts, s, t, minCost, alg == core.AlgBSEG)
-		if err != nil {
-			return se.fail(qs, sts, err)
-		}
+		p.Nodes = se.sk.Path(s, t, portal)
 	}
-	mergeStats(qs, sts)
-	return core.QueryResult{Found: true, Distance: best,
-		Path:  core.Path{Found: true, Length: best, Nodes: nodes},
-		Lower: best, Upper: best,
-		Algorithm: alg, Stats: qs}, nil
-}
-
-// fail merges the per-shard accounting into qs before propagating err, so
-// failed queries still report their cost.
-func (se *ShardedEngine) fail(qs *core.QueryStats, sts []*core.Superstep, err error) (core.QueryResult, error) {
-	mergeStats(qs, sts)
-	return core.QueryResult{Stats: qs}, err
-}
-
-// mergeStats folds the shard-local accounting into the query's global
-// stats. Phase durations sum shard wall clocks, so with k shards working
-// in parallel the phase total can exceed QueryStats.Total — they read as
-// aggregate work, like CPU time.
-func mergeStats(qs *core.QueryStats, sts []*core.Superstep) {
-	for _, ss := range sts {
-		if ss == nil {
-			continue
-		}
-		sub := ss.Stats()
-		qs.Statements += sub.Statements
-		qs.TuplesAffected += sub.TuplesAffected
-		qs.Expansions += sub.Expansions
-		qs.ForwardExpansions += sub.ForwardExpansions
-		qs.BackwardExpansions += sub.BackwardExpansions
-		qs.PrunedRows += sub.PrunedRows
-		qs.PE += sub.PE
-		qs.SC += sub.SC
-		qs.FPR += sub.FPR
-		qs.FOp += sub.FOp
-		qs.EOp += sub.EOp
-		qs.MOp += sub.MOp
-	}
+	return core.QueryResult{Found: true, Distance: p.Length, Path: p,
+		Lower: p.Length, Upper: p.Length, Algorithm: alg, Stats: qs}, nil
 }
 
 // QueryBatch fans a request set across a worker pool (workers <= 0 means
 // GOMAXPROCS), answering each through the coordinator. Results come back
 // in input order; a cancelled context fails the not-yet-started requests
-// fast, mirroring core.Engine.QueryBatch.
+// fast, as core.Engine.QueryBatch does.
 func (se *ShardedEngine) QueryBatch(ctx context.Context, reqs []core.QueryRequest, workers int) []core.QueryResponse {
-	out := make([]core.QueryResponse, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i].Request = reqs[i]
-				if err := rdb.ContextErr(ctx); err != nil {
-					out[i].Err = err
-					continue
-				}
-				out[i].Result, out[i].Err = se.Query(ctx, reqs[i])
-			}
-		}()
-	}
-	for i := range reqs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return out
+	return core.BatchQuery(ctx, reqs, workers, se.Query)
 }

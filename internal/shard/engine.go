@@ -30,24 +30,6 @@ type Options struct {
 	BufferPoolPages int
 	// SimulatedIOLatency is forwarded to every shard database.
 	SimulatedIOLatency time.Duration
-	// MaxIters caps each shard's superstep participation (0 = default).
-	MaxIters int
-	// PrefetchWorkers is the per-shard concurrency used to warm the
-	// adjacency pages of each superstep's selected frontier before the
-	// expansion statement scans them serially (0 = default of 8,
-	// negative = disabled). See core.Superstep.PrefetchFrontier.
-	PrefetchWorkers int
-}
-
-// defaultPrefetchWorkers resolves Options.PrefetchWorkers.
-func (o Options) prefetchWorkers() int {
-	if o.PrefetchWorkers < 0 {
-		return 0
-	}
-	if o.PrefetchWorkers == 0 {
-		return 8
-	}
-	return o.PrefetchWorkers
 }
 
 // ShardedEngine owns k core.Engine instances, each loaded with its
@@ -55,7 +37,6 @@ func (o Options) prefetchWorkers() int {
 // space, and answers the same Query surface by coordinating supersteps
 // across them.
 type ShardedEngine struct {
-	opts   Options
 	part   Partition
 	shards []*shardInstance
 	sk     *sketch
@@ -92,7 +73,6 @@ func Open(g *graph.Graph, opts Options) (*ShardedEngine, error) {
 	split := part.SplitEdges(g)
 
 	se := &ShardedEngine{
-		opts:     opts,
 		part:     part,
 		shards:   make([]*shardInstance, part.K),
 		nodes:    g.N,
@@ -116,10 +96,8 @@ func Open(g *graph.Graph, opts Options) (*ShardedEngine, error) {
 		if err != nil {
 			return err
 		}
-		eng := core.NewEngine(db, core.Options{
-			CacheSize: -1, // answers are cached (if at all) above the shards
-			MaxIters:  opts.MaxIters,
-		})
+		// Answers are cached (if at all) above the shards.
+		eng := core.NewEngine(db, core.Options{CacheSize: -1})
 		sub, err := graph.New(g.N, split.Edges[i])
 		if err != nil {
 			db.Close()
@@ -195,9 +173,8 @@ func (se *ShardedEngine) SetSimulatedIOLatency(lat time.Duration) {
 	}
 }
 
-// fanout runs fn for every shard concurrently and joins the errors — the
-// superstep primitive (the repo carries no dependencies, so this replaces
-// an errgroup).
+// fanout runs fn for every shard concurrently and joins the errors (the
+// repo carries no dependencies, so this replaces an errgroup).
 func (se *ShardedEngine) fanout(fn func(i int, sh *shardInstance) error) error {
 	errs := make([]error, len(se.shards))
 	var wg sync.WaitGroup

@@ -115,7 +115,26 @@ func runDifferential(t *testing.T, g *graph.Graph, ref *core.Engine, se *Sharded
 // unsharded engine. Runs under -race in CI.
 func TestShardedDifferential(t *testing.T) {
 	const lthd = 8
-	g := islandsGraph(t, 100)
+	// Two dead ends hang off island 0: sink has no out-edges and src no
+	// in-edges, so a search from sink (or toward src) exhausts that side on
+	// its first expansion while the other side still has the island to run
+	// through. Neither adds a path between island nodes.
+	islands := islandsGraph(t, 100)
+	sink, src := islands.N, islands.N+1
+	g, err := graph.New(islands.N+2, append(islands.Edges,
+		graph.Edge{From: 0, To: sink, Weight: 2}, graph.Edge{From: src, To: 3, Weight: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadEnds := [][2]int64{
+		{sink, 5},    // unreachable: the forward side exhausts at once
+		{5, src},     // unreachable: the backward side exhausts at once
+		{sink, src},  // unreachable: both do
+		{src, 150},   // unreachable: neither does until its island is spent
+		{src, sink},  // found, through island 0
+		{7, sink},    // found
+		{sink, sink}, // s == t on a dead end
+	}
 	ref := refEngine(t, g, lthd)
 	rng := rand.New(rand.NewSource(7))
 
@@ -123,16 +142,24 @@ func TestShardedDifferential(t *testing.T) {
 		name  string
 		alg   core.Algorithm
 		opts  Options
-		pairs int
+		pairs int        // drawn by mixedPairs over the islands...
+		fixed [][2]int64 // ...unless the row names its pairs
 	}{
-		{"BSDJ/k3/hash", core.AlgBSDJ, Options{Shards: 3}, 60},
-		{"BBFS/k3/hash", core.AlgBBFS, Options{Shards: 3}, 40},
-		{"BSEG/k3/hash", core.AlgBSEG, Options{Shards: 3, Lthd: lthd}, 60},
-		{"BSDJ/k2/range", core.AlgBSDJ, Options{Shards: 2, Strategy: Range}, 20},
-		{"BSEG/k4/range", core.AlgBSEG, Options{Shards: 4, Strategy: Range, Lthd: lthd}, 20},
+		{"BSDJ/k3/hash", core.AlgBSDJ, Options{Shards: 3}, 60, nil},
+		{"BBFS/k3/hash", core.AlgBBFS, Options{Shards: 3}, 40, nil},
+		{"BSEG/k3/hash", core.AlgBSEG, Options{Shards: 3, Lthd: lthd}, 60, nil},
+		{"BSDJ/k2/range", core.AlgBSDJ, Options{Shards: 2, Strategy: Range}, 20, nil},
+		{"BSEG/k4/range", core.AlgBSEG, Options{Shards: 4, Strategy: Range, Lthd: lthd}, 20, nil},
 		// Sketch on: the portal bound may answer some pairs outright; the
 		// answers must stay exact.
-		{"AUTO/k4/hash/sketch", core.AlgAuto, Options{Shards: 4, Lthd: lthd, Portals: 12}, 24},
+		{"AUTO/k4/hash/sketch", core.AlgAuto, Options{Shards: 4, Lthd: lthd, Portals: 12}, 24, nil},
+		// k = 1: the loop with nobody to route to.
+		{"BSDJ/k1", core.AlgBSDJ, Options{Shards: 1}, 12, nil},
+		{"BSEG/k1", core.AlgBSEG, Options{Shards: 1, Lthd: lthd}, 12, nil},
+		// Unreachable targets and one-side-exhausted searches.
+		{"BSDJ/k3/dead-ends", core.AlgBSDJ, Options{Shards: 3}, 0, deadEnds},
+		{"BBFS/k2/dead-ends", core.AlgBBFS, Options{Shards: 2, Strategy: Range}, 0, deadEnds},
+		{"BSEG/k1/dead-ends", core.AlgBSEG, Options{Shards: 1, Lthd: lthd}, 0, deadEnds},
 	}
 	total := 0
 	for _, tc := range cases {
@@ -146,7 +173,11 @@ func TestShardedDifferential(t *testing.T) {
 			if refAlg == core.AlgAuto {
 				refAlg = core.AlgBSEG // what the shard planner resolves to here
 			}
-			runDifferential(t, g, ref, se, refAlg, mixedPairs(rng, g.N, tc.pairs))
+			pairs := tc.fixed
+			if pairs == nil {
+				pairs = mixedPairs(rng, islands.N, tc.pairs)
+			}
+			runDifferential(t, g, ref, se, refAlg, pairs)
 		})
 		total += tc.pairs
 	}
