@@ -425,7 +425,7 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("core: snapshot v%d: %w", m.Version, err)
 		}
-		if _, err := oracle.CreateTables(ctx, e.sess, e.oracleIndexMode()); err != nil {
+		if err := oracle.CreateTables(ctx, e.sweeper(nil), e.opts.Strategy); err != nil {
 			return err
 		}
 		if err := load(oracle.TblLandmark, "(lid, nid, dout, din)"); err != nil {
@@ -438,7 +438,7 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 	}
 	var lbl *labels.Labels
 	if m.Labels != nil {
-		if _, err := labels.CreateTables(ctx, e.sess, e.labelIndexMode()); err != nil {
+		if err := labels.CreateTables(ctx, e.sweeper(nil), e.opts.Strategy); err != nil {
 			return err
 		}
 		if err := load(labels.TblOut, "(nid, hub, dist)"); err != nil {
@@ -567,30 +567,6 @@ func (e *Engine) bulkInsert(table, cols string, rows [][]int64) error {
 		}
 	}
 	return flush()
-}
-
-// oracleIndexMode maps the engine's physical-design strategy onto the
-// oracle package's index axis.
-func (e *Engine) oracleIndexMode() oracle.IndexMode {
-	switch e.opts.Strategy {
-	case SecondaryIndex:
-		return oracle.IndexSecondary
-	case NoIndex:
-		return oracle.IndexNone
-	}
-	return oracle.IndexClustered
-}
-
-// labelIndexMode maps the engine's physical-design strategy onto the
-// labels package's index axis.
-func (e *Engine) labelIndexMode() labels.IndexMode {
-	switch e.opts.Strategy {
-	case SecondaryIndex:
-		return labels.IndexSecondary
-	case NoIndex:
-		return labels.IndexNone
-	}
-	return labels.IndexClustered
 }
 
 // DurabilityStats snapshots the durability subsystem for the serving tier

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -92,6 +93,14 @@ func TestSnapshotHydrate(t *testing.T) {
 	ds := h.DurabilityStats()
 	if ds.Hydrations != 1 || ds.ReplayedRecords != 0 || !ds.Armed {
 		t.Fatalf("durability stats: %+v", ds)
+	}
+	// Hydration restores the relations queries and mutations read, not the
+	// builds' scratch: the degree ranking and the farthest-point state are
+	// left to whichever build runs next.
+	want := []string{"tedges", "texpand", "texpcost", "tinsegs", "tlabelin", "tlabelout", "tlandmark",
+		"tlblfrom", "tlblto", "tnodes", "toutsegs", "tseg", "tvisited"}
+	if got := catalogNames(h); !reflect.DeepEqual(got, want) {
+		t.Errorf("hydrated catalog %v, want %v", got, want)
 	}
 
 	algs := append(allAlgorithms(), AlgLabel)

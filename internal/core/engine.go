@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rdb"
+	"repro/internal/sweep"
 )
 
 // MaxDist is the sentinel for "not yet reached" distances stored in
@@ -102,30 +103,16 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("unknown algorithm %q (AUTO|DJ|BDJ|BSDJ|BBFS|BSEG|ALT|LABEL)", s)
 }
 
-// IndexStrategy is the physical design axis of Fig 8(c).
-type IndexStrategy int
+// IndexStrategy is the physical design axis of Fig 8(c), shared with the
+// index builds below the engine.
+type IndexStrategy = sweep.IndexStrategy
 
 // Index strategies for TEdges(fid)/TOutSegs(fid)/TInSegs(tid)/TVisited(nid).
 const (
-	// ClusteredIndex stores each table as a B+tree on its key (CluIndex).
-	ClusteredIndex IndexStrategy = iota
-	// SecondaryIndex keeps heaps plus non-clustered B+tree indexes (Index).
-	SecondaryIndex
-	// NoIndex keeps bare heaps; every probe is a scan.
-	NoIndex
+	ClusteredIndex = sweep.ClusteredIndex
+	SecondaryIndex = sweep.SecondaryIndex
+	NoIndex        = sweep.NoIndex
 )
-
-func (s IndexStrategy) String() string {
-	switch s {
-	case ClusteredIndex:
-		return "CluIndex"
-	case SecondaryIndex:
-		return "Index"
-	case NoIndex:
-		return "NoIndex"
-	}
-	return fmt.Sprintf("IndexStrategy(%d)", int(s))
-}
 
 // Options configures an Engine.
 type Options struct {

@@ -18,7 +18,7 @@ import (
 
 // BuildLabels constructs (or rebuilds) the pruned 2-hop label index for
 // the loaded graph: every node with an edge becomes a hub, processed in
-// degree-descending order by pruned single-source set-Dijkstra passes,
+// degree-descending order by pruned single-seed SegTable sweeps,
 // materialized into TLabelOut/TLabelIn(nid, hub, dist). Like BuildOracle,
 // the build excludes searches and bumps the graph version.
 func (e *Engine) BuildLabels() (*labels.BuildStats, error) {
@@ -31,27 +31,11 @@ func (e *Engine) BuildLabels() (*labels.BuildStats, error) {
 // cancelled build reads as "not built" (or "went cold", if an index
 // existed) — never as a partial label set.
 func (e *Engine) BuildLabelsContext(ctx context.Context) (*labels.BuildStats, error) {
-	if e.optErr != nil {
-		return nil, e.optErr
-	}
-	// In flight (queued on the gate included) means not ready: /readyz
-	// routes traffic away while the label index is cold.
-	defer e.trackBuild()()
-	if err := e.lockQuery(ctx); err != nil {
+	release, err := e.beginBuild(ctx)
+	if err != nil {
 		return nil, err
 	}
-	defer e.unlockQuery()
-	if e.Nodes() == 0 {
-		return nil, ErrNoGraph
-	}
-	params := labels.Params{
-		NodesTable: TblNodes,
-		EdgesTable: TblEdges,
-		WMin:       e.WMin(),
-		MaxIters:   e.maxIters(),
-		UseMerge:   e.db.Profile().SupportsMerge && !e.opts.TraditionalSQL,
-		Index:      e.labelIndexMode(),
-	}
+	defer release()
 	// Invalidate before touching the label relations: a rebuild over a
 	// live index must make concurrent planning refuse cleanly rather than
 	// read half-built label sets. A live index also goes stale here, so a
@@ -62,7 +46,7 @@ func (e *Engine) BuildLabelsContext(ctx context.Context) (*labels.BuildStats, er
 	}
 	e.lbl = nil
 	e.mu.Unlock()
-	lbl, st, err := labels.Build(ctx, e.sess, params)
+	lbl, st, err := labels.Build(ctx, e.sweeper(nil), labels.Params{Index: e.opts.Strategy})
 	if err != nil {
 		return nil, err
 	}

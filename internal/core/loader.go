@@ -8,18 +8,19 @@ import (
 	"repro/internal/graph"
 	"repro/internal/labels"
 	"repro/internal/oracle"
+	"repro/internal/sweep"
 )
 
 // Table names used throughout (paper §2.1, §3.3, §4.2).
 const (
-	TblNodes   = "TNodes"
-	TblEdges   = "TEdges"
+	TblNodes   = sweep.TblNodes
+	TblEdges   = sweep.TblEdges
 	TblVisited = "TVisited"
 	TblOutSegs = "TOutSegs"
 	TblInSegs  = "TInSegs"
-	TblExpand  = "TExpand"  // materialized E-operator output (non-fused paths)
-	TblExpCost = "TExpCost" // TSQL intermediate: per-node minimal cost
-	TblSeg     = "TSeg"     // SegTable construction working set
+	TblExpand  = "TExpand"     // materialized E-operator output (non-fused paths)
+	TblExpCost = "TExpCost"    // TSQL intermediate: per-node minimal cost
+	TblSeg     = sweep.TblWork // index-build working set, (src, nid, dist, par, f)
 )
 
 const insertBatch = 400
@@ -146,11 +147,12 @@ func (e *Engine) LoadGraph(g *graph.Graph) error {
 }
 
 // dropAllTables drops every engine-owned relation that exists — graph,
-// working set, SegTable, oracle, labels — so a reload or snapshot
-// hydration starts from a clean catalog.
+// working set, SegTable, oracle, labels, the builds' working tables — so
+// a reload or snapshot hydration starts from a clean catalog.
 func (e *Engine) dropAllTables() error {
 	dropList := append([]string{TblNodes, TblEdges, TblVisited, TblExpand,
-		TblExpCost, TblOutSegs, TblInSegs, TblSeg}, oracle.Tables()...)
+		TblExpCost, TblOutSegs, TblInSegs}, sweep.WorkTables()...)
+	dropList = append(dropList, oracle.Tables()...)
 	dropList = append(dropList, labels.Tables()...)
 	for _, tbl := range dropList {
 		if _, ok := e.db.Catalog().Get(tbl); ok {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/sweep"
 )
 
 // The dynamic-graph mutation subsystem: DeleteEdge and UpdateEdgeWeight
@@ -615,7 +617,7 @@ func (e *Engine) repairDirection(ctx context.Context, qs *QueryStats, forward bo
 		"INSERT INTO "+tblMutSrc+" (nid) SELECT DISTINCT "+srcCol+" FROM "+tblMutTouch); err != nil {
 		return 0, err
 	}
-	if _, err := e.segSweep(ctx, qs, e.segLthd, forward, tblMutSrc); err != nil {
+	if _, _, err := e.sweeper(qs).Run(ctx, forward, e.segLthd, sweep.Q(tblMutSrc), sweep.Query{}); err != nil {
 		return 0, err
 	}
 	// Drop the touched rows; distances can only have grown, so untouched

@@ -14,8 +14,9 @@ var _ [1]struct{} = [MaxDist - oracle.Unreached + 1]struct{}{}
 
 // BuildOracle constructs (or rebuilds) the landmark distance oracle for
 // the loaded graph: k landmarks picked by the configured strategy, exact
-// per-landmark distances computed by single-source set-Dijkstra relaxation
-// to fixpoint, materialized into TLandmark(lid, nid, dout, din). Like
+// per-landmark distances computed by the SegTable sweep seeded with one
+// node and run without a bound, materialized into
+// TLandmark(lid, nid, dout, din). Like
 // BuildSegTable, the build excludes searches and bumps the graph version
 // (conservatively invalidating cached answers).
 func (e *Engine) BuildOracle(cfg oracle.Config) (*oracle.BuildStats, error) {
@@ -28,30 +29,13 @@ func (e *Engine) BuildOracle(cfg oracle.Config) (*oracle.BuildStats, error) {
 // cancelled build reads as "not built" (or "went cold", if one existed) —
 // never as a partial TLandmark.
 func (e *Engine) BuildOracleContext(ctx context.Context, cfg oracle.Config) (*oracle.BuildStats, error) {
-	if e.optErr != nil {
-		return nil, e.optErr
-	}
-	// In flight (queued on the gate included) means not ready: /readyz
-	// routes traffic away while the oracle is cold.
-	defer e.trackBuild()()
-	if err := e.lockQuery(ctx); err != nil {
+	release, err := e.beginBuild(ctx)
+	if err != nil {
 		return nil, err
 	}
-	defer e.unlockQuery()
-	if e.Nodes() == 0 {
-		return nil, ErrNoGraph
-	}
+	defer release()
 	if cfg.K < 0 {
 		return nil, fmt.Errorf("core: landmark count must be non-negative, got %d (0 selects the default of %d)", cfg.K, oracle.DefaultK)
-	}
-	params := oracle.Params{
-		Config:     cfg,
-		NodesTable: TblNodes,
-		EdgesTable: TblEdges,
-		WMin:       e.WMin(),
-		MaxIters:   e.maxIters(),
-		UseMerge:   e.db.Profile().SupportsMerge && !e.opts.TraditionalSQL,
-		Index:      e.oracleIndexMode(),
 	}
 	// Invalidate before touching TLandmark: ApproxDistance runs off the
 	// query latch, and a rebuild over a live oracle must make concurrent
@@ -64,7 +48,7 @@ func (e *Engine) BuildOracleContext(ctx context.Context, cfg oracle.Config) (*or
 	}
 	e.orc = nil
 	e.mu.Unlock()
-	orc, st, err := oracle.Build(ctx, e.sess, params)
+	orc, st, err := oracle.Build(ctx, e.sweeper(nil), oracle.Params{Config: cfg, Index: e.opts.Strategy})
 	if err != nil {
 		return nil, err
 	}

@@ -6,20 +6,13 @@ import (
 	"time"
 
 	"repro/internal/rdb"
+	"repro/internal/sweep"
 )
 
-// Construction statement shapes. Texts are compile-time constants (or
-// rendered once per sweep for the direction-dependent forms); every
-// per-round value — the frontier widening bound k*wmin, the lthd cap —
-// binds as a parameter, so the construction loop re-executes cached plans.
+// Statements around the construction sweep (internal/sweep renders the
+// sweep's own): texts are compile-time constants, so every build
+// re-executes cached plans.
 const (
-	segClearQ = "DELETE FROM " + TblSeg
-	segSeedQ  = "INSERT INTO " + TblSeg + " (src, nid, dist, par, f) SELECT nid, nid, 0, nid, 0 FROM "
-	// F-operator (construction rule of §4.2): candidates below k*wmin
-	// (bound as "? * ?"), or the global minimum, expand together.
-	segFrontierQ = "UPDATE " + TblSeg +
-		" SET f = 2 WHERE f = 0 AND (dist < ? * ? OR dist = (SELECT MIN(dist) FROM " + TblSeg + " WHERE f = 0))"
-	segResetQ    = "UPDATE " + TblSeg + " SET f = 1 WHERE f = 2"
 	segCountOutQ = "SELECT COUNT(*) FROM " + TblOutSegs
 	segCountInQ  = "SELECT COUNT(*) FROM " + TblInSegs
 
@@ -32,56 +25,20 @@ const (
 		" (fid, tid, pid, cost) SELECT nid, src, par, dist FROM " + TblSeg + " WHERE src <> nid"
 )
 
-// segSweepSQL carries the direction-dependent construction statements,
-// rendered once per sweep and re-executed (as cached plans) every round.
-type segSweepSQL struct {
-	frontier string // segFrontierQ (constant, kept here for symmetry)
-	merge    string // fused MERGE form
-	// No-MERGE emulation (PostgreSQL 9.0 / TSQL).
-	insWindow string
-	insAgg    string
-	insBack   string
-	update    string
-	insert    string
-}
-
-// buildSegSweep renders one direction's sweep statements. forward walks
-// outgoing edges (distances FROM each source), backward incoming edges
-// (distances TO each source).
-func buildSegSweep(forward bool) *segSweepSQL {
-	joinCol, newCol := "fid", "tid"
-	if !forward {
-		joinCol, newCol = "tid", "fid"
-	}
-	// E-operator source: the cheapest in-bound expansion per (src, node);
-	// the lthd cap binds as the single parameter.
-	expandSrc := "SELECT q.src, out." + newCol + ", q.nid, out.cost + q.dist, " +
-		"ROW_NUMBER() OVER (PARTITION BY q.src, out." + newCol + " ORDER BY out.cost + q.dist) " +
-		"FROM " + TblSeg + " q, " + TblEdges + " out WHERE q.nid = out." + joinCol +
-		" AND q.f = 2 AND out.cost + q.dist <= ?"
-	x := &segSweepSQL{frontier: segFrontierQ}
-	x.merge = "MERGE INTO " + TblSeg + " AS target USING (" +
-		"SELECT src, nid, par, cost FROM (" + expandSrc + ") tmp (src, nid, par, cost, rn) WHERE rn = 1" +
-		") AS source (src, nid, par, cost) " +
-		"ON (target.src = source.src AND target.nid = source.nid) " +
-		"WHEN MATCHED AND target.dist > source.cost THEN UPDATE SET dist = source.cost, par = source.par, f = 0 " +
-		"WHEN NOT MATCHED THEN INSERT (src, nid, dist, par, f) VALUES (source.src, source.nid, source.cost, source.par, 0)"
-	x.insWindow = "INSERT INTO TSegExpand (src, nid, par, cost) " +
-		"SELECT src, nid, par, cost FROM (" + expandSrc + ") tmp (src, nid, par, cost, rn) WHERE rn = 1"
-	x.insAgg = "INSERT INTO TSegExpCost (src, nid, cost) " +
-		"SELECT q.src, out." + newCol + ", MIN(out.cost + q.dist) FROM " + TblSeg + " q, " + TblEdges + " out " +
-		"WHERE q.nid = out." + joinCol + " AND q.f = 2 AND out.cost + q.dist <= ? GROUP BY q.src, out." + newCol
-	x.insBack = "INSERT INTO TSegExpand (src, nid, par, cost) " +
-		"SELECT ec.src, ec.nid, MIN(q.nid), ec.cost FROM " + TblSeg + " q, " + TblEdges + " out, TSegExpCost ec " +
-		"WHERE q.nid = out." + joinCol + " AND q.f = 2 AND out.cost + q.dist <= ? " +
-		"AND ec.src = q.src AND ec.nid = out." + newCol + " AND out.cost + q.dist = ec.cost " +
-		"GROUP BY ec.src, ec.nid, ec.cost"
-	x.update = "UPDATE " + TblSeg + " SET dist = s.cost, par = s.par, f = 0 FROM TSegExpand s " +
-		"WHERE " + TblSeg + ".src = s.src AND " + TblSeg + ".nid = s.nid AND " + TblSeg + ".dist > s.cost"
-	x.insert = "INSERT INTO " + TblSeg + " (src, nid, dist, par, f) " +
-		"SELECT s.src, s.nid, s.cost, s.par, 0 FROM TSegExpand s " +
-		"WHERE NOT EXISTS (SELECT nid FROM " + TblSeg + " v WHERE v.src = s.src AND v.nid = s.nid)"
-	return x
+// sweeper builds the index-build kernel over the engine's statement path:
+// every statement a build issues runs through exec / queryInt (prepared
+// handles, cancellation) and counts into qs, which may be nil. Callers
+// hold the exclusive gate.
+func (e *Engine) sweeper(qs *QueryStats) *sweep.Runner {
+	return sweep.New(e.db,
+		func(ctx context.Context, q string, args ...any) (rdb.Result, error) {
+			n, err := e.exec(ctx, qs, nil, nil, q, args...)
+			return rdb.Result{RowsAffected: n}, err
+		},
+		func(ctx context.Context, q string, args ...any) (int64, bool, error) {
+			return e.queryInt(ctx, qs, nil, q, args...)
+		},
+		e.WMin(), e.maxIters(), e.opts.TraditionalSQL)
 }
 
 // BuildSegTable constructs the SegTable index of Definition 4: TOutSegs
@@ -101,19 +58,38 @@ func (e *Engine) BuildSegTable(lthd int64) (*SegTableStats, error) {
 // round, leaving the engine with no SegTable (segBuilt stays false, so
 // BSEG refuses cleanly) rather than a partial index.
 func (e *Engine) BuildSegTableContext(ctx context.Context, lthd int64) (*SegTableStats, error) {
+	release, err := e.beginBuild(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return e.buildSegTableLocked(ctx, lthd, true)
+}
+
+// beginBuild is the prologue every index build shares: refuse a
+// misconfigured engine; count as in flight from entry, the wait for the
+// gate included, so /readyz routes traffic away while the index is cold;
+// take the exclusive gate, since a build rewrites relations searches read
+// and invalidates every cached answer; require a loaded graph. The
+// returned func releases the gate and the in-flight count.
+func (e *Engine) beginBuild(ctx context.Context) (release func(), err error) {
 	if e.optErr != nil {
 		return nil, e.optErr
 	}
-	// In flight (queued on the gate included) means not ready: /readyz
-	// routes traffic away while the index is cold.
-	defer e.trackBuild()()
-	// Building excludes searches (shared working tables) and invalidates
-	// every cached answer: BSEG results depend on the index.
+	done := e.trackBuild()
 	if err := e.lockQuery(ctx); err != nil {
+		done()
 		return nil, err
 	}
-	defer e.unlockQuery()
-	return e.buildSegTableLocked(ctx, lthd, true)
+	release = func() {
+		e.unlockQuery()
+		done()
+	}
+	if e.Nodes() == 0 {
+		release()
+		return nil, ErrNoGraph
+	}
+	return release, nil
 }
 
 // buildSegTableLocked is the construction body; callers hold queryMu. The
@@ -122,9 +98,6 @@ func (e *Engine) BuildSegTableContext(ctx context.Context, lthd int64) (*SegTabl
 // and the path cache is empty, so a second invalidation would only distort
 // the stats.
 func (e *Engine) buildSegTableLocked(ctx context.Context, lthd int64, bump bool) (*SegTableStats, error) {
-	if e.Nodes() == 0 {
-		return nil, ErrNoGraph
-	}
 	if lthd < 1 {
 		return nil, fmt.Errorf("core: lthd must be positive, got %d", lthd)
 	}
@@ -220,14 +193,7 @@ func (e *Engine) createSegTables() (int, error) {
 	case NoIndex:
 		// bare heaps; probes degrade to scans, as Fig 8(c) measures.
 	}
-	// The construction working set always gets a clustered (src, nid) key:
-	// the paper's construction assumes the intermediate results are
-	// indexed ("we build indices over the relational tables for ...
-	// intermediate results").
-	stmts = append(stmts,
-		"CREATE TABLE "+TblSeg+" (src INT, nid INT, dist INT, par INT, f INT)",
-		"CREATE UNIQUE CLUSTERED INDEX tseg_key ON "+TblSeg+" (src, nid)",
-	)
+	stmts = append(stmts, sweep.WorkDDL()...)
 	for _, q := range stmts {
 		if _, err := db.Exec(q); err != nil {
 			return n, err
@@ -241,7 +207,7 @@ func (e *Engine) createSegTables() (int, error) {
 // segment table plus the original-edge merge.
 func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64, forward bool) (int, error) {
 	// Every node is a source at distance 0 from itself.
-	iterations, err := e.segSweep(ctx, qs, lthd, forward, TblNodes)
+	iterations, _, err := e.sweeper(qs).Run(ctx, forward, lthd, sweep.Q(TblNodes), sweep.Query{})
 	if err != nil {
 		return 0, err
 	}
@@ -261,60 +227,6 @@ func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64, forwar
 	if err := e.foldEdges(ctx, qs, forward, ""); err != nil {
 		return 0, err
 	}
-	return iterations, nil
-}
-
-// segSweep fills the TSeg working table with bounded multi-source
-// set-Dijkstra distances (dist <= lthd) from every node listed in
-// seedTable (nid column). BuildSegTable seeds all of TNodes; the
-// decremental repair seeds only the touched sources. Statement shapes are
-// rendered before the loop; the rounds only bind fresh parameters.
-func (e *Engine) segSweep(ctx context.Context, qs *QueryStats, lthd int64, forward bool, seedTable string) (int, error) {
-	db := e.db
-	if _, err := e.exec(ctx, qs, nil, nil, segClearQ); err != nil {
-		return 0, err
-	}
-	if _, err := e.exec(ctx, qs, nil, nil, segSeedQ+seedTable); err != nil {
-		return 0, err
-	}
-
-	x := buildSegSweep(forward)
-	useMerge := db.Profile().SupportsMerge && !e.opts.TraditionalSQL
-	useWindow := db.Profile().SupportsWindow && !e.opts.TraditionalSQL
-
-	var iterations int
-	k := int64(0)
-	limit := e.maxIters()
-	for {
-		if err := rdb.ContextErr(ctx); err != nil {
-			return 0, fmt.Errorf("core: SegTable construction cancelled: %w", err)
-		}
-		k++
-		if int(k) > limit {
-			return 0, fmt.Errorf("core: SegTable construction exceeded %d iterations", limit)
-		}
-		cnt, err := e.exec(ctx, qs, nil, nil, x.frontier, k, e.wmin)
-		if err != nil {
-			return 0, err
-		}
-		if cnt == 0 {
-			break
-		}
-		iterations++
-		if useMerge {
-			if _, err := e.exec(ctx, qs, nil, nil, x.merge, lthd); err != nil {
-				return 0, err
-			}
-		} else {
-			if err := e.segExpandNoMerge(ctx, qs, x, useWindow, lthd); err != nil {
-				return 0, err
-			}
-		}
-		if _, err := e.exec(ctx, qs, nil, nil, segResetQ); err != nil {
-			return 0, err
-		}
-	}
-
 	return iterations, nil
 }
 
@@ -347,52 +259,4 @@ func (e *Engine) foldEdges(ctx context.Context, qs *QueryStats, forward bool, to
 	}
 	_, err := e.mergelessMaintain(ctx, qs, target, src, nil)
 	return err
-}
-
-// segExpandNoMerge emulates the construction MERGE with UPDATE + INSERT
-// (PostgreSQL 9.0 profile) or additionally replaces the window function
-// with aggregate + join-back (TSQL). The expansion lands in scratch tables
-// keyed (src, nid). The statements come pre-rendered in x — only lthd
-// binds per call.
-func (e *Engine) segExpandNoMerge(ctx context.Context, qs *QueryStats, x *segSweepSQL, useWindow bool, lthd int64) error {
-	db := e.sess
-	// Lazily create the wide scratch table for construction (src, nid).
-	if _, ok := e.db.Catalog().Get("TSegExpand"); !ok {
-		for _, q := range []string{
-			"CREATE TABLE TSegExpand (src INT, nid INT, par INT, cost INT)",
-			"CREATE UNIQUE CLUSTERED INDEX tsegexpand_key ON TSegExpand (src, nid)",
-			"CREATE TABLE TSegExpCost (src INT, nid INT, cost INT)",
-			"CREATE UNIQUE CLUSTERED INDEX tsegexpcost_key ON TSegExpCost (src, nid)",
-		} {
-			if _, err := db.Exec(q); err != nil {
-				return err
-			}
-			qs.Statements++
-		}
-	}
-	if _, err := e.exec(ctx, qs, nil, nil, "DELETE FROM TSegExpand"); err != nil {
-		return err
-	}
-	if useWindow {
-		if _, err := e.exec(ctx, qs, nil, nil, x.insWindow, lthd); err != nil {
-			return err
-		}
-	} else {
-		if _, err := e.exec(ctx, qs, nil, nil, "DELETE FROM TSegExpCost"); err != nil {
-			return err
-		}
-		if _, err := e.exec(ctx, qs, nil, nil, x.insAgg, lthd); err != nil {
-			return err
-		}
-		if _, err := e.exec(ctx, qs, nil, nil, x.insBack, lthd); err != nil {
-			return err
-		}
-	}
-	if _, err := e.exec(ctx, qs, nil, nil, x.update); err != nil {
-		return err
-	}
-	if _, err := e.exec(ctx, qs, nil, nil, x.insert); err != nil {
-		return err
-	}
-	return nil
 }

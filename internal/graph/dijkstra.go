@@ -60,6 +60,42 @@ func MDJ(g *Graph, s, t int64) PathResult {
 	return PathResult{Found: false, Distance: Infinity, Visited: visited}
 }
 
+// OneToAll is a one-to-all Dijkstra from src over the full graph: forward
+// follows out-edges (dist[v] = d(src, v), link[v] = predecessor on the
+// tree path), backward follows in-edges (dist[v] = d(v, src), link[v] =
+// successor toward src). Unreachable nodes keep Infinity / -1.
+func OneToAll(g *Graph, src int64, forward bool) (dist, link []int64) {
+	dist = make([]int64, g.N)
+	link = make([]int64, g.N)
+	for i := range dist {
+		dist[i] = Infinity
+		link[i] = -1
+	}
+	dist[src] = 0
+	done := make([]bool, g.N)
+	q := &pq{{node: src, dist: 0}}
+	for q.Len() > 0 {
+		it := heap.Pop(q).(pqItem)
+		if done[it.node] {
+			continue
+		}
+		done[it.node] = true
+		relax := func(v, w int64) {
+			if nd := it.dist + w; nd < dist[v] {
+				dist[v] = nd
+				link[v] = it.node
+				heap.Push(q, pqItem{node: v, dist: nd})
+			}
+		}
+		if forward {
+			g.OutEdges(it.node, relax)
+		} else {
+			g.InEdges(it.node, relax)
+		}
+	}
+	return dist, link
+}
+
 func buildPath(parent map[int64]int64, s, t int64) []int64 {
 	var rev []int64
 	for x := t; ; x = parent[x] {

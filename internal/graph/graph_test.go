@@ -204,8 +204,9 @@ func TestMBDJBasic(t *testing.T) {
 	}
 }
 
-// TestQuickMDJvsMBDJ: both in-memory searches agree on random graphs, and
-// recovered paths have exactly the reported length.
+// TestQuickMDJvsMBDJ: the in-memory searches — point-to-point both ways,
+// one-to-all in both directions — agree on random graphs, and recovered
+// paths have exactly the reported length.
 func TestQuickMDJvsMBDJ(t *testing.T) {
 	fn := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -216,6 +217,11 @@ func TestQuickMDJvsMBDJ(t *testing.T) {
 			a := MDJ(g, s, tt)
 			b := MBDJ(g, s, tt)
 			if a.Found != b.Found {
+				return false
+			}
+			from, _ := OneToAll(g, s, true)
+			to, _ := OneToAll(g, tt, false)
+			if from[tt] != a.Distance || to[s] != a.Distance {
 				return false
 			}
 			if !a.Found {

@@ -5,38 +5,49 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/rdb"
+	"repro/internal/sweep"
 )
 
-// builder carries one construction run.
-type builder struct {
-	ctx  context.Context
-	sess *rdb.Session
-	p    Params
-	st   *BuildStats
+// The prune test: label-query the distance between the current hub (bound
+// as the parameter) and each settled candidate, oriented with the pass
+// direction, and flag the candidates an earlier hub already covers.
+const (
+	labelQ        = "(SELECT MIN(a.dist + b.dist) FROM " + TblOut + " a, " + TblIn + " b WHERE "
+	pruneForwardQ = "UPDATE " + sweep.TblWork + " SET f = 3 WHERE f = 2 AND " + labelQ +
+		"a.nid = ? AND b.nid = " + sweep.TblWork + ".nid AND a.hub = b.hub) <= " + sweep.TblWork + ".dist"
+	pruneBackwardQ = "UPDATE " + sweep.TblWork + " SET f = 3 WHERE f = 2 AND " + labelQ +
+		"a.nid = " + sweep.TblWork + ".nid AND b.nid = ? AND a.hub = b.hub) <= " + sweep.TblWork + ".dist"
+	// Every settled, unpruned node of a finished pass gets a label row for
+	// its hub (including the hub's own (hub, hub, 0) — the root settles at 0
+	// and no earlier-hub detour beats 0 with positive weights). Unreached
+	// nodes get no row: the distance join treats a missing hub pair as
+	// unreachable, which is exact.
+	labelRowsQ = " (nid, hub, dist) SELECT nid, ?, dist FROM " + sweep.TblWork + " WHERE f <> 3"
+)
+
+// Build constructs the pruned 2-hop label index over the graph tables,
+// issuing every statement through r. The caller is responsible for
+// exclusion against concurrent searches and graph mutation (the engine
+// holds its query gate across the build). A cancelled ctx aborts the build
+// at the next statement or sweep round; the caller must then treat the
+// index as not built (the engine leaves its label pointer nil, so partial
+// label sets are never consulted).
+func Build(ctx context.Context, r *sweep.Runner, p Params) (*Labels, *BuildStats, error) {
+	lbl, st, err := build(ctx, r, p)
+	if err != nil {
+		return nil, nil, fmt.Errorf("labels: %w", err)
+	}
+	return lbl, st, nil
 }
 
-// Build constructs the pruned 2-hop label index over the session's graph
-// tables. The caller is responsible for exclusion against concurrent
-// searches and graph mutation (the engine holds its query gate across the
-// build). A cancelled ctx aborts the build at the next statement or
-// relaxation round; the caller must then treat the index as not built (the
-// engine leaves its label pointer nil, so partial label sets are never
-// consulted).
-func Build(ctx context.Context, sess *rdb.Session, p Params) (*Labels, *BuildStats, error) {
-	if p.WMin < 1 {
-		p.WMin = 1
-	}
-	if p.MaxIters <= 0 {
-		p.MaxIters = 1 << 30
-	}
-	b := &builder{ctx: ctx, sess: sess, p: p, st: &BuildStats{}}
+func build(ctx context.Context, r *sweep.Runner, p Params) (*Labels, *BuildStats, error) {
+	st := &BuildStats{}
 	start := time.Now()
 
-	if err := b.createTables(); err != nil {
+	if err := CreateTables(ctx, r, p.Index); err != nil {
 		return nil, nil, err
 	}
-	if err := b.rankDegrees(); err != nil {
+	if err := r.RankDegrees(ctx); err != nil {
 		return nil, nil, err
 	}
 
@@ -47,7 +58,7 @@ func Build(ctx context.Context, sess *rdb.Session, p Params) (*Labels, *BuildSta
 	// labels: they reach nothing and nothing reaches them, and the
 	// distance query correctly yields NULL (unreachable) for them.
 	for {
-		hub, ok, err := b.pickHub()
+		hub, ok, err := r.PopMaxDegree(ctx)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -60,286 +71,90 @@ func Build(ctx context.Context, sess *rdb.Session, p Params) (*Labels, *BuildSta
 		// the backward pass's prune queries already see (hub, hub, 0) in
 		// TLabelIn — harmless, since no out-label for the current hub
 		// exists yet and the prune join needs both sides.
-		if err := b.pass(hub, true); err != nil {
+		if err := pass(ctx, r, st, hub, true); err != nil {
 			return nil, nil, err
 		}
-		if err := b.pass(hub, false); err != nil {
+		if err := pass(ctx, r, st, hub, false); err != nil {
 			return nil, nil, err
 		}
-		b.st.Hubs++
+		st.Hubs++
 	}
 
-	rowsOut, err := b.queryInt("SELECT COUNT(*) FROM " + TblOut)
+	rowsOut, _, err := r.QueryInt(ctx, "SELECT COUNT(*) FROM "+TblOut)
 	if err != nil {
 		return nil, nil, err
 	}
-	rowsIn, err := b.queryInt("SELECT COUNT(*) FROM " + TblIn)
+	rowsIn, _, err := r.QueryInt(ctx, "SELECT COUNT(*) FROM "+TblIn)
 	if err != nil {
 		return nil, nil, err
 	}
-	b.st.RowsOut = int(rowsOut)
-	b.st.RowsIn = int(rowsIn)
-	b.st.BuildTime = time.Since(start)
-	lbl := &Labels{Hubs: b.st.Hubs, RowsOut: b.st.RowsOut, RowsIn: b.st.RowsIn}
-	return lbl, b.st, nil
+	st.RowsOut = int(rowsOut)
+	st.RowsIn = int(rowsIn)
+	st.Statements = r.Statements()
+	st.BuildTime = time.Since(start)
+	lbl := &Labels{Hubs: st.Hubs, RowsOut: st.RowsOut, RowsIn: st.RowsIn}
+	return lbl, st, nil
 }
 
-func (b *builder) exec(q string, args ...any) (int64, error) {
-	res, err := b.sess.ExecContext(b.ctx, q, args...)
-	b.st.Statements++
-	if err != nil {
-		return 0, fmt.Errorf("labels: %w", err)
+// CreateTables (re)creates the label relations under the given physical
+// design, plus the two keep-analysis scratch tables the engine relies on
+// whenever a label index is live. Snapshot hydration calls it to restore
+// the DDL and bulk-load the label sets without running a build.
+func CreateTables(ctx context.Context, r *sweep.Runner, index sweep.IndexStrategy) error {
+	if err := r.Drop(ctx, Tables()...); err != nil {
+		return err
 	}
-	return res.RowsAffected, nil
-}
-
-func (b *builder) queryInt(q string, args ...any) (int64, error) {
-	v, _, err := b.sess.QueryIntContext(b.ctx, q, args...)
-	b.st.Statements++
-	if err != nil {
-		return 0, fmt.Errorf("labels: %w", err)
-	}
-	return v, nil
-}
-
-// queryIntNull is queryInt with the NULL flag exposed.
-func (b *builder) queryIntNull(q string, args ...any) (int64, bool, error) {
-	v, null, err := b.sess.QueryIntContext(b.ctx, q, args...)
-	b.st.Statements++
-	if err != nil {
-		return 0, false, fmt.Errorf("labels: %w", err)
-	}
-	return v, null, nil
-}
-
-// createTables (re)creates every label relation. The label sets follow the
-// engine's physical design; the working tables are always clustered, like
-// the SegTable construction's TSeg. The two keep-analysis scratch tables
-// are created here so the engine can rely on their existence whenever a
-// label index is live.
-func (b *builder) createTables() error {
-	n, err := CreateTables(b.ctx, b.sess, b.p.Index)
-	b.st.Statements += n
-	return err
-}
-
-// CreateTables (re)creates every label relation under the given index
-// mode, returning the number of statements issued. Exported so snapshot
-// hydration can restore the DDL and bulk-load the label sets without
-// running a build.
-func CreateTables(ctx context.Context, sess *rdb.Session, index IndexMode) (int, error) {
-	n := 0
-	exec := func(q string) error {
-		_, err := sess.ExecContext(ctx, q)
-		n++
-		if err != nil {
-			return fmt.Errorf("labels: %w", err)
-		}
-		return nil
-	}
-	cat := sess.DB().Catalog()
-	for _, tbl := range Tables() {
-		if _, ok := cat.Get(tbl); ok {
-			if err := exec("DROP TABLE " + tbl); err != nil {
-				return n, err
-			}
-		}
-	}
-	stmts := []string{
-		fmt.Sprintf("CREATE TABLE %s (nid INT, hub INT, dist INT)", TblOut),
-		fmt.Sprintf("CREATE TABLE %s (nid INT, hub INT, dist INT)", TblIn),
+	stmts := []sweep.Query{
+		sweep.Q("CREATE TABLE " + TblOut + " (nid INT, hub INT, dist INT)"),
+		sweep.Q("CREATE TABLE " + TblIn + " (nid INT, hub INT, dist INT)"),
 	}
 	switch index {
-	case IndexClustered:
+	case sweep.ClusteredIndex:
 		stmts = append(stmts,
-			fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlabelout_key ON %s (nid, hub)", TblOut),
-			fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlabelin_key ON %s (nid, hub)", TblIn))
-	case IndexSecondary:
+			sweep.Q("CREATE UNIQUE CLUSTERED INDEX tlabelout_key ON "+TblOut+" (nid, hub)"),
+			sweep.Q("CREATE UNIQUE CLUSTERED INDEX tlabelin_key ON "+TblIn+" (nid, hub)"))
+	case sweep.SecondaryIndex:
 		stmts = append(stmts,
-			fmt.Sprintf("CREATE INDEX tlabelout_nid ON %s (nid)", TblOut),
-			fmt.Sprintf("CREATE INDEX tlabelin_nid ON %s (nid)", TblIn))
-	case IndexNone:
+			sweep.Q("CREATE INDEX tlabelout_nid ON "+TblOut+" (nid)"),
+			sweep.Q("CREATE INDEX tlabelin_nid ON "+TblIn+" (nid)"))
+	case sweep.NoIndex:
 		// bare heaps; label scans degrade to full scans.
 	}
 	stmts = append(stmts,
-		fmt.Sprintf("CREATE TABLE %s (nid INT, dist INT, f INT)", TblWork),
-		fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlblwork_nid ON %s (nid)", TblWork),
-		fmt.Sprintf("CREATE TABLE %s (nid INT, cost INT)", TblExpand),
-		fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlblexpand_nid ON %s (nid)", TblExpand),
-		fmt.Sprintf("CREATE TABLE %s (nid INT, deg INT)", TblDeg),
-		fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlbldeg_nid ON %s (nid)", TblDeg),
-		fmt.Sprintf("CREATE TABLE %s (nid INT, deg INT)", TblDegIn),
-		fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlbldegin_nid ON %s (nid)", TblDegIn),
-		fmt.Sprintf("CREATE TABLE %s (nid INT, dist INT)", TblScrTo),
-		fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlblto_nid ON %s (nid)", TblScrTo),
-		fmt.Sprintf("CREATE TABLE %s (nid INT, dist INT)", TblScrFrom),
-		fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlblfrom_nid ON %s (nid)", TblScrFrom),
-	)
-	for _, q := range stmts {
-		if err := exec(q); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+		sweep.Q("CREATE TABLE "+TblScrTo+" (nid INT, dist INT)"),
+		sweep.Q("CREATE UNIQUE CLUSTERED INDEX tlblto_nid ON "+TblScrTo+" (nid)"),
+		sweep.Q("CREATE TABLE "+TblScrFrom+" (nid INT, dist INT)"),
+		sweep.Q("CREATE UNIQUE CLUSTERED INDEX tlblfrom_nid ON "+TblScrFrom+" (nid)"))
+	return r.ExecAll(ctx, stmts...)
 }
 
-// rankDegrees materializes total degree (in + out) per node into TLblDeg —
-// the hub processing order. Nodes without edges never enter the ranking.
-func (b *builder) rankDegrees() error {
-	stmts := []string{
-		fmt.Sprintf("INSERT INTO %s (nid, deg) SELECT fid, COUNT(*) FROM %s GROUP BY fid",
-			TblDeg, b.p.EdgesTable),
-		fmt.Sprintf("INSERT INTO %s (nid, deg) SELECT tid, COUNT(*) FROM %s GROUP BY tid",
-			TblDegIn, b.p.EdgesTable),
-		fmt.Sprintf("UPDATE %[1]s SET deg = %[1]s.deg + s.deg FROM %[2]s s WHERE %[1]s.nid = s.nid",
-			TblDeg, TblDegIn),
-		fmt.Sprintf("INSERT INTO %[1]s (nid, deg) SELECT s.nid, s.deg FROM %[2]s s "+
-			"WHERE NOT EXISTS (SELECT nid FROM %[1]s g WHERE g.nid = s.nid)",
-			TblDeg, TblDegIn),
-	}
-	for _, q := range stmts {
-		if _, err := b.exec(q); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pickHub pops the highest-degree unprocessed node off the ranking.
-func (b *builder) pickHub() (int64, bool, error) {
-	hub, null, err := b.queryIntNull(fmt.Sprintf(
-		"SELECT TOP 1 nid FROM %[1]s WHERE deg = (SELECT MAX(deg) FROM %[1]s)", TblDeg))
-	if err != nil {
-		return 0, false, err
-	}
-	if null {
-		return 0, false, nil // every node with an edge has been processed
-	}
-	if _, err := b.exec(fmt.Sprintf("DELETE FROM %s WHERE nid = ?", TblDeg), hub); err != nil {
-		return 0, false, err
-	}
-	return hub, true, nil
-}
-
-// pass runs one pruned single-source relaxation from hub: forward over
-// outgoing edges (dist(hub, x), feeding TLabelIn) or backward over
-// incoming ones (dist(x, hub), feeding TLabelOut). The frontier rule is
-// the SegTable construction's set-Dijkstra batch rule (§4.2): candidates
-// below k*wmin, or at the global minimum, settle together; with positive
-// weights every settled-and-expanded distance is final.
+// pass runs one pruned sweep from hub — forward over outgoing edges
+// (dist(hub, x), feeding TLabelIn) or backward over incoming ones
+// (dist(x, hub), feeding TLabelOut) — and materializes its label rows.
 //
 // The PLL twist is the prune step between settling and expansion: a
 // settled candidate x whose distance is already matched by a detour
 // through an earlier (higher-ranked) hub — the correlated label query
 // d(hub, x) over the materialized TLabelOut/TLabelIn — flips to flag 3:
-// never expanded, never labeled. The relaxation MERGE may later reopen a
-// pruned node at a smaller distance (flag back to 0); it then re-enters a
-// wave and the prune test re-applies at the improved distance, which is
-// exactly the test the sequential algorithm would have run. Because this
-// pass's own rows are materialized only at pass end, in-pass prune
-// queries see earlier hubs' labels only — pruning is never more
-// aggressive than classic PLL, so the Theorem-1 exactness induction
-// holds, at the cost of slightly larger label sets.
-func (b *builder) pass(hub int64, forward bool) error {
-	joinCol, newCol := "fid", "tid"
-	labelTbl := TblIn
-	// Prune test: label-query the distance between the current hub and
-	// the candidate, oriented with the pass direction.
-	pruneQ := fmt.Sprintf(
-		"UPDATE %[1]s SET f = 3 WHERE f = 2 AND (SELECT MIN(a.dist + b.dist) FROM %[2]s a, %[3]s b "+
-			"WHERE a.nid = ? AND b.nid = %[1]s.nid AND a.hub = b.hub) <= %[1]s.dist",
-		TblWork, TblOut, TblIn)
+// never expanded, never labeled, so its whole subtree is left to the
+// earlier hubs. The sweep may later reopen a pruned node at a smaller
+// distance; it then re-enters a wave and the prune test re-applies at the
+// improved distance, which is exactly the test the sequential algorithm
+// would have run. Because this pass's own rows are materialized only at
+// pass end, in-pass prune queries see earlier hubs' labels only — pruning
+// is never more aggressive than classic PLL, so the Theorem-1 exactness
+// induction holds, at the cost of slightly larger label sets.
+func pass(ctx context.Context, r *sweep.Runner, st *BuildStats, hub int64, forward bool) error {
+	pruneQ, labelTbl := pruneForwardQ, TblIn
 	if !forward {
-		joinCol, newCol = "tid", "fid"
-		labelTbl = TblOut
-		pruneQ = fmt.Sprintf(
-			"UPDATE %[1]s SET f = 3 WHERE f = 2 AND (SELECT MIN(a.dist + b.dist) FROM %[2]s a, %[3]s b "+
-				"WHERE a.nid = %[1]s.nid AND b.nid = ? AND a.hub = b.hub) <= %[1]s.dist",
-			TblWork, TblOut, TblIn)
+		pruneQ, labelTbl = pruneBackwardQ, TblOut
 	}
-	if _, err := b.exec("DELETE FROM " + TblWork); err != nil {
+	iters, pruned, err := r.Run(ctx, forward, sweep.NoBound, sweep.One(hub), sweep.Q(pruneQ, hub))
+	if err != nil {
 		return err
 	}
-	if _, err := b.exec(fmt.Sprintf(
-		"INSERT INTO %s (nid, dist, f) VALUES (?, 0, 0)", TblWork), hub); err != nil {
-		return err
-	}
-	frontierQ := fmt.Sprintf(
-		"UPDATE %[1]s SET f = 2 WHERE f = 0 AND (dist < ? OR dist = "+
-			"(SELECT MIN(dist) FROM %[1]s WHERE f = 0))", TblWork)
-	resetQ := fmt.Sprintf("UPDATE %s SET f = 1 WHERE f = 2", TblWork)
-	srcQ := fmt.Sprintf(
-		"SELECT out.%s, MIN(out.cost + q.dist) FROM %s q, %s out "+
-			"WHERE q.nid = out.%s AND q.f = 2 GROUP BY out.%s",
-		newCol, TblWork, b.p.EdgesTable, joinCol, newCol)
-	mergeQ := fmt.Sprintf(
-		"MERGE INTO %s AS target USING (%s) AS source (nid, cost) "+
-			"ON (target.nid = source.nid) "+
-			"WHEN MATCHED AND target.dist > source.cost THEN UPDATE SET dist = source.cost, f = 0 "+
-			"WHEN NOT MATCHED THEN INSERT (nid, dist, f) VALUES (source.nid, source.cost, 0)",
-		TblWork, srcQ)
-
-	for k := int64(1); ; k++ {
-		if err := rdb.ContextErr(b.ctx); err != nil {
-			return fmt.Errorf("labels: build cancelled during pass from %d: %w", hub, err)
-		}
-		if int(k) > b.p.MaxIters {
-			return fmt.Errorf("labels: pass from %d exceeded %d iterations", hub, b.p.MaxIters)
-		}
-		cnt, err := b.exec(frontierQ, k*b.p.WMin)
-		if err != nil {
-			return err
-		}
-		if cnt == 0 {
-			break
-		}
-		b.st.Iterations++
-		pruned, err := b.exec(pruneQ, hub)
-		if err != nil {
-			return err
-		}
-		b.st.Pruned += pruned
-		// Expansion reads q.f = 2, so pruned candidates contribute no
-		// relaxations — their whole subtree is covered by earlier hubs.
-		if b.p.UseMerge {
-			if _, err := b.exec(mergeQ); err != nil {
-				return err
-			}
-		} else {
-			if err := b.relaxNoMerge(srcQ); err != nil {
-				return err
-			}
-		}
-		if _, err := b.exec(resetQ); err != nil {
-			return err
-		}
-	}
-	// Materialize the pass: every settled, unpruned node gets a label row
-	// for this hub (including the hub's own (hub, hub, 0) — the root
-	// settles at 0 and no earlier-hub detour beats 0 with positive
-	// weights). Unreached nodes get no row: the distance join treats a
-	// missing hub pair as unreachable, which is exact.
-	_, err := b.exec(fmt.Sprintf(
-		"INSERT INTO %s (nid, hub, dist) SELECT nid, ?, dist FROM %s WHERE f <> 3",
-		labelTbl, TblWork), hub)
+	st.Iterations += iters
+	st.Pruned += pruned
+	_, err = r.Exec(ctx, "INSERT INTO "+labelTbl+labelRowsQ, hub)
 	return err
-}
-
-// relaxNoMerge emulates the relaxation MERGE with UPDATE + INSERT through
-// the TLblExpand scratch table (PostgreSQL-9 profile).
-func (b *builder) relaxNoMerge(srcQ string) error {
-	stmts := []string{
-		"DELETE FROM " + TblExpand,
-		fmt.Sprintf("INSERT INTO %s (nid, cost) %s", TblExpand, srcQ),
-		fmt.Sprintf("UPDATE %[1]s SET dist = s.cost, f = 0 FROM %[2]s s "+
-			"WHERE %[1]s.nid = s.nid AND %[1]s.dist > s.cost", TblWork, TblExpand),
-		fmt.Sprintf("INSERT INTO %[1]s (nid, dist, f) SELECT s.nid, s.cost, 0 FROM %[2]s s "+
-			"WHERE NOT EXISTS (SELECT nid FROM %[1]s v WHERE v.nid = s.nid)", TblWork, TblExpand),
-	}
-	for _, q := range stmts {
-		if _, err := b.exec(q); err != nil {
-			return err
-		}
-	}
-	return nil
 }

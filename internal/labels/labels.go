@@ -15,26 +15,28 @@
 //
 // — no frontier loop, no touch of TEdges. Construction processes every
 // node with at least one edge as a hub in degree-descending order and runs
-// one pruned single-source pass per direction, using the same batch
-// set-Dijkstra statement machinery as internal/oracle: candidates settle
-// in wmin-widened waves, and a settled candidate x is pruned (flag 3, not
-// expanded, not labeled) when the labels of the already-processed hubs
-// prove d(hub, x) via an earlier hub is no longer than the settled
-// distance. Pruning keeps the index near-linear on hub-heavy graphs while
+// one pruned single-source pass per direction — the SegTable construction's
+// set-Dijkstra sweep (internal/sweep), seeded with the hub alone, no bound,
+// plus a prune statement: candidates settle in wmin-widened waves, and a
+// settled candidate x is pruned (flag 3, not expanded, not labeled) when
+// the labels of the already-processed hubs prove d(hub, x) via an earlier
+// hub is no longer than the settled distance. Pruning keeps the index near-linear on hub-heavy graphs while
 // preserving exactness: a pruned pair is by definition covered by an
 // earlier hub, and the classic PLL induction (Akiba et al., Theorem 1)
 // carries over because each pass prunes against fully materialized earlier
 // labels only (this pass's rows land at pass end, so the batch prunes no
 // more aggressively than the sequential algorithm).
 //
-// The package speaks to the database through an rdb.Session; the engine
-// integration (build latching, AlgLabel, the planner's "labels" decision,
+// The package speaks to the database through the sweep.Runner the engine
+// hands it; the engine integration (build latching, AlgLabel, the planner's "labels" decision,
 // mutation keep-or-invalidate analysis) lives in internal/core.
 package labels
 
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/sweep"
 )
 
 // Relation names owned by the label subsystem.
@@ -45,14 +47,6 @@ const (
 	// TblIn holds the in-label sets: one row per (nid, hub) with
 	// dist(hub, nid).
 	TblIn = "TLabelIn"
-	// TblWork is the pruned single-source relaxation working set.
-	TblWork = "TLblWork"
-	// TblExpand is the relaxation scratch table for profiles without MERGE.
-	TblExpand = "TLblExpand"
-	// TblDeg is the degree ranking that orders hub processing.
-	TblDeg = "TLblDeg"
-	// TblDegIn is the in-degree half of the degree ranking.
-	TblDegIn = "TLblDegIn"
 	// TblScrTo / TblScrFrom are scratch relations for the engine's
 	// decremental keep-analysis: label distances to / from a mutated
 	// edge's endpoints, materialized per check.
@@ -63,37 +57,13 @@ const (
 // Tables lists every relation the label index owns, for loaders that need
 // to drop them when the graph is replaced.
 func Tables() []string {
-	return []string{TblOut, TblIn, TblWork, TblExpand, TblDeg, TblDegIn, TblScrTo, TblScrFrom}
+	return []string{TblOut, TblIn, TblScrTo, TblScrFrom}
 }
-
-// IndexMode mirrors the engine's physical-design axis for the two label
-// relations (the working tables are always clustered, like TSeg).
-type IndexMode int
-
-const (
-	// IndexClustered stores each label set as a B+tree on (nid, hub).
-	IndexClustered IndexMode = iota
-	// IndexSecondary keeps heaps plus non-clustered indexes on nid.
-	IndexSecondary
-	// IndexNone keeps bare heaps; every label scan is a full scan.
-	IndexNone
-)
 
 // Params is the full build parameterization the engine passes down.
 type Params struct {
-	// NodesTable / EdgesTable name the graph relations to read.
-	NodesTable string
-	EdgesTable string
-	// WMin is the minimal edge weight (drives the set-Dijkstra frontier
-	// widening, like the SegTable construction rule).
-	WMin int64
-	// MaxIters caps relaxation rounds per pass as a safety net.
-	MaxIters int
-	// UseMerge selects the MERGE relaxation step; profiles without MERGE
-	// get the UPDATE + INSERT emulation.
-	UseMerge bool
 	// Index is the physical design for TLabelOut / TLabelIn.
-	Index IndexMode
+	Index sweep.IndexStrategy
 }
 
 // Labels describes a built hub-label index. It carries only scalar

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rdb"
+	"repro/internal/sweep"
 )
 
 // loadGraphTables materializes g into bare TNodes/TEdges relations the way
@@ -36,15 +37,11 @@ func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 	}
 }
 
-func buildParams(g *graph.Graph, useMerge bool) Params {
-	return Params{
-		NodesTable: "TNodes",
-		EdgesTable: "TEdges",
-		WMin:       g.WMin(),
-		MaxIters:   int(16*g.N) + 1024,
-		UseMerge:   useMerge,
-		Index:      IndexClustered,
-	}
+// runner is the sweep kernel over a bare session, the way the engine builds
+// it over its own statement path; the session's profile picks the MERGE or
+// UPDATE+INSERT expansion.
+func runner(sess *rdb.Session, g *graph.Graph) *sweep.Runner {
+	return sweep.New(sess.DB(), sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, false)
 }
 
 // TestBuildCoverExact is the package-level exactness check: after a build,
@@ -75,7 +72,7 @@ func TestBuildCoverExact(t *testing.T) {
 			defer sess.Close()
 			loadGraphTables(t, sess, g)
 
-			lbl, st, err := Build(context.Background(), sess, buildParams(g, useMerge))
+			lbl, st, err := Build(context.Background(), runner(sess, g), Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +130,7 @@ func TestBuildEdgeless(t *testing.T) {
 	sess := db.Session()
 	defer sess.Close()
 	loadGraphTables(t, sess, g)
-	lbl, _, err := Build(context.Background(), sess, buildParams(g, true))
+	lbl, _, err := Build(context.Background(), runner(sess, g), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +153,7 @@ func TestBuildCancellation(t *testing.T) {
 	loadGraphTables(t, sess, g)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := Build(ctx, sess, buildParams(g, true)); err == nil {
+	if _, _, err := Build(ctx, runner(sess, g), Params{}); err == nil {
 		t.Fatal("cancelled build must fail")
 	}
 }

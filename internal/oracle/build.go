@@ -5,44 +5,73 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/rdb"
+	"repro/internal/sweep"
 )
 
-// builder carries one construction run.
-type builder struct {
-	ctx  context.Context
-	sess *rdb.Session
-	p    Params
-	st   *BuildStats
+// Statement shapes around the per-landmark sweeps; landmark ordinal and id
+// bind as parameters.
+const (
+	countNodesQ = "SELECT COUNT(*) FROM " + sweep.TblNodes
+	countRowsQ  = "SELECT COUNT(*) FROM " + TblLandmark
+
+	// Landmark i's rows: dout from the forward sweep, din left at Unreached
+	// until the backward sweep folds in, and sentinel rows for nodes the
+	// forward sweep never reached — every (lid, nid) pair gets exactly one
+	// row, which keeps the bound subqueries total.
+	insReachedQ = "INSERT INTO " + TblLandmark + " (lid, nid, dout, din) SELECT ?, nid, dist, ? FROM " + sweep.TblWork
+	insMissedQ  = "INSERT INTO " + TblLandmark + " (lid, nid, dout, din) SELECT ?, n.nid, ?, ? FROM " + sweep.TblNodes +
+		" n WHERE NOT EXISTS (SELECT nid FROM " + sweep.TblWork + " w WHERE w.src = ? AND w.nid = n.nid)"
+	foldBackwardQ = "UPDATE " + TblLandmark + " SET din = s.dist FROM " + sweep.TblWork + " s " +
+		"WHERE " + TblLandmark + ".nid = s.nid AND " + TblLandmark + ".lid = ?"
+
+	// Farthest-point state: every node starts at Unreached from the (empty)
+	// chosen set; each forward sweep lowers dmin to the nearest landmark.
+	farSeedQ = "INSERT INTO " + TblFar + " (nid, dmin) SELECT nid, ? FROM " + sweep.TblNodes
+	farFoldQ = "UPDATE " + TblFar + " SET dmin = s.dist FROM " + sweep.TblWork + " s " +
+		"WHERE " + TblFar + ".nid = s.nid AND " + TblFar + ".dmin > s.dist"
+	farPickQ = "SELECT TOP 1 nid FROM " + TblFar + " WHERE dmin > 0 AND dmin < ? AND dmin = " +
+		"(SELECT MAX(dmin) FROM " + TblFar + " WHERE dmin > 0 AND dmin < ?)"
+)
+
+// Build constructs the landmark oracle over the graph tables, issuing
+// every statement through r. The caller is responsible for exclusion
+// against concurrent searches and graph mutation (the engine holds its
+// query latch across the build). A cancelled ctx aborts the build at the
+// next statement or sweep round; the caller must then treat the oracle as
+// not built (the engine leaves its oracle pointer nil, so a partial
+// TLandmark is never consulted).
+func Build(ctx context.Context, r *sweep.Runner, p Params) (*Oracle, *BuildStats, error) {
+	orc, st, err := build(ctx, r, p)
+	if err != nil {
+		return nil, nil, fmt.Errorf("oracle: %w", err)
+	}
+	return orc, st, nil
 }
 
-// Build constructs the landmark oracle over the session's graph tables.
-// The caller is responsible for exclusion against concurrent searches and
-// graph mutation (the engine holds its query latch across the build). A
-// cancelled ctx aborts the build at the next statement or relaxation round;
-// the caller must then treat the oracle as not built (the engine leaves its
-// oracle pointer nil, so a partial TLandmark is never consulted).
-func Build(ctx context.Context, sess *rdb.Session, p Params) (*Oracle, *BuildStats, error) {
+func build(ctx context.Context, r *sweep.Runner, p Params) (*Oracle, *BuildStats, error) {
 	if p.K <= 0 {
 		p.K = DefaultK
 	}
-	if p.WMin < 1 {
-		p.WMin = 1
-	}
-	if p.MaxIters <= 0 {
-		p.MaxIters = 1 << 30
-	}
-	b := &builder{ctx: ctx, sess: sess, p: p, st: &BuildStats{K: p.K, Strategy: p.Strategy}}
+	st := &BuildStats{K: p.K, Strategy: p.Strategy}
 	start := time.Now()
 
-	if err := b.createTables(); err != nil {
+	if err := CreateTables(ctx, r, p.Index); err != nil {
 		return nil, nil, err
 	}
-	if err := b.rankDegrees(); err != nil {
+	if err := r.RankDegrees(ctx); err != nil {
 		return nil, nil, err
+	}
+	if p.Strategy == Farthest {
+		if err := r.ExecAll(ctx,
+			sweep.Q("CREATE TABLE "+TblFar+" (nid INT, dmin INT)"),
+			sweep.Q("CREATE UNIQUE CLUSTERED INDEX tlmkfar_nid ON "+TblFar+" (nid)"),
+			sweep.Q(farSeedQ, Unreached),
+		); err != nil {
+			return nil, nil, err
+		}
 	}
 
-	nodes, err := b.queryInt(fmt.Sprintf("SELECT COUNT(*) FROM %s", p.NodesTable))
+	nodes, _, err := r.QueryInt(ctx, countNodesQ)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -52,332 +81,97 @@ func Build(ctx context.Context, sess *rdb.Session, p Params) (*Oracle, *BuildSta
 	}
 
 	var landmarks []int64
-	for i := 0; i < k; i++ {
-		lid, ok, err := b.pickLandmark(i, landmarks)
+	for i := int64(0); i < int64(k); i++ {
+		l, ok, err := pickLandmark(ctx, r, p.Strategy, i)
 		if err != nil {
 			return nil, nil, err
 		}
 		if !ok {
 			break // fewer placeable landmarks than requested
 		}
-		landmarks = append(landmarks, lid)
-		// Forward pass dist(l, v) over outgoing edges, then materialize
-		// the landmark's rows (Unreached for nodes the pass never saw).
-		if err := b.sssp(lid, true); err != nil {
-			return nil, nil, err
-		}
-		if err := b.materializeForward(int64(i)); err != nil {
-			return nil, nil, err
-		}
-		// Farthest-point selection feeds on the forward distances.
-		if p.Strategy == Farthest {
-			if err := b.foldFarthest(); err != nil {
-				return nil, nil, err
+		landmarks = append(landmarks, l)
+		// One unbounded sweep from l per direction, then the statements
+		// that read its distances out of the working set.
+		sweepFrom := func(forward bool, after ...sweep.Query) error {
+			iters, _, err := r.Run(ctx, forward, Unreached, sweep.One(l), sweep.Query{})
+			if err != nil {
+				return err
 			}
+			st.Iterations += iters
+			return r.ExecAll(ctx, after...)
 		}
-		// Backward pass dist(v, l) over incoming edges.
-		if err := b.sssp(lid, false); err != nil {
+		// Forward: dist(l, v) over outgoing edges becomes dout; farthest-
+		// point selection feeds on the same distances.
+		fwd := []sweep.Query{sweep.Q(insReachedQ, i, Unreached), sweep.Q(insMissedQ, i, Unreached, Unreached, l)}
+		if p.Strategy == Farthest {
+			fwd = append(fwd, sweep.Q(farFoldQ))
+		}
+		if err := sweepFrom(true, fwd...); err != nil {
 			return nil, nil, err
 		}
-		if err := b.materializeBackward(int64(i)); err != nil {
+		// Backward: dist(v, l) over incoming edges becomes din.
+		if err := sweepFrom(false, sweep.Q(foldBackwardQ, i)); err != nil {
 			return nil, nil, err
 		}
 	}
 	if len(landmarks) == 0 {
-		return nil, nil, fmt.Errorf("oracle: no landmarks placeable (empty graph?)")
+		return nil, nil, fmt.Errorf("no landmarks placeable (empty graph?)")
 	}
 
-	rows, err := b.queryInt(fmt.Sprintf("SELECT COUNT(*) FROM %s", TblLandmark))
+	rows, _, err := r.QueryInt(ctx, countRowsQ)
 	if err != nil {
 		return nil, nil, err
 	}
-	b.st.Landmarks = landmarks
-	b.st.Rows = int(rows)
-	b.st.BuildTime = time.Since(start)
+	st.Landmarks = landmarks
+	st.Rows = int(rows)
+	st.Statements = r.Statements()
+	st.BuildTime = time.Since(start)
 	orc := &Oracle{
 		K:         len(landmarks),
 		Strategy:  p.Strategy,
 		Landmarks: landmarks,
 		Rows:      int(rows),
 	}
-	return orc, b.st, nil
+	return orc, st, nil
 }
 
-func (b *builder) exec(q string, args ...any) (int64, error) {
-	res, err := b.sess.ExecContext(b.ctx, q, args...)
-	b.st.Statements++
-	if err != nil {
-		return 0, fmt.Errorf("oracle: %w", err)
+// CreateTables (re)creates the oracle's relations — TLandmark under the
+// given physical design; the build-only farthest-point table is dropped
+// and left to the next build. Snapshot hydration calls it to restore the
+// DDL and bulk-load TLandmark rows without running a build.
+func CreateTables(ctx context.Context, r *sweep.Runner, index sweep.IndexStrategy) error {
+	if err := r.Drop(ctx, Tables()...); err != nil {
+		return err
 	}
-	return res.RowsAffected, nil
-}
-
-func (b *builder) queryInt(q string, args ...any) (int64, error) {
-	v, _, err := b.sess.QueryIntContext(b.ctx, q, args...)
-	b.st.Statements++
-	if err != nil {
-		return 0, fmt.Errorf("oracle: %w", err)
-	}
-	return v, nil
-}
-
-// queryIntNull is queryInt with the NULL flag exposed.
-func (b *builder) queryIntNull(q string, args ...any) (int64, bool, error) {
-	v, null, err := b.sess.QueryIntContext(b.ctx, q, args...)
-	b.st.Statements++
-	if err != nil {
-		return 0, false, fmt.Errorf("oracle: %w", err)
-	}
-	return v, null, nil
-}
-
-// createTables (re)creates every oracle relation. TLandmark follows the
-// engine's physical design; the working tables are always clustered, like
-// the SegTable construction's TSeg.
-func (b *builder) createTables() error {
-	n, err := CreateTables(b.ctx, b.sess, b.p.Index)
-	b.st.Statements += n
-	return err
-}
-
-// CreateTables (re)creates every oracle relation under the given index
-// mode, returning the number of statements issued. Exported so snapshot
-// hydration can restore the DDL and bulk-load TLandmark rows without
-// running a build.
-func CreateTables(ctx context.Context, sess *rdb.Session, index IndexMode) (int, error) {
-	n := 0
-	exec := func(q string) error {
-		_, err := sess.ExecContext(ctx, q)
-		n++
-		if err != nil {
-			return fmt.Errorf("oracle: %w", err)
-		}
-		return nil
-	}
-	cat := sess.DB().Catalog()
-	for _, tbl := range Tables() {
-		if _, ok := cat.Get(tbl); ok {
-			if err := exec("DROP TABLE " + tbl); err != nil {
-				return n, err
-			}
-		}
-	}
-	stmts := []string{
-		fmt.Sprintf("CREATE TABLE %s (lid INT, nid INT, dout INT, din INT)", TblLandmark),
-	}
+	stmts := []sweep.Query{sweep.Q("CREATE TABLE " + TblLandmark + " (lid INT, nid INT, dout INT, din INT)")}
 	switch index {
-	case IndexClustered:
-		stmts = append(stmts,
-			fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlandmark_key ON %s (nid, lid)", TblLandmark))
-	case IndexSecondary:
-		stmts = append(stmts,
-			fmt.Sprintf("CREATE INDEX tlandmark_nid ON %s (nid)", TblLandmark))
-	case IndexNone:
+	case sweep.ClusteredIndex:
+		stmts = append(stmts, sweep.Q("CREATE UNIQUE CLUSTERED INDEX tlandmark_key ON "+TblLandmark+" (nid, lid)"))
+	case sweep.SecondaryIndex:
+		stmts = append(stmts, sweep.Q("CREATE INDEX tlandmark_nid ON "+TblLandmark+" (nid)"))
+	case sweep.NoIndex:
 		// bare heap; bound probes degrade to scans.
 	}
-	stmts = append(stmts,
-		fmt.Sprintf("CREATE TABLE %s (nid INT, dist INT, f INT)", TblWork),
-		fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlmkwork_nid ON %s (nid)", TblWork),
-		fmt.Sprintf("CREATE TABLE %s (nid INT, cost INT)", TblExpand),
-		fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlmkexpand_nid ON %s (nid)", TblExpand),
-		fmt.Sprintf("CREATE TABLE %s (nid INT, deg INT)", TblDeg),
-		fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlmkdeg_nid ON %s (nid)", TblDeg),
-		fmt.Sprintf("CREATE TABLE %s (nid INT, deg INT)", TblDegIn),
-		fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlmkdegin_nid ON %s (nid)", TblDegIn),
-		fmt.Sprintf("CREATE TABLE %s (nid INT, dmin INT)", TblFar),
-		fmt.Sprintf("CREATE UNIQUE CLUSTERED INDEX tlmkfar_nid ON %s (nid)", TblFar),
-	)
-	for _, q := range stmts {
-		if err := exec(q); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	return r.ExecAll(ctx, stmts...)
 }
 
-// rankDegrees materializes total degree (in + out) per node into TLmkDeg,
-// and seeds the farthest-point state with every node at Unreached.
-func (b *builder) rankDegrees() error {
-	stmts := []struct {
-		q    string
-		args []any
-	}{
-		{fmt.Sprintf("INSERT INTO %s (nid, deg) SELECT fid, COUNT(*) FROM %s GROUP BY fid",
-			TblDeg, b.p.EdgesTable), nil},
-		{fmt.Sprintf("INSERT INTO %s (nid, deg) SELECT tid, COUNT(*) FROM %s GROUP BY tid",
-			TblDegIn, b.p.EdgesTable), nil},
-		{fmt.Sprintf("UPDATE %[1]s SET deg = %[1]s.deg + s.deg FROM %[2]s s WHERE %[1]s.nid = s.nid",
-			TblDeg, TblDegIn), nil},
-		{fmt.Sprintf("INSERT INTO %[1]s (nid, deg) SELECT s.nid, s.deg FROM %[2]s s "+
-			"WHERE NOT EXISTS (SELECT nid FROM %[1]s g WHERE g.nid = s.nid)",
-			TblDeg, TblDegIn), nil},
-		{fmt.Sprintf("INSERT INTO %s (nid, dmin) SELECT nid, ? FROM %s",
-			TblFar, b.p.NodesTable), []any{Unreached}},
-	}
-	for _, s := range stmts {
-		if _, err := b.exec(s.q, s.args...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pickLandmark returns the i-th landmark under the configured strategy.
-// Degree: i-th highest total degree. Farthest: highest degree first, then
-// the node maximizing the distance to its nearest chosen landmark.
-func (b *builder) pickLandmark(i int, chosen []int64) (int64, bool, error) {
-	if b.p.Strategy == Farthest && i > 0 {
+// pickLandmark returns the i-th landmark under the strategy. Degree: i-th
+// highest total degree. Farthest: highest degree first, then the node
+// maximizing the distance to its nearest chosen landmark.
+func pickLandmark(ctx context.Context, r *sweep.Runner, strategy Strategy, i int64) (int64, bool, error) {
+	if strategy == Farthest && i > 0 {
 		// Prefer the farthest node reachable from some landmark; fall back
 		// to an unreached node (another component) so coverage spreads.
-		lid, null, err := b.queryIntNull(fmt.Sprintf(
-			"SELECT TOP 1 nid FROM %[1]s WHERE dmin > 0 AND dmin < ? AND dmin = "+
-				"(SELECT MAX(dmin) FROM %[1]s WHERE dmin > 0 AND dmin < ?)",
-			TblFar), Unreached, Unreached)
+		l, null, err := r.QueryInt(ctx, farPickQ, Unreached, Unreached)
 		if err != nil {
 			return 0, false, err
 		}
 		if !null {
 			// Keep the degree ranking consistent for later fallbacks.
-			if _, err := b.exec(fmt.Sprintf("DELETE FROM %s WHERE nid = ?", TblDeg), lid); err != nil {
-				return 0, false, err
-			}
-			return lid, true, nil
+			return l, true, r.Unrank(ctx, l)
 		}
 		// Every remaining node is unreached from the chosen set: pick the
 		// highest-degree one among them via the degree ranking below.
 	}
-	// Degree ranking; previously chosen nodes are deleted from TLmkDeg so
-	// TOP 1 at MAX(deg) walks down the ranking.
-	lid, null, err := b.queryIntNull(fmt.Sprintf(
-		"SELECT TOP 1 nid FROM %[1]s WHERE deg = (SELECT MAX(deg) FROM %[1]s)", TblDeg))
-	if err != nil {
-		return 0, false, err
-	}
-	if null {
-		return 0, false, nil // no node with an edge left to pick
-	}
-	if _, err := b.exec(fmt.Sprintf("DELETE FROM %s WHERE nid = ?", TblDeg), lid); err != nil {
-		return 0, false, err
-	}
-	return lid, true, nil
-}
-
-// sssp relaxes single-source distances from l to fixpoint in TLmkWork:
-// forward over outgoing edges (dist(l, v)) or backward over incoming ones
-// (dist(v, l)). The frontier rule is the SegTable construction's
-// set-Dijkstra batch rule (§4.2) without the lthd bound: candidates below
-// k*wmin, or at the global minimum, expand together; with positive weights
-// every expanded distance is final, so the loop reaches the exact SSSP
-// fixpoint when no candidate remains.
-func (b *builder) sssp(l int64, forward bool) error {
-	joinCol, newCol := "fid", "tid"
-	if !forward {
-		joinCol, newCol = "tid", "fid"
-	}
-	if _, err := b.exec("DELETE FROM " + TblWork); err != nil {
-		return err
-	}
-	if _, err := b.exec(fmt.Sprintf(
-		"INSERT INTO %s (nid, dist, f) VALUES (?, 0, 0)", TblWork), l); err != nil {
-		return err
-	}
-	frontierQ := fmt.Sprintf(
-		"UPDATE %[1]s SET f = 2 WHERE f = 0 AND (dist < ? OR dist = "+
-			"(SELECT MIN(dist) FROM %[1]s WHERE f = 0))", TblWork)
-	resetQ := fmt.Sprintf("UPDATE %s SET f = 1 WHERE f = 2", TblWork)
-	// E-operator source: the cheapest in-bound relaxation per node. No
-	// parent is carried, so the aggregate form works on every profile —
-	// no window function needed.
-	srcQ := fmt.Sprintf(
-		"SELECT out.%s, MIN(out.cost + q.dist) FROM %s q, %s out "+
-			"WHERE q.nid = out.%s AND q.f = 2 GROUP BY out.%s",
-		newCol, TblWork, b.p.EdgesTable, joinCol, newCol)
-	mergeQ := fmt.Sprintf(
-		"MERGE INTO %s AS target USING (%s) AS source (nid, cost) "+
-			"ON (target.nid = source.nid) "+
-			"WHEN MATCHED AND target.dist > source.cost THEN UPDATE SET dist = source.cost, f = 0 "+
-			"WHEN NOT MATCHED THEN INSERT (nid, dist, f) VALUES (source.nid, source.cost, 0)",
-		TblWork, srcQ)
-
-	for k := int64(1); ; k++ {
-		if err := rdb.ContextErr(b.ctx); err != nil {
-			return fmt.Errorf("oracle: build cancelled during SSSP from %d: %w", l, err)
-		}
-		if int(k) > b.p.MaxIters {
-			return fmt.Errorf("oracle: SSSP from %d exceeded %d iterations", l, b.p.MaxIters)
-		}
-		cnt, err := b.exec(frontierQ, k*b.p.WMin)
-		if err != nil {
-			return err
-		}
-		if cnt == 0 {
-			return nil
-		}
-		b.st.Iterations++
-		if b.p.UseMerge {
-			if _, err := b.exec(mergeQ); err != nil {
-				return err
-			}
-		} else {
-			if err := b.relaxNoMerge(srcQ); err != nil {
-				return err
-			}
-		}
-		if _, err := b.exec(resetQ); err != nil {
-			return err
-		}
-	}
-}
-
-// relaxNoMerge emulates the relaxation MERGE with UPDATE + INSERT through
-// the TLmkExpand scratch table (PostgreSQL-9 profile).
-func (b *builder) relaxNoMerge(srcQ string) error {
-	stmts := []string{
-		"DELETE FROM " + TblExpand,
-		fmt.Sprintf("INSERT INTO %s (nid, cost) %s", TblExpand, srcQ),
-		fmt.Sprintf("UPDATE %[1]s SET dist = s.cost, f = 0 FROM %[2]s s "+
-			"WHERE %[1]s.nid = s.nid AND %[1]s.dist > s.cost", TblWork, TblExpand),
-		fmt.Sprintf("INSERT INTO %[1]s (nid, dist, f) SELECT s.nid, s.cost, 0 FROM %[2]s s "+
-			"WHERE NOT EXISTS (SELECT nid FROM %[1]s v WHERE v.nid = s.nid)", TblWork, TblExpand),
-	}
-	for _, q := range stmts {
-		if _, err := b.exec(q); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// materializeForward writes landmark i's rows: dout from the forward pass,
-// din left at Unreached until the backward pass, and sentinel rows for
-// nodes the pass never reached — every (lid, nid) pair gets exactly one
-// row, which keeps the bound subqueries total.
-func (b *builder) materializeForward(lid int64) error {
-	if _, err := b.exec(fmt.Sprintf(
-		"INSERT INTO %s (lid, nid, dout, din) SELECT ?, nid, dist, ? FROM %s",
-		TblLandmark, TblWork), lid, Unreached); err != nil {
-		return err
-	}
-	_, err := b.exec(fmt.Sprintf(
-		"INSERT INTO %s (lid, nid, dout, din) SELECT ?, n.nid, ?, ? FROM %s n "+
-			"WHERE NOT EXISTS (SELECT nid FROM %s w WHERE w.nid = n.nid)",
-		TblLandmark, b.p.NodesTable, TblWork), lid, Unreached, Unreached)
-	return err
-}
-
-// materializeBackward folds the backward pass into din.
-func (b *builder) materializeBackward(lid int64) error {
-	_, err := b.exec(fmt.Sprintf(
-		"UPDATE %[1]s SET din = s.dist FROM %[2]s s "+
-			"WHERE %[1]s.nid = s.nid AND %[1]s.lid = ?", TblLandmark, TblWork), lid)
-	return err
-}
-
-// foldFarthest lowers each node's distance-to-nearest-landmark with the
-// forward distances still sitting in TLmkWork.
-func (b *builder) foldFarthest() error {
-	_, err := b.exec(fmt.Sprintf(
-		"UPDATE %[1]s SET dmin = s.dist FROM %[2]s s "+
-			"WHERE %[1]s.nid = s.nid AND %[1]s.dmin > s.dist", TblFar, TblWork))
-	return err
+	return r.PopMaxDegree(ctx)
 }

@@ -2,9 +2,9 @@
 // spirit of the paper's SegTable (§4.3): precomputed shortest-path state
 // stored as a relation and queried with SQL. A small set of k landmarks is
 // selected (by degree or farthest-point), and for every landmark l the
-// exact distances dist(l, v) and dist(v, l) are computed by single-source
-// set-Dijkstra relaxation to fixpoint — the same FEM loop shape as the
-// SegTable construction — and materialized into
+// exact distances dist(l, v) and dist(v, l) are computed by the SegTable
+// construction's set-Dijkstra sweep (internal/sweep), seeded with l alone
+// and run without a bound, and materialized into
 //
 //	TLandmark(lid, nid, dout, din)
 //
@@ -19,8 +19,8 @@
 //     [max_l lower-bound, min_l dist(s,l)+dist(l,t)] with two aggregate
 //     SELECTs over TLandmark and no touch of TEdges.
 //
-// The package speaks to the database through an rdb.Session; the engine
-// integration (build latching, versioned invalidation, the ALT femSpec and
+// The package speaks to the database through the sweep.Runner the engine
+// hands it; the engine integration (build latching, versioned invalidation, the ALT femSpec and
 // ApproxDistance) lives in internal/core.
 package oracle
 
@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/sweep"
 )
 
 // Relation names owned by the oracle subsystem.
@@ -35,31 +37,24 @@ const (
 	// TblLandmark is the oracle relation: one row per (landmark, node)
 	// with the landmark's id, the node, dist(l, node) and dist(node, l).
 	TblLandmark = "TLandmark"
-	// TblWork is the single-source relaxation working set.
-	TblWork = "TLmkWork"
-	// TblExpand is the relaxation scratch table for profiles without MERGE.
-	TblExpand = "TLmkExpand"
-	// TblDeg is the degree ranking used by landmark selection.
-	TblDeg = "TLmkDeg"
-	// TblDegIn is the in-degree half of the degree ranking.
-	TblDegIn = "TLmkDegIn"
 	// TblFar holds each node's distance to the nearest chosen landmark
-	// (farthest-point selection state).
+	// (farthest-point selection state, build-time only).
 	TblFar = "TLmkFar"
 )
 
 // Tables lists every relation the oracle owns, for loaders that need to
 // drop them when the graph is replaced.
 func Tables() []string {
-	return []string{TblLandmark, TblWork, TblExpand, TblDeg, TblDegIn, TblFar}
+	return []string{TblLandmark, TblFar}
 }
 
 // Unreached is the sentinel distance for (landmark, node) pairs with no
 // connecting path. It matches core.MaxDist so sentinel arithmetic stays
 // consistent across TVisited and TLandmark: a lower bound derived from one
 // finite and one Unreached distance is a genuine unreachability proof (see
-// the bound derivation in the package comment).
-const Unreached = int64(1) << 50
+// the bound derivation in the package comment). It is also the bound the
+// per-landmark sweeps run with, i.e. none.
+const Unreached = sweep.NoBound
 
 // Strategy selects how landmarks are placed.
 type Strategy int
@@ -96,19 +91,6 @@ func ParseStrategy(s string) (Strategy, error) {
 	return 0, fmt.Errorf("oracle: unknown strategy %q (degree|farthest)", s)
 }
 
-// IndexMode mirrors the engine's physical-design axis for the TLandmark
-// relation (the working tables are always clustered, like TSeg).
-type IndexMode int
-
-const (
-	// IndexClustered stores TLandmark as a B+tree on (nid, lid).
-	IndexClustered IndexMode = iota
-	// IndexSecondary keeps a heap plus a non-clustered index on nid.
-	IndexSecondary
-	// IndexNone keeps a bare heap; every probe is a scan.
-	IndexNone
-)
-
 // Config is the caller-facing build configuration.
 type Config struct {
 	// K is the number of landmarks (0 selects DefaultK; clamped to the
@@ -124,19 +106,8 @@ const DefaultK = 8
 // Params is the full build parameterization the engine passes down.
 type Params struct {
 	Config
-	// NodesTable / EdgesTable name the graph relations to read.
-	NodesTable string
-	EdgesTable string
-	// WMin is the minimal edge weight (drives the set-Dijkstra frontier
-	// widening, like the SegTable construction rule).
-	WMin int64
-	// MaxIters caps relaxation rounds per landmark as a safety net.
-	MaxIters int
-	// UseMerge selects the MERGE relaxation step; profiles without MERGE
-	// get the UPDATE + INSERT emulation.
-	UseMerge bool
 	// Index is the physical design for TLandmark.
-	Index IndexMode
+	Index sweep.IndexStrategy
 }
 
 // Oracle describes a built landmark oracle. It carries only scalar

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rdb"
+	"repro/internal/sweep"
 )
 
 // loadGraphTables materializes g into bare TNodes/TEdges relations the way
@@ -37,16 +38,11 @@ func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 	}
 }
 
-func buildParams(cfg Config, g *graph.Graph, useMerge bool) Params {
-	return Params{
-		Config:     cfg,
-		NodesTable: "TNodes",
-		EdgesTable: "TEdges",
-		WMin:       g.WMin(),
-		MaxIters:   int(16*g.N) + 1024,
-		UseMerge:   useMerge,
-		Index:      IndexClustered,
-	}
+// runner is the sweep kernel over a bare session, the way the engine builds
+// it over its own statement path; the session's profile picks the MERGE or
+// UPDATE+INSERT expansion.
+func runner(sess *rdb.Session, g *graph.Graph) *sweep.Runner {
+	return sweep.New(sess.DB(), sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, false)
 }
 
 // TestBuildDistancesExact cross-checks every TLandmark row against the
@@ -72,7 +68,7 @@ func TestBuildDistancesExact(t *testing.T) {
 			defer sess.Close()
 			loadGraphTables(t, sess, g)
 
-			orc, st, err := Build(context.Background(), sess, buildParams(Config{K: 4}, g, useMerge))
+			orc, st, err := Build(context.Background(), runner(sess, g), Params{Config: Config{K: 4}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +134,7 @@ func TestDegreeSelectionOrder(t *testing.T) {
 	sess := db.Session()
 	defer sess.Close()
 	loadGraphTables(t, sess, g)
-	orc, _, err := Build(context.Background(), sess, buildParams(Config{K: 2, Strategy: Degree}, g, true))
+	orc, _, err := Build(context.Background(), runner(sess, g), Params{Config: Config{K: 2, Strategy: Degree}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +165,7 @@ func TestFarthestSpreads(t *testing.T) {
 	sess := db.Session()
 	defer sess.Close()
 	loadGraphTables(t, sess, g)
-	orc, _, err := Build(context.Background(), sess, buildParams(Config{K: 2, Strategy: Farthest}, g, true))
+	orc, _, err := Build(context.Background(), runner(sess, g), Params{Config: Config{K: 2, Strategy: Farthest}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +198,7 @@ func TestKClamp(t *testing.T) {
 	sess := db.Session()
 	defer sess.Close()
 	loadGraphTables(t, sess, g)
-	orc, _, err := Build(context.Background(), sess, buildParams(Config{K: 10}, g, true))
+	orc, _, err := Build(context.Background(), runner(sess, g), Params{Config: Config{K: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}

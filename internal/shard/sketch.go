@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"container/heap"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Boundary-distance sketch ("Query-by-Sketch", PAPERS.md): a deterministic
 // sample of cut vertices ("portals") with exact one-to-all distances from
@@ -59,8 +55,8 @@ func buildSketch(g *graph.Graph, cutVertices []int64, limit int) *sketch {
 		fromPar:  make([][]int64, len(portals)),
 	}
 	for i, c := range portals {
-		sk.fromDist[i], sk.fromPar[i] = oneToAll(g, c, true)
-		sk.toDist[i], sk.toNext[i] = oneToAll(g, c, false)
+		sk.fromDist[i], sk.fromPar[i] = graph.OneToAll(g, c, true)
+		sk.toDist[i], sk.toNext[i] = graph.OneToAll(g, c, false)
 	}
 	return sk
 }
@@ -100,59 +96,4 @@ func (sk *sketch) Path(s, t int64, pi int) []int64 {
 		nodes[i], nodes[j] = nodes[j], nodes[i]
 	}
 	return nodes
-}
-
-// oneToAll is a one-to-all Dijkstra from src over the full graph: forward
-// follows out-edges (dist[v] = d(src, v), link[v] = predecessor on the
-// tree path), backward follows in-edges (dist[v] = d(v, src), link[v] =
-// successor toward src). Unreachable nodes keep graph.Infinity / -1.
-func oneToAll(g *graph.Graph, src int64, forward bool) (dist, link []int64) {
-	dist = make([]int64, g.N)
-	link = make([]int64, g.N)
-	for i := range dist {
-		dist[i] = graph.Infinity
-		link[i] = -1
-	}
-	dist[src] = 0
-	done := make([]bool, g.N)
-	pq := &skHeap{{src, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(skItem)
-		if done[it.nid] {
-			continue
-		}
-		done[it.nid] = true
-		relax := func(v, w int64) {
-			if nd := it.dist + w; nd < dist[v] {
-				dist[v] = nd
-				link[v] = it.nid
-				heap.Push(pq, skItem{v, nd})
-			}
-		}
-		if forward {
-			g.OutEdges(it.nid, relax)
-		} else {
-			g.InEdges(it.nid, relax)
-		}
-	}
-	return dist, link
-}
-
-type skItem struct {
-	nid  int64
-	dist int64
-}
-
-type skHeap []skItem
-
-func (h skHeap) Len() int           { return len(h) }
-func (h skHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
-func (h skHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *skHeap) Push(x any)        { *h = append(*h, x.(skItem)) }
-func (h *skHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

@@ -1,0 +1,158 @@
+package sweep
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/rdb"
+)
+
+// loadGraphTables materializes g into bare TNodes/TEdges relations the way
+// the engine's loader does, without depending on internal/core.
+func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
+	t.Helper()
+	for _, q := range []string{
+		"CREATE TABLE TNodes (nid INT PRIMARY KEY)",
+		"CREATE TABLE TEdges (fid INT, tid INT, cost INT)",
+		"CREATE CLUSTERED INDEX tedges_fid ON TEdges (fid)",
+		"CREATE INDEX tedges_tid ON TEdges (tid)",
+	} {
+		if _, err := sess.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	for nid := int64(0); nid < g.N; nid++ {
+		if _, err := sess.Exec("INSERT INTO TNodes (nid) VALUES (?)", nid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range g.Edges {
+		if _, err := sess.Exec("INSERT INTO TEdges (fid, tid, cost) VALUES (?, ?, ?)",
+			e.From, e.To, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRunDifferential checks the working set a sweep leaves behind against
+// the in-memory one-to-all Dijkstra, on every expansion profile, in both
+// directions, for the two ways the builds call it: one seed with no bound
+// (oracle, labels) and every node seeded under a bound (SegTable). Every
+// (src, nid) pair within the bound must have exactly one row carrying the
+// true distance, no row may exceed the bound, and every par must be a real
+// neighbour on a shortest path: dist[par] + w(par, nid) = dist[nid].
+func TestRunDifferential(t *testing.T) {
+	base := graph.Random(40, 100, 7)
+	withIsolated, err := graph.New(base.N+1, base.Edges) // node N-1 has no edge
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := []struct {
+		name        string
+		profile     rdb.Profile
+		traditional bool
+	}{
+		{"merge", rdb.ProfileDBMSX, false},
+		{"update-insert", rdb.ProfilePostgreSQL9, false},
+		{"no-window", rdb.ProfileDBMSX, true},
+	}
+	for _, g := range []*graph.Graph{base, withIsolated, graph.Random(30, 80, 3)} {
+		for _, pr := range profiles {
+			db, err := rdb.Open(rdb.Options{Profile: pr.profile})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := db.Session()
+			loadGraphTables(t, sess, g)
+			r := New(db, sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, pr.traditional)
+			for _, forward := range []bool{true, false} {
+				for _, tc := range []struct {
+					name  string
+					seed  Query
+					srcs  []int64
+					bound int64
+				}{
+					{"one-seed", One(3), []int64{3}, NoBound},
+					{"all-seeds", Q(TblNodes), allNodes(g), 60}, // weights are 1..100: some pairs in, most out
+				} {
+					name := fmt.Sprintf("n%d/%s/forward=%v/%s", g.N, pr.name, forward, tc.name)
+					iters, pruned, err := r.Run(context.Background(), forward, tc.bound, tc.seed, Query{})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if iters == 0 || pruned != 0 {
+						t.Errorf("%s: iters=%d pruned=%d", name, iters, pruned)
+					}
+					checkWork(t, name, db, g, forward, tc.srcs, tc.bound)
+				}
+			}
+			sess.Close()
+			db.Close()
+		}
+	}
+}
+
+func allNodes(g *graph.Graph) []int64 {
+	out := make([]int64, g.N)
+	for i := range out {
+		out[i] = int64(i)
+	}
+	return out
+}
+
+// checkWork compares TblWork with graph.OneToAll from every source.
+func checkWork(t *testing.T, name string, db *rdb.DB, g *graph.Graph, forward bool, srcs []int64, bound int64) {
+	t.Helper()
+	rows, err := db.Query("SELECT src, nid, dist, par FROM " + TblWork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int64][]int64, len(srcs))
+	expect := 0
+	for _, s := range srcs {
+		dist, _ := graph.OneToAll(g, s, forward)
+		want[s] = dist
+		for _, d := range dist {
+			if d <= bound && d < graph.Infinity {
+				expect++
+			}
+		}
+	}
+	if rows.Len() != expect {
+		t.Errorf("%s: %d rows, want %d (one per pair within the bound)", name, rows.Len(), expect)
+	}
+	for _, row := range rows.Data {
+		src, nid, dist, par := row[0].I, row[1].I, row[2].I, row[3].I
+		ref, ok := want[src]
+		if !ok {
+			t.Fatalf("%s: row for unseeded source %d", name, src)
+		}
+		if dist != ref[nid] || dist > bound {
+			t.Errorf("%s: dist(%d, %d) = %d, want %d (bound %d)", name, src, nid, dist, ref[nid], bound)
+		}
+		if nid == src {
+			if par != src {
+				t.Errorf("%s: seed row (%d, %d) has par %d", name, src, nid, par)
+			}
+			continue
+		}
+		// The last hop: par -> nid forward, nid -> par backward.
+		w := int64(-1)
+		visit := func(v, ew int64) {
+			if v == nid && (w < 0 || ew < w) {
+				w = ew
+			}
+		}
+		if forward {
+			g.OutEdges(par, visit)
+		} else {
+			g.InEdges(par, visit)
+		}
+		if w < 0 || ref[par]+w != dist {
+			t.Errorf("%s: par(%d, %d) = %d is no shortest-path neighbour (dist[par]=%d, w=%d, dist=%d)",
+				name, src, nid, par, ref[par], w, dist)
+		}
+	}
+}
