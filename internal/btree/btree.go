@@ -277,8 +277,11 @@ func makeInternalCell(key []byte, child storage.PageID) []byte {
 
 // public operations ---------------------------------------------------------
 
-// Get returns the value stored under key.
-func (t *BTree) Get(key []byte) ([]byte, bool, error) {
+// Get returns a copy of the value stored under key.
+func (t *BTree) Get(key []byte) ([]byte, bool, error) { return t.GetInto(nil, key) }
+
+// GetInto is Get into the caller's buffer: the value is appended to dst[:0].
+func (t *BTree) GetInto(dst, key []byte) ([]byte, bool, error) {
 	id := t.root
 	for {
 		pg, err := t.pool.Fetch(id)
@@ -297,8 +300,7 @@ func (t *BTree) Get(key []byte) ([]byte, bool, error) {
 			return nil, false, nil
 		}
 		_, v, _ := cellAt(pg, i)
-		out := make([]byte, len(v))
-		copy(out, v)
+		out := append(dst[:0], v...)
 		t.pool.Unpin(pg, false)
 		return out, true, nil
 	}
@@ -545,29 +547,56 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 }
 
 // Iterator walks entries in key order within [lo, hi); nil bounds mean
-// unbounded. Each leaf is copied out before advancing, so the iterator
-// holds no pins between Next calls and tolerates page eviction.
+// unbounded. Each leaf is copied once into a page the iterator owns before
+// advancing, so the iterator holds no pins between Next calls and tolerates
+// page eviction; keys and values are slices of that copy. An Iterator can
+// be re-aimed with Reset, which keeps the copy's memory.
 type Iterator struct {
-	tree    *BTree
-	hi      []byte
-	keys    [][]byte
-	vals    [][]byte
-	pos     int
-	nextPg  storage.PageID
-	done    bool
-	lastErr error
+	tree     *BTree
+	hi       []byte
+	leaf     *storage.Page // private copy of the current leaf
+	pos, end int           // slots [pos, end) of leaf are still to come
+	key, val []byte        // current entry, inside leaf
+	nextPg   storage.PageID
+	hiBuf    []byte // backs hi for ResetPrefix
+	done     bool
+	lastErr  error
 }
 
 // Scan returns an iterator over [lo, hi).
 func (t *BTree) Scan(lo, hi []byte) *Iterator {
-	it := &Iterator{tree: t, hi: hi}
+	it := new(Iterator)
+	it.Reset(t, lo, hi)
+	return it
+}
+
+// ScanPrefix iterates all entries whose key starts with prefix.
+func (t *BTree) ScanPrefix(prefix []byte) *Iterator {
+	it := new(Iterator)
+	it.ResetPrefix(t, prefix)
+	return it
+}
+
+// ResetPrefix re-aims the iterator at the entries of t whose key starts
+// with prefix. prefix is not retained.
+func (it *Iterator) ResetPrefix(t *BTree, prefix []byte) {
+	// No key component begins with 0xFF, so prefix+0xFF bounds every
+	// extension of prefix from above.
+	it.hiBuf = append(append(it.hiBuf[:0], prefix...), 0xFF)
+	it.Reset(t, prefix, it.hiBuf)
+}
+
+// Reset re-aims the iterator at [lo, hi) of t. hi must stay unchanged while
+// the iterator is in use; lo is not retained.
+func (it *Iterator) Reset(t *BTree, lo, hi []byte) {
+	it.tree, it.hi = t, hi
+	it.pos, it.end, it.done, it.lastErr = 0, 0, false, nil
 	id := t.root
 	for {
 		pg, err := t.pool.Fetch(id)
 		if err != nil {
-			it.lastErr = err
-			it.done = true
-			return it
+			it.lastErr, it.done = err, true
+			return
 		}
 		if pg.Data[offType] == nodeInternal {
 			var next storage.PageID
@@ -586,42 +615,34 @@ func (t *BTree) Scan(lo, hi []byte) *Iterator {
 		}
 		it.loadLeaf(pg, start)
 		t.pool.Unpin(pg, false)
-		return it
+		return
 	}
 }
 
-// ScanPrefix iterates all entries whose key starts with prefix.
-func (t *BTree) ScanPrefix(prefix []byte) *Iterator {
-	return t.Scan(prefix, keySuccessor(prefix))
-}
-
-func keySuccessor(k []byte) []byte {
-	out := make([]byte, len(k)+1)
-	copy(out, k)
-	out[len(k)] = 0xFF
-	return out
-}
-
+// loadLeaf bounds the slots to return by hi — a leaf holding a key at or
+// past hi is the scan's last — and copies them: the slot array, then the
+// cells at their offsets, the whole cell area at once when the whole leaf is
+// wanted and cell by cell for a probe after a few of its entries.
 func (it *Iterator) loadLeaf(pg *storage.Page, start int) {
-	n := nKeys(pg)
-	it.keys = it.keys[:0]
-	it.vals = it.vals[:0]
-	for i := start; i < n; i++ {
-		k, v, _ := cellAt(pg, i)
-		if it.hi != nil && bytes.Compare(k, it.hi) >= 0 {
-			it.nextPg = storage.InvalidPageID
-			it.pos = 0
-			return
-		}
-		kc := make([]byte, len(k))
-		copy(kc, k)
-		vc := make([]byte, len(v))
-		copy(vc, v)
-		it.keys = append(it.keys, kc)
-		it.vals = append(it.vals, vc)
+	if it.leaf == nil {
+		it.leaf = new(storage.Page)
 	}
-	it.pos = 0
+	n := nKeys(pg)
+	it.pos, it.end = start, n
 	it.nextPg = storage.PageID(pg.U32(offNext))
+	if it.hi != nil {
+		if e, _ := search(pg, it.hi); e < n {
+			it.end, it.nextPg = e, storage.InvalidPageID
+		}
+	}
+	copy(it.leaf.Data[:slotOff(n)], pg.Data[:])
+	if it.pos == 0 && it.end == n {
+		copy(it.leaf.Data[cellStart(pg):], pg.Data[cellStart(pg):])
+		return
+	}
+	for i := it.pos; i < it.end; i++ {
+		copy(it.leaf.Data[pg.U16(slotOff(i)):], rawCellView(pg, i))
+	}
 }
 
 // Next advances to the next entry, returning false at the end.
@@ -629,7 +650,7 @@ func (it *Iterator) Next() bool {
 	if it.done {
 		return false
 	}
-	for it.pos >= len(it.keys) {
+	for it.pos >= it.end {
 		if it.nextPg == storage.InvalidPageID {
 			it.done = true
 			return false
@@ -642,20 +663,18 @@ func (it *Iterator) Next() bool {
 		}
 		it.loadLeaf(pg, 0)
 		it.tree.pool.Unpin(pg, false)
-		if it.nextPg == storage.InvalidPageID && len(it.keys) == 0 {
-			it.done = true
-			return false
-		}
 	}
+	it.key, it.val, _ = cellAt(it.leaf, it.pos)
 	it.pos++
 	return true
 }
 
-// Key returns the current entry's key (valid until the next Next call).
-func (it *Iterator) Key() []byte { return it.keys[it.pos-1] }
+// Key returns the current entry's key (valid until the next Next or Reset).
+func (it *Iterator) Key() []byte { return it.key }
 
-// Value returns the current entry's value.
-func (it *Iterator) Value() []byte { return it.vals[it.pos-1] }
+// Value returns the current entry's value (valid until the next Next or
+// Reset).
+func (it *Iterator) Value() []byte { return it.val }
 
 // Err reports any I/O error that terminated the scan.
 func (it *Iterator) Err() error { return it.lastErr }

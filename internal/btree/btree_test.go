@@ -13,7 +13,7 @@ import (
 	"repro/internal/storage"
 )
 
-func newTree(t *testing.T, pages int) *BTree {
+func newTree(t testing.TB, pages int) *BTree {
 	t.Helper()
 	pool := storage.NewBufferPool(storage.NewMemDiskManager(0), pages)
 	tr, err := New(pool)
@@ -336,4 +336,53 @@ func TestSmallPoolEviction(t *testing.T) {
 	if pool.Stats().Evictions == 0 {
 		t.Fatal("expected evictions with an 8-page pool")
 	}
+}
+
+// filledTree holds n entries shaped like a clustered TVisited: a 9-byte key
+// and a 57-byte tuple.
+func filledTree(t testing.TB, n int) *BTree {
+	t.Helper()
+	tr := newTree(t, 1024)
+	val := make([]byte, 57)
+	for i := 0; i < n; i++ {
+		if err := tr.Insert(append([]byte{1}, k(int64(i))...), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tr
+}
+
+func scanAll(t testing.TB, tr *BTree, want int) {
+	it := tr.Scan(nil, nil)
+	n := 0
+	for it.Next() {
+		n += len(it.Key()) / 9
+	}
+	if err := it.Err(); err != nil || n != want {
+		t.Fatalf("scan saw %d of %d entries: %v", n, want, err)
+	}
+}
+
+// TestScanAllocsIndependentOfEntryCount: an iterator copies each leaf into
+// the one page it owns, so a scan of sixteen times the entries allocates no
+// more.
+func TestScanAllocsIndependentOfEntryCount(t *testing.T) {
+	allocs := func(n int) float64 {
+		tr := filledTree(t, n)
+		return testing.AllocsPerRun(20, func() { scanAll(t, tr, n) })
+	}
+	if small, large := allocs(64), allocs(1024); large-small > 8 {
+		t.Fatalf("scan allocations grow with the entry count: %.0f at 64, %.0f at 1024", small, large)
+	}
+}
+
+func BenchmarkScanBTree(b *testing.B) {
+	const n = 10000
+	tr := filledTree(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scanAll(b, tr, n)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // newTestEngine loads g into a fresh in-memory database.
-func newTestEngine(t *testing.T, g *graph.Graph, dbOpts rdb.Options, opts Options) *Engine {
+func newTestEngine(t testing.TB, g *graph.Graph, dbOpts rdb.Options, opts Options) *Engine {
 	t.Helper()
 	db, err := rdb.Open(dbOpts)
 	if err != nil {

@@ -125,23 +125,35 @@ type Aggregate struct {
 	Specs    []aggSpec
 	out      []record.Row
 	pos      int
+	keys     []record.Value // the current row's group values
+	keyBuf   []byte         // their encoding, the group's map key
+}
+
+// aggGroup is one group: its values and one state per aggregate.
+type aggGroup struct {
+	keys   []record.Value
+	states []aggState
 }
 
 // Open implements Node: drains the input and computes all groups.
 func (a *Aggregate) Open(ctx *Ctx) error {
-	a.out = nil
+	a.out = a.out[:0]
 	a.pos = 0
-	type group struct {
-		keys   []record.Value
-		states []aggState
-	}
-	groups := make(map[string]*group)
-	var order []string // deterministic output order (first-seen)
-
 	if err := a.Input.Open(ctx); err != nil {
 		return err
 	}
 	defer a.Input.Close()
+	// Without GROUP BY there is one group, there from the start: no map, no
+	// key per row.
+	var global *aggGroup
+	groups := make([]*aggGroup, 0, 1) // deterministic output order (first-seen)
+	var byKey map[string]*aggGroup
+	if len(a.GroupFns) == 0 {
+		global = &aggGroup{states: make([]aggState, len(a.Specs))}
+		groups = append(groups, global)
+	} else {
+		byKey = make(map[string]*aggGroup)
+	}
 	for {
 		r, err := a.Input.Next(ctx)
 		if err != nil {
@@ -150,46 +162,35 @@ func (a *Aggregate) Open(ctx *Ctx) error {
 		if r == nil {
 			break
 		}
-		keys := make([]record.Value, len(a.GroupFns))
-		for i, f := range a.GroupFns {
-			v, err := f(ctx, r)
-			if err != nil {
-				return err
-			}
-			keys[i] = v
-		}
-		kstr := string(record.EncodeKey(nil, keys...))
-		g, ok := groups[kstr]
-		if !ok {
-			g = &group{keys: keys, states: make([]aggState, len(a.Specs))}
-			groups[kstr] = g
-			order = append(order, kstr)
-		}
-		for i, spec := range a.Specs {
-			var v record.Value
-			if spec.arg != nil {
-				v, err = spec.arg(ctx, r)
+		g := global
+		if byKey != nil {
+			a.keys = a.keys[:0]
+			for _, f := range a.GroupFns {
+				v, err := f(ctx, r)
 				if err != nil {
 					return err
 				}
-			} else {
-				v = record.Int(1) // COUNT(*)
+				a.keys = append(a.keys, v)
+			}
+			a.keyBuf = record.EncodeKey(a.keyBuf[:0], a.keys...)
+			if g = byKey[string(a.keyBuf)]; g == nil {
+				// The group outlives the row it was first seen in.
+				g = &aggGroup{keys: append([]record.Value(nil), a.keys...), states: make([]aggState, len(a.Specs))}
+				byKey[string(a.keyBuf)] = g
+				groups = append(groups, g)
+			}
+		}
+		for i, spec := range a.Specs {
+			v := record.Int(1) // COUNT(*)
+			if spec.arg != nil {
+				if v, err = spec.arg(ctx, r); err != nil {
+					return err
+				}
 			}
 			g.states[i].add(spec.kind, v)
 		}
 	}
-	if len(groups) == 0 && len(a.GroupFns) == 0 {
-		// Global aggregate over empty input: one row of defaults.
-		row := make(record.Row, len(a.Specs))
-		for i, spec := range a.Specs {
-			var st aggState
-			row[i] = st.result(spec.kind)
-		}
-		a.out = []record.Row{row}
-		return nil
-	}
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range groups {
 		row := make(record.Row, 0, len(g.keys)+len(a.Specs))
 		row = append(row, g.keys...)
 		for i, spec := range a.Specs {
@@ -243,26 +244,34 @@ type Window struct {
 // Open implements Node.
 func (w *Window) Open(ctx *Ctx) error {
 	w.pos = 0
-	rows, err := runPlan(w.Input, ctx)
-	if err != nil {
+	w.out = w.out[:0]
+	if err := w.Input.Open(ctx); err != nil {
 		return err
+	}
+	defer w.Input.Close()
+	for {
+		r, err := w.Input.Next(ctx)
+		if err != nil {
+			return err
+		}
+		if r == nil {
+			break
+		}
+		// The copy kept past the input's next row is made at output width.
+		w.out = append(w.out, append(make(record.Row, 0, len(r)+len(w.Specs)), r...))
 	}
 	results := make([][]int64, len(w.Specs))
 	for si, spec := range w.Specs {
-		res, err := computeWindow(ctx, rows, spec)
+		res, err := computeWindow(ctx, w.out, spec)
 		if err != nil {
 			return err
 		}
 		results[si] = res
 	}
-	w.out = make([]record.Row, len(rows))
-	for i, r := range rows {
-		nr := make(record.Row, 0, len(r)+len(w.Specs))
-		nr = append(nr, r...)
+	for i := range w.out {
 		for si := range w.Specs {
-			nr = append(nr, record.Int(results[si][i]))
+			w.out[i] = append(w.out[i], record.Int(results[si][i]))
 		}
-		w.out[i] = nr
 	}
 	return nil
 }

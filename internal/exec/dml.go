@@ -18,16 +18,25 @@ type Result struct {
 
 // PreparedDML is a compiled, re-executable mutating statement. Preparation
 // does all parsing-adjacent work once — target resolution, index-probe
-// selection, expression compilation — and Run binds fresh parameter values
-// through the Ctx. The compiled state is immutable; per-execution state
-// (sub-plan instances, memoized subqueries) lives in the Ctx, so one
-// PreparedDML may be shared by a plan cache.
+// selection, expression compilation — and Run binds fresh parameter values.
+// The compiled state is immutable; per-execution state (the source query's
+// and the target scan's operator instances, sub-plan instances, memoized
+// subqueries) lives in the instance Run executes in, so one PreparedDML may
+// be shared by a plan cache.
 type PreparedDML struct {
-	run func(ctx *Ctx) (Result, error)
+	template
+	run func(in *instance) (Result, error)
 }
 
-// Run executes the prepared statement with the parameters bound in ctx.
-func (p *PreparedDML) Run(ctx *Ctx) (Result, error) { return p.run(ctx) }
+// Run executes the prepared statement with the given parameters.
+func (p *PreparedDML) Run(params []record.Value) (Result, error) {
+	in := p.acquire(params)
+	res, err := p.run(in)
+	if err == nil {
+		p.release(in)
+	}
+	return res, err
+}
 
 // targetMatch is one target row addressed by a DML statement.
 type targetMatch struct {
@@ -35,92 +44,53 @@ type targetMatch struct {
 	row record.Row
 }
 
-// probePlan describes an index probe derived from equality conjuncts.
-type probePlan struct {
-	index  *table.Index // nil = clustered
-	keyFns []scalarFn
-}
-
-// analyzeTargetAccess splits conjuncts into an optional index probe on t
-// plus a residual predicate. env must be the env in which the conjuncts are
+// analyzeTargetAccess turns conjuncts into the access path of a DML target:
+// an index probe on t where equality conjuncts allow one, else a scan, with
+// the rest as its residual. env must be the env in which the conjuncts are
 // evaluated per candidate target row (target layout at level 0).
-func (p *Planner) analyzeTargetAccess(t *table.Table, qual string, lay *Layout, env *Env, conjuncts []sql.Expr, c *compiler) (*probePlan, scalarFn, error) {
+func (p *Planner) analyzeTargetAccess(t *table.Table, qual string, lay *Layout, need []bool, env *Env, conjuncts []sql.Expr, c *compiler) (baseScan, error) {
 	remaining := append([]sql.Expr(nil), conjuncts...)
-	node := p.chooseAccessPath(t, qual, lay, env, &remaining, c, nil)
-	var probe *probePlan
-	if ie, ok := node.(*IndexEqScan); ok {
-		probe = &probePlan{index: ie.Index, keyFns: ie.KeyFns}
-	}
-	var residual scalarFn
+	scan := p.chooseAccessPath(t, qual, lay, need, env, &remaining, c, nil)
 	if len(remaining) > 0 {
 		pred, err := c.compileExpr(andAll(remaining), env, nil)
 		if err != nil {
-			return nil, nil, err
-		}
-		residual = pred
-	}
-	return probe, residual, nil
-}
-
-// findTargets materializes the target rows matching the probe+residual.
-// Materializing first keeps scans stable while the caller mutates the table.
-func findTargets(ctx *Ctx, t *table.Table, probe *probePlan, residual scalarFn) ([]targetMatch, error) {
-	var out []targetMatch
-	check := func(loc table.Loc, row record.Row) error {
-		if residual != nil {
-			v, err := residual(ctx, row)
-			if err != nil {
-				return err
-			}
-			if !v.Truthy() {
-				return nil
-			}
-		}
-		out = append(out, targetMatch{loc: loc, row: row})
-		return nil
-	}
-	if probe != nil {
-		vals := make([]record.Value, len(probe.keyFns))
-		for i, f := range probe.keyFns {
-			v, err := f(ctx, nil)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		if probe.index == nil {
-			it := t.ScanClusteredPrefix(vals)
-			for it.Next() {
-				if err := check(it.Loc(), it.Row()); err != nil {
-					return nil, err
-				}
-			}
-			if err := it.Err(); err != nil {
-				return nil, err
-			}
-		} else {
-			it := t.LookupEq(probe.index, vals)
-			for it.Next() {
-				if err := check(it.Loc(), it.Row()); err != nil {
-					return nil, err
-				}
-			}
-			if err := it.Err(); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	it := t.Scan()
-	for it.Next() {
-		if err := check(it.Loc(), it.Row()); err != nil {
 			return nil, err
 		}
+		scan.base().Residual = pred
 	}
-	if err := it.Err(); err != nil {
+	return scan, nil
+}
+
+// findTargets appends the target rows scan yields to out[:0]. The scan reads
+// only the columns its residual needs into a buffer it overwrites, so each
+// match is materialized — every column (Table.Update and Table.Delete
+// re-encode the row and its index keys) and the location, in memory of their
+// own — and the whole list is built before the caller mutates the table:
+// that keeps the scan stable, and a statement whose source reads its own
+// target sees the table as it was.
+func findTargets(ctx *Ctx, scan baseScan, out []targetMatch) ([]targetMatch, error) {
+	out = out[:0]
+	if err := scan.Open(ctx); err != nil {
 		return nil, err
 	}
-	return out, nil
+	defer scan.Close()
+	for {
+		r, err := scan.Next(ctx)
+		if err != nil || r == nil {
+			return out, err
+		}
+		loc, row, err := scan.base().it.Materialize()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, targetMatch{loc: loc, row: row})
+	}
+}
+
+// newDML assembles a prepared statement from its source query (nil without
+// one), its target access path (nil for INSERT) and its driver.
+func newDML(src Node, target baseScan, run func(in *instance) (Result, error)) *PreparedDML {
+	return &PreparedDML{template: template{plan: src, target: target}, run: run}
 }
 
 // PrepareInsert compiles an INSERT statement.
@@ -142,21 +112,19 @@ func (p *Planner) PrepareInsert(st *sql.InsertStmt) (*PreparedDML, error) {
 		if len(lay.Cols) != len(ordinals) {
 			return nil, fmt.Errorf("exec: INSERT expects %d columns, SELECT returns %d", len(ordinals), len(lay.Cols))
 		}
-		return &PreparedDML{run: func(ctx *Ctx) (Result, error) {
-			rows, err := runPlan(plan.Clone(), ctx)
+		return newDML(plan, nil, func(in *instance) (Result, error) {
+			// Materialized before the first insert: the query may read t.
+			rows, err := runPlan(in.plan, &in.ctx)
 			if err != nil {
 				return Result{}, err
 			}
-			var n int64
 			for _, r := range rows {
-				row := buildInsertRow(t, ordinals, r)
-				if _, err := t.Insert(row); err != nil {
+				if _, err := t.Insert(buildInsertRow(t, ordinals, r)); err != nil {
 					return Result{}, err
 				}
-				n++
 			}
-			return Result{RowsAffected: n}, nil
-		}}, nil
+			return Result{RowsAffected: int64(len(rows))}, nil
+		}), nil
 	}
 	env := &Env{Lay: &Layout{}}
 	rowFns := make([][]scalarFn, len(st.Rows))
@@ -174,34 +142,29 @@ func (p *Planner) PrepareInsert(st *sql.InsertStmt) (*PreparedDML, error) {
 		}
 		rowFns[ri] = fns
 	}
-	return &PreparedDML{run: func(ctx *Ctx) (Result, error) {
-		var n int64
+	return newDML(nil, nil, func(in *instance) (Result, error) {
 		for _, fns := range rowFns {
-			vals := make(record.Row, len(fns))
-			for i, f := range fns {
-				v, err := f(ctx, nil)
-				if err != nil {
-					return Result{}, err
-				}
-				vals[i] = v
-			}
-			row := buildInsertRow(t, ordinals, vals)
-			if _, err := t.Insert(row); err != nil {
+			if err := insertComputed(&in.ctx, t, ordinals, fns, nil); err != nil {
 				return Result{}, err
 			}
-			n++
 		}
-		return Result{RowsAffected: n}, nil
-	}}, nil
+		return Result{RowsAffected: int64(len(rowFns))}, nil
+	}), nil
 }
 
-// ExecInsert compiles and runs an INSERT statement.
-func (p *Planner) ExecInsert(st *sql.InsertStmt, ctx *Ctx) (Result, error) {
-	pd, err := p.PrepareInsert(st)
-	if err != nil {
-		return Result{}, err
+// insertComputed inserts the row whose listed columns are fns evaluated
+// against src.
+func insertComputed(ctx *Ctx, t *table.Table, ordinals []int, fns []scalarFn, src record.Row) error {
+	vals := make(record.Row, len(fns))
+	for i, f := range fns {
+		v, err := f(ctx, src)
+		if err != nil {
+			return err
+		}
+		vals[i] = v
 	}
-	return pd.Run(ctx)
+	_, err := t.Insert(buildInsertRow(t, ordinals, vals))
+	return err
 }
 
 func insertOrdinals(t *table.Table, cols []string) ([]int, error) {
@@ -242,23 +205,22 @@ func (p *Planner) PrepareDelete(st *sql.DeleteStmt) (*PreparedDML, error) {
 	}
 	if st.Where == nil {
 		// Fast path: full truncate.
-		return &PreparedDML{run: func(*Ctx) (Result, error) {
+		return newDML(nil, nil, func(*instance) (Result, error) {
 			n := int64(t.RowCount())
 			if err := t.Truncate(); err != nil {
 				return Result{}, err
 			}
 			return Result{RowsAffected: n}, nil
-		}}, nil
+		}), nil
 	}
 	c := &compiler{planner: p}
-	lay := NewLayout(st.Table, schemaNames(t))
-	env := &Env{Lay: lay}
-	probe, residual, err := p.analyzeTargetAccess(t, st.Table, lay, env, splitConjuncts(st.Where), c)
+	lay, need := scanLayout(t, st.Table)
+	scan, err := p.analyzeTargetAccess(t, st.Table, lay, need, &Env{Lay: lay}, splitConjuncts(st.Where), c)
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedDML{run: func(ctx *Ctx) (Result, error) {
-		matches, err := findTargets(ctx, t, probe, residual)
+	return newDML(nil, scan, func(in *instance) (Result, error) {
+		matches, err := findTargets(&in.ctx, in.target, nil)
 		if err != nil {
 			return Result{}, err
 		}
@@ -268,16 +230,7 @@ func (p *Planner) PrepareDelete(st *sql.DeleteStmt) (*PreparedDML, error) {
 			}
 		}
 		return Result{RowsAffected: int64(len(matches))}, nil
-	}}, nil
-}
-
-// ExecDelete compiles and runs a DELETE statement.
-func (p *Planner) ExecDelete(st *sql.DeleteStmt, ctx *Ctx) (Result, error) {
-	pd, err := p.PrepareDelete(st)
-	if err != nil {
-		return Result{}, err
-	}
-	return pd.Run(ctx)
+	}), nil
 }
 
 // PrepareUpdate compiles an UPDATE statement, including the
@@ -293,11 +246,11 @@ func (p *Planner) PrepareUpdate(st *sql.UpdateStmt) (*PreparedDML, error) {
 		qual = st.Table
 	}
 	c := &compiler{planner: p}
-	lay := NewLayout(qual, schemaNames(t))
+	lay, need := scanLayout(t, qual)
 
 	if st.From == nil {
 		env := &Env{Lay: lay}
-		probe, residual, err := p.analyzeTargetAccess(t, qual, lay, env, splitConjuncts(st.Where), c)
+		scan, err := p.analyzeTargetAccess(t, qual, lay, need, env, splitConjuncts(st.Where), c)
 		if err != nil {
 			return nil, err
 		}
@@ -305,38 +258,29 @@ func (p *Planner) PrepareUpdate(st *sql.UpdateStmt) (*PreparedDML, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &PreparedDML{run: func(ctx *Ctx) (Result, error) {
-			matches, err := findTargets(ctx, t, probe, residual)
+		return newDML(nil, scan, func(in *instance) (Result, error) {
+			matches, err := findTargets(&in.ctx, in.target, nil)
 			if err != nil {
 				return Result{}, err
 			}
-			var n int64
 			for _, m := range matches {
-				newRow, changed, err := applySets(ctx, m.row, setFns, setOrds)
-				if err != nil {
+				if err := updateMatch(&in.ctx, t, m, setFns, setOrds); err != nil {
 					return Result{}, err
 				}
-				if !changed {
-					n++ // SQL counts matched rows even if values are identical
-					continue
-				}
-				if _, err := t.Update(m.loc, m.row, newRow); err != nil {
-					return Result{}, err
-				}
-				n++
 			}
-			return Result{RowsAffected: n}, nil
-		}}, nil
+			// SQL counts matched rows even if values are identical.
+			return Result{RowsAffected: int64(len(matches))}, nil
+		}), nil
 	}
 
-	// UPDATE ... FROM source: for each source row, probe the target.
+	// UPDATE ... FROM source: for each source row, probe the target; the
+	// first matching source row wins.
 	srcPlan, srcLay, err := p.planFromRef(st.From, c)
 	if err != nil {
 		return nil, err
 	}
-	srcEnv := &Env{Lay: srcLay}
-	targetEnv := &Env{Lay: lay, Parent: srcEnv}
-	probe, residual, err := p.analyzeTargetAccess(t, qual, lay, targetEnv, splitConjuncts(st.Where), c)
+	targetEnv := &Env{Lay: lay, Parent: &Env{Lay: srcLay}}
+	scan, err := p.analyzeTargetAccess(t, qual, lay, need, targetEnv, splitConjuncts(st.Where), c)
 	if err != nil {
 		return nil, err
 	}
@@ -344,52 +288,20 @@ func (p *Planner) PrepareUpdate(st *sql.UpdateStmt) (*PreparedDML, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedDML{run: func(ctx *Ctx) (Result, error) {
-		srcRows, err := runPlan(srcPlan.Clone(), ctx)
-		if err != nil {
-			return Result{}, err
-		}
-		touched := make(map[string]bool)
-		var n int64
-		for _, srcRow := range srcRows {
-			ctx.Push(srcRow)
-			matches, err := findTargets(ctx, t, probe, residual)
-			if err != nil {
-				ctx.Pop()
-				return Result{}, err
-			}
-			for _, m := range matches {
-				lk := locKey(m.loc)
-				if touched[lk] {
-					continue // first matching source row wins
-				}
-				touched[lk] = true
-				newRow, changed, err := applySets(ctx, m.row, setFns, setOrds)
-				if err != nil {
-					ctx.Pop()
-					return Result{}, err
-				}
-				if changed {
-					if _, err := t.Update(m.loc, m.row, newRow); err != nil {
-						ctx.Pop()
-						return Result{}, err
-					}
-				}
-				n++
-			}
-			ctx.Pop()
-		}
-		return Result{RowsAffected: n}, nil
-	}}, nil
+	branches := []mergeBranch{{setFns: setFns, setOrds: setOrds}}
+	return newDML(srcPlan, scan, func(in *instance) (Result, error) {
+		return mergeRows(in, t, branches, nil)
+	}), nil
 }
 
-// ExecUpdate compiles and runs an UPDATE statement.
-func (p *Planner) ExecUpdate(st *sql.UpdateStmt, ctx *Ctx) (Result, error) {
-	pd, err := p.PrepareUpdate(st)
-	if err != nil {
-		return Result{}, err
+// updateMatch applies SET clauses to one materialized target row.
+func updateMatch(ctx *Ctx, t *table.Table, m targetMatch, setFns []scalarFn, setOrds []int) error {
+	newRow, changed, err := applySets(ctx, m.row, setFns, setOrds)
+	if err != nil || !changed {
+		return err
 	}
-	return pd.Run(ctx)
+	_, err = t.Update(m.loc, m.row, newRow)
+	return err
 }
 
 func locKey(l table.Loc) string {
@@ -413,7 +325,8 @@ func (p *Planner) planFromRef(ref *sql.TableRef, c *compiler) (Node, *Layout, er
 	if !ok {
 		return nil, nil, fmt.Errorf("exec: unknown table %q", ref.Table)
 	}
-	return &SeqScan{Table: t}, NewLayout(ref.Name(), schemaNames(t)), nil
+	lay, need := scanLayout(t, ref.Name())
+	return newSeqScan(t, need), lay, nil
 }
 
 // compileSets compiles SET clauses; the env's level-0 row is the target row
@@ -462,6 +375,13 @@ type mergeBranch struct {
 	del     bool
 }
 
+// mergeInsert is a compiled WHEN NOT MATCHED branch.
+type mergeInsert struct {
+	cond scalarFn
+	fns  []scalarFn
+	ords []int
+}
+
 // PrepareMerge compiles a MERGE statement: for every source row, probe the
 // target by the ON condition, then apply the first applicable WHEN branch.
 // Affected rows = updates + deletes + inserts, matching the SQLCA counter
@@ -481,10 +401,10 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 		return nil, err
 	}
 	srcEnv := &Env{Lay: srcLay}
-	targetLay := NewLayout(qual, schemaNames(t))
+	targetLay, need := scanLayout(t, qual)
 	targetEnv := &Env{Lay: targetLay, Parent: srcEnv}
 
-	probe, residual, err := p.analyzeTargetAccess(t, qual, targetLay, targetEnv, splitConjuncts(st.On), c)
+	scan, err := p.analyzeTargetAccess(t, qual, targetLay, need, targetEnv, splitConjuncts(st.On), c)
 	if err != nil {
 		return nil, err
 	}
@@ -511,132 +431,95 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 		branches[i] = mb
 	}
 
-	var insCond scalarFn
-	var insFns []scalarFn
-	var insOrds []int
-	if st.NotMatched != nil {
-		ordinals, err := insertOrdinals(t, st.NotMatched.Cols)
-		if err != nil {
+	var ins *mergeInsert
+	if nm := st.NotMatched; nm != nil {
+		ins = &mergeInsert{}
+		if ins.ords, err = insertOrdinals(t, nm.Cols); err != nil {
 			return nil, err
 		}
-		if len(st.NotMatched.Vals) != len(ordinals) {
-			return nil, fmt.Errorf("exec: MERGE INSERT expects %d values, got %d", len(ordinals), len(st.NotMatched.Vals))
+		if len(nm.Vals) != len(ins.ords) {
+			return nil, fmt.Errorf("exec: MERGE INSERT expects %d values, got %d", len(ins.ords), len(nm.Vals))
 		}
-		insOrds = ordinals
-		for _, e := range st.NotMatched.Vals {
+		for _, e := range nm.Vals {
 			f, err := c.compileExpr(e, srcEnv, nil)
 			if err != nil {
 				return nil, err
 			}
-			insFns = append(insFns, f)
+			ins.fns = append(ins.fns, f)
 		}
-		if st.NotMatched.And != nil {
-			f, err := c.compileExpr(st.NotMatched.And, srcEnv, nil)
-			if err != nil {
+		if nm.And != nil {
+			if ins.cond, err = c.compileExpr(nm.And, srcEnv, nil); err != nil {
 				return nil, err
 			}
-			insCond = f
 		}
 	}
-	hasInsert := st.NotMatched != nil
-
-	return &PreparedDML{run: func(ctx *Ctx) (Result, error) {
-		srcRows, err := runPlan(srcPlan.Clone(), ctx)
-		if err != nil {
-			return Result{}, err
-		}
-		touched := make(map[string]bool)
-		var n int64
-		for _, srcRow := range srcRows {
-			ctx.Push(srcRow)
-			matches, err := findTargets(ctx, t, probe, residual)
-			if err != nil {
-				ctx.Pop()
-				return Result{}, err
-			}
-			if len(matches) == 0 {
-				if hasInsert {
-					ok := true
-					if insCond != nil {
-						v, err := insCond(ctx, srcRow)
-						if err != nil {
-							ctx.Pop()
-							return Result{}, err
-						}
-						ok = v.Truthy()
-					}
-					if ok {
-						vals := make(record.Row, len(insFns))
-						for i, f := range insFns {
-							v, err := f(ctx, srcRow)
-							if err != nil {
-								ctx.Pop()
-								return Result{}, err
-							}
-							vals[i] = v
-						}
-						row := buildInsertRow(t, insOrds, vals)
-						if _, err := t.Insert(row); err != nil {
-							ctx.Pop()
-							return Result{}, err
-						}
-						n++
-					}
-				}
-				ctx.Pop()
-				continue
-			}
-			for _, m := range matches {
-				lk := locKey(m.loc)
-				if touched[lk] {
-					continue
-				}
-				for _, br := range branches {
-					if br.cond != nil {
-						v, err := br.cond(ctx, m.row)
-						if err != nil {
-							ctx.Pop()
-							return Result{}, err
-						}
-						if !v.Truthy() {
-							continue
-						}
-					}
-					touched[lk] = true
-					if br.del {
-						if err := t.Delete(m.loc, m.row); err != nil {
-							ctx.Pop()
-							return Result{}, err
-						}
-						n++
-						break
-					}
-					newRow, changed, err := applySets(ctx, m.row, br.setFns, br.setOrds)
-					if err != nil {
-						ctx.Pop()
-						return Result{}, err
-					}
-					if changed {
-						if _, err := t.Update(m.loc, m.row, newRow); err != nil {
-							ctx.Pop()
-							return Result{}, err
-						}
-					}
-					n++
-					break
-				}
-			}
-			ctx.Pop()
-		}
-		return Result{RowsAffected: n}, nil
-	}}, nil
+	return newDML(srcPlan, scan, func(in *instance) (Result, error) {
+		return mergeRows(in, t, branches, ins)
+	}), nil
 }
 
-// ExecMerge compiles and runs a MERGE statement.
-func (p *Planner) ExecMerge(st *sql.MergeStmt, ctx *Ctx) (Result, error) {
-	pd, err := p.PrepareMerge(st)
+// mergeRows drives MERGE and UPDATE ... FROM: every source row — all read
+// before the first change, since the source may be a query over t — probes
+// the target through in.target, and each target row takes the first branch
+// whose condition holds, once per statement.
+func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeInsert) (Result, error) {
+	ctx := &in.ctx
+	srcRows, err := runPlan(in.plan, ctx)
 	if err != nil {
 		return Result{}, err
 	}
-	return pd.Run(ctx)
+	touched := make(map[string]bool)
+	var matches []targetMatch
+	var n int64
+	mergeOne := func(srcRow record.Row) error {
+		ctx.Push(srcRow)
+		defer ctx.Pop()
+		if matches, err = findTargets(ctx, in.target, matches); err != nil {
+			return err
+		}
+		if len(matches) == 0 && ins != nil {
+			if ins.cond != nil {
+				if v, err := ins.cond(ctx, srcRow); err != nil || !v.Truthy() {
+					return err
+				}
+			}
+			n++
+			return insertComputed(ctx, t, ins.ords, ins.fns, srcRow)
+		}
+		for _, m := range matches {
+			lk := locKey(m.loc)
+			if touched[lk] {
+				continue
+			}
+			for _, br := range branches {
+				if br.cond != nil {
+					v, err := br.cond(ctx, m.row)
+					if err != nil {
+						return err
+					}
+					if !v.Truthy() {
+						continue
+					}
+				}
+				touched[lk] = true
+				n++
+				if br.del {
+					err = t.Delete(m.loc, m.row)
+				} else {
+					err = updateMatch(ctx, t, m, br.setFns, br.setOrds)
+				}
+				if err != nil {
+					return err
+				}
+				break
+			}
+		}
+		return nil
+	}
+	for _, srcRow := range srcRows {
+		if err := mergeOne(srcRow); err != nil {
+			return Result{}, err
+		}
+	}
+	return Result{RowsAffected: n}, nil
 }

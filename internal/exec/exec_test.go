@@ -227,19 +227,19 @@ func TestArith(t *testing.T) {
 		{"+", record.Text("a"), record.Text("b"), record.Text("ab")},
 	}
 	for _, c := range cases {
-		got, err := arith(c.op, c.a, c.b)
+		got, err := arith(c.op[0], c.a, c.b)
 		if err != nil || record.Compare(got, c.want) != 0 {
 			t.Errorf("arith(%s, %v, %v) = %v, %v; want %v", c.op, c.a, c.b, got, err, c.want)
 		}
 	}
-	if _, err := arith("/", record.Int(1), record.Int(0)); err == nil {
+	if _, err := arith('/', record.Int(1), record.Int(0)); err == nil {
 		t.Error("division by zero must fail")
 	}
-	got, err := arith("+", record.Value{Null: true}, record.Int(1))
+	got, err := arith('+', record.Value{Null: true}, record.Int(1))
 	if err != nil || !got.Null {
 		t.Error("NULL propagation in arithmetic")
 	}
-	if _, err := arith("*", record.Text("a"), record.Text("b")); err == nil {
+	if _, err := arith('*', record.Text("a"), record.Text("b")); err == nil {
 		t.Error("TEXT multiplication must fail")
 	}
 }

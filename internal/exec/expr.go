@@ -203,6 +203,9 @@ func compileBinary(op string, l, r scalarFn) (scalarFn, error) {
 			return record.Bool(rv.Truthy()), nil
 		}, nil
 	case "=", "<>", "<", "<=", ">", ">=":
+		// The operator is resolved here, once, into the set of three-way
+		// results that satisfy it: bit 0 for less, 1 for equal, 2 for greater.
+		sat := map[string]uint{"=": 2, "<>": 5, "<": 1, "<=": 3, ">": 4, ">=": 6}[op]
 		return func(ctx *Ctx, row record.Row) (record.Value, error) {
 			lv, err := l(ctx, row)
 			if err != nil {
@@ -216,25 +219,18 @@ func compileBinary(op string, l, r scalarFn) (scalarFn, error) {
 				// Simplified three-valued logic: UNKNOWN behaves as FALSE.
 				return record.Bool(false), nil
 			}
-			cmp := record.Compare(lv, rv)
-			var ok bool
-			switch op {
-			case "=":
-				ok = cmp == 0
-			case "<>":
-				ok = cmp != 0
-			case "<":
-				ok = cmp < 0
-			case "<=":
-				ok = cmp <= 0
-			case ">":
-				ok = cmp > 0
-			case ">=":
-				ok = cmp >= 0
+			var cmp int
+			if lv.Typ != record.TInt || rv.Typ != record.TInt {
+				cmp = record.Compare(lv, rv)
+			} else if lv.I < rv.I {
+				cmp = -1
+			} else if lv.I > rv.I {
+				cmp = 1
 			}
-			return record.Bool(ok), nil
+			return record.Bool(sat>>uint(cmp+1)&1 != 0), nil
 		}, nil
 	case "+", "-", "*", "/":
+		opc := op[0]
 		return func(ctx *Ctx, row record.Row) (record.Value, error) {
 			lv, err := l(ctx, row)
 			if err != nil {
@@ -244,52 +240,51 @@ func compileBinary(op string, l, r scalarFn) (scalarFn, error) {
 			if err != nil {
 				return record.Value{}, err
 			}
-			return arith(op, lv, rv)
+			return arith(opc, lv, rv)
 		}, nil
 	}
 	return nil, fmt.Errorf("exec: unknown binary op %q", op)
 }
 
-func arith(op string, a, b record.Value) (record.Value, error) {
+// arith evaluates a op b for op one of + - * /. INT op INT stays INT; NULL
+// on either side gives NULL; any other numeric mix widens to FLOAT.
+func arith(op byte, a, b record.Value) (record.Value, error) {
 	if a.Null || b.Null {
 		return record.Value{Null: true, Typ: record.TInt}, nil
 	}
-	if a.Typ == record.TText || b.Typ == record.TText {
-		if op == "+" {
-			return record.Text(a.String() + b.String()), nil
-		}
-		return record.Value{}, fmt.Errorf("exec: %s not defined on TEXT", op)
-	}
 	if a.Typ == record.TInt && b.Typ == record.TInt {
 		switch op {
-		case "+":
+		case '+':
 			return record.Int(a.I + b.I), nil
-		case "-":
+		case '-':
 			return record.Int(a.I - b.I), nil
-		case "*":
+		case '*':
 			return record.Int(a.I * b.I), nil
-		case "/":
-			if b.I == 0 {
-				return record.Value{}, fmt.Errorf("exec: division by zero")
-			}
-			return record.Int(a.I / b.I), nil
 		}
+		if b.I == 0 {
+			return record.Value{}, fmt.Errorf("exec: division by zero")
+		}
+		return record.Int(a.I / b.I), nil
+	}
+	if a.Typ == record.TText || b.Typ == record.TText {
+		if op == '+' {
+			return record.Text(a.String() + b.String()), nil
+		}
+		return record.Value{}, fmt.Errorf("exec: %c not defined on TEXT", op)
 	}
 	af, bf := a.AsFloat(), b.AsFloat()
 	switch op {
-	case "+":
+	case '+':
 		return record.Float(af + bf), nil
-	case "-":
+	case '-':
 		return record.Float(af - bf), nil
-	case "*":
+	case '*':
 		return record.Float(af * bf), nil
-	case "/":
-		if bf == 0 {
-			return record.Value{}, fmt.Errorf("exec: division by zero")
-		}
-		return record.Float(af / bf), nil
 	}
-	return record.Value{}, fmt.Errorf("exec: unknown arithmetic op %q", op)
+	if bf == 0 {
+		return record.Value{}, fmt.Errorf("exec: division by zero")
+	}
+	return record.Float(af / bf), nil
 }
 
 // compileScalarSubquery plans the subquery with the current env as parent;

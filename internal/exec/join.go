@@ -16,6 +16,7 @@ type NestedLoopJoin struct {
 
 	outerRow record.Row
 	innerOn  bool
+	out      record.Row // the one output row, rebuilt by every Next
 }
 
 // Open implements Node.
@@ -57,10 +58,8 @@ func (j *NestedLoopJoin) Next(ctx *Ctx) (record.Row, error) {
 			j.innerOn = false
 			continue
 		}
-		out := make(record.Row, 0, len(j.outerRow)+len(ir))
-		out = append(out, j.outerRow...)
-		out = append(out, ir...)
-		return out, nil
+		j.out = append(append(j.out[:0], j.outerRow...), ir...)
+		return j.out, nil
 	}
 }
 
@@ -91,6 +90,7 @@ type HashJoin struct {
 	lrow    record.Row
 	matches []record.Row
 	mpos    int
+	out     record.Row // the one output row, rebuilt by every Next
 }
 
 // Open implements Node: builds the hash table from the right input.
@@ -141,10 +141,8 @@ func (j *HashJoin) Next(ctx *Ctx) (record.Row, error) {
 		if j.mpos < len(j.matches) {
 			m := j.matches[j.mpos]
 			j.mpos++
-			out := make(record.Row, 0, len(j.lrow)+len(m))
-			out = append(out, j.lrow...)
-			out = append(out, m...)
-			return out, nil
+			j.out = append(append(j.out[:0], j.lrow...), m...)
+			return j.out, nil
 		}
 		lr, err := j.Left.Next(ctx)
 		if err != nil {

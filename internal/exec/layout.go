@@ -15,6 +15,9 @@ import (
 type BoundCol struct {
 	Qual string // table alias ("" for synthetic columns)
 	Name string
+	// used, when the column comes straight from a table scan, points at its
+	// entry in the scan's needed-column set (see scanLayout).
+	used *bool
 }
 
 // Layout names the columns of rows produced by a plan node.
@@ -77,6 +80,14 @@ func (l *Layout) HasQual(qual string) bool {
 	return false
 }
 
+// markUsed records that the plan reads column idx, so the scan producing it
+// decodes it.
+func (l *Layout) markUsed(idx int) {
+	if u := l.Cols[idx].used; u != nil {
+		*u = true
+	}
+}
+
 // Env is a chain of layouts for correlated name resolution: a scan inside a
 // join or subquery sees its own layout first, then each enclosing row.
 type Env struct {
@@ -98,6 +109,7 @@ func (e *Env) resolve(qual, name string) (resolution, error) {
 			if err != nil {
 				return resolution{}, err
 			}
+			env.Lay.markUsed(idx)
 			return resolution{levelsUp: level, idx: idx}, nil
 		}
 		level++
@@ -113,11 +125,24 @@ func (e *Env) resolve(qual, name string) (resolution, error) {
 // memoizable results that must be private to one execution (fresh data
 // snapshot, no cross-goroutine state), so they live here, keyed by the
 // compiler-assigned sub-plan id, instead of inside the shared closures.
+//
+// A Ctx is itself reused from one execution of a prepared statement to the
+// next (see instance in prepared.go): begin keeps the sub-plan instances,
+// whose scans own page-sized buffers, and drops everything that belongs to
+// the execution before.
 type Ctx struct {
 	Params []record.Value
 	stack  []record.Row
 	insts  map[int]Node
 	memo   map[int]record.Value
+	run    uint64 // execution counter; what CachedMaterialize's rows are valid for
+}
+
+// begin readies the Ctx for one more execution with the given parameters.
+func (c *Ctx) begin(params []record.Value) {
+	c.Params, c.stack = params, c.stack[:0]
+	clear(c.memo)
+	c.run++
 }
 
 // instance returns this execution's private clone of a shared sub-plan

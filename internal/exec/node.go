@@ -8,10 +8,18 @@ import (
 // Node is a Volcano-style plan operator. Open may be called again after
 // Close (nested-loop joins re-open their inner side per outer row).
 //
+// A row returned by Next is valid until the next Next on the same operator,
+// and whoever keeps a row longer clones it: scans hand out the storage
+// iterator's one decode buffer, joins and projections their one output row.
+// The operators that keep rows — runPlan's result (so Sort, the hash-join
+// build side, subqueries and DML sources with it), Window, Aggregate's group
+// keys and the DML match lists — take their own copies.
+//
 // Compiled plans double as prepared-statement templates: Clone returns a
 // fresh operator tree sharing the immutable compiled parts (table handles,
-// scalar functions, join keys) but none of the iteration state, so one
-// cached plan can be executed by any number of concurrent statements.
+// scalar functions, join keys, needed-column sets) but none of the
+// iteration state, so one cached plan can be executed by any number of
+// concurrent statements.
 type Node interface {
 	Open(ctx *Ctx) error
 	Next(ctx *Ctx) (record.Row, error) // nil, nil == end of stream
@@ -19,7 +27,7 @@ type Node interface {
 	Clone() Node
 }
 
-// runPlan drains a plan into a materialized slice.
+// runPlan drains a plan into a materialized slice of rows of its own.
 func runPlan(n Node, ctx *Ctx) ([]record.Row, error) {
 	if err := n.Open(ctx); err != nil {
 		return nil, err
@@ -34,7 +42,7 @@ func runPlan(n Node, ctx *Ctx) ([]record.Row, error) {
 		if r == nil {
 			return out, nil
 		}
-		out = append(out, r)
+		out = append(out, r.Clone())
 	}
 }
 
@@ -51,23 +59,30 @@ func planHasRow(n Node, ctx *Ctx) (bool, error) {
 	return r != nil, nil
 }
 
-// --- SeqScan -----------------------------------------------------------------
+// --- table scans -------------------------------------------------------------
 
-// SeqScan reads every row of a table, applying an optional residual filter.
-type SeqScan struct {
+// tableScan is what SeqScan and IndexEqScan share: the storage iterator,
+// which lives as long as the operator instance so that re-opening it costs
+// no allocation, the columns the plan reads (Need, filled in by the planner
+// while it compiles the statement's expressions; see scanLayout) and the
+// residual filter.
+type tableScan struct {
 	Table    *table.Table
+	Need     []bool
 	Residual scalarFn // may be nil
-	it       *table.Iterator
+	it       table.Iterator
 }
 
-// Open implements Node.
-func (s *SeqScan) Open(*Ctx) error {
-	s.it = s.Table.Scan()
-	return nil
+// baseScan is a scan of one stored table.
+type baseScan interface {
+	Node
+	base() *tableScan
 }
 
-// Next implements Node.
-func (s *SeqScan) Next(ctx *Ctx) (record.Row, error) {
+func (s *tableScan) base() *tableScan { return s }
+
+// Next implements Node: the returned row is the iterator's buffer.
+func (s *tableScan) Next(ctx *Ctx) (record.Row, error) {
 	for s.it.Next() {
 		row := s.it.Row()
 		if s.Residual != nil {
@@ -85,79 +100,51 @@ func (s *SeqScan) Next(ctx *Ctx) (record.Row, error) {
 }
 
 // Close implements Node.
-func (s *SeqScan) Close() { s.it = nil }
+func (s *tableScan) Close() {}
+
+// SeqScan reads every row of a table, applying an optional residual filter.
+type SeqScan struct{ tableScan }
+
+// Open implements Node.
+func (s *SeqScan) Open(*Ctx) error {
+	s.it.Start(s.Table, s.Need)
+	return nil
+}
 
 // Clone implements Node.
-func (s *SeqScan) Clone() Node { return &SeqScan{Table: s.Table, Residual: s.Residual} }
-
-// --- IndexEqScan ----------------------------------------------------------------
+func (s *SeqScan) Clone() Node {
+	return &SeqScan{tableScan{Table: s.Table, Need: s.Need, Residual: s.Residual}}
+}
 
 // IndexEqScan probes an index (or the clustered tree) with equality values
 // computed at Open time; probe expressions may reference parameters and
 // outer rows, which is how index-nested-loop joins and correlated EXISTS
 // probes are realized.
 type IndexEqScan struct {
-	Table    *table.Table
-	Index    *table.Index // nil => clustered index
-	KeyFns   []scalarFn
-	Residual scalarFn // may be nil
-
-	tit *table.Iterator
-	iit *table.IndexIterator
+	tableScan
+	Index  *table.Index // nil => clustered index
+	KeyFns []scalarFn
+	vals   []record.Value // probe values, reused across re-opens
 }
 
 // Open implements Node.
 func (s *IndexEqScan) Open(ctx *Ctx) error {
-	vals := make([]record.Value, len(s.KeyFns))
-	for i, f := range s.KeyFns {
+	s.vals = s.vals[:0]
+	for _, f := range s.KeyFns {
 		v, err := f(ctx, nil)
 		if err != nil {
 			return err
 		}
-		vals[i] = v
+		s.vals = append(s.vals, v)
 	}
-	if s.Index == nil {
-		s.tit = s.Table.ScanClusteredPrefix(vals)
-	} else {
-		s.iit = s.Table.LookupEq(s.Index, vals)
-	}
+	s.it.Seek(s.Table, s.Index, s.vals, s.Need)
 	return nil
 }
 
-// Next implements Node.
-func (s *IndexEqScan) Next(ctx *Ctx) (record.Row, error) {
-	for {
-		var row record.Row
-		if s.tit != nil {
-			if !s.tit.Next() {
-				return nil, s.tit.Err()
-			}
-			row = s.tit.Row()
-		} else {
-			if !s.iit.Next() {
-				return nil, s.iit.Err()
-			}
-			row = s.iit.Row()
-		}
-		if s.Residual != nil {
-			v, err := s.Residual(ctx, row)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		return row, nil
-	}
-}
-
-// Close implements Node.
-func (s *IndexEqScan) Close() { s.tit, s.iit = nil, nil }
-
 // Clone implements Node.
 func (s *IndexEqScan) Clone() Node {
-	return &IndexEqScan{Table: s.Table, Index: s.Index, KeyFns: s.KeyFns, Residual: s.Residual}
+	return &IndexEqScan{tableScan: tableScan{Table: s.Table, Need: s.Need, Residual: s.Residual},
+		Index: s.Index, KeyFns: s.KeyFns}
 }
 
 // --- Filter / Project -----------------------------------------------------------
@@ -194,10 +181,11 @@ func (f *Filter) Close() { f.Input.Close() }
 // Clone implements Node.
 func (f *Filter) Clone() Node { return &Filter{Input: f.Input.Clone(), Pred: f.Pred} }
 
-// Project computes output columns from input rows.
+// Project computes output columns from input rows into one reused row.
 type Project struct {
 	Input Node
 	Fns   []scalarFn
+	out   record.Row
 }
 
 // Open implements Node.
@@ -209,15 +197,15 @@ func (p *Project) Next(ctx *Ctx) (record.Row, error) {
 	if err != nil || r == nil {
 		return nil, err
 	}
-	out := make(record.Row, len(p.Fns))
-	for i, f := range p.Fns {
+	p.out = p.out[:0]
+	for _, f := range p.Fns {
 		v, err := f(ctx, r)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		p.out = append(p.out, v)
 	}
-	return out, nil
+	return p.out, nil
 }
 
 // Close implements Node.

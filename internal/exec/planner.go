@@ -54,13 +54,19 @@ func andAll(conjs []sql.Expr) sql.Expr {
 	return out
 }
 
-// schemaNames lists a table's column names.
-func schemaNames(t *table.Table) []string {
-	names := make([]string, t.Schema.Len())
+// scanLayout names t's columns under qual for a scan of t and returns, with
+// the layout, the scan's needed-column set. Each layout column points at its
+// entry in the set, and compiling a reference to the column — in a residual,
+// a projection, a join key, a SET clause, from any query block that can see
+// it — sets that entry, so the set is complete when the statement is
+// compiled and the scan decodes nothing the plan does not read.
+func scanLayout(t *table.Table, qual string) (*Layout, []bool) {
+	need := make([]bool, t.Schema.Len())
+	lay := &Layout{Cols: make([]BoundCol, len(need))}
 	for i, c := range t.Schema.Columns {
-		names[i] = c.Name
+		lay.Cols[i] = BoundCol{Qual: qual, Name: c.Name, used: &need[i]}
 	}
-	return names
+	return lay, need
 }
 
 // planSelect plans one query block. outerEnv is the enclosing environment
@@ -176,6 +182,7 @@ func (p *Planner) planSelect(st *sql.SelectStmt, outerEnv *Env, c *compiler, use
 		if it.Star {
 			for idx, col := range curEnv.Lay.Cols {
 				i := idx
+				curEnv.Lay.markUsed(i)
 				fns = append(fns, func(_ *Ctx, row record.Row) (record.Value, error) {
 					return row[i], nil
 				})
@@ -237,14 +244,12 @@ func (p *Planner) planTableAccess(ref *sql.TableRef, remaining *[]sql.Expr, accE
 	if !ok {
 		return nil, nil, fmt.Errorf("exec: unknown table %q", ref.Table)
 	}
-	lay := NewLayout(ref.Name(), schemaNames(t))
+	lay, need := scanLayout(t, ref.Name())
 	tableEnv := &Env{Lay: lay, Parent: accEnv}
 
 	// Try to find an index probe among the remaining conjuncts.
-	node := p.chooseAccessPath(t, ref.Name(), lay, tableEnv, remaining, c, usedOuter)
-	var err error
-	node, err = p.attachResidualsToScan(node, tableEnv, remaining, c, usedOuter)
-	if err != nil {
+	node := p.chooseAccessPath(t, ref.Name(), lay, need, tableEnv, remaining, c, usedOuter)
+	if err := p.attachResidualsToScan(node, tableEnv, remaining, c, usedOuter); err != nil {
 		return nil, nil, err
 	}
 	return node, lay, nil
@@ -269,7 +274,7 @@ func derivedLayout(ref *sql.TableRef, subLay *Layout) (*Layout, error) {
 // chooseAccessPath selects an index probe if some equality conjuncts cover
 // an index prefix with expressions that do not depend on the table itself.
 // Preference: clustered, then unique secondary, then other secondary.
-func (p *Planner) chooseAccessPath(t *table.Table, qual string, lay *Layout, tableEnv *Env, remaining *[]sql.Expr, c *compiler, usedOuter *bool) Node {
+func (p *Planner) chooseAccessPath(t *table.Table, qual string, lay *Layout, need []bool, tableEnv *Env, remaining *[]sql.Expr, c *compiler, usedOuter *bool) baseScan {
 	type candidate struct {
 		ix   *table.Index // nil = clustered
 		cols []int
@@ -301,10 +306,14 @@ func (p *Planner) chooseAccessPath(t *table.Table, qual string, lay *Layout, tab
 		}
 	}
 	if best == nil {
-		return &SeqScan{Table: t}
+		return newSeqScan(t, need)
 	}
 	removeConjuncts(remaining, bestUsed)
-	return &IndexEqScan{Table: t, Index: best.ix, KeyFns: bestFns}
+	return &IndexEqScan{tableScan: tableScan{Table: t, Need: need}, Index: best.ix, KeyFns: bestFns}
+}
+
+func newSeqScan(t *table.Table, need []bool) *SeqScan {
+	return &SeqScan{tableScan{Table: t, Need: need}}
 }
 
 // matchIndexPrefix finds equality conjuncts `col = expr` covering a prefix
@@ -386,7 +395,7 @@ func removeConjuncts(remaining *[]sql.Expr, used []int) {
 
 // attachResidualsToScan moves every remaining conjunct that compiles in
 // tableEnv into the scan's residual filter.
-func (p *Planner) attachResidualsToScan(node Node, tableEnv *Env, remaining *[]sql.Expr, c *compiler, usedOuter *bool) (Node, error) {
+func (p *Planner) attachResidualsToScan(scan baseScan, tableEnv *Env, remaining *[]sql.Expr, c *compiler, usedOuter *bool) error {
 	var keep []sql.Expr
 	var resid []sql.Expr
 	for _, conj := range *remaining {
@@ -398,22 +407,11 @@ func (p *Planner) attachResidualsToScan(node Node, tableEnv *Env, remaining *[]s
 	}
 	*remaining = keep
 	if len(resid) == 0 {
-		return node, nil
+		return nil
 	}
 	pred, err := c.compileExpr(andAll(resid), tableEnv, usedOuter)
-	if err != nil {
-		return nil, err
-	}
-	switch n := node.(type) {
-	case *SeqScan:
-		n.Residual = pred
-		return n, nil
-	case *IndexEqScan:
-		n.Residual = pred
-		return n, nil
-	default:
-		return &Filter{Input: node, Pred: pred}, nil
-	}
+	scan.base().Residual = pred
+	return err
 }
 
 // attachResiduals wraps a non-scan node with a filter for conjuncts that
@@ -449,47 +447,37 @@ func (p *Planner) planJoin(acc Node, accLay *Layout, ref *sql.TableRef, remainin
 		if !ok {
 			return nil, nil, fmt.Errorf("exec: unknown table %q", ref.Table)
 		}
-		lay := NewLayout(ref.Name(), schemaNames(t))
+		lay, need := scanLayout(t, ref.Name())
 		tableEnv := &Env{Lay: lay, Parent: accEnv}
 
 		// Try index-nested-loop: probes may reference the accumulated row.
-		inner := p.chooseAccessPath(t, ref.Name(), lay, tableEnv, remaining, c, usedOuter)
-		if ie, ok := inner.(*IndexEqScan); ok {
-			var err error
-			inner, err = p.attachResidualsToScan(ie, tableEnv, remaining, c, usedOuter)
-			if err != nil {
-				return nil, nil, err
+		inner := p.chooseAccessPath(t, ref.Name(), lay, need, tableEnv, remaining, c, usedOuter)
+		if _, ok := inner.(*IndexEqScan); !ok {
+			// Hash join on an equality conjunct split across the two sides.
+			standaloneEnv := &Env{Lay: lay, Parent: outerEnv}
+			lk, rk, used := p.findHashKeys(accEnv, standaloneEnv, *remaining, c, usedOuter)
+			if len(lk) > 0 {
+				removeConjuncts(remaining, used)
+				if err := p.attachResidualsToScan(inner, standaloneEnv, remaining, c, usedOuter); err != nil {
+					return nil, nil, err
+				}
+				join := &HashJoin{Left: acc, Right: inner, LeftKeys: lk, RightKeys: rk}
+				combined := Concat(accLay, lay)
+				node, err := p.attachResiduals(join, combined, remaining, outerEnv, c, usedOuter)
+				if err != nil {
+					return nil, nil, err
+				}
+				return node, combined, nil
 			}
-			return &NestedLoopJoin{Outer: acc, Inner: inner}, Concat(accLay, lay), nil
 		}
 
-		// Hash join on an equality conjunct split across the two sides.
-		standaloneEnv := &Env{Lay: lay, Parent: outerEnv}
-		lk, rk, used := p.findHashKeys(accEnv, standaloneEnv, *remaining, c, usedOuter)
-		if len(lk) > 0 {
-			removeConjuncts(remaining, used)
-			scan := &SeqScan{Table: t}
-			right, err := p.attachResidualsToScan(scan, standaloneEnv, remaining, c, usedOuter)
-			if err != nil {
-				return nil, nil, err
-			}
-			join := &HashJoin{Left: acc, Right: right, LeftKeys: lk, RightKeys: rk}
-			combined := Concat(accLay, lay)
-			node, err := p.attachResiduals(join, combined, remaining, outerEnv, c, usedOuter)
-			if err != nil {
-				return nil, nil, err
-			}
-			return node, combined, nil
-		}
-
-		// Fallback: nested loop with residuals on the inner scan (which can
-		// see the accumulated row through the ctx stack).
-		scan := &SeqScan{Table: t}
-		innerN, err := p.attachResidualsToScan(scan, tableEnv, remaining, c, usedOuter)
-		if err != nil {
+		// Index-nested-loop, or the fallback: nested loop with residuals on
+		// the inner scan (which can see the accumulated row through the ctx
+		// stack).
+		if err := p.attachResidualsToScan(inner, tableEnv, remaining, c, usedOuter); err != nil {
 			return nil, nil, err
 		}
-		return &NestedLoopJoin{Outer: acc, Inner: innerN}, Concat(accLay, lay), nil
+		return &NestedLoopJoin{Outer: acc, Inner: inner}, Concat(accLay, lay), nil
 	}
 
 	// Derived table on the right: plan it standalone, then hash join if an
@@ -596,18 +584,18 @@ type CachedMaterialize struct {
 	Input Node
 	rows  []record.Row
 	valid bool
+	run   uint64 // the execution (Ctx.run) rows was read in
 	pos   int
 }
 
 // Open implements Node.
 func (m *CachedMaterialize) Open(ctx *Ctx) error {
-	if !m.valid {
+	if !m.valid || m.run != ctx.run {
 		rows, err := runPlan(m.Input, ctx)
 		if err != nil {
 			return err
 		}
-		m.rows = rows
-		m.valid = true
+		m.rows, m.valid, m.run = rows, true, ctx.run
 	}
 	m.pos = 0
 	return nil
@@ -626,9 +614,10 @@ func (m *CachedMaterialize) Next(*Ctx) (record.Row, error) {
 // Close implements Node.
 func (m *CachedMaterialize) Close() {}
 
-// Clone implements Node. The materialized rows are not carried over: they
-// belong to one execution's data snapshot, and a prepared statement must
-// re-read the tables it scans on every execution.
+// Clone implements Node. The materialized rows are not carried over, and an
+// instance that is executed again re-reads them: they belong to one
+// execution's data snapshot, and a prepared statement must re-read the
+// tables it scans on every execution.
 func (m *CachedMaterialize) Clone() Node { return &CachedMaterialize{Input: m.Input.Clone()} }
 
 // planAggregate rewrites the query block around a hash aggregate. Returns

@@ -139,7 +139,10 @@ func (h *HeapFile) Reset() error {
 }
 
 // Get returns a copy of the tuple at rid, or ok=false if it was deleted.
-func (h *HeapFile) Get(rid RID) ([]byte, bool, error) {
+func (h *HeapFile) Get(rid RID) ([]byte, bool, error) { return h.GetInto(nil, rid) }
+
+// GetInto is Get into the caller's buffer: the tuple is appended to dst[:0].
+func (h *HeapFile) GetInto(dst []byte, rid RID) ([]byte, bool, error) {
 	pg, err := h.pool.Fetch(rid.Page)
 	if err != nil {
 		return nil, false, err
@@ -153,9 +156,7 @@ func (h *HeapFile) Get(rid RID) ([]byte, bool, error) {
 	if ln == 0 {
 		return nil, false, nil
 	}
-	out := make([]byte, ln)
-	copy(out, pg.Data[off:off+ln])
-	return out, true, nil
+	return append(dst[:0], pg.Data[off:off+ln]...), true, nil
 }
 
 // Delete removes the tuple at rid (space reclaimed only on page reuse).
@@ -218,66 +219,69 @@ func (h *HeapFile) Update(rid RID, data []byte) (RID, error) {
 	return h.Insert(data)
 }
 
-// Iterator walks all live tuples. Each page is copied out before advancing,
-// so no pins are held between Next calls.
+// Iterator walks all live tuples. Each page is copied once into a page the
+// iterator owns before advancing, so no pins are held between Next calls;
+// tuples are slices of that copy. An Iterator can be restarted with Reset,
+// which keeps the copy's memory.
 type Iterator struct {
 	h       *HeapFile
-	rids    []RID
-	tuples  [][]byte
-	pos     int
+	page    *storage.Page // private copy of the current page
+	pageID  storage.PageID
+	slot, n int    // slot is the next slot to look at, n the page's slot count
+	tuple   []byte // current tuple, inside page
 	nextPg  storage.PageID
-	done    bool
 	lastErr error
 }
 
 // Scan returns an iterator over every live tuple.
 func (h *HeapFile) Scan() *Iterator {
-	return &Iterator{h: h, nextPg: h.first}
+	it := new(Iterator)
+	it.Reset(h)
+	return it
+}
+
+// Reset restarts the iterator at the first tuple of h.
+func (it *Iterator) Reset(h *HeapFile) {
+	it.h, it.nextPg = h, h.first
+	it.slot, it.n, it.lastErr = 0, 0, nil
 }
 
 // Next advances the iterator.
 func (it *Iterator) Next() bool {
-	if it.done {
-		return false
-	}
-	for it.pos >= len(it.tuples) {
-		if it.nextPg == storage.InvalidPageID {
-			it.done = true
+	for {
+		for it.slot < it.n {
+			base := offSlots + slotSize*it.slot
+			it.slot++
+			off, ln := int(it.page.U16(base)), int(it.page.U16(base+2))
+			if ln != 0 {
+				it.tuple = it.page.Data[off : off+ln]
+				return true
+			}
+		}
+		if it.nextPg == storage.InvalidPageID || it.lastErr != nil {
 			return false
 		}
 		pg, err := it.h.pool.Fetch(it.nextPg)
 		if err != nil {
 			it.lastErr = err
-			it.done = true
 			return false
 		}
-		it.tuples = it.tuples[:0]
-		it.rids = it.rids[:0]
-		n := int(pg.U16(offNSlots))
-		for s := 0; s < n; s++ {
-			base := offSlots + slotSize*s
-			off, ln := int(pg.U16(base)), int(pg.U16(base+2))
-			if ln == 0 {
-				continue
-			}
-			buf := make([]byte, ln)
-			copy(buf, pg.Data[off:off+ln])
-			it.tuples = append(it.tuples, buf)
-			it.rids = append(it.rids, RID{Page: pg.ID(), Slot: uint16(s)})
+		if it.page == nil {
+			it.page = new(storage.Page)
 		}
+		it.page.Data = pg.Data
+		it.pageID, it.slot, it.n = pg.ID(), 0, int(pg.U16(offNSlots))
 		it.nextPg = storage.PageID(pg.U32(offNext))
 		it.h.pool.Unpin(pg, false)
-		it.pos = 0
 	}
-	it.pos++
-	return true
 }
 
-// Tuple returns the current tuple bytes.
-func (it *Iterator) Tuple() []byte { return it.tuples[it.pos-1] }
+// Tuple returns the current tuple bytes (valid until the next Next or
+// Reset).
+func (it *Iterator) Tuple() []byte { return it.tuple }
 
 // RID returns the current tuple's RID.
-func (it *Iterator) RID() RID { return it.rids[it.pos-1] }
+func (it *Iterator) RID() RID { return RID{Page: it.pageID, Slot: uint16(it.slot - 1)} }
 
 // Err reports any error that terminated the scan.
 func (it *Iterator) Err() error { return it.lastErr }

@@ -8,9 +8,9 @@ import (
 	"repro/internal/storage"
 )
 
-func newHeap(t *testing.T) *HeapFile {
+func newHeap(t testing.TB) *HeapFile {
 	t.Helper()
-	pool := storage.NewBufferPool(storage.NewMemDiskManager(0), 32)
+	pool := storage.NewBufferPool(storage.NewMemDiskManager(0), 128)
 	h, err := New(pool)
 	if err != nil {
 		t.Fatal(err)
@@ -184,4 +184,52 @@ func TestBadSlot(t *testing.T) {
 	if _, err := h.Update(bad, []byte("x")); err == nil {
 		t.Fatal("bad slot update must fail")
 	}
+}
+
+// filledHeap holds n tuples the size of a TVisited row.
+func filledHeap(t testing.TB, n int) *HeapFile {
+	t.Helper()
+	h := newHeap(t)
+	tuple := make([]byte, 57)
+	for i := 0; i < n; i++ {
+		if _, err := h.Insert(tuple); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return h
+}
+
+func scanAll(t testing.TB, h *HeapFile, want int) {
+	it := h.Scan()
+	n := 0
+	for it.Next() {
+		n += len(it.Tuple()) / 57
+	}
+	if err := it.Err(); err != nil || n != want {
+		t.Fatalf("scan saw %d of %d tuples: %v", n, want, err)
+	}
+}
+
+// TestScanAllocsIndependentOfTupleCount: an iterator copies each page into
+// the one page it owns, so a scan of sixteen times the tuples allocates no
+// more.
+func TestScanAllocsIndependentOfTupleCount(t *testing.T) {
+	allocs := func(n int) float64 {
+		h := filledHeap(t, n)
+		return testing.AllocsPerRun(20, func() { scanAll(t, h, n) })
+	}
+	if small, large := allocs(64), allocs(1024); large-small > 8 {
+		t.Fatalf("scan allocations grow with the tuple count: %.0f at 64, %.0f at 1024", small, large)
+	}
+}
+
+func BenchmarkScanHeap(b *testing.B) {
+	const n = 10000
+	h := filledHeap(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scanAll(b, h, n)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }

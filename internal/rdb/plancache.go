@@ -20,9 +20,10 @@ import (
 // including LoadGraph's table rebuild) bumps the catalog epoch, and a
 // cached plan from an older epoch is discarded on its next lookup instead
 // of executing — a stale plan holds *table.Table handles that may point at
-// dropped heapfiles. Entries themselves are immutable; executions clone
-// the plan template (exec.Node.Clone), so concurrent readers can share one
-// entry safely.
+// dropped heapfiles. What an entry compiled is immutable; each execution
+// runs in a private instance of it (exec's template/instance split: the
+// idle instance of the last execution, or a fresh exec.Node.Clone when
+// executions overlap), so concurrent readers can share one entry safely.
 
 // planKind classifies a compiled statement.
 type planKind int
@@ -33,7 +34,8 @@ const (
 	planKindDDL // dispatched directly, never cached
 )
 
-// cachedPlan is one compiled statement. Immutable after construction.
+// cachedPlan is one compiled statement. Immutable after construction, but
+// for the idle execution instance sel and dml park on themselves.
 type cachedPlan struct {
 	kind    planKind
 	epoch   uint64 // schema epoch the plan was compiled against

@@ -456,7 +456,7 @@ func (db *DB) execText(query string, st *Stmt, args []any) (exec.Result, error) 
 		db.stmts.Add(1)
 		t1 := time.Now()
 		unlock := db.lockPlanTables(cp)
-		res, err := cp.dml.Run(&exec.Ctx{Params: params})
+		res, err := cp.dml.Run(params)
 		unlock()
 		db.mu.RUnlock()
 		db.execDurNs.Add(int64(time.Since(t1)))
@@ -539,7 +539,7 @@ func (db *DB) queryText(query string, st *Stmt, args []any) (*Rows, error) {
 	db.stmts.Add(1)
 	t1 := time.Now()
 	unlock := db.lockPlanTables(cp)
-	rows, err := cp.sel.Run(&exec.Ctx{Params: params})
+	rows, err := cp.sel.Run(params)
 	unlock()
 	db.execDurNs.Add(int64(time.Since(t1)))
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // re-compiles on its next use — a stale plan is never executed.
 //
 // A Stmt is safe for concurrent use: the pinned plan is an atomic pointer
-// and plan entries are immutable (executions clone the plan template).
+// and every execution runs in a private instance of the plan entry.
 type Stmt struct {
 	db   *DB
 	sess *Session // non-nil when prepared through a Session (accounting)

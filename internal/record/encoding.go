@@ -63,46 +63,88 @@ func EncodeTuple(dst []byte, s *Schema, r Row) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeTuple parses a row serialized by EncodeTuple. It returns the row and
-// the number of bytes consumed.
+// DecodeTuple parses a row serialized by EncodeTuple into a freshly
+// allocated Row. It returns the row and the number of bytes consumed.
 func DecodeTuple(src []byte, s *Schema) (Row, int, error) {
-	nb := (s.Len() + 7) / 8
+	r := make(Row, s.Len())
+	n, err := DecodeInto(r, src, s, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, n, nil
+}
+
+// DecodeInto parses a row serialized by EncodeTuple into dst, which must
+// hold s.Len() values, and returns the number of bytes consumed. Only the
+// ordinals i with need[i] set are written (a nil need means all of them);
+// the others keep whatever dst held, so a scan that reuses one dst pays for
+// the columns its plan reads and nothing else.
+func DecodeInto(dst Row, src []byte, s *Schema, need []bool) (int, error) {
+	cols := s.Columns
+	nb := (len(cols) + 7) / 8
 	if len(src) < nb {
-		return nil, 0, fmt.Errorf("record: truncated tuple (bitmap)")
+		return 0, fmt.Errorf("record: truncated tuple (bitmap)")
 	}
 	bitmap := src[:nb]
+	if s.allInt && allZero(bitmap) {
+		// Every column is eight bytes at a constant offset.
+		end := nb + 8*len(cols)
+		if len(src) < end {
+			return 0, fmt.Errorf("record: truncated INT column %d", (len(src)-nb)/8)
+		}
+		for i := range cols {
+			if need == nil || need[i] {
+				dst[i] = Value{Typ: TInt, I: int64(binary.LittleEndian.Uint64(src[nb+8*i:]))}
+			}
+		}
+		return end, nil
+	}
 	off := nb
-	r := make(Row, s.Len())
-	for i := 0; i < s.Len(); i++ {
+	for i, c := range cols {
+		want := need == nil || need[i]
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			r[i] = NullOf(s.Columns[i].Type)
+			if want {
+				dst[i] = NullOf(c.Type)
+			}
 			continue
 		}
-		switch s.Columns[i].Type {
-		case TInt:
+		switch c.Type {
+		case TInt, TFloat:
 			if len(src) < off+8 {
-				return nil, 0, fmt.Errorf("record: truncated INT column %d", i)
+				return 0, fmt.Errorf("record: truncated %s column %d", c.Type, i)
 			}
-			r[i] = Int(int64(binary.LittleEndian.Uint64(src[off:])))
-			off += 8
-		case TFloat:
-			if len(src) < off+8 {
-				return nil, 0, fmt.Errorf("record: truncated FLOAT column %d", i)
+			if want {
+				u := binary.LittleEndian.Uint64(src[off:])
+				if c.Type == TInt {
+					dst[i] = Int(int64(u))
+				} else {
+					dst[i] = Float(math.Float64frombits(u))
+				}
 			}
-			r[i] = Float(math.Float64frombits(binary.LittleEndian.Uint64(src[off:])))
 			off += 8
 		case TText:
 			n, w := binary.Uvarint(src[off:])
-			if w <= 0 || len(src) < off+w+int(n) {
-				return nil, 0, fmt.Errorf("record: truncated TEXT column %d", i)
+			if w <= 0 || uint64(len(src)-off-w) < n {
+				return 0, fmt.Errorf("record: truncated TEXT column %d", i)
 			}
-			r[i] = Text(string(src[off+w : off+w+int(n)]))
+			if want {
+				dst[i] = Text(string(src[off+w : off+w+int(n)]))
+			}
 			off += w + int(n)
 		default:
-			return nil, 0, fmt.Errorf("record: unknown type %v", s.Columns[i].Type)
+			return 0, fmt.Errorf("record: unknown type %v", c.Type)
 		}
 	}
-	return r, off, nil
+	return off, nil
+}
+
+func allZero(b []byte) bool {
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Key encoding
@@ -218,16 +260,4 @@ func DecodeKey(src []byte, count int) ([]Value, int, error) {
 		}
 	}
 	return out, off, nil
-}
-
-// KeySuccessor returns the smallest key strictly greater than every key with
-// prefix k: append 0xFF sentinel-free by appending a zero byte is wrong for
-// arbitrary bytes; instead we return k + 0xFF...? The tag scheme guarantees
-// no component begins with 0xFF, so appending a single 0xFF yields a correct
-// exclusive upper bound for prefix scans.
-func KeySuccessor(k []byte) []byte {
-	out := make([]byte, len(k)+1)
-	copy(out, k)
-	out[len(k)] = 0xFF
-	return out
 }

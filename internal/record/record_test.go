@@ -265,19 +265,6 @@ func TestKeyDecodeRoundtrip(t *testing.T) {
 	}
 }
 
-func TestKeySuccessorIsPrefixUpperBound(t *testing.T) {
-	fn := func(prefix, suffix int64) bool {
-		p := EncodeKey(nil, Int(prefix))
-		full := EncodeKey(nil, Int(prefix), Int(suffix))
-		succ := KeySuccessor(p)
-		// Every key extending p sorts before succ(p).
-		return bytes.Compare(full, succ) < 0 && bytes.Compare(p, succ) < 0
-	}
-	if err := quick.Check(fn, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTextKeyZeroBytes(t *testing.T) {
 	// Strings containing 0x00 must keep correct relative order.
 	a := EncodeKey(nil, Text("a\x00"))

@@ -15,13 +15,15 @@ type Column struct {
 type Schema struct {
 	Columns []Column
 	byName  map[string]int
+	allInt  bool // every column is INT: tuples without NULLs have constant offsets
 }
 
 // NewSchema builds a schema; column names are case-insensitive and must be
 // unique.
 func NewSchema(cols ...Column) (*Schema, error) {
-	s := &Schema{Columns: cols, byName: make(map[string]int, len(cols))}
+	s := &Schema{Columns: cols, byName: make(map[string]int, len(cols)), allInt: true}
 	for i, c := range cols {
+		s.allInt = s.allInt && c.Type == TInt
 		key := strings.ToLower(c.Name)
 		if _, dup := s.byName[key]; dup {
 			return nil, fmt.Errorf("record: duplicate column %q", c.Name)

@@ -336,8 +336,8 @@ func (t *Table) CreateIndex(name string, cols []int, unique bool) (*Index, error
 	ix := &Index{Name: name, Cols: append([]int(nil), cols...), Unique: unique, tree: tr}
 	it := t.Scan()
 	for it.Next() {
-		k := indexKey(ix, it.Row(), it.Loc())
-		if err := ix.tree.Insert(k, it.Loc().bytes()); err != nil {
+		loc := it.Loc()
+		if err := ix.tree.Insert(indexKey(ix, it.Row(), loc), loc.bytes()); err != nil {
 			if errors.Is(err, btree.ErrDuplicateKey) {
 				return nil, fmt.Errorf("%w: backfill of %s", ErrUniqueViolation, name)
 			}
@@ -374,136 +374,139 @@ func (t *Table) Truncate() error {
 	return nil
 }
 
-// Iterator yields (Loc, Row) pairs.
+// Iterator yields the rows of one table: all of them in storage order
+// (clustered-key order for clustered tables), or those whose clustered or
+// secondary index key starts with given values.
+//
+// Row returns a buffer the iterator owns: it is overwritten by the next
+// Next, and only the columns asked for are decoded into it. A caller that
+// keeps a row past the next Next takes a copy with Materialize. Start and
+// Seek re-aim an Iterator in place, keeping its page, tuple and row buffers,
+// so an operator that re-opens its scan allocates nothing.
 type Iterator struct {
-	t      *Table
-	bit    *btree.Iterator
-	hit    *heapfile.Iterator
-	row    record.Row
-	loc    Loc
-	err    error
-	filter func(record.Row) bool
+	t     *Table
+	ix    *Index // secondary index the rows are reached through; nil = storage order
+	need  []bool // column ordinals to decode; nil = all
+	bit   btree.Iterator
+	hit   heapfile.Iterator
+	tuple []byte // encoded current row (inside bit's or hit's page, or fetch)
+	fetch []byte // base tuple fetched through ix
+	probe []byte // encoded Seek prefix
+	row   record.Row
+	err   error
 }
 
-// Scan iterates every row in storage order (clustered-key order for
-// clustered tables).
+// Scan iterates every row, fully decoded.
 func (t *Table) Scan() *Iterator {
-	if t.clustered != nil {
-		return &Iterator{t: t, bit: t.clustered.tree.Scan(nil, nil)}
-	}
-	return &Iterator{t: t, hit: t.heap.Scan()}
-}
-
-// ScanRange iterates clustered rows with encoded keys in [lo, hi). Only
-// valid for clustered tables.
-func (t *Table) ScanRange(lo, hi []byte) *Iterator {
-	return &Iterator{t: t, bit: t.clustered.tree.Scan(lo, hi)}
+	it := new(Iterator)
+	it.Start(t, nil)
+	return it
 }
 
 // ScanClusteredPrefix iterates clustered rows whose key starts with the
 // encoding of vals.
-func (t *Table) ScanClusteredPrefix(vals []record.Value) *Iterator {
-	prefix := record.EncodeKey(nil, vals...)
-	return &Iterator{t: t, bit: t.clustered.tree.ScanPrefix(prefix)}
+func (t *Table) ScanClusteredPrefix(vals []record.Value) *Iterator { return t.LookupEq(nil, vals) }
+
+// LookupEq iterates rows where the index columns equal vals. vals may be a
+// prefix of the index columns; a nil ix means the clustered index.
+func (t *Table) LookupEq(ix *Index, vals []record.Value) *Iterator {
+	it := new(Iterator)
+	it.Seek(t, ix, vals, nil)
+	return it
+}
+
+// Start aims the iterator at every row of t, decoding the columns in need.
+func (it *Iterator) Start(t *Table, need []bool) {
+	it.reset(t, nil, need)
+	if t.clustered != nil {
+		it.bit.Reset(t.clustered.tree, nil, nil)
+	} else {
+		it.hit.Reset(t.heap)
+	}
+}
+
+// Seek aims the iterator at the rows of t whose ix columns (clustered-index
+// columns when ix is nil) equal vals, decoding the columns in need.
+func (it *Iterator) Seek(t *Table, ix *Index, vals []record.Value, need []bool) {
+	it.reset(t, ix, need)
+	it.probe = record.EncodeKey(it.probe[:0], vals...)
+	if ix == nil {
+		ix = t.clustered
+	}
+	it.bit.ResetPrefix(ix.tree, it.probe)
+}
+
+func (it *Iterator) reset(t *Table, ix *Index, need []bool) {
+	it.t, it.ix, it.need, it.err = t, ix, need, nil
+	if n := t.Schema.Len(); cap(it.row) < n {
+		it.row = make(record.Row, n)
+	} else {
+		it.row = it.row[:n]
+	}
 }
 
 // Next advances the iterator.
 func (it *Iterator) Next() bool {
-	for {
-		if it.bit != nil {
-			if !it.bit.Next() {
-				it.err = it.bit.Err()
-				return false
-			}
-			row, _, err := record.DecodeTuple(it.bit.Value(), it.t.Schema)
-			if err != nil {
-				it.err = err
-				return false
-			}
-			key := make([]byte, len(it.bit.Key()))
-			copy(key, it.bit.Key())
-			it.row, it.loc = row, Loc{Key: key}
+	switch {
+	case it.ix != nil:
+		if !it.bit.Next() {
+			it.err = it.bit.Err()
+			return false
+		}
+		// The index entry's value is the base row's location.
+		var ok bool
+		if it.t.clustered != nil {
+			it.fetch, ok, it.err = it.t.clustered.tree.GetInto(it.fetch, it.bit.Value())
 		} else {
-			if !it.hit.Next() {
-				it.err = it.hit.Err()
-				return false
-			}
-			row, _, err := record.DecodeTuple(it.hit.Tuple(), it.t.Schema)
-			if err != nil {
-				it.err = err
-				return false
-			}
-			it.row, it.loc = row, Loc{RID: it.hit.RID()}
+			it.fetch, ok, it.err = it.t.heap.GetInto(it.fetch, ridFromBytes(it.bit.Value()))
 		}
-		if it.filter != nil && !it.filter(it.row) {
-			continue
+		if it.err == nil && !ok {
+			it.err = fmt.Errorf("table: index %s points at missing row", it.ix.Name)
 		}
-		return true
+		if it.err != nil {
+			return false
+		}
+		it.tuple = it.fetch
+	case it.t.clustered != nil:
+		if !it.bit.Next() {
+			it.err = it.bit.Err()
+			return false
+		}
+		it.tuple = it.bit.Value()
+	default:
+		if !it.hit.Next() {
+			it.err = it.hit.Err()
+			return false
+		}
+		it.tuple = it.hit.Tuple()
 	}
+	_, it.err = record.DecodeInto(it.row, it.tuple, it.t.Schema, it.need)
+	return it.err == nil
 }
 
-// Row returns the current row.
+// Row returns the current row: valid until the next Next, Start or Seek,
+// and holding only the columns the iterator was asked to decode.
 func (it *Iterator) Row() record.Row { return it.row }
 
-// Loc returns the current row's location.
-func (it *Iterator) Loc() Loc { return it.loc }
+// Loc returns the current row's location, in memory of its own.
+func (it *Iterator) Loc() Loc {
+	switch {
+	case it.t.clustered == nil && it.ix == nil:
+		return Loc{RID: it.hit.RID()}
+	case it.t.clustered == nil:
+		return Loc{RID: ridFromBytes(it.bit.Value())}
+	case it.ix == nil:
+		return Loc{Key: append([]byte(nil), it.bit.Key()...)}
+	}
+	return Loc{Key: append([]byte(nil), it.bit.Value()...)}
+}
+
+// Materialize returns the current row's location and a copy of the row with
+// every column decoded, both valid for as long as the caller keeps them.
+func (it *Iterator) Materialize() (Loc, record.Row, error) {
+	row, _, err := record.DecodeTuple(it.tuple, it.t.Schema)
+	return it.Loc(), row, err
+}
 
 // Err reports any error that terminated iteration.
 func (it *Iterator) Err() error { return it.err }
-
-// IndexIterator yields rows via a secondary index.
-type IndexIterator struct {
-	t   *Table
-	ix  *Index
-	bit *btree.Iterator
-	row record.Row
-	loc Loc
-	err error
-}
-
-// LookupEq iterates rows where the index columns equal vals. vals may be a
-// prefix of the index columns.
-func (t *Table) LookupEq(ix *Index, vals []record.Value) *IndexIterator {
-	prefix := record.EncodeKey(nil, vals...)
-	return &IndexIterator{t: t, ix: ix, bit: ix.tree.ScanPrefix(prefix)}
-}
-
-// LookupRange iterates rows whose encoded index key lies in [lo, hi).
-func (t *Table) LookupRange(ix *Index, lo, hi []byte) *IndexIterator {
-	return &IndexIterator{t: t, ix: ix, bit: ix.tree.Scan(lo, hi)}
-}
-
-// Next advances, fetching the base row for each index entry.
-func (it *IndexIterator) Next() bool {
-	if !it.bit.Next() {
-		it.err = it.bit.Err()
-		return false
-	}
-	locBytes := it.bit.Value()
-	var loc Loc
-	if it.t.clustered != nil {
-		loc = Loc{Key: append([]byte(nil), locBytes...)}
-	} else {
-		loc = Loc{RID: ridFromBytes(locBytes)}
-	}
-	row, ok, err := it.t.Fetch(loc)
-	if err != nil {
-		it.err = err
-		return false
-	}
-	if !ok {
-		it.err = fmt.Errorf("table: index %s points at missing row", it.ix.Name)
-		return false
-	}
-	it.row, it.loc = row, loc
-	return true
-}
-
-// Row returns the current row.
-func (it *IndexIterator) Row() record.Row { return it.row }
-
-// Loc returns the current row's location.
-func (it *IndexIterator) Loc() Loc { return it.loc }
-
-// Err reports any error that terminated iteration.
-func (it *IndexIterator) Err() error { return it.err }

@@ -9,9 +9,9 @@ import (
 	"repro/internal/storage"
 )
 
-func newCatalog(t *testing.T) *Catalog {
+func newCatalog(t testing.TB) *Catalog {
 	t.Helper()
-	return NewCatalog(storage.NewBufferPool(storage.NewMemDiskManager(0), 64))
+	return NewCatalog(storage.NewBufferPool(storage.NewMemDiskManager(0), 256))
 }
 
 func edgeSchema() *record.Schema {
@@ -349,3 +349,43 @@ func TestLocString(t *testing.T) {
 		t.Fatal("rid string")
 	}
 }
+
+// benchmarkScan scans a TVisited-shaped table of 10000 rows, decoding two
+// of its seven columns the way the FEM loop's statements do.
+func benchmarkScan(b *testing.B, opts Options) {
+	const n = 10000
+	cols := make([]record.Column, 7)
+	for i, name := range []string{"nid", "d2s", "p2s", "f", "d2t", "p2t", "b"} {
+		cols[i] = record.Column{Name: name, Type: record.TInt}
+	}
+	tb, err := newCatalog(b).Create("v", record.MustSchema(cols...), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := int64(0); i < n; i++ {
+		row := record.Row{record.Int(i), record.Int(i % 97), record.Int(-1), record.Int(i % 3), record.Int(0), record.Int(-1), record.Int(1)}
+		if _, err := tb.Insert(row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	need := []bool{false, true, false, true, false, false, false}
+	var it Iterator
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sum int64
+		for it.Start(tb, need); it.Next(); {
+			sum += it.Row()[1].I + it.Row()[3].I
+		}
+		if err := it.Err(); err != nil || sum == 0 {
+			b.Fatalf("scan: sum %d, %v", sum, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+}
+
+func BenchmarkScanTableClustered(b *testing.B) {
+	benchmarkScan(b, Options{ClusterOn: []int{0}, ClusterUnique: true})
+}
+
+func BenchmarkScanTableHeap(b *testing.B) { benchmarkScan(b, Options{}) }
