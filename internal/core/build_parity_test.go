@@ -88,4 +88,33 @@ func TestBuildParity(t *testing.T) {
 			t.Errorf("after all three builds: catalog %v, want %v", got, all)
 		}
 	})
+
+	// A reload starts from a clean catalog, whatever the engine created
+	// lazily since the last one: below the MERGE level a mutation leaves
+	// the maintenance and sweep staging tables and the repair's touch set
+	// behind, and none of them may survive LoadGraph.
+	t.Run("catalog-reload", func(t *testing.T) {
+		e := newTestEngine(t, g, rdb.Options{Profile: rdb.ProfilePostgreSQL9}, Options{})
+		if _, err := e.BuildSegTable(20); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.InsertEdge(5, 300, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.DeleteEdge(5, 300); err != nil {
+			t.Fatal(err)
+		}
+		mutated := []string{"tedges", "texpand", "texpcost", "tinsegs", "tmutsrc", "tmuttouch", "tnodes",
+			"toutsegs", "tseg", "tsegexpand", "tsegexpcost", "tsegmaint", "tvisited"}
+		if got := catalogNames(e); !reflect.DeepEqual(got, mutated) {
+			t.Errorf("after the mutations: catalog %v, want %v", got, mutated)
+		}
+		if err := e.LoadGraph(g); err != nil {
+			t.Fatal(err)
+		}
+		loaded := []string{"tedges", "texpand", "texpcost", "tnodes", "tvisited"}
+		if got := catalogNames(e); !reflect.DeepEqual(got, loaded) {
+			t.Errorf("after the reload: catalog %v, want %v", got, loaded)
+		}
+	})
 }

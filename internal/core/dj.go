@@ -39,7 +39,7 @@ func (e *Engine) dj(ctx context.Context, sc *scratchSet, s, t int64, budget int6
 		return Path{Found: true, Length: 0, Nodes: []int64{s}}, qs, nil
 	}
 
-	xp := e.buildExpand(fwdDir(), TblEdges, "q.nid = ?", 1, false, sc)
+	round := e.searchOps(sc, fwdDir(), TblEdges, "q.nid = ?", false).Round(e.opts.SeparateOperators)
 	targetStmt, err := e.stmt(sc.djTarget)
 	if err != nil {
 		return Path{}, qs, err
@@ -66,7 +66,7 @@ func (e *Engine) dj(ctx context.Context, sc *scratchSet, s, t int64, budget int6
 			break // no candidate left: t unreachable
 		}
 		// Listing 2(3,4): E and M operators for the frontier node.
-		if _, err := e.runExpand(ctx, qs, xp, []any{mid}, 0, 4*MaxDist); err != nil {
+		if _, err := e.runOps(ctx, qs, round, []any{mid}, sentinelArgs); err != nil {
 			return Path{}, qs, err
 		}
 		qs.ForwardExpansions++

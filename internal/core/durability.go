@@ -368,7 +368,7 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 	if err := e.createGraphTables(); err != nil {
 		return err
 	}
-	if err := e.createVisitedTables(); err != nil {
+	if err := e.createScratchTables(e.scratchGlobal); err != nil {
 		return err
 	}
 	// Node ids are dense 0..N-1 by the loader's contract, so TNodes

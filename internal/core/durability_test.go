@@ -132,6 +132,55 @@ func TestSnapshotHydrate(t *testing.T) {
 	}
 }
 
+// TestHydrateInPlaceCleanCatalog: hydrating an engine that has been
+// serving replaces everything it created lazily. On the PostgreSQL 9.0
+// profile a mutation of each maintenance kind leaves the sweep's staging
+// tables and the repair's touch set behind; after a snapshot and an
+// in-place Hydrate the catalog is exactly a fresh replica's (which below
+// the MERGE level carries the maintenance staging table next to the
+// segment tables).
+func TestHydrateInPlaceCleanCatalog(t *testing.T) {
+	g, _ := paperGraph(t)
+	e := newTestEngine(t, g, rdb.Options{Profile: rdb.ProfilePostgreSQL9}, Options{DataDir: t.TempDir()})
+	if _, err := e.BuildSegTable(6); err != nil {
+		t.Fatal(err)
+	}
+	mirror := g.Clone()
+	if _, err := e.InsertEdge(0, 10, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := mirror.InsertEdge(0, 10, 1); err != nil {
+		t.Fatal(err)
+	}
+	ed := g.Edges[2]
+	if _, err := e.DeleteEdge(ed.From, ed.To); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mirror.DeleteEdge(ed.From, ed.To); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.DB().Catalog().Get(tblMutTouch); !ok {
+		t.Fatal("the deletion never computed a touch set in " + tblMutTouch)
+	}
+	if _, err := e.Snapshot(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Hydrate(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"tedges", "texpand", "texpcost", "tinsegs", "tnodes", "toutsegs", "tseg", "tsegmaint", "tvisited"}
+	if got := catalogNames(e); !reflect.DeepEqual(got, want) {
+		t.Errorf("catalog after in-place hydration %v, want %v", got, want)
+	}
+	for _, q := range [][2]int64{{0, 10}, {ed.From, ed.To}, {3, 8}} {
+		p, _, err := shortestPath(e, AlgBSEG, q[0], q[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPath(t, mirror, AlgBSEG, q[0], q[1], p)
+	}
+}
+
 // TestHydrateReplaysWAL: mutations applied after the last snapshot live
 // only in the WAL; hydration must replay them on top of the snapshot.
 func TestHydrateReplaysWAL(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fem"
 	"repro/internal/labels"
 	"repro/internal/obs"
 	"repro/internal/oracle"
@@ -197,6 +198,9 @@ type Engine struct {
 	// per-session accounting alongside any other sessions.
 	sess *rdb.Session
 	opts Options
+	// level is the SQL level every E- and M-operator statement is rendered
+	// for, resolved once from the profile and Options.TraditionalSQL.
+	level fem.Level
 	// optErr records an Options validation failure from NewEngine; every
 	// public entry point returns it instead of running with a bad config.
 	optErr error
@@ -289,6 +293,7 @@ func NewEngine(db *rdb.DB, opts Options) *Engine {
 		opts.CacheSize = DefaultCacheSize
 	}
 	e := &Engine{db: db, sess: db.Session(), opts: opts,
+		level:         fem.LevelOf(db.Profile(), opts.TraditionalSQL),
 		gate:          newQueryGate(),
 		scratchGlobal: newScratchSet(-1),
 		stmtCache:     make(map[string]*rdb.Stmt)}

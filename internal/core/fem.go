@@ -473,9 +473,9 @@ const prefetchWorkers = 8
 
 // expandMerge is the E+M step, the one place the loop depends on how many
 // handles it drives. Alone, the handle expands and merges in place — the
-// fused MERGE, or the engine's separate-operator / no-MERGE / traditional
-// forms. With peers, every handle that selected a frontier materializes its
-// expansion, the loop harvests the (nid, parent, cost) candidates before the
+// round internal/fem renders for the engine's SQL level, fused unless
+// Options.SeparateOperators. With peers, every handle that selected a
+// frontier materializes its expansion, the loop harvests the (nid, parent, cost) candidates before the
 // local merge consumes them, and routes each to the handle owning nid,
 // keeping the cheapest per node (TExpand's nid is a primary key, and the
 // owner's merge would pick the minimum anyway — deduping just saves
@@ -486,7 +486,8 @@ const prefetchWorkers = 8
 func expandMerge(ctx context.Context, hs []*Superstep, owner func(nid int64) int, forward bool, counts []int64, lOther, best int64) (int, error) {
 	if len(hs) == 1 {
 		h := hs[0]
-		_, err := h.e.runExpand(ctx, h.qs, h.side(forward).xp, nil, lOther, best)
+		_, err := h.e.runOps(ctx, h.qs, h.side(forward).ops.Round(h.e.opts.SeparateOperators),
+			h.pruneArgs(lOther, best), sentinelArgs)
 		return 0, err
 	}
 	harvested := make([][]frontierCand, len(hs))

@@ -67,7 +67,7 @@ func (e *Engine) LoadGraph(g *graph.Graph) error {
 	if err := e.createGraphTables(); err != nil {
 		return err
 	}
-	if err := e.createVisitedTables(); err != nil {
+	if err := e.createScratchTables(e.scratchGlobal); err != nil {
 		return err
 	}
 
@@ -147,11 +147,12 @@ func (e *Engine) LoadGraph(g *graph.Graph) error {
 }
 
 // dropAllTables drops every engine-owned relation that exists — graph,
-// working set, SegTable, oracle, labels, the builds' working tables — so
-// a reload or snapshot hydration starts from a clean catalog.
+// working set, SegTable, oracle, labels, the builds' and the mutations'
+// working and staging tables — so a reload or snapshot hydration starts
+// from a clean catalog.
 func (e *Engine) dropAllTables() error {
-	dropList := append([]string{TblNodes, TblEdges, TblVisited, TblExpand,
-		TblExpCost, TblOutSegs, TblInSegs}, sweep.WorkTables()...)
+	dropList := append([]string{TblNodes, TblEdges, TblVisited, TblExpand, TblExpCost,
+		TblOutSegs, TblInSegs, tblSegMaint, tblMutTouch, tblMutSrc}, sweep.WorkTables()...)
 	dropList = append(dropList, oracle.Tables()...)
 	dropList = append(dropList, labels.Tables()...)
 	for _, tbl := range dropList {
@@ -187,43 +188,6 @@ func (e *Engine) createGraphTables() error {
 	}
 	for _, s := range stmts {
 		if _, err := e.sess.Exec(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// createVisitedTables creates TVisited and the expansion scratch tables
-// under the engine's index strategy. TVisited carries both directions'
-// state (§4.1): d2s/p2s/f forward, d2t/p2t/b backward.
-func (e *Engine) createVisitedTables() error {
-	db := e.sess
-	var stmts []string
-	switch e.opts.Strategy {
-	case ClusteredIndex:
-		stmts = append(stmts,
-			"CREATE TABLE "+TblVisited+" (nid INT PRIMARY KEY, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-			"CREATE TABLE "+TblExpand+" (nid INT PRIMARY KEY, par INT, cost INT)",
-			"CREATE TABLE "+TblExpCost+" (nid INT PRIMARY KEY, cost INT)",
-		)
-	case SecondaryIndex:
-		stmts = append(stmts,
-			"CREATE TABLE "+TblVisited+" (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-			"CREATE UNIQUE INDEX tvisited_nid ON "+TblVisited+" (nid)",
-			"CREATE TABLE "+TblExpand+" (nid INT, par INT, cost INT)",
-			"CREATE UNIQUE INDEX texpand_nid ON "+TblExpand+" (nid)",
-			"CREATE TABLE "+TblExpCost+" (nid INT, cost INT)",
-			"CREATE UNIQUE INDEX texpcost_nid ON "+TblExpCost+" (nid)",
-		)
-	case NoIndex:
-		stmts = append(stmts,
-			"CREATE TABLE "+TblVisited+" (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-			"CREATE TABLE "+TblExpand+" (nid INT, par INT, cost INT)",
-			"CREATE TABLE "+TblExpCost+" (nid INT, cost INT)",
-		)
-	}
-	for _, s := range stmts {
-		if _, err := db.Exec(s); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -8,13 +10,20 @@ import (
 )
 
 // TestConfigurationMatrix runs every algorithm under every combination of
-// dialect (NSQL/TSQL), engine profile (DBMS-X/PostgreSQL9), and operator
-// fusion, verifying identical answers: the paper's claim that the NSQL and
-// TSQL formulations are semantically equivalent (§3.3) and that the
-// PostgreSQL fallback (no MERGE) preserves results (§5.2, Fig 8(a)).
+// dialect (NSQL/TSQL), engine profile (DBMS-X/PostgreSQL9/a profile with
+// neither MERGE nor window functions), and operator fusion, verifying
+// identical answers: the paper's claim that the NSQL and TSQL formulations
+// are semantically equivalent (§3.3) and that the PostgreSQL fallback (no
+// MERGE) preserves results (§5.2, Fig 8(a)). Every row also runs the other
+// clients of the E- and M-operators — Prim's MST, reachability, and the
+// SegTable maintenance behind each kind of edge mutation — so a form one of
+// them cannot issue on the row's profile fails here (rdb rejects MERGE and
+// window functions the profile lacks).
 func TestConfigurationMatrix(t *testing.T) {
 	g := graph.Random(40, 120, 99)
 	queries := graph.RandomQueries(g, 5, 3)
+	undirected := directedAsUndirected(graph.Random(20, 40, 7))
+	mstWeight, mstComps := kruskalWeight(undirected)
 
 	type cfg struct {
 		name    string
@@ -28,6 +37,7 @@ func TestConfigurationMatrix(t *testing.T) {
 		{"nsql-postgres", rdb.ProfilePostgreSQL9, Options{}},
 		{"tsql-postgres", rdb.ProfilePostgreSQL9, Options{TraditionalSQL: true}},
 		{"nopruning", rdb.ProfileDBMSX, Options{DisablePruning: true}},
+		{"sql92", rdb.Profile{Name: "SQL92"}, Options{}},
 	}
 	for _, c := range cfgs {
 		c := c
@@ -46,7 +56,109 @@ func TestConfigurationMatrix(t *testing.T) {
 					checkPath(t, g, alg, q[0], q[1], p)
 				}
 			}
+
+			for _, q := range queries {
+				r, err := e.Reachable(q[0], q[1])
+				if err != nil {
+					t.Fatalf("Reachable(%d, %d): %v", q[0], q[1], err)
+				}
+				if want := graph.MDJ(g, q[0], q[1]).Found; r.Reachable != want {
+					t.Errorf("Reachable(%d, %d) = %v, want %v", q[0], q[1], r.Reachable, want)
+				}
+			}
+			mst, err := newTestEngine(t, undirected, rdb.Options{Profile: c.profile}, c.opts).MinimumSpanningForest()
+			if err != nil {
+				t.Fatalf("MinimumSpanningForest: %v", err)
+			}
+			if mst.TotalWeight != mstWeight || mst.Components != mstComps {
+				t.Errorf("MST weight %d in %d components, Kruskal says %d in %d",
+					mst.TotalWeight, mst.Components, mstWeight, mstComps)
+			}
+
+			// One mutation of each kind (a shortcut, a relaxation, a
+			// weakening, a deletion), BSEG over the maintained index after
+			// each against the mirror.
+			mirror := g.Clone()
+			down, up, gone := g.Edges[3], g.Edges[17], g.Edges[31]
+			for _, m := range []Mutation{
+				{Op: MutInsert, From: queries[0][0], To: queries[0][1], Weight: 1},
+				{Op: MutUpdate, From: down.From, To: down.To, Weight: 1},
+				{Op: MutUpdate, From: up.From, To: up.To, Weight: up.Weight + 50},
+				{Op: MutDelete, From: gone.From, To: gone.To},
+			} {
+				var err, merr error
+				switch m.Op {
+				case MutInsert:
+					_, err = e.InsertEdge(m.From, m.To, m.Weight)
+					merr = mirror.InsertEdge(m.From, m.To, m.Weight)
+				case MutUpdate:
+					_, err = e.UpdateEdgeWeight(m.From, m.To, m.Weight)
+					_, merr = mirror.UpdateEdgeWeight(m.From, m.To, m.Weight)
+				case MutDelete:
+					_, err = e.DeleteEdge(m.From, m.To)
+					_, merr = mirror.DeleteEdge(m.From, m.To)
+				}
+				if err != nil || merr != nil {
+					t.Fatalf("%v %d->%d: engine %v, mirror %v", m.Op, m.From, m.To, err, merr)
+				}
+				for _, q := range queries {
+					p, _, err := shortestPath(e, AlgBSEG, q[0], q[1])
+					if err != nil {
+						t.Fatalf("BSEG after %v: s=%d t=%d: %v", m.Op, q[0], q[1], err)
+					}
+					checkPath(t, mirror, AlgBSEG, q[0], q[1], p)
+				}
+			}
 		})
+	}
+}
+
+// TestTraditionalSQLLevel: Options.TraditionalSQL decides the SQL level
+// once, for every client of the E- and M-operators. On DBMS-X — which would
+// accept anything — an engine opened with it prepares no MERGE and no window
+// function across an index build of each kind, a query per algorithm, a
+// mutation of each kind, MST and reachability; and it is refused the
+// superstep surface, whose piecewise E and M calls are NSQL statements.
+func TestTraditionalSQLLevel(t *testing.T) {
+	g := graph.Random(40, 120, 99)
+	e := newTestEngine(t, g, rdb.Options{Profile: rdb.ProfileDBMSX}, Options{TraditionalSQL: true})
+	if _, err := e.BuildSegTable(20); err != nil {
+		t.Fatal(err)
+	}
+	buildOracle(t, e)
+	buildLabels(t, e)
+	q := graph.RandomQueries(g, 1, 3)[0]
+	for _, alg := range append(allAlgorithms(), AlgLabel) {
+		p, _, err := shortestPath(e, alg, q[0], q[1])
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		checkPath(t, g, alg, q[0], q[1], p)
+	}
+	ed := g.Edges[17]
+	if _, err := e.InsertEdge(q[0], q[1], 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.UpdateEdgeWeight(ed.From, ed.To, ed.Weight+50); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.DeleteEdge(ed.From, ed.To); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.MinimumSpanningForest(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Reachable(q[0], q[1]); err != nil {
+		t.Fatal(err)
+	}
+	for text := range e.stmtCache {
+		if strings.HasPrefix(text, "MERGE") || strings.Contains(text, "ROW_NUMBER") {
+			t.Errorf("TraditionalSQL engine prepared: %s", text)
+		}
+	}
+	if ss, err := e.BeginSuperstep(context.Background(), AlgBSDJ, 0); err == nil {
+		ss.Close()
+		t.Error("BeginSuperstep admitted a TraditionalSQL engine")
 	}
 }
 

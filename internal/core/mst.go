@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"repro/internal/fem"
 )
 
 // Prim's minimal spanning tree via the FEM framework (§3.1's second
@@ -64,6 +66,7 @@ func (e *Engine) MinimumSpanningForest() (*MSTResult, error) {
 	}
 
 	res := &MSTResult{}
+	round := e.mstRound()
 	limit := e.maxIters()
 	for iter := 0; ; iter++ {
 		if iter > limit {
@@ -93,7 +96,7 @@ func (e *Engine) MinimumSpanningForest() (*MSTResult, error) {
 			cnt = 1
 		}
 		res.Iterations++
-		if _, err := e.runMSTExpand(ctx, qs); err != nil {
+		if _, err := e.runOps(ctx, qs, round, nil, nil); err != nil {
 			return nil, err
 		}
 		if _, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, mstResetQ); err != nil {
@@ -136,50 +139,21 @@ const (
 	mstPromoteQ = "UPDATE " + TblVisited + " SET f = 1, d2s = 0 WHERE nid = ?"
 	mstSeedQ    = "UPDATE " + TblVisited + " SET f = 2 WHERE nid = ?"
 	mstEdgesQ   = "SELECT p2s, nid, d2s FROM " + TblVisited + " WHERE f = 1 AND d2s > 0 AND p2s <> ?"
-
-	mstOfferSrc = "SELECT out.tid, q.nid, out.cost, " +
-		"ROW_NUMBER() OVER (PARTITION BY out.tid ORDER BY out.cost) " +
-		"FROM " + TblVisited + " q, " + TblEdges + " out WHERE q.nid = out.fid AND q.f = 2"
-	// Offer each neighbour of the frontier its cheapest connecting edge;
-	// nodes already in the tree (f = 1) or on the frontier (f = 2) are
-	// discarded, matching §3.1's "expanded nodes can be discarded directly
-	// if they have been included".
-	mstMergeQ = "MERGE INTO " + TblVisited + " AS target USING (" +
-		"SELECT nid, par, cost FROM (" + mstOfferSrc + ") tmp (nid, par, cost, rn) WHERE rn = 1" +
-		") AS source (nid, par, cost) ON (target.nid = source.nid) " +
-		"WHEN MATCHED AND target.f = 0 AND target.d2s > source.cost " +
-		"THEN UPDATE SET d2s = source.cost, p2s = source.par " +
-		"WHEN MATCHED AND target.f = 3 " +
-		"THEN UPDATE SET d2s = source.cost, p2s = source.par, f = 0"
-	mstInsOfferQ = "INSERT INTO " + TblExpand + " (nid, par, cost) SELECT nid, par, cost FROM (" +
-		mstOfferSrc + ") tmp (nid, par, cost, rn) WHERE rn = 1"
-	mstUpd1Q = "UPDATE " + TblVisited + " SET d2s = s.cost, p2s = s.par FROM " + TblExpand + " s " +
-		"WHERE " + TblVisited + ".nid = s.nid AND " + TblVisited + ".f = 0 AND " + TblVisited + ".d2s > s.cost"
-	mstUpd2Q = "UPDATE " + TblVisited + " SET d2s = s.cost, p2s = s.par, f = 0 FROM " + TblExpand + " s " +
-		"WHERE " + TblVisited + ".nid = s.nid AND " + TblVisited + ".f = 3"
 )
 
-// runMSTExpand runs the MST merge, falling back to UPDATE+INSERT-free
-// emulation on profiles without MERGE (two UPDATEs suffice since every
-// node pre-exists in the working table).
-func (e *Engine) runMSTExpand(ctx context.Context, qs *QueryStats) (int64, error) {
-	if e.db.Profile().SupportsMerge && !e.opts.TraditionalSQL {
-		return e.exec(ctx, qs, &qs.PE, &qs.EOp, mstMergeQ)
-	}
-	// Materialize offers, then apply with two UPDATE...FROM statements.
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.EOp, "DELETE FROM "+TblExpand); err != nil {
-		return 0, err
-	}
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.EOp, mstInsOfferQ); err != nil {
-		return 0, err
-	}
-	n1, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, mstUpd1Q)
-	if err != nil {
-		return 0, err
-	}
-	n2, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, mstUpd2Q)
-	if err != nil {
-		return 0, err
-	}
-	return n1 + n2, nil
+// mstRound is Prim's E+M round as an internal/fem spec: offer each
+// neighbour of the frontier its cheapest connecting edge (the cost is the
+// edge's weight, not a cumulative distance); a candidate (f = 0) keeps the
+// cheaper offer, a node outside every tree so far (f = 3) becomes a
+// candidate, and nodes already in the tree (f = 1) or on the frontier
+// (f = 2) match neither arm — §3.1's "expanded nodes can be discarded
+// directly if they have been included". Every node pre-exists in the
+// working table, so nothing is inserted.
+func (e *Engine) mstRound() []fem.Stmt {
+	return fem.Operators(e.level,
+		fem.Expand{Edges: TblEdges, Forward: true, Cost: "out.cost", Where: "q.f = 2", StageCost: TblExpCost},
+		fem.Merge{Table: TblVisited, Key: []string{"nid"}, Stage: TblExpand, Matched: []fem.Branch{
+			{When: "target.f = 0 AND target.d2s > source.cost", Set: "d2s = source.cost, p2s = source.par"},
+			{When: "target.f = 3", Set: "d2s = source.cost, p2s = source.par, f = 0"},
+		}}).Round(false)
 }

@@ -351,20 +351,7 @@ func (e *Engine) insertLocked(ctx context.Context, qs *QueryStats, st *MaintStat
 	if !segBuilt {
 		return nil
 	}
-	return e.maintainBothDirections(ctx, qs, st, from, to, weight)
-}
-
-// maintainBothDirections runs the insertion-style maintenance of
-// segmaint.go over TOutSegs and TInSegs, accumulating the improved rows.
-func (e *Engine) maintainBothDirections(ctx context.Context, qs *QueryStats, st *MaintStats, from, to, weight int64) error {
-	for _, forward := range []bool{true, false} {
-		affected, err := e.maintainDirection(ctx, qs, from, to, weight, forward)
-		if err != nil {
-			return err
-		}
-		st.Affected += affected
-	}
-	return nil
+	return e.maintainSegs(ctx, qs, st, from, to, weight)
 }
 
 // deleteLocked removes every (from, to) edge and repairs the SegTable.
@@ -473,7 +460,7 @@ func (e *Engine) updateLocked(ctx context.Context, qs *QueryStats, st *MaintStat
 	if weight < oldW {
 		// Relaxation: exactly the insertion case — a new shortest path
 		// through the cheaper edge decomposes into recorded halves.
-		return e.maintainBothDirections(ctx, qs, st, from, to, weight)
+		return e.maintainSegs(ctx, qs, st, from, to, weight)
 	}
 	return e.repairTouchedLocked(ctx, qs, st)
 }

@@ -160,6 +160,15 @@ func TestMutationDifferential(t *testing.T) {
 				t.Fatalf("%s: pair %v cost %d, rebuild says %d", tbl, pair, inc[pair], want)
 			}
 		}
+		// (fid, tid) is unique: every writer merges on the pair. Maintenance
+		// shape 4 rests on it — its join emits each pair once, undeduped.
+		dup, err := e.DB().Query("SELECT fid, tid, COUNT(*) FROM " + tbl + " GROUP BY fid, tid HAVING COUNT(*) > 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dup.Len() > 0 {
+			t.Fatalf("%s: %d (fid, tid) pairs recorded more than once, e.g. %v", tbl, dup.Len(), dup.Data[0])
+		}
 	}
 }
 

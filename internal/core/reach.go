@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"repro/internal/fem"
 )
 
 // Reachability via the FEM framework (§3.1 cites it as the simplest graph
@@ -58,6 +60,7 @@ func (e *Engine) Reachable(s, t int64) (*ReachResult, error) {
 		return nil, err
 	}
 
+	round := e.reachRound()
 	limit := e.maxIters()
 	for iter := 0; ; iter++ {
 		if iter > limit {
@@ -71,7 +74,7 @@ func (e *Engine) Reachable(s, t int64) (*ReachResult, error) {
 			break
 		}
 		res.Iterations++
-		if _, err := e.runReachExpand(ctx, qs); err != nil {
+		if _, err := e.runOps(ctx, qs, round, nil, nil); err != nil {
 			return nil, err
 		}
 		if _, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, reachResetQ); err != nil {
@@ -97,35 +100,22 @@ func (e *Engine) Reachable(s, t int64) (*ReachResult, error) {
 	return res, nil
 }
 
-// Reachability statement shapes (constant texts; the expansion source is
-// shared between the MERGE and INSERT-only forms).
+// Reachability statement shapes around the expansion (constant texts).
 const (
 	reachInitQ = "INSERT INTO " + TblVisited +
 		" (nid, d2s, p2s, f, d2t, p2t, b) VALUES (?, 0, ?, 0, 0, 0, 0)"
 	reachFrontierQ = "UPDATE " + TblVisited + " SET f = 2 WHERE f = 0"
 	reachResetQ    = "UPDATE " + TblVisited + " SET f = 1 WHERE f = 2"
 	reachTargetQ   = "SELECT d2s FROM " + TblVisited + " WHERE nid = ?"
-
-	reachExpandSrc = "SELECT out.tid, q.nid, q.d2s + 1, " +
-		"ROW_NUMBER() OVER (PARTITION BY out.tid ORDER BY q.d2s) " +
-		"FROM " + TblVisited + " q, " + TblEdges + " out WHERE q.nid = out.fid AND q.f = 2"
-	// Only NOT MATCHED inserts: reachability never revisits a node.
-	reachMergeQ = "MERGE INTO " + TblVisited + " AS target USING (" +
-		"SELECT nid, par, d FROM (" + reachExpandSrc + ") tmp (nid, par, d, rn) WHERE rn = 1" +
-		") AS source (nid, par, d) ON (target.nid = source.nid) " +
-		"WHEN NOT MATCHED THEN INSERT (nid, d2s, p2s, f, d2t, p2t, b) " +
-		"VALUES (source.nid, source.d, source.par, 0, 0, 0, 0)"
-	reachInsertQ = "INSERT INTO " + TblVisited + " (nid, d2s, p2s, f, d2t, p2t, b) " +
-		"SELECT tmp.nid, tmp.d, tmp.par, 0, 0, 0, 0 FROM (" + reachExpandSrc +
-		") tmp (nid, par, d, rn) " +
-		"WHERE tmp.rn = 1 AND NOT EXISTS (SELECT nid FROM " + TblVisited + " v WHERE v.nid = tmp.nid)"
 )
 
-// runReachExpand applies the reachability expansion, with the INSERT-only
-// fallback for profiles without MERGE.
-func (e *Engine) runReachExpand(ctx context.Context, qs *QueryStats) (int64, error) {
-	if e.db.Profile().SupportsMerge && !e.opts.TraditionalSQL {
-		return e.exec(ctx, qs, &qs.PE, &qs.EOp, reachMergeQ)
-	}
-	return e.exec(ctx, qs, &qs.PE, &qs.EOp, reachInsertQ)
+// reachRound is the BFS round as an internal/fem spec: every unseen
+// successor of the frontier is inserted one level deeper (d2s doubles as
+// the depth). No matched arm: reachability never revisits a node.
+func (e *Engine) reachRound() []fem.Stmt {
+	return fem.Operators(e.level,
+		fem.Expand{Edges: TblEdges, Forward: true, Cost: "q.d2s + 1", Where: "q.f = 2", StageCost: TblExpCost},
+		fem.Merge{Table: TblVisited, Key: []string{"nid"}, Stage: TblExpand,
+			InsertCols: "nid, d2s, p2s, f, d2t, p2t, b",
+			InsertVals: "source.nid, source.cost, source.par, 0, 0, 0, 0"}).Round(false)
 }

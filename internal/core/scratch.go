@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"repro/internal/fem"
 )
 
 // Per-query scratch tables.
@@ -56,21 +58,24 @@ type scratchSet struct {
 	// the materialized E-output back out, inj1/injN push routed candidates
 	// in (1 and injectChunk rows), markedF/markedB read the selected frontier.
 	harvest, inj1, injN, markedF, markedB string
-	// Working-table reset and the search-space metric (loader.go).
+	// Working-table resets — visited, expand, expCost — and the
+	// search-space metric (loader.go).
 	resets [3]string
 	count  string
+	// ops holds the E+M rounds rendered over the set so far (expand.go). A
+	// set serves one query at a time, so the map needs no lock.
+	ops map[string]fem.Ops
 }
 
 // newScratchSet renders the statement texts for set id (negative = the
 // global TVisited set).
 func newScratchSet(id int) *scratchSet {
-	sc := &scratchSet{id: id, visited: TblVisited, expand: TblExpand, expCost: TblExpCost}
+	suffix := ""
 	if id >= 0 {
-		suffix := fmt.Sprintf("_q%d", id)
-		sc.visited += suffix
-		sc.expand += suffix
-		sc.expCost += suffix
+		suffix = fmt.Sprintf("_q%d", id)
 	}
+	sc := &scratchSet{id: id, ops: make(map[string]fem.Ops),
+		visited: TblVisited + suffix, expand: TblExpand + suffix, expCost: TblExpCost + suffix}
 	v := sc.visited
 	sc.biInit = "INSERT INTO " + v + " (nid, d2s, p2s, f, d2t, p2t, b) VALUES (?, 0, ?, 0, ?, ?, 1), (?, ?, ?, 1, 0, ?, 0)"
 	sc.biResetF = "UPDATE " + v + " SET f = 1 WHERE f = 2"
@@ -204,38 +209,31 @@ func (p *scratchPool) stats() ScratchStats {
 	return ScratchStats{Minted: p.minted, Dropped: p.dropped, Live: p.live, Free: len(p.free)}
 }
 
-// createScratchTables mints the set's tables under the engine's index
-// strategy — the same physical design createVisitedTables gives the global
-// set, with per-set index names. Creation failures drop whatever partial
-// prefix was created so a failed mint never leaks catalog entries.
+// createScratchTables mints the set's tables — TVisited, which carries both
+// directions' state (§4.1: d2s/p2s/f forward, d2t/p2t/b backward), and the
+// two expansion staging tables — under the engine's index strategy, the
+// index names derived from the per-set table names. LoadGraph and hydration
+// mint the global set through it too. Creation failures drop whatever
+// partial prefix was created so a failed mint never leaks catalog entries.
 func (e *Engine) createScratchTables(sc *scratchSet) error {
 	// A recycled id may find leftovers from a drop that failed midway;
 	// clear them so the creates below start clean.
 	e.dropScratchTables(sc)
 	var stmts []string
-	switch e.opts.Strategy {
-	case ClusteredIndex:
-		stmts = append(stmts,
-			"CREATE TABLE "+sc.visited+" (nid INT PRIMARY KEY, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-			"CREATE TABLE "+sc.expand+" (nid INT PRIMARY KEY, par INT, cost INT)",
-			"CREATE TABLE "+sc.expCost+" (nid INT PRIMARY KEY, cost INT)",
-		)
-	case SecondaryIndex:
-		sfx := fmt.Sprintf("_q%d", sc.id)
-		stmts = append(stmts,
-			"CREATE TABLE "+sc.visited+" (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-			"CREATE UNIQUE INDEX tvisited"+sfx+"_nid ON "+sc.visited+" (nid)",
-			"CREATE TABLE "+sc.expand+" (nid INT, par INT, cost INT)",
-			"CREATE UNIQUE INDEX texpand"+sfx+"_nid ON "+sc.expand+" (nid)",
-			"CREATE TABLE "+sc.expCost+" (nid INT, cost INT)",
-			"CREATE UNIQUE INDEX texpcost"+sfx+"_nid ON "+sc.expCost+" (nid)",
-		)
-	case NoIndex:
-		stmts = append(stmts,
-			"CREATE TABLE "+sc.visited+" (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-			"CREATE TABLE "+sc.expand+" (nid INT, par INT, cost INT)",
-			"CREATE TABLE "+sc.expCost+" (nid INT, cost INT)",
-		)
+	for _, tbl := range [][2]string{
+		{sc.visited, ", d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)"},
+		{sc.expand, ", par INT, cost INT)"},
+		{sc.expCost, ", cost INT)"},
+	} {
+		switch e.opts.Strategy {
+		case ClusteredIndex:
+			stmts = append(stmts, "CREATE TABLE "+tbl[0]+" (nid INT PRIMARY KEY"+tbl[1])
+		case SecondaryIndex:
+			stmts = append(stmts, "CREATE TABLE "+tbl[0]+" (nid INT"+tbl[1],
+				"CREATE UNIQUE INDEX "+strings.ToLower(tbl[0])+"_nid ON "+tbl[0]+" (nid)")
+		case NoIndex:
+			stmts = append(stmts, "CREATE TABLE "+tbl[0]+" (nid INT"+tbl[1])
+		}
 	}
 	for _, s := range stmts {
 		if _, err := e.sess.Exec(s); err != nil {

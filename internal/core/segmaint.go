@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"time"
+
+	"repro/internal/fem"
 )
 
 // Incremental SegTable maintenance for edge insertions — the paper's third
@@ -13,16 +15,16 @@ import (
 // uses the new edge (u,v) exactly once decomposes into a pre-existing
 // shortest prefix x -> u (possibly empty), the edge, and a pre-existing
 // shortest suffix v -> y (possibly empty). Both halves are within lthd,
-// hence already recorded in the SegTable (or trivial). Four MERGE
-// statements per direction — one per {x = u, x != u} x {y = v, y != v}
+// hence already recorded in the SegTable (or trivial). Four merges
+// per direction — one per {x = u, x != u} x {y = v, y != v}
 // combination — therefore cover every improved pair. Weight decreases are
 // the same case (UpdateEdgeWeight). Edge deletions and weight increases
 // can lengthen distances and take the decremental path of mutation.go: a
 // touch set over the same four shapes, recomputed by a bounded sweep.
 //
-// Statement texts are rendered once at package init (the eight
-// maintenance shapes below); each mutation only binds (u, v, w, lthd), so
-// batches re-execute cached plans instead of re-rendering SQL per edge.
+// The eight source SELECTs below are constants and the merge around them
+// is rendered per SQL level by internal/fem (segMerge is its spec); each
+// mutation only binds (u, v, w, lthd), so batches re-execute cached plans.
 
 // MaintStats reports one maintenance step (a single edge mutation or an
 // ApplyMutations batch).
@@ -62,164 +64,87 @@ func (e *Engine) InsertEdge(from, to, weight int64) (*MaintStats, error) {
 }
 
 // maintShape is one candidate-pair source of the insertion maintenance:
-// the source select, its fused MERGE form, and the binder producing the
-// arguments from the mutated edge (u, v, w) and the index threshold.
+// the source select and the binder producing its arguments from the
+// mutated edge (u, v, w) and the index threshold.
 type maintShape struct {
-	src   string
-	merge string
-	args  func(u, v, w, lthd int64) []any
+	src  string
+	args func(u, v, w, lthd int64) []any
 }
 
-// maintMerge renders the maintenance MERGE skeleton for one target table
-// and candidate-pair source.
-func maintMerge(target, src string) string {
-	return "MERGE INTO " + target + " AS target USING (" + src + ") AS source (fid, tid, pid, cost) " +
-		"ON (target.fid = source.fid AND target.tid = source.tid) " +
-		"WHEN MATCHED AND target.cost > source.cost THEN UPDATE SET cost = source.cost, pid = source.pid " +
-		"WHEN NOT MATCHED THEN INSERT (fid, tid, pid, cost) VALUES (source.fid, source.tid, source.pid, source.cost)"
+// tblSegMaint stages a maintenance source below the MERGE level;
+// createSegTables creates it there.
+const tblSegMaint = "TSegMaint"
+
+// segMerge is the M-operator every SegTable writer after the materialized
+// sweep runs, as an internal/fem spec keyed (fid, tid): a cheaper candidate
+// replaces the recorded (cost, pid), an unrecorded pair is inserted. That
+// every writer merges on the pair is what keeps (fid, tid) unique in both
+// segment tables.
+func segMerge(target string) fem.Merge {
+	return fem.Merge{Table: target, Key: []string{"fid", "tid"}, Carry: []string{"pid", "cost"}, Stage: tblSegMaint,
+		Matched:    []fem.Branch{{When: "target.cost > source.cost", Set: "cost = source.cost, pid = source.pid"}},
+		InsertCols: "fid, tid, pid, cost", InsertVals: "source.fid, source.tid, source.pid, source.cost"}
 }
 
-func maintShapes(target string, srcs []string, binders []func(u, v, w, lthd int64) []any) []maintShape {
-	out := make([]maintShape, len(srcs))
-	for i, src := range srcs {
-		out[i] = maintShape{src: src, merge: maintMerge(target, src), args: binders[i]}
-	}
-	return out
+// mergeSegs merges the candidate pairs src selects into the segment table
+// target, returning the rows inserted or improved.
+func (e *Engine) mergeSegs(ctx context.Context, qs *QueryStats, target, src string, args []any) (int64, error) {
+	return e.runOps(ctx, qs, fem.MergeSelect(e.level, src, segMerge(target)).Round(false), args, nil)
 }
 
-// The four forward shapes (TOutSegs; pid = predecessor of tid on the path)
-// and the four backward shapes (TInSegs; pid = successor of fid), per the
-// {x = u, x != u} x {y = v, y != v} decomposition.
-var (
-	maintFwdShapes = maintShapes(TblOutSegs,
-		[]string{
-			// 1) the pair (u, v) itself: pid = u.
-			"SELECT ?, ?, ?, ?",
-			// 2) x != u, y = v: prefixes x -> u from TInSegs (clustered on tid).
-			"SELECT a.fid, ?, ?, a.cost + ? FROM " + TblInSegs +
-				" a WHERE a.tid = ? AND a.fid <> ? AND a.cost + ? <= ?",
-			// 3) x = u, y != v: suffixes v -> y from TOutSegs (clustered on fid).
-			"SELECT ?, b.tid, b.pid, b.cost + ? FROM " + TblOutSegs +
-				" b WHERE b.fid = ? AND b.tid <> ? AND b.cost + ? <= ?",
-			// 4) x != u, y != v: both halves, deduped to the cheapest per pair.
-			"SELECT fid, tid, pid, cost FROM (" +
-				"SELECT a.fid, b.tid, b.pid, a.cost + ? + b.cost, " +
-				"ROW_NUMBER() OVER (PARTITION BY a.fid, b.tid ORDER BY a.cost + b.cost) " +
-				"FROM " + TblInSegs + " a, " + TblOutSegs + " b " +
-				"WHERE a.tid = ? AND b.fid = ? AND a.fid <> ? AND b.tid <> ? AND a.fid <> b.tid " +
-				"AND a.cost + b.cost + ? <= ?" +
-				") tmp (fid, tid, pid, cost, rn) WHERE rn = 1",
-		},
-		[]func(u, v, w, lthd int64) []any{
-			func(u, v, w, _ int64) []any { return []any{u, v, u, w} },
-			func(u, v, w, lthd int64) []any { return []any{v, u, w, u, v, w, lthd} },
-			func(u, v, w, lthd int64) []any { return []any{u, w, v, u, w, lthd} },
-			func(u, v, w, lthd int64) []any { return []any{w, u, v, v, u, w, lthd} },
-		})
-
-	maintBwdShapes = maintShapes(TblInSegs,
-		[]string{
-			// 1) the pair (u, v): successor of u is v.
-			"SELECT ?, ?, ?, ?",
-			// 2) x != u, y = v: prefixes x -> u keep their successor pid.
-			"SELECT a.fid, ?, a.pid, a.cost + ? FROM " + TblInSegs +
-				" a WHERE a.tid = ? AND a.fid <> ? AND a.cost + ? <= ?",
-			// 3) x = u, y != v: successor of u is v on every u -> v -> y path.
-			"SELECT ?, b.tid, ?, b.cost + ? FROM " + TblOutSegs +
-				" b WHERE b.fid = ? AND b.tid <> ? AND b.cost + ? <= ?",
-			// 4) x != u, y != v: successor comes from the prefix half.
-			"SELECT fid, tid, pid, cost FROM (" +
-				"SELECT a.fid, b.tid, a.pid, a.cost + ? + b.cost, " +
-				"ROW_NUMBER() OVER (PARTITION BY a.fid, b.tid ORDER BY a.cost + b.cost) " +
-				"FROM " + TblInSegs + " a, " + TblOutSegs + " b " +
-				"WHERE a.tid = ? AND b.fid = ? AND a.fid <> ? AND b.tid <> ? AND a.fid <> b.tid " +
-				"AND a.cost + b.cost + ? <= ?" +
-				") tmp (fid, tid, pid, cost, rn) WHERE rn = 1",
-		},
-		[]func(u, v, w, lthd int64) []any{
-			func(u, v, w, _ int64) []any { return []any{u, v, v, w} },
-			func(u, v, w, lthd int64) []any { return []any{v, w, u, v, w, lthd} },
-			func(u, v, w, lthd int64) []any { return []any{u, v, w, v, u, w, lthd} },
-			func(u, v, w, lthd int64) []any { return []any{w, u, v, v, u, w, lthd} },
-		})
-)
-
-// maintainDirection updates TOutSegs (forward=true) or TInSegs with the
-// consequences of the new edge (u, v, w) by running the four pre-rendered
-// maintenance shapes with the edge bound as parameters.
-func (e *Engine) maintainDirection(ctx context.Context, qs *QueryStats, u, v, w int64, forward bool) (int64, error) {
-	lthd := e.segLthd
-	shapes, target := maintFwdShapes, TblOutSegs
-	if !forward {
-		shapes, target = maintBwdShapes, TblInSegs
-	}
-	useMerge := e.db.Profile().SupportsMerge
-	var total int64
-	for _, sh := range shapes {
-		args := sh.args(u, v, w, lthd)
-		var n int64
-		var err error
-		if useMerge {
-			n, err = e.exec(ctx, qs, nil, nil, sh.merge, args...)
-		} else {
-			n, err = e.mergelessMaintain(ctx, qs, target, sh.src, args)
-		}
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// Mergeless maintenance statement shapes (created lazily with TSegMaint).
+// The candidate pairs of the {x = u, x != u} x {y = v, y != v}
+// decomposition: 1) the pair (u, v) itself; 2) x != u, y = v, prefixes
+// x -> u from TInSegs (clustered on tid); 3) x = u, y != v, suffixes v -> y
+// from TOutSegs (clustered on fid); 4) both halves. (fid, tid) is unique in
+// both tables, so with a.tid = u and b.fid = v fixed shape 4 emits each
+// (a.fid, b.tid) once — no dedupe. The forward shapes write TOutSegs, whose
+// pid is the predecessor of tid on the path; the backward shapes write
+// TInSegs, whose pid is the successor of fid.
 const (
-	segMaintClearQ = "DELETE FROM TSegMaint"
-	segMaintInsQ   = "INSERT INTO TSegMaint (fid, tid, pid, cost) "
+	maintPrefixes = " FROM " + TblInSegs + " a WHERE a.tid = ? AND a.fid <> ? AND a.cost + ? <= ?"
+	maintSuffixes = " FROM " + TblOutSegs + " b WHERE b.fid = ? AND b.tid <> ? AND b.cost + ? <= ?"
+	maintHalves   = " FROM " + TblInSegs + " a, " + TblOutSegs + " b " +
+		"WHERE a.tid = ? AND b.fid = ? AND a.fid <> ? AND b.tid <> ? AND a.fid <> b.tid AND a.cost + b.cost + ? <= ?"
 )
-
-func maintUpdate(target string) string {
-	return "UPDATE " + target + " SET cost = s.cost, pid = s.pid FROM TSegMaint s " +
-		"WHERE " + target + ".fid = s.fid AND " + target + ".tid = s.tid AND " + target + ".cost > s.cost"
-}
-
-func maintInsert(target string) string {
-	return "INSERT INTO " + target + " (fid, tid, pid, cost) SELECT s.fid, s.tid, s.pid, s.cost FROM TSegMaint s " +
-		"WHERE NOT EXISTS (SELECT fid FROM " + target + " g WHERE g.fid = s.fid AND g.tid = s.tid)"
-}
 
 var (
-	maintUpdateQ = map[string]string{TblOutSegs: maintUpdate(TblOutSegs), TblInSegs: maintUpdate(TblInSegs)}
-	maintInsertQ = map[string]string{TblOutSegs: maintInsert(TblOutSegs), TblInSegs: maintInsert(TblInSegs)}
+	maintFwdShapes = []maintShape{
+		{"SELECT ?, ?, ?, ?", func(u, v, w, _ int64) []any { return []any{u, v, u, w} }},
+		{"SELECT a.fid, ?, ?, a.cost + ?" + maintPrefixes,
+			func(u, v, w, lthd int64) []any { return []any{v, u, w, u, v, w, lthd} }},
+		{"SELECT ?, b.tid, b.pid, b.cost + ?" + maintSuffixes,
+			func(u, v, w, lthd int64) []any { return []any{u, w, v, u, w, lthd} }},
+		{"SELECT a.fid, b.tid, b.pid, a.cost + ? + b.cost" + maintHalves,
+			func(u, v, w, lthd int64) []any { return []any{w, u, v, v, u, w, lthd} }},
+	}
+	// Backward, u's successor is v on the pair itself and on every
+	// u -> v -> y path, and comes from the prefix half otherwise.
+	maintBwdShapes = []maintShape{
+		{"SELECT ?, ?, ?, ?", func(u, v, w, _ int64) []any { return []any{u, v, v, w} }},
+		{"SELECT a.fid, ?, a.pid, a.cost + ?" + maintPrefixes,
+			func(u, v, w, lthd int64) []any { return []any{v, w, u, v, w, lthd} }},
+		{"SELECT ?, b.tid, ?, b.cost + ?" + maintSuffixes,
+			func(u, v, w, lthd int64) []any { return []any{u, v, w, v, u, w, lthd} }},
+		{"SELECT a.fid, b.tid, a.pid, a.cost + ? + b.cost" + maintHalves,
+			func(u, v, w, lthd int64) []any { return []any{w, u, v, v, u, w, lthd} }},
+	}
 )
 
-// mergelessMaintain emulates the maintenance MERGE with UPDATE + INSERT on
-// profiles without MERGE support.
-func (e *Engine) mergelessMaintain(ctx context.Context, qs *QueryStats, target, srcSelect string, args []any) (int64, error) {
-	if _, ok := e.db.Catalog().Get("TSegMaint"); !ok {
-		for _, q := range []string{
-			"CREATE TABLE TSegMaint (fid INT, tid INT, pid INT, cost INT)",
-			"CREATE UNIQUE CLUSTERED INDEX tsegmaint_key ON TSegMaint (fid, tid)",
-		} {
-			if _, err := e.sess.Exec(q); err != nil {
-				return 0, err
+// maintainSegs updates TOutSegs and TInSegs with the consequences of the
+// new or cheaper edge (u, v, w): each direction's four shapes, merged in
+// turn with the edge bound as parameters, the improved rows added to st.
+func (e *Engine) maintainSegs(ctx context.Context, qs *QueryStats, st *MaintStats, u, v, w int64) error {
+	for _, dir := range []struct {
+		target string
+		shapes []maintShape
+	}{{TblOutSegs, maintFwdShapes}, {TblInSegs, maintBwdShapes}} {
+		for _, sh := range dir.shapes {
+			n, err := e.mergeSegs(ctx, qs, dir.target, sh.src, sh.args(u, v, w, e.segLthd))
+			if err != nil {
+				return err
 			}
-			qs.Statements++
+			st.Affected += n
 		}
 	}
-	if _, err := e.exec(ctx, qs, nil, nil, segMaintClearQ); err != nil {
-		return 0, err
-	}
-	if _, err := e.exec(ctx, qs, nil, nil, segMaintInsQ+srcSelect, args...); err != nil {
-		return 0, err
-	}
-	n1, err := e.exec(ctx, qs, nil, nil, maintUpdateQ[target])
-	if err != nil {
-		return 0, err
-	}
-	n2, err := e.exec(ctx, qs, nil, nil, maintInsertQ[target])
-	if err != nil {
-		return 0, err
-	}
-	return n1 + n2, nil
+	return nil
 }

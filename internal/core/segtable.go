@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/fem"
 	"repro/internal/rdb"
 	"repro/internal/sweep"
 )
@@ -38,7 +39,7 @@ func (e *Engine) sweeper(qs *QueryStats) *sweep.Runner {
 		func(ctx context.Context, q string, args ...any) (int64, bool, error) {
 			return e.queryInt(ctx, qs, nil, q, args...)
 		},
-		e.WMin(), e.maxIters(), e.opts.TraditionalSQL)
+		e.WMin(), e.maxIters(), e.level)
 }
 
 // BuildSegTable constructs the SegTable index of Definition 4: TOutSegs
@@ -160,14 +161,15 @@ func (e *Engine) buildSegTableLocked(ctx context.Context, lthd int64, bump bool)
 	return st, nil
 }
 
-// createSegTables (re)creates TOutSegs/TInSegs and the TSeg working set
-// under the engine's strategy, returning the number of statements issued.
+// createSegTables (re)creates TOutSegs/TInSegs, the TSeg working set and,
+// below the MERGE level, the maintenance staging table under the engine's
+// strategy, returning the number of statements issued.
 // Shared by the construction path and snapshot hydration (durability.go),
 // which bulk-loads the segment rows instead of sweeping.
 func (e *Engine) createSegTables() (int, error) {
 	db := e.sess
 	n := 0
-	for _, tbl := range []string{TblOutSegs, TblInSegs, TblSeg} {
+	for _, tbl := range []string{TblOutSegs, TblInSegs, TblSeg, tblSegMaint} {
 		if _, ok := e.db.Catalog().Get(tbl); ok {
 			if _, err := db.Exec("DROP TABLE " + tbl); err != nil {
 				return n, err
@@ -194,6 +196,10 @@ func (e *Engine) createSegTables() (int, error) {
 		// bare heaps; probes degrade to scans, as Fig 8(c) measures.
 	}
 	stmts = append(stmts, sweep.WorkDDL()...)
+	if e.level != fem.MergeWindow {
+		stmts = append(stmts, "CREATE TABLE "+tblSegMaint+" (fid INT, tid INT, pid INT, cost INT)",
+			"CREATE UNIQUE CLUSTERED INDEX tsegmaint_key ON "+tblSegMaint+" (fid, tid)")
+	}
 	for _, q := range stmts {
 		if _, err := db.Exec(q); err != nil {
 			return n, err
@@ -249,14 +255,6 @@ func (e *Engine) foldEdges(ctx context.Context, qs *QueryStats, forward bool, to
 	}
 	src := "SELECT s.fid, s.tid, " + pid + ", MIN(s.cost) FROM " + TblEdges + " s" + restrict +
 		" GROUP BY s.fid, s.tid"
-	if e.db.Profile().SupportsMerge && !e.opts.TraditionalSQL {
-		q := "MERGE INTO " + target + " AS target USING (" + src + ") AS source (fid, tid, pid, cost) " +
-			"ON (target.fid = source.fid AND target.tid = source.tid) " +
-			"WHEN MATCHED AND target.cost > source.cost THEN UPDATE SET cost = source.cost, pid = source.pid " +
-			"WHEN NOT MATCHED THEN INSERT (fid, tid, pid, cost) VALUES (source.fid, source.tid, source.pid, source.cost)"
-		_, err := e.exec(ctx, qs, nil, nil, q)
-		return err
-	}
-	_, err := e.mergelessMaintain(ctx, qs, target, src, nil)
+	_, err := e.mergeSegs(ctx, qs, target, src, nil)
 	return err
 }

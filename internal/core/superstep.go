@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fem"
 	"repro/internal/rdb"
 )
 
@@ -50,12 +51,12 @@ type Superstep struct {
 	closed   bool
 }
 
-// femSide is one direction's statements on one handle: the E+M shapes, the
+// femSide is one direction's statements on one handle: the E+M round, the
 // F-operator (and ALT's pre-frontier prune, when the spec has one), the
 // un-mark of the expanded frontier (Listing 4(3)) and the candidate minimum
 // (Listing 4(4)).
 type femSide struct {
-	xp         *expandSQL
+	ops        fem.Ops
 	front, pre stmtShape
 	reset, min string
 }
@@ -74,9 +75,9 @@ func (e *Engine) newSuperstep(sc *scratchSet, spec femSpec, budget int64) *Super
 	ss := &Superstep{
 		e: e, sc: sc, spec: spec,
 		qs: &QueryStats{Algorithm: spec.name, budget: budget},
-		fwd: femSide{xp: e.buildExpand(fwd, spec.edgeFwd, "q.f = 2", 0, spec.prune, sc),
+		fwd: femSide{ops: e.searchOps(sc, fwd, spec.edgeFwd, "q.f = 2", spec.prune),
 			front: spec.frontier(fwd), reset: sc.biResetF, min: sc.biMinF},
-		bwd: femSide{xp: e.buildExpand(bwd, spec.edgeBwd, "q.b = 2", 0, spec.prune, sc),
+		bwd: femSide{ops: e.searchOps(sc, bwd, spec.edgeBwd, "q.b = 2", spec.prune),
 			front: spec.frontier(bwd), reset: sc.biResetB, min: sc.biMinB},
 	}
 	if spec.preFrontier != nil {
@@ -100,8 +101,8 @@ func (e *Engine) BeginSuperstep(ctx context.Context, alg Algorithm, budget int64
 	if nodes == 0 {
 		return nil, ErrNoGraph
 	}
-	if !e.db.Profile().SupportsMerge || !e.db.Profile().SupportsWindow {
-		return nil, fmt.Errorf("core: superstep surface needs MERGE and window support in the database profile")
+	if e.level != fem.MergeWindow {
+		return nil, fmt.Errorf("core: superstep surface needs the MERGE + window-function SQL level")
 	}
 	switch alg {
 	case AlgBSDJ, AlgBBFS, AlgBSEG:
@@ -147,8 +148,8 @@ func (ss *Superstep) inject(ctx context.Context, forward bool, cands []frontierC
 	if len(cands) == 0 {
 		return nil
 	}
-	e, qs, xp := ss.e, ss.qs, ss.side(forward).xp
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.clearExpand); err != nil {
+	e, qs := ss.e, ss.qs
+	if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, ss.sc.resets[1]); err != nil {
 		return err
 	}
 	for len(cands) > 0 {
@@ -165,20 +166,17 @@ func (ss *Superstep) inject(ctx context.Context, forward bool, cands []frontierC
 		}
 		cands = cands[n:]
 	}
-	_, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.mMerge, sentinelArgs...)
+	_, err := e.runOps(ctx, qs, ss.side(forward).ops.Apply, nil, sentinelArgs)
 	return err
 }
 
 // expandHarvest runs the E-operator for the marked frontier into the
 // scratch TExpand table, reads the candidate set back out (before the local
 // merge consumes it) and applies the local M-operator. lOther and minCost
-// bind the Theorem-1 prune exactly as runExpand binds them.
+// bind the Theorem-1 prune exactly as the lone handle's round binds them.
 func (ss *Superstep) expandHarvest(ctx context.Context, forward bool, lOther, minCost int64) ([]frontierCand, error) {
-	e, qs, xp := ss.e, ss.qs, ss.side(forward).xp
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.EOp, xp.clearExpand); err != nil {
-		return nil, err
-	}
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.EOp, xp.insExpand, e.pruneArgs(xp, lOther, minCost)...); err != nil {
+	e, qs, ops := ss.e, ss.qs, ss.side(forward).ops
+	if _, err := e.runOps(ctx, qs, ops.Stage, ss.pruneArgs(lOther, minCost), nil); err != nil {
 		return nil, err
 	}
 	rows, err := e.queryRows(ctx, qs, &qs.PE, ss.sc.harvest)
@@ -189,7 +187,7 @@ func (ss *Superstep) expandHarvest(ctx context.Context, forward bool, lOther, mi
 	for _, r := range rows.Data {
 		cands = append(cands, frontierCand{nid: r[0].I, par: r[1].I, cost: r[2].I})
 	}
-	_, err = e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.mMerge, sentinelArgs...)
+	_, err = e.runOps(ctx, qs, ops.Apply, nil, sentinelArgs)
 	return cands, err
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/fem"
 	"repro/internal/graph"
 	"repro/internal/rdb"
 	"repro/internal/sweep"
@@ -41,7 +42,7 @@ func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 // it over its own statement path; the session's profile picks the MERGE or
 // UPDATE+INSERT expansion.
 func runner(sess *rdb.Session, g *graph.Graph) *sweep.Runner {
-	return sweep.New(sess.DB(), sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, false)
+	return sweep.New(sess.DB(), sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(sess.DB().Profile(), false))
 }
 
 // TestBuildCoverExact is the package-level exactness check: after a build,

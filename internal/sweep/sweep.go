@@ -7,16 +7,18 @@
 // with a prune statement between F and E. The degree ranking both of
 // those order their sources by lives here too.
 //
-// The package owns its working tables and renders every statement of the
-// loop; it reaches the database only through the caller's two statement
-// functions, so an engine's builds share its prepared handles and
-// statement accounting.
+// The package owns its working tables and every statement of the loop
+// (the E and M ones rendered by internal/fem from the spec in round); it
+// reaches the database only through the caller's two statement functions,
+// so an engine's builds share its prepared handles and statement
+// accounting.
 package sweep
 
 import (
 	"context"
 	"fmt"
 
+	"repro/internal/fem"
 	"repro/internal/rdb"
 )
 
@@ -59,7 +61,7 @@ func WorkDDL() []string {
 // relaxes to the full single-source fixpoint. It equals core.MaxDist.
 const NoBound = int64(1) << 50
 
-// Statement shapes. Texts are constants (or rendered once per direction);
+// Statement shapes around the expansion. Texts are constants;
 // every per-round value — the frontier widening bound k*wmin, the distance
 // bound — binds as a parameter, so the loop re-executes cached plans.
 const (
@@ -72,56 +74,20 @@ const (
 	resetQ = "UPDATE " + TblWork + " SET f = 1 WHERE f = 2"
 )
 
-// dirSQL carries one direction's expansion statements.
-type dirSQL struct {
-	merge string // fused MERGE form
-	// No-MERGE emulation (PostgreSQL 9.0 / TSQL).
-	insWindow string
-	insAgg    string
-	insBack   string
-	update    string
-	insert    string
-}
-
-var fwdSQL, bwdSQL = renderDir(true), renderDir(false)
-
-// renderDir renders one direction's statements. forward walks outgoing
-// edges (distances FROM each source), backward incoming edges (distances
-// TO each source).
-func renderDir(forward bool) *dirSQL {
-	joinCol, newCol := "fid", "tid"
-	if !forward {
-		joinCol, newCol = "tid", "fid"
-	}
-	// E-operator source: the cheapest in-bound expansion per (src, node);
-	// the distance bound binds as the single parameter.
-	expandSrc := "SELECT q.src, out." + newCol + ", q.nid, out.cost + q.dist, " +
-		"ROW_NUMBER() OVER (PARTITION BY q.src, out." + newCol + " ORDER BY out.cost + q.dist) " +
-		"FROM " + TblWork + " q, " + TblEdges + " out WHERE q.nid = out." + joinCol +
-		" AND q.f = 2 AND out.cost + q.dist <= ?"
-	x := &dirSQL{}
-	x.merge = "MERGE INTO " + TblWork + " AS target USING (" +
-		"SELECT src, nid, par, cost FROM (" + expandSrc + ") tmp (src, nid, par, cost, rn) WHERE rn = 1" +
-		") AS source (src, nid, par, cost) " +
-		"ON (target.src = source.src AND target.nid = source.nid) " +
-		"WHEN MATCHED AND target.dist > source.cost THEN UPDATE SET dist = source.cost, par = source.par, f = 0 " +
-		"WHEN NOT MATCHED THEN INSERT (src, nid, dist, par, f) VALUES (source.src, source.nid, source.cost, source.par, 0)"
-	x.insWindow = "INSERT INTO " + tblExpand + " (src, nid, par, cost) " +
-		"SELECT src, nid, par, cost FROM (" + expandSrc + ") tmp (src, nid, par, cost, rn) WHERE rn = 1"
-	x.insAgg = "INSERT INTO " + tblExpCost + " (src, nid, cost) " +
-		"SELECT q.src, out." + newCol + ", MIN(out.cost + q.dist) FROM " + TblWork + " q, " + TblEdges + " out " +
-		"WHERE q.nid = out." + joinCol + " AND q.f = 2 AND out.cost + q.dist <= ? GROUP BY q.src, out." + newCol
-	x.insBack = "INSERT INTO " + tblExpand + " (src, nid, par, cost) " +
-		"SELECT ec.src, ec.nid, MIN(q.nid), ec.cost FROM " + TblWork + " q, " + TblEdges + " out, " + tblExpCost + " ec " +
-		"WHERE q.nid = out." + joinCol + " AND q.f = 2 AND out.cost + q.dist <= ? " +
-		"AND ec.src = q.src AND ec.nid = out." + newCol + " AND out.cost + q.dist = ec.cost " +
-		"GROUP BY ec.src, ec.nid, ec.cost"
-	x.update = "UPDATE " + TblWork + " SET dist = s.cost, par = s.par, f = 0 FROM " + tblExpand + " s " +
-		"WHERE " + TblWork + ".src = s.src AND " + TblWork + ".nid = s.nid AND " + TblWork + ".dist > s.cost"
-	x.insert = "INSERT INTO " + TblWork + " (src, nid, dist, par, f) " +
-		"SELECT s.src, s.nid, s.cost, s.par, 0 FROM " + tblExpand + " s " +
-		"WHERE NOT EXISTS (SELECT nid FROM " + TblWork + " v WHERE v.src = s.src AND v.nid = s.nid)"
-	return x
+// round renders one direction's E+M round as an internal/fem spec keyed
+// (src, nid): the cheapest in-bound expansion per (source, node) — the
+// distance bound binds as the single parameter — relaxes the recorded
+// distance and re-opens the row (f = 0), or inserts the newly reached node
+// as a candidate. forward walks outgoing edges (distances FROM each
+// source), backward incoming edges (distances TO each source).
+func round(l fem.Level, forward bool) []fem.Stmt {
+	return fem.Operators(l,
+		fem.Expand{Edges: TblEdges, Forward: forward, Cost: "out.cost + q.dist",
+			Where: "q.f = 2 AND out.cost + q.dist <= ?", StageCost: tblExpCost},
+		fem.Merge{Table: TblWork, Key: []string{"src", "nid"}, Stage: tblExpand,
+			Matched:    []fem.Branch{{When: "target.dist > source.cost", Set: "dist = source.cost, par = source.par, f = 0"}},
+			InsertCols: "src, nid, dist, par, f", InsertVals: "source.src, source.nid, source.cost, source.par, 0"},
+	).Round(false)
 }
 
 // ExecFunc and QueryIntFunc are the caller's statement functions, in the
@@ -139,22 +105,16 @@ type Runner struct {
 	queryInt QueryIntFunc
 	wmin     int64
 	maxIters int
-	// merge / window pick the expansion profile: fused MERGE, UPDATE +
-	// INSERT over a window-function expansion, or UPDATE + INSERT over
-	// aggregate + join-back.
-	merge, window bool
-	stmts         int
+	level    fem.Level // of the expansion's statements
+	stmts    int
 }
 
 // New builds a runner that issues its statements through exec and
 // queryInt. wmin is the graph's minimal edge weight (the frontier widens
-// by it every round), maxIters caps the rounds of one sweep, and
-// traditionalSQL forces the pre-2003 statement forms whatever db's profile
-// supports.
-func New(db *rdb.DB, exec ExecFunc, queryInt QueryIntFunc, wmin int64, maxIters int, traditionalSQL bool) *Runner {
-	return &Runner{db: db, exec: exec, queryInt: queryInt, wmin: wmin, maxIters: maxIters,
-		merge:  db.Profile().SupportsMerge && !traditionalSQL,
-		window: db.Profile().SupportsWindow && !traditionalSQL}
+// by it every round), maxIters caps the rounds of one sweep, and level is
+// the SQL level the expansion is rendered for (fem.LevelOf).
+func New(db *rdb.DB, exec ExecFunc, queryInt QueryIntFunc, wmin int64, maxIters int, level fem.Level) *Runner {
+	return &Runner{db: db, exec: exec, queryInt: queryInt, wmin: wmin, maxIters: maxIters, level: level}
 }
 
 // Exec runs one write statement, returning the affected-row count.
@@ -238,10 +198,20 @@ func (r *Runner) Run(ctx context.Context, forward bool, bound int64, seed, prune
 	if _, err := r.Exec(ctx, seedQ+seed.text, seed.args...); err != nil {
 		return 0, 0, err
 	}
-	x := fwdSQL
-	if !forward {
-		x = bwdSQL
+	x := round(r.level, forward)
+	if r.level != fem.MergeWindow {
+		// No fused MERGE: the expansion lands in staging tables keyed like
+		// the working set.
+		if err := r.ensure(ctx, tblExpand,
+			"CREATE TABLE "+tblExpand+" (src INT, nid INT, par INT, cost INT)",
+			"CREATE UNIQUE CLUSTERED INDEX tsegexpand_key ON "+tblExpand+" (src, nid)",
+			"CREATE TABLE "+tblExpCost+" (src INT, nid INT, cost INT)",
+			"CREATE UNIQUE CLUSTERED INDEX tsegexpcost_key ON "+tblExpCost+" (src, nid)",
+		); err != nil {
+			return 0, 0, err
+		}
 	}
+	expand := func(s fem.Stmt, args []any) (int64, error) { return r.Exec(ctx, s.Text, args...) }
 	for k := int64(1); ; k++ {
 		if err := rdb.ContextErr(ctx); err != nil {
 			return 0, 0, fmt.Errorf("sweep: cancelled after %d rounds: %w", iters, err)
@@ -264,38 +234,11 @@ func (r *Runner) Run(ctx context.Context, forward bool, bound int64, seed, prune
 			}
 			pruned += n
 		}
-		if r.merge {
-			_, err = r.Exec(ctx, x.merge, bound)
-		} else {
-			err = r.expandNoMerge(ctx, x, bound)
-		}
-		if err != nil {
+		if _, err := fem.Run(x, expand, []any{bound}, nil); err != nil {
 			return 0, 0, err
 		}
 		if _, err := r.Exec(ctx, resetQ); err != nil {
 			return 0, 0, err
 		}
 	}
-}
-
-// expandNoMerge emulates the MERGE with UPDATE + INSERT (PostgreSQL 9.0
-// profile) or additionally replaces the window function with aggregate +
-// join-back (TSQL). The expansion lands in scratch tables keyed (src, nid),
-// created on first use.
-func (r *Runner) expandNoMerge(ctx context.Context, x *dirSQL, bound int64) error {
-	if err := r.ensure(ctx, tblExpand,
-		"CREATE TABLE "+tblExpand+" (src INT, nid INT, par INT, cost INT)",
-		"CREATE UNIQUE CLUSTERED INDEX tsegexpand_key ON "+tblExpand+" (src, nid)",
-		"CREATE TABLE "+tblExpCost+" (src INT, nid INT, cost INT)",
-		"CREATE UNIQUE CLUSTERED INDEX tsegexpcost_key ON "+tblExpCost+" (src, nid)",
-	); err != nil {
-		return err
-	}
-	stmts := []Query{Q("DELETE FROM " + tblExpand)}
-	if r.window {
-		stmts = append(stmts, Q(x.insWindow, bound))
-	} else {
-		stmts = append(stmts, Q("DELETE FROM "+tblExpCost), Q(x.insAgg, bound), Q(x.insBack, bound))
-	}
-	return r.ExecAll(ctx, append(stmts, Q(x.update), Q(x.insert))...)
 }

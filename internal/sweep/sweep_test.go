@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/fem"
 	"repro/internal/graph"
 	"repro/internal/rdb"
 )
@@ -66,7 +67,7 @@ func TestRunDifferential(t *testing.T) {
 			}
 			sess := db.Session()
 			loadGraphTables(t, sess, g)
-			r := New(db, sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, pr.traditional)
+			r := New(db, sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(pr.profile, pr.traditional))
 			for _, forward := range []bool{true, false} {
 				for _, tc := range []struct {
 					name  string
@@ -153,6 +154,24 @@ func checkWork(t *testing.T, name string, db *rdb.DB, g *graph.Graph, forward bo
 		if w < 0 || ref[par]+w != dist {
 			t.Errorf("%s: par(%d, %d) = %d is no shortest-path neighbour (dist[par]=%d, w=%d, dist=%d)",
 				name, src, nid, par, ref[par], w, dist)
+		}
+	}
+}
+
+// TestGoldenMerge pins the sweep's default-level statement to the bytes the
+// package's own rendering produced before internal/fem replaced it (PR 16's
+// renderDir): one fused MERGE per round, in either direction.
+func TestGoldenMerge(t *testing.T) {
+	for _, tc := range []struct {
+		forward bool
+		want    string
+	}{
+		{true, "MERGE INTO TSeg AS target USING (SELECT src, nid, par, cost FROM (SELECT q.src, out.tid, q.nid, out.cost + q.dist, ROW_NUMBER() OVER (PARTITION BY q.src, out.tid ORDER BY out.cost + q.dist) FROM TSeg q, TEdges out WHERE q.nid = out.fid AND q.f = 2 AND out.cost + q.dist <= ?) tmp (src, nid, par, cost, rn) WHERE rn = 1) AS source (src, nid, par, cost) ON (target.src = source.src AND target.nid = source.nid) WHEN MATCHED AND target.dist > source.cost THEN UPDATE SET dist = source.cost, par = source.par, f = 0 WHEN NOT MATCHED THEN INSERT (src, nid, dist, par, f) VALUES (source.src, source.nid, source.cost, source.par, 0)"},
+		{false, "MERGE INTO TSeg AS target USING (SELECT src, nid, par, cost FROM (SELECT q.src, out.fid, q.nid, out.cost + q.dist, ROW_NUMBER() OVER (PARTITION BY q.src, out.fid ORDER BY out.cost + q.dist) FROM TSeg q, TEdges out WHERE q.nid = out.tid AND q.f = 2 AND out.cost + q.dist <= ?) tmp (src, nid, par, cost, rn) WHERE rn = 1) AS source (src, nid, par, cost) ON (target.src = source.src AND target.nid = source.nid) WHEN MATCHED AND target.dist > source.cost THEN UPDATE SET dist = source.cost, par = source.par, f = 0 WHEN NOT MATCHED THEN INSERT (src, nid, dist, par, f) VALUES (source.src, source.nid, source.cost, source.par, 0)"},
+	} {
+		got := round(fem.MergeWindow, tc.forward)
+		if len(got) != 1 || got[0].Text != tc.want {
+			t.Errorf("forward=%v:\n got  %v\n want %s", tc.forward, got, tc.want)
 		}
 	}
 }
