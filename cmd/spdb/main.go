@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -130,7 +131,9 @@ func main() {
 	}
 
 	if *sqlStmt != "" {
-		runSQL(db, *sqlStmt)
+		if err := runSQL(os.Stdout, db, *sqlStmt); err != nil {
+			fail("%v", err)
+		}
 		return
 	}
 
@@ -208,27 +211,31 @@ func main() {
 	runOne(*s, *t)
 }
 
-func runSQL(db *rdb.DB, stmt string) {
+// runSQL runs one statement of the engine's dialect (docs/ARCHITECTURE.md
+// §SQL dialect) and prints its result to w; anything outside the dialect
+// comes back as the parser's positioned error.
+func runSQL(w io.Writer, db *rdb.DB, stmt string) error {
 	upper := strings.ToUpper(strings.TrimSpace(stmt))
 	if strings.HasPrefix(upper, "SELECT") {
 		rows, err := db.Query(stmt)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
-		fmt.Println(strings.Join(rows.Columns, "\t"))
+		fmt.Fprintln(w, strings.Join(rows.Columns, "\t"))
 		for _, r := range rows.Data {
 			parts := make([]string, len(r))
 			for i, v := range r {
 				parts[i] = v.String()
 			}
-			fmt.Println(strings.Join(parts, "\t"))
+			fmt.Fprintln(w, strings.Join(parts, "\t"))
 		}
-		fmt.Printf("(%d rows)\n", rows.Len())
-		return
+		fmt.Fprintf(w, "(%d rows)\n", rows.Len())
+		return nil
 	}
 	res, err := db.Exec(stmt)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
-	fmt.Printf("ok (%d rows affected)\n", res.RowsAffected)
+	fmt.Fprintf(w, "ok (%d rows affected)\n", res.RowsAffected)
+	return nil
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/record"
@@ -13,10 +12,11 @@ type aggKind int
 const (
 	aggMin aggKind = iota
 	aggMax
-	aggSum
 	aggCount
-	aggAvg
 )
+
+// aggKinds maps the aggregate names the parser admits to their kinds.
+var aggKinds = map[string]aggKind{"MIN": aggMin, "MAX": aggMax, "COUNT": aggCount}
 
 // aggSpec is one aggregate to compute.
 type aggSpec struct {
@@ -24,94 +24,36 @@ type aggSpec struct {
 	arg  scalarFn // nil for COUNT(*)
 }
 
-func aggKindOf(name string) (aggKind, error) {
-	switch name {
-	case "MIN":
-		return aggMin, nil
-	case "MAX":
-		return aggMax, nil
-	case "SUM":
-		return aggSum, nil
-	case "COUNT":
-		return aggCount, nil
-	case "AVG":
-		return aggAvg, nil
-	}
-	return 0, fmt.Errorf("exec: unknown aggregate %s", name)
-}
-
 // aggState accumulates one aggregate for one group.
 type aggState struct {
-	count   int64
-	sumI    int64
-	sumF    float64
-	isFloat bool
-	minmax  record.Value
-	has     bool
+	count  int64
+	minmax record.Value
+	has    bool
 }
 
 func (a *aggState) add(kind aggKind, v record.Value) {
 	switch kind {
 	case aggCount:
-		if v.Null {
-			return // COUNT(expr) skips NULLs; COUNT(*) feeds a constant 1
-		}
 		a.count++
-	case aggSum, aggAvg:
-		if v.Null {
-			return
-		}
-		a.count++
-		if v.Typ == record.TFloat {
-			a.isFloat = true
-			a.sumF += v.F
-		} else {
-			a.sumI += v.I
-		}
-		a.has = true
 	case aggMin:
-		if v.Null {
-			return
-		}
-		if !a.has || record.Compare(v, a.minmax) < 0 {
-			a.minmax = v
-			a.has = true
+		if !v.Null && (!a.has || v.I < a.minmax.I) {
+			a.minmax, a.has = v, true
 		}
 	case aggMax:
-		if v.Null {
-			return
-		}
-		if !a.has || record.Compare(v, a.minmax) > 0 {
-			a.minmax = v
-			a.has = true
+		if !v.Null && (!a.has || v.I > a.minmax.I) {
+			a.minmax, a.has = v, true
 		}
 	}
 }
 
 func (a *aggState) result(kind aggKind) record.Value {
-	switch kind {
-	case aggCount:
+	if kind == aggCount {
 		return record.Int(a.count)
-	case aggSum:
-		if !a.has {
-			return record.Value{Null: true, Typ: record.TInt}
-		}
-		if a.isFloat {
-			return record.Float(a.sumF + float64(a.sumI))
-		}
-		return record.Int(a.sumI)
-	case aggAvg:
-		if !a.has {
-			return record.Value{Null: true, Typ: record.TFloat}
-		}
-		return record.Float((a.sumF + float64(a.sumI)) / float64(a.count))
-	case aggMin, aggMax:
-		if !a.has {
-			return record.Value{Null: true, Typ: record.TInt}
-		}
-		return a.minmax
 	}
-	return record.Value{Null: true}
+	if !a.has {
+		return record.Value{Null: true}
+	}
+	return a.minmax
 }
 
 // Aggregate hash-aggregates its input. Output rows are
@@ -181,7 +123,7 @@ func (a *Aggregate) Open(ctx *Ctx) error {
 			}
 		}
 		for i, spec := range a.Specs {
-			v := record.Int(1) // COUNT(*)
+			var v record.Value
 			if spec.arg != nil {
 				if v, err = spec.arg(ctx, r); err != nil {
 					return err
@@ -221,12 +163,11 @@ func (a *Aggregate) Clone() Node {
 
 // --- window ------------------------------------------------------------------
 
-// windowSpec is one compiled window function (ROW_NUMBER or RANK).
+// windowSpec is one compiled ROW_NUMBER() OVER (PARTITION BY partFns ORDER
+// BY orderFns), both ascending.
 type windowSpec struct {
-	name      string // "ROW_NUMBER" or "RANK"
-	partFns   []scalarFn
-	orderFns  []scalarFn
-	orderDesc []bool
+	partFns  []scalarFn
+	orderFns []scalarFn
 }
 
 // Window materializes its input and appends one column per window function:
@@ -307,49 +248,22 @@ func computeWindow(ctx *Ctx, rows []record.Row, spec windowSpec) ([]int64, error
 			return ks[a].pkey < ks[b].pkey
 		}
 		for j := range ks[a].okeys {
-			c := record.Compare(ks[a].okeys[j], ks[b].okeys[j])
-			if c != 0 {
-				if spec.orderDesc[j] {
-					return c > 0
-				}
+			if c := record.Compare(ks[a].okeys[j], ks[b].okeys[j]); c != 0 {
 				return c < 0
 			}
 		}
 		return ks[a].idx < ks[b].idx // deterministic tie-break
 	})
 	out := make([]int64, len(rows))
-	var num, rank int64
-	var prevP string
-	first := true
-	var prevO []record.Value
-	for _, k := range ks {
-		if first || k.pkey != prevP {
-			num, rank = 0, 0
-			prevO = nil
+	var num int64
+	for i, k := range ks {
+		if i == 0 || k.pkey != ks[i-1].pkey {
+			num = 0
 		}
 		num++
-		if spec.name == "RANK" {
-			if prevO == nil || !orderEqual(prevO, k.okeys) {
-				rank = num
-			}
-			out[k.idx] = rank
-		} else {
-			out[k.idx] = num
-		}
-		prevP = k.pkey
-		prevO = k.okeys
-		first = false
+		out[k.idx] = num
 	}
 	return out, nil
-}
-
-func orderEqual(a, b []record.Value) bool {
-	for i := range a {
-		if record.Compare(a[i], b[i]) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Next implements Node.

@@ -55,37 +55,25 @@ func (p *Planner) ExecCreateIndex(st *sql.CreateIndexStmt) error {
 	return err
 }
 
-// clusterize converts a table to clustered storage on the given columns.
-// The table is rebuilt, so this is supported at any size but intended for
-// load-then-index workflows.
+// clusterize converts an empty table to clustered storage on the given
+// columns (the load-then-index order puts CREATE CLUSTERED INDEX before the
+// first INSERT).
 func (p *Planner) clusterize(t *table.Table, cols []int, unique bool) error {
 	if t.Clustered() != nil {
 		return fmt.Errorf("exec: table %s already has a clustered index", t.Name)
 	}
-	// Drain rows, rebuild as clustered, re-insert.
-	var rows []record.Row
-	it := t.Scan()
-	for it.Next() {
-		rows = append(rows, it.Row().Clone())
+	if t.RowCount() > 0 {
+		return fmt.Errorf("exec: CREATE CLUSTERED INDEX needs an empty table, %s holds %d rows", t.Name, t.RowCount())
 	}
-	if err := it.Err(); err != nil {
+	if err := p.cat.Drop(t.Name); err != nil {
 		return err
 	}
-	name := t.Name
-	if err := p.cat.Drop(name); err != nil {
-		return err
-	}
-	nt, err := p.cat.Create(name, t.Schema, table.Options{ClusterOn: cols, ClusterUnique: unique})
+	nt, err := p.cat.Create(t.Name, t.Schema, table.Options{ClusterOn: cols, ClusterUnique: unique})
 	if err != nil {
 		return err
 	}
 	for _, ix := range t.Secondary {
 		if _, err := nt.CreateIndex(ix.Name, ix.Cols, ix.Unique); err != nil {
-			return err
-		}
-	}
-	for _, r := range rows {
-		if _, err := nt.Insert(r); err != nil {
 			return err
 		}
 	}
@@ -95,17 +83,4 @@ func (p *Planner) clusterize(t *table.Table, cols []int, unique bool) error {
 // ExecDropTable removes a table.
 func (p *Planner) ExecDropTable(st *sql.DropTableStmt) error {
 	return p.cat.Drop(st.Name)
-}
-
-// ExecTruncate discards all rows of a table.
-func (p *Planner) ExecTruncate(st *sql.TruncateStmt) (Result, error) {
-	t, ok := p.cat.Get(st.Name)
-	if !ok {
-		return Result{}, fmt.Errorf("exec: unknown table %q", st.Name)
-	}
-	n := int64(t.RowCount())
-	if err := t.Truncate(); err != nil {
-		return Result{}, err
-	}
-	return Result{RowsAffected: n}, nil
 }

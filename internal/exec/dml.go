@@ -168,13 +168,6 @@ func insertComputed(ctx *Ctx, t *table.Table, ordinals []int, fns []scalarFn, sr
 }
 
 func insertOrdinals(t *table.Table, cols []string) ([]int, error) {
-	if len(cols) == 0 {
-		out := make([]int, t.Schema.Len())
-		for i := range out {
-			out[i] = i
-		}
-		return out, nil
-	}
 	out := make([]int, len(cols))
 	for i, cn := range cols {
 		ord := t.Schema.Ordinal(cn)
@@ -189,7 +182,7 @@ func insertOrdinals(t *table.Table, cols []string) ([]int, error) {
 func buildInsertRow(t *table.Table, ordinals []int, vals record.Row) record.Row {
 	row := make(record.Row, t.Schema.Len())
 	for i := range row {
-		row[i] = record.NullOf(t.Schema.Columns[i].Type)
+		row[i] = record.Value{Null: true}
 	}
 	for i, ord := range ordinals {
 		row[ord] = vals[i]
@@ -241,10 +234,7 @@ func (p *Planner) PrepareUpdate(st *sql.UpdateStmt) (*PreparedDML, error) {
 	if !ok {
 		return nil, fmt.Errorf("exec: unknown table %q", st.Table)
 	}
-	qual := st.Alias
-	if qual == "" {
-		qual = st.Table
-	}
+	qual := st.Table
 	c := &compiler{planner: p}
 	lay, need := scanLayout(t, qual)
 
@@ -359,7 +349,7 @@ func applySets(ctx *Ctx, row record.Row, fns []scalarFn, ords []int) (record.Row
 		if err != nil {
 			return nil, false, err
 		}
-		if record.Compare(newRow[ords[i]], v) != 0 || newRow[ords[i]].Null != v.Null {
+		if record.Compare(newRow[ords[i]], v) != 0 {
 			changed = true
 		}
 		newRow[ords[i]] = v
@@ -372,19 +362,17 @@ type mergeBranch struct {
 	cond    scalarFn
 	setFns  []scalarFn
 	setOrds []int
-	del     bool
 }
 
 // mergeInsert is a compiled WHEN NOT MATCHED branch.
 type mergeInsert struct {
-	cond scalarFn
 	fns  []scalarFn
 	ords []int
 }
 
 // PrepareMerge compiles a MERGE statement: for every source row, probe the
 // target by the ON condition, then apply the first applicable WHEN branch.
-// Affected rows = updates + deletes + inserts, matching the SQLCA counter
+// Affected rows = updates + inserts, matching the SQLCA counter
 // the paper's Algorithm 1/2 read for termination.
 func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 	t, ok := p.cat.Get(st.Target)
@@ -419,14 +407,8 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 			}
 			mb.cond = f
 		}
-		if m.Delete {
-			mb.del = true
-		} else {
-			fns, ords, err := p.compileSets(t, m.Sets, targetEnv, c)
-			if err != nil {
-				return nil, err
-			}
-			mb.setFns, mb.setOrds = fns, ords
+		if mb.setFns, mb.setOrds, err = p.compileSets(t, m.Sets, targetEnv, c); err != nil {
+			return nil, err
 		}
 		branches[i] = mb
 	}
@@ -446,11 +428,6 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 				return nil, err
 			}
 			ins.fns = append(ins.fns, f)
-		}
-		if nm.And != nil {
-			if ins.cond, err = c.compileExpr(nm.And, srcEnv, nil); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return newDML(srcPlan, scan, func(in *instance) (Result, error) {
@@ -478,11 +455,6 @@ func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeI
 			return err
 		}
 		if len(matches) == 0 && ins != nil {
-			if ins.cond != nil {
-				if v, err := ins.cond(ctx, srcRow); err != nil || !v.Truthy() {
-					return err
-				}
-			}
 			n++
 			return insertComputed(ctx, t, ins.ords, ins.fns, srcRow)
 		}
@@ -503,12 +475,7 @@ func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeI
 				}
 				touched[lk] = true
 				n++
-				if br.del {
-					err = t.Delete(m.loc, m.row)
-				} else {
-					err = updateMatch(ctx, t, m, br.setFns, br.setOrds)
-				}
-				if err != nil {
+				if err := updateMatch(ctx, t, m, br.setFns, br.setOrds); err != nil {
 					return err
 				}
 				break

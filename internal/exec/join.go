@@ -126,10 +126,6 @@ func joinKey(ctx *Ctx, row record.Row, fns []scalarFn) (string, bool, error) {
 		if v.Null {
 			return "", true, nil
 		}
-		// Numeric equality across INT/FLOAT: normalize INT-valued floats.
-		if v.Typ == record.TFloat && v.F == float64(int64(v.F)) {
-			v = record.Int(int64(v.F))
-		}
 		vals[i] = v
 	}
 	return string(record.EncodeKey(nil, vals...)), false, nil

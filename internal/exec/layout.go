@@ -1,7 +1,7 @@
 // Package exec contains the planner and Volcano-style executors that turn
 // parsed SQL into answers over the table layer: scans, index probes,
 // nested-loop and hash joins, hash aggregation, the ROW_NUMBER window
-// function, sorting, and the DML/MERGE drivers.
+// function, and the DML/MERGE drivers.
 package exec
 
 import (
@@ -59,7 +59,7 @@ func (l *Layout) Resolve(qual, name string) (int, error) {
 		found = i
 	}
 	if found < 0 {
-		return 0, fmt.Errorf("exec: unknown column %s.%s", qual, name)
+		return 0, fmt.Errorf("exec: unknown column %s", colName(qual, name))
 	}
 	return found, nil
 }
@@ -68,16 +68,6 @@ func (l *Layout) Resolve(qual, name string) (int, error) {
 func (l *Layout) Has(qual, name string) bool {
 	_, err := l.Resolve(qual, name)
 	return err == nil
-}
-
-// HasQual reports whether any column carries the given qualifier.
-func (l *Layout) HasQual(qual string) bool {
-	for _, c := range l.Cols {
-		if strings.EqualFold(c.Qual, qual) {
-			return true
-		}
-	}
-	return false
 }
 
 // markUsed records that the plan reads column idx, so the scan producing it
@@ -114,7 +104,15 @@ func (e *Env) resolve(qual, name string) (resolution, error) {
 		}
 		level++
 	}
-	return resolution{}, fmt.Errorf("exec: unknown column %s.%s", qual, name)
+	return resolution{}, fmt.Errorf("exec: unknown column %s", colName(qual, name))
+}
+
+// colName renders a column reference as written: name, or qual.name.
+func colName(qual, name string) string {
+	if qual == "" {
+		return name
+	}
+	return qual + "." + name
 }
 
 // Ctx carries statement-scoped execution state: parameter values, the
@@ -135,14 +133,12 @@ type Ctx struct {
 	stack  []record.Row
 	insts  map[int]Node
 	memo   map[int]record.Value
-	run    uint64 // execution counter; what CachedMaterialize's rows are valid for
 }
 
 // begin readies the Ctx for one more execution with the given parameters.
 func (c *Ctx) begin(params []record.Value) {
 	c.Params, c.stack = params, c.stack[:0]
 	clear(c.memo)
-	c.run++
 }
 
 // instance returns this execution's private clone of a shared sub-plan
@@ -183,6 +179,3 @@ func (c *Ctx) Pop() { c.stack = c.stack[:len(c.stack)-1] }
 func (c *Ctx) Outer(levelsUp int) record.Row {
 	return c.stack[len(c.stack)-levelsUp]
 }
-
-// StackDepth reports the current correlation depth (tests).
-func (c *Ctx) StackDepth() int { return len(c.stack) }

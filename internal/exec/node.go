@@ -11,9 +11,9 @@ import (
 // A row returned by Next is valid until the next Next on the same operator,
 // and whoever keeps a row longer clones it: scans hand out the storage
 // iterator's one decode buffer, joins and projections their one output row.
-// The operators that keep rows — runPlan's result (so Sort, the hash-join
-// build side, subqueries and DML sources with it), Window, Aggregate's group
-// keys and the DML match lists — take their own copies.
+// The operators that keep rows — runPlan's result (so the hash-join build
+// side, subqueries and DML sources with it), Window, Aggregate's group keys
+// and the DML match lists — take their own copies.
 //
 // Compiled plans double as prepared-statement templates: Clone returns a
 // fresh operator tree sharing the immutable compiled parts (table handles,

@@ -22,15 +22,6 @@ type Planner struct {
 // NewPlanner creates a planner over cat.
 func NewPlanner(cat *table.Catalog) *Planner { return &Planner{cat: cat} }
 
-// Catalog returns the planner's catalog.
-func (p *Planner) Catalog() *table.Catalog { return p.cat }
-
-// Select plans a top-level query.
-func (p *Planner) Select(st *sql.SelectStmt) (Node, *Layout, error) {
-	c := &compiler{planner: p}
-	return p.planSelect(st, nil, c, nil)
-}
-
 // splitConjuncts flattens a WHERE tree into AND-ed conjuncts.
 func splitConjuncts(e sql.Expr) []sql.Expr {
 	if e == nil {
@@ -80,21 +71,16 @@ func (p *Planner) planSelect(st *sql.SelectStmt, outerEnv *Env, c *compiler, use
 	if len(st.From) == 0 {
 		cur = &ValuesNode{Rows: []record.Row{{}}}
 		curLay = &Layout{}
-	} else {
-		for i, ref := range st.From {
-			if i == 0 {
-				n, lay, err := p.planTableAccess(ref, &conjuncts, outerEnv, c, usedOuter)
-				if err != nil {
-					return nil, nil, err
-				}
-				cur, curLay = n, lay
-				continue
-			}
-			n, lay, err := p.planJoin(cur, curLay, ref, &conjuncts, outerEnv, c, usedOuter)
-			if err != nil {
-				return nil, nil, err
-			}
-			cur, curLay = n, lay
+	}
+	for i, ref := range st.From {
+		var err error
+		if i == 0 {
+			cur, curLay, err = p.planTableAccess(ref, &conjuncts, outerEnv, c, usedOuter)
+		} else {
+			cur, curLay, err = p.planJoin(cur, curLay, ref, &conjuncts, outerEnv, c, usedOuter)
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	curEnv := &Env{Lay: curLay, Parent: outerEnv}
@@ -109,63 +95,24 @@ func (p *Planner) planSelect(st *sql.SelectStmt, outerEnv *Env, c *compiler, use
 	}
 
 	items := st.Items
-	needAgg := len(st.GroupBy) > 0 || hasAggregate(st.Having)
+	needAgg := len(st.GroupBy) > 0 || hasCall(st.Having, false)
+	needWin := false
 	for _, it := range items {
-		if !it.Star && hasAggregate(it.Expr) {
-			needAgg = true
-		}
+		needAgg = needAgg || hasCall(it, false)
+		needWin = needWin || hasCall(it, true)
 	}
-	for _, ob := range st.OrderBy {
-		if hasAggregate(ob.Expr) {
-			needAgg = true
-		}
-	}
-
-	orderBy := st.OrderBy
+	var err error
 	if needAgg {
-		var err error
-		cur, curEnv, items, orderBy, err = p.planAggregate(st, cur, curEnv, c, usedOuter)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		needWin := false
-		for _, it := range items {
-			if !it.Star && hasWindow(it.Expr) {
-				needWin = true
-			}
-		}
-		if needWin {
-			var err error
-			cur, curEnv, items, err = p.planWindow(items, cur, curEnv, curLay, c, usedOuter)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
+		cur, curEnv, items, err = p.planAggregate(st, cur, curEnv, c, usedOuter)
+	} else if needWin {
+		cur, curEnv, items, err = p.planWindow(items, cur, curEnv, curLay, c, usedOuter)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 
-	// ORDER BY (compiled against the pre-projection layout).
-	if len(orderBy) > 0 {
-		keys := make([]scalarFn, len(orderBy))
-		desc := make([]bool, len(orderBy))
-		for i, ob := range orderBy {
-			f, err := c.compileExpr(ob.Expr, curEnv, usedOuter)
-			if err != nil {
-				return nil, nil, err
-			}
-			keys[i] = f
-			desc[i] = ob.Desc
-		}
-		cur = &Sort{Input: cur, Keys: keys, Desc: desc}
-	}
-
-	// TOP / LIMIT.
-	limitExpr := st.Top
-	if limitExpr == nil {
-		limitExpr = st.Limit
-	}
-	if limitExpr != nil {
-		f, err := c.compileExpr(limitExpr, &Env{Lay: &Layout{}, Parent: outerEnv}, usedOuter)
+	if st.Top != nil {
+		f, err := c.compileExpr(st.Top, &Env{Lay: &Layout{}, Parent: outerEnv}, usedOuter)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -175,42 +122,22 @@ func (p *Planner) planSelect(st *sql.SelectStmt, outerEnv *Env, c *compiler, use
 	// Projection. Output names come from the ORIGINAL select items (the
 	// aggregate/window rewrite replaces expressions with internal $agg/$win
 	// references whose names must not leak to clients).
-	var fns []scalarFn
-	outLay := &Layout{}
+	fns := make([]scalarFn, len(items))
+	outLay := &Layout{Cols: make([]BoundCol, len(items))}
 	anon := 0
 	for i, it := range items {
-		if it.Star {
-			for idx, col := range curEnv.Lay.Cols {
-				i := idx
-				curEnv.Lay.markUsed(i)
-				fns = append(fns, func(_ *Ctx, row record.Row) (record.Value, error) {
-					return row[i], nil
-				})
-				outLay.Cols = append(outLay.Cols, col)
-			}
-			continue
-		}
-		f, err := c.compileExpr(it.Expr, curEnv, usedOuter)
-		if err != nil {
+		if fns[i], err = c.compileExpr(it, curEnv, usedOuter); err != nil {
 			return nil, nil, err
 		}
-		fns = append(fns, f)
-		name := it.Alias
-		if name == "" {
-			orig := it.Expr
-			if i < len(st.Items) && !st.Items[i].Star {
-				orig = st.Items[i].Expr
-			}
-			if cr, ok := orig.(*sql.ColumnRef); ok && cr.Table != "$agg" && cr.Table != "$win" {
-				name = cr.Name
-			} else if fc, ok := orig.(*sql.FuncCall); ok {
-				name = strings.ToLower(fc.Name)
-			} else {
-				name = fmt.Sprintf("_c%d", anon)
-				anon++
-			}
+		switch orig := st.Items[i].(type) {
+		case *sql.ColumnRef:
+			outLay.Cols[i].Name = orig.Name
+		case *sql.FuncCall:
+			outLay.Cols[i].Name = strings.ToLower(orig.Name)
+		default:
+			outLay.Cols[i].Name = fmt.Sprintf("_c%d", anon)
+			anon++
 		}
-		outLay.Cols = append(outLay.Cols, BoundCol{Name: name})
 	}
 	cur = &Project{Input: cur, Fns: fns}
 
@@ -438,81 +365,45 @@ func (p *Planner) attachResiduals(node Node, lay *Layout, remaining *[]sql.Expr,
 	return &Filter{Input: node, Pred: pred}, nil
 }
 
-// planJoin extends the accumulated left-deep plan with one more table.
+// planJoin extends the accumulated left-deep plan with one more table (the
+// grammar admits a derived table only as the first FROM entry).
 func (p *Planner) planJoin(acc Node, accLay *Layout, ref *sql.TableRef, remaining *[]sql.Expr, outerEnv *Env, c *compiler, usedOuter *bool) (Node, *Layout, error) {
 	accEnv := &Env{Lay: accLay, Parent: outerEnv}
+	t, ok := p.cat.Get(ref.Table)
+	if !ok {
+		return nil, nil, fmt.Errorf("exec: unknown table %q", ref.Table)
+	}
+	lay, need := scanLayout(t, ref.Name())
+	tableEnv := &Env{Lay: lay, Parent: accEnv}
 
-	if ref.Sub == nil {
-		t, ok := p.cat.Get(ref.Table)
-		if !ok {
-			return nil, nil, fmt.Errorf("exec: unknown table %q", ref.Table)
-		}
-		lay, need := scanLayout(t, ref.Name())
-		tableEnv := &Env{Lay: lay, Parent: accEnv}
-
-		// Try index-nested-loop: probes may reference the accumulated row.
-		inner := p.chooseAccessPath(t, ref.Name(), lay, need, tableEnv, remaining, c, usedOuter)
-		if _, ok := inner.(*IndexEqScan); !ok {
-			// Hash join on an equality conjunct split across the two sides.
-			standaloneEnv := &Env{Lay: lay, Parent: outerEnv}
-			lk, rk, used := p.findHashKeys(accEnv, standaloneEnv, *remaining, c, usedOuter)
-			if len(lk) > 0 {
-				removeConjuncts(remaining, used)
-				if err := p.attachResidualsToScan(inner, standaloneEnv, remaining, c, usedOuter); err != nil {
-					return nil, nil, err
-				}
-				join := &HashJoin{Left: acc, Right: inner, LeftKeys: lk, RightKeys: rk}
-				combined := Concat(accLay, lay)
-				node, err := p.attachResiduals(join, combined, remaining, outerEnv, c, usedOuter)
-				if err != nil {
-					return nil, nil, err
-				}
-				return node, combined, nil
+	// Try index-nested-loop: probes may reference the accumulated row.
+	inner := p.chooseAccessPath(t, ref.Name(), lay, need, tableEnv, remaining, c, usedOuter)
+	if _, ok := inner.(*IndexEqScan); !ok {
+		// Hash join on an equality conjunct split across the two sides.
+		standaloneEnv := &Env{Lay: lay, Parent: outerEnv}
+		lk, rk, used := p.findHashKeys(accEnv, standaloneEnv, *remaining, c, usedOuter)
+		if len(lk) > 0 {
+			removeConjuncts(remaining, used)
+			if err := p.attachResidualsToScan(inner, standaloneEnv, remaining, c, usedOuter); err != nil {
+				return nil, nil, err
 			}
+			join := &HashJoin{Left: acc, Right: inner, LeftKeys: lk, RightKeys: rk}
+			combined := Concat(accLay, lay)
+			node, err := p.attachResiduals(join, combined, remaining, outerEnv, c, usedOuter)
+			if err != nil {
+				return nil, nil, err
+			}
+			return node, combined, nil
 		}
+	}
 
-		// Index-nested-loop, or the fallback: nested loop with residuals on
-		// the inner scan (which can see the accumulated row through the ctx
-		// stack).
-		if err := p.attachResidualsToScan(inner, tableEnv, remaining, c, usedOuter); err != nil {
-			return nil, nil, err
-		}
-		return &NestedLoopJoin{Outer: acc, Inner: inner}, Concat(accLay, lay), nil
-	}
-
-	// Derived table on the right: plan it standalone, then hash join if an
-	// equality conjunct applies, else nested loop over a cached materialize.
-	node, subLay, err := p.planSelect(ref.Sub, outerEnv, c, usedOuter)
-	if err != nil {
+	// Index-nested-loop, or the fallback: nested loop with residuals on
+	// the inner scan (which can see the accumulated row through the ctx
+	// stack).
+	if err := p.attachResidualsToScan(inner, tableEnv, remaining, c, usedOuter); err != nil {
 		return nil, nil, err
 	}
-	lay, err := derivedLayout(ref, subLay)
-	if err != nil {
-		return nil, nil, err
-	}
-	standaloneEnv := &Env{Lay: lay, Parent: outerEnv}
-	node, err = p.attachResiduals(node, lay, remaining, outerEnv, c, usedOuter)
-	if err != nil {
-		return nil, nil, err
-	}
-	accEnv2 := &Env{Lay: accLay, Parent: outerEnv}
-	lk, rk, used := p.findHashKeys(accEnv2, standaloneEnv, *remaining, c, usedOuter)
-	combined := Concat(accLay, lay)
-	if len(lk) > 0 {
-		removeConjuncts(remaining, used)
-		join := &HashJoin{Left: acc, Right: node, LeftKeys: lk, RightKeys: rk}
-		out, err := p.attachResiduals(join, combined, remaining, outerEnv, c, usedOuter)
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, combined, nil
-	}
-	join := &NestedLoopJoin{Outer: acc, Inner: &CachedMaterialize{Input: node}}
-	out, err := p.attachResiduals(join, combined, remaining, outerEnv, c, usedOuter)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, combined, nil
+	return &NestedLoopJoin{Outer: acc, Inner: inner}, Concat(accLay, lay), nil
 }
 
 // findHashKeys looks for equality conjuncts with one side compiling in the
@@ -544,146 +435,44 @@ func (p *Planner) findHashKeys(leftEnv, rightEnv *Env, conjuncts []sql.Expr, c *
 
 // exprRefsLayout reports whether e references any column of lay.
 func exprRefsLayout(e sql.Expr, lay *Layout) bool {
-	switch ex := e.(type) {
-	case nil:
-		return false
-	case *sql.Literal, *sql.Param:
-		return false
-	case *sql.ColumnRef:
-		return lay.Has(ex.Table, ex.Name)
-	case *sql.Unary:
-		return exprRefsLayout(ex.E, lay)
-	case *sql.Binary:
-		return exprRefsLayout(ex.L, lay) || exprRefsLayout(ex.R, lay)
-	case *sql.IsNull:
-		return exprRefsLayout(ex.E, lay)
-	case *sql.FuncCall:
-		for _, a := range ex.Args {
-			if exprRefsLayout(a, lay) {
-				return true
-			}
-		}
-		return false
-	case *sql.InList:
-		if exprRefsLayout(ex.E, lay) {
-			return true
-		}
-		for _, it := range ex.Items {
-			if exprRefsLayout(it, lay) {
-				return true
-			}
-		}
-		return false
-	}
-	return true // subqueries: conservative
+	return exprRefs(e, func(cr *sql.ColumnRef) bool { return lay.Has(cr.Table, cr.Name) })
 }
-
-// CachedMaterialize runs its input once and replays the result on
-// subsequent Opens (for nested-loop joins over derived tables).
-type CachedMaterialize struct {
-	Input Node
-	rows  []record.Row
-	valid bool
-	run   uint64 // the execution (Ctx.run) rows was read in
-	pos   int
-}
-
-// Open implements Node.
-func (m *CachedMaterialize) Open(ctx *Ctx) error {
-	if !m.valid || m.run != ctx.run {
-		rows, err := runPlan(m.Input, ctx)
-		if err != nil {
-			return err
-		}
-		m.rows, m.valid, m.run = rows, true, ctx.run
-	}
-	m.pos = 0
-	return nil
-}
-
-// Next implements Node.
-func (m *CachedMaterialize) Next(*Ctx) (record.Row, error) {
-	if m.pos >= len(m.rows) {
-		return nil, nil
-	}
-	r := m.rows[m.pos]
-	m.pos++
-	return r, nil
-}
-
-// Close implements Node.
-func (m *CachedMaterialize) Close() {}
-
-// Clone implements Node. The materialized rows are not carried over, and an
-// instance that is executed again re-reads them: they belong to one
-// execution's data snapshot, and a prepared statement must re-read the
-// tables it scans on every execution.
-func (m *CachedMaterialize) Clone() Node { return &CachedMaterialize{Input: m.Input.Clone()} }
 
 // planAggregate rewrites the query block around a hash aggregate. Returns
-// the new plan, env, rewritten select items and order-by list.
-func (p *Planner) planAggregate(st *sql.SelectStmt, input Node, inEnv *Env, c *compiler, usedOuter *bool) (Node, *Env, []sql.SelectItem, []sql.OrderItem, error) {
+// the new plan, env and rewritten select items.
+func (p *Planner) planAggregate(st *sql.SelectStmt, input Node, inEnv *Env, c *compiler, usedOuter *bool) (Node, *Env, []sql.Expr, error) {
 	groupKeys := make(map[string]int, len(st.GroupBy))
 	groupFns := make([]scalarFn, len(st.GroupBy))
 	for i, g := range st.GroupBy {
 		f, err := c.compileExpr(g, inEnv, usedOuter)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 		groupFns[i] = f
 		groupKeys[exprKey(g)] = i
 	}
 	var aggCalls []*sql.FuncCall
-
-	rewrite := func(e sql.Expr) (sql.Expr, error) {
-		return rewriteForAgg(e, groupKeys, &aggCalls)
-	}
-
-	items := make([]sql.SelectItem, len(st.Items))
+	items := make([]sql.Expr, len(st.Items))
 	for i, it := range st.Items {
-		if it.Star {
-			return nil, nil, nil, nil, fmt.Errorf("exec: SELECT * not allowed with GROUP BY")
-		}
-		ne, err := rewrite(it.Expr)
+		ne, err := rewriteForAgg(it, groupKeys, &aggCalls)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
-		items[i] = sql.SelectItem{Expr: ne, Alias: it.Alias}
+		items[i] = ne
 	}
-	var having sql.Expr
-	if st.Having != nil {
-		ne, err := rewrite(st.Having)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		having = ne
-	}
-	orderBy := make([]sql.OrderItem, len(st.OrderBy))
-	for i, ob := range st.OrderBy {
-		ne, err := rewrite(ob.Expr)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		orderBy[i] = sql.OrderItem{Expr: ne, Desc: ob.Desc}
+	having, err := rewriteForAgg(st.Having, groupKeys, &aggCalls)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
 	specs := make([]aggSpec, len(aggCalls))
 	for i, call := range aggCalls {
-		kind, err := aggKindOf(call.Name)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		var arg scalarFn
-		if !call.Star {
-			if len(call.Args) != 1 {
-				return nil, nil, nil, nil, fmt.Errorf("exec: %s takes one argument", call.Name)
-			}
-			arg, err = c.compileExpr(call.Args[0], inEnv, usedOuter)
-			if err != nil {
-				return nil, nil, nil, nil, err
+		specs[i].kind = aggKinds[call.Name]
+		if call.Arg != nil {
+			if specs[i].arg, err = c.compileExpr(call.Arg, inEnv, usedOuter); err != nil {
+				return nil, nil, nil, err
 			}
 		}
-		specs[i] = aggSpec{kind: kind, arg: arg}
 	}
 
 	postLay := &Layout{}
@@ -698,11 +487,11 @@ func (p *Planner) planAggregate(st *sql.SelectStmt, input Node, inEnv *Env, c *c
 	if having != nil {
 		pred, err := c.compileExpr(having, env, usedOuter)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 		node = &Filter{Input: node, Pred: pred}
 	}
-	return node, env, items, orderBy, nil
+	return node, env, items, nil
 }
 
 // rewriteForAgg replaces group-by expressions with $grp references and
@@ -715,16 +504,8 @@ func rewriteForAgg(e sql.Expr, groupKeys map[string]int, aggs *[]*sql.FuncCall) 
 		return &sql.ColumnRef{Table: "$grp", Name: fmt.Sprintf("g%d", gi)}, nil
 	}
 	switch ex := e.(type) {
-	case *sql.Literal, *sql.Param, *sql.Subquery, *sql.Exists:
-		return e, nil
 	case *sql.ColumnRef:
 		return nil, fmt.Errorf("exec: column %s must appear in GROUP BY or an aggregate", ex.Name)
-	case *sql.Unary:
-		inner, err := rewriteForAgg(ex.E, groupKeys, aggs)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.Unary{Op: ex.Op, E: inner}, nil
 	case *sql.Binary:
 		l, err := rewriteForAgg(ex.L, groupKeys, aggs)
 		if err != nil {
@@ -735,64 +516,40 @@ func rewriteForAgg(e sql.Expr, groupKeys map[string]int, aggs *[]*sql.FuncCall) 
 			return nil, err
 		}
 		return &sql.Binary{Op: ex.Op, L: l, R: r}, nil
-	case *sql.IsNull:
-		inner, err := rewriteForAgg(ex.E, groupKeys, aggs)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.IsNull{Not: ex.Not, E: inner}, nil
 	case *sql.FuncCall:
 		if ex.Window != nil {
 			return nil, fmt.Errorf("exec: window function %s cannot be combined with GROUP BY", ex.Name)
 		}
-		if !isAggregateName(ex.Name) {
-			return nil, fmt.Errorf("exec: unknown function %s", ex.Name)
-		}
-		idx := len(*aggs)
 		*aggs = append(*aggs, ex)
-		return &sql.ColumnRef{Table: "$agg", Name: fmt.Sprintf("a%d", idx)}, nil
+		return &sql.ColumnRef{Table: "$agg", Name: fmt.Sprintf("a%d", len(*aggs)-1)}, nil
 	}
 	return e, nil
 }
 
 // planWindow materializes window-function results as appended columns and
 // rewrites select items to reference them.
-func (p *Planner) planWindow(items []sql.SelectItem, input Node, inEnv *Env, inLay *Layout, c *compiler, usedOuter *bool) (Node, *Env, []sql.SelectItem, error) {
+func (p *Planner) planWindow(items []sql.Expr, input Node, inEnv *Env, inLay *Layout, c *compiler, usedOuter *bool) (Node, *Env, []sql.Expr, error) {
 	var winCalls []*sql.FuncCall
-	newItems := make([]sql.SelectItem, len(items))
+	newItems := make([]sql.Expr, len(items))
 	for i, it := range items {
-		if it.Star {
-			newItems[i] = it
-			continue
-		}
-		ne, err := collectWindows(it.Expr, &winCalls)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		newItems[i] = sql.SelectItem{Expr: ne, Alias: it.Alias}
+		newItems[i] = collectWindows(it, &winCalls)
 	}
 	specs := make([]windowSpec, len(winCalls))
 	for i, call := range winCalls {
-		if call.Name != "ROW_NUMBER" && call.Name != "RANK" {
-			return nil, nil, nil, fmt.Errorf("exec: unsupported window function %s", call.Name)
-		}
-		spec := windowSpec{name: call.Name}
 		for _, pe := range call.Window.PartitionBy {
 			f, err := c.compileExpr(pe, inEnv, usedOuter)
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			spec.partFns = append(spec.partFns, f)
+			specs[i].partFns = append(specs[i].partFns, f)
 		}
 		for _, oe := range call.Window.OrderBy {
-			f, err := c.compileExpr(oe.Expr, inEnv, usedOuter)
+			f, err := c.compileExpr(oe, inEnv, usedOuter)
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			spec.orderFns = append(spec.orderFns, f)
-			spec.orderDesc = append(spec.orderDesc, oe.Desc)
+			specs[i].orderFns = append(specs[i].orderFns, f)
 		}
-		specs[i] = spec
 	}
 	extLay := &Layout{Cols: append([]BoundCol(nil), inLay.Cols...)}
 	for i := range winCalls {

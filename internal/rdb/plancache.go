@@ -16,7 +16,7 @@ import (
 // (SQL text, profile) whose entries are compiled plans tagged with the
 // schema epoch they were built against.
 //
-// Invalidation is epoch-based: every DDL statement (CREATE/DROP/TRUNCATE,
+// Invalidation is epoch-based: every DDL statement (CREATE/DROP,
 // including LoadGraph's table rebuild) bumps the catalog epoch, and a
 // cached plan from an older epoch is discarded on its next lookup instead
 // of executing — a stale plan holds *table.Table handles that may point at

@@ -11,7 +11,7 @@
 // (exclusive), in sorted order, so statements over disjoint tables — for
 // example two searches scribbling into their own private scratch tables —
 // execute fully in parallel while two writers of one table still serialize.
-// DDL (CREATE/DROP/TRUNCATE) takes the exclusive facade latch, draining
+// DDL (CREATE/DROP) takes the exclusive facade latch, draining
 // every in-flight statement, and bumps the schema epoch that invalidates
 // cached plans. Callers that want per-caller accounting open a Session
 // (see session.go).
@@ -98,7 +98,7 @@ type Stats struct {
 	// PlanCacheEntries is the live entry count (0 when caching is off).
 	PlanCacheEntries int
 	// SchemaEpoch is the catalog generation: bumped by every DDL statement
-	// (CREATE/DROP/TRUNCATE), it is what cached plans are validated against.
+	// (CREATE/DROP), it is what cached plans are validated against.
 	SchemaEpoch uint64
 	Pool        storage.PoolStats
 	IO          storage.IOStats
@@ -267,10 +267,6 @@ func convertArgs(args []any) ([]record.Value, error) {
 			out[i] = record.Int(v)
 		case uint32:
 			out[i] = record.Int(int64(v))
-		case float64:
-			out[i] = record.Float(v)
-		case string:
-			out[i] = record.Text(v)
 		case bool:
 			out[i] = record.Bool(v)
 		case record.Value:
@@ -305,7 +301,7 @@ func (db *DB) checkFeatures(st sql.Statement) error {
 
 func selectUsesWindow(st *sql.SelectStmt) bool {
 	for _, it := range st.Items {
-		if !it.Star && exprUsesWindow(it.Expr) {
+		if exprUsesWindow(it) {
 			return true
 		}
 	}
@@ -320,18 +316,9 @@ func selectUsesWindow(st *sql.SelectStmt) bool {
 func exprUsesWindow(e sql.Expr) bool {
 	switch ex := e.(type) {
 	case *sql.FuncCall:
-		if ex.Window != nil {
-			return true
-		}
-		for _, a := range ex.Args {
-			if exprUsesWindow(a) {
-				return true
-			}
-		}
+		return ex.Window != nil
 	case *sql.Binary:
 		return exprUsesWindow(ex.L) || exprUsesWindow(ex.R)
-	case *sql.Unary:
-		return exprUsesWindow(ex.E)
 	case *sql.Subquery:
 		return selectUsesWindow(ex.Select)
 	case *sql.Exists:
@@ -494,8 +481,6 @@ func (db *DB) execDDL(st sql.Statement) (exec.Result, error) {
 		return exec.Result{}, db.planner.ExecCreateIndex(s)
 	case *sql.DropTableStmt:
 		return exec.Result{}, db.planner.ExecDropTable(s)
-	case *sql.TruncateStmt:
-		return db.planner.ExecTruncate(s)
 	}
 	return exec.Result{}, fmt.Errorf("rdb: unsupported statement %T", st)
 }
@@ -563,11 +548,5 @@ func intFromRows(rows *Rows) (v int64, null bool, err error) {
 		return 0, true, nil
 	}
 	val := rows.Data[0][0]
-	if val.Null {
-		return 0, true, nil
-	}
-	if val.Typ != record.TInt {
-		return 0, false, fmt.Errorf("rdb: expected INT result, got %s", val.Typ)
-	}
-	return val.I, false, nil
+	return val.I, val.Null, nil
 }

@@ -70,7 +70,6 @@ func stmtLockSpecs(st sql.Statement) []tableLockSpec {
 			}
 		}
 		if nm := s.NotMatched; nm != nil {
-			c.expr(nm.And)
 			for _, v := range nm.Vals {
 				c.expr(v)
 			}
@@ -117,9 +116,7 @@ func (c *tableSetCollector) selectStmt(s *sql.SelectStmt) {
 	}
 	c.expr(s.Top)
 	for _, it := range s.Items {
-		if !it.Star {
-			c.expr(it.Expr)
-		}
+		c.expr(it)
 	}
 	for _, fr := range s.From {
 		c.tableRef(fr)
@@ -129,10 +126,6 @@ func (c *tableSetCollector) selectStmt(s *sql.SelectStmt) {
 		c.expr(e)
 	}
 	c.expr(s.Having)
-	for _, o := range s.OrderBy {
-		c.expr(o.Expr)
-	}
-	c.expr(s.Limit)
 }
 
 func (c *tableSetCollector) expr(e sql.Expr) {
@@ -140,31 +133,20 @@ func (c *tableSetCollector) expr(e sql.Expr) {
 	case *sql.Binary:
 		c.expr(ex.L)
 		c.expr(ex.R)
-	case *sql.Unary:
-		c.expr(ex.E)
 	case *sql.FuncCall:
-		for _, a := range ex.Args {
-			c.expr(a)
-		}
+		c.expr(ex.Arg)
 		if ex.Window != nil {
 			for _, p := range ex.Window.PartitionBy {
 				c.expr(p)
 			}
 			for _, o := range ex.Window.OrderBy {
-				c.expr(o.Expr)
+				c.expr(o)
 			}
 		}
 	case *sql.Subquery:
 		c.selectStmt(ex.Select)
 	case *sql.Exists:
 		c.selectStmt(ex.Select)
-	case *sql.InList:
-		c.expr(ex.E)
-		for _, it := range ex.Items {
-			c.expr(it)
-		}
-	case *sql.IsNull:
-		c.expr(ex.E)
 	}
 }
 

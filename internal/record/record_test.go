@@ -2,10 +2,12 @@ package record
 
 import (
 	"bytes"
-	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+var null = Value{Null: true}
 
 func TestValueConstructorsAndString(t *testing.T) {
 	cases := []struct {
@@ -14,9 +16,7 @@ func TestValueConstructorsAndString(t *testing.T) {
 	}{
 		{Int(42), "42"},
 		{Int(-7), "-7"},
-		{Float(2.5), "2.5"},
-		{Text("hi"), "hi"},
-		{NullOf(TInt), "NULL"},
+		{null, "NULL"},
 		{Bool(true), "1"},
 		{Bool(false), "0"},
 	}
@@ -24,6 +24,11 @@ func TestValueConstructorsAndString(t *testing.T) {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String(%#v) = %q, want %q", c.v, got, c.want)
 		}
+	}
+	// An int64 plus the NULL flag, pointer-free: what every scalarFn call
+	// returns and every row buffer holds.
+	if sz := unsafe.Sizeof(Value{}); sz > 16 {
+		t.Errorf("Value is %d bytes, want <= 16", sz)
 	}
 }
 
@@ -35,14 +40,10 @@ func TestCompare(t *testing.T) {
 		{Int(1), Int(2), -1},
 		{Int(2), Int(2), 0},
 		{Int(3), Int(2), 1},
-		{Float(1.5), Int(2), -1},
-		{Int(2), Float(1.5), 1},
-		{Float(2.0), Int(2), 0},
-		{Text("a"), Text("b"), -1},
-		{Text("b"), Text("b"), 0},
-		{NullOf(TInt), Int(0), -1}, // NULL sorts first
-		{Int(0), NullOf(TInt), 1},
-		{NullOf(TInt), NullOf(TText), 0},
+		{Int(-1 << 63), Int(1<<63 - 1), -1},
+		{null, Int(-1 << 63), -1}, // NULL sorts first
+		{Int(0), null, 1},
+		{null, null, 0},
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
@@ -51,30 +52,12 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestEqualNullSemantics(t *testing.T) {
-	if Equal(NullOf(TInt), NullOf(TInt)) {
-		t.Error("NULL = NULL must be false under predicate semantics")
-	}
-	if !Equal(Int(3), Int(3)) {
-		t.Error("3 = 3")
-	}
-	if Equal(Int(3), Int(4)) {
-		t.Error("3 != 4")
-	}
-}
-
 func TestTruthy(t *testing.T) {
 	if !Int(1).Truthy() || Int(0).Truthy() {
 		t.Error("int truthiness")
 	}
-	if NullOf(TInt).Truthy() {
+	if null.Truthy() {
 		t.Error("NULL is not truthy")
-	}
-	if !Text("x").Truthy() || Text("").Truthy() {
-		t.Error("text truthiness")
-	}
-	if !Float(0.1).Truthy() || Float(0).Truthy() {
-		t.Error("float truthiness")
 	}
 }
 
@@ -82,7 +65,7 @@ func TestSchema(t *testing.T) {
 	s := MustSchema(
 		Column{Name: "nid", Type: TInt},
 		Column{Name: "d2s", Type: TInt},
-		Column{Name: "note", Type: TText},
+		Column{Name: "p2s", Type: TInt},
 	)
 	if s.Ordinal("D2S") != 1 {
 		t.Error("case-insensitive ordinal")
@@ -93,44 +76,23 @@ func TestSchema(t *testing.T) {
 	if _, err := NewSchema(Column{Name: "a", Type: TInt}, Column{Name: "A", Type: TInt}); err == nil {
 		t.Error("duplicate column names must fail")
 	}
-	if err := s.Validate(Row{Int(1), Int(2), Text("x")}); err != nil {
-		t.Errorf("valid row rejected: %v", err)
-	}
-	if err := s.Validate(Row{Int(1), Int(2)}); err == nil {
-		t.Error("wrong arity must fail")
-	}
-	if err := s.Validate(Row{Int(1), Text("no"), Text("x")}); err == nil {
-		t.Error("wrong type must fail")
-	}
-	if err := s.Validate(Row{Int(1), NullOf(TInt), Text("x")}); err != nil {
-		t.Errorf("NULL should pass: %v", err)
-	}
-}
-
-func TestSchemaCoerce(t *testing.T) {
-	s := MustSchema(Column{Name: "f", Type: TFloat})
-	r := Row{Int(3)}
-	if err := s.Validate(r); err != nil {
-		t.Fatalf("INT into FLOAT should validate: %v", err)
-	}
-	s.Coerce(r)
-	if r[0].Typ != TFloat || r[0].F != 3.0 {
-		t.Fatalf("coerce failed: %v", r[0])
+	if _, err := NewSchema(Column{Name: "a", Type: TInt + 1}); err == nil {
+		t.Error("a column type other than INT must fail")
 	}
 }
 
 func TestTupleRoundtrip(t *testing.T) {
 	s := MustSchema(
 		Column{Name: "a", Type: TInt},
-		Column{Name: "b", Type: TFloat},
-		Column{Name: "c", Type: TText},
+		Column{Name: "b", Type: TInt},
+		Column{Name: "c", Type: TInt},
 		Column{Name: "d", Type: TInt},
 	)
 	rows := []Row{
-		{Int(1), Float(2.5), Text("hello"), Int(-9)},
-		{Int(0), Float(0), Text(""), Int(1 << 60)},
-		{NullOf(TInt), NullOf(TFloat), NullOf(TText), Int(5)},
-		{Int(-1), Float(math.Inf(1)), Text("utf8 ✓ ok"), NullOf(TInt)},
+		{Int(1), Int(25), Int(-1 << 63), Int(-9)},
+		{Int(0), Int(0), Int(0), Int(1 << 60)},
+		{null, null, null, Int(5)},
+		{Int(-1), Int(1<<63 - 1), Int(7), null},
 	}
 	for _, r := range rows {
 		buf, err := EncodeTuple(nil, s, r)
@@ -142,7 +104,7 @@ func TestTupleRoundtrip(t *testing.T) {
 			t.Fatalf("decode %v: n=%d err=%v", r, n, err)
 		}
 		for i := range r {
-			if r[i].Null != got[i].Null || Compare(r[i], got[i]) != 0 {
+			if r[i] != got[i] {
 				t.Fatalf("roundtrip mismatch at %d: %v vs %v", i, r[i], got[i])
 			}
 		}
@@ -154,42 +116,43 @@ func TestTupleErrors(t *testing.T) {
 	if _, err := EncodeTuple(nil, s, Row{Int(1), Int(2)}); err == nil {
 		t.Error("arity mismatch must fail")
 	}
-	if _, err := EncodeTuple(nil, s, Row{Text("x")}); err == nil {
-		t.Error("type mismatch must fail")
-	}
 	if _, _, err := DecodeTuple([]byte{}, s); err == nil {
 		t.Error("truncated bitmap must fail")
 	}
 	if _, _, err := DecodeTuple([]byte{0x00, 1, 2}, s); err == nil {
 		t.Error("truncated int must fail")
 	}
+	// A set bit past the last column is padding, not a NULL.
+	if r, n, err := DecodeTuple([]byte{0x02, 7, 0, 0, 0, 0, 0, 0, 0}, s); err != nil || n != 9 || r[0] != Int(7) {
+		t.Errorf("padding bit: %v %d %v", r, n, err)
+	}
 }
 
 func TestQuickTupleRoundtrip(t *testing.T) {
 	s := MustSchema(
 		Column{Name: "a", Type: TInt},
-		Column{Name: "b", Type: TText},
+		Column{Name: "b", Type: TInt},
 	)
-	fn := func(a int64, bs []byte, aNull bool) bool {
-		r := Row{Int(a), Text(string(bs))}
+	fn := func(a, b int64, aNull, bNull bool) bool {
+		r := Row{Int(a), Int(b)}
 		if aNull {
-			r[0] = NullOf(TInt)
+			r[0] = null
+		}
+		if bNull {
+			r[1] = null
 		}
 		buf, err := EncodeTuple(nil, s, r)
 		if err != nil {
 			return false
 		}
-		got, _, err := DecodeTuple(buf, s)
-		if err != nil {
+		got, n, err := DecodeTuple(buf, s)
+		if err != nil || n != len(buf) || got[0] != r[0] || got[1] != r[1] {
 			return false
 		}
-		if got[0].Null != aNull {
-			return false
-		}
-		if !aNull && got[0].I != a {
-			return false
-		}
-		return got[1].S == string(bs)
+		// A projected decode writes the needed ordinal and nothing else.
+		part := Row{Int(-1), Int(-1)}
+		_, err = DecodeInto(part, buf, s, []bool{false, true})
+		return err == nil && part[0] == Int(-1) && part[1] == r[1]
 	}
 	if err := quick.Check(fn, nil); err != nil {
 		t.Fatal(err)
@@ -208,24 +171,9 @@ func TestKeyEncodingOrder(t *testing.T) {
 	if err := quick.Check(fn, nil); err != nil {
 		t.Fatal(err)
 	}
-	ff := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		ka := EncodeKey(nil, Float(a))
-		kb := EncodeKey(nil, Float(b))
-		return sign(bytes.Compare(ka, kb)) == sign(Compare(Float(a), Float(b)))
-	}
-	if err := quick.Check(ff, nil); err != nil {
-		t.Fatal(err)
-	}
-	fs := func(a, b string) bool {
-		ka := EncodeKey(nil, Text(a))
-		kb := EncodeKey(nil, Text(b))
-		return sign(bytes.Compare(ka, kb)) == sign(Compare(Text(a), Text(b)))
-	}
-	if err := quick.Check(fs, nil); err != nil {
-		t.Fatal(err)
+	// NULL keys sort before every integer, as Compare orders them.
+	if bytes.Compare(EncodeKey(nil, null), EncodeKey(nil, Int(-1<<63))) >= 0 {
+		t.Fatal("NULL key must sort first")
 	}
 }
 
@@ -248,42 +196,15 @@ func TestCompositeKeyOrder(t *testing.T) {
 	}
 }
 
-func TestKeyDecodeRoundtrip(t *testing.T) {
-	vals := []Value{Int(-5), Float(3.25), Text("a\x00b"), NullOf(TInt), Int(1 << 62)}
-	key := EncodeKey(nil, vals...)
-	got, n, err := DecodeKey(key, len(vals))
-	if err != nil || n != len(key) {
-		t.Fatalf("decode: n=%d err=%v", n, err)
-	}
-	for i := range vals {
-		if vals[i].Null != got[i].Null {
-			t.Fatalf("null mismatch at %d", i)
-		}
-		if !vals[i].Null && Compare(vals[i], got[i]) != 0 {
-			t.Fatalf("mismatch at %d: %v vs %v", i, vals[i], got[i])
-		}
-	}
-}
-
-func TestTextKeyZeroBytes(t *testing.T) {
-	// Strings containing 0x00 must keep correct relative order.
-	a := EncodeKey(nil, Text("a\x00"))
-	b := EncodeKey(nil, Text("a\x00\x00"))
-	c := EncodeKey(nil, Text("a\x01"))
-	if !(bytes.Compare(a, b) < 0 && bytes.Compare(b, c) < 0) {
-		t.Fatal("zero-byte escaping breaks order")
-	}
-}
-
 func TestRowClone(t *testing.T) {
-	r := Row{Int(1), Text("x")}
+	r := Row{Int(1), null}
 	c := r.Clone()
 	c[0] = Int(9)
 	if r[0].I != 1 {
 		t.Fatal("clone aliases the original")
 	}
-	if r.String() != "(1, x)" {
-		t.Fatalf("row string: %q", r.String())
+	if c[1] != null {
+		t.Fatalf("clone lost the NULL: %v", c)
 	}
 }
 

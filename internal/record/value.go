@@ -1,168 +1,27 @@
-// Package record defines the engine's value model: typed SQL values,
-// table schemas, the on-page tuple encoding, and an order-preserving key
-// encoding used by the B+tree so composite keys compare correctly as raw
-// bytes.
+// Package record defines the engine's value model: the SQL value (a 64-bit
+// integer or NULL), table schemas, the on-page tuple encoding, and an
+// order-preserving key encoding used by the B+tree so composite keys compare
+// correctly as raw bytes.
 package record
 
-import (
-	"fmt"
-	"math"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Type enumerates the column types the engine supports. The paper's schema
-// only needs integers, but FLOAT and TEXT round the engine out for the
-// examples and tests.
+// (fid, tid, cost; nid, d2s, p2s, f) is all integers, so INT is the only one.
 type Type uint8
 
-// Column types.
-const (
-	TInt Type = iota + 1
-	TFloat
-	TText
-)
+// TInt is the INT column type.
+const TInt Type = 1
 
-func (t Type) String() string {
-	switch t {
-	case TInt:
-		return "INT"
-	case TFloat:
-		return "FLOAT"
-	case TText:
-		return "TEXT"
-	default:
-		return fmt.Sprintf("Type(%d)", uint8(t))
-	}
-}
-
-// Value is one SQL value. The zero Value is NULL of unknown type.
+// Value is one SQL value: an INT, or NULL when Null is set (I is then 0).
+// The zero Value is the integer 0.
 type Value struct {
-	Typ  Type
-	Null bool
 	I    int64
-	F    float64
-	S    string
+	Null bool
 }
 
 // Int returns an INT value.
-func Int(v int64) Value { return Value{Typ: TInt, I: v} }
-
-// Float returns a FLOAT value.
-func Float(v float64) Value { return Value{Typ: TFloat, F: v} }
-
-// Text returns a TEXT value.
-func Text(v string) Value { return Value{Typ: TText, S: v} }
-
-// Null returns a typed NULL.
-func NullOf(t Type) Value { return Value{Typ: t, Null: true} }
-
-// IsNull reports whether the value is NULL.
-func (v Value) IsNull() bool { return v.Null }
-
-// AsFloat widens INT to FLOAT for mixed arithmetic/comparison.
-func (v Value) AsFloat() float64 {
-	if v.Typ == TInt {
-		return float64(v.I)
-	}
-	return v.F
-}
-
-// String renders the value for display and debugging.
-func (v Value) String() string {
-	if v.Null {
-		return "NULL"
-	}
-	switch v.Typ {
-	case TInt:
-		return strconv.FormatInt(v.I, 10)
-	case TFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	case TText:
-		return v.S
-	default:
-		return "?"
-	}
-}
-
-// Compare orders two values: -1, 0, +1. NULL sorts before any non-NULL
-// (needed for deterministic ORDER BY); comparing NULLs yields 0. INT and
-// FLOAT compare numerically across types; TEXT compares lexicographically.
-func Compare(a, b Value) int {
-	switch {
-	case a.Null && b.Null:
-		return 0
-	case a.Null:
-		return -1
-	case b.Null:
-		return 1
-	}
-	if a.Typ == TText || b.Typ == TText {
-		return strings.Compare(a.S, b.S)
-	}
-	if a.Typ == TInt && b.Typ == TInt {
-		switch {
-		case a.I < b.I:
-			return -1
-		case a.I > b.I:
-			return 1
-		}
-		return 0
-	}
-	af, bf := a.AsFloat(), b.AsFloat()
-	switch {
-	case af < bf:
-		return -1
-	case af > bf:
-		return 1
-	}
-	return 0
-}
-
-// Equal reports SQL equality treating NULL = NULL as false (use Compare for
-// ordering semantics, Equal for predicate semantics).
-func Equal(a, b Value) bool {
-	if a.Null || b.Null {
-		return false
-	}
-	return Compare(a, b) == 0
-}
-
-// Truthy interprets a value as a SQL boolean: non-zero numerics are true;
-// NULL is false.
-func (v Value) Truthy() bool {
-	if v.Null {
-		return false
-	}
-	switch v.Typ {
-	case TInt:
-		return v.I != 0
-	case TFloat:
-		return v.F != 0
-	case TText:
-		return v.S != ""
-	}
-	return false
-}
-
-// Row is one tuple flowing through the executor.
-type Row []Value
-
-// Clone deep-copies a row (strings are immutable, so a shallow value copy
-// suffices per element).
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
-func (r Row) String() string {
-	parts := make([]string, len(r))
-	for i, v := range r {
-		parts[i] = v.String()
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
-}
+func Int(v int64) Value { return Value{I: v} }
 
 // Bool converts a Go bool to the engine's boolean representation (INT 0/1).
 func Bool(b bool) Value {
@@ -172,12 +31,42 @@ func Bool(b bool) Value {
 	return Int(0)
 }
 
-// floatBits maps a float64 to an orderable uint64 (IEEE-754 total order for
-// non-NaN values): flip the sign bit for positives, all bits for negatives.
-func floatBits(f float64) uint64 {
-	b := math.Float64bits(f)
-	if b&(1<<63) != 0 {
-		return ^b
+// String renders the value for display and debugging.
+func (v Value) String() string {
+	if v.Null {
+		return "NULL"
 	}
-	return b | (1 << 63)
+	return strconv.FormatInt(v.I, 10)
+}
+
+// Compare orders two values: -1, 0, +1. NULL sorts before any non-NULL;
+// comparing NULLs yields 0.
+func Compare(a, b Value) int {
+	switch {
+	case a.Null && b.Null:
+		return 0
+	case a.Null:
+		return -1
+	case b.Null:
+		return 1
+	case a.I < b.I:
+		return -1
+	case a.I > b.I:
+		return 1
+	}
+	return 0
+}
+
+// Truthy interprets a value as a SQL boolean: non-zero is true; NULL is
+// false.
+func (v Value) Truthy() bool { return !v.Null && v.I != 0 }
+
+// Row is one tuple flowing through the executor.
+type Row []Value
+
+// Clone copies a row.
+func (r Row) Clone() Row {
+	out := make(Row, len(r))
+	copy(out, r)
+	return out
 }

@@ -39,9 +39,6 @@ type CreateIndexStmt struct {
 // DropTableStmt drops a table.
 type DropTableStmt struct{ Name string }
 
-// TruncateStmt discards all rows of a table.
-type TruncateStmt struct{ Name string }
-
 // InsertStmt inserts literal rows or the result of a query.
 type InsertStmt struct {
 	Table  string
@@ -61,7 +58,6 @@ type SetClause struct {
 // emulation).
 type UpdateStmt struct {
 	Table string
-	Alias string
 	Sets  []SetClause
 	From  *TableRef // optional
 	Where Expr
@@ -71,19 +67,6 @@ type UpdateStmt struct {
 type DeleteStmt struct {
 	Table string
 	Where Expr
-}
-
-// SelectItem is one projection; Star marks "*".
-type SelectItem struct {
-	Expr  Expr
-	Alias string
-	Star  bool
-}
-
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Expr Expr
-	Desc bool
 }
 
 // TableRef is a named table or a derived table, with optional alias and
@@ -107,25 +90,21 @@ func (t *TableRef) Name() string {
 type SelectStmt struct {
 	Top      Expr // TOP n (SQL Server spelling used in the paper's listings)
 	Distinct bool
-	Items    []SelectItem
-	From     []*TableRef // comma-join list (JOIN ... ON folds into Where)
+	Items    []Expr
+	From     []*TableRef // comma-join list; only the first may be derived
 	Where    Expr
 	GroupBy  []Expr
 	Having   Expr
-	OrderBy  []OrderItem
-	Limit    Expr // LIMIT n (PostgreSQL spelling)
 }
 
-// MergeMatched is one WHEN MATCHED [AND cond] THEN UPDATE/DELETE branch.
+// MergeMatched is one WHEN MATCHED [AND cond] THEN UPDATE branch.
 type MergeMatched struct {
-	And    Expr
-	Sets   []SetClause
-	Delete bool
+	And  Expr
+	Sets []SetClause
 }
 
 // MergeInsert is the WHEN NOT MATCHED THEN INSERT branch.
 type MergeInsert struct {
-	And  Expr
 	Cols []string
 	Vals []Expr
 }
@@ -143,7 +122,6 @@ type MergeStmt struct {
 func (*CreateTableStmt) stmt() {}
 func (*CreateIndexStmt) stmt() {}
 func (*DropTableStmt) stmt()   {}
-func (*TruncateStmt) stmt()    {}
 func (*InsertStmt) stmt()      {}
 func (*UpdateStmt) stmt()      {}
 func (*DeleteStmt) stmt()      {}
@@ -158,37 +136,32 @@ type ColumnRef struct {
 	Name  string
 }
 
-// Literal is a constant.
+// Literal is an integer constant.
 type Literal struct{ Val record.Value }
 
 // Param is a ? placeholder; Index is its zero-based position.
 type Param struct{ Index int }
 
-// Binary is a binary operation: arithmetic (+ - * /), comparison
+// Binary is a binary operation: arithmetic (+ - *), comparison
 // (= <> < <= > >=), or logical (AND OR).
 type Binary struct {
 	Op   string
 	L, R Expr
 }
 
-// Unary is -expr or NOT expr.
-type Unary struct {
-	Op string
-	E  Expr
-}
-
-// WindowSpec is the OVER(...) clause.
+// WindowSpec is the OVER(...) clause; both lists order ascending.
 type WindowSpec struct {
 	PartitionBy []Expr
-	OrderBy     []OrderItem
+	OrderBy     []Expr
 }
 
-// FuncCall is an aggregate (MIN/MAX/SUM/COUNT/AVG), ROW_NUMBER, or other
-// function; Star marks COUNT(*); Window is non-nil for window functions.
+// FuncCall is an aggregate — MIN(Arg), MAX(Arg) or COUNT(*), whose Arg is
+// nil — or the ROW_NUMBER() window function, whose Window is non-nil. The
+// parser admits no other function, so consumers tell the two kinds apart by
+// Window alone.
 type FuncCall struct {
 	Name   string // upper-cased
-	Args   []Expr
-	Star   bool
+	Arg    Expr
 	Window *WindowSpec
 }
 
@@ -201,26 +174,10 @@ type Exists struct {
 	Select *SelectStmt
 }
 
-// InList is expr [NOT] IN (e1, e2, ...).
-type InList struct {
-	Not   bool
-	E     Expr
-	Items []Expr
-}
-
-// IsNull is expr IS [NOT] NULL.
-type IsNull struct {
-	Not bool
-	E   Expr
-}
-
 func (*ColumnRef) expr() {}
 func (*Literal) expr()   {}
 func (*Param) expr()     {}
 func (*Binary) expr()    {}
-func (*Unary) expr()     {}
 func (*FuncCall) expr()  {}
 func (*Subquery) expr()  {}
 func (*Exists) expr()    {}
-func (*InList) expr()    {}
-func (*IsNull) expr()    {}

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -13,7 +14,6 @@ type Parser struct {
 	toks   []Token
 	pos    int
 	params int
-	src    string
 }
 
 // Parse parses one statement (a trailing semicolon is allowed).
@@ -29,7 +29,7 @@ func ParseStmt(src string) (Statement, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	p := &Parser{toks: toks, src: src}
+	p := &Parser{toks: toks}
 	st, err := p.parseStatement()
 	if err != nil {
 		return nil, 0, err
@@ -41,32 +41,8 @@ func ParseStmt(src string) (Statement, int, error) {
 	return st, p.params, nil
 }
 
-// NumParams reports how many ? placeholders the last Parse call saw.
-// (Callers normally use rdb's prepared statement wrapper instead.)
-func (p *Parser) NumParams() int { return p.params }
-
-// ParamCount parses src and returns the number of placeholders.
-func ParamCount(src string) (int, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, t := range toks {
-		if t.Kind == TokParam {
-			n++
-		}
-	}
-	return n, nil
-}
-
 func (p *Parser) peek() Token { return p.toks[p.pos] }
-func (p *Parser) peek2() Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return Token{Kind: TokEOF}
-}
+
 func (p *Parser) next() Token {
 	t := p.toks[p.pos]
 	if t.Kind != TokEOF {
@@ -75,8 +51,13 @@ func (p *Parser) next() Token {
 	return t
 }
 
+// errf reports a syntax error at the token the parser is looking at.
 func (p *Parser) errf(format string, args ...any) error {
-	return fmt.Errorf("sql: %s (near byte %d)", fmt.Sprintf(format, args...), p.peek().Pos)
+	return errAt(p.peek(), format, args...)
+}
+
+func errAt(t Token, format string, args ...any) error {
+	return fmt.Errorf("sql: %s (near byte %d)", fmt.Sprintf(format, args...), t.Pos)
 }
 
 func (p *Parser) isKeyword(kw string) bool {
@@ -92,9 +73,12 @@ func (p *Parser) acceptKeyword(kw string) bool {
 	return false
 }
 
-func (p *Parser) expectKeyword(kw string) error {
-	if !p.acceptKeyword(kw) {
-		return p.errf("expected %s, got %q", kw, p.peek().Text)
+// expectKeywords consumes the given keywords in order.
+func (p *Parser) expectKeywords(kws ...string) error {
+	for _, kw := range kws {
+		if !p.acceptKeyword(kw) {
+			return p.errf("expected %s, got %q", kw, p.peek().Text)
+		}
 	}
 	return nil
 }
@@ -129,6 +113,62 @@ func (p *Parser) expectIdent() (string, error) {
 	return "", p.errf("expected identifier, got %q", t.Text)
 }
 
+// parseIdentList parses "(" ident { "," ident } ")".
+func (p *Parser) parseIdentList() ([]string, error) {
+	if err := p.expectSymbol("("); err != nil {
+		return nil, err
+	}
+	var out []string
+	for {
+		c, err := p.expectIdent()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, c)
+		if !p.acceptSymbol(",") {
+			return out, p.expectSymbol(")")
+		}
+	}
+}
+
+// parseExprList parses expr { "," expr }.
+func (p *Parser) parseExprList() ([]Expr, error) {
+	var out []Expr
+	for {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+		if !p.acceptSymbol(",") {
+			return out, nil
+		}
+	}
+}
+
+// parseParenExprList parses "(" expr { "," expr } ")".
+func (p *Parser) parseParenExprList() ([]Expr, error) {
+	if err := p.expectSymbol("("); err != nil {
+		return nil, err
+	}
+	out, err := p.parseExprList()
+	if err != nil {
+		return nil, err
+	}
+	return out, p.expectSymbol(")")
+}
+
+// parseAlias parses an optional [AS] ident.
+func (p *Parser) parseAlias() (string, error) {
+	if p.acceptKeyword("AS") {
+		return p.expectIdent()
+	}
+	if p.peek().Kind == TokIdent {
+		return p.next().Text, nil
+	}
+	return "", nil
+}
+
 func (p *Parser) parseStatement() (Statement, error) {
 	switch {
 	case p.isKeyword("SELECT"):
@@ -143,8 +183,6 @@ func (p *Parser) parseStatement() (Statement, error) {
 		return p.parseCreate()
 	case p.isKeyword("DROP"):
 		return p.parseDrop()
-	case p.isKeyword("TRUNCATE"):
-		return p.parseTruncate()
 	case p.isKeyword("MERGE"):
 		return p.parseMerge()
 	}
@@ -154,210 +192,79 @@ func (p *Parser) parseStatement() (Statement, error) {
 // --- SELECT -----------------------------------------------------------------
 
 func (p *Parser) parseSelect() (*SelectStmt, error) {
-	if err := p.expectKeyword("SELECT"); err != nil {
+	if err := p.expectKeywords("SELECT"); err != nil {
 		return nil, err
 	}
 	st := &SelectStmt{}
+	var err error
 	if p.acceptKeyword("TOP") {
-		e, err := p.parsePrimary()
-		if err != nil {
+		if st.Top, err = p.parsePrimary(); err != nil {
 			return nil, err
 		}
-		st.Top = e
 	}
-	if p.acceptKeyword("DISTINCT") {
-		st.Distinct = true
-	}
-	for {
-		if p.acceptSymbol("*") {
-			st.Items = append(st.Items, SelectItem{Star: true})
-		} else {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := SelectItem{Expr: e}
-			if p.acceptKeyword("AS") {
-				a, err := p.expectIdent()
-				if err != nil {
-					return nil, err
-				}
-				item.Alias = a
-			} else if p.peek().Kind == TokIdent {
-				item.Alias = p.next().Text
-			}
-			st.Items = append(st.Items, item)
-		}
-		if !p.acceptSymbol(",") {
-			break
-		}
+	st.Distinct = p.acceptKeyword("DISTINCT")
+	if st.Items, err = p.parseExprList(); err != nil {
+		return nil, err
 	}
 	if p.acceptKeyword("FROM") {
-		tr, err := p.parseTableRef()
-		if err != nil {
-			return nil, err
-		}
-		st.From = append(st.From, tr)
 		for {
-			if p.acceptSymbol(",") {
-				tr, err := p.parseTableRef()
-				if err != nil {
-					return nil, err
-				}
-				st.From = append(st.From, tr)
-				continue
+			if len(st.From) > 0 && p.isSymbol("(") {
+				return nil, p.errf("expected table name, got %q: a derived table must come first in FROM", "(")
 			}
-			// [INNER] JOIN tr ON cond  folds the condition into WHERE.
-			inner := p.acceptKeyword("INNER")
-			if p.acceptKeyword("JOIN") {
-				tr, err := p.parseTableRef()
-				if err != nil {
-					return nil, err
-				}
-				st.From = append(st.From, tr)
-				if err := p.expectKeyword("ON"); err != nil {
-					return nil, err
-				}
-				cond, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				if st.Where == nil {
-					st.Where = cond
-				} else {
-					st.Where = &Binary{Op: "AND", L: st.Where, R: cond}
-				}
-				continue
-			}
-			if inner {
-				return nil, p.errf("INNER must be followed by JOIN")
-			}
-			break
-		}
-	}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if st.Where == nil {
-			st.Where = e
-		} else {
-			st.Where = &Binary{Op: "AND", L: st.Where, R: e}
-		}
-	}
-	if p.acceptKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
+			tr, err := p.parseTableRef()
 			if err != nil {
 				return nil, err
 			}
-			st.GroupBy = append(st.GroupBy, e)
+			st.From = append(st.From, tr)
 			if !p.acceptSymbol(",") {
 				break
 			}
 		}
+	}
+	if p.acceptKeyword("WHERE") {
+		if st.Where, err = p.parseExpr(); err != nil {
+			return nil, err
+		}
+	}
+	if p.acceptKeyword("GROUP") {
+		if err := p.expectKeywords("BY"); err != nil {
+			return nil, err
+		}
+		if st.GroupBy, err = p.parseExprList(); err != nil {
+			return nil, err
+		}
 		if p.acceptKeyword("HAVING") {
-			e, err := p.parseExpr()
-			if err != nil {
+			if st.Having, err = p.parseExpr(); err != nil {
 				return nil, err
 			}
-			st.Having = e
 		}
-	}
-	if p.acceptKeyword("ORDER") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		items, err := p.parseOrderList()
-		if err != nil {
-			return nil, err
-		}
-		st.OrderBy = items
-	}
-	if p.acceptKeyword("LIMIT") {
-		e, err := p.parsePrimary()
-		if err != nil {
-			return nil, err
-		}
-		st.Limit = e
 	}
 	return st, nil
 }
 
-func (p *Parser) parseOrderList() ([]OrderItem, error) {
-	var items []OrderItem
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		it := OrderItem{Expr: e}
-		if p.acceptKeyword("DESC") {
-			it.Desc = true
-		} else {
-			p.acceptKeyword("ASC")
-		}
-		items = append(items, it)
-		if !p.acceptSymbol(",") {
-			break
-		}
-	}
-	return items, nil
-}
-
+// parseTableRef parses a table name or a parenthesized query, its alias
+// (required for a query) and an optional derived-column list.
 func (p *Parser) parseTableRef() (*TableRef, error) {
 	tr := &TableRef{}
-	if p.isSymbol("(") {
-		// Derived table.
-		p.next()
-		sub, err := p.parseSelect()
-		if err != nil {
+	var err error
+	if p.acceptSymbol("(") {
+		if tr.Sub, err = p.parseSelect(); err != nil {
 			return nil, err
 		}
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
-		tr.Sub = sub
-	} else {
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		tr.Table = name
+	} else if tr.Table, err = p.expectIdent(); err != nil {
+		return nil, err
 	}
-	if p.acceptKeyword("AS") {
-		a, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		tr.Alias = a
-	} else if p.peek().Kind == TokIdent {
-		tr.Alias = p.next().Text
-	}
-	if tr.Sub == nil && tr.Alias == "" && tr.Table == "" {
-		return nil, p.errf("empty table reference")
+	if tr.Alias, err = p.parseAlias(); err != nil {
+		return nil, err
 	}
 	if tr.Sub != nil && tr.Alias == "" {
 		return nil, p.errf("derived table requires an alias")
 	}
-	// Optional derived-column list: alias (c1, c2, ...).
 	if p.isSymbol("(") && tr.Alias != "" {
-		p.next()
-		for {
-			c, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			tr.SubCols = append(tr.SubCols, c)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if err := p.expectSymbol(")"); err != nil {
+		if tr.SubCols, err = p.parseIdentList(); err != nil {
 			return nil, err
 		}
 	}
@@ -367,10 +274,7 @@ func (p *Parser) parseTableRef() (*TableRef, error) {
 // --- INSERT / UPDATE / DELETE ------------------------------------------------
 
 func (p *Parser) parseInsert() (*InsertStmt, error) {
-	if err := p.expectKeyword("INSERT"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("INTO"); err != nil {
+	if err := p.expectKeywords("INSERT", "INTO"); err != nil {
 		return nil, err
 	}
 	name, err := p.expectIdent()
@@ -378,61 +282,30 @@ func (p *Parser) parseInsert() (*InsertStmt, error) {
 		return nil, err
 	}
 	st := &InsertStmt{Table: name}
-	if p.isSymbol("(") {
-		p.next()
-		for {
-			c, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			st.Cols = append(st.Cols, c)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
+	if st.Cols, err = p.parseIdentList(); err != nil {
+		return nil, err
 	}
 	if p.acceptKeyword("VALUES") {
 		for {
-			if err := p.expectSymbol("("); err != nil {
-				return nil, err
-			}
-			var row []Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, e)
-				if !p.acceptSymbol(",") {
-					break
-				}
-			}
-			if err := p.expectSymbol(")"); err != nil {
+			row, err := p.parseParenExprList()
+			if err != nil {
 				return nil, err
 			}
 			st.Rows = append(st.Rows, row)
 			if !p.acceptSymbol(",") {
-				break
+				return st, nil
 			}
 		}
-		return st, nil
 	}
-	if p.isKeyword("SELECT") {
-		sel, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		st.Select = sel
-		return st, nil
+	if !p.isKeyword("SELECT") {
+		return nil, p.errf("expected VALUES or SELECT in INSERT, got %q", p.peek().Text)
 	}
-	return nil, p.errf("expected VALUES or SELECT in INSERT")
+	st.Select, err = p.parseSelect()
+	return st, err
 }
 
 func (p *Parser) parseUpdate() (*UpdateStmt, error) {
-	if err := p.expectKeyword("UPDATE"); err != nil {
+	if err := p.expectKeywords("UPDATE"); err != nil {
 		return nil, err
 	}
 	name, err := p.expectIdent()
@@ -440,36 +313,21 @@ func (p *Parser) parseUpdate() (*UpdateStmt, error) {
 		return nil, err
 	}
 	st := &UpdateStmt{Table: name}
-	if p.acceptKeyword("AS") {
-		a, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		st.Alias = a
-	} else if p.peek().Kind == TokIdent && !p.isKeyword("SET") {
-		st.Alias = p.next().Text
-	}
-	if err := p.expectKeyword("SET"); err != nil {
+	if err := p.expectKeywords("SET"); err != nil {
 		return nil, err
 	}
-	sets, err := p.parseSetList()
-	if err != nil {
+	if st.Sets, err = p.parseSetList(); err != nil {
 		return nil, err
 	}
-	st.Sets = sets
 	if p.acceptKeyword("FROM") {
-		tr, err := p.parseTableRef()
-		if err != nil {
+		if st.From, err = p.parseTableRef(); err != nil {
 			return nil, err
 		}
-		st.From = tr
 	}
 	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
+		if st.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		st.Where = e
 	}
 	return st, nil
 }
@@ -490,17 +348,13 @@ func (p *Parser) parseSetList() ([]SetClause, error) {
 		}
 		sets = append(sets, SetClause{Col: c, Val: e})
 		if !p.acceptSymbol(",") {
-			break
+			return sets, nil
 		}
 	}
-	return sets, nil
 }
 
 func (p *Parser) parseDelete() (*DeleteStmt, error) {
-	if err := p.expectKeyword("DELETE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("FROM"); err != nil {
+	if err := p.expectKeywords("DELETE", "FROM"); err != nil {
 		return nil, err
 	}
 	name, err := p.expectIdent()
@@ -509,11 +363,9 @@ func (p *Parser) parseDelete() (*DeleteStmt, error) {
 	}
 	st := &DeleteStmt{Table: name}
 	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
+		if st.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		st.Where = e
 	}
 	return st, nil
 }
@@ -521,105 +373,63 @@ func (p *Parser) parseDelete() (*DeleteStmt, error) {
 // --- DDL ----------------------------------------------------------------------
 
 func (p *Parser) parseCreate() (Statement, error) {
-	if err := p.expectKeyword("CREATE"); err != nil {
+	if err := p.expectKeywords("CREATE"); err != nil {
 		return nil, err
 	}
-	unique := p.acceptKeyword("UNIQUE")
-	clustered := p.acceptKeyword("CLUSTERED")
 	if p.acceptKeyword("TABLE") {
-		if unique || clustered {
-			return nil, p.errf("UNIQUE/CLUSTERED not valid on CREATE TABLE")
-		}
-		name, err := p.expectIdent()
+		return p.parseCreateTable()
+	}
+	st := &CreateIndexStmt{Unique: p.acceptKeyword("UNIQUE"), Clustered: p.acceptKeyword("CLUSTERED")}
+	if !p.acceptKeyword("INDEX") {
+		return nil, p.errf("expected TABLE or [UNIQUE] [CLUSTERED] INDEX after CREATE, got %q", p.peek().Text)
+	}
+	var err error
+	if st.Name, err = p.expectIdent(); err != nil {
+		return nil, err
+	}
+	if err := p.expectKeywords("ON"); err != nil {
+		return nil, err
+	}
+	if st.Table, err = p.expectIdent(); err != nil {
+		return nil, err
+	}
+	st.Cols, err = p.parseIdentList()
+	return st, err
+}
+
+func (p *Parser) parseCreateTable() (Statement, error) {
+	name, err := p.expectIdent()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectSymbol("("); err != nil {
+		return nil, err
+	}
+	st := &CreateTableStmt{Name: name}
+	for {
+		cn, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
+		if !p.acceptKeyword("INT") {
+			return nil, p.errf("expected column type INT, got %q", p.peek().Text)
 		}
-		st := &CreateTableStmt{Name: name}
-		for {
-			cn, err := p.expectIdent()
-			if err != nil {
+		cd := ColumnDef{Name: cn, Type: record.TInt}
+		if p.acceptKeyword("PRIMARY") {
+			if err := p.expectKeywords("KEY"); err != nil {
 				return nil, err
 			}
-			var typ record.Type
-			switch {
-			case p.acceptKeyword("INT"), p.acceptKeyword("INTEGER"):
-				typ = record.TInt
-			case p.acceptKeyword("FLOAT"):
-				typ = record.TFloat
-			case p.acceptKeyword("TEXT"), p.acceptKeyword("VARCHAR"):
-				typ = record.TText
-				// Optional length: VARCHAR(100)
-				if p.acceptSymbol("(") {
-					if p.peek().Kind != TokNumber {
-						return nil, p.errf("expected length in VARCHAR(n)")
-					}
-					p.next()
-					if err := p.expectSymbol(")"); err != nil {
-						return nil, err
-					}
-				}
-			default:
-				return nil, p.errf("expected column type, got %q", p.peek().Text)
-			}
-			cd := ColumnDef{Name: cn, Type: typ}
-			if p.acceptKeyword("PRIMARY") {
-				if err := p.expectKeyword("KEY"); err != nil {
-					return nil, err
-				}
-				cd.PrimaryKey = true
-			}
-			st.Cols = append(st.Cols, cd)
-			if !p.acceptSymbol(",") {
-				break
-			}
+			cd.PrimaryKey = true
 		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
+		st.Cols = append(st.Cols, cd)
+		if !p.acceptSymbol(",") {
+			return st, p.expectSymbol(")")
 		}
-		return st, nil
 	}
-	if p.acceptKeyword("INDEX") {
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("ON"); err != nil {
-			return nil, err
-		}
-		tbl, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		st := &CreateIndexStmt{Name: name, Table: tbl, Unique: unique, Clustered: clustered}
-		for {
-			c, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			st.Cols = append(st.Cols, c)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		return st, nil
-	}
-	return nil, p.errf("expected TABLE or INDEX after CREATE")
 }
 
 func (p *Parser) parseDrop() (Statement, error) {
-	if err := p.expectKeyword("DROP"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("TABLE"); err != nil {
+	if err := p.expectKeywords("DROP", "TABLE"); err != nil {
 		return nil, err
 	}
 	name, err := p.expectIdent()
@@ -629,24 +439,10 @@ func (p *Parser) parseDrop() (Statement, error) {
 	return &DropTableStmt{Name: name}, nil
 }
 
-func (p *Parser) parseTruncate() (Statement, error) {
-	if err := p.expectKeyword("TRUNCATE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	return &TruncateStmt{Name: name}, nil
-}
-
 // --- MERGE ---------------------------------------------------------------------
 
 func (p *Parser) parseMerge() (*MergeStmt, error) {
-	if err := p.expectKeyword("MERGE"); err != nil {
+	if err := p.expectKeywords("MERGE"); err != nil {
 		return nil, err
 	}
 	p.acceptKeyword("INTO")
@@ -655,129 +451,54 @@ func (p *Parser) parseMerge() (*MergeStmt, error) {
 		return nil, err
 	}
 	st := &MergeStmt{Target: name}
-	if p.acceptKeyword("AS") {
-		a, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		st.TargetAlias = a
-	} else if p.peek().Kind == TokIdent {
-		st.TargetAlias = p.next().Text
-	}
-	if err := p.expectKeyword("USING"); err != nil {
+	if st.TargetAlias, err = p.parseAlias(); err != nil {
 		return nil, err
 	}
-	src, err := p.parseTableRef()
-	if err != nil {
+	if err := p.expectKeywords("USING"); err != nil {
 		return nil, err
 	}
-	st.Source = src
-	if err := p.expectKeyword("ON"); err != nil {
+	if st.Source, err = p.parseTableRef(); err != nil {
 		return nil, err
 	}
-	on, err := p.parseExpr()
-	if err != nil {
+	if err := p.expectKeywords("ON"); err != nil {
 		return nil, err
 	}
-	st.On = on
-	for p.isKeyword("WHEN") {
-		p.next()
+	if st.On, err = p.parseExpr(); err != nil {
+		return nil, err
+	}
+	for p.acceptKeyword("WHEN") {
 		if p.acceptKeyword("MATCHED") {
 			m := &MergeMatched{}
 			if p.acceptKeyword("AND") {
-				e, err := p.parseExpr()
-				if err != nil {
+				if m.And, err = p.parseExpr(); err != nil {
 					return nil, err
 				}
-				m.And = e
 			}
-			if err := p.expectKeyword("THEN"); err != nil {
+			if err := p.expectKeywords("THEN", "UPDATE", "SET"); err != nil {
 				return nil, err
 			}
-			if p.acceptKeyword("DELETE") {
-				m.Delete = true
-			} else {
-				if err := p.expectKeyword("UPDATE"); err != nil {
-					return nil, err
-				}
-				if err := p.expectKeyword("SET"); err != nil {
-					return nil, err
-				}
-				sets, err := p.parseSetList()
-				if err != nil {
-					return nil, err
-				}
-				m.Sets = sets
+			if m.Sets, err = p.parseSetList(); err != nil {
+				return nil, err
 			}
 			st.Matched = append(st.Matched, m)
 			continue
 		}
-		if err := p.expectKeyword("NOT"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("MATCHED"); err != nil {
-			return nil, err
-		}
-		// Optional "BY TARGET".
-		if p.acceptKeyword("BY") {
-			word, err := p.expectIdent()
-			if err != nil || !strings.EqualFold(word, "target") {
-				return nil, p.errf("expected TARGET after BY")
-			}
-		}
-		ins := &MergeInsert{}
-		if p.acceptKeyword("AND") {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			ins.And = e
-		}
-		if err := p.expectKeyword("THEN"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("INSERT"); err != nil {
-			return nil, err
-		}
-		if p.isSymbol("(") {
-			p.next()
-			for {
-				c, err := p.expectIdent()
-				if err != nil {
-					return nil, err
-				}
-				ins.Cols = append(ins.Cols, c)
-				if !p.acceptSymbol(",") {
-					break
-				}
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-		}
-		if err := p.expectKeyword("VALUES"); err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			ins.Vals = append(ins.Vals, e)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if err := p.expectSymbol(")"); err != nil {
+		if err := p.expectKeywords("NOT", "MATCHED", "THEN", "INSERT"); err != nil {
 			return nil, err
 		}
 		if st.NotMatched != nil {
 			return nil, p.errf("multiple WHEN NOT MATCHED branches")
 		}
-		st.NotMatched = ins
+		st.NotMatched = &MergeInsert{}
+		if st.NotMatched.Cols, err = p.parseIdentList(); err != nil {
+			return nil, err
+		}
+		if err := p.expectKeywords("VALUES"); err != nil {
+			return nil, err
+		}
+		if st.NotMatched.Vals, err = p.parseParenExprList(); err != nil {
+			return nil, err
+		}
 	}
 	if len(st.Matched) == 0 && st.NotMatched == nil {
 		return nil, p.errf("MERGE requires at least one WHEN branch")
@@ -787,329 +508,164 @@ func (p *Parser) parseMerge() (*MergeStmt, error) {
 
 // --- expressions -----------------------------------------------------------------
 
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *Parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: "OR", L: l, R: r}
-	}
-	return l, nil
+// parseExpr parses a disjunction: OR binds loosest, then AND, then one
+// comparison, then + and -, then *.
+func (p *Parser) parseExpr() (Expr, error) {
+	return p.parseLeftAssoc(p.parseAnd, "OR")
 }
 
 func (p *Parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
+	return p.parseLeftAssoc(p.parsePredicate, "AND")
+}
+
+// parseLeftAssoc parses operand { op operand } for the operators ops (keywords
+// or symbols: no other token can spell one) into a left-deep tree of Binary
+// nodes.
+func (p *Parser) parseLeftAssoc(operand func() (Expr, error), ops ...string) (Expr, error) {
+	l, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for p.acceptKeyword("AND") {
-		r, err := p.parseNot()
+	for {
+		t := p.peek()
+		if !slices.Contains(ops, t.Text) {
+			return l, nil
+		}
+		p.next()
+		r, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Op: "AND", L: l, R: r}
+		l = &Binary{Op: t.Text, L: l, R: r}
 	}
-	return l, nil
 }
 
-func (p *Parser) parseNot() (Expr, error) {
-	if p.isKeyword("NOT") && !(p.peek2().Kind == TokKeyword && p.peek2().Text == "EXISTS") {
-		p.next()
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "NOT", E: e}, nil
-	}
-	return p.parsePredicate()
-}
+var comparisonOps = []string{"=", "<>", "<", "<=", ">", ">="}
 
 func (p *Parser) parsePredicate() (Expr, error) {
-	if p.isKeyword("NOT") && p.peek2().Kind == TokKeyword && p.peek2().Text == "EXISTS" {
-		p.next()
-		return p.parseExists(true)
-	}
-	if p.isKeyword("EXISTS") {
-		return p.parseExists(false)
+	not := p.acceptKeyword("NOT")
+	if not || p.isKeyword("EXISTS") {
+		// NOT negates EXISTS and nothing else.
+		if err := p.expectKeywords("EXISTS"); err != nil {
+			return nil, err
+		}
+		if err := p.expectSymbol("("); err != nil {
+			return nil, err
+		}
+		sel, err := p.parseSelect()
+		if err != nil {
+			return nil, err
+		}
+		return &Exists{Not: not, Select: sel}, p.expectSymbol(")")
 	}
 	l, err := p.parseAdd()
 	if err != nil {
 		return nil, err
 	}
-	t := p.peek()
-	if t.Kind == TokSymbol {
-		switch t.Text {
-		case "=", "<>", "<", "<=", ">", ">=":
-			p.next()
-			r, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return &Binary{Op: t.Text, L: l, R: r}, nil
-		}
-	}
-	if p.isKeyword("IS") {
+	if t := p.peek(); slices.Contains(comparisonOps, t.Text) {
 		p.next()
-		not := p.acceptKeyword("NOT")
-		if err := p.expectKeyword("NULL"); err != nil {
-			return nil, err
-		}
-		return &IsNull{Not: not, E: l}, nil
-	}
-	notIn := false
-	if p.isKeyword("NOT") && p.peek2().Kind == TokKeyword && p.peek2().Text == "IN" {
-		p.next()
-		notIn = true
-	}
-	if p.acceptKeyword("IN") {
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		in := &InList{Not: notIn, E: l}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			in.Items = append(in.Items, e)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		return in, nil
-	}
-	if p.acceptKeyword("BETWEEN") {
-		lo, err := p.parseAdd()
+		r, err := p.parseAdd()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectKeyword("AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: "AND",
-			L: &Binary{Op: ">=", L: l, R: lo},
-			R: &Binary{Op: "<=", L: l, R: hi}}, nil
+		return &Binary{Op: t.Text, L: l, R: r}, nil
 	}
 	return l, nil
 }
 
-func (p *Parser) parseExists(not bool) (Expr, error) {
-	if err := p.expectKeyword("EXISTS"); err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
-	}
-	sel, err := p.parseSelect()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol(")"); err != nil {
-		return nil, err
-	}
-	return &Exists{Not: not, Select: sel}, nil
-}
-
 func (p *Parser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.Kind == TokSymbol && (t.Text == "+" || t.Text == "-") {
-			p.next()
-			r, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: t.Text, L: l, R: r}
-			continue
-		}
-		return l, nil
-	}
+	return p.parseLeftAssoc(p.parseMul, "+", "-")
 }
 
 func (p *Parser) parseMul() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.Kind == TokSymbol && (t.Text == "*" || t.Text == "/") {
-			p.next()
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: t.Text, L: l, R: r}
-			continue
-		}
-		return l, nil
-	}
-}
-
-func (p *Parser) parseUnary() (Expr, error) {
-	if p.isSymbol("-") {
-		p.next()
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "-", E: e}, nil
-	}
-	return p.parsePrimary()
+	return p.parseLeftAssoc(p.parsePrimary, "*")
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {
-	t := p.peek()
-	switch t.Kind {
-	case TokNumber:
-		p.next()
-		if strings.Contains(t.Text, ".") {
-			f, err := strconv.ParseFloat(t.Text, 64)
-			if err != nil {
-				return nil, p.errf("bad float %q", t.Text)
-			}
-			return &Literal{Val: record.Float(f)}, nil
-		}
+	t := p.next()
+	switch {
+	case t.Kind == TokNumber:
 		i, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return nil, p.errf("bad integer %q", t.Text)
+			return nil, errAt(t, "integer %q out of range", t.Text)
 		}
 		return &Literal{Val: record.Int(i)}, nil
-	case TokString:
-		p.next()
-		return &Literal{Val: record.Text(t.Text)}, nil
-	case TokParam:
-		p.next()
-		e := &Param{Index: p.params}
+	case t.Kind == TokParam:
 		p.params++
-		return e, nil
-	case TokKeyword:
-		switch t.Text {
-		case "NULL":
-			p.next()
-			return &Literal{Val: record.Value{Null: true}}, nil
-		case "EXISTS":
-			return p.parseExists(false)
+		return &Param{Index: p.params - 1}, nil
+	case t.Kind == TokSymbol && t.Text == "(":
+		var e Expr
+		var err error
+		if p.isKeyword("SELECT") {
+			var sel *SelectStmt
+			sel, err = p.parseSelect()
+			e = &Subquery{Select: sel}
+		} else {
+			e, err = p.parseExpr()
 		}
-		return nil, p.errf("unexpected keyword %q in expression", t.Text)
-	case TokSymbol:
-		if t.Text == "(" {
-			p.next()
-			if p.isKeyword("SELECT") {
-				sel, err := p.parseSelect()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectSymbol(")"); err != nil {
-					return nil, err
-				}
-				return &Subquery{Select: sel}, nil
-			}
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+		if err != nil {
+			return nil, err
 		}
-		if t.Text == "*" {
-			// COUNT(*) is handled in parseFuncArgs; a bare * is invalid here.
-			return nil, p.errf("unexpected *")
-		}
-		return nil, p.errf("unexpected symbol %q", t.Text)
-	case TokIdent:
-		name := p.next().Text
-		if p.isSymbol("(") {
-			return p.parseFuncCall(name)
+		return e, p.expectSymbol(")")
+	case t.Kind == TokIdent:
+		if p.acceptSymbol("(") {
+			return p.parseFuncCall(t)
 		}
 		if p.acceptSymbol(".") {
 			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			return &ColumnRef{Table: name, Name: col}, nil
+			return &ColumnRef{Table: t.Text, Name: col}, err
 		}
-		return &ColumnRef{Name: name}, nil
+		return &ColumnRef{Name: t.Text}, nil
 	}
-	return nil, p.errf("unexpected token %q", t.Text)
+	return nil, errAt(t, "unexpected %q in expression", t.Text)
 }
 
-func (p *Parser) parseFuncCall(name string) (Expr, error) {
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
-	}
-	fc := &FuncCall{Name: strings.ToUpper(name)}
-	if p.acceptSymbol("*") {
-		fc.Star = true
-	} else if !p.isSymbol(")") {
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			fc.Args = append(fc.Args, e)
-			if !p.acceptSymbol(",") {
-				break
-			}
+// parseFuncCall parses, after "name(", the rest of one of the dialect's four
+// functions: MIN(expr), MAX(expr), COUNT(*) and ROW_NUMBER() OVER
+// ([PARTITION BY exprs] [ORDER BY exprs]).
+func (p *Parser) parseFuncCall(name Token) (Expr, error) {
+	fc := &FuncCall{Name: strings.ToUpper(name.Text)}
+	var err error
+	switch fc.Name {
+	case "MIN", "MAX":
+		if fc.Arg, err = p.parseExpr(); err != nil {
+			return nil, err
 		}
+		return fc, p.expectSymbol(")")
+	case "COUNT":
+		if err := p.expectSymbol("*"); err != nil {
+			return nil, err
+		}
+		return fc, p.expectSymbol(")")
+	case "ROW_NUMBER":
+	default:
+		return nil, errAt(name, "unknown function %q", name.Text)
 	}
 	if err := p.expectSymbol(")"); err != nil {
 		return nil, err
 	}
-	if p.acceptKeyword("OVER") {
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		w := &WindowSpec{}
-		if p.acceptKeyword("PARTITION") {
-			if err := p.expectKeyword("BY"); err != nil {
-				return nil, err
-			}
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				w.PartitionBy = append(w.PartitionBy, e)
-				if !p.acceptSymbol(",") {
-					break
-				}
-			}
-		}
-		if p.acceptKeyword("ORDER") {
-			if err := p.expectKeyword("BY"); err != nil {
-				return nil, err
-			}
-			items, err := p.parseOrderList()
-			if err != nil {
-				return nil, err
-			}
-			w.OrderBy = items
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		fc.Window = w
+	if err := p.expectKeywords("OVER"); err != nil {
+		return nil, err
 	}
-	return fc, nil
+	if err := p.expectSymbol("("); err != nil {
+		return nil, err
+	}
+	fc.Window = &WindowSpec{}
+	if p.acceptKeyword("PARTITION") {
+		if err := p.expectKeywords("BY"); err != nil {
+			return nil, err
+		}
+		if fc.Window.PartitionBy, err = p.parseExprList(); err != nil {
+			return nil, err
+		}
+	}
+	if p.acceptKeyword("ORDER") {
+		if err := p.expectKeywords("BY"); err != nil {
+			return nil, err
+		}
+		if fc.Window.OrderBy, err = p.parseExprList(); err != nil {
+			return nil, err
+		}
+	}
+	return fc, p.expectSymbol(")")
 }

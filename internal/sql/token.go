@@ -1,9 +1,11 @@
 // Package sql implements the lexer, AST and recursive-descent parser for
-// the SQL dialect the engine executes. The dialect covers everything the
-// paper's listings use: SELECT with comma joins, derived tables, GROUP BY,
-// ORDER BY, TOP, scalar and EXISTS subqueries, the ROW_NUMBER window
-// function (SQL:2003), and the MERGE statement (SQL:2008), plus the DML/DDL
-// around them.
+// the SQL dialect the engine executes, which is the SQL the FEM clients
+// issue and no more: SELECT with comma joins, a leading derived table, GROUP
+// BY / HAVING, TOP, DISTINCT, scalar and [NOT] EXISTS subqueries, MIN / MAX /
+// COUNT, the ROW_NUMBER window function (SQL:2003) and the MERGE statement
+// (SQL:2008), plus INSERT / UPDATE [FROM] / DELETE and the CREATE / DROP DDL
+// around them, over integer literals and ? parameters. The grammar is in
+// docs/ARCHITECTURE.md §SQL dialect; sql_test.go lists what is outside it.
 package sql
 
 import (
@@ -20,8 +22,7 @@ const (
 	TokEOF TokenKind = iota
 	TokIdent
 	TokKeyword
-	TokNumber
-	TokString
+	TokNumber // an unsigned integer
 	TokParam  // ?
 	TokSymbol // operators and punctuation
 )
@@ -34,31 +35,18 @@ type Token struct {
 	Pos  int // byte offset in the input
 }
 
-func (t Token) String() string {
-	switch t.Kind {
-	case TokEOF:
-		return "<eof>"
-	case TokString:
-		return "'" + t.Text + "'"
-	default:
-		return t.Text
-	}
-}
-
+// NULL names nothing in the grammar: it stays reserved so that the literal
+// the dialect does not have is a parse error, not a column called NULL.
 var keywords = map[string]bool{
 	"SELECT": true, "TOP": true, "DISTINCT": true, "FROM": true,
-	"WHERE": true, "GROUP": true, "BY": true, "ORDER": true,
-	"ASC": true, "DESC": true, "AND": true, "OR": true, "NOT": true,
+	"WHERE": true, "GROUP": true, "BY": true, "HAVING": true, "ORDER": true,
+	"AND": true, "OR": true, "NOT": true, "EXISTS": true, "NULL": true,
 	"AS": true, "INSERT": true, "INTO": true, "VALUES": true,
 	"UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,
 	"UNIQUE": true, "CLUSTERED": true, "INDEX": true, "TABLE": true,
 	"DROP": true, "ON": true, "MERGE": true, "USING": true,
-	"WHEN": true, "MATCHED": true, "THEN": true, "EXISTS": true,
-	"NULL": true, "IS": true, "OVER": true, "PARTITION": true,
-	"INT": true, "INTEGER": true, "FLOAT": true, "TEXT": true,
-	"VARCHAR": true, "PRIMARY": true, "KEY": true, "LIMIT": true,
-	"JOIN": true, "INNER": true, "IN": true, "TRUNCATE": true,
-	"HAVING": true, "BETWEEN": true,
+	"WHEN": true, "MATCHED": true, "THEN": true, "OVER": true,
+	"PARTITION": true, "INT": true, "PRIMARY": true, "KEY": true,
 }
 
 // Lexer tokenizes a SQL string.
@@ -90,41 +78,10 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokIdent, Text: word, Pos: start}, nil
 	case c >= '0' && c <= '9':
-		seenDot := false
-		for l.pos < len(l.src) {
-			ch := l.src[l.pos]
-			if ch == '.' && !seenDot {
-				seenDot = true
-				l.pos++
-				continue
-			}
-			if ch < '0' || ch > '9' {
-				break
-			}
+		for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
 			l.pos++
 		}
 		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
-	case c == '\'':
-		l.pos++
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("sql: unterminated string at %d", start)
-			}
-			ch := l.src[l.pos]
-			if ch == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteByte('\'')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				break
-			}
-			sb.WriteByte(ch)
-			l.pos++
-		}
-		return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
 	case c == '?':
 		l.pos++
 		return Token{Kind: TokParam, Text: "?", Pos: start}, nil
@@ -135,15 +92,12 @@ func (l *Lexer) Next() (Token, error) {
 			two = l.src[l.pos : l.pos+2]
 		}
 		switch two {
-		case "<=", ">=", "<>", "!=":
+		case "<=", ">=", "<>":
 			l.pos += 2
-			if two == "!=" {
-				two = "<>"
-			}
 			return Token{Kind: TokSymbol, Text: two, Pos: start}, nil
 		}
 		switch c {
-		case '=', '<', '>', '+', '-', '*', '/', '(', ')', ',', '.', ';':
+		case '=', '<', '>', '+', '-', '*', '(', ')', ',', '.', ';':
 			l.pos++
 			return Token{Kind: TokSymbol, Text: string(c), Pos: start}, nil
 		}
@@ -152,18 +106,7 @@ func (l *Lexer) Next() (Token, error) {
 }
 
 func (l *Lexer) skipSpace() {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
-			// line comment
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
-			}
-			continue
-		}
-		if !unicode.IsSpace(rune(c)) {
-			return
-		}
+	for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
 		l.pos++
 	}
 }
@@ -176,7 +119,7 @@ func isIdentCont(c byte) bool {
 	return isIdentStart(c) || (c >= '0' && c <= '9')
 }
 
-// Tokenize lexes the whole input (test helper).
+// Tokenize lexes the whole input.
 func Tokenize(src string) ([]Token, error) {
 	l := NewLexer(src)
 	var out []Token

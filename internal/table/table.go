@@ -138,12 +138,8 @@ func indexKey(ix *Index, row record.Row, loc Loc) []byte {
 	return k
 }
 
-// Insert validates and stores a row, maintaining all indexes.
+// Insert stores a row, maintaining all indexes.
 func (t *Table) Insert(row record.Row) (Loc, error) {
-	if err := t.Schema.Validate(row); err != nil {
-		return Loc{}, err
-	}
-	t.Schema.Coerce(row)
 	data, err := record.EncodeTuple(nil, t.Schema, row)
 	if err != nil {
 		return Loc{}, err
@@ -240,29 +236,27 @@ func (t *Table) Delete(loc Loc, row record.Row) error {
 
 // Update replaces the row at loc with newRow, returning the row's new
 // location. Clustered-key changes or heap relocations are handled by
-// delete+insert of the affected index entries.
+// delete+insert of the affected index entries; a unique key the update moves
+// is checked first, so a violation leaves the table as it was.
 func (t *Table) Update(loc Loc, oldRow, newRow record.Row) (Loc, error) {
-	if err := t.Schema.Validate(newRow); err != nil {
+	data, err := record.EncodeTuple(nil, t.Schema, newRow)
+	if err != nil {
 		return Loc{}, err
 	}
-	t.Schema.Coerce(newRow)
-	if t.clustered != nil {
-		keyChanged := false
-		for _, c := range t.clustered.Cols {
-			if record.Compare(oldRow[c], newRow[c]) != 0 {
-				keyChanged = true
-				break
-			}
+	if err := t.movedKeyTaken(t.clustered, oldRow, newRow); err != nil {
+		return Loc{}, err
+	}
+	for _, ix := range t.Secondary {
+		if err := t.movedKeyTaken(ix, oldRow, newRow); err != nil {
+			return Loc{}, err
 		}
-		if keyChanged {
+	}
+	if t.clustered != nil {
+		if colsDiffer(t.clustered.Cols, oldRow, newRow) {
 			if err := t.Delete(loc, oldRow); err != nil {
 				return Loc{}, err
 			}
 			return t.Insert(newRow)
-		}
-		data, err := record.EncodeTuple(nil, t.Schema, newRow)
-		if err != nil {
-			return Loc{}, err
 		}
 		if err := t.clustered.tree.Put(loc.Key, data); err != nil {
 			return Loc{}, err
@@ -271,10 +265,6 @@ func (t *Table) Update(loc Loc, oldRow, newRow record.Row) (Loc, error) {
 			return Loc{}, err
 		}
 		return loc, nil
-	}
-	data, err := record.EncodeTuple(nil, t.Schema, newRow)
-	if err != nil {
-		return Loc{}, err
 	}
 	newRID, err := t.heap.Update(loc.RID, data)
 	if err != nil {
@@ -285,6 +275,28 @@ func (t *Table) Update(loc Loc, oldRow, newRow record.Row) (Loc, error) {
 		return Loc{}, err
 	}
 	return newLoc, nil
+}
+
+func colsDiffer(cols []int, a, b record.Row) bool {
+	for _, c := range cols {
+		if record.Compare(a[c], b[c]) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// movedKeyTaken reports a unique violation when the update changes the row's
+// key in unique index ix (nil: no such index) to one another row holds.
+func (t *Table) movedKeyTaken(ix *Index, oldRow, newRow record.Row) error {
+	if ix == nil || !ix.Unique || !colsDiffer(ix.Cols, oldRow, newRow) {
+		return nil
+	}
+	_, taken, err := ix.tree.Get(indexKey(ix, newRow, Loc{}))
+	if err == nil && taken {
+		err = fmt.Errorf("%w: index %s", ErrUniqueViolation, ix.Name)
+	}
+	return err
 }
 
 func (t *Table) fixSecondaries(oldLoc, newLoc Loc, oldRow, newRow record.Row) error {

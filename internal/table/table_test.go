@@ -333,8 +333,70 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := tb.Insert(record.Row{record.Int(1)}); err == nil {
 		t.Fatal("short row must fail")
 	}
-	if _, err := tb.Insert(record.Row{record.Text("x"), record.Int(1), record.Int(1)}); err == nil {
-		t.Fatal("wrong type must fail")
+	loc, err := tb.Insert(record.Row{record.Int(1), record.Int(2), record.Int(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Update(loc, record.Row{record.Int(1), record.Int(2), record.Int(3)}, record.Row{record.Int(1)}); err == nil {
+		t.Fatal("short replacement row must fail")
+	}
+	if tb.RowCount() != 1 {
+		t.Fatalf("rowcount after rejected rows: %d", tb.RowCount())
+	}
+}
+
+// TestUpdateUniqueViolationKeepsRow: an update that moves a row's unique
+// key — clustered or secondary, in either storage kind — onto a key another
+// row holds is refused before anything is removed: both rows, and every
+// index entry, are as they were.
+func TestUpdateUniqueViolationKeepsRow(t *testing.T) {
+	for _, d := range []struct {
+		name      string
+		opts      Options
+		secondary bool // UNIQUE INDEX on column 0 instead of a clustered key
+	}{
+		{"clustered key", Options{ClusterOn: []int{0}, ClusterUnique: true}, false},
+		{"unique index over heap", Options{}, true},
+		{"unique index over clustered", Options{ClusterOn: []int{1}}, true},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			tb, err := newCatalog(t).Create("t", edgeSchema(), d.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ix *Index
+			if d.secondary {
+				if ix, err = tb.CreateIndex("t_a", []int{0}, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			one := record.Row{record.Int(1), record.Int(10), record.Int(100)}
+			two := record.Row{record.Int(2), record.Int(20), record.Int(200)}
+			loc, err := tb.Insert(one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tb.Insert(two); err != nil {
+				t.Fatal(err)
+			}
+			_, err = tb.Update(loc, one, record.Row{record.Int(2), record.Int(10), record.Int(100)})
+			if !errors.Is(err, ErrUniqueViolation) {
+				t.Fatalf("update onto a taken key: %v", err)
+			}
+			if tb.RowCount() != 2 {
+				t.Fatalf("rowcount after the failed update: %d", tb.RowCount())
+			}
+			for _, want := range []record.Row{one, two} {
+				it := tb.LookupEq(ix, []record.Value{want[0]})
+				if !it.Next() || fmt.Sprint(it.Row()) != fmt.Sprint(want) || it.Next() {
+					t.Fatalf("key %v after the failed update: row %v, err %v", want[0], it.Row(), it.Err())
+				}
+			}
+			// The row is where it was: the same update onto a free key works.
+			if _, err := tb.Update(loc, one, record.Row{record.Int(3), record.Int(10), record.Int(100)}); err != nil {
+				t.Fatalf("update onto a free key: %v", err)
+			}
+		})
 	}
 }
 
