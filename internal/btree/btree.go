@@ -117,13 +117,21 @@ func nKeys(pg *storage.Page) int     { return int(pg.U16(offNKeys)) }
 func cellStart(pg *storage.Page) int { return int(pg.U16(offCellStart)) }
 func slotOff(i int) int              { return offSlots + 2*i }
 
+// cellAt reads the cell in slot i. A length below 128 — every key and tuple
+// the engine stores — is one byte, read without the varint loop.
 func cellAt(pg *storage.Page, i int) (key, val []byte, child storage.PageID) {
 	off := int(pg.U16(slotOff(i)))
-	kl, w := binary.Uvarint(pg.Data[off:])
+	kl, w := uint64(pg.Data[off]), 1
+	if kl >= 0x80 {
+		kl, w = binary.Uvarint(pg.Data[off:])
+	}
 	key = pg.Data[off+w : off+w+int(kl)]
 	rest := off + w + int(kl)
 	if pg.Data[offType] == nodeLeaf {
-		vl, w2 := binary.Uvarint(pg.Data[rest:])
+		vl, w2 := uint64(pg.Data[rest]), 1
+		if vl >= 0x80 {
+			vl, w2 = binary.Uvarint(pg.Data[rest:])
+		}
 		val = pg.Data[rest+w2 : rest+w2+int(vl)]
 		return key, val, storage.InvalidPageID
 	}
@@ -384,7 +392,12 @@ func (t *BTree) putRec(id storage.PageID, key, val []byte, overwrite bool) (spli
 		if !overwrite {
 			return splitResult{}, false, ErrDuplicateKey
 		}
-		// Replace: remove then re-insert (value size may differ).
+		// Replace: in place when the value keeps its size (an all-INT tuple
+		// always does), else remove then re-insert.
+		if _, old, _ := cellAt(pg, i); len(old) == len(val) {
+			copy(old, val)
+			return splitResult{}, false, nil
+		}
 		removeCellAt(pg, i)
 		cell := makeLeafCell(key, val)
 		if len(cell)+2 <= freeSpace(pg) {

@@ -240,6 +240,76 @@ func TestPutGrowsAndShrinksValue(t *testing.T) {
 	}
 }
 
+// TestPutSameSizeOverwritesInPlace: a Put whose value has the stored value's
+// length — every UPDATE of an all-INT table — copies over it: on a leaf with
+// room for barely two more cells, a thousand such Puts leave no dead cell,
+// split nothing and keep the tree sound (removing and re-inserting the cell
+// would leave one dead cell per Put and compact the page every third one).
+// A value of another length does take that path.
+func TestPutSameSizeOverwritesInPlace(t *testing.T) {
+	tr := newTree(t, 64)
+	val := func(seed int64, n int) []byte {
+		v := make([]byte, n)
+		rand.New(rand.NewSource(seed)).Read(v)
+		return v
+	}
+	const valLen = 57 // a TVisited tuple: bitmap + seven INTs
+	root := func() *storage.Page {
+		pg, err := tr.pool.Fetch(tr.root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.pool.Unpin(pg, false)
+		return pg
+	}
+	model := map[int64][]byte{}
+	for i := int64(0); freeSpace(root()) >= 3*(leafCellSize(k(i), val(i, valLen))+2); i++ {
+		model[i] = val(i, valLen)
+		if err := tr.Insert(k(i), model[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := int64(len(model))
+	check := func(when string) {
+		t.Helper()
+		if err := tr.Check(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		for key, want := range model {
+			if got, ok, err := tr.Get(k(key)); err != nil || !ok || !bytes.Equal(got, want) {
+				t.Fatalf("%s: key %d holds %x (%v, %v), want %x", when, key, got, ok, err, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := int64(0); i < 1000; i++ {
+		key := rng.Int63n(n)
+		model[key] = val(1000+i, valLen)
+		if err := tr.Put(k(key), model[key]); err != nil {
+			t.Fatal(err)
+		}
+		if pg := root(); deadSpace(pg) != 0 || len(tr.pages) != 1 || nKeys(pg) != int(n) {
+			t.Fatalf("Put %d of key %d: %d dead bytes, %d pages, %d keys of %d",
+				i, key, deadSpace(pg), len(tr.pages), nKeys(pg), n)
+		}
+	}
+	check("after 1000 same-size Puts")
+
+	// A shorter value leaves the old cell dead, a longer one does too; both
+	// are stored, and Put goes on working on the page they leave.
+	for i, size := range []int{valLen - 8, valLen + 8} {
+		key := int64(i)
+		model[key] = val(int64(size), size)
+		if err := tr.Put(k(key), model[key]); err != nil {
+			t.Fatal(err)
+		}
+		if pg := root(); deadSpace(pg) == 0 {
+			t.Fatalf("Put of a %d-byte value over %d bytes left no dead cell: not the remove + re-insert path", size, valLen)
+		}
+		check(fmt.Sprintf("after a %d-byte Put", size))
+	}
+}
+
 // TestQuickModelEquivalence drives the tree with random operations and
 // compares against a map + sort model.
 func TestQuickModelEquivalence(t *testing.T) {

@@ -46,19 +46,17 @@ type targetMatch struct {
 
 // analyzeTargetAccess turns conjuncts into the access path of a DML target:
 // an index probe on t where equality conjuncts allow one, else a scan, with
-// the rest as its residual. env must be the env in which the conjuncts are
-// evaluated per candidate target row (target layout at level 0).
+// the rest on it as a SELECT's would be (attachResidualsToScan). env must be
+// the env in which the conjuncts are evaluated per candidate target row
+// (target layout at level 0).
 func (p *Planner) analyzeTargetAccess(t *table.Table, qual string, lay *Layout, need []bool, env *Env, conjuncts []sql.Expr, c *compiler) (baseScan, error) {
 	remaining := append([]sql.Expr(nil), conjuncts...)
 	scan := p.chooseAccessPath(t, qual, lay, need, env, &remaining, c, nil)
-	if len(remaining) > 0 {
-		pred, err := c.compileExpr(andAll(remaining), env, nil)
-		if err != nil {
-			return nil, err
-		}
-		scan.base().Residual = pred
+	err := p.attachResidualsToScan(scan, env, &remaining, c, nil)
+	if err == nil && len(remaining) > 0 { // a conjunct that does not compile: say why
+		_, err = c.compileExpr(andAll(remaining), env, nil)
 	}
-	return scan, nil
+	return scan, err
 }
 
 // findTargets appends the target rows scan yields to out[:0]. The scan reads

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -229,4 +230,95 @@ func TestArith(t *testing.T) {
 			t.Errorf("arith(%c, %v, %v) = %v; want %v", c.op, c.a, c.b, got, c.want)
 		}
 	}
+}
+
+// TestPlannerPushesComparisons pins the one classifier: which conjuncts of a
+// scan become pushed predicates (column ordinal, satisfied set with the
+// column on the left), which stay in the residual, and that a column only a
+// pushed predicate reads is not decoded — for SELECT scans and for the
+// targets of UPDATE, DELETE and MERGE alike.
+func TestPlannerPushesComparisons(t *testing.T) {
+	cat := testCatalog(t)
+	type pushed struct {
+		col int
+		sat uint8
+	}
+	for _, tc := range []struct {
+		q        string
+		index    bool // an index probe, not a sequential scan
+		pushed   []pushed
+		residual bool
+		need     []bool
+	}{
+		{q: "SELECT MIN(d2s) FROM TVisited WHERE f = 0", pushed: []pushed{{2, 2}}, need: []bool{false, true, false}},
+		{q: "SELECT nid FROM TVisited WHERE 3 < d2s AND f >= ?", pushed: []pushed{{1, 4}, {2, 6}}, need: []bool{true, false, false}},
+		{q: "SELECT nid FROM TVisited WHERE ? * 2 <> f", pushed: []pushed{{2, 5}}, need: []bool{true, false, false}},
+		{q: "SELECT nid FROM TVisited WHERE f = 0 AND d2s = (SELECT MIN(d2s) FROM TVisited WHERE f = 0)",
+			pushed: []pushed{{2, 2}, {1, 2}}, need: []bool{true, false, false}},
+		{q: "SELECT tid FROM TEdges WHERE fid = 7 AND cost <= ?", index: true, pushed: []pushed{{2, 3}}, need: []bool{false, true, false}},
+		// Not a comparison of a column with something outside the table.
+		{q: "SELECT nid FROM TVisited WHERE d2s = f", residual: true, need: []bool{true, true, true}},
+		{q: "SELECT nid FROM TVisited WHERE d2s + 0 = ?", residual: true, need: []bool{true, true, false}},
+		{q: "SELECT nid FROM TVisited WHERE f = 0 OR f = 2", residual: true, need: []bool{true, false, true}},
+		{q: "SELECT nid FROM TVisited v WHERE f = 0 AND d2s = (SELECT MIN(cost) FROM TEdges WHERE fid = v.nid)",
+			pushed: []pushed{{2, 2}}, residual: true, need: []bool{true, true, false}},
+		// DML targets go through the same classifier.
+		{q: "UPDATE TVisited SET f = 2 WHERE f = 0 AND d2s = (SELECT MIN(d2s) FROM TVisited WHERE f = 0)",
+			pushed: []pushed{{2, 2}, {1, 2}}, need: []bool{false, false, false}},
+		{q: "UPDATE TVisited SET f = 1 WHERE f = 2", pushed: []pushed{{2, 2}}, need: []bool{false, false, false}},
+		{q: "UPDATE TVisited SET d2s = d2s + 1 WHERE f > d2s", residual: true, need: []bool{false, true, true}},
+		{q: "DELETE FROM TVisited WHERE f = 2 AND d2s < ?", pushed: []pushed{{2, 2}, {1, 1}}, need: []bool{false, false, false}},
+		{q: "UPDATE TVisited SET f = 0 FROM plain WHERE TVisited.nid = plain.k AND plain.v < TVisited.d2s",
+			index: true, pushed: []pushed{{1, 4}}, need: []bool{false, false, false}},
+		{q: "MERGE INTO TVisited AS target USING plain AS s ON (target.nid = s.k AND target.d2s > s.v) " +
+			"WHEN MATCHED AND target.f = 1 THEN UPDATE SET d2s = s.v",
+			index: true, pushed: []pushed{{1, 4}}, need: []bool{false, false, true}},
+	} {
+		st, err := sql.Parse(tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		var scan baseScan
+		p := NewPlanner(cat)
+		var dml *PreparedDML
+		switch st := st.(type) {
+		case *sql.SelectStmt:
+			scan, _ = unwrapAgg(planOf(t, cat, tc.q)).(baseScan)
+		case *sql.UpdateStmt:
+			dml, err = p.PrepareUpdate(st)
+		case *sql.DeleteStmt:
+			dml, err = p.PrepareDelete(st)
+		case *sql.MergeStmt:
+			dml, err = p.PrepareMerge(st)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		if dml != nil {
+			scan = dml.target
+		}
+		if scan == nil {
+			t.Fatalf("%s: no table scan under the plan", tc.q)
+		}
+		if _, isIndex := scan.(*IndexEqScan); isIndex != tc.index {
+			t.Errorf("%s: access path %T", tc.q, scan)
+		}
+		s := scan.base()
+		var got []pushed
+		for _, pp := range s.Pushed {
+			got = append(got, pushed{pp.col, pp.sat})
+		}
+		if !slices.Equal(got, tc.pushed) || (s.Residual != nil) != tc.residual || !slices.Equal(s.Need, tc.need) {
+			t.Errorf("%s:\n pushed %v residual %v need %v\n want   %v residual %v need %v",
+				tc.q, got, s.Residual != nil, s.Need, tc.pushed, tc.residual, tc.need)
+		}
+	}
+}
+
+// unwrapAgg is unwrap that also looks under a global aggregate.
+func unwrapAgg(n Node) Node {
+	if a, ok := unwrap(n).(*Aggregate); ok {
+		return unwrap(a.Input)
+	}
+	return unwrap(n)
 }

@@ -99,6 +99,10 @@ func (c *compiler) compileExpr(e sql.Expr, env *Env, usedOuter *bool) (scalarFn,
 	return nil, fmt.Errorf("exec: unsupported expression %T", e)
 }
 
+// cmpSat resolves a comparison operator into the set of three-way results
+// that satisfy it: bit 0 for less, 1 for equal, 2 for greater.
+var cmpSat = map[string]uint8{"=": 2, "<>": 5, "<": 1, "<=": 3, ">": 4, ">=": 6}
+
 func compileBinary(op string, l, r scalarFn) (scalarFn, error) {
 	switch op {
 	case "AND":
@@ -132,9 +136,7 @@ func compileBinary(op string, l, r scalarFn) (scalarFn, error) {
 			return record.Bool(rv.Truthy()), nil
 		}, nil
 	case "=", "<>", "<", "<=", ">", ">=":
-		// The operator is resolved here, once, into the set of three-way
-		// results that satisfy it: bit 0 for less, 1 for equal, 2 for greater.
-		sat := map[string]uint{"=": 2, "<>": 5, "<": 1, "<=": 3, ">": 4, ">=": 6}[op]
+		sat := cmpSat[op] // resolved here, once
 		return func(ctx *Ctx, row record.Row) (record.Value, error) {
 			lv, err := l(ctx, row)
 			if err != nil {

@@ -64,13 +64,30 @@ func planHasRow(n Node, ctx *Ctx) (bool, error) {
 // tableScan is what SeqScan and IndexEqScan share: the storage iterator,
 // which lives as long as the operator instance so that re-opening it costs
 // no allocation, the columns the plan reads (Need, filled in by the planner
-// while it compiles the statement's expressions; see scanLayout) and the
-// residual filter.
+// while it compiles the statement's expressions; see scanLayout), the pushed
+// predicates and the residual filter. A pushed predicate is a conjunct `col
+// <cmp> operand` whose operand does not read the scanned table (see
+// attachResidualsToScan): Open evaluates the operands, once, as it does an
+// index probe's keys, and the iterator checks the bound predicates on the
+// encoded tuple, so a row they reject is never decoded and a column only they
+// read is not in Need. A NULL operand or probe key compares UNKNOWN with every
+// row: the scan is then empty from Open on.
 type tableScan struct {
 	Table    *table.Table
 	Need     []bool
+	Pushed   []pushedPred
 	Residual scalarFn // may be nil
 	it       table.Iterator
+	preds    []record.Pred // Pushed as bound by Open, reused across re-opens
+	empty    bool
+}
+
+// pushedPred compares column col with val: sat is the set of three-way
+// results, the column on the left, that satisfy the conjunct (see cmpSat).
+type pushedPred struct {
+	col int
+	sat uint8
+	val scalarFn
 }
 
 // baseScan is a scan of one stored table.
@@ -81,8 +98,29 @@ type baseScan interface {
 
 func (s *tableScan) base() *tableScan { return s }
 
+// bind evaluates the pushed predicates' operands for this Open and sets
+// empty; keys are an index probe's values.
+func (s *tableScan) bind(ctx *Ctx, keys []record.Value) error {
+	s.preds, s.empty = s.preds[:0], false
+	for _, p := range s.Pushed {
+		v, err := p.val(ctx, nil)
+		if err != nil {
+			return err
+		}
+		s.empty = s.empty || v.Null
+		s.preds = append(s.preds, record.Pred{Col: p.col, Sat: p.sat, Val: v.I})
+	}
+	for _, k := range keys {
+		s.empty = s.empty || k.Null
+	}
+	return nil
+}
+
 // Next implements Node: the returned row is the iterator's buffer.
 func (s *tableScan) Next(ctx *Ctx) (record.Row, error) {
+	if s.empty {
+		return nil, nil
+	}
 	for s.it.Next() {
 		row := s.it.Row()
 		if s.Residual != nil {
@@ -106,14 +144,17 @@ func (s *tableScan) Close() {}
 type SeqScan struct{ tableScan }
 
 // Open implements Node.
-func (s *SeqScan) Open(*Ctx) error {
-	s.it.Start(s.Table, s.Need)
+func (s *SeqScan) Open(ctx *Ctx) error {
+	if err := s.bind(ctx, nil); err != nil || s.empty {
+		return err
+	}
+	s.it.Start(s.Table, s.Need, s.preds)
 	return nil
 }
 
 // Clone implements Node.
 func (s *SeqScan) Clone() Node {
-	return &SeqScan{tableScan{Table: s.Table, Need: s.Need, Residual: s.Residual}}
+	return &SeqScan{tableScan{Table: s.Table, Need: s.Need, Pushed: s.Pushed, Residual: s.Residual}}
 }
 
 // IndexEqScan probes an index (or the clustered tree) with equality values
@@ -137,13 +178,16 @@ func (s *IndexEqScan) Open(ctx *Ctx) error {
 		}
 		s.vals = append(s.vals, v)
 	}
-	s.it.Seek(s.Table, s.Index, s.vals, s.Need)
+	if err := s.bind(ctx, s.vals); err != nil || s.empty {
+		return err
+	}
+	s.it.Seek(s.Table, s.Index, s.vals, s.Need, s.preds)
 	return nil
 }
 
 // Clone implements Node.
 func (s *IndexEqScan) Clone() Node {
-	return &IndexEqScan{tableScan: tableScan{Table: s.Table, Need: s.Need, Residual: s.Residual},
+	return &IndexEqScan{tableScan: tableScan{Table: s.Table, Need: s.Need, Pushed: s.Pushed, Residual: s.Residual},
 		Index: s.Index, KeyFns: s.KeyFns}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/record"
@@ -321,24 +322,56 @@ func removeConjuncts(remaining *[]sql.Expr, used []int) {
 }
 
 // attachResidualsToScan moves every remaining conjunct that compiles in
-// tableEnv into the scan's residual filter.
+// tableEnv onto the scan — SELECT scans and DML targets alike: a comparison
+// of one of the table's columns with something that does not read the table
+// as a pushed predicate, the rest into the residual filter.
 func (p *Planner) attachResidualsToScan(scan baseScan, tableEnv *Env, remaining *[]sql.Expr, c *compiler, usedOuter *bool) error {
+	s := scan.base()
 	var keep []sql.Expr
 	var resid []sql.Expr
 	for _, conj := range *remaining {
-		if _, err := c.compileExpr(conj, tableEnv, usedOuter); err != nil {
+		if pp, ok := c.pushable(conj, s.Table, tableEnv, usedOuter); ok {
+			s.Pushed = append(s.Pushed, pp)
+		} else if _, err := c.compileExpr(conj, tableEnv, usedOuter); err != nil {
 			keep = append(keep, conj)
-			continue
+		} else {
+			resid = append(resid, conj)
 		}
-		resid = append(resid, conj)
 	}
 	*remaining = keep
 	if len(resid) == 0 {
 		return nil
 	}
 	pred, err := c.compileExpr(andAll(resid), tableEnv, usedOuter)
-	scan.base().Residual = pred
+	s.Residual = pred
 	return err
+}
+
+// pushable compiles conj as a pushed predicate of a scan of t, if it is one:
+// `col <cmp> operand` or `operand <cmp> col` (the satisfied set then swaps
+// less and greater), col resolved in t's layout without marking it used — the
+// scan compares its bytes and does not decode it. The operand is compiled
+// against a stand-in for that layout, which tells whether it reads the table:
+// what leaves the stand-in untouched (literals, parameters, outer rows'
+// columns, subqueries over them) can be evaluated before any row of t exists.
+func (c *compiler) pushable(conj sql.Expr, t *table.Table, tableEnv *Env, usedOuter *bool) (pushedPred, bool) {
+	b, _ := conj.(*sql.Binary)
+	if b == nil || cmpSat[b.Op] == 0 {
+		return pushedPred{}, false
+	}
+	sat := cmpSat[b.Op]
+	for _, side := range [2][2]sql.Expr{{b.L, b.R}, {b.R, b.L}} {
+		if cr, ok := side[0].(*sql.ColumnRef); ok && tableEnv.Lay.Has(cr.Table, cr.Name) {
+			standIn, read := scanLayout(t, tableEnv.Lay.Cols[0].Qual)
+			val, err := c.compileExpr(side[1], &Env{Lay: standIn, Parent: tableEnv.Parent}, usedOuter)
+			if err == nil && !slices.Contains(read, true) {
+				col, _ := tableEnv.Lay.Resolve(cr.Table, cr.Name)
+				return pushedPred{col: col, sat: sat, val: val}, true
+			}
+		}
+		sat = sat&2 | sat>>2 | sat&1<<2
+	}
+	return pushedPred{}, false
 }
 
 // attachResiduals wraps a non-scan node with a filter for conjuncts that

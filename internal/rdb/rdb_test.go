@@ -786,3 +786,59 @@ func TestUpdateUniqueViolationKeepsTable(t *testing.T) {
 		t.Fatalf("update onto free keys affected %d rows", n)
 	}
 }
+
+// TestNullProbeMatchesNothing: `a = ?` bound to NULL is UNKNOWN for every
+// row, the row whose a is NULL included, whichever way the planner reaches
+// the rows. NULL has a key encoding, so an index probe handed it would find
+// that row where a scan of the same table does not: the probe must not run.
+func TestNullProbeMatchesNothing(t *testing.T) {
+	for _, shape := range []struct{ name, index string }{
+		{"clustered_prefix", "CREATE CLUSTERED INDEX t_a ON t (a)"},
+		{"secondary", "CREATE INDEX t_a ON t (a)"},
+		{"unique_secondary", "CREATE UNIQUE INDEX t_a ON t (a)"},
+		{"scan", ""},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			db := openDB(t, Options{})
+			mustExec(t, db, "CREATE TABLE t (a INT, b INT)")
+			if shape.index != "" {
+				mustExec(t, db, shape.index)
+			}
+			mustExec(t, db, "INSERT INTO t (a, b) VALUES (?, 1), (5, 2)", nil)
+			mustExec(t, db, "CREATE TABLE src (a INT, b INT)")
+			mustExec(t, db, "INSERT INTO src (a, b) VALUES (?, 7)", nil)
+			for rep := 0; rep < 2; rep++ { // the second round runs the recycled instances
+				if rows := mustQuery(t, db, "SELECT b FROM t WHERE a = ?", nil); rows.Len() != 0 {
+					t.Fatalf("SELECT with a NULL probe returned %v", rows.Data)
+				}
+				if rows := mustQuery(t, db, "SELECT t.b FROM src, t WHERE t.a = src.a"); rows.Len() != 0 {
+					t.Fatalf("join on a NULL key returned %v", rows.Data)
+				}
+				for _, q := range []string{
+					"UPDATE t SET b = 9 WHERE a = ?",
+					"DELETE FROM t WHERE a = ?",
+				} {
+					if n := mustExec(t, db, q, nil); n != 0 {
+						t.Fatalf("%s with a NULL probe affected %d rows", q, n)
+					}
+				}
+				for _, q := range []string{
+					"MERGE INTO t AS tt USING src AS ss ON (tt.a = ss.a) WHEN MATCHED THEN UPDATE SET b = ss.b",
+					"UPDATE t SET b = src.b FROM src WHERE t.a = src.a",
+				} {
+					if n := mustExec(t, db, q); n != 0 {
+						t.Fatalf("%s matched %d rows on a NULL key", q, n)
+					}
+				}
+				// The probe still finds what it should, and nothing was touched.
+				if v, null, err := db.QueryInt("SELECT b FROM t WHERE a = ?", 5); err != nil || null || v != 2 {
+					t.Fatalf("probe a = 5: %d %v %v", v, null, err)
+				}
+				rows := ordered(mustQuery(t, db, "SELECT a, b FROM t"))
+				if rows.Len() != 2 || !rows.Data[0][0].Null || rows.Data[0][1].I != 1 || rows.Data[1][1].I != 2 {
+					t.Fatalf("table after the NULL probes: %v", rows.Data)
+				}
+			}
+		})
+	}
+}

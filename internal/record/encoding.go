@@ -3,6 +3,7 @@ package record
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Tuple encoding
@@ -72,6 +73,55 @@ func DecodeInto(dst Row, src []byte, s *Schema, need []bool) (int, error) {
 		off += 8
 	}
 	return off, nil
+}
+
+// Pred is a comparison a scan runs on the encoded tuple: column Col against
+// Val, holding when the three-way result is in Sat (bit 0 for column < Val,
+// bit 1 for equal, bit 2 for greater).
+type Pred struct {
+	Col int
+	Sat uint8
+	Val int64
+}
+
+// Match reports whether the tuple src of an n-column schema satisfies every
+// pred, decoding nothing: a column lives in the 8 bytes at bitmap + 8·ordinal,
+// 8 less for each NULL before it (the bitmap is walked only when the tuple has
+// one), and a NULL column satisfies no pred. A tuple shorter than its bitmap
+// says is an error whatever the preds make of it.
+func Match(src []byte, n int, preds []Pred) (bool, error) {
+	nb, nulls := (n+7)/8, 0
+	if len(src) >= nb {
+		nulls = -bits.OnesCount8(src[nb-1] >> ((n-1)%8 + 1)) // padding bits are no columns
+		for _, b := range src[:nb] {
+			nulls += bits.OnesCount8(b)
+		}
+	}
+	if len(src) < nb+8*(n-nulls) {
+		return false, fmt.Errorf("record: truncated tuple (%d bytes, %d columns)", len(src), n)
+	}
+	for _, p := range preds {
+		off := nb + 8*p.Col
+		for i := 0; nulls > 0 && i <= p.Col; i++ {
+			if src[i/8]&(1<<(i%8)) == 0 {
+				continue
+			}
+			if i == p.Col {
+				return false, nil
+			}
+			off -= 8
+		}
+		cmp := 1
+		if v := int64(binary.LittleEndian.Uint64(src[off:])); v < p.Val {
+			cmp = 0
+		} else if v > p.Val {
+			cmp = 2
+		}
+		if p.Sat>>cmp&1 == 0 {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // Key encoding

@@ -2,6 +2,8 @@ package record
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -156,6 +158,50 @@ func TestQuickTupleRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(fn, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMatchAgreesWithDecode: Match on the encoded tuple answers what the
+// comparison answers on the decoded row — for every satisfied-set, with
+// NULLs before, at and after the compared column (each one before it moves
+// the column 8 bytes down), past the first bitmap byte, and with padding bits
+// set — and every truncation of the tuple is an error, whatever the preds.
+func TestMatchAgreesWithDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 2000; round++ {
+		n := 1 + rng.Intn(20)
+		cols := make([]Column, n)
+		row := make(Row, n)
+		for i := range cols {
+			cols[i] = Column{Name: fmt.Sprintf("c%d", i), Type: TInt}
+			row[i] = Int(int64(rng.Intn(5) - 2))
+			if rng.Intn(4) == 0 {
+				row[i] = null
+			}
+		}
+		buf, err := EncodeTuple(nil, MustSchema(cols...), row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n%8 != 0 && rng.Intn(2) == 0 {
+			buf[(n-1)/8] |= 0x80 // a padding bit: no column, no NULL
+		}
+		preds := make([]Pred, 1+rng.Intn(3))
+		want := true
+		for i := range preds {
+			p := Pred{Col: rng.Intn(n), Sat: uint8(rng.Intn(8)), Val: int64(rng.Intn(5) - 2)}
+			preds[i] = p
+			v := row[p.Col]
+			want = want && !v.Null && p.Sat>>uint(Compare(v, Int(p.Val))+1)&1 != 0
+		}
+		if got, err := Match(buf, n, preds); err != nil || got != want {
+			t.Fatalf("row %v preds %+v: Match = %v, %v; want %v", row, preds, got, err, want)
+		}
+		for cut := 0; cut < len(buf); cut++ {
+			if _, err := Match(buf[:cut], n, preds); err == nil {
+				t.Fatalf("row %v cut to %d of %d bytes: no error", row, cut, len(buf))
+			}
+		}
 	}
 }
 

@@ -76,6 +76,7 @@ type Table struct {
 	Secondary  []*Index
 	uniquifier int64 // suffix for non-unique clustered keys
 	rows       int
+	enc        []byte // Update's encoding buffer (writers hold the table exclusively)
 }
 
 // Options configures table creation.
@@ -239,10 +240,11 @@ func (t *Table) Delete(loc Loc, row record.Row) error {
 // delete+insert of the affected index entries; a unique key the update moves
 // is checked first, so a violation leaves the table as it was.
 func (t *Table) Update(loc Loc, oldRow, newRow record.Row) (Loc, error) {
-	data, err := record.EncodeTuple(nil, t.Schema, newRow)
+	data, err := record.EncodeTuple(t.enc[:0], t.Schema, newRow)
 	if err != nil {
 		return Loc{}, err
 	}
+	t.enc = data
 	if err := t.movedKeyTaken(t.clustered, oldRow, newRow); err != nil {
 		return Loc{}, err
 	}
@@ -390,15 +392,18 @@ func (t *Table) Truncate() error {
 // (clustered-key order for clustered tables), or those whose clustered or
 // secondary index key starts with given values.
 //
-// Row returns a buffer the iterator owns: it is overwritten by the next
-// Next, and only the columns asked for are decoded into it. A caller that
-// keeps a row past the next Next takes a copy with Materialize. Start and
-// Seek re-aim an Iterator in place, keeping its page, tuple and row buffers,
-// so an operator that re-opens its scan allocates nothing.
+// A row failing one of the iterator's preds is skipped on its encoded form,
+// before anything is decoded. Row returns a buffer the iterator owns: it is
+// overwritten by the next Next, and only the columns asked for are decoded
+// into it. A caller that keeps a row past the next Next takes a copy with
+// Materialize. Start and Seek re-aim an Iterator in place, keeping its page,
+// tuple and row buffers, so an operator that re-opens its scan allocates
+// nothing.
 type Iterator struct {
 	t     *Table
 	ix    *Index // secondary index the rows are reached through; nil = storage order
 	need  []bool // column ordinals to decode; nil = all
+	preds []record.Pred
 	bit   btree.Iterator
 	hit   heapfile.Iterator
 	tuple []byte // encoded current row (inside bit's or hit's page, or fetch)
@@ -411,7 +416,7 @@ type Iterator struct {
 // Scan iterates every row, fully decoded.
 func (t *Table) Scan() *Iterator {
 	it := new(Iterator)
-	it.Start(t, nil)
+	it.Start(t, nil, nil)
 	return it
 }
 
@@ -423,13 +428,13 @@ func (t *Table) ScanClusteredPrefix(vals []record.Value) *Iterator { return t.Lo
 // prefix of the index columns; a nil ix means the clustered index.
 func (t *Table) LookupEq(ix *Index, vals []record.Value) *Iterator {
 	it := new(Iterator)
-	it.Seek(t, ix, vals, nil)
+	it.Seek(t, ix, vals, nil, nil)
 	return it
 }
 
-// Start aims the iterator at every row of t, decoding the columns in need.
-func (it *Iterator) Start(t *Table, need []bool) {
-	it.reset(t, nil, need)
+// Start aims the iterator at the rows of t that satisfy preds, decoding need.
+func (it *Iterator) Start(t *Table, need []bool, preds []record.Pred) {
+	it.reset(t, nil, need, preds)
 	if t.clustered != nil {
 		it.bit.Reset(t.clustered.tree, nil, nil)
 	} else {
@@ -438,9 +443,9 @@ func (it *Iterator) Start(t *Table, need []bool) {
 }
 
 // Seek aims the iterator at the rows of t whose ix columns (clustered-index
-// columns when ix is nil) equal vals, decoding the columns in need.
-func (it *Iterator) Seek(t *Table, ix *Index, vals []record.Value, need []bool) {
-	it.reset(t, ix, need)
+// columns when ix is nil) equal vals and that satisfy preds, decoding need.
+func (it *Iterator) Seek(t *Table, ix *Index, vals []record.Value, need []bool, preds []record.Pred) {
+	it.reset(t, ix, need, preds)
 	it.probe = record.EncodeKey(it.probe[:0], vals...)
 	if ix == nil {
 		ix = t.clustered
@@ -448,8 +453,8 @@ func (it *Iterator) Seek(t *Table, ix *Index, vals []record.Value, need []bool) 
 	it.bit.ResetPrefix(ix.tree, it.probe)
 }
 
-func (it *Iterator) reset(t *Table, ix *Index, need []bool) {
-	it.t, it.ix, it.need, it.err = t, ix, need, nil
+func (it *Iterator) reset(t *Table, ix *Index, need []bool, preds []record.Pred) {
+	it.t, it.ix, it.need, it.preds, it.err = t, ix, need, preds, nil
 	if n := t.Schema.Len(); cap(it.row) < n {
 		it.row = make(record.Row, n)
 	} else {
@@ -457,43 +462,53 @@ func (it *Iterator) reset(t *Table, ix *Index, need []bool) {
 	}
 }
 
-// Next advances the iterator.
+// Next advances the iterator to the next row its preds accept.
 func (it *Iterator) Next() bool {
-	switch {
-	case it.ix != nil:
-		if !it.bit.Next() {
-			it.err = it.bit.Err()
-			return false
+	for {
+		switch {
+		case it.ix != nil:
+			if !it.bit.Next() {
+				it.err = it.bit.Err()
+				return false
+			}
+			// The index entry's value is the base row's location.
+			var ok bool
+			if it.t.clustered != nil {
+				it.fetch, ok, it.err = it.t.clustered.tree.GetInto(it.fetch, it.bit.Value())
+			} else {
+				it.fetch, ok, it.err = it.t.heap.GetInto(it.fetch, ridFromBytes(it.bit.Value()))
+			}
+			if it.err == nil && !ok {
+				it.err = fmt.Errorf("table: index %s points at missing row", it.ix.Name)
+			}
+			if it.err != nil {
+				return false
+			}
+			it.tuple = it.fetch
+		case it.t.clustered != nil:
+			if !it.bit.Next() {
+				it.err = it.bit.Err()
+				return false
+			}
+			it.tuple = it.bit.Value()
+		default:
+			if !it.hit.Next() {
+				it.err = it.hit.Err()
+				return false
+			}
+			it.tuple = it.hit.Tuple()
 		}
-		// The index entry's value is the base row's location.
-		var ok bool
-		if it.t.clustered != nil {
-			it.fetch, ok, it.err = it.t.clustered.tree.GetInto(it.fetch, it.bit.Value())
-		} else {
-			it.fetch, ok, it.err = it.t.heap.GetInto(it.fetch, ridFromBytes(it.bit.Value()))
+		if len(it.preds) > 0 {
+			if ok, err := record.Match(it.tuple, len(it.row), it.preds); err != nil {
+				it.err = err
+				return false
+			} else if !ok {
+				continue
+			}
 		}
-		if it.err == nil && !ok {
-			it.err = fmt.Errorf("table: index %s points at missing row", it.ix.Name)
-		}
-		if it.err != nil {
-			return false
-		}
-		it.tuple = it.fetch
-	case it.t.clustered != nil:
-		if !it.bit.Next() {
-			it.err = it.bit.Err()
-			return false
-		}
-		it.tuple = it.bit.Value()
-	default:
-		if !it.hit.Next() {
-			it.err = it.hit.Err()
-			return false
-		}
-		it.tuple = it.hit.Tuple()
+		_, it.err = record.DecodeInto(it.row, it.tuple, it.t.Schema, it.need)
+		return it.err == nil
 	}
-	_, it.err = record.DecodeInto(it.row, it.tuple, it.t.Schema, it.need)
-	return it.err == nil
 }
 
 // Row returns the current row: valid until the next Next, Start or Seek,

@@ -413,7 +413,10 @@ func TestLocString(t *testing.T) {
 }
 
 // benchmarkScan scans a TVisited-shaped table of 10000 rows, decoding two
-// of its seven columns the way the FEM loop's statements do.
+// of its seven columns the way the FEM loop's statements do: every row
+// (full), and the one row in a hundred that a pushed `d2s = 42` accepts
+// (selective), which is what a frontier select over a mostly settled
+// TVisited looks like.
 func benchmarkScan(b *testing.B, opts Options) {
 	const n = 10000
 	cols := make([]record.Column, 7)
@@ -425,25 +428,35 @@ func benchmarkScan(b *testing.B, opts Options) {
 		b.Fatal(err)
 	}
 	for i := int64(0); i < n; i++ {
-		row := record.Row{record.Int(i), record.Int(i % 97), record.Int(-1), record.Int(i % 3), record.Int(0), record.Int(-1), record.Int(1)}
+		row := record.Row{record.Int(i), record.Int(i % 100), record.Int(-1), record.Int(i % 3), record.Int(0), record.Int(-1), record.Int(1)}
 		if _, err := tb.Insert(row); err != nil {
 			b.Fatal(err)
 		}
 	}
 	need := []bool{false, true, false, true, false, false, false}
-	var it Iterator
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum int64
-		for it.Start(tb, need); it.Next(); {
-			sum += it.Row()[1].I + it.Row()[3].I
-		}
-		if err := it.Err(); err != nil || sum == 0 {
-			b.Fatalf("scan: sum %d, %v", sum, err)
-		}
+	for _, v := range []struct {
+		name  string
+		preds []record.Pred
+		rows  int64
+	}{
+		{"full", nil, n},
+		{"selective", []record.Pred{{Col: 1, Sat: 2, Val: 42}}, n / 100},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			var it Iterator
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var rows, sum int64
+				for it.Start(tb, need, v.preds); it.Next(); rows++ {
+					sum += it.Row()[1].I + it.Row()[3].I
+				}
+				if err := it.Err(); err != nil || rows != v.rows || sum == 0 {
+					b.Fatalf("scan: %d rows, sum %d, %v", rows, sum, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
 
 func BenchmarkScanTableClustered(b *testing.B) {
