@@ -22,7 +22,7 @@ import (
 // path through (u, v): such a path decomposes into a shortest prefix
 // x -> u, the edge, and a shortest suffix v -> y, and both halves are
 // within lthd — hence already recorded (or trivial, x = u / y = v). The
-// touch set therefore joins TOutSegs against itself on the condition
+// touch set therefore joins the recorded halves to the recorded pair on
 // δ(x,u) + w + δ(v,y) <= δ(x,y), a superset of every affected pair,
 // including pairs whose distance survives but whose stored pid chain
 // routed through the edge (the condition holds with equality for those).
@@ -128,18 +128,22 @@ const (
 	mutUpdateQ     = "UPDATE " + TblEdges + " SET cost = ? WHERE fid = ? AND tid = ?"
 	mutWMinQ       = "SELECT MIN(cost) FROM " + TblEdges
 
-	// Touch-set shapes (computeTouchSet), one per decomposition case.
+	// Touch-set shapes (computeTouchSet), one per decomposition case. Each
+	// starts from the few rows one clustered probe yields — the prefixes
+	// x -> u in TInSegs (clustered on tid), the suffixes v -> y in TOutSegs
+	// (clustered on fid) — and reaches the recorded pair s through TOutSegs'
+	// key; the planner joins left-deep in FROM order.
 	touchPairQ = "INSERT INTO " + tblMutTouch + " (fid, tid) SELECT s.fid, s.tid FROM " +
-		TblOutSegs + " s WHERE s.fid = ? AND s.tid = ?"
+		TblOutSegs + " s WHERE s.fid = ? AND s.tid = ? AND ? <= s.cost"
 	touchPrefixQ = "INSERT INTO " + tblMutTouch + " (fid, tid) SELECT s.fid, s.tid FROM " +
-		TblOutSegs + " s, " + TblOutSegs + " a " +
-		"WHERE s.tid = ? AND s.fid <> ? AND a.tid = ? AND a.fid = s.fid AND a.cost + ? <= s.cost"
+		TblInSegs + " a, " + TblOutSegs + " s " +
+		"WHERE a.tid = ? AND a.fid <> ? AND s.fid = a.fid AND s.tid = ? AND a.cost + ? <= s.cost"
 	touchSuffixQ = "INSERT INTO " + tblMutTouch + " (fid, tid) SELECT s.fid, s.tid FROM " +
 		TblOutSegs + " s, " + TblOutSegs + " b " +
 		"WHERE s.fid = ? AND s.tid <> ? AND b.fid = ? AND b.tid = s.tid AND ? + b.cost <= s.cost"
 	touchBothQ = "INSERT INTO " + tblMutTouch + " (fid, tid) SELECT s.fid, s.tid FROM " +
-		TblOutSegs + " s, " + TblOutSegs + " a, " + TblOutSegs + " b " +
-		"WHERE s.fid <> ? AND s.tid <> ? AND a.tid = ? AND a.fid = s.fid " +
+		TblInSegs + " a, " + TblOutSegs + " s, " + TblOutSegs + " b " +
+		"WHERE a.tid = ? AND a.fid <> ? AND s.fid = a.fid AND s.tid <> ? " +
 		"AND b.fid = ? AND b.tid = s.tid AND a.cost + ? + b.cost <= s.cost"
 
 	touchCountQ = "SELECT COUNT(*) FROM " + tblMutTouch
@@ -482,12 +486,13 @@ func (e *Engine) refreshWMin(ctx context.Context, qs *QueryStats) error {
 }
 
 // ensureMutScratch lazily creates the repair scratch tables and clears
-// them for the next touch set.
+// TMutTouch for the next touch set (repairDirection clears TMutSrc before
+// each fill).
 func (e *Engine) ensureMutScratch(ctx context.Context, qs *QueryStats) error {
 	if _, ok := e.db.Catalog().Get(tblMutTouch); !ok {
 		for _, q := range []string{
 			"CREATE TABLE " + tblMutTouch + " (fid INT, tid INT)",
-			"CREATE CLUSTERED INDEX tmuttouch_fid ON " + tblMutTouch + " (fid)",
+			"CREATE UNIQUE CLUSTERED INDEX tmuttouch_key ON " + tblMutTouch + " (fid, tid)",
 			"CREATE TABLE " + tblMutSrc + " (nid INT)",
 		} {
 			if _, err := e.sess.Exec(q); err != nil {
@@ -496,12 +501,8 @@ func (e *Engine) ensureMutScratch(ctx context.Context, qs *QueryStats) error {
 			qs.Statements++
 		}
 	}
-	for _, tbl := range []string{tblMutTouch, tblMutSrc} {
-		if _, err := e.exec(ctx, qs, nil, nil, "DELETE FROM "+tbl); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := e.exec(ctx, qs, nil, nil, "DELETE FROM "+tblMutTouch)
+	return err
 }
 
 // computeTouchSet fills TMutTouch with every recorded (fid, tid) pair
@@ -520,22 +521,22 @@ func (e *Engine) computeTouchSet(ctx context.Context, qs *QueryStats, u, v, w in
 		return err
 	}
 	// 1) the recorded pair (u, v) itself — its cost or pid may come from
-	// the edge directly.
-	if err := ins(touchPairQ, u, v); err != nil {
+	// the edge directly, unless a cheaper path is what it records.
+	if err := ins(touchPairQ, u, v, w); err != nil {
 		return err
 	}
 	// 2) x != u, y = v: a recorded prefix x -> u continues over the edge.
-	if err := ins(touchPrefixQ, v, u, u, w); err != nil {
+	if err := ins(touchPrefixQ, u, u, v, w); err != nil {
 		return err
 	}
 	// 3) x = u, y != v: the edge continues into a recorded suffix v -> y.
 	if err := ins(touchSuffixQ, u, v, v, w); err != nil {
 		return err
 	}
-	// 4) x != u, y != v: both halves recorded. TOutSegs is keyed on
-	// (fid, tid), so each shape emits each pair at most once and the
-	// shapes are disjoint — no dedup needed.
-	return ins(touchBothQ, u, v, u, v, w)
+	// 4) x != u, y != v: both halves recorded. Both segment tables are
+	// keyed on (fid, tid), so each shape emits each pair at most once and
+	// the shapes are disjoint; TMutTouch's unique key holds them to it.
+	return ins(touchBothQ, u, u, v, v, w)
 }
 
 // repairTouchedLocked re-derives every touched SegTable row from the
@@ -590,9 +591,9 @@ func (e *Engine) repairTouchedLocked(ctx context.Context, qs *QueryStats, st *Ma
 // delete-and-reinsert of the touched pairs, then the original-edge fold
 // restricted to the same pairs.
 func (e *Engine) repairDirection(ctx context.Context, qs *QueryStats, forward bool) (int64, error) {
-	target, srcCol := TblOutSegs, "fid"
+	target, srcCol, nidCol := TblOutSegs, "fid", "tid"
 	if !forward {
-		target, srcCol = TblInSegs, "tid"
+		target, srcCol, nidCol = TblInSegs, "tid", "fid"
 	}
 	// Seed the sweep at the fid endpoints (forward: distances FROM x; the
 	// backward sweep walks incoming edges from tid seeds, computing
@@ -608,23 +609,17 @@ func (e *Engine) repairDirection(ctx context.Context, qs *QueryStats, forward bo
 		return 0, err
 	}
 	// Drop the touched rows; distances can only have grown, so untouched
-	// rows keep valid (cost, pid) entries.
+	// rows keep valid (cost, pid) entries. The planner runs this EXISTS from
+	// TMutTouch, probing the target's index once per touched pair.
 	if _, err := e.exec(ctx, qs, nil, nil,
 		"DELETE FROM "+target+" WHERE EXISTS (SELECT fid FROM "+tblMutTouch+
 			" m WHERE m.fid = "+target+".fid AND m.tid = "+target+".tid)"); err != nil {
 		return 0, err
 	}
-	// Re-materialize the touched pairs that are still within lthd.
-	var insQ string
-	if forward {
-		insQ = "INSERT INTO " + target + " (fid, tid, pid, cost) SELECT s.src, s.nid, s.par, s.dist FROM " +
-			TblSeg + " s WHERE s.src <> s.nid AND EXISTS (SELECT fid FROM " + tblMutTouch +
-			" m WHERE m.fid = s.src AND m.tid = s.nid)"
-	} else {
-		insQ = "INSERT INTO " + target + " (fid, tid, pid, cost) SELECT s.nid, s.src, s.par, s.dist FROM " +
-			TblSeg + " s WHERE s.src <> s.nid AND EXISTS (SELECT fid FROM " + tblMutTouch +
-			" m WHERE m.fid = s.nid AND m.tid = s.src)"
-	}
+	// Re-materialize the touched pairs that are still within lthd: touched
+	// pairs are unique, so each probes TSeg's (src, nid) key for its one row.
+	insQ := "INSERT INTO " + target + " (fid, tid, pid, cost) SELECT m.fid, m.tid, s.par, s.dist FROM " +
+		tblMutTouch + " m, " + TblSeg + " s WHERE s.src = m." + srcCol + " AND s.nid = m." + nidCol + " AND s.src <> s.nid"
 	repaired, err := e.exec(ctx, qs, nil, nil, insQ)
 	if err != nil {
 		return 0, err

@@ -240,8 +240,9 @@ func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64, forwar
 // (Definition 4(2)): an edge is discarded when a recorded segment already
 // dominates it, a cheaper edge updates the recorded cost, and parallel
 // edges collapse to their minimum. A non-empty touchTable restricts the
-// fold to the (fid, tid) pairs recorded there — the decremental repair
-// path, which only re-materializes touched pairs.
+// fold to the (fid, tid) pairs recorded there, uniquely — the decremental
+// repair path, which only re-materializes touched pairs and reaches their
+// edges from the touch table through TEdges' fid index.
 func (e *Engine) foldEdges(ctx context.Context, qs *QueryStats, forward bool, touchTable string) error {
 	target := TblOutSegs
 	pid := "s.fid"
@@ -249,12 +250,11 @@ func (e *Engine) foldEdges(ctx context.Context, qs *QueryStats, forward bool, to
 		target = TblInSegs
 		pid = "s.tid" // successor of fid on the single-edge path
 	}
-	restrict := ""
+	from := TblEdges + " s"
 	if touchTable != "" {
-		restrict = " WHERE EXISTS (SELECT fid FROM " + touchTable + " m WHERE m.fid = s.fid AND m.tid = s.tid)"
+		from = touchTable + " m, " + TblEdges + " s WHERE s.fid = m.fid AND s.tid = m.tid"
 	}
-	src := "SELECT s.fid, s.tid, " + pid + ", MIN(s.cost) FROM " + TblEdges + " s" + restrict +
-		" GROUP BY s.fid, s.tid"
+	src := "SELECT s.fid, s.tid, " + pid + ", MIN(s.cost) FROM " + from + " GROUP BY s.fid, s.tid"
 	_, err := e.mergeSegs(ctx, qs, target, src, nil)
 	return err
 }

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/record"
 	"repro/internal/sql"
@@ -206,9 +208,16 @@ func (p *Planner) PrepareDelete(st *sql.DeleteStmt) (*PreparedDML, error) {
 	}
 	c := &compiler{planner: p}
 	lay, need := scanLayout(t, st.Table)
-	scan, err := p.analyzeTargetAccess(t, st.Table, lay, need, &Env{Lay: lay}, splitConjuncts(st.Where), c)
+	conjuncts := splitConjuncts(st.Where)
+	// The plan as written is compiled first, whichever runs: it is what
+	// reports a statement that does not compile.
+	scan, err := p.analyzeTargetAccess(t, st.Table, lay, need, &Env{Lay: lay}, conjuncts, c)
 	if err != nil {
 		return nil, err
+	}
+	if src, probe := p.existsDriver(t, st.Table, conjuncts, c); probe != nil {
+		del := []mergeBranch{{del: true}}
+		return newDML(src, probe, func(in *instance) (Result, error) { return mergeRows(in, t, del, nil) }), nil
 	}
 	return newDML(nil, scan, func(in *instance) (Result, error) {
 		matches, err := findTargets(&in.ctx, in.target, nil)
@@ -222,6 +231,43 @@ func (p *Planner) PrepareDelete(st *sql.DeleteStmt) (*PreparedDML, error) {
 		}
 		return Result{RowsAffected: int64(len(matches))}, nil
 	}), nil
+}
+
+// existsDriver turns DELETE FROM t WHERE EXISTS (SELECT ... FROM m WHERE corr)
+// round: when the subquery reads one base table and yields a row per row of
+// it that passes (plain items, no TOP or grouping), and equalities of corr
+// with m's columns cover an index prefix of t, the statement runs as "for
+// each row of m, probe t" — the UPDATE ... FROM plan with a delete action —
+// and costs what m holds, not what t holds. The target row takes the scope
+// m's row had, so corr's column references must be qualified. A nil probe
+// says the rule does not apply: the caller keeps its scan of t.
+func (p *Planner) existsDriver(t *table.Table, qual string, conjuncts []sql.Expr, c *compiler) (Node, baseScan) {
+	opaque := func(e sql.Expr) bool { return exprRefs(e, func(*sql.ColumnRef) bool { return false }) }
+	for i, conj := range conjuncts {
+		ex, _ := conj.(*sql.Exists)
+		if ex == nil || ex.Not {
+			continue
+		}
+		sel := ex.Select
+		if len(sel.From) != 1 || sel.From[0].Sub != nil || strings.EqualFold(sel.From[0].Name(), qual) ||
+			sel.Top != nil || sel.GroupBy != nil || sel.Having != nil || slices.ContainsFunc(sel.Items, opaque) ||
+			exprRefs(sel.Where, func(cr *sql.ColumnRef) bool { return cr.Table == "" }) {
+			continue
+		}
+		rest, correlated := splitConjuncts(sel.Where), false
+		src, srcLay, err := p.planTableAccess(sel.From[0], &rest, nil, c, nil) // takes m's own conjuncts
+		if err != nil {
+			continue
+		}
+		lay, need := scanLayout(t, qual)
+		env := &Env{Lay: lay, Parent: &Env{Lay: srcLay}}
+		probe, ok := p.chooseAccessPath(t, qual, lay, need, env, &rest, c, &correlated).(*IndexEqScan)
+		rest = append(append(rest, conjuncts[:i]...), conjuncts[i+1:]...)
+		if ok && correlated && p.attachResidualsToScan(probe, env, &rest, c, nil) == nil && len(rest) == 0 {
+			return src, probe
+		}
+	}
+	return nil, nil
 }
 
 // PrepareUpdate compiles an UPDATE statement, including the
@@ -355,11 +401,13 @@ func applySets(ctx *Ctx, row record.Row, fns []scalarFn, ords []int) (record.Row
 	return newRow, changed, nil
 }
 
-// mergeBranch is one compiled WHEN MATCHED branch.
+// mergeBranch is one compiled WHEN MATCHED branch; del makes its action
+// deleting the row (the EXISTS-driven DELETE) instead of updating it.
 type mergeBranch struct {
 	cond    scalarFn
 	setFns  []scalarFn
 	setOrds []int
+	del     bool
 }
 
 // mergeInsert is a compiled WHEN NOT MATCHED branch.
@@ -436,7 +484,8 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 // mergeRows drives MERGE and UPDATE ... FROM: every source row — all read
 // before the first change, since the source may be a query over t — probes
 // the target through in.target, and each target row takes the first branch
-// whose condition holds, once per statement.
+// whose condition holds, once per statement. Deletes are collected and
+// applied after the last probe.
 func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeInsert) (Result, error) {
 	ctx := &in.ctx
 	srcRows, err := runPlan(in.plan, ctx)
@@ -444,7 +493,7 @@ func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeI
 		return Result{}, err
 	}
 	touched := make(map[string]bool)
-	var matches []targetMatch
+	var matches, dels []targetMatch
 	var n int64
 	mergeOne := func(srcRow record.Row) error {
 		ctx.Push(srcRow)
@@ -473,7 +522,9 @@ func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeI
 				}
 				touched[lk] = true
 				n++
-				if err := updateMatch(ctx, t, m, br.setFns, br.setOrds); err != nil {
+				if br.del {
+					dels = append(dels, m)
+				} else if err := updateMatch(ctx, t, m, br.setFns, br.setOrds); err != nil {
 					return err
 				}
 				break
@@ -483,6 +534,11 @@ func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeI
 	}
 	for _, srcRow := range srcRows {
 		if err := mergeOne(srcRow); err != nil {
+			return Result{}, err
+		}
+	}
+	for _, m := range dels {
+		if err := t.Delete(m.loc, m.row); err != nil {
 			return Result{}, err
 		}
 	}

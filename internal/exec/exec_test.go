@@ -236,7 +236,8 @@ func TestArith(t *testing.T) {
 // scan become pushed predicates (column ordinal, satisfied set with the
 // column on the left), which stay in the residual, and that a column only a
 // pushed predicate reads is not decoded — for SELECT scans and for the
-// targets of UPDATE, DELETE and MERGE alike.
+// targets of UPDATE, DELETE and MERGE alike — and which DELETE ... WHERE
+// EXISTS run from the subquery's table (source), probing the target.
 func TestPlannerPushesComparisons(t *testing.T) {
 	cat := testCatalog(t)
 	type pushed struct {
@@ -246,6 +247,7 @@ func TestPlannerPushesComparisons(t *testing.T) {
 	for _, tc := range []struct {
 		q        string
 		index    bool // an index probe, not a sequential scan
+		source   bool // a DML statement that runs from a source plan
 		pushed   []pushed
 		residual bool
 		need     []bool
@@ -269,10 +271,32 @@ func TestPlannerPushesComparisons(t *testing.T) {
 		{q: "UPDATE TVisited SET d2s = d2s + 1 WHERE f > d2s", residual: true, need: []bool{false, true, true}},
 		{q: "DELETE FROM TVisited WHERE f = 2 AND d2s < ?", pushed: []pushed{{2, 2}, {1, 1}}, need: []bool{false, false, false}},
 		{q: "UPDATE TVisited SET f = 0 FROM plain WHERE TVisited.nid = plain.k AND plain.v < TVisited.d2s",
-			index: true, pushed: []pushed{{1, 4}}, need: []bool{false, false, false}},
+			index: true, source: true, pushed: []pushed{{1, 4}}, need: []bool{false, false, false}},
 		{q: "MERGE INTO TVisited AS target USING plain AS s ON (target.nid = s.k AND target.d2s > s.v) " +
 			"WHEN MATCHED AND target.f = 1 THEN UPDATE SET d2s = s.v",
-			index: true, pushed: []pushed{{1, 4}}, need: []bool{false, false, true}},
+			index: true, source: true, pushed: []pushed{{1, 4}}, need: []bool{false, false, true}},
+		// DELETE ... WHERE EXISTS runs from the subquery's table when its
+		// equalities cover an index prefix of the target: the clustered key's
+		// first column (the rest of the correlation is pushed), a secondary
+		// index, with an inequality and a conjunct on the target beside it.
+		{q: "DELETE FROM TEdges WHERE EXISTS (SELECT k FROM plain m WHERE m.k = TEdges.fid AND m.v = TEdges.tid)",
+			index: true, source: true, pushed: []pushed{{1, 2}}, need: []bool{false, false, false}},
+		{q: "DELETE FROM TEdges WHERE fid <> ? AND EXISTS (SELECT k FROM plain m WHERE TEdges.tid = m.k AND m.v < TEdges.cost)",
+			index: true, source: true, pushed: []pushed{{2, 4}, {0, 5}}, need: []bool{false, false, false}},
+		{q: "DELETE FROM TVisited WHERE EXISTS (SELECT fid FROM TEdges e WHERE e.tid = TVisited.nid AND e.fid = ?)", // e.fid = ? probes e
+			index: true, source: true, need: []bool{false, false, false}},
+		// Otherwise it stays a scan of the target with the EXISTS on each row:
+		// no index under the correlation, a correlation that is no equality
+		// with the driving table, a subquery that is not one row per row of it,
+		// an unqualified column (the target's row takes the subquery's scope).
+		{q: "DELETE FROM plain WHERE EXISTS (SELECT fid FROM TEdges e WHERE e.fid = plain.k)", residual: true, need: []bool{true, false}},
+		{q: "DELETE FROM TEdges WHERE EXISTS (SELECT k FROM plain m WHERE m.k < TEdges.fid)", residual: true, need: []bool{true, false, false}},
+		{q: "DELETE FROM TEdges WHERE fid = 3 AND EXISTS (SELECT k FROM plain m WHERE m.k = TEdges.cost)",
+			index: true, residual: true, need: []bool{false, false, true}},
+		{q: "DELETE FROM TEdges WHERE EXISTS (SELECT COUNT(*) FROM plain m WHERE m.k = TEdges.fid)", residual: true, need: []bool{true, false, false}},
+		{q: "DELETE FROM TEdges WHERE EXISTS (SELECT TOP 1 k FROM plain m WHERE m.k = TEdges.fid)", residual: true, need: []bool{true, false, false}},
+		{q: "DELETE FROM TEdges WHERE EXISTS (SELECT k FROM plain m WHERE m.k = fid)", residual: true, need: []bool{true, false, false}},
+		{q: "DELETE FROM TEdges WHERE NOT EXISTS (SELECT k FROM plain m WHERE m.k = TEdges.fid)", residual: true, need: []bool{true, false, false}},
 	} {
 		st, err := sql.Parse(tc.q)
 		if err != nil {
@@ -296,6 +320,9 @@ func TestPlannerPushesComparisons(t *testing.T) {
 		}
 		if dml != nil {
 			scan = dml.target
+			if (dml.plan != nil) != tc.source {
+				t.Errorf("%s: source plan %T", tc.q, dml.plan)
+			}
 		}
 		if scan == nil {
 			t.Fatalf("%s: no table scan under the plan", tc.q)
