@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -14,13 +15,13 @@ func tinyConfig() Config {
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 33 {
-		t.Fatalf("expected 33 experiments, got %d", len(exps))
+	if len(exps) != len(Figures)+2 {
+		t.Fatalf("expected the %d figures plus parallel and shard, got %d", len(Figures), len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
-		if e.Fn == nil {
-			t.Errorf("%s: nil runner", e.ID)
+		if e.Run == nil || e.Doc == "" {
+			t.Errorf("%s: incomplete entry", e.ID)
 		}
 		if seen[e.ID] {
 			t.Errorf("duplicate id %s", e.ID)
@@ -58,115 +59,68 @@ func TestTableFormat(t *testing.T) {
 	}
 }
 
-// runAndCheck executes a runner and sanity-checks its output shape.
-func runAndCheck(t *testing.T, id string, wantCols int) *Table {
-	t.Helper()
-	fn, ok := Lookup(id)
-	if !ok {
-		t.Fatalf("unknown experiment %s", id)
+// TestFigures regenerates every row of the spec table at a tiny scale and
+// checks the table against the spec it came from: a line per dataset (per
+// column for the buffer-size figures), a cell per (column, cell), none
+// empty, counters numeric.
+func TestFigures(t *testing.T) {
+	for _, f := range Figures {
+		t.Run(f.ID, func(t *testing.T) {
+			if f.Name == "" || f.Section == "" || f.Title == "" {
+				t.Errorf("incomplete spec: %+v", f)
+			}
+			tab, err := Run(f, tinyConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines, width := len(f.Data), 1+len(f.Columns)*len(f.Cells)
+			if f.PerColumn {
+				lines, width = len(f.Columns), 1+len(f.Cells)
+			}
+			if len(tab.Header) != width || len(tab.Rows) != lines {
+				t.Fatalf("%d columns x %d rows, spec says %d x %d", len(tab.Header), len(tab.Rows), width, lines)
+			}
+			for _, r := range tab.Rows {
+				if len(r) != width {
+					t.Fatalf("row arity %d != %d: %v", len(r), width, r)
+				}
+				for k, cell := range r {
+					if cell == "" {
+						t.Errorf("empty cell %d in %v", k, r)
+					}
+					if k == 0 || cell == ">" || !f.Cells[(k-1)%len(f.Cells)].Of.Counter() {
+						continue
+					}
+					if _, err := strconv.ParseFloat(cell, 64); err != nil {
+						t.Errorf("counter cell %q of %v is not a number", cell, r)
+					}
+				}
+			}
+		})
 	}
-	tab, err := fn(tinyConfig())
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	if len(tab.Header) != wantCols {
-		t.Fatalf("%s: expected %d columns, got %d (%v)", id, wantCols, len(tab.Header), tab.Header)
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatalf("%s: no rows", id)
-	}
-	for _, r := range tab.Rows {
-		if len(r) != wantCols {
-			t.Fatalf("%s: row arity %d != %d: %v", id, len(r), wantCols, r)
+	t.Run("shard", func(t *testing.T) {
+		// The graph's minimum size: every page miss sleeps 15 ms.
+		tab, err := RunShard(Config{Queries: 2, Seed: 7, Scale: 0.005})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	return tab
-}
-
-func TestRunTable2(t *testing.T) { runAndCheck(t, "table2", 7) }
-func TestRunFig6b(t *testing.T)  { runAndCheck(t, "fig6b", 4) }
-func TestRunFig6c(t *testing.T)  { runAndCheck(t, "fig6c", 4) }
-func TestRunFig6d(t *testing.T)  { runAndCheck(t, "fig6d", 3) }
-func TestRunFig7c(t *testing.T)  { runAndCheck(t, "fig7c", 5) }
-func TestRunFig8c(t *testing.T)  { runAndCheck(t, "fig8c", 4) }
-func TestRunFig8d(t *testing.T)  { runAndCheck(t, "fig8d", 4) }
-func TestRunFig9a(t *testing.T)  { runAndCheck(t, "fig9a", 5) }
-func TestRunFig9f(t *testing.T)  { runAndCheck(t, "fig9f", 3) }
-func TestRunFig9h(t *testing.T)  { runAndCheck(t, "fig9h", 3) }
-func TestRunAblation(t *testing.T) {
-	runAndCheck(t, "ablation-pruning", 5)
-	runAndCheck(t, "ablation-direction", 5)
-}
-
-func TestRunFig8b(t *testing.T) { runAndCheck(t, "fig8b", 3) }
-func TestRunFig9g(t *testing.T) { runAndCheck(t, "fig9g", 3) }
-func TestRunFig7a(t *testing.T) { runAndCheck(t, "fig7a", 4) }
-func TestRunFig9b(t *testing.T) { runAndCheck(t, "fig9b", 6) }
-
-func TestRunOracleALT(t *testing.T) {
-	tab := runAndCheck(t, "oracle-alt", 8)
-	// The headline claim of the experiment — ALT affects fewer tuples
-	// than BSDJ — is asserted statistically in core's differential suite;
-	// here (tiny, noisy config) just surface the columns for inspection.
-	for _, r := range tab.Rows {
-		t.Logf("|V|=%s: BSDJ affected %s, ALT affected %s (pruned %s)", r[0], r[1], r[4], r[7])
-	}
-}
-
-func TestRunOracleApprox(t *testing.T) { runAndCheck(t, "oracle-approx", 6) }
-
-func TestRunLabels(t *testing.T) { runAndCheck(t, "labels", 5) }
-
-func TestRunRecovery(t *testing.T) {
-	tab := runAndCheck(t, "recovery", 4)
-	// The last row is the cold-total / hydrate-total speedup.
-	last := tab.Rows[len(tab.Rows)-1]
-	if last[1] != "speedup" {
-		t.Fatalf("expected a speedup row, got %v", last)
-	}
-	t.Logf("recovery speedup: %s", last[2])
-}
-
-// TestRunPlanner smoke-tests the auto-vs-manual experiment: four rows
-// (BSDJ, BSEG, ALT, Auto), and the Auto row carries a planner decision mix
-// while the manual rows do not.
-func TestRunPlanner(t *testing.T) {
-	tab := runAndCheck(t, "planner", 6)
-	if len(tab.Rows) != 4 {
-		t.Fatalf("expected 4 rows, got %d", len(tab.Rows))
-	}
-	last := tab.Rows[len(tab.Rows)-1]
-	if last[0] != "Auto" {
-		t.Fatalf("last row should be Auto, got %q", last[0])
-	}
-	if last[5] == "-" || last[5] == "" {
-		t.Errorf("Auto row should report planner decisions, got %q", last[5])
-	}
-	for _, r := range tab.Rows[:len(tab.Rows)-1] {
-		if r[5] != "-" {
-			t.Errorf("manual row %s should not report decisions, got %q", r[0], r[5])
+		// Single engine and 1, 2, 4 shards, for BSDJ and BSEG.
+		if len(tab.Rows) != 8 {
+			t.Fatalf("expected 8 rows, got %d", len(tab.Rows))
 		}
-	}
-}
-
-// TestRunMutationThroughput smoke-tests the dynamic-graph experiment: all
-// five rows present, singles and batch both applied, and the table ID that
-// names the BENCH_mutations.json artifact.
-func TestRunMutationThroughput(t *testing.T) {
-	tab := runAndCheck(t, "mutation-throughput", 7)
-	if tab.ID != "mutations" {
-		t.Errorf("table ID %q, want mutations (names the JSON artifact)", tab.ID)
-	}
-	if len(tab.Rows) != 5 {
-		t.Errorf("expected 5 rows, got %d", len(tab.Rows))
-	}
+		for _, r := range tab.Rows {
+			if len(r) != len(tab.Header) {
+				t.Fatalf("row arity %d != %d: %v", len(r), len(tab.Header), r)
+			}
+		}
+	})
 }
 
 // TestJSONWriters round-trips the machine-readable output.
 func TestJSONWriters(t *testing.T) {
 	dir := t.TempDir()
 	tab := &Table{ID: "X", Title: "demo", Header: []string{"a"}, Rows: [][]string{{"1"}}}
-	path, err := WriteTableJSON(dir, tab, tinyConfig(), 0)
+	path, err := tab.WriteJSON(dir, tinyConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,21 +137,5 @@ func TestJSONWriters(t *testing.T) {
 	}
 	if res.ID != "X" || len(res.Rows) != 1 || res.Config["queries"] == nil {
 		t.Fatalf("bad JSON round-trip: %+v", res)
-	}
-
-	lg, err := WriteLoadGenJSON(dir, DefaultLoadGenConfig(), &LoadGenResult{ColdQPS: 10, HotQPS: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(lg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lgr LoadGenJSON
-	if err := json.Unmarshal(data, &lgr); err != nil {
-		t.Fatal(err)
-	}
-	if lgr.Speedup != 3 || lgr.ID != "loadgen" {
-		t.Fatalf("bad loadgen JSON: %+v", lgr)
 	}
 }

@@ -40,41 +40,24 @@ import (
 // With shared admission, level N overlaps N queries' page waits and QPS
 // scales until compute saturates the CPU.
 
-// ParallelLoadGenConfig configures one scaling sweep.
-type ParallelLoadGenConfig struct {
-	// Nodes is the ring size. Each query owns a Nodes/Queries segment, so
-	// larger rings mean larger (and longer) per-query searches.
-	Nodes int64
-	// Queries is the number of distinct cold pairs issued per level, one
-	// per ring segment.
-	Queries int
-	// Levels are the concurrency levels; each runs with GOMAXPROCS = level
-	// and a worker pool of the same width.
-	Levels []int
-	// Alg is the algorithm under load.
-	Alg core.Algorithm
-	// BufferPoolPages and SimulatedIOLatency shape the disk-resident
-	// regime. The pool must hold the union of the per-query footprints (so
-	// the measured phase never evicts); the latency models one seek.
-	BufferPoolPages    int
-	SimulatedIOLatency time.Duration
-}
+// The sweep's shape. Every search stays seek-bound — a few pages of private
+// footprint per query at 15ms per page against the relational compute —
+// with enough queries per level that each level's QPS averages over
+// scheduler noise instead of riding on a handful of samples. The pool holds
+// the union of the per-query footprints, so the measured phase never
+// evicts; the latency models one seek. Config.Scale shrinks the ring, and
+// with it each query's segment.
+const (
+	parallelNodes   = 12288
+	parallelQueries = 48
+	parallelAlg     = core.AlgBSDJ
+	parallelPool    = 768
+	parallelSeek    = 15 * time.Millisecond
+)
 
-// DefaultParallelLoadGenConfig sizes a sweep that keeps every search
-// seek-bound — a few pages of private footprint per query at 15ms per page
-// against the relational compute — with enough queries per level (48) that
-// each level's QPS averages over scheduler noise instead of riding on a
-// handful of samples.
-func DefaultParallelLoadGenConfig() ParallelLoadGenConfig {
-	return ParallelLoadGenConfig{
-		Nodes:              12288,
-		Queries:            48,
-		Levels:             []int{1, 2, 4},
-		Alg:                core.AlgBSDJ,
-		BufferPoolPages:    768,
-		SimulatedIOLatency: 15 * time.Millisecond,
-	}
-}
+// parallelLevels are the concurrency levels; each runs with GOMAXPROCS =
+// level and a worker pool of the same width.
+var parallelLevels = []int{1, 2, 4}
 
 // segmentedGraph builds the deterministic ring-with-chords graph: every node
 // links ahead by 1, 8, 64 and 512 positions with weights that make the long
@@ -124,64 +107,78 @@ type ParallelLevelResult struct {
 	Speedup float64 `json:"speedup_vs_level1"`
 }
 
-// ParallelLoadGenResult is the full sweep.
-type ParallelLoadGenResult struct {
-	Levels []ParallelLevelResult
-	// Scaling is QPS(highest level) / QPS(level 1), the headline number.
-	Scaling float64
-}
-
-// RunParallelLoadGen executes the sweep. GOMAXPROCS is adjusted per level
-// and restored before returning.
-func RunParallelLoadGen(cfg ParallelLoadGenConfig, logf func(format string, args ...any)) (*ParallelLoadGenResult, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
+// RunParallel executes the sweep and fails if any query did. GOMAXPROCS is
+// adjusted per level and restored before returning.
+func RunParallel(cfg Config) (*Table, error) {
+	nodes := cfg.scale(parallelNodes)
+	if nodes/parallelQueries < 4 {
+		return nil, fmt.Errorf("bench: %d nodes cannot seat %d query segments", nodes, parallelQueries)
 	}
-	if len(cfg.Levels) == 0 {
-		return nil, fmt.Errorf("bench: no concurrency levels")
-	}
-	if cfg.Queries < 1 || cfg.Nodes/int64(cfg.Queries) < 4 {
-		return nil, fmt.Errorf("bench: %d nodes cannot seat %d query segments", cfg.Nodes, cfg.Queries)
-	}
-	g, err := segmentedGraph(cfg.Nodes)
+	g, err := segmentedGraph(nodes)
 	if err != nil {
 		return nil, err
 	}
-	pairs := segmentPairs(cfg.Nodes, cfg.Queries)
+	pairs := segmentPairs(nodes, parallelQueries)
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
-	out := &ParallelLoadGenResult{}
-	for _, level := range cfg.Levels {
-		if level < 1 {
-			return nil, fmt.Errorf("bench: concurrency level %d < 1", level)
-		}
+	var levels []ParallelLevelResult
+	for _, level := range parallelLevels {
 		runtime.GOMAXPROCS(level)
-		lr, err := runParallelLevel(cfg, g, pairs, level, logf)
+		lr, err := runParallelLevel(cfg, g, pairs, level)
 		if err != nil {
 			return nil, err
 		}
-		out.Levels = append(out.Levels, *lr)
-	}
-	base := out.Levels[0]
-	last := out.Levels[len(out.Levels)-1]
-	if base.QPS > 0 {
-		out.Scaling = last.QPS / base.QPS
-		for i := range out.Levels {
-			out.Levels[i].Speedup = out.Levels[i].QPS / base.QPS
+		if lr.Errors > 0 {
+			return nil, fmt.Errorf("bench: parallel level %d: %d queries failed", level, lr.Errors)
 		}
+		levels = append(levels, *lr)
 	}
-	return out, nil
+	base := levels[0].QPS
+	tab := &Table{
+		ID: "parallel",
+		Title: fmt.Sprintf("Parallel cold-read scaling, %s over %d-node segmented ring (%d disjoint pairs), pool=%d pages, seek=%v",
+			parallelAlg, nodes, parallelQueries, parallelPool, parallelSeek),
+		Header: []string{"gomaxprocs=workers", "queries", "time", "queries/sec", "p50", "p99", "peak readers", "cold misses", "scaling"},
+	}
+	for i := range levels {
+		lv := &levels[i]
+		if base > 0 {
+			lv.Speedup = lv.QPS / base
+		}
+		tab.Rows = append(tab.Rows, []string{
+			fmt.Sprint(lv.Level), fmt.Sprint(lv.Queries), ms(lv.Dur),
+			fmt.Sprintf("%.1f", lv.QPS),
+			lv.P50.Round(time.Microsecond).String(), lv.P99.Round(time.Microsecond).String(),
+			fmt.Sprint(lv.PeakReaders), fmt.Sprint(lv.ColdMisses), fmt.Sprintf("%.1fx", lv.Speedup),
+		})
+	}
+	tab.JSON = ParallelJSON{
+		ID: "parallel",
+		Config: map[string]any{
+			"alg":        parallelAlg.String(),
+			"nodes":      nodes,
+			"queries":    parallelQueries,
+			"levels":     parallelLevels,
+			"pool_pages": parallelPool,
+			"io_latency": parallelSeek.String(),
+		},
+		Levels: levels,
+		// Scaling is QPS(highest level) / QPS(level 1), the headline number.
+		Scaling:  levels[len(levels)-1].Speedup,
+		UnixTime: time.Now().Unix(),
+	}
+	return tab, nil
 }
 
-func runParallelLevel(cfg ParallelLoadGenConfig, g *graph.Graph, pairs [][2]int64, level int, logf func(string, ...any)) (*ParallelLevelResult, error) {
+func runParallelLevel(cfg Config, g *graph.Graph, pairs [][2]int64, level int) (*ParallelLevelResult, error) {
 	// A fresh engine per level: identical cold state, no cross-level cache
 	// or buffer-pool warmth. The path cache is off so every query is a real
 	// search — parallel scaling cannot hide behind memoization. The load
 	// phase runs at memory speed; the simulated seek is armed below, for
 	// the measured phase only.
 	db, err := rdb.Open(rdb.Options{
-		BufferPoolPages: cfg.BufferPoolPages,
+		BufferPoolPages: parallelPool,
 	})
 	if err != nil {
 		return nil, err
@@ -192,13 +189,8 @@ func runParallelLevel(cfg ParallelLoadGenConfig, g *graph.Graph, pairs [][2]int6
 	if err := eng.LoadGraph(g); err != nil {
 		return nil, err
 	}
-	if cfg.Alg == core.AlgBSEG {
-		if _, err := eng.BuildSegTable(20); err != nil {
-			return nil, err
-		}
-	}
 	// Loading warmed the pool; evict so the measured phase is truly cold.
-	db.SetSimulatedIOLatency(cfg.SimulatedIOLatency)
+	db.SetSimulatedIOLatency(parallelSeek)
 	if err := db.Pool().EvictAll(); err != nil {
 		return nil, err
 	}
@@ -232,7 +224,7 @@ func runParallelLevel(cfg ParallelLoadGenConfig, g *graph.Graph, pairs [][2]int6
 				}
 				q0 := time.Now()
 				_, err := eng.Query(context.Background(), core.QueryRequest{
-					Source: pairs[i][0], Target: pairs[i][1], Alg: cfg.Alg,
+					Source: pairs[i][0], Target: pairs[i][1], Alg: parallelAlg,
 				})
 				lats[i] = time.Since(q0)
 				errsByQ[i] = err
@@ -264,34 +256,10 @@ func runParallelLevel(cfg ParallelLoadGenConfig, g *graph.Graph, pairs [][2]int6
 		lr.P99MS = float64(lr.P99.Microseconds()) / 1000
 	}
 	lr.PeakReaders = eng.ConcurrencyStats().Gate.PeakReaders
-	logf("parallel: level %d: %d queries in %v (%.1f queries/sec, p50 %v, p99 %v, peak readers %d, cold misses %d)",
+	cfg.logf("parallel: level %d: %d queries in %v (%.1f queries/sec, p50 %v, p99 %v, peak readers %d, cold misses %d)",
 		level, lr.Queries, dur.Round(time.Millisecond), lr.QPS,
 		lr.P50.Round(time.Microsecond), lr.P99.Round(time.Microsecond), lr.PeakReaders, lr.ColdMisses)
 	return lr, nil
-}
-
-// ParallelLoadGenTable formats the sweep in the harness table style.
-func ParallelLoadGenTable(cfg ParallelLoadGenConfig, r *ParallelLoadGenResult) *Table {
-	tab := &Table{
-		ID: "parallel",
-		Title: fmt.Sprintf("Parallel cold-read scaling, %s over %d-node segmented ring (%d disjoint pairs), pool=%d pages, seek=%v",
-			cfg.Alg, cfg.Nodes, cfg.Queries, cfg.BufferPoolPages, cfg.SimulatedIOLatency),
-		Header: []string{"gomaxprocs=workers", "queries", "time", "queries/sec", "p50", "p99", "peak readers", "cold misses", "scaling"},
-	}
-	base := r.Levels[0].QPS
-	for _, lv := range r.Levels {
-		scal := "1.0x"
-		if base > 0 {
-			scal = fmt.Sprintf("%.1fx", lv.QPS/base)
-		}
-		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprint(lv.Level), fmt.Sprint(lv.Queries), ms(lv.Dur),
-			fmt.Sprintf("%.1f", lv.QPS),
-			lv.P50.Round(time.Microsecond).String(), lv.P99.Round(time.Microsecond).String(),
-			fmt.Sprint(lv.PeakReaders), fmt.Sprint(lv.ColdMisses), scal,
-		})
-	}
-	return tab
 }
 
 // ParallelJSON is the serialized sweep: per-level QPS and tail latency,
@@ -302,23 +270,4 @@ type ParallelJSON struct {
 	Levels   []ParallelLevelResult `json:"levels"`
 	Scaling  float64               `json:"scaling"`
 	UnixTime int64                 `json:"unix_time"`
-}
-
-// WriteParallelJSON writes the sweep as BENCH_parallel.json under dir.
-func WriteParallelJSON(dir string, cfg ParallelLoadGenConfig, r *ParallelLoadGenResult) (string, error) {
-	res := ParallelJSON{
-		ID: "parallel",
-		Config: map[string]any{
-			"alg":        cfg.Alg.String(),
-			"nodes":      cfg.Nodes,
-			"queries":    cfg.Queries,
-			"levels":     cfg.Levels,
-			"pool_pages": cfg.BufferPoolPages,
-			"io_latency": cfg.SimulatedIOLatency.String(),
-		},
-		Levels:   r.Levels,
-		Scaling:  r.Scaling,
-		UnixTime: time.Now().Unix(),
-	}
-	return writeJSONFile(dir, "parallel", res)
 }

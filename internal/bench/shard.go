@@ -72,17 +72,19 @@ func RunShard(c Config) (*Table, error) {
 	// Load and index at memory speed; the seek cost is armed per engine
 	// just before its measured phase.
 	c.logf("shard: baseline engine (n=%d, pool=%d, seek=%v)", n, shardBenchPool, shardBenchSeek)
-	base, err := makeEngine(g, rdb.Options{
-		BufferPoolPages: shardBenchPool,
-	}, core.Options{CacheSize: -1})
+	db, err := rdb.Open(rdb.Options{BufferPoolPages: shardBenchPool})
 	if err != nil {
 		return nil, err
 	}
-	defer base.close()
-	if _, err := base.eng.BuildSegTable(shardBenchLthd); err != nil {
+	base := core.NewEngine(db, core.Options{CacheSize: -1})
+	defer base.Close()
+	if err := base.LoadGraph(g); err != nil {
 		return nil, err
 	}
-	base.db.SetSimulatedIOLatency(shardBenchSeek)
+	if _, err := base.BuildSegTable(shardBenchLthd); err != nil {
+		return nil, err
+	}
+	db.SetSimulatedIOLatency(shardBenchSeek)
 
 	shardKs := []int{1, 2, 4}
 	engines := make([]*shard.ShardedEngine, len(shardKs))
@@ -111,17 +113,17 @@ func RunShard(c Config) (*Table, error) {
 	}
 	for _, alg := range []core.Algorithm{core.AlgBSDJ, core.AlgBSEG} {
 		// Baseline: the unsharded engine under the read gate, same clients.
-		if err := base.db.Pool().EvictAll(); err != nil {
+		if err := db.Pool().EvictAll(); err != nil {
 			return nil, err
 		}
-		io0 := base.db.Stats().IO
+		io0 := db.Stats().IO
 		want, bm, err := measureShardLevel(pairs, func(ctx context.Context, s, t int64) (core.QueryResult, error) {
-			return base.eng.Query(ctx, core.QueryRequest{Source: s, Target: t, Alg: alg})
+			return base.Query(ctx, core.QueryRequest{Source: s, Target: t, Alg: alg})
 		})
 		if err != nil {
 			return nil, err
 		}
-		io1 := base.db.Stats().IO
+		io1 := db.Stats().IO
 		c.logf("shard: %v single: %.1f queries/sec (p50 %v, p99 %v) reads=%d readDelay=%v", alg, bm.qps, bm.p50, bm.p99, io1.Reads-io0.Reads, io1.ReadDelay-io0.ReadDelay)
 		tab.Rows = append(tab.Rows, []string{
 			alg.String(), "single", fmt.Sprint(len(pairs)), ms(bm.dur),

@@ -188,8 +188,16 @@ func TestWriterDrainsReaders(t *testing.T) {
 // goroutines running every algorithm family query concurrently WHILE
 // mutation batches land, and every answer must be exact for a graph version
 // whose lifetime overlapped the query. Run with -race this is the core
-// safety argument for retiring the one-slot latch.
+// safety argument for retiring the one-slot latch. Its second input is the
+// sustained-load profile a served engine sees: every batch also re-weights
+// an existing edge, and the engine is durable, so each batch is appended to
+// the WAL and fsynced before it applies.
 func TestParallelMixedUnderMutations(t *testing.T) {
+	t.Run("memory", func(t *testing.T) { mixedUnderMutations(t, false) })
+	t.Run("durable+updates", func(t *testing.T) { mixedUnderMutations(t, true) })
+}
+
+func mixedUnderMutations(t *testing.T, served bool) {
 	const (
 		n        = 40
 		readers  = 5
@@ -208,7 +216,11 @@ func TestParallelMixedUnderMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newTestEngine(t, mirror.Clone(), rdb.Options{}, Options{})
+	var opts Options
+	if served {
+		opts.DataDir = t.TempDir()
+	}
+	e := newTestEngine(t, mirror.Clone(), rdb.Options{}, opts)
 	if _, err := e.BuildSegTable(6); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +267,17 @@ func TestParallelMixedUnderMutations(t *testing.T) {
 				mut = Mutation{Op: MutInsert, From: 0, To: 20, Weight: w}
 			}
 			present = !present
-			if _, err := e.ApplyMutations([]Mutation{mut}); err != nil {
+			batch := []Mutation{mut}
+			if served {
+				// Walk the ring: edge (u, u+1) takes a new weight.
+				u, w := int64(i)%n, int64(1+(i+3)%7)
+				if _, err := mirror.UpdateEdgeWeight(u, (u+1)%n, w); err != nil {
+					t.Errorf("writer: mirror update: %v", err)
+					return
+				}
+				batch = append(batch, Mutation{Op: MutUpdate, From: u, To: (u + 1) % n, Weight: w})
+			}
+			if _, err := e.ApplyMutations(batch); err != nil {
 				t.Errorf("writer: %v", err)
 				return
 			}
@@ -322,5 +344,8 @@ func TestParallelMixedUnderMutations(t *testing.T) {
 	}
 	if st.Scratch.Live != 0 {
 		t.Errorf("%d scratch sets still leased after the run", st.Scratch.Live)
+	}
+	if wal := e.DurabilityStats().WAL; served && (wal.Appends == 0 || wal.Syncs == 0) {
+		t.Errorf("durable run logged %d appends, %d fsyncs", wal.Appends, wal.Syncs)
 	}
 }

@@ -45,8 +45,8 @@ const (
 	// Dijkstra family, so with lthd < PlannerWeakSegFactor×wmin the
 	// segments compress almost nothing (they are mostly single edges) and
 	// ALT's goal-directed pruning wins; with real compression BSEG's
-	// fewer, fatter rounds win, measured across both the paper's Fig 7
-	// experiments and the fembench planner experiment.
+	// fewer, fatter rounds win (the paper's Fig 7; the iteration counts
+	// are asserted by internal/bench's TestPaperClaims).
 	PlannerWeakSegFactor = 2
 )
 
@@ -434,8 +434,8 @@ func (e *Engine) planQuery(ctx context.Context, req QueryRequest, snap statSnaps
 		// and the read) just mean planning proceeds without bounds.
 	}
 	// Oracle-only answers report the landmark reads as their cost — they
-	// ran real statements, and the fembench planner comparison must not
-	// flatter AlgAuto with a zero-statement row.
+	// ran real statements, and a comparison against the hinted algorithms
+	// must not flatter AlgAuto with a zero-statement row.
 	oracleStats := func(decision string) *QueryStats {
 		return &QueryStats{Algorithm: AlgAuto.String(), Planner: decision,
 			Statements: ivStmts, SC: ivDur, Total: ivDur}

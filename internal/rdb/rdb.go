@@ -59,9 +59,8 @@ type Options struct {
 	// Profile selects the emulated DBMS feature set (default DBMS-X).
 	Profile Profile
 	// PlanCacheSize bounds the compiled-plan cache in entries (default
-	// DefaultPlanCacheSize; negative disables caching, re-compiling every
-	// statement — the paper's statement-at-a-time baseline, kept for the
-	// fembench prepared-vs-reparse comparison).
+	// DefaultPlanCacheSize). Every statement runs through the cache; a
+	// negative size is out of range.
 	PlanCacheSize int
 }
 
@@ -71,7 +70,7 @@ type Options struct {
 // cannot grow the cache without limit.
 const DefaultPlanCacheSize = 256
 
-// Stats aggregates engine activity since Open or the last ResetStats.
+// Stats aggregates engine activity since Open; phases are read as deltas.
 // Session counters are folded in: SessionStatements is the subset of
 // Statements issued through Session handles, and ActiveSessions /
 // SessionsOpened track the serving tier's concurrency.
@@ -95,7 +94,7 @@ type Stats struct {
 	PlanCacheHits          uint64
 	PlanCacheMisses        uint64
 	PlanCacheInvalidations uint64
-	// PlanCacheEntries is the live entry count (0 when caching is off).
+	// PlanCacheEntries is the live entry count.
 	PlanCacheEntries int
 	// SchemaEpoch is the catalog generation: bumped by every DDL statement
 	// (CREATE/DROP), it is what cached plans are validated against.
@@ -120,9 +119,9 @@ type DB struct {
 	tlMu   sync.Mutex
 	tlocks map[string]*sync.RWMutex
 
-	// plans caches compiled statements keyed by (text, profile); nil when
-	// caching is disabled. epoch is the schema generation entries are
-	// validated against (bumped by DDL under the exclusive latch).
+	// plans caches compiled statements keyed by (text, profile). epoch is
+	// the schema generation entries are validated against (bumped by DDL
+	// under the exclusive latch).
 	plans *planCache
 	epoch atomic.Uint64
 
@@ -148,6 +147,12 @@ func Open(opts Options) (*DB, error) {
 	if opts.Profile.Name == "" {
 		opts.Profile = ProfileDBMSX
 	}
+	if opts.PlanCacheSize < 0 {
+		return nil, fmt.Errorf("rdb: PlanCacheSize %d out of range", opts.PlanCacheSize)
+	}
+	if opts.PlanCacheSize == 0 {
+		opts.PlanCacheSize = DefaultPlanCacheSize
+	}
 	var disk storage.DiskManager
 	var err error
 	if opts.Path == "" {
@@ -167,13 +172,7 @@ func Open(opts Options) (*DB, error) {
 		planner: exec.NewPlanner(cat),
 		profile: opts.Profile,
 		tlocks:  make(map[string]*sync.RWMutex),
-	}
-	size := opts.PlanCacheSize
-	if size == 0 {
-		size = DefaultPlanCacheSize
-	}
-	if size > 0 {
-		db.plans = newPlanCache(size)
+		plans:   newPlanCache(opts.PlanCacheSize),
 	}
 	return db, nil
 }
@@ -208,7 +207,7 @@ func (db *DB) Pool() *storage.BufferPool { return db.pool }
 
 // Stats snapshots engine counters.
 func (db *DB) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Statements:             db.stmts.Load(),
 		ParsePlanDur:           time.Duration(db.parseDurNs.Load()),
 		ExecDur:                time.Duration(db.execDurNs.Load()),
@@ -218,26 +217,11 @@ func (db *DB) Stats() Stats {
 		PlanCacheHits:          db.planHits.Load(),
 		PlanCacheMisses:        db.planMisses.Load(),
 		PlanCacheInvalidations: db.planInvalidated.Load(),
+		PlanCacheEntries:       db.plans.size(),
 		SchemaEpoch:            db.epoch.Load(),
 		Pool:                   db.pool.Stats(),
 		IO:                     db.disk.Stats(),
 	}
-	if db.plans != nil {
-		st.PlanCacheEntries = db.plans.size()
-	}
-	return st
-}
-
-// ResetStats zeroes statement and buffer counters (between bench phases).
-func (db *DB) ResetStats() {
-	db.stmts.Store(0)
-	db.parseDurNs.Store(0)
-	db.execDurNs.Store(0)
-	db.sessionStmts.Store(0)
-	db.planHits.Store(0)
-	db.planMisses.Store(0)
-	db.planInvalidated.Store(0)
-	db.pool.ResetStats()
 }
 
 // Result is the SQLCA-style outcome of a mutating statement.
@@ -335,13 +319,11 @@ func exprUsesWindow(e sql.Expr) bool {
 func (db *DB) plan(query string) (*cachedPlan, error) {
 	epoch := db.epoch.Load()
 	key := planKey{text: query, profile: db.profile.Name}
-	if db.plans != nil {
-		if cp, stale := db.plans.get(key, epoch); cp != nil {
-			db.planHits.Add(1)
-			return cp, nil
-		} else if stale {
-			db.planInvalidated.Add(1)
-		}
+	if cp, stale := db.plans.get(key, epoch); cp != nil {
+		db.planHits.Add(1)
+		return cp, nil
+	} else if stale {
+		db.planInvalidated.Add(1)
 	}
 	t0 := time.Now()
 	st, nparams, err := sql.ParseStmt(query)
@@ -389,9 +371,7 @@ func (db *DB) plan(query string) (*cachedPlan, error) {
 	db.parseDurNs.Add(int64(time.Since(t0)))
 	if cp.kind != planKindDDL {
 		db.planMisses.Add(1)
-		if db.plans != nil {
-			db.plans.put(key, cp)
-		}
+		db.plans.put(key, cp)
 	}
 	return cp, nil
 }

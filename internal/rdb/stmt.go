@@ -75,13 +75,6 @@ func (st *Stmt) Close() error { return nil }
 // hold db.mu in either mode, so the epoch cannot move underneath the check:
 // DDL requires the exclusive latch.
 func (st *Stmt) current() (*cachedPlan, error) {
-	if st.db.plans == nil {
-		// Caching disabled (PlanCacheSize < 0): the whole engine runs
-		// statement-at-a-time, so prepared handles re-compile every
-		// execution too — this is the honest re-parse baseline the
-		// fembench prepared experiment compares against.
-		return st.db.plan(st.text)
-	}
 	if cp := st.plan.Load(); cp != nil && cp.epoch == st.db.epoch.Load() {
 		st.db.planHits.Add(1)
 		return cp, nil

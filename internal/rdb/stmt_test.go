@@ -191,25 +191,10 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	if n := db.Stats().PlanCacheEntries; n > 4 {
 		t.Fatalf("cache grew to %d entries past capacity 4", n)
 	}
-}
-
-// TestPlanCacheDisabled keeps the re-parse baseline honest: with caching
-// off every execution compiles (misses only, no entries).
-func TestPlanCacheDisabled(t *testing.T) {
-	db := openDB(t, Options{PlanCacheSize: -1})
-	seedPeople(t, db)
-	for i := 0; i < 5; i++ {
-		mustQuery(t, db, "SELECT id FROM people WHERE age = ?", int64(30))
-	}
-	st := db.Stats()
-	if st.PlanCacheHits != 0 {
-		t.Errorf("disabled cache reported %d hits", st.PlanCacheHits)
-	}
-	if st.PlanCacheMisses < 5 {
-		t.Errorf("disabled cache reported %d misses, want >= 5", st.PlanCacheMisses)
-	}
-	if st.PlanCacheEntries != 0 {
-		t.Errorf("disabled cache holds %d entries", st.PlanCacheEntries)
+	// There is no uncached mode: the size is a bound, not a switch.
+	if bad, err := Open(Options{PlanCacheSize: -1}); err == nil {
+		bad.Close()
+		t.Fatal("Open accepted a negative PlanCacheSize")
 	}
 }
 

@@ -139,15 +139,6 @@ func (bp *BufferPool) ShardStats() []PoolStats {
 	return out
 }
 
-// ResetStats zeroes the counters (used between benchmark phases).
-func (bp *BufferPool) ResetStats() {
-	for _, sh := range bp.shards {
-		sh.mu.Lock()
-		sh.stats = PoolStats{}
-		sh.mu.Unlock()
-	}
-}
-
 // NewPage allocates a fresh page on disk and returns it pinned. A zeroed
 // frame is valid content for a fresh page, so the new frame is installed
 // immediately; only the dirty victim's flush (if any) happens outside the
