@@ -982,6 +982,9 @@ func main() {
 		if *lmk > 0 || *lbls {
 			fail("-shards supports neither -landmarks nor -labels")
 		}
+		if *cacheSz != 0 {
+			fail("-shards does not support -cache (the shard coordinator has no path cache)")
+		}
 		switch alg {
 		case core.AlgAuto, core.AlgBSDJ, core.AlgBBFS, core.AlgBSEG:
 		default:

@@ -1,12 +1,16 @@
 package repro_test
 
 import (
+	"fmt"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/rdb"
+	"repro/internal/sweep"
+	"repro/internal/table"
 )
 
 // TestDocCitations keeps the prose honest about the second instrument:
@@ -61,6 +65,80 @@ func TestDocCitations(t *testing.T) {
 					t.Errorf("%s:%d: fembench -%s: no such flag", doc, n+1, m[1])
 				}
 			}
+		}
+	}
+}
+
+// relationRows renders the relation table of ARCHITECTURE §Physical design
+// from the declaration: one row per relation of sweep.Relations, its
+// storage under each strategy read back from a catalog the declared DDL
+// ran against.
+func relationRows(t *testing.T) []string {
+	store := func(rel sweep.Relation, s sweep.IndexStrategy) string {
+		db, err := rdb.Open(rdb.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		schema := sweep.Schema{Catalog: db.Catalog(), Strategy: s, Exec: func(q string) error {
+			_, err := db.Exec(q)
+			return err
+		}}
+		rel.BelowMerge = false
+		if err := schema.Create(rel); err != nil {
+			t.Fatal(err)
+		}
+		tbl, _ := db.Catalog().Get(rel.Name)
+		on := func(ix *table.Index) string {
+			cols := make([]string, len(ix.Cols))
+			for i, c := range ix.Cols {
+				cols[i] = tbl.Schema.Columns[c].Name
+			}
+			if ix.Unique {
+				return "unique (" + strings.Join(cols, ", ") + ")"
+			}
+			return "(" + strings.Join(cols, ", ") + ")"
+		}
+		out := "heap"
+		if clu := tbl.Clustered(); clu != nil {
+			out = "B+tree on " + on(clu)
+		}
+		for _, ix := range tbl.Secondary {
+			out += ", index " + on(ix)
+		}
+		return out
+	}
+	var rows []string
+	for _, rel := range sweep.Relations {
+		key, snap := "—", "no"
+		if rel.Key != "" {
+			key = rel.Key
+		}
+		if rel.Snapshot {
+			snap = "yes"
+		}
+		owner := rel.Owner.String()
+		if rel.BelowMerge {
+			owner += ", below the MERGE level"
+		}
+		rows = append(rows, fmt.Sprintf("| `%s` | %s | %s | %s | %s | %s | %s | %s |", rel.Name, rel.Cols, key,
+			store(rel, sweep.ClusteredIndex), store(rel, sweep.SecondaryIndex), store(rel, sweep.NoIndex), owner, snap))
+	}
+	return rows
+}
+
+// TestDocRelations: every declared relation has its row in the relation
+// table of ARCHITECTURE §Physical design, as the declaration renders it
+// today. On a missing or stale row the whole table is printed to paste.
+func TestDocRelations(t *testing.T) {
+	text, err := os.ReadFile("docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := relationRows(t)
+	for _, row := range rows {
+		if !strings.Contains(string(text), row+"\n") {
+			t.Fatalf("docs/ARCHITECTURE.md lacks the row\n%s\nthe table the declaration renders:\n%s", row, strings.Join(rows, "\n"))
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/rdb"
 	"repro/internal/snapshot"
+	"repro/internal/sweep"
 	"repro/internal/wal"
 )
 
@@ -203,10 +203,7 @@ func (e *Engine) Snapshot(ctx context.Context) (*SnapshotStats, error) {
 func (e *Engine) snapshotLocked() (*SnapshotStats, error) {
 	start := time.Now()
 	e.mu.RLock()
-	nodes, edges, wmin, version := e.nodes, e.edges, e.wmin, e.version
-	segBuilt, segLthd := e.segBuilt, e.segLthd
-	orc, lbl := e.orc, e.lbl
-	strategy := e.opts.Strategy
+	nodes, edges, wmin, version, ix := e.nodes, e.edges, e.wmin, e.version, e.indexes
 	e.mu.RUnlock()
 	if nodes == 0 {
 		return nil, ErrNoGraph
@@ -224,48 +221,30 @@ func (e *Engine) snapshotLocked() (*SnapshotStats, error) {
 	m.Nodes = int64(nodes)
 	m.Edges = int64(edges)
 	m.WMin = wmin
-	m.Strategy = strategy.String()
-	m.SegBuilt = segBuilt
-	if segBuilt {
-		m.SegLthd = segLthd
+	m.Strategy = e.opts.Strategy.String()
+	m.SegBuilt = ix.segBuilt
+	if ix.segBuilt {
+		m.SegLthd = ix.segLthd
 	}
-	if orc != nil {
+	if orc := ix.orc; orc != nil {
 		m.Oracle = &snapshot.OracleMeta{
 			K: orc.K, Strategy: orc.Strategy.String(),
 			Landmarks: orc.Landmarks, Rows: orc.Rows,
 		}
 	}
-	if lbl != nil {
+	if lbl := ix.lbl; lbl != nil {
 		m.Labels = &snapshot.LabelsMeta{Hubs: lbl.Hubs, RowsOut: lbl.RowsOut, RowsIn: lbl.RowsIn}
 	}
-	dump := func(name, q string, cols int) error {
-		rows, err := e.dumpTable(q, cols)
+	// Every snapshotted relation of the graph and of every live index.
+	for _, rel := range sweep.Relations {
+		if !rel.Snapshot || !ix.live(rel.Owner) {
+			continue
+		}
+		rows, err := e.dumpTable(rel)
 		if err != nil {
-			return err
-		}
-		return w.AddTable(name, cols, rows)
-	}
-	if err := dump(TblEdges, "SELECT fid, tid, cost FROM "+TblEdges, 3); err != nil {
-		return nil, err
-	}
-	if segBuilt {
-		if err := dump(TblOutSegs, "SELECT fid, tid, pid, cost FROM "+TblOutSegs, 4); err != nil {
 			return nil, err
 		}
-		if err := dump(TblInSegs, "SELECT fid, tid, pid, cost FROM "+TblInSegs, 4); err != nil {
-			return nil, err
-		}
-	}
-	if orc != nil {
-		if err := dump(oracle.TblLandmark, "SELECT lid, nid, dout, din FROM "+oracle.TblLandmark, 4); err != nil {
-			return nil, err
-		}
-	}
-	if lbl != nil {
-		if err := dump(labels.TblOut, "SELECT nid, hub, dist FROM "+labels.TblOut, 3); err != nil {
-			return nil, err
-		}
-		if err := dump(labels.TblIn, "SELECT nid, hub, dist FROM "+labels.TblIn, 3); err != nil {
+		if err := w.AddTable(rel.Name, rel.Width(), rows); err != nil {
 			return nil, err
 		}
 	}
@@ -348,119 +327,68 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 		return err
 	}
 
-	// Invalidate before touching any table, exactly like LoadGraph: a
-	// hydration that fails partway must read as "no graph loaded".
-	e.mu.Lock()
-	e.nodes = 0
-	e.edges = 0
-	e.wmin = 0
-	e.segBuilt = false
-	e.orc = nil
-	e.orcStale = false
-	e.lbl = nil
-	e.lblStale = false
-	e.bumpVersionLocked()
-	e.mu.Unlock()
-
-	if err := e.dropAllTables(); err != nil {
-		return err
-	}
-	if err := e.createGraphTables(); err != nil {
-		return err
-	}
-	if err := e.createScratchTables(e.scratchGlobal); err != nil {
-		return err
-	}
-	// Node ids are dense 0..N-1 by the loader's contract, so TNodes
-	// regenerates from the manifest's count instead of being stored.
-	var sb strings.Builder
-	count := 0
-	for nid := int64(0); nid < m.Nodes; nid++ {
-		if count > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "(%d)", nid)
-		if count++; count == insertBatch {
-			if _, err := e.sess.Exec("INSERT INTO " + TblNodes + " (nid) VALUES " + sb.String()); err != nil {
-				return err
-			}
-			sb.Reset()
-			count = 0
-		}
-	}
-	if sb.Len() > 0 {
-		if _, err := e.sess.Exec("INSERT INTO " + TblNodes + " (nid) VALUES " + sb.String()); err != nil {
-			return err
-		}
-	}
-
-	load := func(name, cols string) error {
-		tm := m.Table(name)
-		if tm == nil {
-			return fmt.Errorf("core: snapshot v%d has no %s dump", m.Version, name)
-		}
-		rows, err := snapshot.ReadTable(store, tm)
-		if err != nil {
-			return err
-		}
-		return e.bulkInsert(name, cols, rows)
-	}
-	if err := load(TblEdges, "(fid, tid, cost)"); err != nil {
-		return err
-	}
-	if m.SegBuilt {
-		if _, err := e.createSegTables(); err != nil {
-			return err
-		}
-		if err := load(TblOutSegs, "(fid, tid, pid, cost)"); err != nil {
-			return err
-		}
-		if err := load(TblInSegs, "(fid, tid, pid, cost)"); err != nil {
-			return err
-		}
-	}
-	var orc *oracle.Oracle
+	ix := indexes{segBuilt: m.SegBuilt, segLthd: m.SegLthd}
 	if m.Oracle != nil {
 		strat, err := oracle.ParseStrategy(m.Oracle.Strategy)
 		if err != nil {
 			return fmt.Errorf("core: snapshot v%d: %w", m.Version, err)
 		}
-		if err := oracle.CreateTables(ctx, e.sweeper(nil), e.opts.Strategy); err != nil {
-			return err
-		}
-		if err := load(oracle.TblLandmark, "(lid, nid, dout, din)"); err != nil {
-			return err
-		}
-		orc = &oracle.Oracle{
+		ix.orc = &oracle.Oracle{
 			K: m.Oracle.K, Strategy: strat,
 			Landmarks: m.Oracle.Landmarks, Rows: m.Oracle.Rows,
 		}
 	}
-	var lbl *labels.Labels
 	if m.Labels != nil {
-		if err := labels.CreateTables(ctx, e.sweeper(nil), e.opts.Strategy); err != nil {
+		ix.lbl = &labels.Labels{Hubs: m.Labels.Hubs, RowsOut: m.Labels.RowsOut, RowsIn: m.Labels.RowsIn}
+	}
+
+	// Node ids are dense 0..N-1 by the loader's contract, so TNodes
+	// regenerates from the manifest's count instead of being stored.
+	if err := e.resetLocked(int(m.Nodes)); err != nil {
+		return err
+	}
+	// Each live index's relations are created the way its build creates
+	// them (the graph's, resetLocked did), under this engine's strategy, and
+	// the snapshotted ones loaded.
+	for _, o := range []sweep.Owner{sweep.Graph, sweep.Seg, sweep.Oracle, sweep.Labels} {
+		if !ix.live(o) {
+			continue
+		}
+		var err error
+		switch o {
+		case sweep.Seg:
+			err = e.createSegTables(nil)
+		case sweep.Oracle:
+			err = oracle.CreateTables(ctx, e.sweeper(nil))
+		case sweep.Labels:
+			err = labels.CreateTables(ctx, e.sweeper(nil))
+		}
+		if err != nil {
 			return err
 		}
-		if err := load(labels.TblOut, "(nid, hub, dist)"); err != nil {
-			return err
+		for _, rel := range sweep.Owned(o) {
+			if !rel.Snapshot {
+				continue
+			}
+			tm := m.Table(rel.Name)
+			if tm == nil || tm.Cols != rel.Width() {
+				return fmt.Errorf("core: snapshot v%d has no %d-column %s dump", m.Version, rel.Width(), rel.Name)
+			}
+			rows, err := snapshot.ReadTable(store, tm)
+			if err != nil {
+				return err
+			}
+			if err := e.bulkInsert(rel, len(rows), func(i int, vals []int64) { copy(vals, rows[i]) }); err != nil {
+				return err
+			}
 		}
-		if err := load(labels.TblIn, "(nid, hub, dist)"); err != nil {
-			return err
-		}
-		lbl = &labels.Labels{Hubs: m.Labels.Hubs, RowsOut: m.Labels.RowsOut, RowsIn: m.Labels.RowsIn}
 	}
 
 	e.mu.Lock()
 	e.wmin = m.WMin
 	e.nodes = int(m.Nodes)
 	e.edges = int(m.Edges)
-	if m.SegBuilt {
-		e.segBuilt = true
-		e.segLthd = m.SegLthd
-		e.opts.Lthd = m.SegLthd
-	}
-	e.orc = orc
-	e.lbl = lbl
+	e.indexes = ix
 	e.version = m.Version
 	e.mu.Unlock()
 
@@ -512,61 +440,23 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 	return nil
 }
 
-// dumpTable materializes a projection query as rows of int64 columns.
-func (e *Engine) dumpTable(q string, cols int) ([][]int64, error) {
-	res, err := e.sess.Query(q)
+// dumpTable materializes rel's rows, columns in declaration order.
+func (e *Engine) dumpTable(rel sweep.Relation) ([][]int64, error) {
+	res, err := e.sess.Query("SELECT " + rel.Cols + " FROM " + rel.Name)
 	if err != nil {
 		return nil, err
 	}
+	cols := rel.Width()
 	rows := make([][]int64, len(res.Data))
 	flat := make([]int64, cols*len(res.Data))
 	for i, r := range res.Data {
-		if len(r) < cols {
-			return nil, fmt.Errorf("core: dump row has %d columns, want %d", len(r), cols)
-		}
 		row := flat[i*cols : (i+1)*cols : (i+1)*cols]
-		for j := 0; j < cols; j++ {
+		for j := range row {
 			row[j] = r[j].I
 		}
 		rows[i] = row
 	}
 	return rows, nil
-}
-
-// bulkInsert loads rows into table with the loader's batched VALUES
-// idiom.
-func (e *Engine) bulkInsert(table, cols string, rows [][]int64) error {
-	var sb strings.Builder
-	count := 0
-	flush := func() error {
-		if sb.Len() == 0 {
-			return nil
-		}
-		q := "INSERT INTO " + table + " " + cols + " VALUES " + sb.String()
-		sb.Reset()
-		_, err := e.sess.Exec(q)
-		return err
-	}
-	for _, r := range rows {
-		if count > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteByte('(')
-		for j, v := range r {
-			if j > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%d", v)
-		}
-		sb.WriteByte(')')
-		if count++; count == insertBatch {
-			if err := flush(); err != nil {
-				return err
-			}
-			count = 0
-		}
-	}
-	return flush()
 }
 
 // DurabilityStats snapshots the durability subsystem for the serving tier

@@ -132,6 +132,71 @@ func TestSnapshotHydrate(t *testing.T) {
 	}
 }
 
+// TestSnapshotHydrateAcrossStrategies: the manifest records the writer's
+// physical design for operators only — a snapshot written under any
+// strategy, every index live, hydrates under any other, the relations stored
+// the hydrating engine's way, and every algorithm answers exactly.
+func TestSnapshotHydrateAcrossStrategies(t *testing.T) {
+	g, _ := paperGraph(t)
+	strategies := []IndexStrategy{ClusteredIndex, SecondaryIndex, NoIndex}
+	dirs := map[IndexStrategy]string{}
+	built := map[IndexStrategy]map[string]bool{} // the tables as the builds under each strategy create them
+	for _, from := range strategies {
+		dirs[from] = t.TempDir()
+		e := newTestEngine(t, g, rdb.Options{}, Options{DataDir: dirs[from], Strategy: from})
+		if _, err := e.BuildSegTable(6); err != nil {
+			t.Fatal(err)
+		}
+		buildOracle(t, e)
+		if _, err := e.BuildLabels(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Snapshot(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		built[from] = map[string]bool{}
+		for _, line := range describeCatalog(e) {
+			built[from][line] = true
+		}
+	}
+	for _, from := range strategies {
+		for _, to := range strategies {
+			t.Run(from.String()+"->"+to.String(), func(t *testing.T) {
+				db, err := rdb.Open(rdb.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				h, err := OpenFromSnapshot(db, Options{DataDir: dirs[from], Strategy: to})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer h.Close()
+				if h.SegLthd() != 6 || h.Oracle() == nil || h.Labels() == nil {
+					t.Fatalf("hydrated lthd=%d oracle=%v labels=%v, want every index live", h.SegLthd(), h.Oracle(), h.Labels())
+				}
+				for _, line := range describeCatalog(h) {
+					if !built[to][line] {
+						t.Errorf("hydrated under %v: %s, which no build under it creates", to, line)
+					}
+				}
+				nodes := []int64{0, 3, 5, 8, 10}
+				for _, s := range nodes {
+					for _, tt := range nodes {
+						for _, alg := range append(allAlgorithms(), AlgLabel) {
+							p, _, err := shortestPath(h, alg, s, tt)
+							if err != nil {
+								t.Fatalf("%v s=%d t=%d: %v", alg, s, tt, err)
+							}
+							checkPath(t, g, alg, s, tt, p)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestHydrateInPlaceCleanCatalog: hydrating an engine that has been
 // serving replaces everything it created lazily. On the PostgreSQL 9.0
 // profile a mutation of each maintenance kind leaves the sweep's staging

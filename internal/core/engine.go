@@ -133,9 +133,6 @@ type Options struct {
 	// AlternateDirections replaces the paper's fewer-frontier direction
 	// policy with strict alternation (ablation of the §4.1 heuristic).
 	AlternateDirections bool
-	// Lthd is the SegTable index threshold (must match the built index;
-	// set by BuildSegTable).
-	Lthd int64
 	// MaxIters caps FEM iterations per search or build as a safety net.
 	// 0 selects the default of 16×nodes+1024 once a graph is loaded;
 	// negative values are rejected (NewEngine records the validation error
@@ -214,25 +211,7 @@ type Engine struct {
 	nodes int
 	edges int
 
-	segBuilt bool
-	segLthd  int64
-	// orc is the landmark oracle metadata (nil until BuildOracle; reset to
-	// nil — invalidated — by LoadGraph and every edge mutation, whose
-	// graph changes can move landmark distances and would make the stored
-	// bounds unsound).
-	orc *oracle.Oracle
-	// orcStale records that a mutation killed a previously built oracle:
-	// operators (spdbd /stats) can tell "approx/ALT went cold, rebuild" from
-	// "never built". Cleared by BuildOracle and LoadGraph.
-	orcStale bool
-	// lbl is the hub-label index metadata (nil until BuildLabels; reset to
-	// nil when a mutation fails the keep-analysis of labels.go — unlike
-	// the oracle, a label index can survive mutations the labels
-	// themselves prove distance-preserving).
-	lbl *labels.Labels
-	// lblStale records that a mutation killed a previously built label
-	// index. Cleared by BuildLabels and LoadGraph.
-	lblStale bool
+	indexes
 	// muts counts the mutation subsystem's activity for the serving tier.
 	muts MutationCounters
 	// version stamps the (graph, index) generation; bumped by LoadGraph,
@@ -288,6 +267,46 @@ type Engine struct {
 	// DDL epoch bump makes every handle re-compile transparently.
 	stmtMu    sync.RWMutex
 	stmtCache map[string]*rdb.Stmt
+}
+
+// indexes is what the engine knows of its three distance indexes; the rows
+// live in the relations each one owns. A load or hydration resets it to the
+// zero value, a mutation batch that wrote nothing restores its copy, and a
+// snapshot's manifest carries it.
+type indexes struct {
+	// segBuilt says TOutSegs / TInSegs hold a complete SegTable, built at
+	// threshold segLthd.
+	segBuilt bool
+	segLthd  int64
+	// orc is the landmark oracle metadata (nil until BuildOracle; reset to
+	// nil — invalidated — by every edge mutation, whose graph changes can
+	// move landmark distances and would make the stored bounds unsound).
+	orc *oracle.Oracle
+	// orcStale records that a mutation killed a previously built oracle:
+	// operators (spdbd /stats) can tell "approx/ALT went cold, rebuild" from
+	// "never built". Cleared by BuildOracle.
+	orcStale bool
+	// lbl is the hub-label index metadata (nil until BuildLabels; reset to
+	// nil when a mutation fails the keep-analysis of labels.go — unlike
+	// the oracle, a label index can survive mutations the labels
+	// themselves prove distance-preserving).
+	lbl *labels.Labels
+	// lblStale records that a mutation killed a previously built label
+	// index. Cleared by BuildLabels.
+	lblStale bool
+}
+
+// indexState copies the record out from under mu.
+func (e *Engine) indexState() indexes {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.indexes
+}
+
+// live reports whether owner o's snapshotted relations hold valid rows.
+func (ix indexes) live(o sweep.Owner) bool {
+	return o == sweep.Graph || o == sweep.Seg && ix.segBuilt ||
+		o == sweep.Oracle && ix.orc != nil || o == sweep.Labels && ix.lbl != nil
 }
 
 // NewEngine wraps db. Call LoadGraph before running queries.
@@ -367,13 +386,6 @@ func (e *Engine) Close() error {
 	return errors.Join(errs...)
 }
 
-// Options returns the engine configuration.
-func (e *Engine) Options() Options {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.opts
-}
-
 // WMin returns the minimal edge weight of the loaded graph.
 func (e *Engine) WMin() int64 {
 	e.mu.RLock()
@@ -397,31 +409,21 @@ func (e *Engine) Edges() int {
 
 // SegLthd returns the threshold of the built SegTable (0 when absent).
 func (e *Engine) SegLthd() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if !e.segBuilt {
-		return 0
+	if ix := e.indexState(); ix.segBuilt {
+		return ix.segLthd
 	}
-	return e.segLthd
+	return 0
 }
 
 // Oracle returns the landmark oracle metadata, or nil when no oracle is
 // built (or the last one was invalidated by a graph change).
-func (e *Engine) Oracle() *oracle.Oracle {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.orc
-}
+func (e *Engine) Oracle() *oracle.Oracle { return e.indexState().orc }
 
 // OracleInvalidated reports that a previously built oracle was killed by a
 // graph mutation and has not been rebuilt: ALT and ApproxDistance refuse
 // to run until BuildOracle is called again. The serving tier surfaces this
 // so operators know approximate answers went cold.
-func (e *Engine) OracleInvalidated() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.orcStale
-}
+func (e *Engine) OracleInvalidated() bool { return e.indexState().orcStale }
 
 // MutationStats snapshots the mutation subsystem's counters.
 func (e *Engine) MutationStats() MutationCounters {
@@ -580,10 +582,7 @@ func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t
 	case AlgDJ:
 		return e.dj(ctx, sc, s, t, budget)
 	case AlgLabel:
-		e.mu.RLock()
-		built := e.lbl != nil
-		e.mu.RUnlock()
-		if !built {
+		if e.Labels() == nil {
 			return Path{}, nil, fmt.Errorf("core: Label requires BuildLabels first (rebuild after graph changes)")
 		}
 		return e.labelSearch(ctx, s, t, budget)
@@ -601,9 +600,7 @@ func soleOwner(int64) int { return 0 }
 // specFor renders a bi-directional algorithm's femSpec over sc, refusing
 // the ones whose index is not built.
 func (e *Engine) specFor(alg Algorithm, sc *scratchSet, s, t int64) (femSpec, error) {
-	e.mu.RLock()
-	segBuilt, segLthd, orcBuilt := e.segBuilt, e.segLthd, e.orc != nil
-	e.mu.RUnlock()
+	ix := e.indexState()
 	switch alg {
 	case AlgBDJ:
 		return specBDJ(sc), nil
@@ -612,12 +609,12 @@ func (e *Engine) specFor(alg Algorithm, sc *scratchSet, s, t int64) (femSpec, er
 	case AlgBBFS:
 		return specBBFS(sc), nil
 	case AlgBSEG:
-		if !segBuilt {
+		if !ix.segBuilt {
 			return femSpec{}, fmt.Errorf("core: BSEG requires BuildSegTable first")
 		}
-		return specBSEG(sc, segLthd), nil
+		return specBSEG(sc, ix.segLthd), nil
 	case AlgALT:
-		if !orcBuilt {
+		if ix.orc == nil {
 			return femSpec{}, fmt.Errorf("core: ALT requires BuildOracle first (rebuild after graph changes)")
 		}
 		return specALT(sc, s, t), nil

@@ -46,7 +46,7 @@ func (e *Engine) BuildLabelsContext(ctx context.Context) (*labels.BuildStats, er
 	}
 	e.lbl = nil
 	e.mu.Unlock()
-	lbl, st, err := labels.Build(ctx, e.sweeper(nil), labels.Params{Index: e.opts.Strategy})
+	lbl, st, err := labels.Build(ctx, e.sweeper(nil))
 	if err != nil {
 		return nil, err
 	}
@@ -61,21 +61,13 @@ func (e *Engine) BuildLabelsContext(ctx context.Context) (*labels.BuildStats, er
 // Labels returns the hub-label index metadata, or nil when no index is
 // built (or the last one was invalidated by a graph change the
 // keep-analysis could not absorb).
-func (e *Engine) Labels() *labels.Labels {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.lbl
-}
+func (e *Engine) Labels() *labels.Labels { return e.indexState().lbl }
 
 // LabelsInvalidated reports that a previously built label index was
 // killed by a graph mutation and has not been rebuilt: AlgLabel refuses
 // to run (and the planner stops preferring "labels") until BuildLabels is
 // called again.
-func (e *Engine) LabelsInvalidated() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.lblStale
-}
+func (e *Engine) LabelsInvalidated() bool { return e.indexState().lblStale }
 
 // The label query shapes: constant texts, endpoints bound as parameters.
 const (
@@ -184,10 +176,7 @@ const (
 // still reflects it) already covers the new weight. No-op without a live
 // index.
 func (e *Engine) labelKeepUpsert(ctx context.Context, qs *QueryStats, st *MaintStats, u, v, w int64) error {
-	e.mu.RLock()
-	built := e.lbl != nil
-	e.mu.RUnlock()
-	if !built {
+	if e.Labels() == nil {
 		return nil
 	}
 	d, null, err := e.queryInt(ctx, qs, nil, labelDistQ, u, v)
@@ -209,10 +198,7 @@ func (e *Engine) labelKeepUpsert(ctx context.Context, qs *QueryStats, st *MaintS
 // index survives iff no label entry's recorded distance could have routed
 // through (u, v, oldW). No-op without a live index.
 func (e *Engine) labelKeepDecrement(ctx context.Context, qs *QueryStats, st *MaintStats, u, v, oldW int64) error {
-	e.mu.RLock()
-	built := e.lbl != nil
-	e.mu.RUnlock()
-	if !built {
+	if e.Labels() == nil {
 		return nil
 	}
 	for _, q := range []string{lblToClearQ, lblFromClearQ} {
@@ -248,16 +234,19 @@ func (e *Engine) labelKeepDecrement(ctx context.Context, qs *QueryStats, st *Mai
 }
 
 // invalidateLabels marks a live label index cold after a mutation the
-// keep-analysis could not absorb.
+// keep-analysis could not absorb, or that failed midway.
 func (e *Engine) invalidateLabels(st *MaintStats) {
 	e.mu.Lock()
+	e.invalidateLabelsLocked(st)
+	e.mu.Unlock()
+}
+
+// invalidateLabelsLocked is invalidateLabels for callers holding e.mu.
+func (e *Engine) invalidateLabelsLocked(st *MaintStats) {
 	if e.lbl != nil {
 		e.lbl = nil
 		e.lblStale = true
 		e.muts.LabelInvalidations++
-		if st != nil {
-			st.LabelsInvalidated = true
-		}
+		st.LabelsInvalidated = true
 	}
-	e.mu.Unlock()
 }

@@ -2,25 +2,23 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/graph"
-	"repro/internal/labels"
-	"repro/internal/oracle"
 	"repro/internal/sweep"
 )
 
-// Table names used throughout (paper §2.1, §3.3, §4.2).
+// Table names used throughout (paper §2.1, §3.3, §4.2), declared in
+// internal/sweep.
 const (
 	TblNodes   = sweep.TblNodes
 	TblEdges   = sweep.TblEdges
-	TblVisited = "TVisited"
-	TblOutSegs = "TOutSegs"
-	TblInSegs  = "TInSegs"
-	TblExpand  = "TExpand"     // materialized E-operator output (non-fused paths)
-	TblExpCost = "TExpCost"    // TSQL intermediate: per-node minimal cost
-	TblSeg     = sweep.TblWork // index-build working set, (src, nid, dist, par, f)
+	TblVisited = sweep.TblVisited
+	TblOutSegs = sweep.TblOutSegs
+	TblInSegs  = sweep.TblInSegs
+	TblExpand  = sweep.TblExpand  // materialized E-operator output (non-fused paths)
+	TblExpCost = sweep.TblExpCost // TSQL intermediate: per-node minimal cost
+	TblSeg     = sweep.TblWork    // index-build working set, (src, nid, dist, par, f)
 )
 
 const insertBatch = 400
@@ -42,93 +40,16 @@ func (e *Engine) LoadGraph(g *graph.Graph) error {
 		return err
 	}
 	defer e.unlockQuery()
-	db := e.sess
-	// Invalidate before touching any table: if the load fails partway the
-	// engine must read as "no graph loaded" (and serve no cached answers
-	// for the dropped tables), not as a stale hybrid of old and new.
-	e.mu.Lock()
-	e.nodes = 0
-	e.edges = 0
-	e.wmin = 0
-	e.segBuilt = false
-	e.orc = nil
-	// A fresh graph starts with a clean oracle and label slate (the
-	// mutation counters are engine-lifetime and survive reloads).
-	e.orcStale = false
-	e.lbl = nil
-	e.lblStale = false
-	e.bumpVersionLocked()
-	e.mu.Unlock()
-	// Reloading replaces any previously loaded graph (and its index):
-	// drop the old tables so a serving engine can swap graphs in place.
-	if err := e.dropAllTables(); err != nil {
+	if err := e.resetLocked(int(g.N)); err != nil {
 		return err
 	}
-	if err := e.createGraphTables(); err != nil {
-		return err
-	}
-	if err := e.createScratchTables(e.scratchGlobal); err != nil {
+	if err := e.bulkInsert(sweep.Rel(TblEdges), len(g.Edges), func(i int, row []int64) {
+		row[0], row[1], row[2] = g.Edges[i].From, g.Edges[i].To, g.Edges[i].Weight
+	}); err != nil {
 		return err
 	}
 
-	// Bulk-load nodes.
-	var sb strings.Builder
-	flushNodes := func() error {
-		if sb.Len() == 0 {
-			return nil
-		}
-		q := "INSERT INTO " + TblNodes + " (nid) VALUES " + sb.String()
-		sb.Reset()
-		_, err := db.Exec(q)
-		return err
-	}
-	count := 0
-	for nid := int64(0); nid < g.N; nid++ {
-		if count > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "(%d)", nid)
-		count++
-		if count == insertBatch {
-			if err := flushNodes(); err != nil {
-				return err
-			}
-			count = 0
-		}
-	}
-	if err := flushNodes(); err != nil {
-		return err
-	}
-
-	// Bulk-load edges.
-	count = 0
-	flushEdges := func() error {
-		if sb.Len() == 0 {
-			return nil
-		}
-		q := "INSERT INTO " + TblEdges + " (fid, tid, cost) VALUES " + sb.String()
-		sb.Reset()
-		_, err := db.Exec(q)
-		return err
-	}
-	for _, ed := range g.Edges {
-		if count > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "(%d,%d,%d)", ed.From, ed.To, ed.Weight)
-		count++
-		if count == insertBatch {
-			if err := flushEdges(); err != nil {
-				return err
-			}
-			count = 0
-		}
-	}
-	if err := flushEdges(); err != nil {
-		return err
-	}
-
-	wmin, null, err := db.QueryInt("SELECT MIN(cost) FROM " + TblEdges)
+	wmin, null, err := e.sess.QueryInt("SELECT MIN(cost) FROM " + TblEdges)
 	if err != nil {
 		return err
 	}
@@ -146,49 +67,68 @@ func (e *Engine) LoadGraph(g *graph.Graph) error {
 	return e.armDurabilityLocked(true)
 }
 
-// dropAllTables drops every engine-owned relation that exists — graph,
-// working set, SegTable, oracle, labels, the builds' and the mutations'
-// working and staging tables — so a reload or snapshot hydration starts
-// from a clean catalog.
-func (e *Engine) dropAllTables() error {
-	dropList := append([]string{TblNodes, TblEdges, TblVisited, TblExpand, TblExpCost,
-		TblOutSegs, TblInSegs, tblSegMaint, tblMutTouch, tblMutSrc}, sweep.WorkTables()...)
-	dropList = append(dropList, oracle.Tables()...)
-	dropList = append(dropList, labels.Tables()...)
-	for _, tbl := range dropList {
-		if _, ok := e.db.Catalog().Get(tbl); ok {
-			if _, err := e.sess.Exec("DROP TABLE " + tbl); err != nil {
-				return err
-			}
-		}
+// resetLocked is how a load and a hydration start; callers hold the
+// exclusive gate. It invalidates first — if what follows fails partway the
+// engine must read as "no graph loaded" with no index and no cached answer
+// (the mutation counters are engine-lifetime and survive), not as a stale
+// hybrid of old and new — then drops every declared relation that exists,
+// so a serving engine swaps graphs in place and nothing it created lazily
+// survives, creates the graph relations and the global scratch set, and
+// fills TNodes with the dense ids 0..nodes-1.
+func (e *Engine) resetLocked(nodes int) error {
+	e.mu.Lock()
+	e.nodes, e.edges, e.wmin = 0, 0, 0
+	e.indexes = indexes{}
+	e.bumpVersionLocked()
+	e.mu.Unlock()
+	s := e.schema(nil)
+	if err := s.Drop(sweep.Relations...); err != nil {
+		return err
 	}
-	return nil
+	if err := s.Create(sweep.Owned(sweep.Graph)...); err != nil {
+		return err
+	}
+	if err := e.createScratchTables(e.scratchGlobal); err != nil {
+		return err
+	}
+	return e.bulkInsert(sweep.Rel(TblNodes), nodes, func(i int, row []int64) { row[0] = int64(i) })
 }
 
-// createGraphTables creates TNodes and TEdges under the engine's index
-// strategy (Fig 8(c)'s physical-design axis).
-func (e *Engine) createGraphTables() error {
-	stmts := []string{
-		"CREATE TABLE " + TblNodes + " (nid INT PRIMARY KEY)",
-		"CREATE TABLE " + TblEdges + " (fid INT, tid INT, cost INT)",
-	}
-	switch e.opts.Strategy {
-	case ClusteredIndex:
-		stmts = append(stmts,
-			"CREATE CLUSTERED INDEX tedges_fid ON "+TblEdges+" (fid)",
-			"CREATE INDEX tedges_tid ON "+TblEdges+" (tid)",
-		)
-	case SecondaryIndex:
-		stmts = append(stmts,
-			"CREATE INDEX tedges_fid ON "+TblEdges+" (fid)",
-			"CREATE INDEX tedges_tid ON "+TblEdges+" (tid)",
-		)
-	case NoIndex:
-		// bare heap
-	}
-	for _, s := range stmts {
-		if _, err := e.sess.Exec(s); err != nil {
+// schema issues DDL over the engine's session under its physical design
+// (Fig 8(c)'s axis) and SQL level, counting the statements into a non-nil
+// qs.
+func (e *Engine) schema(qs *QueryStats) sweep.Schema {
+	return sweep.Schema{Catalog: e.db.Catalog(), Strategy: e.opts.Strategy, Level: e.level,
+		Exec: func(q string) error {
+			_, err := e.sess.Exec(q)
+			if err == nil && qs != nil {
+				qs.Statements++
+			}
 			return err
+		}}
+}
+
+// bulkInsert loads n rows into rel, insertBatch literal tuples to the
+// INSERT; row fills in the i-th one's columns, in declaration order.
+func (e *Engine) bulkInsert(rel sweep.Relation, n int, row func(i int, vals []int64)) error {
+	head := "INSERT INTO " + rel.Name + " (" + rel.Cols + ") VALUES "
+	q, vals := []byte(head), make([]int64, rel.Width())
+	for i := 0; i < n; i++ {
+		row(i, vals)
+		sep := byte('(')
+		if len(q) > len(head) {
+			q = append(q, ',')
+		}
+		for _, v := range vals {
+			q = strconv.AppendInt(append(q, sep), v, 10)
+			sep = ','
+		}
+		q = append(q, ')')
+		if (i+1)%insertBatch == 0 || i == n-1 {
+			if _, err := e.sess.Exec(string(q)); err != nil {
+				return err
+			}
+			q = q[:len(head)]
 		}
 	}
 	return nil

@@ -179,24 +179,22 @@ func (e *Engine) CollectMetrics(x *obs.Exporter) {
 		"WAL records replayed on top of hydrated snapshots.", float64(ds.ReplayedRecords))
 
 	e.mu.RLock()
-	nodes, edges, version := e.nodes, e.edges, e.version
-	segBuilt, orcValid, orcStale := e.segBuilt, e.orc != nil, e.orcStale
-	lblValid, lblStale := e.lbl != nil, e.lblStale
-	lblRows := 0
-	if e.lbl != nil {
-		lblRows = e.lbl.Rows()
-	}
+	nodes, edges, version, ix := e.nodes, e.edges, e.version, e.indexes
 	e.mu.RUnlock()
+	lblRows := 0
+	if ix.lbl != nil {
+		lblRows = ix.lbl.Rows()
+	}
 	x.Gauge("spdb_graph_nodes", "Loaded node count.", float64(nodes))
 	x.Gauge("spdb_graph_edges", "Loaded edge count.", float64(edges))
 	x.Gauge("spdb_graph_version", "Current (graph, index) generation.", float64(version))
-	x.Gauge("spdb_seg_built", "1 while a SegTable index is valid.", b2f(segBuilt))
-	x.Gauge("spdb_oracle_valid", "1 while a landmark oracle is valid.", b2f(orcValid))
+	x.Gauge("spdb_seg_built", "1 while a SegTable index is valid.", b2f(ix.segBuilt))
+	x.Gauge("spdb_oracle_valid", "1 while a landmark oracle is valid.", b2f(ix.orc != nil))
 	x.Gauge("spdb_oracle_stale",
-		"1 while a previously built oracle is invalidated and not rebuilt.", b2f(orcStale))
-	x.Gauge("spdb_labels_valid", "1 while a hub-label index is valid.", b2f(lblValid))
+		"1 while a previously built oracle is invalidated and not rebuilt.", b2f(ix.orcStale))
+	x.Gauge("spdb_labels_valid", "1 while a hub-label index is valid.", b2f(ix.lbl != nil))
 	x.Gauge("spdb_labels_stale",
-		"1 while a previously built hub-label index is invalidated and not rebuilt.", b2f(lblStale))
+		"1 while a previously built hub-label index is invalidated and not rebuilt.", b2f(ix.lblStale))
 	x.Gauge("spdb_label_rows", "Hub-label entries (TLabelOut + TLabelIn).", float64(lblRows))
 	x.Gauge("spdb_index_builds_in_flight",
 		"Index builds or graph loads running or queued (readiness gate).",

@@ -115,8 +115,8 @@ type MutationCounters struct {
 // TMutTouch holds the touched (fid, tid) pairs, TMutSrc the seed nodes for
 // the bounded repair sweep.
 const (
-	tblMutTouch = "TMutTouch"
-	tblMutSrc   = "TMutSrc"
+	tblMutTouch = sweep.TblMutTouch
+	tblMutSrc   = sweep.TblMutSrc
 )
 
 // Mutation statement shapes: constant texts, edge endpoints and weights
@@ -247,8 +247,7 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation, batc
 	// each mutation runs the keep-analysis of labels.go, and the index
 	// survives changes the labels themselves prove distance-preserving.
 	e.mu.Lock()
-	prevOrc, prevStale := e.orc, e.orcStale
-	prevLbl, prevLblStale := e.lbl, e.lblStale
+	prev := e.indexes
 	if e.orc != nil {
 		e.orc = nil
 		e.orcStale = true
@@ -269,12 +268,11 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation, batc
 				// restore them rather than leaving fast answers cold over
 				// a no-op request. The version bump stands; it only cost
 				// a cache purge.
-				e.orc, e.orcStale = prevOrc, prevStale
+				e.indexes = prev
 				if st.OracleInvalidated {
 					e.muts.OracleInvalidations--
 				}
 				st.OracleInvalidated = false
-				e.lbl, e.lblStale = prevLbl, prevLblStale
 				if st.LabelsInvalidated {
 					e.muts.LabelInvalidations--
 				}
@@ -287,12 +285,7 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation, batc
 				// same goes for the label index: a keep-check that
 				// errored out proved nothing, so it must not keep serving.
 				e.segBuilt = false
-				if e.lbl != nil {
-					e.lbl = nil
-					e.lblStale = true
-					e.muts.LabelInvalidations++
-					st.LabelsInvalidated = true
-				}
+				e.invalidateLabelsLocked(st)
 			}
 			if batch && st.Applied > 0 {
 				e.muts.Batches++
@@ -489,17 +482,8 @@ func (e *Engine) refreshWMin(ctx context.Context, qs *QueryStats) error {
 // TMutTouch for the next touch set (repairDirection clears TMutSrc before
 // each fill).
 func (e *Engine) ensureMutScratch(ctx context.Context, qs *QueryStats) error {
-	if _, ok := e.db.Catalog().Get(tblMutTouch); !ok {
-		for _, q := range []string{
-			"CREATE TABLE " + tblMutTouch + " (fid INT, tid INT)",
-			"CREATE UNIQUE CLUSTERED INDEX tmuttouch_key ON " + tblMutTouch + " (fid, tid)",
-			"CREATE TABLE " + tblMutSrc + " (nid INT)",
-		} {
-			if _, err := e.sess.Exec(q); err != nil {
-				return err
-			}
-			qs.Statements++
-		}
+	if err := e.schema(qs).Create(sweep.Rel(tblMutTouch), sweep.Rel(tblMutSrc)); err != nil {
+		return err
 	}
 	_, err := e.exec(ctx, qs, nil, nil, "DELETE FROM "+tblMutTouch)
 	return err

@@ -48,7 +48,7 @@ func (e *Engine) BuildOracleContext(ctx context.Context, cfg oracle.Config) (*or
 	}
 	e.orc = nil
 	e.mu.Unlock()
-	orc, st, err := oracle.Build(ctx, e.sweeper(nil), oracle.Params{Config: cfg, Index: e.opts.Strategy})
+	orc, st, err := oracle.Build(ctx, e.sweeper(nil), cfg)
 	if err != nil {
 		return nil, err
 	}

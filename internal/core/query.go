@@ -366,27 +366,16 @@ func exactResult(p Path, alg Algorithm, qs *QueryStats) QueryResult {
 // statSnapshot is the planner's input: the cheap scalars the engine
 // already maintains, read under one metadata lock acquisition.
 type statSnapshot struct {
-	nodes    int
-	wmin     int64
-	segBuilt bool
-	segLthd  int64
-	oracle   bool
-	labels   bool
-	version  uint64
+	nodes   int
+	wmin    int64
+	version uint64
+	indexes
 }
 
 func (e *Engine) snapshotStats() statSnapshot {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return statSnapshot{
-		nodes:    e.nodes,
-		wmin:     e.wmin,
-		segBuilt: e.segBuilt,
-		segLthd:  e.segLthd,
-		oracle:   e.orc != nil,
-		labels:   e.lbl != nil,
-		version:  e.version,
-	}
+	return statSnapshot{nodes: e.nodes, wmin: e.wmin, version: e.version, indexes: e.indexes}
 }
 
 // planQuery resolves a request to a concrete algorithm — or a complete
@@ -413,7 +402,7 @@ func (e *Engine) planQuery(ctx context.Context, req QueryRequest, snap statSnaps
 	// A valid hub-label index dominates: exact answers (unreachability and
 	// tolerant requests included) in a constant number of statements, so
 	// planning skips even the landmark interval reads.
-	if snap.labels {
+	if snap.lbl != nil {
 		return queryPlan{alg: AlgLabel, decision: DecisionLabels, snap: snap}, nil
 	}
 	s, t := req.Source, req.Target
@@ -421,7 +410,7 @@ func (e *Engine) planQuery(ctx context.Context, req QueryRequest, snap statSnaps
 	var ivStmts int
 	var ivDur time.Duration
 	haveIV := false
-	if snap.oracle {
+	if snap.orc != nil {
 		t0 := time.Now()
 		v, n, err := e.distanceIntervalStats(ctx, s, t)
 		ivStmts, ivDur = n, time.Since(t0)
@@ -460,7 +449,7 @@ func (e *Engine) planQuery(ctx context.Context, req QueryRequest, snap statSnaps
 	if snap.nodes <= PlannerTinyNodes {
 		return pick(AlgBSDJ, DecisionTinyBSDJ)
 	}
-	if snap.oracle {
+	if snap.orc != nil {
 		switch {
 		case !snap.segBuilt:
 			return pick(AlgALT, DecisionALT)

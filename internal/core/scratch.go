@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/fem"
+	"repro/internal/sweep"
 )
 
 // Per-query scratch tables.
@@ -42,6 +43,7 @@ const DefaultScratchRetain = 4
 // every query that leases the set).
 type scratchSet struct {
 	id      int
+	rels    []sweep.Relation // the declared scratch relations under the set's names
 	visited string
 	expand  string
 	expCost string
@@ -74,7 +76,11 @@ func newScratchSet(id int) *scratchSet {
 	if id >= 0 {
 		suffix = fmt.Sprintf("_q%d", id)
 	}
-	sc := &scratchSet{id: id, ops: make(map[string]fem.Ops),
+	rels := sweep.Owned(sweep.Scratch)
+	for i := range rels {
+		rels[i].Name += suffix
+	}
+	sc := &scratchSet{id: id, rels: rels, ops: make(map[string]fem.Ops),
 		visited: TblVisited + suffix, expand: TblExpand + suffix, expCost: TblExpCost + suffix}
 	v := sc.visited
 	sc.biInit = "INSERT INTO " + v + " (nid, d2s, p2s, f, d2t, p2t, b) VALUES (?, 0, ?, 0, ?, ?, 1), (?, ?, ?, 1, 0, ?, 0)"
@@ -209,48 +215,23 @@ func (p *scratchPool) stats() ScratchStats {
 	return ScratchStats{Minted: p.minted, Dropped: p.dropped, Live: p.live, Free: len(p.free)}
 }
 
-// createScratchTables mints the set's tables — TVisited, which carries both
-// directions' state (§4.1: d2s/p2s/f forward, d2t/p2t/b backward), and the
-// two expansion staging tables — under the engine's index strategy, the
-// index names derived from the per-set table names. LoadGraph and hydration
-// mint the global set through it too. Creation failures drop whatever
-// partial prefix was created so a failed mint never leaks catalog entries.
+// createScratchTables mints the set's tables under the engine's index
+// strategy; LoadGraph and hydration mint the global set through it too. A
+// recycled id may find leftovers from a drop that failed midway, and a
+// failed creation leaves a partial prefix: both are dropped, so a failed
+// mint never leaks catalog entries.
 func (e *Engine) createScratchTables(sc *scratchSet) error {
-	// A recycled id may find leftovers from a drop that failed midway;
-	// clear them so the creates below start clean.
 	e.dropScratchTables(sc)
-	var stmts []string
-	for _, tbl := range [][2]string{
-		{sc.visited, ", d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)"},
-		{sc.expand, ", par INT, cost INT)"},
-		{sc.expCost, ", cost INT)"},
-	} {
-		switch e.opts.Strategy {
-		case ClusteredIndex:
-			stmts = append(stmts, "CREATE TABLE "+tbl[0]+" (nid INT PRIMARY KEY"+tbl[1])
-		case SecondaryIndex:
-			stmts = append(stmts, "CREATE TABLE "+tbl[0]+" (nid INT"+tbl[1],
-				"CREATE UNIQUE INDEX "+strings.ToLower(tbl[0])+"_nid ON "+tbl[0]+" (nid)")
-		case NoIndex:
-			stmts = append(stmts, "CREATE TABLE "+tbl[0]+" (nid INT"+tbl[1])
-		}
+	err := e.schema(nil).Create(sc.rels...)
+	if err != nil {
+		e.dropScratchTables(sc)
 	}
-	for _, s := range stmts {
-		if _, err := e.sess.Exec(s); err != nil {
-			e.dropScratchTables(sc)
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // dropScratchTables removes whichever of the set's tables exist.
+// Best-effort: a failed drop leaves a harmless empty table that the next
+// lease of this id will find already present.
 func (e *Engine) dropScratchTables(sc *scratchSet) {
-	for _, tbl := range []string{sc.visited, sc.expand, sc.expCost} {
-		if _, ok := e.db.Catalog().Get(tbl); ok {
-			// Best-effort: a failed drop leaves a harmless empty table that
-			// the next lease of this id will find already present.
-			_, _ = e.sess.Exec("DROP TABLE " + tbl)
-		}
-	}
+	_ = e.schema(nil).Drop(sc.rels...)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/fem"
+	"repro/internal/sweep"
 )
 
 // Incremental SegTable maintenance for edge insertions — the paper's third
@@ -73,7 +74,7 @@ type maintShape struct {
 
 // tblSegMaint stages a maintenance source below the MERGE level;
 // createSegTables creates it there.
-const tblSegMaint = "TSegMaint"
+const tblSegMaint = sweep.TblSegMaint
 
 // segMerge is the M-operator every SegTable writer after the materialized
 // sweep runs, as an internal/fem spec keyed (fid, tid): a cheaper candidate

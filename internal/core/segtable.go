@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fem"
 	"repro/internal/rdb"
 	"repro/internal/sweep"
 )
@@ -39,7 +38,7 @@ func (e *Engine) sweeper(qs *QueryStats) *sweep.Runner {
 		func(ctx context.Context, q string, args ...any) (int64, bool, error) {
 			return e.queryInt(ctx, qs, nil, q, args...)
 		},
-		e.WMin(), e.maxIters(), e.level)
+		e.WMin(), e.maxIters(), e.level, e.opts.Strategy)
 }
 
 // BuildSegTable constructs the SegTable index of Definition 4: TOutSegs
@@ -115,10 +114,7 @@ func (e *Engine) buildSegTableLocked(ctx context.Context, lthd int64, bump bool)
 	e.mu.Lock()
 	e.segBuilt = false
 	e.mu.Unlock()
-	// (Re)create the index tables under the engine's strategy.
-	n, err := e.createSegTables()
-	qs.Statements += n
-	if err != nil {
+	if err := e.createSegTables(qs); err != nil {
 		return nil, err
 	}
 
@@ -153,7 +149,6 @@ func (e *Engine) buildSegTableLocked(ctx context.Context, lthd int64, bump bool)
 	e.mu.Lock()
 	e.segBuilt = true
 	e.segLthd = lthd
-	e.opts.Lthd = lthd
 	if bump {
 		e.bumpVersionLocked()
 	}
@@ -161,52 +156,17 @@ func (e *Engine) buildSegTableLocked(ctx context.Context, lthd int64, bump bool)
 	return st, nil
 }
 
-// createSegTables (re)creates TOutSegs/TInSegs, the TSeg working set and,
-// below the MERGE level, the maintenance staging table under the engine's
-// strategy, returning the number of statements issued.
-// Shared by the construction path and snapshot hydration (durability.go),
-// which bulk-loads the segment rows instead of sweeping.
-func (e *Engine) createSegTables() (int, error) {
-	db := e.sess
-	n := 0
-	for _, tbl := range []string{TblOutSegs, TblInSegs, TblSeg, tblSegMaint} {
-		if _, ok := e.db.Catalog().Get(tbl); ok {
-			if _, err := db.Exec("DROP TABLE " + tbl); err != nil {
-				return n, err
-			}
-			n++
-		}
+// createSegTables (re)creates TOutSegs/TInSegs under the engine's strategy,
+// the TSeg working set and, below the MERGE level, the maintenance staging
+// table, counting the statements into a non-nil qs. Shared by the
+// construction path and snapshot hydration (durability.go), which
+// bulk-loads the segment rows instead of sweeping.
+func (e *Engine) createSegTables(qs *QueryStats) error {
+	s, rels := e.schema(qs), sweep.Owned(sweep.Seg)
+	if err := s.Drop(rels...); err != nil {
+		return err
 	}
-	stmts := []string{
-		"CREATE TABLE " + TblOutSegs + " (fid INT, tid INT, pid INT, cost INT)",
-		"CREATE TABLE " + TblInSegs + " (fid INT, tid INT, pid INT, cost INT)",
-	}
-	switch e.opts.Strategy {
-	case ClusteredIndex:
-		stmts = append(stmts,
-			"CREATE CLUSTERED INDEX toutsegs_fid ON "+TblOutSegs+" (fid)",
-			"CREATE CLUSTERED INDEX tinsegs_tid ON "+TblInSegs+" (tid)",
-		)
-	case SecondaryIndex:
-		stmts = append(stmts,
-			"CREATE INDEX toutsegs_fid ON "+TblOutSegs+" (fid)",
-			"CREATE INDEX tinsegs_tid ON "+TblInSegs+" (tid)",
-		)
-	case NoIndex:
-		// bare heaps; probes degrade to scans, as Fig 8(c) measures.
-	}
-	stmts = append(stmts, sweep.WorkDDL()...)
-	if e.level != fem.MergeWindow {
-		stmts = append(stmts, "CREATE TABLE "+tblSegMaint+" (fid INT, tid INT, pid INT, cost INT)",
-			"CREATE UNIQUE CLUSTERED INDEX tsegmaint_key ON "+tblSegMaint+" (fid, tid)")
-	}
-	for _, q := range stmts {
-		if _, err := db.Exec(q); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
+	return s.Create(rels...)
 }
 
 // segPass runs one direction of the construction and materializes the

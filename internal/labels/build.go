@@ -32,19 +32,19 @@ const (
 // at the next statement or sweep round; the caller must then treat the
 // index as not built (the engine leaves its label pointer nil, so partial
 // label sets are never consulted).
-func Build(ctx context.Context, r *sweep.Runner, p Params) (*Labels, *BuildStats, error) {
-	lbl, st, err := build(ctx, r, p)
+func Build(ctx context.Context, r *sweep.Runner) (*Labels, *BuildStats, error) {
+	lbl, st, err := build(ctx, r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("labels: %w", err)
 	}
 	return lbl, st, nil
 }
 
-func build(ctx context.Context, r *sweep.Runner, p Params) (*Labels, *BuildStats, error) {
+func build(ctx context.Context, r *sweep.Runner) (*Labels, *BuildStats, error) {
 	st := &BuildStats{}
 	start := time.Now()
 
-	if err := CreateTables(ctx, r, p.Index); err != nil {
+	if err := CreateTables(ctx, r); err != nil {
 		return nil, nil, err
 	}
 	if err := r.RankDegrees(ctx); err != nil {
@@ -96,36 +96,16 @@ func build(ctx context.Context, r *sweep.Runner, p Params) (*Labels, *BuildStats
 	return lbl, st, nil
 }
 
-// CreateTables (re)creates the label relations under the given physical
+// CreateTables (re)creates the label relations under the runner's physical
 // design, plus the two keep-analysis scratch tables the engine relies on
 // whenever a label index is live. Snapshot hydration calls it to restore
 // the DDL and bulk-load the label sets without running a build.
-func CreateTables(ctx context.Context, r *sweep.Runner, index sweep.IndexStrategy) error {
-	if err := r.Drop(ctx, Tables()...); err != nil {
+func CreateTables(ctx context.Context, r *sweep.Runner) error {
+	s, rels := r.Schema(ctx), sweep.Owned(sweep.Labels)
+	if err := s.Drop(rels...); err != nil {
 		return err
 	}
-	stmts := []sweep.Query{
-		sweep.Q("CREATE TABLE " + TblOut + " (nid INT, hub INT, dist INT)"),
-		sweep.Q("CREATE TABLE " + TblIn + " (nid INT, hub INT, dist INT)"),
-	}
-	switch index {
-	case sweep.ClusteredIndex:
-		stmts = append(stmts,
-			sweep.Q("CREATE UNIQUE CLUSTERED INDEX tlabelout_key ON "+TblOut+" (nid, hub)"),
-			sweep.Q("CREATE UNIQUE CLUSTERED INDEX tlabelin_key ON "+TblIn+" (nid, hub)"))
-	case sweep.SecondaryIndex:
-		stmts = append(stmts,
-			sweep.Q("CREATE INDEX tlabelout_nid ON "+TblOut+" (nid)"),
-			sweep.Q("CREATE INDEX tlabelin_nid ON "+TblIn+" (nid)"))
-	case sweep.NoIndex:
-		// bare heaps; label scans degrade to full scans.
-	}
-	stmts = append(stmts,
-		sweep.Q("CREATE TABLE "+TblScrTo+" (nid INT, dist INT)"),
-		sweep.Q("CREATE UNIQUE CLUSTERED INDEX tlblto_nid ON "+TblScrTo+" (nid)"),
-		sweep.Q("CREATE TABLE "+TblScrFrom+" (nid INT, dist INT)"),
-		sweep.Q("CREATE UNIQUE CLUSTERED INDEX tlblfrom_nid ON "+TblScrFrom+" (nid)"))
-	return r.ExecAll(ctx, stmts...)
+	return s.Create(rels...)
 }
 
 // pass runs one pruned sweep from hub — forward over outgoing edges

@@ -39,32 +39,20 @@ import (
 	"repro/internal/sweep"
 )
 
-// Relation names owned by the label subsystem.
+// The label index's relations (declared in internal/sweep).
 const (
 	// TblOut holds the out-label sets: one row per (nid, hub) with
 	// dist(nid, hub).
-	TblOut = "TLabelOut"
+	TblOut = sweep.TblLabelOut
 	// TblIn holds the in-label sets: one row per (nid, hub) with
 	// dist(hub, nid).
-	TblIn = "TLabelIn"
+	TblIn = sweep.TblLabelIn
 	// TblScrTo / TblScrFrom are scratch relations for the engine's
 	// decremental keep-analysis: label distances to / from a mutated
 	// edge's endpoints, materialized per check.
-	TblScrTo   = "TLblTo"
-	TblScrFrom = "TLblFrom"
+	TblScrTo   = sweep.TblLblTo
+	TblScrFrom = sweep.TblLblFrom
 )
-
-// Tables lists every relation the label index owns, for loaders that need
-// to drop them when the graph is replaced.
-func Tables() []string {
-	return []string{TblOut, TblIn, TblScrTo, TblScrFrom}
-}
-
-// Params is the full build parameterization the engine passes down.
-type Params struct {
-	// Index is the physical design for TLabelOut / TLabelIn.
-	Index sweep.IndexStrategy
-}
 
 // Labels describes a built hub-label index. It carries only scalar
 // metadata — the label entries themselves live in TLabelOut / TLabelIn.

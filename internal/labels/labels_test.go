@@ -14,16 +14,8 @@ import (
 // the engine's loader does, without depending on internal/core.
 func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 	t.Helper()
-	stmts := []string{
-		"CREATE TABLE TNodes (nid INT PRIMARY KEY)",
-		"CREATE TABLE TEdges (fid INT, tid INT, cost INT)",
-		"CREATE CLUSTERED INDEX tedges_fid ON TEdges (fid)",
-		"CREATE INDEX tedges_tid ON TEdges (tid)",
-	}
-	for _, q := range stmts {
-		if _, err := sess.Exec(q); err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
+	if err := runner(sess, g).Schema(context.Background()).Create(sweep.Owned(sweep.Graph)...); err != nil {
+		t.Fatal(err)
 	}
 	for nid := int64(0); nid < g.N; nid++ {
 		if _, err := sess.Exec("INSERT INTO TNodes (nid) VALUES (?)", nid); err != nil {
@@ -42,7 +34,7 @@ func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 // it over its own statement path; the session's profile picks the MERGE or
 // UPDATE+INSERT expansion.
 func runner(sess *rdb.Session, g *graph.Graph) *sweep.Runner {
-	return sweep.New(sess.DB(), sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(sess.DB().Profile(), false))
+	return sweep.New(sess.DB(), sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(sess.DB().Profile(), false), sweep.ClusteredIndex)
 }
 
 // TestBuildCoverExact is the package-level exactness check: after a build,
@@ -73,7 +65,7 @@ func TestBuildCoverExact(t *testing.T) {
 			defer sess.Close()
 			loadGraphTables(t, sess, g)
 
-			lbl, st, err := Build(context.Background(), runner(sess, g), Params{})
+			lbl, st, err := Build(context.Background(), runner(sess, g))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +123,7 @@ func TestBuildEdgeless(t *testing.T) {
 	sess := db.Session()
 	defer sess.Close()
 	loadGraphTables(t, sess, g)
-	lbl, _, err := Build(context.Background(), runner(sess, g), Params{})
+	lbl, _, err := Build(context.Background(), runner(sess, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +146,7 @@ func TestBuildCancellation(t *testing.T) {
 	loadGraphTables(t, sess, g)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := Build(ctx, runner(sess, g), Params{}); err == nil {
+	if _, _, err := Build(ctx, runner(sess, g)); err == nil {
 		t.Fatal("cancelled build must fail")
 	}
 }

@@ -40,7 +40,7 @@ const (
 // next statement or sweep round; the caller must then treat the oracle as
 // not built (the engine leaves its oracle pointer nil, so a partial
 // TLandmark is never consulted).
-func Build(ctx context.Context, r *sweep.Runner, p Params) (*Oracle, *BuildStats, error) {
+func Build(ctx context.Context, r *sweep.Runner, p Config) (*Oracle, *BuildStats, error) {
 	orc, st, err := build(ctx, r, p)
 	if err != nil {
 		return nil, nil, fmt.Errorf("oracle: %w", err)
@@ -48,25 +48,24 @@ func Build(ctx context.Context, r *sweep.Runner, p Params) (*Oracle, *BuildStats
 	return orc, st, nil
 }
 
-func build(ctx context.Context, r *sweep.Runner, p Params) (*Oracle, *BuildStats, error) {
+func build(ctx context.Context, r *sweep.Runner, p Config) (*Oracle, *BuildStats, error) {
 	if p.K <= 0 {
 		p.K = DefaultK
 	}
 	st := &BuildStats{K: p.K, Strategy: p.Strategy}
 	start := time.Now()
 
-	if err := CreateTables(ctx, r, p.Index); err != nil {
+	if err := CreateTables(ctx, r); err != nil {
 		return nil, nil, err
 	}
 	if err := r.RankDegrees(ctx); err != nil {
 		return nil, nil, err
 	}
 	if p.Strategy == Farthest {
-		if err := r.ExecAll(ctx,
-			sweep.Q("CREATE TABLE "+TblFar+" (nid INT, dmin INT)"),
-			sweep.Q("CREATE UNIQUE CLUSTERED INDEX tlmkfar_nid ON "+TblFar+" (nid)"),
-			sweep.Q(farSeedQ, Unreached),
-		); err != nil {
+		if err := r.Schema(ctx).Create(sweep.Rel(TblFar)); err != nil {
+			return nil, nil, err
+		}
+		if _, err := r.Exec(ctx, farSeedQ, Unreached); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -136,23 +135,15 @@ func build(ctx context.Context, r *sweep.Runner, p Params) (*Oracle, *BuildStats
 }
 
 // CreateTables (re)creates the oracle's relations — TLandmark under the
-// given physical design; the build-only farthest-point table is dropped
+// runner's physical design; the build-only farthest-point table is dropped
 // and left to the next build. Snapshot hydration calls it to restore the
 // DDL and bulk-load TLandmark rows without running a build.
-func CreateTables(ctx context.Context, r *sweep.Runner, index sweep.IndexStrategy) error {
-	if err := r.Drop(ctx, Tables()...); err != nil {
+func CreateTables(ctx context.Context, r *sweep.Runner) error {
+	s := r.Schema(ctx)
+	if err := s.Drop(sweep.Owned(sweep.Oracle)...); err != nil {
 		return err
 	}
-	stmts := []sweep.Query{sweep.Q("CREATE TABLE " + TblLandmark + " (lid INT, nid INT, dout INT, din INT)")}
-	switch index {
-	case sweep.ClusteredIndex:
-		stmts = append(stmts, sweep.Q("CREATE UNIQUE CLUSTERED INDEX tlandmark_key ON "+TblLandmark+" (nid, lid)"))
-	case sweep.SecondaryIndex:
-		stmts = append(stmts, sweep.Q("CREATE INDEX tlandmark_nid ON "+TblLandmark+" (nid)"))
-	case sweep.NoIndex:
-		// bare heap; bound probes degrade to scans.
-	}
-	return r.ExecAll(ctx, stmts...)
+	return s.Create(sweep.Rel(TblLandmark))
 }
 
 // pickLandmark returns the i-th landmark under the strategy. Degree: i-th

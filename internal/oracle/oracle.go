@@ -32,21 +32,15 @@ import (
 	"repro/internal/sweep"
 )
 
-// Relation names owned by the oracle subsystem.
+// The oracle's relations (declared in internal/sweep).
 const (
 	// TblLandmark is the oracle relation: one row per (landmark, node)
 	// with the landmark's id, the node, dist(l, node) and dist(node, l).
-	TblLandmark = "TLandmark"
+	TblLandmark = sweep.TblLandmark
 	// TblFar holds each node's distance to the nearest chosen landmark
 	// (farthest-point selection state, build-time only).
-	TblFar = "TLmkFar"
+	TblFar = sweep.TblFar
 )
-
-// Tables lists every relation the oracle owns, for loaders that need to
-// drop them when the graph is replaced.
-func Tables() []string {
-	return []string{TblLandmark, TblFar}
-}
 
 // Unreached is the sentinel distance for (landmark, node) pairs with no
 // connecting path. It matches core.MaxDist so sentinel arithmetic stays
@@ -102,13 +96,6 @@ type Config struct {
 
 // DefaultK is the landmark count used when Config.K is zero.
 const DefaultK = 8
-
-// Params is the full build parameterization the engine passes down.
-type Params struct {
-	Config
-	// Index is the physical design for TLandmark.
-	Index sweep.IndexStrategy
-}
 
 // Oracle describes a built landmark oracle. It carries only scalar
 // metadata — the distances themselves live in TLandmark.

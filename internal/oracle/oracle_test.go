@@ -15,16 +15,8 @@ import (
 // the engine's loader does, without depending on internal/core.
 func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 	t.Helper()
-	stmts := []string{
-		"CREATE TABLE TNodes (nid INT PRIMARY KEY)",
-		"CREATE TABLE TEdges (fid INT, tid INT, cost INT)",
-		"CREATE CLUSTERED INDEX tedges_fid ON TEdges (fid)",
-		"CREATE INDEX tedges_tid ON TEdges (tid)",
-	}
-	for _, q := range stmts {
-		if _, err := sess.Exec(q); err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
+	if err := runner(sess, g).Schema(context.Background()).Create(sweep.Owned(sweep.Graph)...); err != nil {
+		t.Fatal(err)
 	}
 	for nid := int64(0); nid < g.N; nid++ {
 		if _, err := sess.Exec("INSERT INTO TNodes (nid) VALUES (?)", nid); err != nil {
@@ -43,7 +35,7 @@ func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 // it over its own statement path; the session's profile picks the MERGE or
 // UPDATE+INSERT expansion.
 func runner(sess *rdb.Session, g *graph.Graph) *sweep.Runner {
-	return sweep.New(sess.DB(), sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(sess.DB().Profile(), false))
+	return sweep.New(sess.DB(), sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(sess.DB().Profile(), false), sweep.ClusteredIndex)
 }
 
 // TestBuildDistancesExact cross-checks every TLandmark row against the
@@ -69,7 +61,7 @@ func TestBuildDistancesExact(t *testing.T) {
 			defer sess.Close()
 			loadGraphTables(t, sess, g)
 
-			orc, st, err := Build(context.Background(), runner(sess, g), Params{Config: Config{K: 4}})
+			orc, st, err := Build(context.Background(), runner(sess, g), Config{K: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +127,7 @@ func TestDegreeSelectionOrder(t *testing.T) {
 	sess := db.Session()
 	defer sess.Close()
 	loadGraphTables(t, sess, g)
-	orc, _, err := Build(context.Background(), runner(sess, g), Params{Config: Config{K: 2, Strategy: Degree}})
+	orc, _, err := Build(context.Background(), runner(sess, g), Config{K: 2, Strategy: Degree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +158,7 @@ func TestFarthestSpreads(t *testing.T) {
 	sess := db.Session()
 	defer sess.Close()
 	loadGraphTables(t, sess, g)
-	orc, _, err := Build(context.Background(), runner(sess, g), Params{Config: Config{K: 2, Strategy: Farthest}})
+	orc, _, err := Build(context.Background(), runner(sess, g), Config{K: 2, Strategy: Farthest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +191,7 @@ func TestKClamp(t *testing.T) {
 	sess := db.Session()
 	defer sess.Close()
 	loadGraphTables(t, sess, g)
-	orc, _, err := Build(context.Background(), runner(sess, g), Params{Config: Config{K: 10}})
+	orc, _, err := Build(context.Background(), runner(sess, g), Config{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,7 @@ import "context"
 // RankDegrees materializes every node's total degree (in + out) into the
 // ranking PopMaxDegree walks down. Nodes without edges never enter it.
 func (r *Runner) RankDegrees(ctx context.Context) error {
-	if err := r.ensure(ctx, tblDeg,
-		"CREATE TABLE "+tblDeg+" (nid INT, deg INT)",
-		"CREATE UNIQUE CLUSTERED INDEX tdeg_nid ON "+tblDeg+" (nid)",
-		"CREATE TABLE "+tblDegIn+" (nid INT, deg INT)",
-		"CREATE UNIQUE CLUSTERED INDEX tdegin_nid ON "+tblDegIn+" (nid)",
-	); err != nil {
+	if err := r.Schema(ctx).Create(Rel(tblDeg), Rel(tblDegIn)); err != nil {
 		return err
 	}
 	for _, q := range []string{

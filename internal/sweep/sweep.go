@@ -5,7 +5,9 @@
 // left. SegTable runs it from every node with the lthd bound; the landmark
 // oracle and the hub labels run it from one node with no bound, the labels
 // with a prune statement between F and E. The degree ranking both of
-// those order their sources by lives here too.
+// those order their sources by lives here too, and so does the declaration
+// of every relation the engine owns (design.go), next to the physical
+// design axis it is rendered under.
 //
 // The package owns its working tables and every statement of the loop
 // (the E and M ones rendered by internal/fem from the spec in round); it
@@ -21,41 +23,6 @@ import (
 	"repro/internal/fem"
 	"repro/internal/rdb"
 )
-
-// The graph relations every build reads (core's loader creates them), and
-// the sweep's working set.
-const (
-	TblNodes = "TNodes"
-	TblEdges = "TEdges"
-	// TblWork holds one row per (source, reached node): the tentative
-	// distance, the neighbour it came from (predecessor on the path from
-	// src in a forward sweep, successor toward src in a backward one) and
-	// the flag f: 0 candidate, 2 in the current frontier, 1 expanded,
-	// 3 settled by the prune statement and never expanded.
-	TblWork = "TSeg"
-
-	tblExpand  = "TSegExpand"
-	tblExpCost = "TSegExpCost"
-	tblDeg     = "TDeg"
-	tblDegIn   = "TDegIn"
-)
-
-// WorkTables lists every table the package creates, for loaders that
-// start from a clean catalog.
-func WorkTables() []string {
-	return []string{TblWork, tblExpand, tblExpCost, tblDeg, tblDegIn}
-}
-
-// WorkDDL creates the working set. It always gets a clustered (src, nid)
-// key: the paper's construction assumes the intermediate results are
-// indexed ("we build indices over the relational tables for ...
-// intermediate results").
-func WorkDDL() []string {
-	return []string{
-		"CREATE TABLE " + TblWork + " (src INT, nid INT, dist INT, par INT, f INT)",
-		"CREATE UNIQUE CLUSTERED INDEX tseg_key ON " + TblWork + " (src, nid)",
-	}
-}
 
 // NoBound is the distance bound no path reaches: a sweep run with it
 // relaxes to the full single-source fixpoint. It equals core.MaxDist.
@@ -106,15 +73,17 @@ type Runner struct {
 	wmin     int64
 	maxIters int
 	level    fem.Level // of the expansion's statements
+	strategy IndexStrategy
 	stmts    int
 }
 
 // New builds a runner that issues its statements through exec and
 // queryInt. wmin is the graph's minimal edge weight (the frontier widens
-// by it every round), maxIters caps the rounds of one sweep, and level is
-// the SQL level the expansion is rendered for (fem.LevelOf).
-func New(db *rdb.DB, exec ExecFunc, queryInt QueryIntFunc, wmin int64, maxIters int, level fem.Level) *Runner {
-	return &Runner{db: db, exec: exec, queryInt: queryInt, wmin: wmin, maxIters: maxIters, level: level}
+// by it every round), maxIters caps the rounds of one sweep, level is the
+// SQL level the expansion is rendered for (fem.LevelOf) and strategy the
+// physical design of the index relations a build creates.
+func New(db *rdb.DB, exec ExecFunc, queryInt QueryIntFunc, wmin int64, maxIters int, level fem.Level, strategy IndexStrategy) *Runner {
+	return &Runner{db: db, exec: exec, queryInt: queryInt, wmin: wmin, maxIters: maxIters, level: level, strategy: strategy}
 }
 
 // Exec runs one write statement, returning the affected-row count.
@@ -143,29 +112,13 @@ func (r *Runner) ExecAll(ctx context.Context, stmts ...Query) error {
 // Statements reports how many statements the runner has issued.
 func (r *Runner) Statements() int { return r.stmts }
 
-// Drop drops those of the named tables that exist.
-func (r *Runner) Drop(ctx context.Context, tables ...string) error {
-	for _, tbl := range tables {
-		if _, ok := r.db.Catalog().Get(tbl); ok {
-			if _, err := r.Exec(ctx, "DROP TABLE "+tbl); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ensure runs ddl unless table exists already.
-func (r *Runner) ensure(ctx context.Context, table string, ddl ...string) error {
-	if _, ok := r.db.Catalog().Get(table); ok {
-		return nil
-	}
-	for _, q := range ddl {
-		if _, err := r.Exec(ctx, q); err != nil {
+// Schema issues DDL for declared relations through the runner.
+func (r *Runner) Schema(ctx context.Context) Schema {
+	return Schema{Catalog: r.db.Catalog(), Strategy: r.strategy, Level: r.level,
+		Exec: func(q string) error {
+			_, err := r.Exec(ctx, q)
 			return err
-		}
-	}
-	return nil
+		}}
 }
 
 // Query is a statement fragment with its bound arguments.
@@ -189,7 +142,8 @@ func One(nid int64) Query { return Q(TblNodes+" WHERE nid = ?", nid) }
 // sums its affected rows. A later round may still reopen a pruned row at a
 // smaller distance, and prune then sees it again.
 func (r *Runner) Run(ctx context.Context, forward bool, bound int64, seed, prune Query) (iters int, pruned int64, err error) {
-	if err := r.ensure(ctx, TblWork, WorkDDL()...); err != nil {
+	schema := r.Schema(ctx)
+	if err := schema.Create(Rel(TblWork)); err != nil {
 		return 0, 0, err
 	}
 	if _, err := r.Exec(ctx, clearQ); err != nil {
@@ -199,17 +153,10 @@ func (r *Runner) Run(ctx context.Context, forward bool, bound int64, seed, prune
 		return 0, 0, err
 	}
 	x := round(r.level, forward)
-	if r.level != fem.MergeWindow {
-		// No fused MERGE: the expansion lands in staging tables keyed like
-		// the working set.
-		if err := r.ensure(ctx, tblExpand,
-			"CREATE TABLE "+tblExpand+" (src INT, nid INT, par INT, cost INT)",
-			"CREATE UNIQUE CLUSTERED INDEX tsegexpand_key ON "+tblExpand+" (src, nid)",
-			"CREATE TABLE "+tblExpCost+" (src INT, nid INT, cost INT)",
-			"CREATE UNIQUE CLUSTERED INDEX tsegexpcost_key ON "+tblExpCost+" (src, nid)",
-		); err != nil {
-			return 0, 0, err
-		}
+	// Without the fused MERGE the expansion lands in staging tables keyed
+	// like the working set.
+	if err := schema.Create(Rel(tblExpand), Rel(tblExpCost)); err != nil {
+		return 0, 0, err
 	}
 	expand := func(s fem.Stmt, args []any) (int64, error) { return r.Exec(ctx, s.Text, args...) }
 	for k := int64(1); ; k++ {

@@ -14,15 +14,12 @@ import (
 // the engine's loader does, without depending on internal/core.
 func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 	t.Helper()
-	for _, q := range []string{
-		"CREATE TABLE TNodes (nid INT PRIMARY KEY)",
-		"CREATE TABLE TEdges (fid INT, tid INT, cost INT)",
-		"CREATE CLUSTERED INDEX tedges_fid ON TEdges (fid)",
-		"CREATE INDEX tedges_tid ON TEdges (tid)",
-	} {
-		if _, err := sess.Exec(q); err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
+	schema := Schema{Catalog: sess.DB().Catalog(), Exec: func(q string) error {
+		_, err := sess.Exec(q)
+		return err
+	}}
+	if err := schema.Create(Owned(Graph)...); err != nil {
+		t.Fatal(err)
 	}
 	for nid := int64(0); nid < g.N; nid++ {
 		if _, err := sess.Exec("INSERT INTO TNodes (nid) VALUES (?)", nid); err != nil {
@@ -67,7 +64,7 @@ func TestRunDifferential(t *testing.T) {
 			}
 			sess := db.Session()
 			loadGraphTables(t, sess, g)
-			r := New(db, sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(pr.profile, pr.traditional))
+			r := New(db, sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(pr.profile, pr.traditional), ClusteredIndex)
 			for _, forward := range []bool{true, false} {
 				for _, tc := range []struct {
 					name  string
