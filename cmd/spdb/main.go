@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -34,33 +33,6 @@ import (
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "spdb: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-func parseGen(spec string, seed int64) (*graph.Graph, error) {
-	parts := strings.Split(spec, ":")
-	kind := parts[0]
-	num := func(i int, def int64) int64 {
-		if i < len(parts) {
-			v, err := strconv.ParseInt(parts[i], 10, 64)
-			if err == nil {
-				return v
-			}
-		}
-		return def
-	}
-	switch kind {
-	case "power":
-		return graph.Power(num(1, 10000), int(num(2, 3)), seed), nil
-	case "random":
-		return graph.Random(num(1, 10000), int(num(2, 30000)), seed), nil
-	case "dblp":
-		return graph.DBLPLike(float64(num(1, 1))/100.0, seed), nil
-	case "web":
-		return graph.GoogleWebLike(float64(num(1, 1))/100.0, seed), nil
-	case "lj":
-		return graph.LiveJournalLike(float64(num(1, 1))/1000.0, seed), nil
-	}
-	return nil, fmt.Errorf("unknown generator %q (power|random|dblp|web|lj)", kind)
 }
 
 func parseStrategy(s string) (core.IndexStrategy, error) {
@@ -101,7 +73,7 @@ func main() {
 	var err error
 	switch {
 	case *gen != "":
-		g, err = parseGen(*gen, *seed)
+		g, err = graph.ParseGen(*gen, *seed)
 	case *load != "":
 		g, err = graph.LoadFile(*load)
 	default:
@@ -144,7 +116,7 @@ func main() {
 	if *lthd > 0 || alg == core.AlgBSEG {
 		th := *lthd
 		if th <= 0 {
-			th = 20
+			th = core.DefaultLthd
 		}
 		st, err := eng.BuildSegTable(th)
 		if err != nil {

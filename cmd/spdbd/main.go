@@ -71,9 +71,17 @@
 // the WAL suffix — skipping CSV ingest and every index rebuild — falling
 // back to -gen/-load only when the directory holds no snapshot yet.
 //
+// With -shards k the same engine coordinates a graph partitioned over k
+// databases (internal/shard): every query endpoint, /stats and /metrics
+// behave as above, /stats gains a "shard" block and /metrics the
+// spdb_shard_* families, and what needs the whole graph in one database
+// (POST /edges, POST /admin/snapshot, GET /distance, mode=approx, -landmarks,
+// -labels) answers 409 with the engine's core.ErrPartitioned.
+//
 // Examples:
 //
 //	spdbd -gen power:20000:3 -lthd 20 -landmarks 16 -labels -addr :8080
+//	spdbd -gen power:20000:3 -lthd 20 -shards 4 -portals 16
 //	spdbd -gen power:20000:3 -lthd 20 -data-dir /var/lib/spdb -snapshot-every 5m
 //	curl -X POST localhost:8080/query -d '{"source":17,"target":4711,"timeout_ms":250}'
 //	curl -X POST localhost:8080/query -d '{"source":17,"target":4711,"max_rel_error":0.1}'
@@ -95,7 +103,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -114,17 +121,16 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-// server holds the shared serving state: one engine over one database,
-// request counters, and the default algorithm for queries that don't name
-// one.
+// server holds the shared serving state: one engine, request counters, and
+// the default algorithm for queries that don't name one. Under -shards the
+// engine coordinates a partitioned graph; the handlers neither know nor ask
+// (what needs the whole graph in one database comes back as
+// core.ErrPartitioned, served as 409).
 type server struct {
-	// q answers every query: eng, or shard under -shards. main sets it once.
-	q   querier
 	eng *core.Engine
-	// shard is the partition-parallel coordinator when the server runs with
-	// -shards; eng is nil then. The single-engine-only surfaces (mutations,
-	// snapshots, landmark intervals) answer 409 in that mode.
-	shard      *shard.ShardedEngine
+	// shardStats renders the partition block /stats adds under -shards; nil
+	// on a single engine.
+	shardStats func() shard.Stats
 	defaultAlg core.Algorithm
 	start      time.Time
 
@@ -182,13 +188,16 @@ func (sv *server) plannerDecisions() map[string]uint64 {
 	return out
 }
 
-// noteQueryError classifies a Query error: cancellations (deadline,
-// timeout, client disconnect) count separately and map to 504, everything
-// else to 422.
+// noteQueryError classifies an engine error: cancellations (deadline,
+// timeout, client disconnect) count separately and map to 504, an operation
+// a partitioned graph cannot serve to 409, everything else to 422.
 func (sv *server) noteQueryError(err error) int {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		sv.cancelled.Add(1)
 		return http.StatusGatewayTimeout
+	case errors.Is(err, core.ErrPartitioned):
+		return http.StatusConflict
 	}
 	return http.StatusUnprocessableEntity
 }
@@ -276,55 +285,12 @@ type batchRequest struct {
 	} `json:"queries"`
 }
 
-func parseGen(spec string, seed int64) (*graph.Graph, error) {
-	parts := strings.Split(spec, ":")
-	num := func(i int, def int64) int64 {
-		if i < len(parts) {
-			if v, err := strconv.ParseInt(parts[i], 10, 64); err == nil {
-				return v
-			}
-		}
-		return def
-	}
-	switch parts[0] {
-	case "power":
-		return graph.Power(num(1, 10000), int(num(2, 3)), seed), nil
-	case "random":
-		return graph.Random(num(1, 10000), int(num(2, 30000)), seed), nil
-	case "dblp":
-		return graph.DBLPLike(float64(num(1, 1))/100.0, seed), nil
-	case "web":
-		return graph.GoogleWebLike(float64(num(1, 1))/100.0, seed), nil
-	case "lj":
-		return graph.LiveJournalLike(float64(num(1, 1))/1000.0, seed), nil
-	}
-	return nil, fmt.Errorf("unknown generator %q (power|random|dblp|web|lj)", parts[0])
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-// querier is the query surface both engine types serve.
-type querier interface {
-	Query(ctx context.Context, req core.QueryRequest) (core.QueryResult, error)
-	QueryBatch(ctx context.Context, reqs []core.QueryRequest, workers int) []core.QueryResponse
-}
-
-// rejectSharded answers 409 for endpoints the sharded mode does not carry
-// (mutations, snapshots, landmark intervals) and reports whether it did.
-func (sv *server) rejectSharded(w http.ResponseWriter, what string) bool {
-	if sv.shard == nil {
-		return false
-	}
-	sv.errors.Add(1)
-	writeJSON(w, http.StatusConflict, map[string]string{
-		"error": what + " is not available in sharded mode (-shards)"})
-	return true
 }
 
 // answer runs one declarative query under ctx and renders the response,
@@ -335,7 +301,7 @@ func (sv *server) answer(ctx context.Context, req core.QueryRequest, trace bool)
 	sv.inflight.Add(1)
 	defer sv.inflight.Add(-1)
 	t0 := time.Now()
-	res, err := sv.q.Query(ctx, req)
+	res, err := sv.eng.Query(ctx, req)
 	wall := time.Since(t0)
 	if err != nil {
 		sv.noteSlow(req, res.Stats, wall, err.Error())
@@ -392,9 +358,6 @@ func (sv *server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		sv.errors.Add(1)
 		w.Header().Set("Allow", "GET")
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use GET"})
-		return
-	}
-	if sv.rejectSharded(w, "the landmark distance interval") {
 		return
 	}
 	q := r.URL.Query()
@@ -459,9 +422,6 @@ func (sv *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use POST"})
 		return
 	}
-	if sv.rejectSharded(w, "edge mutation") {
-		return
-	}
 	var req mutationRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		sv.errors.Add(1)
@@ -508,7 +468,7 @@ func (sv *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		sv.errors.Add(1)
 		resp.Error = err.Error()
-		writeJSON(w, http.StatusUnprocessableEntity, resp)
+		writeJSON(w, sv.noteQueryError(err), resp)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -516,17 +476,14 @@ func (sv *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot serves POST /admin/snapshot: write a versioned snapshot
 // of the graph and every built index right now. 409 when the server runs
-// without -data-dir. A snapshot of an unmoved graph version reports
-// skipped=true and costs nothing.
+// without -data-dir or over a partitioned graph. A snapshot of an unmoved
+// graph version reports skipped=true and costs nothing.
 func (sv *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	sv.requests.Add(1)
 	if r.Method != http.MethodPost {
 		sv.errors.Add(1)
 		w.Header().Set("Allow", "POST")
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use POST"})
-		return
-	}
-	if sv.rejectSharded(w, "snapshot") {
 		return
 	}
 	st, err := sv.eng.Snapshot(r.Context())
@@ -545,7 +502,7 @@ func (sv *server) runBatch(ctx context.Context, reqs []core.QueryRequest, worker
 	sv.inflight.Add(int64(len(reqs)))
 	defer sv.inflight.Add(-int64(len(reqs)))
 	t0 := time.Now()
-	results := sv.q.QueryBatch(ctx, reqs, workers)
+	results := sv.eng.QueryBatch(ctx, reqs, workers)
 	out := make([]pathResponse, len(results))
 	for i, res := range results {
 		if res.Err != nil {
@@ -785,39 +742,9 @@ func (sv *server) handleShortestPath(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serverStatsBlock is the serving-tier section of /stats, shared by the
-// single-engine and sharded documents.
-func (sv *server) serverStatsBlock() map[string]any {
-	return map[string]any{
-		"uptime_s":             int64(time.Since(sv.start).Seconds()),
-		"requests":             sv.requests.Load(),
-		"errors":               sv.errors.Load(),
-		"queries_served":       sv.served.Load(),
-		"queries_by_algorithm": sv.queriesByAlgorithm(),
-		// planner_decisions shows what alg=auto actually chose
-		// (engine Decision* labels); queries_cancelled how often
-		// deadlines, timeouts or client disconnects killed a query.
-		"planner_decisions": sv.plannerDecisions(),
-		"queries_cancelled": sv.cancelled.Load(),
-	}
-}
-
 // handleStats reports every layer's counters in one JSON document.
 func (sv *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	sv.requests.Add(1)
-	if sv.shard != nil {
-		st := sv.shard.Stats()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"server": sv.serverStatsBlock(),
-			"graph": map[string]any{
-				"nodes":     st.Nodes,
-				"edges":     st.Edges,
-				"seg_built": st.SegBuilt,
-			},
-			"shard": st,
-		})
-		return
-	}
 	dbStats := sv.eng.DB().Stats()
 	cacheStats := sv.eng.CacheStats()
 	// Hit ratio over the lookups that could have hit (hits + misses);
@@ -854,9 +781,20 @@ func (sv *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"rows_in":  lbl.RowsIn,
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"server": sv.serverStatsBlock(),
-		"graph":  graphStats,
+	doc := map[string]any{
+		"server": map[string]any{
+			"uptime_s":             int64(time.Since(sv.start).Seconds()),
+			"requests":             sv.requests.Load(),
+			"errors":               sv.errors.Load(),
+			"queries_served":       sv.served.Load(),
+			"queries_by_algorithm": sv.queriesByAlgorithm(),
+			// planner_decisions shows what alg=auto actually chose
+			// (engine Decision* labels); queries_cancelled how often
+			// deadlines, timeouts or client disconnects killed a query.
+			"planner_decisions": sv.plannerDecisions(),
+			"queries_cancelled": sv.cancelled.Load(),
+		},
+		"graph": graphStats,
 		"mutations": func() map[string]any {
 			ms := sv.eng.MutationStats()
 			return map[string]any{
@@ -906,7 +844,30 @@ func (sv *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"pool": dbStats.Pool,
 			"io":   dbStats.IO,
 		},
-	})
+	}
+	if sv.shardStats != nil {
+		// Under -shards the blocks above are the coordinating engine's (graph
+		// is the whole graph's; db, concurrency and cache are shard 0's);
+		// this one carries the partition and the per-shard counters.
+		doc["shard"] = sv.shardStats()
+	}
+	writeJSON(w, http.StatusOK, doc)
+}
+
+// newServer wires the serving state over an engine: the counters and the
+// /metrics registry (engine, its database, the serving tier). part is what
+// shard.Open returned when eng coordinates a partitioned graph, nil
+// otherwise; it adds the shard block of /stats and the spdb_shard_* families.
+func newServer(eng *core.Engine, part *shard.ShardedEngine, alg core.Algorithm) *server {
+	sv := &server{eng: eng, defaultAlg: alg, start: time.Now(), reg: obs.NewRegistry()}
+	sv.reg.Register(eng)
+	sv.reg.Register(eng.DB())
+	sv.reg.Register(sv)
+	if part != nil {
+		sv.shardStats = part.Stats
+		sv.reg.Register(part)
+	}
+	return sv
 }
 
 // handleHealthz is the liveness probe: 200 while the process can answer
@@ -946,7 +907,7 @@ func main() {
 	var err error
 	switch {
 	case *gen != "":
-		g, err = parseGen(*gen, *seed)
+		g, err = graph.ParseGen(*gen, *seed)
 	case *load != "":
 		g, err = graph.LoadFile(*load)
 	default:
@@ -962,110 +923,91 @@ func main() {
 		fail("%v", err)
 	}
 
-	// Sharded mode replaces the single engine with the partition-parallel
-	// coordinator. The single-engine-only machinery (durability, landmark
-	// oracle, hub labels, mutations) stays off: the shards would each need
-	// their own WAL/index story, and the coordinator only speaks the
-	// superstep algorithms.
-	var (
-		eng      *core.Engine
-		db       *rdb.DB
-		shardEng *shard.ShardedEngine
-	)
+	// BSEG as the default algorithm implies a SegTable.
+	th := *lthd
+	if th <= 0 && alg == core.AlgBSEG {
+		th = core.DefaultLthd
+	}
+
+	var eng *core.Engine
+	var part *shard.ShardedEngine
 	if *shards > 0 {
-		if g == nil {
-			fail("-shards needs -gen or -load")
-		}
-		if *dataDir != "" {
-			fail("-shards does not support -data-dir (durability is single-engine only)")
-		}
-		if *lmk > 0 || *lbls {
-			fail("-shards supports neither -landmarks nor -labels")
+		// -shards opens the engine through shard.Open: k databases, each
+		// loaded and indexed with its partition, behind shard 0's engine.
+		// -landmarks, -labels and -alg DJ|BDJ|ALT|LABEL fail below, or per
+		// query, through the engine's own sentinels.
+		if *dataDir != "" { // which also leaves g non-nil
+			fail("-shards does not support -data-dir (snapshots and the WAL cover one database)")
 		}
 		if *cacheSz != 0 {
-			fail("-shards does not support -cache (the shard coordinator has no path cache)")
-		}
-		switch alg {
-		case core.AlgAuto, core.AlgBSDJ, core.AlgBBFS, core.AlgBSEG:
-		default:
-			fail("-alg %s is not available with -shards (use AUTO, BSDJ, BBFS or BSEG)", alg)
+			fail("-shards does not support -cache yet: shard.Open opens every shard engine, the coordinating one included, with the path cache off, and sizing it needs a shard.Options field")
 		}
 		strat, err := shard.ParseStrategy(*partStr)
 		if err != nil {
 			fail("%v", err)
 		}
-		lt := *lthd
-		if lt <= 0 && alg == core.AlgBSEG {
-			lt = 20 // same default the single-engine BSEG startup uses
-		}
 		fmt.Printf("spdbd: opening %d shard engines (%s partitioning, %d nodes / %d edges)...\n",
 			*shards, strat, g.N, g.M())
-		shardEng, err = shard.Open(g, shard.Options{
+		part, err = shard.Open(g, shard.Options{
 			Shards:          *shards,
 			Strategy:        strat,
-			Lthd:            lt,
+			Lthd:            th,
 			Portals:         *portals,
 			BufferPoolPages: *poolSz,
 		})
 		if err != nil {
 			fail("shard: %v", err)
 		}
-		defer shardEng.Close()
-		st := shardEng.Stats()
-		fmt.Printf("spdbd: sharded: %d cut edges, seg_built=%v, portals=%d\n",
-			st.CutEdges, st.SegBuilt, st.Portals)
-	}
-	if shardEng == nil {
-		db, err = rdb.Open(rdb.Options{BufferPoolPages: *poolSz})
+		defer part.Close()
+		eng = part.Engine(0)
+		st := part.Stats()
+		fmt.Printf("spdbd: sharded: %d shards, %d cut edges, seg_lthd=%d, portals=%d\n",
+			st.Shards, st.CutEdges, eng.SegLthd(), st.Portals)
+	} else {
+		db, err := rdb.Open(rdb.Options{BufferPoolPages: *poolSz})
 		if err != nil {
 			fail("%v", err)
 		}
 		defer db.Close()
-	}
-	engOpts := core.Options{CacheSize: *cacheSz, DataDir: *dataDir}
+		engOpts := core.Options{CacheSize: *cacheSz, DataDir: *dataDir}
 
-	// Startup prefers hydration: the newest snapshot plus the WAL suffix
-	// restores the graph AND every index recorded in the manifest without
-	// re-ingesting CSV or rebuilding anything. Only when the data
-	// directory holds no snapshot yet does the server fall back to
-	// -gen/-load, and then it writes the first snapshot itself (below) so
-	// the next start hydrates.
-	if *dataDir != "" {
-		e, err := core.OpenFromSnapshot(db, engOpts)
-		switch {
-		case err == nil:
-			eng = e
-			ds := eng.DurabilityStats()
-			fmt.Printf("spdbd: hydrated %d nodes / %d edges from snapshot v%d (+%d WAL records replayed)\n",
-				eng.Nodes(), eng.Edges(), ds.LastSnapshotVersion, ds.ReplayedRecords)
-		case errors.Is(err, core.ErrNoSnapshot):
-			if g == nil {
-				fail("%v (and no -gen/-load to fall back to)", err)
+		// Startup prefers hydration: the newest snapshot plus the WAL suffix
+		// restores the graph AND every index recorded in the manifest without
+		// re-ingesting CSV or rebuilding anything. Only when the data
+		// directory holds no snapshot yet does the server fall back to
+		// -gen/-load, and then it writes the first snapshot itself (below) so
+		// the next start hydrates.
+		if *dataDir != "" {
+			e, err := core.OpenFromSnapshot(db, engOpts)
+			switch {
+			case err == nil:
+				eng = e
+				ds := eng.DurabilityStats()
+				fmt.Printf("spdbd: hydrated %d nodes / %d edges from snapshot v%d (+%d WAL records replayed)\n",
+					eng.Nodes(), eng.Edges(), ds.LastSnapshotVersion, ds.ReplayedRecords)
+			case errors.Is(err, core.ErrNoSnapshot):
+				if g == nil {
+					fail("%v (and no -gen/-load to fall back to)", err)
+				}
+				fmt.Printf("spdbd: no snapshot in %s, loading from scratch\n", *dataDir)
+			default:
+				fail("hydrate: %v", err)
 			}
-			fmt.Printf("spdbd: no snapshot in %s, loading from scratch\n", *dataDir)
-		default:
-			fail("hydrate: %v", err)
 		}
-	}
-	if eng == nil && shardEng == nil {
-		eng = core.NewEngine(db, engOpts)
-		fmt.Printf("spdbd: loading graph (%d nodes, %d edges)...\n", g.N, g.M())
-		if err := eng.LoadGraph(g); err != nil {
-			fail("load: %v", err)
+		if eng == nil {
+			eng = core.NewEngine(db, engOpts)
+			fmt.Printf("spdbd: loading graph (%d nodes, %d edges)...\n", g.N, g.M())
+			if err := eng.LoadGraph(g); err != nil {
+				fail("load: %v", err)
+			}
 		}
-	}
-	if eng != nil {
 		defer eng.Close()
 	}
 
 	// Index builds run only when requested AND missing: a hydrated engine
-	// already carries every index its snapshot recorded. (The sharded
-	// coordinator built its per-shard SegTables during Open.)
-	if eng != nil && (*lthd > 0 || alg == core.AlgBSEG) && eng.SegLthd() == 0 {
-		th := *lthd
-		if th <= 0 {
-			th = 20
-		}
+	// already carries every index its snapshot recorded, and shard.Open
+	// built the per-shard SegTables.
+	if th > 0 && eng.SegLthd() == 0 {
 		fmt.Printf("spdbd: building SegTable (lthd=%d)...\n", th)
 		st, err := eng.BuildSegTable(th)
 		if err != nil {
@@ -1073,7 +1015,7 @@ func main() {
 		}
 		fmt.Printf("spdbd: %s\n", st)
 	}
-	if eng != nil && (*lmk > 0 || alg == core.AlgALT) && eng.Oracle() == nil {
+	if (*lmk > 0 || alg == core.AlgALT) && eng.Oracle() == nil {
 		strat, err := oracle.ParseStrategy(*lmkStrat)
 		if err != nil {
 			fail("%v", err)
@@ -1089,7 +1031,7 @@ func main() {
 		}
 		fmt.Printf("spdbd: %s\n", st)
 	}
-	if eng != nil && (*lbls || alg == core.AlgLabel) && eng.Labels() == nil {
+	if (*lbls || alg == core.AlgLabel) && eng.Labels() == nil {
 		fmt.Println("spdbd: building hub-label index...")
 		st, err := eng.BuildLabels()
 		if err != nil {
@@ -1109,20 +1051,10 @@ func main() {
 		}
 	}
 
-	sv := &server{eng: eng, shard: shardEng, defaultAlg: alg, start: time.Now()}
+	sv := newServer(eng, part, alg)
 	if *slowThd > 0 {
 		sv.slowlog = obs.NewSlowLog(*slowThd, *slowCap)
 	}
-	sv.reg = obs.NewRegistry()
-	if shardEng != nil {
-		sv.q = shardEng
-		sv.reg.Register(shardEng)
-	} else {
-		sv.q = eng
-		sv.reg.Register(eng)
-		sv.reg.Register(db)
-	}
-	sv.reg.Register(sv)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", sv.handleQuery)
 	mux.HandleFunc("/shortest-path", sv.handleShortestPath)
@@ -1167,13 +1099,8 @@ func main() {
 
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe() }()
-	if shardEng != nil {
-		fmt.Printf("spdbd: serving graph with %d nodes / %d edges on %s (%d shards, default algorithm %s)\n",
-			shardEng.Nodes(), shardEng.Edges(), *addr, shardEng.Partition().K, alg)
-	} else {
-		fmt.Printf("spdbd: serving graph with %d nodes / %d edges on %s (default algorithm %s)\n",
-			eng.Nodes(), eng.Edges(), *addr, alg)
-	}
+	fmt.Printf("spdbd: serving graph with %d nodes / %d edges on %s (default algorithm %s)\n",
+		eng.Nodes(), eng.Edges(), *addr, alg)
 
 	select {
 	case err := <-done:
@@ -1189,7 +1116,7 @@ func main() {
 		//     snapshot races the exit snapshot.
 		//  3. An optional exit snapshot persists everything since the last
 		//     one — the next start hydrates instead of replaying the WAL.
-		//  4. The deferred eng.Close runs last: final WAL fsync+close, then
+		//  4. The deferred engine Close runs last: final WAL fsync+close, then
 		//     session and database teardown (buffer-pool flush).
 		fmt.Println("spdbd: shutting down...")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainDur)

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -27,7 +26,7 @@ func newTestServer(t *testing.T) *server {
 	if err := eng.LoadGraph(graph.Power(500, 3, 42)); err != nil {
 		t.Fatal(err)
 	}
-	return &server{q: eng, eng: eng, defaultAlg: core.AlgBSDJ, start: time.Now()}
+	return newServer(eng, nil, core.AlgBSDJ)
 }
 
 // newOracleServer is newTestServer plus a built landmark oracle, for the

@@ -110,13 +110,6 @@ func (sv *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // holds the exclusive gate and answers slowly or not at all, so load
 // balancers should route elsewhere until the build lands.
 func (sv *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if sv.shard != nil {
-		// The sharded coordinator loads every partition before the listener
-		// opens and runs no online index builds, so it is ready once serving.
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ready": true, "shards": sv.shard.Partition().K})
-		return
-	}
 	if sv.eng.Nodes() == 0 {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"ready": false, "reason": "no graph loaded"})

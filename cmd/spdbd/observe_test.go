@@ -15,8 +15,7 @@ import (
 	"repro/internal/rdb"
 )
 
-// newObsServer is newTestServer plus the observability wiring main()
-// performs: the /metrics registry and a slow-query ring with the given
+// newObsServer is newTestServer plus a slow-query ring with the given
 // threshold.
 func newObsServer(t *testing.T, slowThd time.Duration) *server {
 	t.Helper()
@@ -24,10 +23,6 @@ func newObsServer(t *testing.T, slowThd time.Duration) *server {
 	if slowThd > 0 {
 		sv.slowlog = obs.NewSlowLog(slowThd, 8)
 	}
-	sv.reg = obs.NewRegistry()
-	sv.reg.Register(sv.eng)
-	sv.reg.Register(sv.eng.DB())
-	sv.reg.Register(sv)
 	return sv
 }
 
@@ -109,7 +104,7 @@ func TestReadyzTransitions(t *testing.T) {
 	t.Cleanup(func() { db.Close() })
 	eng := core.NewEngine(db, core.Options{})
 	t.Cleanup(func() { eng.Close() })
-	sv := &server{q: eng, eng: eng, defaultAlg: core.AlgBSDJ, start: time.Now()}
+	sv := newServer(eng, nil, core.AlgBSDJ)
 
 	ready := func() int {
 		rec := httptest.NewRecorder()

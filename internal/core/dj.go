@@ -103,7 +103,7 @@ func (e *Engine) dj(ctx context.Context, sc *scratchSet, s, t int64, budget int6
 	if null {
 		return Path{}, qs, fmt.Errorf("core: DJ finalized target without a distance")
 	}
-	nodes, err := walkChain(ctx, []*Superstep{{e: e, sc: sc, qs: qs}}, soleOwner, t, s, true, false)
+	nodes, err := walkChain(ctx, []*superstep{{e: e, sc: sc, qs: qs}}, soleOwner, t, s, true, false)
 	if err != nil {
 		return Path{}, qs, err
 	}

@@ -187,8 +187,8 @@ type SnapshotStats struct {
 // Unchanged graph versions are skipped cheaply, so periodic callers
 // (spdbd -snapshot-every) cost nothing on an idle server.
 func (e *Engine) Snapshot(ctx context.Context) (*SnapshotStats, error) {
-	if e.optErr != nil {
-		return nil, e.optErr
+	if err := e.guard(wholeGraph); err != nil {
+		return nil, err
 	}
 	if e.dur == nil {
 		return nil, fmt.Errorf("core: snapshots require Options.DataDir")
@@ -299,8 +299,8 @@ func OpenFromSnapshot(db *rdb.DB, opts Options) (*Engine, error) {
 // through the ordinary mutation path, invalidating indexes exactly as the
 // original batches did.
 func (e *Engine) Hydrate() error {
-	if e.optErr != nil {
-		return e.optErr
+	if err := e.guard(wholeGraph); err != nil {
+		return err
 	}
 	if e.dur == nil {
 		return fmt.Errorf("core: hydration requires Options.DataDir")

@@ -204,6 +204,9 @@ type Engine struct {
 	// optErr records an Options validation failure from NewEngine; every
 	// public entry point returns it instead of running with a bad config.
 	optErr error
+	// part is the peer set this engine belongs to (peers.go); nil for the
+	// single engine. Written once by SetPeers, before the engine serves.
+	part *partition
 
 	// mu guards the graph metadata below; queries take the read side.
 	mu    sync.RWMutex
@@ -575,8 +578,11 @@ func (e *Engine) checkBudget(ctx context.Context, qs *QueryStats) error {
 
 // search dispatches to the relational algorithms over the leased scratch
 // set; callers hold the query gate (shared for reads, exclusive for the
-// degraded path). budget is the per-query statement cap (0 = unlimited).
-// The bi-directional algorithms are the FEM loop over this one engine.
+// degraded path). budget is the per-query statement cap (0 = unlimited),
+// applied to each handle's statement stream. The bi-directional algorithms
+// are the FEM loop over this engine's handle and, when it coordinates a
+// partitioned graph, one more per peer, admitted here in owner order (peers
+// only ever admit shared, so the order cannot deadlock).
 func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t int64, budget int64) (Path, *QueryStats, error) {
 	switch alg {
 	case AlgDJ:
@@ -591,7 +597,36 @@ func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t
 	if err != nil {
 		return Path{}, nil, err
 	}
-	return RunSupersteps(ctx, []*Superstep{e.newSuperstep(sc, spec, budget)}, soleOwner, s, t, 4*MaxDist)
+	hs := []*superstep{e.newSuperstep(sc, spec, budget)}
+	owner, upper := soleOwner, int64(4*MaxDist)
+	var witness func() []int64
+	if pt := e.part; pt != nil {
+		owner = pt.Owner
+		for _, peer := range pt.Others {
+			h, err := peer.admit(ctx, alg, budget)
+			if err != nil {
+				return Path{}, nil, err
+			}
+			defer h.release()
+			hs = append(hs, h)
+		}
+		if pt.Bound != nil {
+			if u, w := pt.Bound(s, t); w != nil {
+				upper, witness = u, w
+			}
+		}
+	}
+	p, qs, err := runSupersteps(ctx, hs, owner, s, t, upper)
+	if e.part != nil {
+		e.part.supersteps.Add(uint64(qs.Iterations))
+		e.part.exchanged.Add(uint64(qs.Exchanged))
+	}
+	if err == nil && p.Found && p.Nodes == nil {
+		// The search stopped against the bound before recording a meeting at
+		// that cost; the bound's owner holds the path.
+		p.Nodes = witness()
+	}
+	return p, qs, err
 }
 
 // soleOwner is the owner function of a one-handle loop.

@@ -57,7 +57,7 @@ func (e *Engine) searchOps(sc *scratchSet, d direction, edges, frontier string, 
 
 // pruneArgs binds the Theorem-1 placeholders of the handle's expansions
 // (none when its algorithm does not prune).
-func (ss *Superstep) pruneArgs(lOther, minCost int64) []any {
+func (ss *superstep) pruneArgs(lOther, minCost int64) []any {
 	if !ss.spec.prune {
 		return nil
 	}

@@ -197,7 +197,7 @@ func StopCondition(lf, lb, minCost int64) bool {
 	return minCost < MaxDist && lf+lb >= minCost
 }
 
-// RunSupersteps runs the generic FEM loop of Algorithm 2 over one handle per
+// runSupersteps runs the generic FEM loop of Algorithm 2 over one handle per
 // engine; owner maps a node to the handle holding its authoritative visited
 // row. It seeds s and t at their owners, then repeatedly picks a direction,
 // runs F (sign update) on every handle, E+M (expansion, with a boundary
@@ -216,7 +216,7 @@ func StopCondition(lf, lb, minCost int64) bool {
 // The returned stats fold every handle's accounting; phase durations sum
 // handle wall clocks, so with peers working in parallel they read as
 // aggregate work, like CPU time. Handles serve one run.
-func RunSupersteps(ctx context.Context, hs []*Superstep, owner func(nid int64) int, s, t, upper int64) (Path, *QueryStats, error) {
+func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) int, s, t, upper int64) (Path, *QueryStats, error) {
 	spec, e := hs[0].spec, hs[0].e
 	qs := &QueryStats{Algorithm: spec.name}
 	start := time.Now()
@@ -227,7 +227,7 @@ func RunSupersteps(ctx context.Context, hs []*Superstep, owner func(nid int64) i
 		qs.Total = time.Since(start)
 	}()
 
-	if err := each(hs, func(_ int, h *Superstep) error { return h.e.resetVisited(ctx, h.qs, h.sc) }); err != nil {
+	if err := each(hs, func(_ int, h *superstep) error { return h.e.resetVisited(ctx, h.qs, h.sc) }); err != nil {
 		return Path{}, qs, err
 	}
 	if s == t {
@@ -275,7 +275,7 @@ func RunSupersteps(ctx context.Context, hs []*Superstep, owner func(nid int64) i
 		// candidate is routed to its owner, so the owner row carries the
 		// global minimum d2s AND d2t per node and the fold sees every
 		// meeting — including one whose halves were found by different peers.
-		mc, ok, err := minOver(ctx, hs, mins, func(h *Superstep) string { return h.sc.biMinSum })
+		mc, ok, err := minOver(ctx, hs, mins, func(h *superstep) string { return h.sc.biMinSum })
 		if err != nil {
 			return Path{}, qs, err
 		}
@@ -315,7 +315,7 @@ func RunSupersteps(ctx context.Context, hs []*Superstep, owner func(nid int64) i
 		var pruned int64
 		if spec.preFrontier != nil && best < MaxDist {
 			for {
-				n, err := tally(hs, counts, func(h *Superstep) (int64, error) {
+				n, err := tally(hs, counts, func(h *superstep) (int64, error) {
 					pre := h.side(forward).pre
 					return h.e.exec(ctx, h.qs, &h.qs.PE, &h.qs.FOp, pre.text, pre.bind(best)...)
 				})
@@ -335,7 +335,7 @@ func RunSupersteps(ctx context.Context, hs []*Superstep, owner func(nid int64) i
 		// "prematurely"; the M-operator re-opens any row a later candidate
 		// improves, so distances stay exact (label-correcting), and the
 		// handle holding the global minimum always expands it.
-		cnt, err := tally(hs, counts, func(h *Superstep) (int64, error) {
+		cnt, err := tally(hs, counts, func(h *superstep) (int64, error) {
 			front := h.side(forward).front
 			return h.e.exec(ctx, h.qs, &h.qs.PE, &h.qs.FOp, front.text, front.bind(cur.k)...)
 		})
@@ -369,7 +369,7 @@ func RunSupersteps(ctx context.Context, hs []*Superstep, owner func(nid int64) i
 		}
 
 		// Mark the frontier as expanded (Listing 4(3)).
-		if err := each(hs, func(i int, h *Superstep) error {
+		if err := each(hs, func(i int, h *superstep) error {
 			if counts[i] == 0 {
 				return nil
 			}
@@ -382,7 +382,7 @@ func RunSupersteps(ctx context.Context, hs []*Superstep, owner func(nid int64) i
 		// Collect the latest minimal distance (Listing 4(4)). Only the
 		// expanded direction's: its merge never touches the other
 		// direction's distance or sign, so that bound cannot have moved.
-		l, ok, err := minOver(ctx, hs, mins, func(h *Superstep) string { return h.side(forward).min })
+		l, ok, err := minOver(ctx, hs, mins, func(h *superstep) string { return h.side(forward).min })
 		if err != nil {
 			return Path{}, qs, err
 		}
@@ -395,7 +395,7 @@ func RunSupersteps(ctx context.Context, hs []*Superstep, owner func(nid int64) i
 	}
 	qs.Expansions = qs.ForwardExpansions + qs.BackwardExpansions
 
-	vc, err := tally(hs, counts, func(h *Superstep) (int64, error) {
+	vc, err := tally(hs, counts, func(h *superstep) (int64, error) {
 		n, err := h.e.visitedCount(ctx, h.qs, h.sc)
 		return int64(n), err
 	})
@@ -419,7 +419,7 @@ func RunSupersteps(ctx context.Context, hs []*Superstep, owner func(nid int64) i
 
 // each runs fn on every handle — concurrently when there are peers — and
 // joins the errors.
-func each(hs []*Superstep, fn func(i int, h *Superstep) error) error {
+func each(hs []*superstep, fn func(i int, h *superstep) error) error {
 	if len(hs) == 1 {
 		return fn(0, hs[0])
 	}
@@ -438,8 +438,8 @@ func each(hs []*Superstep, fn func(i int, h *Superstep) error) error {
 
 // tally runs a row-counting step on every handle, leaving each handle's
 // count in counts and returning their sum.
-func tally(hs []*Superstep, counts []int64, fn func(h *Superstep) (int64, error)) (int64, error) {
-	err := each(hs, func(i int, h *Superstep) error {
+func tally(hs []*superstep, counts []int64, fn func(h *superstep) (int64, error)) (int64, error) {
+	err := each(hs, func(i int, h *superstep) error {
 		var err error
 		counts[i], err = fn(h)
 		return err
@@ -454,8 +454,8 @@ func tally(hs []*Superstep, counts []int64, fn func(h *Superstep) (int64, error)
 // minOver runs each handle's scalar MIN query in the statistics-collection
 // phase and folds the results; ok is false when every handle answered NULL
 // (no rows / no candidates). mins is scratch space, one slot per handle.
-func minOver(ctx context.Context, hs []*Superstep, mins []int64, q func(h *Superstep) string) (int64, bool, error) {
-	err := each(hs, func(i int, h *Superstep) error {
+func minOver(ctx context.Context, hs []*superstep, mins []int64, q func(h *superstep) string) (int64, bool, error) {
+	err := each(hs, func(i int, h *superstep) error {
 		v, null, err := h.e.queryInt(ctx, h.qs, &h.qs.SC, q(h))
 		if null {
 			v = math.MaxInt64
@@ -483,7 +483,7 @@ const prefetchWorkers = 8
 // merged locally. lOther and best bind the Theorem-1 prune; they are global
 // values, at least as large as any handle-local view, so the prune stays
 // sound. Returns the number of candidates routed.
-func expandMerge(ctx context.Context, hs []*Superstep, owner func(nid int64) int, forward bool, counts []int64, lOther, best int64) (int, error) {
+func expandMerge(ctx context.Context, hs []*superstep, owner func(nid int64) int, forward bool, counts []int64, lOther, best int64) (int, error) {
 	if len(hs) == 1 {
 		h := hs[0]
 		_, err := h.e.runOps(ctx, h.qs, h.side(forward).ops.Round(h.e.opts.SeparateOperators),
@@ -491,7 +491,7 @@ func expandMerge(ctx context.Context, hs []*Superstep, owner func(nid int64) int
 		return 0, err
 	}
 	harvested := make([][]frontierCand, len(hs))
-	if err := each(hs, func(i int, h *Superstep) error {
+	if err := each(hs, func(i int, h *superstep) error {
 		if counts[i] == 0 {
 			return nil
 		}
@@ -525,7 +525,7 @@ func expandMerge(ctx context.Context, hs []*Superstep, owner func(nid int64) int
 		o := owner(c.nid)
 		batches[o] = append(batches[o], c)
 	}
-	return len(cheapest), each(hs, func(i int, h *Superstep) error {
+	return len(cheapest), each(hs, func(i int, h *superstep) error {
 		return h.inject(ctx, forward, batches[i])
 	})
 }

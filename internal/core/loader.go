@@ -27,8 +27,8 @@ const insertBatch = 400
 // paper) under the engine's index strategy and bulk-loads it, then creates
 // the per-query working tables.
 func (e *Engine) LoadGraph(g *graph.Graph) error {
-	if e.optErr != nil {
-		return e.optErr
+	if err := e.guard(wholeGraph); err != nil {
+		return err
 	}
 	// A load in flight means the replica is not ready to serve: /readyz
 	// reports 503 until it completes.

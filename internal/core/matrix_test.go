@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -156,9 +155,8 @@ func TestTraditionalSQLLevel(t *testing.T) {
 			t.Errorf("TraditionalSQL engine prepared: %s", text)
 		}
 	}
-	if ss, err := e.BeginSuperstep(context.Background(), AlgBSDJ, 0); err == nil {
-		ss.Close()
-		t.Error("BeginSuperstep admitted a TraditionalSQL engine")
+	if err := e.SetPeers(Peers{Owner: soleOwner}); err == nil {
+		t.Error("SetPeers admitted a TraditionalSQL engine")
 	}
 }
 

@@ -40,8 +40,8 @@ type MSTResult struct {
 // MinimumSpanningForest computes a minimal spanning forest with FEM
 // iterations over the loaded graph.
 func (e *Engine) MinimumSpanningForest() (*MSTResult, error) {
-	if e.optErr != nil {
-		return nil, e.optErr
+	if err := e.guard(wholeGraph); err != nil {
+		return nil, err
 	}
 	// Shares the TVisited working table with searches.
 	ctx := context.Background()

@@ -186,8 +186,8 @@ func (e *Engine) applyMutations(muts []Mutation, batch bool) (*MaintStats, error
 	if len(muts) == 0 {
 		return &MaintStats{}, nil
 	}
-	if e.optErr != nil {
-		return nil, e.optErr
+	if err := e.guard(wholeGraph); err != nil {
+		return nil, err
 	}
 	// Mutating the graph excludes searches; the path cache in front of the
 	// latch is purged by the version bump below. Mutations are not

@@ -97,6 +97,9 @@ const approxRetries = 3
 // reads retry when the (graph, index) generation moves underneath them;
 // cancellation is honored at every statement boundary through ctx.
 func (e *Engine) DistanceInterval(ctx context.Context, s, t int64) (Interval, error) {
+	if err := e.guard(wholeGraph); err != nil {
+		return Interval{}, err
+	}
 	iv, _, err := e.distanceIntervalStats(ctx, s, t)
 	return iv, err
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/rdb"
@@ -27,8 +29,7 @@ import (
 var ErrBudgetExceeded = errors.New("core: statement budget exceeded")
 
 // ErrNoGraph reports an operation against an engine with no loaded graph.
-// Callers (the shard coordinator, spdbd readiness) branch on it with
-// errors.Is instead of matching the message text.
+// Callers branch on it with errors.Is instead of matching the message text.
 var ErrNoGraph = errors.New("core: no graph loaded")
 
 // Planner thresholds. They are deliberately coarse: the planner's inputs
@@ -194,8 +195,8 @@ func (e *Engine) Query(ctx context.Context, req QueryRequest) (QueryResult, erro
 
 // runQuery is Query's body; the wrapper owns timing and observation.
 func (e *Engine) runQuery(ctx context.Context, req QueryRequest, rec *stageRec) (QueryResult, error) {
-	if e.optErr != nil {
-		return QueryResult{}, e.optErr
+	if err := e.guard(req.Alg); err != nil {
+		return QueryResult{}, err
 	}
 	if err := rdb.ContextErr(ctx); err != nil {
 		return QueryResult{}, err
@@ -499,19 +500,35 @@ type QueryResponse struct {
 // admission re-check — and distinct uncached searches run in parallel
 // under shared admissions, each over its own scratch-table set.
 func (e *Engine) QueryBatch(ctx context.Context, reqs []QueryRequest, workers int) []QueryResponse {
-	return BatchQuery(ctx, reqs, workers, e.Query)
-}
-
-// BatchQuery is QueryBatch over any engine's Query method (the sharded
-// engine answers batches through it too).
-func BatchQuery(ctx context.Context, reqs []QueryRequest, workers int,
-	query func(context.Context, QueryRequest) (QueryResult, error)) []QueryResponse {
 	results := make([]QueryResponse, len(reqs))
-	runBatch(ctx, len(reqs), workers, func(i int) {
-		res, err := query(ctx, reqs[i])
-		results[i] = QueryResponse{Request: reqs[i], Result: res, Err: err}
-	}, func(i int) {
-		results[i] = QueryResponse{Request: reqs[i], Err: ctx.Err()}
-	})
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(reqs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				res, err := e.Query(ctx, reqs[i])
+				results[i] = QueryResponse{Request: reqs[i], Result: res, Err: err}
+			}
+		}()
+	}
+feed:
+	for i := range reqs {
+		select {
+		case next <- i:
+		case <-ctx.Done():
+			// Stop feeding; this and every remaining request is abandoned.
+			for j := i; j < len(reqs); j++ {
+				results[j] = QueryResponse{Request: reqs[j], Err: ctx.Err()}
+			}
+			break feed
+		}
+	}
+	close(next)
+	wg.Wait()
 	return results
 }

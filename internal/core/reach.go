@@ -25,8 +25,8 @@ type ReachResult struct {
 
 // Reachable reports whether t is reachable from s following directed edges.
 func (e *Engine) Reachable(s, t int64) (*ReachResult, error) {
-	if e.optErr != nil {
-		return nil, e.optErr
+	if err := e.guard(wholeGraph); err != nil {
+		return nil, err
 	}
 	// Shares the TVisited working table with searches.
 	ctx := context.Background()

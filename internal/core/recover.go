@@ -19,7 +19,7 @@ import (
 
 // recoverPath locates a node on the optimal path (Listing 4(6)) and
 // concatenates the two half-paths (lines 17-20 of Algorithm 2).
-func recoverPath(ctx context.Context, hs []*Superstep, owner func(nid int64) int, s, t, minCost int64, segs bool) ([]int64, error) {
+func recoverPath(ctx context.Context, hs []*superstep, owner func(nid int64) int, s, t, minCost int64, segs bool) ([]int64, error) {
 	meet := int64(-1)
 	for _, h := range hs {
 		m, null, err := h.e.queryInt(ctx, h.qs, &h.qs.FPR, h.sc.meet, minCost)
@@ -48,7 +48,7 @@ func recoverPath(ctx context.Context, hs []*Superstep, owner func(nid int64) int
 // walkChain follows one direction's parent links from node x to end (p2s
 // links to s forward, p2t links to t backward) and returns the path
 // between them in path order: s..x forward, x..t backward.
-func walkChain(ctx context.Context, hs []*Superstep, owner func(nid int64) int, x, end int64, forward, segs bool) ([]int64, error) {
+func walkChain(ctx context.Context, hs []*superstep, owner func(nid int64) int, x, end int64, forward, segs bool) ([]int64, error) {
 	out := []int64{x}
 	guard := hs[0].e.nodes + 2
 	for cur, step := x, 0; cur != end; step++ {
@@ -91,7 +91,7 @@ func walkChain(ctx context.Context, hs []*Superstep, owner func(nid int64) int, 
 // owner rows show: such a segment is a globally shortest path between the
 // two, hence shortest in that peer's subgraph too, so its pid chain (which
 // needs the prefix/suffix property) unfolds it soundly.
-func unfoldHop(ctx context.Context, hs []*Superstep, owner func(nid int64) int, forward bool, parent, cur int64) ([]int64, error) {
+func unfoldHop(ctx context.Context, hs []*superstep, owner func(nid int64) int, forward bool, parent, cur int64) ([]int64, error) {
 	// TOutSegs records the forward hop parent->cur; the backward chain runs
 	// cur->parent toward t, which TInSegs records.
 	u, v := cur, parent

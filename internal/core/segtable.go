@@ -41,6 +41,10 @@ func (e *Engine) sweeper(qs *QueryStats) *sweep.Runner {
 		e.WMin(), e.maxIters(), e.level, e.opts.Strategy)
 }
 
+// DefaultLthd is the SegTable threshold the commands build with when BSEG
+// is asked for and no -lthd is given.
+const DefaultLthd = 20
+
 // BuildSegTable constructs the SegTable index of Definition 4: TOutSegs
 // holds every pre-computed shortest segment (u,v) with δ(u,v) <= lthd plus
 // the original edges not dominated by a segment; TInSegs is the symmetric
@@ -67,14 +71,14 @@ func (e *Engine) BuildSegTableContext(ctx context.Context, lthd int64) (*SegTabl
 }
 
 // beginBuild is the prologue every index build shares: refuse a
-// misconfigured engine; count as in flight from entry, the wait for the
+// misconfigured engine and a partition of a graph; count as in flight from entry, the wait for the
 // gate included, so /readyz routes traffic away while the index is cold;
 // take the exclusive gate, since a build rewrites relations searches read
 // and invalidates every cached answer; require a loaded graph. The
 // returned func releases the gate and the in-flight count.
 func (e *Engine) beginBuild(ctx context.Context) (release func(), err error) {
-	if e.optErr != nil {
-		return nil, e.optErr
+	if err := e.guard(wholeGraph); err != nil {
+		return nil, err
 	}
 	done := e.trackBuild()
 	if err := e.lockQuery(ctx); err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -11,22 +10,13 @@ import (
 	"repro/internal/rdb"
 )
 
-// A Superstep is one engine's seat in the FEM loop (RunSupersteps in
+// A superstep is one engine's seat in the FEM loop (runSupersteps in
 // fem.go): a scratch set, the algorithm's statement shapes rendered over it,
-// and the handle-local accounting. The engine's own search builds one on the
-// scratch set it already leased and runs the loop over that single handle.
-// Horizontal sharding (internal/shard) admits one handle per shard engine
-// with BeginSuperstep and runs the same loop over all of them; what the
-// loop needs from a handle only then — reading an expansion back out as
-// data, merging in candidates routed from peers, warming a frontier's pages
-// — lives here.
-
-// ErrUnsupportedSuperstep reports an algorithm BeginSuperstep cannot admit.
-// Node-at-a-time BDJ/DJ never fan out (their frontier is one node), and
-// ALT/Label lean on whole-graph landmark indexes that are unsound on a
-// partition's subgraph, so only the set-at-a-time frontier algorithms
-// (BSDJ, BBFS, BSEG) are exposed.
-var ErrUnsupportedSuperstep = errors.New("core: algorithm not supported by the superstep surface (want BSDJ, BBFS or BSEG)")
+// and the handle-local accounting. Engine.search builds one on the scratch
+// set it already leased and, when the engine coordinates a partitioned graph
+// (peers.go), admits one more per peer; what the loop needs from a handle
+// only then — reading an expansion back out as data, merging in candidates
+// routed from peers, warming a frontier's pages — lives here.
 
 // frontierCand is one harvested expansion candidate: node nid is reachable
 // at distance cost through parent par. The loop exchanges these between
@@ -38,17 +28,16 @@ type frontierCand struct{ nid, par, cost int64 }
 // population bounded so prepared handles and cached plans recycle.
 const injectChunk = 16
 
-// Superstep is a per-query handle on one engine's FEM machinery. A handle
-// from BeginSuperstep holds a shared-gate admission and a leased scratch
-// set until Close; the ones the engine builds for itself borrow both from
-// the query that builds them and are never closed.
-type Superstep struct {
+// superstep is a per-query handle on one engine's FEM machinery. A peer's
+// handle (admit) holds a shared-gate admission and a leased scratch set
+// until release; the one the searching engine builds for itself borrows
+// both from the query that builds it and is never released.
+type superstep struct {
 	e        *Engine
 	sc       *scratchSet
 	qs       *QueryStats
 	spec     femSpec
 	fwd, bwd femSide
-	closed   bool
 }
 
 // femSide is one direction's statements on one handle: the E+M round, the
@@ -61,7 +50,7 @@ type femSide struct {
 	reset, min string
 }
 
-func (ss *Superstep) side(forward bool) *femSide {
+func (ss *superstep) side(forward bool) *femSide {
 	if forward {
 		return &ss.fwd
 	}
@@ -70,9 +59,9 @@ func (ss *Superstep) side(forward bool) *femSide {
 
 // newSuperstep renders spec over sc. budget caps the handle's statement
 // count (0 = unlimited). The caller holds the query gate and owns sc.
-func (e *Engine) newSuperstep(sc *scratchSet, spec femSpec, budget int64) *Superstep {
+func (e *Engine) newSuperstep(sc *scratchSet, spec femSpec, budget int64) *superstep {
 	fwd, bwd := fwdDir(), bwdDir()
-	ss := &Superstep{
+	ss := &superstep{
 		e: e, sc: sc, spec: spec,
 		qs: &QueryStats{Algorithm: spec.name, budget: budget},
 		fwd: femSide{ops: e.searchOps(sc, fwd, spec.edgeFwd, "q.f = 2", spec.prune),
@@ -86,30 +75,10 @@ func (e *Engine) newSuperstep(sc *scratchSet, spec femSpec, budget int64) *Super
 	return ss
 }
 
-// BeginSuperstep admits this engine to a search driven from outside: it
-// validates the algorithm, takes a shared gate slot (concurrent with other
-// readers, excluded from mutations) and leases a scratch set. budget caps
-// the handle's statement count (0 = unlimited). The caller must Close the
-// handle — also on error paths — to release both.
-func (e *Engine) BeginSuperstep(ctx context.Context, alg Algorithm, budget int64) (*Superstep, error) {
-	e.mu.RLock()
-	nodes := e.nodes
-	e.mu.RUnlock()
-	if e.optErr != nil {
-		return nil, e.optErr
-	}
-	if nodes == 0 {
-		return nil, ErrNoGraph
-	}
-	if e.level != fem.MergeWindow {
-		return nil, fmt.Errorf("core: superstep surface needs the MERGE + window-function SQL level")
-	}
-	switch alg {
-	case AlgBSDJ, AlgBBFS, AlgBSEG:
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrUnsupportedSuperstep, alg)
-	}
-
+// admit seats this engine in a search its coordinator drives: a shared gate
+// slot (concurrent with other readers) and a leased scratch set, both held
+// until release. budget caps the handle's statement count (0 = unlimited).
+func (e *Engine) admit(ctx context.Context, alg Algorithm, budget int64) (*superstep, error) {
 	if err := e.lockShared(ctx); err != nil {
 		return nil, err
 	}
@@ -127,13 +96,8 @@ func (e *Engine) BeginSuperstep(ctx context.Context, alg Algorithm, budget int64
 	return e.newSuperstep(sc, spec, budget), nil
 }
 
-// Close releases the scratch set and the gate admission BeginSuperstep
-// took. Idempotent.
-func (ss *Superstep) Close() {
-	if ss.closed {
-		return
-	}
-	ss.closed = true
+// release returns the scratch set and the gate admission admit took.
+func (ss *superstep) release() {
 	ss.e.scratch.release(ss.sc)
 	ss.e.unlockShared()
 }
@@ -144,7 +108,7 @@ func (ss *Superstep) Close() {
 // relaxes the visited table, re-opening (sign=0) any settled row the batch
 // improves. Seeding works the same way: injecting (s, s, 0) forward into an
 // empty table reproduces the biInit row for s.
-func (ss *Superstep) inject(ctx context.Context, forward bool, cands []frontierCand) error {
+func (ss *superstep) inject(ctx context.Context, forward bool, cands []frontierCand) error {
 	if len(cands) == 0 {
 		return nil
 	}
@@ -174,7 +138,7 @@ func (ss *Superstep) inject(ctx context.Context, forward bool, cands []frontierC
 // scratch TExpand table, reads the candidate set back out (before the local
 // merge consumes it) and applies the local M-operator. lOther and minCost
 // bind the Theorem-1 prune exactly as the lone handle's round binds them.
-func (ss *Superstep) expandHarvest(ctx context.Context, forward bool, lOther, minCost int64) ([]frontierCand, error) {
+func (ss *superstep) expandHarvest(ctx context.Context, forward bool, lOther, minCost int64) ([]frontierCand, error) {
 	e, qs, ops := ss.e, ss.qs, ss.side(forward).ops
 	if _, err := e.runOps(ctx, qs, ops.Stage, ss.pruneArgs(lOther, minCost), nil); err != nil {
 		return nil, err
@@ -210,7 +174,7 @@ func (ss *Superstep) expandHarvest(ctx context.Context, forward bool, lOther, mi
 // churn — partitioning is what keeps both sides small (each shard sees 1/k
 // of the frontier and 1/k of the visited rows), so the technique composes
 // with sharding rather than substituting for memory.
-func (ss *Superstep) prefetchFrontier(ctx context.Context, forward bool) error {
+func (ss *superstep) prefetchFrontier(ctx context.Context, forward bool) error {
 	e, qs := ss.e, ss.qs
 	// MIN(cost) rather than COUNT(*): cost lives only in the base rows, so
 	// the probe must fetch the same heap pages the expansion join will read,

@@ -6,12 +6,13 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/rdb"
 )
 
-// TestNoGraphSentinel: an engine with nothing loaded refuses queries and
-// superstep admissions with the typed ErrNoGraph, so coordinators branch
-// with errors.Is instead of matching message text.
+// TestNoGraphSentinel: an engine with nothing loaded refuses queries and a
+// peer set with the typed ErrNoGraph, so callers branch with errors.Is
+// instead of matching message text.
 func TestNoGraphSentinel(t *testing.T) {
 	db, err := rdb.Open(rdb.Options{})
 	if err != nil {
@@ -23,31 +24,38 @@ func TestNoGraphSentinel(t *testing.T) {
 	if !errors.Is(err, ErrNoGraph) {
 		t.Fatalf("Query on empty engine: err = %v, want ErrNoGraph", err)
 	}
-	_, err = e.BeginSuperstep(context.Background(), AlgBSDJ, 0)
-	if !errors.Is(err, ErrNoGraph) {
-		t.Fatalf("BeginSuperstep on empty engine: err = %v, want ErrNoGraph", err)
+	if err := e.SetPeers(Peers{Owner: soleOwner}); !errors.Is(err, ErrNoGraph) {
+		t.Fatalf("SetPeers on empty engine: err = %v, want ErrNoGraph", err)
 	}
 }
 
-// TestSuperstepUnsupportedAlg: the superstep surface rejects algorithms
-// whose machinery cannot fan out across shards, with its own sentinel.
+// TestSuperstepUnsupportedAlg: a coordinating engine rejects the hints whose
+// machinery cannot fan out across partitions, with their own sentinel, and
+// still plans AlgAuto.
 func TestSuperstepUnsupportedAlg(t *testing.T) {
 	e := newLineEngine(t, 4)
-	for _, alg := range []Algorithm{AlgDJ, AlgBDJ, AlgALT, AlgLabel, AlgAuto} {
-		_, err := e.BeginSuperstep(context.Background(), alg, 0)
+	if err := e.SetPeers(Peers{Owner: soleOwner, Edges: e.Edges()}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, alg := range []Algorithm{AlgDJ, AlgBDJ, AlgALT, AlgLabel} {
+		_, err := e.Query(ctx, QueryRequest{Source: 0, Target: 3, Alg: alg})
 		if !errors.Is(err, ErrUnsupportedSuperstep) {
-			t.Fatalf("BeginSuperstep(%v): err = %v, want ErrUnsupportedSuperstep", alg, err)
+			t.Fatalf("Query(%v): err = %v, want ErrUnsupportedSuperstep", alg, err)
 		}
 	}
-	// A rejected Begin must not leak its gate admission: an exclusive
-	// operation (a mutation batch) has to get through afterwards.
-	if _, err := e.ApplyMutations([]Mutation{{Op: MutInsert, From: 0, To: 2, Weight: 5}}); err != nil {
-		t.Fatalf("mutation after rejected BeginSuperstep: %v", err)
+	// A rejected query must not leak a gate admission.
+	if cs := e.ConcurrencyStats(); cs.Gate.Readers != 0 || cs.Scratch.Live != 0 {
+		t.Fatalf("after rejected hints: %d readers, %d live scratch sets", cs.Gate.Readers, cs.Scratch.Live)
+	}
+	res, err := e.Query(ctx, QueryRequest{Source: 0, Target: 3})
+	if err != nil || res.Distance != 9 || res.Stats.Planner != DecisionTinyBSDJ {
+		t.Fatalf("auto on a coordinator: %+v, %v", res, err)
 	}
 }
 
 // TestSuperstepMatchesQuery runs the FEM loop over one admitted handle —
-// the way a coordinator would with a single engine — and checks it does
+// the way a coordinator seats a peer — and checks it does
 // exactly what Engine.Query does over the handle it builds itself: same
 // path, same iterations, same statements. Two handles on the same engine
 // with the nodes split between them must still find the same distance.
@@ -59,15 +67,15 @@ func TestSuperstepMatchesQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	begin := func() *Superstep {
-		ss, err := e.BeginSuperstep(ctx, AlgBSDJ, 0)
+	begin := func() *superstep {
+		ss, err := e.admit(ctx, AlgBSDJ, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(ss.Close)
+		t.Cleanup(ss.release)
 		return ss
 	}
-	p, qs, err := RunSupersteps(ctx, []*Superstep{begin()}, soleOwner, 2, 19, 4*MaxDist)
+	p, qs, err := runSupersteps(ctx, []*superstep{begin()}, soleOwner, 2, 19, 4*MaxDist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +87,7 @@ func TestSuperstepMatchesQuery(t *testing.T) {
 			qs.Iterations, qs.Statements, want.Stats.Iterations, want.Stats.Statements)
 	}
 
-	p, qs, err = RunSupersteps(ctx, []*Superstep{begin(), begin()}, func(nid int64) int { return int(nid % 2) }, 2, 19, 4*MaxDist)
+	p, qs, err = runSupersteps(ctx, []*superstep{begin(), begin()}, func(nid int64) int { return int(nid % 2) }, 2, 19, 4*MaxDist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +100,7 @@ func TestSuperstepMatchesQuery(t *testing.T) {
 
 	// An external bound below the true distance wins: the loop stops against
 	// it and leaves the witness to the caller.
-	p, _, err = RunSupersteps(ctx, []*Superstep{begin()}, soleOwner, 2, 19, want.Distance-1)
+	p, _, err = runSupersteps(ctx, []*superstep{begin()}, soleOwner, 2, 19, want.Distance-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,4 +122,59 @@ func newLineEngine(t *testing.T, n int64) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// TestPartitionedRefusals: every member of a peer set refuses each entry
+// point that needs the whole graph with ErrPartitioned, before issuing a
+// statement; the coordinator still answers queries over both members, and a
+// query put to the other member is refused too.
+func TestPartitionedRefusals(t *testing.T) {
+	// Both members hold the whole line (every edge mirrored), nodes split by
+	// parity: a legal partitioning that keeps the fixture one graph.
+	e, peer := newLineEngine(t, 12), newLineEngine(t, 12)
+	if err := e.SetPeers(Peers{Others: []*Engine{peer}, Owner: func(nid int64) int { return int(nid % 2) }, Edges: 11}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetPeers(Peers{Owner: soleOwner}); err == nil {
+		t.Fatal("a second SetPeers on a member must fail")
+	}
+	ctx := context.Background()
+	for _, m := range []*Engine{e, peer} {
+		before := m.DB().Stats().Statements
+		for name, call := range map[string]func() error{
+			"LoadGraph":             func() error { return m.LoadGraph(lineGraph(t, 12, 3)) },
+			"BuildSegTable":         func() error { _, err := m.BuildSegTable(6); return err },
+			"BuildOracle":           func() error { _, err := m.BuildOracle(oracle.Config{K: 2}); return err },
+			"BuildLabels":           func() error { _, err := m.BuildLabels(); return err },
+			"ApplyMutations":        func() error { _, err := m.ApplyMutations([]Mutation{{Op: MutDelete, From: 0, To: 1}}); return err },
+			"InsertEdge":            func() error { _, err := m.InsertEdge(0, 5, 1); return err },
+			"DeleteEdge":            func() error { _, err := m.DeleteEdge(0, 1); return err },
+			"UpdateEdgeWeight":      func() error { _, err := m.UpdateEdgeWeight(0, 1, 9); return err },
+			"Snapshot":              func() error { _, err := m.Snapshot(ctx); return err },
+			"Hydrate":               m.Hydrate,
+			"MinimumSpanningForest": func() error { _, err := m.MinimumSpanningForest(); return err },
+			"Reachable":             func() error { _, err := m.Reachable(0, 5); return err },
+			"DistanceInterval":      func() error { _, err := m.DistanceInterval(ctx, 0, 5); return err },
+		} {
+			if err := call(); !errors.Is(err, ErrPartitioned) {
+				t.Errorf("%s on a member: err = %v, want ErrPartitioned", name, err)
+			}
+		}
+		if after := m.DB().Stats().Statements; after != before {
+			t.Errorf("refusals issued %d statements", after-before)
+		}
+	}
+	if _, err := peer.Query(ctx, QueryRequest{Source: 0, Target: 5}); !errors.Is(err, ErrPartitioned) {
+		t.Errorf("Query on a non-coordinating member: err = %v, want ErrPartitioned", err)
+	}
+	res, err := e.Query(ctx, QueryRequest{Source: 1, Target: 10, Alg: AlgBSDJ})
+	if err != nil || res.Distance != 27 || res.Stats.Exchanged == 0 {
+		t.Fatalf("coordinator query: %+v, %v", res, err)
+	}
+	if steps, exchanged := e.ExchangeStats(); steps != uint64(res.Stats.Iterations) || exchanged != uint64(res.Stats.Exchanged) {
+		t.Errorf("ExchangeStats = %d, %d; the one search took %d supersteps and routed %d", steps, exchanged, res.Stats.Iterations, res.Stats.Exchanged)
+	}
+	if e.Edges() != 11 {
+		t.Errorf("coordinator Edges() = %d, want the whole graph's 11", e.Edges())
+	}
 }

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // Weight range used throughout the paper's evaluation (§5.1): edge weights
@@ -220,4 +223,43 @@ func RandomQueries(g *Graph, q int, seed int64) [][2]int64 {
 		out = append(out, [2]int64{s, t})
 	}
 	return out
+}
+
+// ParseGen builds the graph a command's -gen flag names:
+//
+//	power:N:D | random:N:M | dblp:PCT | web:PCT | lj:PERMILLE
+//
+// Every field is required and must be a positive integer (N at least 2: the
+// generators draw edges between distinct nodes); nothing is defaulted.
+func ParseGen(spec string, seed int64) (*Graph, error) {
+	parts := strings.Split(spec, ":")
+	fields, ok := map[string]int{"power": 2, "random": 2, "dblp": 1, "web": 1, "lj": 1}[parts[0]]
+	if !ok {
+		return nil, fmt.Errorf("unknown generator %q (power|random|dblp|web|lj)", parts[0])
+	}
+	if len(parts) != fields+1 {
+		return nil, fmt.Errorf("generator spec %q: %s takes %d numeric field(s)", spec, parts[0], fields)
+	}
+	var v [2]int64
+	for i, p := range parts[1:] {
+		x, err := strconv.ParseInt(p, 10, 64)
+		if err != nil || x < 1 {
+			return nil, fmt.Errorf("generator spec %q: %q is not a positive integer", spec, p)
+		}
+		v[i] = x
+	}
+	if fields == 2 && v[0] < 2 {
+		return nil, fmt.Errorf("generator spec %q: need at least 2 nodes", spec)
+	}
+	switch parts[0] {
+	case "power":
+		return Power(v[0], int(v[1]), seed), nil
+	case "random":
+		return Random(v[0], int(v[1]), seed), nil
+	case "dblp":
+		return DBLPLike(float64(v[0])/100, seed), nil
+	case "web":
+		return GoogleWebLike(float64(v[0])/100, seed), nil
+	}
+	return LiveJournalLike(float64(v[0])/1000, seed), nil
 }

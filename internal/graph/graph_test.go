@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -303,5 +304,40 @@ func TestRealLikeSizes(t *testing.T) {
 	}
 	if avg := float64(l.M()) / float64(l.N); avg < 6 || avg > 10 {
 		t.Fatalf("lj degree: %f", avg)
+	}
+}
+
+// TestParseGen: every family of the -gen flag builds the graph the direct
+// call builds, and a spec that names no family, leaves a field out, adds one
+// or carries a malformed number is an error — never a default.
+func TestParseGen(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want *Graph
+	}{
+		{"power:300:3", Power(300, 3, 9)},
+		{"random:200:600", Random(200, 600, 9)},
+		{"dblp:1", DBLPLike(0.01, 9)},
+		{"web:1", GoogleWebLike(0.01, 9)},
+		{"lj:1", LiveJournalLike(0.001, 9)},
+	} {
+		g, err := ParseGen(tc.spec, 9)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		if g.N != tc.want.N || !slices.Equal(g.Edges, tc.want.Edges) {
+			t.Errorf("%s: %d nodes / %d edges, the generator builds %d / %d", tc.spec, g.N, g.M(), tc.want.N, tc.want.M())
+		}
+	}
+	for _, spec := range []string{
+		"", "grid:10:10", // unknown family
+		"power:abc:3", "random:200:6e2", "dblp:1.5", "lj:-3", "web:0", // malformed number
+		"power", "power:300", "random:200:", "dblp", // missing field
+		"power:300:3:1", "web:1:2", // extra field
+		"random:1:5", // cannot draw an edge between distinct nodes
+	} {
+		if g, err := ParseGen(spec, 9); err == nil {
+			t.Errorf("%q: no error, %d nodes", spec, g.N)
+		}
 	}
 }

@@ -32,31 +32,34 @@ type Options struct {
 	SimulatedIOLatency time.Duration
 }
 
+// ErrUnsupportedAlgorithm reports a Query hint outside the set-at-a-time
+// algorithms a partitioned graph serves (BSDJ, BBFS, BSEG). It aliases the
+// core sentinel so errors.Is matches either layer.
+var ErrUnsupportedAlgorithm = core.ErrUnsupportedSuperstep
+
+// coordinator names the embedded engine's field (the Engine method takes
+// the type's own name).
+type coordinator = core.Engine
+
 // ShardedEngine owns k core.Engine instances, each loaded with its
 // partition's edges (owned plus mirrored cut edges) over the full node-id
-// space, and answers the same Query surface by coordinating supersteps
-// across them.
+// space. The embedded engine is shard 0's, which coordinates: Query,
+// QueryBatch and every other engine method are its own, run over one FEM
+// handle per shard (core.Engine.SetPeers), with MaxStatements budgeting each
+// shard's statement stream; what would need the whole graph in one database
+// is refused with core.ErrPartitioned.
 type ShardedEngine struct {
+	*coordinator
 	part   Partition
 	shards []*shardInstance
 	sk     *sketch
 
-	nodes    int64
-	edges    int // original edge count (mirrors not double-counted)
-	cutEdges int
-	segBuilt bool
-
-	queries    atomic.Uint64
-	errors     atomic.Uint64
-	supersteps atomic.Uint64
-	exchanged  atomic.Uint64 // candidates routed across shard boundaries
+	cutEdges   int
 	sketchWins atomic.Uint64 // queries answered at the sketch bound
-	queryDur   *obs.Histogram
 }
 
-// shardInstance is one partition's database + engine pair.
+// shardInstance is one partition's engine over its own database.
 type shardInstance struct {
-	db    *rdb.DB
 	eng   *core.Engine
 	edges int // rows in this shard's edge table, mirrors included
 }
@@ -75,11 +78,7 @@ func Open(g *graph.Graph, opts Options) (*ShardedEngine, error) {
 	se := &ShardedEngine{
 		part:     part,
 		shards:   make([]*shardInstance, part.K),
-		nodes:    g.N,
-		edges:    g.M(),
 		cutEdges: split.CutEdges,
-		segBuilt: opts.Lthd > 0,
-		queryDur: obs.NewHistogram(obs.DefLatencyBuckets...),
 	}
 	pagesPer := 0
 	if opts.BufferPoolPages > 0 {
@@ -96,7 +95,8 @@ func Open(g *graph.Graph, opts Options) (*ShardedEngine, error) {
 		if err != nil {
 			return err
 		}
-		// Answers are cached (if at all) above the shards.
+		// No path cache, the coordinator's included: switching it on needs
+		// an Options field of its own.
 		eng := core.NewEngine(db, core.Options{CacheSize: -1})
 		sub, err := graph.New(g.N, split.Edges[i])
 		if err != nil {
@@ -113,17 +113,42 @@ func Open(g *graph.Graph, opts Options) (*ShardedEngine, error) {
 				return err
 			}
 		}
-		se.shards[i] = &shardInstance{db: db, eng: eng, edges: sub.M()}
+		se.shards[i] = &shardInstance{eng: eng, edges: sub.M()}
 		return nil
 	})
 	if err != nil {
 		se.Close()
 		return nil, err
 	}
-	if opts.Portals > 0 {
-		se.sk = buildSketch(g, split.CutVertices, opts.Portals)
+	// Edges: the original count; each shard's own counts its mirrors.
+	peers := core.Peers{Owner: part.Owner, Edges: g.M()}
+	for _, sh := range se.shards[1:] {
+		peers.Others = append(peers.Others, sh.eng)
+	}
+	if se.sk = buildSketch(g, split.CutVertices, opts.Portals); se.sk != nil {
+		peers.Bound = se.sketchBound
+	}
+	se.coordinator = se.shards[0].eng
+	if err := se.SetPeers(peers); err != nil {
+		se.Close()
+		return nil, err
 	}
 	return se, nil
+}
+
+// sketchBound is the coordinator's Peers.Bound: the length of a real
+// s->portal->t walk is an admissible upper bound on d(s, t), and the portal
+// trees carry its witness. The witness is asked for exactly when the sketch
+// answered the query.
+func (se *ShardedEngine) sketchBound(s, t int64) (int64, func() []int64) {
+	b, portal, ok := se.sk.Bound(s, t)
+	if !ok {
+		return 0, nil
+	}
+	return b, func() []int64 {
+		se.sketchWins.Add(1)
+		return se.sk.Path(s, t, portal)
+	}
 }
 
 // Close shuts every shard engine down. Safe on a partially opened engine.
@@ -140,18 +165,6 @@ func (se *ShardedEngine) Close() error {
 	return errors.Join(errs...)
 }
 
-// Partition exposes the node-to-shard map.
-func (se *ShardedEngine) Partition() Partition { return se.part }
-
-// Nodes returns the full node-id space size.
-func (se *ShardedEngine) Nodes() int64 { return se.nodes }
-
-// Edges returns the original (unmirrored) edge count.
-func (se *ShardedEngine) Edges() int { return se.edges }
-
-// SegBuilt reports whether the shard SegTables exist (BSEG availability).
-func (se *ShardedEngine) SegBuilt() bool { return se.segBuilt }
-
 // Engine exposes shard i's underlying engine (tests and stats plumbing).
 func (se *ShardedEngine) Engine(i int) *core.Engine { return se.shards[i].eng }
 
@@ -160,7 +173,7 @@ func (se *ShardedEngine) Engine(i int) *core.Engine { return se.shards[i].eng }
 // phase warmed the pools.
 func (se *ShardedEngine) EvictAll() error {
 	return se.fanout(func(_ int, sh *shardInstance) error {
-		return sh.db.Pool().EvictAll()
+		return sh.eng.DB().Pool().EvictAll()
 	})
 }
 
@@ -169,7 +182,7 @@ func (se *ShardedEngine) EvictAll() error {
 // the seek only in the measured phase.
 func (se *ShardedEngine) SetSimulatedIOLatency(lat time.Duration) {
 	for _, sh := range se.shards {
-		sh.db.SetSimulatedIOLatency(lat)
+		sh.eng.DB().SetSimulatedIOLatency(lat)
 	}
 }
 
@@ -196,66 +209,51 @@ type ShardStats struct {
 	PeakReaders int    `json:"peak_readers"`
 }
 
-// Stats snapshots the sharded serving state for /stats.
+// Stats is the shard block of /stats: what the partitioning adds to the
+// document the coordinating engine already fills (graph, db, concurrency...).
 type Stats struct {
 	Shards     int          `json:"shards"`
 	Strategy   string       `json:"strategy"`
-	Nodes      int64        `json:"nodes"`
-	Edges      int          `json:"edges"`
 	CutEdges   int          `json:"cut_edges"`
 	Portals    int          `json:"portals"`
-	SegBuilt   bool         `json:"seg_built"`
-	Queries    uint64       `json:"queries"`
-	Errors     uint64       `json:"errors"`
 	Supersteps uint64       `json:"supersteps"`
 	Exchanged  uint64       `json:"exchanged_candidates"`
 	SketchWins uint64       `json:"sketch_wins"`
 	PerShard   []ShardStats `json:"per_shard"`
 }
 
-// Stats snapshots the coordinator counters and per-shard engine state.
+// Stats snapshots the partition counters and per-shard engine state.
 func (se *ShardedEngine) Stats() Stats {
 	st := Stats{
 		Shards:     se.part.K,
 		Strategy:   se.part.Strategy.String(),
-		Nodes:      se.nodes,
-		Edges:      se.edges,
 		CutEdges:   se.cutEdges,
-		SegBuilt:   se.segBuilt,
-		Queries:    se.queries.Load(),
-		Errors:     se.errors.Load(),
-		Supersteps: se.supersteps.Load(),
-		Exchanged:  se.exchanged.Load(),
 		SketchWins: se.sketchWins.Load(),
 	}
+	st.Supersteps, st.Exchanged = se.ExchangeStats()
 	if se.sk != nil {
 		st.Portals = len(se.sk.portals)
 	}
 	for _, sh := range se.shards {
-		if sh == nil {
-			continue
-		}
 		st.PerShard = append(st.PerShard, ShardStats{
 			Edges:       sh.edges,
-			Statements:  sh.db.Stats().Statements,
+			Statements:  sh.eng.DB().Stats().Statements,
 			PeakReaders: sh.eng.ConcurrencyStats().Gate.PeakReaders,
 		})
 	}
 	return st
 }
 
-// CollectMetrics exports the shard block for /metrics.
+// CollectMetrics exports the partition families for /metrics, beside the
+// families the coordinating engine exports as every engine does.
 func (se *ShardedEngine) CollectMetrics(x *obs.Exporter) {
 	st := se.Stats()
 	x.Gauge("spdb_shard_count", "Configured shard count.", float64(st.Shards))
 	x.Gauge("spdb_shard_cut_edges", "Edges crossing shard boundaries.", float64(st.CutEdges))
 	x.Gauge("spdb_shard_sketch_portals", "Cut-vertex sketch portal count.", float64(st.Portals))
-	x.Counter("spdb_shard_queries_total", "Queries answered by the shard coordinator.", float64(st.Queries))
-	x.Counter("spdb_shard_query_errors_total", "Shard-coordinator queries that failed.", float64(st.Errors))
 	x.Counter("spdb_shard_supersteps_total", "Coordinator supersteps executed.", float64(st.Supersteps))
 	x.Counter("spdb_shard_exchanged_candidates_total", "Frontier candidates routed across shard boundaries.", float64(st.Exchanged))
 	x.Counter("spdb_shard_sketch_wins_total", "Queries answered at the cut-vertex sketch bound.", float64(st.SketchWins))
-	x.Histogram("spdb_shard_query_seconds", "Shard-coordinator query latency.", se.queryDur)
 	// The exporter requires each family's samples to be consecutive, so
 	// iterate shards once per family rather than families once per shard.
 	for i, ps := range st.PerShard {

@@ -1,12 +1,15 @@
 // Package shard scales the relational FEM search horizontally: the node
-// set is partitioned across k independent core.Engine instances and the
-// frontier-expansion loop runs Pregel-style supersteps — every shard
-// expands its local slice of the frontier in parallel with the paper's
-// prepared statements, and the coordinator exchanges boundary-node
-// (nid, parent, cost) candidates between supersteps, terminating on the
-// same §4.1 stopping condition evaluated over the global minima. A small
-// cut-vertex sketch (precomputed portal distances) gives an admissible
-// upper bound that prunes supersteps which cannot improve the answer.
+// set is partitioned across k independent core.Engine instances, and shard
+// 0's engine coordinates them (core.Engine.SetPeers) — its searches run the
+// one FEM loop Pregel-style over k handles: every shard expands its local
+// slice of the frontier in parallel with the paper's prepared statements,
+// boundary-node (nid, parent, cost) candidates are exchanged between
+// supersteps, and the loop terminates on the same §4.1 stopping condition
+// evaluated over the global minima. What lives here is what is about
+// partitioning: the node-to-shard map and the edge split, the per-shard
+// databases and their counters, and a small cut-vertex sketch (precomputed
+// portal distances) whose admissible upper bound prunes supersteps that
+// cannot improve the answer.
 package shard
 
 import (

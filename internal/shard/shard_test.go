@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -186,16 +187,20 @@ func TestShardedDifferential(t *testing.T) {
 	}
 }
 
-// TestShardedAuto pins the coordinator's planner: AlgAuto resolves to BSEG
-// when the shard SegTables exist and BSDJ otherwise, recorded in
-// Stats.Planner.
+// TestShardedAuto: AlgAuto on a sharded engine is the engine's own planner,
+// reading shard 0's statistics — BSEG when the shard SegTables exist, BSDJ
+// otherwise, and the tiny-graph rule below PlannerTinyNodes — recorded in
+// Stats.Planner under the labels every engine uses.
 func TestShardedAuto(t *testing.T) {
-	g := islandsGraph(t, 60)
 	for _, tc := range []struct {
-		lthd int64
-		want string
-	}{{8, "shard-bseg"}, {0, "shard-bsdj"}} {
-		se, err := Open(g, Options{Shards: 2, Lthd: tc.lthd})
+		island, lthd int64
+		want         string
+	}{
+		{150, 8, core.DecisionBSEG},
+		{150, 0, core.DecisionBSDJ},
+		{60, 8, core.DecisionTinyBSDJ},
+	} {
+		se, err := Open(islandsGraph(t, tc.island), Options{Shards: 2, Lthd: tc.lthd})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +209,7 @@ func TestShardedAuto(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Stats.Planner != tc.want {
-			t.Fatalf("lthd=%d: planner %q, want %q", tc.lthd, res.Stats.Planner, tc.want)
+			t.Fatalf("%d nodes, lthd=%d: planner %q, want %q", 2*tc.island, tc.lthd, res.Stats.Planner, tc.want)
 		}
 		se.Close()
 	}
@@ -255,6 +260,37 @@ func TestShardedCancellation(t *testing.T) {
 	if _, err := se.Query(context.Background(), core.QueryRequest{Source: 0, Target: 50}); err != nil {
 		t.Fatalf("query after cancellation: %v", err)
 	}
+	// A query that dies inside the loop, every shard seated, must give every
+	// seat back.
+	dying := &dyingCtx{Context: context.Background()}
+	dying.left.Store(20)
+	if _, err := se.Query(dying, core.QueryRequest{Source: 0, Target: 50}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("query cancelled mid-search: err = %v, want context.Canceled", err)
+	}
+	for i := 0; i < 3; i++ {
+		cs := se.Engine(i).ConcurrencyStats()
+		if cs.Gate.SharedAdmits != 2 {
+			t.Fatalf("shard %d: %d admissions, want 2 (the answered query and the one that died mid-search)", i, cs.Gate.SharedAdmits)
+		}
+		if cs.Scratch.Live != 0 || cs.Gate.Readers != 0 {
+			t.Fatalf("shard %d after cancelled queries: %d live scratch sets, %d readers", i, cs.Scratch.Live, cs.Gate.Readers)
+		}
+	}
+}
+
+// dyingCtx reports cancellation from a fixed number of Err calls on, so a
+// query dies at a known depth of its run — past the 2 + k checks that precede
+// the first statement — without a timer.
+type dyingCtx struct {
+	context.Context
+	left atomic.Int32
+}
+
+func (c *dyingCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestShardedBatchAndStats: the batch surface answers in order and the
@@ -284,8 +320,8 @@ func TestShardedBatchAndStats(t *testing.T) {
 		t.Fatalf("batch found flags: %v %v %v", out[0].Result.Found, out[1].Result.Found, out[2].Result.Found)
 	}
 	st := se.Stats()
-	if st.Queries < 3 || st.Supersteps == 0 || st.Shards != 2 {
-		t.Fatalf("stats did not move: %+v", st)
+	if st.Supersteps == 0 || st.Shards != 2 || se.QueryErrors() != 0 {
+		t.Fatalf("stats did not move: %+v (%d query errors)", st, se.QueryErrors())
 	}
 	if st.CutEdges == 0 || len(st.PerShard) != 2 {
 		t.Fatalf("partition stats missing: %+v", st)
