@@ -12,7 +12,8 @@ import (
 // BenchmarkBSDJQuery is one index-free bi-directional search per iteration
 // on the hot_bsdj data set (graph.Power(2000,3,2011), whole database
 // resident, path cache off): a few hundred statements over ~250 visited
-// rows, so B/op and allocs/op are what the executor's scans cost a query.
+// rows, so B/op and allocs/op are what the executor's scans cost a query;
+// stmts/op and pages/op (buffer-pool fetches) count the passes themselves.
 func BenchmarkBSDJQuery(b *testing.B) {
 	g := graph.Power(2000, 3, 2011)
 	e := newTestEngine(b, g, rdb.Options{BufferPoolPages: 16384}, Options{CacheSize: -1})
@@ -21,19 +22,28 @@ func BenchmarkBSDJQuery(b *testing.B) {
 	for i := range pairs {
 		pairs[i] = [2]int64{rng.Int63n(g.N), rng.Int63n(g.N)}
 	}
+	var stmts int
 	ask := func(p [2]int64) {
-		if _, err := e.Query(context.Background(), QueryRequest{Source: p[0], Target: p[1], Alg: AlgBSDJ}); err != nil {
+		res, err := e.Query(context.Background(), QueryRequest{Source: p[0], Target: p[1], Alg: AlgBSDJ})
+		if err != nil {
 			b.Fatal(err)
 		}
+		stmts += res.Stats.Statements
 	}
 	for _, p := range pairs { // compile every statement shape before timing
 		ask(p)
 	}
+	stmts = 0
+	pool := e.db.Stats().Pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ask(pairs[i%len(pairs)])
 	}
+	b.StopTimer()
+	after := e.db.Stats().Pool
+	b.ReportMetric(float64(stmts)/float64(b.N), "stmts/op")
+	b.ReportMetric(float64(after.Hits+after.Misses-pool.Hits-pool.Misses)/float64(b.N), "pages/op")
 }
 
 // BenchmarkMutationBatch is one ApplyMutations batch per iteration on the

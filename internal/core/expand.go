@@ -26,7 +26,7 @@ var sentinelArgs = []any{MaxDist, NoParent}
 
 // searchOps is the search's E+M round over sc, as an internal/fem spec:
 // expand the rows the frontier predicate selects (over the alias q, e.g.
-// "q.f = 2" or "q.nid = ?") through edges, relax d's distance where the
+// "q.f = ?" or "q.nid = ?") through edges, relax d's distance where the
 // offer is cheaper, re-opening the row (sign = 0), and insert undiscovered
 // nodes with the other direction at the MaxDist sentinel and sign = 1 (not
 // a candidate until relaxed from that side). prune appends the Theorem-1
@@ -55,17 +55,17 @@ func (e *Engine) searchOps(sc *scratchSet, d direction, edges, frontier string, 
 	return sc.ops[key]
 }
 
-// pruneArgs binds the Theorem-1 placeholders of the handle's expansions
-// (none when its algorithm does not prune).
-func (ss *superstep) pruneArgs(lOther, minCost int64) []any {
+// expandArgs binds the placeholders of the handle's expansions: the
+// frontier's stamp, then Theorem-1's when its algorithm prunes.
+func (ss *superstep) expandArgs(mark, lOther, minCost int64) []any {
 	if !ss.spec.prune {
-		return nil
+		return []any{mark}
 	}
 	bound := minCost
 	if ss.e.opts.DisablePruning || bound >= MaxDist {
 		bound = 4 * MaxDist // effectively unbounded
 	}
-	return []any{lOther, bound}
+	return []any{mark, lOther, bound}
 }
 
 // runOps executes the statements of one E+M round, charging each to the E-

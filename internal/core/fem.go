@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/oracle"
 	"repro/internal/rdb"
+	"repro/internal/record"
 )
 
 // femSpec parameterizes the generic bi-directional FEM loop. The four
@@ -22,24 +22,26 @@ import (
 // Statement shapes are rendered once per query (the text is stable for the
 // whole search — and across searches, so the engine's prepared-statement
 // cache reuses the compiled plan); per-iteration values (the expansion
-// counter k, the best known cost minCost) bind as ? parameters through the
-// shape's args function.
+// counter k, the frontier minimum l, the best known cost minCost) bind as ?
+// parameters through the shape's args function.
 type femSpec struct {
 	name    string
 	edgeFwd string
 	edgeBwd string
 	// frontier renders the F-operator sign update for a direction; the
 	// returned shape's args function binds the 1-based expansion counter k
-	// of that direction (used by BSEG's d2s <= k*lthd rule, bound as
-	// "? * ?"). The statement must set sign=2 on the selected frontier and
-	// report the frontier size as its affected count.
+	// of that direction (BSEG's d2s <= k*lthd rule, bound as "? * ?") and
+	// the direction's candidate minimum l — the loop read it after the
+	// direction's last expansion and nothing has moved it since, so no rule
+	// looks for it again. The statement must set sign = stamp(k) on the
+	// selected frontier and report the frontier size as its affected count.
 	frontier func(d direction) stmtShape
 	// preFrontier, when set, renders a statement that runs (repeatedly,
 	// until it affects nothing) before every frontier selection once a
 	// path is known: ALT's settle-without-expand of frontier-minimum
 	// candidates whose landmark lower bound proves they cannot improve the
 	// best path, so provably-unhelpful tuples never enter the frontier.
-	// The per-iteration minCost binds through the shape's args function.
+	// The shape's args function binds the per-iteration minCost and l.
 	// Restricting the check to the current minimum matters for the work
 	// metric: deeper candidates may never be selected before termination,
 	// and settling those would be pure overhead.
@@ -56,26 +58,32 @@ type femSpec struct {
 }
 
 // stmtShape is one prepared statement shape: stable text plus a binder for
-// the per-iteration value (the expansion counter for frontiers, minCost for
-// the ALT pre-frontier prune). args may be nil when the shape binds nothing.
+// the per-iteration values — v the expansion counter (frontiers) or minCost
+// (ALT's pre-frontier prune), l the direction's candidate minimum.
 type stmtShape struct {
 	text string
-	args func(v int64) []any
+	args func(v, l int64) []any
 }
 
-// bind returns the argument list for one execution.
-func (s stmtShape) bind(v int64) []any {
-	if s.args == nil {
-		return nil
-	}
-	return s.args(v)
+// stamp is the sign value a direction's k-th expansion (1-based) writes on
+// its frontier. A sign column reads 0 = candidate, 1 = not a candidate by
+// this side (the other direction's insert sentinel, ALT's prune), n >= 2 =
+// taken by expansion n-1. The E-operator selects the frontier by its stamp
+// and nothing resets it: every other predicate only asks "sign = 0", which a
+// stale stamp fails like a 1 does, and the M-operator re-opens an improved
+// row to 0 whatever it held.
+func stamp(k int64) int64 { return k + 1 }
+
+// markFrontier is the head of every F-operator statement.
+func markFrontier(sc *scratchSet, d direction) string {
+	return "UPDATE " + sc.visited + " SET " + d.sign + " = ? WHERE " + d.sign + " = 0"
 }
 
-// The per-set statement texts of the bi-directional loop (biInit, resets,
-// minima) live on scratchSet, rendered once at mint time; the frontier
-// shapes below embed the set's visited-table name the same way. Texts are
-// stable per (shape, scratch set), so prepared handles and cached plans
-// recycle with the pool's bounded id space.
+// The per-set statement texts of the bi-directional loop (biInit, the
+// statistics probes) live on scratchSet, rendered once at mint time; the
+// frontier shapes below embed the set's visited-table name the same way.
+// Texts are stable per (shape, scratch set), so prepared handles and cached
+// plans recycle with the pool's bounded id space.
 
 // specBDJ: bi-directional Dijkstra, one frontier node per expansion.
 func specBDJ(sc *scratchSet) femSpec {
@@ -84,9 +92,11 @@ func specBDJ(sc *scratchSet) femSpec {
 		edgeFwd: TblEdges,
 		edgeBwd: TblEdges,
 		frontier: func(d direction) stmtShape {
-			return stmtShape{text: "UPDATE " + sc.visited + " SET " + d.sign + " = 2 WHERE " + d.sign +
-				" = 0 AND nid = (SELECT TOP 1 nid FROM " + sc.visited + " WHERE " + d.sign +
-				" = 0 AND " + d.dist + " = " + sc.minCandidate(d) + ")"}
+			return stmtShape{
+				text: markFrontier(sc, d) + " AND nid = (SELECT TOP 1 nid FROM " + sc.visited +
+					" WHERE " + d.sign + " = 0 AND " + d.dist + " = ?)",
+				args: func(k, l int64) []any { return []any{stamp(k), l} },
+			}
 		},
 		trackL:   true,
 		prune:    false, // pruning is introduced with the set variant (§4.1)
@@ -102,8 +112,10 @@ func specBSDJ(sc *scratchSet) femSpec {
 		edgeFwd: TblEdges,
 		edgeBwd: TblEdges,
 		frontier: func(d direction) stmtShape {
-			return stmtShape{text: "UPDATE " + sc.visited + " SET " + d.sign + " = 2 WHERE " + d.sign +
-				" = 0 AND " + d.dist + " = " + sc.minCandidate(d)}
+			return stmtShape{
+				text: markFrontier(sc, d) + " AND " + d.dist + " = ?",
+				args: func(k, l int64) []any { return []any{stamp(k), l} },
+			}
 		},
 		trackL: true,
 		prune:  true,
@@ -117,7 +129,10 @@ func specBBFS(sc *scratchSet) femSpec {
 		edgeFwd: TblEdges,
 		edgeBwd: TblEdges,
 		frontier: func(d direction) stmtShape {
-			return stmtShape{text: "UPDATE " + sc.visited + " SET " + d.sign + " = 2 WHERE " + d.sign + " = 0"}
+			return stmtShape{
+				text: markFrontier(sc, d),
+				args: func(k, _ int64) []any { return []any{stamp(k)} },
+			}
 		},
 		trackL: false,
 		prune:  true,
@@ -135,9 +150,8 @@ func specBSEG(sc *scratchSet, lthd int64) femSpec {
 		edgeBwd: TblInSegs,
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
-				text: "UPDATE " + sc.visited + " SET " + d.sign + " = 2 WHERE " + d.sign +
-					" = 0 AND (" + d.dist + " <= ? * ? OR " + d.dist + " = " + sc.minCandidate(d) + ")",
-				args: func(k int64) []any { return []any{k, lthd} },
+				text: markFrontier(sc, d) + " AND (" + d.dist + " <= ? * ? OR " + d.dist + " = ?)",
+				args: func(k, l int64) []any { return []any{stamp(k), k, lthd, l} },
 			}
 		},
 		trackL: true,
@@ -174,7 +188,7 @@ func specALT(sc *scratchSet, s, t int64) femSpec {
 			boundFwd, boundBwd = "lv.dout - lt.dout", "lt.din - lv.din"
 		}
 		text := "UPDATE " + sc.visited + " SET " + d.sign + " = 1 WHERE " + d.sign +
-			" = 0 AND " + d.dist + " = " + sc.minCandidate(d) + " AND (" +
+			" = 0 AND " + d.dist + " = ? AND (" +
 			d.dist + " + (SELECT MAX(" + boundFwd + ") FROM " + oracle.TblLandmark + " lv, " +
 			oracle.TblLandmark + " lt WHERE lv.lid = lt.lid AND lt.nid = ? AND lv.nid = " +
 			sc.visited + ".nid) >= ? OR " +
@@ -183,7 +197,7 @@ func specALT(sc *scratchSet, s, t int64) femSpec {
 			sc.visited + ".nid) >= ?)"
 		return stmtShape{
 			text: text,
-			args: func(minCost int64) []any { return []any{end, minCost, end, minCost} },
+			args: func(minCost, l int64) []any { return []any{l, end, minCost, end, minCost} },
 		}
 	}
 	return spec
@@ -199,13 +213,15 @@ func StopCondition(lf, lb, minCost int64) bool {
 
 // runSupersteps runs the generic FEM loop of Algorithm 2 over one handle per
 // engine; owner maps a node to the handle holding its authoritative visited
-// row. It seeds s and t at their owners, then repeatedly picks a direction,
-// runs F (sign update) on every handle, E+M (expansion, with a boundary
-// exchange when there are peers), collects lf/lb/minCost folded across the
-// handles, and stops when lf + lb >= minCost or either search exhausts
-// (§4.1's termination; exhaustion of one side finalizes that side's
-// distances, so minCost is then exact). The single engine is the one-handle
-// case with owner ≡ 0: every fold is over one value and nothing is routed.
+// row. It seeds s and t at their owners, then repeatedly picks a direction
+// and runs three steps on every handle: F (the sign update that stamps the
+// frontier), E+M (expansion, with a boundary exchange when there are peers)
+// and one statistics probe that yields the direction's lf/lb and the
+// cheapest meeting among its candidates, folded across the handles. It stops
+// when lf + lb >= minCost or either search exhausts (§4.1's termination;
+// exhaustion of one side finalizes that side's distances, so minCost is then
+// exact). The single engine is the one-handle case with owner ≡ 0: every
+// fold is over one value and nothing is routed.
 //
 // upper is an external upper bound on dist(s,t) — the length of a real walk
 // the caller knows, 4*MaxDist for none. It tightens termination and the
@@ -250,16 +266,53 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 
 	// Per-direction loop state: l is the frontier minimum (lf / lb), n the
 	// last frontier size, k the expansion counter, live whether candidates
-	// remain.
+	// remain. The seeds are the two candidates, at distance 0.
 	type dirState struct {
 		l, n, k int64
 		live    bool
 	}
 	fw, bw := &dirState{n: 1, live: true}, &dirState{n: 1, live: true}
-	minCost := int64(4 * MaxDist) // cheapest meeting the visited tables record
-	var best int64                // ... or the caller's bound, if cheaper
+	// minCost is the cheapest meeting the visited tables record (line 16), a
+	// running minimum over the statistics probes: an M-operator changes
+	// d2s + d2t only on rows it leaves as candidates of its direction (the
+	// update arm re-opens them, the insert arm creates them so, and routed
+	// candidates go through the same MERGE at their owner, whose row carries
+	// the global minimum d2s AND d2t), and distances only fall, so the
+	// minimum over the rows the probes saw is the minimum over the tables.
+	minCost := int64(MaxDist)
+	var best int64 // ... or the caller's bound, if cheaper
 	limit := e.maxIters()
-	counts, mins := make([]int64, len(hs)), make([]int64, len(hs))
+	counts, probes := make([]int64, len(hs)), make([]record.Row, len(hs))
+
+	// collect is the statistics step (Listing 4(4) and line 16 in one probe
+	// per handle): the direction's candidate minimum and the cheapest meeting
+	// among its candidates, NULL together on a handle that holds none. No
+	// candidate anywhere: the side is exhausted.
+	collect := func(cur *dirState) error {
+		forward := cur == fw
+		if err := each(hs, func(i int, h *superstep) error {
+			rows, err := h.e.queryRows(ctx, h.qs, &h.qs.SC, h.side(forward).stats)
+			if err == nil {
+				probes[i] = rows.Data[0]
+			}
+			return err
+		}); err != nil {
+			return err
+		}
+		l := int64(math.MaxInt64)
+		for _, p := range probes {
+			if !p[0].Null {
+				l, minCost = min(l, p[0].I), min(minCost, p[1].I)
+			}
+		}
+		if cur.live = l != math.MaxInt64; cur.live {
+			cur.l = l
+		}
+		if hs[0].observe != nil {
+			hs[0].observe(forward, 0, fw.l, bw.l, minCost)
+		}
+		return nil
+	}
 
 	for iter := 0; ; iter++ {
 		// Cooperative cancellation: one check per frontier iteration, so a
@@ -271,17 +324,6 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 			return Path{}, qs, fmt.Errorf("core: %s exceeded %d iterations (s=%d t=%d)", spec.name, limit, s, t)
 		}
 		qs.Iterations = iter + 1
-		// Statistics collection: current best meeting cost (line 16). Every
-		// candidate is routed to its owner, so the owner row carries the
-		// global minimum d2s AND d2t per node and the fold sees every
-		// meeting — including one whose halves were found by different peers.
-		mc, ok, err := minOver(ctx, hs, mins, func(h *superstep) string { return h.sc.biMinSum })
-		if err != nil {
-			return Path{}, qs, err
-		}
-		if ok {
-			minCost = mc
-		}
 		best = min(minCost, upper)
 		if spec.trackL && StopCondition(fw.l, bw.l, best) {
 			break
@@ -304,20 +346,20 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 		if forward {
 			cur, other = fw, bw
 		}
-		cur.k++
 
 		// ALT pruning: once a path is known, settle frontier-minimum
 		// candidates the landmark bound proves unable to improve it, before
 		// they can be selected. Repeats while whole minimum sets fall: each
-		// settled row was next in line for an expansion. The loop is
-		// bounded — every round either affects nothing (stop) or shrinks
-		// the candidate pool.
-		var pruned int64
+		// settled row was next in line for an expansion, so the minimum has
+		// moved and is read again. The loop is bounded — every round either
+		// affects nothing (stop) or shrinks the candidate pool; a pool it
+		// empties leaves this side exhausted (its distances are final, so
+		// minCost is exact) and the loop re-checks at the top.
 		if spec.preFrontier != nil && best < MaxDist {
-			for {
+			for cur.live {
 				n, err := tally(hs, counts, func(h *superstep) (int64, error) {
 					pre := h.side(forward).pre
-					return h.e.exec(ctx, h.qs, &h.qs.PE, &h.qs.FOp, pre.text, pre.bind(best)...)
+					return h.e.exec(ctx, h.qs, &h.qs.PE, &h.qs.FOp, pre.text, pre.args(best, cur.l)...)
 				})
 				if err != nil {
 					return Path{}, qs, err
@@ -325,39 +367,36 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 				if n == 0 {
 					break
 				}
-				pruned += n
+				qs.PrunedRows += n
+				if err := collect(cur); err != nil {
+					return Path{}, qs, err
+				}
 			}
-			qs.PrunedRows += pruned
+			if !cur.live {
+				continue
+			}
 		}
 
-		// F-operator: select and mark the frontier (Listing 4(1)). With
-		// peers, a handle whose local minimum exceeds the global one expands
-		// "prematurely"; the M-operator re-opens any row a later candidate
-		// improves, so distances stay exact (label-correcting), and the
-		// handle holding the global minimum always expands it.
+		// F-operator: select and stamp the frontier (Listing 4(1)). l is the
+		// minimum over every handle's candidates, so only the handles holding
+		// it (or, for BSEG, rows within k*lthd) select anything, and with a
+		// live side at least one does.
+		cur.k++
+		mark := stamp(cur.k)
+		if hs[0].observe != nil {
+			hs[0].observe(forward, mark, fw.l, bw.l, minCost)
+		}
 		cnt, err := tally(hs, counts, func(h *superstep) (int64, error) {
 			front := h.side(forward).front
-			return h.e.exec(ctx, h.qs, &h.qs.PE, &h.qs.FOp, front.text, front.bind(cur.k)...)
+			return h.e.exec(ctx, h.qs, &h.qs.PE, &h.qs.FOp, front.text, front.args(cur.k, cur.l)...)
 		})
 		if err != nil {
 			return Path{}, qs, err
 		}
-		if cnt == 0 {
-			cur.k--
-			// If the ALT bound settled every candidate the frontier would
-			// have taken, candidates may remain (the pool only shrinks while
-			// no expansion runs, so this cannot loop forever): retry the
-			// direction choice from the top. Otherwise this side is
-			// exhausted: its distances are final, so minCost is exact; the
-			// loop re-checks at the top.
-			if pruned == 0 {
-				cur.live = false
-			}
-			continue
-		}
 
-		// E + M operators (Listing 4(2)).
-		routed, err := expandMerge(ctx, hs, owner, forward, counts, other.l, best)
+		// E + M operators (Listing 4(2)) over the rows carrying the stamp;
+		// nothing un-marks them afterwards (Listing 4(3) has no statement).
+		routed, err := expandMerge(ctx, hs, owner, forward, counts, mark, other.l, best)
 		qs.Exchanged += routed
 		if err != nil {
 			return Path{}, qs, err
@@ -368,28 +407,11 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 			qs.BackwardExpansions++
 		}
 
-		// Mark the frontier as expanded (Listing 4(3)).
-		if err := each(hs, func(i int, h *superstep) error {
-			if counts[i] == 0 {
-				return nil
-			}
-			_, err := h.e.exec(ctx, h.qs, &h.qs.PE, &h.qs.FOp, h.side(forward).reset)
-			return err
-		}); err != nil {
-			return Path{}, qs, err
-		}
-
 		// Collect the latest minimal distance (Listing 4(4)). Only the
 		// expanded direction's: its merge never touches the other
 		// direction's distance or sign, so that bound cannot have moved.
-		l, ok, err := minOver(ctx, hs, mins, func(h *superstep) string { return h.side(forward).min })
-		if err != nil {
+		if err := collect(cur); err != nil {
 			return Path{}, qs, err
-		}
-		if ok {
-			cur.l = l
-		} else {
-			cur.live = false
 		}
 		cur.n = cnt
 	}
@@ -451,22 +473,6 @@ func tally(hs []*superstep, counts []int64, fn func(h *superstep) (int64, error)
 	return sum, err
 }
 
-// minOver runs each handle's scalar MIN query in the statistics-collection
-// phase and folds the results; ok is false when every handle answered NULL
-// (no rows / no candidates). mins is scratch space, one slot per handle.
-func minOver(ctx context.Context, hs []*superstep, mins []int64, q func(h *superstep) string) (int64, bool, error) {
-	err := each(hs, func(i int, h *superstep) error {
-		v, null, err := h.e.queryInt(ctx, h.qs, &h.qs.SC, q(h))
-		if null {
-			v = math.MaxInt64
-		}
-		mins[i] = v
-		return err
-	})
-	m := slices.Min(mins)
-	return m, m != math.MaxInt64, err
-}
-
 // prefetchWorkers is the per-handle concurrency that warms the adjacency
 // pages of a selected frontier before the expansion scans them serially.
 const prefetchWorkers = 8
@@ -482,12 +488,12 @@ const prefetchWorkers = 8
 // traffic); candidates a handle produced for its own nodes were already
 // merged locally. lOther and best bind the Theorem-1 prune; they are global
 // values, at least as large as any handle-local view, so the prune stays
-// sound. Returns the number of candidates routed.
-func expandMerge(ctx context.Context, hs []*superstep, owner func(nid int64) int, forward bool, counts []int64, lOther, best int64) (int, error) {
+// sound; mark is the frontier's stamp. Returns the number of candidates routed.
+func expandMerge(ctx context.Context, hs []*superstep, owner func(nid int64) int, forward bool, counts []int64, mark, lOther, best int64) (int, error) {
 	if len(hs) == 1 {
 		h := hs[0]
 		_, err := h.e.runOps(ctx, h.qs, h.side(forward).ops.Round(h.e.opts.SeparateOperators),
-			h.pruneArgs(lOther, best), sentinelArgs)
+			h.expandArgs(mark, lOther, best), sentinelArgs)
 		return 0, err
 	}
 	harvested := make([][]frontierCand, len(hs))
@@ -496,12 +502,12 @@ func expandMerge(ctx context.Context, hs []*superstep, owner func(nid int64) int
 			return nil
 		}
 		if counts[i] > 1 {
-			if err := h.prefetchFrontier(ctx, forward); err != nil {
+			if err := h.prefetchFrontier(ctx, forward, mark); err != nil {
 				return err
 			}
 		}
 		var err error
-		harvested[i], err = h.expandHarvest(ctx, forward, lOther, best)
+		harvested[i], err = h.expandHarvest(ctx, forward, mark, lOther, best)
 		return err
 	}); err != nil {
 		return 0, err

@@ -15,7 +15,9 @@ import (
 // level (MERGE + window functions) issues to the bytes the hand-written
 // renderings produced before internal/fem replaced them (captured from
 // buildExpand, maintFwdShapes / maintBwdShapes, foldEdges and mstMergeQ at
-// PR 16): the fused and the separate-operator search statements, forward
+// PR 16; the search lines' frontier predicate became q.f = ? at PR 24, when
+// the F-operators, ALT's prune and the statistics probes joined the file):
+// the fused and the separate-operator search statements, forward
 // and backward, over TEdges and the SegTable, pruning and not, plus DJ's
 // one-node frontier; maintenance shapes 1-3; Prim's round; and the
 // original-edge fold. Shape 4 is not here — it lost its no-op ROW_NUMBER
@@ -60,17 +62,32 @@ func TestGoldenStatementTexts(t *testing.T) {
 	g := lineGraph(t, 8, 3)
 	e := newTestEngine(t, g, rdb.Options{}, Options{})
 	sc := e.scratchGlobal
-	for _, d := range []direction{fwdDir(), bwdDir()} {
-		dn, front, seg := "fwd", "q.f = 2", TblOutSegs
-		if !d.forward {
-			dn, front, seg = "bwd", "q.b = 2", TblInSegs
-		}
-		for _, edges := range []string{TblEdges, seg} {
-			for _, prune := range []bool{false, true} {
-				checkOps(fmt.Sprintf("search/%s/%s/prune=%v/", dn, edges, prune), e.searchOps(sc, d, edges, front, prune))
+	// The search texts are read off the handle the loop runs on, so a change
+	// to the frontier predicate or to what a round binds shows here: every
+	// edge source and prune setting under BSDJ's rule, then each spec's own
+	// F-operator, ALT's prune and the statistics probes.
+	for _, seg := range []bool{false, true} {
+		for _, prune := range []bool{false, true} {
+			spec := specBSDJ(sc)
+			spec.prune = prune
+			if seg {
+				spec.edgeFwd, spec.edgeBwd = TblOutSegs, TblInSegs
 			}
+			ss := e.newSuperstep(sc, spec, 0)
+			checkOps(fmt.Sprintf("search/fwd/%s/prune=%v/", spec.edgeFwd, prune), ss.fwd.ops)
+			checkOps(fmt.Sprintf("search/bwd/%s/prune=%v/", spec.edgeBwd, prune), ss.bwd.ops)
 		}
 	}
+	var ss *superstep
+	for _, spec := range []femSpec{specBDJ(sc), specBSDJ(sc), specBBFS(sc), specBSEG(sc, 7), specALT(sc, 0, 7)} {
+		ss = e.newSuperstep(sc, spec, 0)
+		check("frontier/"+spec.name+"/fwd", ss.fwd.front.text)
+		check("frontier/"+spec.name+"/bwd", ss.bwd.front.text)
+	}
+	check("prefrontier/ALT/fwd", ss.fwd.pre.text)
+	check("prefrontier/ALT/bwd", ss.bwd.pre.text)
+	check("stats/fwd", ss.fwd.stats)
+	check("stats/bwd", ss.bwd.stats)
 	checkOps("dj/", e.searchOps(sc, fwdDir(), TblEdges, "q.nid = ?", false))
 	for i := 0; i < 3; i++ {
 		check(fmt.Sprintf("maint/fwd/%d", i+1),

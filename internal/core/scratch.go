@@ -48,8 +48,8 @@ type scratchSet struct {
 	expand  string
 	expCost string
 
-	// Bi-directional FEM loop (fem.go).
-	biInit, biResetF, biResetB, biMinSum, biMinF, biMinB string
+	// Bi-directional FEM loop (fem.go): the seed and the statistics probes.
+	biInit, biStatsF, biStatsB string
 	// Single-directional Dijkstra (dj.go).
 	djInit, djMid, djFinalize, djTarget string
 	// Path recovery (recover.go).
@@ -84,11 +84,8 @@ func newScratchSet(id int) *scratchSet {
 		visited: TblVisited + suffix, expand: TblExpand + suffix, expCost: TblExpCost + suffix}
 	v := sc.visited
 	sc.biInit = "INSERT INTO " + v + " (nid, d2s, p2s, f, d2t, p2t, b) VALUES (?, 0, ?, 0, ?, ?, 1), (?, ?, ?, 1, 0, ?, 0)"
-	sc.biResetF = "UPDATE " + v + " SET f = 1 WHERE f = 2"
-	sc.biResetB = "UPDATE " + v + " SET b = 1 WHERE b = 2"
-	sc.biMinSum = "SELECT MIN(d2s + d2t) FROM " + v
-	sc.biMinF = "SELECT MIN(d2s) FROM " + v + " WHERE f = 0"
-	sc.biMinB = "SELECT MIN(d2t) FROM " + v + " WHERE b = 0"
+	sc.biStatsF = "SELECT MIN(d2s), MIN(d2s + d2t) FROM " + v + " WHERE f = 0"
+	sc.biStatsB = "SELECT MIN(d2t), MIN(d2s + d2t) FROM " + v + " WHERE b = 0"
 	sc.djInit = "INSERT INTO " + v + " (nid, d2s, p2s, f, d2t, p2t, b) VALUES (?, 0, ?, 0, ?, ?, 1)"
 	sc.djMid = "SELECT TOP 1 nid FROM " + v + " WHERE f = 0 AND d2s = (SELECT MIN(d2s) FROM " + v + " WHERE f = 0)"
 	sc.djFinalize = "UPDATE " + v + " SET f = 1 WHERE nid = ?"
@@ -99,20 +96,13 @@ func newScratchSet(id int) *scratchSet {
 	sc.harvest = "SELECT nid, par, cost FROM " + sc.expand
 	sc.inj1 = "INSERT INTO " + sc.expand + " (nid, par, cost) VALUES (?, ?, ?)"
 	sc.injN = sc.inj1 + strings.Repeat(", (?, ?, ?)", injectChunk-1)
-	sc.markedF = "SELECT nid FROM " + v + " WHERE f = 2"
-	sc.markedB = "SELECT nid FROM " + v + " WHERE b = 2"
+	sc.markedF = "SELECT nid FROM " + v + " WHERE f = ?"
+	sc.markedB = "SELECT nid FROM " + v + " WHERE b = ?"
 	sc.distF = "SELECT d2s FROM " + v + " WHERE nid = ?"
 	sc.distB = "SELECT d2t FROM " + v + " WHERE nid = ?"
 	sc.resets = [3]string{"DELETE FROM " + sc.visited, "DELETE FROM " + sc.expand, "DELETE FROM " + sc.expCost}
 	sc.count = "SELECT COUNT(*) FROM " + v
 	return sc
-}
-
-// minCandidate is the shared "minimal unfinalized distance" subquery of the
-// Dijkstra-family frontier rules, rendered per direction over the set's
-// visited table.
-func (sc *scratchSet) minCandidate(d direction) string {
-	return "(SELECT MIN(" + d.dist + ") FROM " + sc.visited + " WHERE " + d.sign + " = 0)"
 }
 
 // ScratchStats snapshots the scratch-table pool for the serving tier.

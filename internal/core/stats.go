@@ -43,7 +43,8 @@ type QueryStats struct {
 	Statements int
 	// TuplesAffected totals the affected-row counts of every write
 	// statement the query issued (the SQLCA sums) — the work metric the
-	// ALT-vs-BSDJ experiments compare.
+	// ALT-vs-BSDJ experiments compare. A frontier row counts once, for the
+	// F that stamps it: the bi-directional loop has no un-mark statement.
 	TuplesAffected int64
 	// PrunedRows counts candidates settled without expansion by the ALT
 	// landmark bound (zero for the other algorithms).

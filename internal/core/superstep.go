@@ -38,16 +38,19 @@ type superstep struct {
 	qs       *QueryStats
 	spec     femSpec
 	fwd, bwd femSide
+	// observe, nil outside tests, is called on the first handle with the
+	// loop's running lf, lb and minCost: before every F with the stamp about
+	// to be written, and after every statistics fold with mark 0.
+	observe func(forward bool, mark, lf, lb, minCost int64)
 }
 
 // femSide is one direction's statements on one handle: the E+M round, the
-// F-operator (and ALT's pre-frontier prune, when the spec has one), the
-// un-mark of the expanded frontier (Listing 4(3)) and the candidate minimum
-// (Listing 4(4)).
+// F-operator (and ALT's pre-frontier prune, when the spec has one) and the
+// statistics probe (Listing 4(4) and line 16's minCost in one statement).
 type femSide struct {
 	ops        fem.Ops
 	front, pre stmtShape
-	reset, min string
+	stats      string
 }
 
 func (ss *superstep) side(forward bool) *femSide {
@@ -64,10 +67,10 @@ func (e *Engine) newSuperstep(sc *scratchSet, spec femSpec, budget int64) *super
 	ss := &superstep{
 		e: e, sc: sc, spec: spec,
 		qs: &QueryStats{Algorithm: spec.name, budget: budget},
-		fwd: femSide{ops: e.searchOps(sc, fwd, spec.edgeFwd, "q.f = 2", spec.prune),
-			front: spec.frontier(fwd), reset: sc.biResetF, min: sc.biMinF},
-		bwd: femSide{ops: e.searchOps(sc, bwd, spec.edgeBwd, "q.b = 2", spec.prune),
-			front: spec.frontier(bwd), reset: sc.biResetB, min: sc.biMinB},
+		fwd: femSide{ops: e.searchOps(sc, fwd, spec.edgeFwd, "q.f = ?", spec.prune),
+			front: spec.frontier(fwd), stats: sc.biStatsF},
+		bwd: femSide{ops: e.searchOps(sc, bwd, spec.edgeBwd, "q.b = ?", spec.prune),
+			front: spec.frontier(bwd), stats: sc.biStatsB},
 	}
 	if spec.preFrontier != nil {
 		ss.fwd.pre, ss.bwd.pre = spec.preFrontier(fwd), spec.preFrontier(bwd)
@@ -134,13 +137,13 @@ func (ss *superstep) inject(ctx context.Context, forward bool, cands []frontierC
 	return err
 }
 
-// expandHarvest runs the E-operator for the marked frontier into the
+// expandHarvest runs the E-operator for the frontier stamped mark into the
 // scratch TExpand table, reads the candidate set back out (before the local
 // merge consumes it) and applies the local M-operator. lOther and minCost
 // bind the Theorem-1 prune exactly as the lone handle's round binds them.
-func (ss *superstep) expandHarvest(ctx context.Context, forward bool, lOther, minCost int64) ([]frontierCand, error) {
+func (ss *superstep) expandHarvest(ctx context.Context, forward bool, mark, lOther, minCost int64) ([]frontierCand, error) {
 	e, qs, ops := ss.e, ss.qs, ss.side(forward).ops
-	if _, err := e.runOps(ctx, qs, ops.Stage, ss.pruneArgs(lOther, minCost), nil); err != nil {
+	if _, err := e.runOps(ctx, qs, ops.Stage, ss.expandArgs(mark, lOther, minCost), nil); err != nil {
 		return nil, err
 	}
 	rows, err := e.queryRows(ctx, qs, &qs.PE, ss.sc.harvest)
@@ -156,7 +159,7 @@ func (ss *superstep) expandHarvest(ctx context.Context, forward bool, lOther, mi
 }
 
 // prefetchFrontier warms the buffer pool with the adjacency pages the
-// direction's E-operator is about to scan: the selected frontier (sign=2)
+// direction's E-operator is about to scan: the selected frontier (sign=mark)
 // is read back from the resident visited table, split round-robin across
 // prefetchWorkers goroutines, and each worker probes the edge (or segment)
 // table for its nids through the engine's concurrent read path. The probes
@@ -174,7 +177,7 @@ func (ss *superstep) expandHarvest(ctx context.Context, forward bool, lOther, mi
 // churn — partitioning is what keeps both sides small (each shard sees 1/k
 // of the frontier and 1/k of the visited rows), so the technique composes
 // with sharding rather than substituting for memory.
-func (ss *superstep) prefetchFrontier(ctx context.Context, forward bool) error {
+func (ss *superstep) prefetchFrontier(ctx context.Context, forward bool, mark int64) error {
 	e, qs := ss.e, ss.qs
 	// MIN(cost) rather than COUNT(*): cost lives only in the base rows, so
 	// the probe must fetch the same heap pages the expansion join will read,
@@ -183,7 +186,7 @@ func (ss *superstep) prefetchFrontier(ctx context.Context, forward bool) error {
 	if forward {
 		nidQ, probeQ = ss.sc.markedF, "SELECT MIN(cost) FROM "+ss.spec.edgeFwd+" WHERE fid = ?"
 	}
-	rows, err := e.queryRows(ctx, qs, &qs.EOp, nidQ)
+	rows, err := e.queryRows(ctx, qs, &qs.EOp, nidQ, mark)
 	if err != nil {
 		return err
 	}

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/rdb"
 )
@@ -106,6 +108,116 @@ func TestSuperstepMatchesQuery(t *testing.T) {
 	}
 	if !p.Found || p.Length != want.Distance-1 || p.Nodes != nil {
 		t.Fatalf("bounded run: %+v, want Found at %d with nil Nodes", p, want.Distance-1)
+	}
+}
+
+// TestLoopStatisticsMatchFullScan is the soundness argument for what the loop
+// no longer asks the database, checked on every iteration of TestFEMParity's
+// graph and pairs: after every statistics fold the running minCost equals
+// MIN(d2s + d2t) over every row of every handle (the probes only ever saw
+// candidates) and both frontier minima equal MIN(d) over the candidates (the
+// loop binds them into the next F instead of a subquery); before every F no
+// row carries the stamp about to be written (nothing resets a stamp, so a
+// reused one would re-expand an old frontier). All five algorithms on one
+// handle; BSDJ, BBFS and BSEG — what a peer set admits — over the two
+// partitions shard.Open makes at k = 2, rebuilt here because this package
+// cannot import that one: hash ownership, each partition holding its nodes'
+// out-edges plus a mirror of every cut edge into them, a SegTable each.
+func TestLoopStatisticsMatchFullScan(t *testing.T) {
+	const lthd = 30
+	g := graph.Power(400, 3, 11)
+	pairs := graph.RandomQueries(g, 6, 5)
+	build := func(edges []graph.Edge) *Engine {
+		sub, err := graph.New(g.N, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newTestEngine(t, sub, rdb.Options{}, Options{CacheSize: -1})
+		if _, err := e.BuildSegTable(lthd); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	single := build(g.Edges)
+	buildOracle(t, single)
+	parity := func(nid int64) int { return int(nid % 2) }
+	var split [2][]graph.Edge
+	for _, ed := range g.Edges {
+		from, to := parity(ed.From), parity(ed.To)
+		split[from] = append(split[from], ed)
+		if to != from {
+			split[to] = append(split[to], ed)
+		}
+	}
+	peers := []*Engine{build(split[0]), build(split[1])}
+
+	run := func(name string, engines []*Engine, owner func(int64) int, alg Algorithm, p [2]int64) {
+		var hs []*superstep
+		for _, e := range engines {
+			sc, err := e.scratch.acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.scratch.release(sc)
+			spec, err := e.specFor(alg, sc, p[0], p[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs = append(hs, e.newSuperstep(sc, spec, 0))
+		}
+		// scan folds "SELECT <sel> FROM <visited> <where>" over the handles
+		// by minimum; MaxInt64 when every handle answers NULL.
+		scan := func(sel, where string, args ...any) int64 {
+			m := int64(math.MaxInt64)
+			for _, h := range hs {
+				v, null, err := h.e.db.QueryInt("SELECT "+sel+" FROM "+h.sc.visited+where, args...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !null {
+					m = min(m, v)
+				}
+			}
+			return m
+		}
+		folds, marks := 0, 0
+		hs[0].observe = func(forward bool, mark, lf, lb, minCost int64) {
+			if mark != 0 {
+				marks++
+				sign := map[bool]string{true: "f", false: "b"}[forward]
+				if n := scan("MAX(nid)", " WHERE "+sign+" = ?", mark); n != math.MaxInt64 {
+					t.Errorf("%s %v (%d,%d): node %d already carries %s = %d before the F that writes it", name, alg, p[0], p[1], n, sign, mark)
+				}
+				return
+			}
+			folds++
+			if full := scan("MIN(d2s + d2t)", ""); full != minCost {
+				t.Errorf("%s %v (%d,%d) fold %d: running minCost %d, full scan %d", name, alg, p[0], p[1], folds, minCost, full)
+			}
+			// An exhausted side (no candidate anywhere) keeps its last minimum.
+			if full := scan("MIN(d2s)", " WHERE f = 0"); full != math.MaxInt64 && full != lf {
+				t.Errorf("%s %v (%d,%d) fold %d: lf %d, full scan %d", name, alg, p[0], p[1], folds, lf, full)
+			}
+			if full := scan("MIN(d2t)", " WHERE b = 0"); full != math.MaxInt64 && full != lb {
+				t.Errorf("%s %v (%d,%d) fold %d: lb %d, full scan %d", name, alg, p[0], p[1], folds, lb, full)
+			}
+		}
+		got, _, err := runSupersteps(context.Background(), hs, owner, p[0], p[1], 4*MaxDist)
+		if err != nil {
+			t.Fatalf("%s %v (%d,%d): %v", name, alg, p[0], p[1], err)
+		}
+		checkPath(t, g, alg, p[0], p[1], got)
+		if folds == 0 || marks == 0 {
+			t.Fatalf("%s %v (%d,%d): the loop never reported (%d folds, %d marks)", name, alg, p[0], p[1], folds, marks)
+		}
+	}
+	for _, p := range pairs {
+		for _, alg := range []Algorithm{AlgBDJ, AlgBSDJ, AlgBBFS, AlgBSEG, AlgALT} {
+			run("single", []*Engine{single}, soleOwner, alg, p)
+		}
+		for _, alg := range []Algorithm{AlgBSDJ, AlgBBFS, AlgBSEG} {
+			run("k=2", peers, parity, alg, p)
+		}
 	}
 }
 
