@@ -115,3 +115,30 @@ func BenchmarkMutationBatch(b *testing.B) {
 	b.ReportMetric(float64(stmts)/float64(b.N), "stmts/batch")
 	b.ReportMetric(float64(after.Hits+after.Misses-pool.Hits-pool.Misses)/float64(b.N), "pages/batch")
 }
+
+// BenchmarkSegTableBuild is one BuildSegTable(20) per iteration on the
+// mutate_mix data set (graph.Power(4000,3,2011)): the index-build sweep in
+// both directions, the segment materialization and the original-edge fold.
+// stmts/op counts the sweep's rounds (F and E+M each, nothing else) and
+// pages/op (buffer-pool fetches) their passes over the working set.
+func BenchmarkSegTableBuild(b *testing.B) {
+	g := graph.Power(4000, 3, 2011)
+	e := newTestEngine(b, g, rdb.Options{BufferPoolPages: 16384}, Options{CacheSize: -1})
+	if _, err := e.BuildSegTable(20); err != nil { // compile every statement shape before timing
+		b.Fatal(err)
+	}
+	var stmts int
+	pool := e.db.Stats().Pool
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := e.BuildSegTable(20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stmts += st.Statements
+	}
+	b.StopTimer()
+	after := e.db.Stats().Pool
+	b.ReportMetric(float64(stmts)/float64(b.N), "stmts/op")
+	b.ReportMetric(float64(after.Hits+after.Misses-pool.Hits-pool.Misses)/float64(b.N), "pages/op")
+}

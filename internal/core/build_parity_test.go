@@ -13,8 +13,9 @@ import (
 // graph, default profile. The values were recorded before the builds
 // shared internal/sweep: a change to the sweep that moves any of them
 // changed what the builds compute or how many rounds they take, not just
-// where the code lives. Oracle and label statement counts are not pinned —
-// they depend on which working tables a build finds already created.
+// where the code lives. Every subtest builds on a fresh engine, so the
+// statement counts are deterministic too: a round is F, E+M and nothing
+// else (no statement un-marks the frontier).
 func TestBuildParity(t *testing.T) {
 	g := graph.Power(400, 3, 1)
 
@@ -24,8 +25,8 @@ func TestBuildParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.OutSegs != 901 || st.InSegs != 901 || st.Iterations != 42 || st.Statements != 144 {
-			t.Errorf("BuildSegTable(20) = %v, want out=901 in=901 iters=42 stmts=144", st)
+		if st.OutSegs != 901 || st.InSegs != 901 || st.Iterations != 42 || st.Statements != 102 {
+			t.Errorf("BuildSegTable(20) = %v, want out=901 in=901 iters=42 stmts=102", st)
 		}
 	})
 
@@ -33,9 +34,10 @@ func TestBuildParity(t *testing.T) {
 		cfg       oracle.Config
 		landmarks []int64
 		iters     int
+		stmts     int
 	}{
-		{oracle.Config{K: 4}, []int64{1, 3, 2, 12}, 1939},
-		{oracle.Config{K: 4, Strategy: oracle.Farthest}, []int64{1, 185, 248, 390}, 1975},
+		{oracle.Config{K: 4}, []int64{1, 3, 2, 12}, 1939, 3938},
+		{oracle.Config{K: 4, Strategy: oracle.Farthest}, []int64{1, 185, 248, 390}, 1975, 4017},
 	} {
 		t.Run("oracle-"+tc.cfg.Strategy.String(), func(t *testing.T) {
 			e := newTestEngine(t, g, rdb.Options{}, Options{})
@@ -43,11 +45,11 @@ func TestBuildParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(st.Landmarks, tc.landmarks) || st.Rows != 1600 || st.Iterations != tc.iters {
-				t.Errorf("BuildOracle(%+v) = %v landmarks %v, want landmarks %v rows=1600 iters=%d",
-					tc.cfg, st, st.Landmarks, tc.landmarks, tc.iters)
+			if !reflect.DeepEqual(st.Landmarks, tc.landmarks) || st.Rows != 1600 || st.Iterations != tc.iters ||
+				st.Statements != tc.stmts {
+				t.Errorf("BuildOracle(%+v) = %v landmarks %v, want landmarks %v rows=1600 iters=%d stmts=%d",
+					tc.cfg, st, st.Landmarks, tc.landmarks, tc.iters, tc.stmts)
 			}
-			t.Logf("statements: %d", st.Statements)
 		})
 	}
 
@@ -57,10 +59,10 @@ func TestBuildParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Hubs != 400 || st.RowsOut != 1687 || st.RowsIn != 1687 || st.Pruned != 822 || st.Iterations != 3690 {
-			t.Errorf("BuildLabels = %v, want hubs=400 rows=1687+1687 pruned=822 iters=3690", st)
+		if st.Hubs != 400 || st.RowsOut != 1687 || st.RowsIn != 1687 || st.Pruned != 822 || st.Iterations != 3690 ||
+			st.Statements != 15093 {
+			t.Errorf("BuildLabels = %v, want hubs=400 rows=1687+1687 pruned=822 iters=3690 stmts=15093", st)
 		}
-		t.Logf("statements: %d", st.Statements)
 	})
 
 	// The catalog: a SegTable-only engine carries the graph, the search

@@ -58,53 +58,62 @@ func directedAsUndirected(g *graph.Graph) *graph.Graph {
 	return out
 }
 
+// TestMSTMatchesKruskal checks the forest's weight, component count and
+// edges against Kruskal's, on a random graph and on one whose tree holds a
+// zero-weight edge (a tree edge is any non-root's, whatever its weight).
 func TestMSTMatchesKruskal(t *testing.T) {
-	base := graph.Random(40, 100, 21)
-	g := directedAsUndirected(base)
-	e := newTestEngine(t, g, rdb.Options{}, Options{})
-	res, err := e.MinimumSpanningForest()
+	zero, err := graph.New(4, []graph.Edge{{From: 0, To: 1, Weight: 0}, {From: 1, To: 2, Weight: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, comps := kruskalWeight(g)
-	if res.TotalWeight != want {
-		t.Fatalf("MST weight %d, Kruskal %d", res.TotalWeight, want)
-	}
-	if res.Components != comps {
-		t.Fatalf("components %d, want %d", res.Components, comps)
-	}
-	if len(res.Edges) != int(g.N)-comps {
-		t.Fatalf("edge count %d, want %d", len(res.Edges), int(g.N)-comps)
-	}
-	// Every reported edge must exist with that weight.
-	for _, me := range res.Edges {
-		found := false
-		g.OutEdges(me.From, func(v, w int64) {
-			if v == me.To && w == me.Weight {
-				found = true
+	for _, g := range []*graph.Graph{directedAsUndirected(graph.Random(40, 100, 21)), directedAsUndirected(zero)} {
+		e := newTestEngine(t, g, rdb.Options{}, Options{})
+		res, err := e.MinimumSpanningForest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, comps := kruskalWeight(g)
+		if res.TotalWeight != want {
+			t.Fatalf("n=%d: MST weight %d, Kruskal %d", g.N, res.TotalWeight, want)
+		}
+		if res.Components != comps {
+			t.Fatalf("n=%d: components %d, want %d", g.N, res.Components, comps)
+		}
+		if len(res.Edges) != int(g.N)-comps {
+			t.Fatalf("n=%d: edges %v, want %d of them", g.N, res.Edges, int(g.N)-comps)
+		}
+		// Every reported edge must exist with that weight.
+		for _, me := range res.Edges {
+			found := false
+			g.OutEdges(me.From, func(v, w int64) {
+				if v == me.To && w == me.Weight {
+					found = true
+				}
+			})
+			if !found {
+				t.Fatalf("n=%d: MST edge %v not in graph", g.N, me)
 			}
-		})
-		if !found {
-			t.Fatalf("MST edge %v not in graph", me)
 		}
 	}
 }
 
 func TestMSTDisconnected(t *testing.T) {
-	// Two components: 0-1-2 and 3-4.
-	edges := []graph.Edge{
-		{From: 0, To: 1, Weight: 2}, {From: 1, To: 0, Weight: 2},
-		{From: 1, To: 2, Weight: 3}, {From: 2, To: 1, Weight: 3},
-		{From: 3, To: 4, Weight: 7}, {From: 4, To: 3, Weight: 7},
-	}
-	g, _ := graph.New(5, edges)
-	e := newTestEngine(t, g, rdb.Options{}, Options{})
-	res, err := e.MinimumSpanningForest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Components != 2 || res.TotalWeight != 12 || len(res.Edges) != 3 {
-		t.Fatalf("forest wrong: %+v", res)
+	for _, w01 := range []int64{2, 0} {
+		// Two components: 0-1-2 and 3-4.
+		edges := []graph.Edge{
+			{From: 0, To: 1, Weight: w01}, {From: 1, To: 0, Weight: w01},
+			{From: 1, To: 2, Weight: 3}, {From: 2, To: 1, Weight: 3},
+			{From: 3, To: 4, Weight: 7}, {From: 4, To: 3, Weight: 7},
+		}
+		g, _ := graph.New(5, edges)
+		e := newTestEngine(t, g, rdb.Options{}, Options{})
+		res, err := e.MinimumSpanningForest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Components != 2 || res.TotalWeight != w01+10 || len(res.Edges) != 3 {
+			t.Fatalf("w(0,1) = %d: forest wrong: %+v", w01, res)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fem"
 	"repro/internal/oracle"
 	"repro/internal/rdb"
 	"repro/internal/record"
@@ -33,7 +34,7 @@ type femSpec struct {
 	// of that direction (BSEG's d2s <= k*lthd rule, bound as "? * ?") and
 	// the direction's candidate minimum l — the loop read it after the
 	// direction's last expansion and nothing has moved it since, so no rule
-	// looks for it again. The statement must set sign = stamp(k) on the
+	// looks for it again. The statement must set sign = fem.Stamp(k) on the
 	// selected frontier and report the frontier size as its affected count.
 	frontier func(d direction) stmtShape
 	// preFrontier, when set, renders a statement that runs (repeatedly,
@@ -65,20 +66,6 @@ type stmtShape struct {
 	args func(v, l int64) []any
 }
 
-// stamp is the sign value a direction's k-th expansion (1-based) writes on
-// its frontier. A sign column reads 0 = candidate, 1 = not a candidate by
-// this side (the other direction's insert sentinel, ALT's prune), n >= 2 =
-// taken by expansion n-1. The E-operator selects the frontier by its stamp
-// and nothing resets it: every other predicate only asks "sign = 0", which a
-// stale stamp fails like a 1 does, and the M-operator re-opens an improved
-// row to 0 whatever it held.
-func stamp(k int64) int64 { return k + 1 }
-
-// markFrontier is the head of every F-operator statement.
-func markFrontier(sc *scratchSet, d direction) string {
-	return "UPDATE " + sc.visited + " SET " + d.sign + " = ? WHERE " + d.sign + " = 0"
-}
-
 // The per-set statement texts of the bi-directional loop (biInit, the
 // statistics probes) live on scratchSet, rendered once at mint time; the
 // frontier shapes below embed the set's visited-table name the same way.
@@ -93,9 +80,9 @@ func specBDJ(sc *scratchSet) femSpec {
 		edgeBwd: TblEdges,
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
-				text: markFrontier(sc, d) + " AND nid = (SELECT TOP 1 nid FROM " + sc.visited +
+				text: fem.MarkFrontier(sc.visited, d.sign) + " AND nid = (SELECT TOP 1 nid FROM " + sc.visited +
 					" WHERE " + d.sign + " = 0 AND " + d.dist + " = ?)",
-				args: func(k, l int64) []any { return []any{stamp(k), l} },
+				args: func(k, l int64) []any { return []any{fem.Stamp(k), l} },
 			}
 		},
 		trackL:   true,
@@ -113,8 +100,8 @@ func specBSDJ(sc *scratchSet) femSpec {
 		edgeBwd: TblEdges,
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
-				text: markFrontier(sc, d) + " AND " + d.dist + " = ?",
-				args: func(k, l int64) []any { return []any{stamp(k), l} },
+				text: fem.MarkFrontier(sc.visited, d.sign) + " AND " + d.dist + " = ?",
+				args: func(k, l int64) []any { return []any{fem.Stamp(k), l} },
 			}
 		},
 		trackL: true,
@@ -130,8 +117,8 @@ func specBBFS(sc *scratchSet) femSpec {
 		edgeBwd: TblEdges,
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
-				text: markFrontier(sc, d),
-				args: func(k, _ int64) []any { return []any{stamp(k)} },
+				text: fem.MarkFrontier(sc.visited, d.sign),
+				args: func(k, _ int64) []any { return []any{fem.Stamp(k)} },
 			}
 		},
 		trackL: false,
@@ -150,8 +137,8 @@ func specBSEG(sc *scratchSet, lthd int64) femSpec {
 		edgeBwd: TblInSegs,
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
-				text: markFrontier(sc, d) + " AND (" + d.dist + " <= ? * ? OR " + d.dist + " = ?)",
-				args: func(k, l int64) []any { return []any{stamp(k), k, lthd, l} },
+				text: fem.MarkFrontier(sc.visited, d.sign) + " AND (" + d.dist + " <= ? * ? OR " + d.dist + " = ?)",
+				args: func(k, l int64) []any { return []any{fem.Stamp(k), k, lthd, l} },
 			}
 		},
 		trackL: true,
@@ -382,7 +369,7 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 		// it (or, for BSEG, rows within k*lthd) select anything, and with a
 		// live side at least one does.
 		cur.k++
-		mark := stamp(cur.k)
+		mark := fem.Stamp(cur.k)
 		if hs[0].observe != nil {
 			hs[0].observe(forward, mark, fw.l, bw.l, minCost)
 		}

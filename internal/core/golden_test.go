@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/fem"
+	"repro/internal/graph"
 	"repro/internal/rdb"
 )
 
@@ -21,10 +23,12 @@ import (
 // and backward, over TEdges and the SegTable, pruning and not, plus DJ's
 // one-node frontier; maintenance shapes 1-3; Prim's round; and the
 // original-edge fold. Shape 4 is not here — it lost its no-op ROW_NUMBER
-// dedupe — nor reachability, whose source column d became cost. A plan
-// cache keyed by text, and the benchmark's statement counts, see no change.
-// The decremental repair's own texts (touch/, repair/, fold/*/touched) are
-// pinned as what a delete leaves prepared: their FROM order is their plan.
+// dedupe. A plan cache keyed by text, and the benchmark's statement counts,
+// see no change. The F-operator and fused round of every other loop on
+// internal/fem's stamps — Prim's, reachability's and the index-build
+// sweep's — are pinned with them. The sweep's and the decremental repair's
+// own texts (sweep/, touch/, repair/, fold/*/touched) are pinned as what a
+// build and a delete leave prepared: the repair's FROM order is its plan.
 func TestGoldenStatementTexts(t *testing.T) {
 	golden := map[string]string{}
 	f, err := os.Open("testdata/golden_statements.txt")
@@ -96,10 +100,13 @@ func TestGoldenStatementTexts(t *testing.T) {
 			fem.MergeSelect(e.level, maintBwdShapes[i].src, segMerge(TblInSegs)).Round(false)[0].Text)
 	}
 	check("mst", e.mstRound()[0].Text)
+	check("mst/frontier", mstFrontierQ)
+	check("reach/frontier", reachFrontierQ)
+	check("reach/fused", e.reachRound()[0].Text)
 
 	// The fold renders its source per call: a build folds every edge, a
 	// delete's repair the touched pairs, and both leave their texts behind
-	// as prepared statements.
+	// as prepared statements, like the sweep a build runs.
 	if _, err := e.BuildSegTable(7); err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +114,64 @@ func TestGoldenStatementTexts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range golden {
-		if kind, _, _ := strings.Cut(name, "/"); kind != "fold" && kind != "touch" && kind != "repair" {
+		if kind, _, _ := strings.Cut(name, "/"); kind != "fold" && kind != "touch" && kind != "repair" && kind != "sweep" {
 			t.Errorf("%s: golden text never checked", name)
 		} else if _, ok := e.stmtCache[want]; !ok {
 			t.Errorf("%s: the engine never prepared %s", name, want)
+		}
+	}
+}
+
+// TestSignProtocol runs every client of the FEM operators on one engine —
+// a query per algorithm (DJ and the five loop specs), the three index
+// builds, a delete's scoped repair, Prim's MST and reachability — at the
+// MERGE level and at Plain, and fails on any prepared text that spells a
+// sign value other than 0 or 1: internal/fem's stamps are the only other
+// values, and they bind as parameters.
+func TestSignProtocol(t *testing.T) {
+	literal := regexp.MustCompile(`\b[fb] (=|<>) [2-9]`)
+	g := graph.Random(40, 120, 99)
+	cheapest := g.Edges[0]
+	for _, ed := range g.Edges {
+		if ed.Weight < cheapest.Weight {
+			cheapest = ed
+		}
+	}
+	for _, tsql := range []bool{false, true} {
+		e := newTestEngine(t, g, rdb.Options{Profile: rdb.ProfileDBMSX}, Options{TraditionalSQL: tsql})
+		if _, err := e.BuildSegTable(20); err != nil {
+			t.Fatal(err)
+		}
+		buildOracle(t, e)
+		buildLabels(t, e)
+		for _, q := range graph.RandomQueries(g, 2, 3) {
+			for _, alg := range allAlgorithms() {
+				p, _, err := shortestPath(e, alg, q[0], q[1])
+				if err != nil {
+					t.Fatalf("%v: %v", alg, err)
+				}
+				checkPath(t, g, alg, q[0], q[1], p)
+			}
+		}
+		// The cheapest edge is its own shortest segment, so its delete
+		// touches at least that pair and the repair sweeps.
+		st, err := e.DeleteEdge(cheapest.From, cheapest.To)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Affected == 0 || st.Rebuilt {
+			t.Fatalf("delete %d->%d: %+v, want a scoped repair", cheapest.From, cheapest.To, st)
+		}
+		if _, err := e.MinimumSpanningForest(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Reachable(0, 7); err != nil {
+			t.Fatal(err)
+		}
+		for text := range e.stmtCache {
+			if literal.MatchString(text) {
+				t.Errorf("TraditionalSQL=%v: sign literal in %s", tsql, text)
+			}
 		}
 	}
 }

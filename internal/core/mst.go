@@ -56,7 +56,7 @@ func (e *Engine) MinimumSpanningForest() (*MSTResult, error) {
 	start := time.Now()
 
 	// Working table: reuse TVisited's shape, with d2s as the connection
-	// weight. All nodes start as non-candidates (f = 3); component roots
+	// weight. All nodes start outside every tree (f = 1); component roots
 	// are promoted one at a time.
 	if err := e.resetVisited(ctx, qs, e.scratchGlobal); err != nil {
 		return nil, err
@@ -72,12 +72,13 @@ func (e *Engine) MinimumSpanningForest() (*MSTResult, error) {
 		if iter > limit {
 			return nil, fmt.Errorf("core: MST exceeded %d iterations", limit)
 		}
-		cnt, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, mstFrontierQ)
+		mark := fem.Stamp(int64(iter + 1))
+		cnt, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, mstFrontierQ, mark)
 		if err != nil {
 			return nil, err
 		}
 		if cnt == 0 {
-			// Component finished (or first iteration): promote a new root.
+			// Component finished (or first iteration): expand a new root.
 			root, null, err := e.queryInt(ctx, qs, &qs.SC, mstRootQ)
 			if err != nil {
 				return nil, err
@@ -85,21 +86,13 @@ func (e *Engine) MinimumSpanningForest() (*MSTResult, error) {
 			if null {
 				break // every node is in the forest
 			}
-			if _, err := e.exec(ctx, qs, &qs.PE, nil, mstPromoteQ, root); err != nil {
+			if _, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, mstPromoteQ, mark, root); err != nil {
 				return nil, err
 			}
 			res.Components++
-			// Expand from the root alone.
-			if _, err := e.exec(ctx, qs, &qs.PE, nil, mstSeedQ, root); err != nil {
-				return nil, err
-			}
-			cnt = 1
 		}
 		res.Iterations++
-		if _, err := e.runOps(ctx, qs, round, nil, nil); err != nil {
-			return nil, err
-		}
-		if _, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, mstResetQ); err != nil {
+		if _, err := e.runOps(ctx, qs, round, []any{mark}, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -123,37 +116,37 @@ func (e *Engine) MinimumSpanningForest() (*MSTResult, error) {
 	return res, nil
 }
 
-// MST statement shapes (constant texts; sentinels bind as parameters).
-const (
+// MST statement shapes (fixed texts; stamps and sentinels bind as
+// parameters).
+var (
 	mstInitQ = "INSERT INTO " + TblVisited +
-		" (nid, d2s, p2s, f, d2t, p2t, b) SELECT nid, ?, ?, 3, 0, 0, 0 FROM " + TblNodes
+		" (nid, d2s, p2s, f, d2t, p2t, b) SELECT nid, ?, ?, 1, 0, 0, 0 FROM " + TblNodes
 	// One node per iteration (§3.1: "select a node u with u.f = false and
 	// the minimal edge weight"). Adopting all minimum-weight candidates at
 	// once would be unsound: adding one candidate can cheapen another's
 	// connection below the shared minimum.
-	mstFrontierQ = "UPDATE " + TblVisited + " SET f = 2 WHERE f = 0 AND nid = " +
+	mstFrontierQ = fem.MarkFrontier(TblVisited, "f") + " AND nid = " +
 		"(SELECT TOP 1 nid FROM " + TblVisited + " WHERE f = 0 AND d2s = " +
 		"(SELECT MIN(d2s) FROM " + TblVisited + " WHERE f = 0))"
-	mstResetQ   = "UPDATE " + TblVisited + " SET f = 1 WHERE f = 2"
-	mstRootQ    = "SELECT TOP 1 nid FROM " + TblVisited + " WHERE f = 3"
-	mstPromoteQ = "UPDATE " + TblVisited + " SET f = 1, d2s = 0 WHERE nid = ?"
-	mstSeedQ    = "UPDATE " + TblVisited + " SET f = 2 WHERE nid = ?"
-	mstEdgesQ   = "SELECT p2s, nid, d2s FROM " + TblVisited + " WHERE f = 1 AND d2s > 0 AND p2s <> ?"
+	mstRootQ    = "SELECT TOP 1 nid FROM " + TblVisited + " WHERE f = 1"
+	mstPromoteQ = "UPDATE " + TblVisited + " SET f = ?, d2s = 0 WHERE nid = ?"
+	// Every node ends in a tree; only roots keep p2s = NoParent.
+	mstEdgesQ = "SELECT p2s, nid, d2s FROM " + TblVisited + " WHERE p2s <> ?"
 )
 
 // mstRound is Prim's E+M round as an internal/fem spec: offer each
-// neighbour of the frontier its cheapest connecting edge (the cost is the
-// edge's weight, not a cumulative distance); a candidate (f = 0) keeps the
-// cheaper offer, a node outside every tree so far (f = 3) becomes a
-// candidate, and nodes already in the tree (f = 1) or on the frontier
-// (f = 2) match neither arm — §3.1's "expanded nodes can be discarded
-// directly if they have been included". Every node pre-exists in the
-// working table, so nothing is inserted.
+// neighbour of the frontier (the rows carrying the bound stamp) its
+// cheapest connecting edge (the cost is the edge's weight, not a cumulative
+// distance); a candidate (f = 0) keeps the cheaper offer, a node outside
+// every tree so far (f = 1) becomes a candidate, and nodes already in a
+// tree (any stamp) match neither arm — §3.1's "expanded nodes can be
+// discarded directly if they have been included". Every node pre-exists in
+// the working table, so nothing is inserted.
 func (e *Engine) mstRound() []fem.Stmt {
 	return fem.Operators(e.level,
-		fem.Expand{Edges: TblEdges, Forward: true, Cost: "out.cost", Where: "q.f = 2", StageCost: TblExpCost},
+		fem.Expand{Edges: TblEdges, Forward: true, Cost: "out.cost", Where: "q.f = ?", StageCost: TblExpCost},
 		fem.Merge{Table: TblVisited, Key: []string{"nid"}, Stage: TblExpand, Matched: []fem.Branch{
 			{When: "target.f = 0 AND target.d2s > source.cost", Set: "d2s = source.cost, p2s = source.par"},
-			{When: "target.f = 3", Set: "d2s = source.cost, p2s = source.par, f = 0"},
+			{When: "target.f = 1", Set: "d2s = source.cost, p2s = source.par, f = 0"},
 		}}).Round(false)
 }

@@ -66,7 +66,8 @@ func (e *Engine) Reachable(s, t int64) (*ReachResult, error) {
 		if iter > limit {
 			return nil, fmt.Errorf("core: reachability exceeded %d iterations", limit)
 		}
-		cnt, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, reachFrontierQ)
+		mark := fem.Stamp(int64(iter + 1))
+		cnt, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, reachFrontierQ, mark)
 		if err != nil {
 			return nil, err
 		}
@@ -74,10 +75,7 @@ func (e *Engine) Reachable(s, t int64) (*ReachResult, error) {
 			break
 		}
 		res.Iterations++
-		if _, err := e.runOps(ctx, qs, round, nil, nil); err != nil {
-			return nil, err
-		}
-		if _, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, reachResetQ); err != nil {
+		if _, err := e.runOps(ctx, qs, round, []any{mark}, nil); err != nil {
 			return nil, err
 		}
 		d, null, err := e.queryInt(ctx, qs, &qs.SC, reachTargetQ, t)
@@ -100,21 +98,20 @@ func (e *Engine) Reachable(s, t int64) (*ReachResult, error) {
 	return res, nil
 }
 
-// Reachability statement shapes around the expansion (constant texts).
-const (
+// Reachability statement shapes around the expansion (fixed texts).
+var (
 	reachInitQ = "INSERT INTO " + TblVisited +
 		" (nid, d2s, p2s, f, d2t, p2t, b) VALUES (?, 0, ?, 0, 0, 0, 0)"
-	reachFrontierQ = "UPDATE " + TblVisited + " SET f = 2 WHERE f = 0"
-	reachResetQ    = "UPDATE " + TblVisited + " SET f = 1 WHERE f = 2"
+	reachFrontierQ = fem.MarkFrontier(TblVisited, "f")
 	reachTargetQ   = "SELECT d2s FROM " + TblVisited + " WHERE nid = ?"
 )
 
 // reachRound is the BFS round as an internal/fem spec: every unseen
-// successor of the frontier is inserted one level deeper (d2s doubles as
-// the depth). No matched arm: reachability never revisits a node.
+// successor of the stamped frontier is inserted one level deeper (d2s
+// doubles as the depth). No matched arm: reachability never revisits a node.
 func (e *Engine) reachRound() []fem.Stmt {
 	return fem.Operators(e.level,
-		fem.Expand{Edges: TblEdges, Forward: true, Cost: "q.d2s + 1", Where: "q.f = 2", StageCost: TblExpCost},
+		fem.Expand{Edges: TblEdges, Forward: true, Cost: "q.d2s + 1", Where: "q.f = ?", StageCost: TblExpCost},
 		fem.Merge{Table: TblVisited, Key: []string{"nid"}, Stage: TblExpand,
 			InsertCols: "nid, d2s, p2s, f, d2t, p2t, b",
 			InsertVals: "source.nid, source.cost, source.par, 0, 0, 0, 0"}).Round(false)

@@ -135,6 +135,23 @@ func Run(stmts []Stmt, exec func(s Stmt, args []any) (int64, error), src, ins []
 	return affected, nil
 }
 
+// The sign protocol of every client's flag column (f, or the backward
+// search's b): 0 = candidate, 1 = not a candidate (an insert sentinel, a
+// prune, Prim's "outside every tree"), n >= 2 = taken by round n-1. F
+// stamps the candidates it selects, E reads the frontier by the stamp, and
+// nothing un-marks it (Listing 4(3) has no statement): every other
+// predicate asks "= 0", which a stale stamp fails like a 1, and M re-opens
+// an improved row to 0 whatever it held. Only Stamp yields a value above 1.
+
+// Stamp is the sign value round k's (1-based) frontier carries.
+func Stamp(k int64) int64 { return k + 1 }
+
+// MarkFrontier is the head of every F-operator: set sign to the stamp, the
+// first parameter, on table's candidates; the rule follows as " AND ...".
+func MarkFrontier(table, sign string) string {
+	return "UPDATE " + table + " SET " + sign + " = ? WHERE " + sign + " = 0"
+}
+
 // Operators renders the round that expands x and merges the offers by m.
 func Operators(l Level, x Expand, m Merge) Ops {
 	m.Carry = []string{"par", "cost"}

@@ -8,21 +8,21 @@ import (
 	"repro/internal/sweep"
 )
 
-// The prune test: label-query the distance between the current hub (bound
-// as the parameter) and each settled candidate, oriented with the pass
-// direction, and flag the candidates an earlier hub already covers.
+// The prune test: label-query the distance between the current hub and
+// each frontier row (the sweep binds the stamp, then the hub), oriented with
+// the pass direction, and drop the rows an earlier hub covers (f = 1).
 const (
 	labelQ        = "(SELECT MIN(a.dist + b.dist) FROM " + TblOut + " a, " + TblIn + " b WHERE "
-	pruneForwardQ = "UPDATE " + sweep.TblWork + " SET f = 3 WHERE f = 2 AND " + labelQ +
+	pruneForwardQ = "UPDATE " + sweep.TblWork + " SET f = 1 WHERE f = ? AND " + labelQ +
 		"a.nid = ? AND b.nid = " + sweep.TblWork + ".nid AND a.hub = b.hub) <= " + sweep.TblWork + ".dist"
-	pruneBackwardQ = "UPDATE " + sweep.TblWork + " SET f = 3 WHERE f = 2 AND " + labelQ +
+	pruneBackwardQ = "UPDATE " + sweep.TblWork + " SET f = 1 WHERE f = ? AND " + labelQ +
 		"a.nid = " + sweep.TblWork + ".nid AND b.nid = ? AND a.hub = b.hub) <= " + sweep.TblWork + ".dist"
 	// Every settled, unpruned node of a finished pass gets a label row for
 	// its hub (including the hub's own (hub, hub, 0) — the root settles at 0
 	// and no earlier-hub detour beats 0 with positive weights). Unreached
 	// nodes get no row: the distance join treats a missing hub pair as
 	// unreachable, which is exact.
-	labelRowsQ = " (nid, hub, dist) SELECT nid, ?, dist FROM " + sweep.TblWork + " WHERE f <> 3"
+	labelRowsQ = " (nid, hub, dist) SELECT nid, ?, dist FROM " + sweep.TblWork + " WHERE f <> 1"
 )
 
 // Build constructs the pruned 2-hop label index over the graph tables,
@@ -115,7 +115,7 @@ func CreateTables(ctx context.Context, r *sweep.Runner) error {
 // The PLL twist is the prune step between settling and expansion: a
 // settled candidate x whose distance is already matched by a detour
 // through an earlier (higher-ranked) hub — the correlated label query
-// d(hub, x) over the materialized TLabelOut/TLabelIn — flips to flag 3:
+// d(hub, x) over the materialized TLabelOut/TLabelIn — flips to flag 1:
 // never expanded, never labeled, so its whole subtree is left to the
 // earlier hubs. The sweep may later reopen a pruned node at a smaller
 // distance; it then re-enters a wave and the prune test re-applies at the

@@ -18,7 +18,7 @@
 // one pruned single-source pass per direction — the SegTable construction's
 // set-Dijkstra sweep (internal/sweep), seeded with the hub alone, no bound,
 // plus a prune statement: candidates settle in wmin-widened waves, and a
-// settled candidate x is pruned (flag 3, not expanded, not labeled) when
+// settled candidate x is pruned (flag 1, not expanded, not labeled) when
 // the labels of the already-processed hubs prove d(hub, x) via an earlier
 // hub is no longer than the settled distance. Pruning keeps the index near-linear on hub-heavy graphs while
 // preserving exactness: a pruned pair is by definition covered by an

@@ -28,29 +28,28 @@ import (
 // relaxes to the full single-source fixpoint. It equals core.MaxDist.
 const NoBound = int64(1) << 50
 
-// Statement shapes around the expansion. Texts are constants;
-// every per-round value — the frontier widening bound k*wmin, the distance
+// Statement shapes around the expansion. Texts are fixed; every per-round
+// value — the stamp, the frontier widening bound k*wmin, the distance
 // bound — binds as a parameter, so the loop re-executes cached plans.
-const (
+var (
 	clearQ = "DELETE FROM " + TblWork
 	seedQ  = "INSERT INTO " + TblWork + " (src, nid, dist, par, f) SELECT nid, nid, 0, nid, 0 FROM "
 	// F-operator (construction rule of §4.2): candidates below k*wmin
-	// (bound as "? * ?"), or the global minimum, expand together.
-	frontierQ = "UPDATE " + TblWork +
-		" SET f = 2 WHERE f = 0 AND (dist < ? * ? OR dist = (SELECT MIN(dist) FROM " + TblWork + " WHERE f = 0))"
-	resetQ = "UPDATE " + TblWork + " SET f = 1 WHERE f = 2"
+	// (bound as "? * ?"), or the global minimum, take the round's stamp.
+	frontierQ = fem.MarkFrontier(TblWork, "f") +
+		" AND (dist < ? * ? OR dist = (SELECT MIN(dist) FROM " + TblWork + " WHERE f = 0))"
 )
 
 // round renders one direction's E+M round as an internal/fem spec keyed
-// (src, nid): the cheapest in-bound expansion per (source, node) — the
-// distance bound binds as the single parameter — relaxes the recorded
-// distance and re-opens the row (f = 0), or inserts the newly reached node
-// as a candidate. forward walks outgoing edges (distances FROM each
-// source), backward incoming edges (distances TO each source).
+// (src, nid): the cheapest in-bound expansion per (source, node) from the
+// stamped frontier — stamp and distance bound bind in order — relaxes the
+// recorded distance and re-opens the row (f = 0), or inserts the newly
+// reached node as a candidate. forward walks outgoing edges (distances FROM
+// each source), backward incoming edges (distances TO each source).
 func round(l fem.Level, forward bool) []fem.Stmt {
 	return fem.Operators(l,
 		fem.Expand{Edges: TblEdges, Forward: forward, Cost: "out.cost + q.dist",
-			Where: "q.f = 2 AND out.cost + q.dist <= ?", StageCost: tblExpCost},
+			Where: "q.f = ? AND out.cost + q.dist <= ?", StageCost: tblExpCost},
 		fem.Merge{Table: TblWork, Key: []string{"src", "nid"}, Stage: tblExpand,
 			Matched:    []fem.Branch{{When: "target.dist > source.cost", Set: "dist = source.cost, par = source.par, f = 0"}},
 			InsertCols: "src, nid, dist, par, f", InsertVals: "source.src, source.nid, source.cost, source.par, 0"},
@@ -137,10 +136,11 @@ func One(nid int64) Query { return Q(TblNodes+" WHERE nid = ?", nid) }
 // node seed selects — seed is a FROM clause with a nid column, e.g. a
 // table name — and returns the rounds it took. forward follows outgoing
 // edges, backward incoming ones. A non-empty prune is an UPDATE run every
-// round between frontier selection and expansion that sets f = 3 on
-// frontier rows (f = 2) the caller can prove need no expansion; pruned
-// sums its affected rows. A later round may still reopen a pruned row at a
-// smaller distance, and prune then sees it again.
+// round between frontier selection and expansion that sets f = 1 on rows
+// of the round's frontier the caller can prove need no expansion (the stamp
+// binds first, then prune's arguments); pruned sums its affected rows. A
+// later round may still reopen a pruned row at a smaller distance, and
+// prune then sees it again.
 func (r *Runner) Run(ctx context.Context, forward bool, bound int64, seed, prune Query) (iters int, pruned int64, err error) {
 	schema := r.Schema(ctx)
 	if err := schema.Create(Rel(TblWork)); err != nil {
@@ -166,7 +166,8 @@ func (r *Runner) Run(ctx context.Context, forward bool, bound int64, seed, prune
 		if int(k) > r.maxIters {
 			return 0, 0, fmt.Errorf("sweep: exceeded %d rounds", r.maxIters)
 		}
-		cnt, err := r.Exec(ctx, frontierQ, k, r.wmin)
+		mark := fem.Stamp(k)
+		cnt, err := r.Exec(ctx, frontierQ, mark, k, r.wmin)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -175,16 +176,13 @@ func (r *Runner) Run(ctx context.Context, forward bool, bound int64, seed, prune
 		}
 		iters++
 		if prune.text != "" {
-			n, err := r.Exec(ctx, prune.text, prune.args...)
+			n, err := r.Exec(ctx, prune.text, append([]any{mark}, prune.args...)...)
 			if err != nil {
 				return 0, 0, err
 			}
 			pruned += n
 		}
-		if _, err := fem.Run(x, expand, []any{bound}, nil); err != nil {
-			return 0, 0, err
-		}
-		if _, err := r.Exec(ctx, resetQ); err != nil {
+		if _, err := fem.Run(x, expand, []any{mark, bound}, nil); err != nil {
 			return 0, 0, err
 		}
 	}
