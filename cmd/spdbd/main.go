@@ -23,6 +23,8 @@
 //	                                             and no index build is in flight)
 //	GET  /debug/slowlog                          recent queries over the -slow-query threshold
 //
+// A request body is read up to 1 MiB; a longer one is answered 413.
+//
 // POST /query is the context-aware entry point the other query endpoints
 // adapt to. A request names the endpoints and, optionally, an algorithm
 // hint (default "auto": the engine's cost-based planner chooses), an error
@@ -293,6 +295,31 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxBodyBytes bounds every request body, and so every batch: a query item
+// or a mutation is under 100 bytes of JSON, so this is some ten thousand of
+// them, far above what any client of this repository sends in one request.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes of
+// it. On failure it answers the request itself — 413 for a body over the
+// bound, 400 for one that is not the JSON asked for — counts the error and
+// returns false.
+func (sv *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	sv.errors.Add(1)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+			"error": fmt.Sprintf("request body over %d bytes", maxBodyBytes)})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+	return false
+}
+
 // answer runs one declarative query under ctx and renders the response,
 // maintaining the serving counters. status is the HTTP code the caller
 // should write (200, 422, or 504 for a deadline/disconnect). trace attaches
@@ -423,9 +450,7 @@ func (sv *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req mutationRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		sv.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+	if !sv.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Mutations) == 0 {
@@ -622,9 +647,7 @@ func (sv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body queryRequestBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		sv.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+	if !sv.decodeBody(w, r, &body) {
 		return
 	}
 	ctx := r.Context()
@@ -710,9 +733,7 @@ func (sv *server) handleShortestPath(w http.ResponseWriter, r *http.Request) {
 
 	case http.MethodPost:
 		var req batchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			sv.errors.Add(1)
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+		if !sv.decodeBody(w, r, &req) {
 			return
 		}
 		if len(req.Queries) == 0 {
@@ -1066,7 +1087,9 @@ func main() {
 	mux.HandleFunc("/healthz", sv.handleHealthz)
 	mux.HandleFunc("/readyz", sv.handleReadyz)
 	mux.HandleFunc("/debug/slowlog", sv.handleSlowlog)
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	// A client gets ten seconds to send its request headers: a connection
+	// that dribbles them holds no server goroutine past that.
+	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

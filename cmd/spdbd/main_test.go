@@ -127,6 +127,50 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestOverLimitBody: a body past maxBodyBytes — here a batch just long
+// enough — is answered 413 in the JSON error shape on every endpoint that
+// reads one, before anything runs, and /stats counts each as one request and
+// one error.
+func TestOverLimitBody(t *testing.T) {
+	sv := newTestServer(t)
+	batch := func(key, item string) string {
+		return `{"` + key + `":[` + strings.Repeat(item+",", maxBodyBytes/len(item)) + item + `]}`
+	}
+	for _, c := range []struct {
+		h         http.HandlerFunc
+		url, body string
+	}{
+		{sv.handleQuery, "/query", batch("queries", `{"source":1,"target":2}`)},
+		{sv.handleShortestPath, "/shortest-path", batch("queries", `{"s":1,"t":2}`)},
+		{sv.handleEdges, "/edges", batch("mutations", `{"op":"insert","from":1,"to":2,"weight":3}`)},
+	} {
+		rec := httptest.NewRecorder()
+		c.h(rec, httptest.NewRequest(http.MethodPost, c.url, strings.NewReader(c.body)))
+		var resp map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusRequestEntityTooLarge || resp["error"] == "" {
+			t.Errorf("POST %s with %d bytes: %d %s, want 413 with an error", c.url, len(c.body), rec.Code, rec.Body)
+		}
+	}
+	if st := sv.eng.MutationStats(); st.Batches != 0 {
+		t.Errorf("an over-limit /edges body applied %d batches", st.Batches)
+	}
+	var stats struct {
+		Server struct {
+			Requests uint64 `json:"requests"`
+			Errors   uint64 `json:"errors"`
+			Served   uint64 `json:"queries_served"`
+		} `json:"server"`
+	}
+	rec := httptest.NewRecorder()
+	sv.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if s := stats.Server; s.Requests != 4 || s.Errors != 3 || s.Served != 0 {
+		t.Errorf("/stats server after three over-limit bodies: %+v, want 4 requests (one /stats), 3 errors, 0 served", s)
+	}
+}
+
 // TestApproxModeAndDistanceEndpoint: ?mode=approx and /distance must both
 // return an interval bracketing the exact answer.
 func TestApproxModeAndDistanceEndpoint(t *testing.T) {

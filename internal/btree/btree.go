@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/record"
 	"repro/internal/storage"
 )
 
@@ -569,6 +570,8 @@ type Iterator struct {
 	key, val []byte        // current entry, inside leaf
 	nextPg   storage.PageID
 	hiBuf    []byte // backs hi for ResetPrefix
+	cols     int    // column count of the tuples preds are checked on
+	preds    []record.Pred
 	done     bool
 	lastErr  error
 }
@@ -599,7 +602,7 @@ func (it *Iterator) ResetPrefix(t *BTree, prefix []byte) {
 // Reset re-aims the iterator at [lo, hi) of t. hi must stay unchanged while
 // the iterator is in use; lo is not retained.
 func (it *Iterator) Reset(t *BTree, lo, hi []byte) {
-	it.tree, it.hi = t, hi
+	it.tree, it.hi, it.preds = t, hi, nil
 	it.pos, it.end, it.done, it.lastErr = 0, 0, false, nil
 	id := t.root
 	for {
@@ -655,28 +658,45 @@ func (it *Iterator) loadLeaf(pg *storage.Page, start int) {
 	}
 }
 
-// Next advances to the next entry, returning false at the end.
+// Filter makes Next skip the entries whose value, a tuple of a cols-column
+// schema, fails one of preds (record.Match; a tuple it finds malformed ends
+// the scan with that error). preds is retained; Reset clears the filter.
+func (it *Iterator) Filter(cols int, preds []record.Pred) { it.cols, it.preds = cols, preds }
+
+// Next advances to the next entry its filter accepts, returning false at
+// the end.
 func (it *Iterator) Next() bool {
-	if it.done {
-		return false
-	}
-	for it.pos >= it.end {
-		if it.nextPg == storage.InvalidPageID {
-			it.done = true
-			return false
+	for !it.done {
+		for it.pos < it.end {
+			key, val, _ := cellAt(it.leaf, it.pos)
+			it.pos++
+			if len(it.preds) > 0 {
+				match, decided := record.MatchNullFree(val, it.cols, it.preds)
+				if !decided {
+					if match, it.lastErr = record.Match(val, it.cols, it.preds); it.lastErr != nil {
+						break
+					}
+				}
+				if !match {
+					continue
+				}
+			}
+			it.key, it.val = key, val
+			return true
+		}
+		if it.lastErr != nil || it.nextPg == storage.InvalidPageID {
+			break
 		}
 		pg, err := it.tree.pool.Fetch(it.nextPg)
 		if err != nil {
 			it.lastErr = err
-			it.done = true
-			return false
+			break
 		}
 		it.loadLeaf(pg, 0)
 		it.tree.pool.Unpin(pg, false)
 	}
-	it.key, it.val, _ = cellAt(it.leaf, it.pos)
-	it.pos++
-	return true
+	it.done = true
+	return false
 }
 
 // Key returns the current entry's key (valid until the next Next or Reset).

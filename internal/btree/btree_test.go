@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/record"
 	"repro/internal/storage"
 )
 
@@ -444,6 +445,53 @@ func scanAll(t testing.TB, tr *BTree, want int) {
 	}
 	if err := it.Err(); err != nil || n != want {
 		t.Fatalf("scan saw %d of %d entries: %v", n, want, err)
+	}
+}
+
+// TestFilteredScan: a filtered scan returns, in key order and across leaves,
+// exactly the entries whose tuple record.Match accepts — NULL-free or not,
+// over-long or not — and a truncated tuple ends it with Match's error.
+func TestFilteredScan(t *testing.T) {
+	tr := newTree(t, 64)
+	s := record.MustSchema(record.Column{Name: "a", Type: record.TInt}, record.Column{Name: "b", Type: record.TInt})
+	preds := []record.Pred{{Col: 1, Sat: 2, Val: 0}}
+	var want []string
+	for i := int64(0); i < 600; i++ {
+		row := record.Row{record.Int(i), record.Int(i % 3)}
+		if i%5 == 0 {
+			row[0] = record.Value{Null: true}
+		}
+		if i%11 == 0 {
+			row[1] = record.Value{Null: true}
+		}
+		tuple, _ := record.EncodeTuple(nil, s, row)
+		if i%7 == 0 {
+			tuple = append(tuple, 0xFF)
+		}
+		if err := tr.Insert(k(i), tuple); err != nil {
+			t.Fatal(err)
+		}
+		if ok, _ := record.Match(tuple, 2, preds); ok {
+			want = append(want, string(k(i)))
+		}
+	}
+	scan := func() ([]string, error) {
+		it := tr.Scan(nil, nil)
+		it.Filter(2, preds)
+		var got []string
+		for it.Next() {
+			got = append(got, string(it.Key()))
+		}
+		return got, it.Err()
+	}
+	if got, err := scan(); err != nil || len(want) != 181 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("filtered scan: %d entries, %v; want %d", len(got), err, len(want))
+	}
+	if err := tr.Insert(k(1000), []byte{0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scan(); err == nil {
+		t.Fatal("a truncated tuple must end the filtered scan with an error")
 	}
 }
 

@@ -7,6 +7,7 @@ package heapfile
 import (
 	"fmt"
 
+	"repro/internal/record"
 	"repro/internal/storage"
 )
 
@@ -227,6 +228,8 @@ type Iterator struct {
 	slot, n int    // slot is the next slot to look at, n the page's slot count
 	tuple   []byte // current tuple, inside page
 	nextPg  storage.PageID
+	cols    int // column count of the tuples preds are checked on
+	preds   []record.Pred
 	lastErr error
 }
 
@@ -237,23 +240,42 @@ func (h *HeapFile) Scan() *Iterator {
 	return it
 }
 
-// Reset restarts the iterator at the first tuple of h.
+// Reset restarts the iterator at the first tuple of h, with no filter.
 func (it *Iterator) Reset(h *HeapFile) {
-	it.h, it.nextPg = h, h.first
+	it.h, it.nextPg, it.preds = h, h.first, nil
 	it.slot, it.n, it.lastErr = 0, 0, nil
 }
 
-// Next advances the iterator.
+// Filter makes Next skip the tuples, each of a cols-column schema, that
+// fail one of preds (record.Match; a tuple it finds malformed ends the scan
+// with that error). preds is retained; Reset clears the filter.
+func (it *Iterator) Filter(cols int, preds []record.Pred) { it.cols, it.preds = cols, preds }
+
+// Next advances the iterator to the next live tuple its filter accepts.
 func (it *Iterator) Next() bool {
 	for {
 		for it.slot < it.n {
 			base := offSlots + slotSize*it.slot
 			it.slot++
 			off, ln := int(it.page.U16(base)), int(it.page.U16(base+2))
-			if ln != 0 {
-				it.tuple = it.page.Data[off : off+ln]
-				return true
+			if ln == 0 {
+				continue
 			}
+			tuple := it.page.Data[off : off+ln]
+			if len(it.preds) > 0 {
+				match, decided := record.MatchNullFree(tuple, it.cols, it.preds)
+				if !decided {
+					if match, it.lastErr = record.Match(tuple, it.cols, it.preds); it.lastErr != nil {
+						it.n = 0 // ends the scan: no slot left, and lastErr stops the next page
+						break
+					}
+				}
+				if !match {
+					continue
+				}
+			}
+			it.tuple = tuple
+			return true
 		}
 		if it.nextPg == storage.InvalidPageID || it.lastErr != nil {
 			return false

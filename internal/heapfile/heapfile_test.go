@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/record"
 	"repro/internal/storage"
 )
 
@@ -195,6 +196,58 @@ func TestBadSlot(t *testing.T) {
 	}
 	if _, err := h.Update(bad, []byte("x")); err == nil {
 		t.Fatal("bad slot update must fail")
+	}
+}
+
+// TestFilteredScan: a filtered scan returns, in file order and across pages,
+// exactly the live tuples record.Match accepts — NULL-free or not, over-long
+// or not — and a truncated tuple ends it with Match's error.
+func TestFilteredScan(t *testing.T) {
+	h := newHeap(t)
+	s := record.MustSchema(record.Column{Name: "a", Type: record.TInt}, record.Column{Name: "b", Type: record.TInt})
+	preds := []record.Pred{{Col: 1, Sat: 2, Val: 0}}
+	var want []string
+	for i := int64(0); i < 600; i++ {
+		row := record.Row{record.Int(i), record.Int(i % 3)}
+		if i%5 == 0 {
+			row[0] = record.Value{Null: true}
+		}
+		if i%11 == 0 {
+			row[1] = record.Value{Null: true}
+		}
+		tuple, _ := record.EncodeTuple(nil, s, row)
+		if i%7 == 0 {
+			tuple = append(tuple, 0xFF)
+		}
+		rid, err := h.Insert(tuple)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%13 == 0 {
+			if err := h.Delete(rid); err != nil {
+				t.Fatal(err)
+			}
+		} else if ok, _ := record.Match(tuple, 2, preds); ok {
+			want = append(want, string(tuple))
+		}
+	}
+	scan := func() ([]string, error) {
+		it := h.Scan()
+		it.Filter(2, preds)
+		var got []string
+		for it.Next() {
+			got = append(got, string(it.Tuple()))
+		}
+		return got, it.Err()
+	}
+	if got, err := scan(); err != nil || len(want) != 167 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("filtered scan: %d tuples, %v; want %d", len(got), err, len(want))
+	}
+	if _, err := h.Insert([]byte{0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scan(); err == nil {
+		t.Fatal("a truncated tuple must end the filtered scan with an error")
 	}
 }
 

@@ -124,6 +124,29 @@ func Match(src []byte, n int, preds []Pred) (bool, error) {
 	return true, nil
 }
 
+// MatchNullFree is Match for the tuple every scan of the engine's tables
+// meets: NULL-free, one bitmap byte, exactly as long as its columns. It
+// decides only such a tuple and leaves every other one (a NULL, padding bits,
+// a multi-byte bitmap, a wrong length) undecided, for Match. It is small
+// enough to inline into the storage loops, so a rejected row costs no call.
+func MatchNullFree(src []byte, n int, preds []Pred) (match, decided bool) {
+	if n > 8 || len(src) != 1+8*n || src[0] != 0 {
+		return false, false
+	}
+	for _, p := range preds {
+		v, bit := int64(binary.LittleEndian.Uint64(src[1+8*p.Col:])), uint8(2)
+		if v < p.Val {
+			bit = 1
+		} else if v > p.Val {
+			bit = 4
+		}
+		if p.Sat&bit == 0 {
+			return false, true
+		}
+	}
+	return true, true
+}
+
 // Key encoding
 //
 // B+tree keys are byte slices compared with bytes.Compare, so every value is

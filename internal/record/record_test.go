@@ -2,6 +2,7 @@ package record
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -203,6 +204,91 @@ func TestMatchAgreesWithDecode(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzMatch: on any tuple bytes, 1 to 20 columns and up to three preds
+// (spec, 10 bytes each: column, satisfied set, operand), MatchNullFree agrees
+// with Match whenever it decides; whenever the tuple decodes, Match answers
+// what comparing DecodeInto's values answers, a NULL matching nothing; and a
+// tuple shorter than its bitmap implies is an error from Match that
+// MatchNullFree never decides.
+func FuzzMatch(f *testing.F) {
+	encodePreds := func(preds ...Pred) []byte {
+		var b []byte
+		for _, p := range preds {
+			b = binary.LittleEndian.AppendUint64(append(b, byte(p.Col), p.Sat), uint64(p.Val))
+		}
+		return b
+	}
+	schemas := make([]*Schema, 21)
+	for n := 1; n <= 20; n++ {
+		cols := make([]Column, n)
+		for i := range cols {
+			cols[i] = Column{Name: fmt.Sprintf("c%d", i), Type: TInt}
+		}
+		schemas[n] = MustSchema(cols...)
+	}
+	// TestMatchAgreesWithDecode's shapes: NULL-free, a NULL before the
+	// compared column, a padding bit, one bitmap byte or more, truncated; and
+	// over-long, with a zero bitmap or with the NULL. Column i holds i+1, so
+	// the preds (last column = n, last column > 0) hold wherever the last
+	// column decodes to a value, and a compare that misplaces it disagrees.
+	for _, n := range []int{1, 3, 7, 8, 9, 16, 20} {
+		row := make(Row, n)
+		for i := range row {
+			row[i] = Int(int64(i + 1))
+		}
+		preds := encodePreds(Pred{Col: n - 1, Sat: 2, Val: int64(n)}, Pred{Col: n - 1, Sat: 4, Val: 0})
+		flat, _ := EncodeTuple(nil, schemas[n], row)
+		row[0] = null
+		nulls, _ := EncodeTuple(nil, schemas[n], row)
+		f.Add(flat, uint8(n-1), preds)
+		f.Add(nulls, uint8(n-1), preds)
+		f.Add(flat[:len(flat)-1], uint8(n-1), preds)
+		f.Add(append(flat, 0, 0, 0, 0, 0, 0, 0, 0), uint8(n-1), preds)
+		f.Add(append(nulls, 0, 0, 0, 0, 0, 0, 0, 0), uint8(n-1), preds) // a NULL-free tuple's length
+		if n%8 != 0 {
+			padded := append([]byte(nil), flat...)
+			padded[(n-1)/8] |= 0x80
+			f.Add(padded, uint8(n-1), preds)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src []byte, cols uint8, spec []byte) {
+		n := 1 + int(cols)%20
+		var preds []Pred
+		for ; len(spec) >= 10 && len(preds) < 3; spec = spec[10:] {
+			preds = append(preds, Pred{Col: int(spec[0]) % n, Sat: spec[1], Val: int64(binary.LittleEndian.Uint64(spec[2:]))})
+		}
+		got, err := Match(src, n, preds)
+		fast, decided := MatchNullFree(src, n, preds)
+		if decided && (err != nil || fast != got) {
+			t.Fatalf("MatchNullFree decided %v, Match %v, %v", fast, got, err)
+		}
+		nb := (n + 7) / 8
+		short := len(src) < nb
+		if !short {
+			nulls := 0
+			for i := 0; i < n; i++ {
+				nulls += int(src[i/8] >> (i % 8) & 1)
+			}
+			short = len(src) < nb+8*(n-nulls)
+		}
+		if short && (err == nil || decided) {
+			t.Fatalf("%d bytes of %d columns: Match %v, %v; MatchNullFree decided %v", len(src), n, got, err, decided)
+		}
+		row := make(Row, n)
+		if _, derr := DecodeInto(row, src, schemas[n], nil); derr != nil {
+			return
+		}
+		match := true
+		for _, p := range preds {
+			v := row[p.Col]
+			match = match && !v.Null && p.Sat>>uint(Compare(v, Int(p.Val))+1)&1 != 0
+		}
+		if err != nil || got != match {
+			t.Fatalf("row %v preds %+v: Match = %v, %v; decoded compare %v", row, preds, got, err, match)
+		}
+	})
 }
 
 // TestKeyEncodingOrder is the load-bearing property: bytes.Compare over

@@ -458,8 +458,10 @@ func (it *Iterator) Start(t *Table, need []bool, preds []record.Pred) {
 	it.reset(t, nil, need, preds)
 	if t.clustered != nil {
 		it.bit.Reset(t.clustered.tree, nil, nil)
+		it.bit.Filter(len(it.row), preds)
 	} else {
 		it.hit.Reset(t.heap)
+		it.hit.Filter(len(it.row), preds)
 	}
 }
 
@@ -472,6 +474,9 @@ func (it *Iterator) Seek(t *Table, ix *Index, vals []record.Value, need []bool, 
 		ix = t.clustered
 	}
 	it.bit.ResetPrefix(ix.tree, it.probe)
+	if it.ix == nil { // the clustered tree's values are the tuples themselves
+		it.bit.Filter(len(it.row), preds)
+	}
 }
 
 func (it *Iterator) reset(t *Table, ix *Index, need []bool, preds []record.Pred) {
@@ -483,11 +488,13 @@ func (it *Iterator) reset(t *Table, ix *Index, need []bool, preds []record.Pred)
 	}
 }
 
-// Next advances the iterator to the next row its preds accept.
+// Next advances the iterator to the next row its preds accept. A clustered
+// or heap scan hands its preds to the storage iterator, which checks them in
+// its slot loop; a secondary-index scan checks each fetched base tuple here.
 func (it *Iterator) Next() bool {
-	for {
-		switch {
-		case it.ix != nil:
+	switch {
+	case it.ix != nil:
+		for {
 			if !it.bit.Next() {
 				it.err = it.bit.Err()
 				return false
@@ -505,31 +512,35 @@ func (it *Iterator) Next() bool {
 			if it.err != nil {
 				return false
 			}
-			it.tuple = it.fetch
-		case it.t.clustered != nil:
-			if !it.bit.Next() {
-				it.err = it.bit.Err()
-				return false
+			if len(it.preds) == 0 {
+				break
 			}
-			it.tuple = it.bit.Value()
-		default:
-			if !it.hit.Next() {
-				it.err = it.hit.Err()
-				return false
+			match, decided := record.MatchNullFree(it.fetch, len(it.row), it.preds)
+			if !decided {
+				if match, it.err = record.Match(it.fetch, len(it.row), it.preds); it.err != nil {
+					return false
+				}
 			}
-			it.tuple = it.hit.Tuple()
-		}
-		if len(it.preds) > 0 {
-			if ok, err := record.Match(it.tuple, len(it.row), it.preds); err != nil {
-				it.err = err
-				return false
-			} else if !ok {
-				continue
+			if match {
+				break
 			}
 		}
-		_, it.err = record.DecodeInto(it.row, it.tuple, it.t.Schema, it.need)
-		return it.err == nil
+		it.tuple = it.fetch
+	case it.t.clustered != nil:
+		if !it.bit.Next() {
+			it.err = it.bit.Err()
+			return false
+		}
+		it.tuple = it.bit.Value()
+	default:
+		if !it.hit.Next() {
+			it.err = it.hit.Err()
+			return false
+		}
+		it.tuple = it.hit.Tuple()
 	}
+	_, it.err = record.DecodeInto(it.row, it.tuple, it.t.Schema, it.need)
+	return it.err == nil
 }
 
 // Row returns the current row: valid until the next Next, Start or Seek,

@@ -97,6 +97,39 @@ func TestFacadeProfiles(t *testing.T) {
 	}
 }
 
+// TestFacadeSQLNulls: the SQL surface the facade exports stores a NULL for a
+// nil argument, and a NULL satisfies no comparison, in a heap table and in a
+// clustered one. The engine's own tables hold no NULLs, so this is the client
+// whose scans reach record.Match's NULL path rather than the NULL-free compare.
+func TestFacadeSQLNulls(t *testing.T) {
+	db, err := repro.Open(repro.DBOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, ddl := range []string{"CREATE TABLE h (a INT, b INT)", "CREATE TABLE c (a INT PRIMARY KEY, b INT)"} {
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tbl := range []string{"h", "c"} {
+		for a, b := range []any{5, nil, 7} {
+			if _, err := db.Exec("INSERT INTO "+tbl+" (a, b) VALUES (?, ?)", a, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			where      string
+			arg, count int64
+		}{{"b < ?", 10, 2}, {"b <> ?", 5, 1}, {"b = ?", 6, 0}} {
+			n, _, err := db.QueryInt("SELECT COUNT(*) FROM "+tbl+" WHERE "+c.where, c.arg)
+			if err != nil || n != c.count {
+				t.Errorf("%s WHERE %s with %d: %d rows, %v; want %d", tbl, c.where, c.arg, n, err, c.count)
+			}
+		}
+	}
+}
+
 // TestFacadeGraphHelpers covers the exported graph utilities.
 func TestFacadeGraphHelpers(t *testing.T) {
 	g, err := repro.NewGraph(3, []repro.Edge{{From: 0, To: 1, Weight: 2}, {From: 1, To: 2, Weight: 3}})
