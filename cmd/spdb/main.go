@@ -1,5 +1,5 @@
-// Command spdb is the shortest-path database shell: it loads or generates
-// a graph into the embedded relational engine and answers shortest-path
+// Command spdb is the shortest path database shell: it loads or generates
+// a graph into the embedded relational engine and answers shortest path
 // queries with any of the paper's five algorithms, or runs raw SQL against
 // the graph tables.
 //

@@ -1,35 +1,31 @@
-// Command spdbd is the shortest-path database server: it loads or generates
-// a graph into the embedded relational engine and serves shortest-path
+// Command spdbd is the shortest path database server: it loads or generates
+// a graph into the embedded relational engine and serves shortest path
 // queries over HTTP to any number of concurrent clients. It is the online
 // half of the system — the offline half (SegTable construction, bulk load)
 // runs at startup — and leans on the engine's path cache for throughput:
 // repeated queries are answered from memory without touching the database.
 //
-// Endpoints:
+// Endpoints, one per capability:
 //
-//	POST /query                                  unified declarative query (see below)
-//	GET  /shortest-path?s=17&t=4711[&alg=BSEG]   one query, JSON answer (thin adapter)
-//	GET  /shortest-path?s=17&t=4711&mode=approx  landmark interval, no search
-//	POST /shortest-path                          {"alg":"BSDJ","queries":[{"s":1,"t":2},...]}
-//	GET  /distance?s=17&t=4711                   [lower, upper] distance interval
-//	POST /edges                                  {"mutations":[{"op":"insert","from":1,"to":2,"weight":3},
-//	                                              {"op":"delete","from":4,"to":5},
-//	                                              {"op":"update","from":6,"to":7,"weight":9}]}
-//	POST /admin/snapshot                         write a versioned snapshot now (-data-dir only)
-//	GET  /stats                                  engine, cache, DB, mutation and server counters
-//	GET  /metrics                                Prometheus text exposition (all layers)
-//	GET  /healthz                                liveness (200 while the process serves)
-//	GET  /readyz                                 readiness (503 until the graph is loaded
-//	                                             and no index build is in flight)
-//	GET  /debug/slowlog                          recent queries over the -slow-query threshold
+//	POST /query                 one query or a batch (see below)
+//	GET  /distance?s=17&t=4711  [lower, upper] landmark interval, no search
+//	POST /edges                 {"mutations":[{"op":"insert","from":1,"to":2,"weight":3},
+//	                             {"op":"delete","from":4,"to":5},
+//	                             {"op":"update","from":6,"to":7,"weight":9}]}
+//	POST /admin/snapshot        write a versioned snapshot now (-data-dir only)
+//	GET  /stats                 engine, cache, DB, mutation and server counters
+//	GET  /metrics               Prometheus text exposition (all layers)
+//	GET  /healthz               liveness (200 while the process serves)
+//	GET  /readyz                readiness (503 until the graph is loaded
+//	                            and no index build is in flight)
+//	GET  /debug/slowlog         recent queries over the -slow-query threshold
 //
 // A request body is read up to 1 MiB; a longer one is answered 413.
 //
-// POST /query is the context-aware entry point the other query endpoints
-// adapt to. A request names the endpoints and, optionally, an algorithm
-// hint (default "auto": the engine's cost-based planner chooses), an error
-// tolerance that allows landmark-oracle-only answers, a statement budget,
-// and a per-request timeout:
+// POST /query is the only search endpoint. A request names the endpoints
+// and, optionally, an algorithm (default "auto": the engine's cost-based
+// planner chooses), an error tolerance that allows landmark-oracle-only
+// answers, a statement budget, and a per-request timeout:
 //
 //	{"source":17,"target":4711,"alg":"auto","max_rel_error":0.1,
 //	 "max_statements":50000,"timeout_ms":250}
@@ -77,8 +73,8 @@
 // databases (internal/shard): every query endpoint, /stats and /metrics
 // behave as above, /stats gains a "shard" block and /metrics the
 // spdb_shard_* families, and what needs the whole graph in one database
-// (POST /edges, POST /admin/snapshot, GET /distance, mode=approx, -landmarks,
-// -labels) answers 409 with the engine's core.ErrPartitioned.
+// (POST /edges, POST /admin/snapshot, GET /distance, -landmarks, -labels)
+// answers 409 with the engine's core.ErrPartitioned.
 //
 // Examples:
 //
@@ -87,7 +83,7 @@
 //	spdbd -gen power:20000:3 -lthd 20 -data-dir /var/lib/spdb -snapshot-every 5m
 //	curl -X POST localhost:8080/query -d '{"source":17,"target":4711,"timeout_ms":250}'
 //	curl -X POST localhost:8080/query -d '{"source":17,"target":4711,"max_rel_error":0.1}'
-//	curl 'localhost:8080/shortest-path?s=17&t=4711'
+//	curl -X POST localhost:8080/query -d '{"queries":[{"source":1,"target":2,"alg":"BSDJ"}]}'
 //	curl 'localhost:8080/distance?s=17&t=4711'
 //	curl -X POST localhost:8080/edges -d '{"mutations":[{"op":"delete","from":17,"to":18}]}'
 //
@@ -123,17 +119,15 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-// server holds the shared serving state: one engine, request counters, and
-// the default algorithm for queries that don't name one. Under -shards the
-// engine coordinates a partitioned graph; the handlers neither know nor ask
-// (what needs the whole graph in one database comes back as
-// core.ErrPartitioned, served as 409).
+// server holds the shared serving state: one engine and the request
+// counters. Under -shards the engine coordinates a partitioned graph; the
+// handlers neither know nor ask (what needs the whole graph in one database
+// comes back as core.ErrPartitioned, served as 409).
 type server struct {
 	eng *core.Engine
 	// shardStats renders the partition block /stats adds under -shards; nil
 	// on a single engine.
 	shardStats func() shard.Stats
-	defaultAlg core.Algorithm
 	start      time.Time
 
 	requests atomic.Uint64
@@ -229,8 +223,7 @@ func (sv *server) queriesByAlgorithm() map[string]uint64 {
 	return out
 }
 
-// pathResponse is the JSON answer for one shortest-path query (the unified
-// /query endpoint and the legacy adapters share it).
+// pathResponse is the JSON answer for one POST /query item.
 type pathResponse struct {
 	Source int64 `json:"source"`
 	Target int64 `json:"target"`
@@ -275,16 +268,6 @@ type distanceResponse struct {
 	Unreachable bool   `json:"unreachable"`
 	DurationUS  int64  `json:"duration_us"`
 	Error       string `json:"error,omitempty"`
-}
-
-// batchRequest is the POST /shortest-path body.
-type batchRequest struct {
-	Alg     string `json:"alg,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-	Queries []struct {
-		S int64 `json:"s"`
-		T int64 `json:"t"`
-	} `json:"queries"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -347,8 +330,8 @@ func (sv *server) answer(ctx context.Context, req core.QueryRequest, trace bool)
 }
 
 // answerApprox serves a landmark-interval answer. status is the HTTP code
-// the caller should write; cancellations classify like every other query
-// endpoint (504 + queries_cancelled) rather than a generic 422.
+// the caller should write; cancellations classify like POST /query's
+// (504 + queries_cancelled) rather than a generic 422.
 func (sv *server) answerApprox(ctx context.Context, s, t int64) (distanceResponse, int) {
 	t0 := time.Now()
 	iv, err := sv.eng.DistanceInterval(ctx, s, t)
@@ -612,13 +595,10 @@ type queryRequestBody struct {
 	Queries   []queryItem `json:"queries,omitempty"`
 }
 
-// toRequest resolves one query item. def is the algorithm used when the
-// item names none: POST /query defaults to the planner (AlgAuto) — an
-// explicit tolerance must never be silently ignored because the server
-// was started with a legacy -alg default — while the legacy adapters keep
-// honoring -alg.
-func (sv *server) toRequest(it queryItem, def core.Algorithm) (core.QueryRequest, error) {
-	alg := def
+// toRequest resolves one query item. An item that names no algorithm goes
+// to the planner (AlgAuto), whatever -alg the server was started with.
+func (sv *server) toRequest(it queryItem) (core.QueryRequest, error) {
+	alg := core.AlgAuto
 	if it.Alg != "" {
 		var err error
 		if alg, err = core.ParseAlgorithm(it.Alg); err != nil {
@@ -634,10 +614,10 @@ func (sv *server) toRequest(it queryItem, def core.Algorithm) (core.QueryRequest
 	}, nil
 }
 
-// handleQuery serves POST /query, the unified context-aware entry point.
-// The request context (client disconnect) plus the optional timeout_ms
-// bound every search: a dead client's query is abandoned within one
-// frontier iteration instead of blocking the latch.
+// handleQuery serves POST /query, the one search endpoint: a single query,
+// or a batch under "queries". The request context (client disconnect) plus
+// the optional timeout_ms bound every search: a dead client's query is
+// abandoned within one frontier iteration instead of blocking the latch.
 func (sv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sv.requests.Add(1)
 	if r.Method != http.MethodPost {
@@ -658,7 +638,7 @@ func (sv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	trace := r.URL.Query().Get("debug") == "trace"
 	if len(body.Queries) == 0 {
-		req, err := sv.toRequest(body.queryItem, core.AlgAuto)
+		req, err := sv.toRequest(body.queryItem)
 		if err != nil {
 			sv.errors.Add(1)
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
@@ -673,7 +653,7 @@ func (sv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	reqs := make([]core.QueryRequest, len(body.Queries))
 	for i, it := range body.Queries {
-		req, err := sv.toRequest(it, core.AlgAuto)
+		req, err := sv.toRequest(it)
 		if err != nil {
 			sv.errors.Add(1)
 			writeJSON(w, http.StatusBadRequest, map[string]string{
@@ -683,84 +663,6 @@ func (sv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		reqs[i] = req
 	}
 	writeJSON(w, http.StatusOK, sv.runBatch(ctx, reqs, body.Workers, trace))
-}
-
-// handleShortestPath serves GET (single query) and POST (batch) — thin
-// adapters over the unified Query API, kept for one release; both run
-// under the request context, so client disconnects cancel the search.
-func (sv *server) handleShortestPath(w http.ResponseWriter, r *http.Request) {
-	sv.requests.Add(1)
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query()
-		s, errS := strconv.ParseInt(q.Get("s"), 10, 64)
-		t, errT := strconv.ParseInt(q.Get("t"), 10, 64)
-		if errS != nil || errT != nil {
-			sv.errors.Add(1)
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": "need integer query parameters s and t"})
-			return
-		}
-		switch q.Get("mode") {
-		case "", "exact":
-		case "approx":
-			resp, status := sv.answerApprox(r.Context(), s, t)
-			if status != http.StatusOK {
-				sv.errors.Add(1)
-			}
-			writeJSON(w, status, resp)
-			return
-		default:
-			sv.errors.Add(1)
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": fmt.Sprintf("unknown mode %q (exact|approx)", q.Get("mode"))})
-			return
-		}
-		alg := sv.defaultAlg
-		if a := q.Get("alg"); a != "" {
-			var err error
-			if alg, err = core.ParseAlgorithm(a); err != nil {
-				sv.errors.Add(1)
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-				return
-			}
-		}
-		resp, status := sv.answer(r.Context(), core.QueryRequest{Source: s, Target: t, Alg: alg}, false)
-		if status != http.StatusOK {
-			sv.errors.Add(1)
-		}
-		writeJSON(w, status, resp)
-
-	case http.MethodPost:
-		var req batchRequest
-		if !sv.decodeBody(w, r, &req) {
-			return
-		}
-		if len(req.Queries) == 0 {
-			sv.errors.Add(1)
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "empty batch"})
-			return
-		}
-		alg := sv.defaultAlg
-		if req.Alg != "" {
-			var err error
-			if alg, err = core.ParseAlgorithm(req.Alg); err != nil {
-				sv.errors.Add(1)
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-				return
-			}
-		}
-		reqs := make([]core.QueryRequest, len(req.Queries))
-		for i, q := range req.Queries {
-			reqs[i] = core.QueryRequest{Source: q.S, Target: q.T, Alg: alg}
-		}
-		writeJSON(w, http.StatusOK, sv.runBatch(r.Context(), reqs, req.Workers, false))
-
-	default:
-		sv.errors.Add(1)
-		w.Header().Set("Allow", "GET, POST")
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use GET or POST"})
-	}
 }
 
 // handleStats reports every layer's counters in one JSON document.
@@ -879,8 +781,8 @@ func (sv *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // /metrics registry (engine, its database, the serving tier). part is what
 // shard.Open returned when eng coordinates a partitioned graph, nil
 // otherwise; it adds the shard block of /stats and the spdb_shard_* families.
-func newServer(eng *core.Engine, part *shard.ShardedEngine, alg core.Algorithm) *server {
-	sv := &server{eng: eng, defaultAlg: alg, start: time.Now(), reg: obs.NewRegistry()}
+func newServer(eng *core.Engine, part *shard.ShardedEngine) *server {
+	sv := &server{eng: eng, start: time.Now(), reg: obs.NewRegistry()}
 	sv.reg.Register(eng)
 	sv.reg.Register(eng.DB())
 	sv.reg.Register(sv)
@@ -904,7 +806,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		gen      = flag.String("gen", "", "generate a graph: power:N:D | random:N:M | dblp:PCT | web:PCT | lj:PERMILLE")
 		load     = flag.String("load", "", "load a CSV graph (fid,tid,cost)")
-		algName  = flag.String("alg", "BSDJ", "default algorithm: AUTO|DJ|BDJ|BSDJ|BBFS|BSEG|ALT|LABEL (AUTO = cost-based planner)")
+		algName  = flag.String("alg", "BSDJ", "build at startup what this algorithm needs: BSEG a SegTable, ALT a landmark oracle, LABEL the hub labels; AUTO|DJ|BDJ|BSDJ|BBFS build nothing (queries name their own alg, default auto)")
 		lthd     = flag.Int64("lthd", 0, "build SegTable with this threshold (required for BSEG)")
 		lmk      = flag.Int("landmarks", 0, "build a landmark oracle with this many landmarks (required for ALT and /distance)")
 		lbls     = flag.Bool("labels", false, "build the hub-label (2-hop) index at startup (required for LABEL; AUTO prefers it while valid)")
@@ -944,7 +846,7 @@ func main() {
 		fail("%v", err)
 	}
 
-	// BSEG as the default algorithm implies a SegTable.
+	// -alg BSEG implies a SegTable (ALT an oracle, LABEL the labels: below).
 	th := *lthd
 	if th <= 0 && alg == core.AlgBSEG {
 		th = core.DefaultLthd
@@ -1072,13 +974,12 @@ func main() {
 		}
 	}
 
-	sv := newServer(eng, part, alg)
+	sv := newServer(eng, part)
 	if *slowThd > 0 {
 		sv.slowlog = obs.NewSlowLog(*slowThd, *slowCap)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", sv.handleQuery)
-	mux.HandleFunc("/shortest-path", sv.handleShortestPath)
 	mux.HandleFunc("/distance", sv.handleDistance)
 	mux.HandleFunc("/edges", sv.handleEdges)
 	mux.HandleFunc("/admin/snapshot", sv.handleSnapshot)
@@ -1122,7 +1023,7 @@ func main() {
 
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe() }()
-	fmt.Printf("spdbd: serving graph with %d nodes / %d edges on %s (default algorithm %s)\n",
+	fmt.Printf("spdbd: serving graph with %d nodes / %d edges on %s (-alg %s chose the startup indexes; queries default to auto)\n",
 		eng.Nodes(), eng.Edges(), *addr, alg)
 
 	select {

@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -26,7 +28,7 @@ func newTestServer(t *testing.T) *server {
 	if err := eng.LoadGraph(graph.Power(500, 3, 42)); err != nil {
 		t.Fatal(err)
 	}
-	return newServer(eng, nil, core.AlgBSDJ)
+	return newServer(eng, nil)
 }
 
 // newOracleServer is newTestServer plus a built landmark oracle, for the
@@ -40,90 +42,31 @@ func newOracleServer(t *testing.T) *server {
 	return sv
 }
 
-func TestShortestPathEndpoint(t *testing.T) {
-	sv := newTestServer(t)
-
-	req := httptest.NewRequest(http.MethodGet, "/shortest-path?s=1&t=200", nil)
+// postQuery sends body to POST /query and decodes the single-query answer.
+func postQuery(t *testing.T, sv *server, body string) (pathResponse, int) {
+	t.Helper()
 	rec := httptest.NewRecorder()
-	sv.handleShortestPath(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
+	sv.handleQuery(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
 	var resp pathResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
+		t.Fatalf("POST /query %s: %d %v: %s", body, rec.Code, err, rec.Body)
 	}
-	if resp.Source != 1 || resp.Target != 200 || resp.Algo != "BSDJ" {
-		t.Fatalf("unexpected response: %+v", resp)
-	}
-	if resp.Cached {
-		t.Fatal("first query must not be cached")
-	}
-
-	// The identical query again must come from the cache.
-	rec = httptest.NewRecorder()
-	sv.handleShortestPath(rec, httptest.NewRequest(http.MethodGet, "/shortest-path?s=1&t=200", nil))
-	var resp2 pathResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp2); err != nil {
-		t.Fatal(err)
-	}
-	if !resp2.Cached {
-		t.Fatal("repeated query must be served from the cache")
-	}
-	if resp2.Found != resp.Found || resp2.Distance != resp.Distance {
-		t.Fatalf("cached answer differs: %+v vs %+v", resp2, resp)
-	}
+	return resp, rec.Code
 }
 
-func TestShortestPathEndpointErrors(t *testing.T) {
-	sv := newTestServer(t)
-	for _, tc := range []struct {
-		url    string
-		status int
-	}{
-		{"/shortest-path?s=abc&t=2", http.StatusBadRequest},
-		{"/shortest-path?s=1", http.StatusBadRequest},
-		{"/shortest-path?s=1&t=2&alg=NOPE", http.StatusBadRequest},
-		{"/shortest-path?s=1&t=99999999", http.StatusUnprocessableEntity},
-	} {
-		rec := httptest.NewRecorder()
-		sv.handleShortestPath(rec, httptest.NewRequest(http.MethodGet, tc.url, nil))
-		if rec.Code != tc.status {
-			t.Errorf("%s: status %d, want %d (%s)", tc.url, rec.Code, tc.status, rec.Body.String())
-		}
-	}
-	rec := httptest.NewRecorder()
-	sv.handleShortestPath(rec, httptest.NewRequest(http.MethodDelete, "/shortest-path", nil))
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("DELETE: status %d", rec.Code)
-	}
-}
+const bsdjQuery = `{"source":1,"target":200,"alg":"BSDJ"}`
 
-func TestBatchEndpoint(t *testing.T) {
+// TestShortestPathEndpoint: a search through POST /query, then the same
+// pair again, answered from the cache without a statement.
+func TestShortestPathEndpoint(t *testing.T) {
 	sv := newTestServer(t)
-	body := `{"alg":"BSDJ","queries":[{"s":1,"t":200},{"s":1,"t":200},{"s":-5,"t":2}]}`
-	rec := httptest.NewRecorder()
-	sv.handleShortestPath(rec, httptest.NewRequest(http.MethodPost, "/shortest-path", strings.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	resp, code := postQuery(t, sv, bsdjQuery)
+	if code != http.StatusOK || resp.Source != 1 || resp.Target != 200 || resp.Algo != "BSDJ" || resp.Cached {
+		t.Fatalf("first query: %d %+v", code, resp)
 	}
-	var out struct {
-		Results []pathResponse `json:"results"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 3 {
-		t.Fatalf("got %d results", len(out.Results))
-	}
-	if out.Results[0].Error != "" || out.Results[1].Error != "" {
-		t.Fatalf("valid queries errored: %+v", out.Results[:2])
-	}
-	if out.Results[0].Distance != out.Results[1].Distance {
-		t.Fatal("duplicate queries disagree")
-	}
-	if out.Results[2].Error == "" {
-		t.Fatal("invalid pair must carry a per-query error")
+	again, _ := postQuery(t, sv, bsdjQuery)
+	if !again.Cached || again.Statements != 0 || again.Found != resp.Found || again.Distance != resp.Distance {
+		t.Fatalf("repeated query: %+v, want %+v from the cache with 0 statements", again, resp)
 	}
 }
 
@@ -141,7 +84,6 @@ func TestOverLimitBody(t *testing.T) {
 		url, body string
 	}{
 		{sv.handleQuery, "/query", batch("queries", `{"source":1,"target":2}`)},
-		{sv.handleShortestPath, "/shortest-path", batch("queries", `{"s":1,"t":2}`)},
 		{sv.handleEdges, "/edges", batch("mutations", `{"op":"insert","from":1,"to":2,"weight":3}`)},
 	} {
 		rec := httptest.NewRecorder()
@@ -166,58 +108,27 @@ func TestOverLimitBody(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if s := stats.Server; s.Requests != 4 || s.Errors != 3 || s.Served != 0 {
-		t.Errorf("/stats server after three over-limit bodies: %+v, want 4 requests (one /stats), 3 errors, 0 served", s)
+	if s := stats.Server; s.Requests != 3 || s.Errors != 2 || s.Served != 0 {
+		t.Errorf("/stats server after two over-limit bodies: %+v, want 3 requests (one /stats), 2 errors, 0 served", s)
 	}
 }
 
-// TestApproxModeAndDistanceEndpoint: ?mode=approx and /distance must both
-// return an interval bracketing the exact answer.
+// TestApproxModeAndDistanceEndpoint: /distance returns an interval
+// bracketing the exact answer, and refuses without an oracle.
 func TestApproxModeAndDistanceEndpoint(t *testing.T) {
 	sv := newOracleServer(t)
-
-	// Exact reference through the normal path.
-	rec := httptest.NewRecorder()
-	sv.handleShortestPath(rec, httptest.NewRequest(http.MethodGet, "/shortest-path?s=1&t=200", nil))
-	var exact pathResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &exact); err != nil {
-		t.Fatal(err)
-	}
+	exact, _ := postQuery(t, sv, bsdjQuery)
 	if !exact.Found {
 		t.Fatalf("reference pair should be connected: %+v", exact)
 	}
-
-	check := func(name string, rec *httptest.ResponseRecorder) {
-		t.Helper()
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body.String())
-		}
-		var resp distanceResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Mode != "approx" || resp.Unreachable {
-			t.Fatalf("%s: unexpected response: %+v", name, resp)
-		}
-		if resp.Lower > exact.Distance {
-			t.Errorf("%s: lower %d above exact %d", name, resp.Lower, exact.Distance)
-		}
-		if resp.Upper != nil && *resp.Upper < exact.Distance {
-			t.Errorf("%s: upper %d below exact %d", name, *resp.Upper, exact.Distance)
-		}
-	}
-	rec = httptest.NewRecorder()
-	sv.handleShortestPath(rec, httptest.NewRequest(http.MethodGet, "/shortest-path?s=1&t=200&mode=approx", nil))
-	check("mode=approx", rec)
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	sv.handleDistance(rec, httptest.NewRequest(http.MethodGet, "/distance?s=1&t=200", nil))
-	check("/distance", rec)
-
-	// Unknown mode is a client error.
-	rec = httptest.NewRecorder()
-	sv.handleShortestPath(rec, httptest.NewRequest(http.MethodGet, "/shortest-path?s=1&t=200&mode=nope", nil))
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown mode: status %d", rec.Code)
+	var resp distanceResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("/distance: %d %v: %s", rec.Code, err, rec.Body)
+	}
+	if resp.Mode != "approx" || resp.Unreachable || resp.Lower > exact.Distance || resp.Upper != nil && *resp.Upper < exact.Distance {
+		t.Errorf("/distance: %+v does not bracket the exact distance %d", resp, exact.Distance)
 	}
 	// /distance without an oracle is a per-query error.
 	bare := newTestServer(t)
@@ -237,12 +148,7 @@ func TestEdgesEndpoint(t *testing.T) {
 	}
 
 	// Baseline answer, also priming the cache.
-	rec := httptest.NewRecorder()
-	sv.handleShortestPath(rec, httptest.NewRequest(http.MethodGet, "/shortest-path?s=1&t=200", nil))
-	var before pathResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &before); err != nil {
-		t.Fatal(err)
-	}
+	before, _ := postQuery(t, sv, bsdjQuery)
 	if !before.Found {
 		t.Fatalf("reference pair should be connected: %+v", before)
 	}
@@ -250,7 +156,7 @@ func TestEdgesEndpoint(t *testing.T) {
 	// A drastic shortcut must change the served answer post-mutation.
 	edges0 := sv.eng.Edges()
 	body := `{"mutations":[{"op":"insert","from":1,"to":200,"weight":1}]}`
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	sv.handleEdges(rec, httptest.NewRequest(http.MethodPost, "/edges", strings.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
@@ -265,12 +171,7 @@ func TestEdgesEndpoint(t *testing.T) {
 	if sv.eng.Edges() != edges0+1 {
 		t.Fatalf("edge count %d, want %d", sv.eng.Edges(), edges0+1)
 	}
-	rec = httptest.NewRecorder()
-	sv.handleShortestPath(rec, httptest.NewRequest(http.MethodGet, "/shortest-path?s=1&t=200", nil))
-	var after pathResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &after); err != nil {
-		t.Fatal(err)
-	}
+	after, _ := postQuery(t, sv, bsdjQuery)
 	if after.Cached {
 		t.Fatal("mutation must purge the cached answer")
 	}
@@ -286,12 +187,7 @@ func TestEdgesEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("delete status %d: %s", rec.Code, rec.Body.String())
 	}
-	rec = httptest.NewRecorder()
-	sv.handleShortestPath(rec, httptest.NewRequest(http.MethodGet, "/shortest-path?s=1&t=200&alg=BSEG", nil))
-	var restored pathResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &restored); err != nil {
-		t.Fatal(err)
-	}
+	restored, _ := postQuery(t, sv, `{"source":1,"target":200,"alg":"BSEG"}`)
 	if restored.Distance != before.Distance {
 		t.Fatalf("BSEG after delete: distance %d, want %d", restored.Distance, before.Distance)
 	}
@@ -374,8 +270,7 @@ func TestStatsAndHealthz(t *testing.T) {
 		t.Fatalf("healthz: %d", rec.Code)
 	}
 
-	rec = httptest.NewRecorder()
-	sv.handleShortestPath(rec, httptest.NewRequest(http.MethodGet, "/shortest-path?s=1&t=200", nil))
+	postQuery(t, sv, bsdjQuery)
 	rec = httptest.NewRecorder()
 	sv.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
 	if rec.Code != http.StatusOK {
@@ -444,10 +339,8 @@ func TestStatsAndHealthz(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	sv := newOracleServer(t)
 	for i := 0; i < 2; i++ { // second round hits the cache
-		rec := httptest.NewRecorder()
-		sv.handleShortestPath(rec, httptest.NewRequest(http.MethodGet, "/shortest-path?s=1&t=200", nil))
-		rec = httptest.NewRecorder()
-		sv.handleShortestPath(rec, httptest.NewRequest(http.MethodGet, "/shortest-path?s=1&t=200&alg=ALT", nil))
+		postQuery(t, sv, bsdjQuery)
+		postQuery(t, sv, `{"source":1,"target":200,"alg":"ALT"}`)
 	}
 	rec := httptest.NewRecorder()
 	sv.handleDistance(rec, httptest.NewRequest(http.MethodGet, "/distance?s=1&t=200", nil))
@@ -484,27 +377,18 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// TestQueryEndpoint: POST /query single and batch forms, auto planning,
-// tolerance answers and input validation.
+// TestQueryEndpoint: the POST /query single form, auto planning, tolerance
+// answers and input validation; TestBatchEndpoint covers the batch form.
 func TestQueryEndpoint(t *testing.T) {
 	sv := newOracleServer(t)
 	if _, err := sv.eng.BuildSegTable(20); err != nil {
 		t.Fatal(err)
 	}
 
-	// Single query, alg=auto: the planner decision is surfaced.
-	rec := httptest.NewRecorder()
-	sv.handleQuery(rec, httptest.NewRequest(http.MethodPost, "/query",
-		strings.NewReader(`{"source":1,"target":200,"alg":"auto"}`)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	var resp pathResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Found || resp.Planner == "" || resp.Algo == "Auto" {
-		t.Fatalf("auto query not planned: %+v", resp)
+	// Single query, no alg: the planner decides, and says so.
+	resp, code := postQuery(t, sv, `{"source":1,"target":200}`)
+	if code != http.StatusOK || !resp.Found || resp.Planner == "" || resp.Algo == "Auto" {
+		t.Fatalf("auto query not planned: %d %+v", code, resp)
 	}
 	if resp.Lower == nil || resp.Upper == nil || *resp.Lower != resp.Distance {
 		t.Fatalf("exact answer must carry closed bounds: %+v", resp)
@@ -512,22 +396,45 @@ func TestQueryEndpoint(t *testing.T) {
 
 	// Tolerant query: with hub landmarks the oracle frequently answers
 	// alone; either way the bounds must bracket the exact distance.
-	rec = httptest.NewRecorder()
-	sv.handleQuery(rec, httptest.NewRequest(http.MethodPost, "/query",
-		strings.NewReader(`{"source":1,"target":200,"alg":"auto","max_rel_error":100}`)))
-	var tol pathResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &tol); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Code != http.StatusOK || !tol.Found {
-		t.Fatalf("tolerant query failed: %d %+v", rec.Code, tol)
+	tol, code := postQuery(t, sv, `{"source":1,"target":200,"alg":"auto","max_rel_error":100}`)
+	if code != http.StatusOK || !tol.Found {
+		t.Fatalf("tolerant query failed: %d %+v", code, tol)
 	}
 	if *tol.Lower > resp.Distance || *tol.Upper < resp.Distance {
 		t.Fatalf("tolerant bounds [%d,%d] miss exact %d", *tol.Lower, *tol.Upper, resp.Distance)
 	}
 
-	// Batch form with a per-item algorithm override and one bad item.
-	rec = httptest.NewRecorder()
+	// Validation and method errors.
+	for _, tc := range []struct {
+		body   string
+		status int
+	}{
+		{`{`, http.StatusBadRequest},
+		{`{"source":1,"target":2,"alg":"NOPE"}`, http.StatusBadRequest},
+		{`{"queries":[{"source":1,"target":2,"alg":"NOPE"}]}`, http.StatusBadRequest},
+		{`{"source":1,"target":99999999}`, http.StatusUnprocessableEntity},
+	} {
+		rec := httptest.NewRecorder()
+		sv.handleQuery(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(tc.body)))
+		if rec.Code != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.body, rec.Code, tc.status, rec.Body.String())
+		}
+	}
+	rec := httptest.NewRecorder()
+	sv.handleQuery(rec, httptest.NewRequest(http.MethodGet, "/query", nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /query: status %d", rec.Code)
+	}
+}
+
+// TestBatchEndpoint: the POST /query batch form, with a per-item algorithm
+// override, a pair asked before (answered from the cache) and one bad item.
+func TestBatchEndpoint(t *testing.T) {
+	sv := newTestServer(t)
+	if _, code := postQuery(t, sv, `{"source":1,"target":200}`); code != http.StatusOK {
+		t.Fatalf("priming query: status %d", code)
+	}
+	rec := httptest.NewRecorder()
 	sv.handleQuery(rec, httptest.NewRequest(http.MethodPost, "/query",
 		strings.NewReader(`{"workers":2,"queries":[
 			{"source":1,"target":200},
@@ -554,31 +461,31 @@ func TestQueryEndpoint(t *testing.T) {
 	if out.Results[0].Distance != out.Results[1].Distance {
 		t.Error("auto and hinted answers disagree")
 	}
+	if r := out.Results[0]; !r.Cached || r.Statements != 0 {
+		t.Errorf("a repeated pair must come from the cache with 0 statements: %+v", r)
+	}
 	if out.Results[2].Error == "" {
 		t.Error("bad item must carry a per-item error")
 	}
+}
 
-	// Validation and method errors.
-	for _, tc := range []struct {
-		body   string
-		status int
-	}{
-		{`{`, http.StatusBadRequest},
-		{`{"source":1,"target":2,"alg":"NOPE"}`, http.StatusBadRequest},
-		{`{"queries":[{"source":1,"target":2,"alg":"NOPE"}]}`, http.StatusBadRequest},
-		{`{"source":1,"target":99999999}`, http.StatusUnprocessableEntity},
-	} {
-		rec := httptest.NewRecorder()
-		sv.handleQuery(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(tc.body)))
-		if rec.Code != tc.status {
-			t.Errorf("%s: status %d, want %d (%s)", tc.body, rec.Code, tc.status, rec.Body.String())
-		}
+// stallCtx lets an index build take the engine's exclusive gate and then
+// holds it there: the first cancellation poll made while a writer is
+// active closes held and blocks until release is closed, after which the
+// build is cancelled. A search queued behind it cannot finish in time.
+type stallCtx struct {
+	context.Context
+	eng           *core.Engine
+	held, release chan struct{}
+	once          sync.Once
+}
+
+func (c *stallCtx) Err() error {
+	if !c.eng.ConcurrencyStats().Gate.WriterActive {
+		return nil
 	}
-	rec = httptest.NewRecorder()
-	sv.handleQuery(rec, httptest.NewRequest(http.MethodGet, "/query", nil))
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /query: status %d", rec.Code)
-	}
+	c.once.Do(func() { close(c.held); <-c.release })
+	return context.Canceled
 }
 
 // TestQueryEndpointCancellation: a dead client context (disconnect) or an
@@ -598,10 +505,20 @@ func TestQueryEndpointCancellation(t *testing.T) {
 		t.Fatalf("disconnected client: status %d, want 504 (%s)", rec.Code, rec.Body.String())
 	}
 
-	// A timeout that cannot possibly be met.
+	// A timeout that cannot possibly be met: a stalled index build holds
+	// the gate until the query has given up.
+	stall := &stallCtx{Context: context.Background(), eng: sv.eng,
+		held: make(chan struct{}), release: make(chan struct{})}
+	built := make(chan error, 1)
+	go func() { _, err := sv.eng.BuildSegTableContext(stall, 20); built <- err }()
+	<-stall.held
 	rec = httptest.NewRecorder()
 	sv.handleQuery(rec, httptest.NewRequest(http.MethodPost, "/query",
 		strings.NewReader(`{"source":1,"target":400,"timeout_ms":1}`)))
+	close(stall.release)
+	if err := <-built; !errors.Is(err, context.Canceled) {
+		t.Fatalf("stalled build: %v, want context.Canceled", err)
+	}
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("timeout: status %d, want 504 (%s)", rec.Code, rec.Body.String())
 	}

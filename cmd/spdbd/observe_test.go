@@ -107,7 +107,7 @@ func TestReadyzTransitions(t *testing.T) {
 	t.Cleanup(func() { db.Close() })
 	eng := core.NewEngine(db, core.Options{})
 	t.Cleanup(func() { eng.Close() })
-	sv := newServer(eng, nil, core.AlgBSDJ)
+	sv := newServer(eng, nil)
 
 	ready := func() int {
 		rec := httptest.NewRecorder()

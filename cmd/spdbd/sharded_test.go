@@ -25,7 +25,7 @@ func TestShardedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { part.Close() })
-	sv := newServer(part.Engine(0), part, core.AlgBSDJ)
+	sv := newServer(part.Engine(0), part)
 
 	do := func(h http.HandlerFunc, method, url, body string) *httptest.ResponseRecorder {
 		t.Helper()
@@ -49,8 +49,8 @@ func TestShardedServer(t *testing.T) {
 		t.Fatalf("/readyz: %d %s", rec.Code, rec.Body)
 	}
 
-	// Queries: the planner, a hint and a batch through POST /query, the
-	// legacy adapter, all checked against the in-memory Dijkstra.
+	// Queries: the planner, and a batch of hints through POST /query, all
+	// checked against the in-memory Dijkstra.
 	pairs := graph.RandomQueries(g, 6, 7)
 	var single pathResponse
 	rec := do(sv.handleQuery, http.MethodPost, "/query", fmt.Sprintf(`{"source":%d,"target":%d}`, pairs[0][0], pairs[0][1]))
@@ -75,21 +75,13 @@ func TestShardedServer(t *testing.T) {
 	for _, r := range batch.Results {
 		checkPath("POST /query batch", r)
 	}
-	var legacy pathResponse
-	rec = do(sv.handleShortestPath, http.MethodGet, fmt.Sprintf("/shortest-path?s=%d&t=%d", pairs[1][0], pairs[1][1]), "")
-	if err := json.Unmarshal(rec.Body.Bytes(), &legacy); err != nil || rec.Code != http.StatusOK {
-		t.Fatalf("GET /shortest-path: %d %v %s", rec.Code, err, rec.Body)
-	}
-	checkPath("GET /shortest-path", legacy)
 
 	// What needs the whole graph in one database: 409 carrying the engine's
-	// sentinel, counted as one error each. (mode=approx dereferenced a nil
-	// engine before the server held one engine.)
+	// sentinel, counted as one error each.
 	refusals := []struct {
 		h                 http.HandlerFunc
 		method, url, body string
 	}{
-		{sv.handleShortestPath, http.MethodGet, "/shortest-path?s=1&t=200&mode=approx", ""},
 		{sv.handleDistance, http.MethodGet, "/distance?s=1&t=200", ""},
 		{sv.handleEdges, http.MethodPost, "/edges", `{"mutations":[{"op":"insert","from":1,"to":2,"weight":3}]}`},
 		{sv.handleSnapshot, http.MethodPost, "/admin/snapshot", ""},
@@ -105,7 +97,7 @@ func TestShardedServer(t *testing.T) {
 		}
 	}
 	// A hint the partitioned graph cannot run is the query's own 422.
-	if rec := do(sv.handleShortestPath, http.MethodGet, "/shortest-path?s=1&t=200&alg=ALT", ""); rec.Code != http.StatusUnprocessableEntity ||
+	if rec := do(sv.handleQuery, http.MethodPost, "/query", `{"source":1,"target":200,"alg":"ALT"}`); rec.Code != http.StatusUnprocessableEntity ||
 		!strings.Contains(rec.Body.String(), core.ErrUnsupportedSuperstep.Error()) {
 		t.Errorf("alg=ALT: %d %s, want 422 with %q", rec.Code, rec.Body, core.ErrUnsupportedSuperstep)
 	}
@@ -139,7 +131,7 @@ func TestShardedServer(t *testing.T) {
 	if stats.Graph.Nodes != int(g.N) || stats.Graph.Edges != g.M() || stats.Graph.SegLthd != 20 {
 		t.Errorf("/stats graph: %+v, want the whole graph's %d nodes / %d edges at lthd 20", stats.Graph, g.N, g.M())
 	}
-	if want := uint64(1 + len(items) + 1); stats.Server.Served != want || stats.Server.Planner[core.DecisionBSEG] != 1 {
+	if want := uint64(1 + len(items)); stats.Server.Served != want || stats.Server.Planner[core.DecisionBSEG] != 1 {
 		t.Errorf("/stats server: %+v, want %d served and one %q decision", stats.Server, want, core.DecisionBSEG)
 	}
 	if got := stats.Concurrency.Gate.SharedAdmits; got != stats.Server.Served {
@@ -157,10 +149,10 @@ func TestShardedServer(t *testing.T) {
 		t.Fatalf("/metrics: %d, exposition: %v\n%s", rec.Code, err, page)
 	}
 	for _, want := range []string{
-		`spdb_query_duration_seconds_count{algorithm="BSDJ"} 6`,
+		`spdb_query_duration_seconds_count{algorithm="BSDJ"} 5`,
 		`spdb_query_duration_seconds_count{algorithm="BSEG"} 1`,
 		`spdb_query_errors_total 1`,
-		`spdb_gate_admissions_total{mode="shared"} 7`,
+		`spdb_gate_admissions_total{mode="shared"} 6`,
 		`spdb_scratch_live 0`,
 		`spdb_plan_cache_hits_total`,
 		fmt.Sprintf(`spdb_graph_edges %d`, g.M()),
@@ -168,7 +160,7 @@ func TestShardedServer(t *testing.T) {
 		`spdb_shard_supersteps_total`,
 		`spdb_shard_exchanged_candidates_total`,
 		`spdb_shard_statements_total{shard="1"}`,
-		`spdb_queries_served_total 7`,
+		`spdb_queries_served_total 6`,
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("/metrics missing %q", want)

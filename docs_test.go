@@ -13,22 +13,30 @@ import (
 	"repro/internal/table"
 )
 
-// TestDocCitations keeps the prose honest about the second instrument:
-// every BENCH_<id>.json, `fembench -exp <id>` and `fembench -<flag>` that
-// README, the architecture document or the CI workflow mentions must still
-// exist — as a registry entry, a committed file, or a flag cmd/fembench
-// defines.
+// TestDocCitations keeps the prose honest about both binaries: every
+// BENCH_<id>.json, `fembench -exp <id>` and `fembench -<flag>`, every spdbd
+// route (`host:port/route`, `GET|POST /route`, query string aside) and every
+// `spdbd -<flag>` that README, the architecture document, the CI workflow
+// or the verify recipe mentions must still exist — as a registry entry, a
+// committed file, a flag the binary defines or a route spdbd registers.
 func TestDocCitations(t *testing.T) {
-	src, err := os.ReadFile("cmd/fembench/main.go")
-	if err != nil {
-		t.Fatal(err)
+	defined := func(file, pattern string) map[string]bool {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := map[string]bool{}
+		for _, m := range regexp.MustCompile(pattern).FindAllStringSubmatch(string(src), -1) {
+			names[m[1]] = true
+		}
+		return names
 	}
-	flags := map[string]bool{}
-	for _, m := range regexp.MustCompile(`flag\.\w+\("([a-z]+)"`).FindAllStringSubmatch(string(src), -1) {
-		flags[m[1]] = true
-	}
-	if !flags["exp"] || !flags["json"] {
-		t.Fatalf("flag set not recognised in cmd/fembench/main.go: %v", flags)
+	const flagDef = `flag\.\w+\("([a-z][a-z-]*)"`
+	flags := defined("cmd/fembench/main.go", flagDef)
+	spdbdFlags := defined("cmd/spdbd/main.go", flagDef)
+	routes := defined("cmd/spdbd/main.go", `mux\.HandleFunc\("([^"]+)"`)
+	if !flags["exp"] || !flags["json"] || !spdbdFlags["data-dir"] || !routes["/query"] {
+		t.Fatalf("flags or routes not recognised: fembench %v, spdbd %v %v", flags, spdbdFlags, routes)
 	}
 	known := func(id string) bool {
 		_, ok := bench.Lookup(id)
@@ -36,9 +44,10 @@ func TestDocCitations(t *testing.T) {
 	}
 
 	benchFile := regexp.MustCompile(`BENCH_([A-Za-z0-9-]+)\.json`)
-	expIDs := regexp.MustCompile(`fembench\b.*?\s-exp\s+([a-z0-9,-]+)`)
+	expIDs := regexp.MustCompile(`fembench\b.*?\s-exp\s+([a-z0-9][a-z0-9,-]*)`)
 	flagUse := regexp.MustCompile(`\s-([a-z][a-z-]*)`)
-	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md", ".github/workflows/ci.yml"} {
+	routeUse := regexp.MustCompile(`[\w.-]*:\d+(/[\w/-]*)|\b(?:GET|POST)\s+(/[\w/-]*)`)
+	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -47,6 +56,19 @@ func TestDocCitations(t *testing.T) {
 			for _, m := range benchFile.FindAllStringSubmatch(line, -1) {
 				if _, err := os.Stat(m[0]); err != nil && !known(m[1]) {
 					t.Errorf("%s:%d: %s is neither committed nor written by any experiment", doc, n+1, m[0])
+				}
+			}
+			for _, m := range routeUse.FindAllStringSubmatch(line, -1) {
+				if route := m[1] + m[2]; !routes[route] {
+					t.Errorf("%s:%d: %s: spdbd serves no such route", doc, n+1, route)
+				}
+			}
+			if at := strings.Index(line, "spdbd"); at >= 0 && !strings.Contains(line[:at], "go test") {
+				args, _, _ := strings.Cut(line[at:], " #")
+				for _, m := range flagUse.FindAllStringSubmatch(args, -1) {
+					if !spdbdFlags[m[1]] {
+						t.Errorf("%s:%d: spdbd -%s: no such flag", doc, n+1, m[1])
+					}
 				}
 			}
 			at := strings.Index(line, "fembench")

@@ -416,7 +416,7 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 		// edge aborts before writing), and the replayed state matches the
 		// crashed engine's either way. A batch that applied a prefix
 		// re-applies the same prefix — the mutation path is deterministic.
-		_, _ = e.applyMutationsLocked(ctx, muts, len(muts) > 1)
+		_, _ = e.applyMutationsLocked(ctx, muts)
 		// Pin the version the original batch committed as; build-only
 		// bumps between batches are not logged, so the replayed count
 		// cannot be trusted to line up on its own.

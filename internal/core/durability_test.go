@@ -264,6 +264,9 @@ func TestHydrateReplaysWAL(t *testing.T) {
 	const batches = 5
 	for b := 0; b < batches; b++ {
 		k := 1 + rnd.Intn(4)
+		if b == 0 {
+			k = 1 // a one-mutation batch counts like any other, replayed too
+		}
 		muts := make([]Mutation, 0, k)
 		for i := 0; i < k; i++ {
 			muts = append(muts, randomMutation(t, rnd, mirror))
@@ -277,6 +280,10 @@ func TestHydrateReplaysWAL(t *testing.T) {
 	ds := h.DurabilityStats()
 	if ds.ReplayedRecords != batches {
 		t.Fatalf("replayed %d records, want %d", ds.ReplayedRecords, batches)
+	}
+	want, got := e.MutationStats(), h.MutationStats()
+	if got.Batches != want.Batches || got.Inserts != want.Inserts || got.Deletes != want.Deletes || got.Updates != want.Updates {
+		t.Errorf("replayed mutation counters %+v, primary's %+v", got, want)
 	}
 	buildOracle(t, h)
 	for i := 0; i < 12; i++ {

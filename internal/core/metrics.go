@@ -135,7 +135,7 @@ func (e *Engine) CollectMetrics(x *obs.Exporter) {
 	x.Counter("spdb_mutations_total", "Applied edge mutations by kind.",
 		float64(ms.Updates), obs.L("op", "update"))
 	x.Counter("spdb_mutation_batches_total",
-		"ApplyMutations batches that applied at least one mutation.", float64(ms.Batches))
+		"Mutation batches (single-edge calls included) that applied at least one mutation.", float64(ms.Batches))
 	x.Counter("spdb_seg_repairs_total", "Scoped decremental SegTable repairs.", float64(ms.SegRepairs))
 	x.Counter("spdb_seg_rebuilds_total",
 		"Threshold-exceeded fallbacks to a full SegTable rebuild.", float64(ms.SegRebuilds))

@@ -93,7 +93,8 @@ type MutationCounters struct {
 	Deletes uint64
 	Updates uint64
 	// Batches counts ApplyMutations calls that applied at least one
-	// mutation (single-edge helpers don't count).
+	// mutation; InsertEdge, DeleteEdge and UpdateEdgeWeight are one-mutation
+	// batches and count too, so WAL replay reproduces the count.
 	Batches uint64
 	// SegRepairs counts scoped decremental repairs; SegRebuilds counts
 	// threshold-exceeded fallbacks to a full BuildSegTable.
@@ -155,7 +156,7 @@ const (
 // decrementally (or rebuilds them past Options.RepairThreshold). Deleting
 // a pair with no edge is an error.
 func (e *Engine) DeleteEdge(from, to int64) (*MaintStats, error) {
-	return e.applyMutations([]Mutation{{Op: MutDelete, From: from, To: to}}, false)
+	return e.ApplyMutations([]Mutation{{Op: MutDelete, From: from, To: to}})
 }
 
 // UpdateEdgeWeight sets the cost of every (from, to) edge to weight —
@@ -163,7 +164,7 @@ func (e *Engine) DeleteEdge(from, to int64) (*MaintStats, error) {
 // like an insertion (new shortest paths through the cheaper edge), an
 // increase like a deletion (recorded paths through the edge re-routed).
 func (e *Engine) UpdateEdgeWeight(from, to, weight int64) (*MaintStats, error) {
-	return e.applyMutations([]Mutation{{Op: MutUpdate, From: from, To: to, Weight: weight}}, false)
+	return e.ApplyMutations([]Mutation{{Op: MutUpdate, From: from, To: to, Weight: weight}})
 }
 
 // ApplyMutations applies a batch of edge mutations under one query-latch
@@ -179,10 +180,6 @@ func (e *Engine) UpdateEdgeWeight(from, to, weight int64) (*MaintStats, error) {
 // pre-batch oracle is restored: a no-op request must not cold-stop
 // approximate service.
 func (e *Engine) ApplyMutations(muts []Mutation) (*MaintStats, error) {
-	return e.applyMutations(muts, true)
-}
-
-func (e *Engine) applyMutations(muts []Mutation, batch bool) (*MaintStats, error) {
 	if len(muts) == 0 {
 		return &MaintStats{}, nil
 	}
@@ -198,14 +195,14 @@ func (e *Engine) applyMutations(muts []Mutation, batch bool) (*MaintStats, error
 		return nil, err
 	}
 	defer e.unlockQuery()
-	return e.applyMutationsLocked(ctx, muts, batch)
+	return e.applyMutationsLocked(ctx, muts)
 }
 
 // applyMutationsLocked is the batch body; callers hold the exclusive gate.
 // Split out so WAL replay (durability.go) — which already holds the gate
 // across the whole hydration — can re-apply logged batches without a
 // deadlocking second acquisition.
-func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation, batch bool) (*MaintStats, error) {
+func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation) (*MaintStats, error) {
 	nodes := e.Nodes()
 	if nodes == 0 {
 		return nil, ErrNoGraph
@@ -287,7 +284,7 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation, batc
 				e.segBuilt = false
 				e.invalidateLabelsLocked(st)
 			}
-			if batch && st.Applied > 0 {
+			if st.Applied > 0 {
 				e.muts.Batches++
 			}
 			st.Version = e.version
@@ -299,9 +296,7 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation, batc
 		st.Applied++
 	}
 	e.mu.Lock()
-	if batch {
-		e.muts.Batches++
-	}
+	e.muts.Batches++
 	st.Version = e.version
 	e.mu.Unlock()
 	st.Statements = qs.Statements

@@ -420,8 +420,9 @@ func TestMutationOracleInvalidation(t *testing.T) {
 	if _, err := approxDistance(e, 0, 1); err == nil {
 		t.Error("ApproxDistance must refuse on a cold oracle")
 	}
-	if ms := e.MutationStats(); ms.OracleInvalidations != 1 {
-		t.Errorf("invalidation counter: %+v", ms)
+	// The single-edge helpers are one-mutation batches.
+	if ms := e.MutationStats(); ms.OracleInvalidations != 1 || ms.Batches != 2 {
+		t.Errorf("invalidation and batch counters: %+v", ms)
 	}
 	if _, err := e.BuildOracle(oracle.Config{K: 3}); err != nil {
 		t.Fatal(err)
@@ -492,7 +493,7 @@ func TestFailedMutationKeepsOracle(t *testing.T) {
 		t.Error("a written prefix must leave the oracle cold")
 	}
 	// Batches counts only batches that applied something: the failed
-	// no-op DeleteEdge above was a single helper, the prefix batch counts.
+	// no-op DeleteEdge above does not, the prefix batch does.
 	if ms := e.MutationStats(); ms.Batches != 1 {
 		t.Errorf("batch counter after prefix failure: %+v", ms)
 	}

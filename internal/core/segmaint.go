@@ -61,7 +61,7 @@ type MaintStats struct {
 // InsertEdge adds a (from, to, weight) edge to TEdges and, when a SegTable
 // is built, incrementally maintains TOutSegs and TInSegs.
 func (e *Engine) InsertEdge(from, to, weight int64) (*MaintStats, error) {
-	return e.applyMutations([]Mutation{{Op: MutInsert, From: from, To: to, Weight: weight}}, false)
+	return e.ApplyMutations([]Mutation{{Op: MutInsert, From: from, To: to, Weight: weight}})
 }
 
 // maintShape is one candidate-pair source of the insertion maintenance:

@@ -419,9 +419,9 @@ func TestScanAllocsIndependentOfRowCount(t *testing.T) {
 			if d, null, err := minProbe.QueryInt(); err != nil || null || d != 10 {
 				t.Fatalf("MIN probe: %d %v %v", d, null, err)
 			}
-			for _, st := range []*rdb.Stmt{fSelect, reset} {
+			for i, st := range []*rdb.Stmt{fSelect, reset} {
 				if res, err := st.Exec(); err != nil || res.RowsAffected != 1 {
-					t.Fatalf("%s: %d rows, %v", st.Text(), res.RowsAffected, err)
+					t.Fatalf("%s: %d rows, %v", []string{"F-select", "reset"}[i], res.RowsAffected, err)
 				}
 			}
 		})

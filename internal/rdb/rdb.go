@@ -13,8 +13,8 @@
 // execute fully in parallel while two writers of one table still serialize.
 // DDL (CREATE/DROP) takes the exclusive facade latch, draining
 // every in-flight statement, and bumps the schema epoch that invalidates
-// cached plans. Callers that want per-caller accounting open a Session
-// (see session.go).
+// cached plans. A caller that wants its statements refused once it has
+// disconnected opens a Session (see session.go).
 package rdb
 
 import (
@@ -71,9 +71,8 @@ type Options struct {
 const DefaultPlanCacheSize = 256
 
 // Stats aggregates engine activity since Open; phases are read as deltas.
-// Session counters are folded in: SessionStatements is the subset of
-// Statements issued through Session handles, and ActiveSessions /
-// SessionsOpened track the serving tier's concurrency.
+// SessionStatements is the subset of Statements issued through Session
+// handles, and ActiveSessions / SessionsOpened count the handles.
 type Stats struct {
 	Statements uint64
 	// ParsePlanDur is the time spent parsing and compiling statements —
@@ -130,8 +129,8 @@ type DB struct {
 	stmts           atomic.Uint64
 	parseDurNs      atomic.Int64
 	execDurNs       atomic.Int64
-	sessionSeq      atomic.Uint64
-	sessionsOpen    atomic.Int64
+	sessionsOpened  atomic.Uint64
+	sessionsActive  atomic.Int64
 	sessionStmts    atomic.Uint64
 	planHits        atomic.Uint64
 	planMisses      atomic.Uint64
@@ -211,8 +210,8 @@ func (db *DB) Stats() Stats {
 		Statements:             db.stmts.Load(),
 		ParsePlanDur:           time.Duration(db.parseDurNs.Load()),
 		ExecDur:                time.Duration(db.execDurNs.Load()),
-		SessionsOpened:         db.sessionSeq.Load(),
-		ActiveSessions:         db.sessionsOpen.Load(),
+		SessionsOpened:         db.sessionsOpened.Load(),
+		ActiveSessions:         db.sessionsActive.Load(),
 		SessionStatements:      db.sessionStmts.Load(),
 		PlanCacheHits:          db.planHits.Load(),
 		PlanCacheMisses:        db.planMisses.Load(),

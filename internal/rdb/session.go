@@ -2,56 +2,33 @@ package rdb
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"sync/atomic"
 	"time"
 )
 
-// Session is a per-caller handle over a shared DB, the unit of concurrency
-// in the serving tier: each client of the query server (or each worker in a
-// batch pool) opens one. Sessions add no locking of their own — the DB's RW
-// latch already lets reads run concurrently — but they carry per-caller
-// statement counters that fold into DBStats, so the serving layer can
-// report per-client and aggregate activity, like per-connection counters in
-// a networked DBMS.
+// Session is a per-caller handle over a shared DB, the analogue of the
+// paper's JDBC connection (core.Engine holds one). Sessions add no locking
+// of their own — the DB's RW latch already lets reads run concurrently — and
+// keep no counters of their own: a statement through a session costs one
+// closed check and one add to the DB-wide SessionStatements.
 //
 // A Session is safe for concurrent use by multiple goroutines, though the
 // intended pattern is one session per goroutine.
 type Session struct {
-	db *DB
-	id uint64
-
-	stmts    atomic.Uint64
-	queries  atomic.Uint64
-	execs    atomic.Uint64
-	busyNs   atomic.Int64
-	closed   atomic.Bool
-	lastUsed atomic.Int64 // unix nanos of the last statement
+	db     *DB
+	closed atomic.Bool
 }
 
-// SessionStats snapshots one session's activity.
-type SessionStats struct {
-	ID         uint64
-	Statements uint64
-	Queries    uint64
-	Execs      uint64
-	// Busy is the total wall time this session spent inside statements.
-	Busy time.Duration
-	// LastUsed is the wall-clock time of the most recent statement
-	// (zero time if the session never issued one).
-	LastUsed time.Time
-}
+var errSessionClosed = errors.New("rdb: session is closed")
 
 // Session opens a per-caller handle. Close it when the caller disconnects
 // so ActiveSessions in Stats stays meaningful.
 func (db *DB) Session() *Session {
-	id := db.sessionSeq.Add(1)
-	db.sessionsOpen.Add(1)
-	return &Session{db: db, id: id}
+	db.sessionsOpened.Add(1)
+	db.sessionsActive.Add(1)
+	return &Session{db: db}
 }
-
-// ID returns the session's open-order identifier (1-based).
-func (s *Session) ID() uint64 { return s.id }
 
 // DB returns the underlying shared database.
 func (s *Session) DB() *DB { return s.db }
@@ -60,72 +37,42 @@ func (s *Session) DB() *DB { return s.db }
 // fail; closing twice is a no-op.
 func (s *Session) Close() error {
 	if s.closed.CompareAndSwap(false, true) {
-		s.db.sessionsOpen.Add(-1)
+		s.db.sessionsActive.Add(-1)
 	}
 	return nil
 }
 
-// Stats snapshots the session counters.
-func (s *Session) Stats() SessionStats {
-	st := SessionStats{
-		ID:         s.id,
-		Statements: s.stmts.Load(),
-		Queries:    s.queries.Load(),
-		Execs:      s.execs.Load(),
-		Busy:       time.Duration(s.busyNs.Load()),
-	}
-	if ns := s.lastUsed.Load(); ns != 0 {
-		st.LastUsed = time.Unix(0, ns)
-	}
-	return st
-}
-
-func (s *Session) begin() (time.Time, error) {
+// begin refuses a statement on a closed session and counts one that runs.
+func (s *Session) begin() error {
 	if s.closed.Load() {
-		return time.Time{}, fmt.Errorf("rdb: session %d is closed", s.id)
+		return errSessionClosed
 	}
-	return time.Now(), nil
-}
-
-func (s *Session) finish(t0 time.Time) {
-	now := time.Now()
-	s.stmts.Add(1)
-	s.busyNs.Add(int64(now.Sub(t0)))
-	s.lastUsed.Store(now.UnixNano())
 	s.db.sessionStmts.Add(1)
+	return nil
 }
 
 // Exec runs a mutating statement through the session (exclusive latch).
 func (s *Session) Exec(query string, args ...any) (Result, error) {
-	t0, err := s.begin()
-	if err != nil {
+	if err := s.begin(); err != nil {
 		return Result{}, err
 	}
-	defer s.finish(t0)
-	s.execs.Add(1)
 	return s.db.Exec(query, args...)
 }
 
 // Query runs a SELECT through the session (shared latch; concurrent with
 // other sessions' reads).
 func (s *Session) Query(query string, args ...any) (*Rows, error) {
-	t0, err := s.begin()
-	if err != nil {
+	if err := s.begin(); err != nil {
 		return nil, err
 	}
-	defer s.finish(t0)
-	s.queries.Add(1)
 	return s.db.Query(query, args...)
 }
 
 // QueryInt runs a single-value query; null reports a NULL (or empty) result.
 func (s *Session) QueryInt(query string, args ...any) (v int64, null bool, err error) {
-	t0, err := s.begin()
-	if err != nil {
+	if err := s.begin(); err != nil {
 		return 0, false, err
 	}
-	defer s.finish(t0)
-	s.queries.Add(1)
 	return s.db.QueryInt(query, args...)
 }
 
@@ -159,14 +106,6 @@ func (s *Session) ExecContext(ctx context.Context, query string, args ...any) (R
 		return Result{}, err
 	}
 	return s.Exec(query, args...)
-}
-
-// QueryContext is Query with a cancellation check at the statement boundary.
-func (s *Session) QueryContext(ctx context.Context, query string, args ...any) (*Rows, error) {
-	if err := ContextErr(ctx); err != nil {
-		return nil, err
-	}
-	return s.Query(query, args...)
 }
 
 // QueryIntContext is QueryInt with a cancellation check at the statement

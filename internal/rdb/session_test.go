@@ -7,8 +7,8 @@ import (
 )
 
 // TestConcurrentSessionReads exercises the shared side of the DB latch:
-// many sessions SELECT concurrently over one database, and their
-// per-session counters fold into DBStats.
+// many sessions SELECT concurrently over one database, and DBStats counts
+// their statements and handles.
 func TestConcurrentSessionReads(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {
@@ -72,13 +72,6 @@ func TestConcurrentSessionReads(t *testing.T) {
 		t.Errorf("db statements delta: got %d, want %d", got, nSessions*nReads)
 	}
 	for i, s := range sessions {
-		ss := s.Stats()
-		if ss.Statements != nReads || ss.Queries != nReads || ss.Execs != 0 {
-			t.Errorf("session %d stats: %+v", i, ss)
-		}
-		if ss.LastUsed.IsZero() || ss.Busy <= 0 {
-			t.Errorf("session %d: missing busy/last-used accounting: %+v", i, ss)
-		}
 		if err := s.Close(); err != nil {
 			t.Errorf("close %d: %v", i, err)
 		}

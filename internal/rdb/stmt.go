@@ -18,7 +18,7 @@ import (
 // and every execution runs in a private instance of the plan entry.
 type Stmt struct {
 	db   *DB
-	sess *Session // non-nil when prepared through a Session (accounting)
+	sess *Session // non-nil when prepared through a Session
 	text string
 	plan atomic.Pointer[cachedPlan]
 }
@@ -39,11 +39,11 @@ func (db *DB) Prepare(query string) (*Stmt, error) {
 	return st, nil
 }
 
-// Prepare compiles a statement through the session; executions carry the
-// session's per-caller accounting like Exec/Query do.
+// Prepare compiles a statement through the session; its executions count
+// as the session's statements like Exec/Query do.
 func (s *Session) Prepare(query string) (*Stmt, error) {
 	if s.closed.Load() {
-		return nil, fmt.Errorf("rdb: session %d is closed", s.id)
+		return nil, errSessionClosed
 	}
 	st, err := s.db.Prepare(query)
 	if err != nil {
@@ -52,23 +52,6 @@ func (s *Session) Prepare(query string) (*Stmt, error) {
 	st.sess = s
 	return st, nil
 }
-
-// PrepareContext is Prepare with a cancellation check first: a dead context
-// refuses before any parsing or latching happens.
-func (s *Session) PrepareContext(ctx context.Context, query string) (*Stmt, error) {
-	if err := ContextErr(ctx); err != nil {
-		return nil, err
-	}
-	return s.Prepare(query)
-}
-
-// Text returns the statement's SQL text.
-func (st *Stmt) Text() string { return st.text }
-
-// Close releases the handle. The compiled plan stays in the shared cache
-// (other handles and plain Exec/Query reuse it); Close exists for driver
-// familiarity and is a no-op.
-func (st *Stmt) Close() error { return nil }
 
 // current returns the pinned plan when it is still valid for the present
 // schema epoch, re-compiling (through the shared cache) otherwise. Callers
@@ -90,13 +73,10 @@ func (st *Stmt) current() (*cachedPlan, error) {
 // Exec runs the prepared mutating statement with fresh arguments
 // (exclusive latch).
 func (st *Stmt) Exec(args ...any) (Result, error) {
-	if s := st.sess; s != nil {
-		t0, err := s.begin()
-		if err != nil {
+	if st.sess != nil {
+		if err := st.sess.begin(); err != nil {
 			return Result{}, err
 		}
-		defer s.finish(t0)
-		s.execs.Add(1)
 	}
 	return st.db.execText(st.text, st, args)
 }
@@ -113,13 +93,10 @@ func (st *Stmt) ExecContext(ctx context.Context, args ...any) (Result, error) {
 // Query runs the prepared SELECT with fresh arguments (shared latch;
 // concurrent with other readers).
 func (st *Stmt) Query(args ...any) (*Rows, error) {
-	if s := st.sess; s != nil {
-		t0, err := s.begin()
-		if err != nil {
+	if st.sess != nil {
+		if err := st.sess.begin(); err != nil {
 			return nil, err
 		}
-		defer s.finish(t0)
-		s.queries.Add(1)
 	}
 	return st.db.queryText(st.text, st, args)
 }

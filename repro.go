@@ -1,4 +1,4 @@
-// Package repro is the public API of the relational shortest-path library,
+// Package repro is the public API of the relational shortest path library,
 // a from-scratch Go reproduction of "Relational Approach for Shortest Path
 // Discovery over Large Graphs" (Gao, Jin, Zhou, Yu, Jiang, Wang — PVLDB
 // 5(4), 2011).
@@ -30,7 +30,7 @@
 //
 // Underneath, the relational engine executes every statement through a
 // prepared-statement subsystem: rdb.DB keeps a plan cache keyed by (SQL
-// text, profile, schema epoch), DB.Prepare/Session.PrepareContext expose
+// text, profile, schema epoch), DB.Prepare/Session.Prepare expose
 // explicit handles, and the FEM loops bind per-iteration values as ?
 // parameters instead of re-rendering SQL — so the hot path never pays
 // parse/plan costs (DBStats.PlanCacheHits/Misses/Invalidations report the
@@ -70,11 +70,9 @@ type (
 	DBStats = rdb.Stats
 	// Rows is a materialized query result.
 	Rows = rdb.Rows
-	// Session is a per-caller handle over a shared DB with its own
-	// statement counters; open one per concurrent client (DB.Session).
+	// Session is a per-caller handle over a shared DB whose statements fail
+	// once it is closed; DBStats counts them (DB.Session).
 	Session = rdb.Session
-	// SessionStats snapshots one session's activity.
-	SessionStats = rdb.SessionStats
 )
 
 // Engine profiles from the paper's evaluation (§5.1).
@@ -90,7 +88,7 @@ func Open(opts DBOptions) (*DB, error) { return rdb.Open(opts) }
 
 // Re-exported core types.
 type (
-	// Engine runs the relational shortest-path algorithms over a DB.
+	// Engine runs the relational shortest path algorithms over a DB.
 	Engine = core.Engine
 	// EngineOptions selects index strategy, SQL dialect and ablations.
 	EngineOptions = core.Options
@@ -100,7 +98,7 @@ type (
 	IndexStrategy = core.IndexStrategy
 	// Path is a discovered shortest path.
 	Path = core.Path
-	// QueryRequest is one declarative shortest-path question for
+	// QueryRequest is one declarative shortest path question for
 	// Engine.Query: endpoints, algorithm hint (AlgAuto = planner),
 	// error tolerance and statement budget.
 	QueryRequest = core.QueryRequest
@@ -115,7 +113,7 @@ type (
 	QueryStats = core.QueryStats
 	// SegTableStats reports a SegTable construction.
 	SegTableStats = core.SegTableStats
-	// CacheStats snapshots the engine's shortest-path result cache
+	// CacheStats snapshots the engine's shortest path result cache
 	// (Engine.CacheStats).
 	CacheStats = core.CacheStats
 	// Mutation is one edge change for Engine.ApplyMutations.

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Client reach: the engine's language layers (internal/sql, internal/exec,
-# internal/record) exist for the packages that issue SQL — the root facade,
-# cmd/..., internal/{core,sweep,fem,oracle,labels,shard,bench} and the
-# benchmark/ module — and carry nothing those packages' tests do not reach.
-# This runs them with -coverpkg on the three layers and fails if any
-# function there is reached by none of them, so the dialect cannot quietly
+# Client reach: the engine's database facade and language layers
+# (internal/rdb, internal/sql, internal/exec, internal/record) exist for the
+# packages that issue SQL — the root facade, cmd/...,
+# internal/{core,sweep,fem,oracle,labels,shard,bench} and the benchmark/
+# module — and carry nothing those packages' tests do not reach. This runs
+# them with -coverpkg on the four layers and fails if any function there is
+# reached by none of them, so neither the dialect nor the facade can quietly
 # regrow. Functions with an empty body (the AST marker methods, no-op Close)
 # have no statement to reach and are exempt.
 #
@@ -13,7 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 out=${1:-$(mktemp -d)}
 mkdir -p "$out"
-layers=repro/internal/sql,repro/internal/exec,repro/internal/record
+layers=repro/internal/rdb,repro/internal/sql,repro/internal/exec,repro/internal/record
 
 go test -coverpkg=$layers -coverprofile="$out/root.cov" . ./cmd/... \
 	./internal/core ./internal/sweep ./internal/fem ./internal/oracle \
@@ -32,4 +33,4 @@ if [ -n "$unreached" ]; then
 	echo "$unreached"
 	exit 1
 fi
-echo "client reach: every function of internal/sql, internal/exec and internal/record is reached"
+echo "client reach: every function of internal/rdb, internal/sql, internal/exec and internal/record is reached"
