@@ -165,10 +165,11 @@ func BenchmarkMutationBatch(b *testing.B) {
 }
 
 // BenchmarkSegTableBuild is one BuildSegTable(20) per iteration on the
-// mutate_mix data set (graph.Power(4000,3,2011)): the index-build sweep in
-// both directions, the segment materialization and the original-edge fold.
-// stmts/op counts the sweep's rounds (F and E+M each, nothing else) and
-// pages/op (buffer-pool fetches) their passes over the working set.
+// mutate_mix data set (graph.Power(4000,3,2011)): per direction the
+// original-edge fold, the index-build sweep over the folded table and the
+// segment merge. stmts/op counts the sweep's rounds (F and E+M each,
+// nothing else) and pages/op (buffer-pool fetches) their passes over the
+// working set.
 func BenchmarkSegTableBuild(b *testing.B) {
 	g := graph.Power(4000, 3, 2011)
 	e := newTestEngine(b, g, rdb.Options{BufferPoolPages: 16384}, Options{CacheSize: -1})
@@ -189,4 +190,41 @@ func BenchmarkSegTableBuild(b *testing.B) {
 	after := e.db.Stats().Pool
 	b.ReportMetric(float64(stmts)/float64(b.N), "stmts/op")
 	b.ReportMetric(float64(after.Hits+after.Misses-pool.Hits-pool.Misses)/float64(b.N), "pages/op")
+}
+
+// BenchmarkColdSegTableBuild is one BuildSegTable(20) per iteration in
+// cold_bseg's set-up shape, scaled down like BenchmarkColdBSEGQuery: a
+// file-backed database of graph.Power(8000,3,2011) behind a 48-page buffer
+// pool, about a twentieth of the file. The build's passes outgrow the pool,
+// so misses/op (physical reads) is what an access path that follows the
+// clustering saves; pages/op counts every fetch.
+func BenchmarkColdSegTableBuild(b *testing.B) {
+	const poolPages = 48
+	g := graph.Power(8000, 3, 2011)
+	path := filepath.Join(b.TempDir(), "cold.db")
+	e := newTestEngine(b, g, rdb.Options{Path: path, BufferPoolPages: poolPages}, Options{CacheSize: -1})
+	if _, err := e.BuildSegTable(20); err != nil { // compile every statement shape before timing
+		b.Fatal(err)
+	}
+	if pages := e.db.Pool().Disk().NumPages(); pages < 15*poolPages || pages > 25*poolPages {
+		b.Fatalf("the file has %d pages: the %d-page pool is no longer about a twentieth of it", pages, poolPages)
+	}
+	var stmts int
+	pool := e.db.Stats().Pool
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := e.BuildSegTable(20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stmts += st.Statements
+	}
+	b.StopTimer()
+	after := e.db.Stats().Pool
+	if after.Misses == pool.Misses {
+		b.Fatal("no build missed the pool")
+	}
+	b.ReportMetric(float64(stmts)/float64(b.N), "stmts/op")
+	b.ReportMetric(float64(after.Hits+after.Misses-pool.Hits-pool.Misses)/float64(b.N), "pages/op")
+	b.ReportMetric(float64(after.Misses-pool.Misses)/float64(b.N), "misses/op")
 }

@@ -28,6 +28,9 @@ func TestBuildParity(t *testing.T) {
 		if st.OutSegs != 901 || st.InSegs != 901 || st.Iterations != 42 || st.Statements != 102 {
 			t.Errorf("BuildSegTable(20) = %v, want out=901 in=901 iters=42 stmts=102", st)
 		}
+		if err := e.checkSegTable(); err != nil {
+			t.Error(err)
+		}
 	})
 
 	for _, tc := range []struct {
@@ -74,6 +77,9 @@ func TestBuildParity(t *testing.T) {
 		if _, err := e.BuildSegTable(20); err != nil {
 			t.Fatal(err)
 		}
+		if err := e.checkSegTable(); err != nil {
+			t.Error(err)
+		}
 		segOnly := []string{"tedges", "texpand", "texpcost", "tinsegs", "tnodes", "toutsegs", "tseg", "tvisited"}
 		if got := catalogNames(e); !reflect.DeepEqual(got, segOnly) {
 			t.Errorf("after BuildSegTable: catalog %v, want %v", got, segOnly)
@@ -89,6 +95,11 @@ func TestBuildParity(t *testing.T) {
 		if got := catalogNames(e); !reflect.DeepEqual(got, all) {
 			t.Errorf("after all three builds: catalog %v, want %v", got, all)
 		}
+		// The oracle and the labels sweep through the SegTable's working set,
+		// never its tables.
+		if err := e.checkSegTable(); err != nil {
+			t.Errorf("after all three builds: %v", err)
+		}
 	})
 
 	// A reload starts from a clean catalog, whatever the engine created
@@ -100,6 +111,9 @@ func TestBuildParity(t *testing.T) {
 		if _, err := e.BuildSegTable(20); err != nil {
 			t.Fatal(err)
 		}
+		if err := e.checkSegTable(); err != nil {
+			t.Error(err)
+		}
 		if _, err := e.InsertEdge(5, 300, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -110,6 +124,9 @@ func TestBuildParity(t *testing.T) {
 			"toutsegs", "tseg", "tsegexpand", "tsegexpcost", "tsegmaint", "tvisited"}
 		if got := catalogNames(e); !reflect.DeepEqual(got, mutated) {
 			t.Errorf("after the mutations: catalog %v, want %v", got, mutated)
+		}
+		if err := e.checkSegTable(); err != nil {
+			t.Errorf("after the mutations: %v", err)
 		}
 		if err := e.LoadGraph(g); err != nil {
 			t.Fatal(err)

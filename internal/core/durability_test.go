@@ -118,6 +118,9 @@ func TestSnapshotHydrate(t *testing.T) {
 	}
 
 	// The hydrated SegTable must be byte-for-byte the builder's output.
+	if err := h.checkSegTable(); err != nil {
+		t.Errorf("hydrated SegTable: %v", err)
+	}
 	for _, tbl := range []string{TblOutSegs, TblInSegs} {
 		want := segTableSnapshot(t, e, tbl)
 		got := segTableSnapshot(t, h, tbl)
@@ -398,6 +401,9 @@ func TestKillMidChurnDifferential(t *testing.T) {
 	ref := newTestEngine(t, mirror.Clone(), rdb.Options{}, Options{})
 	if _, err := ref.BuildSegTable(lthd); err != nil {
 		t.Fatal(err)
+	}
+	if err := h.checkSegTable(); err != nil {
+		t.Errorf("recovered SegTable: %v", err)
 	}
 	for _, tbl := range []string{TblOutSegs, TblInSegs} {
 		want := segTableSnapshot(t, ref, tbl)

@@ -28,7 +28,9 @@ import (
 // internal/fem's stamps — Prim's, reachability's and the index-build
 // sweep's — are pinned with them. The sweep's and the decremental repair's
 // own texts (sweep/, touch/, repair/, fold/*/touched) are pinned as what a
-// build and a delete leave prepared: the repair's FROM order is its plan.
+// build and a delete leave prepared: the build sweeps over the segment
+// tables it folded the edges into and merges its segments over them, the
+// repair sweeps over TEdges, and the repair's FROM order is its plan.
 func TestGoldenStatementTexts(t *testing.T) {
 	golden := map[string]string{}
 	f, err := os.Open("testdata/golden_statements.txt")

@@ -584,7 +584,7 @@ func (e *Engine) repairDirection(ctx context.Context, qs *QueryStats, forward bo
 		"INSERT INTO "+tblMutSrc+" (nid) SELECT DISTINCT "+srcCol+" FROM "+tblMutTouch); err != nil {
 		return 0, err
 	}
-	if _, _, err := e.sweeper(qs).Run(ctx, forward, e.segLthd, sweep.Q(tblMutSrc), sweep.Query{}); err != nil {
+	if _, _, err := e.sweeper(qs).Run(ctx, TblEdges, forward, e.segLthd, sweep.Q(tblMutSrc), sweep.Query{}); err != nil {
 		return 0, err
 	}
 	// Drop the touched rows; distances can only have grown, so untouched

@@ -149,6 +149,11 @@ func TestMutationDifferential(t *testing.T) {
 	if _, err := eB.BuildSegTable(lthd); err != nil {
 		t.Fatal(err)
 	}
+	for name, eng := range map[string]*Engine{"maintained": e, "rebuilt": eB} {
+		if err := eng.checkSegTable(); err != nil {
+			t.Errorf("%s SegTable: %v", name, err)
+		}
+	}
 	for _, tbl := range []string{TblOutSegs, TblInSegs} {
 		inc := segTableSnapshot(t, e, tbl)
 		ref := segTableSnapshot(t, eB, tbl)

@@ -76,11 +76,12 @@ type maintShape struct {
 // createSegTables creates it there.
 const tblSegMaint = sweep.TblSegMaint
 
-// segMerge is the M-operator every SegTable writer after the materialized
-// sweep runs, as an internal/fem spec keyed (fid, tid): a cheaper candidate
-// replaces the recorded (cost, pid), an unrecorded pair is inserted. That
-// every writer merges on the pair is what keeps (fid, tid) unique in both
-// segment tables.
+// segMerge is the M-operator every SegTable writer runs — the build's fold
+// and segment merge, insertion maintenance, the repair's fold — as an
+// internal/fem spec keyed (fid, tid): a cheaper candidate replaces the
+// recorded (cost, pid), an unrecorded pair is inserted. That every writer
+// merges on the pair (the repair re-inserts only pairs it just deleted) is
+// what keeps (fid, tid) unique in both segment tables.
 func segMerge(target string) fem.Merge {
 	return fem.Merge{Table: target, Key: []string{"fid", "tid"}, Carry: []string{"pid", "cost"}, Stage: tblSegMaint,
 		Matched:    []fem.Branch{{When: "target.cost > source.cost", Set: "cost = source.cost, pid = source.pid"}},

@@ -16,13 +16,11 @@ const (
 	segCountOutQ = "SELECT COUNT(*) FROM " + TblOutSegs
 	segCountInQ  = "SELECT COUNT(*) FROM " + TblInSegs
 
-	// Materialization of the finished sweep (Definition 4(1)).
-	segInsOutQ = "INSERT INTO " + TblOutSegs +
-		" (fid, tid, pid, cost) SELECT src, nid, par, dist FROM " + TblSeg + " WHERE src <> nid"
-	// Backward pass computed paths nid -> src; store as (fid=nid, tid=src,
-	// pid=successor of nid).
-	segInsInQ = "INSERT INTO " + TblInSegs +
-		" (fid, tid, pid, cost) SELECT nid, src, par, dist FROM " + TblSeg + " WHERE src <> nid"
+	// The finished sweep's segments (Definition 4(1)) as segMerge
+	// candidates. The backward pass computed paths nid -> src: stored as
+	// (fid=nid, tid=src, pid=successor of nid).
+	segSweptOutQ = "SELECT src, nid, par, dist FROM " + TblSeg + " WHERE src <> nid"
+	segSweptInQ  = "SELECT nid, src, par, dist FROM " + TblSeg + " WHERE src <> nid"
 )
 
 // sweeper builds the index-build kernel over the engine's statement path:
@@ -49,10 +47,12 @@ const DefaultLthd = 20
 // holds every pre-computed shortest segment (u,v) with δ(u,v) <= lthd plus
 // the original edges not dominated by a segment; TInSegs is the symmetric
 // incoming-direction table. Construction itself runs through the FEM
-// framework (§4.2): all nodes start as sources in a working table TSeg
-// keyed on (src, nid), bounded multi-source set-Dijkstra expands until the
-// minimal unfinalized distance exceeds lthd, and a final MERGE folds in the
-// remaining original edges.
+// framework (§4.2), one direction at a time: the original edges are folded
+// into the direction's table first, then all nodes start as sources in a
+// working table TSeg keyed on (src, nid), bounded multi-source
+// set-Dijkstra expands over that table until the minimal unfinalized
+// distance exceeds lthd, and a final MERGE writes the segments over the
+// fold.
 func (e *Engine) BuildSegTable(lthd int64) (*SegTableStats, error) {
 	return e.BuildSegTableContext(context.Background(), lthd)
 }
@@ -173,28 +173,29 @@ func (e *Engine) createSegTables(qs *QueryStats) error {
 	return s.Create(rels...)
 }
 
-// segPass runs one direction of the construction and materializes the
-// segment table plus the original-edge merge.
+// segPass runs one direction of the construction: fold the original edges
+// into the direction's table (Definition 4(2)), sweep over that table, and
+// merge the segments found (Definition 4(1)) over the fold, a cost tie
+// keeping the fold's direct hop. At sweep time the table holds each edge
+// pair once at its minimal cost, so the fixpoint is the one over TEdges.
+// The point is the access path: TOutSegs is clustered on fid and TInSegs on
+// tid, the column each direction's expansion joins on, while TEdges is
+// clustered on fid and a backward sweep over it fetches a page per incoming
+// edge through tedges_tid.
 func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64, forward bool) (int, error) {
+	target, swept := TblOutSegs, segSweptOutQ
+	if !forward {
+		target, swept = TblInSegs, segSweptInQ
+	}
+	if err := e.foldEdges(ctx, qs, forward, ""); err != nil {
+		return 0, err
+	}
 	// Every node is a source at distance 0 from itself.
-	iterations, _, err := e.sweeper(qs).Run(ctx, forward, lthd, sweep.Q(TblNodes), sweep.Query{})
+	iterations, _, err := e.sweeper(qs).Run(ctx, target, forward, lthd, sweep.Q(TblNodes), sweep.Query{})
 	if err != nil {
 		return 0, err
 	}
-
-	// Materialize the segments (Definition 4(1)) ...
-	insQ := segInsOutQ
-	if !forward {
-		insQ = segInsInQ
-	}
-	if _, err := e.exec(ctx, qs, nil, nil, insQ); err != nil {
-		return 0, err
-	}
-
-	// ... and fold in the remaining original edges (Definition 4(2)): an
-	// edge is discarded when a recorded segment already dominates it; a
-	// cheaper parallel edge updates the recorded cost.
-	if err := e.foldEdges(ctx, qs, forward, ""); err != nil {
+	if _, err := e.mergeSegs(ctx, qs, target, swept, nil); err != nil {
 		return 0, err
 	}
 	return iterations, nil
@@ -203,7 +204,8 @@ func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64, forwar
 // foldEdges merges the original edges into the segment table
 // (Definition 4(2)): an edge is discarded when a recorded segment already
 // dominates it, a cheaper edge updates the recorded cost, and parallel
-// edges collapse to their minimum. A non-empty touchTable restricts the
+// edges collapse to their minimum. A build folds every edge into the empty
+// table before its sweep. A non-empty touchTable restricts the
 // fold to the (fid, tid) pairs recorded there, uniquely — the decremental
 // repair path, which only re-materializes touched pairs and reaches their
 // edges from the touch table through TEdges' fid index.

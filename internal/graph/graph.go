@@ -37,8 +37,18 @@ type halfEdge struct {
 	w  int64
 }
 
-// New builds a graph from an edge list over n nodes.
+// MaxNodes is the most nodes New accepts, so the largest graph ReadCSV
+// builds: 2^23, above the paper's largest dataset (the LiveJournal
+// snapshot, 4,847,571 nodes). A graph costs two adjacency slice headers per
+// node before its first edge, so the bound is what keeps a "# nodes=" header
+// or a node id from asking for gigabytes.
+const MaxNodes = 1 << 23
+
+// New builds a graph from an edge list over n nodes, 0 <= n <= MaxNodes.
 func New(n int64, edges []Edge) (*Graph, error) {
+	if n < 0 || n > MaxNodes {
+		return nil, fmt.Errorf("graph: %d nodes outside [0, %d]", n, MaxNodes)
+	}
 	g := &Graph{N: n, Edges: edges}
 	g.out = make([][]halfEdge, n)
 	g.in = make([][]halfEdge, n)
@@ -217,7 +227,9 @@ func (g *Graph) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses the WriteCSV format.
+// ReadCSV parses the WriteCSV format. Without a "# nodes=" header the node
+// count is the largest id plus one. A count or an id that is negative, does
+// not parse or exceeds MaxNodes is an error.
 func ReadCSV(r io.Reader) (*Graph, error) {
 	br := bufio.NewScanner(r)
 	br.Buffer(make([]byte, 1<<20), 1<<20)
@@ -236,9 +248,10 @@ func ReadCSV(r io.Reader) (*Graph, error) {
 					rest = rest[:j]
 				}
 				v, err := strconv.ParseInt(rest, 10, 64)
-				if err == nil {
-					n = v
+				if err != nil || v < 0 || v > MaxNodes {
+					return nil, fmt.Errorf("graph: bad node count in %q (at most %d)", line, MaxNodes)
 				}
+				n = v
 			}
 			continue
 		}
@@ -270,6 +283,9 @@ func ReadCSV(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	if n < 0 {
+		if maxID >= MaxNodes {
+			return nil, fmt.Errorf("graph: node id %d exceeds the %d-node limit", maxID, MaxNodes)
+		}
 		n = maxID + 1
 	}
 	return New(n, edges)

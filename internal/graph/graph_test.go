@@ -16,6 +16,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(2, []Edge{{From: 0, To: 1, Weight: -1}}); err == nil {
 		t.Fatal("negative weight must fail")
 	}
+	for _, n := range []int64{-1, MaxNodes + 1} {
+		if _, err := New(n, nil); err == nil {
+			t.Fatalf("%d nodes must fail", n)
+		}
+	}
 	g, err := New(3, nil)
 	if err != nil || g.WMin() != 1 {
 		t.Fatalf("empty graph: %v wmin=%d", err, g.WMin())
@@ -158,6 +163,35 @@ func TestCSVErrors(t *testing.T) {
 	if err != nil || g.N != 5 {
 		t.Fatalf("inferred n: %v %v", g, err)
 	}
+}
+
+// FuzzReadCSV feeds ReadCSV arbitrary bytes: it must never panic, and every
+// graph it accepts must come back unchanged through WriteCSV.
+func FuzzReadCSV(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Power(12, 3, 1).WriteCSV(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("0,9223372036854775807,1\n"))
+	f.Add([]byte("# nodes=9223372036854775807\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		g, err := ReadCSV(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := g.WriteCSV(&out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(&out)
+		if err != nil {
+			t.Fatalf("WriteCSV's output does not read back: %v", err)
+		}
+		if back.N != g.N || !slices.Equal(back.Edges, g.Edges) {
+			t.Fatalf("wrote %d nodes %v, read back %d nodes %v", g.N, g.Edges, back.N, back.Edges)
+		}
+	})
 }
 
 func TestMDJBasic(t *testing.T) {

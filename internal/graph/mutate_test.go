@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -172,6 +173,14 @@ func TestReadCSVErrorPaths(t *testing.T) {
 		{name: "negative weight", in: "0,1,-4\n", wantErr: "negative weight"},
 		{name: "edge beyond declared nodes", in: "# nodes=2\n0,5,1\n", wantErr: "out of range"},
 		{name: "negative node id", in: "-1,0,1\n", wantErr: "out of range"},
+		// A count or an id past MaxNodes is an error, not a panic in make
+		// (the largest id plus one wraps negative) or a huge allocation.
+		{name: "id overflows the count", in: "0,9223372036854775807,1\n", wantErr: "node limit"},
+		{name: "id at MaxNodes", in: fmt.Sprintf("0,%d,1\n", MaxNodes), wantErr: "node limit"},
+		{name: "count above MaxNodes", in: fmt.Sprintf("# nodes=%d\n", MaxNodes+1), wantErr: "bad node count"},
+		{name: "count at int64 max", in: "# nodes=9223372036854775807\n", wantErr: "bad node count"},
+		{name: "count overflows int64", in: "# nodes=99999999999999999999\n", wantErr: "bad node count"},
+		{name: "negative count", in: "# nodes=-3\n0,1,1\n", wantErr: "bad node count"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := ReadCSV(strings.NewReader(tc.in))

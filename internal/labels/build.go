@@ -129,7 +129,7 @@ func pass(ctx context.Context, r *sweep.Runner, st *BuildStats, hub int64, forwa
 	if !forward {
 		pruneQ, labelTbl = pruneBackwardQ, TblOut
 	}
-	iters, pruned, err := r.Run(ctx, forward, sweep.NoBound, sweep.One(hub), sweep.Q(pruneQ, hub))
+	iters, pruned, err := r.Run(ctx, sweep.TblEdges, forward, sweep.NoBound, sweep.One(hub), sweep.Q(pruneQ, hub))
 	if err != nil {
 		return err
 	}

@@ -92,7 +92,7 @@ func build(ctx context.Context, r *sweep.Runner, p Config) (*Oracle, *BuildStats
 		// One unbounded sweep from l per direction, then the statements
 		// that read its distances out of the working set.
 		sweepFrom := func(forward bool, after ...sweep.Query) error {
-			iters, _, err := r.Run(ctx, forward, Unreached, sweep.One(l), sweep.Query{})
+			iters, _, err := r.Run(ctx, sweep.TblEdges, forward, Unreached, sweep.One(l), sweep.Query{})
 			if err != nil {
 				return err
 			}

@@ -1,10 +1,13 @@
 // Package sweep is the one relational set-Dijkstra fixpoint every index
 // build runs (§4.2 of the paper): seed a working set, flag the candidates
-// below k·wmin or at the global minimum (F), expand them through TEdges
-// (E), MERGE the cheaper distances back (M), repeat until no candidate is
-// left. SegTable runs it from every node with the lthd bound; the landmark
-// oracle and the hub labels run it from one node with no bound, the labels
-// with a prune statement between F and E. The degree ranking both of
+// below k·wmin or at the global minimum (F), expand them through an edge
+// relation (E), MERGE the cheaper distances back (M), repeat until no
+// candidate is left. SegTable runs it from every node with the lthd bound,
+// over the segment table it fills (holding only the folded edges then, and
+// clustered on the expansion's join column); the decremental repair runs it
+// from the touched sources over TEdges. The landmark oracle and the hub
+// labels run it over TEdges from one node with no bound, the labels with a
+// prune statement between F and E. The degree ranking both of
 // those order their sources by lives here too, and so does the declaration
 // of every relation the engine owns (design.go), next to the physical
 // design axis it is rendered under.
@@ -40,15 +43,16 @@ var (
 		" AND (dist < ? * ? OR dist = (SELECT MIN(dist) FROM " + TblWork + " WHERE f = 0))"
 )
 
-// round renders one direction's E+M round as an internal/fem spec keyed
-// (src, nid): the cheapest in-bound expansion per (source, node) from the
-// stamped frontier — stamp and distance bound bind in order — relaxes the
-// recorded distance and re-opens the row (f = 0), or inserts the newly
-// reached node as a candidate. forward walks outgoing edges (distances FROM
-// each source), backward incoming edges (distances TO each source).
-func round(l fem.Level, forward bool) []fem.Stmt {
+// round renders one direction's E+M round over the edge relation edges
+// (fid, tid, cost) as an internal/fem spec keyed (src, nid): the cheapest
+// in-bound expansion per (source, node) from the stamped frontier — stamp
+// and distance bound bind in order — relaxes the recorded distance and
+// re-opens the row (f = 0), or inserts the newly reached node as a
+// candidate. forward walks outgoing edges (distances FROM each source),
+// backward incoming edges (distances TO each source).
+func round(l fem.Level, edges string, forward bool) []fem.Stmt {
 	return fem.Operators(l,
-		fem.Expand{Edges: TblEdges, Forward: forward, Cost: "out.cost + q.dist",
+		fem.Expand{Edges: edges, Forward: forward, Cost: "out.cost + q.dist",
 			Where: "q.f = ? AND out.cost + q.dist <= ?", StageCost: tblExpCost},
 		fem.Merge{Table: TblWork, Key: []string{"src", "nid"}, Stage: tblExpand,
 			Matched:    []fem.Branch{{When: "target.dist > source.cost", Set: "dist = source.cost, par = source.par, f = 0"}},
@@ -134,14 +138,17 @@ func One(nid int64) Query { return Q(TblNodes+" WHERE nid = ?", nid) }
 
 // Run fills TblWork with set-Dijkstra distances (dist <= bound) from every
 // node seed selects — seed is a FROM clause with a nid column, e.g. a
-// table name — and returns the rounds it took. forward follows outgoing
-// edges, backward incoming ones. A non-empty prune is an UPDATE run every
+// table name — and returns the rounds it took. edges names the relation
+// expanded, any table with (fid, tid, cost) columns; one holding each
+// edge pair once at its minimal cost (the SegTable build's folded target)
+// leaves the same fixpoint as TEdges. forward follows outgoing edges,
+// backward incoming ones. A non-empty prune is an UPDATE run every
 // round between frontier selection and expansion that sets f = 1 on rows
 // of the round's frontier the caller can prove need no expansion (the stamp
 // binds first, then prune's arguments); pruned sums its affected rows. A
 // later round may still reopen a pruned row at a smaller distance, and
 // prune then sees it again.
-func (r *Runner) Run(ctx context.Context, forward bool, bound int64, seed, prune Query) (iters int, pruned int64, err error) {
+func (r *Runner) Run(ctx context.Context, edges string, forward bool, bound int64, seed, prune Query) (iters int, pruned int64, err error) {
 	schema := r.Schema(ctx)
 	if err := schema.Create(Rel(TblWork)); err != nil {
 		return 0, 0, err
@@ -152,7 +159,7 @@ func (r *Runner) Run(ctx context.Context, forward bool, bound int64, seed, prune
 	if _, err := r.Exec(ctx, seedQ+seed.text, seed.args...); err != nil {
 		return 0, 0, err
 	}
-	x := round(r.level, forward)
+	x := round(r.level, edges, forward)
 	// Without the fused MERGE the expansion lands in staging tables keyed
 	// like the working set.
 	if err := schema.Create(Rel(tblExpand), Rel(tblExpCost)); err != nil {

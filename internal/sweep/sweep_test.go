@@ -37,11 +37,14 @@ func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 // TestRunDifferential checks the working set a sweep leaves behind against
 // the in-memory one-to-all Dijkstra, on every expansion profile, in both
 // directions, for the two ways the builds call it: one seed with no bound
-// (oracle, labels) and every node seeded under a bound (SegTable). Every
-// (src, nid) pair within the bound must have exactly one row carrying the
-// true distance, no row may exceed the bound, and every par must be a real
-// neighbour on a shortest path: dist[par] + w(par, nid) = dist[nid].
+// (oracle, labels) and every node seeded under a bound (SegTable), each
+// over TEdges and over the edges folded into a segment-shaped table the way
+// the SegTable build folds them before its sweep. Every (src, nid) pair
+// within the bound must have exactly one row carrying the true distance,
+// no row may exceed the bound, and every par must be a real neighbour on a
+// shortest path: dist[par] + w(par, nid) = dist[nid].
 func TestRunDifferential(t *testing.T) {
+	const folded = "TFolded"
 	base := graph.Random(40, 100, 7)
 	withIsolated, err := graph.New(base.N+1, base.Edges) // node N-1 has no edge
 	if err != nil {
@@ -64,26 +67,37 @@ func TestRunDifferential(t *testing.T) {
 			}
 			sess := db.Session()
 			loadGraphTables(t, sess, g)
+			for _, q := range []string{
+				"CREATE TABLE " + folded + " (fid INT, tid INT, pid INT, cost INT)",
+				"CREATE CLUSTERED INDEX tfolded_tid ON " + folded + " (tid)",
+				"INSERT INTO " + folded + " (fid, tid, pid, cost) SELECT fid, tid, fid, MIN(cost) FROM " + TblEdges + " GROUP BY fid, tid",
+			} {
+				if _, err := sess.Exec(q); err != nil {
+					t.Fatal(err)
+				}
+			}
 			r := New(db, sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(pr.profile, pr.traditional), ClusteredIndex)
-			for _, forward := range []bool{true, false} {
-				for _, tc := range []struct {
-					name  string
-					seed  Query
-					srcs  []int64
-					bound int64
-				}{
-					{"one-seed", One(3), []int64{3}, NoBound},
-					{"all-seeds", Q(TblNodes), allNodes(g), 60}, // weights are 1..100: some pairs in, most out
-				} {
-					name := fmt.Sprintf("n%d/%s/forward=%v/%s", g.N, pr.name, forward, tc.name)
-					iters, pruned, err := r.Run(context.Background(), forward, tc.bound, tc.seed, Query{})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+			for _, edges := range []string{TblEdges, folded} {
+				for _, forward := range []bool{true, false} {
+					for _, tc := range []struct {
+						name  string
+						seed  Query
+						srcs  []int64
+						bound int64
+					}{
+						{"one-seed", One(3), []int64{3}, NoBound},
+						{"all-seeds", Q(TblNodes), allNodes(g), 60}, // weights are 1..100: some pairs in, most out
+					} {
+						name := fmt.Sprintf("n%d/%s/%s/forward=%v/%s", g.N, pr.name, edges, forward, tc.name)
+						iters, pruned, err := r.Run(context.Background(), edges, forward, tc.bound, tc.seed, Query{})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if iters == 0 || pruned != 0 {
+							t.Errorf("%s: iters=%d pruned=%d", name, iters, pruned)
+						}
+						checkWork(t, name, db, g, forward, tc.srcs, tc.bound)
 					}
-					if iters == 0 || pruned != 0 {
-						t.Errorf("%s: iters=%d pruned=%d", name, iters, pruned)
-					}
-					checkWork(t, name, db, g, forward, tc.srcs, tc.bound)
 				}
 			}
 			sess.Close()
@@ -167,7 +181,7 @@ func TestGoldenMerge(t *testing.T) {
 		{true, "MERGE INTO TSeg AS target USING (SELECT src, nid, par, cost FROM (SELECT q.src, out.tid, q.nid, out.cost + q.dist, ROW_NUMBER() OVER (PARTITION BY q.src, out.tid ORDER BY out.cost + q.dist) FROM TSeg q, TEdges out WHERE q.nid = out.fid AND q.f = ? AND out.cost + q.dist <= ?) tmp (src, nid, par, cost, rn) WHERE rn = 1) AS source (src, nid, par, cost) ON (target.src = source.src AND target.nid = source.nid) WHEN MATCHED AND target.dist > source.cost THEN UPDATE SET dist = source.cost, par = source.par, f = 0 WHEN NOT MATCHED THEN INSERT (src, nid, dist, par, f) VALUES (source.src, source.nid, source.cost, source.par, 0)"},
 		{false, "MERGE INTO TSeg AS target USING (SELECT src, nid, par, cost FROM (SELECT q.src, out.fid, q.nid, out.cost + q.dist, ROW_NUMBER() OVER (PARTITION BY q.src, out.fid ORDER BY out.cost + q.dist) FROM TSeg q, TEdges out WHERE q.nid = out.tid AND q.f = ? AND out.cost + q.dist <= ?) tmp (src, nid, par, cost, rn) WHERE rn = 1) AS source (src, nid, par, cost) ON (target.src = source.src AND target.nid = source.nid) WHEN MATCHED AND target.dist > source.cost THEN UPDATE SET dist = source.cost, par = source.par, f = 0 WHEN NOT MATCHED THEN INSERT (src, nid, dist, par, f) VALUES (source.src, source.nid, source.cost, source.par, 0)"},
 	} {
-		got := round(fem.MergeWindow, tc.forward)
+		got := round(fem.MergeWindow, TblEdges, tc.forward)
 		if len(got) != 1 || got[0].Text != tc.want {
 			t.Errorf("forward=%v:\n got  %v\n want %s", tc.forward, got, tc.want)
 		}
