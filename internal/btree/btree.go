@@ -671,11 +671,10 @@ func (it *Iterator) Next() bool {
 			key, val, _ := cellAt(it.leaf, it.pos)
 			it.pos++
 			if len(it.preds) > 0 {
-				match, decided := record.MatchNullFree(val, it.cols, it.preds)
-				if !decided {
-					if match, it.lastErr = record.Match(val, it.cols, it.preds); it.lastErr != nil {
-						break
-					}
+				match, err := record.Match(val, it.cols, it.preds)
+				if err != nil {
+					it.lastErr = err
+					break
 				}
 				if !match {
 					continue

@@ -266,7 +266,7 @@ func TestPutSameSizeOverwritesInPlace(t *testing.T) {
 		rand.New(rand.NewSource(seed)).Read(v)
 		return v
 	}
-	const valLen = 57 // a TVisited tuple: bitmap + seven INTs
+	const valLen = 56 // a TVisited tuple: seven INTs
 	// root copies the root page: the frame is not ours after Unpin.
 	root := func() *storage.Page {
 		pg, err := tr.pool.Fetch(tr.root)
@@ -424,11 +424,11 @@ func TestSmallPoolEviction(t *testing.T) {
 }
 
 // filledTree holds n entries shaped like a clustered TVisited: a 9-byte key
-// and a 57-byte tuple.
+// and a 56-byte tuple.
 func filledTree(t testing.TB, n int) *BTree {
 	t.Helper()
 	tr := newTree(t, 1024)
-	val := make([]byte, 57)
+	val := make([]byte, 56)
 	for i := 0; i < n; i++ {
 		if err := tr.Insert(append([]byte{1}, k(int64(i))...), val); err != nil {
 			t.Fatal(err)
@@ -454,24 +454,20 @@ func scanAll(t testing.TB, tr *BTree, want int) {
 func TestFilteredScan(t *testing.T) {
 	tr := newTree(t, 64)
 	s := record.MustSchema(record.Column{Name: "a", Type: record.TInt}, record.Column{Name: "b", Type: record.TInt})
+	encode := func(a, b int64) []byte {
+		tuple, err := record.EncodeTuple(nil, s, record.Row{record.Int(a), record.Int(b)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tuple
+	}
 	preds := []record.Pred{{Col: 1, Sat: 2, Val: 0}}
 	var want []string
 	for i := int64(0); i < 600; i++ {
-		row := record.Row{record.Int(i), record.Int(i % 3)}
-		if i%5 == 0 {
-			row[0] = record.Value{Null: true}
-		}
-		if i%11 == 0 {
-			row[1] = record.Value{Null: true}
-		}
-		tuple, _ := record.EncodeTuple(nil, s, row)
-		if i%7 == 0 {
-			tuple = append(tuple, 0xFF)
-		}
-		if err := tr.Insert(k(i), tuple); err != nil {
+		if err := tr.Insert(k(i), encode(i, i%3)); err != nil {
 			t.Fatal(err)
 		}
-		if ok, _ := record.Match(tuple, 2, preds); ok {
+		if i%3 == 0 {
 			want = append(want, string(k(i)))
 		}
 	}
@@ -484,14 +480,26 @@ func TestFilteredScan(t *testing.T) {
 		}
 		return got, it.Err()
 	}
-	if got, err := scan(); err != nil || len(want) != 181 || fmt.Sprint(got) != fmt.Sprint(want) {
+	if got, err := scan(); err != nil || len(want) != 200 || fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("filtered scan: %d entries, %v; want %d", len(got), err, len(want))
 	}
-	if err := tr.Insert(k(1000), []byte{0, 1, 2}); err != nil {
+	// A value of any length but 8 bytes a column ends the scan with an
+	// error, whether or not the preds would reject its columns: one byte
+	// short, one over, and the layout that led with a NULL bitmap.
+	rejected := encode(300, 1)
+	for _, bad := range [][]byte{rejected[:15], append(rejected, 0), append([]byte{0}, rejected...)} {
+		if err := tr.Put(k(300), bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := scan(); err == nil {
+			t.Fatalf("a %d-byte value of 2 columns must end the filtered scan with an error", len(bad))
+		}
+	}
+	if err := tr.Put(k(300), encode(300, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scan(); err == nil {
-		t.Fatal("a truncated tuple must end the filtered scan with an error")
+	if got, err := scan(); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("filtered scan after repair: %d entries, %v; want %d", len(got), err, len(want))
 	}
 }
 

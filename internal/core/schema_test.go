@@ -62,7 +62,8 @@ func describeCatalog(e *Engine) []string {
 // with testdata/golden_schema.txt (pages re-recorded at PR 25, when DROP and
 // truncation began returning pages to the free list, the below-MERGE lines
 // again when the SegTable build began folding the edges before its sweep,
-// and checked with CheckPages); then, below the MERGE level and after an
+// all of them when the stored tuple lost its NULL bitmap byte, and checked
+// with CheckPages); then, below the MERGE level and after an
 // insertion and a deletion, where every relation the engine ever creates
 // exists, what db.Catalog() reports of each one. The file was generated at
 // PR 21, before the relations were declared in one place

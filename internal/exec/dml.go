@@ -118,8 +118,12 @@ func (p *Planner) PrepareInsert(st *sql.InsertStmt) (*PreparedDML, error) {
 			if err != nil {
 				return Result{}, err
 			}
+			row := make(record.Row, len(ordinals)) // Insert keeps no reference
 			for _, r := range rows {
-				if _, err := t.Insert(buildInsertRow(t, ordinals, r)); err != nil {
+				for i, ord := range ordinals {
+					row[ord] = r[i]
+				}
+				if _, err := t.Insert(row); err != nil {
 					return Result{}, err
 				}
 			}
@@ -152,10 +156,10 @@ func (p *Planner) PrepareInsert(st *sql.InsertStmt) (*PreparedDML, error) {
 	}), nil
 }
 
-// insertComputed inserts the row whose listed columns are fns evaluated
-// against src, the others NULL.
+// insertComputed inserts the row whose columns are fns evaluated against
+// src, fns[i] going to ordinals[i].
 func insertComputed(ctx *Ctx, t *table.Table, ordinals []int, fns []scalarFn, src record.Row) error {
-	row := buildInsertRow(t, nil, nil)
+	row := make(record.Row, len(ordinals))
 	for i, f := range fns {
 		v, err := f(ctx, src)
 		if err != nil {
@@ -167,27 +171,28 @@ func insertComputed(ctx *Ctx, t *table.Table, ordinals []int, fns []scalarFn, sr
 	return err
 }
 
+// insertOrdinals maps an INSERT column list to t's ordinals. The list names
+// every column of t once: a stored row holds no NULL, so a column left out
+// would have no value.
 func insertOrdinals(t *table.Table, cols []string) ([]int, error) {
 	out := make([]int, len(cols))
+	listed := make([]bool, t.Schema.Len())
 	for i, cn := range cols {
 		ord := t.Schema.Ordinal(cn)
 		if ord < 0 {
 			return nil, fmt.Errorf("exec: table %s has no column %q", t.Name, cn)
 		}
-		out[i] = ord
+		if listed[ord] {
+			return nil, fmt.Errorf("exec: INSERT lists column %q twice", cn)
+		}
+		listed[ord], out[i] = true, ord
+	}
+	for ord, ok := range listed {
+		if !ok {
+			return nil, fmt.Errorf("exec: INSERT into %s leaves out column %q", t.Name, t.Schema.Columns[ord].Name)
+		}
 	}
 	return out, nil
-}
-
-func buildInsertRow(t *table.Table, ordinals []int, vals record.Row) record.Row {
-	row := make(record.Row, t.Schema.Len())
-	for i := range row {
-		row[i] = record.Value{Null: true}
-	}
-	for i, ord := range ordinals {
-		row[ord] = vals[i]
-	}
-	return row
 }
 
 // PrepareDelete compiles a DELETE statement.

@@ -3,12 +3,12 @@ package exec_test
 // The pushed-predicate battery. A scan evaluates `col <cmp> operand` on the
 // encoded tuple, before anything is decoded, with the operand bound once per
 // Open; these tests check what such scans return against a model computed in
-// Go from Table.Scan()'s full decode, on random tables with NULLs — a NULL in
-// a column before the compared one shifts every later offset — in the three
-// physical designs, for every operator, both operand orders and every kind of
-// operand, each statement executed several times with different bindings so
-// that the recycled operator instances re-bind. They go through rdb sessions,
-// like the row-lifetime battery beside them.
+// Go from Table.Scan()'s full decode, on random tables in the three physical
+// designs, for every operator, both operand orders and every kind of operand —
+// NULL among them, which a `?`, a `? * ?` or a subquery over no row yields
+// though no stored column holds it — each statement executed several times
+// with different bindings so that the recycled operator instances re-bind.
+// They go through rdb sessions, like the row-lifetime battery beside them.
 
 import (
 	"fmt"
@@ -32,8 +32,7 @@ var pushDesigns = []design{
 
 // newPushDB returns a battery database (its model unused: these tests read
 // theirs from the stored table) holding t — k distinct, a, b and c small
-// values, one in four NULL — and the six-row outer table o (x with a NULL, y
-// distinct).
+// values — and the six-row outer table o (x with a repeat, y distinct).
 func newPushDB(t *testing.T, d design, seed int64) *battery {
 	t.Helper()
 	db, err := rdb.Open(rdb.Options{BufferPoolPages: 256})
@@ -46,17 +45,12 @@ func newPushDB(t *testing.T, d design, seed int64) *battery {
 		p.exec(q)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	small := func() any {
-		if rng.Intn(4) == 0 {
-			return nil
-		}
-		return int64(rng.Intn(6) - 2)
-	}
+	small := func() int64 { return int64(rng.Intn(6) - 2) }
 	for k := int64(0); k < pushRows; k++ {
 		p.exec("INSERT INTO t (k, a, b, c) VALUES (?, ?, ?, ?)", k, small(), small(), small())
 	}
 	p.exec("CREATE TABLE o (x INT, y INT)")
-	for y, x := range []any{int64(-1), int64(0), nil, int64(1), int64(3), int64(1)} {
+	for y, x := range []int64{-1, 0, 2, 1, 3, 1} {
 		p.exec("INSERT INTO o (x, y) VALUES (?, ?)", x, int64(y))
 	}
 	return p
@@ -134,7 +128,7 @@ func value(a any) record.Value {
 var cmpOps = []string{"=", "<>", "<", "<=", ">", ">="}
 
 // TestPushedPredicateDifferential: every operator, both operand orders, on b
-// (one nullable column before it) and c (two), against operands of every
+// and c (at 16 and 24 bytes into the tuple), against operands of every
 // pushable kind.
 func TestPushedPredicateDifferential(t *testing.T) {
 	const (
@@ -147,9 +141,9 @@ func TestPushedPredicateDifferential(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			p := newPushDB(t, d, int64(11+di))
 			tRows, oRows := p.stored("t"), p.stored("o")
-			minX := record.Value{Null: true} // MIN(x) skips the NULL
+			minX := oRows[0][0]
 			for _, o := range oRows {
-				if !o[0].Null && (minX.Null || o[0].I < minX.I) {
+				if o[0].I < minX.I {
 					minX = o[0]
 				}
 			}
@@ -344,9 +338,9 @@ func TestPushedPredicateStatementsSeeTheTableAsItWas(t *testing.T) {
 	}
 }
 
-// TestPushedPredicateReportsTruncatedTuple: a tuple cut short is an error of
-// the scan even when the pushed predicate rejects the row on a column that
-// lies before the cut.
+// TestPushedPredicateReportsTruncatedTuple: a tuple cut short, or one byte
+// too long, is an error of the scan even when the pushed predicate rejects
+// the row on a column that lies before the cut.
 func TestPushedPredicateReportsTruncatedTuple(t *testing.T) {
 	p := newPushDB(t, pushDesigns[0], 5)
 	queries := []string{
@@ -369,12 +363,14 @@ func TestPushedPredicateReportsTruncatedTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Put(key, tuple[:len(tuple)-3]); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		if rows, err := p.sess.Query(q); err == nil || !strings.Contains(err.Error(), "truncated") {
-			t.Fatalf("%s over a truncated tuple: %v, error %v", q, rows, err)
+	for _, bad := range [][]byte{tuple[:len(tuple)-3], append(tuple, 0)} {
+		if err := tree.Put(key, bad); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			if rows, err := p.sess.Query(q); err == nil || !strings.Contains(err.Error(), "malformed") {
+				t.Fatalf("%s over a %d-byte tuple: %v, error %v", q, len(bad), rows, err)
+			}
 		}
 	}
 }

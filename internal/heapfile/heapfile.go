@@ -263,12 +263,10 @@ func (it *Iterator) Next() bool {
 			}
 			tuple := it.page.Data[off : off+ln]
 			if len(it.preds) > 0 {
-				match, decided := record.MatchNullFree(tuple, it.cols, it.preds)
-				if !decided {
-					if match, it.lastErr = record.Match(tuple, it.cols, it.preds); it.lastErr != nil {
-						it.n = 0 // ends the scan: no slot left, and lastErr stops the next page
-						break
-					}
+				match, err := record.Match(tuple, it.cols, it.preds)
+				if err != nil {
+					it.lastErr, it.n = err, 0 // ends the scan: no slot left, and lastErr stops the next page
+					break
 				}
 				if !match {
 					continue

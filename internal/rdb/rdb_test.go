@@ -2,6 +2,7 @@ package rdb
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -200,28 +201,59 @@ func TestBetweenAndIn(t *testing.T) {
 	mustReject(t, db, "SELECT id FROM people WHERE id IN (1, 3, 99)", `"IN"`)
 }
 
+// TestNullHandling: NULL is a result, never a stored value. A nil argument,
+// an aggregate over no row and a scalar subquery with no row are NULL;
+// arithmetic on NULL is NULL; a comparison with NULL is UNKNOWN and selects
+// nothing; MIN and MAX skip NULL inputs; and a statement that would store a
+// NULL fails, naming the column (each one here writes one row, so the table
+// is unchanged: a statement is not rolled back).
 func TestNullHandling(t *testing.T) {
 	db := openDB(t, Options{})
 	mustExec(t, db, "CREATE TABLE nt (id INT PRIMARY KEY, v INT)")
-	mustExec(t, db, "INSERT INTO nt (id, v) VALUES (1, 10), (2, ?), (3, 30)", nil)
-	// A stored NULL comes back NULL, and arithmetic on it is NULL.
-	rows := mustQuery(t, db, "SELECT v, v + 1 FROM nt WHERE id = 2")
-	if rows.Len() != 1 || !rows.Data[0][0].Null || !rows.Data[0][1].Null {
-		t.Fatalf("stored NULL wrong: %v", rows.Data)
+	mustExec(t, db, "INSERT INTO nt (id, v) VALUES (1, 10), (2, 20), (3, 30)")
+	const next = "(SELECT v FROM nt n WHERE n.id = nt.id + 1)" // NULL at id 3
+	for q, args := range map[string][]any{
+		"SELECT v + ?, ? FROM nt WHERE id = 2":                       {nil, nil},
+		"SELECT MIN(v), MIN(v) + 1 FROM nt WHERE id > 3":             nil,
+		"SELECT " + next + ", " + next + " * 2 FROM nt WHERE id = 3": nil,
+	} {
+		rows := mustQuery(t, db, q, args...)
+		if rows.Len() != 1 || !rows.Data[0][0].Null || !rows.Data[0][1].Null {
+			t.Fatalf("%s: want one all-NULL row, got %v", q, rows.Data)
+		}
 	}
 	// NULL comparisons are UNKNOWN -> excluded, whichever way they point.
-	for _, q := range []string{"SELECT id FROM nt WHERE v > 0", "SELECT id FROM nt WHERE v = v"} {
-		if rows = mustQuery(t, db, q); rows.Len() != 2 {
+	for _, q := range []string{
+		"SELECT id FROM nt WHERE v > ?",
+		"SELECT id FROM nt WHERE ? = v",
+		"SELECT id FROM nt WHERE v <= 0 OR v <> ?",
+		"SELECT id FROM nt WHERE v <> (SELECT MIN(v) FROM nt WHERE id > ?)",
+	} {
+		if rows := mustQuery(t, db, q, nil); rows.Len() != 0 {
 			t.Fatalf("%s: NULL comparison should exclude: %v", q, rows.Data)
 		}
 	}
-	if rows = mustQuery(t, db, "SELECT id FROM nt WHERE v <= 0 OR v <> v"); rows.Len() != 0 {
-		t.Fatalf("NULL comparison should exclude: %v", rows.Data)
+	if rows := mustQuery(t, db, "SELECT id FROM nt WHERE "+next+" > 10"); rows.Len() != 2 {
+		t.Fatalf("NULL subquery comparison should exclude id 3: %v", rows.Data)
 	}
 	// MIN and MAX skip NULLs, COUNT(*) counts rows.
-	rows = mustQuery(t, db, "SELECT MIN(v), MAX(v), COUNT(*) FROM nt")
-	if r := rows.Data[0]; r[0].I != 10 || r[1].I != 30 || r[2].I != 3 {
+	rows := mustQuery(t, db, "SELECT MIN("+next+"), MAX("+next+"), COUNT(*) FROM nt")
+	if r := rows.Data[0]; r[0].I != 20 || r[1].I != 30 || r[2].I != 3 {
 		t.Fatalf("aggregate null semantics wrong: %v", rows.Data)
+	}
+	for q, args := range map[string][]any{
+		"INSERT INTO nt (id, v) VALUES (4, ?)":                                     {nil},
+		"UPDATE nt SET v = (SELECT MIN(v) FROM nt WHERE id > 3) WHERE id = 1":      nil,
+		"UPDATE nt SET v = " + next + " WHERE id = ?":                              {int64(3)},
+		"INSERT INTO nt (id, v) SELECT id + 10, " + next + " FROM nt WHERE id = 3": nil,
+	} {
+		if _, err := db.Exec(q, args...); err == nil || !strings.Contains(err.Error(), "column v is NULL") {
+			t.Fatalf("%s: want an error naming column v, got %v", q, err)
+		}
+	}
+	rows = ordered(mustQuery(t, db, "SELECT id, v FROM nt"))
+	if fmt.Sprint(rows.Data) != "[[1 10] [2 20] [3 30]]" {
+		t.Fatalf("table after the rejected writes: %v", rows.Data)
 	}
 	mustReject(t, db, "SELECT id FROM nt WHERE v IS NULL", `"IS"`)
 	mustReject(t, db, "INSERT INTO nt (id, v) VALUES (4, NULL)", `"NULL"`)
@@ -652,13 +684,28 @@ func TestUnsupportedParamType(t *testing.T) {
 	}
 }
 
+// TestInsertPartialColumns: an INSERT column list, MERGE's included, names
+// every column of the table once, or the statement is rejected when it is
+// prepared, naming the column: a stored row holds no NULL to fill it with.
 func TestInsertPartialColumns(t *testing.T) {
 	db := openDB(t, Options{})
 	mustExec(t, db, "CREATE TABLE p (a INT PRIMARY KEY, b INT, c INT)")
-	mustExec(t, db, "INSERT INTO p (a) VALUES (1)")
-	rows := mustQuery(t, db, "SELECT a, b, c FROM p")
-	if !rows.Data[0][1].Null || !rows.Data[0][2].Null {
-		t.Fatalf("unlisted columns must be NULL: %v", rows.Data)
+	for q, col := range map[string]string{
+		"INSERT INTO p (a) VALUES (1)":             `"b"`,
+		"INSERT INTO p (a, b) SELECT a, b FROM p":  `"c"`,
+		"INSERT INTO p (a, b, b) VALUES (1, 2, 3)": `"b" twice`,
+		"MERGE INTO p AS t USING p AS s ON (t.a = s.a + 1) WHEN NOT MATCHED THEN INSERT (a, c) VALUES (s.a, s.c)": `"b"`,
+	} {
+		if _, err := db.Prepare(q); err == nil || !strings.Contains(err.Error(), col) {
+			t.Fatalf("Prepare(%s): want an error naming %s, got %v", q, col, err)
+		}
+		mustReject(t, db, q, col)
+	}
+	// In any order, the full list stores each value in its column.
+	mustExec(t, db, "INSERT INTO p (c, a, b) VALUES (3, 1, 2)")
+	mustExec(t, db, "INSERT INTO p (b, c, a) SELECT c, a, a + 1 FROM p")
+	if rows := ordered(mustQuery(t, db, "SELECT a, b, c FROM p")); fmt.Sprint(rows.Data) != "[[1 2 3] [2 3 1]]" {
+		t.Fatalf("rows after the full-list inserts: %v", rows.Data)
 	}
 }
 
@@ -783,11 +830,14 @@ func TestUpdateUniqueViolationKeepsTable(t *testing.T) {
 	}
 }
 
-// TestNullProbeMatchesNothing: `a = ?` bound to NULL is UNKNOWN for every
-// row, the row whose a is NULL included, whichever way the planner reaches
-// the rows. NULL has a key encoding, so an index probe handed it would find
-// that row where a scan of the same table does not: the probe must not run.
+// TestNullProbeMatchesNothing: a NULL probe key or NULL join key matches no
+// row, whichever way the planner reaches the rows. NULL has a key encoding,
+// and its I is 0, so an index probe handed it could find the row whose a is 0
+// where a scan of the same table does not: the probe must not run. The NULL
+// comes from a nil argument, or from the one row of a derived table whose
+// MIN reads no row.
 func TestNullProbeMatchesNothing(t *testing.T) {
+	const src = "(SELECT MIN(a), 7 FROM t WHERE b > 100) AS src (a, b)"
 	for _, shape := range []struct{ name, index string }{
 		{"clustered_prefix", "CREATE CLUSTERED INDEX t_a ON t (a)"},
 		{"secondary", "CREATE INDEX t_a ON t (a)"},
@@ -800,14 +850,12 @@ func TestNullProbeMatchesNothing(t *testing.T) {
 			if shape.index != "" {
 				mustExec(t, db, shape.index)
 			}
-			mustExec(t, db, "INSERT INTO t (a, b) VALUES (?, 1), (5, 2)", nil)
-			mustExec(t, db, "CREATE TABLE src (a INT, b INT)")
-			mustExec(t, db, "INSERT INTO src (a, b) VALUES (?, 7)", nil)
+			mustExec(t, db, "INSERT INTO t (a, b) VALUES (0, 1), (5, 2)")
 			for rep := 0; rep < 2; rep++ { // the second round runs the recycled instances
 				if rows := mustQuery(t, db, "SELECT b FROM t WHERE a = ?", nil); rows.Len() != 0 {
 					t.Fatalf("SELECT with a NULL probe returned %v", rows.Data)
 				}
-				if rows := mustQuery(t, db, "SELECT t.b FROM src, t WHERE t.a = src.a"); rows.Len() != 0 {
+				if rows := mustQuery(t, db, "SELECT t.b FROM "+src+", t WHERE t.a = src.a"); rows.Len() != 0 {
 					t.Fatalf("join on a NULL key returned %v", rows.Data)
 				}
 				for _, q := range []string{
@@ -819,8 +867,8 @@ func TestNullProbeMatchesNothing(t *testing.T) {
 					}
 				}
 				for _, q := range []string{
-					"MERGE INTO t AS tt USING src AS ss ON (tt.a = ss.a) WHEN MATCHED THEN UPDATE SET b = ss.b",
-					"UPDATE t SET b = src.b FROM src WHERE t.a = src.a",
+					"MERGE INTO t AS tt USING " + src + " ON (tt.a = src.a) WHEN MATCHED THEN UPDATE SET b = src.b",
+					"UPDATE t SET b = src.b FROM " + src + " WHERE t.a = src.a",
 				} {
 					if n := mustExec(t, db, q); n != 0 {
 						t.Fatalf("%s matched %d rows on a NULL key", q, n)
@@ -831,7 +879,7 @@ func TestNullProbeMatchesNothing(t *testing.T) {
 					t.Fatalf("probe a = 5: %d %v %v", v, null, err)
 				}
 				rows := ordered(mustQuery(t, db, "SELECT a, b FROM t"))
-				if rows.Len() != 2 || !rows.Data[0][0].Null || rows.Data[0][1].I != 1 || rows.Data[1][1].I != 2 {
+				if fmt.Sprint(rows.Data) != "[[0 1] [5 2]]" {
 					t.Fatalf("table after the NULL probes: %v", rows.Data)
 				}
 			}

@@ -2,31 +2,27 @@ package record
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // Tuple encoding
 //
-// A tuple is serialized as:
-//
-//	nullBitmap  ceil(n/8) bytes, bit i set => column i is NULL
-//	per column  8 bytes little-endian two's complement
-//
-// NULL columns are skipped in the body. The encoding is self-delimiting
-// given the schema, which is how heap pages and B+tree leaves store rows.
+// A stored tuple of an n-column schema is exactly 8·n bytes: column i is the
+// 8 bytes at 8·i, little-endian two's complement. A stored tuple holds no
+// NULL — NULL is a result (an aggregate over no rows, a scalar subquery with
+// no row), never a column value — so every tuple of a table has the same
+// length, which lets an update overwrite its tuple in place.
 
-// EncodeTuple appends the serialized row to dst and returns the result.
+// EncodeTuple appends the serialized row to dst and returns the result. A
+// NULL value is an error: it has no stored form.
 func EncodeTuple(dst []byte, s *Schema, r Row) ([]byte, error) {
 	if len(r) != s.Len() {
 		return nil, fmt.Errorf("record: encode row arity %d vs schema %d", len(r), s.Len())
 	}
-	bitmapAt := len(dst)
-	dst = append(dst, make([]byte, (s.Len()+7)/8)...)
 	for i, v := range r {
 		if v.Null {
-			dst[bitmapAt+i/8] |= 1 << (i % 8)
-			continue
+			return nil, fmt.Errorf("record: column %s is NULL; a stored tuple holds no NULL", s.Columns[i].Name)
 		}
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
 	}
@@ -48,32 +44,23 @@ func DecodeTuple(src []byte, s *Schema) (Row, int, error) {
 // hold s.Len() values, and returns the number of bytes consumed. Only the
 // ordinals i with need[i] set are written (a nil need means all of them);
 // the others keep whatever dst held, so a scan that reuses one dst pays for
-// the columns its plan reads and nothing else.
+// the columns its plan reads and nothing else. A src of any length other
+// than 8·s.Len() is malformed.
 func DecodeInto(dst Row, src []byte, s *Schema, need []bool) (int, error) {
 	n := s.Len()
-	nb := (n + 7) / 8
-	if len(src) < nb {
-		return 0, fmt.Errorf("record: truncated tuple (bitmap)")
+	if len(src) != 8*n {
+		return 0, errMalformed
 	}
-	off := nb
 	for i := 0; i < n; i++ {
-		want := need == nil || need[i]
-		if src[i/8]&(1<<(i%8)) != 0 {
-			if want {
-				dst[i] = Value{Null: true}
-			}
-			continue
+		if need == nil || need[i] {
+			dst[i] = Value{I: int64(binary.LittleEndian.Uint64(src[8*i:]))}
 		}
-		if len(src) < off+8 {
-			return 0, fmt.Errorf("record: truncated INT column %d", i)
-		}
-		if want {
-			dst[i] = Value{I: int64(binary.LittleEndian.Uint64(src[off:]))}
-		}
-		off += 8
 	}
-	return off, nil
+	return len(src), nil
 }
+
+// errMalformed reports a tuple whose length is not 8 bytes a column.
+var errMalformed = errors.New("record: malformed tuple: its length is not 8 bytes a column")
 
 // Pred is a comparison a scan runs on the encoded tuple: column Col against
 // Val, holding when the three-way result is in Sat (bit 0 for column < Val,
@@ -85,66 +72,26 @@ type Pred struct {
 }
 
 // Match reports whether the tuple src of an n-column schema satisfies every
-// pred, decoding nothing: a column lives in the 8 bytes at bitmap + 8·ordinal,
-// 8 less for each NULL before it (the bitmap is walked only when the tuple has
-// one), and a NULL column satisfies no pred. A tuple shorter than its bitmap
-// says is an error whatever the preds make of it.
+// pred, decoding nothing: column c is the 8 bytes at 8·c. A tuple of any
+// length other than 8·n is an error whatever the preds make of it. It is
+// small enough to inline into the storage slot loops, so a rejected row
+// costs no call.
 func Match(src []byte, n int, preds []Pred) (bool, error) {
-	nb, nulls := (n+7)/8, 0
-	if len(src) >= nb {
-		nulls = -bits.OnesCount8(src[nb-1] >> ((n-1)%8 + 1)) // padding bits are no columns
-		for _, b := range src[:nb] {
-			nulls += bits.OnesCount8(b)
-		}
-	}
-	if len(src) < nb+8*(n-nulls) {
-		return false, fmt.Errorf("record: truncated tuple (%d bytes, %d columns)", len(src), n)
+	if len(src) != 8*n {
+		return false, errMalformed
 	}
 	for _, p := range preds {
-		off := nb + 8*p.Col
-		for i := 0; nulls > 0 && i <= p.Col; i++ {
-			if src[i/8]&(1<<(i%8)) == 0 {
-				continue
-			}
-			if i == p.Col {
-				return false, nil
-			}
-			off -= 8
-		}
-		cmp := 1
-		if v := int64(binary.LittleEndian.Uint64(src[off:])); v < p.Val {
-			cmp = 0
-		} else if v > p.Val {
-			cmp = 2
-		}
-		if p.Sat>>cmp&1 == 0 {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// MatchNullFree is Match for the tuple every scan of the engine's tables
-// meets: NULL-free, one bitmap byte, exactly as long as its columns. It
-// decides only such a tuple and leaves every other one (a NULL, padding bits,
-// a multi-byte bitmap, a wrong length) undecided, for Match. It is small
-// enough to inline into the storage loops, so a rejected row costs no call.
-func MatchNullFree(src []byte, n int, preds []Pred) (match, decided bool) {
-	if n > 8 || len(src) != 1+8*n || src[0] != 0 {
-		return false, false
-	}
-	for _, p := range preds {
-		v, bit := int64(binary.LittleEndian.Uint64(src[1+8*p.Col:])), uint8(2)
+		v, bit := int64(binary.LittleEndian.Uint64(src[8*p.Col:])), uint8(2)
 		if v < p.Val {
 			bit = 1
 		} else if v > p.Val {
 			bit = 4
 		}
 		if p.Sat&bit == 0 {
-			return false, true
+			return false, nil
 		}
 	}
-	return true, true
+	return true, nil
 }
 
 // Key encoding
@@ -157,7 +104,8 @@ func MatchNullFree(src []byte, n int, preds []Pred) (match, decided bool) {
 //
 // Components of a composite key simply concatenate; because every component
 // is self-delimiting, the concatenation orders lexicographically by
-// component.
+// component. Stored rows hold no NULL, so only in-memory keys (GROUP BY,
+// DISTINCT, hash-join build sides over NULL results) carry the 0x00 tag.
 
 // EncodeKey appends the order-preserving encoding of vals to dst.
 func EncodeKey(dst []byte, vals ...Value) []byte {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -94,8 +95,7 @@ func TestTupleRoundtrip(t *testing.T) {
 	rows := []Row{
 		{Int(1), Int(25), Int(-1 << 63), Int(-9)},
 		{Int(0), Int(0), Int(0), Int(1 << 60)},
-		{null, null, null, Int(5)},
-		{Int(-1), Int(1<<63 - 1), Int(7), null},
+		{Int(-1), Int(1<<63 - 1), Int(7), Int(5)},
 	}
 	for _, r := range rows {
 		buf, err := EncodeTuple(nil, s, r)
@@ -114,20 +114,38 @@ func TestTupleRoundtrip(t *testing.T) {
 	}
 }
 
+// TestStoredTupleLayout pins the record format: an n-column tuple is exactly
+// 8·n little-endian bytes, column i at 8·i, and a NULL has no stored form.
+func TestStoredTupleLayout(t *testing.T) {
+	s := MustSchema(Column{Name: "fid", Type: TInt}, Column{Name: "tid", Type: TInt}, Column{Name: "cost", Type: TInt})
+	buf, err := EncodeTuple([]byte{0xAA}, s, Row{Int(1), Int(-2), Int(1 << 40)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{0xAA, 1, 0, 0, 0, 0, 0, 0, 0, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 1, 0, 0}
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("EncodeTuple = % x, want % x", buf, want)
+	}
+	for i := range 3 {
+		r := Row{Int(1), Int(2), Int(3)}
+		r[i] = null
+		if got, err := EncodeTuple(nil, s, r); err == nil || !strings.Contains(err.Error(), s.Columns[i].Name) {
+			t.Errorf("EncodeTuple(%v) = % x, %v; want an error naming column %s", r, got, err, s.Columns[i].Name)
+		}
+	}
+}
+
 func TestTupleErrors(t *testing.T) {
 	s := MustSchema(Column{Name: "a", Type: TInt})
 	if _, err := EncodeTuple(nil, s, Row{Int(1), Int(2)}); err == nil {
 		t.Error("arity mismatch must fail")
 	}
-	if _, _, err := DecodeTuple([]byte{}, s); err == nil {
-		t.Error("truncated bitmap must fail")
-	}
-	if _, _, err := DecodeTuple([]byte{0x00, 1, 2}, s); err == nil {
-		t.Error("truncated int must fail")
-	}
-	// A set bit past the last column is padding, not a NULL.
-	if r, n, err := DecodeTuple([]byte{0x02, 7, 0, 0, 0, 0, 0, 0, 0}, s); err != nil || n != 9 || r[0] != Int(7) {
-		t.Errorf("padding bit: %v %d %v", r, n, err)
+	// Any length but 8 is malformed for one column: short, long, or the
+	// bitmap byte of the layout that stored NULLs.
+	for _, src := range [][]byte{{}, {1, 2}, {0, 7, 0, 0, 0, 0, 0, 0, 0}, make([]byte, 16)} {
+		if r, n, err := DecodeTuple(src, s); err == nil {
+			t.Errorf("DecodeTuple(% x) = %v, %d; want an error", src, r, n)
+		}
 	}
 }
 
@@ -136,16 +154,10 @@ func TestQuickTupleRoundtrip(t *testing.T) {
 		Column{Name: "a", Type: TInt},
 		Column{Name: "b", Type: TInt},
 	)
-	fn := func(a, b int64, aNull, bNull bool) bool {
+	fn := func(a, b int64) bool {
 		r := Row{Int(a), Int(b)}
-		if aNull {
-			r[0] = null
-		}
-		if bNull {
-			r[1] = null
-		}
 		buf, err := EncodeTuple(nil, s, r)
-		if err != nil {
+		if err != nil || len(buf) != 16 {
 			return false
 		}
 		got, n, err := DecodeTuple(buf, s)
@@ -163,10 +175,9 @@ func TestQuickTupleRoundtrip(t *testing.T) {
 }
 
 // TestMatchAgreesWithDecode: Match on the encoded tuple answers what the
-// comparison answers on the decoded row — for every satisfied-set, with
-// NULLs before, at and after the compared column (each one before it moves
-// the column 8 bytes down), past the first bitmap byte, and with padding bits
-// set — and every truncation of the tuple is an error, whatever the preds.
+// comparison answers on the decoded row, for every satisfied-set and column,
+// and every tuple shorter or longer than 8 bytes a column is an error,
+// whatever the preds.
 func TestMatchAgreesWithDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 2000; round++ {
@@ -176,24 +187,17 @@ func TestMatchAgreesWithDecode(t *testing.T) {
 		for i := range cols {
 			cols[i] = Column{Name: fmt.Sprintf("c%d", i), Type: TInt}
 			row[i] = Int(int64(rng.Intn(5) - 2))
-			if rng.Intn(4) == 0 {
-				row[i] = null
-			}
 		}
 		buf, err := EncodeTuple(nil, MustSchema(cols...), row)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if n%8 != 0 && rng.Intn(2) == 0 {
-			buf[(n-1)/8] |= 0x80 // a padding bit: no column, no NULL
 		}
 		preds := make([]Pred, 1+rng.Intn(3))
 		want := true
 		for i := range preds {
 			p := Pred{Col: rng.Intn(n), Sat: uint8(rng.Intn(8)), Val: int64(rng.Intn(5) - 2)}
 			preds[i] = p
-			v := row[p.Col]
-			want = want && !v.Null && p.Sat>>uint(Compare(v, Int(p.Val))+1)&1 != 0
+			want = want && p.Sat>>uint(Compare(row[p.Col], Int(p.Val))+1)&1 != 0
 		}
 		if got, err := Match(buf, n, preds); err != nil || got != want {
 			t.Fatalf("row %v preds %+v: Match = %v, %v; want %v", row, preds, got, err, want)
@@ -203,15 +207,16 @@ func TestMatchAgreesWithDecode(t *testing.T) {
 				t.Fatalf("row %v cut to %d of %d bytes: no error", row, cut, len(buf))
 			}
 		}
+		if _, err := Match(append(buf, 0), n, preds); err == nil {
+			t.Fatalf("row %v with a byte appended: no error", row)
+		}
 	}
 }
 
 // FuzzMatch: on any tuple bytes, 1 to 20 columns and up to three preds
-// (spec, 10 bytes each: column, satisfied set, operand), MatchNullFree agrees
-// with Match whenever it decides; whenever the tuple decodes, Match answers
-// what comparing DecodeInto's values answers, a NULL matching nothing; and a
-// tuple shorter than its bitmap implies is an error from Match that
-// MatchNullFree never decides.
+// (spec, 10 bytes each: column, satisfied set, operand), Match answers what
+// comparing DecodeInto's values answers wherever the tuple is 8 bytes a
+// column, and is an error, as DecodeInto is, at any other length.
 func FuzzMatch(f *testing.F) {
 	encodePreds := func(preds ...Pred) []byte {
 		var b []byte
@@ -228,11 +233,12 @@ func FuzzMatch(f *testing.F) {
 		}
 		schemas[n] = MustSchema(cols...)
 	}
-	// TestMatchAgreesWithDecode's shapes: NULL-free, a NULL before the
-	// compared column, a padding bit, one bitmap byte or more, truncated; and
-	// over-long, with a zero bitmap or with the NULL. Column i holds i+1, so
-	// the preds (last column = n, last column > 0) hold wherever the last
-	// column decodes to a value, and a compare that misplaces it disagrees.
+	// Exact, under preds that hold and preds that fail; one byte short; one
+	// byte over (the bitmap byte of the layout that stored NULLs); a column
+	// over; and, where the bitmap had padding bits, that layout's tuple with
+	// a NULL in it. Column i holds i+1, so last column = n and last column >
+	// 0 hold on the exact tuple and last column < 0 fails: a compare that
+	// misplaces the column or misreads its order disagrees.
 	for _, n := range []int{1, 3, 7, 8, 9, 16, 20} {
 		row := make(Row, n)
 		for i := range row {
@@ -240,17 +246,13 @@ func FuzzMatch(f *testing.F) {
 		}
 		preds := encodePreds(Pred{Col: n - 1, Sat: 2, Val: int64(n)}, Pred{Col: n - 1, Sat: 4, Val: 0})
 		flat, _ := EncodeTuple(nil, schemas[n], row)
-		row[0] = null
-		nulls, _ := EncodeTuple(nil, schemas[n], row)
 		f.Add(flat, uint8(n-1), preds)
-		f.Add(nulls, uint8(n-1), preds)
+		f.Add(flat, uint8(n-1), encodePreds(Pred{Col: n - 1, Sat: 1, Val: 0}))
 		f.Add(flat[:len(flat)-1], uint8(n-1), preds)
+		f.Add(append([]byte{0}, flat...), uint8(n-1), preds)
 		f.Add(append(flat, 0, 0, 0, 0, 0, 0, 0, 0), uint8(n-1), preds)
-		f.Add(append(nulls, 0, 0, 0, 0, 0, 0, 0, 0), uint8(n-1), preds) // a NULL-free tuple's length
 		if n%8 != 0 {
-			padded := append([]byte(nil), flat...)
-			padded[(n-1)/8] |= 0x80
-			f.Add(padded, uint8(n-1), preds)
+			f.Add(append([]byte{1}, flat[8:]...), uint8(n-1), preds)
 		}
 	}
 	f.Fuzz(func(t *testing.T, src []byte, cols uint8, spec []byte) {
@@ -260,33 +262,20 @@ func FuzzMatch(f *testing.F) {
 			preds = append(preds, Pred{Col: int(spec[0]) % n, Sat: spec[1], Val: int64(binary.LittleEndian.Uint64(spec[2:]))})
 		}
 		got, err := Match(src, n, preds)
-		fast, decided := MatchNullFree(src, n, preds)
-		if decided && (err != nil || fast != got) {
-			t.Fatalf("MatchNullFree decided %v, Match %v, %v", fast, got, err)
-		}
-		nb := (n + 7) / 8
-		short := len(src) < nb
-		if !short {
-			nulls := 0
-			for i := 0; i < n; i++ {
-				nulls += int(src[i/8] >> (i % 8) & 1)
-			}
-			short = len(src) < nb+8*(n-nulls)
-		}
-		if short && (err == nil || decided) {
-			t.Fatalf("%d bytes of %d columns: Match %v, %v; MatchNullFree decided %v", len(src), n, got, err, decided)
-		}
 		row := make(Row, n)
-		if _, derr := DecodeInto(row, src, schemas[n], nil); derr != nil {
+		_, derr := DecodeInto(row, src, schemas[n], nil)
+		if len(src) != 8*n {
+			if err == nil || derr == nil {
+				t.Fatalf("%d bytes of %d columns: Match %v, %v; DecodeInto %v", len(src), n, got, err, derr)
+			}
 			return
 		}
 		match := true
 		for _, p := range preds {
-			v := row[p.Col]
-			match = match && !v.Null && p.Sat>>uint(Compare(v, Int(p.Val))+1)&1 != 0
+			match = match && p.Sat>>uint(Compare(row[p.Col], Int(p.Val))+1)&1 != 0
 		}
-		if err != nil || got != match {
-			t.Fatalf("row %v preds %+v: Match = %v, %v; decoded compare %v", row, preds, got, err, match)
+		if err != nil || derr != nil || got != match {
+			t.Fatalf("row %v preds %+v: Match = %v, %v; decoded compare %v (%v)", row, preds, got, err, match, derr)
 		}
 	})
 }

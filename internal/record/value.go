@@ -1,7 +1,9 @@
 // Package record defines the engine's value model: the SQL value (a 64-bit
-// integer or NULL), table schemas, the on-page tuple encoding, and an
-// order-preserving key encoding used by the B+tree so composite keys compare
-// correctly as raw bytes.
+// integer, or NULL as the result of an expression — never as a stored
+// column), table schemas, the on-page tuple encoding (8 bytes a column), the
+// compare a scan runs on an encoded tuple, and an order-preserving key
+// encoding used by the B+tree so composite keys compare correctly as raw
+// bytes.
 package record
 
 import "strconv"
@@ -14,7 +16,8 @@ type Type uint8
 const TInt Type = 1
 
 // Value is one SQL value: an INT, or NULL when Null is set (I is then 0).
-// The zero Value is the integer 0.
+// The zero Value is the integer 0. A NULL has no stored form: EncodeTuple
+// refuses it.
 type Value struct {
 	I    int64
 	Null bool

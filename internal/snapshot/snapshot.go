@@ -231,9 +231,11 @@ func Latest(store ChunkStore) (*Manifest, error) {
 }
 
 // ReadTable loads one table's rows from a committed snapshot, verifying
-// each chunk's CRC and shape against the manifest.
+// each chunk's CRC and shape against the manifest. The rows grow as the
+// chunks decode: the manifest's counts are compared with what the chunks
+// hold, and never size an allocation.
 func ReadTable(store ChunkStore, tm *TableMeta) ([][]int64, error) {
-	rows := make([][]int64, 0, tm.Rows)
+	var rows [][]int64
 	for _, cm := range tm.Chunks {
 		data, err := store.Get(cm.Name)
 		if err != nil {
@@ -272,14 +274,17 @@ func encodeChunk(cols int, rows [][]int64) []byte {
 	return data
 }
 
-// decodeChunk inverts encodeChunk.
+// decodeChunk inverts encodeChunk. The header's shape must describe exactly
+// the values present, checked by division so that no product of header
+// fields can wrap: nothing is allocated for rows the bytes do not hold.
 func decodeChunk(data []byte) (int, [][]int64, error) {
 	if len(data) < 8 {
 		return 0, nil, errors.New("short header")
 	}
 	cols := int(binary.LittleEndian.Uint32(data))
 	n := int(binary.LittleEndian.Uint32(data[4:]))
-	if cols <= 0 || n < 0 || len(data) != 8+8*cols*n {
+	vals := (len(data) - 8) / 8
+	if cols <= 0 || n < 0 || (len(data)-8)%8 != 0 || vals%cols != 0 || vals/cols != n {
 		return 0, nil, fmt.Errorf("bad shape %dx%d for %d bytes", n, cols, len(data))
 	}
 	rows := make([][]int64, n)

@@ -1,7 +1,11 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -295,4 +299,76 @@ func TestChunkEncoding(t *testing.T) {
 	if _, _, err := decodeChunk([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short header accepted")
 	}
+}
+
+// hostileChunks are chunks whose header shape, multiplied out in 64-bit
+// arithmetic, matches the bytes present although it describes billions of
+// rows: 8 + 8·2^31·2^31 wraps to 8 bytes, and 8 + 8·2147549185·2147418113
+// (8 + 8·(2^62+1)) to 16, one value.
+func hostileChunks() [][]byte {
+	chunk := func(cols, rows uint32, vals int) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, cols)
+		return append(binary.LittleEndian.AppendUint32(b, rows), make([]byte, 8*vals)...)
+	}
+	return [][]byte{chunk(1<<31, 1<<31, 0), chunk(2147549185, 2147418113, 1)}
+}
+
+// TestHostileShapes: a chunk whose header does not describe its bytes,
+// however the shape's product wraps, and a manifest whose counts are
+// negative or past what its chunks hold, are errors of decodeChunk and
+// ReadTable, with nothing allocated for the rows they claim.
+func TestHostileShapes(t *testing.T) {
+	for _, data := range hostileChunks() {
+		if cols, rows, err := decodeChunk(data); err == nil {
+			t.Errorf("decodeChunk(% x) = %d columns, %d rows; want an error", data[:8], cols, len(rows))
+		}
+	}
+	store, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := writeSnapshot(t, store, 1, testRows(10))
+	tables := map[string]TableMeta{}
+	for name, edit := range map[string]func(*TableMeta){
+		"negative rows":       func(tm *TableMeta) { tm.Rows = -1 },
+		"2^40 rows":           func(tm *TableMeta) { tm.Rows = 1 << 40 },
+		"negative chunk rows": func(tm *TableMeta) { tm.Chunks[0].Rows = -1 },
+		"zero columns":        func(tm *TableMeta) { tm.Cols = 0 },
+	} {
+		tm := m.Tables[0]
+		tm.Chunks = append([]ChunkMeta(nil), tm.Chunks...)
+		edit(&tm)
+		tables[name] = tm
+	}
+	for i, data := range hostileChunks() {
+		cm := ChunkMeta{Name: versionDir(2) + "/hostile.chunk", Rows: 1 << 31, Bytes: len(data), CRC: crc32.ChecksumIEEE(data)}
+		if err := store.Put(cm.Name, data); err != nil {
+			t.Fatal(err)
+		}
+		tables[fmt.Sprint("hostile chunk ", i)] = TableMeta{Name: "TEdges", Cols: 1 << 31, Rows: 1 << 31, Chunks: []ChunkMeta{cm}}
+	}
+	for name, tm := range tables {
+		if rows, err := ReadTable(store, &tm); err == nil {
+			t.Errorf("%s: ReadTable = %d rows, want an error", name, len(rows))
+		}
+	}
+}
+
+// FuzzDecodeChunk: on any bytes decodeChunk fails or returns a shape that
+// describes exactly the bytes given — encodeChunk gives them back.
+func FuzzDecodeChunk(f *testing.F) {
+	f.Add(encodeChunk(3, testRows(4)))
+	f.Add(encodeChunk(2, nil))
+	for _, data := range hostileChunks() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cols, rows, err := decodeChunk(data)
+		if err != nil {
+			return
+		}
+		if again := encodeChunk(cols, rows); !bytes.Equal(again, data) {
+			t.Fatalf("decodeChunk(% x) = %dx%d, which encodes as % x", data, len(rows), cols, again)
+		}
+	})
 }

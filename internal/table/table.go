@@ -515,11 +515,10 @@ func (it *Iterator) Next() bool {
 			if len(it.preds) == 0 {
 				break
 			}
-			match, decided := record.MatchNullFree(it.fetch, len(it.row), it.preds)
-			if !decided {
-				if match, it.err = record.Match(it.fetch, len(it.row), it.preds); it.err != nil {
-					return false
-				}
+			match, err := record.Match(it.fetch, len(it.row), it.preds)
+			if err != nil {
+				it.err = err
+				return false
 			}
 			if match {
 				break
