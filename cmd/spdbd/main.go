@@ -33,8 +33,8 @@
 //
 // Every query runs under the request's context: when the client
 // disconnects or the timeout fires, the engine abandons the search within
-// one frontier iteration (504 on timeout) instead of holding the query
-// latch. /stats reports planner_decisions (what "auto" chose) and
+// one frontier iteration (504 on timeout) instead of holding its query
+// gate admission. /stats reports planner_decisions (what "auto" chose) and
 // queries_cancelled (how often deadlines or disconnects fired).
 //
 // POST /query?debug=trace additionally attaches a stage-timing trace to
@@ -43,7 +43,7 @@
 // the -slow-query ring use (docs/ARCHITECTURE.md §Observability).
 //
 // POST /edges applies the whole batch atomically with respect to queries:
-// one query-latch acquisition, one version bump, one cache purge. Deleted
+// one exclusive gate admission, one version bump, one cache purge. Deleted
 // and re-weighted edges repair the SegTable incrementally (falling back to
 // a rebuild past the engine's repair threshold), so BSEG keeps answering
 // exactly without a manual rebuild. Any mutation invalidates the landmark
@@ -465,9 +465,9 @@ func (sv *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		resp.OracleInvalidated = st.OracleInvalidated
 		resp.LabelsInvalidated = st.LabelsInvalidated
 		resp.Statements = st.Statements
-		// The version this batch committed as, snapshotted under the
-		// query latch — GraphVersion() here could already belong to a
-		// concurrent later batch.
+		// The version this batch committed as, snapshotted under its
+		// exclusive gate admission — GraphVersion() here could already
+		// belong to a concurrent later batch.
 		resp.Version = st.Version
 		// Count the persisted prefix even on error, matching the engine's
 		// own per-op counters.
@@ -735,8 +735,8 @@ func (sv *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			}
 		}(),
 		// concurrency reports the query gate (parallel shared admissions
-		// vs exclusive drains), the scratch-table pool, and the optimistic
-		// snapshot machinery's retry/degrade counters.
+		// vs exclusive drains), the scratch-table pool, and the commit-time
+		// version check's failures (0 unless the gate is broken).
 		"concurrency": sv.eng.ConcurrencyStats(),
 		// durability reports the WAL and snapshot counters (zero-valued
 		// without -data-dir).

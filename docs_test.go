@@ -2,6 +2,9 @@ package repro_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"regexp"
 	"strings"
@@ -19,6 +22,10 @@ import (
 // `spdbd -<flag>` that README, the architecture document, the CI workflow
 // or the verify recipe mentions must still exist — as a registry entry, a
 // committed file, a flag the binary defines or a route spdbd registers.
+// And every backticked `Engine.X` or `<internal package>.X[.Y]` with an
+// exported X in README or the architecture document must name a
+// declaration in the package's non-test files (`pkg.M` may name a method
+// M of any of the package's types).
 func TestDocCitations(t *testing.T) {
 	defined := func(file, pattern string) map[string]bool {
 		src, err := os.ReadFile(file)
@@ -47,12 +54,37 @@ func TestDocCitations(t *testing.T) {
 	expIDs := regexp.MustCompile(`fembench\b.*?\s-exp\s+([a-z0-9][a-z0-9,-]*)`)
 	flagUse := regexp.MustCompile(`\s-([a-z][a-z-]*)`)
 	routeUse := regexp.MustCompile(`[\w.-]*:\d+(/[\w/-]*)|\b(?:GET|POST)\s+(/[\w/-]*)`)
+	decls := map[string]map[string]bool{}
+	codeSpan := regexp.MustCompile("`([^`]+)`")
+	qualified := regexp.MustCompile(`^(\w+)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		prose := doc == "README.md" || doc == "docs/ARCHITECTURE.md"
 		for n, line := range strings.Split(string(text), "\n") {
+			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+				m := qualified.FindStringSubmatch(span[1])
+				if !prose || m == nil {
+					continue
+				}
+				pkg, name := m[1], m[2]
+				if pkg == "Engine" {
+					pkg, name = "core", "Engine."+m[2]
+				} else if m[3] != "" {
+					name += "." + m[3]
+				}
+				if _, err := os.Stat("internal/" + pkg); err != nil {
+					continue
+				}
+				if decls[pkg] == nil {
+					decls[pkg] = declarations(t, "internal/"+pkg)
+				}
+				if !decls[pkg][name] && (m[3] != "" || !decls[pkg]["*."+name]) {
+					t.Errorf("%s:%d: `%s`: internal/%s declares no %s", doc, n+1, span[1], pkg, name)
+				}
+			}
 			for _, m := range benchFile.FindAllStringSubmatch(line, -1) {
 				if _, err := os.Stat(m[0]); err != nil && !known(m[1]) {
 					t.Errorf("%s:%d: %s is neither committed nor written by any experiment", doc, n+1, m[0])
@@ -89,6 +121,61 @@ func TestDocCitations(t *testing.T) {
 			}
 		}
 	}
+}
+
+// declarations lists what the non-test files of the package in dir
+// declare: every top-level name, "T.M" for each method M and struct field
+// M of a type T, and "*.M" for each method M.
+func declarations(t *testing.T, dir string) map[string]bool {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						names[d.Name.Name] = true
+						continue
+					}
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						names[id.Name+"."+d.Name.Name] = true
+					}
+					names["*."+d.Name.Name] = true
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								names[id.Name] = true
+							}
+						case *ast.TypeSpec:
+							names[spec.Name.Name] = true
+							st, ok := spec.Type.(*ast.StructType)
+							if !ok {
+								continue
+							}
+							for _, field := range st.Fields.List {
+								for _, id := range field.Names {
+									names[spec.Name.Name+"."+id.Name] = true
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 // relationRows renders the relation table of ARCHITECTURE §Physical design

@@ -31,7 +31,7 @@ type CacheStats struct {
 // (graph version, algorithm, source, target). It is the layer that turns
 // the single-writer engine into a serving tier: repeated queries — the
 // common shape of road-network and social-graph traffic — bypass the
-// relational search entirely and never touch the DB latch.
+// relational search entirely and never touch the query gate.
 type pathCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -59,9 +59,8 @@ func (c *pathCache) get(key cacheKey) (Path, bool) {
 	return c.lookup(key, true)
 }
 
-// recheck is the under-latch double-checked lookup: a hit still counts
-// (another caller computed the answer while we waited), but a miss must
-// not — the first probe already counted this query's miss.
+// recheck is the lookup that counts only hits: Query's probe before
+// admission, whose miss the lookup inside the admission counts.
 func (c *pathCache) recheck(key cacheKey) (Path, bool) {
 	return c.lookup(key, false)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -44,8 +45,23 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 
 	cs := e.CacheStats()
-	if cs.Hits != 1 || cs.Misses < 2 || cs.Entries != 2 {
+	if cs.Hits != 1 || cs.Misses != 2 || cs.Entries != 2 {
 		t.Fatalf("unexpected cache stats: %+v", cs)
+	}
+
+	// An auto query counts exactly one lookup too: one miss when it
+	// searches, one hit when it repeats.
+	qa := graph.RandomQueries(g, 2, 9)[1]
+	for i, want := range []CacheStats{{Hits: 1, Misses: 3}, {Hits: 2, Misses: 3}} {
+		res, err := e.Query(context.Background(), QueryRequest{Source: qa[0], Target: qa[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := e.CacheStats()
+		if got.Hits != want.Hits || got.Misses != want.Misses || res.Stats.CacheHit != (i == 1) {
+			t.Fatalf("auto query %d: hit=%v, cache stats %+v, want hits %d misses %d",
+				i, res.Stats.CacheHit, got, want.Hits, want.Misses)
+		}
 	}
 
 	// Callers must not be able to corrupt cached entries via the shared

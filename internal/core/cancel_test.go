@@ -13,7 +13,7 @@ import (
 )
 
 // The cancellation suite: a cancelled context must return ctx.Err() within
-// one frontier iteration, leave the query latch free, and cache nothing.
+// one frontier iteration, leave the query gate free, and cache nothing.
 
 // countdownCtx cancels after a fixed number of Err() polls. The engine
 // polls once per frontier iteration and at every statement boundary, so

@@ -179,11 +179,11 @@ func TestApproxDistanceBounds(t *testing.T) {
 	}
 }
 
-// TestApproxConcurrent hammers the latch-free ApproxDistance from many
-// goroutines while exact searches, edge inserts and oracle rebuilds run —
-// the optimistic version-validation path. Run under -race in CI. The only
-// acceptable failures are the explicit "oracle not built" and "graph kept
-// changing" refusals during the mutation window.
+// TestApproxConcurrent hammers DistanceInterval from many goroutines while
+// exact searches, edge inserts and oracle rebuilds run. Run under -race in
+// CI. Interval reads share the gate with searches and queue behind the
+// writers, so the only acceptable failure is the explicit "oracle not
+// built" refusal between the insert and the rebuild.
 func TestApproxConcurrent(t *testing.T) {
 	g := graph.Power(200, 3, 13)
 	e := newTestEngine(t, g, rdb.Options{}, Options{})
@@ -201,8 +201,7 @@ func TestApproxConcurrent(t *testing.T) {
 				q := queries[(seed+i)%len(queries)]
 				iv, err := approxDistance(e, q[0], q[1])
 				if err != nil {
-					if !strings.Contains(err.Error(), "BuildOracle") &&
-						!strings.Contains(err.Error(), "kept changing") {
+					if !strings.Contains(err.Error(), "BuildOracle") {
 						errs <- err
 					}
 					continue
@@ -241,7 +240,7 @@ func TestApproxConcurrent(t *testing.T) {
 }
 
 // TestOracleInvalidation: graph changes must invalidate the oracle so ALT
-// and ApproxDistance cannot serve unsound bounds, and a rebuild restores
+// and DistanceInterval cannot serve unsound bounds, and a rebuild restores
 // them.
 func TestOracleInvalidation(t *testing.T) {
 	g := graph.Random(30, 90, 3)
@@ -269,7 +268,7 @@ func TestOracleInvalidation(t *testing.T) {
 		t.Error("ALT must refuse to run on an invalidated oracle")
 	}
 	if _, err := approxDistance(e, 0, 1); err == nil {
-		t.Error("ApproxDistance must refuse to run on an invalidated oracle")
+		t.Error("DistanceInterval must refuse to run on an invalidated oracle")
 	}
 	if _, err := e.BuildOracle(oracle.Config{K: 3}); err != nil {
 		t.Fatal(err)

@@ -229,16 +229,12 @@ type Engine struct {
 	gate *queryGate
 	// scratch pools the per-query working-table sets readers lease;
 	// scratchGlobal is the original TVisited set, reserved for exclusive
-	// operations (MST, Reachable, degraded searches).
+	// operations (MST, Reachable).
 	scratch       scratchPool
 	scratchGlobal *scratchSet
-	// snapRetries counts searches re-run because the graph version moved
-	// between admission and commit (a safety net: the gate excludes writers
-	// while readers run, so this staying 0 is the expected steady state);
-	// degraded counts searches that fell back to exclusive admission after
-	// exhausting their retries.
+	// snapRetries counts searches whose graph version moved between
+	// admission and commit; 0 unless the gate invariant is broken.
 	snapRetries atomic.Uint64
-	degraded    atomic.Uint64
 	// hookSearchStart, when set (tests only), runs after shared admission
 	// and scratch lease, before the search issues its first statement. The
 	// concurrency battery uses it to prove two queries are in flight
@@ -423,7 +419,7 @@ func (e *Engine) SegLthd() int64 {
 func (e *Engine) Oracle() *oracle.Oracle { return e.indexState().orc }
 
 // OracleInvalidated reports that a previously built oracle was killed by a
-// graph mutation and has not been rebuilt: ALT and ApproxDistance refuse
+// graph mutation and has not been rebuilt: ALT and DistanceInterval refuse
 // to run until BuildOracle is called again. The serving tier surfaces this
 // so operators know approximate answers went cold.
 func (e *Engine) OracleInvalidated() bool { return e.indexState().orcStale }
@@ -452,17 +448,14 @@ func (e *Engine) CacheStats() CacheStats {
 }
 
 // ConcurrencyStats bundles the admission gate, the scratch-table pool and
-// the snapshot-validation counters for the serving tier (spdbd /stats).
+// the commit-time version check for the serving tier (spdbd /stats).
 type ConcurrencyStats struct {
 	Gate    GateStats    `json:"gate"`
 	Scratch ScratchStats `json:"scratch"`
-	// SnapshotRetries counts searches re-run because the graph version
-	// moved between admission and commit; Degraded counts searches that
-	// fell back to exclusive admission after exhausting retries. Both stay
-	// 0 while the gate excludes writers correctly — they are the optimistic
-	// pattern's safety net, not its hot path.
+	// SnapshotRetries counts searches that failed because the graph
+	// version moved between admission and commit: 0 unless the gate
+	// invariant is broken.
 	SnapshotRetries uint64 `json:"snapshot_retries"`
-	Degraded        uint64 `json:"degraded"`
 }
 
 // ConcurrencyStats snapshots the engine's parallel-admission machinery.
@@ -471,7 +464,6 @@ func (e *Engine) ConcurrencyStats() ConcurrencyStats {
 		Gate:            e.gate.stats(),
 		Scratch:         e.scratch.stats(),
 		SnapshotRetries: e.snapRetries.Load(),
-		Degraded:        e.degraded.Load(),
 	}
 }
 
@@ -577,12 +569,12 @@ func (e *Engine) checkBudget(ctx context.Context, qs *QueryStats) error {
 }
 
 // search dispatches to the relational algorithms over the leased scratch
-// set; callers hold the query gate (shared for reads, exclusive for the
-// degraded path). budget is the per-query statement cap (0 = unlimited),
-// applied to each handle's statement stream. The bi-directional algorithms
-// are the FEM loop over this engine's handle and, when it coordinates a
-// partitioned graph, one more per peer, admitted here in owner order (peers
-// only ever admit shared, so the order cannot deadlock).
+// set; callers hold a shared admission of the query gate. budget is the
+// per-query statement cap (0 = unlimited), applied to each handle's
+// statement stream. The bi-directional algorithms are the FEM loop over
+// this engine's handle and, when it coordinates a partitioned graph, one
+// more per peer, admitted here in owner order (peers only ever admit
+// shared, so the order cannot deadlock).
 func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t int64, budget int64) (Path, *QueryStats, error) {
 	switch alg {
 	case AlgDJ:

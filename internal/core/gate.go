@@ -7,12 +7,14 @@ import (
 	"repro/internal/rdb"
 )
 
-// queryGate is the engine's admission control: read-only searches enter the
-// shared side and run concurrently (each over its own scratch-table set),
-// while mutators — LoadGraph, ApplyMutations, BuildSegTable, BuildOracle,
-// MST, Reachable — take the exclusive side, draining every in-flight reader
-// first and blocking new ones. It replaces the old one-slot query latch,
-// which serialized all searches because they shared one TVisited table.
+// queryGate is the engine's admission control: readers — Query, and
+// DistanceInterval — enter the shared side once and run concurrently (each
+// search over its own scratch-table set), while every writer of the graph
+// version or the indexes record — LoadGraph, ApplyMutations, the three
+// builds, Snapshot, Hydrate — and the whole-graph operations MST and
+// Reachable take the exclusive side, draining every in-flight reader first
+// and blocking new ones. A shared admission therefore freezes everything a
+// search reads.
 //
 // The gate is writer-preferring: once a writer is queued, new readers hold
 // back until every queued writer has run, so a steady stream of queries can

@@ -10,7 +10,7 @@ func shortestPath(e *Engine, alg Algorithm, s, t int64) (Path, *QueryStats, erro
 }
 
 // approxDistance is the test-suite shim for the pre-PR5 Engine.ApproxDistance
-// wrapper: a latch-free oracle interval read.
+// wrapper: one oracle interval read under a shared gate admission.
 func approxDistance(e *Engine, s, t int64) (Interval, error) {
 	return e.DistanceInterval(context.Background(), s, t)
 }

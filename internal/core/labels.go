@@ -20,7 +20,8 @@ import (
 // the loaded graph: every node with an edge becomes a hub, processed in
 // degree-descending order by pruned single-seed SegTable sweeps,
 // materialized into TLabelOut/TLabelIn(nid, hub, dist). Like BuildOracle,
-// the build excludes searches and bumps the graph version.
+// the build holds the exclusive side of the query gate and bumps the graph
+// version.
 func (e *Engine) BuildLabels() (*labels.BuildStats, error) {
 	return e.BuildLabelsContext(context.Background())
 }
@@ -36,10 +37,9 @@ func (e *Engine) BuildLabelsContext(ctx context.Context) (*labels.BuildStats, er
 		return nil, err
 	}
 	defer release()
-	// Invalidate before touching the label relations: a rebuild over a
-	// live index must make concurrent planning refuse cleanly rather than
-	// read half-built label sets. A live index also goes stale here, so a
-	// failed rebuild reads as "went cold" — not "never built".
+	// Null the index before touching the label relations: a live index
+	// goes stale here, so a failed or cancelled rebuild reads as "went
+	// cold" — not "never built".
 	e.mu.Lock()
 	if e.lbl != nil {
 		e.lblStale = true

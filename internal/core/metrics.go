@@ -105,11 +105,8 @@ func (e *Engine) CollectMetrics(x *obs.Exporter) {
 	x.Gauge("spdb_gate_writers_waiting", "Writers queued on the gate.", float64(gs.WritersWaiting))
 	x.Gauge("spdb_gate_writer_active", "1 while an exclusive holder runs.", b2f(gs.WriterActive))
 	x.Counter("spdb_snapshot_retries_total",
-		"Searches re-run because the graph version moved between admission and commit.",
+		"Searches failed because the graph version moved between admission and commit (0 unless the gate is broken).",
 		float64(e.snapRetries.Load()))
-	x.Counter("spdb_degraded_queries_total",
-		"Searches that fell back to exclusive admission after exhausting snapshot retries.",
-		float64(e.degraded.Load()))
 
 	ss := e.scratch.stats()
 	x.Counter("spdb_scratch_minted_total", "Scratch table sets created (DDL).", float64(ss.Minted))

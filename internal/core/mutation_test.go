@@ -418,7 +418,7 @@ func TestMutationOracleInvalidation(t *testing.T) {
 		t.Error("engine must report the oracle as cold")
 	}
 	if _, err := approxDistance(e, 0, 1); err == nil {
-		t.Error("ApproxDistance must refuse on a cold oracle")
+		t.Error("DistanceInterval must refuse on a cold oracle")
 	}
 	// The single-edge helpers are one-mutation batches.
 	if ms := e.MutationStats(); ms.OracleInvalidations != 1 || ms.Batches != 2 {

@@ -17,8 +17,8 @@ var _ [1]struct{} = [MaxDist - oracle.Unreached + 1]struct{}{}
 // per-landmark distances computed by the SegTable sweep seeded with one
 // node and run without a bound, materialized into
 // TLandmark(lid, nid, dout, din). Like
-// BuildSegTable, the build excludes searches and bumps the graph version
-// (conservatively invalidating cached answers).
+// BuildSegTable, the build holds the exclusive side of the query gate and
+// bumps the graph version (conservatively invalidating cached answers).
 func (e *Engine) BuildOracle(cfg oracle.Config) (*oracle.BuildStats, error) {
 	return e.BuildOracleContext(context.Background(), cfg)
 }
@@ -37,11 +37,9 @@ func (e *Engine) BuildOracleContext(ctx context.Context, cfg oracle.Config) (*or
 	if cfg.K < 0 {
 		return nil, fmt.Errorf("core: landmark count must be non-negative, got %d (0 selects the default of %d)", cfg.K, oracle.DefaultK)
 	}
-	// Invalidate before touching TLandmark: ApproxDistance runs off the
-	// query latch, and a rebuild over a live oracle must make concurrent
-	// lookups refuse cleanly rather than read a half-built relation. A
-	// live oracle also goes stale here, so a failed rebuild reads as
-	// "went cold" — not "never built" — to operators.
+	// Null the oracle before touching TLandmark: a live oracle goes stale
+	// here, so a failed or cancelled rebuild reads as "went cold" — not
+	// "never built" — to operators.
 	e.mu.Lock()
 	if e.orc != nil {
 		e.orcStale = true
@@ -78,75 +76,43 @@ func (iv Interval) UpperKnown() bool { return iv.Upper < MaxDist }
 // Exact reports a closed interval: the approximate answer IS the distance.
 func (iv Interval) Exact() bool { return iv.UpperKnown() && iv.Lower == iv.Upper }
 
-// approxRetries bounds the optimistic-concurrency loop in DistanceInterval.
-const approxRetries = 3
-
-// DistanceInterval is the latch-free interval primitive behind the query
-// planner: it brackets dist(s, t) from the landmark oracle alone — three
-// aggregate SELECTs over TLandmark, never touching TEdges and never taking
-// the query latch, so approximate answers stay fast while exact searches
-// are running:
+// DistanceInterval brackets dist(s, t) from the landmark oracle alone —
+// three aggregate SELECTs over TLandmark, never touching TEdges:
 //
 //	Upper = min_l dist(s,l) + dist(l,t)   (a real path through l)
 //	Lower = max(0, max_l dout_l(t)-dout_l(s), max_l din_l(s)-din_l(t))
 //
 // Sentinel arithmetic is deliberate: a landmark that reaches s but not t
 // pushes the lower bound past MaxDist/2, which is a genuine proof that no
-// s-t path exists (l would reach t through it). Consistency with
-// concurrent graph changes comes from optimistic version validation — the
-// reads retry when the (graph, index) generation moves underneath them;
-// cancellation is honored at every statement boundary through ctx.
+// s-t path exists (l would reach t through it). It is an ordinary reader:
+// one shared admission of the query gate, so it runs beside searches and
+// queues behind a writer, abandoning the wait when ctx is cancelled;
+// cancellation is honored at every statement boundary too.
 func (e *Engine) DistanceInterval(ctx context.Context, s, t int64) (Interval, error) {
 	if err := e.guard(wholeGraph); err != nil {
 		return Interval{}, err
 	}
-	iv, _, err := e.distanceIntervalStats(ctx, s, t)
+	if err := e.lockShared(ctx); err != nil {
+		return Interval{}, err
+	}
+	defer e.unlockShared()
+	snap := e.snapshotStats()
+	if err := snap.endpoints(s, t); err != nil {
+		return Interval{}, err
+	}
+	if snap.orc == nil {
+		return Interval{}, fmt.Errorf("core: approximate distance requires BuildOracle first (rebuild after graph changes)")
+	}
+	if s == t {
+		return Interval{Lower: 0, Upper: 0}, nil
+	}
+	iv, _, err := e.readInterval(ctx, s, t)
 	return iv, err
 }
 
-// distanceIntervalStats is DistanceInterval plus the number of statements
-// the reads issued (three per optimistic attempt), so callers that answer
-// from the oracle alone can report a truthful cost.
-func (e *Engine) distanceIntervalStats(ctx context.Context, s, t int64) (Interval, int, error) {
-	stmts := 0
-	for try := 0; try < approxRetries; try++ {
-		e.mu.RLock()
-		nodes, version, orc := e.nodes, e.version, e.orc
-		e.mu.RUnlock()
-		if nodes == 0 {
-			return Interval{}, stmts, ErrNoGraph
-		}
-		if s < 0 || t < 0 || int(s) >= nodes || int(t) >= nodes {
-			return Interval{}, stmts, fmt.Errorf("core: node out of range (n=%d)", nodes)
-		}
-		if orc == nil {
-			return Interval{}, stmts, fmt.Errorf("core: approximate distance requires BuildOracle first (rebuild after graph changes)")
-		}
-		if s == t {
-			return Interval{Lower: 0, Upper: 0}, stmts, nil
-		}
-
-		iv, n, err := e.approxOnce(ctx, s, t)
-		stmts += n
-		e.mu.RLock()
-		stable := e.version == version && e.orc == orc
-		e.mu.RUnlock()
-		if err != nil {
-			if !stable {
-				continue // the read straddled a rebuild; retry cleanly
-			}
-			return Interval{}, stmts, err
-		}
-		if stable {
-			return iv, stmts, nil
-		}
-	}
-	return Interval{}, stmts, fmt.Errorf("core: graph kept changing during approximate lookup")
-}
-
 // The three interval-read shapes over TLandmark: constant texts, endpoints
-// bound as parameters, executed as prepared statements so the latch-free
-// approximate path pays no parse/plan cost per lookup.
+// bound as parameters, executed as prepared statements so an interval
+// read pays no parse/plan cost per lookup.
 const (
 	approxUpperQ = "SELECT MIN(a.din + b.dout) FROM " + oracle.TblLandmark + " a, " + oracle.TblLandmark +
 		" b WHERE a.lid = b.lid AND a.nid = ? AND b.nid = ?"
@@ -165,9 +131,13 @@ func (e *Engine) approxQueryInt(ctx context.Context, q string, s, t int64) (int6
 	return st.QueryIntContext(ctx, s, t)
 }
 
-// approxOnce runs the three bound queries against the current TLandmark,
-// also reporting how many statements actually ran (fewer on error).
-func (e *Engine) approxOnce(ctx context.Context, s, t int64) (Interval, int, error) {
+// readInterval runs the three bound queries against the current TLandmark,
+// also reporting how many statements actually ran (fewer on error). The
+// caller holds a shared admission and has checked the oracle is built;
+// readInterval never takes the gate itself, because the gate is
+// writer-preferring and a second shared acquire queued behind a waiting
+// writer would deadlock.
+func (e *Engine) readInterval(ctx context.Context, s, t int64) (Interval, int, error) {
 	upper, nullU, err := e.approxQueryInt(ctx, approxUpperQ, s, t)
 	if err != nil {
 		return Interval{}, 1, err

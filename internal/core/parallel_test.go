@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/rdb"
 )
 
@@ -339,5 +341,61 @@ func mixedUnderMutations(t *testing.T, served bool) {
 	}
 	if wal := e.DurabilityStats().WAL; served && (wal.Appends == 0 || wal.Syncs == 0) {
 		t.Errorf("durable run logged %d appends, %d fsyncs", wal.Appends, wal.Syncs)
+	}
+	// The premise of one admission per query: no writer moved the graph
+	// version under a shared admission.
+	if st.SnapshotRetries != 0 {
+		t.Errorf("%d searches saw the graph version move under their shared admission", st.SnapshotRetries)
+	}
+}
+
+// TestDistanceIntervalQueuesBehindWriter: an interval read is an ordinary
+// reader. While a writer holds the gate it waits; cancelling its context
+// abandons the wait; once the gate is free it answers from the current
+// oracle.
+func TestDistanceIntervalQueuesBehindWriter(t *testing.T) {
+	g := graph.Power(200, 3, 13)
+	e := newTestEngine(t, g, rdb.Options{}, Options{})
+	if _, err := e.BuildOracle(oracle.Config{K: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.lockQuery(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	abandons := e.ConcurrencyStats().Gate.Abandons
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.DistanceInterval(ctx, 0, 150)
+		done <- err
+	}()
+	waitFor(t, "DistanceInterval queued on the gate", func() bool {
+		select {
+		case err := <-done:
+			t.Fatalf("DistanceInterval returned (err %v) while a writer held the gate", err)
+		default:
+		}
+		return e.ConcurrencyStats().Gate.ReadersWaiting == 1
+	})
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled queued DistanceInterval: want context.Canceled, got %v", err)
+	}
+	if got := e.ConcurrencyStats().Gate.Abandons; got != abandons+1 {
+		t.Errorf("abandons %d, want %d", got, abandons+1)
+	}
+	e.unlockQuery()
+
+	iv, err := e.DistanceInterval(context.Background(), 0, 150)
+	if err != nil {
+		t.Fatalf("DistanceInterval after release: %v", err)
+	}
+	ref := graph.MDJ(g, 0, 150)
+	if !ref.Found {
+		if !iv.Unreachable() && iv.UpperKnown() {
+			t.Fatalf("unreachable pair got interval [%d, %d]", iv.Lower, iv.Upper)
+		}
+	} else if iv.Lower > ref.Distance || (iv.UpperKnown() && iv.Upper < ref.Distance) {
+		t.Fatalf("interval [%d, %d] does not bracket %d", iv.Lower, iv.Upper, ref.Distance)
 	}
 }

@@ -138,29 +138,16 @@ type queryPlan struct {
 	decision string
 	// answer short-circuits the search (oracle-approx / oracle-unreachable).
 	answer *QueryResult
-	// snap is the statistics snapshot the plan was computed against; any
-	// drift after acquiring the latch forces a replan. Comparing the whole
-	// snapshot (not just the version) matters: a failed or cancelled index
-	// build clears segBuilt / the oracle WITHOUT bumping the version, and a
-	// stale plan would then hard-error on a missing index instead of
-	// degrading the way the decision table promises.
-	snap statSnapshot
 }
-
-// snapshotRetryLimit is how many shared-mode attempts a query makes before
-// degrading to an exclusive admission. Commit-time validation failing is
-// already exceptional (the gate excludes writers while readers run), so two
-// optimistic rounds before the guaranteed-progress fallback is plenty.
-const snapshotRetryLimit = 2
 
 // stageRec accumulates the per-query stage timings Engine.Query threads
 // through admission and planning: the serving-path decomposition the
 // latency histograms and the slow-query log report. One recorder lives on
-// Query's stack per call — recording costs two duration adds, no
+// Query's stack per call — recording costs two duration stores, no
 // allocation, no locking.
 type stageRec struct {
-	gate time.Duration // queued on the admission gate (all attempts)
-	plan time.Duration // planQuery wall time (initial plan + replans)
+	gate time.Duration // queued on the admission gate
+	plan time.Duration // planQuery wall time
 }
 
 // Query answers one declarative shortest-path request. It is the single
@@ -173,9 +160,11 @@ type stageRec struct {
 //     answer from the landmark oracle (see the Decision* labels).
 //   - cache hits return from memory without touching gate or database.
 //
-// Safe for any number of concurrent callers: read-only searches enter the
-// shared side of the query gate and run in parallel, each over a private
-// scratch-table set, while mutations take the exclusive side.
+// Safe for any number of concurrent callers: a query is admitted once, on
+// the shared side of the query gate, and plans, searches and commits
+// inside that admission, each search over a private scratch-table set.
+// Every writer of the graph version or the indexes record takes the
+// exclusive side, so one admission sees one generation throughout.
 //
 // Every call — success, error or cancellation — is recorded in the
 // engine's observability instruments: the per-algorithm latency histogram,
@@ -209,11 +198,8 @@ func (e *Engine) runQuery(ctx context.Context, req QueryRequest, rec *stageRec) 
 	}
 	s, t := req.Source, req.Target
 	snap := e.snapshotStats()
-	if snap.nodes == 0 {
-		return QueryResult{}, ErrNoGraph
-	}
-	if s < 0 || t < 0 || int(s) >= snap.nodes || int(t) >= snap.nodes {
-		return QueryResult{}, fmt.Errorf("core: node out of range (n=%d)", snap.nodes)
+	if err := snap.endpoints(s, t); err != nil {
+		return QueryResult{}, err
 	}
 	// s == t needs no statement at all under the planner. Explicit hints
 	// keep the legacy behavior (the algorithm's own trivial-path handling)
@@ -222,113 +208,54 @@ func (e *Engine) runQuery(ctx context.Context, req QueryRequest, rec *stageRec) 
 		p := Path{Found: true, Length: 0, Nodes: []int64{s}}
 		return exactResult(p, AlgAuto, &QueryStats{Algorithm: AlgAuto.String(), Planner: DecisionTrivial}), nil
 	}
-
-	// Serve auto traffic from the cache before consulting the oracle: any
-	// concrete algorithm's cached answer for this pair is exact on the
-	// current graph, so repeated queries stay zero-SQL even though the
-	// planner would otherwise read landmark bounds first.
-	if req.Alg == AlgAuto && e.cache != nil {
-		if p, alg, ok := e.cacheProbeAuto(snap.version, s, t); ok {
-			return exactResult(p, alg, &QueryStats{Algorithm: alg.String(), Planner: DecisionCached, CacheHit: true}), nil
+	// Before admission the cache may only answer: a hit counts, a miss does
+	// not, because the lookup inside the admission counts the query's one
+	// miss. An auto query takes any concrete algorithm's answer for the
+	// pair, which is exact on the current graph, so repeats stay zero-SQL
+	// even where the planner would read landmark bounds first.
+	if e.cache != nil {
+		if req.Alg == AlgAuto {
+			if p, alg, ok := e.cacheProbeAuto(snap.version, s, t); ok {
+				return exactResult(p, alg, &QueryStats{Algorithm: alg.String(), Planner: DecisionCached, CacheHit: true}), nil
+			}
+		} else if p, ok := e.cache.recheck(cacheKey{version: snap.version, alg: req.Alg, s: s, t: t}); ok {
+			return exactResult(p, req.Alg, &QueryStats{Algorithm: req.Alg.String(), Planner: DecisionHint, CacheHit: true}), nil
 		}
 	}
 
+	tg := time.Now()
+	err := e.lockShared(ctx)
+	rec.gate = time.Since(tg)
+	if err != nil {
+		return QueryResult{}, err
+	}
+	defer e.unlockShared()
+	// A reload may have landed while the query queued, so the endpoints are
+	// checked again against the generation this admission froze.
+	snap = e.snapshotStats()
+	if err := snap.endpoints(s, t); err != nil {
+		return QueryResult{}, err
+	}
 	tp := time.Now()
 	pl, err := e.planQuery(ctx, req, snap)
-	rec.plan += time.Since(tp)
+	rec.plan = time.Since(tp)
 	if err != nil {
 		return QueryResult{}, err
 	}
 	if pl.answer != nil {
 		return *pl.answer, nil
 	}
-	key := cacheKey{version: pl.snap.version, alg: pl.alg, s: s, t: t}
+	key := cacheKey{version: snap.version, alg: pl.alg, s: s, t: t}
 	if e.cache != nil {
 		if p, ok := e.cache.get(key); ok {
 			return exactResult(p, pl.alg, &QueryStats{Algorithm: pl.alg.String(), Planner: pl.decision, CacheHit: true}), nil
-		}
-	}
-
-	// Optimistic snapshot execution: run under a shared admission, then
-	// validate at commit that the graph version the plan saw is still
-	// current. The gate already excludes writers while readers run, so a
-	// failed validation is a safety net (for any future mutation path that
-	// bypasses the gate), not the normal case — it discards the attempt and
-	// retries, the DistanceInterval optimistic pattern, degrading to an
-	// exclusive admission on the final attempt so progress is guaranteed.
-	for attempt := 0; ; attempt++ {
-		res, retry, aerr := e.queryAttempt(ctx, req, &pl, attempt >= snapshotRetryLimit, rec)
-		if aerr != nil || !retry {
-			return res, aerr
-		}
-		e.snapRetries.Add(1)
-	}
-}
-
-// queryAttempt runs one admission-to-commit round of Query. It reports
-// retry=true when commit-time validation found the graph version moved
-// under the search (the answer is discarded). exclusive requests the
-// writer side of the gate — the degraded, guaranteed-stable mode.
-func (e *Engine) queryAttempt(ctx context.Context, req QueryRequest, pl *queryPlan, exclusive bool, rec *stageRec) (QueryResult, bool, error) {
-	s, t := req.Source, req.Target
-	tg := time.Now()
-	if exclusive {
-		err := e.gate.lockExclusive(ctx)
-		rec.gate += time.Since(tg)
-		if err != nil {
-			return QueryResult{}, false, err
-		}
-		// Counted only once admission succeeds: a degraded attempt cancelled
-		// while still queued ran no exclusive search and must not inflate
-		// the stat.
-		e.degraded.Add(1)
-		defer e.gate.unlockExclusive()
-	} else {
-		err := e.lockShared(ctx)
-		rec.gate += time.Since(tg)
-		if err != nil {
-			return QueryResult{}, false, err
-		}
-		defer e.unlockShared()
-	}
-	// The graph may have changed while we waited for admission (edge
-	// mutation, index rebuild, full reload). Re-validate against the
-	// current generation — and replan, since the decision inputs (oracle
-	// validity, SegTable, size) may have moved — so the answer we compute
-	// belongs to the graph we actually query. Once admitted the replan is
-	// stable: every mutator needs the exclusive side of the gate.
-	snap := e.snapshotStats()
-	if snap.nodes == 0 {
-		return QueryResult{}, false, ErrNoGraph
-	}
-	if int(s) >= snap.nodes || int(t) >= snap.nodes {
-		return QueryResult{}, false, fmt.Errorf("core: node out of range (n=%d)", snap.nodes)
-	}
-	if snap != pl.snap {
-		tp := time.Now()
-		npl, err := e.planQuery(ctx, req, snap)
-		rec.plan += time.Since(tp)
-		if err != nil {
-			return QueryResult{}, false, err
-		}
-		*pl = npl
-		if pl.answer != nil {
-			return *pl.answer, false, nil
-		}
-	}
-	key := cacheKey{version: pl.snap.version, alg: pl.alg, s: s, t: t}
-	// Re-check after admission: a concurrent caller may have computed and
-	// cached this exact answer while we waited.
-	if e.cache != nil {
-		if p, ok := e.cache.recheck(key); ok {
-			return exactResult(p, pl.alg, &QueryStats{Algorithm: pl.alg.String(), Planner: pl.decision, CacheHit: true}), false, nil
 		}
 	}
 	// Lease a private scratch set: concurrent readers write disjoint
 	// working tables, which is what lets them share the gate at all.
 	sc, err := e.scratch.acquire()
 	if err != nil {
-		return QueryResult{}, false, err
+		return QueryResult{}, err
 	}
 	defer e.scratch.release(sc)
 	if h := e.hookSearchStart; h != nil {
@@ -339,17 +266,18 @@ func (e *Engine) queryAttempt(ctx context.Context, req QueryRequest, pl *queryPl
 		qs.Planner = pl.decision
 	}
 	if err != nil {
-		return QueryResult{Stats: qs}, false, err
+		return QueryResult{Stats: qs}, err
 	}
-	// Commit-time validation: the answer is only published (and cached) if
-	// the graph version is still the one the plan snapshot saw.
-	if e.GraphVersion() != pl.snap.version {
-		return QueryResult{}, true, nil
+	// Detection, not recovery: the version can only move under a shared
+	// admission if some writer bypassed the gate.
+	if e.GraphVersion() != snap.version {
+		e.snapRetries.Add(1)
+		return QueryResult{}, fmt.Errorf("core: graph version moved under a shared admission: the query gate is broken")
 	}
 	if e.cache != nil {
 		e.cache.put(key, p)
 	}
-	return exactResult(p, pl.alg, qs), false, nil
+	return exactResult(p, pl.alg, qs), nil
 }
 
 // exactResult wraps a relational-search path in the unified answer shape.
@@ -379,6 +307,17 @@ func (e *Engine) snapshotStats() statSnapshot {
 	return statSnapshot{nodes: e.nodes, wmin: e.wmin, version: e.version, indexes: e.indexes}
 }
 
+// endpoints refuses a request against no graph or naming a node outside it.
+func (sn statSnapshot) endpoints(s, t int64) error {
+	if sn.nodes == 0 {
+		return ErrNoGraph
+	}
+	if s < 0 || t < 0 || int(s) >= sn.nodes || int(t) >= sn.nodes {
+		return fmt.Errorf("core: node out of range (n=%d)", sn.nodes)
+	}
+	return nil
+}
+
 // planQuery resolves a request to a concrete algorithm — or a complete
 // oracle answer — from the statistics snapshot. The decision table (also
 // in docs/ARCHITECTURE.md §Query planning & cancellation):
@@ -393,59 +332,46 @@ func (e *Engine) snapshotStats() statSnapshot {
 //	bseg             SegTable valid                       BSEG
 //	bsdj             no index available                   BSDJ
 //
-// The landmark bounds for the concrete pair come from the same latch-free
-// interval reads ApproxDistance uses; when they fail (oracle went cold
-// mid-read) the planner degrades to the index-driven rows of the table.
+// The caller holds a shared admission, so the snapshot is the generation
+// the search will see: the landmark bounds for the concrete pair are read
+// without taking the gate again, and a failed read is the query's error.
 func (e *Engine) planQuery(ctx context.Context, req QueryRequest, snap statSnapshot) (queryPlan, error) {
 	if req.Alg != AlgAuto {
-		return queryPlan{alg: req.Alg, decision: DecisionHint, snap: snap}, nil
+		return queryPlan{alg: req.Alg, decision: DecisionHint}, nil
 	}
 	// A valid hub-label index dominates: exact answers (unreachability and
 	// tolerant requests included) in a constant number of statements, so
 	// planning skips even the landmark interval reads.
 	if snap.lbl != nil {
-		return queryPlan{alg: AlgLabel, decision: DecisionLabels, snap: snap}, nil
+		return queryPlan{alg: AlgLabel, decision: DecisionLabels}, nil
 	}
-	s, t := req.Source, req.Target
-	var iv Interval
-	var ivStmts int
-	var ivDur time.Duration
-	haveIV := false
 	if snap.orc != nil {
 		t0 := time.Now()
-		v, n, err := e.distanceIntervalStats(ctx, s, t)
-		ivStmts, ivDur = n, time.Since(t0)
-		if err == nil {
-			iv, haveIV = v, true
-		} else if cerr := rdb.ContextErr(ctx); cerr != nil {
-			return queryPlan{}, cerr
+		iv, n, err := e.readInterval(ctx, req.Source, req.Target)
+		if err != nil {
+			return queryPlan{}, err
 		}
-		// Other interval errors (oracle invalidated between the snapshot
-		// and the read) just mean planning proceeds without bounds.
-	}
-	// Oracle-only answers report the landmark reads as their cost — they
-	// ran real statements, and a comparison against the hinted algorithms
-	// must not flatter AlgAuto with a zero-statement row.
-	oracleStats := func(decision string) *QueryStats {
-		return &QueryStats{Algorithm: AlgAuto.String(), Planner: decision,
-			Statements: ivStmts, SC: ivDur, Total: ivDur}
-	}
-	if haveIV && iv.Unreachable() {
-		return queryPlan{decision: DecisionUnreachable, snap: snap, answer: &QueryResult{
-			Found: false, Lower: iv.Lower, Upper: iv.Upper, Algorithm: AlgAuto,
-			Stats: oracleStats(DecisionUnreachable),
-		}}, nil
-	}
-	if haveIV && req.MaxRelError > 0 && iv.UpperKnown() && iv.Lower > 0 &&
-		float64(iv.Upper-iv.Lower) <= req.MaxRelError*float64(iv.Lower) {
-		return queryPlan{decision: DecisionApprox, snap: snap, answer: &QueryResult{
-			Found: true, Distance: iv.Upper, Approximate: true,
-			Lower: iv.Lower, Upper: iv.Upper, Algorithm: AlgAuto,
-			Stats: oracleStats(DecisionApprox),
-		}}, nil
+		// Oracle-only answers report the landmark reads as their cost — they
+		// ran real statements, and a comparison against the hinted algorithms
+		// must not flatter AlgAuto with a zero-statement row.
+		dur := time.Since(t0)
+		oracleAnswer := func(res QueryResult, decision string) (queryPlan, error) {
+			res.Algorithm = AlgAuto
+			res.Lower, res.Upper = iv.Lower, iv.Upper
+			res.Stats = &QueryStats{Algorithm: AlgAuto.String(), Planner: decision,
+				Statements: n, SC: dur, Total: dur}
+			return queryPlan{decision: decision, answer: &res}, nil
+		}
+		if iv.Unreachable() {
+			return oracleAnswer(QueryResult{}, DecisionUnreachable)
+		}
+		if req.MaxRelError > 0 && iv.UpperKnown() && iv.Lower > 0 &&
+			float64(iv.Upper-iv.Lower) <= req.MaxRelError*float64(iv.Lower) {
+			return oracleAnswer(QueryResult{Found: true, Distance: iv.Upper, Approximate: true}, DecisionApprox)
+		}
 	}
 	pick := func(alg Algorithm, decision string) (queryPlan, error) {
-		return queryPlan{alg: alg, decision: decision, snap: snap}, nil
+		return queryPlan{alg: alg, decision: decision}, nil
 	}
 	if snap.nodes <= PlannerTinyNodes {
 		return pick(AlgBSDJ, DecisionTinyBSDJ)
@@ -468,8 +394,8 @@ func (e *Engine) planQuery(ctx context.Context, req QueryRequest, snap statSnaps
 
 // cacheProbeAuto looks for a cached exact answer for (s, t) under any
 // concrete algorithm at the given graph version. Misses are not counted —
-// this is an opportunistic pre-planning probe, and the planner's own
-// lookup accounts for the query's single miss.
+// this is the pre-admission probe, and the lookup inside the admission
+// accounts for the query's single miss.
 func (e *Engine) cacheProbeAuto(version uint64, s, t int64) (Path, Algorithm, bool) {
 	for _, alg := range []Algorithm{AlgLabel, AlgBSEG, AlgALT, AlgBSDJ, AlgBBFS, AlgBDJ, AlgDJ} {
 		if p, ok := e.cache.recheck(cacheKey{version: version, alg: alg, s: s, t: t}); ok {
@@ -496,8 +422,8 @@ type QueryResponse struct {
 // The pool's parallelism pays off throughout: requests answered by the
 // path cache (or the oracle) complete concurrently without touching the
 // admission gate, duplicate pairs in the same batch collapse — the first
-// worker to finish populates the cache, the rest hit it on the post-
-// admission re-check — and distinct uncached searches run in parallel
+// worker to finish populates the cache, the rest hit it on the lookup
+// inside their admission — and distinct uncached searches run in parallel
 // under shared admissions, each over its own scratch-table set.
 func (e *Engine) QueryBatch(ctx context.Context, reqs []QueryRequest, workers int) []QueryResponse {
 	results := make([]QueryResponse, len(reqs))

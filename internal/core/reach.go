@@ -34,12 +34,8 @@ func (e *Engine) Reachable(s, t int64) (*ReachResult, error) {
 		return nil, err
 	}
 	defer e.unlockQuery()
-	nodes := e.Nodes()
-	if nodes == 0 {
-		return nil, ErrNoGraph
-	}
-	if s < 0 || t < 0 || int(s) >= nodes || int(t) >= nodes {
-		return nil, fmt.Errorf("core: node out of range (n=%d)", nodes)
+	if err := e.snapshotStats().endpoints(s, t); err != nil {
+		return nil, err
 	}
 	qs := &QueryStats{Algorithm: "Reach"}
 	start := time.Now()

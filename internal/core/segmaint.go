@@ -43,7 +43,7 @@ type MaintStats struct {
 	// Options.RepairThreshold and the index was rebuilt wholesale.
 	Rebuilt bool
 	// OracleInvalidated reports that this mutation killed a built landmark
-	// oracle: ALT and ApproxDistance refuse until BuildOracle runs again.
+	// oracle: ALT and DistanceInterval refuse until BuildOracle runs again.
 	OracleInvalidated bool
 	// LabelsInvalidated reports that this mutation (or batch) failed the
 	// hub-label keep-analysis and sent the label index cold: AlgLabel

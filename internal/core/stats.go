@@ -63,11 +63,10 @@ type QueryStats struct {
 	Total time.Duration
 	// Stage timings of the serving path around the search itself (the
 	// observability decomposition; see docs/ARCHITECTURE.md §Observability).
-	// GateWait is the time spent queued on the admission gate (summed over
-	// snapshot retries and the degraded exclusive fallback); PlanDur the
-	// planner's wall time including its landmark-bound reads (summed over
-	// replans). Both are zero for engine-internal work that bypasses
-	// Engine.Query.
+	// GateWait is the time spent queued for the query's one shared
+	// admission; PlanDur the planner's wall time inside it, including its
+	// landmark-bound reads. Both are zero for engine-internal work that
+	// bypasses Engine.Query.
 	GateWait time.Duration
 	PlanDur  time.Duration
 	// CacheHit reports that the answer came from the path cache: no SQL

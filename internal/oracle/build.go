@@ -35,11 +35,11 @@ const (
 
 // Build constructs the landmark oracle over the graph tables, issuing
 // every statement through r. The caller is responsible for exclusion
-// against concurrent searches and graph mutation (the engine holds its
-// query latch across the build). A cancelled ctx aborts the build at the
-// next statement or sweep round; the caller must then treat the oracle as
-// not built (the engine leaves its oracle pointer nil, so a partial
-// TLandmark is never consulted).
+// against concurrent searches and graph mutation (the engine holds the
+// exclusive side of its query gate across the build). A cancelled ctx
+// aborts the build at the next statement or sweep round; the caller must
+// then treat the oracle as not built (the engine leaves its oracle pointer
+// nil, so a partial TLandmark is never consulted).
 func Build(ctx context.Context, r *sweep.Runner, p Config) (*Oracle, *BuildStats, error) {
 	orc, st, err := build(ctx, r, p)
 	if err != nil {

@@ -20,8 +20,9 @@
 //     SELECTs over TLandmark and no touch of TEdges.
 //
 // The package speaks to the database through the sweep.Runner the engine
-// hands it; the engine integration (build latching, versioned invalidation, the ALT femSpec and
-// ApproxDistance) lives in internal/core.
+// hands it; the engine integration (the build's exclusive gate admission,
+// versioned invalidation, the ALT femSpec and DistanceInterval) lives in
+// internal/core.
 package oracle
 
 import (

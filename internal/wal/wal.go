@@ -133,12 +133,16 @@ func Scan(path string) ([]Record, int64, error) {
 		}
 		return nil, 0, fmt.Errorf("wal: read %s: %w", path, err)
 	}
+	recs, off := scanFrames(data)
+	return recs, int64(off), nil
+}
+
+// scanFrames is Scan's frame loop over the log's bytes: the records of the
+// intact prefix and the offset where it ends.
+func scanFrames(data []byte) ([]Record, int) {
 	var recs []Record
 	off := 0
-	for {
-		if len(data)-off < frameHeader {
-			break
-		}
+	for len(data)-off >= frameHeader {
 		ln := binary.LittleEndian.Uint32(data[off:])
 		crc := binary.LittleEndian.Uint32(data[off+4:])
 		if ln > maxRecord || off+frameHeader+int(ln) > len(data) {
@@ -155,7 +159,7 @@ func Scan(path string) ([]Record, int64, error) {
 		recs = append(recs, rec)
 		off += frameHeader + int(ln)
 	}
-	return recs, int64(off), nil
+	return recs, off
 }
 
 // Open validates the log at path (creating it if absent), truncates any

@@ -23,9 +23,10 @@
 // budget; the context carries deadlines and cancellation, honored within
 // one frontier iteration. Engine is safe for any number of concurrent
 // callers (an LRU result cache answers repeats from memory; relational
-// searches serialize on a query latch), Engine.QueryBatch fans a request
-// set across a worker pool, and cmd/spdbd exposes the whole stack over
-// HTTP (POST /query). See docs/ARCHITECTURE.md for the concurrency model,
+// searches run in parallel under shared admissions of a reader/writer
+// query gate, mutations and index builds exclusively), Engine.QueryBatch
+// fans a request set across a worker pool, and cmd/spdbd exposes the
+// whole stack over HTTP (POST /query). See docs/ARCHITECTURE.md for the concurrency model,
 // the planner's decision table, and their invariants.
 //
 // Underneath, the relational engine executes every statement through a
