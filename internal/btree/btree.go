@@ -459,17 +459,30 @@ func (t *BTree) splitInsert(pg *storage.Page, i int, cell []byte) (splitResult, 
 	}
 	cells = append(cells[:i], append([][]byte{cell}, cells[i:]...)...)
 
-	// Split by bytes so variable-size cells balance.
-	total := 0
-	for _, c := range cells {
-		total += len(c)
-	}
-	mid, acc := 0, 0
-	for mid = 0; mid < len(cells)-1; mid++ {
-		acc += len(cells[mid])
-		if acc*2 >= total {
-			mid++
-			break
+	typ := pg.Data[offType]
+	mid := len(cells) - 1
+	switch {
+	case i == n && typ == nodeLeaf && storage.PageID(pg.U32(offNext)) == storage.InvalidPageID:
+		// An insert past the last cell of the rightmost leaf — every insert
+		// of a key-ordered load — moves only the new cell right, so the
+		// leaves such a load leaves behind stay full, not half empty.
+	case i == n && typ == nodeInternal:
+		// Likewise at an internal node's last slot: the cell before the new
+		// one moves up and the new one is the right node's only cell.
+		mid = len(cells) - 2
+	default:
+		// Split by bytes so variable-size cells balance.
+		total := 0
+		for _, c := range cells {
+			total += len(c)
+		}
+		acc := 0
+		for mid = 0; mid < len(cells)-1; mid++ {
+			acc += len(cells[mid])
+			if acc*2 >= total {
+				mid++
+				break
+			}
 		}
 	}
 	if mid < 1 {
@@ -485,7 +498,6 @@ func (t *BTree) splitInsert(pg *storage.Page, i int, cell []byte) (splitResult, 
 		return splitResult{}, err
 	}
 	t.pages = append(t.pages, rpg.ID())
-	typ := pg.Data[offType]
 	initNode(rpg, typ)
 
 	var sep []byte

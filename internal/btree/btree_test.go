@@ -116,6 +116,89 @@ func TestManyKeysSplits(t *testing.T) {
 	}
 }
 
+// TestAscendingInsertFillsLeaves: ascending inserts — a key-ordered load —
+// leave every node but the last of each level at least 90% full, leaves as
+// well as, with 200-byte keys, internal nodes; random inserts still split in
+// halves and fill leaves on average as full as before the rule did (68.8%).
+func TestAscendingInsertFillsLeaves(t *testing.T) {
+	const n = 20000
+	val := make([]byte, 24) // a three-column tuple, as TEdges stores
+	key := func(i, width int) []byte {
+		b := make([]byte, width)
+		binary.BigEndian.PutUint64(b, uint64(i))
+		return b
+	}
+	load := func(order []int, width int) [][]float64 {
+		tr := newTree(t, 256)
+		for _, i := range order {
+			if err := tr.Insert(key(i, width), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Check(); err != nil {
+			t.Fatal(err)
+		}
+		return levelFills(t, tr)
+	}
+	ascending := make([]int, n)
+	for i := range ascending {
+		ascending[i] = i
+	}
+	for _, width := range []int{8, 200} {
+		levels := load(ascending, width)
+		if width == 200 && len(levels) < 3 {
+			t.Fatalf("%d levels: no internal node split", len(levels))
+		}
+		for depth, fills := range levels {
+			for i, f := range fills[:len(fills)-1] {
+				if f < 0.9 {
+					t.Errorf("%d-byte keys, level %d: node %d of %d is %.1f%% full", width, depth, i, len(fills), 100*f)
+				}
+			}
+		}
+	}
+	levels := load(rand.New(rand.NewSource(1)).Perm(n), 8)
+	leaves, sum := levels[len(levels)-1], 0.0
+	for _, f := range leaves {
+		sum += f
+	}
+	if mean := sum / float64(len(leaves)); mean < 0.685 {
+		t.Errorf("random inserts: leaves %.1f%% full on average, want at least 68.5%%", 100*mean)
+	}
+}
+
+// levelFills walks the tree breadth-first and returns, per level from the
+// root down, each node's live bytes (header, slots and cells) over the page
+// size, left to right.
+func levelFills(t *testing.T, tr *BTree) [][]float64 {
+	var levels [][]float64
+	for ids := []storage.PageID{tr.root}; len(ids) > 0; {
+		var fills []float64
+		var next []storage.PageID
+		for _, id := range ids {
+			pg, err := tr.pool.Fetch(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			used := offSlots
+			for i := 0; i < nKeys(pg); i++ {
+				used += 2 + len(rawCellView(pg, i))
+			}
+			fills = append(fills, float64(used)/storage.PageSize)
+			if pg.Data[offType] == nodeInternal {
+				next = append(next, storage.PageID(pg.U32(offNext)))
+				for i := 0; i < nKeys(pg); i++ {
+					_, _, child := cellAt(pg, i)
+					next = append(next, child)
+				}
+			}
+			tr.pool.Unpin(pg, false)
+		}
+		levels, ids = append(levels, fills), next
+	}
+	return levels
+}
+
 func TestRangeScan(t *testing.T) {
 	tr := newTree(t, 64)
 	for i := 0; i < 100; i++ {

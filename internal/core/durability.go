@@ -342,11 +342,10 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 		ix.lbl = &labels.Labels{Hubs: m.Labels.Hubs, RowsOut: m.Labels.RowsOut, RowsIn: m.Labels.RowsIn}
 	}
 
-	// Node ids are dense 0..N-1 by the loader's contract, so TNodes
-	// regenerates from the manifest's count instead of being stored.
-	if err := e.resetLocked(int(m.Nodes)); err != nil {
+	if err := e.resetLocked(); err != nil {
 		return err
 	}
+	var ord order
 	// Each live index's relations are created the way its build creates
 	// them (the graph's, resetLocked did), under this engine's strategy, and
 	// the snapshotted ones loaded.
@@ -378,6 +377,11 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
+			if rel.Name == TblNodes {
+				if ord, err = orderOf(m.Nodes, rows); err != nil {
+					return fmt.Errorf("core: snapshot v%d: %w", m.Version, err)
+				}
+			}
 			if err := e.bulkInsert(rel, len(rows), func(i int, vals []int64) { copy(vals, rows[i]) }); err != nil {
 				return err
 			}
@@ -388,6 +392,7 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 	e.wmin = m.WMin
 	e.nodes = int(m.Nodes)
 	e.edges = int(m.Edges)
+	e.ord = ord
 	e.indexes = ix
 	e.version = m.Version
 	e.mu.Unlock()
@@ -438,6 +443,23 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 	e.dur.lastVersion.Store(m.Version)
 	e.dur.hydrations.Add(1)
 	return nil
+}
+
+// orderOf rebuilds the node order of an n-node snapshot from its TNodes
+// rows (nid, ext), refusing rows that are no permutation.
+func orderOf(n int64, rows [][]int64) (order, error) {
+	if int64(len(rows)) != n {
+		return order{}, fmt.Errorf("%d node order rows for %d nodes", len(rows), n)
+	}
+	o := order{toInt: make([]int64, n), toExt: make([]int64, n)}
+	for _, r := range rows {
+		nid, ext := r[0], r[1]
+		if nid < 0 || nid >= n || ext < 0 || ext >= n {
+			return order{}, fmt.Errorf("node order row (%d, %d) outside [0, %d)", nid, ext, n)
+		}
+		o.toExt[nid], o.toInt[ext] = ext, nid
+	}
+	return o, o.check(n)
 }
 
 // dumpTable materializes rel's rows, columns in declaration order.

@@ -71,7 +71,7 @@ func TestSnapshotHydrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Skipped || st.Tables != 6 || st.Bytes <= 0 {
+	if st.Skipped || st.Tables != 7 || st.Bytes <= 0 { // TNodes, TEdges and two tables per index
 		t.Fatalf("snapshot stats: %+v", st)
 	}
 

@@ -213,6 +213,9 @@ type Engine struct {
 	wmin  int64
 	nodes int
 	edges int
+	// ord numbers the loaded graph's nodes: the relations store internal
+	// ids, the public entry points speak external ones (loader.go).
+	ord order
 
 	indexes
 	// muts counts the mutation subsystem's activity for the serving tier.
@@ -593,7 +596,10 @@ func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t
 	owner, upper := soleOwner, int64(4*MaxDist)
 	var witness func() []int64
 	if pt := e.part; pt != nil {
-		owner = pt.Owner
+		// The peer set speaks external ids; every member numbers nodes in
+		// one order (SetPeers), this engine's.
+		ord := e.nodeOrder()
+		owner = func(nid int64) int { return pt.Owner(ord.toExt[nid]) }
 		for _, peer := range pt.Others {
 			h, err := peer.admit(ctx, alg, budget)
 			if err != nil {
@@ -603,8 +609,8 @@ func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t
 			hs = append(hs, h)
 		}
 		if pt.Bound != nil {
-			if u, w := pt.Bound(s, t); w != nil {
-				upper, witness = u, w
+			if u, w := pt.Bound(ord.toExt[s], ord.toExt[t]); w != nil {
+				upper, witness = u, func() []int64 { return ord.internal(w()) }
 			}
 		}
 	}

@@ -221,16 +221,18 @@ func TestQuickReachability(t *testing.T) {
 	}
 }
 
-// segTableSnapshot reads (fid,tid)->cost maps for comparison.
+// segTableSnapshot reads (fid,tid)->cost maps for comparison, in external
+// ids: engines loaded from different graphs number their nodes differently.
 func segTableSnapshot(t *testing.T, e *Engine, tbl string) map[[2]int64]int64 {
 	t.Helper()
 	rows, err := e.DB().Query("SELECT fid, tid, cost FROM " + tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
+	toExt := e.nodeOrder().toExt
 	out := make(map[[2]int64]int64, rows.Len())
 	for _, r := range rows.Data {
-		out[[2]int64{r[0].I, r[1].I}] = r[2].I
+		out[[2]int64{toExt[r[0].I], toExt[r[1].I]}] = r[2].I
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 
 	"repro/internal/graph"
@@ -25,9 +26,24 @@ const insertBatch = 400
 
 // LoadGraph creates the relational representation of g (Figure 1 of the
 // paper) under the engine's index strategy and bulk-loads it, then creates
-// the per-query working tables.
+// the per-query working tables. The relations number g's nodes in
+// graph.LocalityOrder; callers keep speaking g's ids (ARCHITECTURE §Node
+// order).
 func (e *Engine) LoadGraph(g *graph.Graph) error {
+	toInt, toExt := graph.LocalityOrder(g)
+	return e.LoadPartition(g, toInt, toExt)
+}
+
+// LoadPartition is LoadGraph over a node order computed elsewhere: toInt and
+// toExt must be inverse permutations of g's ids. shard.Open loads every
+// partition of a graph over the whole graph's graph.LocalityOrder, so the
+// members of a peer set share one internal id space (SetPeers checks it).
+func (e *Engine) LoadPartition(g *graph.Graph, toInt, toExt []int64) error {
 	if err := e.guard(wholeGraph); err != nil {
+		return err
+	}
+	ord := order{toInt: toInt, toExt: toExt}
+	if err := ord.check(g.N); err != nil {
 		return err
 	}
 	// A load in flight means the replica is not ready to serve: /readyz
@@ -40,11 +56,34 @@ func (e *Engine) LoadGraph(g *graph.Graph) error {
 		return err
 	}
 	defer e.unlockQuery()
-	if err := e.resetLocked(int(g.N)); err != nil {
+	if err := e.resetLocked(); err != nil {
 		return err
 	}
-	if err := e.bulkInsert(sweep.Rel(TblEdges), len(g.Edges), func(i int, row []int64) {
-		row[0], row[1], row[2] = g.Edges[i].From, g.Edges[i].To, g.Edges[i].Weight
+	// Both relations load in key order: TNodes by nid, TEdges by internal
+	// fid through a counting sort that keeps each node's edges in g's order.
+	// Key-ordered inserts leave the B+tree's leaves full (btree's split
+	// rule), and a node's edges land next to its neighbours'.
+	if err := e.bulkInsert(sweep.Rel(TblNodes), len(toExt), func(i int, row []int64) {
+		row[0], row[1] = int64(i), toExt[i]
+	}); err != nil {
+		return err
+	}
+	next := make([]int, g.N+1) // next[f]: where the next edge of f goes
+	for _, ed := range g.Edges {
+		next[toInt[ed.From]+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	byFid := make([]int, len(g.Edges))
+	for i, ed := range g.Edges {
+		f := toInt[ed.From]
+		byFid[next[f]] = i
+		next[f]++
+	}
+	if err := e.bulkInsert(sweep.Rel(TblEdges), len(byFid), func(i int, row []int64) {
+		ed := g.Edges[byFid[i]]
+		row[0], row[1], row[2] = toInt[ed.From], toInt[ed.To], ed.Weight
 	}); err != nil {
 		return err
 	}
@@ -60,11 +99,56 @@ func (e *Engine) LoadGraph(g *graph.Graph) error {
 	e.wmin = wmin
 	e.nodes = int(g.N)
 	e.edges = g.M()
+	e.ord = ord
 	e.mu.Unlock()
 	// Arm (or re-arm) durability for the fresh graph. The WAL resets: its
 	// old records describe mutations over a different base and must never
 	// replay on top of this one.
 	return e.armDurabilityLocked(true)
+}
+
+// order is one generation's node numbering (ARCHITECTURE §Node order):
+// toInt maps a caller's — external — id to the internal id every relation
+// stores, toExt maps back. A load sets it and a hydration reads it back from
+// TNodes, both under the exclusive gate; the public entry points translate,
+// nothing below them does.
+type order struct{ toInt, toExt []int64 }
+
+// check refuses an order that is not a pair of inverse permutations of
+// 0..n-1.
+func (o order) check(n int64) error {
+	if int64(len(o.toInt)) != n || int64(len(o.toExt)) != n {
+		return fmt.Errorf("core: a node order of %d / %d ids for %d nodes", len(o.toInt), len(o.toExt), n)
+	}
+	for i, x := range o.toExt {
+		if x < 0 || x >= n || o.toInt[x] != int64(i) {
+			return fmt.Errorf("core: the node order is not a permutation (internal id %d)", i)
+		}
+	}
+	return nil
+}
+
+// internal rewrites external ids as internal ones, in place.
+func (o order) internal(ids []int64) []int64 {
+	for i, v := range ids {
+		ids[i] = o.toInt[v]
+	}
+	return ids
+}
+
+// external rewrites internal ids as external ones, in place.
+func (o order) external(ids []int64) []int64 {
+	for i, v := range ids {
+		ids[i] = o.toExt[v]
+	}
+	return ids
+}
+
+// nodeOrder reads the loaded generation's order.
+func (e *Engine) nodeOrder() order {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.ord
 }
 
 // resetLocked is how a load and a hydration start; callers hold the
@@ -73,11 +157,12 @@ func (e *Engine) LoadGraph(g *graph.Graph) error {
 // (the mutation counters are engine-lifetime and survive), not as a stale
 // hybrid of old and new — then drops every declared relation that exists,
 // so a serving engine swaps graphs in place and nothing it created lazily
-// survives, creates the graph relations and the global scratch set, and
-// fills TNodes with the dense ids 0..nodes-1.
-func (e *Engine) resetLocked(nodes int) error {
+// survives, and creates the graph relations, which the caller fills, and
+// the global scratch set.
+func (e *Engine) resetLocked() error {
 	e.mu.Lock()
 	e.nodes, e.edges, e.wmin = 0, 0, 0
+	e.ord = order{}
 	e.indexes = indexes{}
 	e.bumpVersionLocked()
 	e.mu.Unlock()
@@ -88,10 +173,7 @@ func (e *Engine) resetLocked(nodes int) error {
 	if err := s.Create(sweep.Owned(sweep.Graph)...); err != nil {
 		return err
 	}
-	if err := e.createScratchTables(e.scratchGlobal); err != nil {
-		return err
-	}
-	return e.bulkInsert(sweep.Rel(TblNodes), nodes, func(i int, row []int64) { row[0] = int64(i) })
+	return e.createScratchTables(e.scratchGlobal)
 }
 
 // schema issues DDL over the engine's session under its physical design

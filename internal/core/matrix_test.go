@@ -329,8 +329,9 @@ func TestSegTableCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	toExt := e.nodeOrder().toExt // the rows hold internal ids, g external ones
 	for _, r := range rows.Data {
-		u, v, c := r[0].I, r[1].I, r[2].I
+		u, v, c := toExt[r[0].I], toExt[r[1].I], r[2].I
 		ref := graph.MDJ(g, u, v)
 		if !ref.Found {
 			t.Fatalf("TOutSegs has pair (%d,%d) with no path", u, v)
@@ -348,7 +349,7 @@ func TestSegTableCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows.Data {
-		u, v, c := r[0].I, r[1].I, r[2].I
+		u, v, c := toExt[r[0].I], toExt[r[1].I], r[2].I
 		ref := graph.MDJ(g, u, v)
 		if !ref.Found {
 			t.Fatalf("TInSegs has pair (%d,%d) with no path", u, v)

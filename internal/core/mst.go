@@ -107,8 +107,9 @@ func (e *Engine) MinimumSpanningForest() (*MSTResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	toExt := e.nodeOrder().toExt
 	for _, r := range rows.Data {
-		res.Edges = append(res.Edges, MSTEdge{From: r[0].I, To: r[1].I, Weight: r[2].I})
+		res.Edges = append(res.Edges, MSTEdge{From: toExt[r[0].I], To: toExt[r[1].I], Weight: r[2].I})
 		res.TotalWeight += r[2].I
 	}
 	res.Statements = qs.Statements

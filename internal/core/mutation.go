@@ -255,8 +255,13 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation) (*Ma
 	e.mu.Unlock()
 
 	wrote := false
+	// The log keeps the batch in external ids, so it replays under any
+	// order; the relations take internal ones.
+	toInt := e.nodeOrder().toInt
 	for i := range muts {
-		if err := e.applyOneLocked(ctx, qs, st, muts[i], &wrote); err != nil {
+		m := muts[i]
+		m.From, m.To = toInt[m.From], toInt[m.To]
+		if err := e.applyOneLocked(ctx, qs, st, m, &wrote); err != nil {
 			e.mu.Lock()
 			if !wrote {
 				// No mutation reached TEdges (existence checks fail

@@ -50,6 +50,9 @@ func (e *Engine) BuildOracleContext(ctx context.Context, cfg oracle.Config) (*or
 	if err != nil {
 		return nil, err
 	}
+	// The landmarks are reported, and snapshotted, in external ids.
+	orc.Landmarks = e.nodeOrder().external(orc.Landmarks)
+	st.Landmarks = orc.Landmarks
 	e.mu.Lock()
 	e.orc = orc
 	e.orcStale = false
@@ -106,7 +109,7 @@ func (e *Engine) DistanceInterval(ctx context.Context, s, t int64) (Interval, er
 	if s == t {
 		return Interval{Lower: 0, Upper: 0}, nil
 	}
-	iv, _, err := e.readInterval(ctx, s, t)
+	iv, _, err := e.readInterval(ctx, snap.ord.toInt[s], snap.ord.toInt[t])
 	return iv, err
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/fem"
@@ -32,10 +33,11 @@ type Peers struct {
 	// Others are the engines of partitions 1..k-1 in owner order; the
 	// receiver of SetPeers holds partition 0. Every engine is loaded over
 	// the full node-id space with its partition's edges (cut edges mirrored
-	// at both endpoints' partitions) and carries the indexes it will serve.
+	// at both endpoints' partitions), in one node order (LoadPartition), and
+	// carries the indexes it will serve.
 	Others []*Engine
 	// Owner maps a node to the partition holding its authoritative visited
-	// row.
+	// row. It and Bound take and return external ids.
 	Owner func(nid int64) int
 	// Edges is the whole graph's edge count, which Engine.Edges reports from
 	// then on (partition 0's own rows count its mirrors).
@@ -73,6 +75,8 @@ func (e *Engine) SetPeers(p Peers) error {
 			return fmt.Errorf("partition %d: %w", i, ErrNoGraph)
 		case m.Nodes() != e.Nodes():
 			return fmt.Errorf("core: partition %d spans %d nodes, partition 0 spans %d", i, m.Nodes(), e.Nodes())
+		case !slices.Equal(m.nodeOrder().toExt, e.nodeOrder().toExt):
+			return fmt.Errorf("core: partition %d numbers its nodes in another order than partition 0", i)
 		case m.level != fem.MergeWindow:
 			return fmt.Errorf("core: partition %d lacks the MERGE + window-function SQL level the exchange needs", i)
 		}

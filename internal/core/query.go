@@ -236,8 +236,12 @@ func (e *Engine) runQuery(ctx context.Context, req QueryRequest, rec *stageRec) 
 	if err := snap.endpoints(s, t); err != nil {
 		return QueryResult{}, err
 	}
+	// From here on the engine speaks internal ids; the path goes back to
+	// external ones before it is cached or returned.
+	in := req
+	in.Source, in.Target = snap.ord.toInt[s], snap.ord.toInt[t]
 	tp := time.Now()
-	pl, err := e.planQuery(ctx, req, snap)
+	pl, err := e.planQuery(ctx, in, snap)
 	rec.plan = time.Since(tp)
 	if err != nil {
 		return QueryResult{}, err
@@ -261,7 +265,7 @@ func (e *Engine) runQuery(ctx context.Context, req QueryRequest, rec *stageRec) 
 	if h := e.hookSearchStart; h != nil {
 		h()
 	}
-	p, qs, err := e.search(ctx, sc, pl.alg, s, t, req.MaxStatements)
+	p, qs, err := e.search(ctx, sc, pl.alg, in.Source, in.Target, req.MaxStatements)
 	if qs != nil {
 		qs.Planner = pl.decision
 	}
@@ -274,6 +278,7 @@ func (e *Engine) runQuery(ctx context.Context, req QueryRequest, rec *stageRec) 
 		e.snapRetries.Add(1)
 		return QueryResult{}, fmt.Errorf("core: graph version moved under a shared admission: the query gate is broken")
 	}
+	snap.ord.external(p.Nodes)
 	if e.cache != nil {
 		e.cache.put(key, p)
 	}
@@ -299,12 +304,13 @@ type statSnapshot struct {
 	wmin    int64
 	version uint64
 	indexes
+	ord order
 }
 
 func (e *Engine) snapshotStats() statSnapshot {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return statSnapshot{nodes: e.nodes, wmin: e.wmin, version: e.version, indexes: e.indexes}
+	return statSnapshot{nodes: e.nodes, wmin: e.wmin, version: e.version, indexes: e.indexes, ord: e.ord}
 }
 
 // endpoints refuses a request against no graph or naming a node outside it.

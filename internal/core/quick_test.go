@@ -100,9 +100,10 @@ func TestQuickSegTablePreservesDistances(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		toExt := e.nodeOrder().toExt // the rows hold internal ids, g external ones
 		var edges []graph.Edge
 		for _, r := range rows.Data {
-			edges = append(edges, graph.Edge{From: r[0].I, To: r[1].I, Weight: r[2].I})
+			edges = append(edges, graph.Edge{From: toExt[r[0].I], To: toExt[r[1].I], Weight: r[2].I})
 		}
 		gp, err := graph.New(n, edges)
 		if err != nil {

@@ -34,9 +34,11 @@ func (e *Engine) Reachable(s, t int64) (*ReachResult, error) {
 		return nil, err
 	}
 	defer e.unlockQuery()
-	if err := e.snapshotStats().endpoints(s, t); err != nil {
+	snap := e.snapshotStats()
+	if err := snap.endpoints(s, t); err != nil {
 		return nil, err
 	}
+	s, t = snap.ord.toInt[s], snap.ord.toInt[t]
 	qs := &QueryStats{Algorithm: "Reach"}
 	start := time.Now()
 	res := &ReachResult{}

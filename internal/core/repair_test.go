@@ -92,7 +92,10 @@ func TestTouchSetMatchesDefinition(t *testing.T) {
 						shapes[k]++
 					}
 				}
-				if err := e.computeTouchSet(context.Background(), &QueryStats{}, u, v, w); err != nil {
+				// The touch set speaks the relations' internal ids; seg and
+				// g.Edges external ones.
+				ord := e.nodeOrder()
+				if err := e.computeTouchSet(context.Background(), &QueryStats{}, ord.toInt[u], ord.toInt[v], w); err != nil {
 					t.Fatalf("edge %d->%d: %v", u, v, err)
 				}
 				rows, err := e.DB().Query("SELECT fid, tid FROM " + tblMutTouch)
@@ -101,7 +104,7 @@ func TestTouchSetMatchesDefinition(t *testing.T) {
 				}
 				got := map[[2]int64]bool{}
 				for _, r := range rows.Data {
-					got[[2]int64{r[0].I, r[1].I}] = true
+					got[[2]int64{ord.toExt[r[0].I], ord.toExt[r[1].I]}] = true
 				}
 				if len(got) != rows.Len() || !maps.Equal(got, want) {
 					t.Fatalf("edge %d->%d (w=%d): %d rows in TMutTouch\n got  %v\n want %v", u, v, w, rows.Len(), got, want)

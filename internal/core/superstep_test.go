@@ -127,12 +127,23 @@ func TestLoopStatisticsMatchFullScan(t *testing.T) {
 	const lthd = 30
 	g := graph.Power(400, 3, 11)
 	pairs := graph.RandomQueries(g, 6, 5)
+	// The loop runs below the boundary, in internal ids: every engine loads
+	// in the whole graph's order, as shard.Open's do.
+	toInt, toExt := graph.LocalityOrder(g)
 	build := func(edges []graph.Edge) *Engine {
 		sub, err := graph.New(g.N, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newTestEngine(t, sub, rdb.Options{}, Options{CacheSize: -1})
+		db, err := rdb.Open(rdb.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		e := NewEngine(db, Options{CacheSize: -1})
+		if err := e.LoadPartition(sub, toInt, toExt); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := e.BuildSegTable(lthd); err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +162,8 @@ func TestLoopStatisticsMatchFullScan(t *testing.T) {
 	}
 	peers := []*Engine{build(split[0]), build(split[1])}
 
-	run := func(name string, engines []*Engine, owner func(int64) int, alg Algorithm, p [2]int64) {
+	run := func(name string, engines []*Engine, owner func(int64) int, alg Algorithm, ext [2]int64) {
+		p := [2]int64{toInt[ext[0]], toInt[ext[1]]}
 		var hs []*superstep
 		for _, e := range engines {
 			sc, err := e.scratch.acquire()
@@ -206,7 +218,8 @@ func TestLoopStatisticsMatchFullScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %v (%d,%d): %v", name, alg, p[0], p[1], err)
 		}
-		checkPath(t, g, alg, p[0], p[1], got)
+		got.Nodes = order{toInt, toExt}.external(got.Nodes)
+		checkPath(t, g, alg, ext[0], ext[1], got)
 		if folds == 0 || marks == 0 {
 			t.Fatalf("%s %v (%d,%d): the loop never reported (%d folds, %d marks)", name, alg, p[0], p[1], folds, marks)
 		}
@@ -216,7 +229,7 @@ func TestLoopStatisticsMatchFullScan(t *testing.T) {
 			run("single", []*Engine{single}, soleOwner, alg, p)
 		}
 		for _, alg := range []Algorithm{AlgBSDJ, AlgBBFS, AlgBSEG} {
-			run("k=2", peers, parity, alg, p)
+			run("k=2", peers, func(nid int64) int { return parity(toExt[nid]) }, alg, p)
 		}
 	}
 }

@@ -14,6 +14,14 @@ const (
 	MaxWeight = 100
 )
 
+// The node counts of the snapshots the analog generators stand in for, at
+// scale 1.0.
+const (
+	dblpNodes = 312967
+	webNodes  = 855802
+	ljNodes   = 4847571
+)
+
 func randWeight(rng *rand.Rand) int64 {
 	return MinWeight + rng.Int63n(MaxWeight-MinWeight+1)
 }
@@ -110,7 +118,7 @@ func Power(n int64, avgDegree int, seed int64) *Graph {
 // symmetric edges). Scale 1.0 reproduces those proportions; smaller scales
 // shrink the node count, keeping the average degree.
 func DBLPLike(scale float64, seed int64) *Graph {
-	n := int64(float64(312967) * scale)
+	n := int64(float64(dblpNodes) * scale)
 	if n < 100 {
 		n = 100
 	}
@@ -144,7 +152,7 @@ func DBLPLike(scale float64, seed int64) *Graph {
 // directed). The skew is what makes its SegTable size sensitive to lthd
 // (Fig 9(b) discussion).
 func GoogleWebLike(scale float64, seed int64) *Graph {
-	n := int64(float64(855802) * scale)
+	n := int64(float64(webNodes) * scale)
 	if n < 100 {
 		n = 100
 	}
@@ -176,7 +184,7 @@ func GoogleWebLike(scale float64, seed int64) *Graph {
 // (4,847,571 nodes, 43,110,428 edges ≈ degree 8.9, social network with
 // mostly reciprocated links).
 func LiveJournalLike(scale float64, seed int64) *Graph {
-	n := int64(float64(4847571) * scale)
+	n := int64(float64(ljNodes) * scale)
 	if n < 100 {
 		n = 100
 	}
@@ -250,6 +258,27 @@ func ParseGen(spec string, seed int64) (*Graph, error) {
 	}
 	if fields == 2 && v[0] < 2 {
 		return nil, fmt.Errorf("generator spec %q: need at least 2 nodes", spec)
+	}
+	// Sizes are bounded before anything is generated: the node count, given
+	// or implied by an analog's scale (the analogs' fixed degrees, all below
+	// 9, keep their edges under MaxEdges), by MaxNodes, and the edge count —
+	// M, or N·D for power — by MaxEdges.
+	nodes, edges := float64(v[0]), float64(v[1])
+	switch parts[0] {
+	case "power":
+		edges *= nodes
+	case "dblp":
+		nodes = float64(dblpNodes) * (float64(v[0]) / 100)
+	case "web":
+		nodes = float64(webNodes) * (float64(v[0]) / 100)
+	case "lj":
+		nodes = float64(ljNodes) * (float64(v[0]) / 1000)
+	}
+	if nodes > MaxNodes {
+		return nil, fmt.Errorf("generator spec %q: %.0f nodes, at most %d", spec, nodes, MaxNodes)
+	}
+	if edges > MaxEdges {
+		return nil, fmt.Errorf("generator spec %q: %.0f edges, at most %d", spec, edges, MaxEdges)
 	}
 	switch parts[0] {
 	case "power":

@@ -74,6 +74,9 @@ func Open(g *graph.Graph, opts Options) (*ShardedEngine, error) {
 		return nil, err
 	}
 	split := part.SplitEdges(g)
+	// Every partition numbers its nodes in the whole graph's order, so the
+	// members share one internal id space (core.Engine.SetPeers checks it).
+	toInt, toExt := graph.LocalityOrder(g)
 
 	se := &ShardedEngine{
 		part:     part,
@@ -103,7 +106,7 @@ func Open(g *graph.Graph, opts Options) (*ShardedEngine, error) {
 			db.Close()
 			return err
 		}
-		if err := eng.LoadGraph(sub); err != nil {
+		if err := eng.LoadPartition(sub, toInt, toExt); err != nil {
 			db.Close()
 			return err
 		}

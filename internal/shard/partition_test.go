@@ -155,6 +155,37 @@ func TestSplitEdgesCoverage(t *testing.T) {
 	}
 }
 
+// TestOrderRangesCutFewerEdges records one input for the sharded mode and
+// claims nothing for it: the edges graph.Power(8000, 3, 2011) cuts at k = 2
+// and 4 under contiguous ranges of the engine's node order
+// (graph.LocalityOrder), Hash and Range. A range of the breadth-first order
+// holds whole neighbourhoods, so it cuts fewer edges than Hash.
+func TestOrderRangesCutFewerEdges(t *testing.T) {
+	g := graph.Power(8000, 3, 2011)
+	toInt, _ := graph.LocalityOrder(g)
+	for _, k := range []int{2, 4} {
+		cut := map[Strategy]int{}
+		for _, strat := range []Strategy{Hash, Range} {
+			p, err := NewPartition(g.N, k, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut[strat] = p.SplitEdges(g).CutEdges
+		}
+		ranges, _ := NewPartition(g.N, k, Range)
+		ordered := 0
+		for _, ed := range g.Edges {
+			if ranges.Owner(toInt[ed.From]) != ranges.Owner(toInt[ed.To]) {
+				ordered++
+			}
+		}
+		t.Logf("k=%d: of %d edges, ranges of the order cut %d, hash %d, range %d", k, g.M(), ordered, cut[Hash], cut[Range])
+		if ordered >= cut[Hash] {
+			t.Errorf("k=%d: ranges of the order cut %d edges, hash %d", k, ordered, cut[Hash])
+		}
+	}
+}
+
 func TestParseStrategy(t *testing.T) {
 	for in, want := range map[string]Strategy{"hash": Hash, "Range": Range, " HASH ": Hash} {
 		got, err := ParseStrategy(in)

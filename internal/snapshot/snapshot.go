@@ -11,8 +11,9 @@ import (
 )
 
 // FormatVersion guards against reading manifests written by an
-// incompatible future layout.
-const FormatVersion = 1
+// incompatible layout. Version 2 carries TNodes, the node order a hydration
+// numbers its nodes by; a version 1 snapshot has none and is refused.
+const FormatVersion = 2
 
 // chunkRows bounds one chunk's row count: large tables split into multiple
 // objects so a later object-store backend uploads bounded parts.

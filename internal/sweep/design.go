@@ -121,7 +121,9 @@ type Relation struct {
 
 // Relations is the schema, in creation and snapshot order.
 var Relations = []Relation{
-	{Name: TblNodes, Cols: "nid", Key: "nid", Unique: true, PK: true, Owner: Graph},
+	// The node order: the internal id every other relation stores, and the
+	// caller's (external) id of that node.
+	{Name: TblNodes, Cols: "nid, ext", Key: "nid", Unique: true, PK: true, Owner: Graph, Snapshot: true},
 	{Name: TblEdges, Cols: "fid, tid, cost", Key: "fid", Also: "tid", Follows: true, Owner: Graph, Snapshot: true},
 	// §4.1: d2s/p2s/f carry the forward search's state, d2t/p2t/b the backward one's.
 	{Name: TblVisited, Cols: "nid, d2s, p2s, f, d2t, p2t, b", Key: "nid", Unique: true, PK: true, Follows: true, Owner: Scratch},

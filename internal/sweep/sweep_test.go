@@ -22,7 +22,7 @@ func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 		t.Fatal(err)
 	}
 	for nid := int64(0); nid < g.N; nid++ {
-		if _, err := sess.Exec("INSERT INTO TNodes (nid) VALUES (?)", nid); err != nil {
+		if _, err := sess.Exec("INSERT INTO TNodes (nid, ext) VALUES (?, ?)", nid, nid); err != nil {
 			t.Fatal(err)
 		}
 	}
