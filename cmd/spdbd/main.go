@@ -20,7 +20,9 @@
 //	                            and no index build is in flight)
 //	GET  /debug/slowlog         recent queries over the -slow-query threshold
 //
-// A request body is read up to 1 MiB; a longer one is answered 413.
+// A request body is read up to 1 MiB; a longer one is answered 413. It
+// must be exactly one JSON value naming only the fields its endpoint reads,
+// or it is answered 400.
 //
 // POST /query is the only search endpoint. A request names the endpoints
 // and, optionally, an algorithm (default "auto": the engine's cost-based
@@ -30,6 +32,8 @@
 //	{"source":17,"target":4711,"alg":"auto","max_rel_error":0.1,
 //	 "max_statements":50000,"timeout_ms":250}
 //	{"queries":[{"source":1,"target":2},{"source":3,"target":4}],"workers":4}
+//
+// A batch runs on at most GOMAXPROCS workers, whatever "workers" asks.
 //
 // Every query runs under the request's context: when the client
 // disconnects or the timeout fires, the engine abandons the search within
@@ -97,9 +101,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -284,13 +291,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 const maxBodyBytes = 1 << 20
 
 // decodeBody decodes r's JSON body into v, reading at most maxBodyBytes of
-// it. On failure it answers the request itself — 413 for a body over the
-// bound, 400 for one that is not the JSON asked for — counts the error and
-// returns false.
+// it. The body must be exactly one JSON value, naming no field v does not
+// have: a misspelt field would otherwise read as its zero value, and a
+// second value would go unanswered. On failure it answers the request
+// itself — 413 for a body over the bound, 400 for one that is not the JSON
+// asked for — counts the error and returns false.
 func (sv *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
-		return true
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("the body holds more than one JSON value")
+		}
 	}
 	sv.errors.Add(1)
 	var tooBig *http.MaxBytesError
@@ -632,8 +648,11 @@ func (sv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	if body.TimeoutMS > 0 {
+		// A timeout past what a Duration holds is as good as none; unclamped
+		// it would wrap negative and time the request out at once.
+		ms := min(body.TimeoutMS, math.MaxInt64/int64(time.Millisecond))
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 		defer cancel()
 	}
 	trace := r.URL.Query().Get("debug") == "trace"
@@ -662,7 +681,11 @@ func (sv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		reqs[i] = req
 	}
-	writeJSON(w, http.StatusOK, sv.runBatch(ctx, reqs, body.Workers, trace))
+	// Each concurrent search holds a scratch-table set of its own, and a set
+	// past the pool's is created and dropped by DDL that recompiles every
+	// cached plan: more workers than processors only mint sets.
+	workers := min(body.Workers, runtime.GOMAXPROCS(0))
+	writeJSON(w, http.StatusOK, sv.runBatch(ctx, reqs, workers, trace))
 }
 
 // handleStats reports every layer's counters in one JSON document.

@@ -84,7 +84,9 @@ var claims = []claim{
 	{Section: "§5.2 Fig 8(c)", Sentence: "BSEG(20) fetches most pages with no index, fewer with a secondary index, fewest with the clustered one",
 		On: []string{"Power"}, Counter: Fetches, Cols: strategies(bseg(20)), Want: "<>", DoesNotReproduce: true},
 	{Section: "§5.2 Fig 8(c)", Sentence: "and BSDJ orders the same way",
-		On: both, Counter: Fetches, Cols: strategies(bsdj), Want: "><", DoesNotReproduce: true},
+		On: []string{"Power"}, Counter: Fetches, Cols: strategies(bsdj), Want: ">>"},
+	{Section: "§5.2 Fig 8(c)", Sentence: "and BSDJ orders the same way",
+		On: []string{"Random"}, Counter: Fetches, Cols: strategies(bsdj), Want: "><", DoesNotReproduce: true},
 }
 
 // counterNames are the README's words for the counters the claims read.

@@ -54,10 +54,11 @@ const MaxEntrySize = (storage.PageSize - offSlots) / 4
 // BTree is a handle to one tree. It is not safe for concurrent use; the
 // engine serializes statements, as the paper's client does.
 type BTree struct {
-	pool  *storage.BufferPool
-	root  storage.PageID
-	pages []storage.PageID // every node page, in allocation order
-	n     int              // entry count
+	pool   *storage.BufferPool
+	root   storage.PageID
+	pages  []storage.PageID // every node page, in allocation order
+	n      int              // entry count
+	splits uint64           // node splits and Resets so far: a key's leaf moves only on one
 }
 
 // New allocates an empty tree (a single empty leaf as root).
@@ -93,6 +94,7 @@ func (t *BTree) Reset() error {
 	t.pages = t.pages[:1]
 	t.root = first
 	t.n = 0
+	t.splits++
 	return nil
 }
 
@@ -216,15 +218,20 @@ func rawCell(pg *storage.Page, i int) []byte {
 
 // insertCellAt writes a prepared cell into the node at slot index i.
 // The caller must have verified space.
-func insertCellAt(pg *storage.Page, i int, cell []byte) {
-	start := cellStart(pg) - len(cell)
-	copy(pg.Data[start:], cell)
+func insertCellAt(pg *storage.Page, i int, cell []byte) { copy(reserveCellAt(pg, i, len(cell)), cell) }
+
+// reserveCellAt gives slot index i a new cell of size bytes, below the
+// lowest one, and returns those bytes for the caller to fill. The caller
+// must have verified space.
+func reserveCellAt(pg *storage.Page, i, size int) []byte {
+	start := cellStart(pg) - size
 	pg.PutU16(offCellStart, uint16(start))
 	n := nKeys(pg)
 	// shift slots [i, n) right by one
 	copy(pg.Data[slotOff(i+1):slotOff(n+1)], pg.Data[slotOff(i):slotOff(n)])
 	pg.PutU16(slotOff(i), uint16(start))
 	pg.PutU16(offNKeys, uint16(n+1))
+	return pg.Data[start : start+size]
 }
 
 // removeCellAt deletes slot i (cell bytes become dead space).
@@ -262,12 +269,15 @@ func writeCells(pg *storage.Page, cells [][]byte) {
 
 // makeLeafCell builds the serialized leaf cell for key/val.
 func makeLeafCell(key, val []byte) []byte {
-	out := make([]byte, 0, leafCellSize(key, val))
-	out = binary.AppendUvarint(out, uint64(len(key)))
-	out = append(out, key...)
-	out = binary.AppendUvarint(out, uint64(len(val)))
-	out = append(out, val...)
-	return out
+	return appendLeafCell(make([]byte, 0, leafCellSize(key, val)), key, val)
+}
+
+// appendLeafCell appends the serialized leaf cell for key/val to dst.
+func appendLeafCell(dst, key, val []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	dst = binary.AppendUvarint(dst, uint64(len(val)))
+	return append(dst, val...)
 }
 
 // makeInternalCell builds the serialized internal cell.
@@ -497,6 +507,7 @@ func (t *BTree) splitInsert(pg *storage.Page, i int, cell []byte) (splitResult, 
 	if err != nil {
 		return splitResult{}, err
 	}
+	t.splits++
 	t.pages = append(t.pages, rpg.ID())
 	initNode(rpg, typ)
 
@@ -574,15 +585,24 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 // advancing, so the iterator holds no pins between Next calls and tolerates
 // page eviction; keys and values are slices of that copy. An Iterator can
 // be re-aimed with Reset, which keeps the copy's memory.
+//
+// Two writes go through an iterator without a descent of their own:
+// Overwrite rewrites the current entry on the page its leaf copy came from,
+// and InsertAtProbe inserts the key of the last ResetPrefix into the leaf
+// that descent ended at.
 type Iterator struct {
 	tree     *BTree
 	hi       []byte
-	leaf     *storage.Page // private copy of the current leaf
-	pos, end int           // slots [pos, end) of leaf are still to come
-	key, val []byte        // current entry, inside leaf
+	leaf     *storage.Page  // private copy of the current leaf
+	leafPg   storage.PageID // the page leaf was copied from
+	pos, end int            // slots [pos, end) of leaf are still to come
+	key, val []byte         // current entry, inside leaf
 	nextPg   storage.PageID
-	hiBuf    []byte // backs hi for ResetPrefix
-	cols     int    // column count of the tuples preds are checked on
+	hiBuf    []byte         // backs hi for ResetPrefix
+	probe    []byte         // the last ResetPrefix's prefix, inside hiBuf; nil after a Reset
+	probePg  storage.PageID // the leaf the last Reset descended to
+	splits   uint64         // the tree's splits at that descent
+	cols     int            // column count of the tuples preds are checked on
 	preds    []record.Pred
 	done     bool
 	lastErr  error
@@ -609,13 +629,15 @@ func (it *Iterator) ResetPrefix(t *BTree, prefix []byte) {
 	// extension of prefix from above.
 	it.hiBuf = append(append(it.hiBuf[:0], prefix...), 0xFF)
 	it.Reset(t, prefix, it.hiBuf)
+	it.probe = it.hiBuf[:len(prefix)]
 }
 
 // Reset re-aims the iterator at [lo, hi) of t. hi must stay unchanged while
 // the iterator is in use; lo is not retained.
 func (it *Iterator) Reset(t *BTree, lo, hi []byte) {
-	it.tree, it.hi, it.preds = t, hi, nil
+	it.tree, it.hi, it.preds, it.probe = t, hi, nil, nil
 	it.pos, it.end, it.done, it.lastErr = 0, 0, false, nil
+	it.probePg, it.splits = storage.InvalidPageID, t.splits
 	id := t.root
 	for {
 		pg, err := t.pool.Fetch(id)
@@ -638,6 +660,7 @@ func (it *Iterator) Reset(t *BTree, lo, hi []byte) {
 		if lo != nil {
 			start, _ = search(pg, lo)
 		}
+		it.probePg = id
 		it.loadLeaf(pg, start)
 		t.pool.Unpin(pg, false)
 		return
@@ -653,7 +676,7 @@ func (it *Iterator) loadLeaf(pg *storage.Page, start int) {
 		it.leaf = new(storage.Page)
 	}
 	n := nKeys(pg)
-	it.pos, it.end = start, n
+	it.pos, it.end, it.leafPg = start, n, pg.ID()
 	it.nextPg = storage.PageID(pg.U32(offNext))
 	if it.hi != nil {
 		if e, _ := search(pg, it.hi); e < n {
@@ -719,6 +742,59 @@ func (it *Iterator) Value() []byte { return it.val }
 
 // Err reports any I/O error that terminated the scan.
 func (it *Iterator) Err() error { return it.lastErr }
+
+// Overwrite replaces the current entry's value with val, of the same
+// length, on the page the iterator's leaf copy came from: the bytes Put
+// writes for an existing key, without Put's descent. The slot it was read
+// from must still hold its key and a value of val's length; a leaf that
+// changed since the copy is an error, and nothing is written.
+func (it *Iterator) Overwrite(val []byte) error {
+	pg, err := it.tree.pool.Fetch(it.leafPg)
+	if err != nil {
+		return err
+	}
+	if i := it.pos - 1; pg.Data[offType] == nodeLeaf && i >= 0 && i < nKeys(pg) {
+		if key, old, _ := cellAt(pg, i); bytes.Equal(key, it.key) && len(old) == len(val) {
+			copy(old, val)
+			it.tree.pool.Unpin(pg, true)
+			return nil
+		}
+	}
+	it.tree.pool.Unpin(pg, false)
+	return fmt.Errorf("btree: overwrite of key %x: page %d no longer holds it where the scan read it", it.key, it.leafPg)
+}
+
+// InsertAtProbe inserts key/val into the leaf the last ResetPrefix
+// descended to, when key is that prefix, no split or Reset of the tree has
+// happened since — so the leaf is the one Insert would descend to — and the
+// leaf has room for the cell as it stands. It then writes the bytes Insert
+// writes and reports true; otherwise it writes nothing and reports false,
+// and the caller takes Insert, which compacts or splits. An existing key is
+// ErrDuplicateKey.
+func (it *Iterator) InsertAtProbe(key, val []byte) (bool, error) {
+	t := it.tree
+	size := leafCellSize(key, val)
+	if it.probePg == storage.InvalidPageID || it.probe == nil || !bytes.Equal(key, it.probe) ||
+		it.splits != t.splits || size > MaxEntrySize {
+		return false, nil
+	}
+	pg, err := t.pool.Fetch(it.probePg)
+	if err != nil {
+		return false, err
+	}
+	i, exact := search(pg, key)
+	if exact || size+2 > freeSpace(pg) {
+		t.pool.Unpin(pg, false)
+		if exact {
+			return false, ErrDuplicateKey
+		}
+		return false, nil
+	}
+	appendLeafCell(reserveCellAt(pg, i, size)[:0], key, val)
+	t.pool.Unpin(pg, true)
+	t.n++
+	return true, nil
+}
 
 // Check verifies structural invariants (sorted keys per node, leaf chain
 // globally sorted, separator bounds). Test helper.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -405,6 +406,91 @@ func TestPutSameSizeOverwritesInPlace(t *testing.T) {
 			t.Fatalf("Put of a %d-byte value over %d bytes left no dead cell: not the remove + re-insert path", size, valLen)
 		}
 		check(fmt.Sprintf("after a %d-byte Put", size))
+	}
+}
+
+// TestWritesThroughIteratorMatchPutInsert stores one random sequence of
+// inserts and same-size overwrites twice: through Put and Insert, and
+// through a prefix probe's Overwrite and InsertAtProbe (Insert when it
+// reports false). The two files must be byte-identical, page for page.
+func TestWritesThroughIteratorMatchPutInsert(t *testing.T) {
+	direct, ref := newTree(t, 256), newTree(t, 256)
+	rng := rand.New(rand.NewSource(35))
+	val := make([]byte, 56)
+	var it Iterator
+	var probed, fellBack int
+	for i := 0; i < 20000; i++ {
+		key := k(rng.Int63n(4000))
+		rng.Read(val)
+		if err := ref.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		it.ResetPrefix(direct, key)
+		if it.Next() {
+			if err := it.Overwrite(val); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		done, err := it.InsertAtProbe(key, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			probed++
+		} else if err := direct.Insert(key, val); err != nil {
+			t.Fatal(err)
+		} else {
+			fellBack++
+		}
+	}
+	if probed == 0 || fellBack == 0 {
+		t.Fatalf("%d inserts through the probe, %d through Insert: want both paths", probed, fellBack)
+	}
+	if err := direct.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(direct.pages, ref.pages) || direct.root != ref.root || direct.n != ref.n {
+		t.Fatalf("trees differ: pages %v / %v, root %d / %d, %d / %d entries",
+			direct.pages, ref.pages, direct.root, ref.root, direct.n, ref.n)
+	}
+	for _, id := range ref.pages {
+		a, err := direct.pool.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ref.pool.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := a.Data == b.Data
+		direct.pool.Unpin(a, false)
+		ref.pool.Unpin(b, false)
+		if !same {
+			t.Fatalf("page %d differs", id)
+		}
+	}
+
+	// A write through a stale position is refused: an overwrite of a slot
+	// that no longer holds the key, an insert after the tree split.
+	it.ResetPrefix(direct, k(0))
+	if !it.Next() {
+		t.Fatal("key 0 not found")
+	}
+	if _, err := direct.Delete(k(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := it.Overwrite(val); err == nil {
+		t.Error("an overwrite of a deleted entry succeeded")
+	}
+	it.ResetPrefix(direct, k(5000))
+	for i := int64(5001); len(direct.pages) == len(ref.pages); i++ {
+		if err := direct.Insert(k(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if done, err := it.InsertAtProbe(k(5000), val); done || err != nil {
+		t.Errorf("an insert at a probe made before a split: %v, %v; want false, nil", done, err)
 	}
 }
 

@@ -47,6 +47,42 @@ func BenchmarkBSDJQuery(b *testing.B) {
 	b.ReportMetric(float64(after.Hits+after.Misses-pool.Hits-pool.Misses)/float64(b.N), "pages/op")
 }
 
+// TestWarmQueryAllocs bounds what a warm query allocates, in
+// BenchmarkBSDJQuery's shape: every statement compiled and every operator
+// instance parked before the count. A query allocated 4829 times while MERGE
+// and UPDATE materialized each matched row, ~3090 times since they write
+// through the leaf their scan read; a jump back means some operator
+// allocates per row again.
+func TestWarmQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const bound = 3500
+	g := graph.Power(2000, 3, 2011)
+	e := newTestEngine(t, g, rdb.Options{BufferPoolPages: 16384}, Options{CacheSize: -1})
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]int64, 16)
+	for i := range pairs {
+		pairs[i] = [2]int64{rng.Int63n(g.N), rng.Int63n(g.N)}
+	}
+	next := 0
+	ask := func() {
+		p := pairs[next%len(pairs)]
+		next++
+		if _, err := e.Query(context.Background(), QueryRequest{Source: p[0], Target: p[1], Alg: AlgBSDJ}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range pairs {
+		ask()
+	}
+	allocs := testing.AllocsPerRun(len(pairs), ask)
+	t.Logf("%.0f allocations per warm BSDJ query", allocs)
+	if allocs > bound {
+		t.Errorf("%.0f allocations per warm BSDJ query, want at most %d", allocs, bound)
+	}
+}
+
 // BenchmarkColdBSEGQuery is one BSEG search per iteration in cold_bseg's
 // shape, the paper's disk regime (§5, Fig 8(b) / 9(g)), scaled down: a
 // file-backed database of graph.Power(8000,3,2011) with its SegTable at

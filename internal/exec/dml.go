@@ -118,12 +118,12 @@ func (p *Planner) PrepareInsert(st *sql.InsertStmt) (*PreparedDML, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			row := make(record.Row, len(ordinals)) // Insert keeps no reference
+			in.row = sized(in.row, len(ordinals)) // Insert keeps no reference
 			for _, r := range rows {
 				for i, ord := range ordinals {
-					row[ord] = r[i]
+					in.row[ord] = r[i]
 				}
-				if _, err := t.Insert(row); err != nil {
+				if _, err := t.Insert(in.row); err != nil {
 					return Result{}, err
 				}
 			}
@@ -148,7 +148,11 @@ func (p *Planner) PrepareInsert(st *sql.InsertStmt) (*PreparedDML, error) {
 	}
 	return newDML(nil, nil, func(in *instance) (Result, error) {
 		for _, fns := range rowFns {
-			if err := insertComputed(&in.ctx, t, ordinals, fns, nil); err != nil {
+			var err error
+			if in.row, err = computeRow(&in.ctx, in.row, ordinals, fns, nil); err != nil {
+				return Result{}, err
+			}
+			if _, err := t.Insert(in.row); err != nil {
 				return Result{}, err
 			}
 		}
@@ -156,20 +160,23 @@ func (p *Planner) PrepareInsert(st *sql.InsertStmt) (*PreparedDML, error) {
 	}), nil
 }
 
-// insertComputed inserts the row whose columns are fns evaluated against
-// src, fns[i] going to ordinals[i].
-func insertComputed(ctx *Ctx, t *table.Table, ordinals []int, fns []scalarFn, src record.Row) error {
-	row := make(record.Row, len(ordinals))
+// computeRow evaluates fns against src into dst, fns[i] going to
+// ordinals[i], and returns it: dst resized to len(ordinals), reusing its
+// memory.
+func computeRow(ctx *Ctx, dst record.Row, ordinals []int, fns []scalarFn, src record.Row) (record.Row, error) {
+	dst = sized(dst, len(ordinals))
 	for i, f := range fns {
 		v, err := f(ctx, src)
 		if err != nil {
-			return err
+			return dst, err
 		}
-		row[ordinals[i]] = v
+		dst[ordinals[i]] = v
 	}
-	_, err := t.Insert(row)
-	return err
+	return dst, nil
 }
+
+// sized returns r resized to n values, reusing its memory.
+func sized(r record.Row, n int) record.Row { return slices.Grow(r[:0], n)[:n] }
 
 // insertOrdinals maps an INSERT column list to t's ordinals. The list names
 // every column of t once: a stored row holds no NULL, so a column left out
@@ -222,7 +229,7 @@ func (p *Planner) PrepareDelete(st *sql.DeleteStmt) (*PreparedDML, error) {
 	}
 	if src, probe := p.existsDriver(t, st.Table, conjuncts, c); probe != nil {
 		del := []mergeBranch{{del: true}}
-		return newDML(src, probe, func(in *instance) (Result, error) { return mergeRows(in, t, del, nil) }), nil
+		return newDML(src, probe, func(in *instance) (Result, error) { return mergeRows(in, t, del, nil, false) }), nil
 	}
 	return newDML(nil, scan, func(in *instance) (Result, error) {
 		matches, err := findTargets(&in.ctx, in.target, nil)
@@ -247,7 +254,6 @@ func (p *Planner) PrepareDelete(st *sql.DeleteStmt) (*PreparedDML, error) {
 // m's row had, so corr's column references must be qualified. A nil probe
 // says the rule does not apply: the caller keeps its scan of t.
 func (p *Planner) existsDriver(t *table.Table, qual string, conjuncts []sql.Expr, c *compiler) (Node, baseScan) {
-	opaque := func(e sql.Expr) bool { return exprRefs(e, func(*sql.ColumnRef) bool { return false }) }
 	for i, conj := range conjuncts {
 		ex, _ := conj.(*sql.Exists)
 		if ex == nil || ex.Not {
@@ -275,9 +281,43 @@ func (p *Planner) existsDriver(t *table.Table, qual string, conjuncts []sql.Expr
 	return nil, nil
 }
 
+// opaque reports whether e holds something other than columns, parameters,
+// literals and operators on them: a subquery or a function call.
+func opaque(e sql.Expr) bool { return exprRefs(e, func(*sql.ColumnRef) bool { return false }) }
+
+// writesThrough decides, at prepare time, whether a DML statement with
+// branches on t changes each target row through its scan (see mergeRows)
+// rather than materializing its matches first. It may when t takes writes
+// through a scan (table.Table.WritesThrough), no branch deletes or assigns a
+// clustered-key column, and none of exprs — everything the statement
+// evaluates while it changes t: its ON or WHERE, branch conditions, SET and
+// INSERT values — is opaque, for a subquery could read t and then see the
+// statement's own writes. A MERGE's or UPDATE ... FROM's source is not among
+// them: mergeRows reads it whole before the first change.
+func writesThrough(t *table.Table, branches []mergeBranch, exprs []sql.Expr) bool {
+	if !t.WritesThrough() {
+		return false
+	}
+	for _, br := range branches {
+		if br.del || slices.ContainsFunc(br.setOrds, func(ord int) bool { return slices.Contains(t.Clustered().Cols, ord) }) {
+			return false
+		}
+	}
+	return !slices.ContainsFunc(exprs, func(e sql.Expr) bool { return e != nil && opaque(e) })
+}
+
+// setValues appends the values of sets to exprs.
+func setValues(exprs []sql.Expr, sets []sql.SetClause) []sql.Expr {
+	for _, s := range sets {
+		exprs = append(exprs, s.Val)
+	}
+	return exprs
+}
+
 // PrepareUpdate compiles an UPDATE statement, including the
 // PostgreSQL-style UPDATE ... FROM form the TSQL dialect uses to emulate
-// MERGE.
+// MERGE: for each source row, probe the target; the first matching source
+// row wins.
 func (p *Planner) PrepareUpdate(st *sql.UpdateStmt) (*PreparedDML, error) {
 	t, ok := p.cat.Get(st.Table)
 	if !ok {
@@ -286,61 +326,28 @@ func (p *Planner) PrepareUpdate(st *sql.UpdateStmt) (*PreparedDML, error) {
 	qual := st.Table
 	c := &compiler{planner: p}
 	lay, need := scanLayout(t, qual)
-
-	if st.From == nil {
-		env := &Env{Lay: lay}
-		scan, err := p.analyzeTargetAccess(t, qual, lay, need, env, splitConjuncts(st.Where), c)
+	env := &Env{Lay: lay}
+	var srcPlan Node
+	if st.From != nil {
+		plan, srcLay, err := p.planFromRef(st.From, c)
 		if err != nil {
 			return nil, err
 		}
-		setFns, setOrds, err := p.compileSets(t, st.Sets, env, c)
-		if err != nil {
-			return nil, err
-		}
-		return newDML(nil, scan, func(in *instance) (Result, error) {
-			matches, err := findTargets(&in.ctx, in.target, nil)
-			if err != nil {
-				return Result{}, err
-			}
-			for _, m := range matches {
-				if err := updateMatch(&in.ctx, t, m, setFns, setOrds); err != nil {
-					return Result{}, err
-				}
-			}
-			// SQL counts matched rows even if values are identical.
-			return Result{RowsAffected: int64(len(matches))}, nil
-		}), nil
+		srcPlan, env.Parent = plan, &Env{Lay: srcLay}
 	}
-
-	// UPDATE ... FROM source: for each source row, probe the target; the
-	// first matching source row wins.
-	srcPlan, srcLay, err := p.planFromRef(st.From, c)
+	scan, err := p.analyzeTargetAccess(t, qual, lay, need, env, splitConjuncts(st.Where), c)
 	if err != nil {
 		return nil, err
 	}
-	targetEnv := &Env{Lay: lay, Parent: &Env{Lay: srcLay}}
-	scan, err := p.analyzeTargetAccess(t, qual, lay, need, targetEnv, splitConjuncts(st.Where), c)
-	if err != nil {
-		return nil, err
-	}
-	setFns, setOrds, err := p.compileSets(t, st.Sets, targetEnv, c)
+	setFns, setOrds, err := p.compileSets(t, st.Sets, env, c)
 	if err != nil {
 		return nil, err
 	}
 	branches := []mergeBranch{{setFns: setFns, setOrds: setOrds}}
+	direct := writesThrough(t, branches, setValues([]sql.Expr{st.Where}, st.Sets))
 	return newDML(srcPlan, scan, func(in *instance) (Result, error) {
-		return mergeRows(in, t, branches, nil)
+		return mergeRows(in, t, branches, nil, direct)
 	}), nil
-}
-
-// updateMatch applies SET clauses to one materialized target row.
-func updateMatch(ctx *Ctx, t *table.Table, m targetMatch, setFns []scalarFn, setOrds []int) error {
-	newRow, changed, err := applySets(ctx, m.row, setFns, setOrds)
-	if err != nil || !changed {
-		return err
-	}
-	_, err = t.Update(m.loc, m.row, newRow)
-	return err
 }
 
 func locKey(l table.Loc) string {
@@ -388,22 +395,23 @@ func (p *Planner) compileSets(t *table.Table, sets []sql.SetClause, env *Env, c 
 	return fns, ords, nil
 }
 
-// applySets computes the updated row; changed is false when every assigned
-// value already equals the current one.
-func applySets(ctx *Ctx, row record.Row, fns []scalarFn, ords []int) (record.Row, bool, error) {
-	newRow := row.Clone()
+// applySets writes the updated row into dst, reusing its memory, and
+// returns it; changed is false when every assigned value already equals the
+// current one.
+func applySets(ctx *Ctx, dst, row record.Row, fns []scalarFn, ords []int) (record.Row, bool, error) {
+	dst = append(dst[:0], row...)
 	changed := false
 	for i, f := range fns {
 		v, err := f(ctx, row) // evaluated against the OLD row, SQL semantics
 		if err != nil {
-			return nil, false, err
+			return dst, false, err
 		}
-		if record.Compare(newRow[ords[i]], v) != 0 {
+		if record.Compare(dst[ords[i]], v) != 0 {
 			changed = true
 		}
-		newRow[ords[i]] = v
+		dst[ords[i]] = v
 	}
-	return newRow, changed, nil
+	return dst, changed, nil
 }
 
 // mergeBranch is one compiled WHEN MATCHED branch; del makes its action
@@ -449,6 +457,7 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 	}
 
 	branches := make([]mergeBranch, len(st.Matched))
+	exprs := []sql.Expr{st.On}
 	for i, m := range st.Matched {
 		var mb mergeBranch
 		if m.And != nil {
@@ -462,6 +471,7 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 			return nil, err
 		}
 		branches[i] = mb
+		exprs = setValues(append(exprs, m.And), m.Sets)
 	}
 
 	var ins *mergeInsert
@@ -480,65 +490,93 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 			}
 			ins.fns = append(ins.fns, f)
 		}
+		exprs = append(exprs, nm.Vals...)
 	}
+	direct := writesThrough(t, branches, exprs)
 	return newDML(srcPlan, scan, func(in *instance) (Result, error) {
-		return mergeRows(in, t, branches, ins)
+		return mergeRows(in, t, branches, ins, direct)
 	}), nil
 }
 
-// mergeRows drives MERGE and UPDATE ... FROM: every source row — all read
-// before the first change, since the source may be a query over t — probes
-// the target through in.target, and each target row takes the first branch
-// whose condition holds, once per statement. Deletes are collected and
-// applied after the last probe.
-func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeInsert) (Result, error) {
+// mergeRows drives MERGE, UPDATE and the EXISTS-driven DELETE: every source
+// row — all read before the first change, since the source may be a query
+// over t; an UPDATE without FROM has one, empty — probes the target through
+// in.target, each target row takes the first branch whose condition holds,
+// once per statement, and a source row that finds no target row inserts
+// when ins says so. A direct statement (writesThrough) writes each change
+// through the target scan's iterator, on the page the scan read; any other
+// materializes a probe's matches first (eachTarget) and writes through
+// Table.Update and Table.Insert. Deletes are collected and applied after
+// the last probe.
+func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeInsert, direct bool) (Result, error) {
 	ctx := &in.ctx
-	srcRows, err := runPlan(in.plan, ctx)
-	if err != nil {
-		return Result{}, err
+	srcRows := []record.Row{nil}
+	if in.plan != nil {
+		var err error
+		if srcRows, err = runPlan(in.plan, ctx); err != nil {
+			return Result{}, err
+		}
 	}
-	touched := make(map[string]bool)
+	scan := in.target.base()
+	var touched map[string]bool // one probe meets a row once: only a second can meet it again
+	if len(srcRows) > 1 {
+		touched = make(map[string]bool)
+	}
 	var matches, dels []targetMatch
 	var n int64
-	mergeOne := func(srcRow record.Row) error {
-		ctx.Push(srcRow)
-		defer ctx.Pop()
-		if matches, err = findTargets(ctx, in.target, matches); err != nil {
-			return err
-		}
-		if len(matches) == 0 && ins != nil {
-			n++
-			return insertComputed(ctx, t, ins.ords, ins.fns, srcRow)
-		}
-		for _, m := range matches {
-			lk := locKey(m.loc)
-			if touched[lk] {
-				continue
+	change := func(m targetMatch) error {
+		var lk string
+		if touched != nil {
+			if lk = locKey(m.loc); touched[lk] {
+				return nil
 			}
-			for _, br := range branches {
-				if br.cond != nil {
-					v, err := br.cond(ctx, m.row)
-					if err != nil {
-						return err
-					}
-					if !v.Truthy() {
-						continue
-					}
-				}
-				touched[lk] = true
-				n++
-				if br.del {
-					dels = append(dels, m)
-				} else if err := updateMatch(ctx, t, m, br.setFns, br.setOrds); err != nil {
+		}
+		for _, br := range branches {
+			if br.cond != nil {
+				v, err := br.cond(ctx, m.row)
+				if err != nil {
 					return err
 				}
-				break
+				if !v.Truthy() {
+					continue
+				}
 			}
+			if touched != nil {
+				touched[lk] = true
+			}
+			n++
+			if br.del {
+				dels = append(dels, m)
+				return nil
+			}
+			var changed bool
+			var err error
+			if in.row, changed, err = applySets(ctx, in.row, m.row, br.setFns, br.setOrds); err != nil || !changed {
+				return err
+			}
+			if direct {
+				return scan.it.Overwrite(in.row)
+			}
+			_, err = t.Update(m.loc, m.row, in.row)
+			return err
 		}
 		return nil
 	}
 	for _, srcRow := range srcRows {
-		if err := mergeOne(srcRow); err != nil {
+		ctx.Push(srcRow)
+		found, err := eachTarget(ctx, in.target, direct, &matches, change)
+		if err == nil && !found && ins != nil {
+			n++
+			if in.row, err = computeRow(ctx, in.row, ins.ords, ins.fns, srcRow); err == nil {
+				if direct && !scan.empty {
+					err = scan.it.Insert(in.row)
+				} else {
+					_, err = t.Insert(in.row)
+				}
+			}
+		}
+		ctx.Pop()
+		if err != nil {
 			return Result{}, err
 		}
 	}
@@ -548,4 +586,42 @@ func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeI
 		}
 	}
 	return Result{RowsAffected: n}, nil
+}
+
+// eachTarget runs change on every row scan yields and reports whether it
+// yielded one. With direct, change runs while the scan stands on the row,
+// given every column of it decoded in the scan's buffer and its clustered
+// key in the scan's leaf copy: the write goes through the scan's iterator.
+// Otherwise the rows are materialized first (findTargets), with locations of
+// their own, and change runs on each once the scan is done.
+func eachTarget(ctx *Ctx, scan baseScan, direct bool, buf *[]targetMatch, change func(targetMatch) error) (bool, error) {
+	if !direct {
+		ms, err := findTargets(ctx, scan, *buf)
+		for _, m := range ms {
+			if err == nil {
+				err = change(m)
+			}
+		}
+		*buf = ms
+		return len(ms) > 0, err
+	}
+	if err := scan.Open(ctx); err != nil {
+		return false, err
+	}
+	defer scan.Close()
+	found := false
+	for {
+		r, err := scan.Next(ctx)
+		if err != nil || r == nil {
+			return found, err
+		}
+		found = true
+		it := &scan.base().it
+		if r, err = it.FullRow(); err == nil {
+			err = change(targetMatch{loc: table.Loc{Key: it.Key()}, row: r})
+		}
+		if err != nil {
+			return found, err
+		}
+	}
 }

@@ -26,6 +26,7 @@ type instance struct {
 	ctx    Ctx
 	plan   Node
 	target baseScan
+	row    record.Row // a DML statement's row to write: SET applied, or an INSERT's values
 }
 
 // acquire returns an instance nobody else is running, bound to params.

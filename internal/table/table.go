@@ -7,6 +7,7 @@
 package table
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -109,6 +110,14 @@ func New(pool *storage.BufferPool, name string, schema *record.Schema, opts Opti
 // Clustered returns the clustered index, or nil for heap tables.
 func (t *Table) Clustered() *Index { return t.clustered }
 
+// WritesThrough reports whether t takes writes through a scan
+// (Iterator.Overwrite and Iterator.Insert): it is clustered on a unique key
+// and has no secondary index, so a row's key is all that locates it and no
+// other structure holds a copy of its columns.
+func (t *Table) WritesThrough() bool {
+	return t.clustered != nil && t.clustered.Unique && len(t.Secondary) == 0
+}
+
 // RowCount returns the number of live rows.
 func (t *Table) RowCount() int { return t.rows }
 
@@ -139,22 +148,36 @@ func indexKey(ix *Index, row record.Row, loc Loc) []byte {
 	return k
 }
 
+// encode encodes row into t.enc.
+func (t *Table) encode(row record.Row) ([]byte, error) {
+	data, err := record.EncodeTuple(t.enc[:0], t.Schema, row)
+	if err == nil {
+		t.enc = data
+	}
+	return data, err
+}
+
+// clusteredTaken is the error of an insert whose unique clustered key a row
+// already holds: err itself unless it is btree.ErrDuplicateKey.
+func (t *Table) clusteredTaken(err error) error {
+	if errors.Is(err, btree.ErrDuplicateKey) {
+		return fmt.Errorf("%w: %s clustered key", ErrUniqueViolation, t.Name)
+	}
+	return err
+}
+
 // Insert stores a row, maintaining all indexes.
 func (t *Table) Insert(row record.Row) (Loc, error) {
-	data, err := record.EncodeTuple(t.enc[:0], t.Schema, row)
+	data, err := t.encode(row)
 	if err != nil {
 		return Loc{}, err
 	}
-	t.enc = data
 	var loc Loc
 	if t.clustered != nil {
 		key := t.keyFor(row)
 		if t.clustered.Unique {
 			if err := t.clustered.tree.Insert(key, data); err != nil {
-				if errors.Is(err, btree.ErrDuplicateKey) {
-					return Loc{}, fmt.Errorf("%w: %s clustered key", ErrUniqueViolation, t.Name)
-				}
-				return Loc{}, err
+				return Loc{}, t.clusteredTaken(err)
 			}
 		} else {
 			if err := t.clustered.tree.Insert(key, data); err != nil {
@@ -241,11 +264,10 @@ func (t *Table) Delete(loc Loc, row record.Row) error {
 // delete+insert of the affected index entries; a unique key the update moves
 // is checked first, so a violation leaves the table as it was.
 func (t *Table) Update(loc Loc, oldRow, newRow record.Row) (Loc, error) {
-	data, err := record.EncodeTuple(t.enc[:0], t.Schema, newRow)
+	data, err := t.encode(newRow)
 	if err != nil {
 		return Loc{}, err
 	}
-	t.enc = data
 	if err := t.movedKeyTaken(t.clustered, oldRow, newRow); err != nil {
 		return Loc{}, err
 	}
@@ -420,6 +442,10 @@ func (t *Table) Truncate() error {
 // Materialize. Start and Seek re-aim an Iterator in place, keeping its page,
 // tuple and row buffers, so an operator that re-opens its scan allocates
 // nothing.
+//
+// On a table that takes writes through a scan (WritesThrough), a clustered
+// scan also writes: Overwrite changes the row it stands on and Insert adds
+// the row its Seek probed for, each without a descent of its own.
 type Iterator struct {
 	t     *Table
 	ix    *Index // secondary index the rows are reached through; nil = storage order
@@ -430,6 +456,7 @@ type Iterator struct {
 	tuple []byte // encoded current row (inside bit's or hit's page, or fetch)
 	fetch []byte // base tuple fetched through ix
 	probe []byte // encoded Seek prefix
+	key   []byte // Insert's clustered key
 	row   record.Row
 	err   error
 }
@@ -564,6 +591,69 @@ func (it *Iterator) Loc() Loc {
 func (it *Iterator) Materialize() (Loc, record.Row, error) {
 	row, _, err := record.DecodeTuple(it.tuple, it.t.Schema)
 	return it.Loc(), row, err
+}
+
+// Key returns the clustered key of the row a clustered-order scan stands
+// on: Loc's key without the copy, valid until the next Next, Start or Seek.
+func (it *Iterator) Key() []byte { return it.bit.Key() }
+
+// FullRow decodes every column of the current row into the buffer Row
+// returns, and returns it.
+func (it *Iterator) FullRow() (record.Row, error) {
+	_, err := record.DecodeInto(it.row, it.tuple, it.t.Schema, nil)
+	return it.row, err
+}
+
+// Overwrite replaces the current row with row, which keeps its clustered
+// key, on the page the scan read it from (btree.Iterator.Overwrite): the
+// bytes Update writes, without Update's descent. Only a clustered-order scan
+// of a table that takes writes through a scan may. The scan goes on over its
+// own copy of the leaf, so it does not meet the row again.
+func (it *Iterator) Overwrite(row record.Row) error {
+	t := it.t
+	if it.ix != nil || !t.WritesThrough() {
+		return fmt.Errorf("table: %s takes no write through this scan", t.Name)
+	}
+	data, err := t.encode(row)
+	if err != nil {
+		return err
+	}
+	for _, c := range t.clustered.Cols { // column c is the 8 bytes at 8·c
+		if !bytes.Equal(data[8*c:8*c+8], it.tuple[8*c:8*c+8]) {
+			return fmt.Errorf("table: an overwrite through a scan of %s changes its clustered key", t.Name)
+		}
+	}
+	return it.bit.Overwrite(data)
+}
+
+// Insert stores row as Table.Insert does. When the last Seek probed row's
+// whole clustered key on a table that takes writes through a scan, the row
+// goes into the leaf that Seek descended to, if it has room
+// (btree.Iterator.InsertAtProbe), and costs no descent of its own.
+func (it *Iterator) Insert(row record.Row) error {
+	t := it.t
+	if it.ix != nil || !t.WritesThrough() {
+		_, err := t.Insert(row)
+		return err
+	}
+	data, err := t.encode(row)
+	if err != nil {
+		return err
+	}
+	it.key = it.key[:0]
+	for _, c := range t.clustered.Cols {
+		it.key = record.EncodeKey(it.key, row[c])
+	}
+	done, err := it.bit.InsertAtProbe(it.key, data)
+	if err != nil {
+		return t.clusteredTaken(err)
+	}
+	if !done {
+		_, err = t.Insert(row)
+		return err
+	}
+	t.rows++
+	return nil
 }
 
 // Err reports any error that terminated iteration.
