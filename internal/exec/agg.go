@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"hash/maphash"
 	"slices"
 
 	"repro/internal/record"
@@ -164,34 +165,69 @@ func (a *Aggregate) Clone() Node {
 
 // --- window ------------------------------------------------------------------
 
-// windowSpec is one compiled ROW_NUMBER() OVER (PARTITION BY partFns ORDER
-// BY orderFns), both ascending.
-type windowSpec struct {
-	partFns  []scalarFn
-	orderFns []scalarFn
-}
-
-// Window materializes its input and appends one column per window function:
-// output rows are [input columns..., window results...]. This implements
-// the SQL:2003 feature the paper highlights: ROW_NUMBER() OVER (PARTITION
-// BY x ORDER BY y) lets the E-operator keep the cheapest expansion per node
-// while carrying the non-aggregate p2s column along.
+// Window is ROW_NUMBER() OVER (PARTITION BY … ORDER BY …) kept to rank 1, the
+// one form the planner admits (takeRankOne consumes the enclosing `rn = 1`).
+// An input row is an offer: the block's row, its rank already 1, in
+// [0, Width), then the partition values up to Order and the order values. Of
+// each partition it keeps the block's row of the offer with the least order
+// values, the earliest on a tie, and emits the winners in input order. This
+// is the SQL:2003 feature the paper highlights: the E-operator keeps the
+// cheapest expansion per node while carrying the non-aggregate p2s column
+// along.
+//
+// One hashed pass does it, with no sort of the offers, copying an offer only
+// while it leads its partition. The winners live in slabs the instance keeps between
+// executions — each one's block row and order values in vals, its partition
+// key's bytes in keys — and index maps a key's hash to the newest winner
+// with it, plus one, each winner chaining to the one before, so neither an
+// offer nor a partition allocates. Close drops the slabs of an execution
+// with more than windowKeep winners, so what an instance keeps does not grow
+// with the largest execution it ran, and Open sizes the next ones from that
+// count rather than regrowing them by doubling.
 type Window struct {
-	Input Node
-	Specs []windowSpec
-	out   []record.Row
-	pos   int
+	Input        Node
+	Width, Order int
+	index        map[uint64]int32
+	win          []winner
+	vals         []record.Value // winner slot s's block row and order values at [s*stride, (s+1)*stride)
+	keys         []byte
+	key          []byte // the current offer's partition key
+	stride       int
+	dropped      int // winners of the execution whose slabs Close dropped
+	pos          int
 }
 
-// Open implements Node.
+// windowKeep is the most winners whose slabs a Window keeps past Close.
+const windowKeep = 1024
+
+// windowSeed hashes every Window's partition keys.
+var windowSeed = maphash.MakeSeed()
+
+// winner is one partition's best offer so far.
+type winner struct {
+	at     int   // the input position of the offer
+	slot   int32 // its place in vals
+	lo, hi int32 // its key's bytes in keys
+	next   int32 // the winner before it whose key hashes alike; -1 ends the chain
+}
+
+// Open implements Node: drains the input and keeps each partition's winner.
 func (w *Window) Open(ctx *Ctx) error {
 	w.pos = 0
-	w.out = w.out[:0]
+	if n := w.dropped; w.index == nil {
+		w.index = make(map[uint64]int32, n)
+		w.win = make([]winner, 0, n)
+		w.vals = make([]record.Value, 0, n*w.stride)
+		w.keys = make([]byte, 0, n*9*(w.Order-w.Width))
+	} else {
+		clear(w.index)
+		w.win, w.vals, w.keys = w.win[:0], w.vals[:0], w.keys[:0]
+	}
 	if err := w.Input.Open(ctx); err != nil {
 		return err
 	}
 	defer w.Input.Close()
-	for {
+	for at := 0; ; at++ {
 		r, err := w.Input.Next(ctx)
 		if err != nil {
 			return err
@@ -199,80 +235,58 @@ func (w *Window) Open(ctx *Ctx) error {
 		if r == nil {
 			break
 		}
-		// The copy kept past the input's next row is made at output width.
-		w.out = append(w.out, append(make(record.Row, 0, len(r)+len(w.Specs)), r...))
+		w.offer(r, at)
 	}
-	for _, spec := range w.Specs {
-		if err := computeWindow(ctx, w.out, spec); err != nil {
-			return err
-		}
-	}
+	slices.SortFunc(w.win, func(a, b winner) int { return a.at - b.at })
 	return nil
 }
 
-// computeWindow appends spec's ROW_NUMBER to every row. The specs' inputs
-// are input columns, so a result appended by an earlier spec is never read.
-// Partition keys are encoded into one buffer and order values into one
-// slab, so a call allocates per statement, not per row.
-func computeWindow(ctx *Ctx, rows []record.Row, spec windowSpec) error {
-	type keyed struct{ idx, lo, hi int } // the row, and its partition key's bytes in buf
-	ks := make([]keyed, len(rows))
-	no := len(spec.orderFns)
-	ovals := make([]record.Value, len(rows)*no) // row i's order values at [i*no, i*no+no)
-	var buf []byte
-	for i, r := range rows {
-		lo := len(buf)
-		for _, f := range spec.partFns {
-			v, err := f(ctx, r)
-			if err != nil {
-				return err
+// offer makes r, the input row at position at, its partition's winner if it
+// is the partition's first offer or beats the winner.
+func (w *Window) offer(r record.Row, at int) {
+	w.key = record.EncodeKey(w.key[:0], r[w.Width:w.Order]...)
+	row, ord := r[:w.Width], r[w.Order:]
+	h := maphash.Bytes(windowSeed, w.key)
+	head := w.index[h] - 1
+	for i := head; i >= 0; i = w.win[i].next {
+		if wn := &w.win[i]; bytes.Equal(w.keys[wn.lo:wn.hi], w.key) {
+			kept := w.vals[int(i)*w.stride:][:w.stride]
+			if slices.CompareFunc(ord, kept[w.Width:], record.Compare) < 0 {
+				wn.at = at
+				copy(kept, row)
+				copy(kept[w.Width:], ord)
 			}
-			buf = record.EncodeKey(buf, v)
-		}
-		ks[i] = keyed{idx: i, lo: lo, hi: len(buf)}
-		for j, f := range spec.orderFns {
-			v, err := f(ctx, r)
-			if err != nil {
-				return err
-			}
-			ovals[i*no+j] = v
+			return
 		}
 	}
-	pkey := func(k keyed) []byte { return buf[k.lo:k.hi] }
-	slices.SortFunc(ks, func(a, b keyed) int {
-		if c := bytes.Compare(pkey(a), pkey(b)); c != 0 {
-			return c
-		}
-		for j := 0; j < no; j++ {
-			if c := record.Compare(ovals[a.idx*no+j], ovals[b.idx*no+j]); c != 0 {
-				return c
-			}
-		}
-		return a.idx - b.idx // deterministic tie-break
-	})
-	var num int64
-	for i, k := range ks {
-		if i == 0 || !bytes.Equal(pkey(k), pkey(ks[i-1])) {
-			num = 0
-		}
-		num++
-		rows[k.idx] = append(rows[k.idx], record.Int(num))
+	w.stride = w.Width + len(ord)
+	if len(w.vals)+w.stride > cap(w.vals) { // append grows a large slice by a quarter: double it instead
+		w.vals = append(make([]record.Value, 0, 2*cap(w.vals)+w.stride), w.vals...)
 	}
-	return nil
+	slot := int32(len(w.win))
+	w.win = append(w.win, winner{at: at, slot: slot, lo: int32(len(w.keys)), hi: int32(len(w.keys) + len(w.key)), next: head})
+	w.keys = append(w.keys, w.key...)
+	w.vals = append(append(w.vals, row...), ord...)
+	w.index[h] = slot + 1
 }
 
-// Next implements Node.
+// Next implements Node: the winners' block rows, in input order.
 func (w *Window) Next(*Ctx) (record.Row, error) {
-	if w.pos >= len(w.out) {
+	if w.pos >= len(w.win) {
 		return nil, nil
 	}
-	r := w.out[w.pos]
+	s := int(w.win[w.pos].slot) * w.stride
 	w.pos++
-	return r, nil
+	return w.vals[s : s+w.Width : s+w.Width], nil
 }
 
 // Close implements Node.
-func (w *Window) Close() { w.out = nil }
+func (w *Window) Close() {
+	if cap(w.win) > windowKeep {
+		w.dropped = len(w.win)
+		w.index, w.win, w.vals, w.keys = nil, nil, nil, nil
+	}
+}
 
 // Clone implements Node.
-func (w *Window) Clone() Node { return &Window{Input: w.Input.Clone(), Specs: w.Specs} }
+func (w *Window) Clone() Node { return &Window{Input: w.Input.Clone(), Width: w.Width, Order: w.Order} }

@@ -105,7 +105,7 @@ func (p *Planner) PrepareInsert(st *sql.InsertStmt) (*PreparedDML, error) {
 	}
 	c := &compiler{planner: p}
 	if st.Select != nil {
-		plan, lay, err := p.planSelect(st.Select, nil, c, nil)
+		plan, lay, err := p.planSelect(st.Select, false, nil, c, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -360,11 +360,11 @@ func locKey(l table.Loc) string {
 // planFromRef plans a table or derived-table reference standalone.
 func (p *Planner) planFromRef(ref *sql.TableRef, c *compiler) (Node, *Layout, error) {
 	if ref.Sub != nil {
-		node, subLay, err := p.planSelect(ref.Sub, nil, c, nil)
+		node, _, err := p.planSelect(ref.Sub, false, nil, c, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		lay, err := derivedLayout(ref, subLay)
+		lay, err := derivedLayout(ref)
 		return node, lay, err
 	}
 	t, ok := p.cat.Get(ref.Table)

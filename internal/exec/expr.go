@@ -79,6 +79,9 @@ func (c *compiler) compileExpr(e sql.Expr, env *Env, usedOuter *bool) (scalarFn,
 		return compileBinary(ex.Op, l, r)
 
 	case *sql.FuncCall:
+		if ex.Window != nil {
+			return nil, errRankOne
+		}
 		return nil, fmt.Errorf("exec: function %s not allowed in this context (aggregates/window functions must appear in SELECT items)", ex.Name)
 
 	case *sql.Subquery:
@@ -97,6 +100,18 @@ func (c *compiler) compileExpr(e sql.Expr, env *Env, usedOuter *bool) (scalarFn,
 		return f, err
 	}
 	return nil, fmt.Errorf("exec: unsupported expression %T", e)
+}
+
+// compileAll compiles each of es for rows shaped by env.
+func (c *compiler) compileAll(es []sql.Expr, env *Env, usedOuter *bool) ([]scalarFn, error) {
+	fns := make([]scalarFn, len(es))
+	for i, e := range es {
+		var err error
+		if fns[i], err = c.compileExpr(e, env, usedOuter); err != nil {
+			return nil, err
+		}
+	}
+	return fns, nil
 }
 
 // cmpSat resolves a comparison operator into the set of three-way results
@@ -198,7 +213,7 @@ func arith(op byte, a, b record.Value) record.Value {
 // concurrently.
 func (c *compiler) compileSubquery(sel *sql.SelectStmt, env *Env, usedOuter *bool, eval func(Node, *Ctx) (record.Value, error)) (scalarFn, int, error) {
 	var correlated bool
-	plan, layout, err := c.planner.planSelect(sel, env, c, &correlated)
+	plan, layout, err := c.planner.planSelect(sel, false, env, c, &correlated)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -296,18 +311,4 @@ func hasCall(e sql.Expr, window bool) bool {
 		return (ex.Window != nil) == window
 	}
 	return false
-}
-
-// collectWindows replaces window FuncCalls with "$win" column references.
-func collectWindows(e sql.Expr, wins *[]*sql.FuncCall) sql.Expr {
-	switch ex := e.(type) {
-	case *sql.Binary:
-		return &sql.Binary{Op: ex.Op, L: collectWindows(ex.L, wins), R: collectWindows(ex.R, wins)}
-	case *sql.FuncCall:
-		if ex.Window != nil {
-			*wins = append(*wins, ex)
-			return &sql.ColumnRef{Table: "$win", Name: fmt.Sprintf("w%d", len(*wins)-1)}
-		}
-	}
-	return e
 }

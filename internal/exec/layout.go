@@ -1,7 +1,7 @@
 // Package exec contains the planner and Volcano-style executors that turn
 // parsed SQL into answers over the table layer: scans, index probes,
-// nested-loop and hash joins, hash aggregation, the ROW_NUMBER window
-// function, and the DML/MERGE drivers.
+// nested-loop and hash joins, hash aggregation, the ROW_NUMBER window kept
+// to rank 1, and the DML/MERGE drivers.
 package exec
 
 import (

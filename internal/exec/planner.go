@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -61,10 +62,21 @@ func scanLayout(t *table.Table, qual string) (*Layout, []bool) {
 	return lay, need
 }
 
-// planSelect plans one query block. outerEnv is the enclosing environment
-// for correlated references; usedOuter (when non-nil) is set if the block
-// references it.
-func (p *Planner) planSelect(st *sql.SelectStmt, outerEnv *Env, c *compiler, usedOuter *bool) (Node, *Layout, error) {
+// planSelect plans one query block. rankOne says the block is a derived
+// table whose window call takeRankOne admitted; a window call anywhere else
+// is an error. outerEnv is the enclosing environment for correlated
+// references; usedOuter (when non-nil) is set if the block references it.
+func (p *Planner) planSelect(st *sql.SelectStmt, rankOne bool, outerEnv *Env, c *compiler, usedOuter *bool) (Node, *Layout, error) {
+	items := st.Items
+	needAgg := len(st.GroupBy) > 0 || hasCall(st.Having, false)
+	needWin := false
+	for _, it := range items {
+		needAgg = needAgg || hasCall(it, false)
+		needWin = needWin || hasCall(it, true)
+	}
+	if needWin && !rankOne {
+		return nil, nil, errRankOne
+	}
 	conjuncts := splitConjuncts(st.Where)
 	var cur Node
 	var curLay *Layout
@@ -95,18 +107,13 @@ func (p *Planner) planSelect(st *sql.SelectStmt, outerEnv *Env, c *compiler, use
 		cur = &Filter{Input: cur, Pred: pred}
 	}
 
-	items := st.Items
-	needAgg := len(st.GroupBy) > 0 || hasCall(st.Having, false)
-	needWin := false
-	for _, it := range items {
-		needAgg = needAgg || hasCall(it, false)
-		needWin = needWin || hasCall(it, true)
-	}
 	var err error
+	if needWin { // takeRankOne admitted no TOP, DISTINCT or aggregate: the Window's rows are the block's
+		cur, err = p.planWindow(items, cur, curEnv, c, usedOuter)
+		return cur, NewLayout("", itemNames(items)), err
+	}
 	if needAgg {
 		cur, curEnv, items, err = p.planAggregate(st, cur, curEnv, c, usedOuter)
-	} else if needWin {
-		cur, curEnv, items, err = p.planWindow(items, cur, curEnv, curLay, c, usedOuter)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -121,31 +128,36 @@ func (p *Planner) planSelect(st *sql.SelectStmt, outerEnv *Env, c *compiler, use
 	}
 
 	// Projection. Output names come from the ORIGINAL select items (the
-	// aggregate/window rewrite replaces expressions with internal $agg/$win
+	// aggregate rewrite replaces expressions with internal $grp/$agg
 	// references whose names must not leak to clients).
-	fns := make([]scalarFn, len(items))
-	outLay := &Layout{Cols: make([]BoundCol, len(items))}
-	anon := 0
-	for i, it := range items {
-		if fns[i], err = c.compileExpr(it, curEnv, usedOuter); err != nil {
-			return nil, nil, err
-		}
-		switch orig := st.Items[i].(type) {
-		case *sql.ColumnRef:
-			outLay.Cols[i].Name = orig.Name
-		case *sql.FuncCall:
-			outLay.Cols[i].Name = strings.ToLower(orig.Name)
-		default:
-			outLay.Cols[i].Name = fmt.Sprintf("_c%d", anon)
-			anon++
-		}
+	fns, err := c.compileAll(items, curEnv, usedOuter)
+	if err != nil {
+		return nil, nil, err
 	}
 	cur = &Project{Input: cur, Fns: fns}
 
 	if st.Distinct {
 		cur = &Distinct{Input: cur}
 	}
-	return cur, outLay, nil
+	return cur, NewLayout("", itemNames(st.Items)), nil
+}
+
+// itemNames names a block's output columns after its original select items.
+func itemNames(items []sql.Expr) []string {
+	names := make([]string, len(items))
+	anon := 0
+	for i, it := range items {
+		switch orig := it.(type) {
+		case *sql.ColumnRef:
+			names[i] = orig.Name
+		case *sql.FuncCall:
+			names[i] = strings.ToLower(orig.Name)
+		default:
+			names[i] = fmt.Sprintf("_c%d", anon)
+			anon++
+		}
+	}
+	return names
 }
 
 // planTableAccess plans a base-table or derived-table reference with its
@@ -153,11 +165,11 @@ func (p *Planner) planSelect(st *sql.SelectStmt, outerEnv *Env, c *compiler, use
 // (the accumulated join row and/or enclosing query rows).
 func (p *Planner) planTableAccess(ref *sql.TableRef, remaining *[]sql.Expr, accEnv *Env, c *compiler, usedOuter *bool) (Node, *Layout, error) {
 	if ref.Sub != nil {
-		node, subLay, err := p.planSelect(ref.Sub, accEnv, c, usedOuter)
+		lay, err := derivedLayout(ref)
 		if err != nil {
 			return nil, nil, err
 		}
-		lay, err := derivedLayout(ref, subLay)
+		node, _, err := p.planSelect(ref.Sub, takeRankOne(ref, lay, remaining), accEnv, c, usedOuter)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -183,18 +195,15 @@ func (p *Planner) planTableAccess(ref *sql.TableRef, remaining *[]sql.Expr, accE
 	return node, lay, nil
 }
 
-// derivedLayout renames a subquery's output columns per the alias list.
-func derivedLayout(ref *sql.TableRef, subLay *Layout) (*Layout, error) {
-	names := make([]string, len(subLay.Cols))
-	for i, col := range subLay.Cols {
-		names[i] = col.Name
-	}
-	if len(ref.SubCols) > 0 {
-		if len(ref.SubCols) != len(names) {
-			return nil, fmt.Errorf("exec: derived table %s lists %d columns, query returns %d",
-				ref.Name(), len(ref.SubCols), len(names))
-		}
-		names = ref.SubCols
+// derivedLayout names a derived table's columns per its alias list, or after
+// its select items.
+func derivedLayout(ref *sql.TableRef) (*Layout, error) {
+	names := ref.SubCols
+	if len(names) == 0 {
+		names = itemNames(ref.Sub.Items)
+	} else if len(names) != len(ref.Sub.Items) {
+		return nil, fmt.Errorf("exec: derived table %s lists %d columns, query returns %d",
+			ref.Name(), len(names), len(ref.Sub.Items))
 	}
 	return NewLayout(ref.Name(), names), nil
 }
@@ -559,35 +568,67 @@ func rewriteForAgg(e sql.Expr, groupKeys map[string]int, aggs *[]*sql.FuncCall) 
 	return e, nil
 }
 
-// planWindow materializes window-function results as appended columns and
-// rewrites select items to reference them.
-func (p *Planner) planWindow(items []sql.Expr, input Node, inEnv *Env, inLay *Layout, c *compiler, usedOuter *bool) (Node, *Env, []sql.Expr, error) {
-	var winCalls []*sql.FuncCall
-	newItems := make([]sql.Expr, len(items))
+// planWindow plans a block whose window call takeRankOne admitted: a Project
+// computes each input row's offer — the block's items, the call's as 1, then
+// the call's partition and order values — and a Window keeps each
+// partition's winner, whose items are the block's row.
+func (p *Planner) planWindow(items []sql.Expr, input Node, env *Env, c *compiler, usedOuter *bool) (Node, error) {
+	exprs := slices.Clone(items)
+	var win *sql.WindowSpec
 	for i, it := range items {
-		newItems[i] = collectWindows(it, &winCalls)
-	}
-	specs := make([]windowSpec, len(winCalls))
-	for i, call := range winCalls {
-		for _, pe := range call.Window.PartitionBy {
-			f, err := c.compileExpr(pe, inEnv, usedOuter)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			specs[i].partFns = append(specs[i].partFns, f)
-		}
-		for _, oe := range call.Window.OrderBy {
-			f, err := c.compileExpr(oe, inEnv, usedOuter)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			specs[i].orderFns = append(specs[i].orderFns, f)
+		if call, _ := it.(*sql.FuncCall); call != nil && call.Window != nil {
+			win, exprs[i] = call.Window, &sql.Literal{Val: record.Int(1)}
 		}
 	}
-	extLay := &Layout{Cols: append([]BoundCol(nil), inLay.Cols...)}
-	for i := range winCalls {
-		extLay.Cols = append(extLay.Cols, BoundCol{Qual: "$win", Name: fmt.Sprintf("w%d", i)})
+	fns, err := c.compileAll(append(append(exprs, win.PartitionBy...), win.OrderBy...), env, usedOuter)
+	if err != nil {
+		return nil, err
 	}
-	node := &Window{Input: input, Specs: specs}
-	return node, &Env{Lay: extLay, Parent: inEnv.Parent}, newItems, nil
+	return &Window{Input: &Project{Input: input, Fns: fns}, Width: len(items), Order: len(items) + len(win.PartitionBy)}, nil
+}
+
+// errRankOne rejects every use of ROW_NUMBER but the one the engine
+// evaluates (see takeRankOne).
+var errRankOne = errors.New("exec: ROW_NUMBER() is supported only as a bare select item of a derived table " +
+	"whose block has no other window call, GROUP BY, HAVING, TOP or DISTINCT, kept to rank 1 by the enclosing WHERE: " +
+	"SELECT ... FROM (SELECT ..., ROW_NUMBER() OVER (...) FROM ...) tmp (..., rn) WHERE rn = 1")
+
+// takeRankOne reports whether derived table ref, laid out as lay, is the one
+// form of ROW_NUMBER the engine evaluates, the paper's: the window call is a
+// bare select item, the only window call of a block without GROUP BY,
+// HAVING, TOP, DISTINCT or aggregates, and a top-level conjunct of the
+// enclosing WHERE is `rn = 1` (either way round) on its column. That
+// conjunct is taken from remaining: the Window keeps rank 1 alone.
+func takeRankOne(ref *sql.TableRef, lay *Layout, remaining *[]sql.Expr) bool {
+	sub := ref.Sub
+	if sub.Top != nil || sub.Distinct || len(sub.GroupBy) > 0 || sub.Having != nil {
+		return false
+	}
+	col := -1
+	for i, it := range sub.Items {
+		if call, _ := it.(*sql.FuncCall); call != nil && call.Window != nil && col < 0 {
+			col = i
+		} else if hasCall(it, true) || hasCall(it, false) {
+			return false
+		}
+	}
+	if col < 0 {
+		return false
+	}
+	isRankOne := func(l, r sql.Expr) bool {
+		cr, _ := l.(*sql.ColumnRef)
+		lit, _ := r.(*sql.Literal)
+		if cr == nil || lit == nil || lit.Val != record.Int(1) {
+			return false
+		}
+		idx, err := lay.Resolve(cr.Table, cr.Name)
+		return err == nil && idx == col
+	}
+	for i, conj := range *remaining {
+		if b, _ := conj.(*sql.Binary); b != nil && b.Op == "=" && (isRankOne(b.L, b.R) || isRankOne(b.R, b.L)) {
+			removeConjuncts(remaining, []int{i})
+			return true
+		}
+	}
+	return false
 }

@@ -62,7 +62,7 @@ type PreparedSelect struct {
 // PrepareSelect compiles a query into a reusable plan.
 func (p *Planner) PrepareSelect(st *sql.SelectStmt) (*PreparedSelect, error) {
 	c := &compiler{planner: p}
-	plan, lay, err := p.planSelect(st, nil, c, nil)
+	plan, lay, err := p.planSelect(st, false, nil, c, nil)
 	if err != nil {
 		return nil, err
 	}

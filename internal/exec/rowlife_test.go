@@ -4,13 +4,12 @@ package exec_test
 // the operator's next Next — scans decode into one buffer, joins and
 // projections rebuild one output row — so every operator that keeps rows
 // must copy them. These tests run the keepers (a query's result list,
-// ROW_NUMBER, the hash-join build side, the UPDATE/DELETE/MERGE match lists)
-// over tables
-// that span several leaves and pages, in all three physical designs, and
-// check every row of the outcome against a model in Go. They go through
-// rdb sessions, the way statements reach the executor, and run each
-// statement more than once, so the recycled operator instances of the plan
-// cache are what executes.
+// ROW_NUMBER's winners, the hash-join build side, the UPDATE/DELETE/MERGE
+// match lists) over tables that span several leaves and pages, in all three
+// physical designs, and check every row of the outcome against a model in
+// Go. They go through rdb sessions, the way statements reach the executor,
+// and run each statement more than once, so the recycled operator instances
+// of the plan cache are what executes.
 
 import (
 	"fmt"
@@ -182,31 +181,28 @@ func TestRowLifetimeSort(t *testing.T) {
 	})
 }
 
+// TestRowLifetimeWindow: the window keeps each partition's winner while its
+// input scans on, so the winner is the Window's own copy of the row, every
+// column of it, however many pages later the partition's last offer comes.
 func TestRowLifetimeWindow(t *testing.T) {
 	forEachDesign(t, func(t *testing.T, b *battery, d design) {
-		// rank of each row inside its g partition, by v
-		byG := map[int64][]row{}
+		// the row with the least v (v is distinct) of each g partition
+		best := map[int64]row{}
 		for _, r := range b.sorted() {
-			byG[r.g] = append(byG[r.g], r)
-		}
-		want := map[int64]int64{}
-		for _, rs := range byG {
-			sort.Slice(rs, func(i, j int) bool { return rs[i].v < rs[j].v })
-			for i, r := range rs {
-				want[r.k] = int64(i + 1)
+			if w, ok := best[r.g]; !ok || r.v < w.v {
+				best[r.g] = r
 			}
 		}
 		for rep := 0; rep < 2; rep++ {
-			got := b.query("SELECT k, g, ROW_NUMBER() OVER (PARTITION BY g ORDER BY v) FROM t")
-			if len(got) != batteryRows {
-				t.Fatalf("%d rows, want %d", len(got), batteryRows)
+			got := b.query("SELECT k, g, v, w, rn FROM (SELECT k, g, v, w, ROW_NUMBER() OVER (PARTITION BY g ORDER BY v) FROM t) " +
+				"tmp (k, g, v, w, rn) WHERE rn = 1")
+			if len(got) != len(best) {
+				t.Fatalf("%d rows, want %d", len(got), len(best))
 			}
-			seen := map[int64]bool{}
 			for _, r := range got {
-				if seen[r[0]] || r[1] != r[0]%97 || r[2] != want[r[0]] {
-					t.Fatalf("rep %d: row %v, want g=%d rn=%d (dup=%v)", rep, r, r[0]%97, want[r[0]], seen[r[0]])
+				if w := best[r[1]]; r[0] != w.k || r[2] != w.v || r[3] != w.w || r[4] != 1 {
+					t.Fatalf("rep %d: row %v, want %+v ranked 1", rep, r, w)
 				}
-				seen[r[0]] = true
 			}
 		}
 	})

@@ -394,17 +394,44 @@ func TestExistsCorrelated(t *testing.T) {
 	}
 }
 
+// TestWindowRowNumber: ROW_NUMBER is evaluated in one form, the
+// E-operator's — a bare select item of a derived table, kept to rank 1 by a
+// conjunct `rn = 1` of the enclosing WHERE (either way round) — and every
+// other use is refused with an error that names that form.
 func TestWindowRowNumber(t *testing.T) {
 	db := openDB(t, Options{})
 	seedPeople(t, db)
-	rows := mustQuery(t, db,
-		"SELECT id, ROW_NUMBER() OVER (PARTITION BY city ORDER BY score) FROM people")
-	// berlin: id1 (15) rn1, id3 (35) rn2; paris: id5 (5) rn1, id2 (25) rn2; tokyo id4 rn1.
-	want := map[int64]int64{1: 1, 2: 2, 3: 2, 4: 1, 5: 1}
-	for _, r := range rows.Data {
-		if r[1].I != want[r[0].I] {
-			t.Fatalf("row_number wrong for id %d: got %d want %d", r[0].I, r[1].I, want[r[0].I])
-		}
+	rows := mustQuery(t, db, `SELECT id, city, rn FROM (
+			SELECT id, city, ROW_NUMBER() OVER (PARTITION BY city ORDER BY score) FROM people
+		) tmp (id, city, rn) WHERE 1 = rn AND id > 0`)
+	// The cheapest of each city — berlin id1 (15), tokyo id4, paris id5 (5) —
+	// in input order, ranked 1.
+	want := fmt.Sprint([][]record.Value{
+		{record.Int(1), record.Int(berlin), record.Int(1)},
+		{record.Int(4), record.Int(tokyo), record.Int(1)},
+		{record.Int(5), record.Int(paris), record.Int(1)}})
+	if got := fmt.Sprint(rows.Data); got != want {
+		t.Fatalf("rank-1 rows %s, want %s", got, want)
+	}
+	const (
+		win  = "ROW_NUMBER() OVER (PARTITION BY city ORDER BY score)"
+		form = "WHERE rn = 1"
+	)
+	for _, q := range []string{
+		"SELECT id, " + win + " FROM people",
+		"SELECT id FROM (SELECT id, " + win + " FROM people) tmp (id, rn) WHERE rn = 2",
+		"SELECT id FROM (SELECT id, " + win + " FROM people) tmp (id, rn) WHERE rn = ?",
+		"SELECT id FROM (SELECT id, " + win + " FROM people) tmp (id, rn) WHERE rn < 2",
+		"SELECT id FROM (SELECT id, " + win + " FROM people) tmp (id, rn) WHERE rn = 1 OR id = 3",
+		"SELECT id FROM (SELECT id, " + win + " FROM people) tmp (id, rn) WHERE id = 3",
+		"SELECT id FROM (SELECT id, " + win + ", " + win + " FROM people) tmp (id, rn, rn2) WHERE rn = 1",
+		"SELECT id FROM (SELECT TOP 2 id, " + win + " FROM people) tmp (id, rn) WHERE rn = 1",
+		"SELECT id FROM (SELECT DISTINCT id, " + win + " FROM people) tmp (id, rn) WHERE rn = 1",
+		"SELECT c FROM (SELECT city, ROW_NUMBER() OVER (ORDER BY city) FROM people GROUP BY city) tmp (c, rn) WHERE rn = 1",
+		"SELECT id FROM (SELECT id, " + win + " + 0 FROM people) tmp (id, rn) WHERE rn = 1",
+		"SELECT id FROM people WHERE " + win + " = 1",
+	} {
+		mustReject(t, db, q, form)
 	}
 }
 
@@ -425,21 +452,19 @@ func TestWindowInDerivedTable(t *testing.T) {
 	}
 }
 
-// TestRankWindow: ROW_NUMBER is the one ranking function; rows that tie on
-// the order key are numbered in input order, so the E-operator's "rn = 1"
-// picks the same winner every time.
+// TestRankWindow: ROW_NUMBER is the one ranking function; of rows that tie
+// on the order key the earliest in input order is ranked 1, so the
+// E-operator's "rn = 1" picks the same winner every time.
 func TestRankWindow(t *testing.T) {
 	db := openDB(t, Options{})
 	mustExec(t, db, "CREATE TABLE s (id INT PRIMARY KEY, g INT, v INT)")
 	mustExec(t, db, "INSERT INTO s (id, g, v) VALUES (1, 1, 10), (2, 1, 10), (3, 1, 20), (4, 2, 5)")
 	mustReject(t, db, "SELECT id, RANK() OVER (PARTITION BY g ORDER BY v) FROM s", `"RANK"`)
 	for rep := 0; rep < 3; rep++ {
-		rows := mustQuery(t, db, "SELECT id, ROW_NUMBER() OVER (PARTITION BY g ORDER BY v) FROM s")
-		want := []int64{1, 2, 3, 1}
-		for i, r := range rows.Data {
-			if r[0].I != int64(i+1) || r[1].I != want[i] {
-				t.Fatalf("row_number wrong at %d: %v", i, rows.Data)
-			}
+		rows := mustQuery(t, db, "SELECT id, rn FROM (SELECT id, ROW_NUMBER() OVER (PARTITION BY g ORDER BY v) FROM s) tmp (id, rn) WHERE rn = 1")
+		// g = 1: ids 1 and 2 tie on v = 10 and id 1 comes first; g = 2: id 4.
+		if got := fmt.Sprint(rows.Data); got != "[[1 1] [4 1]]" {
+			t.Fatalf("rep %d: rank-1 rows %s, want [[1 1] [4 1]]", rep, got)
 		}
 	}
 }
@@ -590,15 +615,16 @@ func TestProfileGating(t *testing.T) {
 	}
 	// Window functions are fine on PostgreSQL 9.
 	mustExec(t, db, "INSERT INTO t1 (k) VALUES (1), (2)")
-	rows := mustQuery(t, db, "SELECT k, ROW_NUMBER() OVER (ORDER BY k) FROM t1")
-	if rows.Len() != 2 {
+	rows := mustQuery(t, db, "SELECT k FROM (SELECT k, ROW_NUMBER() OVER (ORDER BY k) FROM t1) tmp (k, rn) WHERE rn = 1")
+	if rows.Len() != 1 || rows.Data[0][0].I != 1 {
 		t.Fatalf("window on postgres failed: %v", rows.Data)
 	}
 	// A profile without window support rejects them.
 	db2 := openDB(t, Options{Profile: Profile{Name: "old", SupportsMerge: false, SupportsWindow: false}})
 	mustExec(t, db2, "CREATE TABLE t3 (k INT)")
-	if _, err := db2.Query("SELECT ROW_NUMBER() OVER (ORDER BY k) FROM t3"); err == nil {
-		t.Fatal("no-window profile must reject window functions")
+	_, err = db2.Query("SELECT k FROM (SELECT k, ROW_NUMBER() OVER (ORDER BY k) FROM t3) tmp (k, rn) WHERE rn = 1")
+	if err == nil || !strings.Contains(err.Error(), "does not support window functions") {
+		t.Fatalf("no-window profile must reject window functions, got %v", err)
 	}
 }
 
