@@ -49,23 +49,22 @@ func parseStrategy(s string) (core.IndexStrategy, error) {
 
 func main() {
 	var (
-		gen         = flag.String("gen", "", "generate a graph: power:N:D | random:N:M | dblp:PCT | web:PCT | lj:PERMILLE")
-		load        = flag.String("load", "", "load a CSV graph (fid,tid,cost)")
-		algName     = flag.String("alg", "auto", "algorithm: AUTO|DJ|BDJ|BSDJ|BBFS|BSEG|ALT (auto = cost-based planner)")
-		s           = flag.Int64("s", -1, "source node")
-		t           = flag.Int64("t", -1, "target node")
-		random      = flag.Int("random", 0, "run N random queries instead of -s/-t")
-		lthd        = flag.Int64("lthd", 0, "build SegTable with this threshold (required for BSEG)")
-		lmk         = flag.Int("landmarks", 0, "build a landmark oracle with this many landmarks (required for ALT)")
-		timeout     = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
-		maxErr      = flag.Float64("maxerr", 0, "acceptable relative error; lets the planner answer from the oracle alone")
-		strategy    = flag.String("strategy", "clustered", "index strategy: clustered|index|noindex")
-		profile     = flag.String("profile", "dbmsx", "engine profile: dbmsx|postgres")
-		traditional = flag.Bool("tsql", false, "use traditional SQL (no window function / MERGE)")
-		seed        = flag.Int64("seed", 42, "generator seed")
-		sqlStmt     = flag.String("sql", "", "run one SQL statement against the loaded graph and exit")
-		showStats   = flag.Bool("stats", true, "print per-query statistics")
-		showPath    = flag.Bool("path", true, "print the recovered path")
+		gen       = flag.String("gen", "", "generate a graph: power:N:D | random:N:M | dblp:PCT | web:PCT | lj:PERMILLE")
+		load      = flag.String("load", "", "load a CSV graph (fid,tid,cost)")
+		algName   = flag.String("alg", "auto", "algorithm: AUTO|DJ|BDJ|BSDJ|BBFS|BSEG|ALT (auto = cost-based planner)")
+		s         = flag.Int64("s", -1, "source node")
+		t         = flag.Int64("t", -1, "target node")
+		random    = flag.Int("random", 0, "run N random queries instead of -s/-t")
+		lthd      = flag.Int64("lthd", 0, "build SegTable with this threshold (required for BSEG)")
+		lmk       = flag.Int("landmarks", 0, "build a landmark oracle with this many landmarks (required for ALT)")
+		timeout   = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
+		maxErr    = flag.Float64("maxerr", 0, "acceptable relative error; lets the planner answer from the oracle alone")
+		strategy  = flag.String("strategy", "clustered", "index strategy: clustered|index|noindex")
+		profile   = flag.String("profile", "dbmsx", "engine profile: dbmsx|postgres|sql92 (sql92: traditional SQL, no window function / MERGE)")
+		seed      = flag.Int64("seed", 42, "generator seed")
+		sqlStmt   = flag.String("sql", "", "run one SQL statement against the loaded graph and exit")
+		showStats = flag.Bool("stats", true, "print per-query statistics")
+		showPath  = flag.Bool("path", true, "print the recovered path")
 	)
 	flag.Parse()
 
@@ -85,8 +84,11 @@ func main() {
 	fmt.Printf("graph: %d nodes, %d edges, wmin=%d\n", g.N, g.M(), g.WMin())
 
 	prof := rdb.ProfileDBMSX
-	if strings.HasPrefix(strings.ToLower(*profile), "post") {
+	switch p := strings.ToLower(*profile); {
+	case strings.HasPrefix(p, "post"):
 		prof = rdb.ProfilePostgreSQL9
+	case p == "sql92":
+		prof = rdb.ProfileSQL92
 	}
 	strat, err := parseStrategy(*strategy)
 	if err != nil {
@@ -97,7 +99,7 @@ func main() {
 		fail("%v", err)
 	}
 	defer db.Close()
-	eng := core.NewEngine(db, core.Options{Strategy: strat, TraditionalSQL: *traditional})
+	eng := core.NewEngine(db, core.Options{Strategy: strat})
 	if err := eng.LoadGraph(g); err != nil {
 		fail("load: %v", err)
 	}

@@ -499,8 +499,9 @@ func (sv *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshot serves POST /admin/snapshot: write a versioned snapshot
-// of the graph and every built index right now. 409 when the server runs
-// without -data-dir or over a partitioned graph. A snapshot of an unmoved
+// of the graph and every built index right now. 409 when the engine refuses
+// — no -data-dir, no graph, a partitioned graph —, 504 when the request is
+// cancelled, 500 when the write itself fails. A snapshot of an unmoved
 // graph version reports skipped=true and costs nothing.
 func (sv *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	sv.requests.Add(1)
@@ -513,7 +514,14 @@ func (sv *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	st, err := sv.eng.Snapshot(r.Context())
 	if err != nil {
 		sv.errors.Add(1)
-		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
+		code := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, core.ErrNoDataDir) || errors.Is(err, core.ErrNoGraph) || errors.Is(err, core.ErrPartitioned):
+			code = http.StatusConflict
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			code = sv.noteQueryError(err)
+		}
+		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, st)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -556,6 +558,60 @@ func TestQueryEndpointCancellation(t *testing.T) {
 		strings.NewReader(`{"source":1,"target":200}`)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("server unusable after cancellations: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestSnapshotStatus: POST /admin/snapshot answers 409 only for what the
+// engine refuses, 504 for a cancelled request and 500 for a failed write.
+func TestSnapshotStatus(t *testing.T) {
+	post := func(sv *server, ctx context.Context) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		sv.handleSnapshot(rec, httptest.NewRequest(http.MethodPost, "/admin/snapshot", nil).WithContext(ctx))
+		return rec
+	}
+	if rec := post(newTestServer(t), context.Background()); rec.Code != http.StatusConflict ||
+		!strings.Contains(rec.Body.String(), core.ErrNoDataDir.Error()) {
+		t.Errorf("without -data-dir: %d %s, want 409 with %q", rec.Code, rec.Body, core.ErrNoDataDir)
+	}
+
+	dir := t.TempDir()
+	db, err := rdb.Open(rdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	eng := core.NewEngine(db, core.Options{DataDir: dir})
+	t.Cleanup(func() { eng.Close() })
+	sv := newServer(eng, nil)
+	if rec := post(sv, context.Background()); rec.Code != http.StatusConflict ||
+		!strings.Contains(rec.Body.String(), core.ErrNoGraph.Error()) {
+		t.Errorf("no graph: %d %s, want 409 with %q", rec.Code, rec.Body, core.ErrNoGraph)
+	}
+	if err := eng.LoadGraph(graph.Power(200, 3, 42)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rec := post(sv, ctx); rec.Code != http.StatusGatewayTimeout {
+		t.Errorf("cancelled: %d %s, want 504", rec.Code, rec.Body)
+	}
+	if sv.cancelled.Load() != 1 {
+		t.Errorf("cancelled snapshot not counted: %d", sv.cancelled.Load())
+	}
+	// A regular file where the snapshot directory belongs fails the write;
+	// unlike a permission bit, root cannot write through it either.
+	snaps := filepath.Join(dir, "snapshots")
+	if err := os.RemoveAll(snaps); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snaps, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rec := post(sv, context.Background()); rec.Code != http.StatusInternalServerError {
+		t.Errorf("snapshot directory is a file: %d %s, want 500", rec.Code, rec.Body)
+	}
+	if n := sv.errors.Load(); n != 3 {
+		t.Errorf("errors = %d, want 3", n)
 	}
 }
 

@@ -37,7 +37,7 @@ var (
 	unpruned = Column{Name: "unpruned", Alg: core.AlgBSDJ, Core: core.Options{DisablePruning: true}}
 	// windowOnly is the middle SQL level: window functions, MERGE emulated.
 	windowOnly = Column{Name: "window-only", Alg: core.AlgBSDJ, DB: rdb.Options{Profile: rdb.ProfilePostgreSQL9}}
-	tsql       = Column{Name: "TSQL", Alg: core.AlgBSDJ, Core: core.Options{TraditionalSQL: true}}
+	tsql       = Column{Name: "TSQL", Alg: core.AlgBSDJ, DB: rdb.Options{Profile: rdb.ProfileSQL92}}
 	alternate  = Column{Name: "alternate", Alg: core.AlgBSDJ, Core: core.Options{AlternateDirections: true}}
 	smallPool  = Column{Name: "64-page pool", Alg: core.AlgBSDJ, DB: rdb.Options{BufferPoolPages: 64}}
 	bsegByLthd = []Column{bsdj, bseg(3), bseg(5), bseg(10), bseg(20)}

@@ -96,7 +96,7 @@ func pools(tag string, a core.Algorithm, pages ...int) []Column {
 func sqlLevels(lthd int64, a core.Algorithm) []Column {
 	return []Column{
 		{Name: "NSQL", Lthd: lthd, Alg: a},
-		{Name: "TSQL", Lthd: lthd, Alg: a, Core: core.Options{TraditionalSQL: true}},
+		{Name: "TSQL", Lthd: lthd, Alg: a, DB: rdb.Options{Profile: rdb.ProfileSQL92}},
 	}
 }
 

@@ -3,6 +3,9 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/rdb"
 )
 
 // TestParseAlgorithm is the table-driven parser test for the algorithm
@@ -52,5 +55,34 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 	if s := Algorithm(42).String(); !strings.Contains(s, "42") {
 		t.Errorf("unknown algorithm string: %q", s)
+	}
+}
+
+// TestDJSettlesOnlyCloserNodes pins Algorithm 1's work: single-directional
+// Dijkstra over positive weights expands exactly the nodes strictly closer
+// to s than t, each once, and never expands backward.
+func TestDJSettlesOnlyCloserNodes(t *testing.T) {
+	g := graph.Power(400, 3, 7)
+	if g.WMin() <= 0 {
+		t.Fatalf("graph needs positive weights, wmin = %d", g.WMin())
+	}
+	e := newTestEngine(t, g, rdb.Options{}, Options{CacheSize: -1})
+	for _, q := range graph.RandomQueries(g, 30, 5) {
+		s, tt := q[0], q[1]
+		dist, _ := graph.OneToAll(g, s, true)
+		closer := 0
+		for _, d := range dist {
+			if d < dist[tt] {
+				closer++
+			}
+		}
+		_, qs, err := shortestPath(e, AlgDJ, s, tt)
+		if err != nil {
+			t.Fatalf("DJ %d->%d: %v", s, tt, err)
+		}
+		if qs.BackwardExpansions != 0 || qs.ForwardExpansions != closer {
+			t.Errorf("DJ %d->%d: %d forward, %d backward expansions; %d nodes are closer than t",
+				s, tt, qs.ForwardExpansions, qs.BackwardExpansions, closer)
+		}
 	}
 }

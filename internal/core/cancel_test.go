@@ -148,6 +148,24 @@ func TestQueryStatementBudget(t *testing.T) {
 	if _, err := e.Query(context.Background(), QueryRequest{Source: 0, Target: 1, MaxStatements: -1}); err == nil {
 		t.Fatal("negative budget must be rejected")
 	}
+
+	// A budget is a cap, whatever the loop and wherever it runs out: a
+	// query refused for its budget issued no statement past it.
+	e = newTestEngine(t, g, rdb.Options{}, Options{CacheSize: -1})
+	for _, alg := range []Algorithm{AlgDJ, AlgBDJ, AlgBSDJ, AlgBBFS} {
+		for budget := int64(1); budget <= 60; budget++ {
+			res, err := e.Query(context.Background(), QueryRequest{Source: 0, Target: 350, Alg: alg, MaxStatements: budget})
+			if !errors.Is(err, ErrBudgetExceeded) {
+				if err != nil {
+					t.Fatalf("%v budget %d: %v", alg, budget, err)
+				}
+				continue
+			}
+			if res.Stats == nil || int64(res.Stats.Statements) > budget {
+				t.Errorf("%v budget %d: refused after %+v statements", alg, budget, res.Stats)
+			}
+		}
+	}
 }
 
 // TestQueryBatchCancellation: cancelling the batch context fails the

@@ -55,6 +55,10 @@ const (
 // right after.
 var ErrNoSnapshot = errors.New("core: no snapshot to hydrate from")
 
+// ErrNoDataDir refuses Snapshot, Hydrate and OpenFromSnapshot on an engine
+// opened without Options.DataDir.
+var ErrNoDataDir = errors.New("core: durability requires Options.DataDir")
+
 // durability is the engine's WAL + snapshot state; nil unless
 // Options.DataDir is set.
 type durability struct {
@@ -191,7 +195,7 @@ func (e *Engine) Snapshot(ctx context.Context) (*SnapshotStats, error) {
 		return nil, err
 	}
 	if e.dur == nil {
-		return nil, fmt.Errorf("core: snapshots require Options.DataDir")
+		return nil, ErrNoDataDir
 	}
 	if err := e.lockQuery(ctx); err != nil {
 		return nil, err
@@ -281,7 +285,7 @@ func (e *Engine) snapshotLocked() (*SnapshotStats, error) {
 // the caller can fall back to NewEngine + LoadGraph.
 func OpenFromSnapshot(db *rdb.DB, opts Options) (*Engine, error) {
 	if opts.DataDir == "" {
-		return nil, fmt.Errorf("core: OpenFromSnapshot requires Options.DataDir")
+		return nil, ErrNoDataDir
 	}
 	e := NewEngine(db, opts)
 	if err := e.Hydrate(); err != nil {
@@ -303,7 +307,7 @@ func (e *Engine) Hydrate() error {
 		return err
 	}
 	if e.dur == nil {
-		return fmt.Errorf("core: hydration requires Options.DataDir")
+		return ErrNoDataDir
 	}
 	defer e.trackBuild()()
 	ctx := context.Background()

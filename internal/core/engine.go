@@ -119,10 +119,6 @@ const (
 type Options struct {
 	// Strategy picks the physical design (default ClusteredIndex).
 	Strategy IndexStrategy
-	// TraditionalSQL replaces the window function + MERGE statements with
-	// the pre-2003 formulation (aggregate + join-back, UPDATE + INSERT):
-	// the paper's TSQL baseline of Fig 6(d) and Fig 9(f).
-	TraditionalSQL bool
 	// SeparateOperators runs F, E and M as distinct SQL statements and
 	// times them individually (Fig 6(c)). Slightly slower than the fused
 	// MERGE form.
@@ -199,7 +195,7 @@ type Engine struct {
 	sess *rdb.Session
 	opts Options
 	// level is the SQL level every E- and M-operator statement is rendered
-	// for, resolved once from the profile and Options.TraditionalSQL.
+	// for, resolved once from the database profile.
 	level fem.Level
 	// optErr records an Options validation failure from NewEngine; every
 	// public entry point returns it instead of running with a bad config.
@@ -317,7 +313,7 @@ func NewEngine(db *rdb.DB, opts Options) *Engine {
 		opts.CacheSize = DefaultCacheSize
 	}
 	e := &Engine{db: db, sess: db.Session(), opts: opts,
-		level:         fem.LevelOf(db.Profile(), opts.TraditionalSQL),
+		level:         fem.LevelOf(db.Profile()),
 		gate:          newQueryGate(),
 		scratchGlobal: newScratchSet(-1),
 		stmtCache:     make(map[string]*rdb.Stmt)}
@@ -506,8 +502,10 @@ func (e *Engine) stmt(q string) (*rdb.Stmt, error) {
 // latency to the given phase accumulators (any of which may be nil).
 // Cancellation and the statement budget are enforced here at the
 // bind/execute boundary — every statement the engine issues passes through
-// exec or queryInt, so a cancelled context or an exhausted budget stops the
-// query at the next statement.
+// exec, queryInt or queryRows, so a cancelled context or an exhausted budget
+// stops the query at the next statement. The one exception is
+// prefetchFrontier's concurrent probes: they skip the per-statement check
+// and are counted once they have all returned.
 func (e *Engine) exec(ctx context.Context, qs *QueryStats, phase *time.Duration, op *time.Duration, q string, args ...any) (int64, error) {
 	if err := e.checkBudget(ctx, qs); err != nil {
 		return 0, err
@@ -559,6 +557,27 @@ func (e *Engine) queryInt(ctx context.Context, qs *QueryStats, phase *time.Durat
 	return v, null, err
 }
 
+// queryRows runs a row-returning query with the same accounting.
+func (e *Engine) queryRows(ctx context.Context, qs *QueryStats, phase *time.Duration, q string, args ...any) (*rdb.Rows, error) {
+	if err := e.checkBudget(ctx, qs); err != nil {
+		return nil, err
+	}
+	st, err := e.stmt(q)
+	if err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	rows, err := st.QueryContext(ctx, args...)
+	dt := time.Since(t0)
+	if qs != nil {
+		qs.Statements++
+	}
+	if phase != nil {
+		*phase += dt
+	}
+	return rows, err
+}
+
 // checkBudget refuses the next statement when the context is cancelled or
 // the query's statement budget (QueryRequest.MaxStatements) is spent.
 func (e *Engine) checkBudget(ctx context.Context, qs *QueryStats) error {
@@ -574,15 +593,12 @@ func (e *Engine) checkBudget(ctx context.Context, qs *QueryStats) error {
 // search dispatches to the relational algorithms over the leased scratch
 // set; callers hold a shared admission of the query gate. budget is the
 // per-query statement cap (0 = unlimited), applied to each handle's
-// statement stream. The bi-directional algorithms are the FEM loop over
+// statement stream. Every algorithm but Label is the FEM loop over
 // this engine's handle and, when it coordinates a partitioned graph, one
 // more per peer, admitted here in owner order (peers only ever admit
 // shared, so the order cannot deadlock).
 func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t int64, budget int64) (Path, *QueryStats, error) {
-	switch alg {
-	case AlgDJ:
-		return e.dj(ctx, sc, s, t, budget)
-	case AlgLabel:
+	if alg == AlgLabel {
 		if e.Labels() == nil {
 			return Path{}, nil, fmt.Errorf("core: Label requires BuildLabels first (rebuild after graph changes)")
 		}
@@ -630,11 +646,13 @@ func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t
 // soleOwner is the owner function of a one-handle loop.
 func soleOwner(int64) int { return 0 }
 
-// specFor renders a bi-directional algorithm's femSpec over sc, refusing
-// the ones whose index is not built.
+// specFor renders a loop algorithm's femSpec over sc, refusing the ones
+// whose index is not built.
 func (e *Engine) specFor(alg Algorithm, sc *scratchSet, s, t int64) (femSpec, error) {
 	ix := e.indexState()
 	switch alg {
+	case AlgDJ:
+		return specDJ(sc), nil
 	case AlgBDJ:
 		return specBDJ(sc), nil
 	case AlgBSDJ:

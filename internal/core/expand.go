@@ -25,16 +25,17 @@ func bwdDir() direction { return direction{forward: false, dist: "d2t", par: "p2
 var sentinelArgs = []any{MaxDist, NoParent}
 
 // searchOps is the search's E+M round over sc, as an internal/fem spec:
-// expand the rows the frontier predicate selects (over the alias q, e.g.
-// "q.f = ?" or "q.nid = ?") through edges, relax d's distance where the
-// offer is cheaper, re-opening the row (sign = 0), and insert undiscovered
-// nodes with the other direction at the MaxDist sentinel and sign = 1 (not
-// a candidate until relaxed from that side). prune appends the Theorem-1
+// expand the frontier the F-operator stamped (the rows whose d.sign holds
+// the bound stamp) through edges, relax d's distance where the offer is
+// cheaper, re-opening the row (sign = 0), and insert undiscovered nodes
+// with the other direction at the MaxDist sentinel and sign = 1 (not a
+// candidate until relaxed from that side). prune appends the Theorem-1
 // bound. Rendered once per set and round shape: only bound values change
 // between rounds and queries, so the plans come from the cache instead of
 // being re-parsed like the paper's client's, which shipped SQL text through
 // JDBC every iteration.
-func (e *Engine) searchOps(sc *scratchSet, d direction, edges, frontier string, prune bool) fem.Ops {
+func (e *Engine) searchOps(sc *scratchSet, d direction, edges string, prune bool) fem.Ops {
+	frontier := "q." + d.sign + " = ?"
 	if prune {
 		frontier += " AND out.cost + q." + d.dist + " + ? < ?"
 	}

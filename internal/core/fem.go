@@ -14,11 +14,11 @@ import (
 	"repro/internal/record"
 )
 
-// femSpec parameterizes the generic bi-directional FEM loop. The four
-// bi-directional algorithms differ only in (i) the frontier-selection rule
-// (the F-operator), (ii) the edge source (TEdges vs SegTable) and (iii)
-// whether the lf/lb bounds participate in termination — exactly the axes
-// §4 varies.
+// femSpec parameterizes the generic FEM loop. The searches differ only in
+// (i) the frontier-selection rule (the F-operator), (ii) the edge source
+// (TEdges vs SegTable), (iii) whether the lf/lb bounds participate in
+// termination — exactly the axes §4 varies — and (iv) whether the backward
+// side expands at all, which is what separates Algorithm 1 from BDJ.
 //
 // Statement shapes are rendered once per query (the text is stable for the
 // whole search — and across searches, so the engine's prepared-statement
@@ -56,6 +56,8 @@ type femSpec struct {
 	// of §4.1. Node-at-a-time BDJ needs this: its frontier counts are
 	// always 1, so the fewer-frontier rule would never switch direction.
 	smallerL bool
+	// oneWay starts the backward side exhausted, so only s's side expands.
+	oneWay bool
 }
 
 // stmtShape is one prepared statement shape: stable text plus a binder for
@@ -66,7 +68,7 @@ type stmtShape struct {
 	args func(v, l int64) []any
 }
 
-// The per-set statement texts of the bi-directional loop (biInit, the
+// The per-set statement texts of the FEM loop (biInit, the
 // statistics probes) live on scratchSet, rendered once at mint time; the
 // frontier shapes below embed the set's visited-table name the same way.
 // Texts are stable per (shape, scratch set), so prepared handles and cached
@@ -89,6 +91,18 @@ func specBDJ(sc *scratchSet) femSpec {
 		prune:    false, // pruning is introduced with the set variant (§4.1)
 		smallerL: true,
 	}
+}
+
+// specDJ: Algorithm 1, single-directional Dijkstra — BDJ's one-node
+// F-operator with the backward side never live. t is still seeded with
+// d2t = 0, so once t is reached the statistics probe's MIN(d2s + d2t) is
+// d2s(t), and StopCondition(lf, 0, minCost) is Dijkstra's rule: no forward
+// candidate is cheaper than t. An unreachable t ends the loop by forward
+// exhaustion, and path recovery's meeting probe finds t itself.
+func specDJ(sc *scratchSet) femSpec {
+	spec := specBDJ(sc)
+	spec.name, spec.oneWay = "DJ", true
+	return spec
 }
 
 // specBSDJ: bi-directional set Dijkstra — all nodes at the minimal
@@ -253,12 +267,13 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 
 	// Per-direction loop state: l is the frontier minimum (lf / lb), n the
 	// last frontier size, k the expansion counter, live whether candidates
-	// remain. The seeds are the two candidates, at distance 0.
+	// remain. The seeds are the two candidates, at distance 0; a one-way
+	// search never expands t's.
 	type dirState struct {
 		l, n, k int64
 		live    bool
 	}
-	fw, bw := &dirState{n: 1, live: true}, &dirState{n: 1, live: true}
+	fw, bw := &dirState{n: 1, live: true}, &dirState{n: 1, live: !spec.oneWay}
 	// minCost is the cheapest meeting the visited tables record (line 16), a
 	// running minimum over the statistics probes: an M-operator changes
 	// d2s + d2t only on rows it leaves as candidates of its direction (the

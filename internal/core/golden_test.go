@@ -20,8 +20,8 @@ import (
 // PR 16; the search lines' frontier predicate became q.f = ? at PR 24, when
 // the F-operators, ALT's prune and the statistics probes joined the file):
 // the fused and the separate-operator search statements, forward
-// and backward, over TEdges and the SegTable, pruning and not, plus DJ's
-// one-node frontier; maintenance shapes 1-3; Prim's round; and the
+// and backward, over TEdges and the SegTable, pruning and not;
+// maintenance shapes 1-3; Prim's round; and the
 // original-edge fold. Shape 4 is not here — it lost its no-op ROW_NUMBER
 // dedupe. A plan cache keyed by text, and the benchmark's statement counts,
 // see no change. The F-operator and fused round of every other loop on
@@ -94,7 +94,6 @@ func TestGoldenStatementTexts(t *testing.T) {
 	check("prefrontier/ALT/bwd", ss.bwd.pre.text)
 	check("stats/fwd", ss.fwd.stats)
 	check("stats/bwd", ss.bwd.stats)
-	checkOps("dj/", e.searchOps(sc, fwdDir(), TblEdges, "q.nid = ?", false))
 	for i := 0; i < 3; i++ {
 		check(fmt.Sprintf("maint/fwd/%d", i+1),
 			fem.MergeSelect(e.level, maintFwdShapes[i].src, segMerge(TblOutSegs)).Round(false)[0].Text)
@@ -125,7 +124,7 @@ func TestGoldenStatementTexts(t *testing.T) {
 }
 
 // TestSignProtocol runs every client of the FEM operators on one engine —
-// a query per algorithm (DJ and the five loop specs), the three index
+// a query per algorithm (the six loop specs), the three index
 // builds, a delete's scoped repair, Prim's MST and reachability — at the
 // MERGE level and at Plain, and fails on any prepared text that spells a
 // sign value other than 0 or 1: internal/fem's stamps are the only other
@@ -139,8 +138,8 @@ func TestSignProtocol(t *testing.T) {
 			cheapest = ed
 		}
 	}
-	for _, tsql := range []bool{false, true} {
-		e := newTestEngine(t, g, rdb.Options{Profile: rdb.ProfileDBMSX}, Options{TraditionalSQL: tsql})
+	for _, profile := range []rdb.Profile{rdb.ProfileDBMSX, rdb.ProfileSQL92} {
+		e := newTestEngine(t, g, rdb.Options{Profile: profile}, Options{})
 		if _, err := e.BuildSegTable(20); err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +171,7 @@ func TestSignProtocol(t *testing.T) {
 		}
 		for text := range e.stmtCache {
 			if literal.MatchString(text) {
-				t.Errorf("TraditionalSQL=%v: sign literal in %s", tsql, text)
+				t.Errorf("%s: sign literal in %s", profile.Name, text)
 			}
 		}
 	}

@@ -8,10 +8,10 @@ import (
 	"repro/internal/rdb"
 )
 
-// TestConfigurationMatrix runs every algorithm under every combination of
-// dialect (NSQL/TSQL), engine profile (DBMS-X/PostgreSQL9/a profile with
-// neither MERGE nor window functions), and operator fusion, verifying
-// identical answers: the paper's claim that the NSQL and TSQL formulations
+// TestConfigurationMatrix runs every algorithm under every engine profile —
+// and so every SQL level: DBMS-X (NSQL), PostgreSQL9, SQL92 (TSQL, neither
+// MERGE nor window functions) — and operator fusion, verifying identical
+// answers: the paper's claim that the NSQL and TSQL formulations
 // are semantically equivalent (§3.3) and that the PostgreSQL fallback (no
 // MERGE) preserves results (§5.2, Fig 8(a)). Every row also runs the other
 // clients of the E- and M-operators — Prim's MST, reachability, and the
@@ -32,11 +32,9 @@ func TestConfigurationMatrix(t *testing.T) {
 	cfgs := []cfg{
 		{"nsql-dbmsx", rdb.ProfileDBMSX, Options{}},
 		{"nsql-dbmsx-separate", rdb.ProfileDBMSX, Options{SeparateOperators: true}},
-		{"tsql-dbmsx", rdb.ProfileDBMSX, Options{TraditionalSQL: true}},
 		{"nsql-postgres", rdb.ProfilePostgreSQL9, Options{}},
-		{"tsql-postgres", rdb.ProfilePostgreSQL9, Options{TraditionalSQL: true}},
 		{"nopruning", rdb.ProfileDBMSX, Options{DisablePruning: true}},
-		{"sql92", rdb.Profile{Name: "SQL92"}, Options{}},
+		{"sql92", rdb.ProfileSQL92, Options{}},
 	}
 	for _, c := range cfgs {
 		c := c
@@ -112,15 +110,15 @@ func TestConfigurationMatrix(t *testing.T) {
 	}
 }
 
-// TestTraditionalSQLLevel: Options.TraditionalSQL decides the SQL level
-// once, for every client of the E- and M-operators. On DBMS-X — which would
-// accept anything — an engine opened with it prepares no MERGE and no window
-// function across an index build of each kind, a query per algorithm, a
-// mutation of each kind, MST and reachability; and it is refused the
-// superstep surface, whose piecewise E and M calls are NSQL statements.
+// TestTraditionalSQLLevel: the profile decides the SQL level once, for
+// every client of the E- and M-operators. An engine over ProfileSQL92
+// prepares no MERGE and no window function across an index build of each
+// kind, a query per algorithm, a mutation of each kind, MST and
+// reachability; and it is refused the superstep surface, whose piecewise E
+// and M calls are NSQL statements.
 func TestTraditionalSQLLevel(t *testing.T) {
 	g := graph.Random(40, 120, 99)
-	e := newTestEngine(t, g, rdb.Options{Profile: rdb.ProfileDBMSX}, Options{TraditionalSQL: true})
+	e := newTestEngine(t, g, rdb.Options{Profile: rdb.ProfileSQL92}, Options{})
 	if _, err := e.BuildSegTable(20); err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +150,11 @@ func TestTraditionalSQLLevel(t *testing.T) {
 	}
 	for text := range e.stmtCache {
 		if strings.HasPrefix(text, "MERGE") || strings.Contains(text, "ROW_NUMBER") {
-			t.Errorf("TraditionalSQL engine prepared: %s", text)
+			t.Errorf("SQL92 engine prepared: %s", text)
 		}
 	}
 	if err := e.SetPeers(Peers{Owner: soleOwner}); err == nil {
-		t.Error("SetPeers admitted a TraditionalSQL engine")
+		t.Error("SetPeers admitted a SQL92 engine")
 	}
 }
 
@@ -428,17 +426,17 @@ func TestDialectStatementCounts(t *testing.T) {
 	g := graph.Random(50, 150, 12)
 	q := graph.RandomQueries(g, 1, 5)[0]
 
-	run := func(profile rdb.Profile, traditional bool) (*QueryStats, Path) {
-		e := newTestEngine(t, g, rdb.Options{Profile: profile}, Options{TraditionalSQL: traditional})
+	run := func(profile rdb.Profile) (*QueryStats, Path) {
+		e := newTestEngine(t, g, rdb.Options{Profile: profile}, Options{})
 		p, qs, err := shortestPath(e, AlgBSDJ, q[0], q[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		return qs, p
 	}
-	nsql, p1 := run(rdb.ProfileDBMSX, false)
-	tsql, p2 := run(rdb.ProfileDBMSX, true)
-	pg, p3 := run(rdb.ProfilePostgreSQL9, false)
+	nsql, p1 := run(rdb.ProfileDBMSX)
+	tsql, p2 := run(rdb.ProfileSQL92)
+	pg, p3 := run(rdb.ProfilePostgreSQL9)
 	if p1.Length != p2.Length || p1.Length != p3.Length {
 		t.Fatalf("dialects disagree: %d %d %d", p1.Length, p2.Length, p3.Length)
 	}

@@ -98,12 +98,7 @@ func (e *Engine) MinimumSpanningForest() (*MSTResult, error) {
 	}
 
 	// Collect tree edges: every non-root member's (p2s, nid, d2s).
-	edgesStmt, err := e.stmt(mstEdgesQ)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := edgesStmt.QueryContext(ctx, NoParent)
-	qs.Statements++
+	rows, err := e.queryRows(ctx, qs, nil, mstEdgesQ, NoParent)
 	if err != nil {
 		return nil, err
 	}

@@ -125,15 +125,6 @@ const (
 		" b WHERE a.lid = b.lid AND a.nid = ? AND b.nid = ?"
 )
 
-// approxQueryInt runs one interval read through the engine statement cache.
-func (e *Engine) approxQueryInt(ctx context.Context, q string, s, t int64) (int64, bool, error) {
-	st, err := e.stmt(q)
-	if err != nil {
-		return 0, false, err
-	}
-	return st.QueryIntContext(ctx, s, t)
-}
-
 // readInterval runs the three bound queries against the current TLandmark,
 // also reporting how many statements actually ran (fewer on error). The
 // caller holds a shared admission and has checked the oracle is built;
@@ -141,15 +132,15 @@ func (e *Engine) approxQueryInt(ctx context.Context, q string, s, t int64) (int6
 // writer-preferring and a second shared acquire queued behind a waiting
 // writer would deadlock.
 func (e *Engine) readInterval(ctx context.Context, s, t int64) (Interval, int, error) {
-	upper, nullU, err := e.approxQueryInt(ctx, approxUpperQ, s, t)
+	upper, nullU, err := e.queryInt(ctx, nil, nil, approxUpperQ, s, t)
 	if err != nil {
 		return Interval{}, 1, err
 	}
-	lowF, nullF, err := e.approxQueryInt(ctx, approxLowFQ, s, t)
+	lowF, nullF, err := e.queryInt(ctx, nil, nil, approxLowFQ, s, t)
 	if err != nil {
 		return Interval{}, 2, err
 	}
-	lowB, nullB, err := e.approxQueryInt(ctx, approxLowBQ, s, t)
+	lowB, nullB, err := e.queryInt(ctx, nil, nil, approxLowBQ, s, t)
 	if err != nil {
 		return Interval{}, 3, err
 	}

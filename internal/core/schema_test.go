@@ -138,7 +138,7 @@ func TestEveryRelationDeclared(t *testing.T) {
 	}{
 		{"merge+window", rdb.ProfileDBMSX, Options{}},
 		{"window", rdb.ProfilePostgreSQL9, Options{}},
-		{"plain", rdb.ProfileDBMSX, Options{TraditionalSQL: true}},
+		{"plain", rdb.ProfileSQL92, Options{}},
 	} {
 		t.Run(level.name, func(t *testing.T) {
 			e := newTestEngine(t, g, rdb.Options{Profile: level.profile}, level.opts)

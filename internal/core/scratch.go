@@ -48,13 +48,11 @@ type scratchSet struct {
 	expand  string
 	expCost string
 
-	// Bi-directional FEM loop (fem.go): the seed and the statistics probes.
+	// The FEM loop (fem.go): the seed and the statistics probes.
 	biInit, biStatsF, biStatsB string
-	// Single-directional Dijkstra (dj.go).
-	djInit, djMid, djFinalize, djTarget string
 	// Path recovery (recover.go).
 	recP2S, recP2T, meet string
-	// A node's tentative distance (dj.go's answer, cross-handle unfolding).
+	// A node's tentative distance (cross-handle unfolding, recover.go).
 	distF, distB string
 	// Boundary exchange between peer handles (superstep.go): harvest reads
 	// the materialized E-output back out, inj1/injN push routed candidates
@@ -86,10 +84,6 @@ func newScratchSet(id int) *scratchSet {
 	sc.biInit = "INSERT INTO " + v + " (nid, d2s, p2s, f, d2t, p2t, b) VALUES (?, 0, ?, 0, ?, ?, 1), (?, ?, ?, 1, 0, ?, 0)"
 	sc.biStatsF = "SELECT MIN(d2s), MIN(d2s + d2t) FROM " + v + " WHERE f = 0"
 	sc.biStatsB = "SELECT MIN(d2t), MIN(d2s + d2t) FROM " + v + " WHERE b = 0"
-	sc.djInit = "INSERT INTO " + v + " (nid, d2s, p2s, f, d2t, p2t, b) VALUES (?, 0, ?, 0, ?, ?, 1)"
-	sc.djMid = "SELECT TOP 1 nid FROM " + v + " WHERE f = 0 AND d2s = (SELECT MIN(d2s) FROM " + v + " WHERE f = 0)"
-	sc.djFinalize = "UPDATE " + v + " SET f = 1 WHERE nid = ?"
-	sc.djTarget = "SELECT nid FROM " + v + " WHERE f = 1 AND nid = ?"
 	sc.recP2S = "SELECT p2s FROM " + v + " WHERE nid = ?"
 	sc.recP2T = "SELECT p2t FROM " + v + " WHERE nid = ?"
 	sc.meet = "SELECT TOP 1 nid FROM " + v + " WHERE d2s + d2t = ?"

@@ -31,9 +31,9 @@ type QueryStats struct {
 	// (one of the core.Decision* labels; "hint" when the caller named the
 	// algorithm, empty for engine-internal work like index builds).
 	Planner string
-	// Iterations counts main-loop rounds (frontier selections for the
-	// bi-directional algorithms, node expansions for DJ) — how much of the
-	// Options.MaxIters bound the query actually used.
+	// Iterations counts main-loop rounds (frontier selections, plus the
+	// round that finds the loop done) — how much of the Options.MaxIters
+	// bound the query actually used.
 	Iterations int
 	// Expansions counts E-operator executions (forward + backward).
 	Expansions         int
@@ -44,7 +44,7 @@ type QueryStats struct {
 	// TuplesAffected totals the affected-row counts of every write
 	// statement the query issued (the SQLCA sums) — the work metric the
 	// ALT-vs-BSDJ experiments compare. A frontier row counts once, for the
-	// F that stamps it: the bi-directional loop has no un-mark statement.
+	// F that stamps it: the FEM loop has no un-mark statement.
 	TuplesAffected int64
 	// PrunedRows counts candidates settled without expansion by the ALT
 	// landmark bound (zero for the other algorithms).

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/fem"
-	"repro/internal/rdb"
 )
 
 // A superstep is one engine's seat in the FEM loop (runSupersteps in
@@ -67,9 +66,9 @@ func (e *Engine) newSuperstep(sc *scratchSet, spec femSpec, budget int64) *super
 	ss := &superstep{
 		e: e, sc: sc, spec: spec,
 		qs: &QueryStats{Algorithm: spec.name, budget: budget},
-		fwd: femSide{ops: e.searchOps(sc, fwd, spec.edgeFwd, "q.f = ?", spec.prune),
+		fwd: femSide{ops: e.searchOps(sc, fwd, spec.edgeFwd, spec.prune),
 			front: spec.frontier(fwd), stats: sc.biStatsF},
-		bwd: femSide{ops: e.searchOps(sc, bwd, spec.edgeBwd, "q.b = ?", spec.prune),
+		bwd: femSide{ops: e.searchOps(sc, bwd, spec.edgeBwd, spec.prune),
 			front: spec.frontier(bwd), stats: sc.biStatsB},
 	}
 	if spec.preFrontier != nil {
@@ -223,27 +222,4 @@ func (ss *superstep) prefetchFrontier(ctx context.Context, forward bool, mark in
 	qs.PE += dt
 	qs.EOp += dt
 	return errors.Join(errs...)
-}
-
-// queryRows runs a row-returning query through the prepared-statement cache
-// with the usual budget/cancellation/accounting treatment (exec and
-// queryInt cover the scalar cases; the harvest needs whole rows).
-func (e *Engine) queryRows(ctx context.Context, qs *QueryStats, phase *time.Duration, q string, args ...any) (*rdb.Rows, error) {
-	if err := e.checkBudget(ctx, qs); err != nil {
-		return nil, err
-	}
-	st, err := e.stmt(q)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	rows, err := st.QueryContext(ctx, args...)
-	dt := time.Since(t0)
-	if qs != nil {
-		qs.Statements++
-	}
-	if phase != nil {
-		*phase += dt
-	}
-	return rows, err
 }

@@ -29,12 +29,11 @@ const (
 	Plain
 )
 
-// LevelOf resolves a database profile's level; traditionalSQL forces the
-// pre-2003 forms whatever the profile supports. A profile with MERGE but no
+// LevelOf resolves a database profile's level. A profile with MERGE but no
 // window functions runs at Plain.
-func LevelOf(p rdb.Profile, traditionalSQL bool) Level {
+func LevelOf(p rdb.Profile) Level {
 	switch {
-	case traditionalSQL || !p.SupportsWindow:
+	case !p.SupportsWindow:
 		return Plain
 	case p.SupportsMerge:
 		return MergeWindow

@@ -11,21 +11,17 @@ import (
 
 func TestLevelOf(t *testing.T) {
 	mergeOnly := rdb.Profile{Name: "merge-only", SupportsMerge: true}
-	sql92 := rdb.Profile{Name: "SQL92"}
 	for _, tc := range []struct {
-		p           rdb.Profile
-		traditional bool
-		want        Level
+		p    rdb.Profile
+		want Level
 	}{
-		{rdb.ProfileDBMSX, false, MergeWindow},
-		{rdb.ProfileDBMSX, true, Plain},
-		{rdb.ProfilePostgreSQL9, false, Window},
-		{rdb.ProfilePostgreSQL9, true, Plain},
-		{sql92, false, Plain},
-		{mergeOnly, false, Plain},
+		{rdb.ProfileDBMSX, MergeWindow},
+		{rdb.ProfilePostgreSQL9, Window},
+		{rdb.ProfileSQL92, Plain},
+		{mergeOnly, Plain},
 	} {
-		if got := LevelOf(tc.p, tc.traditional); got != tc.want {
-			t.Errorf("LevelOf(%s, traditional=%v) = %d, want %d", tc.p.Name, tc.traditional, got, tc.want)
+		if got := LevelOf(tc.p); got != tc.want {
+			t.Errorf("LevelOf(%s) = %d, want %d", tc.p.Name, got, tc.want)
 		}
 	}
 }

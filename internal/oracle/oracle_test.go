@@ -35,7 +35,7 @@ func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 // it over its own statement path; the session's profile picks the MERGE or
 // UPDATE+INSERT expansion.
 func runner(sess *rdb.Session, g *graph.Graph) *sweep.Runner {
-	return sweep.New(sess.DB(), sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(sess.DB().Profile(), false), sweep.ClusteredIndex)
+	return sweep.New(sess.DB(), sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(sess.DB().Profile()), sweep.ClusteredIndex)
 }
 
 // TestBuildDistancesExact cross-checks every TLandmark row against the

@@ -47,6 +47,10 @@ var ProfileDBMSX = Profile{Name: "DBMS-X", SupportsMerge: true, SupportsWindow: 
 // (the paper substitutes an UPDATE followed by an INSERT).
 var ProfilePostgreSQL9 = Profile{Name: "PostgreSQL9", SupportsMerge: false, SupportsWindow: true}
 
+// ProfileSQL92 models a pre-2003 system with neither feature: the paper's
+// traditional SQL (TSQL) baseline of Fig 6(d) and Fig 9(f).
+var ProfileSQL92 = Profile{Name: "SQL92"}
+
 // Options configures an engine instance.
 type Options struct {
 	// Path locates the backing file; empty means an in-memory page store.

@@ -51,13 +51,12 @@ func TestRunDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	profiles := []struct {
-		name        string
-		profile     rdb.Profile
-		traditional bool
+		name    string
+		profile rdb.Profile
 	}{
-		{"merge", rdb.ProfileDBMSX, false},
-		{"update-insert", rdb.ProfilePostgreSQL9, false},
-		{"no-window", rdb.ProfileDBMSX, true},
+		{"merge", rdb.ProfileDBMSX},
+		{"update-insert", rdb.ProfilePostgreSQL9},
+		{"no-window", rdb.ProfileSQL92},
 	}
 	for _, g := range []*graph.Graph{base, withIsolated, graph.Random(30, 80, 3)} {
 		for _, pr := range profiles {
@@ -76,7 +75,7 @@ func TestRunDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			r := New(db, sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(pr.profile, pr.traditional), ClusteredIndex)
+			r := New(db, sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(pr.profile), ClusteredIndex)
 			for _, edges := range []string{TblEdges, folded} {
 				for _, forward := range []bool{true, false} {
 					for _, tc := range []struct {

@@ -82,6 +82,8 @@ var (
 	ProfileDBMSX = rdb.ProfileDBMSX
 	// ProfilePostgreSQL9 supports window functions but not MERGE.
 	ProfilePostgreSQL9 = rdb.ProfilePostgreSQL9
+	// ProfileSQL92 supports neither (the paper's traditional SQL).
+	ProfileSQL92 = rdb.ProfileSQL92
 )
 
 // Open creates an embedded database (in-memory when Path is empty).
@@ -91,7 +93,8 @@ func Open(opts DBOptions) (*DB, error) { return rdb.Open(opts) }
 type (
 	// Engine runs the relational shortest path algorithms over a DB.
 	Engine = core.Engine
-	// EngineOptions selects index strategy, SQL dialect and ablations.
+	// EngineOptions selects index strategy, operator fusion and ablations;
+	// the SQL dialect follows DBOptions.Profile.
 	EngineOptions = core.Options
 	// Algorithm identifies one of the five approaches.
 	Algorithm = core.Algorithm
