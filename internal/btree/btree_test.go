@@ -425,7 +425,7 @@ func TestWritesThroughIteratorMatchPutInsert(t *testing.T) {
 		if err := ref.Put(key, val); err != nil {
 			t.Fatal(err)
 		}
-		it.ResetPrefix(direct, key)
+		it.ResetPrefix(direct, key, 0, nil)
 		if it.Next() {
 			if err := it.Overwrite(val); err != nil {
 				t.Fatal(err)
@@ -473,7 +473,7 @@ func TestWritesThroughIteratorMatchPutInsert(t *testing.T) {
 
 	// A write through a stale position is refused: an overwrite of a slot
 	// that no longer holds the key, an insert after the tree split.
-	it.ResetPrefix(direct, k(0))
+	it.ResetPrefix(direct, k(0), 0, nil)
 	if !it.Next() {
 		t.Fatal("key 0 not found")
 	}
@@ -483,7 +483,7 @@ func TestWritesThroughIteratorMatchPutInsert(t *testing.T) {
 	if err := it.Overwrite(val); err == nil {
 		t.Error("an overwrite of a deleted entry succeeded")
 	}
-	it.ResetPrefix(direct, k(5000))
+	it.ResetPrefix(direct, k(5000), 0, nil)
 	for i := int64(5001); len(direct.pages) == len(ref.pages); i++ {
 		if err := direct.Insert(k(i), val); err != nil {
 			t.Fatal(err)
@@ -617,9 +617,11 @@ func scanAll(t testing.TB, tr *BTree, want int) {
 	}
 }
 
-// TestFilteredScan: a filtered scan returns, in key order and across leaves,
-// exactly the entries whose tuple record.Match accepts — NULL-free or not,
-// over-long or not — and a truncated tuple ends it with Match's error.
+// TestFilteredScan: a filtered scan and a Fold return, in key order and
+// across leaves, exactly the entries whose tuple record.Match accepts —
+// NULL-free or not, over-long or not — the first leaf too, and a truncated
+// tuple ends either with Match's error. Overwrite through a filtered scan,
+// which copied only the passing cells, rewrites the entry it stands on.
 func TestFilteredScan(t *testing.T) {
 	tr := newTree(t, 64)
 	s := record.MustSchema(record.Column{Name: "a", Type: record.TInt}, record.Column{Name: "b", Type: record.TInt})
@@ -640,17 +642,50 @@ func TestFilteredScan(t *testing.T) {
 			want = append(want, string(k(i)))
 		}
 	}
+	var it Iterator
 	scan := func() ([]string, error) {
-		it := tr.Scan(nil, nil)
-		it.Filter(2, preds)
+		it.Reset(tr, nil, nil, 2, preds)
 		var got []string
 		for it.Next() {
 			got = append(got, string(it.Key()))
 		}
 		return got, it.Err()
 	}
-	if got, err := scan(); err != nil || len(want) != 200 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("filtered scan: %d entries, %v; want %d", len(got), err, len(want))
+	fold := func() ([]string, error) {
+		var got []string
+		err := tr.Fold(2, preds, func(tuple []byte) {
+			got = append(got, string(k(int64(binary.LittleEndian.Uint64(tuple)))))
+		})
+		return got, err
+	}
+	for _, f := range []func() ([]string, error){scan, fold} {
+		if got, err := f(); err != nil || len(want) != 200 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("filtered scan: %d entries, %v; want %d", len(got), err, len(want))
+		}
+	}
+	// A probe's first leaf is filtered too.
+	it.ResetPrefix(tr, k(4), 2, preds)
+	if it.Next() {
+		t.Fatalf("a probe for key 4, whose b is 1, yielded %x", it.Key())
+	}
+	// Each entry the filtered scan yields is overwritten where it lies: b
+	// becomes 2, so the same scan then finds nothing, and the rest is intact.
+	for it.Reset(tr, nil, nil, 2, preds); it.Next(); {
+		a := int64(binary.LittleEndian.Uint64(it.Value()))
+		if err := it.Overwrite(encode(a, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(0); i < 600; i++ {
+		v, _, err := tr.Get(k(i))
+		if b := []int64{2, 1, 2}[i%3]; err != nil || string(v) != string(encode(i, b)) {
+			t.Fatalf("entry %d after the overwrites: %x, %v; want b = %d", i, v, err, b)
+		}
+	}
+	for i := int64(0); i < 600; i += 3 {
+		if err := tr.Put(k(i), encode(i, 0)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A value of any length but 8 bytes a column ends the scan with an
 	// error, whether or not the preds would reject its columns: one byte
@@ -660,15 +695,20 @@ func TestFilteredScan(t *testing.T) {
 		if err := tr.Put(k(300), bad); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := scan(); err == nil {
-			t.Fatalf("a %d-byte value of 2 columns must end the filtered scan with an error", len(bad))
+		for _, f := range []func() ([]string, error){scan, fold} {
+			if got, err := f(); err == nil || len(got) != 100 {
+				t.Fatalf("a %d-byte value of 2 columns must end the filtered scan with an error after the 100 entries before it: %d, %v",
+					len(bad), len(got), err)
+			}
 		}
 	}
 	if err := tr.Put(k(300), encode(300, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := scan(); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("filtered scan after repair: %d entries, %v; want %d", len(got), err, len(want))
+	for _, f := range []func() ([]string, error){scan, fold} {
+		if got, err := f(); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("filtered scan after repair: %d entries, %v; want %d", len(got), err, len(want))
+		}
 	}
 }
 

@@ -501,11 +501,13 @@ func (e *Engine) stmt(q string) (*rdb.Stmt, error) {
 // exec runs a write statement through its prepared handle, charging its
 // latency to the given phase accumulators (any of which may be nil).
 // Cancellation and the statement budget are enforced here at the
-// bind/execute boundary — every statement the engine issues passes through
-// exec, queryInt or queryRows, so a cancelled context or an exhausted budget
-// stops the query at the next statement. The one exception is
-// prefetchFrontier's concurrent probes: they skip the per-statement check
-// and are counted once they have all returned.
+// bind/execute boundary — every statement a search, a mutation batch or an
+// index build issues passes through exec, queryInt or queryRows, so a
+// cancelled context or an exhausted budget stops it at the next statement.
+// prefetchFrontier's concurrent probes skip the per-statement check and are
+// counted once they have all returned. Four callers go straight to the
+// session and take neither check: the DDL of schema, bulkInsert's literal
+// INSERTs, LoadGraph's wmin probe and dumpTable's snapshot reads.
 func (e *Engine) exec(ctx context.Context, qs *QueryStats, phase *time.Duration, op *time.Duration, q string, args ...any) (int64, error) {
 	if err := e.checkBudget(ctx, qs); err != nil {
 		return 0, err

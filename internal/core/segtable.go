@@ -109,7 +109,6 @@ func (e *Engine) buildSegTableLocked(ctx context.Context, lthd int64, bump bool)
 	start := time.Now()
 	qs := &QueryStats{Algorithm: "SegBuild"} // reuse the statement counter
 
-	db := e.sess
 	// The previous index dies the moment its tables are dropped: a failed
 	// or cancelled build must leave segBuilt false (BSEG refuses cleanly)
 	// rather than pointing the planner and searches at a partial index.
@@ -137,15 +136,14 @@ func (e *Engine) buildSegTableLocked(ctx context.Context, lthd int64, bump bool)
 	}
 	st.Iterations = itF + itB
 
-	outCnt, _, err := db.QueryInt(segCountOutQ)
+	outCnt, _, err := e.queryInt(ctx, qs, nil, segCountOutQ)
 	if err != nil {
 		return nil, err
 	}
-	inCnt, _, err := db.QueryInt(segCountInQ)
+	inCnt, _, err := e.queryInt(ctx, qs, nil, segCountInQ)
 	if err != nil {
 		return nil, err
 	}
-	qs.Statements += 2
 	st.OutSegs = int(outCnt)
 	st.InSegs = int(inCnt)
 	st.Statements = qs.Statements

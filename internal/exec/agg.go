@@ -2,10 +2,12 @@ package exec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/maphash"
 	"slices"
 
 	"repro/internal/record"
+	"repro/internal/sql"
 )
 
 // aggKind enumerates supported aggregate functions.
@@ -63,14 +65,91 @@ func (a *aggState) result(kind aggKind) record.Value {
 // row is produced even for empty input (SQL semantics: MIN of nothing is
 // NULL, COUNT of nothing is 0) — the paper's termination checks rely on
 // `SELECT MIN(d2s) ...` returning a NULL row when no candidates remain.
+//
+// An aggregate the planner found to fold (foldable) has a Fold: it runs on
+// the pages of the table its SeqScan input reads, not on the scan's rows.
 type Aggregate struct {
 	Input    Node
 	GroupFns []scalarFn
 	Specs    []aggSpec
+	Fold     [][]int // per aggregate, the stored columns whose sum it folds (none for COUNT(*)); nil: no fold
 	out      []record.Row
 	pos      int
 	keys     []record.Value // the current row's group values
 	keyBuf   []byte         // their encoding, the group's map key
+	states   []aggState     // a fold's states and result row, reused across executions
+	row      record.Row
+	one      [1]record.Row // backs out for a fold
+}
+
+// foldable returns the fold of an aggregate without GROUP BY over input,
+// the columns of each call, when input is a SeqScan without a residual and
+// each call is COUNT(*), or MIN or MAX of a column of lay (the scan's
+// layout) or a + of such; otherwise nil.
+func foldable(input Node, calls []*sql.FuncCall, lay *Layout) [][]int {
+	if s, ok := input.(*SeqScan); !ok || s.Residual != nil {
+		return nil
+	}
+	fold := make([][]int, len(calls))
+	for i, call := range calls {
+		if call.Arg == nil { // COUNT(*), the one form of COUNT
+			continue
+		}
+		var ok bool
+		if fold[i], ok = sumCols(call.Arg, lay, nil); !ok {
+			return nil
+		}
+	}
+	return fold
+}
+
+// sumCols appends to cols the ordinals of the columns of lay whose sum e is
+// — a column, or a + of such — and reports whether e is one.
+func sumCols(e sql.Expr, lay *Layout, cols []int) ([]int, bool) {
+	switch ex := e.(type) {
+	case *sql.ColumnRef:
+		i, err := lay.Resolve(ex.Table, ex.Name)
+		return append(cols, i), err == nil
+	case *sql.Binary:
+		if ex.Op == "+" {
+			if cols, ok := sumCols(ex.L, lay, cols); ok {
+				return sumCols(ex.R, lay, cols)
+			}
+		}
+	}
+	return nil, false
+}
+
+// openFold computes a fold: it binds the SeqScan input's pushed predicates
+// and has its table run each tuple that passes them through the states, the
+// columns read in place on the pinned page (table.Table.Fold). It fetches
+// the pages the scan would and decodes no row.
+func (a *Aggregate) openFold(ctx *Ctx) error {
+	s := a.Input.(*SeqScan)
+	if err := s.bind(ctx, nil); err != nil {
+		return err
+	}
+	a.states = append(a.states[:0], make([]aggState, len(a.Fold))...)
+	if !s.empty {
+		err := s.Table.Fold(s.preds, func(tuple []byte) {
+			for i, cols := range a.Fold {
+				var v int64 // wraps, as arith does
+				for _, c := range cols {
+					v += int64(binary.LittleEndian.Uint64(tuple[8*c:]))
+				}
+				a.states[i].add(a.Specs[i].kind, record.Int(v))
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	a.row = a.row[:0]
+	for i, spec := range a.Specs {
+		a.row = append(a.row, a.states[i].result(spec.kind))
+	}
+	a.out = append(a.one[:0], a.row)
+	return nil
 }
 
 // aggGroup is one group: its values and one state per aggregate.
@@ -83,6 +162,9 @@ type aggGroup struct {
 func (a *Aggregate) Open(ctx *Ctx) error {
 	a.out = a.out[:0]
 	a.pos = 0
+	if a.Fold != nil {
+		return a.openFold(ctx)
+	}
 	if err := a.Input.Open(ctx); err != nil {
 		return err
 	}
@@ -160,7 +242,7 @@ func (a *Aggregate) Close() { a.out = nil }
 
 // Clone implements Node.
 func (a *Aggregate) Clone() Node {
-	return &Aggregate{Input: a.Input.Clone(), GroupFns: a.GroupFns, Specs: a.Specs}
+	return &Aggregate{Input: a.Input.Clone(), GroupFns: a.GroupFns, Specs: a.Specs, Fold: a.Fold}
 }
 
 // --- window ------------------------------------------------------------------

@@ -120,6 +120,12 @@ func TestDirectWritesMatchReference(t *testing.T) {
 	for k := int64(1); k < 1200; k += 4 {
 		odds = append(odds, []int64{k, 1, 0})
 	}
+	// The same keys with f cycling through 0, 1, 2: a pushed f = 1 passes
+	// every third row, and the scan copies only those cells of each leaf.
+	var thirds [][]int64
+	for k := int64(0); k < 1200; k += 2 {
+		thirds = append(thirds, []int64{k, k / 2, k / 2 % 3})
+	}
 	merge := "MERGE INTO t AS tt USING s AS ss ON (tt.k = ss.k) " +
 		"WHEN MATCHED AND tt.d > ss.d THEN UPDATE SET d = ss.d, f = 0 " +
 		"WHEN NOT MATCHED THEN INSERT (k, d, f) VALUES (ss.k, ss.d, 0)"
@@ -130,6 +136,11 @@ func TestDirectWritesMatchReference(t *testing.T) {
 			stmts: []string{
 				"UPDATE t SET f = 7 WHERE f = 0 AND (d < 5 OR d = (SELECT MIN(d) FROM t WHERE f = 0))",
 				"UPDATE t SET f = 8 WHERE f = 0 AND d < 300",
+			}},
+		{name: "update-every-third-row", cols: "k, d, f", key: "k", rows: thirds,
+			stmts: []string{
+				"UPDATE t SET d = d + 1000 WHERE f = 1",
+				"UPDATE t SET f = 2, d = 0 WHERE f = 0 AND d > 100",
 			}},
 		{name: "merge-two-source-rows-one-key", cols: "k, d, f", key: "k", rows: evens,
 			src:   [][]int64{{4, 1, 0}, {4, 0, 0}, {1001, 9, 0}, {1001, 3, 0}, {1001, 5, 0}},

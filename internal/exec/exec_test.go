@@ -251,8 +251,21 @@ func TestPlannerPushesComparisons(t *testing.T) {
 		pushed   []pushed
 		residual bool
 		need     []bool
+		folds    bool // an aggregate over the scan that runs on its pages
 	}{
-		{q: "SELECT MIN(d2s) FROM TVisited WHERE f = 0", pushed: []pushed{{2, 2}}, need: []bool{false, true, false}},
+		{q: "SELECT MIN(d2s) FROM TVisited WHERE f = 0", pushed: []pushed{{2, 2}}, need: []bool{false, true, false}, folds: true},
+		// The statistics probe, COUNT(*) and MAX fold, with or without a
+		// pushed predicate; a residual, a GROUP BY, a join, a + of anything
+		// but stored columns or an index probe keeps the row aggregate.
+		{q: "SELECT MIN(d2s), MIN(d2s + nid) FROM TVisited WHERE f = 0", pushed: []pushed{{2, 2}}, need: []bool{true, true, false}, folds: true},
+		{q: "SELECT COUNT(*) FROM TVisited", need: []bool{false, false, false}, folds: true},
+		{q: "SELECT MIN(nid), MAX(d2s), MIN(nid + d2s + f), COUNT(*) FROM TVisited v WHERE v.f > ? AND 3 >= d2s",
+			pushed: []pushed{{2, 4}, {1, 3}}, need: []bool{true, true, true}, folds: true},
+		{q: "SELECT MIN(d2s) FROM TVisited WHERE f = 0 OR f = 2", residual: true, need: []bool{false, true, true}},
+		{q: "SELECT f, MIN(d2s) FROM TVisited GROUP BY f", need: []bool{false, true, true}},
+		{q: "SELECT MIN(q.d2s) FROM TVisited q, TEdges out WHERE q.nid = out.fid AND q.f = 2", pushed: []pushed{{2, 2}}, need: []bool{true, true, false}},
+		{q: "SELECT MIN(d2s + 1) FROM TVisited WHERE f = 0", pushed: []pushed{{2, 2}}, need: []bool{false, true, false}},
+		{q: "SELECT MIN(cost) FROM TEdges WHERE fid = ?", index: true, need: []bool{false, false, true}},
 		{q: "SELECT nid FROM TVisited WHERE 3 < d2s AND f >= ?", pushed: []pushed{{1, 4}, {2, 6}}, need: []bool{true, false, false}},
 		{q: "SELECT nid FROM TVisited WHERE ? * 2 <> f", pushed: []pushed{{2, 5}}, need: []bool{true, false, false}},
 		{q: "SELECT nid FROM TVisited WHERE f = 0 AND d2s = (SELECT MIN(d2s) FROM TVisited WHERE f = 0)",
@@ -305,9 +318,14 @@ func TestPlannerPushesComparisons(t *testing.T) {
 		var scan baseScan
 		p := NewPlanner(cat)
 		var dml *PreparedDML
+		folds := false
 		switch st := st.(type) {
 		case *sql.SelectStmt:
-			scan, _ = unwrapAgg(planOf(t, cat, tc.q)).(baseScan)
+			plan := planOf(t, cat, tc.q)
+			if agg, ok := unwrap(plan).(*Aggregate); ok {
+				folds = agg.Fold != nil
+			}
+			scan, _ = unwrapAgg(plan).(baseScan)
 		case *sql.UpdateStmt:
 			dml, err = p.PrepareUpdate(st)
 		case *sql.DeleteStmt:
@@ -335,17 +353,22 @@ func TestPlannerPushesComparisons(t *testing.T) {
 		for _, pp := range s.Pushed {
 			got = append(got, pushed{pp.col, pp.sat})
 		}
-		if !slices.Equal(got, tc.pushed) || (s.Residual != nil) != tc.residual || !slices.Equal(s.Need, tc.need) {
-			t.Errorf("%s:\n pushed %v residual %v need %v\n want   %v residual %v need %v",
-				tc.q, got, s.Residual != nil, s.Need, tc.pushed, tc.residual, tc.need)
+		if !slices.Equal(got, tc.pushed) || (s.Residual != nil) != tc.residual || !slices.Equal(s.Need, tc.need) || folds != tc.folds {
+			t.Errorf("%s:\n pushed %v residual %v need %v folds %v\n want   %v residual %v need %v folds %v",
+				tc.q, got, s.Residual != nil, s.Need, folds, tc.pushed, tc.residual, tc.need, tc.folds)
 		}
 	}
 }
 
-// unwrapAgg is unwrap that also looks under a global aggregate.
+// unwrapAgg is unwrap that also looks under a global aggregate and down a
+// join's outer side.
 func unwrapAgg(n Node) Node {
-	if a, ok := unwrap(n).(*Aggregate); ok {
-		return unwrap(a.Input)
+	n = unwrap(n)
+	if a, ok := n.(*Aggregate); ok {
+		n = unwrap(a.Input)
 	}
-	return unwrap(n)
+	if j, ok := n.(*NestedLoopJoin); ok {
+		n = unwrap(j.Outer)
+	}
+	return n
 }

@@ -524,7 +524,11 @@ func (p *Planner) planAggregate(st *sql.SelectStmt, input Node, inEnv *Env, c *c
 	for i := range aggCalls {
 		postLay.Cols = append(postLay.Cols, BoundCol{Qual: "$agg", Name: fmt.Sprintf("a%d", i)})
 	}
-	node := Node(&Aggregate{Input: input, GroupFns: groupFns, Specs: specs})
+	agg := &Aggregate{Input: input, GroupFns: groupFns, Specs: specs}
+	if len(st.GroupBy) == 0 {
+		agg.Fold = foldable(input, aggCalls, inEnv.Lay)
+	}
+	node := Node(agg)
 	env := &Env{Lay: postLay, Parent: inEnv.Parent}
 	if having != nil {
 		pred, err := c.compileExpr(having, env, usedOuter)

@@ -6,6 +6,7 @@ package heapfile
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/record"
 	"repro/internal/storage"
@@ -217,18 +218,25 @@ func (h *HeapFile) Update(rid RID, data []byte) (RID, error) {
 	return h.Insert(data)
 }
 
-// Iterator walks all live tuples. Each page is copied once into a page the
-// iterator owns before advancing, so no pins are held between Next calls;
-// tuples are slices of that copy. An Iterator can be restarted with Reset,
-// which keeps the copy's memory.
+// Iterator walks the live tuples in file order. Each page's wanted tuples
+// are copied once into a page the iterator owns before advancing, so no pins
+// are held between Next calls; tuples are slices of that copy. An Iterator
+// can be restarted with Reset, which keeps the copy's memory.
+//
+// An iterator given a tuple width and predicates yields only the tuples of
+// that many columns that satisfy them: each page's slot loop (match) checks
+// them on the pinned page, and only the tuples that pass are copied, unless
+// enough pass that the whole page is cheaper (load). A tuple of the wrong
+// length ends the scan with an error, after the tuples before it.
 type Iterator struct {
 	h       *HeapFile
-	page    *storage.Page // private copy of the current page
+	page    *storage.Page // private copy of the current page's wanted tuples, at their offsets
 	pageID  storage.PageID
-	slot, n int    // slot is the next slot to look at, n the page's slot count
-	tuple   []byte // current tuple, inside page
+	slots   []uint16 // the slots of the copied tuples, in file order
+	pos     int      // slots[pos:] are still to come
+	tuple   []byte   // current tuple, inside page
 	nextPg  storage.PageID
-	cols    int // column count of the tuples preds are checked on
+	cols    int // column count of the tuples preds are checked on; 0 without preds
 	preds   []record.Pred
 	lastErr error
 }
@@ -236,46 +244,126 @@ type Iterator struct {
 // Scan returns an iterator over every live tuple.
 func (h *HeapFile) Scan() *Iterator {
 	it := new(Iterator)
-	it.Reset(h)
+	it.Reset(h, 0, nil)
 	return it
 }
 
-// Reset restarts the iterator at the first tuple of h, with no filter.
-func (it *Iterator) Reset(h *HeapFile) {
-	it.h, it.nextPg, it.preds = h, h.first, nil
-	it.slot, it.n, it.lastErr = 0, 0, nil
+// Reset restarts the iterator at the first tuple of h that, given preds,
+// is a cols-column tuple satisfying them. Without preds no tuple is checked:
+// the caller decodes what it reads. preds is retained.
+func (it *Iterator) Reset(h *HeapFile, cols int, preds []record.Pred) {
+	if len(preds) == 0 {
+		cols = 0
+	}
+	it.h, it.nextPg, it.cols, it.preds = h, h.first, cols, preds
+	it.slots, it.pos, it.lastErr = it.slots[:0], 0, nil
 }
 
-// Filter makes Next skip the tuples, each of a cols-column schema, that
-// fail one of preds (record.Match; a tuple it finds malformed ends the scan
-// with that error). preds is retained; Reset clears the filter.
-func (it *Iterator) Filter(cols int, preds []record.Pred) { it.cols, it.preds = cols, preds }
+// match is a heap page's slot loop: it returns the first live slot in
+// [i, n) of pg whose tuple has cols columns and satisfies preds
+// (record.Match), with that tuple, or n when there is none. With cols 0
+// every live tuple passes. A tuple of the wrong length stops it with the
+// error.
+func match(pg *storage.Page, i, n, cols int, preds []record.Pred) (int, []byte, error) {
+	for ; i < n; i++ {
+		if pg.U16(offSlots+slotSize*i+2) == 0 {
+			continue
+		}
+		tuple := tupleAt(pg, i)
+		if cols == 0 {
+			return i, tuple, nil
+		}
+		ok, err := record.Match(tuple, cols, preds)
+		if err != nil {
+			return i, nil, err
+		}
+		if ok {
+			return i, tuple, nil
+		}
+	}
+	return n, nil, nil
+}
 
-// Next advances the iterator to the next live tuple its filter accepts.
+// tupleAt returns the tuple in live slot i of pg.
+func tupleAt(pg *storage.Page, i int) []byte {
+	base := offSlots + slotSize*i
+	off, ln := int(pg.U16(base)), int(pg.U16(base+2))
+	return pg.Data[off : off+ln]
+}
+
+// Fold runs fn on every live tuple, in file order, that has cols columns
+// and satisfies preds (cols > 0): each page's slot loop (match) checks the
+// tuples on the pinned page and fn reads the passing tuple there, so nothing
+// is copied. It fetches the pages a Scan does. fn must not keep the tuple. A
+// tuple of the wrong length ends it with the error, after fn has seen the
+// tuples before it.
+func (h *HeapFile) Fold(cols int, preds []record.Pred, fn func(tuple []byte)) error {
+	for id := h.first; id != storage.InvalidPageID; {
+		pg, err := h.pool.Fetch(id)
+		if err != nil {
+			return err
+		}
+		var tuple []byte
+		for i, n := 0, int(pg.U16(offNSlots)); ; i++ {
+			if i, tuple, err = match(pg, i, n, cols, preds); err != nil || i == n {
+				break
+			}
+			fn(tuple)
+		}
+		id = storage.PageID(pg.U32(offNext))
+		h.pool.Unpin(pg, false)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// load collects the live slots of pinned page pg that pass the filter and
+// copies them: the slot array, then the tuples at their offsets, or the
+// whole page at once when a sixteenth of its slots or more are wanted, the
+// rule btree's loadLeaf measured for its cells. A malformed tuple makes this
+// page the last, its slots before it returned.
+func (it *Iterator) load(pg *storage.Page) {
+	if it.page == nil {
+		it.page = new(storage.Page)
+	}
+	n := int(pg.U16(offNSlots))
+	it.pageID, it.pos = pg.ID(), 0
+	it.nextPg = storage.PageID(pg.U32(offNext))
+	it.slots = slices.Grow(it.slots[:0], n)
+	for i := 0; ; i++ {
+		var err error
+		if i, _, err = match(pg, i, n, it.cols, it.preds); err != nil {
+			it.lastErr, it.nextPg = err, storage.InvalidPageID
+			break
+		}
+		if i == n {
+			break
+		}
+		it.slots = append(it.slots, uint16(i))
+	}
+	if 16*len(it.slots) >= n {
+		it.page.Data = pg.Data
+		return
+	}
+	copy(it.page.Data[:offSlots+slotSize*n], pg.Data[:])
+	for _, i := range it.slots {
+		base := offSlots + slotSize*int(i)
+		off := int(pg.U16(base))
+		copy(it.page.Data[off:], tupleAt(pg, int(i)))
+	}
+}
+
+// Next advances the iterator to the next tuple it yields.
 func (it *Iterator) Next() bool {
 	for {
-		for it.slot < it.n {
-			base := offSlots + slotSize*it.slot
-			it.slot++
-			off, ln := int(it.page.U16(base)), int(it.page.U16(base+2))
-			if ln == 0 {
-				continue
-			}
-			tuple := it.page.Data[off : off+ln]
-			if len(it.preds) > 0 {
-				match, err := record.Match(tuple, it.cols, it.preds)
-				if err != nil {
-					it.lastErr, it.n = err, 0 // ends the scan: no slot left, and lastErr stops the next page
-					break
-				}
-				if !match {
-					continue
-				}
-			}
-			it.tuple = tuple
+		if it.pos < len(it.slots) {
+			it.tuple = tupleAt(it.page, int(it.slots[it.pos]))
+			it.pos++
 			return true
 		}
-		if it.nextPg == storage.InvalidPageID || it.lastErr != nil {
+		if it.nextPg == storage.InvalidPageID {
 			return false
 		}
 		pg, err := it.h.pool.Fetch(it.nextPg)
@@ -283,12 +371,7 @@ func (it *Iterator) Next() bool {
 			it.lastErr = err
 			return false
 		}
-		if it.page == nil {
-			it.page = new(storage.Page)
-		}
-		it.page.Data = pg.Data
-		it.pageID, it.slot, it.n = pg.ID(), 0, int(pg.U16(offNSlots))
-		it.nextPg = storage.PageID(pg.U32(offNext))
+		it.load(pg)
 		it.h.pool.Unpin(pg, false)
 	}
 }
@@ -298,7 +381,7 @@ func (it *Iterator) Next() bool {
 func (it *Iterator) Tuple() []byte { return it.tuple }
 
 // RID returns the current tuple's RID.
-func (it *Iterator) RID() RID { return RID{Page: it.pageID, Slot: uint16(it.slot - 1)} }
+func (it *Iterator) RID() RID { return RID{Page: it.pageID, Slot: it.slots[it.pos-1]} }
 
 // Err reports any error that terminated the scan.
 func (it *Iterator) Err() error { return it.lastErr }

@@ -199,9 +199,11 @@ func TestBadSlot(t *testing.T) {
 	}
 }
 
-// TestFilteredScan: a filtered scan returns, in file order and across pages,
-// exactly the live tuples record.Match accepts — NULL-free or not, over-long
-// or not — and a truncated tuple ends it with Match's error.
+// TestFilteredScan: a filtered scan and a Fold return, in file order and
+// across pages, exactly the live tuples record.Match accepts — NULL-free or
+// not, over-long or not — and a truncated tuple ends either with Match's
+// error. A filtered scan copies only the passing tuples and keeps each one's
+// RID.
 func TestFilteredScan(t *testing.T) {
 	h := newHeap(t)
 	s := record.MustSchema(record.Column{Name: "a", Type: record.TInt}, record.Column{Name: "b", Type: record.TInt})
@@ -228,17 +230,27 @@ func TestFilteredScan(t *testing.T) {
 			want = append(want, string(tuple))
 		}
 	}
+	var it Iterator
 	scan := func() ([]string, error) {
-		it := h.Scan()
-		it.Filter(2, preds)
+		it.Reset(h, 2, preds)
 		var got []string
 		for it.Next() {
 			got = append(got, string(it.Tuple()))
+			if tuple, ok, err := h.Get(it.RID()); err != nil || !ok || string(tuple) != string(it.Tuple()) {
+				t.Fatalf("RID %v of a filtered scan's tuple holds %x, %v, %v", it.RID(), tuple, ok, err)
+			}
 		}
 		return got, it.Err()
 	}
-	if got, err := scan(); err != nil || len(want) != 184 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("filtered scan: %d tuples, %v; want %d", len(got), err, len(want))
+	fold := func() ([]string, error) {
+		var got []string
+		err := h.Fold(2, preds, func(tuple []byte) { got = append(got, string(tuple)) })
+		return got, err
+	}
+	for _, f := range []func() ([]string, error){scan, fold} {
+		if got, err := f(); err != nil || len(want) != 184 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("filtered scan: %d tuples, %v; want %d", len(got), err, len(want))
+		}
 	}
 	// A tuple of any length but 8 bytes a column ends the scan with an
 	// error, whether or not the preds would reject its columns: one byte
@@ -249,15 +261,20 @@ func TestFilteredScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := scan(); err == nil {
-			t.Fatalf("a %d-byte tuple of 2 columns must end the filtered scan with an error", len(bad))
+		for _, f := range []func() ([]string, error){scan, fold} {
+			if got, err := f(); err == nil || len(got) != len(want) {
+				t.Fatalf("a %d-byte tuple of 2 columns must end the filtered scan with an error after the %d tuples before it: %d, %v",
+					len(bad), len(want), len(got), err)
+			}
 		}
 		if err := h.Delete(rid); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, err := scan(); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("filtered scan after the deletes: %d tuples, %v; want %d", len(got), err, len(want))
+	for _, f := range []func() ([]string, error){scan, fold} {
+		if got, err := f(); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("filtered scan after the deletes: %d tuples, %v; want %d", len(got), err, len(want))
+		}
 	}
 }
 

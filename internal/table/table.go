@@ -431,15 +431,29 @@ func (t *Table) Truncate() error {
 	return nil
 }
 
+// Fold runs fn on the encoded tuple of every row of t that satisfies preds,
+// in storage order, on the page that holds it while the page is pinned:
+// the storage's slot loop checks each tuple's length and preds
+// (record.Match) and fn reads the columns of a passing one in place, so no
+// row is decoded or copied. It fetches the pages a scan of t does. fn must
+// not keep the tuple. A malformed tuple ends it with the error a scan
+// reports.
+func (t *Table) Fold(preds []record.Pred, fn func(tuple []byte)) error {
+	if t.clustered != nil {
+		return t.clustered.tree.Fold(t.Schema.Len(), preds, fn)
+	}
+	return t.heap.Fold(t.Schema.Len(), preds, fn)
+}
+
 // Iterator yields the rows of one table: all of them in storage order
 // (clustered-key order for clustered tables), or those whose clustered or
 // secondary index key starts with given values.
 //
 // A row failing one of the iterator's preds is skipped on its encoded form,
-// before anything is decoded. Row returns a buffer the iterator owns: it is
-// overwritten by the next Next, and only the columns asked for are decoded
-// into it. A caller that keeps a row past the next Next takes a copy with
-// Materialize. Start and Seek re-aim an Iterator in place, keeping its page,
+// before anything is copied or decoded. Row returns a buffer the iterator
+// owns: it is overwritten by the next Next, and only the columns asked for
+// are decoded into it. A caller that keeps a row past the next Next takes a
+// copy with Materialize. Start and Seek re-aim an Iterator in place, keeping its page,
 // tuple and row buffers, so an operator that re-opens its scan allocates
 // nothing.
 //
@@ -484,11 +498,9 @@ func (t *Table) LookupEq(ix *Index, vals []record.Value) *Iterator {
 func (it *Iterator) Start(t *Table, need []bool, preds []record.Pred) {
 	it.reset(t, nil, need, preds)
 	if t.clustered != nil {
-		it.bit.Reset(t.clustered.tree, nil, nil)
-		it.bit.Filter(len(it.row), preds)
+		it.bit.Reset(t.clustered.tree, nil, nil, len(it.row), preds)
 	} else {
-		it.hit.Reset(t.heap)
-		it.hit.Filter(len(it.row), preds)
+		it.hit.Reset(t.heap, len(it.row), preds)
 	}
 }
 
@@ -500,9 +512,10 @@ func (it *Iterator) Seek(t *Table, ix *Index, vals []record.Value, need []bool, 
 	if ix == nil {
 		ix = t.clustered
 	}
-	it.bit.ResetPrefix(ix.tree, it.probe)
 	if it.ix == nil { // the clustered tree's values are the tuples themselves
-		it.bit.Filter(len(it.row), preds)
+		it.bit.ResetPrefix(ix.tree, it.probe, len(it.row), preds)
+	} else {
+		it.bit.ResetPrefix(ix.tree, it.probe, 0, nil)
 	}
 }
 
@@ -517,7 +530,8 @@ func (it *Iterator) reset(t *Table, ix *Index, need []bool, preds []record.Pred)
 
 // Next advances the iterator to the next row its preds accept. A clustered
 // or heap scan hands its preds to the storage iterator, which checks them in
-// its slot loop; a secondary-index scan checks each fetched base tuple here.
+// its slot loop on the pinned page and copies only the tuples that pass; a
+// secondary-index scan checks each fetched base tuple here.
 func (it *Iterator) Next() bool {
 	switch {
 	case it.ix != nil:
