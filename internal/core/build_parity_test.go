@@ -68,8 +68,8 @@ func TestBuildParity(t *testing.T) {
 		}
 	})
 
-	// The catalog: a SegTable-only engine carries the graph, the search
-	// scratch set, the two segment tables and the sweep's working set; the
+	// The catalog: a SegTable-only engine carries the graph, the two
+	// segment tables and the sweep's working set (searches lease theirs); the
 	// oracle and the labels add only their own relations and the shared
 	// degree ranking — no private copy of the working set.
 	t.Run("catalog", func(t *testing.T) {
@@ -80,7 +80,7 @@ func TestBuildParity(t *testing.T) {
 		if err := e.checkSegTable(); err != nil {
 			t.Error(err)
 		}
-		segOnly := []string{"tedges", "texpand", "texpcost", "tinsegs", "tnodes", "toutsegs", "tseg", "tvisited"}
+		segOnly := []string{"tedges", "tinsegs", "tnodes", "toutsegs", "tseg"}
 		if got := catalogNames(e); !reflect.DeepEqual(got, segOnly) {
 			t.Errorf("after BuildSegTable: catalog %v, want %v", got, segOnly)
 		}
@@ -90,8 +90,8 @@ func TestBuildParity(t *testing.T) {
 		if _, err := e.BuildLabels(); err != nil {
 			t.Fatal(err)
 		}
-		all := []string{"tdeg", "tdegin", "tedges", "texpand", "texpcost", "tinsegs", "tlabelin", "tlabelout",
-			"tlandmark", "tlblfrom", "tlblto", "tlmkfar", "tnodes", "toutsegs", "tseg", "tvisited"}
+		all := []string{"tdeg", "tdegin", "tedges", "tinsegs", "tlabelin", "tlabelout",
+			"tlandmark", "tlblfrom", "tlblto", "tlmkfar", "tnodes", "toutsegs", "tseg"}
 		if got := catalogNames(e); !reflect.DeepEqual(got, all) {
 			t.Errorf("after all three builds: catalog %v, want %v", got, all)
 		}
@@ -120,8 +120,8 @@ func TestBuildParity(t *testing.T) {
 		if _, err := e.DeleteEdge(5, 300); err != nil {
 			t.Fatal(err)
 		}
-		mutated := []string{"tedges", "texpand", "texpcost", "tinsegs", "tmutsrc", "tmuttouch", "tnodes",
-			"toutsegs", "tseg", "tsegexpand", "tsegexpcost", "tsegmaint", "tvisited"}
+		mutated := []string{"tedges", "tinsegs", "tmutsrc", "tmuttouch", "tnodes",
+			"toutsegs", "tseg", "tsegexpand", "tsegexpcost", "tsegmaint"}
 		if got := catalogNames(e); !reflect.DeepEqual(got, mutated) {
 			t.Errorf("after the mutations: catalog %v, want %v", got, mutated)
 		}
@@ -131,7 +131,7 @@ func TestBuildParity(t *testing.T) {
 		if err := e.LoadGraph(g); err != nil {
 			t.Fatal(err)
 		}
-		loaded := []string{"tedges", "texpand", "texpcost", "tnodes", "tvisited"}
+		loaded := []string{"tedges", "tnodes"}
 		if got := catalogNames(e); !reflect.DeepEqual(got, loaded) {
 			t.Errorf("after the reload: catalog %v, want %v", got, loaded)
 		}

@@ -97,8 +97,8 @@ func TestSnapshotHydrate(t *testing.T) {
 	// Hydration restores the relations queries and mutations read, not the
 	// builds' scratch: the degree ranking and the farthest-point state are
 	// left to whichever build runs next.
-	want := []string{"tedges", "texpand", "texpcost", "tinsegs", "tlabelin", "tlabelout", "tlandmark",
-		"tlblfrom", "tlblto", "tnodes", "toutsegs", "tseg", "tvisited"}
+	want := []string{"tedges", "tinsegs", "tlabelin", "tlabelout", "tlandmark",
+		"tlblfrom", "tlblto", "tnodes", "toutsegs", "tseg"}
 	if got := catalogNames(h); !reflect.DeepEqual(got, want) {
 		t.Errorf("hydrated catalog %v, want %v", got, want)
 	}
@@ -236,7 +236,7 @@ func TestHydrateInPlaceCleanCatalog(t *testing.T) {
 	if err := e.Hydrate(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"tedges", "texpand", "texpcost", "tinsegs", "tnodes", "toutsegs", "tseg", "tsegmaint", "tvisited"}
+	want := []string{"tedges", "tinsegs", "tnodes", "toutsegs", "tseg", "tsegmaint"}
 	if got := catalogNames(e); !reflect.DeepEqual(got, want) {
 		t.Errorf("catalog after in-place hydration %v, want %v", got, want)
 	}

@@ -226,11 +226,8 @@ type Engine struct {
 	// mutators exclusive (drain readers, run alone). Waiters of either
 	// kind abandon the queue when their context is cancelled.
 	gate *queryGate
-	// scratch pools the per-query working-table sets readers lease;
-	// scratchGlobal is the original TVisited set, reserved for exclusive
-	// operations (MST, Reachable).
-	scratch       scratchPool
-	scratchGlobal *scratchSet
+	// scratch pools the per-query working-table sets readers lease.
+	scratch scratchPool
 	// snapRetries counts searches whose graph version moved between
 	// admission and commit; 0 unless the gate invariant is broken.
 	snapRetries atomic.Uint64
@@ -313,10 +310,9 @@ func NewEngine(db *rdb.DB, opts Options) *Engine {
 		opts.CacheSize = DefaultCacheSize
 	}
 	e := &Engine{db: db, sess: db.Session(), opts: opts,
-		level:         fem.LevelOf(db.Profile()),
-		gate:          newQueryGate(),
-		scratchGlobal: newScratchSet(-1),
-		stmtCache:     make(map[string]*rdb.Stmt)}
+		level:     fem.LevelOf(db.Profile()),
+		gate:      newQueryGate(),
+		stmtCache: make(map[string]*rdb.Stmt)}
 	e.scratch.e = e
 	for i := range e.queryDur {
 		e.queryDur[i] = obs.NewHistogram(obs.DefLatencyBuckets...)

@@ -26,7 +26,8 @@ var sentinelArgs = []any{MaxDist, NoParent}
 
 // searchOps is the search's E+M round over sc, as an internal/fem spec:
 // expand the frontier the F-operator stamped (the rows whose d.sign holds
-// the bound stamp) through edges, relax d's distance where the offer is
+// the bound stamp) through edges, offering weight + d's distance (weight is
+// out.cost, or 1 for reachability), relax d's distance where the offer is
 // cheaper, re-opening the row (sign = 0), and insert undiscovered nodes
 // with the other direction at the MaxDist sentinel and sign = 1 (not a
 // candidate until relaxed from that side). prune appends the Theorem-1
@@ -34,12 +35,13 @@ var sentinelArgs = []any{MaxDist, NoParent}
 // between rounds and queries, so the plans come from the cache instead of
 // being re-parsed like the paper's client's, which shipped SQL text through
 // JDBC every iteration.
-func (e *Engine) searchOps(sc *scratchSet, d direction, edges string, prune bool) fem.Ops {
+func (e *Engine) searchOps(sc *scratchSet, d direction, edges, weight string, prune bool) fem.Ops {
+	offer := weight + " + q." + d.dist
 	frontier := "q." + d.sign + " = ?"
 	if prune {
-		frontier += " AND out.cost + q." + d.dist + " + ? < ?"
+		frontier += " AND " + offer + " + ? < ?"
 	}
-	key := d.sign + " " + edges + " " + frontier
+	key := d.sign + " " + edges + " " + offer + " " + frontier
 	if ops, ok := sc.ops[key]; ok {
 		return ops
 	}
@@ -48,7 +50,7 @@ func (e *Engine) searchOps(sc *scratchSet, d direction, edges string, prune bool
 		vals = "source.nid, ?, ?, 1, source.cost, source.par, 0"
 	}
 	sc.ops[key] = fem.Operators(e.level,
-		fem.Expand{Edges: edges, Forward: d.forward, Cost: "out.cost + q." + d.dist, Where: frontier, StageCost: sc.expCost},
+		fem.Expand{Edges: edges, Forward: d.forward, Cost: offer, Where: frontier, StageCost: sc.expCost},
 		fem.Merge{Table: sc.visited, Key: []string{"nid"}, Stage: sc.expand,
 			Matched: []fem.Branch{{When: "target." + d.dist + " > source.cost",
 				Set: d.dist + " = source.cost, " + d.par + " = source.par, " + d.sign + " = 0"}},

@@ -17,8 +17,10 @@ import (
 // femSpec parameterizes the generic FEM loop. The searches differ only in
 // (i) the frontier-selection rule (the F-operator), (ii) the edge source
 // (TEdges vs SegTable), (iii) whether the lf/lb bounds participate in
-// termination — exactly the axes §4 varies — and (iv) whether the backward
-// side expands at all, which is what separates Algorithm 1 from BDJ.
+// termination — exactly the axes §4 varies — (iv) whether the backward
+// side expands at all, which is what separates Algorithm 1 from BDJ, and
+// (v) the offer's edge term, which is what separates reachability from
+// BSDJ.
 //
 // Statement shapes are rendered once per query (the text is stable for the
 // whole search — and across searches, so the engine's prepared-statement
@@ -29,6 +31,9 @@ type femSpec struct {
 	name    string
 	edgeFwd string
 	edgeBwd string
+	// weight is the offer's edge term: out.cost for every search, 1 for
+	// reachability's unit weights.
+	weight string
 	// frontier renders the F-operator sign update for a direction; the
 	// returned shape's args function binds the 1-based expansion counter k
 	// of that direction (BSEG's d2s <= k*lthd rule, bound as "? * ?") and
@@ -80,6 +85,7 @@ func specBDJ(sc *scratchSet) femSpec {
 		name:    "BDJ",
 		edgeFwd: TblEdges,
 		edgeBwd: TblEdges,
+		weight:  "out.cost",
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
 				text: fem.MarkFrontier(sc.visited, d.sign) + " AND nid = (SELECT TOP 1 nid FROM " + sc.visited +
@@ -105,6 +111,17 @@ func specDJ(sc *scratchSet) femSpec {
 	return spec
 }
 
+// specReach: reachability (§3.1's simplest FEM query) as breadth-first
+// search — BSDJ's rule with the backward side never live, over unit
+// weights. Every candidate at the frontier minimum is then exactly one BFS
+// level, d2s is the level, and StopCondition(lf, 0, minCost) stops once
+// t's level has been reached: t's d2s + d2t is its depth.
+func specReach(sc *scratchSet) femSpec {
+	spec := specBSDJ(sc)
+	spec.name, spec.oneWay, spec.weight = "Reach", true, "1"
+	return spec
+}
+
 // specBSDJ: bi-directional set Dijkstra — all nodes at the minimal
 // distance become the frontier together (§4.1's RDB-friendly batch rule).
 func specBSDJ(sc *scratchSet) femSpec {
@@ -112,6 +129,7 @@ func specBSDJ(sc *scratchSet) femSpec {
 		name:    "BSDJ",
 		edgeFwd: TblEdges,
 		edgeBwd: TblEdges,
+		weight:  "out.cost",
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
 				text: fem.MarkFrontier(sc.visited, d.sign) + " AND " + d.dist + " = ?",
@@ -129,6 +147,7 @@ func specBBFS(sc *scratchSet) femSpec {
 		name:    "BBFS",
 		edgeFwd: TblEdges,
 		edgeBwd: TblEdges,
+		weight:  "out.cost",
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
 				text: fem.MarkFrontier(sc.visited, d.sign),
@@ -149,6 +168,7 @@ func specBSEG(sc *scratchSet, lthd int64) femSpec {
 		name:    "BSEG",
 		edgeFwd: TblOutSegs,
 		edgeBwd: TblInSegs,
+		weight:  "out.cost",
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
 				text: fem.MarkFrontier(sc.visited, d.sign) + " AND (" + d.dist + " <= ? * ? OR " + d.dist + " = ?)",

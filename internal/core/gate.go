@@ -7,14 +7,13 @@ import (
 	"repro/internal/rdb"
 )
 
-// queryGate is the engine's admission control: readers — Query, and
-// DistanceInterval — enter the shared side once and run concurrently (each
-// search over its own scratch-table set), while every writer of the graph
-// version or the indexes record — LoadGraph, ApplyMutations, the three
-// builds, Snapshot, Hydrate — and the whole-graph operations MST and
-// Reachable take the exclusive side, draining every in-flight reader first
-// and blocking new ones. A shared admission therefore freezes everything a
-// search reads.
+// queryGate is the engine's admission control: readers — Query,
+// DistanceInterval, Reachable and MinimumSpanningForest — enter the shared
+// side once and run concurrently (each over its own scratch-table set),
+// while every writer of the graph version or the indexes record —
+// LoadGraph, ApplyMutations, the three builds, Snapshot, Hydrate — takes
+// the exclusive side, draining every in-flight reader first and blocking
+// new ones. A shared admission therefore freezes everything a search reads.
 //
 // The gate is writer-preferring: once a writer is queued, new readers hold
 // back until every queued writer has run, so a steady stream of queries can

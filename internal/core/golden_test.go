@@ -24,10 +24,11 @@ import (
 // maintenance shapes 1-3; Prim's round; and the
 // original-edge fold. Shape 4 is not here — it lost its no-op ROW_NUMBER
 // dedupe. A plan cache keyed by text, and the benchmark's statement counts,
-// see no change. The F-operator and fused round of every other loop on
-// internal/fem's stamps — Prim's, reachability's and the index-build
-// sweep's — are pinned with them. The sweep's and the decremental repair's
-// own texts (sweep/, touch/, repair/, fold/*/touched) are pinned as what a
+// see no change. The texts render over a leased scratch set, set 0. The
+// F-operator and fused round of every other loop on internal/fem's stamps —
+// Prim's and the index-build sweep's — are pinned with them, and so is
+// reachability's unit-weight round (its F-operator is BSDJ's). The sweep's
+// and the decremental repair's own texts (sweep/, touch/, repair/, fold/*/touched) are pinned as what a
 // build and a delete leave prepared: the build sweeps over the segment
 // tables it folded the edges into and merges its segments over them, the
 // repair sweeps over TEdges, and the repair's FROM order is its plan.
@@ -67,7 +68,11 @@ func TestGoldenStatementTexts(t *testing.T) {
 
 	g := lineGraph(t, 8, 3)
 	e := newTestEngine(t, g, rdb.Options{}, Options{})
-	sc := e.scratchGlobal
+	sc, err := e.scratch.acquire() // set 0: every text names the _q0 tables
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.scratch.release(sc)
 	// The search texts are read off the handle the loop runs on, so a change
 	// to the frontier predicate or to what a round binds shows here: every
 	// edge source and prune setting under BSDJ's rule, then each spec's own
@@ -100,10 +105,9 @@ func TestGoldenStatementTexts(t *testing.T) {
 		check(fmt.Sprintf("maint/bwd/%d", i+1),
 			fem.MergeSelect(e.level, maintBwdShapes[i].src, segMerge(TblInSegs)).Round(false)[0].Text)
 	}
-	check("mst", e.mstRound()[0].Text)
-	check("mst/frontier", mstFrontierQ)
-	check("reach/frontier", reachFrontierQ)
-	check("reach/fused", e.reachRound()[0].Text)
+	check("mst", e.mstRound(sc)[0].Text)
+	check("mst/frontier", mstTexts(sc).frontier)
+	check("reach/fused", e.newSuperstep(sc, specReach(sc), 0).fwd.ops.Round(false)[0].Text)
 
 	// The fold renders its source per call: a build folds every edge, a
 	// delete's repair the touched pairs, and both leave their texts behind

@@ -1,6 +1,10 @@
 package core
 
-import "context"
+import (
+	"context"
+
+	"repro/internal/graph"
+)
 
 // shortestPath is the test-suite shim for the pre-PR5 Engine.ShortestPath
 // wrapper: one exact query with an explicit algorithm hint.
@@ -13,4 +17,18 @@ func shortestPath(e *Engine, alg Algorithm, s, t int64) (Path, *QueryStats, erro
 // wrapper: one oracle interval read under a shared gate admission.
 func approxDistance(e *Engine, s, t int64) (Interval, error) {
 	return e.DistanceInterval(context.Background(), s, t)
+}
+
+// unitWeights copies g with every edge at weight 1: its distances are
+// Reachable's hops.
+func unitWeights(g *graph.Graph) *graph.Graph {
+	unit := make([]graph.Edge, len(g.Edges))
+	for i, ed := range g.Edges {
+		unit[i] = graph.Edge{From: ed.From, To: ed.To, Weight: 1}
+	}
+	out, err := graph.New(g.N, unit)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }

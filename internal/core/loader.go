@@ -157,8 +157,7 @@ func (e *Engine) nodeOrder() order {
 // (the mutation counters are engine-lifetime and survive), not as a stale
 // hybrid of old and new — then drops every declared relation that exists,
 // so a serving engine swaps graphs in place and nothing it created lazily
-// survives, and creates the graph relations, which the caller fills, and
-// the global scratch set.
+// survives, and creates the graph relations, which the caller fills.
 func (e *Engine) resetLocked() error {
 	e.mu.Lock()
 	e.nodes, e.edges, e.wmin = 0, 0, 0
@@ -170,10 +169,7 @@ func (e *Engine) resetLocked() error {
 	if err := s.Drop(sweep.Relations...); err != nil {
 		return err
 	}
-	if err := s.Create(sweep.Owned(sweep.Graph)...); err != nil {
-		return err
-	}
-	return e.createScratchTables(e.scratchGlobal)
+	return s.Create(sweep.Owned(sweep.Graph)...)
 }
 
 // schema issues DDL over the engine's session under its physical design

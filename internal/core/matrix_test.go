@@ -17,10 +17,13 @@ import (
 // clients of the E- and M-operators — Prim's MST, reachability, and the
 // SegTable maintenance behind each kind of edge mutation — so a form one of
 // them cannot issue on the row's profile fails here (rdb rejects MERGE and
-// window functions the profile lacks).
+// window functions the profile lacks). Reachability is the loop's
+// unit-weight round, so its hop counts are checked against Dijkstra over a
+// unit-weight copy of the graph in every rendering of that round.
 func TestConfigurationMatrix(t *testing.T) {
 	g := graph.Random(40, 120, 99)
 	queries := graph.RandomQueries(g, 5, 3)
+	hops := unitWeights(g)
 	undirected := directedAsUndirected(graph.Random(20, 40, 7))
 	mstWeight, mstComps := kruskalWeight(undirected)
 
@@ -61,6 +64,9 @@ func TestConfigurationMatrix(t *testing.T) {
 				}
 				if want := graph.MDJ(g, q[0], q[1]).Found; r.Reachable != want {
 					t.Errorf("Reachable(%d, %d) = %v, want %v", q[0], q[1], r.Reachable, want)
+				}
+				if want := graph.MDJ(hops, q[0], q[1]); r.Reachable && int64(r.Hops) != want.Distance {
+					t.Errorf("Reachable(%d, %d): %d hops, want %d", q[0], q[1], r.Hops, want.Distance)
 				}
 			}
 			mst, err := newTestEngine(t, undirected, rdb.Options{Profile: c.profile}, c.opts).MinimumSpanningForest()

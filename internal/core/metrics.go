@@ -42,17 +42,13 @@ func (e *Engine) observeQuery(req QueryRequest, res QueryResult, err error, rec 
 func (e *Engine) QueryErrors() uint64 { return e.queryErrs.Load() }
 
 // QueryLatency exposes the latency histogram of one algorithm's answered
-// queries (the soak benchmark reads percentiles from it; /metrics exports
-// all of them).
+// queries (/metrics exports all of them).
 func (e *Engine) QueryLatency(alg Algorithm) *obs.Histogram {
 	if int(alg) < 0 || int(alg) >= numAlgs {
 		return e.queryDur[AlgAuto]
 	}
 	return e.queryDur[alg]
 }
-
-// GateWaitLatency exposes the admission-wait histogram.
-func (e *Engine) GateWaitLatency() *obs.Histogram { return e.gateWaitDur }
 
 // trackBuild marks an index build or graph load as in flight for the
 // readiness probe; the returned func clears it. Builds count from entry

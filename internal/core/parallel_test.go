@@ -100,6 +100,66 @@ func TestReadersAdmitInParallel(t *testing.T) {
 	}
 }
 
+// TestReadsRunBesideASearch: reachability and the spanning forest only read
+// the graph, so they are admitted shared and lease their own working sets.
+// Both must return, and be right, while a search is parked inside its
+// admission; were either to take the exclusive gate it would wait for the
+// parked reader and the bound below would trip.
+func TestReadsRunBesideASearch(t *testing.T) {
+	g := directedAsUndirected(graph.Power(200, 3, 7))
+	e := newTestEngine(t, g, rdb.Options{}, Options{CacheSize: -1})
+	parked, release := make(chan struct{}), make(chan struct{})
+	e.hookSearchStart = func() {
+		close(parked)
+		<-release
+	}
+	searched := make(chan error, 1)
+	go func() {
+		_, err := e.Query(context.Background(), QueryRequest{Source: 0, Target: 150, Alg: AlgBSDJ})
+		searched <- err
+	}()
+	<-parked
+
+	read := make(chan error, 1)
+	go func() {
+		read <- func() error {
+			s, tt := int64(3), int64(120)
+			r, err := e.Reachable(s, tt)
+			if err != nil {
+				return fmt.Errorf("Reachable: %v", err)
+			}
+			if want := graph.MDJ(unitWeights(g), s, tt); r.Reachable != want.Found || int64(r.Hops) != want.Distance {
+				return fmt.Errorf("Reachable(%d, %d) = %+v, want found=%v at %d hops", s, tt, r, want.Found, want.Distance)
+			}
+			mst, err := e.MinimumSpanningForest()
+			if err != nil {
+				return fmt.Errorf("MinimumSpanningForest: %v", err)
+			}
+			if want, comps := kruskalWeight(g); mst.TotalWeight != want || mst.Components != comps {
+				return fmt.Errorf("MST weight %d in %d components, Kruskal says %d in %d",
+					mst.TotalWeight, mst.Components, want, comps)
+			}
+			return nil
+		}()
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(60 * time.Second):
+		close(release)
+		t.Fatal("Reachable and MinimumSpanningForest never returned beside a parked search: they are not admitted shared")
+	}
+	close(release)
+	if err := <-searched; err != nil {
+		t.Errorf("parked search: %v", err)
+	}
+	if st := e.ConcurrencyStats(); st.Gate.ExclusiveAdmits != 1 || st.Gate.Readers != 0 {
+		t.Errorf("gate after the reads: %+v, want only the load exclusive and no reader left", st.Gate)
+	}
+}
+
 // TestWriterDrainsReaders pins the admission order: a writer queued behind
 // an in-flight reader waits for it, holds later readers back (writer
 // preference), and runs before them once the reader drains.

@@ -26,10 +26,8 @@ import (
 // stays bounded no matter how many queries run. DDL (CREATE/DROP, each
 // bumping the schema epoch) happens only when the pool grows past its
 // high-water mark or shrinks past the retain floor, never per query.
-//
-// The global set (id -1) keeps the original TVisited/TExpand/TExpCost
-// names; it is created by LoadGraph and reserved for operations that
-// already run under the exclusive gate (MST, Reachable, SegTable builds).
+// Every read of the graph that needs a working set leases one this way:
+// the searches, reachability and the spanning forest.
 
 // DefaultScratchRetain is how many scratch sets a release keeps warm when
 // Options.ScratchRetain is 0. Sized for the bench's concurrency levels;
@@ -67,13 +65,9 @@ type scratchSet struct {
 	ops map[string]fem.Ops
 }
 
-// newScratchSet renders the statement texts for set id (negative = the
-// global TVisited set).
+// newScratchSet renders the statement texts for set id.
 func newScratchSet(id int) *scratchSet {
-	suffix := ""
-	if id >= 0 {
-		suffix = fmt.Sprintf("_q%d", id)
-	}
+	suffix := fmt.Sprintf("_q%d", id)
 	rels := sweep.Owned(sweep.Scratch)
 	for i := range rels {
 		rels[i].Name += suffix
@@ -200,10 +194,9 @@ func (p *scratchPool) stats() ScratchStats {
 }
 
 // createScratchTables mints the set's tables under the engine's index
-// strategy; LoadGraph and hydration mint the global set through it too. A
-// recycled id may find leftovers from a drop that failed midway, and a
-// failed creation leaves a partial prefix: both are dropped, so a failed
-// mint never leaks catalog entries.
+// strategy. A recycled id may find leftovers from a drop that failed
+// midway, and a failed creation leaves a partial prefix: both are dropped,
+// so a failed mint never leaks catalog entries.
 func (e *Engine) createScratchTables(sc *scratchSet) error {
 	e.dropScratchTables(sc)
 	err := e.schema(nil).Create(sc.rels...)

@@ -66,9 +66,9 @@ func (e *Engine) newSuperstep(sc *scratchSet, spec femSpec, budget int64) *super
 	ss := &superstep{
 		e: e, sc: sc, spec: spec,
 		qs: &QueryStats{Algorithm: spec.name, budget: budget},
-		fwd: femSide{ops: e.searchOps(sc, fwd, spec.edgeFwd, spec.prune),
+		fwd: femSide{ops: e.searchOps(sc, fwd, spec.edgeFwd, spec.weight, spec.prune),
 			front: spec.frontier(fwd), stats: sc.biStatsF},
-		bwd: femSide{ops: e.searchOps(sc, bwd, spec.edgeBwd, spec.prune),
+		bwd: femSide{ops: e.searchOps(sc, bwd, spec.edgeBwd, spec.weight, spec.prune),
 			front: spec.frontier(bwd), stats: sc.biStatsB},
 	}
 	if spec.preFrontier != nil {

@@ -227,22 +227,12 @@ func (p *Planner) PrepareDelete(st *sql.DeleteStmt) (*PreparedDML, error) {
 	if err != nil {
 		return nil, err
 	}
-	if src, probe := p.existsDriver(t, st.Table, conjuncts, c); probe != nil {
-		del := []mergeBranch{{del: true}}
-		return newDML(src, probe, func(in *instance) (Result, error) { return mergeRows(in, t, del, nil, false) }), nil
+	var src Node
+	if driver, probe := p.existsDriver(t, st.Table, conjuncts, c); probe != nil {
+		src, scan = driver, probe
 	}
-	return newDML(nil, scan, func(in *instance) (Result, error) {
-		matches, err := findTargets(&in.ctx, in.target, nil)
-		if err != nil {
-			return Result{}, err
-		}
-		for _, m := range matches {
-			if err := t.Delete(m.loc, m.row); err != nil {
-				return Result{}, err
-			}
-		}
-		return Result{RowsAffected: int64(len(matches))}, nil
-	}), nil
+	del := []mergeBranch{{del: true}}
+	return newDML(src, scan, func(in *instance) (Result, error) { return mergeRows(in, t, del, nil, false) }), nil
 }
 
 // existsDriver turns DELETE FROM t WHERE EXISTS (SELECT ... FROM m WHERE corr)
@@ -261,7 +251,7 @@ func (p *Planner) existsDriver(t *table.Table, qual string, conjuncts []sql.Expr
 		}
 		sel := ex.Select
 		if len(sel.From) != 1 || sel.From[0].Sub != nil || strings.EqualFold(sel.From[0].Name(), qual) ||
-			sel.Top != nil || sel.GroupBy != nil || sel.Having != nil || slices.ContainsFunc(sel.Items, opaque) ||
+			sel.Top != nil || sel.GroupBy != nil || slices.ContainsFunc(sel.Items, opaque) ||
 			exprRefs(sel.Where, func(cr *sql.ColumnRef) bool { return cr.Table == "" }) {
 			continue
 		}
@@ -498,12 +488,12 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 	}), nil
 }
 
-// mergeRows drives MERGE, UPDATE and the EXISTS-driven DELETE: every source
-// row — all read before the first change, since the source may be a query
-// over t; an UPDATE without FROM has one, empty — probes the target through
-// in.target, each target row takes the first branch whose condition holds,
-// once per statement, and a source row that finds no target row inserts
-// when ins says so. A direct statement (writesThrough) writes each change
+// mergeRows drives MERGE, UPDATE and DELETE: every source row — all read
+// before the first change, since the source may be a query over t; an
+// UPDATE without FROM and a DELETE with no EXISTS driver have one, empty —
+// probes the target through in.target, each target row takes the first
+// branch whose condition holds, once per statement, and a source row that
+// finds no target row inserts when ins says so. A direct statement (writesThrough) writes each change
 // through the target scan's iterator, on the page the scan read; any other
 // materializes a probe's matches first (eachTarget) and writes through
 // Table.Update and Table.Insert. Deletes are collected and applied after

@@ -68,7 +68,7 @@ func scanLayout(t *table.Table, qual string) (*Layout, []bool) {
 // references; usedOuter (when non-nil) is set if the block references it.
 func (p *Planner) planSelect(st *sql.SelectStmt, rankOne bool, outerEnv *Env, c *compiler, usedOuter *bool) (Node, *Layout, error) {
 	items := st.Items
-	needAgg := len(st.GroupBy) > 0 || hasCall(st.Having, false)
+	needAgg := len(st.GroupBy) > 0
 	needWin := false
 	for _, it := range items {
 		needAgg = needAgg || hasCall(it, false)
@@ -502,15 +502,11 @@ func (p *Planner) planAggregate(st *sql.SelectStmt, input Node, inEnv *Env, c *c
 		}
 		items[i] = ne
 	}
-	having, err := rewriteForAgg(st.Having, groupKeys, &aggCalls)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
 	specs := make([]aggSpec, len(aggCalls))
 	for i, call := range aggCalls {
 		specs[i].kind = aggKinds[call.Name]
 		if call.Arg != nil {
+			var err error
 			if specs[i].arg, err = c.compileExpr(call.Arg, inEnv, usedOuter); err != nil {
 				return nil, nil, nil, err
 			}
@@ -528,16 +524,7 @@ func (p *Planner) planAggregate(st *sql.SelectStmt, input Node, inEnv *Env, c *c
 	if len(st.GroupBy) == 0 {
 		agg.Fold = foldable(input, aggCalls, inEnv.Lay)
 	}
-	node := Node(agg)
-	env := &Env{Lay: postLay, Parent: inEnv.Parent}
-	if having != nil {
-		pred, err := c.compileExpr(having, env, usedOuter)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		node = &Filter{Input: node, Pred: pred}
-	}
-	return node, env, items, nil
+	return agg, &Env{Lay: postLay, Parent: inEnv.Parent}, items, nil
 }
 
 // rewriteForAgg replaces group-by expressions with $grp references and
@@ -594,18 +581,18 @@ func (p *Planner) planWindow(items []sql.Expr, input Node, env *Env, c *compiler
 // errRankOne rejects every use of ROW_NUMBER but the one the engine
 // evaluates (see takeRankOne).
 var errRankOne = errors.New("exec: ROW_NUMBER() is supported only as a bare select item of a derived table " +
-	"whose block has no other window call, GROUP BY, HAVING, TOP or DISTINCT, kept to rank 1 by the enclosing WHERE: " +
+	"whose block has no other window call, GROUP BY, TOP or DISTINCT, kept to rank 1 by the enclosing WHERE: " +
 	"SELECT ... FROM (SELECT ..., ROW_NUMBER() OVER (...) FROM ...) tmp (..., rn) WHERE rn = 1")
 
 // takeRankOne reports whether derived table ref, laid out as lay, is the one
 // form of ROW_NUMBER the engine evaluates, the paper's: the window call is a
 // bare select item, the only window call of a block without GROUP BY,
-// HAVING, TOP, DISTINCT or aggregates, and a top-level conjunct of the
+// TOP, DISTINCT or aggregates, and a top-level conjunct of the
 // enclosing WHERE is `rn = 1` (either way round) on its column. That
 // conjunct is taken from remaining: the Window keeps rank 1 alone.
 func takeRankOne(ref *sql.TableRef, lay *Layout, remaining *[]sql.Expr) bool {
 	sub := ref.Sub
-	if sub.Top != nil || sub.Distinct || len(sub.GroupBy) > 0 || sub.Having != nil {
+	if sub.Top != nil || sub.Distinct || len(sub.GroupBy) > 0 {
 		return false
 	}
 	col := -1

@@ -228,33 +228,6 @@ func validLabelName(s string) bool {
 	return validName(s) && !strings.Contains(s, ":")
 }
 
-// Counter is a monotonically increasing counter, safe for concurrent use.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an integer-valued level, safe for concurrent use.
-type Gauge struct{ v atomic.Int64 }
-
-// Inc adds 1.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts 1.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a fixed-bucket histogram, safe for concurrent Observe from
 // any number of goroutines. Bounds are upper-inclusive bucket edges in
 // ascending order; an implicit +Inf bucket catches the tail. Observations
@@ -333,13 +306,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Bounds returns the bucket upper bounds (without the implicit +Inf).
-func (h *Histogram) Bounds() []float64 {
-	b := make([]float64, len(h.bounds))
-	copy(b, h.bounds)
-	return b
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) from the bucket counts by

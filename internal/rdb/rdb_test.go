@@ -283,13 +283,13 @@ func TestGroupBy(t *testing.T) {
 	}
 }
 
+// TestGroupByHaving: HAVING is outside the dialect, so a GROUP BY with one
+// is refused, not run unfiltered.
 func TestGroupByHaving(t *testing.T) {
 	db := openDB(t, Options{})
 	seedPeople(t, db)
-	rows := mustQuery(t, db,
-		"SELECT city, COUNT(*) FROM people GROUP BY city HAVING COUNT(*) > 1")
-	if rows.Len() != 2 {
-		t.Fatalf("HAVING wrong: %v", rows.Data)
+	if rows, err := db.Query("SELECT city, COUNT(*) FROM people GROUP BY city HAVING COUNT(*) > 1"); err == nil {
+		t.Fatalf("HAVING accepted: %v", rows.Data)
 	}
 }
 

@@ -128,7 +128,6 @@ func (c *tableSetCollector) selectStmt(s *sql.SelectStmt) {
 	for _, e := range s.GroupBy {
 		c.expr(e)
 	}
-	c.expr(s.Having)
 }
 
 func (c *tableSetCollector) expr(e sql.Expr) {

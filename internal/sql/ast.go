@@ -94,7 +94,6 @@ type SelectStmt struct {
 	From     []*TableRef // comma-join list; only the first may be derived
 	Where    Expr
 	GroupBy  []Expr
-	Having   Expr
 }
 
 // MergeMatched is one WHEN MATCHED [AND cond] THEN UPDATE branch.

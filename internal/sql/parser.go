@@ -233,11 +233,6 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 		if st.GroupBy, err = p.parseExprList(); err != nil {
 			return nil, err
 		}
-		if p.acceptKeyword("HAVING") {
-			if st.Having, err = p.parseExpr(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return st, nil
 }

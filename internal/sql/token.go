@@ -1,7 +1,7 @@
 // Package sql implements the lexer, AST and recursive-descent parser for
 // the SQL dialect the engine executes, which is the SQL the FEM clients
 // issue and no more: SELECT with comma joins, a leading derived table, GROUP
-// BY / HAVING, TOP, DISTINCT, scalar and [NOT] EXISTS subqueries, MIN / MAX /
+// BY, TOP, DISTINCT, scalar and [NOT] EXISTS subqueries, MIN / MAX /
 // COUNT, the ROW_NUMBER window function (SQL:2003) and the MERGE statement
 // (SQL:2008), plus INSERT / UPDATE [FROM] / DELETE and the CREATE / DROP DDL
 // around them, over integer literals and ? parameters. The grammar is in
@@ -39,7 +39,7 @@ type Token struct {
 // the dialect does not have is a parse error, not a column called NULL.
 var keywords = map[string]bool{
 	"SELECT": true, "TOP": true, "DISTINCT": true, "FROM": true,
-	"WHERE": true, "GROUP": true, "BY": true, "HAVING": true, "ORDER": true,
+	"WHERE": true, "GROUP": true, "BY": true, "ORDER": true,
 	"AND": true, "OR": true, "NOT": true, "EXISTS": true, "NULL": true,
 	"AS": true, "INSERT": true, "INTO": true, "VALUES": true,
 	"UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,

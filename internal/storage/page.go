@@ -59,10 +59,6 @@ type Page struct {
 // ID returns the page's identifier.
 func (p *Page) ID() PageID { return p.id }
 
-// MarkDirty records that the page content changed and must be written back
-// before eviction.
-func (p *Page) MarkDirty() { p.dirty = true }
-
 // Dirty reports whether the page has unsaved changes.
 func (p *Page) Dirty() bool { return p.dirty }
 

@@ -72,9 +72,8 @@ type Owner int
 const (
 	// Graph relations are created by a load or a hydration.
 	Graph Owner = iota
-	// Scratch is a search's working set: one under these names, created
-	// with the graph, plus a pooled <name>_q<i> instance per concurrent
-	// search.
+	// Scratch is a read's working set. No table carries these names: each
+	// read in flight leases a pooled <name>_q<i> instance.
 	Scratch
 	// Seg, Oracle and Labels relations are dropped and created by a build
 	// (or a hydration) of that index.

@@ -78,7 +78,7 @@ type Stats struct {
 	Bytes   uint64
 	// Syncs counts fsyncs issued; with group commit this is <= Appends,
 	// and the gap is the coalescing win. SyncTime is total time spent in
-	// fsync — the soak benchmark reports its share of mutation latency.
+	// fsync (the benchmark's mutate_mix reports it per batch).
 	Syncs    uint64
 	SyncTime time.Duration
 	// Resets counts truncations to empty (one per committed snapshot).
