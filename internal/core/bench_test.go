@@ -90,12 +90,12 @@ func TestWarmQueryAllocs(t *testing.T) {
 // BenchmarkColdBSEGQuery is one BSEG search per iteration in cold_bseg's
 // shape, the paper's disk regime (§5, Fig 8(b) / 9(g)), scaled down: a
 // file-backed database of graph.Power(8000,3,2011) with its SegTable at
-// lthd 20 (~910 pages), a 48-page buffer pool (about a twentieth of the
+// lthd 20 (~690 pages), a 36-page buffer pool (about a twentieth of the
 // file) and the path cache off. Every query misses, evicts and writes
 // scratch pages back, so B/op and allocs/op include what the pool's misses
 // allocate; misses/op counts its physical reads, pages/op every fetch.
 func BenchmarkColdBSEGQuery(b *testing.B) {
-	const poolPages = 48
+	const poolPages = 36
 	g := graph.Power(8000, 3, 2011)
 	path := filepath.Join(b.TempDir(), "cold.db")
 	e := newTestEngine(b, g, rdb.Options{Path: path, BufferPoolPages: poolPages}, Options{CacheSize: -1})
@@ -234,12 +234,14 @@ func BenchmarkSegTableBuild(b *testing.B) {
 
 // BenchmarkColdSegTableBuild is one BuildSegTable(20) per iteration in
 // cold_bseg's set-up shape, scaled down like BenchmarkColdBSEGQuery: a
-// file-backed database of graph.Power(8000,3,2011) behind a 48-page buffer
-// pool, about a twentieth of the file. The build's passes outgrow the pool,
-// so misses/op (physical reads) is what an access path that follows the
-// clustering saves; pages/op counts every fetch.
+// file-backed database of graph.Power(8000,3,2011) behind a 36-page buffer
+// pool, about a twentieth of the file. The segment tables outgrow the pool
+// and the sweep runs in batches of sources that fit it (batches/op, per
+// direction), so misses/op (physical reads) is what a working set inside
+// the pool and an access path that follows the clustering save; pages/op
+// counts every fetch.
 func BenchmarkColdSegTableBuild(b *testing.B) {
-	const poolPages = 48
+	const poolPages = 36
 	g := graph.Power(8000, 3, 2011)
 	path := filepath.Join(b.TempDir(), "cold.db")
 	e := newTestEngine(b, g, rdb.Options{Path: path, BufferPoolPages: poolPages}, Options{CacheSize: -1})
@@ -249,7 +251,7 @@ func BenchmarkColdSegTableBuild(b *testing.B) {
 	if pages := e.db.Pool().Disk().NumPages(); pages < 15*poolPages || pages > 25*poolPages {
 		b.Fatalf("the file has %d pages: the %d-page pool is no longer about a twentieth of it", pages, poolPages)
 	}
-	var stmts int
+	var stmts, batches int
 	pool := e.db.Stats().Pool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -258,6 +260,7 @@ func BenchmarkColdSegTableBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		stmts += st.Statements
+		batches += st.Batches
 	}
 	b.StopTimer()
 	after := e.db.Stats().Pool
@@ -265,6 +268,7 @@ func BenchmarkColdSegTableBuild(b *testing.B) {
 		b.Fatal("no build missed the pool")
 	}
 	b.ReportMetric(float64(stmts)/float64(b.N), "stmts/op")
+	b.ReportMetric(float64(batches)/float64(b.N), "batches/op")
 	b.ReportMetric(float64(after.Hits+after.Misses-pool.Hits-pool.Misses)/float64(b.N), "pages/op")
 	b.ReportMetric(float64(after.Misses-pool.Misses)/float64(b.N), "misses/op")
 }

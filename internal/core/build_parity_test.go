@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -136,4 +138,71 @@ func TestBuildParity(t *testing.T) {
 			t.Errorf("after the reload: catalog %v, want %v", got, loaded)
 		}
 	})
+}
+
+// TestBatchedBuildMatchesOneBatch: a buffer pool that holds a few dozen
+// sources' working set at a time splits the SegTable sweep into batches,
+// each merged into the segment tables before the next one sweeps over their
+// direct hops. The tables must come out as the default pool's one-batch
+// build leaves them, row for row and pid included, on every physical
+// design, at thresholds that keep segments short and that let them span
+// many hops.
+func TestBatchedBuildMatchesOneBatch(t *testing.T) {
+	rows := func(t *testing.T, e *Engine, tbl string) [][4]int64 {
+		t.Helper()
+		res, err := e.DB().Query("SELECT fid, tid, pid, cost FROM " + tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][4]int64, 0, res.Len())
+		for _, r := range res.Data {
+			out = append(out, [4]int64{r[0].I, r[1].I, r[2].I, r[3].I})
+		}
+		slices.SortFunc(out, func(a, b [4]int64) int { return slices.Compare(a[:], b[:]) })
+		return out
+	}
+	// An 8-page pool holds a batch of a few dozen sources. Longer segments
+	// mean more rows per source, so more batches on a smaller graph, and
+	// more rounds per batch: n shrinks as lthd grows, to keep every case
+	// above eight batches and the NoIndex builds (a heap scan of the
+	// segment table per round) short.
+	for _, tc := range []struct {
+		lthd int64
+		n    int64
+	}{{5, 1000}, {20, 1000}, {60, 400}} {
+		lthd := tc.lthd
+		for _, gc := range []struct {
+			name string
+			g    *graph.Graph
+		}{{"power", graph.Power(tc.n, 3, 7)}, {"random", graph.Random(tc.n*3/5, int(tc.n*12/5), 7)}} {
+			for _, strategy := range []IndexStrategy{ClusteredIndex, SecondaryIndex, NoIndex} {
+				t.Run(fmt.Sprintf("%s/lthd=%d/%v", gc.name, lthd, strategy), func(t *testing.T) {
+					t.Parallel()
+					var stats [2]*SegTableStats
+					var tables [2][2][][4]int64
+					for i, pool := range []int{8, 0} { // 0: the default pool
+						e := newTestEngine(t, gc.g, rdb.Options{BufferPoolPages: pool}, Options{Strategy: strategy})
+						st, err := e.BuildSegTable(lthd)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := e.checkSegTable(); err != nil {
+							t.Fatalf("%d-page pool: %v", pool, err)
+						}
+						stats[i] = st
+						tables[i] = [2][][4]int64{rows(t, e, TblOutSegs), rows(t, e, TblInSegs)}
+					}
+					if stats[0].Batches < 8 || stats[1].Batches != 1 {
+						t.Fatalf("batches %d on the small pool and %d on the default one, want >= 8 and 1", stats[0].Batches, stats[1].Batches)
+					}
+					for d, tbl := range []string{TblOutSegs, TblInSegs} {
+						if !slices.Equal(tables[0][d], tables[1][d]) {
+							t.Errorf("%s: %d rows in %d batches differ from %d rows in one", tbl, len(tables[0][d]), stats[0].Batches, len(tables[1][d]))
+						}
+					}
+					t.Logf("batches %d: %v", stats[0].Batches, stats[0])
+				})
+			}
+		}
+	}
 }

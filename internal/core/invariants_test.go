@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/rdb"
+	"repro/internal/table"
 )
 
 // checkSegTable checks what Definition 4 and the writers promise of a built
@@ -83,9 +85,21 @@ func (e *Engine) checkSegTable() error {
 
 // TestCheckSegTableBites: a built SegTable passes, and each kind of damage
 // the check names — a pid that closes no chain in either table, a cost one
-// table disagrees on, a pair recorded twice — fails it.
+// table disagrees on, a pair recorded twice — fails it. Under CluIndex the
+// tables are keyed on the pair, which refuses the duplicate itself, so that
+// damage is checked on NoIndex heaps, where nothing refuses it.
 func TestCheckSegTableBites(t *testing.T) {
 	g := graph.Power(200, 3, 5)
+	build := func(t *testing.T, strategy IndexStrategy) *Engine {
+		e := newTestEngine(t, g, rdb.Options{}, Options{Strategy: strategy})
+		if _, err := e.BuildSegTable(20); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.checkSegTable(); err != nil {
+			t.Fatalf("fresh build under %v: %v", strategy, err)
+		}
+		return e
+	}
 	for _, tc := range []struct {
 		name, damage string
 	}{
@@ -95,14 +109,16 @@ func TestCheckSegTableBites(t *testing.T) {
 		{"duplicate", "INSERT INTO " + TblOutSegs + " (fid, tid, pid, cost) SELECT fid, tid, pid, cost FROM " + TblInSegs + " WHERE fid = 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newTestEngine(t, g, rdb.Options{}, Options{})
-			if _, err := e.BuildSegTable(20); err != nil {
-				t.Fatal(err)
+			e := build(t, ClusteredIndex)
+			_, err := e.DB().Exec(tc.damage)
+			if tc.name == "duplicate" {
+				if !errors.Is(err, table.ErrUniqueViolation) {
+					t.Fatalf("%s under CluIndex: %v, want %v", tc.damage, err, table.ErrUniqueViolation)
+				}
+				e = build(t, NoIndex)
+				_, err = e.DB().Exec(tc.damage)
 			}
-			if err := e.checkSegTable(); err != nil {
-				t.Fatalf("fresh build: %v", err)
-			}
-			if _, err := e.DB().Exec(tc.damage); err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
 			if err := e.checkSegTable(); err == nil {

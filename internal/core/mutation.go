@@ -131,8 +131,8 @@ const (
 
 	// Touch-set shapes (computeTouchSet), one per decomposition case. Each
 	// starts from the few rows one clustered probe yields — the prefixes
-	// x -> u in TInSegs (clustered on tid), the suffixes v -> y in TOutSegs
-	// (clustered on fid) — and reaches the recorded pair s through TOutSegs'
+	// x -> u in TInSegs (keyed on tid first), the suffixes v -> y in TOutSegs
+	// (keyed on fid first) — and reaches the recorded pair s through TOutSegs'
 	// key; the planner joins left-deep in FROM order.
 	touchPairQ = "INSERT INTO " + tblMutTouch + " (fid, tid) SELECT s.fid, s.tid FROM " +
 		TblOutSegs + " s WHERE s.fid = ? AND s.tid = ? AND ? <= s.cost"

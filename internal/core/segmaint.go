@@ -96,8 +96,8 @@ func (e *Engine) mergeSegs(ctx context.Context, qs *QueryStats, target, src stri
 
 // The candidate pairs of the {x = u, x != u} x {y = v, y != v}
 // decomposition: 1) the pair (u, v) itself; 2) x != u, y = v, prefixes
-// x -> u from TInSegs (clustered on tid); 3) x = u, y != v, suffixes v -> y
-// from TOutSegs (clustered on fid); 4) both halves. (fid, tid) is unique in
+// x -> u from TInSegs (keyed on tid first); 3) x = u, y != v, suffixes v -> y
+// from TOutSegs (keyed on fid first); 4) both halves. (fid, tid) is unique in
 // both tables, so with a.tid = u and b.fid = v fixed shape 4 emits each
 // (a.fid, b.tid) once — no dedupe. The forward shapes write TOutSegs, whose
 // pid is the predecessor of tid on the path; the backward shapes write

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/rdb"
+	"repro/internal/storage"
 	"repro/internal/sweep"
 )
 
@@ -21,7 +22,15 @@ const (
 	// (fid=nid, tid=src, pid=successor of nid).
 	segSweptOutQ = "SELECT src, nid, par, dist FROM " + TblSeg + " WHERE src <> nid"
 	segSweptInQ  = "SELECT nid, src, par, dist FROM " + TblSeg + " WHERE src <> nid"
+
+	// A batch's sources: a range [lo, hi) of the node order.
+	segBatchSeed = TblNodes + " WHERE nid >= ? AND nid < ?"
 )
+
+// segLeafRows is how many TSeg rows the first batch assumes a page holds:
+// a leaf half full of 62-byte entries (the 18-byte (src, nid) key, the
+// 40-byte tuple, two length bytes and a 2-byte slot).
+const segLeafRows = storage.PageSize / 2 / 62
 
 // sweeper builds the index-build kernel over the engine's statement path:
 // every statement a build issues runs through exec / queryInt (prepared
@@ -48,11 +57,12 @@ const DefaultLthd = 20
 // the original edges not dominated by a segment; TInSegs is the symmetric
 // incoming-direction table. Construction itself runs through the FEM
 // framework (§4.2), one direction at a time: the original edges are folded
-// into the direction's table first, then all nodes start as sources in a
-// working table TSeg keyed on (src, nid), bounded multi-source
-// set-Dijkstra expands over that table until the minimal unfinalized
-// distance exceeds lthd, and a final MERGE writes the segments over the
-// fold.
+// into the direction's table first, then the nodes start as sources in a
+// working table TSeg keyed on (src, nid), a batch of them at a time sized
+// to a quarter of the buffer pool; bounded multi-source set-Dijkstra
+// expands over the table's direct hops until the minimal unfinalized
+// distance exceeds lthd, and a MERGE writes the batch's segments over the
+// table before the next batch starts (segPass).
 func (e *Engine) BuildSegTable(lthd int64) (*SegTableStats, error) {
 	return e.BuildSegTableContext(context.Background(), lthd)
 }
@@ -124,17 +134,18 @@ func (e *Engine) buildSegTableLocked(ctx context.Context, lthd int64, bump bool)
 	// Forward pass: shortest segments in the outgoing direction. par holds
 	// pre(v), the predecessor of v on the path src -> v, which becomes
 	// TOutSegs.pid (Definition 4(1)).
-	itF, err := e.segPass(ctx, qs, lthd, true)
+	itF, batchF, err := e.segPass(ctx, qs, lthd, true)
 	if err != nil {
 		return nil, err
 	}
 	// Backward pass over incoming edges. par holds the successor of v on
 	// the path v -> src, which becomes TInSegs.pid.
-	itB, err := e.segPass(ctx, qs, lthd, false)
+	itB, batchB, err := e.segPass(ctx, qs, lthd, false)
 	if err != nil {
 		return nil, err
 	}
 	st.Iterations = itF + itB
+	st.Batches = max(batchF, batchB)
 
 	outCnt, _, err := e.queryInt(ctx, qs, nil, segCountOutQ)
 	if err != nil {
@@ -172,31 +183,57 @@ func (e *Engine) createSegTables(qs *QueryStats) error {
 }
 
 // segPass runs one direction of the construction: fold the original edges
-// into the direction's table (Definition 4(2)), sweep over that table, and
-// merge the segments found (Definition 4(1)) over the fold, a cost tie
-// keeping the fold's direct hop. At sweep time the table holds each edge
-// pair once at its minimal cost, so the fixpoint is the one over TEdges.
-// The point is the access path: TOutSegs is clustered on fid and TInSegs on
-// tid, the column each direction's expansion joins on, while TEdges is
-// clustered on fid and a backward sweep over it fetches a page per incoming
-// edge through tedges_tid.
-func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64, forward bool) (int, error) {
+// into the direction's table (Definition 4(2)), then sweep over that table
+// in batches of sources and merge each batch's segments (Definition 4(1))
+// over it before the next batch starts. It returns the rounds summed over
+// the batches and the batches.
+//
+// A batch is a contiguous range of the node order, sized so that its TSeg
+// stays within a quarter of the buffer pool: every round's F and E passes
+// read the whole working set, and one that outgrows the pool misses on
+// every pass. The first batch assumes the fold's rows per node plus one
+// per source; each later one the pages per source the batch before it
+// left. A pool that holds the whole sweep gives one batch.
+//
+// The sweep expands the table's direct hops only (sweep.Run), which for
+// the first batch are exactly the fold. A later batch sees the fold minus
+// the edges a strictly cheaper segment replaced; such an edge lies on no
+// shortest path, so every batch reaches the fixpoint it would reach over
+// the fold, and so over TEdges (a cost tie keeps the direct hop). The
+// point is the access path: TOutSegs is keyed on (fid, tid) and TInSegs on
+// (tid, fid), so the expansion probes the prefix it joins on and every
+// merge is a point probe, where TEdges is clustered on fid and a backward
+// sweep over it fetches a page per incoming edge through tedges_tid.
+func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64, forward bool) (iterations, batches int, err error) {
 	target, swept := TblOutSegs, segSweptOutQ
 	if !forward {
 		target, swept = TblInSegs, segSweptInQ
 	}
 	if err := e.foldEdges(ctx, qs, forward, ""); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	// Every node is a source at distance 0 from itself.
-	iterations, _, err := e.sweeper(qs).Run(ctx, target, forward, lthd, sweep.Q(TblNodes), sweep.Query{})
-	if err != nil {
-		return 0, err
+	cat := e.db.Catalog()
+	folded, _ := cat.Get(target)
+	n := e.Nodes()
+	budget := float64(max(e.db.Pool().Capacity()/4, 1))
+	perSource := (float64(folded.RowCount())/float64(n) + 1) / segLeafRows // pages
+	sw := e.sweeper(qs)
+	for lo := 0; lo < n; batches++ {
+		hi := min(n, lo+max(1, int(budget/perSource)))
+		// Each source is at distance 0 from itself.
+		it, _, err := sw.Run(ctx, target, forward, lthd, sweep.Q(segBatchSeed, lo, hi), sweep.Query{})
+		if err != nil {
+			return 0, 0, err
+		}
+		if _, err := e.mergeSegs(ctx, qs, target, swept, nil); err != nil {
+			return 0, 0, err
+		}
+		iterations += it
+		work, _ := cat.Get(TblSeg)
+		perSource = float64(len(work.Pages())) / float64(hi-lo)
+		lo = hi
 	}
-	if _, err := e.mergeSegs(ctx, qs, target, swept, nil); err != nil {
-		return 0, err
-	}
-	return iterations, nil
+	return iterations, batches, nil
 }
 
 // foldEdges merges the original edges into the segment table

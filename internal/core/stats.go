@@ -120,10 +120,16 @@ type Path struct {
 
 // SegTableStats reports one SegTable construction (§5.3's metrics).
 type SegTableStats struct {
-	Lthd       int64
-	OutSegs    int // rows in TOutSegs (pre-computed segments + edges)
-	InSegs     int
+	Lthd    int64
+	OutSegs int // rows in TOutSegs (pre-computed segments + edges)
+	InSegs  int
+	// Iterations sums the sweep's rounds over both directions and every
+	// batch of sources.
 	Iterations int
+	// Batches is how many batches of sources a direction's sweep ran in,
+	// the larger count of the two directions: 1 when the buffer pool holds
+	// the whole sweep.
+	Batches    int
 	Statements int
 	BuildTime  time.Duration
 }

@@ -128,9 +128,11 @@ var Relations = []Relation{
 	{Name: TblVisited, Cols: "nid, d2s, p2s, f, d2t, p2t, b", Key: "nid", Unique: true, PK: true, Follows: true, Owner: Scratch},
 	{Name: TblExpand, Cols: "nid, par, cost", Key: "nid", Unique: true, PK: true, Follows: true, Owner: Scratch},
 	{Name: TblExpCost, Cols: "nid, cost", Key: "nid", Unique: true, PK: true, Follows: true, Owner: Scratch},
-	// Definition 4: (fid, tid) is unique in both, kept so by every writer merging on the pair.
-	{Name: TblOutSegs, Cols: "fid, tid, pid, cost", Key: "fid", Follows: true, Owner: Seg, Snapshot: true},
-	{Name: TblInSegs, Cols: "fid, tid, pid, cost", Key: "tid", Follows: true, Owner: Seg, Snapshot: true},
+	// Definition 4: (fid, tid) is unique in both, kept so by every writer
+	// merging on the pair. Each is keyed on it, led by the column its
+	// direction's expansion joins on.
+	{Name: TblOutSegs, Cols: "fid, tid, pid, cost", Key: "fid, tid", Unique: true, Follows: true, Owner: Seg, Snapshot: true},
+	{Name: TblInSegs, Cols: "fid, tid, pid, cost", Key: "tid, fid", Unique: true, Follows: true, Owner: Seg, Snapshot: true},
 	{Name: TblWork, Cols: "src, nid, dist, par, f", Key: "src, nid", Unique: true, Owner: Seg},
 	{Name: TblSegMaint, Cols: "fid, tid, pid, cost", Key: "fid, tid", Unique: true, BelowMerge: true, Owner: Seg},
 	{Name: tblExpand, Cols: "src, nid, par, cost", Key: "src, nid", Unique: true, BelowMerge: true, Owner: Work},

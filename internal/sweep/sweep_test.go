@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/fem"
@@ -37,15 +38,19 @@ func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 // TestRunDifferential checks the working set a sweep leaves behind against
 // the in-memory one-to-all Dijkstra, on every expansion profile, in both
 // directions, for the two ways the builds call it: one seed with no bound
-// (oracle, labels) and every node seeded under a bound (SegTable), each
-// over TEdges and over the edges folded into a segment-shaped table the way
-// the SegTable build folds them before its sweep. Every (src, nid) pair
-// within the bound must have exactly one row carrying the true distance,
-// no row may exceed the bound, and every par must be a real neighbour on a
-// shortest path: dist[par] + w(par, nid) = dist[nid].
+// (oracle, labels) and every node seeded under a bound (SegTable). Each
+// runs over TEdges and over the two segment tables in the states a batched
+// SegTable build sweeps them in: holding the fold of the edges (its first
+// batch), and holding that fold after the segments of the first half of
+// the sources merged over it (a later batch: multi-hop rows, and direct
+// hops a strictly cheaper segment replaced, neither of which the expansion
+// may follow). Every (src, nid) pair within the bound must have exactly
+// one row carrying the true distance, no row may exceed the bound, and
+// every par must be a real neighbour on a shortest path:
+// dist[par] + w(par, nid) = dist[nid].
 func TestRunDifferential(t *testing.T) {
-	const folded = "TFolded"
-	base := graph.Random(40, 100, 7)
+	const segBound = 60 // weights are 1..100: some pairs in, most out
+	base := withDetours(t, graph.Random(40, 100, 7), segBound)
 	withIsolated, err := graph.New(base.N+1, base.Edges) // node N-1 has no edge
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +63,7 @@ func TestRunDifferential(t *testing.T) {
 		{"update-insert", rdb.ProfilePostgreSQL9},
 		{"no-window", rdb.ProfileSQL92},
 	}
-	for _, g := range []*graph.Graph{base, withIsolated, graph.Random(30, 80, 3)} {
+	for _, g := range []*graph.Graph{base, withIsolated, withDetours(t, graph.Random(30, 80, 3), segBound)} {
 		for _, pr := range profiles {
 			db, err := rdb.Open(rdb.Options{Profile: pr.profile})
 			if err != nil {
@@ -66,41 +71,147 @@ func TestRunDifferential(t *testing.T) {
 			}
 			sess := db.Session()
 			loadGraphTables(t, sess, g)
-			for _, q := range []string{
-				"CREATE TABLE " + folded + " (fid INT, tid INT, pid INT, cost INT)",
-				"CREATE CLUSTERED INDEX tfolded_tid ON " + folded + " (tid)",
-				"INSERT INTO " + folded + " (fid, tid, pid, cost) SELECT fid, tid, fid, MIN(cost) FROM " + TblEdges + " GROUP BY fid, tid",
-			} {
-				if _, err := sess.Exec(q); err != nil {
-					t.Fatal(err)
-				}
-			}
 			r := New(db, sess.ExecContext, sess.QueryIntContext, g.WMin(), int(16*g.N)+1024, fem.LevelOf(pr.profile), ClusteredIndex)
-			for _, edges := range []string{TblEdges, folded} {
-				for _, forward := range []bool{true, false} {
-					for _, tc := range []struct {
-						name  string
-						seed  Query
-						srcs  []int64
-						bound int64
-					}{
-						{"one-seed", One(3), []int64{3}, NoBound},
-						{"all-seeds", Q(TblNodes), allNodes(g), 60}, // weights are 1..100: some pairs in, most out
-					} {
-						name := fmt.Sprintf("n%d/%s/%s/forward=%v/%s", g.N, pr.name, edges, forward, tc.name)
-						iters, pruned, err := r.Run(context.Background(), edges, forward, tc.bound, tc.seed, Query{})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+			for _, state := range []struct {
+				name  string
+				upTo  int64 // sources whose segments are merged over the fold
+				edges []string
+			}{
+				{"edges", 0, []string{TblEdges}},
+				{"folded", 0, []string{TblOutSegs, TblInSegs}},
+				{"merged", g.N / 2, []string{TblOutSegs, TblInSegs}},
+			} {
+				if state.name != "edges" {
+					fillSegTables(t, sess, g, state.upTo, segBound)
+				}
+				for _, edges := range state.edges {
+					for _, forward := range []bool{true, false} {
+						for _, tc := range []struct {
+							name  string
+							seed  Query
+							srcs  []int64
+							bound int64
+						}{
+							{"one-seed", One(3), []int64{3}, NoBound},
+							{"all-seeds", Q(TblNodes), allNodes(g), segBound},
+						} {
+							name := fmt.Sprintf("n%d/%s/%s/%s/forward=%v/%s", g.N, pr.name, state.name, edges, forward, tc.name)
+							iters, pruned, err := r.Run(context.Background(), edges, forward, tc.bound, tc.seed, Query{})
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if iters == 0 || pruned != 0 {
+								t.Errorf("%s: iters=%d pruned=%d", name, iters, pruned)
+							}
+							checkWork(t, name, db, g, forward, tc.srcs, tc.bound)
 						}
-						if iters == 0 || pruned != 0 {
-							t.Errorf("%s: iters=%d pruned=%d", name, iters, pruned)
-						}
-						checkWork(t, name, db, g, forward, tc.srcs, tc.bound)
 					}
 				}
 			}
 			sess.Close()
 			db.Close()
+		}
+	}
+}
+
+// withDetours returns g plus, for the first four two-edge paths
+// u -> v -> x between nodes of its first half with no edge (u, x), cheaper
+// than bound, an edge (u, x) one heavier than the path: a direct hop no
+// shortest path takes, which a merged segment replaces. Random graphs this
+// small have few such edges of their own.
+func withDetours(t *testing.T, g *graph.Graph, bound int64) *graph.Graph {
+	t.Helper()
+	edge := map[[2]int64]bool{}
+	for _, e := range g.Edges {
+		edge[[2]int64{e.From, e.To}] = true
+	}
+	edges := slices.Clone(g.Edges)
+	for _, a := range g.Edges {
+		for _, b := range g.Edges {
+			u, x, w := a.From, b.To, a.Weight+b.Weight
+			if len(edges) == len(g.Edges)+4 {
+				break
+			}
+			if a.To == b.From && u != x && u < g.N/2 && x < g.N/2 && w < bound && !edge[[2]int64{u, x}] {
+				edges = append(edges, graph.Edge{From: u, To: x, Weight: w + 1})
+				edge[[2]int64{u, x}] = true
+			}
+		}
+	}
+	out, err := graph.New(g.N, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// fillSegTables (re)creates TOutSegs and TInSegs and fills them the way a
+// SegTable build leaves them once the batches of sources below upTo have
+// merged: the fold of the edges (each pair once at its minimal cost, pid
+// the pair's other end), then every shortest segment within bound from
+// those sources (TOutSegs) or to them (TInSegs) over it, a strictly cheaper
+// one replacing the recorded row. It fails the test when a merge replaces
+// no direct hop or adds no multi-hop row, which would leave the state it
+// stands for unexercised.
+func fillSegTables(t *testing.T, sess *rdb.Session, g *graph.Graph, upTo, bound int64) {
+	t.Helper()
+	schema := Schema{Catalog: sess.DB().Catalog(), Exec: func(q string) error {
+		_, err := sess.Exec(q)
+		return err
+	}}
+	segs := []Relation{Rel(TblOutSegs), Rel(TblInSegs)}
+	if err := schema.Drop(segs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := schema.Create(segs...); err != nil {
+		t.Fatal(err)
+	}
+	for _, forward := range []bool{true, false} {
+		type seg struct{ pid, cost int64 }
+		rows := map[[2]int64]seg{}
+		for _, e := range g.Edges {
+			pid := e.From // TOutSegs.pid: the predecessor of tid
+			if !forward {
+				pid = e.To // TInSegs.pid: the successor of fid
+			}
+			if r, ok := rows[[2]int64{e.From, e.To}]; !ok || e.Weight < r.cost {
+				rows[[2]int64{e.From, e.To}] = seg{pid, e.Weight}
+			}
+		}
+		replaced, added := 0, 0
+		for src := int64(0); src < upTo; src++ {
+			dist, link := graph.OneToAll(g, src, forward)
+			for v, d := range dist {
+				if int64(v) == src || d > bound {
+					continue
+				}
+				k := [2]int64{src, int64(v)}
+				if !forward {
+					k = [2]int64{int64(v), src}
+				}
+				r, ok := rows[k]
+				if ok && r.cost <= d {
+					continue
+				}
+				if ok {
+					replaced++
+				} else {
+					added++
+				}
+				rows[k] = seg{link[v], d}
+			}
+		}
+		if upTo > 0 && (replaced == 0 || added == 0) {
+			t.Fatalf("n%d forward=%v: the merge replaced %d direct hops and added %d segments, want both", g.N, forward, replaced, added)
+		}
+		tbl := TblOutSegs
+		if !forward {
+			tbl = TblInSegs
+		}
+		for k, r := range rows {
+			if _, err := sess.Exec("INSERT INTO "+tbl+" (fid, tid, pid, cost) VALUES (?, ?, ?, ?)", k[0], k[1], r.pid, r.cost); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
