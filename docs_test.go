@@ -5,7 +5,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -25,7 +27,9 @@ import (
 // And every backticked `Engine.X` or `<internal package>.X[.Y]` with an
 // exported X in README or the architecture document must name a
 // declaration in the package's non-test files (`pkg.M` may name a method
-// M of any of the package's types).
+// M of any of the package's types), and every backticked span there that
+// starts with a lowerCamel identifier (`searchOps`, `specBDJ()`,
+// `minCost = …`) must name an identifier of the module's non-test code.
 func TestDocCitations(t *testing.T) {
 	defined := func(file, pattern string) map[string]bool {
 		src, err := os.ReadFile(file)
@@ -57,6 +61,8 @@ func TestDocCitations(t *testing.T) {
 	decls := map[string]map[string]bool{}
 	codeSpan := regexp.MustCompile("`([^`]+)`")
 	qualified := regexp.MustCompile(`^(\w+)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+	lowerCamel := regexp.MustCompile(`^[a-z][a-z0-9]*[A-Z][A-Za-z0-9]*\b`)
+	idents := identifiers(t)
 	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -65,6 +71,9 @@ func TestDocCitations(t *testing.T) {
 		prose := doc == "README.md" || doc == "docs/ARCHITECTURE.md"
 		for n, line := range strings.Split(string(text), "\n") {
 			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+				if id := lowerCamel.FindString(span[1]); prose && id != "" && !idents[id] {
+					t.Errorf("%s:%d: `%s`: no identifier %s in the module's code", doc, n+1, span[1], id)
+				}
 				m := qualified.FindStringSubmatch(span[1])
 				if !prose || m == nil {
 					continue
@@ -121,6 +130,43 @@ func TestDocCitations(t *testing.T) {
 			}
 		}
 	}
+}
+
+// identifiers lists every identifier the root module's non-test Go files
+// spell — declared names, fields, methods and locals alike. The benchmark
+// is a module of its own and is not walked.
+func identifiers(t *testing.T) map[string]bool {
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				names[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 // declarations lists what the non-test files of the package in dir

@@ -175,11 +175,11 @@ const DefaultRepairThreshold = 4096
 // Engine runs the relational algorithms against one database. It keeps
 // only scalar state between statements — the RDB carries all per-node data.
 //
-// An Engine is safe for concurrent callers. Read-only searches admit in
-// parallel through the shared side of a reader/writer query gate, each
-// leasing a private scratch-table set from a pool so their frontier
-// scribbling lands in disjoint tables; mutators (LoadGraph, ApplyMutations,
-// index builds, MST, Reachable) take the exclusive side, draining readers
+// An Engine is safe for concurrent callers. Reads — the searches, MST and
+// Reachable — admit in parallel through the shared side of a reader/writer
+// query gate, each leasing a private scratch-table set from a pool so their
+// frontier scribbling lands in disjoint tables; mutators (LoadGraph,
+// ApplyMutations, index builds) take the exclusive side, draining readers
 // first. The path cache still answers repeat queries from memory without
 // touching gate or database, and QueryBatch fans a query set across a
 // worker pool. The unified entry point is Query (query.go): a declarative

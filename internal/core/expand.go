@@ -24,24 +24,32 @@ func bwdDir() direction { return direction{forward: false, dist: "d2t", par: "p2
 // and unset parent of the direction a new row was not discovered from.
 var sentinelArgs = []any{MaxDist, NoParent}
 
-// searchOps is the search's E+M round over sc, as an internal/fem spec:
-// expand the frontier the F-operator stamped (the rows whose d.sign holds
-// the bound stamp) through edges, offering weight + d's distance (weight is
-// out.cost, or 1 for reachability), relax d's distance where the offer is
-// cheaper, re-opening the row (sign = 0), and insert undiscovered nodes
-// with the other direction at the MaxDist sentinel and sign = 1 (not a
-// candidate until relaxed from that side). prune appends the Theorem-1
-// bound. Rendered once per set and round shape: only bound values change
-// between rounds and queries, so the plans come from the cache instead of
-// being re-parsed like the paper's client's, which shipped SQL text through
-// JDBC every iteration.
-func (e *Engine) searchOps(sc *scratchSet, d direction, edges, weight string, prune bool) fem.Ops {
-	offer := weight + " + q." + d.dist
+// searchOps is spec's E+M round over sc in direction d, as an internal/fem
+// spec: expand the frontier the F-operator stamped (the rows whose d.sign
+// holds the bound stamp) through the direction's edges, offering weight +
+// d's distance (weight is out.cost, or 1 for reachability; Prim's offers
+// the weight alone), relax d's distance where the offer is cheaper,
+// re-opening the row (sign = 0; Prim's relaxes candidates only), and insert
+// undiscovered nodes with the other direction at the MaxDist sentinel and
+// sign = 1 (not a candidate until relaxed from that side). prune appends
+// the Theorem-1 bound. Rendered once per set and round shape: only bound
+// values change between rounds and queries, so the plans come from the
+// cache instead of being re-parsed like the paper's client's, which shipped
+// SQL text through JDBC every iteration.
+func (e *Engine) searchOps(sc *scratchSet, d direction, spec femSpec) fem.Ops {
+	edges, offer := spec.edgeBwd, spec.weight+" + q."+d.dist
+	if d.forward {
+		edges = spec.edgeFwd
+	}
+	when := "target." + d.dist + " > source.cost"
+	if spec.final {
+		offer, when = spec.weight, "target."+d.sign+" = 0 AND "+when
+	}
 	frontier := "q." + d.sign + " = ?"
-	if prune {
+	if spec.prune {
 		frontier += " AND " + offer + " + ? < ?"
 	}
-	key := d.sign + " " + edges + " " + offer + " " + frontier
+	key := d.sign + " " + edges + " " + offer + " " + frontier + " " + when
 	if ops, ok := sc.ops[key]; ok {
 		return ops
 	}
@@ -52,8 +60,7 @@ func (e *Engine) searchOps(sc *scratchSet, d direction, edges, weight string, pr
 	sc.ops[key] = fem.Operators(e.level,
 		fem.Expand{Edges: edges, Forward: d.forward, Cost: offer, Where: frontier, StageCost: sc.expCost},
 		fem.Merge{Table: sc.visited, Key: []string{"nid"}, Stage: sc.expand,
-			Matched: []fem.Branch{{When: "target." + d.dist + " > source.cost",
-				Set: d.dist + " = source.cost, " + d.par + " = source.par, " + d.sign + " = 0"}},
+			Matched:    fem.Branch{When: when, Set: d.dist + " = source.cost, " + d.par + " = source.par, " + d.sign + " = 0"},
 			InsertCols: "nid, d2s, p2s, f, d2t, p2t, b", InsertVals: vals})
 	return sc.ops[key]
 }

@@ -61,6 +61,8 @@ func directedAsUndirected(g *graph.Graph) *graph.Graph {
 // TestMSTMatchesKruskal checks the forest's weight, component count and
 // edges against Kruskal's, on a random graph and on one whose tree holds a
 // zero-weight edge (a tree edge is any non-root's, whatever its weight).
+// Every node joins the forest through exactly one F-operator, roots
+// included, so the run takes one iteration per node.
 func TestMSTMatchesKruskal(t *testing.T) {
 	zero, err := graph.New(4, []graph.Edge{{From: 0, To: 1, Weight: 0}, {From: 1, To: 2, Weight: 3}})
 	if err != nil {
@@ -82,6 +84,9 @@ func TestMSTMatchesKruskal(t *testing.T) {
 		if len(res.Edges) != int(g.N)-comps {
 			t.Fatalf("n=%d: edges %v, want %d of them", g.N, res.Edges, int(g.N)-comps)
 		}
+		if res.Iterations != int(g.N) {
+			t.Fatalf("n=%d: %d iterations, want one per node", g.N, res.Iterations)
+		}
 		// Every reported edge must exist with that weight.
 		for _, me := range res.Edges {
 			found := false
@@ -97,22 +102,31 @@ func TestMSTMatchesKruskal(t *testing.T) {
 	}
 }
 
+// TestMSTDisconnected runs Prim's over two components, 0-1-2 and 3-4, and
+// then with an isolated node 5 as well: a node no edge reaches is a root of
+// its own, one more component with no edge.
 func TestMSTDisconnected(t *testing.T) {
-	for _, w01 := range []int64{2, 0} {
-		// Two components: 0-1-2 and 3-4.
-		edges := []graph.Edge{
-			{From: 0, To: 1, Weight: w01}, {From: 1, To: 0, Weight: w01},
-			{From: 1, To: 2, Weight: 3}, {From: 2, To: 1, Weight: 3},
-			{From: 3, To: 4, Weight: 7}, {From: 4, To: 3, Weight: 7},
-		}
-		g, _ := graph.New(5, edges)
-		e := newTestEngine(t, g, rdb.Options{}, Options{})
-		res, err := e.MinimumSpanningForest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Components != 2 || res.TotalWeight != w01+10 || len(res.Edges) != 3 {
-			t.Fatalf("w(0,1) = %d: forest wrong: %+v", w01, res)
+	for _, n := range []int64{5, 6} {
+		for _, w01 := range []int64{2, 0} {
+			edges := []graph.Edge{
+				{From: 0, To: 1, Weight: w01}, {From: 1, To: 0, Weight: w01},
+				{From: 1, To: 2, Weight: 3}, {From: 2, To: 1, Weight: 3},
+				{From: 3, To: 4, Weight: 7}, {From: 4, To: 3, Weight: 7},
+			}
+			g, _ := graph.New(n, edges)
+			e := newTestEngine(t, g, rdb.Options{}, Options{})
+			res, err := e.MinimumSpanningForest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Components != int(n)-3 || res.TotalWeight != w01+10 || len(res.Edges) != 3 {
+				t.Fatalf("n=%d, w(0,1) = %d: forest wrong: %+v", n, w01, res)
+			}
+			for _, me := range res.Edges {
+				if me.From == 5 || me.To == 5 {
+					t.Fatalf("n=%d: isolated node 5 on edge %v", n, me)
+				}
+			}
 		}
 	}
 }

@@ -18,9 +18,10 @@ import (
 // (i) the frontier-selection rule (the F-operator), (ii) the edge source
 // (TEdges vs SegTable), (iii) whether the lf/lb bounds participate in
 // termination — exactly the axes §4 varies — (iv) whether the backward
-// side expands at all, which is what separates Algorithm 1 from BDJ, and
+// side expands at all, which is what separates Algorithm 1 from BDJ,
 // (v) the offer's edge term, which is what separates reachability from
-// BSDJ.
+// BSDJ, and (vi) what an offer means and where the loop starts, which is
+// what separates Prim's MST from Algorithm 1.
 //
 // Statement shapes are rendered once per query (the text is stable for the
 // whole search — and across searches, so the engine's prepared-statement
@@ -34,6 +35,14 @@ type femSpec struct {
 	// weight is the offer's edge term: out.cost for every search, 1 for
 	// reachability's unit weights.
 	weight string
+	// final is Prim's: the offer is the edge term alone (a connection
+	// weight, not a path length), and a taken row is final — the M-operator
+	// relaxes candidates only (§3.1: tree members are never relaxed).
+	final bool
+	// seed, when set, replaces the loop's two-endpoint seed (biInit): it
+	// inserts the spec's own candidates, binding MaxDist, NoParent, MaxDist,
+	// NoParent, and the loop reads their minimum before the first F.
+	seed string
 	// frontier renders the F-operator sign update for a direction; the
 	// returned shape's args function binds the 1-based expansion counter k
 	// of that direction (BSEG's d2s <= k*lthd rule, bound as "? * ?") and
@@ -119,6 +128,26 @@ func specDJ(sc *scratchSet) femSpec {
 func specReach(sc *scratchSet) femSpec {
 	spec := specBSDJ(sc)
 	spec.name, spec.oneWay, spec.weight = "Reach", true, "1"
+	return spec
+}
+
+// specMST: Prim's minimal spanning forest (§3.1's second worked example) —
+// Algorithm 1's one-node F-operator with final offers: d2s is a node's
+// cheapest connection to the tree grown so far, p2s that edge's tree-side
+// endpoint. One node an F, as §3.1 selects it: adopting every candidate at
+// the minimum at once would be unsound, since adding one can cheapen
+// another's connection below it. The seed makes every node a candidate at
+// d2s = MaxDist with no parent — Prim's from a virtual root whose edges
+// weigh more than any real one — so while a component lasts, the cheapest
+// candidate is its next tree node, and when it runs out, the next F takes a
+// new root at MaxDist. Every d2t stays MaxDist, so the loop records no
+// meeting and ends by forward exhaustion; the edges are the rows with a
+// parent. The graph is taken as undirected through its out-edges: every
+// undirected dataset here stores both directions.
+func specMST(sc *scratchSet) femSpec {
+	spec := specDJ(sc)
+	spec.name, spec.final, spec.trackL = "MST", true, false
+	spec.seed = "INSERT INTO " + sc.visited + " (nid, d2s, p2s, f, d2t, p2t, b) SELECT nid, ?, ?, 0, ?, ?, 1 FROM " + TblNodes
 	return spec
 }
 
@@ -267,19 +296,24 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 	if err := each(hs, func(_ int, h *superstep) error { return h.e.resetVisited(ctx, h.qs, h.sc) }); err != nil {
 		return Path{}, qs, err
 	}
-	if s == t {
-		return Path{Found: true, Length: 0, Nodes: []int64{s}}, qs, nil
-	}
 	// Initialize with the two endpoints (line 1 of Algorithm 2; the
-	// MaxDist/NoParent sentinels bind as parameters like everything else).
-	// Endpoints with different owners are merged in at each one instead,
-	// which on an empty table writes the same two rows.
+	// MaxDist/NoParent sentinels bind as parameters like everything else),
+	// or with the spec's own seed, which reads the whole graph and so runs
+	// alone. Endpoints with different owners are merged in at each one
+	// instead, which on an empty table writes the same two rows.
 	var err error
-	if hS, hT := hs[owner(s)], hs[owner(t)]; hS == hT {
+	switch hS, hT := hs[owner(s)], hs[owner(t)]; {
+	case spec.seed != "":
+		_, err = hS.e.exec(ctx, hS.qs, &hS.qs.PE, nil, spec.seed, MaxDist, NoParent, MaxDist, NoParent)
+	case s == t:
+		return Path{Found: true, Length: 0, Nodes: []int64{s}}, qs, nil
+	case hS == hT:
 		_, err = hS.e.exec(ctx, hS.qs, &hS.qs.PE, nil, hS.sc.biInit,
 			s, s, MaxDist, NoParent, t, MaxDist, NoParent, t)
-	} else if err = hS.inject(ctx, true, []frontierCand{{s, s, 0}}); err == nil {
-		err = hT.inject(ctx, false, []frontierCand{{t, t, 0}})
+	default:
+		if err = hS.inject(ctx, true, []frontierCand{{s, s, 0}}); err == nil {
+			err = hT.inject(ctx, false, []frontierCand{{t, t, 0}})
+		}
 	}
 	if err != nil {
 		return Path{}, qs, err
@@ -287,8 +321,8 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 
 	// Per-direction loop state: l is the frontier minimum (lf / lb), n the
 	// last frontier size, k the expansion counter, live whether candidates
-	// remain. The seeds are the two candidates, at distance 0; a one-way
-	// search never expands t's.
+	// remain. The endpoint seeds are the two candidates, at distance 0; a
+	// one-way search never expands t's.
 	type dirState struct {
 		l, n, k int64
 		live    bool
@@ -334,6 +368,12 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 			hs[0].observe(forward, 0, fw.l, bw.l, minCost)
 		}
 		return nil
+	}
+	// A spec's own seed is probed, so the first F selects at its minimum.
+	if spec.seed != "" {
+		if err := collect(fw); err != nil {
+			return Path{}, qs, err
+		}
 	}
 
 	for iter := 0; ; iter++ {

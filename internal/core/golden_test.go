@@ -24,10 +24,10 @@ import (
 // maintenance shapes 1-3; Prim's round; and the
 // original-edge fold. Shape 4 is not here — it lost its no-op ROW_NUMBER
 // dedupe. A plan cache keyed by text, and the benchmark's statement counts,
-// see no change. The texts render over a leased scratch set, set 0. The
-// F-operator and fused round of every other loop on internal/fem's stamps —
-// Prim's and the index-build sweep's — are pinned with them, and so is
-// reachability's unit-weight round (its F-operator is BSDJ's). The sweep's
+// see no change. The texts render over a leased scratch set, set 0.
+// Reachability's unit-weight round and Prim's final-offer round are pinned
+// with them (their F-operators are BSDJ's and BDJ's), and so are the
+// index-build sweep's F-operator and fused round. The sweep's
 // and the decremental repair's own texts (sweep/, touch/, repair/, fold/*/touched) are pinned as what a
 // build and a delete leave prepared: the build sweeps over the segment
 // tables it folded the edges into and merges its segments over them, the
@@ -105,8 +105,7 @@ func TestGoldenStatementTexts(t *testing.T) {
 		check(fmt.Sprintf("maint/bwd/%d", i+1),
 			fem.MergeSelect(e.level, maintBwdShapes[i].src, segMerge(TblInSegs)).Round(false)[0].Text)
 	}
-	check("mst", e.mstRound(sc)[0].Text)
-	check("mst/frontier", mstTexts(sc).frontier)
+	check("mst", e.newSuperstep(sc, specMST(sc), 0).fwd.ops.Round(false)[0].Text)
 	check("reach/fused", e.newSuperstep(sc, specReach(sc), 0).fwd.ops.Round(false)[0].Text)
 
 	// The fold renders its source per call: a build folds every edge, a

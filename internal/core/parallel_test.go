@@ -281,14 +281,25 @@ func mixedUnderMutations(t *testing.T, served bool) {
 
 	// states[i] is the graph after i mutation batches; readers validate
 	// their answer against every state whose lifetime overlapped the query.
+	// The writer records a state before it applies the batch and counts it
+	// in applied after, so states[applied:] holds every graph the engine
+	// can serve between the two reads of a reader.
 	var stateMu sync.Mutex
 	states := []*graph.Graph{mirror.Clone()}
+	applied := 0
 
 	done := make(chan struct{})
+	// firstBatch closes once the writer has applied its first batch (or
+	// given up on it): the readers start behind it, so the run has
+	// mutations in it however the goroutines are scheduled.
+	firstBatch := make(chan struct{})
+	var firstOnce sync.Once
+	writerStarted := func() { firstOnce.Do(func() { close(firstBatch) }) }
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
+		defer writerStarted()
 		present := false
 		for i := 0; ; i++ {
 			select {
@@ -331,13 +342,17 @@ func mixedUnderMutations(t *testing.T, served bool) {
 				}
 				batch = append(batch, Mutation{Op: MutUpdate, From: u, To: (u + 1) % n, Weight: w})
 			}
+			stateMu.Lock()
+			states = append(states, mirror.Clone())
+			stateMu.Unlock()
 			if _, err := e.ApplyMutations(batch); err != nil {
 				t.Errorf("writer: %v", err)
 				return
 			}
 			stateMu.Lock()
-			states = append(states, mirror.Clone())
+			applied++
 			stateMu.Unlock()
+			writerStarted()
 		}
 	}()
 
@@ -348,12 +363,13 @@ func mixedUnderMutations(t *testing.T, served bool) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			<-firstBatch
 			rnd := rand.New(rand.NewSource(int64(1000 + w)))
 			for k := 0; k < qPerRdr; k++ {
 				s, tt := rnd.Int63n(n), rnd.Int63n(n)
 				alg := algs[(w+k)%len(algs)]
 				stateMu.Lock()
-				lo := len(states)
+				lo := applied
 				stateMu.Unlock()
 				res, err := e.Query(context.Background(), QueryRequest{Source: s, Target: tt, Alg: alg})
 				if err != nil {
@@ -361,7 +377,7 @@ func mixedUnderMutations(t *testing.T, served bool) {
 					return
 				}
 				stateMu.Lock()
-				window := states[lo-1:]
+				window := states[lo:]
 				stateMu.Unlock()
 				ok := false
 				for _, gs := range window {

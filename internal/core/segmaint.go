@@ -84,7 +84,7 @@ const tblSegMaint = sweep.TblSegMaint
 // what keeps (fid, tid) unique in both segment tables.
 func segMerge(target string) fem.Merge {
 	return fem.Merge{Table: target, Key: []string{"fid", "tid"}, Carry: []string{"pid", "cost"}, Stage: tblSegMaint,
-		Matched:    []fem.Branch{{When: "target.cost > source.cost", Set: "cost = source.cost, pid = source.pid"}},
+		Matched:    fem.Branch{When: "target.cost > source.cost", Set: "cost = source.cost, pid = source.pid"},
 		InsertCols: "fid, tid, pid, cost", InsertVals: "source.fid, source.tid, source.pid, source.cost"}
 }
 

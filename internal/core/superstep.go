@@ -65,11 +65,9 @@ func (e *Engine) newSuperstep(sc *scratchSet, spec femSpec, budget int64) *super
 	fwd, bwd := fwdDir(), bwdDir()
 	ss := &superstep{
 		e: e, sc: sc, spec: spec,
-		qs: &QueryStats{Algorithm: spec.name, budget: budget},
-		fwd: femSide{ops: e.searchOps(sc, fwd, spec.edgeFwd, spec.weight, spec.prune),
-			front: spec.frontier(fwd), stats: sc.biStatsF},
-		bwd: femSide{ops: e.searchOps(sc, bwd, spec.edgeBwd, spec.weight, spec.prune),
-			front: spec.frontier(bwd), stats: sc.biStatsB},
+		qs:  &QueryStats{Algorithm: spec.name, budget: budget},
+		fwd: femSide{ops: e.searchOps(sc, fwd, spec), front: spec.frontier(fwd), stats: sc.biStatsF},
+		bwd: femSide{ops: e.searchOps(sc, bwd, spec), front: spec.frontier(bwd), stats: sc.biStatsB},
 	}
 	if spec.preFrontier != nil {
 		ss.fwd.pre, ss.bwd.pre = spec.preFrontier(fwd), spec.preFrontier(bwd)

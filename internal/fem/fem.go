@@ -2,13 +2,13 @@
 // place. The E-operator joins the frontier rows of a working table to an
 // edge relation and keeps the cheapest offer per key; the M-operator updates
 // the working-table rows an offer matches and a condition selects, and
-// inserts the offers that match nothing. A client — search, index-build
-// sweep, Prim's MST, reachability, SegTable maintenance — describes its
-// round with an Expand and a Merge (or a SELECT of its own for the Expand)
-// and gets back the statements to run at the engine's SQL level;
-// docs/ARCHITECTURE.md §"FEM framework" tabulates the forms per level. The
-// package issues nothing itself: Run hands each statement, tagged with its
-// operator, to the caller's exec function.
+// inserts the offers that match nothing. A client — the FEM loop (every
+// search, reachability, Prim's MST), the index-build sweep, SegTable
+// maintenance — describes its round with an Expand and a Merge (or a
+// SELECT of its own for the Expand) and gets back the statements to run at
+// the engine's SQL level; docs/ARCHITECTURE.md §"FEM framework" tabulates
+// the forms per level. The package issues nothing itself: Run hands each
+// statement, tagged with its operator, to the caller's exec function.
 package fem
 
 import (
@@ -61,21 +61,19 @@ type Stmt struct {
 	src, ins bool
 }
 
-// Branch is one WHEN MATCHED arm: the rows condition When selects get Set,
+// Branch is the WHEN MATCHED arm: the rows condition When selects get Set,
 // both written over the aliases target (working table) and source (offers).
 type Branch struct{ When, Set string }
 
 // Merge specifies an M-operator. No table may be named like an alias the
 // statements use (q, out, ec, tmp, s, v, source, target).
 type Merge struct {
-	Table string   // working table
-	Key   []string // its key columns, which the offers carry under the same names
-	Carry []string // the offers' other columns; Operators sets (par, cost)
-	// Matched arms apply in order. Below MergeWindow each becomes its own
-	// UPDATE, so no arm's Set may make a later arm's When true.
-	Matched []Branch
+	Table   string   // working table
+	Key     []string // its key columns, which the offers carry under the same names
+	Carry   []string // the offers' other columns; Operators sets (par, cost)
+	Matched Branch   // relaxes the rows an offer matches
 	// InsertCols and InsertVals (over source, placeholders allowed) add
-	// the unmatched offers; empty for a Merge that only updates.
+	// the unmatched offers.
 	InsertCols, InsertVals string
 	Stage                  string // staging table, columns Key then Carry
 }
@@ -135,12 +133,12 @@ func Run(stmts []Stmt, exec func(s Stmt, args []any) (int64, error), src, ins []
 }
 
 // The sign protocol of every client's flag column (f, or the backward
-// search's b): 0 = candidate, 1 = not a candidate (an insert sentinel, a
-// prune, Prim's "outside every tree"), n >= 2 = taken by round n-1. F
-// stamps the candidates it selects, E reads the frontier by the stamp, and
-// nothing un-marks it (Listing 4(3) has no statement): every other
-// predicate asks "= 0", which a stale stamp fails like a 1, and M re-opens
-// an improved row to 0 whatever it held. Only Stamp yields a value above 1.
+// search's b): 0 = candidate, 1 = not a candidate (an insert sentinel or a
+// prune), n >= 2 = taken by round n-1. F stamps the candidates it selects,
+// E reads the frontier by the stamp, and nothing un-marks it (Listing 4(3)
+// has no statement): every other predicate asks "= 0", which a stale stamp
+// fails like a 1, and M re-opens an improved row to 0 whatever it held.
+// Only Stamp yields a value above 1.
 
 // Stamp is the sign value round k's (1-based) frontier carries.
 func Stamp(k int64) int64 { return k + 1 }
@@ -197,15 +195,11 @@ func (m Merge) ops(l Level, sel string, prep ...Stmt) Ops {
 		o.Apply = []Stmt{{Text: m.merge(m.Stage + " AS source"), Op: M, ins: true}}
 	} else {
 		alias := strings.NewReplacer("target.", m.Table+".", "source.", "s.")
-		for _, b := range m.Matched {
-			o.Apply = append(o.Apply, Stmt{Op: M, Text: "UPDATE " + m.Table + " SET " + alias.Replace(b.Set) +
-				" FROM " + m.Stage + " s WHERE " + m.onKey(m.Table, "s") + " AND " + alias.Replace(b.When)})
-		}
-		if m.InsertCols != "" {
-			o.Apply = append(o.Apply, Stmt{Op: M, ins: true, Text: "INSERT INTO " + m.Table + " (" + m.InsertCols + ") " +
+		o.Apply = []Stmt{{Op: M, Text: "UPDATE " + m.Table + " SET " + alias.Replace(m.Matched.Set) +
+			" FROM " + m.Stage + " s WHERE " + m.onKey(m.Table, "s") + " AND " + alias.Replace(m.Matched.When)},
+			{Op: M, ins: true, Text: "INSERT INTO " + m.Table + " (" + m.InsertCols + ") " +
 				"SELECT " + alias.Replace(m.InsertVals) + " FROM " + m.Stage + " s WHERE NOT EXISTS (" +
-				"SELECT " + m.Key[0] + " FROM " + m.Table + " v WHERE " + m.onKey("v", "s") + ")"})
-		}
+				"SELECT " + m.Key[0] + " FROM " + m.Table + " v WHERE " + m.onKey("v", "s") + ")"}}
 	}
 	o.staged = append(o.Stage[:len(o.Stage):len(o.Stage)], o.Apply...)
 	return o
@@ -213,14 +207,9 @@ func (m Merge) ops(l Level, sel string, prep ...Stmt) Ops {
 
 // merge renders the MERGE of the offers `using` names.
 func (m Merge) merge(using string) string {
-	q := "MERGE INTO " + m.Table + " AS target USING " + using + " ON (" + m.onKey("target", "source") + ")"
-	for _, b := range m.Matched {
-		q += " WHEN MATCHED AND " + b.When + " THEN UPDATE SET " + b.Set
-	}
-	if m.InsertCols != "" {
-		q += " WHEN NOT MATCHED THEN INSERT (" + m.InsertCols + ") VALUES (" + m.InsertVals + ")"
-	}
-	return q
+	return "MERGE INTO " + m.Table + " AS target USING " + using + " ON (" + m.onKey("target", "source") + ")" +
+		" WHEN MATCHED AND " + m.Matched.When + " THEN UPDATE SET " + m.Matched.Set +
+		" WHEN NOT MATCHED THEN INSERT (" + m.InsertCols + ") VALUES (" + m.InsertVals + ")"
 }
 
 // cols lists the offers' columns.

@@ -226,7 +226,7 @@ func runRound(t *testing.T, name string, sc scenario, keyed bool, src int64, pro
 		Expand{Edges: "G", Forward: sc.forward, Cost: "out.cost + q.dist",
 			Where: "q.f = 2 AND out.cost + q.dist <= ?", StageCost: "XC"},
 		Merge{Table: "W", Key: key, Stage: "X",
-			Matched:    []Branch{{When: "target.dist > source.cost", Set: "dist = source.cost, par = source.par, f = 0"}},
+			Matched:    Branch{When: "target.dist > source.cost", Set: "dist = source.cost, par = source.par, f = 0"},
 			InsertCols: keyList + ", dist, par, f, far",
 			InsertVals: strings.Join(vals, ", ") + ", source.cost, source.par, 0, ?"},
 	).Round(separate)
@@ -268,7 +268,7 @@ func runRound(t *testing.T, name string, sc scenario, keyed bool, src int64, pro
 // same affected count (2) whether one MERGE or staging + UPDATE + INSERT.
 func TestMergeSelectDifferential(t *testing.T) {
 	m := Merge{Table: "SEG", Key: []string{"fid", "tid"}, Carry: []string{"pid", "cost"}, Stage: "SM",
-		Matched:    []Branch{{When: "target.cost > source.cost", Set: "cost = source.cost, pid = source.pid"}},
+		Matched:    Branch{When: "target.cost > source.cost", Set: "cost = source.cost, pid = source.pid"},
 		InsertCols: "fid, tid, pid, cost", InsertVals: "source.fid, source.tid, source.pid, source.cost"}
 	const want = "[[1 2 7 3] [1 3 1 9] [2 3 8 4]]"
 	for _, form := range forms {

@@ -64,7 +64,7 @@ func round(l fem.Level, edges string, forward bool) []fem.Stmt {
 		fem.Expand{Edges: edges, Forward: forward, Cost: "out.cost + q.dist",
 			Where: "q.f = ? AND out.cost + q.dist <= ?" + directHop[edges], StageCost: tblExpCost},
 		fem.Merge{Table: TblWork, Key: []string{"src", "nid"}, Stage: tblExpand,
-			Matched:    []fem.Branch{{When: "target.dist > source.cost", Set: "dist = source.cost, par = source.par, f = 0"}},
+			Matched:    fem.Branch{When: "target.dist > source.cost", Set: "dist = source.cost, par = source.par, f = 0"},
 			InsertCols: "src, nid, dist, par, f", InsertVals: "source.src, source.nid, source.cost, source.par, 0"},
 	).Round(false)
 }
