@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,6 +31,10 @@ import (
 // M of any of the package's types), and every backticked span there that
 // starts with a lowerCamel identifier (`searchOps`, `specBDJ()`,
 // `minCost = …`) must name an identifier of the module's non-test code.
+// Every backticked `TestX`, `FuzzX` or `BenchmarkX` there, and every TestX
+// or FuzzX the CI workflow names (a trailing * a prefix), must name a
+// function of the module's tests; every backticked `*.go` path in the three
+// must end the path of a file in the repository.
 func TestDocCitations(t *testing.T) {
 	defined := func(file, pattern string) map[string]bool {
 		src, err := os.ReadFile(file)
@@ -62,7 +67,11 @@ func TestDocCitations(t *testing.T) {
 	codeSpan := regexp.MustCompile("`([^`]+)`")
 	qualified := regexp.MustCompile(`^(\w+)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 	lowerCamel := regexp.MustCompile(`^[a-z][a-z0-9]*[A-Z][A-Za-z0-9]*\b`)
-	idents := identifiers(t)
+	idents, tests := identifiers(t)
+	testName := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*\*?`)
+	testSpan := regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)[A-Z]\w*\*?$`)
+	goPath := regexp.MustCompile(`^[\w./-]+\.go$`)
+	files := repoFiles(t)
 	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -70,7 +79,22 @@ func TestDocCitations(t *testing.T) {
 		}
 		prose := doc == "README.md" || doc == "docs/ARCHITECTURE.md"
 		for n, line := range strings.Split(string(text), "\n") {
+			if doc == ".github/workflows/ci.yml" {
+				for _, name := range testName.FindAllString(line, -1) {
+					if !tests(name) {
+						t.Errorf("%s:%d: %s: no such test", doc, n+1, name)
+					}
+				}
+			}
 			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+				if prose && testSpan.MatchString(span[1]) && !tests(span[1]) {
+					t.Errorf("%s:%d: `%s`: no such test", doc, n+1, span[1])
+				}
+				if doc != ".claude/skills/verify/SKILL.md" && goPath.MatchString(span[1]) && !slices.ContainsFunc(files, func(f string) bool {
+					return f == span[1] || strings.HasSuffix(f, "/"+span[1])
+				}) {
+					t.Errorf("%s:%d: `%s`: no such file", doc, n+1, span[1])
+				}
 				if id := lowerCamel.FindString(span[1]); prose && id != "" && !idents[id] {
 					t.Errorf("%s:%d: `%s`: no identifier %s in the module's code", doc, n+1, span[1], id)
 				}
@@ -133,27 +157,28 @@ func TestDocCitations(t *testing.T) {
 }
 
 // identifiers lists every identifier the root module's non-test Go files
-// spell — declared names, fields, methods and locals alike. The benchmark
-// is a module of its own and is not walked.
-func identifiers(t *testing.T) map[string]bool {
-	names := map[string]bool{}
+// spell — declared names, fields, methods and locals alike — and reports,
+// of a name (a trailing * a prefix), whether it is that of a test, fuzz or
+// benchmark function in its test files. The benchmark is a module of its
+// own and is not walked.
+func identifiers(t *testing.T) (map[string]bool, func(string) bool) {
+	names, tests := map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (path == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+	for _, path := range repoFiles(t) {
+		if !strings.HasSuffix(path, ".go") || strings.HasPrefix(path, "benchmark/") || strings.Contains(path, "testdata/") {
+			continue
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
-			return err
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+					tests[fn.Name.Name] = true
+				}
+			}
+			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
@@ -161,12 +186,36 @@ func identifiers(t *testing.T) map[string]bool {
 			}
 			return true
 		})
+	}
+	return names, func(name string) bool {
+		prefix, wild := strings.CutSuffix(name, "*")
+		for n := range tests {
+			if n == name || wild && strings.HasPrefix(n, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// repoFiles lists the repository's files, hidden directories aside.
+func repoFiles(t *testing.T) []string {
+	var out []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case !d.IsDir():
+			out = append(out, filepath.ToSlash(path))
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return names
+	return out
 }
 
 // declarations lists what the non-test files of the package in dir

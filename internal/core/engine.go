@@ -129,28 +129,11 @@ type Options struct {
 	// AlternateDirections replaces the paper's fewer-frontier direction
 	// policy with strict alternation (ablation of the §4.1 heuristic).
 	AlternateDirections bool
-	// MaxIters caps FEM iterations per search or build as a safety net.
-	// 0 selects the default of 16×nodes+1024 once a graph is loaded;
-	// negative values are rejected (NewEngine records the validation error
-	// and every subsequent call returns it). QueryStats.Iterations reports
-	// how much of the bound a query actually used.
-	MaxIters int
 	// CacheSize bounds the shortest-path result cache in entries
 	// (default 4096; negative disables caching). The cache is keyed by
 	// (graph version, algorithm, source, target) and invalidated whenever
 	// the graph or the SegTable index changes.
 	CacheSize int
-	// RepairThreshold caps the decremental SegTable repair: when a
-	// deletion or weight increase touches more rows than this, the engine
-	// falls back to a full rebuild instead of repairing in place
-	// (0 = DefaultRepairThreshold; negative = always rebuild).
-	RepairThreshold int
-	// ScratchRetain bounds the free list of pooled per-query scratch-table
-	// sets: released sets up to this count stay warm (no DDL per query),
-	// extras are dropped. 0 = DefaultScratchRetain; negative = retain none,
-	// dropping every set on release (exercises the drop path; the
-	// cancellation-leak tests run in this mode).
-	ScratchRetain int
 	// DataDir arms the durability subsystem (durability.go): every
 	// ApplyMutations batch appends to an fsynced write-ahead log under this
 	// directory before touching TEdges, Engine.Snapshot writes versioned
@@ -164,12 +147,13 @@ type Options struct {
 // DefaultCacheSize is the path-cache capacity when Options.CacheSize is 0.
 const DefaultCacheSize = 4096
 
-// DefaultRepairThreshold is the decremental-repair row cap when
-// Options.RepairThreshold is 0. It bounds what one mutation may repair in
-// place, below the crossover: as measured (PR 20, graph.Random(1500, 6000),
-// 197k and 613k SegTable rows) a repair of 64 / 512 / ~4096 touched rows
-// costs 0.02-0.09 / 0.12-0.2 / 0.3-0.5 of a rebuild, so a rebuild only wins
-// somewhere past twice this many.
+// DefaultRepairThreshold is the decremental-repair row cap: when a deletion
+// or weight increase touches more SegTable rows than this, the engine
+// rebuilds the index instead of repairing it in place. It bounds what one
+// mutation may repair in place, below the crossover: as measured on
+// graph.Random(1500, 6000) (197k and 613k SegTable rows), a repair of 64 /
+// 512 / ~4096 touched rows costs 0.02-0.09 / 0.12-0.2 / 0.3-0.5 of a
+// rebuild, so a rebuild only wins somewhere past twice this many.
 const DefaultRepairThreshold = 4096
 
 // Engine runs the relational algorithms against one database. It keeps
@@ -197,9 +181,12 @@ type Engine struct {
 	// level is the SQL level every E- and M-operator statement is rendered
 	// for, resolved once from the database profile.
 	level fem.Level
-	// optErr records an Options validation failure from NewEngine; every
-	// public entry point returns it instead of running with a bad config.
-	optErr error
+	// Test seams, zero in every engine NewEngine returns: maxItersCap
+	// replaces the FEM iteration cap of 16×nodes+1024 when positive,
+	// repairThreshold replaces DefaultRepairThreshold (negative: always
+	// rebuild), scratchRetain replaces DefaultScratchRetain (negative:
+	// every release drops its set).
+	maxItersCap, repairThreshold, scratchRetain int
 	// part is the peer set this engine belongs to (peers.go); nil for the
 	// single engine. Written once by SetPeers, before the engine serves.
 	part *partition
@@ -318,9 +305,6 @@ func NewEngine(db *rdb.DB, opts Options) *Engine {
 		e.queryDur[i] = obs.NewHistogram(obs.DefLatencyBuckets...)
 	}
 	e.gateWaitDur = obs.NewHistogram(obs.DefLatencyBuckets...)
-	if opts.MaxIters < 0 {
-		e.optErr = fmt.Errorf("core: Options.MaxIters must be non-negative, got %d", opts.MaxIters)
-	}
 	if opts.DataDir != "" {
 		e.dur = &durability{dir: opts.DataDir}
 	}
@@ -671,11 +655,11 @@ func (e *Engine) specFor(alg Algorithm, sc *scratchSet, s, t int64) (femSpec, er
 	return femSpec{}, fmt.Errorf("core: unknown algorithm %v", alg)
 }
 
-// maxIters resolves Options.MaxIters: an explicit positive cap wins, the
-// default scales with the loaded graph (16×nodes+1024).
+// maxIters is the FEM iteration cap of a search or build, a safety net
+// that scales with the loaded graph (16×nodes+1024).
 func (e *Engine) maxIters() int {
-	if e.opts.MaxIters > 0 {
-		return e.opts.MaxIters
+	if e.maxItersCap > 0 {
+		return e.maxItersCap
 	}
 	if e.nodes > 0 {
 		return 16*e.nodes + 1024

@@ -33,7 +33,7 @@ import (
 // intermediate pair (x, p) lost its distance, the continuation p -> y
 // would put the deleted edge on a shortest x -> y path, contradicting
 // (x, y) being untouched. When the touch set exceeds
-// Options.RepairThreshold the engine rebuilds the whole index instead —
+// DefaultRepairThreshold the engine rebuilds the whole index instead —
 // past that point the scoped sweep costs more than construction.
 //
 // See docs/ARCHITECTURE.md §Dynamic graph mutations for the full argument.
@@ -153,7 +153,7 @@ const (
 
 // DeleteEdge removes every (from, to) edge from TEdges — parallel edges
 // included — and, when a SegTable is built, repairs TOutSegs/TInSegs
-// decrementally (or rebuilds them past Options.RepairThreshold). Deleting
+// decrementally (or rebuilds them past DefaultRepairThreshold). Deleting
 // a pair with no edge is an error.
 func (e *Engine) DeleteEdge(from, to int64) (*MaintStats, error) {
 	return e.ApplyMutations([]Mutation{{Op: MutDelete, From: from, To: to}})
@@ -536,7 +536,7 @@ func (e *Engine) repairTouchedLocked(ctx context.Context, qs *QueryStats, st *Ma
 	if affected == 0 {
 		return nil
 	}
-	thr := e.opts.RepairThreshold
+	thr := e.repairThreshold
 	if thr == 0 {
 		thr = DefaultRepairThreshold
 	}

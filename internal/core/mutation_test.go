@@ -199,7 +199,8 @@ func TestMutationsOnPostgresProfile(t *testing.T) {
 // decremental repair into the rebuild path, which must stay exact too.
 func TestRepairThresholdFallback(t *testing.T) {
 	g, mirror := mutationGraph(t, 25, 60, 33)
-	e := newTestEngine(t, g, rdb.Options{}, Options{RepairThreshold: -1})
+	e := newTestEngine(t, g, rdb.Options{}, Options{})
+	e.repairThreshold = -1
 	if _, err := e.BuildSegTable(15); err != nil {
 		t.Fatal(err)
 	}

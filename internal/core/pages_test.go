@@ -25,7 +25,8 @@ import (
 // one, so the high-water mark does not depend on it.
 func TestPagesStayFlat(t *testing.T) {
 	g := graph.Power(600, 3, 7)
-	e := newTestEngine(t, g, rdb.Options{}, Options{ScratchRetain: -1, RepairThreshold: -1, CacheSize: -1})
+	e := newTestEngine(t, g, rdb.Options{}, Options{CacheSize: -1})
+	e.scratchRetain, e.repairThreshold = -1, -1
 	pairs := graph.RandomQueries(g, 4, 7)
 	ask := func(alg Algorithm, q [2]int64) error {
 		res, err := e.Query(context.Background(), QueryRequest{Source: q[0], Target: q[1], Alg: alg})

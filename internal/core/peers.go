@@ -67,8 +67,6 @@ func (e *Engine) SetPeers(p Peers) error {
 	members := append([]*Engine{e}, p.Others...)
 	for i, m := range members {
 		switch {
-		case m.optErr != nil:
-			return m.optErr
 		case m.part != nil:
 			return fmt.Errorf("core: partition %d already belongs to a peer set", i)
 		case m.Nodes() == 0:
@@ -94,14 +92,11 @@ func (e *Engine) SetPeers(p Peers) error {
 // wholeGraph is guard's argument for an operation that is not a search.
 const wholeGraph Algorithm = -1
 
-// guard is the first check of every public entry point: a misconfigured
-// engine refuses everything; a member of a peer set refuses what needs the
-// whole graph, a query unless it coordinates, and the hints that cannot run
-// over peers.
+// guard is the first check of every public entry point: a member of a peer
+// set refuses what needs the whole graph, a query unless it coordinates,
+// and the hints that cannot run over peers.
 func (e *Engine) guard(alg Algorithm) error {
 	switch {
-	case e.optErr != nil:
-		return e.optErr
 	case e.part == nil:
 		return nil
 	case alg == wholeGraph || e.part.coord != e:

@@ -298,33 +298,19 @@ func TestPlannerReplansOnIndexLoss(t *testing.T) {
 	checkPath(t, g, o.res.Algorithm, 0, 300, o.res.Path)
 }
 
-// TestOptionsMaxItersValidation: a negative bound is rejected up front by
-// every entry point, and a tiny positive bound fails loudly instead of
-// spinning.
-func TestOptionsMaxItersValidation(t *testing.T) {
-	db, err := rdb.Open(rdb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	e := NewEngine(db, Options{MaxIters: -1})
-	defer e.Close()
-	if err := e.LoadGraph(graph.Random(20, 60, 1)); err == nil {
-		t.Fatal("LoadGraph must reject MaxIters < 0")
-	}
-	if _, err := e.Query(context.Background(), QueryRequest{Source: 0, Target: 1}); err == nil {
-		t.Fatal("Query must reject MaxIters < 0")
-	}
-
+// TestMaxItersCapAbortsSearch: a tiny iteration cap fails a long search
+// loudly instead of spinning.
+func TestMaxItersCapAbortsSearch(t *testing.T) {
 	g := graph.Power(300, 3, 31)
-	small := newTestEngine(t, g, rdb.Options{}, Options{MaxIters: 1})
-	_, err = small.Query(context.Background(), QueryRequest{Source: 0, Target: 250, Alg: AlgBSDJ})
+	small := newTestEngine(t, g, rdb.Options{}, Options{})
+	small.maxItersCap = 1
+	_, err := small.Query(context.Background(), QueryRequest{Source: 0, Target: 250, Alg: AlgBSDJ})
 	if err == nil {
-		t.Fatal("MaxIters=1 should abort a long search")
+		t.Fatal("an iteration cap of 1 should abort a long search")
 	}
 	// A trivial query still fits inside one iteration's budget.
 	res, err := small.Query(context.Background(), QueryRequest{Source: 7, Target: 7, Alg: AlgAuto})
 	if err != nil || !res.Found || res.Distance != 0 {
-		t.Fatalf("trivial query under tiny MaxIters: %v %+v", err, res)
+		t.Fatalf("trivial query under an iteration cap of 1: %v %+v", err, res)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // them run concurrently.
 //
 // Sets are pooled: a release parks the set on a free list (up to
-// Options.ScratchRetain) instead of dropping it, and ids recycle through a
+// DefaultScratchRetain) instead of dropping it, and ids recycle through a
 // free-id list, so the population of distinct table names — and therefore
 // of distinct statement texts, prepared handles and plan-cache entries —
 // stays bounded no matter how many queries run. DDL (CREATE/DROP, each
@@ -29,10 +29,9 @@ import (
 // Every read of the graph that needs a working set leases one this way:
 // the searches, reachability and the spanning forest.
 
-// DefaultScratchRetain is how many scratch sets a release keeps warm when
-// Options.ScratchRetain is 0. Sized for the bench's concurrency levels;
-// small enough that the per-set statement shapes stay well inside the plan
-// cache's default capacity.
+// DefaultScratchRetain is how many scratch sets a release keeps warm. Sized
+// for the bench's concurrency levels; small enough that the per-set
+// statement shapes stay well inside the plan cache's default capacity.
 const DefaultScratchRetain = 4
 
 // scratchSet is one private set of working tables plus every statement text
@@ -120,11 +119,12 @@ type scratchPool struct {
 	dropped uint64
 }
 
-// retain resolves Options.ScratchRetain: 0 = default, negative = keep none
-// (every release drops; the cancellation-leak test runs in this mode so the
-// catalog must return to its baseline exactly).
+// retain is how many released sets stay warm: DefaultScratchRetain, or
+// none under a negative scratchRetain seam (every release drops; the
+// cancellation-leak test runs in this mode so the catalog must return to
+// its baseline exactly).
 func (p *scratchPool) retain() int {
-	r := p.e.opts.ScratchRetain
+	r := p.e.scratchRetain
 	if r == 0 {
 		return DefaultScratchRetain
 	}

@@ -26,11 +26,12 @@ func catalogNames(e *Engine) []string {
 
 // TestCancellationLeavesNoScratchTables cancels queries at escalating
 // checkpoint counts — from before admission to deep inside the frontier
-// loop — with ScratchRetain < 0, so every release must DROP the leased
+// loop — with scratchRetain < 0, so every release must DROP the leased
 // tables; the catalog must return to its baseline exactly after each abort.
 func TestCancellationLeavesNoScratchTables(t *testing.T) {
 	g := graph.Power(400, 3, 7)
-	e := newTestEngine(t, g, rdb.Options{}, Options{ScratchRetain: -1})
+	e := newTestEngine(t, g, rdb.Options{}, Options{})
+	e.scratchRetain = -1
 	base := catalogNames(e)
 
 	req := QueryRequest{Source: 0, Target: 350, Alg: AlgBSDJ}
@@ -107,7 +108,8 @@ func TestCancellationLeavesNoScratchTables(t *testing.T) {
 // with "table does not exist".
 func TestScratchReleaseDropsBeforeRecycle(t *testing.T) {
 	g := graph.Power(64, 3, 5)
-	e := newTestEngine(t, g, rdb.Options{}, Options{ScratchRetain: -1})
+	e := newTestEngine(t, g, rdb.Options{}, Options{})
+	e.scratchRetain = -1
 	const workers = 8
 	const iters = 40
 	var wg sync.WaitGroup

@@ -40,7 +40,7 @@ type MaintStats struct {
 	// Repaired counts rows re-materialized by scoped decremental repairs.
 	Repaired int64
 	// Rebuilt reports that some decremental touch set exceeded
-	// Options.RepairThreshold and the index was rebuilt wholesale.
+	// DefaultRepairThreshold and the index was rebuilt wholesale.
 	Rebuilt bool
 	// OracleInvalidated reports that this mutation killed a built landmark
 	// oracle: ALT and DistanceInterval refuse until BuildOracle runs again.

@@ -32,8 +32,8 @@ type QueryStats struct {
 	// algorithm, empty for engine-internal work like index builds).
 	Planner string
 	// Iterations counts main-loop rounds (frontier selections, plus the
-	// round that finds the loop done) — how much of the Options.MaxIters
-	// bound the query actually used.
+	// round that finds the loop done) — how much of the iteration cap
+	// (16×nodes+1024) the query actually used.
 	Iterations int
 	// Expansions counts E-operator executions (forward + backward).
 	Expansions         int

@@ -492,12 +492,20 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 // before the first change, since the source may be a query over t; an
 // UPDATE without FROM and a DELETE with no EXISTS driver have one, empty —
 // probes the target through in.target, each target row takes the first
-// branch whose condition holds, once per statement, and a source row that
-// finds no target row inserts when ins says so. A direct statement (writesThrough) writes each change
-// through the target scan's iterator, on the page the scan read; any other
-// materializes a probe's matches first (eachTarget) and writes through
-// Table.Update and Table.Insert. Deletes are collected and applied after
-// the last probe.
+// branch whose condition holds, and a source row that finds no target row
+// inserts when ins says so. A row that was there before the statement
+// changes at most once (touched, by location); a row an earlier source row
+// inserted is met again, so a later source row changes it too. Which source
+// row applies to a target row two of them reach is the source's order: with
+// TOP n over more than n rows and a rank-1 tie between rows that differ, one
+// of the three outcomes the dialect leaves open. Known defect: under a
+// non-unique clustered key an update that moves a row moves its location,
+// which touched then misses, so a later source row changes the row again.
+//
+// A direct statement (writesThrough) writes each change through the target
+// scan's iterator, on the page the scan read; any other materializes a
+// probe's matches first (eachTarget) and writes through Table.Update and
+// Table.Insert. Deletes are collected and applied after the last probe.
 func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeInsert, direct bool) (Result, error) {
 	ctx := &in.ctx
 	srcRows := []record.Row{nil}

@@ -62,14 +62,10 @@ type Options struct {
 	SimulatedIOLatency time.Duration
 	// Profile selects the emulated DBMS feature set (default DBMS-X).
 	Profile Profile
-	// PlanCacheSize bounds the compiled-plan cache in entries (default
-	// DefaultPlanCacheSize). Every statement runs through the cache; a
-	// negative size is out of range.
-	PlanCacheSize int
 }
 
-// DefaultPlanCacheSize is the plan-cache capacity when Options.PlanCacheSize
-// is 0. The workload's statement-shape count is small (a few dozen per
+// DefaultPlanCacheSize is the plan-cache capacity in entries; every
+// statement runs through the cache. The workload's statement-shape count is small (a few dozen per
 // algorithm); the bound exists so unbounded texts (bulk-load batches)
 // cannot grow the cache without limit.
 const DefaultPlanCacheSize = 256
@@ -150,12 +146,6 @@ func Open(opts Options) (*DB, error) {
 	if opts.Profile.Name == "" {
 		opts.Profile = ProfileDBMSX
 	}
-	if opts.PlanCacheSize < 0 {
-		return nil, fmt.Errorf("rdb: PlanCacheSize %d out of range", opts.PlanCacheSize)
-	}
-	if opts.PlanCacheSize == 0 {
-		opts.PlanCacheSize = DefaultPlanCacheSize
-	}
 	var disk storage.DiskManager
 	var err error
 	if opts.Path == "" {
@@ -175,7 +165,7 @@ func Open(opts Options) (*DB, error) {
 		planner: exec.NewPlanner(cat),
 		profile: opts.Profile,
 		tlocks:  make(map[string]*sync.RWMutex),
-		plans:   newPlanCache(opts.PlanCacheSize),
+		plans:   newPlanCache(DefaultPlanCacheSize),
 	}
 	return db, nil
 }

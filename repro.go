@@ -142,10 +142,6 @@ const (
 	MutUpdate = core.MutUpdate
 )
 
-// DefaultRepairThreshold is the decremental-repair row cap used when
-// EngineOptions.RepairThreshold is zero.
-const DefaultRepairThreshold = core.DefaultRepairThreshold
-
 // DefaultCacheSize is the path-cache capacity used when
 // EngineOptions.CacheSize is zero.
 const DefaultCacheSize = core.DefaultCacheSize
