@@ -27,21 +27,22 @@ func newPool(t testing.TB, pages int) *storage.BufferPool {
 	return pool
 }
 
+// newTree is a tree keyed on its entries' first column.
 func newTree(t testing.TB, pages int) *BTree {
 	t.Helper()
 	pool := newPool(t, pages)
-	tr, err := New(pool)
+	tr, err := New(pool, 0)
 	if err != nil {
 		t.Fatalf("new tree: %v", err)
 	}
 	return tr
 }
 
-func k(v int64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(v))
-	return b[:]
-}
+// k is the key of v: its 8 little-endian bytes.
+func k(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+
+// e is the entry of key v holding val after it.
+func e(v int64, val []byte) []byte { return append(k(v), val...) }
 
 func TestInsertGet(t *testing.T) {
 	tr := newTree(t, 64)
@@ -49,7 +50,7 @@ func TestInsertGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, ok, err := tr.Get(k(42))
-	if err != nil || !ok || string(v) != "hello" {
+	if err != nil || !ok || string(v[8:]) != "hello" {
 		t.Fatalf("get: %q %v %v", v, ok, err)
 	}
 	_, ok, err = tr.Get(k(7))
@@ -72,7 +73,7 @@ func TestDuplicateKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, _, _ := tr.Get(k(1))
-	if string(v) != "c" {
+	if string(v[8:]) != "c" {
 		t.Fatalf("put did not overwrite: %q", v)
 	}
 	if tr.Len() != 1 {
@@ -94,7 +95,7 @@ func TestManyKeysSplits(t *testing.T) {
 	}
 	for i := 0; i < n; i += 373 {
 		v, ok, err := tr.Get(k(int64(i)))
-		if err != nil || !ok || string(v) != fmt.Sprintf("val-%d", i) {
+		if err != nil || !ok || string(v[8:]) != fmt.Sprintf("val-%d", i) {
 			t.Fatalf("get %d: %q %v %v", i, v, ok, err)
 		}
 	}
@@ -104,13 +105,12 @@ func TestManyKeysSplits(t *testing.T) {
 	// Full scan is sorted and complete.
 	it := tr.Scan(nil, nil)
 	count := 0
-	var prev []byte
-	for it.Next() {
-		if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
+	for prev := int64(-1); it.Next(); count++ {
+		if key := int64(binary.LittleEndian.Uint64(it.Key())); key <= prev {
 			t.Fatal("scan out of order")
+		} else {
+			prev = key
 		}
-		prev = append(prev[:0], it.Key()...)
-		count++
 	}
 	if it.Err() != nil || count != n {
 		t.Fatalf("scan: count=%d err=%v", count, it.Err())
@@ -119,20 +119,23 @@ func TestManyKeysSplits(t *testing.T) {
 
 // TestAscendingInsertFillsLeaves: ascending inserts — a key-ordered load —
 // leave every node but the last of each level at least 90% full, leaves as
-// well as, with 200-byte keys, internal nodes; random inserts still split in
-// halves and fill leaves on average as full as before the rule did (68.8%).
+// well as, with 200-byte keys, internal nodes; random inserts, which share a
+// full leaf with its left sibling or split it in halves, fill leaves on
+// average as full as halving alone did before the rule (68.8%).
 func TestAscendingInsertFillsLeaves(t *testing.T) {
 	const n = 20000
 	val := make([]byte, 24) // a three-column tuple, as TEdges stores
-	key := func(i, width int) []byte {
-		b := make([]byte, width)
-		binary.BigEndian.PutUint64(b, uint64(i))
-		return b
-	}
 	load := func(order []int, width int) [][]float64 {
-		tr := newTree(t, 256)
+		cols := make([]int, width/8) // a key of width bytes: its first column i, the rest 0
+		for c := range cols {
+			cols[c] = c
+		}
+		tr, err := New(newPool(t, 256), cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, i := range order {
-			if err := tr.Insert(key(i, width), val); err != nil {
+			if err := tr.Insert(append(k(int64(i)), make([]byte, width-8)...), val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -168,36 +171,78 @@ func TestAscendingInsertFillsLeaves(t *testing.T) {
 	}
 }
 
-// levelFills walks the tree breadth-first and returns, per level from the
-// root down, each node's live bytes (header, slots and cells) over the page
-// size, left to right.
+// levelFills is tr.LevelFills, failing t on an error.
 func levelFills(t *testing.T, tr *BTree) [][]float64 {
-	var levels [][]float64
-	for ids := []storage.PageID{tr.root}; len(ids) > 0; {
-		var fills []float64
-		var next []storage.PageID
-		for _, id := range ids {
-			pg, err := tr.pool.Fetch(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			used := offSlots
-			for i := 0; i < nKeys(pg); i++ {
-				used += 2 + len(rawCellView(pg, i))
-			}
-			fills = append(fills, float64(used)/storage.PageSize)
-			if pg.Data[offType] == nodeInternal {
-				next = append(next, storage.PageID(pg.U32(offNext)))
-				for i := 0; i < nKeys(pg); i++ {
-					_, _, child := cellAt(pg, i)
-					next = append(next, child)
-				}
-			}
-			tr.pool.Unpin(pg, false)
-		}
-		levels, ids = append(levels, fills), next
+	levels, err := tr.LevelFills()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return levels
+}
+
+// TestPackFillsLeaves: inserts that land between the keys of a key-ordered
+// load — the SegTable build merging a batch's segments between the original
+// edges, one new key per four old or four per one, in order or not — split
+// the leaves they meet in halves; Pack over the range a batch touched, batch
+// after batch, leaves every leaf but the last at least 90% full and the tree
+// sound, under a pool small enough that nodes evict.
+func TestPackFillsLeaves(t *testing.T) {
+	val := make([]byte, 24) // the rest of a four-column segment tuple
+	const n, batch = 40000, 4000
+	for _, tc := range []struct {
+		old, run int64
+		shuffle  bool
+	}{{4, 1, false}, {1, 4, false}, {4, 1, true}} {
+		tr := newTree(t, 8)
+		var fresh []int64
+		for i := int64(0); i < n; i++ {
+			if i%(tc.old+tc.run) < tc.old {
+				if err := tr.Insert(k(i), val); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				fresh = append(fresh, i)
+			}
+		}
+		for lo := int64(0); lo < n; lo += batch {
+			var keys []int64
+			for _, i := range fresh {
+				if i >= lo && i < lo+batch {
+					keys = append(keys, i)
+				}
+			}
+			if tc.shuffle {
+				rand.New(rand.NewSource(lo)).Shuffle(len(keys), func(a, b int) { keys[a], keys[b] = keys[b], keys[a] })
+			}
+			for _, i := range keys {
+				if err := tr.Insert(k(i), val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.Pack(k(lo), k(lo+batch)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Check(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		it, want := tr.Scan(nil, nil), int64(0)
+		for ; it.Next(); want++ {
+			if got := int64(binary.LittleEndian.Uint64(it.Key())); got != want {
+				t.Fatalf("%+v: key %d where %d belongs", tc, got, want)
+			}
+		}
+		if it.Err() != nil || want != n || tr.Len() != n {
+			t.Fatalf("%+v: scanned %d of %d entries (%d counted): %v", tc, want, n, tr.Len(), it.Err())
+		}
+		levels := levelFills(t, tr)
+		leaves := levels[len(levels)-1]
+		for i, f := range leaves[:len(leaves)-1] {
+			if f < 0.9 {
+				t.Errorf("%+v: leaf %d of %d is %.1f%% full", tc, i, len(leaves), 100*f)
+			}
+		}
+	}
 }
 
 func TestRangeScan(t *testing.T) {
@@ -210,7 +255,7 @@ func TestRangeScan(t *testing.T) {
 	it := tr.Scan(k(10), k(20)) // [10, 20): keys 10,12,14,16,18
 	var got []int64
 	for it.Next() {
-		got = append(got, int64(binary.BigEndian.Uint64(it.Key())))
+		got = append(got, int64(binary.LittleEndian.Uint64(it.Key())))
 	}
 	want := []int64{10, 12, 14, 16, 18}
 	if len(got) != len(want) {
@@ -238,20 +283,24 @@ func TestRangeScan(t *testing.T) {
 }
 
 func TestScanPrefix(t *testing.T) {
-	tr := newTree(t, 64)
-	// Composite-style keys: prefix byte + suffix.
-	for p := byte(0); p < 5; p++ {
-		for s := byte(0); s < 10; s++ {
-			if err := tr.Insert([]byte{p, s}, []byte{p}); err != nil {
+	// Composite keys (p, s), stored as (s, p): the key columns need not be
+	// the entry's leading ones, nor in its order.
+	tr, err := New(newPool(t, 64), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := int64(-2); p < 3; p++ {
+		for s := int64(0); s < 10; s++ {
+			if err := tr.Insert(k(s), k(p)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	it := tr.ScanPrefix([]byte{3})
+	it := tr.ScanPrefix(k(1))
 	n := 0
 	for it.Next() {
-		if it.Key()[0] != 3 {
-			t.Fatalf("wrong prefix: %v", it.Key())
+		if p, s := int64(binary.LittleEndian.Uint64(it.Key())), int64(binary.LittleEndian.Uint64(it.Key()[8:])); p != 1 || s != int64(n) {
+			t.Fatalf("entry %d of prefix 1: key (%d, %d)", n, p, s)
 		}
 		n++
 	}
@@ -300,7 +349,7 @@ func TestLargeValues(t *testing.T) {
 		}
 	}
 	v, ok, err := tr.Get(k(150))
-	if err != nil || !ok || len(v) != 900 {
+	if err != nil || !ok || len(v) != 8+900 {
 		t.Fatalf("large value: %d %v %v", len(v), ok, err)
 	}
 	if err := tr.Check(); err != nil {
@@ -311,8 +360,11 @@ func TestLargeValues(t *testing.T) {
 func TestEntryTooLarge(t *testing.T) {
 	tr := newTree(t, 64)
 	huge := make([]byte, MaxEntrySize+1)
-	if err := tr.Insert(k(1), huge); err == nil {
+	if err := tr.Insert(huge, nil); err == nil {
 		t.Fatal("oversized entry should error")
+	}
+	if err := tr.Insert(k(1)[:7], nil); err == nil {
+		t.Fatal("an entry shorter than its key should error")
 	}
 }
 
@@ -325,14 +377,14 @@ func TestPutGrowsAndShrinksValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, _, _ := tr.Get(k(1))
-	if len(v) != 500 {
+	if len(v) != 8+500 {
 		t.Fatalf("grow failed: %d", len(v))
 	}
 	if err := tr.Put(k(1), []byte("s")); err != nil {
 		t.Fatal(err)
 	}
 	v, _, _ = tr.Get(k(1))
-	if string(v) != "s" {
+	if string(v[8:]) != "s" {
 		t.Fatalf("shrink failed: %q", v)
 	}
 }
@@ -345,10 +397,10 @@ func TestPutGrowsAndShrinksValue(t *testing.T) {
 // A value of another length does take that path.
 func TestPutSameSizeOverwritesInPlace(t *testing.T) {
 	tr := newTree(t, 64)
-	val := func(seed int64, n int) []byte {
+	val := func(key, seed int64, n int) []byte { // an entry of key
 		v := make([]byte, n)
 		rand.New(rand.NewSource(seed)).Read(v)
-		return v
+		return append(k(key), v[8:]...)
 	}
 	const valLen = 56 // a TVisited tuple: seven INTs
 	// root copies the root page: the frame is not ours after Unpin.
@@ -362,9 +414,10 @@ func TestPutSameSizeOverwritesInPlace(t *testing.T) {
 		return cp
 	}
 	model := map[int64][]byte{}
-	for i := int64(0); freeSpace(root()) >= 3*(leafCellSize(k(i), val(i, valLen))+2); i++ {
-		model[i] = val(i, valLen)
-		if err := tr.Insert(k(i), model[i]); err != nil {
+	dead := func(pg *storage.Page) int { return tr.room(pg) - freeSpace(pg) }
+	for i := int64(0); freeSpace(root()) >= 3*(leafCellSize(val(i, i, valLen))+2); i++ {
+		model[i] = val(i, i, valLen)
+		if err := tr.Insert(model[i], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -383,13 +436,13 @@ func TestPutSameSizeOverwritesInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for i := int64(0); i < 1000; i++ {
 		key := rng.Int63n(n)
-		model[key] = val(1000+i, valLen)
-		if err := tr.Put(k(key), model[key]); err != nil {
+		model[key] = val(key, 1000+i, valLen)
+		if err := tr.Put(model[key], nil); err != nil {
 			t.Fatal(err)
 		}
-		if pg := root(); deadSpace(pg) != 0 || len(tr.pages) != 1 || nKeys(pg) != int(n) {
+		if pg := root(); dead(pg) != 0 || len(tr.pages) != 1 || nKeys(pg) != int(n) {
 			t.Fatalf("Put %d of key %d: %d dead bytes, %d pages, %d keys of %d",
-				i, key, deadSpace(pg), len(tr.pages), nKeys(pg), n)
+				i, key, dead(pg), len(tr.pages), nKeys(pg), n)
 		}
 	}
 	check("after 1000 same-size Puts")
@@ -398,11 +451,11 @@ func TestPutSameSizeOverwritesInPlace(t *testing.T) {
 	// are stored, and Put goes on working on the page they leave.
 	for i, size := range []int{valLen - 8, valLen + 8} {
 		key := int64(i)
-		model[key] = val(int64(size), size)
-		if err := tr.Put(k(key), model[key]); err != nil {
+		model[key] = val(key, int64(size), size)
+		if err := tr.Put(model[key], nil); err != nil {
 			t.Fatal(err)
 		}
-		if pg := root(); deadSpace(pg) == 0 {
+		if pg := root(); dead(pg) == 0 {
 			t.Fatalf("Put of a %d-byte value over %d bytes left no dead cell: not the remove + re-insert path", size, valLen)
 		}
 		check(fmt.Sprintf("after a %d-byte Put", size))
@@ -420,9 +473,10 @@ func TestWritesThroughIteratorMatchPutInsert(t *testing.T) {
 	var it Iterator
 	var probed, fellBack int
 	for i := 0; i < 20000; i++ {
-		key := k(rng.Int63n(4000))
 		rng.Read(val)
-		if err := ref.Put(key, val); err != nil {
+		key := k(rng.Int63n(4000))
+		copy(val, key)
+		if err := ref.Put(val, nil); err != nil {
 			t.Fatal(err)
 		}
 		it.ResetPrefix(direct, key, 0, nil)
@@ -432,13 +486,13 @@ func TestWritesThroughIteratorMatchPutInsert(t *testing.T) {
 			}
 			continue
 		}
-		done, err := it.InsertAtProbe(key, val)
+		done, err := it.InsertAtProbe(val, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if done {
 			probed++
-		} else if err := direct.Insert(key, val); err != nil {
+		} else if err := direct.Insert(val, nil); err != nil {
 			t.Fatal(err)
 		} else {
 			fellBack++
@@ -472,24 +526,28 @@ func TestWritesThroughIteratorMatchPutInsert(t *testing.T) {
 	}
 
 	// A write through a stale position is refused: an overwrite of a slot
-	// that no longer holds the key, an insert after the tree split.
-	it.ResetPrefix(direct, k(0), 0, nil)
+	// that no longer holds the key, an insert after the tree split. So is
+	// an overwrite that changes the key.
+	it.ResetPrefix(direct, k(1), 0, nil)
 	if !it.Next() {
-		t.Fatal("key 0 not found")
+		t.Fatal("key 1 not found")
 	}
-	if _, err := direct.Delete(k(0)); err != nil {
+	if err := it.Overwrite(e(2, val[8:])); err == nil {
+		t.Error("an overwrite changed the key")
+	}
+	if _, err := direct.Delete(k(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := it.Overwrite(val); err == nil {
+	if err := it.Overwrite(e(1, val[8:])); err == nil {
 		t.Error("an overwrite of a deleted entry succeeded")
 	}
 	it.ResetPrefix(direct, k(5000), 0, nil)
 	for i := int64(5001); len(direct.pages) == len(ref.pages); i++ {
-		if err := direct.Insert(k(i), val); err != nil {
+		if err := direct.Insert(k(i), val[8:]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if done, err := it.InsertAtProbe(k(5000), val); done || err != nil {
+	if done, err := it.InsertAtProbe(k(5000), val[8:]); done || err != nil {
 		t.Errorf("an insert at a probe made before a split: %v, %v; want false, nil", done, err)
 	}
 }
@@ -499,7 +557,7 @@ func TestWritesThroughIteratorMatchPutInsert(t *testing.T) {
 func TestQuickModelEquivalence(t *testing.T) {
 	fn := func(ops []uint16, seed int64) bool {
 		pool := newPool(t, 64)
-		tr, err := New(pool)
+		tr, err := New(pool, 0)
 		if err != nil {
 			return false
 		}
@@ -522,7 +580,7 @@ func TestQuickModelEquivalence(t *testing.T) {
 			case 2:
 				v, ok, _ := tr.Get(key)
 				mv, inModel := model[string(key)]
-				if ok != inModel || (ok && string(v) != mv) {
+				if ok != inModel || (ok && string(v[8:]) != mv) {
 					return false
 				}
 			}
@@ -535,11 +593,13 @@ func TestQuickModelEquivalence(t *testing.T) {
 		for mk := range model {
 			keys = append(keys, mk)
 		}
-		sort.Strings(keys)
+		sort.Slice(keys, func(i, j int) bool {
+			return int64(binary.LittleEndian.Uint64([]byte(keys[i]))) < int64(binary.LittleEndian.Uint64([]byte(keys[j])))
+		})
 		it := tr.Scan(nil, nil)
 		i := 0
 		for it.Next() {
-			if i >= len(keys) || string(it.Key()) != keys[i] || string(it.Value()) != model[keys[i]] {
+			if i >= len(keys) || string(it.Key()) != keys[i] || string(it.Value()[8:]) != model[keys[i]] {
 				return false
 			}
 			i++
@@ -568,7 +628,7 @@ func TestEmptyTree(t *testing.T) {
 func TestSmallPoolEviction(t *testing.T) {
 	// A pool much smaller than the tree forces evictions mid-operation.
 	pool := newPool(t, 8)
-	tr, err := New(pool)
+	tr, err := New(pool, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +640,7 @@ func TestSmallPoolEviction(t *testing.T) {
 	}
 	for i := 0; i < n; i += 97 {
 		v, ok, err := tr.Get(k(int64(i)))
-		if err != nil || !ok || int64(binary.BigEndian.Uint64(v)) != int64(i*7) {
+		if err != nil || !ok || int64(binary.LittleEndian.Uint64(v[8:])) != int64(i*7) {
 			t.Fatalf("get %d after eviction: %v %v", i, ok, err)
 		}
 	}
@@ -592,14 +652,14 @@ func TestSmallPoolEviction(t *testing.T) {
 	}
 }
 
-// filledTree holds n entries shaped like a clustered TVisited: a 9-byte key
-// and a 56-byte tuple.
+// filledTree holds n entries shaped like a clustered TVisited: a 56-byte
+// tuple keyed on its first column.
 func filledTree(t testing.TB, n int) *BTree {
 	t.Helper()
 	tr := newTree(t, 1024)
-	val := make([]byte, 56)
+	val := make([]byte, 48)
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(append([]byte{1}, k(int64(i))...), val); err != nil {
+		if err := tr.Insert(k(int64(i)), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -610,7 +670,7 @@ func scanAll(t testing.TB, tr *BTree, want int) {
 	it := tr.Scan(nil, nil)
 	n := 0
 	for it.Next() {
-		n += len(it.Key()) / 9
+		n += len(it.Value()) / 56
 	}
 	if err := it.Err(); err != nil || n != want {
 		t.Fatalf("scan saw %d of %d entries: %v", n, want, err)
@@ -635,7 +695,7 @@ func TestFilteredScan(t *testing.T) {
 	preds := []record.Pred{{Col: 1, Sat: 2, Val: 0}}
 	var want []string
 	for i := int64(0); i < 600; i++ {
-		if err := tr.Insert(k(i), encode(i, i%3)); err != nil {
+		if err := tr.Insert(encode(i, i%3), nil); err != nil {
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
@@ -683,16 +743,16 @@ func TestFilteredScan(t *testing.T) {
 		}
 	}
 	for i := int64(0); i < 600; i += 3 {
-		if err := tr.Put(k(i), encode(i, 0)); err != nil {
+		if err := tr.Put(encode(i, 0), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A value of any length but 8 bytes a column ends the scan with an
+	// An entry of any length but 8 bytes a column ends the scan with an
 	// error, whether or not the preds would reject its columns: one byte
-	// short, one over, and the layout that led with a NULL bitmap.
+	// short, one over, and a column over.
 	rejected := encode(300, 1)
-	for _, bad := range [][]byte{rejected[:15], append(rejected, 0), append([]byte{0}, rejected...)} {
-		if err := tr.Put(k(300), bad); err != nil {
+	for _, bad := range [][]byte{rejected[:15], append(rejected, 0), append(rejected, k(0)...)} {
+		if err := tr.Put(bad, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range []func() ([]string, error){scan, fold} {
@@ -702,7 +762,7 @@ func TestFilteredScan(t *testing.T) {
 			}
 		}
 	}
-	if err := tr.Put(k(300), encode(300, 0)); err != nil {
+	if err := tr.Put(encode(300, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []func() ([]string, error){scan, fold} {

@@ -1,0 +1,270 @@
+package btree
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"slices"
+	"testing"
+)
+
+// fuzzValues are the column values the fuzz bytes pick from: the int64
+// extremes and their neighbours first, then small integers.
+var fuzzValues = []int64{math.MinInt64, -1, 0, 1, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
+
+func fuzzValue(b byte) int64 {
+	if int(b) < len(fuzzValues) {
+		return fuzzValues[b]
+	}
+	return int64(b) - 128
+}
+
+// order is the model's key order, written apart from the tree's: keys x
+// and y, each some 8-byte little-endian int64 columns, compare column by
+// column, and a key that ends first sorts first.
+func order(x, y []byte) int {
+	for ; len(x) >= 8 && len(y) >= 8; x, y = x[8:], y[8:] {
+		if a, b := int64(binary.LittleEndian.Uint64(x)), int64(binary.LittleEndian.Uint64(y)); a != b {
+			if a < b {
+				return -1
+			}
+			return 1
+		}
+	}
+	return len(x) - len(y)
+}
+
+// fuzzLayouts are the key columns of the entries (a, b, u) the fuzz target
+// stores: a unique composite key, the same with its columns out of entry
+// order (as TInSegs is keyed), and a key made unique by a uniquifier column
+// u, as a clustered table on a non-unique key is.
+var fuzzLayouts = [][]int{{0, 1}, {1, 0}, {0, 2}}
+
+// FuzzBTree decodes its bytes into calls on a tree of entries (a, b, u,
+// payload) — Insert, Put, Delete, Get, range and prefix scans, Overwrite and
+// InsertAtProbe through a prefix probe, Pack — under a pool small enough
+// that nodes evict, and checks each call against a sorted in-memory model
+// and the tree against Check after it. The first byte picks the key layout;
+// then each call takes four: the call, a, b and the payload size.
+func FuzzBTree(f *testing.F) {
+	seed := func(layout byte, calls ...[4]byte) []byte {
+		out := []byte{layout}
+		for _, c := range calls {
+			out = append(out, c[:]...)
+		}
+		return out
+	}
+	var extremes, run, churn, wide [][4]byte
+	for a := byte(0); a < 7; a++ {
+		for b := byte(0); b < 7; b++ {
+			extremes = append(extremes, [4]byte{0, a, b, 3})
+		}
+	}
+	extremes = append(extremes, [4]byte{4, 0, 4, 1}, [4]byte{5, 2, 0, 0}, [4]byte{3, 4, 4, 0}, [4]byte{2, 1, 1, 0})
+	for i := byte(0); i < 60; i++ {
+		run = append(run, [4]byte{0, 10 + i/4, 10 + 2*(i%4), 2})
+	}
+	for i := byte(0); i < 60; i++ {
+		run = append(run, [4]byte{7, 10 + i/4, 11 + 2*(i%4), 2})
+	}
+	run = append(run, [4]byte{8, 10, 30, 0}, [4]byte{4, 9, 40, 0})
+	for i := byte(0); i < 120; i++ {
+		churn = append(churn, [4]byte{i % 9, i * 37, i * 11, i})
+	}
+	for i := byte(0); i < 40; i++ { // one first column over several leaves
+		wide = append(wide, [4]byte{0, 20, 10 + i, 3}, [4]byte{0, 21, 10 + i, 3})
+	}
+	wide = append(wide, [4]byte{5, 21, 0, 1}, [4]byte{5, 20, 0, 1}, [4]byte{4, 21, 0, 1}, [4]byte{8, 20, 21, 0}, [4]byte{5, 21, 0, 1})
+	for layout := byte(0); layout < 3; layout++ {
+		f.Add(seed(layout, extremes...))
+		f.Add(seed(layout, run...))
+		f.Add(seed(layout, churn...))
+		f.Add(seed(layout, wide...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		cols := fuzzLayouts[int(data[0])%len(fuzzLayouts)]
+		tr, err := New(newPool(t, 5), cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := map[string][]byte{} // key -> entry
+		keyOf := func(entry []byte) []byte {
+			var k []byte
+			for _, c := range cols {
+				k = append(k, entry[8*c:8*c+8]...)
+			}
+			return k
+		}
+		var u int64 // the next uniquifier
+		entry := func(a, b int64, size byte, fill byte) []byte {
+			e := binary.LittleEndian.AppendUint64(nil, uint64(a))
+			e = binary.LittleEndian.AppendUint64(e, uint64(b))
+			e = binary.LittleEndian.AppendUint64(e, uint64(u))
+			return append(e, bytes.Repeat([]byte{fill}, int(size)%4*150)...)
+		}
+		// key is a's and b's place in key order: (a, b), (b, a) or (a, u).
+		key := func(a, b int64, cols int) []byte {
+			k := binary.LittleEndian.AppendUint64(nil, uint64(a))
+			if cols == 2 {
+				k = binary.LittleEndian.AppendUint64(k, uint64(b))
+			}
+			return k
+		}
+		sorted := func() [][]byte {
+			keys := make([][]byte, 0, len(model))
+			for k := range model {
+				keys = append(keys, []byte(k))
+			}
+			slices.SortFunc(keys, order)
+			return keys
+		}
+		// within reports whether k lies in [lo, hi): a prefix sorts before the
+		// keys it begins.
+		within := func(k, lo, hi []byte) bool {
+			return (lo == nil || order(lo, k) <= 0) && (hi == nil || order(hi, k) > 0)
+		}
+		scan := func(it *Iterator, lo, hi []byte, prefix bool) {
+			t.Helper()
+			var want [][]byte
+			for _, k := range sorted() {
+				if prefix && bytes.HasPrefix(k, lo) || !prefix && within(k, lo, hi) {
+					want = append(want, model[string(k)])
+				}
+			}
+			var got [][]byte
+			for it.Next() {
+				got = append(got, slices.Clone(it.Value()))
+			}
+			if it.Err() != nil || !slices.EqualFunc(got, want, bytes.Equal) {
+				t.Fatalf("scan of [%x, %x) prefix %v: %d entries, want %d: %v", lo, hi, prefix, len(got), len(want), it.Err())
+			}
+		}
+		var it Iterator
+		for calls := data[1:]; len(calls) >= 4; calls = calls[4:] {
+			op, a, b, size := calls[0]%9, fuzzValue(calls[1]), fuzzValue(calls[2]), calls[3]
+			if cols[1] == 2 { // b is payload; the key's second column the uniquifier
+				b = int64(calls[2]) % (u + 1)
+			}
+			full := key(a, b, 2)
+			if cols[0] == 1 {
+				full = key(b, a, 2)
+			}
+			switch op {
+			case 0, 1: // Insert, Put
+				if cols[1] == 2 && op == 0 {
+					u++
+				}
+				e := entry(a, fuzzValue(calls[2]), size, calls[1])
+				if cols[1] == 2 {
+					binary.LittleEndian.PutUint64(e[16:], uint64(b))
+					if op == 0 {
+						binary.LittleEndian.PutUint64(e[16:], uint64(u))
+					}
+				}
+				k := string(keyOf(e))
+				var err error
+				if op == 0 {
+					err = tr.Insert(e, nil)
+				} else {
+					err = tr.Put(e, nil)
+				}
+				_, had := model[k]
+				switch {
+				case op == 0 && had:
+					if !errors.Is(err, ErrDuplicateKey) {
+						t.Fatalf("insert of a stored key %x: %v", k, err)
+					}
+				case err != nil:
+					t.Fatalf("%d of %x: %v", op, k, err)
+				default:
+					model[k] = e
+				}
+			case 2: // Delete
+				ok, err := tr.Delete(full)
+				if _, had := model[string(full)]; err != nil || ok != had {
+					t.Fatalf("delete of %x: %v, %v; stored %v", full, ok, err, had)
+				}
+				delete(model, string(full))
+			case 3: // Get
+				got, ok, err := tr.Get(full)
+				if want, had := model[string(full)]; err != nil || ok != had || !bytes.Equal(got, want) {
+					t.Fatalf("get of %x: %v, %v", full, ok, err)
+				}
+			case 4: // Scan(lo, hi): each bound a one- or two-column key, or none
+				lo, hi := full[:8*int(size%3)], key(fuzzValue(calls[3]), b, 1)
+				if size%3 == 0 {
+					lo = nil
+				}
+				if size&4 != 0 {
+					hi = nil
+				}
+				it.Reset(tr, lo, hi, 0, nil)
+				scan(&it, lo, hi, false)
+			case 5: // ResetPrefix on none, one or both of the key's columns
+				p := full[:8*int(size%3)]
+				it.ResetPrefix(tr, p, 0, nil)
+				if size%3 == 0 {
+					p = nil
+				}
+				scan(&it, p, nil, true)
+			case 6: // Overwrite what a probe found, same key and length
+				it.ResetPrefix(tr, full, 0, nil)
+				if !it.Next() {
+					break
+				}
+				e := slices.Clone(it.Value())
+				for i := 24; i < len(e); i++ {
+					e[i] = calls[3]
+				}
+				if err := it.Overwrite(e); err != nil {
+					t.Fatalf("overwrite of %x: %v", full, err)
+				}
+				model[string(full)] = e
+				if err := it.Overwrite(append(e, 0)); err == nil {
+					t.Fatalf("an overwrite of %x with a longer entry succeeded", full)
+				}
+			case 7: // InsertAtProbe, else Insert
+				it.ResetPrefix(tr, full, 0, nil)
+				found := it.Next()
+				e := entry(a, fuzzValue(calls[2]), size, calls[3])
+				if cols[1] == 2 {
+					binary.LittleEndian.PutUint64(e[16:], uint64(b))
+				}
+				done, err := it.InsertAtProbe(e, nil)
+				if found {
+					if !errors.Is(err, ErrDuplicateKey) || done {
+						t.Fatalf("insert at the probe of a stored key %x: %v, %v", full, done, err)
+					}
+					break
+				}
+				if err == nil && !done {
+					err = tr.Insert(e, nil)
+				}
+				if err != nil {
+					t.Fatalf("insert at the probe of %x: %v", full, err)
+				}
+				model[string(full)] = e
+			case 8: // Pack between two one-column keys, or all of it
+				var lo, hi []byte
+				if size%2 == 0 {
+					lo, hi = key(min(a, b), 0, 1), key(max(a, b), 0, 1)
+				}
+				if err := tr.Pack(lo, hi); err != nil {
+					t.Fatalf("pack of [%x, %x]: %v", lo, hi, err)
+				}
+			}
+			if err := tr.Check(); err != nil {
+				t.Fatalf("after call %d (%x): %v", op, calls[:4], err)
+			}
+			if tr.Len() != len(model) {
+				t.Fatalf("after call %d: %d entries, the model %d", op, tr.Len(), len(model))
+			}
+		}
+		it.Reset(tr, nil, nil, 0, nil)
+		scan(&it, nil, nil, false)
+	})
+}

@@ -90,12 +90,12 @@ func TestWarmQueryAllocs(t *testing.T) {
 // BenchmarkColdBSEGQuery is one BSEG search per iteration in cold_bseg's
 // shape, the paper's disk regime (§5, Fig 8(b) / 9(g)), scaled down: a
 // file-backed database of graph.Power(8000,3,2011) with its SegTable at
-// lthd 20 (~690 pages), a 36-page buffer pool (about a twentieth of the
+// lthd 20 (~340 pages), a 17-page buffer pool (about a twentieth of the
 // file) and the path cache off. Every query misses, evicts and writes
 // scratch pages back, so B/op and allocs/op include what the pool's misses
 // allocate; misses/op counts its physical reads, pages/op every fetch.
 func BenchmarkColdBSEGQuery(b *testing.B) {
-	const poolPages = 36
+	const poolPages = 17
 	g := graph.Power(8000, 3, 2011)
 	path := filepath.Join(b.TempDir(), "cold.db")
 	e := newTestEngine(b, g, rdb.Options{Path: path, BufferPoolPages: poolPages}, Options{CacheSize: -1})
@@ -234,14 +234,14 @@ func BenchmarkSegTableBuild(b *testing.B) {
 
 // BenchmarkColdSegTableBuild is one BuildSegTable(20) per iteration in
 // cold_bseg's set-up shape, scaled down like BenchmarkColdBSEGQuery: a
-// file-backed database of graph.Power(8000,3,2011) behind a 36-page buffer
+// file-backed database of graph.Power(8000,3,2011) behind a 17-page buffer
 // pool, about a twentieth of the file. The segment tables outgrow the pool
 // and the sweep runs in batches of sources that fit it (batches/op, per
 // direction), so misses/op (physical reads) is what a working set inside
 // the pool and an access path that follows the clustering save; pages/op
 // counts every fetch.
 func BenchmarkColdSegTableBuild(b *testing.B) {
-	const poolPages = 36
+	const poolPages = 17
 	g := graph.Power(8000, 3, 2011)
 	path := filepath.Join(b.TempDir(), "cold.db")
 	e := newTestEngine(b, g, rdb.Options{Path: path, BufferPoolPages: poolPages}, Options{CacheSize: -1})

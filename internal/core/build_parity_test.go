@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -201,6 +203,72 @@ func TestBatchedBuildMatchesOneBatch(t *testing.T) {
 						}
 					}
 					t.Logf("batches %d: %v", stats[0].Batches, stats[0])
+				})
+			}
+		}
+	}
+}
+
+// TestSegTableFill: a build leaves the segment tables' leaves at least 90%
+// full on average — each batch's merge splits the leaves its segments land
+// in, between the fold's direct hops, and the build packs the batch's range
+// — on both graph families, at thresholds that keep segments short and
+// that let them span many hops, built in one batch or, on an 8-page pool,
+// in many. Unpacked, the splits left them 57–68% full. A churn of
+// TestMutationDifferential's size then lands the repairs' inserts at random
+// in the one-batch builds; the fill it leaves is logged, not bounded.
+func TestSegTableFill(t *testing.T) {
+	fill := func(t *testing.T, e *Engine, name string) float64 {
+		t.Helper()
+		tbl, _ := e.db.Catalog().Get(name)
+		levels, err := tbl.Clustered().Tree().LevelFills()
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves, sum := levels[len(levels)-1], 0.0
+		for _, f := range leaves {
+			sum += f
+		}
+		return sum / float64(len(leaves))
+	}
+	for _, gc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"power", graph.Power(1000, 3, 7)}, {"random", graph.Random(600, 2400, 7)}} {
+		for _, lthd := range []int64{5, 20} {
+			for _, pool := range []int{0, 8} { // 0: the default pool
+				t.Run(fmt.Sprintf("%s/lthd=%d/pool=%d", gc.name, lthd, pool), func(t *testing.T) {
+					t.Parallel()
+					e := newTestEngine(t, gc.g, rdb.Options{BufferPoolPages: pool}, Options{})
+					st, err := e.BuildSegTable(lthd)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var fills []string
+					for _, tbl := range []string{TblOutSegs, TblInSegs} {
+						f := fill(t, e, tbl)
+						if f < 0.9 {
+							t.Errorf("%s: leaves %.1f%% full after a build in %d batches, want at least 90%%", tbl, 100*f, st.Batches)
+						}
+						fills = append(fills, fmt.Sprintf("%s %.1f%%", tbl, 100*f))
+					}
+					if pool != 0 { // the churn's fill does not depend on how the build batched
+						t.Logf("%d batches: %s", st.Batches, strings.Join(fills, ", "))
+						return
+					}
+					mirror, rnd := gc.g.Clone(), rand.New(rand.NewSource(lthd))
+					for applied := 0; applied < 1000; {
+						muts := make([]Mutation, min(1+rnd.Intn(8), 1000-applied))
+						for i := range muts {
+							muts[i] = randomMutation(t, rnd, mirror)
+						}
+						if _, err := e.ApplyMutations(muts); err != nil {
+							t.Fatal(err)
+						}
+						applied += len(muts)
+					}
+					t.Logf("%d batches: %s; after 1000 mutations %s %.1f%%, %s %.1f%%", st.Batches, strings.Join(fills, ", "),
+						TblOutSegs, 100*fill(t, e, TblOutSegs), TblInSegs, 100*fill(t, e, TblInSegs))
 				})
 			}
 		}

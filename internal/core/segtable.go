@@ -28,9 +28,9 @@ const (
 )
 
 // segLeafRows is how many TSeg rows the first batch assumes a page holds:
-// a leaf half full of 62-byte entries (the 18-byte (src, nid) key, the
-// 40-byte tuple, two length bytes and a 2-byte slot).
-const segLeafRows = storage.PageSize / 2 / 62
+// a leaf half full of 43-byte cells (the 40-byte tuple, which holds its
+// (src, nid) key, a length byte and a 2-byte slot).
+const segLeafRows = storage.PageSize / 2 / 43
 
 // sweeper builds the index-build kernel over the engine's statement path:
 // every statement a build issues runs through exec / queryInt (prepared
@@ -59,10 +59,11 @@ const DefaultLthd = 20
 // framework (§4.2), one direction at a time: the original edges are folded
 // into the direction's table first, then the nodes start as sources in a
 // working table TSeg keyed on (src, nid), a batch of them at a time sized
-// to a quarter of the buffer pool; bounded multi-source set-Dijkstra
+// to a sixth of the buffer pool; bounded multi-source set-Dijkstra
 // expands over the table's direct hops until the minimal unfinalized
 // distance exceeds lthd, and a MERGE writes the batch's segments over the
-// table before the next batch starts (segPass).
+// table, whose leaves it touched are then packed full, before the next
+// batch starts (segPass).
 func (e *Engine) BuildSegTable(lthd int64) (*SegTableStats, error) {
 	return e.BuildSegTableContext(context.Background(), lthd)
 }
@@ -189,11 +190,21 @@ func (e *Engine) createSegTables(qs *QueryStats) error {
 // the batches and the batches.
 //
 // A batch is a contiguous range of the node order, sized so that its TSeg
-// stays within a quarter of the buffer pool: every round's F and E passes
+// stays within a sixth of the buffer pool: every round's F and E passes
 // read the whole working set, and one that outgrows the pool misses on
-// every pass. The first batch assumes the fold's rows per node plus one
-// per source; each later one the pages per source the batch before it
-// left. A pool that holds the whole sweep gives one batch.
+// every pass. (A sixth in 43-byte rows holds about the sources a quarter
+// held when each row stored its key twice in 62 bytes; at a cold build of
+// graph.Power(20000) behind 128 pages it takes 14 batches to a quarter's
+// 10, with 3128 misses to 3144.) The first batch assumes the fold's rows
+// per node plus one per source; each later one the pages per source the
+// batch before it left. A pool that holds the whole sweep gives one batch.
+//
+// The merge lands each segment between the fold's direct hops of its
+// source and splits the leaves it fills; the table is keyed on the
+// direction's source column first, so the leaves of the batch's range are
+// packed (rdb.DB.Pack) before the next batch, which leaves the table as
+// full as a key-ordered load would and adds at most a batch's worth of
+// half-empty leaves to the pages the file ever holds.
 //
 // The sweep expands the table's direct hops only (sweep.Run), which for
 // the first batch are exactly the fold. A later batch sees the fold minus
@@ -215,7 +226,7 @@ func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64, forwar
 	cat := e.db.Catalog()
 	folded, _ := cat.Get(target)
 	n := e.Nodes()
-	budget := float64(max(e.db.Pool().Capacity()/4, 1))
+	budget := max(float64(e.db.Pool().Capacity())/6, 1)
 	perSource := (float64(folded.RowCount())/float64(n) + 1) / segLeafRows // pages
 	sw := e.sweeper(qs)
 	for lo := 0; lo < n; batches++ {
@@ -226,6 +237,9 @@ func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64, forwar
 			return 0, 0, err
 		}
 		if _, err := e.mergeSegs(ctx, qs, target, swept, nil); err != nil {
+			return 0, 0, err
+		}
+		if err := e.db.Pack(target, int64(lo), int64(hi)); err != nil {
 			return 0, 0, err
 		}
 		iterations += it

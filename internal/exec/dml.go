@@ -498,9 +498,9 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 // inserted is met again, so a later source row changes it too. Which source
 // row applies to a target row two of them reach is the source's order: with
 // TOP n over more than n rows and a rank-1 tie between rows that differ, one
-// of the three outcomes the dialect leaves open. Known defect: under a
-// non-unique clustered key an update that moves a row moves its location,
-// which touched then misses, so a later source row changes the row again.
+// of the three outcomes the dialect leaves open. An update that moves a
+// row (a clustered key or a heap RID that changes) marks the new location
+// touched too, so no later source row meets the row again.
 //
 // A direct statement (writesThrough) writes each change through the target
 // scan's iterator, on the page the scan read; any other materializes a
@@ -555,7 +555,10 @@ func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeI
 			if direct {
 				return scan.it.Overwrite(in.row)
 			}
-			_, err = t.Update(m.loc, m.row, in.row)
+			loc, err := t.Update(m.loc, m.row, in.row)
+			if touched != nil && err == nil {
+				touched[locKey(loc)] = true
+			}
 			return err
 		}
 		return nil

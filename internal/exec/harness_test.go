@@ -11,6 +11,7 @@ package exec_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -345,7 +346,11 @@ func (h *harness) checkTable(at string, tb *table.Table, want []record.Row) {
 		var got []record.Row
 		it, entries := tb.LookupEq(lookup, nil), ix.Tree().Scan(nil, nil)
 		for it.Next() {
-			if !entries.Next() || !bytes.HasPrefix(entries.Key(), record.EncodeKey(nil, pick(it.Row(), ix.Cols)...)) {
+			var cols []byte // the row's key columns as the tree stores them: 8 little-endian bytes each
+			for _, v := range pick(it.Row(), ix.Cols) {
+				cols = binary.LittleEndian.AppendUint64(cols, uint64(v.I))
+			}
+			if !entries.Next() || !bytes.HasPrefix(entries.Key(), cols) {
 				h.t.Fatalf("%s: index %s holds %v under a key not its own", at, ix.Name, it.Row())
 			}
 			got = append(got, it.Row().Clone())

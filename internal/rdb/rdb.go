@@ -19,6 +19,7 @@ package rdb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -479,6 +480,26 @@ func (db *DB) execText(query string, st *Stmt, args []any) (exec.Result, error) 
 		db.epoch.Add(1)
 	}
 	return res, wrapErr(err, query)
+}
+
+// Pack packs the clustered leaves of table name that hold the rows whose
+// leading key column lies in [lo, hi) (table.Table.Pack), holding the
+// table as a statement that writes it does. An index build calls it after a
+// bulk merge into the table.
+func (db *DB) Pack(name string, lo, hi int64) error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.closed {
+		return fmt.Errorf("rdb: database is closed")
+	}
+	t, ok := db.cat.Get(name)
+	if !ok {
+		return fmt.Errorf("rdb: no table %q", name)
+	}
+	l := db.tableLock(strings.ToLower(name))
+	l.Lock()
+	defer l.Unlock()
+	return t.Pack(lo, hi)
 }
 
 // execDDL dispatches a schema statement; callers hold the exclusive latch

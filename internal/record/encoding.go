@@ -96,16 +96,18 @@ func Match(src []byte, n int, preds []Pred) (bool, error) {
 
 // Key encoding
 //
-// B+tree keys are byte slices compared with bytes.Compare, so every value is
-// encoded order-preservingly:
+// The in-memory keys of GROUP BY, DISTINCT and hash-join build sides group
+// values that may be NULL (a result, never a stored value), so each value
+// is encoded order-preservingly and self-delimiting:
 //
 //	NULL:  tag 0x00
 //	INT:   tag 0x01 + big-endian uint64 with the sign bit flipped
 //
-// Components of a composite key simply concatenate; because every component
-// is self-delimiting, the concatenation orders lexicographically by
-// component. Stored rows hold no NULL, so only in-memory keys (GROUP BY,
-// DISTINCT, hash-join build sides over NULL results) carry the 0x00 tag.
+// Components of a composite key simply concatenate, and the concatenation
+// orders lexicographically by component under bytes.Compare. B+tree keys
+// are not encoded this way: a tree compares the key columns of a stored
+// tuple, 8 little-endian bytes each, as int64s where they lie (package
+// btree), and no stored key holds NULL.
 
 // EncodeKey appends the order-preserving encoding of vals to dst.
 func EncodeKey(dst []byte, vals ...Value) []byte {

@@ -7,10 +7,10 @@
 package table
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/heapfile"
@@ -29,18 +29,15 @@ type Loc struct {
 	Key []byte // non-nil iff the table is clustered
 }
 
+// ridBytes encodes r as one key column: an int64 (page, then slot), 8
+// little-endian bytes.
 func ridBytes(r heapfile.RID) []byte {
-	var b [6]byte
-	binary.LittleEndian.PutUint32(b[:4], uint32(r.Page))
-	binary.LittleEndian.PutUint16(b[4:], r.Slot)
-	return b[:]
+	return binary.LittleEndian.AppendUint64(nil, uint64(r.Page)<<16|uint64(r.Slot))
 }
 
 func ridFromBytes(b []byte) heapfile.RID {
-	return heapfile.RID{
-		Page: storage.PageID(binary.LittleEndian.Uint32(b[:4])),
-		Slot: binary.LittleEndian.Uint16(b[4:6]),
-	}
+	v := binary.LittleEndian.Uint64(b)
+	return heapfile.RID{Page: storage.PageID(v >> 16), Slot: uint16(v)}
 }
 
 func (l Loc) bytes() []byte {
@@ -50,13 +47,34 @@ func (l Loc) bytes() []byte {
 	return ridBytes(l.RID)
 }
 
-// Index is a secondary B+tree index over a subset of columns.
-//
-// Unique secondary index entry:     key = EncodeKey(cols...)            val = loc
-// Non-unique secondary index entry: key = EncodeKey(cols...) ++ loc     val = loc
-//
-// loc is the heap RID or the clustered key of the indexed table, so lookups
-// can fetch rows without an extra indirection table.
+// appendKey appends vals to dst as a B+tree key: each an int64, the 8
+// little-endian bytes a stored tuple holds. It reports false, having
+// appended what came before, at a NULL, which no stored row holds.
+func appendKey(dst []byte, vals ...record.Value) ([]byte, bool) {
+	for _, v := range vals {
+		if v.Null {
+			return dst, false
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
+	}
+	return dst, true
+}
+
+// rowKey appends the values of row's columns cols to dst as a key.
+func rowKey(dst []byte, row record.Row, cols []int) []byte {
+	for _, c := range cols {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(row[c].I))
+	}
+	return dst
+}
+
+// Index is a B+tree index over a subset of columns: the table's clustered
+// index, whose entry is the tuple itself (followed by a uniquifier column
+// when the key is not unique), or a secondary index, whose entry is the
+// indexed columns followed by the row's location — the heap RID or the
+// clustered key, fixed-length either way — so lookups fetch rows without an
+// extra indirection table. A unique secondary index is keyed on the columns,
+// a non-unique one on the whole entry, the location included.
 type Index struct {
 	Name   string
 	Cols   []int // ordinals into the table schema
@@ -92,11 +110,15 @@ type Options struct {
 func New(pool *storage.BufferPool, name string, schema *record.Schema, opts Options) (*Table, error) {
 	t := &Table{Name: name, Schema: schema, pool: pool}
 	if len(opts.ClusterOn) > 0 {
-		tr, err := btree.New(pool)
+		key := slices.Clone(opts.ClusterOn)
+		if !opts.ClusterUnique {
+			key = append(key, schema.Len()) // the uniquifier, after the tuple
+		}
+		tr, err := btree.New(pool, key...)
 		if err != nil {
 			return nil, err
 		}
-		t.clustered = &Index{Name: name + "_clu", Cols: append([]int(nil), opts.ClusterOn...), Unique: opts.ClusterUnique, tree: tr}
+		t.clustered = &Index{Name: name + "_clu", Cols: slices.Clone(opts.ClusterOn), Unique: opts.ClusterUnique, tree: tr}
 	} else {
 		h, err := heapfile.New(pool)
 		if err != nil {
@@ -121,27 +143,11 @@ func (t *Table) WritesThrough() bool {
 // RowCount returns the number of live rows.
 func (t *Table) RowCount() int { return t.rows }
 
-// keyFor builds the clustered tree key for a row (appending a uniquifier
-// when the clustered key is non-unique).
-func (t *Table) keyFor(row record.Row) []byte {
-	vals := make([]record.Value, 0, len(t.clustered.Cols)+1)
-	for _, c := range t.clustered.Cols {
-		vals = append(vals, row[c])
-	}
-	if !t.clustered.Unique {
-		t.uniquifier++
-		vals = append(vals, record.Int(t.uniquifier))
-	}
-	return record.EncodeKey(nil, vals...)
-}
-
-// indexKey builds the secondary-index key for row at loc.
+// indexKey builds the key of row at loc in secondary index ix: the
+// indexed columns, and the location after them when the index is not
+// unique.
 func indexKey(ix *Index, row record.Row, loc Loc) []byte {
-	vals := make([]record.Value, 0, len(ix.Cols))
-	for _, c := range ix.Cols {
-		vals = append(vals, row[c])
-	}
-	k := record.EncodeKey(nil, vals...)
+	k := rowKey(nil, row, ix.Cols)
 	if !ix.Unique {
 		k = append(k, loc.bytes()...)
 	}
@@ -155,6 +161,34 @@ func (t *Table) encode(row record.Row) ([]byte, error) {
 		t.enc = data
 	}
 	return data, err
+}
+
+// tupleOf returns the tuple of an entry of the clustered tree: the entry,
+// less the uniquifier when the key is not unique. An entry of the wrong
+// length is returned whole, for the decoder to refuse.
+func (t *Table) tupleOf(entry []byte) []byte {
+	if n := 8 * t.Schema.Len(); !t.clustered.Unique && len(entry) == n+8 {
+		return entry[:n]
+	}
+	return entry
+}
+
+// locCols is the column count of a row's location: one for a RID, the
+// clustered key's otherwise.
+func (t *Table) locCols() int {
+	if t.clustered == nil {
+		return 1
+	}
+	return t.width() - t.Schema.Len() + len(t.clustered.Cols)
+}
+
+// width is the column count of an entry of the clustered tree: the tuple's,
+// and the uniquifier when the key is not unique.
+func (t *Table) width() int {
+	if t.clustered.Unique {
+		return t.Schema.Len()
+	}
+	return t.Schema.Len() + 1
 }
 
 // clusteredTaken is the error of an insert whose unique clustered key a row
@@ -174,25 +208,22 @@ func (t *Table) Insert(row record.Row) (Loc, error) {
 	}
 	var loc Loc
 	if t.clustered != nil {
-		key := t.keyFor(row)
-		if t.clustered.Unique {
-			if err := t.clustered.tree.Insert(key, data); err != nil {
-				return Loc{}, t.clusteredTaken(err)
-			}
-		} else {
-			if err := t.clustered.tree.Insert(key, data); err != nil {
-				return Loc{}, err
-			}
+		if !t.clustered.Unique {
+			t.uniquifier++
+			data = binary.LittleEndian.AppendUint64(data, uint64(t.uniquifier))
+			t.enc = data
 		}
-		loc = Loc{Key: key}
+		if err := t.clustered.tree.Insert(data, nil); err != nil {
+			return Loc{}, t.clusteredTaken(err)
+		}
+		loc = Loc{Key: t.clustered.tree.KeyOf(nil, data)}
 	} else {
 		// Check unique secondary indexes before touching storage.
 		for _, ix := range t.Secondary {
 			if !ix.Unique {
 				continue
 			}
-			probe := indexKey(ix, row, Loc{})
-			if _, found, err := ix.tree.Get(probe); err != nil {
+			if _, found, err := ix.tree.Get(rowKey(nil, row, ix.Cols)); err != nil {
 				return Loc{}, err
 			} else if found {
 				return Loc{}, fmt.Errorf("%w: index %s", ErrUniqueViolation, ix.Name)
@@ -205,17 +236,11 @@ func (t *Table) Insert(row record.Row) (Loc, error) {
 		loc = Loc{RID: rid}
 	}
 	for _, ix := range t.Secondary {
-		k := indexKey(ix, row, loc)
-		var err error
-		if ix.Unique {
-			err = ix.tree.Insert(k, loc.bytes())
-			if errors.Is(err, btree.ErrDuplicateKey) {
-				// Roll back the storage write to keep the table consistent.
-				t.removeStorage(loc)
-				return Loc{}, fmt.Errorf("%w: index %s", ErrUniqueViolation, ix.Name)
-			}
-		} else {
-			err = ix.tree.Insert(k, loc.bytes())
+		err := ix.tree.Insert(rowKey(nil, row, ix.Cols), loc.bytes())
+		if ix.Unique && errors.Is(err, btree.ErrDuplicateKey) {
+			// Roll back the storage write to keep the table consistent.
+			t.removeStorage(loc)
+			return Loc{}, fmt.Errorf("%w: index %s", ErrUniqueViolation, ix.Name)
 		}
 		if err != nil {
 			return Loc{}, err
@@ -237,8 +262,7 @@ func (t *Table) removeStorage(loc Loc) {
 // locate index entries).
 func (t *Table) Delete(loc Loc, row record.Row) error {
 	for _, ix := range t.Secondary {
-		k := indexKey(ix, row, loc)
-		if _, err := ix.tree.Delete(k); err != nil {
+		if _, err := ix.tree.Delete(indexKey(ix, row, loc)); err != nil {
 			return err
 		}
 	}
@@ -283,7 +307,11 @@ func (t *Table) Update(loc Loc, oldRow, newRow record.Row) (Loc, error) {
 			}
 			return t.Insert(newRow)
 		}
-		if err := t.clustered.tree.Put(loc.Key, data); err != nil {
+		var uniq []byte
+		if !t.clustered.Unique { // the row keeps its uniquifier, its key's last column
+			uniq = loc.Key[len(loc.Key)-8:]
+		}
+		if err := t.clustered.tree.Put(data, uniq); err != nil {
 			return Loc{}, err
 		}
 		if err := t.fixSecondaries(loc, loc, oldRow, newRow); err != nil {
@@ -317,7 +345,7 @@ func (t *Table) movedKeyTaken(ix *Index, oldRow, newRow record.Row) error {
 	if ix == nil || !ix.Unique || !colsDiffer(ix.Cols, oldRow, newRow) {
 		return nil
 	}
-	_, taken, err := ix.tree.Get(indexKey(ix, newRow, Loc{}))
+	_, taken, err := ix.tree.Get(rowKey(nil, newRow, ix.Cols))
 	if err == nil && taken {
 		err = fmt.Errorf("%w: index %s", ErrUniqueViolation, ix.Name)
 	}
@@ -326,15 +354,14 @@ func (t *Table) movedKeyTaken(ix *Index, oldRow, newRow record.Row) error {
 
 func (t *Table) fixSecondaries(oldLoc, newLoc Loc, oldRow, newRow record.Row) error {
 	for _, ix := range t.Secondary {
-		oldK := indexKey(ix, oldRow, oldLoc)
-		newK := indexKey(ix, newRow, newLoc)
-		if string(oldK) == string(newK) {
+		oldK, newK := indexKey(ix, oldRow, oldLoc), indexKey(ix, newRow, newLoc)
+		if string(oldK) == string(newK) && string(oldLoc.bytes()) == string(newLoc.bytes()) {
 			continue
 		}
 		if _, err := ix.tree.Delete(oldK); err != nil {
 			return err
 		}
-		if err := ix.tree.Insert(newK, newLoc.bytes()); err != nil {
+		if err := ix.tree.Insert(rowKey(nil, newRow, ix.Cols), newLoc.bytes()); err != nil {
 			if errors.Is(err, btree.ErrDuplicateKey) {
 				return fmt.Errorf("%w: index %s", ErrUniqueViolation, ix.Name)
 			}
@@ -357,6 +384,9 @@ func (t *Table) Fetch(loc Loc) (record.Row, bool, error) {
 	if err != nil || !ok {
 		return nil, ok, err
 	}
+	if t.clustered != nil {
+		data = t.tupleOf(data)
+	}
 	row, _, err := record.DecodeTuple(data, t.Schema)
 	if err != nil {
 		return nil, false, err
@@ -367,7 +397,14 @@ func (t *Table) Fetch(loc Loc) (record.Row, bool, error) {
 // CreateIndex adds a secondary index (backfilling existing rows); a failed
 // backfill frees the index's pages.
 func (t *Table) CreateIndex(name string, cols []int, unique bool) (_ *Index, err error) {
-	tr, err := btree.New(t.pool)
+	key := make([]int, len(cols)) // a non-unique index is keyed on its whole entry
+	if !unique {
+		key = make([]int, len(cols)+t.locCols())
+	}
+	for i := range key {
+		key[i] = i
+	}
+	tr, err := btree.New(t.pool, key...)
 	if err != nil {
 		return nil, err
 	}
@@ -376,11 +413,10 @@ func (t *Table) CreateIndex(name string, cols []int, unique bool) (_ *Index, err
 			t.pool.Free(tr.Pages()...)
 		}
 	}()
-	ix := &Index{Name: name, Cols: append([]int(nil), cols...), Unique: unique, tree: tr}
+	ix := &Index{Name: name, Cols: slices.Clone(cols), Unique: unique, tree: tr}
 	it := t.Scan()
 	for it.Next() {
-		loc := it.Loc()
-		if err := ix.tree.Insert(indexKey(ix, it.Row(), loc), loc.bytes()); err != nil {
+		if err := ix.tree.Insert(rowKey(nil, it.Row(), ix.Cols), it.Loc().bytes()); err != nil {
 			if errors.Is(err, btree.ErrDuplicateKey) {
 				return nil, fmt.Errorf("%w: backfill of %s", ErrUniqueViolation, name)
 			}
@@ -431,16 +467,27 @@ func (t *Table) Truncate() error {
 	return nil
 }
 
+// Pack rewrites the leaves of the clustered tree that hold the rows whose
+// leading key column lies in [lo, hi) full, in key order (btree.Pack). A
+// heap, whose pages fill in insertion order, has nothing to pack.
+func (t *Table) Pack(lo, hi int64) error {
+	if t.clustered == nil {
+		return nil
+	}
+	return t.clustered.tree.Pack(binary.LittleEndian.AppendUint64(nil, uint64(lo)), binary.LittleEndian.AppendUint64(nil, uint64(hi)))
+}
+
 // Fold runs fn on the encoded tuple of every row of t that satisfies preds,
 // in storage order, on the page that holds it while the page is pinned:
 // the storage's slot loop checks each tuple's length and preds
 // (record.Match) and fn reads the columns of a passing one in place, so no
 // row is decoded or copied. It fetches the pages a scan of t does. fn must
-// not keep the tuple. A malformed tuple ends it with the error a scan
-// reports.
+// not keep the tuple, which on a clustered table whose key is not unique
+// goes on with the uniquifier. A malformed tuple ends it with the error a
+// scan reports.
 func (t *Table) Fold(preds []record.Pred, fn func(tuple []byte)) error {
 	if t.clustered != nil {
-		return t.clustered.tree.Fold(t.Schema.Len(), preds, fn)
+		return t.clustered.tree.Fold(t.width(), preds, fn)
 	}
 	return t.heap.Fold(t.Schema.Len(), preds, fn)
 }
@@ -470,7 +517,7 @@ type Iterator struct {
 	tuple []byte // encoded current row (inside bit's or hit's page, or fetch)
 	fetch []byte // base tuple fetched through ix
 	probe []byte // encoded Seek prefix
-	key   []byte // Insert's clustered key
+	null  bool   // the last Seek probed for a NULL: it yields nothing
 	row   record.Row
 	err   error
 }
@@ -498,7 +545,7 @@ func (t *Table) LookupEq(ix *Index, vals []record.Value) *Iterator {
 func (it *Iterator) Start(t *Table, need []bool, preds []record.Pred) {
 	it.reset(t, nil, need, preds)
 	if t.clustered != nil {
-		it.bit.Reset(t.clustered.tree, nil, nil, len(it.row), preds)
+		it.bit.Reset(t.clustered.tree, nil, nil, t.width(), preds)
 	} else {
 		it.hit.Reset(t.heap, len(it.row), preds)
 	}
@@ -506,21 +553,23 @@ func (it *Iterator) Start(t *Table, need []bool, preds []record.Pred) {
 
 // Seek aims the iterator at the rows of t whose ix columns (clustered-index
 // columns when ix is nil) equal vals and that satisfy preds, decoding need.
+// A NULL among vals equals no stored value: the iterator yields nothing.
 func (it *Iterator) Seek(t *Table, ix *Index, vals []record.Value, need []bool, preds []record.Pred) {
 	it.reset(t, ix, need, preds)
-	it.probe = record.EncodeKey(it.probe[:0], vals...)
-	if ix == nil {
-		ix = t.clustered
-	}
-	if it.ix == nil { // the clustered tree's values are the tuples themselves
-		it.bit.ResetPrefix(ix.tree, it.probe, len(it.row), preds)
-	} else {
+	var ok bool
+	it.probe, ok = appendKey(it.probe[:0], vals...)
+	switch {
+	case !ok:
+		it.null = true
+	case ix == nil: // the clustered tree's entries are the tuples themselves
+		it.bit.ResetPrefix(t.clustered.tree, it.probe, t.width(), preds)
+	default:
 		it.bit.ResetPrefix(ix.tree, it.probe, 0, nil)
 	}
 }
 
 func (it *Iterator) reset(t *Table, ix *Index, need []bool, preds []record.Pred) {
-	it.t, it.ix, it.need, it.preds, it.err = t, ix, need, preds, nil
+	it.t, it.ix, it.need, it.preds, it.err, it.null = t, ix, need, preds, nil, false
 	if n := t.Schema.Len(); cap(it.row) < n {
 		it.row = make(record.Row, n)
 	} else {
@@ -534,24 +583,29 @@ func (it *Iterator) reset(t *Table, ix *Index, need []bool, preds []record.Pred)
 // secondary-index scan checks each fetched base tuple here.
 func (it *Iterator) Next() bool {
 	switch {
+	case it.null:
+		return false
 	case it.ix != nil:
 		for {
 			if !it.bit.Next() {
 				it.err = it.bit.Err()
 				return false
 			}
-			// The index entry's value is the base row's location.
+			// The index entry ends with the base row's location.
 			var ok bool
-			if it.t.clustered != nil {
-				it.fetch, ok, it.err = it.t.clustered.tree.GetInto(it.fetch, it.bit.Value())
+			if loc := it.loc(); it.t.clustered != nil {
+				it.fetch, ok, it.err = it.t.clustered.tree.GetInto(it.fetch, loc)
 			} else {
-				it.fetch, ok, it.err = it.t.heap.GetInto(it.fetch, ridFromBytes(it.bit.Value()))
+				it.fetch, ok, it.err = it.t.heap.GetInto(it.fetch, ridFromBytes(loc))
 			}
 			if it.err == nil && !ok {
 				it.err = fmt.Errorf("table: index %s points at missing row", it.ix.Name)
 			}
 			if it.err != nil {
 				return false
+			}
+			if it.t.clustered != nil {
+				it.fetch = it.t.tupleOf(it.fetch)
 			}
 			if len(it.preds) == 0 {
 				break
@@ -571,7 +625,7 @@ func (it *Iterator) Next() bool {
 			it.err = it.bit.Err()
 			return false
 		}
-		it.tuple = it.bit.Value()
+		it.tuple = it.t.tupleOf(it.bit.Value())
 	default:
 		if !it.hit.Next() {
 			it.err = it.hit.Err()
@@ -587,17 +641,20 @@ func (it *Iterator) Next() bool {
 // and holding only the columns the iterator was asked to decode.
 func (it *Iterator) Row() record.Row { return it.row }
 
+// loc returns the location that ends the current secondary-index entry.
+func (it *Iterator) loc() []byte { return it.bit.Value()[8*len(it.ix.Cols):] }
+
 // Loc returns the current row's location, in memory of its own.
 func (it *Iterator) Loc() Loc {
 	switch {
 	case it.t.clustered == nil && it.ix == nil:
 		return Loc{RID: it.hit.RID()}
 	case it.t.clustered == nil:
-		return Loc{RID: ridFromBytes(it.bit.Value())}
+		return Loc{RID: ridFromBytes(it.loc())}
 	case it.ix == nil:
-		return Loc{Key: append([]byte(nil), it.bit.Key()...)}
+		return Loc{Key: slices.Clone(it.bit.Key())}
 	}
-	return Loc{Key: append([]byte(nil), it.bit.Value()...)}
+	return Loc{Key: slices.Clone(it.loc())}
 }
 
 // Materialize returns the current row's location and a copy of the row with
@@ -632,11 +689,6 @@ func (it *Iterator) Overwrite(row record.Row) error {
 	if err != nil {
 		return err
 	}
-	for _, c := range t.clustered.Cols { // column c is the 8 bytes at 8·c
-		if !bytes.Equal(data[8*c:8*c+8], it.tuple[8*c:8*c+8]) {
-			return fmt.Errorf("table: an overwrite through a scan of %s changes its clustered key", t.Name)
-		}
-	}
 	return it.bit.Overwrite(data)
 }
 
@@ -646,7 +698,7 @@ func (it *Iterator) Overwrite(row record.Row) error {
 // (btree.Iterator.InsertAtProbe), and costs no descent of its own.
 func (it *Iterator) Insert(row record.Row) error {
 	t := it.t
-	if it.ix != nil || !t.WritesThrough() {
+	if it.ix != nil || it.null || !t.WritesThrough() {
 		_, err := t.Insert(row)
 		return err
 	}
@@ -654,11 +706,7 @@ func (it *Iterator) Insert(row record.Row) error {
 	if err != nil {
 		return err
 	}
-	it.key = it.key[:0]
-	for _, c := range t.clustered.Cols {
-		it.key = record.EncodeKey(it.key, row[c])
-	}
-	done, err := it.bit.InsertAtProbe(it.key, data)
+	done, err := it.bit.InsertAtProbe(data, nil)
 	if err != nil {
 		return t.clusteredTaken(err)
 	}
