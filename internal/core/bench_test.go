@@ -205,18 +205,19 @@ func BenchmarkMutationBatch(b *testing.B) {
 }
 
 // BenchmarkSegTableBuild is one BuildSegTable(20) per iteration on the
-// mutate_mix data set (graph.Power(4000,3,2011)): per direction the
-// original-edge fold, the index-build sweep over the folded table and the
-// segment merge. stmts/op counts the sweep's rounds (F and E+M each,
-// nothing else) and pages/op (buffer-pool fetches) their passes over the
-// working set.
+// mutate_mix data set (graph.Power(4000,3,2011)): the original-edge fold
+// into both segment tables, the forward index-build sweep over TOutSegs
+// and the segment merge into both. rounds/op counts the sweep's rounds,
+// stmts/op the statements (F and E+M a round, and the few around the
+// sweep) and pages/op (buffer-pool fetches) their passes over the working
+// set.
 func BenchmarkSegTableBuild(b *testing.B) {
 	g := graph.Power(4000, 3, 2011)
 	e := newTestEngine(b, g, rdb.Options{BufferPoolPages: 16384}, Options{CacheSize: -1})
 	if _, err := e.BuildSegTable(20); err != nil { // compile every statement shape before timing
 		b.Fatal(err)
 	}
-	var stmts int
+	var stmts, rounds int
 	pool := e.db.Stats().Pool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -225,10 +226,12 @@ func BenchmarkSegTableBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		stmts += st.Statements
+		rounds += st.Iterations
 	}
 	b.StopTimer()
 	after := e.db.Stats().Pool
 	b.ReportMetric(float64(stmts)/float64(b.N), "stmts/op")
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 	b.ReportMetric(float64(after.Hits+after.Misses-pool.Hits-pool.Misses)/float64(b.N), "pages/op")
 }
 
@@ -236,10 +239,11 @@ func BenchmarkSegTableBuild(b *testing.B) {
 // cold_bseg's set-up shape, scaled down like BenchmarkColdBSEGQuery: a
 // file-backed database of graph.Power(8000,3,2011) behind a 17-page buffer
 // pool, about a twentieth of the file. The segment tables outgrow the pool
-// and the sweep runs in batches of sources that fit it (batches/op, per
-// direction), so misses/op (physical reads) is what a working set inside
+// and the sweep runs in batches of sources that fit it (batches/op, their
+// rounds summed in rounds/op), so misses/op (physical reads) is what a working set inside
 // the pool and an access path that follows the clustering save; pages/op
-// counts every fetch.
+// counts every fetch, and file_pages/op is the file's page count after the
+// build, the peak the build's working set and unpacked leaves left.
 func BenchmarkColdSegTableBuild(b *testing.B) {
 	const poolPages = 17
 	g := graph.Power(8000, 3, 2011)
@@ -251,7 +255,7 @@ func BenchmarkColdSegTableBuild(b *testing.B) {
 	if pages := e.db.Pool().Disk().NumPages(); pages < 15*poolPages || pages > 25*poolPages {
 		b.Fatalf("the file has %d pages: the %d-page pool is no longer about a twentieth of it", pages, poolPages)
 	}
-	var stmts, batches int
+	var stmts, batches, rounds int
 	pool := e.db.Stats().Pool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -261,6 +265,7 @@ func BenchmarkColdSegTableBuild(b *testing.B) {
 		}
 		stmts += st.Statements
 		batches += st.Batches
+		rounds += st.Iterations
 	}
 	b.StopTimer()
 	after := e.db.Stats().Pool
@@ -269,6 +274,8 @@ func BenchmarkColdSegTableBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(stmts)/float64(b.N), "stmts/op")
 	b.ReportMetric(float64(batches)/float64(b.N), "batches/op")
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(e.db.Pool().Disk().NumPages()), "file_pages/op")
 	b.ReportMetric(float64(after.Hits+after.Misses-pool.Hits-pool.Misses)/float64(b.N), "pages/op")
 	b.ReportMetric(float64(after.Misses-pool.Misses)/float64(b.N), "misses/op")
 }

@@ -29,8 +29,8 @@ func TestBuildParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.OutSegs != 901 || st.InSegs != 901 || st.Iterations != 42 || st.Statements != 102 {
-			t.Errorf("BuildSegTable(20) = %v, want out=901 in=901 iters=42 stmts=102", st)
+		if st.OutSegs != 901 || st.InSegs != 901 || st.Iterations != 21 || st.Statements != 56 {
+			t.Errorf("BuildSegTable(20) = %v, want out=901 in=901 iters=21 stmts=56", st)
 		}
 		if err := e.checkSegTable(); err != nil {
 			t.Error(err)
@@ -206,6 +206,37 @@ func TestBatchedBuildMatchesOneBatch(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestBatchSizesHoldSteady: on an 8-page pool the build sizes every batch
+// but the first from the rows per source the one before it left, and the
+// first from the fold's direct hops within lthd, so at a threshold where
+// every source reaches about as many rows the batches before the last stay
+// within a factor of two of each other. Sized from the pages TSeg left,
+// power/lthd=5 swung 44 → 233 sources (5.3×). (At lthd 20 and 60 the rows
+// per source themselves vary along the node order, and the batches follow
+// them.)
+func TestBatchSizesHoldSteady(t *testing.T) {
+	for _, gc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"power", graph.Power(1000, 3, 7)}, {"random", graph.Random(600, 2400, 7)}} {
+		t.Run(gc.name, func(t *testing.T) {
+			e := newTestEngine(t, gc.g, rdb.Options{BufferPoolPages: 8}, Options{})
+			st, err := e.BuildSegTable(5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Batches != len(st.BatchSources) || st.Batches < 5 {
+				t.Fatalf("batches %d, sources %v: want at least five", st.Batches, st.BatchSources)
+			}
+			full := st.BatchSources[:st.Batches-1]
+			if lo, hi := slices.Min(full), slices.Max(full); hi > 2*lo {
+				t.Errorf("sources per batch %v: %d to %d, more than a factor of two", st.BatchSources, lo, hi)
+			}
+			t.Logf("sources per batch %v", st.BatchSources)
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fem"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/rdb"
 )
 
@@ -29,9 +30,10 @@ import (
 // with them (their F-operators are BSDJ's and BDJ's), and so are the
 // index-build sweep's F-operator and fused round. The sweep's
 // and the decremental repair's own texts (sweep/, touch/, repair/, fold/*/touched) are pinned as what a
-// build and a delete leave prepared: the build sweeps over the segment
-// tables it folded the edges into and merges its segments over them, the
-// repair sweeps over TEdges, and the repair's FROM order is its plan.
+// build, a delete and an oracle build leave prepared: the build sweeps over
+// TOutSegs, which it folded the edges into, and merges its segments over
+// both segment tables, the repair sweeps forward over TEdges, the oracle
+// both ways, and the repair's FROM order is its plan.
 func TestGoldenStatementTexts(t *testing.T) {
 	golden := map[string]string{}
 	f, err := os.Open("testdata/golden_statements.txt")
@@ -101,20 +103,24 @@ func TestGoldenStatementTexts(t *testing.T) {
 	check("stats/bwd", ss.bwd.stats)
 	for i := 0; i < 3; i++ {
 		check(fmt.Sprintf("maint/fwd/%d", i+1),
-			fem.MergeSelect(e.level, maintFwdShapes[i].src, segMerge(TblOutSegs)).Round(false)[0].Text)
+			fem.MergeSelect(e.level, maintShapes[i].src, segMerge(TblOutSegs)).Round(false)[0].Text)
 		check(fmt.Sprintf("maint/bwd/%d", i+1),
-			fem.MergeSelect(e.level, maintBwdShapes[i].src, segMerge(TblInSegs)).Round(false)[0].Text)
+			fem.MergeSelect(e.level, maintShapes[i].src, segMerge(TblInSegs)).Round(false)[0].Text)
 	}
 	check("mst", e.newSuperstep(sc, specMST(sc), 0).fwd.ops.Round(false)[0].Text)
 	check("reach/fused", e.newSuperstep(sc, specReach(sc), 0).fwd.ops.Round(false)[0].Text)
 
 	// The fold renders its source per call: a build folds every edge, a
 	// delete's repair the touched pairs, and both leave their texts behind
-	// as prepared statements, like the sweep a build runs.
+	// as prepared statements, like the sweep a build runs. Both sweep
+	// forward; the backward sweep over TEdges is the oracle's.
 	if _, err := e.BuildSegTable(7); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.DeleteEdge(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.BuildOracle(oracle.Config{K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range golden {

@@ -12,13 +12,11 @@ import (
 
 // checkSegTable checks what Definition 4 and the writers promise of a built
 // SegTable, reading the tables as they are:
-//   - TOutSegs and TInSegs hold the same (fid, tid, cost) set;
 //   - (fid, tid) is unique in each;
 //   - every TOutSegs.pid closes a predecessor chain: pid = fid on an edge
 //     (fid, tid) of that cost, or the row (fid, pid) plus the edge
 //     (pid, tid) sums to it;
-//   - every TInSegs.pid closes the mirrored successor chain: pid = tid on
-//     an edge of that cost, or the edge (fid, pid) plus the row (pid, tid).
+//   - TInSegs equals TOutSegs row for row, pid included.
 //
 // It returns the first violation. It takes no *testing.T, so an engine-wide
 // invariant check can call it as it is.
@@ -67,25 +65,21 @@ func (e *Engine) checkSegTable() error {
 	}
 	for k, o := range out {
 		fid, tid := k[0], k[1]
-		i, ok := in[k]
-		if !ok || i.cost != o.cost {
-			return fmt.Errorf("(%d, %d): cost %d in %s, %d in %s (present %v)", fid, tid, o.cost, TblOutSegs, i.cost, TblInSegs, ok)
+		if i, ok := in[k]; !ok || i != o {
+			return fmt.Errorf("(%d, %d): (pid, cost) %v in %s, %v in %s (present %v)", fid, tid, o, TblOutSegs, i, TblInSegs, ok)
 		}
 		pre, ok := out[[2]int64{fid, o.pid}]
 		if !(o.pid == fid && hop(fid, tid, o.cost)) && !(ok && hop(o.pid, tid, o.cost-pre.cost)) {
 			return fmt.Errorf("%s (%d, %d, cost %d): pid %d is no predecessor on a path of that cost", TblOutSegs, fid, tid, o.cost, o.pid)
-		}
-		suf, ok := in[[2]int64{i.pid, tid}]
-		if !(i.pid == tid && hop(fid, tid, i.cost)) && !(ok && hop(fid, i.pid, i.cost-suf.cost)) {
-			return fmt.Errorf("%s (%d, %d, cost %d): pid %d is no successor on a path of that cost", TblInSegs, fid, tid, i.cost, i.pid)
 		}
 	}
 	return nil
 }
 
 // TestCheckSegTableBites: a built SegTable passes, and each kind of damage
-// the check names — a pid that closes no chain in either table, a cost one
-// table disagrees on, a pair recorded twice — fails it. Under CluIndex the
+// the check names — a pid that closes no chain in either table, one
+// TInSegs pid that differs from TOutSegs', a cost one table disagrees on, a
+// pair recorded twice — fails it. Under CluIndex the
 // tables are keyed on the pair, which refuses the duplicate itself, so that
 // damage is checked on NoIndex heaps, where nothing refuses it.
 func TestCheckSegTableBites(t *testing.T) {
@@ -105,12 +99,16 @@ func TestCheckSegTableBites(t *testing.T) {
 	}{
 		{"out-pid", "UPDATE " + TblOutSegs + " SET pid = tid"},
 		{"in-pid", "UPDATE " + TblInSegs + " SET pid = fid"},
+		{"mirror-pid", "UPDATE " + TblInSegs + " SET pid = tid WHERE fid = 0 AND tid = (SELECT MIN(tid) FROM " + TblInSegs + " WHERE fid = 0)"},
 		{"cost", "UPDATE " + TblInSegs + " SET cost = cost + 1 WHERE fid = 0"},
 		{"duplicate", "INSERT INTO " + TblOutSegs + " (fid, tid, pid, cost) SELECT fid, tid, pid, cost FROM " + TblInSegs + " WHERE fid = 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := build(t, ClusteredIndex)
-			_, err := e.DB().Exec(tc.damage)
+			res, err := e.DB().Exec(tc.damage)
+			if tc.name == "mirror-pid" && err == nil && res.RowsAffected != 1 {
+				t.Fatalf("%s changed %d rows, want 1", tc.damage, res.RowsAffected)
+			}
 			if tc.name == "duplicate" {
 				if !errors.Is(err, table.ErrUniqueViolation) {
 					t.Fatalf("%s under CluIndex: %v, want %v", tc.damage, err, table.ErrUniqueViolation)

@@ -479,8 +479,8 @@ func (e *Engine) refreshWMin(ctx context.Context, qs *QueryStats) error {
 }
 
 // ensureMutScratch lazily creates the repair scratch tables and clears
-// TMutTouch for the next touch set (repairDirection clears TMutSrc before
-// each fill).
+// TMutTouch for the next touch set (repairTouched clears TMutSrc before
+// its fill).
 func (e *Engine) ensureMutScratch(ctx context.Context, qs *QueryStats) error {
 	if err := e.schema(qs).Create(sweep.Rel(tblMutTouch), sweep.Rel(tblMutSrc)); err != nil {
 		return err
@@ -493,8 +493,8 @@ func (e *Engine) ensureMutScratch(ctx context.Context, qs *QueryStats) error {
 // whose shortest path could route through the edge (u, v, w): the pair
 // itself, prefix-only pairs (x, v), suffix-only pairs (u, y), and
 // both-half pairs (x, y), mirroring the four insertion-maintenance cases.
-// TOutSegs and TInSegs record the same pair set, so one touch set serves
-// both directions. Must run while TOutSegs still reflects the pre-mutation
+// TOutSegs and TInSegs record the same rows, so one touch set serves
+// both. Must run while TOutSegs still reflects the pre-mutation
 // graph.
 func (e *Engine) computeTouchSet(ctx context.Context, qs *QueryStats, u, v, w int64) error {
 	if err := e.ensureMutScratch(ctx, qs); err != nil {
@@ -554,13 +554,9 @@ func (e *Engine) repairTouchedLocked(ctx context.Context, qs *QueryStats, st *Ma
 		return err
 	}
 
-	var repaired int64
-	for _, forward := range []bool{true, false} {
-		n, err := e.repairDirection(ctx, qs, forward)
-		if err != nil {
-			return err
-		}
-		repaired += n
+	repaired, err := e.repairTouched(ctx, qs)
+	if err != nil {
+		return err
 	}
 	st.Repaired += repaired
 	e.mu.Lock()
@@ -570,47 +566,47 @@ func (e *Engine) repairTouchedLocked(ctx context.Context, qs *QueryStats, st *Ma
 	return nil
 }
 
-// repairDirection recomputes one direction's touched rows: a bounded
-// set-Dijkstra sweep from the touched sources over the mutated TEdges,
-// delete-and-reinsert of the touched pairs, then the original-edge fold
-// restricted to the same pairs.
-func (e *Engine) repairDirection(ctx context.Context, qs *QueryStats, forward bool) (int64, error) {
-	target, srcCol, nidCol := TblOutSegs, "fid", "tid"
-	if !forward {
-		target, srcCol, nidCol = TblInSegs, "tid", "fid"
-	}
-	// Seed the sweep at the fid endpoints (forward: distances FROM x; the
-	// backward sweep walks incoming edges from tid seeds, computing
-	// distances TO y).
+// repairTouched recomputes the touched rows of both segment tables: a
+// bounded set-Dijkstra sweep forward from the touched fids over the
+// mutated TEdges, delete-and-reinsert of the touched pairs, then the
+// original-edge fold restricted to the same pairs. The two tables hold the
+// same rows, so one sweep re-derives both. It returns the rows
+// re-materialized, both tables counted.
+func (e *Engine) repairTouched(ctx context.Context, qs *QueryStats) (int64, error) {
 	if _, err := e.exec(ctx, qs, nil, nil, mutSrcClear); err != nil {
 		return 0, err
 	}
 	if _, err := e.exec(ctx, qs, nil, nil,
-		"INSERT INTO "+tblMutSrc+" (nid) SELECT DISTINCT "+srcCol+" FROM "+tblMutTouch); err != nil {
+		"INSERT INTO "+tblMutSrc+" (nid) SELECT DISTINCT fid FROM "+tblMutTouch); err != nil {
 		return 0, err
 	}
-	if _, _, err := e.sweeper(qs).Run(ctx, TblEdges, forward, e.segLthd, sweep.Q(tblMutSrc), sweep.Query{}); err != nil {
+	if _, _, err := e.sweeper(qs).Run(ctx, TblEdges, true, e.segLthd, sweep.Q(tblMutSrc), sweep.Query{}); err != nil {
 		return 0, err
 	}
-	// Drop the touched rows; distances can only have grown, so untouched
-	// rows keep valid (cost, pid) entries. The planner runs this EXISTS from
-	// TMutTouch, probing the target's index once per touched pair.
-	if _, err := e.exec(ctx, qs, nil, nil,
-		"DELETE FROM "+target+" WHERE EXISTS (SELECT fid FROM "+tblMutTouch+
-			" m WHERE m.fid = "+target+".fid AND m.tid = "+target+".tid)"); err != nil {
-		return 0, err
-	}
-	// Re-materialize the touched pairs that are still within lthd: touched
-	// pairs are unique, so each probes TSeg's (src, nid) key for its one row.
-	insQ := "INSERT INTO " + target + " (fid, tid, pid, cost) SELECT m.fid, m.tid, s.par, s.dist FROM " +
-		tblMutTouch + " m, " + TblSeg + " s WHERE s.src = m." + srcCol + " AND s.nid = m." + nidCol + " AND s.src <> s.nid"
-	repaired, err := e.exec(ctx, qs, nil, nil, insQ)
-	if err != nil {
-		return 0, err
+	var repaired int64
+	for _, tbl := range segTables {
+		// Drop the touched rows; distances can only have grown, so
+		// untouched rows keep valid (cost, pid) entries. The planner runs
+		// this EXISTS from TMutTouch, probing the table's index once per
+		// touched pair.
+		if _, err := e.exec(ctx, qs, nil, nil,
+			"DELETE FROM "+tbl+" WHERE EXISTS (SELECT fid FROM "+tblMutTouch+
+				" m WHERE m.fid = "+tbl+".fid AND m.tid = "+tbl+".tid)"); err != nil {
+			return 0, err
+		}
+		// Re-materialize the touched pairs that are still within lthd:
+		// touched pairs are unique, so each probes TSeg's (src, nid) key
+		// for its one row.
+		n, err := e.exec(ctx, qs, nil, nil, "INSERT INTO "+tbl+" (fid, tid, pid, cost) SELECT m.fid, m.tid, s.par, s.dist FROM "+
+			tblMutTouch+" m, "+TblSeg+" s WHERE s.src = m.fid AND s.nid = m.tid AND s.src <> s.nid")
+		if err != nil {
+			return 0, err
+		}
+		repaired += n
 	}
 	// Surviving original edges on touched pairs re-enter per
 	// Definition 4(2).
-	if err := e.foldEdges(ctx, qs, forward, tblMutTouch); err != nil {
+	if err := e.foldEdges(ctx, qs, tblMutTouch); err != nil {
 		return 0, err
 	}
 	return repaired, nil

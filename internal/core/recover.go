@@ -92,8 +92,8 @@ func walkChain(ctx context.Context, hs []*superstep, owner func(nid int64) int, 
 // two, hence shortest in that peer's subgraph too, so its pid chain (which
 // needs the prefix/suffix property) unfolds it soundly.
 func unfoldHop(ctx context.Context, hs []*superstep, owner func(nid int64) int, forward bool, parent, cur int64) ([]int64, error) {
-	// TOutSegs records the forward hop parent->cur; the backward chain runs
-	// cur->parent toward t, which TInSegs records.
+	// The forward hop runs parent->cur, the backward chain's cur->parent
+	// toward t.
 	u, v := cur, parent
 	if forward {
 		u, v = parent, cur
@@ -117,12 +117,8 @@ func unfoldHop(ctx context.Context, hs []*superstep, owner func(nid int64) int, 
 		}
 		d[i] = dist
 	}
-	costQ := "SELECT cost FROM " + TblInSegs + " WHERE fid = ? AND tid = ?"
-	if forward {
-		costQ = "SELECT cost FROM " + TblOutSegs + " WHERE fid = ? AND tid = ?"
-	}
 	for _, h := range hs {
-		c, null, err := h.e.queryInt(ctx, h.qs, &h.qs.FPR, costQ, u, v)
+		c, null, err := h.e.queryInt(ctx, h.qs, &h.qs.FPR, segCostQ, u, v)
 		if err != nil {
 			return nil, err
 		}
@@ -133,38 +129,38 @@ func unfoldHop(ctx context.Context, hs []*superstep, owner func(nid int64) int, 
 	return nil, fmt.Errorf("core: no handle records segment (%d,%d) at cost %d", u, v, d[0]-d[1])
 }
 
+// Path recovery's probes of a recorded segment (u, v), on TOutSegs'
+// (fid, tid) key: the chain (u, v) -> (u, pid) -> ... of one unfolding
+// shares its fid, so it reads neighbouring leaves.
+const (
+	segCostQ = "SELECT cost FROM " + TblOutSegs + " WHERE fid = ? AND tid = ?"
+	segPidQ  = "SELECT pid FROM " + TblOutSegs + " WHERE fid = ? AND tid = ?"
+)
+
 // unfoldSegment returns the interior nodes of the shortest segment u -> v,
-// ordered from the end a parent chain arrives at. Forward reads TOutSegs,
-// whose pid is the predecessor of tid: every prefix of a shortest segment
-// is itself recorded, so (u,v) -> (u,pre(v)) -> ... terminates at u, and
-// the interior comes out closest-to-v first. Backward reads TInSegs, whose
-// pid is the successor of fid: every suffix is recorded, so (u,v) ->
-// (pid,v) -> ... reaches v, and the interior comes out in path order.
+// ordered from the end a parent chain arrives at. pid is the predecessor
+// of tid: every prefix of a shortest segment is itself recorded, so
+// (u,v) -> (u,pre(v)) -> ... terminates at u, and the interior comes out
+// closest-to-v first. A forward chain arrives at v; a backward one
+// arrives at u and takes the interior reversed, in path order.
 func (e *Engine) unfoldSegment(ctx context.Context, qs *QueryStats, forward bool, u, v int64) ([]int64, error) {
-	tbl, cur, last := TblInSegs, u, v
-	q := "SELECT pid FROM " + TblInSegs + " WHERE fid = ? AND tid = ?"
-	if forward {
-		tbl, cur, last = TblOutSegs, v, u
-		q = "SELECT pid FROM " + TblOutSegs + " WHERE fid = ? AND tid = ?"
-	}
 	var out []int64
-	for step := 0; step <= e.nodes+2; step++ {
-		fid, tid := cur, v
-		if forward {
-			fid, tid = u, cur
-		}
-		p, null, err := e.queryInt(ctx, qs, &qs.FPR, q, fid, tid)
+	for cur, step := v, 0; step <= e.nodes+2; step++ {
+		p, null, err := e.queryInt(ctx, qs, &qs.FPR, segPidQ, u, cur)
 		if err != nil {
 			return nil, err
 		}
 		if null {
-			return nil, fmt.Errorf("core: missing %s entry (%d,%d)", tbl, fid, tid)
+			return nil, fmt.Errorf("core: missing %s entry (%d,%d)", TblOutSegs, u, cur)
 		}
-		if p == last {
+		if p == u {
+			if !forward {
+				slices.Reverse(out)
+			}
 			return out, nil
 		}
 		out = append(out, p)
 		cur = p
 	}
-	return nil, fmt.Errorf("core: %s pid chain for (%d,%d) does not terminate", tbl, u, v)
+	return nil, fmt.Errorf("core: %s pid chain for (%d,%d) does not terminate", TblOutSegs, u, v)
 }

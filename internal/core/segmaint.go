@@ -17,13 +17,13 @@ import (
 // shortest prefix x -> u (possibly empty), the edge, and a pre-existing
 // shortest suffix v -> y (possibly empty). Both halves are within lthd,
 // hence already recorded in the SegTable (or trivial). Four merges
-// per direction — one per {x = u, x != u} x {y = v, y != v}
+// per segment table — one per {x = u, x != u} x {y = v, y != v}
 // combination — therefore cover every improved pair. Weight decreases are
 // the same case (UpdateEdgeWeight). Edge deletions and weight increases
 // can lengthen distances and take the decremental path of mutation.go: a
 // touch set over the same four shapes, recomputed by a bounded sweep.
 //
-// The eight source SELECTs below are constants and the merge around them
+// The four source SELECTs below are constants and the merge around them
 // is rendered per SQL level by internal/fem (segMerge is its spec); each
 // mutation only binds (u, v, w, lthd), so batches re-execute cached plans.
 
@@ -99,9 +99,9 @@ func (e *Engine) mergeSegs(ctx context.Context, qs *QueryStats, target, src stri
 // x -> u from TInSegs (keyed on tid first); 3) x = u, y != v, suffixes v -> y
 // from TOutSegs (keyed on fid first); 4) both halves. (fid, tid) is unique in
 // both tables, so with a.tid = u and b.fid = v fixed shape 4 emits each
-// (a.fid, b.tid) once — no dedupe. The forward shapes write TOutSegs, whose
-// pid is the predecessor of tid on the path; the backward shapes write
-// TInSegs, whose pid is the successor of fid.
+// (a.fid, b.tid) once — no dedupe. pid is the predecessor of tid on the
+// path: u on the pair itself and on every x -> u -> v path, and the
+// suffix's own pid otherwise.
 const (
 	maintPrefixes = " FROM " + TblInSegs + " a WHERE a.tid = ? AND a.fid <> ? AND a.cost + ? <= ?"
 	maintSuffixes = " FROM " + TblOutSegs + " b WHERE b.fid = ? AND b.tid <> ? AND b.cost + ? <= ?"
@@ -109,39 +109,26 @@ const (
 		"WHERE a.tid = ? AND b.fid = ? AND a.fid <> ? AND b.tid <> ? AND a.fid <> b.tid AND a.cost + b.cost + ? <= ?"
 )
 
-var (
-	maintFwdShapes = []maintShape{
-		{"SELECT ?, ?, ?, ?", func(u, v, w, _ int64) []any { return []any{u, v, u, w} }},
-		{"SELECT a.fid, ?, ?, a.cost + ?" + maintPrefixes,
-			func(u, v, w, lthd int64) []any { return []any{v, u, w, u, v, w, lthd} }},
-		{"SELECT ?, b.tid, b.pid, b.cost + ?" + maintSuffixes,
-			func(u, v, w, lthd int64) []any { return []any{u, w, v, u, w, lthd} }},
-		{"SELECT a.fid, b.tid, b.pid, a.cost + ? + b.cost" + maintHalves,
-			func(u, v, w, lthd int64) []any { return []any{w, u, v, v, u, w, lthd} }},
-	}
-	// Backward, u's successor is v on the pair itself and on every
-	// u -> v -> y path, and comes from the prefix half otherwise.
-	maintBwdShapes = []maintShape{
-		{"SELECT ?, ?, ?, ?", func(u, v, w, _ int64) []any { return []any{u, v, v, w} }},
-		{"SELECT a.fid, ?, a.pid, a.cost + ?" + maintPrefixes,
-			func(u, v, w, lthd int64) []any { return []any{v, w, u, v, w, lthd} }},
-		{"SELECT ?, b.tid, ?, b.cost + ?" + maintSuffixes,
-			func(u, v, w, lthd int64) []any { return []any{u, v, w, v, u, w, lthd} }},
-		{"SELECT a.fid, b.tid, a.pid, a.cost + ? + b.cost" + maintHalves,
-			func(u, v, w, lthd int64) []any { return []any{w, u, v, v, u, w, lthd} }},
-	}
-)
+var maintShapes = []maintShape{
+	{"SELECT ?, ?, ?, ?", func(u, v, w, _ int64) []any { return []any{u, v, u, w} }},
+	{"SELECT a.fid, ?, ?, a.cost + ?" + maintPrefixes,
+		func(u, v, w, lthd int64) []any { return []any{v, u, w, u, v, w, lthd} }},
+	{"SELECT ?, b.tid, b.pid, b.cost + ?" + maintSuffixes,
+		func(u, v, w, lthd int64) []any { return []any{u, w, v, u, w, lthd} }},
+	{"SELECT a.fid, b.tid, b.pid, a.cost + ? + b.cost" + maintHalves,
+		func(u, v, w, lthd int64) []any { return []any{w, u, v, v, u, w, lthd} }},
+}
 
 // maintainSegs updates TOutSegs and TInSegs with the consequences of the
-// new or cheaper edge (u, v, w): each direction's four shapes, merged in
-// turn with the edge bound as parameters, the improved rows added to st.
+// new or cheaper edge (u, v, w): the four shapes, merged in turn into each
+// table with the edge bound as parameters, the improved rows added to st.
+// The shapes read halves that end at u or start at v, which no merge of
+// this edge improves (that would take a cycle through it), so both tables
+// take the same candidates and stay equal row for row.
 func (e *Engine) maintainSegs(ctx context.Context, qs *QueryStats, st *MaintStats, u, v, w int64) error {
-	for _, dir := range []struct {
-		target string
-		shapes []maintShape
-	}{{TblOutSegs, maintFwdShapes}, {TblInSegs, maintBwdShapes}} {
-		for _, sh := range dir.shapes {
-			n, err := e.mergeSegs(ctx, qs, dir.target, sh.src, sh.args(u, v, w, e.segLthd))
+	for _, tbl := range segTables {
+		for _, sh := range maintShapes {
+			n, err := e.mergeSegs(ctx, qs, tbl, sh.src, sh.args(u, v, w, e.segLthd))
 			if err != nil {
 				return err
 			}

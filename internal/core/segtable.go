@@ -14,23 +14,27 @@ import (
 // sweep's own): texts are compile-time constants, so every build
 // re-executes cached plans.
 const (
-	segCountOutQ = "SELECT COUNT(*) FROM " + TblOutSegs
-	segCountInQ  = "SELECT COUNT(*) FROM " + TblInSegs
-
 	// The finished sweep's segments (Definition 4(1)) as segMerge
-	// candidates. The backward pass computed paths nid -> src: stored as
-	// (fid=nid, tid=src, pid=successor of nid).
-	segSweptOutQ = "SELECT src, nid, par, dist FROM " + TblSeg + " WHERE src <> nid"
-	segSweptInQ  = "SELECT nid, src, par, dist FROM " + TblSeg + " WHERE src <> nid"
+	// candidates, paths src -> nid with par the predecessor of nid: the
+	// rows of both segment tables.
+	segSweptQ = "SELECT src, nid, par, dist FROM " + TblSeg + " WHERE src <> nid"
+	// The fold's direct hops a sweep can take, each a row of the first
+	// round's TSeg.
+	segFoldWithinQ = "SELECT COUNT(*) FROM " + TblOutSegs + " WHERE cost <= ?"
 
 	// A batch's sources: a range [lo, hi) of the node order.
 	segBatchSeed = TblNodes + " WHERE nid >= ? AND nid < ?"
 )
 
-// segLeafRows is how many TSeg rows the first batch assumes a page holds:
-// a leaf half full of 43-byte cells (the 40-byte tuple, which holds its
-// (src, nid) key, a length byte and a 2-byte slot).
-const segLeafRows = storage.PageSize / 2 / 43
+// segTables are the two segment tables every SegTable writer writes, the
+// same rows under the two clusterings.
+var segTables = [2]string{TblOutSegs, TblInSegs}
+
+// segLeafRows is how many TSeg rows a leaf holds at the build's leaf fill:
+// two thirds full, where leaves that inserts split in halves and refill
+// settle, of 43-byte cells (the 40-byte tuple, which holds its (src, nid)
+// key, a length byte and a 2-byte slot).
+const segLeafRows = storage.PageSize * 2 / 3 / 43
 
 // sweeper builds the index-build kernel over the engine's statement path:
 // every statement a build issues runs through exec / queryInt (prepared
@@ -54,16 +58,16 @@ const DefaultLthd = 20
 
 // BuildSegTable constructs the SegTable index of Definition 4: TOutSegs
 // holds every pre-computed shortest segment (u,v) with δ(u,v) <= lthd plus
-// the original edges not dominated by a segment; TInSegs is the symmetric
-// incoming-direction table. Construction itself runs through the FEM
-// framework (§4.2), one direction at a time: the original edges are folded
-// into the direction's table first, then the nodes start as sources in a
-// working table TSeg keyed on (src, nid), a batch of them at a time sized
-// to a sixth of the buffer pool; bounded multi-source set-Dijkstra
-// expands over the table's direct hops until the minimal unfinalized
-// distance exceeds lthd, and a MERGE writes the batch's segments over the
-// table, whose leaves it touched are then packed full, before the next
-// batch starts (segPass).
+// the original edges not dominated by a segment; TInSegs holds the same
+// rows keyed on (tid, fid), the incoming direction's access path.
+// Construction itself runs through the FEM framework (§4.2) in the forward
+// direction only: the original edges are folded into both tables first,
+// then the nodes start as sources in a working table TSeg keyed on
+// (src, nid), a batch of them at a time sized to a sixth of the buffer
+// pool; bounded multi-source set-Dijkstra expands over TOutSegs' direct
+// hops until the minimal unfinalized distance exceeds lthd, and a MERGE
+// writes the batch's segments over each table, whose leaves it touched are
+// then packed full, before the next batch starts (segPass).
 func (e *Engine) BuildSegTable(lthd int64) (*SegTableStats, error) {
 	return e.BuildSegTableContext(context.Background(), lthd)
 }
@@ -128,36 +132,24 @@ func (e *Engine) buildSegTableLocked(ctx context.Context, lthd int64, bump bool)
 	e.mu.Lock()
 	e.segBuilt = false
 	e.mu.Unlock()
-	if err := e.createSegTables(qs); err != nil {
+	err := e.createSegTables(qs)
+	if err != nil {
 		return nil, err
 	}
 
-	// Forward pass: shortest segments in the outgoing direction. par holds
-	// pre(v), the predecessor of v on the path src -> v, which becomes
-	// TOutSegs.pid (Definition 4(1)).
-	itF, batchF, err := e.segPass(ctx, qs, lthd, true)
+	// One forward pass: shortest segments src -> v, par holding pre(v), the
+	// predecessor of v on the path, which becomes pid in both tables
+	// (Definition 4(1)).
+	st.Iterations, st.BatchSources, err = e.segPass(ctx, qs, lthd)
 	if err != nil {
 		return nil, err
 	}
-	// Backward pass over incoming edges. par holds the successor of v on
-	// the path v -> src, which becomes TInSegs.pid.
-	itB, batchB, err := e.segPass(ctx, qs, lthd, false)
-	if err != nil {
-		return nil, err
-	}
-	st.Iterations = itF + itB
-	st.Batches = max(batchF, batchB)
+	st.Batches = len(st.BatchSources)
 
-	outCnt, _, err := e.queryInt(ctx, qs, nil, segCountOutQ)
-	if err != nil {
-		return nil, err
-	}
-	inCnt, _, err := e.queryInt(ctx, qs, nil, segCountInQ)
-	if err != nil {
-		return nil, err
-	}
-	st.OutSegs = int(outCnt)
-	st.InSegs = int(inCnt)
+	cat := e.db.Catalog()
+	out, _ := cat.Get(TblOutSegs)
+	in, _ := cat.Get(TblInSegs)
+	st.OutSegs, st.InSegs = out.RowCount(), in.RowCount()
 	st.Statements = qs.Statements
 	st.BuildTime = time.Since(start)
 	e.mu.Lock()
@@ -183,93 +175,109 @@ func (e *Engine) createSegTables(qs *QueryStats) error {
 	return s.Create(rels...)
 }
 
-// segPass runs one direction of the construction: fold the original edges
-// into the direction's table (Definition 4(2)), then sweep over that table
-// in batches of sources and merge each batch's segments (Definition 4(1))
-// over it before the next batch starts. It returns the rounds summed over
-// the batches and the batches.
+// segPass runs the construction: fold the original edges into both segment
+// tables (Definition 4(2)), then sweep forward over TOutSegs in batches of
+// sources and merge each batch's segments (Definition 4(1)) over both
+// tables before the next batch starts. It returns the rounds summed over
+// the batches and each batch's source count.
+//
+// One direction fills both tables because they hold the same pairs at the
+// same costs: a shortest path x -> y is a shortest path x -> y whichever
+// end the search starts from. TInSegs exists for its clustering, (tid,
+// fid), which the backward search and the maintenance's prefixes probe;
+// its pid is TOutSegs', the predecessor of tid.
 //
 // A batch is a contiguous range of the node order, sized so that its TSeg
 // stays within a sixth of the buffer pool: every round's F and E passes
 // read the whole working set, and one that outgrows the pool misses on
-// every pass. (A sixth in 43-byte rows holds about the sources a quarter
-// held when each row stored its key twice in 62 bytes; at a cold build of
-// graph.Power(20000) behind 128 pages it takes 14 batches to a quarter's
-// 10, with 3128 misses to 3144.) The first batch assumes the fold's rows
-// per node plus one per source; each later one the pages per source the
-// batch before it left. A pool that holds the whole sweep gives one batch.
+// every pass. The size is counted in rows: the sixth less the root page,
+// at segLeafRows rows a leaf. The first batch assumes one row per source
+// plus the fold's direct hops within lthd per node, the rows its first
+// round adds; each later one the rows per source the batch before it left.
+// (The pages TSeg left are page-granular on a small pool — a one-leaf TSeg
+// is one page, a two-leaf one three — and swung an 8-page pool's batches
+// by a factor of five.) A pool that holds the whole sweep gives one batch.
 //
-// The merge lands each segment between the fold's direct hops of its
-// source and splits the leaves it fills; the table is keyed on the
-// direction's source column first, so the leaves of the batch's range are
-// packed (rdb.DB.Pack) before the next batch, which leaves the table as
-// full as a key-ordered load would and adds at most a batch's worth of
-// half-empty leaves to the pages the file ever holds.
+// The merge lands each segment between the fold's direct hops and splits
+// the leaves it fills. TOutSegs is keyed on fid first, so a batch writes
+// the contiguous key range of its sources, which is packed (rdb.DB.Pack)
+// before the next batch: that leaves it as full as a key-ordered load
+// would and adds at most a batch's worth of half-empty leaves to the pages
+// the file ever holds. TInSegs is keyed on tid first, and a batch's
+// segments end across most of the node order, so packing a batch's range
+// would read nearly the whole table every batch (at a cold build of
+// graph.Power(20000) behind 128 pages, 1743 of the build's 5179 misses);
+// it is packed once, after the last batch, and its split leaves fill up
+// between batches instead (that build's file peaks at 876 pages, not 847,
+// below what the searches that follow take).
 //
-// The sweep expands the table's direct hops only (sweep.Run), which for
-// the first batch are exactly the fold. A later batch sees the fold minus
-// the edges a strictly cheaper segment replaced; such an edge lies on no
+// The sweep expands TOutSegs' direct hops only (sweep.Run), which for the
+// first batch are exactly the fold. A later batch sees the fold minus the
+// edges a strictly cheaper segment replaced; such an edge lies on no
 // shortest path, so every batch reaches the fixpoint it would reach over
 // the fold, and so over TEdges (a cost tie keeps the direct hop). The
-// point is the access path: TOutSegs is keyed on (fid, tid) and TInSegs on
-// (tid, fid), so the expansion probes the prefix it joins on and every
-// merge is a point probe, where TEdges is clustered on fid and a backward
-// sweep over it fetches a page per incoming edge through tedges_tid.
-func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64, forward bool) (iterations, batches int, err error) {
-	target, swept := TblOutSegs, segSweptOutQ
-	if !forward {
-		target, swept = TblInSegs, segSweptInQ
+// point is the access path: TOutSegs is keyed on (fid, tid), so the
+// expansion probes the prefix it joins on and every merge is a point
+// probe.
+func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64) (iterations int, batches []int, err error) {
+	if err := e.foldEdges(ctx, qs, ""); err != nil {
+		return 0, nil, err
 	}
-	if err := e.foldEdges(ctx, qs, forward, ""); err != nil {
-		return 0, 0, err
+	hops, _, err := e.queryInt(ctx, qs, nil, segFoldWithinQ, lthd)
+	if err != nil {
+		return 0, nil, err
 	}
-	cat := e.db.Catalog()
-	folded, _ := cat.Get(target)
 	n := e.Nodes()
-	budget := max(float64(e.db.Pool().Capacity())/6, 1)
-	perSource := (float64(folded.RowCount())/float64(n) + 1) / segLeafRows // pages
+	budget := (float64(e.db.Pool().Capacity())/6 - 1) * segLeafRows // rows
+	perSource := float64(hops)/float64(n) + 1                       // rows
+	cat := e.db.Catalog()
 	sw := e.sweeper(qs)
-	for lo := 0; lo < n; batches++ {
+	for lo := 0; lo < n; {
 		hi := min(n, lo+max(1, int(budget/perSource)))
 		// Each source is at distance 0 from itself.
-		it, _, err := sw.Run(ctx, target, forward, lthd, sweep.Q(segBatchSeed, lo, hi), sweep.Query{})
+		it, _, err := sw.Run(ctx, TblOutSegs, true, lthd, sweep.Q(segBatchSeed, lo, hi), sweep.Query{})
 		if err != nil {
-			return 0, 0, err
+			return 0, nil, err
 		}
-		if _, err := e.mergeSegs(ctx, qs, target, swept, nil); err != nil {
-			return 0, 0, err
+		for _, tbl := range segTables {
+			if _, err := e.mergeSegs(ctx, qs, tbl, segSweptQ, nil); err != nil {
+				return 0, nil, err
+			}
 		}
-		if err := e.db.Pack(target, int64(lo), int64(hi)); err != nil {
-			return 0, 0, err
+		if err := e.db.Pack(TblOutSegs, int64(lo), int64(hi)); err != nil {
+			return 0, nil, err
 		}
 		iterations += it
+		batches = append(batches, hi-lo)
 		work, _ := cat.Get(TblSeg)
-		perSource = float64(len(work.Pages())) / float64(hi-lo)
+		perSource = float64(work.RowCount()) / float64(hi-lo)
 		lo = hi
+	}
+	if err := e.db.Pack(TblInSegs, 0, int64(n)); err != nil {
+		return 0, nil, err
 	}
 	return iterations, batches, nil
 }
 
-// foldEdges merges the original edges into the segment table
-// (Definition 4(2)): an edge is discarded when a recorded segment already
-// dominates it, a cheaper edge updates the recorded cost, and parallel
-// edges collapse to their minimum. A build folds every edge into the empty
-// table before its sweep. A non-empty touchTable restricts the
-// fold to the (fid, tid) pairs recorded there, uniquely — the decremental
-// repair path, which only re-materializes touched pairs and reaches their
-// edges from the touch table through TEdges' fid index.
-func (e *Engine) foldEdges(ctx context.Context, qs *QueryStats, forward bool, touchTable string) error {
-	target := TblOutSegs
-	pid := "s.fid"
-	if !forward {
-		target = TblInSegs
-		pid = "s.tid" // successor of fid on the single-edge path
-	}
+// foldEdges merges the original edges into both segment tables
+// (Definition 4(2)), pid the direct hop's fid: an edge is discarded when a
+// recorded segment already dominates it, a cheaper edge updates the
+// recorded cost, and parallel edges collapse to their minimum. A build
+// folds every edge into the empty tables before its sweep. A non-empty
+// touchTable restricts the fold to the (fid, tid) pairs recorded there,
+// uniquely — the decremental repair path, which only re-materializes
+// touched pairs and reaches their edges from the touch table through
+// TEdges' fid index.
+func (e *Engine) foldEdges(ctx context.Context, qs *QueryStats, touchTable string) error {
 	from := TblEdges + " s"
 	if touchTable != "" {
 		from = touchTable + " m, " + TblEdges + " s WHERE s.fid = m.fid AND s.tid = m.tid"
 	}
-	src := "SELECT s.fid, s.tid, " + pid + ", MIN(s.cost) FROM " + from + " GROUP BY s.fid, s.tid"
-	_, err := e.mergeSegs(ctx, qs, target, src, nil)
-	return err
+	src := "SELECT s.fid, s.tid, s.fid, MIN(s.cost) FROM " + from + " GROUP BY s.fid, s.tid"
+	for _, tbl := range segTables {
+		if _, err := e.mergeSegs(ctx, qs, tbl, src, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }

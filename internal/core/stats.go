@@ -123,15 +123,15 @@ type SegTableStats struct {
 	Lthd    int64
 	OutSegs int // rows in TOutSegs (pre-computed segments + edges)
 	InSegs  int
-	// Iterations sums the sweep's rounds over both directions and every
-	// batch of sources.
+	// Iterations sums the sweep's rounds over every batch of sources.
 	Iterations int
-	// Batches is how many batches of sources a direction's sweep ran in,
-	// the larger count of the two directions: 1 when the buffer pool holds
-	// the whole sweep.
-	Batches    int
-	Statements int
-	BuildTime  time.Duration
+	// Batches is how many batches of sources the sweep ran in: 1 when the
+	// buffer pool holds the whole sweep. BatchSources holds each batch's
+	// source count, in the node order they cover.
+	Batches      int
+	BatchSources []int
+	Statements   int
+	BuildTime    time.Duration
 }
 
 func (s *SegTableStats) String() string {

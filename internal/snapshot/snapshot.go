@@ -11,9 +11,12 @@ import (
 )
 
 // FormatVersion guards against reading manifests written by an
-// incompatible layout. Version 2 carries TNodes, the node order a hydration
-// numbers its nodes by; a version 1 snapshot has none and is refused.
-const FormatVersion = 2
+// incompatible layout. Version 2 carried TNodes, the node order a hydration
+// numbers its nodes by; a version 1 snapshot has none. Version 3 stores
+// TInSegs as a copy of TOutSegs, pid the predecessor of tid; a version 2
+// snapshot stores the successor of fid there, which the backward path
+// unfolding no longer reads. Both are refused.
+const FormatVersion = 3
 
 // chunkRows bounds one chunk's row count: large tables split into multiple
 // objects so a later object-store backend uploads bounded parts.
@@ -22,6 +25,10 @@ const chunkRows = 1 << 16
 // ErrNoManifest is returned by Latest when the store holds no complete
 // snapshot.
 var ErrNoManifest = errors.New("snapshot: no complete snapshot in store")
+
+// ErrFormat is returned by Latest when the newest snapshot's manifest was
+// written in a format other than FormatVersion.
+var ErrFormat = errors.New("snapshot: unsupported manifest format")
 
 // ChunkMeta describes one stored chunk of a table.
 type ChunkMeta struct {
@@ -221,12 +228,22 @@ func Latest(store ChunkStore) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := decodeManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %s: %w", best, err)
+	}
+	return m, nil
+}
+
+// decodeManifest parses a stored manifest, refusing any format but
+// FormatVersion with ErrFormat.
+func decodeManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("snapshot: parse %s: %w", best, err)
+		return nil, fmt.Errorf("parse manifest: %w", err)
 	}
 	if m.Format != FormatVersion {
-		return nil, fmt.Errorf("snapshot: %s has format %d, want %d", best, m.Format, FormatVersion)
+		return nil, fmt.Errorf("%w %d, want %d", ErrFormat, m.Format, FormatVersion)
 	}
 	return &m, nil
 }

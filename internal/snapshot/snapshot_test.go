@@ -155,6 +155,57 @@ func TestLatestEmpty(t *testing.T) {
 	}
 }
 
+// TestLatestRefusesOldFormats: a newest snapshot whose manifest says format
+// 2 (TInSegs pids the successor of fid) or 1 (no TNodes) is refused with
+// ErrFormat, not hydrated; the same manifest at format 3 is read back.
+func TestLatestRefusesOldFormats(t *testing.T) {
+	store, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeSnapshot(t, store, 7, testRows(3))
+	name := versionDir(7) + "/manifest.json"
+	data, err := store.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := fmt.Sprintf(`"format": %d,`, FormatVersion)
+	if !bytes.Contains(data, []byte(current)) {
+		t.Fatalf("manifest %s does not spell %s", data, current)
+	}
+	for _, format := range []int{2, 1} {
+		old := bytes.Replace(data, []byte(current), []byte(fmt.Sprintf(`"format": %d,`, format)), 1)
+		if err := store.Put(name, old); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := Latest(store); !errors.Is(err, ErrFormat) {
+			t.Fatalf("format %d: Latest = %+v, %v; want %v", format, m, err, ErrFormat)
+		}
+	}
+	if err := store.Put(name, data); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := Latest(store); err != nil || m.Version != 7 {
+		t.Fatalf("format %d: Latest = %+v, %v; want version 7", FormatVersion, m, err)
+	}
+}
+
+// FuzzManifest: decodeManifest never panics on any bytes, and accepts only
+// a manifest at FormatVersion. The seeds under testdata/fuzz/FuzzManifest
+// (a written manifest at formats 3, 2 and 1, and malformed JSON) run with
+// go test.
+func FuzzManifest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeManifest(data)
+		if err != nil {
+			return
+		}
+		if m.Format != FormatVersion {
+			t.Fatalf("decodeManifest(%q) accepted format %d", data, m.Format)
+		}
+	})
+}
+
 // TestChunkCorruption: a flipped byte in a stored chunk fails ReadTable's
 // CRC check instead of yielding bad rows.
 func TestChunkCorruption(t *testing.T) {

@@ -3,9 +3,9 @@
 // below k·wmin or at the global minimum (F), expand them through an edge
 // relation (E), MERGE the cheaper distances back (M), repeat until no
 // candidate is left. SegTable runs it from every node with the lthd bound,
-// a batch of sources at a time, over the direct hops of the segment table
-// it fills (keyed on the pair, led by the expansion's join column); the
-// decremental repair runs it from the touched sources over TEdges. The
+// a batch of sources at a time, forward over the direct hops of TOutSegs
+// (keyed on the pair, led by the expansion's join column); the decremental
+// repair runs it forward from the touched sources over TEdges. The
 // landmark oracle and the hub labels run it over TEdges from one node with
 // no bound, the labels with a prune statement between F and E. The degree
 // ranking both of those order their sources by lives here too, and so does
@@ -43,14 +43,10 @@ var (
 		" AND (dist < ? * ? OR dist = (SELECT MIN(dist) FROM " + TblWork + " WHERE f = 0))"
 )
 
-// directHop restricts an expansion over a segment table to the rows that
-// are a single edge: TOutSegs.pid is the predecessor of tid, TInSegs.pid
-// the successor of fid, so a direct hop carries the pair's other end.
+// directHop restricts an expansion over TOutSegs to the rows that are a
+// single edge: pid is the predecessor of tid, so a direct hop's is fid.
 // Every other edge relation is expanded whole.
-var directHop = map[string]string{
-	TblOutSegs: " AND out.pid = out.fid",
-	TblInSegs:  " AND out.pid = out.tid",
-}
+var directHop = map[string]string{TblOutSegs: " AND out.pid = out.fid"}
 
 // round renders one direction's E+M round over the edge relation edges
 // (fid, tid, cost) as an internal/fem spec keyed (src, nid): the cheapest
@@ -148,13 +144,13 @@ func One(nid int64) Query { return Q(TblNodes+" WHERE nid = ?", nid) }
 // Run fills TblWork with set-Dijkstra distances (dist <= bound) from every
 // node seed selects — seed is a FROM clause with a nid column, e.g. a
 // table name — and returns the rounds it took. edges names the relation
-// expanded, any table with (fid, tid, cost) columns. Over TOutSegs or
-// TInSegs only the direct hops are expanded, the rows whose pid is the
-// pair's other end: after the SegTable build's fold that is each edge pair
-// once at its minimal cost, and after a batch's segments merged over it
-// the same less the edges a strictly cheaper segment replaced, which lie
-// on no shortest path; either way the fixpoint is the one over TEdges (a
-// cost tie keeps the direct hop). forward follows outgoing edges,
+// expanded, any table with (fid, tid, cost) columns. Over TOutSegs only
+// the direct hops are expanded, the rows whose pid is fid: after the
+// SegTable build's fold that is each edge pair once at its minimal cost,
+// and after a batch's segments merged over it the same less the edges a
+// strictly cheaper segment replaced, which lie on no shortest path; either
+// way the fixpoint is the one over TEdges (a cost tie keeps the direct
+// hop). forward follows outgoing edges,
 // backward incoming ones. A non-empty prune is an UPDATE run every
 // round between frontier selection and expansion that sets f = 1 on rows
 // of the round's frontier the caller can prove need no expansion (the stamp

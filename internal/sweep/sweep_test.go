@@ -39,12 +39,12 @@ func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 // the in-memory one-to-all Dijkstra, on every expansion profile, in both
 // directions, for the two ways the builds call it: one seed with no bound
 // (oracle, labels) and every node seeded under a bound (SegTable). Each
-// runs over TEdges and over the two segment tables in the states a batched
-// SegTable build sweeps them in: holding the fold of the edges (its first
-// batch), and holding that fold after the segments of the first half of
-// the sources merged over it (a later batch: multi-hop rows, and direct
-// hops a strictly cheaper segment replaced, neither of which the expansion
-// may follow). Every (src, nid) pair within the bound must have exactly
+// runs over TEdges and over TOutSegs in the states a batched SegTable
+// build sweeps it in: holding the fold of the edges (its first batch), and
+// holding that fold after the segments of the first half of the sources
+// merged over it (a later batch: multi-hop rows, and direct hops a
+// strictly cheaper segment replaced, neither of which the expansion may
+// follow). Every (src, nid) pair within the bound must have exactly
 // one row carrying the true distance, no row may exceed the bound, and
 // every par must be a real neighbour on a shortest path:
 // dist[par] + w(par, nid) = dist[nid].
@@ -78,8 +78,8 @@ func TestRunDifferential(t *testing.T) {
 				edges []string
 			}{
 				{"edges", 0, []string{TblEdges}},
-				{"folded", 0, []string{TblOutSegs, TblInSegs}},
-				{"merged", g.N / 2, []string{TblOutSegs, TblInSegs}},
+				{"folded", 0, []string{TblOutSegs}},
+				{"merged", g.N / 2, []string{TblOutSegs}},
 			} {
 				if state.name != "edges" {
 					fillSegTables(t, sess, g, state.upTo, segBound)
@@ -145,73 +145,58 @@ func withDetours(t *testing.T, g *graph.Graph, bound int64) *graph.Graph {
 	return out
 }
 
-// fillSegTables (re)creates TOutSegs and TInSegs and fills them the way a
-// SegTable build leaves them once the batches of sources below upTo have
-// merged: the fold of the edges (each pair once at its minimal cost, pid
-// the pair's other end), then every shortest segment within bound from
-// those sources (TOutSegs) or to them (TInSegs) over it, a strictly cheaper
-// one replacing the recorded row. It fails the test when a merge replaces
-// no direct hop or adds no multi-hop row, which would leave the state it
-// stands for unexercised.
+// fillSegTables (re)creates TOutSegs and fills it the way a SegTable build
+// leaves it once the batches of sources below upTo have merged: the fold
+// of the edges (each pair once at its minimal cost, pid the pair's fid),
+// then every shortest segment within bound from those sources over it, a
+// strictly cheaper one replacing the recorded row. It fails the test when
+// the merge replaces no direct hop or adds no multi-hop row, which would
+// leave the state it stands for unexercised.
 func fillSegTables(t *testing.T, sess *rdb.Session, g *graph.Graph, upTo, bound int64) {
 	t.Helper()
 	schema := Schema{Catalog: sess.DB().Catalog(), Exec: func(q string) error {
 		_, err := sess.Exec(q)
 		return err
 	}}
-	segs := []Relation{Rel(TblOutSegs), Rel(TblInSegs)}
-	if err := schema.Drop(segs...); err != nil {
+	if err := schema.Drop(Rel(TblOutSegs)); err != nil {
 		t.Fatal(err)
 	}
-	if err := schema.Create(segs...); err != nil {
+	if err := schema.Create(Rel(TblOutSegs)); err != nil {
 		t.Fatal(err)
 	}
-	for _, forward := range []bool{true, false} {
-		type seg struct{ pid, cost int64 }
-		rows := map[[2]int64]seg{}
-		for _, e := range g.Edges {
-			pid := e.From // TOutSegs.pid: the predecessor of tid
-			if !forward {
-				pid = e.To // TInSegs.pid: the successor of fid
-			}
-			if r, ok := rows[[2]int64{e.From, e.To}]; !ok || e.Weight < r.cost {
-				rows[[2]int64{e.From, e.To}] = seg{pid, e.Weight}
-			}
+	type seg struct{ pid, cost int64 }
+	rows := map[[2]int64]seg{}
+	for _, e := range g.Edges {
+		if r, ok := rows[[2]int64{e.From, e.To}]; !ok || e.Weight < r.cost {
+			rows[[2]int64{e.From, e.To}] = seg{e.From, e.Weight}
 		}
-		replaced, added := 0, 0
-		for src := int64(0); src < upTo; src++ {
-			dist, link := graph.OneToAll(g, src, forward)
-			for v, d := range dist {
-				if int64(v) == src || d > bound {
-					continue
-				}
-				k := [2]int64{src, int64(v)}
-				if !forward {
-					k = [2]int64{int64(v), src}
-				}
-				r, ok := rows[k]
-				if ok && r.cost <= d {
-					continue
-				}
-				if ok {
-					replaced++
-				} else {
-					added++
-				}
-				rows[k] = seg{link[v], d}
+	}
+	replaced, added := 0, 0
+	for src := int64(0); src < upTo; src++ {
+		dist, link := graph.OneToAll(g, src, true)
+		for v, d := range dist {
+			if int64(v) == src || d > bound {
+				continue
 			}
-		}
-		if upTo > 0 && (replaced == 0 || added == 0) {
-			t.Fatalf("n%d forward=%v: the merge replaced %d direct hops and added %d segments, want both", g.N, forward, replaced, added)
-		}
-		tbl := TblOutSegs
-		if !forward {
-			tbl = TblInSegs
-		}
-		for k, r := range rows {
-			if _, err := sess.Exec("INSERT INTO "+tbl+" (fid, tid, pid, cost) VALUES (?, ?, ?, ?)", k[0], k[1], r.pid, r.cost); err != nil {
-				t.Fatal(err)
+			k := [2]int64{src, int64(v)}
+			r, ok := rows[k]
+			if ok && r.cost <= d {
+				continue
 			}
+			if ok {
+				replaced++
+			} else {
+				added++
+			}
+			rows[k] = seg{link[v], d}
+		}
+	}
+	if upTo > 0 && (replaced == 0 || added == 0) {
+		t.Fatalf("n%d: the merge replaced %d direct hops and added %d segments, want both", g.N, replaced, added)
+	}
+	for k, r := range rows {
+		if _, err := sess.Exec("INSERT INTO "+TblOutSegs+" (fid, tid, pid, cost) VALUES (?, ?, ?, ?)", k[0], k[1], r.pid, r.cost); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
