@@ -291,7 +291,7 @@ func TestSegTableFill(t *testing.T) {
 					for applied := 0; applied < 1000; {
 						muts := make([]Mutation, min(1+rnd.Intn(8), 1000-applied))
 						for i := range muts {
-							muts[i] = randomMutation(t, rnd, mirror)
+							muts[i] = randomMutation(t, rnd, mirror, mirror.N)
 						}
 						if _, err := e.ApplyMutations(muts); err != nil {
 							t.Fatal(err)

@@ -11,11 +11,10 @@ import (
 	"repro/internal/rdb"
 )
 
-// The differential suite: every relational algorithm against the in-memory
-// Dijkstra reference on random and power-law graphs, explicitly covering
-// s==t, unreachable pairs, and re-querying after InsertEdge. checkPath
-// verifies Found, the distance, the endpoints, and that the returned node
-// sequence is a real path of exactly the shortest length.
+// The oracle's differentials: ALT against BSDJ and the reference, the
+// bracketing property of DistanceInterval, under concurrent writers, and
+// oracle invalidation. Every algorithm against the in-memory reference is
+// the model's query move (model_test.go).
 
 // differentialGraphs returns the two workload shapes with one guaranteed
 // unreachable node appended (no edges touch it).
@@ -31,59 +30,6 @@ func differentialGraphs() map[string]*graph.Graph {
 		out[name] = widened
 	}
 	return out
-}
-
-func TestDifferentialAllAlgorithms(t *testing.T) {
-	for name, g := range differentialGraphs() {
-		g := g
-		t.Run(name, func(t *testing.T) {
-			e := newTestEngine(t, g, rdb.Options{}, Options{})
-			if _, err := e.BuildSegTable(8); err != nil {
-				t.Fatalf("segtable: %v", err)
-			}
-			buildOracle(t, e)
-			iso := g.N - 1 // the appended isolated node
-			queries := graph.RandomQueries(g, 8, 7)
-			queries = append(queries,
-				[2]int64{3, 3},     // s == t
-				[2]int64{0, iso},   // unreachable target
-				[2]int64{iso, 0},   // unreachable source
-				[2]int64{iso, iso}, // degenerate on the isolated node
-			)
-			for _, alg := range allAlgorithms() {
-				for _, q := range queries {
-					p, _, err := shortestPath(e, alg, q[0], q[1])
-					if err != nil {
-						t.Fatalf("%v s=%d t=%d: %v", alg, q[0], q[1], err)
-					}
-					checkPath(t, g, alg, q[0], q[1], p)
-				}
-			}
-
-			// Insert a shortcut edge between two random-query endpoints and
-			// re-run every algorithm: answers must track the new graph
-			// (IN particular the oracle must not serve stale ALT bounds).
-			u, v := queries[0][0], queries[1][1]
-			if _, err := e.InsertEdge(u, v, 1); err != nil {
-				t.Fatalf("insert edge: %v", err)
-			}
-			g2, err := graph.New(g.N, append(append([]graph.Edge{}, g.Edges...),
-				graph.Edge{From: u, To: v, Weight: 1}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			buildOracle(t, e) // ALT needs a rebuild after the graph change
-			for _, alg := range allAlgorithms() {
-				for _, q := range queries {
-					p, _, err := shortestPath(e, alg, q[0], q[1])
-					if err != nil {
-						t.Fatalf("post-insert %v s=%d t=%d: %v", alg, q[0], q[1], err)
-					}
-					checkPath(t, g2, alg, q[0], q[1], p)
-				}
-			}
-		})
-	}
 }
 
 // TestALTAgainstBSDJ pins the tentpole's exactness claim the long way
@@ -156,22 +102,8 @@ func TestApproxDistanceBounds(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v approx s=%d t=%d: %v", strat, q[0], q[1], err)
 					}
-					ref := graph.MDJ(g, q[0], q[1])
-					if ref.Found {
-						if iv.Unreachable() {
-							t.Fatalf("%v s=%d t=%d: unreachable verdict but dist=%d", strat, q[0], q[1], ref.Distance)
-						}
-						if iv.Lower > ref.Distance {
-							t.Fatalf("%v s=%d t=%d: lower %d > dist %d", strat, q[0], q[1], iv.Lower, ref.Distance)
-						}
-						if iv.UpperKnown() && iv.Upper < ref.Distance {
-							t.Fatalf("%v s=%d t=%d: upper %d < dist %d", strat, q[0], q[1], iv.Upper, ref.Distance)
-						}
-					} else if iv.UpperKnown() {
-						t.Fatalf("%v s=%d t=%d: finite upper %d on an unreachable pair", strat, q[0], q[1], iv.Upper)
-					}
-					if iv.Lower > iv.Upper {
-						t.Fatalf("%v s=%d t=%d: inverted interval [%d, %d]", strat, q[0], q[1], iv.Lower, iv.Upper)
+					if err := intervalErr(iv, graph.MDJ(g, q[0], q[1])); err != nil {
+						t.Fatalf("%v s=%d t=%d: %v", strat, q[0], q[1], err)
 					}
 				}
 			}

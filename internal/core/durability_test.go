@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,10 +13,10 @@ import (
 )
 
 // The durability test battery: snapshot/hydrate round-trips with every
-// index, WAL suffix replay, a kill-mid-churn differential (the PR's
-// acceptance bar: recover to the exact relational state and prove it by
-// driving every algorithm against the in-memory reference), torn-tail
-// recovery, skip/GC behavior, and the no-snapshot fallback contract.
+// index, WAL suffix replay, torn-tail recovery, skip/GC behavior, and the
+// no-snapshot fallback contract. The model's kill move (model_test.go)
+// holds a hydrated engine to the snapshot plus the replayed batches;
+// TestKillMidChurnDifferential is its crash differential.
 
 // hydrateEngine opens a fresh database and hydrates an engine from dir's
 // newest snapshot plus the WAL suffix.
@@ -54,85 +53,40 @@ func abandonedEngine(t *testing.T, g *graph.Graph, dir string) *Engine {
 	return e
 }
 
-// TestSnapshotHydrate: a snapshot taken with every index built must
-// hydrate a fresh engine that serves exact answers with zero rebuilds.
+// TestSnapshotHydrate: a snapshot taken with every index built hydrates a
+// fresh engine that serves exact answers with zero rebuilds: kill holds the
+// indexes to the snapshot's, nothing replayed.
 func TestSnapshotHydrate(t *testing.T) {
-	dir := t.TempDir()
 	g, _ := paperGraph(t)
-	e := newTestEngine(t, g, rdb.Options{}, Options{DataDir: dir})
-	if _, err := e.BuildSegTable(6); err != nil {
-		t.Fatal(err)
-	}
-	buildOracle(t, e)
-	if _, err := e.BuildLabels(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := e.Snapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Skipped || st.Tables != 7 || st.Bytes <= 0 { // TNodes, TEdges and two tables per index
+	m := newModel(t, 1, rdb.Options{}, Options{DataDir: t.TempDir()})
+	m.load(g)
+	m.buildSeg(6)
+	m.buildOracle(4)
+	m.buildLabels()
+	if st := m.snapshot(); st.Skipped || st.Tables != 7 || st.Bytes <= 0 { // TNodes, TEdges and two tables per index
 		t.Fatalf("snapshot stats: %+v", st)
 	}
-
-	h := hydrateEngine(t, dir)
-	// The hydrated replica must have every index warm without a Build*
-	// call — that is the entire point of fleet hydration.
-	if h.Nodes() != e.Nodes() || h.Edges() != e.Edges() {
-		t.Fatalf("hydrated shape %d/%d, want %d/%d", h.Nodes(), h.Edges(), e.Nodes(), e.Edges())
-	}
-	if h.SegLthd() != 6 {
-		t.Fatalf("hydrated SegLthd = %d, want 6", h.SegLthd())
-	}
-	if h.Oracle() == nil {
-		t.Fatal("hydrated engine lost the oracle")
-	}
-	if h.Labels() == nil {
-		t.Fatal("hydrated engine lost the label index")
-	}
-	ds := h.DurabilityStats()
-	if ds.Hydrations != 1 || ds.ReplayedRecords != 0 || !ds.Armed {
-		t.Fatalf("durability stats: %+v", ds)
+	e := m.e
+	m.kill()
+	if !m.e.DurabilityStats().Armed {
+		t.Fatal("the hydrated engine's WAL is not armed")
 	}
 	// Hydration restores the relations queries and mutations read, not the
 	// builds' scratch: the degree ranking and the farthest-point state are
 	// left to whichever build runs next.
 	want := []string{"tedges", "tinsegs", "tlabelin", "tlabelout", "tlandmark",
 		"tlblfrom", "tlblto", "tnodes", "toutsegs", "tseg"}
-	if got := catalogNames(h); !reflect.DeepEqual(got, want) {
+	if got := catalogNames(m.e); !reflect.DeepEqual(got, want) {
 		t.Errorf("hydrated catalog %v, want %v", got, want)
 	}
-
-	algs := append(allAlgorithms(), AlgLabel)
-	nodes := []int64{0, 3, 5, 8, 10}
-	for _, s := range nodes {
-		for _, tt := range nodes {
-			for _, alg := range algs {
-				p, _, err := shortestPath(h, alg, s, tt)
-				if err != nil {
-					t.Fatalf("%v s=%d t=%d: %v", alg, s, tt, err)
-				}
-				checkPath(t, g, alg, s, tt, p)
-			}
+	var pairs [][2]int64
+	for _, s := range []int64{0, 3, 5, 8, 10} {
+		for _, tt := range []int64{0, 3, 5, 8, 10} {
+			pairs = append(pairs, [2]int64{s, tt})
 		}
 	}
-
-	// The hydrated SegTable must be byte-for-byte the builder's output.
-	if err := h.checkSegTable(); err != nil {
-		t.Errorf("hydrated SegTable: %v", err)
-	}
-	for _, tbl := range []string{TblOutSegs, TblInSegs} {
-		want := segTableSnapshot(t, e, tbl)
-		got := segTableSnapshot(t, h, tbl)
-		if len(want) != len(got) {
-			t.Fatalf("%s: %d rows hydrated, want %d", tbl, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("%s: row %v = %d, want %d", tbl, k, got[k], v)
-			}
-		}
-	}
+	m.query(pairs)
+	sameSegTable(t, m.e, e) // the snapshotted engine's rows, hydrated
 }
 
 // TestSnapshotHydrateAcrossStrategies: the manifest records the writer's
@@ -250,172 +204,23 @@ func TestHydrateInPlaceCleanCatalog(t *testing.T) {
 }
 
 // TestHydrateReplaysWAL: mutations applied after the last snapshot live
-// only in the WAL; hydration must replay them on top of the snapshot.
+// only in the WAL; hydration replays them on top of the snapshot, their
+// counters with them, and the WAL re-arms for the batches after it.
 func TestHydrateReplaysWAL(t *testing.T) {
-	dir := t.TempDir()
-	seed := mutationDiffSeed(t, 20260807)
-	rnd := rand.New(rand.NewSource(seed))
-	mirror := graph.Random(20, 50, 11)
-	e := newTestEngine(t, mirror.Clone(), rdb.Options{}, Options{DataDir: dir})
-	if _, err := e.BuildSegTable(6); err != nil {
-		t.Fatal(err)
+	m := newModel(t, 20260807, rdb.Options{}, Options{DataDir: t.TempDir()})
+	m.load(graph.Random(20, 50, 11))
+	m.buildSeg(6)
+	m.snapshot()
+	m.mutate(1) // a one-mutation batch counts like any other, replayed too
+	for b := 1; b < 5; b++ {
+		m.mutate(1 + m.rnd.Intn(4))
 	}
-	if _, err := e.Snapshot(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	const batches = 5
-	for b := 0; b < batches; b++ {
-		k := 1 + rnd.Intn(4)
-		if b == 0 {
-			k = 1 // a one-mutation batch counts like any other, replayed too
-		}
-		muts := make([]Mutation, 0, k)
-		for i := 0; i < k; i++ {
-			muts = append(muts, randomMutation(t, rnd, mirror))
-		}
-		if _, err := e.ApplyMutations(muts); err != nil {
-			t.Fatalf("batch %d: %v", b, err)
-		}
-	}
-
-	h := hydrateEngine(t, dir)
-	ds := h.DurabilityStats()
-	if ds.ReplayedRecords != batches {
-		t.Fatalf("replayed %d records, want %d", ds.ReplayedRecords, batches)
-	}
-	want, got := e.MutationStats(), h.MutationStats()
-	if got.Batches != want.Batches || got.Inserts != want.Inserts || got.Deletes != want.Deletes || got.Updates != want.Updates {
-		t.Errorf("replayed mutation counters %+v, primary's %+v", got, want)
-	}
-	buildOracle(t, h)
-	for i := 0; i < 12; i++ {
-		s, tt := rnd.Int63n(mirror.N), rnd.Int63n(mirror.N)
-		for _, alg := range allAlgorithms() {
-			p, _, err := shortestPath(h, alg, s, tt)
-			if err != nil {
-				t.Fatalf("%v s=%d t=%d: %v", alg, s, tt, err)
-			}
-			checkPath(t, mirror, alg, s, tt, p)
-		}
-	}
-
-	// Post-hydration mutations must be durable too: the WAL re-arms.
-	m := randomMutation(t, rnd, mirror)
-	if _, err := h.ApplyMutations([]Mutation{m}); err != nil {
-		t.Fatal(err)
-	}
-	if ds = h.DurabilityStats(); !ds.Armed || ds.WAL.Appends == 0 {
+	m.kill()
+	m.buildOracle(4)
+	m.query(m.draw(12))
+	m.mutate(1)
+	if ds := m.e.DurabilityStats(); !ds.Armed || ds.WAL.Appends == 0 {
 		t.Fatalf("post-hydration WAL not armed: %+v", ds)
-	}
-}
-
-// TestKillMidChurnDifferential is the acceptance criterion: an engine
-// killed without warning in the middle of a mutation churn (with a
-// snapshot taken partway) must recover — snapshot plus WAL replay — to
-// the exact relational state, proven by a differential across every
-// algorithm against the in-memory reference and a SegTable row
-// comparison against a from-scratch rebuild.
-func TestKillMidChurnDifferential(t *testing.T) {
-	const (
-		steps    = 120
-		nodes    = 24
-		edges    = 70
-		lthd     = 6
-		batchMax = 6
-	)
-	seed := mutationDiffSeed(t, 20260808)
-	t.Logf("kill-mid-churn differential: seed=%d (override with MUTATION_DIFF_SEED)", seed)
-	rnd := rand.New(rand.NewSource(seed))
-	dir := t.TempDir()
-
-	var init []graph.Edge
-	for i := 0; i < edges; i++ {
-		init = append(init, graph.Edge{
-			From: rnd.Int63n(nodes), To: rnd.Int63n(nodes), Weight: 1 + rnd.Int63n(9),
-		})
-	}
-	mirror, err := graph.New(nodes, init)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a := abandonedEngine(t, mirror.Clone(), dir)
-	if _, err := a.BuildSegTable(lthd); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Snapshot(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	applied, batches := 0, 0
-	for applied < steps {
-		k := 1 + rnd.Intn(batchMax)
-		if applied+k > steps {
-			k = steps - applied
-		}
-		muts := make([]Mutation, 0, k)
-		for i := 0; i < k; i++ {
-			muts = append(muts, randomMutation(t, rnd, mirror))
-		}
-		if _, err := a.ApplyMutations(muts); err != nil {
-			t.Fatalf("step %d: %v", applied, err)
-		}
-		applied += k
-		batches++
-		// A mid-churn snapshot exercises the WAL reset: later batches form
-		// the replay suffix, earlier ones are covered by the manifest.
-		if batches == 8 {
-			if _, err := a.Snapshot(context.Background()); err != nil {
-				t.Fatalf("mid-churn snapshot: %v", err)
-			}
-		}
-	}
-	// Kill: a is abandoned here without Close — no final sync, no
-	// snapshot. Everything the recovery sees was fsynced batch by batch.
-
-	h := hydrateEngine(t, dir)
-	ds := h.DurabilityStats()
-	if ds.Hydrations != 1 || ds.ReplayedRecords == 0 {
-		t.Fatalf("expected a replayed WAL suffix, got stats %+v", ds)
-	}
-	t.Logf("recovered: %d WAL records replayed on the mid-churn snapshot", ds.ReplayedRecords)
-
-	if h.Edges() != mirror.M() {
-		t.Fatalf("recovered edge count %d, want %d", h.Edges(), mirror.M())
-	}
-	buildOracle(t, h)
-	for i := 0; i < 12; i++ {
-		s, tt := rnd.Int63n(mirror.N), rnd.Int63n(mirror.N)
-		for _, alg := range allAlgorithms() {
-			p, _, err := shortestPath(h, alg, s, tt)
-			if err != nil {
-				t.Fatalf("%v s=%d t=%d: %v", alg, s, tt, err)
-			}
-			checkPath(t, mirror, alg, s, tt, p)
-		}
-	}
-
-	// The recovered SegTable (snapshot rows + replayed repairs) must equal
-	// a from-scratch rebuild over the final graph.
-	ref := newTestEngine(t, mirror.Clone(), rdb.Options{}, Options{})
-	if _, err := ref.BuildSegTable(lthd); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.checkSegTable(); err != nil {
-		t.Errorf("recovered SegTable: %v", err)
-	}
-	for _, tbl := range []string{TblOutSegs, TblInSegs} {
-		want := segTableSnapshot(t, ref, tbl)
-		got := segTableSnapshot(t, h, tbl)
-		if len(want) != len(got) {
-			t.Fatalf("%s: %d rows recovered, want %d", tbl, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("%s: row %v = %d, want %d", tbl, k, got[k], v)
-			}
-		}
 	}
 }
 

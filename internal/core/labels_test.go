@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -12,9 +11,10 @@ import (
 
 // The hub-label test battery: an all-pairs differential against graph.MDJ
 // on the shared differential graphs, the planner preference / degradation
-// contract, the per-mutation keep-vs-invalidate analysis on a handcrafted
-// graph where every verdict is provable by eye, and a randomized
-// ApplyMutations harness with rebuild-on-invalidation.
+// contract and the per-mutation keep-vs-invalidate analysis on a
+// handcrafted graph where every verdict is provable by eye. The randomized
+// churn with rebuild-on-invalidation, TestLabelMutationDifferential, is a
+// model script (model_test.go).
 
 // buildLabels builds the hub-label index or fails the test.
 func buildLabels(t *testing.T, e *Engine) {
@@ -24,28 +24,25 @@ func buildLabels(t *testing.T, e *Engine) {
 	}
 }
 
+// TestLabelDifferential: the label answer, distance and recovered route,
+// is exact on every pair, s == t and the isolated node included.
 func TestLabelDifferential(t *testing.T) {
 	for name, g := range differentialGraphs() {
-		g := g
 		t.Run(name, func(t *testing.T) {
-			e := newTestEngine(t, g, rdb.Options{}, Options{})
-			buildLabels(t, e)
-			lbl := e.Labels()
-			if lbl == nil || lbl.Rows() == 0 || lbl.Hubs == 0 {
+			m := newModel(t, 1, rdb.Options{}, Options{})
+			m.algs = []Algorithm{AlgLabel}
+			m.load(g)
+			m.buildLabels()
+			if lbl := m.e.Labels(); lbl.Rows() == 0 || lbl.Hubs == 0 {
 				t.Fatalf("label index empty after build: %+v", lbl)
 			}
-			// Every pair, s == t and the isolated node g.N-1 included: the
-			// label answer (distance and recovered route) must match the
-			// in-memory reference exactly.
+			var pairs [][2]int64
 			for s := int64(0); s < g.N; s++ {
 				for d := int64(0); d < g.N; d++ {
-					p, _, err := shortestPath(e, AlgLabel, s, d)
-					if err != nil {
-						t.Fatalf("label s=%d t=%d: %v", s, d, err)
-					}
-					checkPath(t, g, AlgLabel, s, d, p)
+					pairs = append(pairs, [2]int64{s, d})
 				}
 			}
+			m.query(pairs)
 		})
 	}
 }
@@ -275,89 +272,5 @@ func TestLabelKeepAnalysis(t *testing.T) {
 	if ms.LabelKeeps != 4 || ms.LabelInvalidations != 3 {
 		t.Errorf("counters: keeps=%d invalidations=%d, want 4 and 3",
 			ms.LabelKeeps, ms.LabelInvalidations)
-	}
-}
-
-// TestLabelMutationDifferential churns the graph through randomized
-// ApplyMutations batches, rebuilding the label index whenever a batch
-// invalidates it, and checks AlgLabel and the Auto planner against the
-// in-memory mirror after every batch.
-func TestLabelMutationDifferential(t *testing.T) {
-	const (
-		steps    = 240
-		nodes    = 24
-		edges    = 70
-		batchMax = 6
-	)
-	seed := mutationDiffSeed(t, 20260807)
-	t.Logf("label differential: seed=%d (override with MUTATION_DIFF_SEED), %d steps", seed, steps)
-	rnd := rand.New(rand.NewSource(seed))
-
-	var init []graph.Edge
-	for i := 0; i < edges; i++ {
-		init = append(init, graph.Edge{
-			From: rnd.Int63n(nodes), To: rnd.Int63n(nodes), Weight: 1 + rnd.Int63n(9),
-		})
-	}
-	mirror, err := graph.New(nodes, init)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newTestEngine(t, mirror.Clone(), rdb.Options{}, Options{})
-	buildLabels(t, e)
-
-	applied, rebuilds := 0, 0
-	for applied < steps {
-		k := 1 + rnd.Intn(batchMax)
-		if applied+k > steps {
-			k = steps - applied
-		}
-		muts := make([]Mutation, 0, k)
-		for i := 0; i < k; i++ {
-			muts = append(muts, randomMutation(t, rnd, mirror))
-		}
-		st, err := e.ApplyMutations(muts)
-		if err != nil {
-			t.Fatalf("step %d (batch %v): %v", applied, muts, err)
-		}
-		applied += k
-		if e.Labels() == nil {
-			if !st.LabelsInvalidated || !e.LabelsInvalidated() {
-				t.Fatalf("step %d: index gone without the invalidation markers (%+v)", applied, st)
-			}
-			buildLabels(t, e)
-			rebuilds++
-		} else if st.LabelsInvalidated {
-			t.Fatalf("step %d: stats report invalidation but the index survived", applied)
-		}
-
-		queries := [][2]int64{
-			{rnd.Int63n(nodes), rnd.Int63n(nodes)},
-			{rnd.Int63n(nodes), rnd.Int63n(nodes)},
-			{rnd.Int63n(nodes), rnd.Int63n(nodes)},
-		}
-		for _, q := range queries {
-			for _, alg := range []Algorithm{AlgLabel, AlgAuto} {
-				p, _, err := shortestPath(e, alg, q[0], q[1])
-				if err != nil {
-					t.Fatalf("step %d %v s=%d t=%d: %v", applied, alg, q[0], q[1], err)
-				}
-				checkPath(t, mirror, alg, q[0], q[1], p)
-			}
-		}
-	}
-
-	ms := e.MutationStats()
-	t.Logf("applied %d mutations, %d label rebuilds: keeps=%d invalidations=%d",
-		applied, rebuilds, ms.LabelKeeps, ms.LabelInvalidations)
-	if ms.LabelKeeps == 0 {
-		t.Error("the keep-analysis never absorbed a mutation")
-	}
-	if ms.LabelInvalidations == 0 {
-		t.Error("the harness never invalidated the index")
-	}
-	if ms.LabelKeeps+ms.LabelInvalidations > uint64(steps) {
-		t.Errorf("keeps+invalidations (%d+%d) exceed applied mutations (%d)",
-			ms.LabelKeeps, ms.LabelInvalidations, steps)
 	}
 }

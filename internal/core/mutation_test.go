@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -44,184 +43,71 @@ func checkAllAlgorithms(t *testing.T, e *Engine, mirror *graph.Graph, queries []
 // BuildSegTable, and the scoped (non-rebuild) repair path is the one that
 // ran. The repaired SegTable must equal a from-scratch rebuild row for row.
 func TestDeleteEdgeScopedRepair(t *testing.T) {
-	const lthd = 60 // generator weights are 1..100: keep multi-hop segments common
-	g, mirror := mutationGraph(t, 30, 70, 21)
-	e := newTestEngine(t, g, rdb.Options{}, Options{})
-	if _, err := e.BuildSegTable(lthd); err != nil {
-		t.Fatal(err)
-	}
-
-	// Delete several existing edges, repairing after each.
-	rng := rand.New(rand.NewSource(5))
-	deleted := 0
+	m := newModel(t, 5, rdb.Options{}, Options{})
+	m.load(modelGraph(graph.Random(30, 70, 21), m.rnd, 9))
+	m.buildSeg(15) // small weights against lthd keep multi-hop segments common
 	var repaired int64
-	for deleted < 8 && mirror.M() > 0 {
-		ed := mirror.Edges[rng.Intn(mirror.M())]
-		if _, err := mirror.DeleteEdge(ed.From, ed.To); err != nil {
-			t.Fatal(err)
-		}
-		st, err := e.DeleteEdge(ed.From, ed.To)
-		if err != nil {
-			t.Fatalf("delete (%d,%d): %v", ed.From, ed.To, err)
-		}
+	for i := 0; i < 8; i++ {
+		ed := m.mirror.Edges[m.rnd.Intn(m.mirror.M())]
+		st := m.apply(Mutation{Op: MutDelete, From: ed.From, To: ed.To})
 		if st.Rebuilt {
 			t.Fatalf("delete (%d,%d): fell back to a rebuild under the default threshold", ed.From, ed.To)
 		}
 		repaired += st.Repaired
-		deleted++
 	}
-	if repaired == 0 {
-		t.Error("eight deletions on a dense graph never repaired a SegTable row")
+	if repaired == 0 || m.want.SegRepairs == 0 {
+		t.Errorf("eight deletions on a dense graph repaired %d rows in %d scoped repairs", repaired, m.want.SegRepairs)
 	}
-	ms := e.MutationStats()
-	if ms.Deletes != uint64(deleted) || ms.SegRebuilds != 0 {
-		t.Errorf("counters: %+v", ms)
-	}
-	if ms.SegRepairs == 0 {
-		t.Error("scoped repair path never taken")
-	}
-
-	// The maintained index must match a from-scratch build over the
-	// post-delete graph exactly.
-	eB := newTestEngine(t, mirror, rdb.Options{}, Options{})
-	if _, err := eB.BuildSegTable(lthd); err != nil {
-		t.Fatal(err)
-	}
-	for _, tbl := range []string{TblOutSegs, TblInSegs} {
-		inc := segTableSnapshot(t, e, tbl)
-		ref := segTableSnapshot(t, eB, tbl)
-		for pair, want := range ref {
-			got, ok := inc[pair]
-			if !ok {
-				t.Fatalf("%s: repair misses pair %v (cost %d)", tbl, pair, want)
-			}
-			if got != want {
-				t.Fatalf("%s: pair %v cost %d, rebuild says %d", tbl, pair, got, want)
-			}
-		}
-		for pair, got := range inc {
-			if _, ok := ref[pair]; !ok {
-				t.Fatalf("%s: repair kept stale pair %v (cost %d)", tbl, pair, got)
-			}
-		}
-	}
-
-	queries := append(graph.RandomQueries(mirror, 8, 3), [2]int64{2, 2})
-	checkAllAlgorithms(t, e, mirror, queries)
+	m.sameAsRebuild()
+	m.query(m.draw(8))
 }
 
 // TestUpdateEdgeWeight covers both repair directions: a relaxation takes
 // the insertion-style maintenance, a weakening the decremental pass, and
 // every algorithm stays exact against the mirror either way.
 func TestUpdateEdgeWeight(t *testing.T) {
-	const lthd = 15
-	g, mirror := mutationGraph(t, 25, 60, 8)
-	e := newTestEngine(t, g, rdb.Options{}, Options{})
-	if _, err := e.BuildSegTable(lthd); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
+	m := newModel(t, 17, rdb.Options{}, Options{})
+	m.load(graph.Random(25, 60, 8))
+	m.buildSeg(15)
 	for step := 0; step < 10; step++ {
-		ed := mirror.Edges[rng.Intn(mirror.M())]
-		var w int64
-		if step%2 == 0 {
-			w = 1 + rng.Int63n(3) // likely a relaxation
-		} else {
-			w = 50 + rng.Int63n(50) // likely a weakening
+		ed := m.mirror.Edges[m.rnd.Intn(m.mirror.M())]
+		w := 1 + m.rnd.Int63n(3) // likely a relaxation
+		if step%2 == 1 {
+			w = 50 + m.rnd.Int63n(50) // likely a weakening
 		}
-		if _, err := mirror.UpdateEdgeWeight(ed.From, ed.To, w); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.UpdateEdgeWeight(ed.From, ed.To, w); err != nil {
-			t.Fatalf("update (%d,%d)->%d: %v", ed.From, ed.To, w, err)
-		}
+		m.apply(Mutation{Op: MutUpdate, From: ed.From, To: ed.To, Weight: w})
 	}
-	eB := newTestEngine(t, mirror, rdb.Options{}, Options{})
-	if _, err := eB.BuildSegTable(lthd); err != nil {
-		t.Fatal(err)
-	}
-	for _, tbl := range []string{TblOutSegs, TblInSegs} {
-		inc := segTableSnapshot(t, e, tbl)
-		ref := segTableSnapshot(t, eB, tbl)
-		if len(inc) != len(ref) {
-			t.Fatalf("%s: size %d vs rebuild %d", tbl, len(inc), len(ref))
-		}
-		for pair, want := range ref {
-			if inc[pair] != want {
-				t.Fatalf("%s: pair %v cost %d want %d", tbl, pair, inc[pair], want)
-			}
-		}
-	}
-	checkAllAlgorithms(t, e, mirror, graph.RandomQueries(mirror, 8, 4))
+	m.sameAsRebuild()
+	m.query(m.draw(8))
 }
 
 // TestMutationsOnPostgresProfile drives delete and weaken repairs through
 // the merge-free statement forms.
 func TestMutationsOnPostgresProfile(t *testing.T) {
-	g, mirror := mutationGraph(t, 20, 50, 9)
-	e := newTestEngine(t, g, rdb.Options{Profile: rdb.ProfilePostgreSQL9}, Options{})
-	if _, err := e.BuildSegTable(12); err != nil {
-		t.Fatal(err)
-	}
-	ed := mirror.Edges[0]
-	if _, err := mirror.DeleteEdge(ed.From, ed.To); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.DeleteEdge(ed.From, ed.To); err != nil {
-		t.Fatal(err)
-	}
-	ed = mirror.Edges[1]
-	if _, err := mirror.UpdateEdgeWeight(ed.From, ed.To, ed.Weight+40); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.UpdateEdgeWeight(ed.From, ed.To, ed.Weight+40); err != nil {
-		t.Fatal(err)
-	}
-	eB := newTestEngine(t, mirror, rdb.Options{}, Options{})
-	if _, err := eB.BuildSegTable(12); err != nil {
-		t.Fatal(err)
-	}
-	for _, tbl := range []string{TblOutSegs, TblInSegs} {
-		inc := segTableSnapshot(t, e, tbl)
-		ref := segTableSnapshot(t, eB, tbl)
-		if len(inc) != len(ref) {
-			t.Fatalf("%s: size %d vs rebuild %d", tbl, len(inc), len(ref))
-		}
-		for pair, want := range ref {
-			if inc[pair] != want {
-				t.Fatalf("%s: pair %v cost %d want %d", tbl, pair, inc[pair], want)
-			}
-		}
-	}
+	m := newModel(t, 9, rdb.Options{Profile: rdb.ProfilePostgreSQL9}, Options{})
+	m.load(graph.Random(20, 50, 9))
+	m.buildSeg(12)
+	del, upd := m.mirror.Edges[0], m.mirror.Edges[1]
+	m.apply(Mutation{Op: MutDelete, From: del.From, To: del.To})
+	m.apply(Mutation{Op: MutUpdate, From: upd.From, To: upd.To, Weight: upd.Weight + 40})
+	m.sameAsRebuild()
 }
 
 // TestRepairThresholdFallback: a negative threshold forces every
 // decremental repair into the rebuild path, which must stay exact too.
 func TestRepairThresholdFallback(t *testing.T) {
-	g, mirror := mutationGraph(t, 25, 60, 33)
-	e := newTestEngine(t, g, rdb.Options{}, Options{})
-	e.repairThreshold = -1
-	if _, err := e.BuildSegTable(15); err != nil {
-		t.Fatal(err)
-	}
-	ed := mirror.Edges[4]
-	if _, err := mirror.DeleteEdge(ed.From, ed.To); err != nil {
-		t.Fatal(err)
-	}
-	st, err := e.DeleteEdge(ed.From, ed.To)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Rebuilt {
+	m := newModel(t, 33, rdb.Options{}, Options{})
+	m.e.repairThreshold = -1
+	m.load(graph.Random(25, 60, 33))
+	m.buildSeg(15)
+	ed := m.mirror.Edges[4]
+	if st := m.apply(Mutation{Op: MutDelete, From: ed.From, To: ed.To}); !st.Rebuilt {
 		t.Fatalf("negative threshold must force a rebuild: %+v", st)
 	}
-	if ms := e.MutationStats(); ms.SegRebuilds != 1 || ms.SegRepairs != 0 {
-		t.Errorf("counters after forced rebuild: %+v", ms)
+	if w := m.want; w.SegRebuilds != 1 || w.SegRepairs != 0 {
+		t.Errorf("counters after forced rebuild: %+v", w)
 	}
-	if e.SegLthd() != 15 {
-		t.Errorf("rebuild lost the lthd: %d", e.SegLthd())
-	}
-	checkAllAlgorithms(t, e, mirror, graph.RandomQueries(mirror, 6, 2))
+	m.query(m.draw(6)) // checkEngine: the rebuild kept the lthd
 }
 
 // TestDeleteEdgeRefreshesWMin: removing the cheapest edge must re-derive

@@ -93,7 +93,7 @@ func TestNodeOrderInvisible(t *testing.T) {
 	randomBatch := func() []Mutation {
 		muts := make([]Mutation, 6)
 		for i := range muts {
-			m := randomMutation(t, rnd, mirror)
+			m := randomMutation(t, rnd, mirror, mirror.N)
 			m.From, m.To = int64(pi[m.From]), int64(pi[m.To])
 			muts[i] = m
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,9 +15,9 @@ import (
 )
 
 // The snapshot-isolation battery: shared admissions really run in parallel,
-// writers drain and exclude readers in the documented order, and mixed
-// algorithm traffic stays exact while mutation batches land concurrently.
-// Synchronization goes through the engine's test hook and the gate's own
+// and writers drain and exclude readers in the documented order. Mixed
+// algorithm traffic beside landing batches, TestParallelMixedUnderMutations,
+// is a model script (model_test.go). Synchronization goes through the engine's test hook and the gate's own
 // counters — no sleep-and-hope timing.
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -238,193 +237,6 @@ func TestWriterDrainsReaders(t *testing.T) {
 	}
 }
 
-// TestParallelMixedUnderMutations is the differential stress test: reader
-// goroutines running every algorithm family query concurrently WHILE
-// mutation batches land, and every answer must be exact for a graph version
-// whose lifetime overlapped the query. Run with -race this is the core
-// safety argument for retiring the one-slot latch. Its second input is the
-// sustained-load profile a served engine sees: every batch also re-weights
-// an existing edge, and the engine is durable, so each batch is appended to
-// the WAL and fsynced before it applies.
-func TestParallelMixedUnderMutations(t *testing.T) {
-	t.Run("memory", func(t *testing.T) { mixedUnderMutations(t, false) })
-	t.Run("durable+updates", func(t *testing.T) { mixedUnderMutations(t, true) })
-}
-
-func mixedUnderMutations(t *testing.T, served bool) {
-	const (
-		n        = 40
-		readers  = 5
-		qPerRdr  = 8
-		maxState = 64
-	)
-	// A deterministic ring + chords: every node reaches every other, and
-	// the reserved pair (0, 20) — absent from the initial edge set — is a
-	// real shortcut when the writer inserts it.
-	var init []graph.Edge
-	for i := int64(0); i < n; i++ {
-		init = append(init, graph.Edge{From: i, To: (i + 1) % n, Weight: 1 + i%7})
-		init = append(init, graph.Edge{From: i, To: (i + 7) % n, Weight: 5 + i%11})
-	}
-	mirror, err := graph.New(n, init)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var opts Options
-	if served {
-		opts.DataDir = t.TempDir()
-	}
-	e := newTestEngine(t, mirror.Clone(), rdb.Options{}, opts)
-	if _, err := e.BuildSegTable(6); err != nil {
-		t.Fatal(err)
-	}
-
-	// states[i] is the graph after i mutation batches; readers validate
-	// their answer against every state whose lifetime overlapped the query.
-	// The writer records a state before it applies the batch and counts it
-	// in applied after, so states[applied:] holds every graph the engine
-	// can serve between the two reads of a reader.
-	var stateMu sync.Mutex
-	states := []*graph.Graph{mirror.Clone()}
-	applied := 0
-
-	done := make(chan struct{})
-	// firstBatch closes once the writer has applied its first batch (or
-	// given up on it): the readers start behind it, so the run has
-	// mutations in it however the goroutines are scheduled.
-	firstBatch := make(chan struct{})
-	var firstOnce sync.Once
-	writerStarted := func() { firstOnce.Do(func() { close(firstBatch) }) }
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		defer writerStarted()
-		present := false
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			stateMu.Lock()
-			nStates := len(states)
-			stateMu.Unlock()
-			if nStates > maxState {
-				// Keep the MDJ validation window small; the readers only
-				// need mutations in flight, not an unbounded history.
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			var mut Mutation
-			if present {
-				if _, err := mirror.DeleteEdge(0, 20); err != nil {
-					t.Errorf("writer: mirror delete: %v", err)
-					return
-				}
-				mut = Mutation{Op: MutDelete, From: 0, To: 20}
-			} else {
-				w := int64(1 + i%5)
-				if err := mirror.InsertEdge(0, 20, w); err != nil {
-					t.Errorf("writer: mirror insert: %v", err)
-					return
-				}
-				mut = Mutation{Op: MutInsert, From: 0, To: 20, Weight: w}
-			}
-			present = !present
-			batch := []Mutation{mut}
-			if served {
-				// Walk the ring: edge (u, u+1) takes a new weight.
-				u, w := int64(i)%n, int64(1+(i+3)%7)
-				if _, err := mirror.UpdateEdgeWeight(u, (u+1)%n, w); err != nil {
-					t.Errorf("writer: mirror update: %v", err)
-					return
-				}
-				batch = append(batch, Mutation{Op: MutUpdate, From: u, To: (u + 1) % n, Weight: w})
-			}
-			stateMu.Lock()
-			states = append(states, mirror.Clone())
-			stateMu.Unlock()
-			if _, err := e.ApplyMutations(batch); err != nil {
-				t.Errorf("writer: %v", err)
-				return
-			}
-			stateMu.Lock()
-			applied++
-			stateMu.Unlock()
-			writerStarted()
-		}
-	}()
-
-	algs := []Algorithm{AlgDJ, AlgBDJ, AlgBSDJ, AlgBBFS, AlgBSEG, AlgAuto}
-	var wg sync.WaitGroup
-	errs := make(chan error, readers*qPerRdr)
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-firstBatch
-			rnd := rand.New(rand.NewSource(int64(1000 + w)))
-			for k := 0; k < qPerRdr; k++ {
-				s, tt := rnd.Int63n(n), rnd.Int63n(n)
-				alg := algs[(w+k)%len(algs)]
-				stateMu.Lock()
-				lo := applied
-				stateMu.Unlock()
-				res, err := e.Query(context.Background(), QueryRequest{Source: s, Target: tt, Alg: alg})
-				if err != nil {
-					errs <- fmt.Errorf("reader %d query %d (%v %d->%d): %v", w, k, alg, s, tt, err)
-					return
-				}
-				stateMu.Lock()
-				window := states[lo:]
-				stateMu.Unlock()
-				ok := false
-				for _, gs := range window {
-					ref := graph.MDJ(gs, s, tt)
-					if res.Found == ref.Found && (!res.Found || res.Distance == ref.Distance) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					errs <- fmt.Errorf("reader %d query %d (%v %d->%d): found=%v dist=%d matches none of %d overlapped versions",
-						w, k, alg, s, tt, res.Found, res.Distance, len(window))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(done)
-	writerWG.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	st := e.ConcurrencyStats()
-	if st.Gate.SharedAdmits == 0 {
-		t.Error("no shared admissions recorded for read-only queries")
-	}
-	if st.Gate.ExclusiveAdmits == 0 {
-		t.Error("no exclusive admissions recorded for mutation batches")
-	}
-	if st.Gate.Readers != 0 || st.Gate.WritersWaiting != 0 || st.Gate.WriterActive {
-		t.Errorf("gate not quiescent after the run: %+v", st.Gate)
-	}
-	if st.Scratch.Live != 0 {
-		t.Errorf("%d scratch sets still leased after the run", st.Scratch.Live)
-	}
-	if wal := e.DurabilityStats().WAL; served && (wal.Appends == 0 || wal.Syncs == 0) {
-		t.Errorf("durable run logged %d appends, %d fsyncs", wal.Appends, wal.Syncs)
-	}
-	// The premise of one admission per query: no writer moved the graph
-	// version under a shared admission.
-	if st.SnapshotRetries != 0 {
-		t.Errorf("%d searches saw the graph version move under their shared admission", st.SnapshotRetries)
-	}
-}
-
 // TestDistanceIntervalQueuesBehindWriter: an interval read is an ordinary
 // reader. While a writer holds the gate it waits; cancelling its context
 // abandons the wait; once the gate is free it answers from the current
@@ -466,12 +278,7 @@ func TestDistanceIntervalQueuesBehindWriter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DistanceInterval after release: %v", err)
 	}
-	ref := graph.MDJ(g, 0, 150)
-	if !ref.Found {
-		if !iv.Unreachable() && iv.UpperKnown() {
-			t.Fatalf("unreachable pair got interval [%d, %d]", iv.Lower, iv.Upper)
-		}
-	} else if iv.Lower > ref.Distance || (iv.UpperKnown() && iv.Upper < ref.Distance) {
-		t.Fatalf("interval [%d, %d] does not bracket %d", iv.Lower, iv.Upper, ref.Distance)
+	if err := intervalErr(iv, graph.MDJ(g, 0, 150)); err != nil {
+		t.Fatal(err)
 	}
 }

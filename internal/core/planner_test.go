@@ -173,52 +173,6 @@ func TestPlannerUnreachable(t *testing.T) {
 	}
 }
 
-// TestPlannerDifferential is the exactness harness for AlgAuto: across
-// every index state, planner-chosen answers equal the in-memory Dijkstra
-// reference in weight (and are real paths edge by edge).
-func TestPlannerDifferential(t *testing.T) {
-	shapes := map[string]func(t *testing.T, e *Engine){
-		"bare":        func(t *testing.T, e *Engine) {},
-		"seg":         func(t *testing.T, e *Engine) { mustSeg(t, e, 20) },
-		"oracle":      func(t *testing.T, e *Engine) { buildOracle(t, e) },
-		"seg+oracle":  func(t *testing.T, e *Engine) { mustSeg(t, e, 20); buildOracle(t, e) },
-		"weak-seg":    func(t *testing.T, e *Engine) { mustSeg(t, e, 1); buildOracle(t, e) },
-		"tiny-random": nil, // filled below with its own graph
-	}
-	delete(shapes, "tiny-random")
-	for name, build := range shapes {
-		name, build := name, build
-		t.Run(name, func(t *testing.T) {
-			g := graph.Power(400, 3, 11)
-			e := newTestEngine(t, g, rdb.Options{}, Options{})
-			build(t, e)
-			for _, q := range graph.RandomQueries(g, 8, 13) {
-				res, err := e.Query(context.Background(), QueryRequest{Source: q[0], Target: q[1]})
-				if err != nil {
-					t.Fatalf("auto s=%d t=%d: %v", q[0], q[1], err)
-				}
-				if res.Approximate {
-					t.Fatalf("exact request answered approximately (s=%d t=%d)", q[0], q[1])
-				}
-				checkPath(t, g, res.Algorithm, q[0], q[1], res.Path)
-			}
-		})
-	}
-	t.Run("tiny-random", func(t *testing.T) {
-		g := graph.Random(80, 240, 17)
-		e := newTestEngine(t, g, rdb.Options{}, Options{})
-		mustSeg(t, e, 8)
-		buildOracle(t, e)
-		for _, q := range graph.RandomQueries(g, 8, 19) {
-			res, err := e.Query(context.Background(), QueryRequest{Source: q[0], Target: q[1]})
-			if err != nil {
-				t.Fatalf("auto s=%d t=%d: %v", q[0], q[1], err)
-			}
-			checkPath(t, g, res.Algorithm, q[0], q[1], res.Path)
-		}
-	})
-}
-
 func mustSeg(t *testing.T, e *Engine, lthd int64) {
 	t.Helper()
 	if _, err := e.BuildSegTable(lthd); err != nil {
