@@ -49,10 +49,12 @@ const (
 )
 
 // ErrNoSnapshot is returned by Hydrate/OpenFromSnapshot when the data
-// directory holds no complete snapshot. A WAL without a snapshot base is
-// not hydratable — its records describe deltas over a state that was
-// never captured — so callers fall back to LoadGraph and should snapshot
-// right after.
+// directory holds no complete snapshot: before the first snapshot, and
+// after a LoadGraph until the next one, because a load retires the
+// previous graph's snapshots. A WAL without a snapshot base is not
+// hydratable — its records describe deltas over a state that was never
+// captured — so callers fall back to LoadGraph and should snapshot right
+// after.
 var ErrNoSnapshot = errors.New("core: no snapshot to hydrate from")
 
 // ErrNoDataDir refuses Snapshot, Hydrate and OpenFromSnapshot on an engine
@@ -112,15 +114,17 @@ func (d *durability) chunkStore() (snapshot.ChunkStore, error) {
 }
 
 // armDurabilityLocked opens the WAL and snapshot store; callers hold the
-// exclusive gate. reset discards the log's contents — LoadGraph passes
-// true because old records describe mutations over a different base and
-// must never replay on top of the fresh one; hydration passes false after
-// it has replayed the suffix itself. A nil e.dur is a no-op.
+// exclusive gate. reset retires every snapshot, then discards the log's
+// contents — LoadGraph passes true because the old snapshots and records
+// describe a different graph, and neither may be hydrated or replayed under
+// the fresh one, which has none until the next Snapshot; hydration passes
+// false after it has replayed the suffix itself. A nil e.dur is a no-op.
 func (e *Engine) armDurabilityLocked(reset bool) error {
 	if e.dur == nil {
 		return nil
 	}
-	if _, err := e.dur.chunkStore(); err != nil {
+	store, err := e.dur.chunkStore()
+	if err != nil {
 		return err
 	}
 	log := e.dur.walLog()
@@ -132,10 +136,15 @@ func (e *Engine) armDurabilityLocked(reset bool) error {
 		e.dur.setLog(l)
 		log = l
 	}
-	if reset {
-		return log.Reset()
+	if !reset {
+		return nil
 	}
-	return nil
+	removed, err := snapshot.GC(store, 0)
+	e.dur.gcRemoved.Add(uint64(removed))
+	if err != nil {
+		return err
+	}
+	return log.Reset()
 }
 
 // walAppendLocked logs one validated mutation batch, durably, before the
@@ -420,7 +429,12 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 		for i, wm := range rec.Muts {
 			muts[i] = Mutation{Op: MutOp(wm.Op), From: wm.From, To: wm.To, Weight: wm.Weight}
 		}
-		// An error here is the log faithfully re-enacting history: the
+		// Every logged batch passed checkBatch before it was appended, so
+		// one that fails it now proves the log is on the wrong base.
+		if err := checkBatch(muts, e.Nodes()); err != nil {
+			return fmt.Errorf("core: WAL record v%d does not apply over snapshot v%d: %w", rec.Version, m.Version, err)
+		}
+		// Any other error is the log faithfully re-enacting history: the
 		// original batch failed the same way (e.g. a delete of a missing
 		// edge aborts before writing), and the replayed state matches the
 		// crashed engine's either way. A batch that applied a prefix

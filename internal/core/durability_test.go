@@ -3,13 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/rdb"
+	"repro/internal/wal"
 )
 
 // The durability test battery: snapshot/hydrate round-trips with every
@@ -354,5 +357,31 @@ func TestOpenFromSnapshotEmpty(t *testing.T) {
 	}
 	if _, err := e.Snapshot(context.Background()); err != nil {
 		t.Fatalf("first snapshot after fallback: %v", err)
+	}
+}
+
+// TestReplayRefusesForeignBatch: every logged batch passed the validation
+// before its append, so a WAL record that fails it now proves the log is on
+// the wrong base. Hydration returns it, naming the record's and the
+// snapshot's versions, instead of dropping the batch.
+func TestReplayRefusesForeignBatch(t *testing.T) {
+	dir := t.TempDir()
+	e := newTestEngine(t, graph.Random(20, 50, 1), rdb.Options{}, Options{DataDir: dir})
+	ss, err := e.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := wal.Record{Version: ss.Version + 1, Muts: []wal.Mutation{{Op: wal.Op(MutInsert), From: 25, To: 3, Weight: 1}}}
+	if err := e.dur.walLog().Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	db, err := rdb.Open(rdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	want := fmt.Sprintf("WAL record v%d does not apply over snapshot v%d", rec.Version, ss.Version)
+	if _, err := OpenFromSnapshot(db, Options{DataDir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("hydrate over a foreign batch: %v, want %q", err, want)
 	}
 }

@@ -187,6 +187,9 @@ type Engine struct {
 	// rebuild), scratchRetain replaces DefaultScratchRetain (negative:
 	// every release drops its set).
 	maxItersCap, repairThreshold, scratchRetain int
+	// ran, when set, is told the text of every statement the engine's
+	// statement path (runStmt) runs.
+	ran func(q string)
 	// part is the peer set this engine belongs to (peers.go); nil for the
 	// single engine. Written once by SetPeers, before the engine serves.
 	part *partition
@@ -239,16 +242,6 @@ type Engine struct {
 	// dur carries the durability subsystem's state (WAL, snapshot store,
 	// counters); nil unless Options.DataDir is set. See durability.go.
 	dur *durability
-
-	// stmts caches the engine's prepared statements by SQL text: every
-	// statement shape the algorithms issue is prepared once per engine and
-	// re-executed with fresh bound parameters. Statement texts are stable
-	// by construction (per-iteration values bind as ? parameters, never as
-	// rendered literals), so the set is small and bounded by the number of
-	// shapes in the codebase. Stale plans are the rdb layer's problem: a
-	// DDL epoch bump makes every handle re-compile transparently.
-	stmtMu    sync.RWMutex
-	stmtCache map[string]*rdb.Stmt
 }
 
 // indexes is what the engine knows of its three distance indexes; the rows
@@ -297,9 +290,8 @@ func NewEngine(db *rdb.DB, opts Options) *Engine {
 		opts.CacheSize = DefaultCacheSize
 	}
 	e := &Engine{db: db, sess: db.Session(), opts: opts,
-		level:     fem.LevelOf(db.Profile()),
-		gate:      newQueryGate(),
-		stmtCache: make(map[string]*rdb.Stmt)}
+		level: fem.LevelOf(db.Profile()),
+		gate:  newQueryGate()}
 	e.scratch.e = e
 	for i := range e.queryDur {
 		e.queryDur[i] = obs.NewHistogram(obs.DefLatencyBuckets...)
@@ -454,59 +446,43 @@ func (e *Engine) bumpVersionLocked() {
 	}
 }
 
-// stmt resolves a statement text to the engine's prepared handle for it,
-// preparing through the engine session on first use. Handles are shared
-// (rdb.Stmt is concurrency-safe) and survive for the engine's lifetime.
-func (e *Engine) stmt(q string) (*rdb.Stmt, error) {
-	e.stmtMu.RLock()
-	st := e.stmtCache[q]
-	e.stmtMu.RUnlock()
-	if st != nil {
-		return st, nil
-	}
-	st, err := e.sess.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	e.stmtMu.Lock()
-	if prev, ok := e.stmtCache[q]; ok {
-		st = prev // a concurrent caller prepared it first; share theirs
-	} else {
-		e.stmtCache[q] = st
-	}
-	e.stmtMu.Unlock()
-	return st, nil
-}
-
-// exec runs a write statement through its prepared handle, charging its
-// latency to the given phase accumulators (any of which may be nil).
-// Cancellation and the statement budget are enforced here at the
-// bind/execute boundary — every statement a search, a mutation batch or an
-// index build issues passes through exec, queryInt or queryRows, so a
-// cancelled context or an exhausted budget stops it at the next statement.
-// prefetchFrontier's concurrent probes skip the per-statement check and are
+// runStmt is the engine's one statement path: exec, queryInt and queryRows
+// run every statement a search, a mutation batch or an index build issues
+// through it, by text, on the engine's session — the DB resolves the text
+// through its plan cache, whose texts are stable by construction (values
+// bind as ? parameters, never as rendered literals). Cancellation and the
+// statement budget are enforced here at the bind/execute boundary, so a
+// cancelled context or an exhausted budget stops the caller at its next
+// statement. The statement counts into a non-nil qs and its latency into
+// the non-nil phase accumulators; a non-nil rows makes it a query.
+// prefetchFrontier's concurrent probes come through with a nil qs and are
 // counted once they have all returned. Four callers go straight to the
-// session and take neither check: the DDL of schema, bulkInsert's literal
-// INSERTs, LoadGraph's wmin probe and dumpTable's snapshot reads.
-func (e *Engine) exec(ctx context.Context, qs *QueryStats, phase *time.Duration, op *time.Duration, q string, args ...any) (int64, error) {
+// session and take neither check: the DDL of schema, bulkInsert's batches,
+// LoadGraph's wmin probe and dumpTable's snapshot reads.
+func (e *Engine) runStmt(ctx context.Context, qs *QueryStats, phase, op *time.Duration, q string, rows **rdb.Rows, args []any) (int64, error) {
 	if err := e.checkBudget(ctx, qs); err != nil {
 		return 0, err
 	}
-	st, err := e.stmt(q)
-	if err != nil {
-		return 0, err
+	if e.ran != nil {
+		e.ran(q)
 	}
 	t0 := time.Now()
-	res, err := st.ExecContext(ctx, args...)
-	dt := time.Since(t0)
-	if qs != nil {
-		qs.Statements++
+	var res rdb.Result
+	var err error
+	if rows != nil {
+		*rows, err = e.sess.Query(q, args...)
+	} else {
+		res, err = e.sess.Exec(q, args...)
 	}
+	dt := time.Since(t0)
 	if phase != nil {
 		*phase += dt
 	}
 	if op != nil {
 		*op += dt
+	}
+	if qs != nil {
+		qs.Statements++
 	}
 	if err != nil {
 		return 0, err
@@ -517,47 +493,31 @@ func (e *Engine) exec(ctx context.Context, qs *QueryStats, phase *time.Duration,
 	return res.RowsAffected, nil
 }
 
-// queryInt runs a scalar query through its prepared handle with the same
-// accounting.
-func (e *Engine) queryInt(ctx context.Context, qs *QueryStats, phase *time.Duration, q string, args ...any) (int64, bool, error) {
-	if err := e.checkBudget(ctx, qs); err != nil {
-		return 0, false, err
-	}
-	st, err := e.stmt(q)
-	if err != nil {
-		return 0, false, err
-	}
-	t0 := time.Now()
-	v, null, err := st.QueryIntContext(ctx, args...)
-	dt := time.Since(t0)
-	if qs != nil {
-		qs.Statements++
-	}
-	if phase != nil {
-		*phase += dt
-	}
-	return v, null, err
+// exec runs a write statement, charging its latency to the given phase
+// accumulators (any of which may be nil).
+func (e *Engine) exec(ctx context.Context, qs *QueryStats, phase *time.Duration, op *time.Duration, q string, args ...any) (int64, error) {
+	return e.runStmt(ctx, qs, phase, op, q, nil, args)
 }
 
 // queryRows runs a row-returning query with the same accounting.
 func (e *Engine) queryRows(ctx context.Context, qs *QueryStats, phase *time.Duration, q string, args ...any) (*rdb.Rows, error) {
-	if err := e.checkBudget(ctx, qs); err != nil {
-		return nil, err
-	}
-	st, err := e.stmt(q)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	rows, err := st.QueryContext(ctx, args...)
-	dt := time.Since(t0)
-	if qs != nil {
-		qs.Statements++
-	}
-	if phase != nil {
-		*phase += dt
-	}
+	var rows *rdb.Rows
+	_, err := e.runStmt(ctx, qs, phase, nil, q, &rows, args)
 	return rows, err
+}
+
+// queryInt runs a scalar query with the same accounting; null reports a
+// NULL or empty result.
+func (e *Engine) queryInt(ctx context.Context, qs *QueryStats, phase *time.Duration, q string, args ...any) (int64, bool, error) {
+	rows, err := e.queryRows(ctx, qs, phase, q, args...)
+	if err != nil {
+		return 0, false, err
+	}
+	if rows.Len() == 0 {
+		return 0, true, nil
+	}
+	v := rows.Data[0][0]
+	return v.I, v.Null, nil
 }
 
 // checkBudget refuses the next statement when the context is cancelled or

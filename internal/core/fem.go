@@ -85,8 +85,8 @@ type stmtShape struct {
 // The per-set statement texts of the FEM loop (biInit, the
 // statistics probes) live on scratchSet, rendered once at mint time; the
 // frontier shapes below embed the set's visited-table name the same way.
-// Texts are stable per (shape, scratch set), so prepared handles and cached
-// plans recycle with the pool's bounded id space.
+// Texts are stable per (shape, scratch set), so cached plans recycle with
+// the pool's bounded id space.
 
 // specBDJ: bi-directional Dijkstra, one frontier node per expansion.
 func specBDJ(sc *scratchSet) femSpec {

@@ -30,7 +30,7 @@ import (
 // with them (their F-operators are BSDJ's and BDJ's), and so are the
 // index-build sweep's F-operator and fused round. The sweep's
 // and the decremental repair's own texts (sweep/, touch/, repair/, fold/*/touched) are pinned as what a
-// build, a delete and an oracle build leave prepared: the build sweeps over
+// build, a delete and an oracle build run: the build sweeps over
 // TOutSegs, which it folded the edges into, and merges its segments over
 // both segment tables, the repair sweeps forward over TEdges, the oracle
 // both ways, and the repair's FROM order is its plan.
@@ -70,6 +70,7 @@ func TestGoldenStatementTexts(t *testing.T) {
 
 	g := lineGraph(t, 8, 3)
 	e := newTestEngine(t, g, rdb.Options{}, Options{})
+	ran := textsRun(e)
 	sc, err := e.scratch.acquire() // set 0: every text names the _q0 tables
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +112,8 @@ func TestGoldenStatementTexts(t *testing.T) {
 	check("reach/fused", e.newSuperstep(sc, specReach(sc), 0).fwd.ops.Round(false)[0].Text)
 
 	// The fold renders its source per call: a build folds every edge, a
-	// delete's repair the touched pairs, and both leave their texts behind
-	// as prepared statements, like the sweep a build runs. Both sweep
+	// delete's repair the touched pairs, and both run through the engine's
+	// statement path, like the sweep a build runs. Both sweep
 	// forward; the backward sweep over TEdges is the oracle's.
 	if _, err := e.BuildSegTable(7); err != nil {
 		t.Fatal(err)
@@ -123,11 +124,12 @@ func TestGoldenStatementTexts(t *testing.T) {
 	if _, err := e.BuildOracle(oracle.Config{K: 1}); err != nil {
 		t.Fatal(err)
 	}
+	texts := ran()
 	for name, want := range golden {
 		if kind, _, _ := strings.Cut(name, "/"); kind != "fold" && kind != "touch" && kind != "repair" && kind != "sweep" {
 			t.Errorf("%s: golden text never checked", name)
-		} else if _, ok := e.stmtCache[want]; !ok {
-			t.Errorf("%s: the engine never prepared %s", name, want)
+		} else if !texts[want] {
+			t.Errorf("%s: the engine never ran %s", name, want)
 		}
 	}
 }
@@ -135,7 +137,7 @@ func TestGoldenStatementTexts(t *testing.T) {
 // TestSignProtocol runs every client of the FEM operators on one engine —
 // a query per algorithm (the six loop specs), the three index
 // builds, a delete's scoped repair, Prim's MST and reachability — at the
-// MERGE level and at Plain, and fails on any prepared text that spells a
+// MERGE level and at Plain, and fails on any text it ran that spells a
 // sign value other than 0 or 1: internal/fem's stamps are the only other
 // values, and they bind as parameters.
 func TestSignProtocol(t *testing.T) {
@@ -149,6 +151,7 @@ func TestSignProtocol(t *testing.T) {
 	}
 	for _, profile := range []rdb.Profile{rdb.ProfileDBMSX, rdb.ProfileSQL92} {
 		e := newTestEngine(t, g, rdb.Options{Profile: profile}, Options{})
+		ran := textsRun(e)
 		if _, err := e.BuildSegTable(20); err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +181,7 @@ func TestSignProtocol(t *testing.T) {
 		if _, err := e.Reachable(0, 7); err != nil {
 			t.Fatal(err)
 		}
-		for text := range e.stmtCache {
+		for text := range ran() {
 			if literal.MatchString(text) {
 				t.Errorf("%s: sign literal in %s", profile.Name, text)
 			}

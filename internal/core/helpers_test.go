@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"maps"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -31,4 +33,21 @@ func unitWeights(g *graph.Graph) *graph.Graph {
 		panic(err)
 	}
 	return out
+}
+
+// textsRun records the text of every statement e's statement path runs from
+// now on; the returned function reads the set so far.
+func textsRun(e *Engine) func() map[string]bool {
+	var mu sync.Mutex
+	texts := map[string]bool{}
+	e.ran = func(q string) {
+		mu.Lock()
+		texts[q] = true
+		mu.Unlock()
+	}
+	return func() map[string]bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(texts)
+	}
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"strconv"
+	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/sweep"
@@ -186,28 +186,32 @@ func (e *Engine) schema(qs *QueryStats) sweep.Schema {
 		}}
 }
 
-// bulkInsert loads n rows into rel, insertBatch literal tuples to the
-// INSERT; row fills in the i-th one's columns, in declaration order.
+// bulkInsert loads n rows into rel through two statement shapes, an INSERT
+// of insertBatch rows and one of a single row for the tail; row fills in
+// the i-th one's columns, in declaration order. The rows bind as
+// parameters, so every load of rel runs the same two texts.
 func (e *Engine) bulkInsert(rel sweep.Relation, n int, row func(i int, vals []int64)) error {
 	head := "INSERT INTO " + rel.Name + " (" + rel.Cols + ") VALUES "
-	q, vals := []byte(head), make([]int64, rel.Width())
+	tuple := "(?" + strings.Repeat(", ?", rel.Width()-1) + ")"
+	one, batch := head+tuple, head+tuple+strings.Repeat(", "+tuple, insertBatch-1)
+	vals, args := make([]int64, rel.Width()), make([]any, 0, insertBatch*rel.Width())
+	full := n - n%insertBatch
 	for i := 0; i < n; i++ {
 		row(i, vals)
-		sep := byte('(')
-		if len(q) > len(head) {
-			q = append(q, ',')
-		}
 		for _, v := range vals {
-			q = strconv.AppendInt(append(q, sep), v, 10)
-			sep = ','
+			args = append(args, v)
 		}
-		q = append(q, ')')
-		if (i+1)%insertBatch == 0 || i == n-1 {
-			if _, err := e.sess.Exec(string(q)); err != nil {
-				return err
+		q := one
+		if i < full {
+			if (i+1)%insertBatch != 0 {
+				continue
 			}
-			q = q[:len(head)]
+			q = batch
 		}
+		if _, err := e.sess.Exec(q, args...); err != nil {
+			return err
+		}
+		args = args[:0]
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -224,9 +225,10 @@ func (m *model) checkEngine() {
 	}
 }
 
-// load is LoadGraph: every index goes. A durable load is followed by a
-// snapshot, as spdbd's startup does, because LoadGraph resets the WAL but
-// leaves the last snapshot, of the previous graph, the newest.
+// load is LoadGraph: every index goes. A durable load retires every
+// snapshot and resets the WAL, so until the next snapshot a kill has nothing
+// to hydrate (TestLoadRetiresSnapshots); the snapshot that follows it here
+// is that contract, as at spdbd's startup, which snapshots after a load.
 func (m *model) load(g *graph.Graph) {
 	m.t.Helper()
 	err := m.e.LoadGraph(g)
@@ -739,6 +741,34 @@ func TestKillMidChurnDifferential(t *testing.T) {
 	m.buildOracle(4)
 	m.query(m.draw(12))
 	m.sameAsRebuild()
+}
+
+// TestLoadRetiresSnapshots: a durable load replaces the graph the newest
+// snapshot holds, so a kill after it and before the next snapshot finds no
+// snapshot — never the previous graph with the new graph's batches replayed
+// over it — and the next snapshot recovers the new graph.
+func TestLoadRetiresSnapshots(t *testing.T) {
+	m := newModel(t, 20261019, rdb.Options{}, Options{DataDir: t.TempDir()})
+	m.load(modelGraph(graph.Random(20, 50, m.rnd.Int63()), m.rnd, 9))
+	g := modelGraph(graph.Random(30, 80, m.rnd.Int63()), m.rnd, 9)
+	err := m.e.LoadGraph(g)
+	m.mirror, m.ix, m.iso = g.Clone(), modelIndexes{}, -1
+	m.after("load", fmt.Sprintf("load(%d nodes, %d edges) without a snapshot", g.N, g.M()), err)
+	// Node 30 is modelGraph's isolated node: the three pairs are new edges,
+	// and out of the first graph's range.
+	m.apply(Mutation{Op: MutInsert, From: 30, To: 28, Weight: 2}, Mutation{Op: MutInsert, From: 30, To: 29, Weight: 3},
+		Mutation{Op: MutInsert, From: 29, To: 30, Weight: 4})
+	if e, err := OpenFromSnapshot(m.openDB(), m.opts); !errors.Is(err, ErrNoSnapshot) {
+		if err == nil {
+			err = fmt.Errorf("hydrated %d nodes and %d edges", e.Nodes(), e.Edges())
+			e.Close()
+		}
+		m.fatalf("kill after a load and a batch: %v, want ErrNoSnapshot", err)
+	}
+	m.snapshot()
+	m.mutate(3)
+	m.kill()
+	m.query(m.draw(4))
 }
 
 // TestMutationRace runs one batch beside exact and approximate readers:

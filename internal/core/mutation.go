@@ -198,28 +198,37 @@ func (e *Engine) ApplyMutations(muts []Mutation) (*MaintStats, error) {
 	return e.applyMutationsLocked(ctx, muts)
 }
 
+// checkBatch is the validation a batch passes before it is logged: a graph
+// of nodes nodes is loaded, every endpoint is in range, every op known and
+// every written weight positive.
+func checkBatch(muts []Mutation, nodes int) error {
+	if nodes == 0 {
+		return ErrNoGraph
+	}
+	for i, m := range muts {
+		if m.From < 0 || m.To < 0 || int(m.From) >= nodes || int(m.To) >= nodes {
+			return fmt.Errorf("core: mutation %d: node out of range (n=%d)", i, nodes)
+		}
+		switch m.Op {
+		case MutInsert, MutUpdate:
+			if m.Weight < 1 {
+				return fmt.Errorf("core: mutation %d: edge weight must be positive, got %d", i, m.Weight)
+			}
+		case MutDelete:
+		default:
+			return fmt.Errorf("core: mutation %d: unknown op %v", i, m.Op)
+		}
+	}
+	return nil
+}
+
 // applyMutationsLocked is the batch body; callers hold the exclusive gate.
 // Split out so WAL replay (durability.go) — which already holds the gate
 // across the whole hydration — can re-apply logged batches without a
 // deadlocking second acquisition.
 func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation) (*MaintStats, error) {
-	nodes := e.Nodes()
-	if nodes == 0 {
-		return nil, ErrNoGraph
-	}
-	for i, m := range muts {
-		if m.From < 0 || m.To < 0 || int(m.From) >= nodes || int(m.To) >= nodes {
-			return nil, fmt.Errorf("core: mutation %d: node out of range (n=%d)", i, nodes)
-		}
-		switch m.Op {
-		case MutInsert, MutUpdate:
-			if m.Weight < 1 {
-				return nil, fmt.Errorf("core: mutation %d: edge weight must be positive, got %d", i, m.Weight)
-			}
-		case MutDelete:
-		default:
-			return nil, fmt.Errorf("core: mutation %d: unknown op %v", i, m.Op)
-		}
+	if err := checkBatch(muts, e.Nodes()); err != nil {
+		return nil, err
 	}
 	// Write-ahead: the whole validated batch is logged and fsynced before
 	// the first statement touches TEdges, so a crash at any later point

@@ -37,9 +37,9 @@ func TestEngineStatementsHitPlanCache(t *testing.T) {
 }
 
 // TestLoadGraphInvalidatesPlans is the core-level dropped-heapfile test:
-// LoadGraph drops and recreates every table, so every cached plan (and
-// every engine-held prepared statement) must recompile — and queries on
-// the new graph must be answered from the new tables.
+// LoadGraph drops and recreates every table, so every cached plan must
+// recompile — and queries on the new graph must be answered from the new
+// tables.
 func TestLoadGraphInvalidatesPlans(t *testing.T) {
 	g1 := graph.Power(300, 3, 5)
 	e := newTestEngine(t, g1, rdb.Options{}, Options{})
@@ -57,8 +57,8 @@ func TestLoadGraphInvalidatesPlans(t *testing.T) {
 	if st := e.DB().Stats(); st.SchemaEpoch <= base.SchemaEpoch {
 		t.Fatalf("LoadGraph did not advance the schema epoch: %d -> %d", base.SchemaEpoch, st.SchemaEpoch)
 	}
-	// The engine's prepared handles were compiled against dropped tables;
-	// they must transparently recompile, not read stale storage.
+	// The engine's cached plans were compiled against dropped tables; they
+	// must transparently recompile, not read stale storage.
 	p, _, err := shortestPath(e, AlgBSDJ, 0, 1)
 	if err != nil {
 		t.Fatalf("query after reload: %v", err)

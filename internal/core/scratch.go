@@ -22,7 +22,7 @@ import (
 // Sets are pooled: a release parks the set on a free list (up to
 // DefaultScratchRetain) instead of dropping it, and ids recycle through a
 // free-id list, so the population of distinct table names — and therefore
-// of distinct statement texts, prepared handles and plan-cache entries —
+// of distinct statement texts and plan-cache entries —
 // stays bounded no matter how many queries run. DDL (CREATE/DROP, each
 // bumping the schema epoch) happens only when the pool grows past its
 // high-water mark or shrinks past the retain floor, never per query.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"regexp"
 	"sort"
 	"sync"
 	"testing"
@@ -11,11 +13,12 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rdb"
+	"repro/internal/sweep"
 )
 
 // Scratch-table lifecycle tests: cancellation at any checkpoint leaves the
 // catalog exactly as it was, and the pooled table names keep the plan cache
-// (and the engine's prepared-statement cache) bounded under query churn.
+// bounded under query churn.
 
 // catalogNames snapshots the sorted table list.
 func catalogNames(e *Engine) []string {
@@ -149,30 +152,44 @@ func TestScratchReleaseDropsBeforeRecycle(t *testing.T) {
 }
 
 // TestPlanCacheBoundedUnderScratchChurn is the regression test for the
-// name-poisoning hazard: per-query table names flowing into statement texts
-// could mint an unbounded population of plan-cache (and prepared-handle)
-// entries. Pooled ids bound the name space, so thousands of distinct
-// queries — across enough workers to keep several scratch sets minted —
-// must leave the rdb plan cache under its LRU cap with a healthy hit rate,
-// and the engine's own statement cache bounded.
+// name-poisoning hazard: texts that carry per-instance values — per-query
+// table names, literal rows — would mint an unbounded population of plan
+// cache entries, and the cache has no bound. Values bind as parameters and
+// scratch ids are pooled, so a whole life of the engine — two loads at
+// different sizes, the three index builds, BSDJ and BSEG queries on four
+// workers, mutation batches, a snapshot and a hydration — issues a finite
+// set of texts: the cache holds at most the shapes the run used, the
+// scratch ones once per set minted, and a load adds at most two entries
+// per relation it fills.
 func TestPlanCacheBoundedUnderScratchChurn(t *testing.T) {
-	const (
-		n       = 48
-		workers = 4
-	)
-	g := graph.Power(n, 3, 9)
-	e := newTestEngine(t, g, rdb.Options{}, Options{CacheSize: -1})
-
-	// Every ordered pair once: thousands of distinct queries, no two alike.
-	type pair struct{ s, t int64 }
-	var pairs []pair
-	for s := int64(0); s < n; s++ {
-		for tt := int64(0); tt < n; tt++ {
-			if s != tt {
-				pairs = append(pairs, pair{s, tt})
-			}
-		}
+	const workers = 4
+	dir := t.TempDir()
+	db, err := rdb.Open(rdb.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	e := NewEngine(db, Options{CacheSize: -1, DataDir: dir})
+	t.Cleanup(func() { e.Close() })
+	ran := textsRun(e)
+	if err := e.LoadGraph(graph.Power(300, 3, 9)); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats().PlanCacheEntries
+	g := graph.Power(450, 3, 10)
+	if err := e.LoadGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	// The bulk loader's two shapes for each of TNodes and TEdges.
+	if added := db.Stats().PlanCacheEntries - before; g.M() <= 2*insertBatch || added > 2*2 {
+		t.Fatalf("a second load of %d edges added %d plan cache entries, want at most 2 a relation", g.M(), added)
+	}
+	if _, err := e.BuildSegTable(8); err != nil {
+		t.Fatal(err)
+	}
+	buildOracle(t, e)
+	buildLabels(t, e)
+
+	pairs := graph.RandomQueries(g, 160, 11)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -180,9 +197,10 @@ func TestPlanCacheBoundedUnderScratchChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(pairs); i += workers {
+				alg := []Algorithm{AlgBSDJ, AlgBSEG}[i%2]
 				p := pairs[i]
-				if _, err := e.Query(context.Background(), QueryRequest{Source: p.s, Target: p.t, Alg: AlgBSDJ}); err != nil {
-					errs <- fmt.Errorf("worker %d pair %d->%d: %v", w, p.s, p.t, err)
+				if _, err := e.Query(context.Background(), QueryRequest{Source: p[0], Target: p[1], Alg: alg}); err != nil {
+					errs <- fmt.Errorf("worker %d %v %d->%d: %v", w, alg, p[0], p[1], err)
 					return
 				}
 			}
@@ -193,30 +211,64 @@ func TestPlanCacheBoundedUnderScratchChurn(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	mirror := g.Clone()
+	rnd := rand.New(rand.NewSource(12))
+	for b := 0; b < 6; b++ {
+		muts := make([]Mutation, 3)
+		for i := range muts {
+			muts[i] = randomMutation(t, rnd, mirror, mirror.N)
+		}
+		if _, err := e.ApplyMutations(muts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Snapshot(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
-	st := e.DB().Stats()
-	if st.PlanCacheEntries > rdb.DefaultPlanCacheSize {
-		t.Errorf("plan cache holds %d entries, cap is %d", st.PlanCacheEntries, rdb.DefaultPlanCacheSize)
+	// The statement path's texts, with the scratch id masked, are the
+	// shapes; the session's own are two bulk shapes and a dump read per
+	// relation and LoadGraph's wmin probe.
+	scratchID := regexp.MustCompile(`_q[0-9]+`)
+	perSet, shared := map[string]bool{}, map[string]bool{}
+	for text := range ran() {
+		if masked := scratchID.ReplaceAllString(text, "_q#"); masked != text {
+			perSet[masked] = true
+		} else {
+			shared[text] = true
+		}
+	}
+	st := db.Stats()
+	cs := e.ConcurrencyStats()
+	direct := 3*len(sweep.Relations) + 1
+	t.Logf("%d plan cache entries: %d scratch shapes, %d sets minted, %d shared shapes; %d hits, %d misses",
+		st.PlanCacheEntries, len(perSet), cs.Scratch.Minted, len(shared), st.PlanCacheHits, st.PlanCacheMisses)
+	if limit := len(perSet)*int(cs.Scratch.Minted) + len(shared) + direct; st.PlanCacheEntries > limit {
+		t.Errorf("plan cache holds %d entries; %d scratch shapes x %d sets minted + %d shared + %d session shapes = %d",
+			st.PlanCacheEntries, len(perSet), cs.Scratch.Minted, len(shared), direct, limit)
 	}
 	if st.PlanCacheHits < st.PlanCacheMisses {
-		t.Errorf("plan cache thrashing: %d hits vs %d misses — scratch names are churning the cache",
-			st.PlanCacheHits, st.PlanCacheMisses)
-	}
-	// White-box: the engine's prepared-handle cache is keyed by statement
-	// text; with pooled ids the text population must stay near (number of
-	// shapes) x (sets ever minted), far below the query count.
-	e.stmtMu.RLock()
-	handles := len(e.stmtCache)
-	e.stmtMu.RUnlock()
-	cs := e.ConcurrencyStats()
-	if limit := 80 * int(cs.Scratch.Minted+1); handles > limit {
-		t.Errorf("%d prepared handles for %d minted scratch sets (limit %d): statement texts are not pooled",
-			handles, cs.Scratch.Minted, limit)
+		t.Errorf("plan cache thrashing: %d hits vs %d misses", st.PlanCacheHits, st.PlanCacheMisses)
 	}
 	if cs.Scratch.Minted > workers+1 {
 		t.Errorf("minted %d scratch sets for %d workers: pool reuse is broken", cs.Scratch.Minted, workers)
 	}
 	if cs.Gate.PeakReaders < 2 {
 		t.Errorf("peak readers %d: churn test never overlapped queries", cs.Gate.PeakReaders)
+	}
+
+	// A hydration fills every snapshotted relation through the same two
+	// shapes each.
+	hdb, err := rdb.Open(rdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := OpenFromSnapshot(hdb, Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	if n := hdb.Stats().PlanCacheEntries; n > 2*len(sweep.Relations) {
+		t.Errorf("a hydration left %d plan cache entries, want at most 2 a relation", n)
 	}
 }

@@ -37,8 +37,8 @@ var segTables = [2]string{TblOutSegs, TblInSegs}
 const segLeafRows = storage.PageSize * 2 / 3 / 43
 
 // sweeper builds the index-build kernel over the engine's statement path:
-// every statement a build issues runs through exec / queryInt (prepared
-// handles, cancellation) and counts into qs, which may be nil. Callers
+// every statement a build issues runs through exec / queryInt (cached
+// plans, cancellation) and counts into qs, which may be nil. Callers
 // hold the exclusive gate.
 func (e *Engine) sweeper(qs *QueryStats) *sweep.Runner {
 	return sweep.New(e.db,

@@ -24,7 +24,7 @@ type frontierCand struct{ nid, par, cost int64 }
 
 // injectChunk is the wide INSERT shape used to push routed candidates into
 // the scratch TExpand table: fixed row counts keep the statement-text
-// population bounded so prepared handles and cached plans recycle.
+// population bounded so cached plans recycle.
 const injectChunk = 16
 
 // superstep is a per-query handle on one engine's FEM machinery. A peer's
@@ -194,10 +194,6 @@ func (ss *superstep) prefetchFrontier(ctx context.Context, forward bool, mark in
 	for _, r := range rows.Data {
 		nids = append(nids, r[0].I)
 	}
-	st, err := e.stmt(probeQ)
-	if err != nil {
-		return err
-	}
 	workers := min(prefetchWorkers, len(nids))
 	t0 := time.Now()
 	errs := make([]error, workers)
@@ -207,7 +203,7 @@ func (ss *superstep) prefetchFrontier(ctx context.Context, forward bool, mark in
 		go func() {
 			defer wg.Done()
 			for i := w; i < len(nids); i += workers {
-				if _, _, err := st.QueryIntContext(ctx, nids[i]); err != nil {
+				if _, _, err := e.queryInt(ctx, nil, nil, probeQ, nids[i]); err != nil {
 					errs[w] = err
 					return
 				}

@@ -446,21 +446,19 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 		return nil, err
 	}
 
-	branches := make([]mergeBranch, len(st.Matched))
+	var branches []mergeBranch
 	exprs := []sql.Expr{st.On}
-	for i, m := range st.Matched {
+	if m := st.Matched; m != nil {
 		var mb mergeBranch
 		if m.And != nil {
-			f, err := c.compileExpr(m.And, targetEnv, nil)
-			if err != nil {
+			if mb.cond, err = c.compileExpr(m.And, targetEnv, nil); err != nil {
 				return nil, err
 			}
-			mb.cond = f
 		}
 		if mb.setFns, mb.setOrds, err = p.compileSets(t, m.Sets, targetEnv, c); err != nil {
 			return nil, err
 		}
-		branches[i] = mb
+		branches = []mergeBranch{mb}
 		exprs = setValues(append(exprs, m.And), m.Sets)
 	}
 

@@ -149,9 +149,9 @@ func (e *refEval) run(st sql.Statement) (out refOutcome) {
 	case *sql.InsertStmt:
 		out.n = e.insert(st)
 	case *sql.UpdateStmt:
-		out.n = e.change(st.Table, st.Table, st.From, st.Where, []*sql.MergeMatched{{Sets: st.Sets}}, nil, false)
+		out.n = e.change(st.Table, st.Table, st.From, st.Where, &sql.MergeMatched{Sets: st.Sets}, nil, false)
 	case *sql.DeleteStmt:
-		out.n = e.change(st.Table, st.Table, nil, st.Where, []*sql.MergeMatched{{}}, nil, true)
+		out.n = e.change(st.Table, st.Table, nil, st.Where, &sql.MergeMatched{}, nil, true)
 	case *sql.MergeStmt:
 		out.n = e.change(st.Target, cmp.Or(st.TargetAlias, st.Target), st.Source, st.On, st.Matched, st.NotMatched, false)
 	default:
@@ -535,9 +535,9 @@ func (e *refEval) insert(st *sql.InsertStmt) int64 {
 // whole source is read first (an UPDATE without FROM and a DELETE have one
 // empty source row); then each source row, in turn, collects the target rows
 // cond matches — among them rows an earlier source row inserted — and each
-// takes the first branch that holds; a source row matching nothing inserts,
+// takes the matched branch br when its condition holds; a source row matching nothing inserts,
 // given ins. A DELETE removes its rows after the last.
-func (e *refEval) change(name, qual string, src *sql.TableRef, cond sql.Expr, branches []*sql.MergeMatched, ins *sql.MergeInsert, del bool) (n int64) {
+func (e *refEval) change(name, qual string, src *sql.TableRef, cond sql.Expr, br *sql.MergeMatched, ins *sql.MergeInsert, del bool) (n int64) {
 	t := e.db.table(name)
 	e.target = strings.ToLower(name)
 	srcScope, srcRows := &refScope{}, []record.Row{nil}
@@ -560,12 +560,9 @@ func (e *refEval) change(name, qual string, src *sql.TableRef, cond sql.Expr, br
 		}
 		for _, i := range hits {
 			e.und, reached[i] = e.und || reached[i], true
-			for _, br := range branches {
-				if sc.row = t.rows[i]; e.truth(br.And, sc) {
-					if n, gone[i] = n+1, del; len(br.Sets) > 0 {
-						e.put(t, i, nil, nil, br.Sets, sc)
-					}
-					break
+			if sc.row = t.rows[i]; br != nil && e.truth(br.And, sc) {
+				if n, gone[i] = n+1, del; len(br.Sets) > 0 {
+					e.put(t, i, nil, nil, br.Sets, sc)
 				}
 			}
 		}

@@ -240,47 +240,11 @@ func RandomQueries(g *Graph, q int, seed int64) [][2]int64 {
 // Every field is required and must be a positive integer (N at least 2: the
 // generators draw edges between distinct nodes); nothing is defaulted.
 func ParseGen(spec string, seed int64) (*Graph, error) {
-	parts := strings.Split(spec, ":")
-	fields, ok := map[string]int{"power": 2, "random": 2, "dblp": 1, "web": 1, "lj": 1}[parts[0]]
-	if !ok {
-		return nil, fmt.Errorf("unknown generator %q (power|random|dblp|web|lj)", parts[0])
+	kind, v, _, _, err := genSpec(spec)
+	if err != nil {
+		return nil, err
 	}
-	if len(parts) != fields+1 {
-		return nil, fmt.Errorf("generator spec %q: %s takes %d numeric field(s)", spec, parts[0], fields)
-	}
-	var v [2]int64
-	for i, p := range parts[1:] {
-		x, err := strconv.ParseInt(p, 10, 64)
-		if err != nil || x < 1 {
-			return nil, fmt.Errorf("generator spec %q: %q is not a positive integer", spec, p)
-		}
-		v[i] = x
-	}
-	if fields == 2 && v[0] < 2 {
-		return nil, fmt.Errorf("generator spec %q: need at least 2 nodes", spec)
-	}
-	// Sizes are bounded before anything is generated: the node count, given
-	// or implied by an analog's scale (the analogs' fixed degrees, all below
-	// 9, keep their edges under MaxEdges), by MaxNodes, and the edge count —
-	// M, or N·D for power — by MaxEdges.
-	nodes, edges := float64(v[0]), float64(v[1])
-	switch parts[0] {
-	case "power":
-		edges *= nodes
-	case "dblp":
-		nodes = float64(dblpNodes) * (float64(v[0]) / 100)
-	case "web":
-		nodes = float64(webNodes) * (float64(v[0]) / 100)
-	case "lj":
-		nodes = float64(ljNodes) * (float64(v[0]) / 1000)
-	}
-	if nodes > MaxNodes {
-		return nil, fmt.Errorf("generator spec %q: %.0f nodes, at most %d", spec, nodes, MaxNodes)
-	}
-	if edges > MaxEdges {
-		return nil, fmt.Errorf("generator spec %q: %.0f edges, at most %d", spec, edges, MaxEdges)
-	}
-	switch parts[0] {
+	switch kind {
 	case "power":
 		return Power(v[0], int(v[1]), seed), nil
 	case "random":
@@ -291,4 +255,51 @@ func ParseGen(spec string, seed int64) (*Graph, error) {
 		return GoogleWebLike(float64(v[0])/100, seed), nil
 	}
 	return LiveJournalLike(float64(v[0])/1000, seed), nil
+}
+
+// genSpec checks a -gen spec without generating anything: its family, its
+// numeric fields and the nodes and edges they ask for, or an error naming
+// the spec.
+func genSpec(spec string) (kind string, v [2]int64, nodes, edges float64, err error) {
+	parts := strings.Split(spec, ":")
+	kind = parts[0]
+	fields, ok := map[string]int{"power": 2, "random": 2, "dblp": 1, "web": 1, "lj": 1}[kind]
+	if !ok {
+		return kind, v, 0, 0, fmt.Errorf("generator spec %q: unknown generator %q (power|random|dblp|web|lj)", spec, kind)
+	}
+	if len(parts) != fields+1 {
+		return kind, v, 0, 0, fmt.Errorf("generator spec %q: %s takes %d numeric field(s)", spec, kind, fields)
+	}
+	for i, p := range parts[1:] {
+		x, err := strconv.ParseInt(p, 10, 64)
+		if err != nil || x < 1 {
+			return kind, v, 0, 0, fmt.Errorf("generator spec %q: %q is not a positive integer", spec, p)
+		}
+		v[i] = x
+	}
+	if fields == 2 && v[0] < 2 {
+		return kind, v, 0, 0, fmt.Errorf("generator spec %q: need at least 2 nodes", spec)
+	}
+	// Sizes are bounded before anything is generated: the node count, given
+	// or implied by an analog's scale (the analogs' fixed degrees, all below
+	// 9, keep their edges under MaxEdges), by MaxNodes, and the edge count —
+	// M, or N·D for power — by MaxEdges.
+	nodes, edges = float64(v[0]), float64(v[1])
+	switch kind {
+	case "power":
+		edges *= nodes
+	case "dblp":
+		nodes = float64(dblpNodes) * (float64(v[0]) / 100)
+	case "web":
+		nodes = float64(webNodes) * (float64(v[0]) / 100)
+	case "lj":
+		nodes = float64(ljNodes) * (float64(v[0]) / 1000)
+	}
+	if nodes > MaxNodes {
+		return kind, v, 0, 0, fmt.Errorf("generator spec %q: %.0f nodes, at most %d", spec, nodes, MaxNodes)
+	}
+	if edges > MaxEdges {
+		return kind, v, 0, 0, fmt.Errorf("generator spec %q: %.0f edges, at most %d", spec, edges, MaxEdges)
+	}
+	return kind, v, nodes, edges, nil
 }

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -82,4 +84,37 @@ func TestParseGenRejectsHostileSizes(t *testing.T) {
 			t.Errorf("%q: refused after %v", spec, d)
 		}
 	}
+}
+
+// FuzzParseGen feeds ParseGen arbitrary specs (seeds in
+// testdata/fuzz/FuzzParseGen): no spec panics, a rejected spec's error
+// names it, and an accepted one asks for at most MaxNodes nodes and
+// MaxEdges edges. An accepted spec small enough to generate once an input
+// builds a graph within those limits, every endpoint a node and every
+// weight positive.
+func FuzzParseGen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		_, _, nodes, edges, err := genSpec(spec)
+		if err == nil && (nodes > MaxNodes || edges > MaxEdges) {
+			t.Fatalf("%q: accepted at %.0f nodes / %.0f edges", spec, nodes, edges)
+		}
+		if err == nil && (nodes > 1<<13 || edges > 1<<16) {
+			return
+		}
+		g, err := ParseGen(spec, 1)
+		if err != nil {
+			if !strings.Contains(err.Error(), strconv.Quote(spec)) {
+				t.Fatalf("%q: the error does not name the spec: %v", spec, err)
+			}
+			return
+		}
+		if g.N < 2 || g.N > MaxNodes || g.M() > MaxEdges {
+			t.Fatalf("%q: %d nodes / %d edges", spec, g.N, g.M())
+		}
+		for _, ed := range g.Edges {
+			if ed.From < 0 || ed.From >= g.N || ed.To < 0 || ed.To >= g.N || ed.Weight < 1 {
+				t.Fatalf("%q: edge %+v in a %d-node graph", spec, ed, g.N)
+			}
+		}
+	})
 }

@@ -1,8 +1,8 @@
 package rdb
 
 import (
-	"container/list"
-	"sync"
+	"fmt"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/sql"
@@ -12,13 +12,17 @@ import (
 // paper's FEM loops issue the same handful of statement shapes thousands
 // of times per query with only the bound values changing; a 2011-era JDBC
 // client amortized that through PreparedStatement, and the engine does the
-// same transparently: every Exec/Query first consults a cache keyed by
-// (SQL text, profile) whose entries are compiled plans tagged with the
-// schema epoch they were built against.
+// same transparently: Exec, Query and every Stmt resolve their text through
+// one map from statement text to the compiled plan, tagged with the schema
+// epoch it was built against. A DB's profile is fixed at Open, so the text
+// alone is the key. The map has no bound: every text the clients issue is
+// one of a finite set of shapes (values bind as ? parameters, the bulk
+// loader's rows too), and the per-instance part of a text is a pooled
+// scratch id.
 //
 // Invalidation is epoch-based: every DDL statement (CREATE/DROP,
 // including LoadGraph's table rebuild) bumps the catalog epoch, and a
-// cached plan from an older epoch is discarded on its next lookup instead
+// cached plan from an older epoch is re-compiled on its next lookup instead
 // of executing — a stale plan holds *table.Table handles that may point at
 // dropped heapfiles. What an entry compiled is immutable; each execution
 // runs in a private instance of it (exec's template/instance split: the
@@ -48,75 +52,70 @@ type cachedPlan struct {
 	locks []tableLockSpec
 }
 
-// planKey identifies a cache entry. The profile is part of the key because
-// statement compilation is profile-dependent (MERGE and window-function
-// availability): a plan compiled under DBMS-X must never answer for a
-// PostgreSQL 9.0 text even if an embedding ever shared a cache.
-type planKey struct {
-	text    string
-	profile string
-}
-
-// planCache is a bounded LRU of compiled plans. It carries its own latch:
-// lookups happen under the DB's shared read latch, so any number of
-// sessions may hit it concurrently.
-type planCache struct {
-	mu    sync.Mutex
-	cap   int
-	lru   list.List // of *planElem, front = most recently used
-	byKey map[planKey]*list.Element
-}
-
-type planElem struct {
-	key planKey
-	cp  *cachedPlan
-}
-
-func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, byKey: make(map[planKey]*list.Element)}
-}
-
-// get returns the cached plan for key if it exists and was compiled at the
-// given epoch. stale reports that an entry existed but belonged to an older
-// epoch (it is removed — the caller counts an invalidation).
-func (c *planCache) get(key planKey, epoch uint64) (cp *cachedPlan, stale bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
+// plan resolves a statement text to a compiled plan — the cached one while
+// its epoch is current, else a fresh compile that replaces it (counted as
+// an invalidation when it replaces a stale entry). Callers hold db.mu in
+// either mode, so the epoch cannot move underneath the lookup: DDL requires
+// the exclusive latch. DDL statements are classified but never cached:
+// each execution invalidates every plan anyway.
+func (db *DB) plan(query string) (*cachedPlan, error) {
+	epoch := db.epoch.Load()
+	db.planMu.RLock()
+	cp := db.plans[query]
+	db.planMu.RUnlock()
+	if cp != nil && cp.epoch == epoch {
+		db.planHits.Add(1)
+		return cp, nil
 	}
-	pe := el.Value.(*planElem)
-	if pe.cp.epoch != epoch {
-		c.lru.Remove(el)
-		delete(c.byKey, key)
-		return nil, true
+	t0 := time.Now()
+	st, nparams, err := sql.ParseStmt(query)
+	if err != nil {
+		return nil, fmt.Errorf("rdb: %w\n  in: %s", err, query)
 	}
-	c.lru.MoveToFront(el)
-	return pe.cp, false
+	if err := db.checkFeatures(st); err != nil {
+		return nil, err
+	}
+	cp = &cachedPlan{epoch: epoch, nparams: nparams}
+	switch s := st.(type) {
+	case *sql.SelectStmt:
+		cp.kind = planKindSelect
+		cp.sel, err = db.planner.PrepareSelect(s)
+	case *sql.InsertStmt:
+		cp.kind = planKindDML
+		cp.dml, err = db.planner.PrepareInsert(s)
+	case *sql.UpdateStmt:
+		cp.kind = planKindDML
+		cp.dml, err = db.planner.PrepareUpdate(s)
+	case *sql.DeleteStmt:
+		cp.kind = planKindDML
+		cp.dml, err = db.planner.PrepareDelete(s)
+	case *sql.MergeStmt:
+		cp.kind = planKindDML
+		cp.dml, err = db.planner.PrepareMerge(s)
+	default:
+		cp.kind, cp.stmt = planKindDDL, st
+	}
+	if err != nil {
+		return nil, wrapErr(err, query)
+	}
+	db.parseDurNs.Add(int64(time.Since(t0)))
+	if cp.kind == planKindDDL {
+		return cp, nil
+	}
+	cp.locks = db.stmtLockSpecs(st)
+	db.planMisses.Add(1)
+	db.planMu.Lock()
+	if old := db.plans[query]; old != nil && old.epoch != epoch {
+		db.planInvalidated.Add(1)
+	}
+	db.plans[query] = cp
+	db.planMu.Unlock()
+	return cp, nil
 }
 
-// put inserts (or replaces) a compiled plan, evicting the least recently
-// used entries past capacity.
-func (c *planCache) put(key planKey, cp *cachedPlan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*planElem).cp = cp
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.lru.PushFront(&planElem{key: key, cp: cp})
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.byKey, back.Value.(*planElem).key)
-	}
-}
-
-// size reports the live entry count.
-func (c *planCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+// planEntries reports the live entry count.
+func (db *DB) planEntries() int {
+	db.planMu.RLock()
+	defer db.planMu.RUnlock()
+	return len(db.plans)
 }

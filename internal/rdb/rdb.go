@@ -65,12 +65,6 @@ type Options struct {
 	Profile Profile
 }
 
-// DefaultPlanCacheSize is the plan-cache capacity in entries; every
-// statement runs through the cache. The workload's statement-shape count is small (a few dozen per
-// algorithm); the bound exists so unbounded texts (bulk-load batches)
-// cannot grow the cache without limit.
-const DefaultPlanCacheSize = 256
-
 // Stats aggregates engine activity since Open; phases are read as deltas.
 // SessionStatements is the subset of Statements issued through Session
 // handles, and ActiveSessions / SessionsOpened count the handles.
@@ -119,11 +113,12 @@ type DB struct {
 	tlMu   sync.Mutex
 	tlocks map[string]*sync.RWMutex
 
-	// plans caches compiled statements keyed by (text, profile). epoch is
-	// the schema generation entries are validated against (bumped by DDL
-	// under the exclusive latch).
-	plans *planCache
-	epoch atomic.Uint64
+	// plans caches compiled statements by text (plancache.go), under
+	// planMu. epoch is the schema generation entries are validated
+	// against (bumped by DDL under the exclusive latch).
+	planMu sync.RWMutex
+	plans  map[string]*cachedPlan
+	epoch  atomic.Uint64
 
 	// Counters are atomics because the read path updates them while
 	// holding only the shared latch.
@@ -166,7 +161,7 @@ func Open(opts Options) (*DB, error) {
 		planner: exec.NewPlanner(cat),
 		profile: opts.Profile,
 		tlocks:  make(map[string]*sync.RWMutex),
-		plans:   newPlanCache(DefaultPlanCacheSize),
+		plans:   make(map[string]*cachedPlan),
 	}
 	return db, nil
 }
@@ -211,7 +206,7 @@ func (db *DB) Stats() Stats {
 		PlanCacheHits:          db.planHits.Load(),
 		PlanCacheMisses:        db.planMisses.Load(),
 		PlanCacheInvalidations: db.planInvalidated.Load(),
-		PlanCacheEntries:       db.plans.size(),
+		PlanCacheEntries:       db.planEntries(),
 		SchemaEpoch:            db.epoch.Load(),
 		Pool:                   db.pool.Stats(),
 		IO:                     db.disk.Stats(),
@@ -341,91 +336,12 @@ func exprUsesWindow(e sql.Expr) bool {
 	return false
 }
 
-// plan resolves a statement text to a compiled plan — from the cache when a
-// current-epoch entry exists, compiling (and caching) otherwise. Callers
-// hold db.mu in either mode; the cache carries its own latch so concurrent
-// readers can hit it together. DDL statements are classified but never
-// cached: each execution invalidates every plan anyway.
-func (db *DB) plan(query string) (*cachedPlan, error) {
-	epoch := db.epoch.Load()
-	key := planKey{text: query, profile: db.profile.Name}
-	if cp, stale := db.plans.get(key, epoch); cp != nil {
-		db.planHits.Add(1)
-		return cp, nil
-	} else if stale {
-		db.planInvalidated.Add(1)
-	}
-	t0 := time.Now()
-	st, nparams, err := sql.ParseStmt(query)
-	if err != nil {
-		return nil, fmt.Errorf("rdb: %w\n  in: %s", err, query)
-	}
-	if err := db.checkFeatures(st); err != nil {
-		return nil, err
-	}
-	cp := &cachedPlan{epoch: epoch, nparams: nparams}
-	switch s := st.(type) {
-	case *sql.SelectStmt:
-		ps, err := db.planner.PrepareSelect(s)
-		if err != nil {
-			return nil, wrapErr(err, query)
-		}
-		cp.kind, cp.sel = planKindSelect, ps
-	case *sql.InsertStmt:
-		pd, err := db.planner.PrepareInsert(s)
-		if err != nil {
-			return nil, wrapErr(err, query)
-		}
-		cp.kind, cp.dml = planKindDML, pd
-	case *sql.UpdateStmt:
-		pd, err := db.planner.PrepareUpdate(s)
-		if err != nil {
-			return nil, wrapErr(err, query)
-		}
-		cp.kind, cp.dml = planKindDML, pd
-	case *sql.DeleteStmt:
-		pd, err := db.planner.PrepareDelete(s)
-		if err != nil {
-			return nil, wrapErr(err, query)
-		}
-		cp.kind, cp.dml = planKindDML, pd
-	case *sql.MergeStmt:
-		pd, err := db.planner.PrepareMerge(s)
-		if err != nil {
-			return nil, wrapErr(err, query)
-		}
-		cp.kind, cp.dml = planKindDML, pd
-	default:
-		cp.kind, cp.stmt = planKindDDL, st
-	}
-	db.parseDurNs.Add(int64(time.Since(t0)))
-	if cp.kind != planKindDDL {
-		cp.locks = db.stmtLockSpecs(st)
-		db.planMisses.Add(1)
-		db.plans.put(key, cp)
-	}
-	return cp, nil
-}
-
-// planFor resolves the plan for a call: through the Stmt's pinned entry
-// (prepared-statement fast path) or by text.
-func (db *DB) planFor(st *Stmt, query string) (*cachedPlan, error) {
-	if st != nil {
-		return st.current()
-	}
-	return db.plan(query)
-}
-
 // Exec runs one statement, returning the SQLCA-style affected-row count.
 // DML runs under the shared facade latch plus the plan's table locks, so
 // mutations of disjoint tables proceed concurrently with each other and
 // with queries; DDL takes the exclusive latch (draining every in-flight
 // statement) and bumps the schema epoch, invalidating every cached plan.
 func (db *DB) Exec(query string, args ...any) (exec.Result, error) {
-	return db.execText(query, nil, args)
-}
-
-func (db *DB) execText(query string, st *Stmt, args []any) (exec.Result, error) {
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
@@ -436,7 +352,7 @@ func (db *DB) execText(query string, st *Stmt, args []any) (exec.Result, error) 
 		db.mu.RUnlock()
 		return exec.Result{}, err
 	}
-	cp, err := db.planFor(st, query)
+	cp, err := db.plan(query)
 	if err != nil {
 		db.mu.RUnlock()
 		return exec.Result{}, err
@@ -528,10 +444,6 @@ func wrapErr(err error, query string) error {
 // concurrently (and concurrently with DML over other tables); repeated
 // texts reuse their compiled plan (each execution gets a private instance).
 func (db *DB) Query(query string, args ...any) (*Rows, error) {
-	return db.queryText(query, nil, args)
-}
-
-func (db *DB) queryText(query string, st *Stmt, args []any) (*Rows, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
@@ -541,7 +453,7 @@ func (db *DB) queryText(query string, st *Stmt, args []any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp, err := db.planFor(st, query)
+	cp, err := db.plan(query)
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func (db *DB) stmtLockSpecs(st sql.Statement) []tableLockSpec {
 		c.add(s.Target, true)
 		c.tableRef(s.Source)
 		c.expr(s.On)
-		for _, m := range s.Matched {
+		if m := s.Matched; m != nil {
 			c.expr(m.And)
 			for _, set := range m.Sets {
 				c.expr(set.Val)

@@ -1,7 +1,8 @@
 package snapshot
 
 // GC removes superseded snapshot versions, returning how many version
-// directories it deleted. It keeps the `keep` newest complete snapshots
+// directories it deleted. It keeps the `keep` newest complete snapshots —
+// none at keep 0, which retires every snapshot of a graph a load replaced —
 // and removes:
 //
 //   - complete versions older than the keep set, and
@@ -15,9 +16,6 @@ package snapshot
 // ever grow), so a directory strictly below the latest manifest can never
 // be a live write — only a crashed one.
 func GC(store ChunkStore, keep int) (int, error) {
-	if keep < 1 {
-		keep = 1
-	}
 	vis, err := Versions(store)
 	if err != nil {
 		return 0, err

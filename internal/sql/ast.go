@@ -96,7 +96,7 @@ type SelectStmt struct {
 	GroupBy  []Expr
 }
 
-// MergeMatched is one WHEN MATCHED [AND cond] THEN UPDATE branch.
+// MergeMatched is the WHEN MATCHED [AND cond] THEN UPDATE branch.
 type MergeMatched struct {
 	And  Expr
 	Sets []SetClause
@@ -114,7 +114,7 @@ type MergeStmt struct {
 	TargetAlias string
 	Source      *TableRef
 	On          Expr
-	Matched     []*MergeMatched
+	Matched     *MergeMatched
 	NotMatched  *MergeInsert
 }
 

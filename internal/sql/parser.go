@@ -462,6 +462,9 @@ func (p *Parser) parseMerge() (*MergeStmt, error) {
 		return nil, err
 	}
 	for p.acceptKeyword("WHEN") {
+		if p.isKeyword("MATCHED") && st.Matched != nil {
+			return nil, p.errf("%q: MERGE takes one WHEN MATCHED branch", "MATCHED")
+		}
 		if p.acceptKeyword("MATCHED") {
 			m := &MergeMatched{}
 			if p.acceptKeyword("AND") {
@@ -475,7 +478,7 @@ func (p *Parser) parseMerge() (*MergeStmt, error) {
 			if m.Sets, err = p.parseSetList(); err != nil {
 				return nil, err
 			}
-			st.Matched = append(st.Matched, m)
+			st.Matched = m
 			continue
 		}
 		if err := p.expectKeywords("NOT", "MATCHED", "THEN", "INSERT"); err != nil {
@@ -495,7 +498,7 @@ func (p *Parser) parseMerge() (*MergeStmt, error) {
 			return nil, err
 		}
 	}
-	if len(st.Matched) == 0 && st.NotMatched == nil {
+	if st.Matched == nil && st.NotMatched == nil {
 		return nil, p.errf("MERGE requires at least one WHEN branch")
 	}
 	return st, nil

@@ -326,7 +326,7 @@ func TestParseMerge(t *testing.T) {
 	if m.Source.Sub == nil || len(m.Source.SubCols) != 3 {
 		t.Fatalf("merge source: %+v", m.Source)
 	}
-	if len(m.Matched) != 1 || m.Matched[0].And == nil || len(m.Matched[0].Sets) != 3 {
+	if m.Matched == nil || m.Matched.And == nil || len(m.Matched.Sets) != 3 {
 		t.Fatalf("matched branch: %+v", m.Matched)
 	}
 	if m.NotMatched == nil || len(m.NotMatched.Cols) != 4 {
@@ -340,10 +340,13 @@ func TestParseMergeDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := st.(*MergeStmt); len(m.Matched) != 1 || m.Matched[0].And != nil || m.NotMatched != nil {
+	if m := st.(*MergeStmt); m.Matched == nil || m.Matched.And != nil || m.NotMatched != nil {
 		t.Fatalf("update-only merge: %+v", m)
 	}
 	mustReject(t, "MERGE INTO a USING b ON (a.k = b.k) WHEN MATCHED THEN DELETE", "DELETE")
+	// One WHEN MATCHED arm: a second is refused at its MATCHED.
+	mustReject(t, "MERGE INTO a USING b ON (a.k = b.k) WHEN MATCHED AND a.v > b.v THEN UPDATE SET v = b.v "+
+		"WHEN MATCHED THEN UPDATE SET w = b.w", "MATCHED")
 }
 
 func TestParseErrors(t *testing.T) {

@@ -15,7 +15,7 @@
 // The package owns its working tables and every statement of the loop
 // (the E and M ones rendered by internal/fem from the spec in round); it
 // reaches the database only through the caller's two statement functions,
-// so an engine's builds share its prepared handles and statement
+// so an engine's builds share its statement path and statement
 // accounting.
 package sweep
 

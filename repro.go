@@ -30,12 +30,13 @@
 // the planner's decision table, and their invariants.
 //
 // Underneath, the relational engine executes every statement through a
-// prepared-statement subsystem: rdb.DB keeps a plan cache keyed by (SQL
-// text, profile, schema epoch), DB.Prepare/Session.Prepare expose
-// explicit handles, and the FEM loops bind per-iteration values as ?
-// parameters instead of re-rendering SQL — so the hot path never pays
-// parse/plan costs (DBStats.PlanCacheHits/Misses/Invalidations report the
-// cache's behavior).
+// prepared-statement subsystem: rdb.DB keeps one plan cache, a map from
+// SQL text to its plan tagged with the schema epoch it was compiled at;
+// DB.Prepare/Session.Prepare return handles on a text, and the FEM loops
+// and the bulk loader bind their values as ? parameters instead of
+// rendering them into the SQL — so the hot path never pays parse/plan
+// costs (DBStats.PlanCacheHits/Misses/Invalidations report the cache's
+// behavior).
 //
 // Quickstart:
 //
