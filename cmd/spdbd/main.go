@@ -104,6 +104,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -832,6 +833,34 @@ func (sv *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// routes is what -addr serves.
+func (sv *server) routes() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/query", sv.handleQuery)
+	mux.HandleFunc("/distance", sv.handleDistance)
+	mux.HandleFunc("/edges", sv.handleEdges)
+	mux.HandleFunc("/admin/snapshot", sv.handleSnapshot)
+	mux.HandleFunc("/stats", sv.handleStats)
+	mux.HandleFunc("/metrics", sv.handleMetrics)
+	mux.HandleFunc("/healthz", sv.handleHealthz)
+	mux.HandleFunc("/readyz", sv.handleReadyz)
+	mux.HandleFunc("/debug/slowlog", sv.handleSlowlog)
+	return mux
+}
+
+// debugRoutes is what -debug-addr serves: net/http/pprof's profiles, kept
+// off the serving address, where any client could start a CPU profile or
+// an execution trace.
+func debugRoutes() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -854,6 +883,7 @@ func main() {
 		shards   = flag.Int("shards", 0, "serve with this many partition-parallel shard engines (0 = single engine)")
 		partStr  = flag.String("partition", "hash", "shard partition strategy: hash|range (-shards only)")
 		portals  = flag.Int("portals", 0, "cut-vertex sketch portals for superstep pruning (-shards only, 0 disables)")
+		dbgAddr  = flag.String("debug-addr", "", "serve net/http/pprof's /debug/pprof/ on this second address (empty disables)")
 	)
 	flag.Parse()
 
@@ -1009,19 +1039,18 @@ func main() {
 	if *slowThd > 0 {
 		sv.slowlog = obs.NewSlowLog(*slowThd, *slowCap)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", sv.handleQuery)
-	mux.HandleFunc("/distance", sv.handleDistance)
-	mux.HandleFunc("/edges", sv.handleEdges)
-	mux.HandleFunc("/admin/snapshot", sv.handleSnapshot)
-	mux.HandleFunc("/stats", sv.handleStats)
-	mux.HandleFunc("/metrics", sv.handleMetrics)
-	mux.HandleFunc("/healthz", sv.handleHealthz)
-	mux.HandleFunc("/readyz", sv.handleReadyz)
-	mux.HandleFunc("/debug/slowlog", sv.handleSlowlog)
 	// A client gets ten seconds to send its request headers: a connection
 	// that dribbles them holds no server goroutine past that.
-	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	srv := &http.Server{Addr: *addr, Handler: sv.routes(), ReadHeaderTimeout: 10 * time.Second}
+	if *dbgAddr != "" {
+		dbg := &http.Server{Addr: *dbgAddr, Handler: debugRoutes(), ReadHeaderTimeout: 10 * time.Second}
+		go func() {
+			if err := dbg.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+				fmt.Fprintf(os.Stderr, "spdbd: warning: -debug-addr: %v\n", err)
+			}
+		}()
+		defer dbg.Close()
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

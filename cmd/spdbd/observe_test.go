@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -74,6 +75,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`spdb_bufferpool_fence_waits_total{shard="0"}`,
 		`spdb_bufferpool_free_pages`,
 		`spdb_bufferpool_recycled_total`,
+		`spdb_relation_pages_total{relation="TEdges",event="fetch"}`,
+		`spdb_relation_pages_total{relation="TOutSegs",event="miss"}`,
 		`# HELP spdb_disk_allocs_total Pages the file was extended by.`,
 		`spdb_sql_statements_total`,
 		// Serving-tier families.
@@ -297,5 +300,33 @@ func TestQueryTrace(t *testing.T) {
 	}
 	if plain.Trace != nil {
 		t.Error("trace rendered without debug=trace")
+	}
+}
+
+// TestDebugAddrServesPprof: the profiles answer on -debug-addr's listener
+// (debugRoutes) and not on -addr's (routes).
+func TestDebugAddrServesPprof(t *testing.T) {
+	serving := httptest.NewServer(newTestServer(t).routes())
+	defer serving.Close()
+	debug := httptest.NewServer(debugRoutes())
+	defer debug.Close()
+	get := func(base string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(base + "/debug/pprof/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get(debug.URL); code != http.StatusOK || !strings.Contains(body, "goroutine") {
+		t.Errorf("-debug-addr /debug/pprof/: %d, want 200 and the profile index; body %.200s", code, body)
+	}
+	if code, _ := get(serving.URL); code != http.StatusNotFound {
+		t.Errorf("-addr /debug/pprof/: %d, want 404", code)
 	}
 }

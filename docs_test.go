@@ -34,7 +34,11 @@ import (
 // Every backticked `TestX`, `FuzzX` or `BenchmarkX` there, and every TestX
 // or FuzzX the CI workflow names (a trailing * a prefix), must name a
 // function of the module's tests; every backticked `*.go` path in the three
-// must end the path of a file in the repository.
+// must end the path of a file in the repository. Every backticked
+// `spdb_<family>` in README or the architecture document, and every family
+// of the architecture document's table of them (written without the
+// prefix), must be a /metrics family the non-test code emits: a trailing
+// {labels} aside, a {a,b} inside expanded, a trailing * a prefix.
 func TestDocCitations(t *testing.T) {
 	defined := func(file, pattern string) map[string]bool {
 		src, err := os.ReadFile(file)
@@ -72,6 +76,8 @@ func TestDocCitations(t *testing.T) {
 	testSpan := regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)[A-Z]\w*\*?$`)
 	goPath := regexp.MustCompile(`^[\w./-]+\.go$`)
 	files := repoFiles(t)
+	families := metricFamilies(t, files)
+	inFamilyTable := false
 	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -79,6 +85,19 @@ func TestDocCitations(t *testing.T) {
 		}
 		prose := doc == "README.md" || doc == "docs/ARCHITECTURE.md"
 		for n, line := range strings.Split(string(text), "\n") {
+			inFamilyTable = doc == "docs/ARCHITECTURE.md" && (strings.HasPrefix(line, "| Layer | Families (prefix `spdb_`)") ||
+				inFamilyTable && strings.HasPrefix(line, "|"))
+			if prose {
+				for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+					name := span[1]
+					if inFamilyTable && !strings.HasPrefix(name, "spdb_") && !strings.Contains(name, "/") && name != "spdb_" {
+						name = "spdb_" + name
+					}
+					if strings.HasPrefix(name, "spdb_") && name != "spdb_" && !families(name) {
+						t.Errorf("%s:%d: `%s`: no /metrics family %s", doc, n+1, span[1], name)
+					}
+				}
+			}
 			if doc == ".github/workflows/ci.yml" {
 				for _, name := range testName.FindAllString(line, -1) {
 					if !tests(name) {
@@ -153,6 +172,54 @@ func TestDocCitations(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// metricFamilies lists the /metrics families the module's non-test code
+// spells ("spdb_…" string literals), and reports whether a documented
+// family names one of them.
+func metricFamilies(t *testing.T, files []string) func(string) bool {
+	literal := regexp.MustCompile(`"(spdb_[a-z0-9_]+)"`)
+	defined := map[string]bool{}
+	for _, path := range files {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "benchmark/") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range literal.FindAllStringSubmatch(string(src), -1) {
+			defined[m[1]] = true
+		}
+	}
+	known := func(name string) bool {
+		prefix, wild := strings.CutSuffix(name, "*")
+		if !wild {
+			return defined[name]
+		}
+		for d := range defined {
+			if strings.HasPrefix(d, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	expand := regexp.MustCompile(`\{([^}]*)\}`)
+	return func(name string) bool {
+		if i := strings.LastIndex(name, "{"); i > 0 && strings.HasSuffix(name, "}") {
+			name = name[:i] // the labels
+		}
+		m := expand.FindStringSubmatchIndex(name)
+		if m == nil {
+			return known(name)
+		}
+		for _, alt := range strings.Split(name[m[2]:m[3]], ",") {
+			if !known(name[:m[0]] + alt + name[m[1]:]) {
+				return false
+			}
+		}
+		return true
 	}
 }
 

@@ -65,9 +65,10 @@ const MaxEntrySize = (storage.PageSize - offSlots) / 4
 // engine serializes statements, as the paper's client does.
 type BTree struct {
 	pool     *storage.BufferPool
-	key      []int // the byte offset in an entry of each key column, in key order
-	sep      []int // the same columns' offsets in a key: 0, 8, 16, ...
-	width    int   // the bytes an entry must hold: up to its last key column
+	owner    storage.Owner // what its pages are charged to
+	key      []int         // the byte offset in an entry of each key column, in key order
+	sep      []int         // the same columns' offsets in a key: 0, 8, 16, ...
+	width    int           // the bytes an entry must hold: up to its last key column
 	root     storage.PageID
 	pages    []storage.PageID // every node page, in allocation order
 	n        int              // entry count
@@ -81,20 +82,23 @@ type BTree struct {
 // New allocates an empty tree (a single empty leaf as root) ordered by the
 // given columns of its entries, in that order — column 0 when none is given
 // — column c being the int64 at bytes 8·c.
-func New(pool *storage.BufferPool, cols ...int) (*BTree, error) {
+func New(pool *storage.BufferPool, cols ...int) (*BTree, error) { return NewOwned(pool, 0, cols...) }
+
+// NewOwned is New for a tree whose every page the pool charges to owner.
+func NewOwned(pool *storage.BufferPool, owner storage.Owner, cols ...int) (*BTree, error) {
 	if len(cols) == 0 {
 		cols = []int{0}
 	}
 	if 8*len(cols)+4 > MaxEntrySize {
 		return nil, fmt.Errorf("btree: a key of %d columns", len(cols))
 	}
-	t := &BTree{pool: pool}
+	t := &BTree{pool: pool, owner: owner}
 	for j, c := range cols {
 		t.key = append(t.key, 8*c)
 		t.sep = append(t.sep, 8*j)
 		t.width = max(t.width, 8*c+8)
 	}
-	pg, err := pool.NewPage()
+	pg, err := pool.NewPageFor(owner)
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +425,7 @@ func (t *BTree) put(head, tail []byte, overwrite bool) error {
 	}
 	if res.split {
 		// Grow a new root.
-		pg, err := t.pool.NewPage()
+		pg, err := t.pool.NewPageFor(t.owner)
 		if err != nil {
 			return err
 		}
@@ -529,7 +533,7 @@ func (t *BTree) insertCell(pg *storage.Page, i int, cell []byte, left storage.Pa
 	}
 	mid = min(max(mid, 1), len(cells)-1)
 
-	rpg, err := t.pool.NewPage()
+	rpg, err := t.pool.NewPageFor(t.owner)
 	if err != nil {
 		return splitResult{}, err
 	}

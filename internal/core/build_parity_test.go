@@ -125,7 +125,7 @@ func TestBuildParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		mutated := []string{"tedges", "tinsegs", "tmutsrc", "tmuttouch", "tnodes",
-			"toutsegs", "tseg", "tsegexpand", "tsegexpcost", "tsegmaint"}
+			"toutsegs", "tseg", "tsegexpand", "tsegexpcost", "tsegmaint", "tsegmaintin"}
 		if got := catalogNames(e); !reflect.DeepEqual(got, mutated) {
 			t.Errorf("after the mutations: catalog %v, want %v", got, mutated)
 		}
@@ -146,13 +146,13 @@ func TestBuildParity(t *testing.T) {
 // sources' working set at a time splits the SegTable sweep into batches,
 // each merged into the segment tables before the next one sweeps over their
 // direct hops. The tables must come out as the default pool's one-batch
-// build leaves them, row for row and pid included, on every physical
+// build leaves them, row for row and TOutSegs' pid included, on every physical
 // design, at thresholds that keep segments short and that let them span
 // many hops.
 func TestBatchedBuildMatchesOneBatch(t *testing.T) {
 	rows := func(t *testing.T, e *Engine, tbl string) [][4]int64 {
 		t.Helper()
-		res, err := e.DB().Query("SELECT fid, tid, pid, cost FROM " + tbl)
+		res, err := e.DB().Query("SELECT " + map[string]string{TblOutSegs: "fid, tid, pid, cost", TblInSegs: "fid, tid, 0, cost"}[tbl] + " FROM " + tbl)
 		if err != nil {
 			t.Fatal(err)
 		}

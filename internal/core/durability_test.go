@@ -193,7 +193,7 @@ func TestHydrateInPlaceCleanCatalog(t *testing.T) {
 	if err := e.Hydrate(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"tedges", "tinsegs", "tnodes", "toutsegs", "tseg", "tsegmaint"}
+	want := []string{"tedges", "tinsegs", "tnodes", "toutsegs", "tseg", "tsegmaint", "tsegmaintin"}
 	if got := catalogNames(e); !reflect.DeepEqual(got, want) {
 		t.Errorf("catalog after in-place hydration %v, want %v", got, want)
 	}

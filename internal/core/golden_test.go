@@ -104,9 +104,9 @@ func TestGoldenStatementTexts(t *testing.T) {
 	check("stats/bwd", ss.bwd.stats)
 	for i := 0; i < 3; i++ {
 		check(fmt.Sprintf("maint/fwd/%d", i+1),
-			fem.MergeSelect(e.level, maintShapes[i].src, segMerge(TblOutSegs)).Round(false)[0].Text)
+			fem.MergeSelect(e.level, maintShapes[TblOutSegs][i].src, segMerge(TblOutSegs)).Round(false)[0].Text)
 		check(fmt.Sprintf("maint/bwd/%d", i+1),
-			fem.MergeSelect(e.level, maintShapes[i].src, segMerge(TblInSegs)).Round(false)[0].Text)
+			fem.MergeSelect(e.level, maintShapes[TblInSegs][i].src, segMerge(TblInSegs)).Round(false)[0].Text)
 	}
 	check("mst", e.newSuperstep(sc, specMST(sc), 0).fwd.ops.Round(false)[0].Text)
 	check("reach/fused", e.newSuperstep(sc, specReach(sc), 0).fwd.ops.Round(false)[0].Text)

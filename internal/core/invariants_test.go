@@ -16,7 +16,7 @@ import (
 //   - every TOutSegs.pid closes a predecessor chain: pid = fid on an edge
 //     (fid, tid) of that cost, or the row (fid, pid) plus the edge
 //     (pid, tid) sums to it;
-//   - TInSegs equals TOutSegs row for row, pid included.
+//   - TInSegs equals TOutSegs on (fid, tid, cost), row for row.
 //
 // It returns the first violation. It takes no *testing.T, so an engine-wide
 // invariant check can call it as it is.
@@ -33,8 +33,8 @@ func (e *Engine) checkSegTable() error {
 		}
 	}
 	type seg struct{ pid, cost int64 }
-	read := func(tbl string) (map[[2]int64]seg, error) {
-		rows, err := e.DB().Query("SELECT fid, tid, pid, cost FROM " + tbl)
+	read := func(tbl, cols string) (map[[2]int64]seg, error) {
+		rows, err := e.DB().Query("SELECT " + cols + " FROM " + tbl)
 		if err != nil {
 			return nil, err
 		}
@@ -44,15 +44,15 @@ func (e *Engine) checkSegTable() error {
 			if _, dup := out[k]; dup {
 				return nil, fmt.Errorf("%s: (fid, tid) = %v recorded more than once", tbl, k)
 			}
-			out[k] = seg{r[2].I, r[3].I}
+			out[k] = seg{r[2].I, r[len(r)-1].I}
 		}
 		return out, nil
 	}
-	out, err := read(TblOutSegs)
+	out, err := read(TblOutSegs, "fid, tid, pid, cost")
 	if err != nil {
 		return err
 	}
-	in, err := read(TblInSegs)
+	in, err := read(TblInSegs, "fid, tid, cost")
 	if err != nil {
 		return err
 	}
@@ -65,8 +65,8 @@ func (e *Engine) checkSegTable() error {
 	}
 	for k, o := range out {
 		fid, tid := k[0], k[1]
-		if i, ok := in[k]; !ok || i != o {
-			return fmt.Errorf("(%d, %d): (pid, cost) %v in %s, %v in %s (present %v)", fid, tid, o, TblOutSegs, i, TblInSegs, ok)
+		if i, ok := in[k]; !ok || i.cost != o.cost {
+			return fmt.Errorf("(%d, %d): cost %d in %s, %d in %s (present %v)", fid, tid, o.cost, TblOutSegs, i.cost, TblInSegs, ok)
 		}
 		pre, ok := out[[2]int64{fid, o.pid}]
 		if !(o.pid == fid && hop(fid, tid, o.cost)) && !(ok && hop(o.pid, tid, o.cost-pre.cost)) {
@@ -77,9 +77,9 @@ func (e *Engine) checkSegTable() error {
 }
 
 // TestCheckSegTableBites: a built SegTable passes, and each kind of damage
-// the check names — a pid that closes no chain in either table, one
-// TInSegs pid that differs from TOutSegs', a cost one table disagrees on, a
-// pair recorded twice — fails it. Under CluIndex the
+// the check names — a TOutSegs pid that closes no chain, one TInSegs cost
+// that differs from TOutSegs', the costs of a node's TInSegs rows, a pair
+// recorded twice — fails it. Under CluIndex the
 // tables are keyed on the pair, which refuses the duplicate itself, so that
 // damage is checked on NoIndex heaps, where nothing refuses it.
 func TestCheckSegTableBites(t *testing.T) {
@@ -98,15 +98,14 @@ func TestCheckSegTableBites(t *testing.T) {
 		name, damage string
 	}{
 		{"out-pid", "UPDATE " + TblOutSegs + " SET pid = tid"},
-		{"in-pid", "UPDATE " + TblInSegs + " SET pid = fid"},
-		{"mirror-pid", "UPDATE " + TblInSegs + " SET pid = tid WHERE fid = 0 AND tid = (SELECT MIN(tid) FROM " + TblInSegs + " WHERE fid = 0)"},
+		{"mirror-cost", "UPDATE " + TblInSegs + " SET cost = cost + 1 WHERE fid = 0 AND tid = (SELECT MIN(tid) FROM " + TblInSegs + " WHERE fid = 0)"},
 		{"cost", "UPDATE " + TblInSegs + " SET cost = cost + 1 WHERE fid = 0"},
-		{"duplicate", "INSERT INTO " + TblOutSegs + " (fid, tid, pid, cost) SELECT fid, tid, pid, cost FROM " + TblInSegs + " WHERE fid = 0"},
+		{"duplicate", "INSERT INTO " + TblOutSegs + " (fid, tid, pid, cost) SELECT fid, tid, fid, cost FROM " + TblInSegs + " WHERE fid = 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := build(t, ClusteredIndex)
 			res, err := e.DB().Exec(tc.damage)
-			if tc.name == "mirror-pid" && err == nil && res.RowsAffected != 1 {
+			if tc.name == "mirror-cost" && err == nil && res.RowsAffected != 1 {
 				t.Fatalf("%s changed %d rows, want 1", tc.damage, res.RowsAffected)
 			}
 			if tc.name == "duplicate" {

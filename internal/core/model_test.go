@@ -487,6 +487,133 @@ func intervalErr(iv Interval, ref graph.PathResult) error {
 	return nil
 }
 
+// The metamorphic moves hold the engine's answers to each other, not to
+// graph.MDJ: to a second engine over a transformed copy of the mirror,
+// built with the model's indexes, or to other answers of the same engine.
+
+// twin opens an engine over g with the indexes the model holds valid.
+func (m *model) twin(g *graph.Graph) *Engine {
+	m.t.Helper()
+	e := newTestEngine(m.t, g, rdb.Options{}, Options{})
+	if m.ix.lthd > 0 {
+		if _, err := e.BuildSegTable(m.ix.lthd); err != nil {
+			m.fatalf("twin SegTable: %v", err)
+		}
+	}
+	if m.ix.oracle {
+		if _, err := e.BuildOracle(oracle.Config{K: 4}); err != nil {
+			m.fatalf("twin oracle: %v", err)
+		}
+	}
+	if m.ix.labels {
+		if _, err := e.BuildLabels(); err != nil {
+			m.fatalf("twin labels: %v", err)
+		}
+	}
+	return e
+}
+
+// dist is e's answer for s -> t by alg: the distance, or -1 when none.
+func (m *model) dist(e *Engine, alg Algorithm, s, t int64) int64 {
+	m.t.Helper()
+	res, err := e.Query(context.Background(), QueryRequest{Source: s, Target: t, Alg: alg})
+	switch {
+	case err != nil:
+		m.fatalf("%v s=%d t=%d: %v", alg, s, t, err)
+	case !res.Found:
+		return -1
+	}
+	return res.Distance
+}
+
+// mapped holds every algorithm the model's indexes serve to one relation:
+// d(s, t) on the engine equals d(f(s), f(t)) on twin, whose graph is the
+// mirror under the transformation move names.
+func (m *model) mapped(move string, twin *Engine, f func(s, t int64) (int64, int64), pairs [][2]int64) {
+	m.t.Helper()
+	for _, q := range pairs {
+		fs, ft := f(q[0], q[1])
+		for _, alg := range m.algs {
+			if !m.ix.serve(alg) {
+				continue
+			}
+			if d, e := m.dist(m.e, alg, q[0], q[1]), m.dist(twin, alg, fs, ft); d != e {
+				m.fatalf("%s, %v: d(%d, %d) = %d, but d(%d, %d) = %d on the %s graph", move, alg, q[0], q[1], d, fs, ft, e, move)
+			}
+		}
+	}
+	m.after(move, fmt.Sprintf("%s(%d pairs)", move, len(pairs)), nil)
+}
+
+// reversed: d(s, t) on G equals d(t, s) on reverse(G).
+func (m *model) reversed(pairs [][2]int64) {
+	m.t.Helper()
+	edges := make([]graph.Edge, len(m.mirror.Edges))
+	for i, ed := range m.mirror.Edges {
+		edges[i] = graph.Edge{From: ed.To, To: ed.From, Weight: ed.Weight}
+	}
+	g, err := graph.New(m.mirror.N, edges)
+	if err != nil {
+		m.fatalf("reverse: %v", err)
+	}
+	m.mapped("reversed", m.twin(g), func(s, t int64) (int64, int64) { return t, s }, pairs)
+}
+
+// renumbered: d(s, t) on G equals d(p(s), p(t)) on G with its nodes
+// renamed by a random permutation p.
+func (m *model) renumbered(pairs [][2]int64) {
+	m.t.Helper()
+	p := m.rnd.Perm(int(m.mirror.N))
+	edges := make([]graph.Edge, len(m.mirror.Edges))
+	for i, ed := range m.mirror.Edges {
+		edges[i] = graph.Edge{From: int64(p[ed.From]), To: int64(p[ed.To]), Weight: ed.Weight}
+	}
+	g, err := graph.New(m.mirror.N, edges)
+	if err != nil {
+		m.fatalf("renumber: %v", err)
+	}
+	m.mapped("renumbered", m.twin(g), func(s, t int64) (int64, int64) { return int64(p[s]), int64(p[t]) }, pairs)
+}
+
+// triangle asks for every ordered pair of k random nodes, each pair by the
+// next algorithm the indexes serve, and holds the answers to the triangle
+// inequality: d(a, c) <= d(a, b) + d(b, c), a c reached whenever a reaches
+// b and b reaches c.
+func (m *model) triangle(k int) {
+	m.t.Helper()
+	var algs []Algorithm
+	for _, alg := range m.algs {
+		if m.ix.serve(alg) {
+			algs = append(algs, alg)
+		}
+	}
+	nodes := make([]int64, k)
+	for i := range nodes {
+		nodes[i] = m.rnd.Int63n(m.mirror.N)
+	}
+	d := make([][]int64, k)
+	by := make([][]Algorithm, k)
+	for i, a := range nodes {
+		d[i], by[i] = make([]int64, k), make([]Algorithm, k)
+		for j, b := range nodes {
+			by[i][j] = algs[(i*k+j)%len(algs)]
+			d[i][j] = m.dist(m.e, by[i][j], a, b)
+		}
+	}
+	for i := range nodes {
+		for j := range nodes {
+			for l := range nodes {
+				if d[i][j] < 0 || d[j][l] < 0 || d[i][l] >= 0 && d[i][l] <= d[i][j]+d[j][l] {
+					continue
+				}
+				m.fatalf("triangle: d(%d, %d) = %d (%v), but d(%d, %d) = %d (%v) and d(%d, %d) = %d (%v)",
+					nodes[i], nodes[l], d[i][l], by[i][l], nodes[i], nodes[j], d[i][j], by[i][j], nodes[j], nodes[l], d[j][l], by[j][l])
+			}
+		}
+	}
+	m.after("triangle", fmt.Sprintf("triangle(%d nodes)", k), nil)
+}
+
 // sameAsRebuild holds the engine's segment tables to a from-scratch build
 // over the mirror at the model's threshold.
 func (m *model) sameAsRebuild() {
@@ -641,6 +768,30 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 			m.apply(Mutation{Op: MutInsert, From: m.rnd.Int63n(g.N), To: m.rnd.Int63n(g.N), Weight: 1})
 			m.buildOracle(4)
 			m.query(m.draw(8))
+		})
+	}
+}
+
+// TestModelMetamorphic: the metamorphic moves, on a random and a
+// power-law graph with every index built, then after a churn that leaves
+// the oracle cold. No move here compares with graph.MDJ: each answer is
+// held to a twin engine's over the reversed or renumbered graph, or to
+// the same engine's other answers.
+func TestModelMetamorphic(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{"random": graph.Random(40, 120, 7), "power": graph.Power(50, 3, 8)} {
+		t.Run(name, func(t *testing.T) {
+			m := newModel(t, 20261019, rdb.Options{}, Options{})
+			m.load(modelGraph(g, m.rnd, 9))
+			m.buildSeg(12)
+			m.buildOracle(4)
+			m.buildLabels()
+			m.reversed(m.draw(6))
+			m.renumbered(m.draw(6))
+			m.triangle(7)
+			m.churn(12, 4, func(int) {})
+			m.reversed(m.draw(4))
+			m.renumbered(m.draw(4))
+			m.triangle(7)
 		})
 	}
 }

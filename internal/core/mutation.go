@@ -575,6 +575,10 @@ func (e *Engine) repairTouchedLocked(ctx context.Context, qs *QueryStats, st *Ma
 	return nil
 }
 
+// repairCols selects a touched pair's re-derived row of each segment
+// table from TSeg, in segMerge's insert columns.
+var repairCols = map[string]string{TblOutSegs: "SELECT m.fid, m.tid, s.par, s.dist", TblInSegs: "SELECT m.fid, m.tid, s.dist"}
+
 // repairTouched recomputes the touched rows of both segment tables: a
 // bounded set-Dijkstra sweep forward from the touched fids over the
 // mutated TEdges, delete-and-reinsert of the touched pairs, then the
@@ -606,7 +610,7 @@ func (e *Engine) repairTouched(ctx context.Context, qs *QueryStats) (int64, erro
 		// Re-materialize the touched pairs that are still within lthd:
 		// touched pairs are unique, so each probes TSeg's (src, nid) key
 		// for its one row.
-		n, err := e.exec(ctx, qs, nil, nil, "INSERT INTO "+tbl+" (fid, tid, pid, cost) SELECT m.fid, m.tid, s.par, s.dist FROM "+
+		n, err := e.exec(ctx, qs, nil, nil, "INSERT INTO "+tbl+" ("+segMerge(tbl).InsertCols+") "+repairCols[tbl]+" FROM "+
 			tblMutTouch+" m, "+TblSeg+" s WHERE s.src = m.fid AND s.nid = m.tid AND s.src <> s.nid")
 		if err != nil {
 			return 0, err

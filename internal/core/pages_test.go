@@ -3,12 +3,18 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/rdb"
+	"repro/internal/storage"
+	"repro/internal/table"
 )
 
 // TestPagesStayFlat: a served engine that repeats the same work must stop
@@ -95,4 +101,76 @@ func TestPagesStayFlat(t *testing.T) {
 		t.Fatalf("pool: %+v", st)
 	}
 	t.Logf("pages after each round: %v", pages[1:])
+}
+
+// TestRelationMisses runs in BenchmarkColdBSEGQuery's shape (a 17-page pool
+// over the file of graph.Power(8000) with a SegTable at lthd 20) for 128
+// BSEG queries, and holds the pool's owner counters (rdb.Stats.Relations)
+// to an independent count: a miss hook that maps each missed page id, at
+// the miss, through the Pages() of every table in the catalog. Each
+// relation's misses must agree, and the relations' misses must add up to
+// the pool's. It logs what a cold query pays each relation.
+func TestRelationMisses(t *testing.T) {
+	const poolPages, queries = 17, 128
+	g := graph.Power(8000, 3, 2011)
+	e := newTestEngine(t, g, rdb.Options{Path: filepath.Join(t.TempDir(), "cold.db"), BufferPoolPages: poolPages}, Options{CacheSize: -1})
+	if _, err := e.BuildSegTable(20); err != nil {
+		t.Fatal(err)
+	}
+	pairs := graph.RandomQueries(g, 16, 1)
+	ask := func(p [2]int64) {
+		if _, err := e.Query(context.Background(), QueryRequest{Source: p[0], Target: p[1], Alg: AlgBSEG}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range pairs { // lease the scratch set and compile every shape
+		ask(p)
+	}
+	cat := e.DB().Catalog()
+	names := slices.Sorted(slices.Values(cat.Names()))
+	tables := make([]*table.Table, len(names))
+	for i, name := range names {
+		tables[i], _ = cat.Get(name)
+	}
+	hooked := map[string]uint64{}
+	pool := e.DB().Pool()
+	pool.SetMissHook(func(id storage.PageID) {
+		for _, tb := range tables {
+			if slices.Contains(tb.Pages(), id) {
+				hooked[tb.Name]++
+				return
+			}
+		}
+		hooked[""]++
+	})
+	before := e.DB().Stats()
+	for i := 0; i < queries; i++ {
+		ask(pairs[i%len(pairs)])
+	}
+	after := e.DB().Stats()
+	pool.SetMissHook(nil)
+	if got := slices.Sorted(slices.Values(cat.Names())); !slices.Equal(got, names) {
+		t.Fatalf("the catalog changed under the queries: %v, was %v", got, names)
+	}
+	if hooked[""] != 0 {
+		t.Errorf("%d misses on pages no table holds", hooked[""])
+	}
+	var sum uint64
+	rows := []string{"relation   misses/q fetches/q flushes/q"}
+	for _, name := range slices.Sorted(maps.Keys(after.Relations)) {
+		a, b := after.Relations[name], before.Relations[name]
+		misses := a.Misses - b.Misses
+		sum += misses
+		if misses != hooked[name] {
+			t.Errorf("%s: %d misses charged, the hook counted %d", name, misses, hooked[name])
+		}
+		if a.Fetches != b.Fetches {
+			rows = append(rows, fmt.Sprintf("%-12s %7.1f %9.1f %9.1f", name, float64(misses)/queries,
+				float64(a.Fetches-b.Fetches)/queries, float64(a.Flushes-b.Flushes)/queries))
+		}
+	}
+	if total := after.Pool.Misses - before.Pool.Misses; sum != total || total == 0 {
+		t.Errorf("the relations were charged %d misses, the pool counted %d", sum, total)
+	}
+	t.Logf("%d queries, %d-page pool:\n%s", queries, poolPages, strings.Join(rows, "\n"))
 }

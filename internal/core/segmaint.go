@@ -72,24 +72,29 @@ type maintShape struct {
 	args func(u, v, w, lthd int64) []any
 }
 
-// tblSegMaint stages a maintenance source below the MERGE level;
-// createSegTables creates it there.
-const tblSegMaint = sweep.TblSegMaint
-
 // segMerge is the M-operator every SegTable writer runs — the build's fold
 // and segment merge, insertion maintenance, the repair's fold — as an
 // internal/fem spec keyed (fid, tid): a cheaper candidate replaces the
-// recorded (cost, pid), an unrecorded pair is inserted. That every writer
-// merges on the pair (the repair re-inserts only pairs it just deleted) is
-// what keeps (fid, tid) unique in both segment tables.
+// recorded cost (and TOutSegs' pid with it), an unrecorded pair is
+// inserted. That every writer merges on the pair (the repair re-inserts
+// only pairs it just deleted) is what keeps (fid, tid) unique in both
+// segment tables. TOutSegs' candidates are (fid, tid, pid, cost) rows,
+// TInSegs' (fid, tid, cost) rows; below the MERGE level each table stages
+// them in a table of those columns, which createSegTables creates.
 func segMerge(target string) fem.Merge {
-	return fem.Merge{Table: target, Key: []string{"fid", "tid"}, Carry: []string{"pid", "cost"}, Stage: tblSegMaint,
+	if target == TblInSegs {
+		return fem.Merge{Table: target, Key: []string{"fid", "tid"}, Carry: []string{"cost"}, Stage: sweep.TblSegMaintIn,
+			Matched:    fem.Branch{When: "target.cost > source.cost", Set: "cost = source.cost"},
+			InsertCols: "fid, tid, cost", InsertVals: "source.fid, source.tid, source.cost"}
+	}
+	return fem.Merge{Table: target, Key: []string{"fid", "tid"}, Carry: []string{"pid", "cost"}, Stage: sweep.TblSegMaint,
 		Matched:    fem.Branch{When: "target.cost > source.cost", Set: "cost = source.cost, pid = source.pid"},
 		InsertCols: "fid, tid, pid, cost", InsertVals: "source.fid, source.tid, source.pid, source.cost"}
 }
 
-// mergeSegs merges the candidate pairs src selects into the segment table
-// target, returning the rows inserted or improved.
+// mergeSegs merges the candidate pairs src selects — segMerge's columns
+// for target — into the segment table target, returning the rows inserted
+// or improved.
 func (e *Engine) mergeSegs(ctx context.Context, qs *QueryStats, target, src string, args []any) (int64, error) {
 	return e.runOps(ctx, qs, fem.MergeSelect(e.level, src, segMerge(target)).Round(false), args, nil)
 }
@@ -99,9 +104,10 @@ func (e *Engine) mergeSegs(ctx context.Context, qs *QueryStats, target, src stri
 // x -> u from TInSegs (keyed on tid first); 3) x = u, y != v, suffixes v -> y
 // from TOutSegs (keyed on fid first); 4) both halves. (fid, tid) is unique in
 // both tables, so with a.tid = u and b.fid = v fixed shape 4 emits each
-// (a.fid, b.tid) once — no dedupe. pid is the predecessor of tid on the
-// path: u on the pair itself and on every x -> u -> v path, and the
-// suffix's own pid otherwise.
+// (a.fid, b.tid) once — no dedupe. TOutSegs' pid is the predecessor of tid
+// on the path: u on the pair itself and on every x -> u -> v path, and the
+// suffix's own pid otherwise. TInSegs takes the same pairs at the same
+// costs, without the pid.
 const (
 	maintPrefixes = " FROM " + TblInSegs + " a WHERE a.tid = ? AND a.fid <> ? AND a.cost + ? <= ?"
 	maintSuffixes = " FROM " + TblOutSegs + " b WHERE b.fid = ? AND b.tid <> ? AND b.cost + ? <= ?"
@@ -109,15 +115,26 @@ const (
 		"WHERE a.tid = ? AND b.fid = ? AND a.fid <> ? AND b.tid <> ? AND a.fid <> b.tid AND a.cost + b.cost + ? <= ?"
 )
 
-var maintShapes = []maintShape{
-	{"SELECT ?, ?, ?, ?", func(u, v, w, _ int64) []any { return []any{u, v, u, w} }},
-	{"SELECT a.fid, ?, ?, a.cost + ?" + maintPrefixes,
-		func(u, v, w, lthd int64) []any { return []any{v, u, w, u, v, w, lthd} }},
-	{"SELECT ?, b.tid, b.pid, b.cost + ?" + maintSuffixes,
-		func(u, v, w, lthd int64) []any { return []any{u, w, v, u, w, lthd} }},
-	{"SELECT a.fid, b.tid, b.pid, a.cost + ? + b.cost" + maintHalves,
-		func(u, v, w, lthd int64) []any { return []any{w, u, v, v, u, w, lthd} }},
+// maintShapes holds each segment table's four shapes, in that order.
+var maintShapes = map[string][4]maintShape{
+	TblOutSegs: {
+		{"SELECT ?, ?, ?, ?", func(u, v, w, _ int64) []any { return []any{u, v, u, w} }},
+		{"SELECT a.fid, ?, ?, a.cost + ?" + maintPrefixes,
+			func(u, v, w, lthd int64) []any { return []any{v, u, w, u, v, w, lthd} }},
+		{"SELECT ?, b.tid, b.pid, b.cost + ?" + maintSuffixes, suffixArgs},
+		{"SELECT a.fid, b.tid, b.pid, a.cost + ? + b.cost" + maintHalves, halvesArgs},
+	},
+	TblInSegs: {
+		{"SELECT ?, ?, ?", func(u, v, w, _ int64) []any { return []any{u, v, w} }},
+		{"SELECT a.fid, ?, a.cost + ?" + maintPrefixes,
+			func(u, v, w, lthd int64) []any { return []any{v, w, u, v, w, lthd} }},
+		{"SELECT ?, b.tid, b.cost + ?" + maintSuffixes, suffixArgs},
+		{"SELECT a.fid, b.tid, a.cost + ? + b.cost" + maintHalves, halvesArgs},
+	},
 }
+
+func suffixArgs(u, v, w, lthd int64) []any { return []any{u, w, v, u, w, lthd} }
+func halvesArgs(u, v, w, lthd int64) []any { return []any{w, u, v, v, u, w, lthd} }
 
 // maintainSegs updates TOutSegs and TInSegs with the consequences of the
 // new or cheaper edge (u, v, w): the four shapes, merged in turn into each
@@ -127,7 +144,7 @@ var maintShapes = []maintShape{
 // take the same candidates and stay equal row for row.
 func (e *Engine) maintainSegs(ctx context.Context, qs *QueryStats, st *MaintStats, u, v, w int64) error {
 	for _, tbl := range segTables {
-		for _, sh := range maintShapes {
+		for _, sh := range maintShapes[tbl] {
 			n, err := e.mergeSegs(ctx, qs, tbl, sh.src, sh.args(u, v, w, e.segLthd))
 			if err != nil {
 				return err

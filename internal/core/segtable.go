@@ -15,9 +15,8 @@ import (
 // re-executes cached plans.
 const (
 	// The finished sweep's segments (Definition 4(1)) as segMerge
-	// candidates, paths src -> nid with par the predecessor of nid: the
-	// rows of both segment tables.
-	segSweptQ = "SELECT src, nid, par, dist FROM " + TblSeg + " WHERE src <> nid"
+	// candidates, paths src -> nid with par the predecessor of nid.
+	segSweptQ = " FROM " + TblSeg + " WHERE src <> nid"
 	// The fold's direct hops a sweep can take, each a row of the first
 	// round's TSeg.
 	segFoldWithinQ = "SELECT COUNT(*) FROM " + TblOutSegs + " WHERE cost <= ?"
@@ -29,6 +28,10 @@ const (
 // segTables are the two segment tables every SegTable writer writes, the
 // same rows under the two clusterings.
 var segTables = [2]string{TblOutSegs, TblInSegs}
+
+// segCols selects a segment table's candidate columns (segMerge) from
+// TSeg: TInSegs takes no pid.
+var segCols = map[string]string{TblOutSegs: "SELECT src, nid, par, dist", TblInSegs: "SELECT src, nid, dist"}
 
 // segLeafRows is how many TSeg rows a leaf holds at the build's leaf fill:
 // two thirds full, where leaves that inserts split in halves and refill
@@ -240,7 +243,7 @@ func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64) (itera
 			return 0, nil, err
 		}
 		for _, tbl := range segTables {
-			if _, err := e.mergeSegs(ctx, qs, tbl, segSweptQ, nil); err != nil {
+			if _, err := e.mergeSegs(ctx, qs, tbl, segCols[tbl]+segSweptQ, nil); err != nil {
 				return 0, nil, err
 			}
 		}
@@ -263,21 +266,27 @@ func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64) (itera
 // (Definition 4(2)), pid the direct hop's fid: an edge is discarded when a
 // recorded segment already dominates it, a cheaper edge updates the
 // recorded cost, and parallel edges collapse to their minimum. A build
-// folds every edge into the empty tables before its sweep. A non-empty
-// touchTable restricts the fold to the (fid, tid) pairs recorded there,
-// uniquely — the decremental repair path, which only re-materializes
-// touched pairs and reaches their edges from the touch table through
-// TEdges' fid index.
+// folds every edge into the empty tables before its sweep: TOutSegs
+// groups the edges, and TInSegs then takes TOutSegs' rows, so the edges
+// are grouped once. A non-empty touchTable restricts the fold to the
+// (fid, tid) pairs recorded there, uniquely — the decremental repair
+// path, which only re-materializes touched pairs and reaches their edges
+// from the touch table through TEdges' fid index; there both tables group
+// the touched pairs' edges (reading TOutSegs' touched rows instead moved
+// neither BenchmarkMutationBatch's pages nor its time).
 func (e *Engine) foldEdges(ctx context.Context, qs *QueryStats, touchTable string) error {
 	from := TblEdges + " s"
 	if touchTable != "" {
 		from = touchTable + " m, " + TblEdges + " s WHERE s.fid = m.fid AND s.tid = m.tid"
 	}
-	src := "SELECT s.fid, s.tid, s.fid, MIN(s.cost) FROM " + from + " GROUP BY s.fid, s.tid"
-	for _, tbl := range segTables {
-		if _, err := e.mergeSegs(ctx, qs, tbl, src, nil); err != nil {
-			return err
-		}
+	group := " FROM " + from + " GROUP BY s.fid, s.tid"
+	if _, err := e.mergeSegs(ctx, qs, TblOutSegs, "SELECT s.fid, s.tid, s.fid, MIN(s.cost)"+group, nil); err != nil {
+		return err
 	}
-	return nil
+	in := "SELECT fid, tid, cost FROM " + TblOutSegs
+	if touchTable != "" {
+		in = "SELECT s.fid, s.tid, MIN(s.cost)" + group
+	}
+	_, err := e.mergeSegs(ctx, qs, TblInSegs, in, nil)
+	return err
 }

@@ -43,6 +43,7 @@ func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 // HeapFile is a chain of slotted pages. Not safe for concurrent use.
 type HeapFile struct {
 	pool  *storage.BufferPool
+	owner storage.Owner // what its pages are charged to
 	first storage.PageID
 	last  storage.PageID
 	pages []storage.PageID // every chained page, in allocation order
@@ -50,15 +51,18 @@ type HeapFile struct {
 }
 
 // New creates an empty heap file with one page.
-func New(pool *storage.BufferPool) (*HeapFile, error) {
-	pg, err := pool.NewPage()
+func New(pool *storage.BufferPool) (*HeapFile, error) { return NewOwned(pool, 0) }
+
+// NewOwned is New for a heap whose every page the pool charges to owner.
+func NewOwned(pool *storage.BufferPool, owner storage.Owner) (*HeapFile, error) {
+	pg, err := pool.NewPageFor(owner)
 	if err != nil {
 		return nil, err
 	}
 	initPage(pg)
 	id := pg.ID()
 	pool.Unpin(pg, true)
-	return &HeapFile{pool: pool, first: id, last: id, pages: []storage.PageID{id}}, nil
+	return &HeapFile{pool: pool, owner: owner, first: id, last: id, pages: []storage.PageID{id}}, nil
 }
 
 func initPage(pg *storage.Page) {
@@ -89,7 +93,7 @@ func (h *HeapFile) Insert(data []byte) (RID, error) {
 	}
 	if freeSpace(pg) < len(data)+slotSize {
 		// Allocate a new page and link it.
-		npg, err := h.pool.NewPage()
+		npg, err := h.pool.NewPageFor(h.owner)
 		if err != nil {
 			h.pool.Unpin(pg, false)
 			return RID{}, err

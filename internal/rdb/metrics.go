@@ -1,6 +1,8 @@
 package rdb
 
 import (
+	"maps"
+	"slices"
 	"strconv"
 
 	"repro/internal/obs"
@@ -71,6 +73,21 @@ func (db *DB) CollectMetrics(x *obs.Exporter) {
 	perShard("spdb_bufferpool_fence_waits_total",
 		"Fetches that parked on an in-flight victim write-back, by shard.",
 		func(ps storage.PoolStats) uint64 { return ps.FenceWaits })
+
+	// One family for the traffic by relation: each relation's series are
+	// consecutive, in name order.
+	names := slices.Sorted(maps.Keys(st.Relations))
+	for _, name := range names {
+		c := st.Relations[name]
+		for _, ev := range []struct {
+			name string
+			n    uint64
+		}{{"fetch", c.Fetches}, {"miss", c.Misses}, {"flush", c.Flushes}} {
+			x.Counter("spdb_relation_pages_total",
+				"Buffer pool page traffic charged to the relation holding the page, by event (fetch, miss, flush).",
+				float64(ev.n), obs.L("relation", name), obs.L("event", ev.name))
+		}
+	}
 
 	x.Gauge("spdb_bufferpool_free_pages",
 		"Page ids on the free list, waiting for NewPage.", float64(st.Pool.Free))

@@ -94,7 +94,12 @@ type Stats struct {
 	// (CREATE/DROP), it is what cached plans are validated against.
 	SchemaEpoch uint64
 	Pool        storage.PoolStats
-	IO          storage.IOStats
+	// Relations is the pool's traffic by relation name: every fetch, miss
+	// and flush of a page charged to the table that held the page then,
+	// its indexes included. A name counts from the first table created
+	// under it and keeps counting across a drop and re-create.
+	Relations map[string]storage.PageCounts
+	IO        storage.IOStats
 }
 
 // DB is one embedded database instance. Queries and DML run concurrently
@@ -209,6 +214,7 @@ func (db *DB) Stats() Stats {
 		PlanCacheEntries:       db.planEntries(),
 		SchemaEpoch:            db.epoch.Load(),
 		Pool:                   db.pool.Stats(),
+		Relations:              db.pool.OwnerStats(),
 		IO:                     db.disk.Stats(),
 	}
 }

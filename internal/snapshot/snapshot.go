@@ -15,8 +15,10 @@ import (
 // numbers its nodes by; a version 1 snapshot has none. Version 3 stores
 // TInSegs as a copy of TOutSegs, pid the predecessor of tid; a version 2
 // snapshot stores the successor of fid there, which the backward path
-// unfolding no longer reads. Both are refused.
-const FormatVersion = 3
+// unfolding no longer reads. Version 4 stores TInSegs as (fid, tid, cost),
+// without the pid column no reader reads; a version 3 dump has four
+// columns where a hydration loads three. All three are refused.
+const FormatVersion = 4
 
 // chunkRows bounds one chunk's row count: large tables split into multiple
 // objects so a later object-store backend uploads bounded parts.

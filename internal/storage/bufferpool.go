@@ -25,6 +25,18 @@ type PoolStats struct {
 	BadUnpins  uint64
 }
 
+// Owner is the small id a pool charges a page's traffic to: one per
+// relation name (BufferPool.Owner), 0 for a page no relation took.
+type Owner uint32
+
+// PageCounts is the page traffic charged to one owner: Fetch calls (hits
+// and misses), the misses among them, and write-backs of its dirty pages.
+type PageCounts struct {
+	Fetches uint64
+	Misses  uint64
+	Flushes uint64
+}
+
 // maxShards bounds how far a pool fans out; 16 latches is plenty for the
 // session counts a single embedded engine serves.
 const maxShards = 16
@@ -52,6 +64,13 @@ type BufferPool struct {
 	free     []PageID
 	listed   map[PageID]struct{}
 	recycled uint64
+	// The owners' names, by id (names[0] is no owner's); latches nest in
+	// ownerMu.
+	ownerMu sync.Mutex
+	names   []string
+	ids     map[string]Owner
+	// missHook, when set (tests only), sees the id of every miss.
+	missHook func(PageID)
 }
 
 // poolShard is one latch domain of the pool.
@@ -66,6 +85,14 @@ type poolShard struct {
 	// spare holds the page objects evictions gave up, for the next miss or
 	// NewPage to take over (takeLocked) instead of allocating one.
 	spare []*Page
+
+	// owners holds the owner of each of the shard's page ids, the id's
+	// slot its quotient by the shard count (stride); charged holds the
+	// traffic of each owner, by its id. A resident page carries its owner
+	// (Page.owner), so a hit indexes charged and looks nothing up.
+	stride  int
+	owners  []Owner
+	charged []PageCounts
 
 	// flushing fences dirty victims whose write-back is still in flight:
 	// victimLocked registers the victim's id here (under the latch, before
@@ -89,7 +116,8 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 	if nshards < 1 {
 		nshards = 1
 	}
-	bp := &BufferPool{disk: disk, shards: make([]*poolShard, nshards), listed: make(map[PageID]struct{})}
+	bp := &BufferPool{disk: disk, shards: make([]*poolShard, nshards), listed: make(map[PageID]struct{}),
+		names: []string{""}, ids: map[string]Owner{}}
 	base, rem := capacity/nshards, capacity%nshards
 	for i := range bp.shards {
 		n := base
@@ -101,9 +129,76 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 			frames:   make([]*Page, n),
 			table:    make(map[PageID]int, n),
 			flushing: make(map[PageID]chan struct{}),
+			stride:   nshards,
+			charged:  make([]PageCounts, 1),
 		}
 	}
 	return bp
+}
+
+// Owner returns the id the pool charges name's pages to, registering name
+// on its first call: a relation re-created under the same name goes on
+// counting where it left off.
+func (bp *BufferPool) Owner(name string) Owner {
+	bp.ownerMu.Lock()
+	defer bp.ownerMu.Unlock()
+	if o, ok := bp.ids[name]; ok {
+		return o
+	}
+	o := Owner(len(bp.names))
+	bp.names = append(bp.names, name)
+	bp.ids[name] = o
+	for _, sh := range bp.shards {
+		sh.mu.Lock()
+		sh.charged = append(sh.charged, PageCounts{})
+		sh.mu.Unlock()
+	}
+	return o
+}
+
+// OwnerStats returns each registered owner's traffic summed over the
+// shards, by name.
+func (bp *BufferPool) OwnerStats() map[string]PageCounts {
+	bp.ownerMu.Lock()
+	defer bp.ownerMu.Unlock()
+	out := make(map[string]PageCounts, len(bp.names)-1)
+	for _, sh := range bp.shards {
+		sh.mu.Lock()
+		for o, c := range sh.charged[1:] {
+			sum := out[bp.names[o+1]]
+			sum.Fetches += c.Fetches
+			sum.Misses += c.Misses
+			sum.Flushes += c.Flushes
+			out[bp.names[o+1]] = sum
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// SetMissHook makes every miss call f with its page id, outside the latch
+// and before the read; nil removes it. It is a test seam that attributes
+// misses without the owner counters. Set it while no Fetch runs.
+func (bp *BufferPool) SetMissHook(f func(PageID)) { bp.missHook = f }
+
+// ownLocked charges id to o from now on.
+func (sh *poolShard) ownLocked(id PageID, o Owner) {
+	slot := int(id) / sh.stride
+	if slot >= len(sh.owners) {
+		if o == 0 {
+			return
+		}
+		sh.owners = append(sh.owners, make([]Owner, slot+1-len(sh.owners))...)
+	}
+	sh.owners[slot] = o
+}
+
+// ownerLocked returns the owner id is charged to.
+func (sh *poolShard) ownerLocked(id PageID) Owner {
+	if slot := int(id) / sh.stride; slot < len(sh.owners) {
+		return sh.owners[slot]
+	}
+	return 0
 }
 
 // shardFor maps a page id to its latch domain.
@@ -164,8 +259,13 @@ func (bp *BufferPool) ShardStats() []PoolStats {
 // id, its frame reused in place if still resident, else a fresh id the disk
 // manager extends the file by. Stale disk bytes are never read, and only
 // the dirty victim's flush (if any) happens outside the latch. The id of a
-// NewPage that fails goes on the free list.
-func (bp *BufferPool) NewPage() (*Page, error) {
+// NewPage that fails goes on the free list. The page is charged to no
+// owner; NewPageFor charges one.
+func (bp *BufferPool) NewPage() (*Page, error) { return bp.NewPageFor(0) }
+
+// NewPageFor is NewPage charging the page, a fresh or a recycled id, to
+// owner o from now on.
+func (bp *BufferPool) NewPageFor(o Owner) (*Page, error) {
 	bp.freeMu.Lock()
 	n := len(bp.free)
 	id, recycled := InvalidPageID, n > 0
@@ -183,10 +283,11 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 	}
 	sh := bp.shardFor(id)
 	sh.mu.Lock()
+	sh.ownLocked(id, o)
 	if idx, ok := sh.table[id]; ok && recycled {
 		pg := sh.frames[idx]
 		pg.Data = [PageSize]byte{}
-		pg.free, pg.dirty, pg.refbit, pg.pinCount = false, true, true, 1
+		pg.free, pg.dirty, pg.refbit, pg.pinCount, pg.owner = false, true, true, 1, o
 		sh.mu.Unlock()
 		return pg, nil
 	}
@@ -196,7 +297,7 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 		sh.mu.Unlock()
 		return nil, err
 	}
-	pg := sh.takeLocked(id, true)
+	pg := sh.takeLocked(id, o, true)
 	pg.dirty = true // fresh page must be written at least once
 	sh.frames[idx] = pg
 	sh.table[id] = idx
@@ -292,6 +393,7 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 			pg.pinCount++
 			pg.refbit = true
 			sh.stats.Hits++
+			sh.charged[pg.owner].Fetches++
 			if ch := pg.loading; ch != nil {
 				// Another session is reading this page in right now; the pin
 				// taken above keeps the frame from being victimized while we
@@ -325,16 +427,22 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 		sh.mu.Lock()
 	}
 	sh.stats.Misses++
+	o := sh.ownerLocked(id)
+	sh.charged[o].Fetches++
+	sh.charged[o].Misses++
 	idx, victim, err := sh.victimLocked()
 	if err != nil {
 		sh.mu.Unlock()
 		return nil, err
 	}
-	pg := sh.takeLocked(id, false) // ReadPage overwrites all of Data
+	pg := sh.takeLocked(id, o, false) // ReadPage overwrites all of Data
 	pg.loading = make(chan struct{})
 	sh.frames[idx] = pg
 	sh.table[id] = idx
 	sh.mu.Unlock()
+	if h := bp.missHook; h != nil {
+		h(id)
+	}
 
 	// Physical I/O outside the latch. The victim (if dirty) was detached
 	// with zero pins under the latch and its id fenced in sh.flushing, so
@@ -413,20 +521,20 @@ func (bp *BufferPool) Unpin(pg *Page, dirty bool) {
 	pg.pinCount--
 }
 
-// takeLocked returns a page object for a frame about to hold id, pinned
-// and referenced: the last one on the spare list, its Data zeroed or still
-// the previous page's, or a new one. Objects never change shard.
-func (sh *poolShard) takeLocked(id PageID, zero bool) *Page {
+// takeLocked returns a page object for a frame about to hold id, owned by
+// o, pinned and referenced: the last one on the spare list, its Data zeroed
+// or still the previous page's, or a new one. Objects never change shard.
+func (sh *poolShard) takeLocked(id PageID, o Owner, zero bool) *Page {
 	n := len(sh.spare)
 	if n == 0 {
-		return &Page{id: id, pinCount: 1, refbit: true}
+		return &Page{id: id, owner: o, pinCount: 1, refbit: true}
 	}
 	pg := sh.spare[n-1]
 	sh.spare = sh.spare[:n-1]
 	if zero {
 		pg.Data = [PageSize]byte{}
 	}
-	pg.id, pg.pinCount, pg.refbit, pg.dirty, pg.free = id, 1, true, false, false
+	pg.id, pg.owner, pg.pinCount, pg.refbit, pg.dirty, pg.free = id, o, 1, true, false, false
 	return pg
 }
 
@@ -466,6 +574,7 @@ func (sh *poolShard) victimLocked() (idx int, victim *Page, err error) {
 		if pg.dirty {
 			victim = pg
 			sh.stats.Flushes++
+			sh.charged[pg.owner].Flushes++
 			sh.flushing[pg.id] = make(chan struct{})
 		} else {
 			sh.spare = append(sh.spare, pg)
@@ -491,6 +600,7 @@ func (bp *BufferPool) FlushAll() error {
 				}
 				pg.dirty = false
 				sh.stats.Flushes++
+				sh.charged[pg.owner].Flushes++
 			}
 		}
 		sh.mu.Unlock()
@@ -520,6 +630,7 @@ func (bp *BufferPool) EvictAll() error {
 					return err
 				}
 				sh.stats.Flushes++
+				sh.charged[pg.owner].Flushes++
 			}
 			delete(sh.table, pg.id)
 			sh.spare = append(sh.spare, pg)

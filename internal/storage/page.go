@@ -40,6 +40,7 @@ const InvalidPageID PageID = 0xFFFFFFFF
 // the pin (an id, a value, the iterators' whole page) is copied out first.
 type Page struct {
 	id       PageID
+	owner    Owner // what the pool charges the page's traffic to
 	Data     [PageSize]byte
 	dirty    bool
 	pinCount int

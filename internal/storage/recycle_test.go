@@ -447,3 +447,114 @@ func TestMissAllocatesNoPage(t *testing.T) {
 	}
 	t.Logf("%.0f bytes allocated per miss", perMiss)
 }
+
+// TestOwnerCounters: fetches, misses and flushes are charged to the owner
+// that took the page, per name across calls to Owner, and a recycled id is
+// charged to whichever owner takes it next; NewPage's pages are charged to
+// no one. It runs on an 8-frame pool, one shard, and on a 256-frame one,
+// four shards.
+func TestOwnerCounters(t *testing.T) {
+	for _, capacity := range []int{8, 256} {
+		bp := newPool(t, NewMemDiskManager(0), capacity)
+		a, b := bp.Owner("A"), bp.Owner("B")
+		if a == b || bp.Owner("A") != a {
+			t.Fatalf("owners %d and %d, A again %d", a, b, bp.Owner("A"))
+		}
+		take := func(o Owner) PageID {
+			pg, err := bp.NewPageFor(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp.Unpin(pg, true)
+			return pg.ID()
+		}
+		fetch := func(id PageID) {
+			pg, err := bp.Fetch(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp.Unpin(pg, false)
+		}
+		ida, idb := take(a), take(b)
+		pg, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(pg, true)
+		fetch(ida) // a hit
+		if err := bp.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		fetch(ida) // a miss
+		fetch(idb)
+		bp.Free(ida)
+		if id := take(b); id != ida {
+			t.Fatalf("NewPageFor took %d, want the freed %d", id, ida)
+		}
+		if err := bp.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		fetch(ida)
+		got := bp.OwnerStats()
+		want := map[string]PageCounts{
+			"A": {Fetches: 2, Misses: 1, Flushes: 1},
+			"B": {Fetches: 2, Misses: 2, Flushes: 2},
+		}
+		if len(got) != len(want) || got["A"] != want["A"] || got["B"] != want["B"] {
+			t.Errorf("%d frames: %+v, want %+v", capacity, got, want)
+		}
+		if st := bp.Stats(); st.Hits+st.Misses != 4 || st.Flushes != 4 {
+			t.Errorf("%d frames: pool %+v: the unowned page's flush is the fourth", capacity, st)
+		}
+	}
+}
+
+// TestOwnersUnderConcurrentFetches: owners registered and stats read while
+// other goroutines fetch, miss and recycle owned pages; run under -race. The
+// fetches charged add up to the pool's.
+func TestOwnersUnderConcurrentFetches(t *testing.T) {
+	bp := newPool(t, NewMemDiskManager(0), 128)
+	const workers, rounds = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		o := bp.Owner(fmt.Sprintf("W%d", w))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ids []PageID
+			for i := 0; i < rounds; i++ {
+				pg, err := bp.NewPageFor(o)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids = append(ids, pg.ID())
+				bp.Unpin(pg, true)
+				for _, id := range ids[max(0, len(ids)-8):] {
+					pg, err := bp.Fetch(id)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					bp.Unpin(pg, i%3 == 0)
+				}
+				if i%16 == 15 {
+					bp.Free(ids...)
+					ids = ids[:0]
+				}
+			}
+		}()
+	}
+	for i := 0; i < rounds; i++ {
+		bp.Owner(fmt.Sprintf("R%d", i))
+		bp.OwnerStats()
+	}
+	wg.Wait()
+	var fetches uint64
+	for _, c := range bp.OwnerStats() {
+		fetches += c.Fetches
+	}
+	if st := bp.Stats(); fetches != st.Hits+st.Misses {
+		t.Errorf("owners were charged %d fetches, the pool counted %d", fetches, st.Hits+st.Misses)
+	}
+}

@@ -50,20 +50,21 @@ const (
 	// src in a forward sweep, successor toward src in a backward one) and
 	// the flag f in internal/fem's sign protocol: 0 candidate, 1 not a
 	// candidate or pruned, n >= 2 stamped by round n-1 (fem.Stamp).
-	TblWork     = "TSeg"
-	TblSegMaint = "TSegMaint" // a maintenance merge's staged source
-	tblExpand   = "TSegExpand"
-	tblExpCost  = "TSegExpCost"
-	tblDeg      = "TDeg"
-	tblDegIn    = "TDegIn"
-	TblMutTouch = "TMutTouch" // the touched (fid, tid) pairs of a decremental repair
-	TblMutSrc   = "TMutSrc"   // the seed nodes of its bounded sweep
-	TblLandmark = "TLandmark"
-	TblFar      = "TLmkFar"
-	TblLabelOut = "TLabelOut"
-	TblLabelIn  = "TLabelIn"
-	TblLblTo    = "TLblTo"
-	TblLblFrom  = "TLblFrom"
+	TblWork       = "TSeg"
+	TblSegMaint   = "TSegMaint"   // a TOutSegs merge's staged source
+	TblSegMaintIn = "TSegMaintIn" // a TInSegs merge's staged source
+	tblExpand     = "TSegExpand"
+	tblExpCost    = "TSegExpCost"
+	tblDeg        = "TDeg"
+	tblDegIn      = "TDegIn"
+	TblMutTouch   = "TMutTouch" // the touched (fid, tid) pairs of a decremental repair
+	TblMutSrc     = "TMutSrc"   // the seed nodes of its bounded sweep
+	TblLandmark   = "TLandmark"
+	TblFar        = "TLmkFar"
+	TblLabelOut   = "TLabelOut"
+	TblLabelIn    = "TLabelIn"
+	TblLblTo      = "TLblTo"
+	TblLblFrom    = "TLblFrom"
 )
 
 // Owner says what a relation is dropped and created with.
@@ -130,11 +131,13 @@ var Relations = []Relation{
 	{Name: TblExpCost, Cols: "nid, cost", Key: "nid", Unique: true, PK: true, Follows: true, Owner: Scratch},
 	// Definition 4: (fid, tid) is unique in both, kept so by every writer
 	// merging on the pair. Each is keyed on it, led by the column its
-	// direction's expansion joins on.
+	// direction's expansion joins on. Path unfolding reads pid, the
+	// predecessor of tid, from TOutSegs only, so TInSegs stores none.
 	{Name: TblOutSegs, Cols: "fid, tid, pid, cost", Key: "fid, tid", Unique: true, Follows: true, Owner: Seg, Snapshot: true},
-	{Name: TblInSegs, Cols: "fid, tid, pid, cost", Key: "tid, fid", Unique: true, Follows: true, Owner: Seg, Snapshot: true},
+	{Name: TblInSegs, Cols: "fid, tid, cost", Key: "tid, fid", Unique: true, Follows: true, Owner: Seg, Snapshot: true},
 	{Name: TblWork, Cols: "src, nid, dist, par, f", Key: "src, nid", Unique: true, Owner: Seg},
 	{Name: TblSegMaint, Cols: "fid, tid, pid, cost", Key: "fid, tid", Unique: true, BelowMerge: true, Owner: Seg},
+	{Name: TblSegMaintIn, Cols: "fid, tid, cost", Key: "fid, tid", Unique: true, BelowMerge: true, Owner: Seg},
 	{Name: tblExpand, Cols: "src, nid, par, cost", Key: "src, nid", Unique: true, BelowMerge: true, Owner: Work},
 	{Name: tblExpCost, Cols: "src, nid, cost", Key: "src, nid", Unique: true, BelowMerge: true, Owner: Work},
 	{Name: tblDeg, Cols: "nid, deg", Key: "nid", Unique: true, Owner: Work},

@@ -90,6 +90,7 @@ type Table struct {
 	Name       string
 	Schema     *record.Schema
 	pool       *storage.BufferPool
+	owner      storage.Owner      // the pool's id for Name, which every page of the table is charged to
 	heap       *heapfile.HeapFile // nil iff clustered
 	clustered  *Index             // nil iff heap
 	Secondary  []*Index
@@ -108,19 +109,19 @@ type Options struct {
 
 // New creates an empty table.
 func New(pool *storage.BufferPool, name string, schema *record.Schema, opts Options) (*Table, error) {
-	t := &Table{Name: name, Schema: schema, pool: pool}
+	t := &Table{Name: name, Schema: schema, pool: pool, owner: pool.Owner(name)}
 	if len(opts.ClusterOn) > 0 {
 		key := slices.Clone(opts.ClusterOn)
 		if !opts.ClusterUnique {
 			key = append(key, schema.Len()) // the uniquifier, after the tuple
 		}
-		tr, err := btree.New(pool, key...)
+		tr, err := btree.NewOwned(pool, t.owner, key...)
 		if err != nil {
 			return nil, err
 		}
 		t.clustered = &Index{Name: name + "_clu", Cols: slices.Clone(opts.ClusterOn), Unique: opts.ClusterUnique, tree: tr}
 	} else {
-		h, err := heapfile.New(pool)
+		h, err := heapfile.NewOwned(pool, t.owner)
 		if err != nil {
 			return nil, err
 		}
@@ -404,7 +405,7 @@ func (t *Table) CreateIndex(name string, cols []int, unique bool) (_ *Index, err
 	for i := range key {
 		key[i] = i
 	}
-	tr, err := btree.New(t.pool, key...)
+	tr, err := btree.NewOwned(t.pool, t.owner, key...)
 	if err != nil {
 		return nil, err
 	}
