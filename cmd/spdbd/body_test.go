@@ -92,6 +92,7 @@ func FuzzRequestBody(f *testing.F) {
 		`{"mutations":[{"op":"delete","from":1,"to":2}]}`,
 		`{"mutations":[{"op":"update","from":3,"to":4,"weight":1,"cost":2}]}`,
 		`null`, `[]`, `{`, ``,
+		`{"mutations":[{"op":"insert","from":1,"to":2,"weight":2251799813685248}]}`, // above core.MaxWeight
 	} {
 		f.Add([]byte(seed))
 	}

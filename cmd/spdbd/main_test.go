@@ -203,7 +203,8 @@ func TestEdgesEndpoint(t *testing.T) {
 		{`{"mutations":[]}`, http.StatusBadRequest},
 		{`{"mutations":[{"op":"upsert","from":1,"to":2}]}`, http.StatusBadRequest},
 		{`{"mutations":[{"op":"insert","from":1,"to":999999,"weight":1}]}`, http.StatusUnprocessableEntity},
-		{`{"mutations":[{"op":"delete","from":1,"to":200}]}`, http.StatusUnprocessableEntity}, // already gone
+		{`{"mutations":[{"op":"insert","from":1,"to":2,"weight":134217729}]}`, http.StatusUnprocessableEntity}, // above core.MaxWeight
+		{`{"mutations":[{"op":"delete","from":1,"to":200}]}`, http.StatusUnprocessableEntity},                  // already gone
 	} {
 		rec := httptest.NewRecorder()
 		sv.handleEdges(rec, httptest.NewRequest(http.MethodPost, "/edges", strings.NewReader(tc.body)))

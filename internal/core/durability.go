@@ -161,15 +161,7 @@ func (e *Engine) walAppendLocked(muts []Mutation) error {
 	e.mu.RLock()
 	ver := e.version + 1
 	e.mu.RUnlock()
-	rec := wal.Record{Version: ver, Muts: make([]wal.Mutation, len(muts))}
-	for i, m := range muts {
-		w := m.Weight
-		if m.Op == MutDelete {
-			w = 0
-		}
-		rec.Muts[i] = wal.Mutation{Op: wal.Op(m.Op), From: m.From, To: m.To, Weight: w}
-	}
-	if err := log.Append(rec); err != nil {
+	if err := log.Append(wal.Record{Version: ver, Muts: muts}); err != nil {
 		return fmt.Errorf("core: wal append: %w", err)
 	}
 	return nil
@@ -425,13 +417,9 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 		if rec.Version <= m.Version {
 			continue
 		}
-		muts := make([]Mutation, len(rec.Muts))
-		for i, wm := range rec.Muts {
-			muts[i] = Mutation{Op: MutOp(wm.Op), From: wm.From, To: wm.To, Weight: wm.Weight}
-		}
 		// Every logged batch passed checkBatch before it was appended, so
 		// one that fails it now proves the log is on the wrong base.
-		if err := checkBatch(muts, e.Nodes()); err != nil {
+		if err := checkBatch(rec.Muts, e.Nodes()); err != nil {
 			return fmt.Errorf("core: WAL record v%d does not apply over snapshot v%d: %w", rec.Version, m.Version, err)
 		}
 		// Any other error is the log faithfully re-enacting history: the
@@ -439,7 +427,7 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 		// edge aborts before writing), and the replayed state matches the
 		// crashed engine's either way. A batch that applied a prefix
 		// re-applies the same prefix — the mutation path is deterministic.
-		_, _ = e.applyMutationsLocked(ctx, muts)
+		_, _ = e.applyMutationsLocked(ctx, rec.Muts)
 		// Pin the version the original batch committed as; build-only
 		// bumps between batches are not logged, so the replayed count
 		// cannot be trusted to line up on its own.

@@ -361,27 +361,33 @@ func TestOpenFromSnapshotEmpty(t *testing.T) {
 }
 
 // TestReplayRefusesForeignBatch: every logged batch passed the validation
-// before its append, so a WAL record that fails it now proves the log is on
-// the wrong base. Hydration returns it, naming the record's and the
-// snapshot's versions, instead of dropping the batch.
+// before its append, so a WAL record that fails it now (an endpoint out of
+// range, a weight above MaxWeight) proves the log is on the wrong base.
+// Hydration returns it, naming the record's and the snapshot's versions,
+// instead of dropping the batch.
 func TestReplayRefusesForeignBatch(t *testing.T) {
-	dir := t.TempDir()
-	e := newTestEngine(t, graph.Random(20, 50, 1), rdb.Options{}, Options{DataDir: dir})
-	ss, err := e.Snapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := wal.Record{Version: ss.Version + 1, Muts: []wal.Mutation{{Op: wal.Op(MutInsert), From: 25, To: 3, Weight: 1}}}
-	if err := e.dur.walLog().Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	db, err := rdb.Open(rdb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	want := fmt.Sprintf("WAL record v%d does not apply over snapshot v%d", rec.Version, ss.Version)
-	if _, err := OpenFromSnapshot(db, Options{DataDir: dir}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("hydrate over a foreign batch: %v, want %q", err, want)
+	for _, m := range []Mutation{
+		{Op: MutInsert, From: 25, To: 3, Weight: 1},
+		{Op: MutInsert, From: 2, To: 3, Weight: MaxWeight + 1},
+	} {
+		dir := t.TempDir()
+		e := newTestEngine(t, graph.Random(20, 50, 1), rdb.Options{}, Options{DataDir: dir})
+		ss, err := e.Snapshot(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := wal.Record{Version: ss.Version + 1, Muts: []Mutation{m}}
+		if err := e.dur.walLog().Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		db, err := rdb.Open(rdb.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		want := fmt.Sprintf("WAL record v%d does not apply over snapshot v%d", rec.Version, ss.Version)
+		if _, err := OpenFromSnapshot(db, Options{DataDir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("hydrate over %+v: %v, want %q", m, err, want)
+		}
 	}
 }

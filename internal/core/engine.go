@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/fem"
+	"repro/internal/graph"
 	"repro/internal/labels"
 	"repro/internal/obs"
 	"repro/internal/oracle"
@@ -20,6 +21,13 @@ import (
 // MaxDist is the sentinel for "not yet reached" distances stored in
 // TVisited (d2s/d2t). Sums of two sentinels stay far below int64 overflow.
 const MaxDist = int64(1) << 50
+
+// MaxWeight is the largest edge weight the engine takes (LoadPartition,
+// ApplyMutations): MaxDist / graph.MaxNodes, so a simple path, at most
+// graph.MaxNodes - 1 edges, costs less than the sentinel and no search reads
+// a reachable node as unreached. A mutation's MaxDist for "no edge" rests
+// on the same bound.
+const MaxWeight = MaxDist / graph.MaxNodes
 
 // NoParent marks an unset p2s/p2t link.
 const NoParent = int64(-1)

@@ -46,6 +46,11 @@ func (e *Engine) LoadPartition(g *graph.Graph, toInt, toExt []int64) error {
 	if err := ord.check(g.N); err != nil {
 		return err
 	}
+	for _, ed := range g.Edges {
+		if ed.Weight > MaxWeight {
+			return fmt.Errorf("core: edge (%d,%d) weighs %d, above MaxWeight %d", ed.From, ed.To, ed.Weight, MaxWeight)
+		}
+	}
 	// A load in flight means the replica is not ready to serve: /readyz
 	// reports 503 until it completes.
 	defer e.trackBuild()()
@@ -216,15 +221,13 @@ func (e *Engine) bulkInsert(rel sweep.Relation, n int, row func(i int, vals []in
 	return nil
 }
 
-// resetVisited clears sc's working tables (counted in PE since the paper's
-// per-query setup happens inside the measured loop).
+// resetVisited clears sc's visited table for a new search. The expand and
+// expCost tables need no reset: each of their writers (the fem staging
+// round, Plain's cost staging, superstep.inject) clears them before it
+// fills them.
 func (e *Engine) resetVisited(ctx context.Context, qs *QueryStats, sc *scratchSet) error {
-	for _, q := range sc.resets {
-		if _, err := e.exec(ctx, qs, nil, nil, q); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := e.exec(ctx, qs, nil, nil, sc.reset)
+	return err
 }
 
 // visitedCount reads |TVisited| for the search-space metric (Table 3).

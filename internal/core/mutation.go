@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/sweep"
+	"repro/internal/wal"
 )
 
 // The dynamic-graph mutation subsystem: DeleteEdge and UpdateEdgeWeight
@@ -38,52 +38,26 @@ import (
 //
 // See docs/ARCHITECTURE.md §Dynamic graph mutations for the full argument.
 
-// MutOp is one mutation kind.
-type MutOp int
-
-// Mutation operations.
-const (
-	// MutInsert adds a (From, To, Weight) edge.
-	MutInsert MutOp = iota
-	// MutDelete removes every (From, To) edge (parallel edges included).
-	MutDelete
-	// MutUpdate sets the cost of every (From, To) edge to Weight.
-	MutUpdate
+// A Mutation is one edge change for ApplyMutations, MutOp its kind. Both
+// are declared once, in internal/wal, so a batch is logged as the caller
+// built it and replayed as it is read back.
+type (
+	Mutation = wal.Mutation
+	MutOp    = wal.Op
 )
 
-func (op MutOp) String() string {
-	switch op {
-	case MutInsert:
-		return "insert"
-	case MutDelete:
-		return "delete"
-	case MutUpdate:
-		return "update"
-	}
-	return fmt.Sprintf("MutOp(%d)", int(op))
-}
+// Mutation operations: MutInsert adds a (From, To, Weight) edge, MutDelete
+// removes every (From, To) edge (parallel edges included; Weight is
+// ignored), MutUpdate sets the cost of every (From, To) edge to Weight.
+const (
+	MutInsert = wal.OpInsert
+	MutDelete = wal.OpDelete
+	MutUpdate = wal.OpUpdate
+)
 
 // ParseMutOp maps a case-insensitive operation name (insert, delete,
 // update) to its MutOp; the serving tier shares this parser.
-func ParseMutOp(s string) (MutOp, error) {
-	switch strings.ToLower(s) {
-	case "insert":
-		return MutInsert, nil
-	case "delete":
-		return MutDelete, nil
-	case "update":
-		return MutUpdate, nil
-	}
-	return 0, fmt.Errorf("unknown mutation op %q (insert|delete|update)", s)
-}
-
-// Mutation is one edge change for ApplyMutations. Weight is ignored for
-// MutDelete.
-type Mutation struct {
-	Op       MutOp
-	From, To int64
-	Weight   int64
-}
+func ParseMutOp(s string) (MutOp, error) { return wal.ParseOp(s) }
 
 // MutationCounters accumulates the mutation subsystem's activity over the
 // engine's lifetime (Engine.MutationStats).
@@ -200,7 +174,7 @@ func (e *Engine) ApplyMutations(muts []Mutation) (*MaintStats, error) {
 
 // checkBatch is the validation a batch passes before it is logged: a graph
 // of nodes nodes is loaded, every endpoint is in range, every op known and
-// every written weight positive.
+// every written weight in [1, MaxWeight].
 func checkBatch(muts []Mutation, nodes int) error {
 	if nodes == 0 {
 		return ErrNoGraph
@@ -211,8 +185,8 @@ func checkBatch(muts []Mutation, nodes int) error {
 		}
 		switch m.Op {
 		case MutInsert, MutUpdate:
-			if m.Weight < 1 {
-				return fmt.Errorf("core: mutation %d: edge weight must be positive, got %d", i, m.Weight)
+			if m.Weight < 1 || m.Weight > MaxWeight {
+				return fmt.Errorf("core: mutation %d: edge weight must be in [1, %d], got %d", i, MaxWeight, m.Weight)
 			}
 		case MutDelete:
 		default:
@@ -318,184 +292,98 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation) (*Ma
 	return st, nil
 }
 
-// applyOneLocked dispatches one validated mutation; callers hold queryMu
-// and have already bumped the version. wrote flips to true the moment a
-// mutation's first TEdges statement succeeds — the batch error path uses
-// it to tell "graph unchanged" from "prefix applied".
+// applyOneLocked applies one validated mutation as a change of the pair's
+// effective weight (its cheapest parallel edge) from oldW to newW, MaxDist
+// standing for "no edge": an insert reads nothing and takes oldW = MaxDist,
+// so a parallel edge is maintained as a new edge; a delete takes newW =
+// MaxDist; an update reads oldW. Only the TEdges write depends on the op.
+// A dearer pair can only lengthen distances: its touch set is taken at oldW
+// before the write and repaired after it. A cheaper pair gets the insertion
+// maintenance at newW. An unchanged weight moves nothing. Callers hold the
+// exclusive gate and have bumped the version; wrote flips to true once the
+// TEdges write succeeds, which the batch's error path reads to tell "graph
+// unchanged" from "prefix applied".
 func (e *Engine) applyOneLocked(ctx context.Context, qs *QueryStats, st *MaintStats, m Mutation, wrote *bool) error {
+	oldW, newW := MaxDist, m.Weight
+	if m.Op != MutInsert {
+		w, null, err := e.queryInt(ctx, qs, nil, mutMinCostQ, m.From, m.To)
+		if err != nil {
+			return err
+		}
+		if null {
+			return fmt.Errorf("no edge to %s", m.Op)
+		}
+		oldW = w
+	}
+	if m.Op == MutDelete {
+		newW = MaxDist
+	}
+	e.mu.RLock()
+	segBuilt, wmin := e.segBuilt, e.wmin
+	e.mu.RUnlock()
+	if segBuilt && newW > oldW {
+		// The touch set reads the SegTable and TEdges before the write.
+		if err := e.computeTouchSet(ctx, qs, m.From, m.To, oldW); err != nil {
+			return err
+		}
+	}
+
+	q, args, count, sign := mutUpdateQ, []any{m.Weight, m.From, m.To}, &e.muts.Updates, 0
 	switch m.Op {
 	case MutInsert:
-		return e.insertLocked(ctx, qs, st, m.From, m.To, m.Weight, wrote)
+		q, args, count, sign = mutInsertEdgeQ, []any{m.From, m.To, m.Weight}, &e.muts.Inserts, 1
 	case MutDelete:
-		return e.deleteLocked(ctx, qs, st, m.From, m.To, wrote)
-	case MutUpdate:
-		return e.updateLocked(ctx, qs, st, m.From, m.To, m.Weight, wrote)
+		q, args, count, sign = mutDeleteQ, []any{m.From, m.To}, &e.muts.Deletes, -1
 	}
-	return fmt.Errorf("unknown op %v", m.Op)
-}
-
-// insertLocked adds the edge and runs the incremental insertion
-// maintenance of segmaint.go.
-func (e *Engine) insertLocked(ctx context.Context, qs *QueryStats, st *MaintStats, from, to, weight int64, wrote *bool) error {
-	if _, err := e.exec(ctx, qs, nil, nil, mutInsertEdgeQ, from, to, weight); err != nil {
-		return err
-	}
-	*wrote = true
-	e.mu.Lock()
-	e.edges++
-	if weight < e.wmin {
-		e.wmin = weight
-	}
-	e.muts.Inserts++
-	segBuilt := e.segBuilt
-	e.mu.Unlock()
-	// The label keep-check reads only the label relations, which the
-	// TEdges insert did not touch, so it still sees pre-mutation distances.
-	if err := e.labelKeepUpsert(ctx, qs, st, from, to, weight); err != nil {
-		return err
-	}
-	if !segBuilt {
-		return nil
-	}
-	return e.maintainSegs(ctx, qs, st, from, to, weight)
-}
-
-// deleteLocked removes every (from, to) edge and repairs the SegTable.
-func (e *Engine) deleteLocked(ctx context.Context, qs *QueryStats, st *MaintStats, from, to int64, wrote *bool) error {
-	// The touch set needs the edge's pre-delete effective weight: with
-	// parallel edges only the cheapest can lie on a shortest path, and a
-	// smaller weight yields the larger (safe) touch superset.
-	oldW, null, err := e.queryInt(ctx, qs, nil, mutMinCostQ, from, to)
-	if err != nil {
-		return err
-	}
-	if null {
-		return fmt.Errorf("no edge to delete")
-	}
-	e.mu.RLock()
-	segBuilt := e.segBuilt
-	wmin := e.wmin
-	e.mu.RUnlock()
-	if segBuilt {
-		if err := e.computeTouchSet(ctx, qs, from, to, oldW); err != nil {
-			return err
-		}
-	}
-	n, err := e.exec(ctx, qs, nil, nil, mutDeleteQ, from, to)
+	n, err := e.exec(ctx, qs, nil, nil, q, args...)
 	if err != nil {
 		return err
 	}
 	*wrote = true
 	e.mu.Lock()
-	e.edges -= int(n)
-	e.muts.Deletes++
+	e.edges += sign * int(n)
+	*count++
 	e.mu.Unlock()
-	// wmin is a lower bound on edge weights for the frontier-selection
-	// proof; deletions can only raise the true minimum, so refreshing is
-	// an optimization, not a soundness need.
-	if oldW <= wmin {
-		if err := e.refreshWMin(ctx, qs); err != nil {
-			return err
-		}
-	}
-	// The labels still realize the pre-delete distances; the keep-check
-	// against the old effective weight decides whether any of them routed
-	// through the removed edge.
-	if err := e.labelKeepDecrement(ctx, qs, st, from, to, oldW); err != nil {
-		return err
-	}
-	if !segBuilt {
-		return nil
-	}
-	return e.repairTouchedLocked(ctx, qs, st)
-}
 
-// updateLocked sets the cost of every (from, to) edge and repairs the
-// SegTable: relaxations reuse the insertion maintenance, weakenings the
-// decremental repair.
-func (e *Engine) updateLocked(ctx context.Context, qs *QueryStats, st *MaintStats, from, to, weight int64, wrote *bool) error {
-	oldW, null, err := e.queryInt(ctx, qs, nil, mutMinCostQ, from, to)
-	if err != nil {
-		return err
-	}
-	if null {
-		return fmt.Errorf("no edge to update")
-	}
-	e.mu.RLock()
-	segBuilt := e.segBuilt
-	wmin := e.wmin
-	e.mu.RUnlock()
-	if segBuilt && weight > oldW {
-		// Weakening: the touch set must be computed against the old
-		// effective weight, before TEdges changes underneath the sweep.
-		if err := e.computeTouchSet(ctx, qs, from, to, oldW); err != nil {
+	// The label keep-checks read only the label relations, which the
+	// TEdges write did not touch, so they still see pre-mutation distances.
+	switch {
+	case newW > oldW:
+		// wmin is a lower bound on edge weights for the frontier-selection
+		// proof; a dearer pair can only raise the true minimum, so the
+		// refresh is an optimization, not a soundness need.
+		if oldW <= wmin {
+			w, null, err := e.queryInt(ctx, qs, nil, mutWMinQ)
+			if err != nil {
+				return err
+			}
+			if null || w < 1 {
+				w = 1
+			}
+			e.mu.Lock()
+			e.wmin = w
+			e.mu.Unlock()
+		}
+		// Did any label entry route through the pair at its old weight?
+		if err := e.labelKeepDecrement(ctx, qs, st, m.From, m.To, oldW); err != nil {
 			return err
 		}
-	}
-	if _, err := e.exec(ctx, qs, nil, nil, mutUpdateQ, weight, from, to); err != nil {
-		return err
-	}
-	*wrote = true
-	e.mu.Lock()
-	if weight < e.wmin {
-		e.wmin = weight
-	}
-	e.muts.Updates++
-	e.mu.Unlock()
-	if weight > oldW && oldW <= wmin {
-		if err := e.refreshWMin(ctx, qs); err != nil {
+		if segBuilt {
+			return e.repairTouchedLocked(ctx, qs, st)
+		}
+	case newW < oldW:
+		e.mu.Lock()
+		e.wmin = min(e.wmin, newW)
+		e.mu.Unlock()
+		// Does the old label distance already cover the new weight?
+		if err := e.labelKeepUpsert(ctx, qs, st, m.From, m.To, newW); err != nil {
 			return err
 		}
-	}
-	// Label keep-analysis: a decrease is the incremental case (the new
-	// weight must already be covered by the old label distance), an
-	// increase the decremental one (no label entry may have routed through
-	// the edge at its old weight). An unchanged weight moves nothing.
-	if weight < oldW {
-		if err := e.labelKeepUpsert(ctx, qs, st, from, to, weight); err != nil {
-			return err
-		}
-	} else if weight > oldW {
-		if err := e.labelKeepDecrement(ctx, qs, st, from, to, oldW); err != nil {
-			return err
+		if segBuilt {
+			return e.maintainSegs(ctx, qs, st, m.From, m.To, newW)
 		}
 	}
-	if !segBuilt || weight == oldW {
-		return nil
-	}
-	if weight < oldW {
-		// Relaxation: exactly the insertion case — a new shortest path
-		// through the cheaper edge decomposes into recorded halves.
-		return e.maintainSegs(ctx, qs, st, from, to, weight)
-	}
-	return e.repairTouchedLocked(ctx, qs, st)
-}
-
-// refreshWMin re-reads the minimal edge weight after a deletion or weight
-// increase may have removed the old minimum.
-func (e *Engine) refreshWMin(ctx context.Context, qs *QueryStats) error {
-	wmin, null, err := e.queryInt(ctx, qs, nil, mutWMinQ)
-	if err != nil {
-		return err
-	}
-	if null || wmin < 1 {
-		wmin = 1
-	}
-	e.mu.Lock()
-	e.wmin = wmin
-	e.mu.Unlock()
 	return nil
-}
-
-// ensureMutScratch lazily creates the repair scratch tables and clears
-// TMutTouch for the next touch set (repairTouched clears TMutSrc before
-// its fill).
-func (e *Engine) ensureMutScratch(ctx context.Context, qs *QueryStats) error {
-	if err := e.schema(qs).Create(sweep.Rel(tblMutTouch), sweep.Rel(tblMutSrc)); err != nil {
-		return err
-	}
-	_, err := e.exec(ctx, qs, nil, nil, "DELETE FROM "+tblMutTouch)
-	return err
 }
 
 // computeTouchSet fills TMutTouch with every recorded (fid, tid) pair
@@ -506,11 +394,16 @@ func (e *Engine) ensureMutScratch(ctx context.Context, qs *QueryStats) error {
 // both. Must run while TOutSegs still reflects the pre-mutation
 // graph.
 func (e *Engine) computeTouchSet(ctx context.Context, qs *QueryStats, u, v, w int64) error {
-	if err := e.ensureMutScratch(ctx, qs); err != nil {
+	// The scratch tables are created on first use; repairTouched clears
+	// TMutSrc before its fill.
+	if err := e.schema(qs).Create(sweep.Rel(tblMutTouch), sweep.Rel(tblMutSrc)); err != nil {
 		return err
 	}
 	ins := func(q string, args ...any) error {
 		_, err := e.exec(ctx, qs, nil, nil, q, args...)
+		return err
+	}
+	if err := ins("DELETE FROM " + tblMutTouch); err != nil {
 		return err
 	}
 	// 1) the recorded pair (u, v) itself — its cost or pid may come from

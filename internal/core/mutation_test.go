@@ -270,6 +270,62 @@ func TestApplyMutationsValidation(t *testing.T) {
 	}
 }
 
+// TestWeightBound: a weight above MaxWeight is refused by a mutation and by
+// a load, so no simple path reaches the MaxDist sentinel the searches read
+// as "unreached"; a path through a weight at the bound answers as graph.MDJ
+// does, whatever the algorithm.
+func TestWeightBound(t *testing.T) {
+	g, err := graph.New(3, []graph.Edge{{From: 0, To: 1, Weight: 1}, {From: 1, To: 2, Weight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, g, rdb.Options{}, Options{})
+	if _, err := e.BuildSegTable(4); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int64{MaxWeight + 1, 2 * MaxDist} {
+		if _, err := e.InsertEdge(0, 2, w); err == nil {
+			t.Errorf("insert at weight %d was accepted", w)
+		}
+		if _, err := e.UpdateEdgeWeight(0, 1, w); err == nil {
+			t.Errorf("update to weight %d was accepted", w)
+		}
+	}
+	if e.Edges() != 2 || e.MutationStats().Batches != 0 {
+		t.Fatalf("refused batches changed the graph: %d edges, %+v", e.Edges(), e.MutationStats())
+	}
+
+	over, err := graph.New(2, []graph.Edge{{From: 0, To: 1, Weight: MaxWeight + 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := rdb.Open(rdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	other := NewEngine(db, Options{})
+	t.Cleanup(func() { other.Close() })
+	if err := other.LoadGraph(over); err == nil {
+		t.Error("a graph with an edge above MaxWeight was loaded")
+	}
+
+	mirror := g.Clone()
+	if _, err := e.InsertEdge(0, 2, MaxWeight); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.DeleteEdge(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := mirror.InsertEdge(0, 2, MaxWeight); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mirror.DeleteEdge(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	checkAllAlgorithms(t, e, mirror, [][2]int64{{0, 2}, {0, 1}, {1, 2}})
+}
+
 // TestMutationOracleInvalidation: any mutation kills a built oracle, the
 // engine and MaintStats both say so, and BuildOracle clears the flag.
 func TestMutationOracleInvalidation(t *testing.T) {

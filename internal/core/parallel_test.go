@@ -199,7 +199,7 @@ func TestWriterDrainsReaders(t *testing.T) {
 		defer wg.Done()
 		// A parallel edge far heavier than any path cannot change an
 		// answer, so both readers still compare against the original graph.
-		if _, err := e.ApplyMutations([]Mutation{{Op: MutInsert, From: 0, To: 1, Weight: MaxDist / 2}}); err != nil {
+		if _, err := e.ApplyMutations([]Mutation{{Op: MutInsert, From: 0, To: 1, Weight: MaxWeight}}); err != nil {
 			t.Errorf("writer: %v", err)
 		}
 	}()

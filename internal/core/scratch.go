@@ -55,10 +55,10 @@ type scratchSet struct {
 	// the materialized E-output back out, inj1/injN push routed candidates
 	// in (1 and injectChunk rows), markedF/markedB read the selected frontier.
 	harvest, inj1, injN, markedF, markedB string
-	// Working-table resets — visited, expand, expCost — and the
-	// search-space metric (loader.go).
-	resets [3]string
-	count  string
+	// The per-search reset of the visited table (loader.go), inject's clear
+	// of the expand table, and the search-space metric. Every other writer
+	// of the expand and expCost tables clears them before its fill.
+	reset, clearExpand, count string
 	// ops holds the E+M rounds rendered over the set so far (expand.go). A
 	// set serves one query at a time, so the map needs no lock.
 	ops map[string]fem.Ops
@@ -87,7 +87,8 @@ func newScratchSet(id int) *scratchSet {
 	sc.markedB = "SELECT nid FROM " + v + " WHERE b = ?"
 	sc.distF = "SELECT d2s FROM " + v + " WHERE nid = ?"
 	sc.distB = "SELECT d2t FROM " + v + " WHERE nid = ?"
-	sc.resets = [3]string{"DELETE FROM " + sc.visited, "DELETE FROM " + sc.expand, "DELETE FROM " + sc.expCost}
+	sc.reset = "DELETE FROM " + v
+	sc.clearExpand = "DELETE FROM " + sc.expand
 	sc.count = "SELECT COUNT(*) FROM " + v
 	return sc
 }

@@ -130,8 +130,8 @@ func TestScratchReleaseDropsBeforeRecycle(t *testing.T) {
 				// Touch every table in the leased set: if a stale drop from a
 				// previous holder of this id lands after our create, these
 				// statements fail.
-				for _, q := range sc.resets {
-					if _, err := e.sess.Exec(q); err != nil {
+				for _, r := range sc.rels {
+					if _, err := e.sess.Exec("DELETE FROM " + r.Name); err != nil {
 						errs <- fmt.Errorf("leased scratch table vanished: %w", err)
 						e.scratch.release(sc)
 						return

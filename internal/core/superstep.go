@@ -113,7 +113,7 @@ func (ss *superstep) inject(ctx context.Context, forward bool, cands []frontierC
 		return nil
 	}
 	e, qs := ss.e, ss.qs
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, ss.sc.resets[1]); err != nil {
+	if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, ss.sc.clearExpand); err != nil {
 		return err
 	}
 	for len(cands) > 0 {

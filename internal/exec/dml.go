@@ -231,7 +231,7 @@ func (p *Planner) PrepareDelete(st *sql.DeleteStmt) (*PreparedDML, error) {
 	if driver, probe := p.existsDriver(t, st.Table, conjuncts, c); probe != nil {
 		src, scan = driver, probe
 	}
-	del := []mergeBranch{{del: true}}
+	del := &mergeBranch{del: true}
 	return newDML(src, scan, func(in *instance) (Result, error) { return mergeRows(in, t, del, nil, false) }), nil
 }
 
@@ -276,22 +276,19 @@ func (p *Planner) existsDriver(t *table.Table, qual string, conjuncts []sql.Expr
 func opaque(e sql.Expr) bool { return exprRefs(e, func(*sql.ColumnRef) bool { return false }) }
 
 // writesThrough decides, at prepare time, whether a DML statement with
-// branches on t changes each target row through its scan (see mergeRows)
-// rather than materializing its matches first. It may when t takes writes
-// through a scan (table.Table.WritesThrough), no branch deletes or assigns a
-// clustered-key column, and none of exprs — everything the statement
-// evaluates while it changes t: its ON or WHERE, branch conditions, SET and
-// INSERT values — is opaque, for a subquery could read t and then see the
-// statement's own writes. A MERGE's or UPDATE ... FROM's source is not among
-// them: mergeRows reads it whole before the first change.
-func writesThrough(t *table.Table, branches []mergeBranch, exprs []sql.Expr) bool {
-	if !t.WritesThrough() {
+// matched branch br (nil: none) on t changes each target row through its
+// scan (see mergeRows) rather than materializing its matches first. It may
+// when t takes writes through a scan (table.Table.WritesThrough), br
+// neither deletes nor assigns a clustered-key column, and none of exprs —
+// everything the statement evaluates while it changes t: its ON or WHERE,
+// the branch condition, SET and INSERT values — is opaque, for a subquery
+// could read t and then see the statement's own writes. A MERGE's or
+// UPDATE ... FROM's source is not among them: mergeRows reads it whole
+// before the first change.
+func writesThrough(t *table.Table, br *mergeBranch, exprs []sql.Expr) bool {
+	if !t.WritesThrough() || br != nil &&
+		(br.del || slices.ContainsFunc(br.setOrds, func(ord int) bool { return slices.Contains(t.Clustered().Cols, ord) })) {
 		return false
-	}
-	for _, br := range branches {
-		if br.del || slices.ContainsFunc(br.setOrds, func(ord int) bool { return slices.Contains(t.Clustered().Cols, ord) }) {
-			return false
-		}
 	}
 	return !slices.ContainsFunc(exprs, func(e sql.Expr) bool { return e != nil && opaque(e) })
 }
@@ -333,10 +330,10 @@ func (p *Planner) PrepareUpdate(st *sql.UpdateStmt) (*PreparedDML, error) {
 	if err != nil {
 		return nil, err
 	}
-	branches := []mergeBranch{{setFns: setFns, setOrds: setOrds}}
-	direct := writesThrough(t, branches, setValues([]sql.Expr{st.Where}, st.Sets))
+	br := &mergeBranch{setFns: setFns, setOrds: setOrds}
+	direct := writesThrough(t, br, setValues([]sql.Expr{st.Where}, st.Sets))
 	return newDML(srcPlan, scan, func(in *instance) (Result, error) {
-		return mergeRows(in, t, branches, nil, direct)
+		return mergeRows(in, t, br, nil, direct)
 	}), nil
 }
 
@@ -404,7 +401,7 @@ func applySets(ctx *Ctx, dst, row record.Row, fns []scalarFn, ords []int) (recor
 	return dst, changed, nil
 }
 
-// mergeBranch is one compiled WHEN MATCHED branch; del makes its action
+// mergeBranch is the compiled WHEN MATCHED branch; del makes its action
 // deleting the row (the EXISTS-driven DELETE) instead of updating it.
 type mergeBranch struct {
 	cond    scalarFn
@@ -446,19 +443,18 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 		return nil, err
 	}
 
-	var branches []mergeBranch
+	var br *mergeBranch
 	exprs := []sql.Expr{st.On}
 	if m := st.Matched; m != nil {
-		var mb mergeBranch
+		br = &mergeBranch{}
 		if m.And != nil {
-			if mb.cond, err = c.compileExpr(m.And, targetEnv, nil); err != nil {
+			if br.cond, err = c.compileExpr(m.And, targetEnv, nil); err != nil {
 				return nil, err
 			}
 		}
-		if mb.setFns, mb.setOrds, err = p.compileSets(t, m.Sets, targetEnv, c); err != nil {
+		if br.setFns, br.setOrds, err = p.compileSets(t, m.Sets, targetEnv, c); err != nil {
 			return nil, err
 		}
-		branches = []mergeBranch{mb}
 		exprs = setValues(append(exprs, m.And), m.Sets)
 	}
 
@@ -480,17 +476,17 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 		}
 		exprs = append(exprs, nm.Vals...)
 	}
-	direct := writesThrough(t, branches, exprs)
+	direct := writesThrough(t, br, exprs)
 	return newDML(srcPlan, scan, func(in *instance) (Result, error) {
-		return mergeRows(in, t, branches, ins, direct)
+		return mergeRows(in, t, br, ins, direct)
 	}), nil
 }
 
 // mergeRows drives MERGE, UPDATE and DELETE: every source row — all read
 // before the first change, since the source may be a query over t; an
 // UPDATE without FROM and a DELETE with no EXISTS driver have one, empty —
-// probes the target through in.target, each target row takes the first
-// branch whose condition holds, and a source row that finds no target row
+// probes the target through in.target, each target row takes br (nil:
+// none) when its condition holds, and a source row that finds no target row
 // inserts when ins says so. A row that was there before the statement
 // changes at most once (touched, by location); a row an earlier source row
 // inserted is met again, so a later source row changes it too. Which source
@@ -504,7 +500,7 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 // scan's iterator, on the page the scan read; any other materializes a
 // probe's matches first (eachTarget) and writes through Table.Update and
 // Table.Insert. Deletes are collected and applied after the last probe.
-func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeInsert, direct bool) (Result, error) {
+func mergeRows(in *instance, t *table.Table, br *mergeBranch, ins *mergeInsert, direct bool) (Result, error) {
 	ctx := &in.ctx
 	srcRows := []record.Row{nil}
 	if in.plan != nil {
@@ -521,45 +517,41 @@ func mergeRows(in *instance, t *table.Table, branches []mergeBranch, ins *mergeI
 	var matches, dels []targetMatch
 	var n int64
 	change := func(m targetMatch) error {
+		if br == nil {
+			return nil
+		}
 		var lk string
 		if touched != nil {
 			if lk = locKey(m.loc); touched[lk] {
 				return nil
 			}
 		}
-		for _, br := range branches {
-			if br.cond != nil {
-				v, err := br.cond(ctx, m.row)
-				if err != nil {
-					return err
-				}
-				if !v.Truthy() {
-					continue
-				}
-			}
-			if touched != nil {
-				touched[lk] = true
-			}
-			n++
-			if br.del {
-				dels = append(dels, m)
-				return nil
-			}
-			var changed bool
-			var err error
-			if in.row, changed, err = applySets(ctx, in.row, m.row, br.setFns, br.setOrds); err != nil || !changed {
+		if br.cond != nil {
+			if v, err := br.cond(ctx, m.row); err != nil || !v.Truthy() {
 				return err
 			}
-			if direct {
-				return scan.it.Overwrite(in.row)
-			}
-			loc, err := t.Update(m.loc, m.row, in.row)
-			if touched != nil && err == nil {
-				touched[locKey(loc)] = true
-			}
+		}
+		if touched != nil {
+			touched[lk] = true
+		}
+		n++
+		if br.del {
+			dels = append(dels, m)
+			return nil
+		}
+		var changed bool
+		var err error
+		if in.row, changed, err = applySets(ctx, in.row, m.row, br.setFns, br.setOrds); err != nil || !changed {
 			return err
 		}
-		return nil
+		if direct {
+			return scan.it.Overwrite(in.row)
+		}
+		loc, err := t.Update(m.loc, m.row, in.row)
+		if touched != nil && err == nil {
+			touched[locKey(loc)] = true
+		}
+		return err
 	}
 	for _, srcRow := range srcRows {
 		ctx.Push(srcRow)

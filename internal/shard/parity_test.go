@@ -33,6 +33,10 @@ func workOf(qs *core.QueryStats) work {
 // test then sees, so it stops earlier; its distances are checked against
 // BSDJ's.
 //
+// Every row was recorded while a search also cleared its expand and
+// expCost tables up front. Their writers clear them before each fill, so a
+// search now clears its visited table alone: two statements fewer a pair.
+//
 // k = 1: a 1-shard engine is that same engine with an empty peer list — the
 // same code path — so its work envelope equals the single engine's.
 func TestFEMParity(t *testing.T) {
@@ -57,6 +61,11 @@ func TestFEMParity(t *testing.T) {
 		}
 	}
 	golden[core.AlgALT] = []work{{126, 18, 15, 62}, {10, 2, 1, 4}, {226, 41, 39, 122}, {150, 24, 22, 61}, {39, 7, 5, 12}, {143, 23, 21, 73}}
+	for _, rows := range golden {
+		for i := range rows {
+			rows[i].statements -= 2
+		}
+	}
 	for alg, want := range golden {
 		for i, p := range pairs {
 			res, err := ref.Query(ctx, core.QueryRequest{Source: p[0], Target: p[1], Alg: alg})

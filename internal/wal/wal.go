@@ -15,6 +15,9 @@
 //
 //	[version u64][count u32] then per mutation [op u8][from i64][to i64][weight i64]
 //
+// A delete's weight is written as 0, and a delete read with any other
+// weight ends the scan like any other corrupt payload.
+//
 // Durability is append-then-fsync with group commit: concurrent appenders
 // coalesce onto one fsync covering every write buffered before it started
 // (the sync-cohort pattern), so a burst of batches costs one disk flush,
@@ -29,25 +32,48 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Op is one mutation kind. Values mirror core.MutOp (insert, delete,
-// update) but are redeclared here so the core package can depend on wal
-// without a cycle; the engine converts at the boundary.
+// Op is one mutation kind. The engine's mutation API speaks this type
+// (core.MutOp is an alias), so a batch is logged as the caller built it.
 type Op uint8
 
 // Mutation operations.
 const (
+	// OpInsert adds a (From, To, Weight) edge.
 	OpInsert Op = iota
+	// OpDelete removes every (From, To) edge, parallel edges included.
 	OpDelete
+	// OpUpdate sets the cost of every (From, To) edge to Weight.
 	OpUpdate
 )
 
-// Mutation is one edge change inside a record. Weight is meaningless for
-// OpDelete (encoded as 0).
+var opNames = [...]string{OpInsert: "insert", OpDelete: "delete", OpUpdate: "update"}
+
+func (op Op) String() string {
+	if int(op) < len(opNames) {
+		return opNames[op]
+	}
+	return fmt.Sprintf("Op(%d)", op)
+}
+
+// ParseOp maps a case-insensitive operation name (insert, delete, update)
+// to its Op.
+func ParseOp(s string) (Op, error) {
+	for op, name := range opNames {
+		if strings.EqualFold(s, name) {
+			return Op(op), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mutation op %q (insert|delete|update)", s)
+}
+
+// Mutation is one edge change: an element of an ApplyMutations batch and of
+// a record. Weight is ignored for OpDelete, and the log stores it as 0.
 type Mutation struct {
 	Op       Op
 	From, To int64
@@ -349,6 +375,9 @@ func encodeFrame(rec Record) []byte {
 	payload = binary.LittleEndian.AppendUint64(payload, rec.Version)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rec.Muts)))
 	for _, m := range rec.Muts {
+		if m.Op == OpDelete {
+			m.Weight = 0
+		}
 		payload = append(payload, byte(m.Op))
 		payload = binary.LittleEndian.AppendUint64(payload, uint64(m.From))
 		payload = binary.LittleEndian.AppendUint64(payload, uint64(m.To))
@@ -374,16 +403,18 @@ func decodePayload(p []byte) (Record, bool) {
 	rec.Muts = make([]Mutation, n)
 	off := 12
 	for i := range rec.Muts {
-		op := Op(p[off])
-		if op > OpUpdate {
-			return Record{}, false
-		}
-		rec.Muts[i] = Mutation{
-			Op:     op,
+		m := Mutation{
+			Op:     Op(p[off]),
 			From:   int64(binary.LittleEndian.Uint64(p[off+1:])),
 			To:     int64(binary.LittleEndian.Uint64(p[off+9:])),
 			Weight: int64(binary.LittleEndian.Uint64(p[off+17:])),
 		}
+		// The encoder writes a delete's weight as 0: anything else did not
+		// come from it.
+		if m.Op > OpUpdate || m.Op == OpDelete && m.Weight != 0 {
+			return Record{}, false
+		}
+		rec.Muts[i] = m
 		off += 25
 	}
 	return rec, true

@@ -297,6 +297,16 @@ func TestEncodeDecode(t *testing.T) {
 	if _, ok := decodePayload(bytes.Repeat([]byte{0xff}, 12+25)); ok {
 		t.Fatal("payload with bad op/count accepted")
 	}
+	// A delete is logged with weight 0 whatever its Weight held, and one
+	// read back with another weight did not come from the encoder.
+	del := encodeFrame(Record{Muts: []Mutation{{Op: OpDelete, From: 1, To: 2, Weight: 7}}})[frameHeader:]
+	if got, ok := decodePayload(del); !ok || got.Muts[0].Weight != 0 {
+		t.Fatalf("delete logged as %+v ok=%v, want weight 0", got, ok)
+	}
+	binary.LittleEndian.PutUint64(del[12+17:], 7)
+	if _, ok := decodePayload(del); ok {
+		t.Fatal("a delete with weight 7 was decoded")
+	}
 }
 
 // FuzzWALScan runs Scan's frame loop on arbitrary bytes: it never panics,
