@@ -378,7 +378,8 @@ func (e *Engine) Nodes() int {
 	return e.nodes
 }
 
-// Edges returns the loaded edge count.
+// Edges returns the number of edge pairs TEdges holds: a pair's parallel
+// edges count once.
 func (e *Engine) Edges() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -65,7 +65,7 @@ func (e *Engine) LoadPartition(g *graph.Graph, toInt, toExt []int64) error {
 		return err
 	}
 	// Both relations load in key order: TNodes by nid, TEdges by internal
-	// fid through a counting sort that keeps each node's edges in g's order.
+	// (fid, tid), one row a pair at its cheapest parallel edge's cost.
 	// Key-ordered inserts leave the B+tree's leaves full (btree's split
 	// rule), and a node's edges land next to its neighbours'.
 	if err := e.bulkInsert(sweep.Rel(TblNodes), len(toExt), func(i int, row []int64) {
@@ -73,22 +73,13 @@ func (e *Engine) LoadPartition(g *graph.Graph, toInt, toExt []int64) error {
 	}); err != nil {
 		return err
 	}
-	next := make([]int, g.N+1) // next[f]: where the next edge of f goes
-	for _, ed := range g.Edges {
-		next[toInt[ed.From]+1]++
-	}
-	for i := 1; i < len(next); i++ {
-		next[i] += next[i-1]
-	}
-	byFid := make([]int, len(g.Edges))
+	pairs := make([]graph.Edge, len(g.Edges))
 	for i, ed := range g.Edges {
-		f := toInt[ed.From]
-		byFid[next[f]] = i
-		next[f]++
+		pairs[i] = graph.Edge{From: toInt[ed.From], To: toInt[ed.To], Weight: ed.Weight}
 	}
-	if err := e.bulkInsert(sweep.Rel(TblEdges), len(byFid), func(i int, row []int64) {
-		ed := g.Edges[byFid[i]]
-		row[0], row[1], row[2] = toInt[ed.From], toInt[ed.To], ed.Weight
+	pairs = graph.Collapse(pairs)
+	if err := e.bulkInsert(sweep.Rel(TblEdges), len(pairs), func(i int, row []int64) {
+		row[0], row[1], row[2] = pairs[i].From, pairs[i].To, pairs[i].Weight
 	}); err != nil {
 		return err
 	}
@@ -103,7 +94,7 @@ func (e *Engine) LoadPartition(g *graph.Graph, toInt, toExt []int64) error {
 	e.mu.Lock()
 	e.wmin = wmin
 	e.nodes = int(g.N)
-	e.edges = g.M()
+	e.edges = len(pairs)
 	e.ord = ord
 	e.mu.Unlock()
 	// Arm (or re-arm) durability for the fresh graph. The WAL resets: its

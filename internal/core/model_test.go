@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -198,8 +199,8 @@ func (m *model) checkEngine() {
 	e := m.e
 	got := modelIndexes{e.SegLthd(), e.Oracle() != nil, e.Labels() != nil, e.OracleInvalidated(), e.LabelsInvalidated()}
 	switch {
-	case e.Nodes() != int(m.mirror.N) || e.Edges() != m.mirror.M():
-		m.fatalf("engine holds %d nodes and %d edges, the mirror %d and %d", e.Nodes(), e.Edges(), m.mirror.N, m.mirror.M())
+	case e.Nodes() != int(m.mirror.N) || e.Edges() != len(graph.Collapse(slices.Clone(m.mirror.Edges))):
+		m.fatalf("engine holds %d nodes and %d edge pairs, the mirror %d and %d edges", e.Nodes(), e.Edges(), m.mirror.N, m.mirror.M())
 	case got != m.ix:
 		m.fatalf("indexes %+v, the model expects %+v", got, m.ix)
 	case e.MutationStats() != m.want:

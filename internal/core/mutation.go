@@ -46,9 +46,11 @@ type (
 	MutOp    = wal.Op
 )
 
-// Mutation operations: MutInsert adds a (From, To, Weight) edge, MutDelete
-// removes every (From, To) edge (parallel edges included; Weight is
-// ignored), MutUpdate sets the cost of every (From, To) edge to Weight.
+// Mutation operations, each a change of the (From, To) pair's cost, the one
+// row TEdges holds for it: MutInsert adds a Weight edge, which the pair
+// keeps when it is cheaper than the pair's cost or the pair has none,
+// MutDelete removes the pair's edge (Weight is ignored), MutUpdate sets its
+// cost to Weight.
 const (
 	MutInsert = wal.OpInsert
 	MutDelete = wal.OpDelete
@@ -98,7 +100,7 @@ const (
 // bound as parameters, so ApplyMutations batches re-execute cached plans.
 const (
 	mutInsertEdgeQ = "INSERT INTO " + TblEdges + " (fid, tid, cost) VALUES (?, ?, ?)"
-	mutMinCostQ    = "SELECT MIN(cost) FROM " + TblEdges + " WHERE fid = ? AND tid = ?"
+	mutCostQ       = "SELECT cost FROM " + TblEdges + " WHERE fid = ? AND tid = ?"
 	mutDeleteQ     = "DELETE FROM " + TblEdges + " WHERE fid = ? AND tid = ?"
 	mutUpdateQ     = "UPDATE " + TblEdges + " SET cost = ? WHERE fid = ? AND tid = ?"
 	mutWMinQ       = "SELECT MIN(cost) FROM " + TblEdges
@@ -125,18 +127,17 @@ const (
 	mutSrcClear = "DELETE FROM " + tblMutSrc
 )
 
-// DeleteEdge removes every (from, to) edge from TEdges — parallel edges
-// included — and, when a SegTable is built, repairs TOutSegs/TInSegs
-// decrementally (or rebuilds them past DefaultRepairThreshold). Deleting
-// a pair with no edge is an error.
+// DeleteEdge removes the (from, to) edge from TEdges and, when a SegTable is
+// built, repairs TOutSegs/TInSegs decrementally (or rebuilds them past
+// DefaultRepairThreshold). Deleting a pair with no edge is an error.
 func (e *Engine) DeleteEdge(from, to int64) (*MaintStats, error) {
 	return e.ApplyMutations([]Mutation{{Op: MutDelete, From: from, To: to}})
 }
 
-// UpdateEdgeWeight sets the cost of every (from, to) edge to weight —
-// parallel edges collapse to one effective cost. A decrease is maintained
-// like an insertion (new shortest paths through the cheaper edge), an
-// increase like a deletion (recorded paths through the edge re-routed).
+// UpdateEdgeWeight sets the cost of the (from, to) edge to weight. A
+// decrease is maintained like an insertion (new shortest paths through the
+// cheaper edge), an increase like a deletion (recorded paths through the
+// edge re-routed).
 func (e *Engine) UpdateEdgeWeight(from, to, weight int64) (*MaintStats, error) {
 	return e.ApplyMutations([]Mutation{{Op: MutUpdate, From: from, To: to, Weight: weight}})
 }
@@ -152,7 +153,8 @@ func (e *Engine) UpdateEdgeWeight(from, to, weight int64) (*MaintStats, error) {
 // MaintStats.Applied tells callers how much of the batch persisted. When
 // nothing wrote at all (e.g. the first delete hits a missing edge), the
 // pre-batch oracle is restored: a no-op request must not cold-stop
-// approximate service.
+// approximate service. When the failing mutation wrote nothing, the
+// SegTable and the label index keep the maintenance of the prefix.
 func (e *Engine) ApplyMutations(muts []Mutation) (*MaintStats, error) {
 	if len(muts) == 0 {
 		return &MaintStats{}, nil
@@ -237,16 +239,19 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation) (*Ma
 	e.bumpVersionLocked()
 	e.mu.Unlock()
 
-	wrote := false
+	wrote := false // some mutation of the batch wrote TEdges
 	// The log keeps the batch in external ids, so it replays under any
 	// order; the relations take internal ones.
 	toInt := e.nodeOrder().toInt
 	for i := range muts {
 		m := muts[i]
 		m.From, m.To = toInt[m.From], toInt[m.To]
-		if err := e.applyOneLocked(ctx, qs, st, m, &wrote); err != nil {
+		wroteThis, err := e.applyOneLocked(ctx, qs, st, m)
+		wrote = wrote || wroteThis
+		if err != nil {
 			e.mu.Lock()
-			if !wrote {
+			switch {
+			case !wrote:
 				// No mutation reached TEdges (existence checks fail
 				// before the first write), so the graph is unchanged and
 				// the pre-batch oracle and label index are still sound —
@@ -262,16 +267,21 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation) (*Ma
 					e.muts.LabelInvalidations--
 				}
 				st.LabelsInvalidated = false
-			} else {
-				// The graph changed but a maintenance step failed, so the
-				// SegTable can be missing improvements or mid-repair:
-				// mark it cold — BSEG refuses until BuildSegTable —
-				// rather than silently serving a half-repaired index. The
-				// same goes for the label index: a keep-check that
-				// errored out proved nothing, so it must not keep serving.
+			case wroteThis:
+				// The failing mutation changed the graph but a maintenance
+				// step failed, so the SegTable can be missing improvements
+				// or mid-repair: mark it cold — BSEG refuses until
+				// BuildSegTable — rather than silently serving a
+				// half-repaired index. The same goes for the label index:
+				// a keep-check that errored out proved nothing, so it must
+				// not keep serving.
 				e.segBuilt = false
 				e.invalidateLabelsLocked(st)
 			}
+			// Otherwise the failing mutation wrote nothing and every
+			// earlier one was maintained: the SegTable and the label index
+			// describe the graph as it is; the oracle stays cold, since the
+			// graph did change.
 			if st.Applied > 0 {
 				e.muts.Batches++
 			}
@@ -293,30 +303,40 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation) (*Ma
 }
 
 // applyOneLocked applies one validated mutation as a change of the pair's
-// effective weight (its cheapest parallel edge) from oldW to newW, MaxDist
-// standing for "no edge": an insert reads nothing and takes oldW = MaxDist,
-// so a parallel edge is maintained as a new edge; a delete takes newW =
-// MaxDist; an update reads oldW. Only the TEdges write depends on the op.
-// A dearer pair can only lengthen distances: its touch set is taken at oldW
-// before the write and repaired after it. A cheaper pair gets the insertion
-// maintenance at newW. An unchanged weight moves nothing. Callers hold the
-// exclusive gate and have bumped the version; wrote flips to true once the
-// TEdges write succeeds, which the batch's error path reads to tell "graph
-// unchanged" from "prefix applied".
-func (e *Engine) applyOneLocked(ctx context.Context, qs *QueryStats, st *MaintStats, m Mutation, wrote *bool) error {
-	oldW, newW := MaxDist, m.Weight
-	if m.Op != MutInsert {
-		w, null, err := e.queryInt(ctx, qs, nil, mutMinCostQ, m.From, m.To)
-		if err != nil {
-			return err
-		}
-		if null {
-			return fmt.Errorf("no edge to %s", m.Op)
-		}
-		oldW = w
+// cost from oldW, what TEdges holds, to newW, MaxDist standing for "no
+// edge": an insert's newW is the cheaper of oldW and its weight, a delete's
+// MaxDist, an update's its weight; a delete or an update of a pair with no
+// edge is an error. Only newW depends on the op, and the TEdges write only
+// on the two weights: an INSERT of a new pair, a DELETE of a pair whose edge
+// goes, an UPDATE otherwise. A dearer pair can only lengthen distances: its
+// touch set is taken at oldW before the write and repaired after it. A
+// cheaper pair gets the insertion maintenance at newW. An unchanged weight
+// writes nothing and moves nothing. Callers hold the exclusive gate and
+// have bumped the version; wrote reports whether TEdges was written, which
+// the batch's error path reads to tell "graph unchanged" from "prefix
+// applied".
+func (e *Engine) applyOneLocked(ctx context.Context, qs *QueryStats, st *MaintStats, m Mutation) (wrote bool, err error) {
+	oldW, null, err := e.queryInt(ctx, qs, nil, mutCostQ, m.From, m.To)
+	switch {
+	case err != nil:
+		return false, err
+	case null && m.Op != MutInsert:
+		return false, fmt.Errorf("no edge to %s", m.Op)
+	case null:
+		oldW = MaxDist
 	}
-	if m.Op == MutDelete {
-		newW = MaxDist
+	newW, count := m.Weight, &e.muts.Updates
+	switch m.Op {
+	case MutInsert:
+		newW, count = min(oldW, m.Weight), &e.muts.Inserts
+	case MutDelete:
+		newW, count = MaxDist, &e.muts.Deletes
+	}
+	if newW == oldW {
+		e.mu.Lock()
+		*count++
+		e.mu.Unlock()
+		return false, nil
 	}
 	e.mu.RLock()
 	segBuilt, wmin := e.segBuilt, e.wmin
@@ -324,22 +344,21 @@ func (e *Engine) applyOneLocked(ctx context.Context, qs *QueryStats, st *MaintSt
 	if segBuilt && newW > oldW {
 		// The touch set reads the SegTable and TEdges before the write.
 		if err := e.computeTouchSet(ctx, qs, m.From, m.To, oldW); err != nil {
-			return err
+			return false, err
 		}
 	}
 
-	q, args, count, sign := mutUpdateQ, []any{m.Weight, m.From, m.To}, &e.muts.Updates, 0
-	switch m.Op {
-	case MutInsert:
-		q, args, count, sign = mutInsertEdgeQ, []any{m.From, m.To, m.Weight}, &e.muts.Inserts, 1
-	case MutDelete:
-		q, args, count, sign = mutDeleteQ, []any{m.From, m.To}, &e.muts.Deletes, -1
+	q, args, sign := mutUpdateQ, []any{newW, m.From, m.To}, 0
+	switch {
+	case oldW == MaxDist:
+		q, args, sign = mutInsertEdgeQ, []any{m.From, m.To, newW}, 1
+	case newW == MaxDist:
+		q, args, sign = mutDeleteQ, []any{m.From, m.To}, -1
 	}
 	n, err := e.exec(ctx, qs, nil, nil, q, args...)
 	if err != nil {
-		return err
+		return false, err
 	}
-	*wrote = true
 	e.mu.Lock()
 	e.edges += sign * int(n)
 	*count++
@@ -355,7 +374,7 @@ func (e *Engine) applyOneLocked(ctx context.Context, qs *QueryStats, st *MaintSt
 		if oldW <= wmin {
 			w, null, err := e.queryInt(ctx, qs, nil, mutWMinQ)
 			if err != nil {
-				return err
+				return true, err
 			}
 			if null || w < 1 {
 				w = 1
@@ -366,10 +385,10 @@ func (e *Engine) applyOneLocked(ctx context.Context, qs *QueryStats, st *MaintSt
 		}
 		// Did any label entry route through the pair at its old weight?
 		if err := e.labelKeepDecrement(ctx, qs, st, m.From, m.To, oldW); err != nil {
-			return err
+			return true, err
 		}
 		if segBuilt {
-			return e.repairTouchedLocked(ctx, qs, st)
+			return true, e.repairTouchedLocked(ctx, qs, st)
 		}
 	case newW < oldW:
 		e.mu.Lock()
@@ -377,13 +396,13 @@ func (e *Engine) applyOneLocked(ctx context.Context, qs *QueryStats, st *MaintSt
 		e.mu.Unlock()
 		// Does the old label distance already cover the new weight?
 		if err := e.labelKeepUpsert(ctx, qs, st, m.From, m.To, newW); err != nil {
-			return err
+			return true, err
 		}
 		if segBuilt {
-			return e.maintainSegs(ctx, qs, st, m.From, m.To, newW)
+			return true, e.maintainSegs(ctx, qs, st, m.From, m.To, newW)
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // computeTouchSet fills TMutTouch with every recorded (fid, tid) pair

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -233,8 +234,8 @@ func TestApplyMutationsBatch(t *testing.T) {
 	if ms := e.MutationStats(); ms.Batches != 1 || ms.Inserts != 1 || ms.Deletes != 1 || ms.Updates != 1 {
 		t.Errorf("batch counters: %+v", ms)
 	}
-	if e.Edges() != mirror.M() {
-		t.Errorf("edge count %d, mirror %d", e.Edges(), mirror.M())
+	if pairs := len(graph.Collapse(slices.Clone(mirror.Edges))); e.Edges() != pairs {
+		t.Errorf("edge count %d, mirror %d pairs", e.Edges(), pairs)
 	}
 	checkAllAlgorithms(t, e, mirror, append(queries, graph.RandomQueries(mirror, 5, 7)...))
 }
@@ -440,6 +441,67 @@ func TestFailedMutationKeepsOracle(t *testing.T) {
 	if ms := e.MutationStats(); ms.Batches != 1 {
 		t.Errorf("batch counter after prefix failure: %+v", ms)
 	}
+}
+
+// TestFailedMutationKeepsMaintainedIndexes: when a batch's later mutation
+// fails its existence read, it wrote nothing, and every earlier mutation
+// was maintained in full, so the SegTable and the hub labels stay built and
+// exact; only the oracle goes cold, since the graph did change. The insert
+// adds a pair at no less than its distance, which the labels keep.
+func TestFailedMutationKeepsMaintainedIndexes(t *testing.T) {
+	g := unitWeights(graph.Power(200, 3, 2))
+	for _, ed := range g.Edges {
+		if ed.From == 1 && ed.To == 2 {
+			t.Fatal("test workload has edge (1,2); pick another seed")
+		}
+	}
+	if d := graph.MDJ(g, 1, 2); !d.Found || d.Distance > 3 {
+		t.Fatalf("d(1,2) = %d, found %v: the insert would move the labels; pick another seed", d.Distance, d.Found)
+	}
+	e := newTestEngine(t, g, rdb.Options{}, Options{})
+	if _, err := e.BuildSegTable(8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.BuildOracle(oracle.Config{K: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.BuildLabels(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.ApplyMutations([]Mutation{
+		{Op: MutInsert, From: 1, To: 2, Weight: 3},
+		{Op: MutDelete, From: 0, To: 0}, // no self-loop exists
+	})
+	if err == nil || !strings.Contains(err.Error(), "no edge to delete") {
+		t.Fatalf("batch error %v, want the delete's missing edge", err)
+	}
+	if st == nil || st.Applied != 1 {
+		t.Fatalf("stats %+v, want the insert applied", st)
+	}
+	if e.Oracle() != nil || !e.OracleInvalidated() {
+		t.Error("the applied insert must leave the oracle cold")
+	}
+	if e.Labels() == nil || e.LabelsInvalidated() {
+		t.Error("the label index must stay built")
+	}
+	mirror := g.Clone()
+	if err := mirror.InsertEdge(1, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	queries := append(graph.RandomQueries(mirror, 8, 3), [2]int64{1, 2}, [2]int64{0, 2})
+	for _, q := range queries { // BSEG first: checkAllAlgorithms skips it on a cold SegTable
+		p, _, err := shortestPath(e, AlgBSEG, q[0], q[1])
+		if err != nil {
+			t.Fatalf("BSEG s=%d t=%d: %v", q[0], q[1], err)
+		}
+		checkPath(t, mirror, AlgBSEG, q[0], q[1], p)
+	}
+	checkAllAlgorithms(t, e, mirror, queries)
+	ref := newTestEngine(t, mirror, rdb.Options{}, Options{})
+	if _, err := ref.BuildSegTable(8); err != nil {
+		t.Fatal(err)
+	}
+	sameSegTable(t, e, ref)
 }
 
 // TestParseMutOp is the table-driven parser test shared with spdbd.

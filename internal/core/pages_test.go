@@ -174,3 +174,73 @@ func TestRelationMisses(t *testing.T) {
 	}
 	t.Logf("%d queries, %d-page pool:\n%s", queries, poolPages, strings.Join(rows, "\n"))
 }
+
+// TestEdgeTableBytes: TEdges stores one row an edge pair, at its cheapest
+// parallel edge's cost, under every design and through inserts that do and
+// do not undercut the pair's cost; Edges() counts the pairs. Keyed on the
+// unique pair, its clustered cell has no uniquifier and its tid index entry
+// is (tid, fid), so at cold_bseg's graph it fits in 250 pages (329 while it
+// was keyed on fid with a uniquifier and the index repeated both).
+func TestEdgeTableBytes(t *testing.T) {
+	e := newTestEngine(t, graph.Power(20000, 3, 2011), rdb.Options{BufferPoolPages: 128}, Options{})
+	tb, _ := e.DB().Catalog().Get(TblEdges)
+	if pages := len(tb.Pages()); pages > 250 {
+		t.Errorf("TEdges holds %d pages after the load, want at most 250", pages)
+	} else {
+		t.Logf("TEdges: %d pages for %d edge pairs", pages, e.Edges())
+	}
+
+	g := graph.Random(30, 400, 5) // a multigraph: 400 edges over 870 ordered pairs
+	stored := func(e *Engine) map[[2]int64]int64 {
+		t.Helper()
+		rows, err := e.DB().Query("SELECT fid, tid, cost FROM " + TblEdges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		toExt := e.nodeOrder().toExt
+		out := map[[2]int64]int64{}
+		for _, r := range rows.Data {
+			pair := [2]int64{toExt[r[0].I], toExt[r[1].I]}
+			if _, dup := out[pair]; dup {
+				t.Fatalf("pair %v is stored twice", pair)
+			}
+			out[pair] = r[2].I
+		}
+		return out
+	}
+	for _, strategy := range []IndexStrategy{ClusteredIndex, SecondaryIndex, NoIndex} {
+		mirror := g.Clone()
+		e := newTestEngine(t, g, rdb.Options{}, Options{Strategy: strategy})
+		check := func(at string) {
+			t.Helper()
+			want := map[[2]int64]int64{}
+			for _, ed := range graph.Collapse(slices.Clone(mirror.Edges)) {
+				want[[2]int64{ed.From, ed.To}] = ed.Weight
+			}
+			if len(want) == mirror.M() {
+				t.Fatalf("%v, %s: the mirror has no parallel edge", strategy, at)
+			}
+			if got := stored(e); !maps.Equal(got, want) || e.Edges() != len(want) {
+				t.Fatalf("%v, %s: TEdges holds %d pairs, Edges() says %d; the mirror's %d pairs differ: %v",
+					strategy, at, len(got), e.Edges(), len(want), got)
+			}
+		}
+		check("after the load")
+		ed := mirror.Edges[0]
+		muts := []Mutation{
+			{Op: MutInsert, From: ed.From, To: ed.To, Weight: 1},             // cheaper: the pair's new cost
+			{Op: MutInsert, From: ed.From, To: ed.To, Weight: ed.Weight + 1}, // dearer than the pair: no write
+			{Op: MutInsert, From: 0, To: 29, Weight: 40},
+			{Op: MutInsert, From: 0, To: 29, Weight: 50},
+		}
+		for _, m := range muts {
+			if err := mirror.InsertEdge(m.From, m.To, m.Weight); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.ApplyMutations(muts); err != nil {
+			t.Fatal(err)
+		}
+		check("after inserts")
+	}
+}

@@ -39,8 +39,8 @@ type Peers struct {
 	// Owner maps a node to the partition holding its authoritative visited
 	// row. It and Bound take and return external ids.
 	Owner func(nid int64) int
-	// Edges is the whole graph's edge count, which Engine.Edges reports from
-	// then on (partition 0's own rows count its mirrors).
+	// Edges is the whole graph's edge pair count, which Engine.Edges reports
+	// from then on (partition 0's own rows count its mirrors).
 	Edges int
 	// Bound, when set, returns the length of a real s-t walk the caller knows
 	// and a function producing that walk, or a nil witness for none. It

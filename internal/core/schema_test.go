@@ -63,7 +63,8 @@ func describeCatalog(e *Engine) []string {
 // truncation began returning pages to the free list, the below-MERGE lines
 // again when the SegTable build began folding the edges before its sweep,
 // all of them when the stored tuple lost its NULL bitmap byte, and checked
-// with CheckPages; again when the unsuffixed scratch set went); then,
+// with CheckPages; again when the unsuffixed scratch set went, and the
+// CluIndex ones when TEdges was keyed on its pair); then,
 // below the MERGE level and after an insertion, a deletion and one query,
 // where every relation the engine ever creates exists, what db.Catalog()
 // reports of each one, the pooled scratch set included. The file was

@@ -58,8 +58,9 @@ type MaintStats struct {
 	Time       time.Duration
 }
 
-// InsertEdge adds a (from, to, weight) edge to TEdges and, when a SegTable
-// is built, incrementally maintains TOutSegs and TInSegs.
+// InsertEdge adds a (from, to, weight) edge — TEdges keeps the pair's
+// cheaper cost — and, when a SegTable is built, incrementally maintains
+// TOutSegs and TInSegs.
 func (e *Engine) InsertEdge(from, to, weight int64) (*MaintStats, error) {
 	return e.ApplyMutations([]Mutation{{Op: MutInsert, From: from, To: to, Weight: weight}})
 }

@@ -264,28 +264,27 @@ func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64) (itera
 
 // foldEdges merges the original edges into both segment tables
 // (Definition 4(2)), pid the direct hop's fid: an edge is discarded when a
-// recorded segment already dominates it, a cheaper edge updates the
-// recorded cost, and parallel edges collapse to their minimum. A build
-// folds every edge into the empty tables before its sweep: TOutSegs
-// groups the edges, and TInSegs then takes TOutSegs' rows, so the edges
-// are grouped once. A non-empty touchTable restricts the fold to the
-// (fid, tid) pairs recorded there, uniquely — the decremental repair
-// path, which only re-materializes touched pairs and reaches their edges
-// from the touch table through TEdges' fid index; there both tables group
-// the touched pairs' edges (reading TOutSegs' touched rows instead moved
-// neither BenchmarkMutationBatch's pages nor its time).
+// recorded segment already dominates it, and a cheaper edge updates the
+// recorded cost. TEdges holds one row a pair, so the fold projects it. A
+// build folds every edge into the empty tables before its sweep: TOutSegs
+// takes the edges, and TInSegs then takes TOutSegs' rows. A non-empty
+// touchTable restricts the fold to the (fid, tid) pairs recorded there,
+// uniquely — the decremental repair path, which only re-materializes
+// touched pairs and reaches their edges from the touch table through
+// TEdges' pair key; there both tables take the touched pairs' edges
+// (reading TOutSegs' touched rows instead moved neither
+// BenchmarkMutationBatch's pages nor its time).
 func (e *Engine) foldEdges(ctx context.Context, qs *QueryStats, touchTable string) error {
-	from := TblEdges + " s"
+	from := " FROM " + TblEdges + " s"
 	if touchTable != "" {
-		from = touchTable + " m, " + TblEdges + " s WHERE s.fid = m.fid AND s.tid = m.tid"
+		from = " FROM " + touchTable + " m, " + TblEdges + " s WHERE s.fid = m.fid AND s.tid = m.tid"
 	}
-	group := " FROM " + from + " GROUP BY s.fid, s.tid"
-	if _, err := e.mergeSegs(ctx, qs, TblOutSegs, "SELECT s.fid, s.tid, s.fid, MIN(s.cost)"+group, nil); err != nil {
+	if _, err := e.mergeSegs(ctx, qs, TblOutSegs, "SELECT s.fid, s.tid, s.fid, s.cost"+from, nil); err != nil {
 		return err
 	}
 	in := "SELECT fid, tid, cost FROM " + TblOutSegs
 	if touchTable != "" {
-		in = "SELECT s.fid, s.tid, MIN(s.cost)" + group
+		in = "SELECT s.fid, s.tid, s.cost" + from
 	}
 	_, err := e.mergeSegs(ctx, qs, TblInSegs, in, nil)
 	return err

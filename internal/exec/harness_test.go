@@ -36,7 +36,10 @@ type design struct {
 // index; heap_index, a heap with both; a bare heap; clustered_prefix,
 // clustered (not uniquely) on the second index's column beside the unique
 // one; write_through, clustered on the key alone, so that UPDATE and MERGE
-// write through their scans; secondary, a heap with the second index alone.
+// write through their scans; secondary, a heap with the second index alone;
+// pair_key, clustered uniquely on the key and the second index's column,
+// which is indexed on its own too, so that index's entries hold the two
+// columns once each (TEdges' shape).
 func designsOf(name, cols, key, also string, names ...string) []design {
 	create := "CREATE TABLE " + name + " (" + strings.ReplaceAll(cols, ",", " INT,") + " INT)"
 	index := func(kind, on string) string {
@@ -49,6 +52,7 @@ func designsOf(name, cols, key, also string, names ...string) []design {
 		"clustered_prefix": {create, index("CLUSTERED ", also), index("UNIQUE ", key)},
 		"write_through":    {create, index("UNIQUE CLUSTERED ", key)},
 		"secondary":        {create, index("", also)},
+		"pair_key":         {create, index("UNIQUE CLUSTERED ", key+", "+also), index("", also)},
 	}
 	out := make([]design, len(names))
 	for i, n := range names {
@@ -57,7 +61,7 @@ func designsOf(name, cols, key, also string, names ...string) []design {
 	return out
 }
 
-var allDesigns = []string{"clustered", "heap_index", "heap", "clustered_prefix", "write_through"}
+var allDesigns = []string{"clustered", "heap_index", "heap", "clustered_prefix", "write_through", "pair_key"}
 
 // harness runs one case in one design.
 type harness struct {

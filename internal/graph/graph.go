@@ -8,9 +8,11 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -81,6 +83,17 @@ func New(n int64, edges []Edge) (*Graph, error) {
 // M returns the number of edges.
 func (g *Graph) M() int { return len(g.Edges) }
 
+// Collapse sorts edges by (From, To) and keeps one edge of each pair, its
+// cheapest: the rows a relational edge table keyed on the pair stores, and
+// the effective weights every shortest path search sees. It reuses edges'
+// array.
+func Collapse(edges []Edge) []Edge {
+	slices.SortFunc(edges, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), cmp.Compare(a.Weight, b.Weight))
+	})
+	return slices.CompactFunc(edges, func(a, b Edge) bool { return a.From == b.From && a.To == b.To })
+}
+
 // WMin returns the minimal edge weight (1 when the graph has no edges).
 func (g *Graph) WMin() int64 { return g.wmin }
 
@@ -102,8 +115,9 @@ func (g *Graph) InEdges(u int64, fn func(v, w int64)) {
 }
 
 // InsertEdge appends a directed (from, to, weight) edge, keeping the
-// adjacency lists and the minimal weight in sync. The mirror accepts
-// parallel edges, matching the relational TEdges heap.
+// adjacency lists and the minimal weight in sync. A pair may hold parallel
+// edges; its effective weight, what a search sees, is the cheapest (the
+// engine stores that one alone, see Collapse).
 func (g *Graph) InsertEdge(from, to, weight int64) error {
 	if from < 0 || from >= g.N || to < 0 || to >= g.N {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", from, to, g.N)
@@ -120,9 +134,9 @@ func (g *Graph) InsertEdge(from, to, weight int64) error {
 	return nil
 }
 
-// DeleteEdge removes every (from, to) edge — parallel edges included,
-// mirroring Engine.DeleteEdge — and returns how many were removed. Deleting
-// a pair with no edge is an error so differential tests catch divergence.
+// DeleteEdge removes every (from, to) edge, so the pair has none, as
+// Engine.DeleteEdge does, and returns how many were removed. Deleting a pair
+// with no edge is an error so differential tests catch divergence.
 func (g *Graph) DeleteEdge(from, to int64) (int, error) {
 	if from < 0 || from >= g.N || to < 0 || to >= g.N {
 		return 0, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", from, to, g.N)
@@ -146,9 +160,9 @@ func (g *Graph) DeleteEdge(from, to int64) (int, error) {
 	return removed, nil
 }
 
-// UpdateEdgeWeight sets the weight of every (from, to) edge to weight —
-// parallel edges collapse to one effective cost, mirroring
-// Engine.UpdateEdgeWeight — and returns how many rows changed.
+// UpdateEdgeWeight sets the weight of every (from, to) edge to weight, so
+// the pair's effective weight is weight, as Engine.UpdateEdgeWeight sets
+// it, and returns how many edges changed.
 func (g *Graph) UpdateEdgeWeight(from, to, weight int64) (int, error) {
 	if from < 0 || from >= g.N || to < 0 || to >= g.N {
 		return 0, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", from, to, g.N)

@@ -2,6 +2,7 @@ package labels
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/fem"
@@ -22,7 +23,7 @@ func loadGraphTables(t *testing.T, sess *rdb.Session, g *graph.Graph) {
 			t.Fatal(err)
 		}
 	}
-	for _, e := range g.Edges {
+	for _, e := range graph.Collapse(slices.Clone(g.Edges)) { // one row a pair, as the loader stores it
 		if _, err := sess.Exec("INSERT INTO TEdges (fid, tid, cost) VALUES (?, ?, ?)",
 			e.From, e.To, e.Weight); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,15 +117,15 @@ func Open(g *graph.Graph, opts Options) (*ShardedEngine, error) {
 				return err
 			}
 		}
-		se.shards[i] = &shardInstance{eng: eng, edges: sub.M()}
+		se.shards[i] = &shardInstance{eng: eng, edges: eng.Edges()}
 		return nil
 	})
 	if err != nil {
 		se.Close()
 		return nil, err
 	}
-	// Edges: the original count; each shard's own counts its mirrors.
-	peers := core.Peers{Owner: part.Owner, Edges: g.M()}
+	// Edges: the original graph's pairs; each shard's own counts its mirrors.
+	peers := core.Peers{Owner: part.Owner, Edges: len(graph.Collapse(slices.Clone(g.Edges)))}
 	for _, sh := range se.shards[1:] {
 		peers.Others = append(peers.Others, sh.eng)
 	}

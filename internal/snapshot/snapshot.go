@@ -17,8 +17,11 @@ import (
 // snapshot stores the successor of fid there, which the backward path
 // unfolding no longer reads. Version 4 stores TInSegs as (fid, tid, cost),
 // without the pid column no reader reads; a version 3 dump has four
-// columns where a hydration loads three. All three are refused.
-const FormatVersion = 4
+// columns where a hydration loads three. Version 5 stores TEdges keyed on
+// the pair, one row each; a version 4 dump may hold a pair's parallel
+// edges, which a hydration cannot load under that key. All four are
+// refused.
+const FormatVersion = 5
 
 // chunkRows bounds one chunk's row count: large tables split into multiple
 // objects so a later object-store backend uploads bounded parts.

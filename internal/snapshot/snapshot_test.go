@@ -156,9 +156,9 @@ func TestLatestEmpty(t *testing.T) {
 }
 
 // TestLatestRefusesOldFormats: a newest snapshot whose manifest says format
-// 3 (TInSegs with a pid column), 2 (TInSegs pids the successor of fid) or 1
-// (no TNodes) is refused with ErrFormat, not hydrated; the same manifest at
-// format 4 is read back.
+// 4 (TEdges rows of parallel edges), 3 (TInSegs with a pid column), 2
+// (TInSegs pids the successor of fid) or 1 (no TNodes) is refused with
+// ErrFormat, not hydrated; the same manifest at format 5 is read back.
 func TestLatestRefusesOldFormats(t *testing.T) {
 	store, err := NewDiskStore(t.TempDir())
 	if err != nil {
@@ -174,7 +174,7 @@ func TestLatestRefusesOldFormats(t *testing.T) {
 	if !bytes.Contains(data, []byte(current)) {
 		t.Fatalf("manifest %s does not spell %s", data, current)
 	}
-	for _, format := range []int{3, 2, 1} {
+	for _, format := range []int{4, 3, 2, 1} {
 		old := bytes.Replace(data, []byte(current), []byte(fmt.Sprintf(`"format": %d,`, format)), 1)
 		if err := store.Put(name, old); err != nil {
 			t.Fatal(err)
@@ -193,7 +193,7 @@ func TestLatestRefusesOldFormats(t *testing.T) {
 
 // FuzzManifest: decodeManifest never panics on any bytes, and accepts only
 // a manifest at FormatVersion. The seeds under testdata/fuzz/FuzzManifest
-// (a written manifest at formats 4, 3, 2 and 1, and malformed JSON) run
+// (a written manifest at formats 5, 4, 3, 2 and 1, and malformed JSON) run
 // with go test.
 func FuzzManifest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -124,7 +124,10 @@ var Relations = []Relation{
 	// The node order: the internal id every other relation stores, and the
 	// caller's (external) id of that node.
 	{Name: TblNodes, Cols: "nid, ext", Key: "nid", Unique: true, PK: true, Owner: Graph, Snapshot: true},
-	{Name: TblEdges, Cols: "fid, tid, cost", Key: "fid", Also: "tid", Follows: true, Owner: Graph, Snapshot: true},
+	// One row per edge pair, at its effective (cheapest) cost: loads collapse
+	// parallel edges and every mutation writes the pair's new cost, so
+	// writers keep (fid, tid) unique under every design.
+	{Name: TblEdges, Cols: "fid, tid, cost", Key: "fid, tid", Unique: true, Also: "tid", Follows: true, Owner: Graph, Snapshot: true},
 	// §4.1: d2s/p2s/f carry the forward search's state, d2t/p2t/b the backward one's.
 	{Name: TblVisited, Cols: "nid, d2s, p2s, f, d2t, p2t, b", Key: "nid", Unique: true, PK: true, Follows: true, Owner: Scratch},
 	{Name: TblExpand, Cols: "nid, par, cost", Key: "nid", Unique: true, PK: true, Follows: true, Owner: Scratch},

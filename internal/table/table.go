@@ -71,15 +71,63 @@ func rowKey(dst []byte, row record.Row, cols []int) []byte {
 // Index is a B+tree index over a subset of columns: the table's clustered
 // index, whose entry is the tuple itself (followed by a uniquifier column
 // when the key is not unique), or a secondary index, whose entry is the
-// indexed columns followed by the row's location — the heap RID or the
-// clustered key, fixed-length either way — so lookups fetch rows without an
-// extra indirection table. A unique secondary index is keyed on the columns,
-// a non-unique one on the whole entry, the location included.
+// indexed columns followed by what else the row's location needs — the heap
+// RID, or the clustered key's columns other than the indexed ones (a
+// non-unique key's uniquifier among them) — so lookups fetch rows without
+// an extra indirection table, and a column is stored in an entry once. A
+// unique secondary index is keyed on the columns, a non-unique one on the
+// whole entry, the location included.
 type Index struct {
 	Name   string
 	Cols   []int // ordinals into the table schema
 	Unique bool
 	tree   *btree.BTree
+	// For a secondary index: loc[p] is the entry column that holds column p
+	// of a row's location, and tail the location columns the entry holds
+	// after the indexed ones, in location order.
+	loc, tail []int
+}
+
+// locLayout lays out the location columns of a secondary index on cols
+// (Index.loc and Index.tail): a heap's RID is stored after the indexed
+// columns; a clustered key's column is read from the indexed columns when
+// one of them is it, and stored after them otherwise.
+func (t *Table) locLayout(cols []int) (loc, tail []int) {
+	if t.clustered == nil {
+		return []int{len(cols)}, []int{0}
+	}
+	key := t.clustered.Cols
+	if !t.clustered.Unique {
+		key = append(slices.Clone(key), t.Schema.Len()) // the uniquifier, after the tuple
+	}
+	for p, c := range key {
+		if j := slices.Index(cols, c); j >= 0 {
+			loc = append(loc, j)
+		} else {
+			loc = append(loc, len(cols)+len(tail))
+			tail = append(tail, p)
+		}
+	}
+	return loc, tail
+}
+
+// appendTail appends to dst the columns of loc that secondary index ix
+// stores after its indexed ones.
+func (ix *Index) appendTail(dst []byte, loc Loc) []byte {
+	b := loc.bytes()
+	for _, p := range ix.tail {
+		dst = append(dst, b[8*p:8*p+8]...)
+	}
+	return dst
+}
+
+// appendLoc appends to dst the row location that secondary index ix's
+// entry leads to.
+func (ix *Index) appendLoc(dst, entry []byte) []byte {
+	for _, c := range ix.loc {
+		dst = append(dst, entry[8*c:8*c+8]...)
+	}
+	return dst
 }
 
 // Tree exposes the underlying B+tree (diagnostics/tests).
@@ -145,12 +193,12 @@ func (t *Table) WritesThrough() bool {
 func (t *Table) RowCount() int { return t.rows }
 
 // indexKey builds the key of row at loc in secondary index ix: the
-// indexed columns, and the location after them when the index is not
-// unique.
+// indexed columns, and the location columns stored after them when the
+// index is not unique.
 func indexKey(ix *Index, row record.Row, loc Loc) []byte {
 	k := rowKey(nil, row, ix.Cols)
 	if !ix.Unique {
-		k = append(k, loc.bytes()...)
+		k = ix.appendTail(k, loc)
 	}
 	return k
 }
@@ -172,15 +220,6 @@ func (t *Table) tupleOf(entry []byte) []byte {
 		return entry[:n]
 	}
 	return entry
-}
-
-// locCols is the column count of a row's location: one for a RID, the
-// clustered key's otherwise.
-func (t *Table) locCols() int {
-	if t.clustered == nil {
-		return 1
-	}
-	return t.width() - t.Schema.Len() + len(t.clustered.Cols)
 }
 
 // width is the column count of an entry of the clustered tree: the tuple's,
@@ -237,7 +276,7 @@ func (t *Table) Insert(row record.Row) (Loc, error) {
 		loc = Loc{RID: rid}
 	}
 	for _, ix := range t.Secondary {
-		err := ix.tree.Insert(rowKey(nil, row, ix.Cols), loc.bytes())
+		err := ix.tree.Insert(rowKey(nil, row, ix.Cols), ix.appendTail(nil, loc))
 		if ix.Unique && errors.Is(err, btree.ErrDuplicateKey) {
 			// Roll back the storage write to keep the table consistent.
 			t.removeStorage(loc)
@@ -362,7 +401,7 @@ func (t *Table) fixSecondaries(oldLoc, newLoc Loc, oldRow, newRow record.Row) er
 		if _, err := ix.tree.Delete(oldK); err != nil {
 			return err
 		}
-		if err := ix.tree.Insert(rowKey(nil, newRow, ix.Cols), newLoc.bytes()); err != nil {
+		if err := ix.tree.Insert(rowKey(nil, newRow, ix.Cols), ix.appendTail(nil, newLoc)); err != nil {
 			if errors.Is(err, btree.ErrDuplicateKey) {
 				return fmt.Errorf("%w: index %s", ErrUniqueViolation, ix.Name)
 			}
@@ -398,9 +437,10 @@ func (t *Table) Fetch(loc Loc) (record.Row, bool, error) {
 // CreateIndex adds a secondary index (backfilling existing rows); a failed
 // backfill frees the index's pages.
 func (t *Table) CreateIndex(name string, cols []int, unique bool) (_ *Index, err error) {
+	loc, tail := t.locLayout(cols)
 	key := make([]int, len(cols)) // a non-unique index is keyed on its whole entry
 	if !unique {
-		key = make([]int, len(cols)+t.locCols())
+		key = make([]int, len(cols)+len(tail))
 	}
 	for i := range key {
 		key[i] = i
@@ -414,10 +454,10 @@ func (t *Table) CreateIndex(name string, cols []int, unique bool) (_ *Index, err
 			t.pool.Free(tr.Pages()...)
 		}
 	}()
-	ix := &Index{Name: name, Cols: slices.Clone(cols), Unique: unique, tree: tr}
+	ix := &Index{Name: name, Cols: slices.Clone(cols), Unique: unique, tree: tr, loc: loc, tail: tail}
 	it := t.Scan()
 	for it.Next() {
-		if err := ix.tree.Insert(rowKey(nil, it.Row(), ix.Cols), it.Loc().bytes()); err != nil {
+		if err := ix.tree.Insert(rowKey(nil, it.Row(), ix.Cols), ix.appendTail(nil, it.Loc())); err != nil {
 			if errors.Is(err, btree.ErrDuplicateKey) {
 				return nil, fmt.Errorf("%w: backfill of %s", ErrUniqueViolation, name)
 			}
@@ -517,6 +557,7 @@ type Iterator struct {
 	hit   heapfile.Iterator
 	tuple []byte // encoded current row (inside bit's or hit's page, or fetch)
 	fetch []byte // base tuple fetched through ix
+	at    []byte // the location ix's current entry leads to
 	probe []byte // encoded Seek prefix
 	null  bool   // the last Seek probed for a NULL: it yields nothing
 	row   record.Row
@@ -592,7 +633,7 @@ func (it *Iterator) Next() bool {
 				it.err = it.bit.Err()
 				return false
 			}
-			// The index entry ends with the base row's location.
+			// The index entry holds the base row's location.
 			var ok bool
 			if loc := it.loc(); it.t.clustered != nil {
 				it.fetch, ok, it.err = it.t.clustered.tree.GetInto(it.fetch, loc)
@@ -642,8 +683,12 @@ func (it *Iterator) Next() bool {
 // and holding only the columns the iterator was asked to decode.
 func (it *Iterator) Row() record.Row { return it.row }
 
-// loc returns the location that ends the current secondary-index entry.
-func (it *Iterator) loc() []byte { return it.bit.Value()[8*len(it.ix.Cols):] }
+// loc returns the location the current secondary-index entry leads to,
+// valid until the next Next, Start or Seek.
+func (it *Iterator) loc() []byte {
+	it.at = it.ix.appendLoc(it.at[:0], it.bit.Value())
+	return it.at
+}
 
 // Loc returns the current row's location, in memory of its own.
 func (it *Iterator) Loc() Loc {

@@ -171,6 +171,122 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 	}
 }
 
+// TestSecondaryEntryOmitsKeyColumns: a secondary entry on a clustered table
+// stores the indexed columns and only the clustered-key columns not among
+// them (a non-unique key's uniquifier always), 8 bytes each, and a lookup
+// through it rebuilds the location from both: every row is found by its
+// own value, through inserts, updates of the key and of other columns, and
+// deletes.
+func TestSecondaryEntryOmitsKeyColumns(t *testing.T) {
+	cases := []struct {
+		name    string
+		cluster []int
+		unique  bool
+		ix      []int
+		cols    int // the columns of an entry
+	}{
+		{"pair key, index on tid", []int{0, 1}, true, []int{1}, 2},
+		{"pair key, index on (tid, fid)", []int{0, 1}, true, []int{1, 0}, 2},
+		{"pair key, index on cost", []int{0, 1}, true, []int{2}, 3},
+		{"fid key with uniquifier, index on fid", []int{0}, false, []int{0}, 2},
+		{"fid key with uniquifier, index on tid", []int{0}, false, []int{1}, 3},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tb, err := newCatalog(t).Create("edges", edgeSchema(), Options{ClusterOn: c.cluster, ClusterUnique: c.unique})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := tb.CreateIndex("ix", c.ix, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := map[[2]int64]int64{} // (fid, tid) -> cost
+			for i := int64(0); i < 300; i++ {
+				rows[[2]int64{i % 17, i * 7 % 31}] = i
+			}
+			for k, cost := range rows {
+				if _, err := tb.Insert(record.Row{record.Int(k[0]), record.Int(k[1]), record.Int(cost)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Move some rows to a new key, change others' cost, delete a few.
+			it := tb.Scan()
+			type change struct {
+				loc      Loc
+				old, new record.Row
+			}
+			var changes []change
+			for it.Next() {
+				loc, row, err := it.Materialize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := [2]int64{row[0].I, row[1].I}
+				switch row[2].I % 5 {
+				case 0:
+					delete(rows, k)
+					changes = append(changes, change{loc, row, nil})
+				case 1:
+					rows[k] = row[2].I + 1000
+					changes = append(changes, change{loc, row, record.Row{row[0], row[1], record.Int(row[2].I + 1000)}})
+				case 2:
+					delete(rows, k)
+					rows[[2]int64{k[0] + 100, k[1]}] = row[2].I
+					changes = append(changes, change{loc, row, record.Row{record.Int(k[0] + 100), row[1], row[2]}})
+				}
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			for _, ch := range changes {
+				if ch.new == nil {
+					err = tb.Delete(ch.loc, ch.old)
+				} else {
+					_, err = tb.Update(ch.loc, ch.old, ch.new)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			entries := ix.Tree().Scan(nil, nil)
+			n := 0
+			for ; entries.Next(); n++ {
+				if got := len(entries.Value()); got != 8*c.cols {
+					t.Fatalf("a %d-byte entry, want %d", got, 8*c.cols)
+				}
+			}
+			if err := entries.Err(); err != nil || n != len(rows) {
+				t.Fatalf("%d entries for %d rows: %v", n, len(rows), err)
+			}
+			for k, cost := range rows {
+				row := record.Row{record.Int(k[0]), record.Int(k[1]), record.Int(cost)}
+				var vals []record.Value
+				for _, col := range c.ix {
+					vals = append(vals, row[col])
+				}
+				found := 0
+				it := tb.LookupEq(ix, vals)
+				for it.Next() {
+					if r := it.Row(); r[0].I == k[0] && r[1].I == k[1] {
+						if r[2].I != cost {
+							t.Fatalf("%v reads cost %d", k, r[2].I)
+						}
+						found++
+					}
+					loc := it.Loc()
+					if got, ok, err := tb.Fetch(loc); err != nil || !ok || got[0].I != it.Row()[0].I || got[1].I != it.Row()[1].I {
+						t.Fatalf("Loc of %v fetches %v, %v, %v", it.Row(), got, ok, err)
+					}
+				}
+				if err := it.Err(); err != nil || found != 1 {
+					t.Fatalf("lookup of %v through the index found the row %d times: %v", vals, found, err)
+				}
+			}
+		})
+	}
+}
+
 func TestUniqueSecondaryIndex(t *testing.T) {
 	c := newCatalog(t)
 	tb, _ := c.Create("v", record.MustSchema(

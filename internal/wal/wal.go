@@ -44,11 +44,12 @@ type Op uint8
 
 // Mutation operations.
 const (
-	// OpInsert adds a (From, To, Weight) edge.
+	// OpInsert adds a (From, To, Weight) edge, which the pair keeps when
+	// it has no cheaper one.
 	OpInsert Op = iota
-	// OpDelete removes every (From, To) edge, parallel edges included.
+	// OpDelete removes the (From, To) edge.
 	OpDelete
-	// OpUpdate sets the cost of every (From, To) edge to Weight.
+	// OpUpdate sets the cost of the (From, To) edge to Weight.
 	OpUpdate
 )
 

@@ -135,11 +135,13 @@ type (
 
 // Mutation operations for Engine.ApplyMutations.
 const (
-	// MutInsert adds a (From, To, Weight) edge.
+	// MutInsert adds a (From, To, Weight) edge: the pair's cost becomes
+	// Weight unless it already has a cheaper edge. A pair is one edge to
+	// every search, at its cheapest cost.
 	MutInsert = core.MutInsert
-	// MutDelete removes every (From, To) edge, parallel edges included.
+	// MutDelete removes the (From, To) edge.
 	MutDelete = core.MutDelete
-	// MutUpdate sets the cost of every (From, To) edge to Weight.
+	// MutUpdate sets the cost of the (From, To) edge to Weight.
 	MutUpdate = core.MutUpdate
 )
 
