@@ -798,6 +798,7 @@ func (sv *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			},
 			"pool": dbStats.Pool,
 			"io":   dbStats.IO,
+			"temp": dbStats.Temp,
 		},
 	}
 	if sv.shardStats != nil {

@@ -312,9 +312,18 @@ func TestStatsAndHealthz(t *testing.T) {
 			Entries int    `json:"entries"`
 		} `json:"plan_cache"`
 		Pool map[string]uint64 `json:"pool"`
+		Temp struct {
+			IO    map[string]uint64
+			Pages int
+		} `json:"temp"`
 	}
 	if err := json.Unmarshal(stats["db"], &db); err != nil {
 		t.Fatalf("db section: %v", err)
+	}
+	// A search's scratch set is a TEMPORARY table set: its pages are the
+	// temp space's.
+	if db.Temp.Pages == 0 || db.Temp.IO == nil {
+		t.Errorf("stats: db.temp %+v, want the scratch set's pages", db.Temp)
 	}
 	// Loading and searching return pages (DROP, truncation) and take them
 	// back; none is leaked, and every pin was released exactly once.

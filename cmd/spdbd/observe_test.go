@@ -78,6 +78,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`spdb_relation_pages_total{relation="TEdges",event="fetch"}`,
 		`spdb_relation_pages_total{relation="TOutSegs",event="miss"}`,
 		`# HELP spdb_disk_allocs_total Pages the file was extended by.`,
+		`spdb_temp_pages`,
+		`spdb_temp_disk_reads_total`,
+		`spdb_temp_disk_writes_total`,
 		`spdb_sql_statements_total`,
 		// Serving-tier families.
 		`spdb_http_requests_total 3`,

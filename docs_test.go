@@ -345,6 +345,7 @@ func declarations(t *testing.T, dir string) map[string]bool {
 // storage under each strategy read back from a catalog the declared DDL
 // ran against.
 func relationRows(t *testing.T) []string {
+	space := "database" // of the last table store created
 	store := func(rel sweep.Relation, s sweep.IndexStrategy) string {
 		db, err := rdb.Open(rdb.Options{})
 		if err != nil {
@@ -360,6 +361,9 @@ func relationRows(t *testing.T) []string {
 			t.Fatal(err)
 		}
 		tbl, _ := db.Catalog().Get(rel.Name)
+		if space = "database"; tbl.Temp() {
+			space = "temp"
+		}
 		on := func(ix *table.Index) string {
 			cols := make([]string, len(ix.Cols))
 			for i, c := range ix.Cols {
@@ -392,8 +396,9 @@ func relationRows(t *testing.T) []string {
 		if rel.BelowMerge {
 			owner += ", below the MERGE level"
 		}
-		rows = append(rows, fmt.Sprintf("| `%s` | %s | %s | %s | %s | %s | %s | %s |", rel.Name, rel.Cols, key,
-			store(rel, sweep.ClusteredIndex), store(rel, sweep.SecondaryIndex), store(rel, sweep.NoIndex), owner, snap))
+		clu, sec, none := store(rel, sweep.ClusteredIndex), store(rel, sweep.SecondaryIndex), store(rel, sweep.NoIndex)
+		rows = append(rows, fmt.Sprintf("| `%s` | %s | %s | %s | %s | %s | %s | %s | %s |", rel.Name, rel.Cols, key,
+			clu, sec, none, space, owner, snap))
 	}
 	return rows
 }

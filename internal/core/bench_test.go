@@ -90,9 +90,10 @@ func TestWarmQueryAllocs(t *testing.T) {
 // BenchmarkColdBSEGQuery is one BSEG search per iteration in cold_bseg's
 // shape, the paper's disk regime (§5, Fig 8(b) / 9(g)), scaled down: a
 // file-backed database of graph.Power(8000,3,2011) with its SegTable at
-// lthd 20 (~340 pages), a 17-page buffer pool (about a twentieth of the
-// file) and the path cache off. Every query misses, evicts and writes
-// scratch pages back, so B/op and allocs/op include what the pool's misses
+// lthd 20 (~290 pages since scratch moved to the temp space, ~340 before),
+// a 17-page buffer pool (about a twentieth of the file) and the path cache
+// off. Every query misses, evicts and writes scratch pages back to the
+// temp space, so B/op and allocs/op include what the pool's misses
 // allocate; misses/op counts its physical reads, pages/op every fetch.
 func BenchmarkColdBSEGQuery(b *testing.B) {
 	const poolPages = 17
@@ -242,8 +243,9 @@ func BenchmarkSegTableBuild(b *testing.B) {
 // and the sweep runs in batches of sources that fit it (batches/op, their
 // rounds summed in rounds/op), so misses/op (physical reads) is what a working set inside
 // the pool and an access path that follows the clustering save; pages/op
-// counts every fetch, and file_pages/op is the file's page count after the
-// build, the peak the build's working set and unpacked leaves left.
+// counts every fetch, file_pages/op is the file's page count after the
+// build, the peak the segment tables' unpacked leaves left, and
+// temp_pages/op the temp space's, the peak of the build's working set.
 func BenchmarkColdSegTableBuild(b *testing.B) {
 	const poolPages = 17
 	g := graph.Power(8000, 3, 2011)
@@ -276,6 +278,7 @@ func BenchmarkColdSegTableBuild(b *testing.B) {
 	b.ReportMetric(float64(batches)/float64(b.N), "batches/op")
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 	b.ReportMetric(float64(e.db.Pool().Disk().NumPages()), "file_pages/op")
+	b.ReportMetric(float64(e.db.Stats().Temp.Pages), "temp_pages/op")
 	b.ReportMetric(float64(after.Hits+after.Misses-pool.Hits-pool.Misses)/float64(b.N), "pages/op")
 	b.ReportMetric(float64(after.Misses-pool.Misses)/float64(b.N), "misses/op")
 }

@@ -534,5 +534,5 @@ func (e *Engine) repairTouched(ctx context.Context, qs *QueryStats) (int64, erro
 	if err := e.foldEdges(ctx, qs, tblMutTouch); err != nil {
 		return 0, err
 	}
-	return repaired, nil
+	return repaired, e.sweeper(qs).Clear()
 }

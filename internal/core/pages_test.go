@@ -18,17 +18,21 @@ import (
 )
 
 // TestPagesStayFlat: a served engine that repeats the same work must stop
-// growing its database file. Each round reloads the graph (DROP of every
+// growing its database file, and the temp space's tables must stop
+// growing. Each round reloads the graph (DROP of every
 // relation), runs four concurrent BSDJ searchers whose scratch sets are
 // dropped on release, rebuilds the SegTable and the oracle, answers BSDJ,
 // BSEG and ALT pairs, and applies a mutation batch that takes the rebuild
-// fallback. After the second round the file is at its high-water mark, and
-// after every round each page is in exactly one table or on the free list;
+// fallback. After the second round the file is at its high-water mark,
+// the temp space's tables hold as many pages as after every later round,
+// and after every round each page of either space is in exactly one table
+// of that space or on its free list;
 // no Unpin ever finds its page unpinned.
-// The searchers run before the builds on purpose: how many of their sets
-// are live at once depends on the scheduler, and with the index tables
-// still on the free list their peak stays below the builds' deterministic
-// one, so the high-water mark does not depend on it.
+// The searchers' scratch sets live in the temp space, so the file's
+// high-water mark is the load's and the builds' alone. The temp space's
+// own high-water mark is the searchers' peak, which depends on how many of
+// their sets the scheduler keeps live at once; the pages its tables hold
+// once every set is dropped do not.
 func TestPagesStayFlat(t *testing.T) {
 	g := graph.Power(600, 3, 7)
 	e := newTestEngine(t, g, rdb.Options{}, Options{CacheSize: -1})
@@ -44,7 +48,7 @@ func TestPagesStayFlat(t *testing.T) {
 		}
 		return nil
 	}
-	var pages [6]int
+	var pages, temp [6]int
 	for round := 1; round <= 5; round++ {
 		if err := e.LoadGraph(g); err != nil {
 			t.Fatal(err)
@@ -92,15 +96,112 @@ func TestPagesStayFlat(t *testing.T) {
 		if err := e.DB().CheckPages(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		pages[round] = e.DB().Pool().Disk().NumPages()
+		pages[round], temp[round] = e.DB().Pool().Disk().NumPages(), e.DB().Stats().Temp.Pages
+		for _, id := range e.DB().Pool().FreePages() {
+			if id.Temp() {
+				temp[round]--
+			}
+		}
 	}
 	if pages[2] != pages[5] {
 		t.Fatalf("the file kept growing: %d pages after round 2, %d after round 5 (per round: %v)", pages[2], pages[5], pages[1:])
 	}
+	if temp[2] != temp[5] {
+		t.Fatalf("the temp space's tables kept growing: %d pages in use after round 2, %d after round 5 (per round: %v)", temp[2], temp[5], temp[1:])
+	}
 	if st := e.DB().Stats().Pool; st.Recycled == 0 || st.Leaked != 0 || st.BadUnpins != 0 {
 		t.Fatalf("pool: %+v", st)
 	}
-	t.Logf("pages after each round: %v", pages[1:])
+	t.Logf("pages after each round: database %v, temp in use %v", pages[1:], temp[1:])
+}
+
+// TestScratchLeavesFileFlat: searches write only the temp space. On a
+// file-backed graph.Power(8000) with its SegTable and an isolated node,
+// behind a 64-page pool, a search to and one from the isolated node (an
+// exhaustive sweep each, every node in the working set) leave the
+// database file's page count as the load and build left it, at BSDJ and
+// at BSEG, while the temp space grows to hold the working set. (While
+// scratch shared the database file, the first such search grew the file
+// by the pages of its visited set, for good.)
+func TestScratchLeavesFileFlat(t *testing.T) {
+	base := graph.Power(8000, 3, 2011)
+	g, err := graph.New(base.N+1, base.Edges) // node base.N is isolated
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, g, rdb.Options{Path: filepath.Join(t.TempDir(), "flat.db"), BufferPoolPages: 64}, Options{CacheSize: -1})
+	if _, err := e.BuildSegTable(20); err != nil {
+		t.Fatal(err)
+	}
+	file, temp := e.DB().Pool().Disk().NumPages(), e.DB().Stats().Temp.Pages
+	isolated := int64(base.N)
+	for _, alg := range []Algorithm{AlgBSDJ, AlgBSEG} {
+		for _, p := range [][2]int64{{5, isolated}, {isolated, 5}} {
+			res, err := e.Query(context.Background(), QueryRequest{Source: p[0], Target: p[1], Alg: alg})
+			if err != nil || res.Found {
+				t.Fatalf("%v %v: found %v, %v", alg, p, res.Found, err)
+			}
+		}
+	}
+	if got := e.DB().Pool().Disk().NumPages(); got != file {
+		t.Errorf("searches to and from the isolated node grew the database file %d -> %d pages", file, got)
+	}
+	if got := e.DB().Stats().Temp.Pages; got <= temp {
+		t.Errorf("the temp space has %d pages, %d before the searches", got, temp)
+	}
+	if err := e.DB().CheckPages(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("database file %d pages; temp space %d -> %d pages", file, temp, e.DB().Stats().Temp.Pages)
+}
+
+// TestBuildsEmptyTheirWorkingSet: every build and the decremental repair
+// leave the sweep's working set (TSeg), its below-MERGE staging tables,
+// the degree ranking and the farthest-point state with no rows, at the
+// fused and the window-only SQL level.
+func TestBuildsEmptyTheirWorkingSet(t *testing.T) {
+	g := graph.Power(400, 3, 1)
+	for _, profile := range []rdb.Profile{rdb.ProfileDBMSX, rdb.ProfilePostgreSQL9} {
+		e := newTestEngine(t, g, rdb.Options{Profile: profile}, Options{})
+		empty := func(after string) {
+			t.Helper()
+			for _, name := range []string{TblSeg, "TSegExpand", "TSegExpCost", "TDeg", "TDegIn", "TLmkFar"} {
+				if tb, ok := e.DB().Catalog().Get(name); ok && tb.RowCount() != 0 {
+					t.Errorf("%s, after %s: %s holds %d rows", profile.Name, after, name, tb.RowCount())
+				}
+			}
+			if err := e.DB().CheckPages(); err != nil {
+				t.Fatalf("%s, after %s: %v", profile.Name, after, err)
+			}
+		}
+		if _, err := e.BuildSegTable(20); err != nil {
+			t.Fatal(err)
+		}
+		empty("BuildSegTable")
+		if _, err := e.BuildOracle(oracle.Config{K: 3, Strategy: oracle.Farthest}); err != nil {
+			t.Fatal(err)
+		}
+		empty("BuildOracle")
+		if _, err := e.BuildLabels(); err != nil {
+			t.Fatal(err)
+		}
+		empty("BuildLabels")
+		repaired := false
+		for _, ed := range g.Edges {
+			st, err := e.ApplyMutations([]Mutation{{Op: MutDelete, From: ed.From, To: ed.To}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Affected > 0 && !st.Rebuilt {
+				repaired = true
+				break
+			}
+		}
+		if !repaired {
+			t.Fatalf("%s: no delete took the scoped repair", profile.Name)
+		}
+		empty("a repair")
+	}
 }
 
 // TestRelationMisses runs in BenchmarkColdBSEGQuery's shape (a 17-page pool

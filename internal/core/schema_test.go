@@ -42,6 +42,9 @@ func describeCatalog(e *Engine) []string {
 			all[i] = i
 		}
 		line := tbl.Name + " " + cols(all)
+		if tbl.Temp() {
+			line += " temporary"
+		}
 		if clu := tbl.Clustered(); clu != nil {
 			line += " clustered " + index(clu)
 		} else {
@@ -57,14 +60,16 @@ func describeCatalog(e *Engine) []string {
 
 // TestGoldenSchema pins the physical design and the bytes it costs. Under
 // each strategy it loads one fixed graph, builds the SegTable, a
-// farthest-point oracle and the labels, and compares the database's
-// allocated page count — on the default profile and below the MERGE level —
+// farthest-point oracle and the labels, and compares the database file's
+// and the temp space's allocated page counts — on the default profile and
+// below the MERGE level —
 // with testdata/golden_schema.txt (pages re-recorded at PR 25, when DROP and
 // truncation began returning pages to the free list, the below-MERGE lines
 // again when the SegTable build began folding the edges before its sweep,
 // all of them when the stored tuple lost its NULL bitmap byte, and checked
 // with CheckPages; again when the unsuffixed scratch set went, and the
-// CluIndex ones when TEdges was keyed on its pair); then,
+// CluIndex ones when TEdges was keyed on its pair, and all of them when
+// the relations no snapshot dumps moved to the temp space); then,
 // below the MERGE level and after an insertion, a deletion and one query,
 // where every relation the engine ever creates exists, what db.Catalog()
 // reports of each one, the pooled scratch set included. The file was
@@ -89,7 +94,7 @@ func TestGoldenSchema(t *testing.T) {
 			if err := e.DB().CheckPages(); err != nil {
 				t.Fatalf("%v, %s: %v", strategy, profile.Name, err)
 			}
-			got = append(got, fmt.Sprintf("pages %s %d", profile.Name, e.DB().Pool().Disk().NumPages()))
+			got = append(got, fmt.Sprintf("pages %s %d temp %d", profile.Name, e.DB().Pool().Disk().NumPages(), e.DB().Stats().Temp.Pages))
 			if profile.SupportsMerge {
 				continue
 			}

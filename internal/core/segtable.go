@@ -259,7 +259,7 @@ func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64) (itera
 	if err := e.db.Pack(TblInSegs, 0, int64(n)); err != nil {
 		return 0, nil, err
 	}
-	return iterations, batches, nil
+	return iterations, batches, sw.Clear()
 }
 
 // foldEdges merges the original edges into both segment tables

@@ -10,7 +10,8 @@ import (
 
 // ExecCreateTable creates a table; a PRIMARY KEY column becomes a unique
 // clustered index on that column (the physical design the paper assumes for
-// TVisited(nid) under its "CluIndex" strategy).
+// TVisited(nid) under its "CluIndex" strategy), and a TEMPORARY table keeps
+// its pages in the temp space.
 func (p *Planner) ExecCreateTable(st *sql.CreateTableStmt) error {
 	cols := make([]record.Column, len(st.Cols))
 	var pk []int
@@ -24,7 +25,7 @@ func (p *Planner) ExecCreateTable(st *sql.CreateTableStmt) error {
 	if err != nil {
 		return err
 	}
-	opts := table.Options{}
+	opts := table.Options{Temp: st.Temporary}
 	if len(pk) > 0 {
 		opts.ClusterOn = pk
 		opts.ClusterUnique = true
@@ -68,7 +69,7 @@ func (p *Planner) clusterize(t *table.Table, cols []int, unique bool) error {
 	if err := p.cat.Drop(t.Name); err != nil {
 		return err
 	}
-	nt, err := p.cat.Create(t.Name, t.Schema, table.Options{ClusterOn: cols, ClusterUnique: unique})
+	nt, err := p.cat.Create(t.Name, t.Schema, table.Options{ClusterOn: cols, ClusterUnique: unique, Temp: t.Temp()})
 	if err != nil {
 		return err
 	}

@@ -88,6 +88,9 @@ func build(ctx context.Context, r *sweep.Runner) (*Labels, *BuildStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := r.Clear(); err != nil {
+		return nil, nil, err
+	}
 	st.RowsOut = int(rowsOut)
 	st.RowsIn = int(rowsIn)
 	st.Statements = r.Statements()

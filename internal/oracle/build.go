@@ -121,6 +121,9 @@ func build(ctx context.Context, r *sweep.Runner, p Config) (*Oracle, *BuildStats
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := r.Clear(TblFar); err != nil {
+		return nil, nil, err
+	}
 	st.Landmarks = landmarks
 	st.Rows = int(rows)
 	st.Statements = r.Statements()

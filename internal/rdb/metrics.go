@@ -94,11 +94,15 @@ func (db *DB) CollectMetrics(x *obs.Exporter) {
 	x.Counter("spdb_bufferpool_recycled_total",
 		"New pages served from the free list instead of extending the file.", float64(st.Pool.Recycled))
 
-	x.Counter("spdb_disk_reads_total", "Physical page reads.", float64(st.IO.Reads))
-	x.Counter("spdb_disk_writes_total", "Physical page writes.", float64(st.IO.Writes))
+	x.Counter("spdb_disk_reads_total", "Physical page reads of the database file.", float64(st.IO.Reads))
+	x.Counter("spdb_disk_writes_total", "Physical page writes of the database file.", float64(st.IO.Writes))
 	x.Counter("spdb_disk_allocs_total", "Pages the file was extended by.", float64(st.IO.Allocs))
 	x.Counter("spdb_disk_read_delay_seconds_total",
 		"Simulated I/O latency charged to reads.", st.IO.ReadDelay.Seconds())
 	x.Counter("spdb_disk_write_delay_seconds_total",
 		"Simulated I/O latency charged to writes.", st.IO.WriteDelay.Seconds())
+
+	x.Gauge("spdb_temp_pages", "Pages the temp space (TEMPORARY tables) has allocated.", float64(st.Temp.Pages))
+	x.Counter("spdb_temp_disk_reads_total", "Physical page reads of the temp space.", float64(st.Temp.IO.Reads))
+	x.Counter("spdb_temp_disk_writes_total", "Physical page writes of the temp space.", float64(st.Temp.IO.Writes))
 }

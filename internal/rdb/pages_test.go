@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // fillValues renders one multi-row INSERT of n rows (id 0..n-1, v = tag),
@@ -158,5 +160,120 @@ func TestCheckPagesReports(t *testing.T) {
 	db.Pool().Free(tb.Pages()[0])
 	if err := db.CheckPages(); err == nil || !strings.Contains(err.Error(), "in both") {
 		t.Fatalf("a page owned twice: %v", err)
+	}
+}
+
+// TestTemporaryTable: a TEMPORARY table, its indexes included, takes its
+// pages from the temp space and never from the database file; its
+// transfers are counted in Stats.Temp, not Stats.IO; DROP hands its pages
+// to the temp space's free list, from which the next temporary table
+// takes them, and a durable table does not.
+func TestTemporaryTable(t *testing.T) {
+	db := openDB(t, Options{BufferPoolPages: 8})
+	mustExec(t, db, "CREATE TABLE d (id INT PRIMARY KEY, v INT)")
+	if err := db.Pool().FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	writes := db.Stats().IO.Writes
+	mustExec(t, db, "CREATE TEMPORARY TABLE s (id INT, v INT)")
+	mustExec(t, db, "CREATE UNIQUE CLUSTERED INDEX s_id ON s (id)")
+	mustExec(t, db, "CREATE INDEX s_v ON s (v)")
+	mustExec(t, db, fillValues("s", 3000, 5))
+	file := db.Pool().Disk().NumPages()
+	tb, _ := db.Catalog().Get("s")
+	if !tb.Temp() || tb.Clustered() == nil || len(tb.Secondary) != 1 {
+		t.Fatalf("s: temp %v, clustered %v, %d secondary indexes", tb.Temp(), tb.Clustered() != nil, len(tb.Secondary))
+	}
+	for _, id := range tb.Pages() {
+		if !id.Temp() {
+			t.Fatalf("the temporary table holds database page %d", id)
+		}
+	}
+	st := db.Stats()
+	if st.Temp.Pages != len(tb.Pages()) || st.Temp.IO.Writes == 0 || st.IO.Writes != writes {
+		t.Fatalf("%d temp pages for a %d-page table, %d temp writes, %d database writes",
+			st.Temp.Pages, len(tb.Pages()), st.Temp.IO.Writes, st.IO.Writes-writes)
+	}
+	mustCheckPages(t, db, "after fill")
+	if n, _, err := db.QueryInt("SELECT COUNT(*) FROM s WHERE v = 5"); err != nil || n != 3000 {
+		t.Fatalf("count %d, %v", n, err)
+	}
+
+	mustExec(t, db, "DROP TABLE s")
+	mustExec(t, db, fillValues("d", 3000, 1))
+	if got := db.Stats().Temp.Pages; got != st.Temp.Pages {
+		t.Fatalf("the temp space went from %d to %d pages", st.Temp.Pages, got)
+	}
+	if db.Pool().Disk().NumPages() == file {
+		t.Fatal("the durable table took the temp space's freed pages")
+	}
+	mustExec(t, db, "CREATE TEMPORARY TABLE s (id INT PRIMARY KEY, v INT)")
+	mustExec(t, db, fillValues("s", 3000, 6))
+	if got := db.Stats().Temp.Pages; got != st.Temp.Pages {
+		t.Fatalf("refilling from freed temp pages grew the temp space %d -> %d", st.Temp.Pages, got)
+	}
+	mustCheckPages(t, db, "after refill")
+}
+
+// TestCheckPagesReportsTemp: CheckPages reports a temp page in no table
+// and not free, and one both in a temporary table and on the free list.
+func TestCheckPagesReportsTemp(t *testing.T) {
+	db := openDB(t, Options{})
+	mustExec(t, db, "CREATE TEMPORARY TABLE s (id INT PRIMARY KEY, v INT)")
+	mustCheckPages(t, db, "fresh table")
+	pg, err := db.Pool().NewPageFor(db.Pool().Owner("s").InTemp())
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan := pg.ID()
+	db.Pool().Unpin(pg, true)
+	if err := db.CheckPages(); err == nil || !strings.Contains(err.Error(), "temp pages in no table and not free") {
+		t.Fatalf("an orphan temp page: %v", err)
+	}
+	db.Pool().Free(orphan)
+	mustCheckPages(t, db, "orphan freed")
+	tb, _ := db.Catalog().Get("s")
+	db.Pool().Free(tb.Pages()[0])
+	if err := db.CheckPages(); err == nil || !strings.Contains(err.Error(), "temp page 0 is in both") {
+		t.Fatalf("a temp page owned twice: %v", err)
+	}
+}
+
+// TestCheckPagesClauses feeds the checker hand-made page lists, one broken
+// clause each: a durable table holding a temp page and a temporary one a
+// database page, a page past its space's end, and a page of either space
+// owned twice or by no one. The same page number in both spaces is no
+// conflict.
+func TestCheckPagesClauses(t *testing.T) {
+	const tmp = storage.TempBit
+	sizes := [2]int{2, 2}
+	ok := []pageList{{name: "d", ids: []storage.PageID{0, 1}}, {name: "s", temp: true, ids: []storage.PageID{tmp | 0}}}
+	if err := checkPages(ok, []storage.PageID{tmp | 1}, sizes); err != nil {
+		t.Fatalf("a sound listing: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		tables []pageList
+		free   []storage.PageID
+		want   string
+	}{
+		{"durable holds temp", []pageList{{name: "d", ids: []storage.PageID{0, 1, tmp | 0}}}, []storage.PageID{tmp | 1},
+			"durable table d holds temp page"},
+		{"temporary holds database", []pageList{{name: "s", temp: true, ids: []storage.PageID{tmp | 0, tmp | 1, 0}}}, []storage.PageID{1},
+			"temporary table s holds database page"},
+		{"past the end", []pageList{{name: "s", temp: true, ids: []storage.PageID{tmp | 2}}}, nil,
+			"s holds page 2 of a 2-page temp space"},
+		{"database page twice", []pageList{{name: "d", ids: []storage.PageID{0, 1}}}, []storage.PageID{1},
+			"database page 1 is in both"},
+		{"temp page twice", []pageList{{name: "s", temp: true, ids: []storage.PageID{tmp | 0, tmp | 1}}, {name: "d", ids: []storage.PageID{0, 1}}},
+			[]storage.PageID{tmp | 1}, "temp page 1 is in both"},
+		{"database page leaked", []pageList{{name: "d", ids: []storage.PageID{0}}}, []storage.PageID{tmp | 0, tmp | 1},
+			"1 of 2 database pages in no table and not free: [1]"},
+		{"temp page leaked", []pageList{{name: "d", ids: []storage.PageID{0, 1}}}, []storage.PageID{tmp | 1},
+			"1 of 2 temp pages in no table and not free: [0]"},
+	} {
+		if err := checkPages(tc.tables, tc.free, sizes); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -55,6 +55,8 @@ var ProfileSQL92 = Profile{Name: "SQL92"}
 // Options configures an engine instance.
 type Options struct {
 	// Path locates the backing file; empty means an in-memory page store.
+	// The temp space (TEMPORARY tables) lives in an unlinked file beside
+	// it, or in memory when it is empty.
 	Path string
 	// BufferPoolPages bounds the cache (default 4096 pages = 32 MiB).
 	BufferPoolPages int
@@ -99,7 +101,17 @@ type Stats struct {
 	// its indexes included. A name counts from the first table created
 	// under it and keeps counting across a drop and re-create.
 	Relations map[string]storage.PageCounts
-	IO        storage.IOStats
+	// IO is the database file's disk manager's; Temp the temp space's.
+	IO   storage.IOStats
+	Temp TempStats
+}
+
+// TempStats describes the temp space, where TEMPORARY tables keep their
+// pages: its disk manager's transfers and the pages it has allocated (its
+// high-water mark; freed ones go on its own free list).
+type TempStats struct {
+	IO    storage.IOStats
+	Pages int
 }
 
 // DB is one embedded database instance. Queries and DML run concurrently
@@ -107,7 +119,8 @@ type Stats struct {
 // plan's table-lock set; DDL is exclusive.
 type DB struct {
 	mu      sync.RWMutex
-	disk    storage.DiskManager
+	disk    storage.DiskManager // the database file
+	temp    storage.DiskManager // the temp space
 	pool    *storage.BufferPool
 	cat     *table.Catalog
 	planner *exec.Planner
@@ -147,20 +160,27 @@ func Open(opts Options) (*DB, error) {
 	if opts.Profile.Name == "" {
 		opts.Profile = ProfileDBMSX
 	}
-	var disk storage.DiskManager
-	var err error
+	var disk, temp storage.DiskManager
 	if opts.Path == "" {
 		disk = storage.NewMemDiskManager(opts.SimulatedIOLatency)
+		temp = storage.NewMemDiskManager(opts.SimulatedIOLatency)
 	} else {
-		disk, err = storage.NewFileDiskManager(opts.Path, opts.SimulatedIOLatency)
+		fd, err := storage.NewFileDiskManager(opts.Path, opts.SimulatedIOLatency)
 		if err != nil {
 			return nil, err
 		}
+		ft, err := storage.NewSpillDiskManager(opts.Path+".temp", opts.SimulatedIOLatency)
+		if err != nil {
+			fd.Close()
+			return nil, err
+		}
+		disk, temp = fd, ft
 	}
-	pool := storage.NewBufferPool(disk, opts.BufferPoolPages)
+	pool := storage.NewBufferPoolWithTemp(disk, temp, opts.BufferPoolPages)
 	cat := table.NewCatalog(pool)
 	db := &DB{
 		disk:    disk,
+		temp:    temp,
 		pool:    pool,
 		cat:     cat,
 		planner: exec.NewPlanner(cat),
@@ -182,13 +202,20 @@ func (db *DB) Close() error {
 	if err := db.pool.FlushAll(); err != nil {
 		return err
 	}
-	return db.disk.Close()
+	terr := db.temp.Close()
+	if err := db.disk.Close(); err != nil {
+		return err
+	}
+	return terr
 }
 
 // SetSimulatedIOLatency changes the per-page-transfer simulated latency at
 // runtime. Benchmarks open with zero latency for the load/index phase and
 // arm the seek cost only for the measured phase.
-func (db *DB) SetSimulatedIOLatency(lat time.Duration) { db.disk.SetLatency(lat) }
+func (db *DB) SetSimulatedIOLatency(lat time.Duration) {
+	db.disk.SetLatency(lat)
+	db.temp.SetLatency(lat)
+}
 
 // Profile returns the engine's feature profile.
 func (db *DB) Profile() Profile { return db.profile }
@@ -216,41 +243,85 @@ func (db *DB) Stats() Stats {
 		Pool:                   db.pool.Stats(),
 		Relations:              db.pool.OwnerStats(),
 		IO:                     db.disk.Stats(),
+		Temp:                   TempStats{IO: db.temp.Stats(), Pages: db.temp.NumPages()},
 	}
 }
 
-// CheckPages verifies the page invariant under the exclusive latch: every
-// id in [0, NumPages) is in exactly one live table's page list or on the
-// buffer pool's free list. It reports an id owned twice, or the ids nothing
-// owns (leaked by a Free that found the page held, or abandoned).
+// CheckPages verifies the page invariant under the exclusive latch, in each
+// of the two page spaces: every id in [0, NumPages) of the database file
+// or of the temp space is in exactly one live table's page list of that
+// space or on that space's free list, and a table's pages are all in its
+// space (a durable table holds no temp page, a TEMPORARY one no database
+// page). It reports a page in the wrong space, one owned twice, or the
+// pages nothing owns (leaked by a Free that found the page held, or
+// abandoned).
 func (db *DB) CheckPages() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	lists := map[string][]storage.PageID{"the free list": db.pool.FreePages()}
+	var tables []pageList
 	for _, name := range db.cat.Names() {
 		t, _ := db.cat.Get(name)
-		lists[name] = t.Pages()
+		tables = append(tables, pageList{name: name, temp: t.Temp(), ids: t.Pages()})
 	}
-	owner := make([]string, db.disk.NumPages())
-	for who, ids := range lists {
-		for _, id := range ids {
-			switch {
-			case int(id) >= len(owner):
-				return fmt.Errorf("rdb: %s holds page %d of a %d-page file", who, id, len(owner))
-			case owner[id] != "":
-				return fmt.Errorf("rdb: page %d is in both %s and %s", id, owner[id], who)
+	return checkPages(tables, db.pool.FreePages(), [2]int{db.disk.NumPages(), db.temp.NumPages()})
+}
+
+// pageList is the pages one table holds, and the space it belongs in.
+type pageList struct {
+	name string
+	temp bool
+	ids  []storage.PageID
+}
+
+// checkPages is CheckPages over the tables' page lists, the ids on the
+// free lists and each space's page count (the database's, then the temp
+// space's).
+func checkPages(tables []pageList, free []storage.PageID, sizes [2]int) error {
+	spaces := [2]string{"database", "temp"}
+	owner := [2][]string{make([]string, sizes[0]), make([]string, sizes[1])}
+	own := func(who string, id storage.PageID) error {
+		sp, n := 0, id
+		if id.Temp() {
+			sp, n = 1, id&^storage.TempBit
+		}
+		switch {
+		case int(n) >= len(owner[sp]):
+			return fmt.Errorf("rdb: %s holds page %d of a %d-page %s space", who, n, len(owner[sp]), spaces[sp])
+		case owner[sp][n] != "":
+			return fmt.Errorf("rdb: %s page %d is in both %s and %s", spaces[sp], n, owner[sp][n], who)
+		}
+		owner[sp][n] = who
+		return nil
+	}
+	for _, id := range free {
+		if err := own("the free list", id); err != nil {
+			return err
+		}
+	}
+	for _, t := range tables {
+		for _, id := range t.ids {
+			if id.Temp() != t.temp {
+				kind, space := "durable", "temp"
+				if t.temp {
+					kind, space = "temporary", "database"
+				}
+				return fmt.Errorf("rdb: %s table %s holds %s page %#x", kind, t.name, space, id)
 			}
-			owner[id] = who
+			if err := own(t.name, id); err != nil {
+				return err
+			}
 		}
 	}
-	var leaked []int
-	for id, who := range owner {
-		if who == "" {
-			leaked = append(leaked, id)
+	for sp, owner := range owner {
+		var leaked []int
+		for id, who := range owner {
+			if who == "" {
+				leaked = append(leaked, id)
+			}
 		}
-	}
-	if len(leaked) > 0 {
-		return fmt.Errorf("rdb: %d of %d pages in no table and not free: %v", len(leaked), len(owner), leaked)
+		if len(leaked) > 0 {
+			return fmt.Errorf("rdb: %d of %d %s pages in no table and not free: %v", len(leaked), len(owner), spaces[sp], leaked)
+		}
 	}
 	return nil
 }
@@ -422,6 +493,32 @@ func (db *DB) Pack(name string, lo, hi int64) error {
 	l.Lock()
 	defer l.Unlock()
 	return t.Pack(lo, hi)
+}
+
+// Truncate empties the tables names (table.Table.Truncate), holding each
+// as a statement that writes it does: every structure keeps its first page
+// and returns the rest to its space's free list. Like Pack it counts as no
+// statement; an index build calls it on its working set before it returns.
+func (db *DB) Truncate(names ...string) error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.closed {
+		return fmt.Errorf("rdb: database is closed")
+	}
+	for _, name := range names {
+		t, ok := db.cat.Get(name)
+		if !ok {
+			return fmt.Errorf("rdb: no table %q", name)
+		}
+		l := db.tableLock(strings.ToLower(name))
+		l.Lock()
+		err := t.Truncate()
+		l.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // execDDL dispatches a schema statement; callers hold the exclusive latch

@@ -20,10 +20,13 @@ type ColumnDef struct {
 }
 
 // CreateTableStmt creates a table. A PRIMARY KEY column becomes a unique
-// clustered index on that column.
+// clustered index on that column. A TEMPORARY table lives as long as any
+// other, until a DROP, but keeps its pages in the temp space, apart from
+// the database file.
 type CreateTableStmt struct {
-	Name string
-	Cols []ColumnDef
+	Name      string
+	Temporary bool
+	Cols      []ColumnDef
 }
 
 // CreateIndexStmt creates an index. CLUSTERED is only valid on an empty

@@ -371,8 +371,14 @@ func (p *Parser) parseCreate() (Statement, error) {
 	if err := p.expectKeywords("CREATE"); err != nil {
 		return nil, err
 	}
+	if p.acceptKeyword("TEMPORARY") {
+		if err := p.expectKeywords("TABLE"); err != nil {
+			return nil, err
+		}
+		return p.parseCreateTable(true)
+	}
 	if p.acceptKeyword("TABLE") {
-		return p.parseCreateTable()
+		return p.parseCreateTable(false)
 	}
 	st := &CreateIndexStmt{Unique: p.acceptKeyword("UNIQUE"), Clustered: p.acceptKeyword("CLUSTERED")}
 	if !p.acceptKeyword("INDEX") {
@@ -392,7 +398,7 @@ func (p *Parser) parseCreate() (Statement, error) {
 	return st, err
 }
 
-func (p *Parser) parseCreateTable() (Statement, error) {
+func (p *Parser) parseCreateTable(temp bool) (Statement, error) {
 	name, err := p.expectIdent()
 	if err != nil {
 		return nil, err
@@ -400,7 +406,7 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 	if err := p.expectSymbol("("); err != nil {
 		return nil, err
 	}
-	st := &CreateTableStmt{Name: name}
+	st := &CreateTableStmt{Name: name, Temporary: temp}
 	for {
 		cn, err := p.expectIdent()
 		if err != nil {

@@ -292,8 +292,20 @@ func TestParseCreate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := st.(*CreateTableStmt)
-	if len(ct.Cols) != 4 || !ct.Cols[0].PrimaryKey || ct.Cols[1].PrimaryKey || ct.Cols[3].Type != record.TInt {
+	if len(ct.Cols) != 4 || !ct.Cols[0].PrimaryKey || ct.Cols[1].PrimaryKey || ct.Cols[3].Type != record.TInt || ct.Temporary {
 		t.Fatalf("create table: %+v", ct)
+	}
+	st, err = Parse("CREATE TEMPORARY TABLE w (src INT, nid INT)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := st.(*CreateTableStmt); !ct.Temporary || ct.Name != "w" || len(ct.Cols) != 2 {
+		t.Fatalf("create temporary table: %+v", ct)
+	}
+	for _, bad := range []string{"CREATE TEMPORARY INDEX ix ON t (a)", "CREATE TEMPORARY w (a INT)"} {
+		if _, err := Parse(bad); err == nil || !strings.Contains(err.Error(), "TABLE") {
+			t.Errorf("%s: %v, want an error naming TABLE", bad, err)
+		}
 	}
 	st, err = Parse("CREATE UNIQUE CLUSTERED INDEX ix ON t (a, b)")
 	if err != nil {

@@ -47,6 +47,7 @@ var keywords = map[string]bool{
 	"DROP": true, "ON": true, "MERGE": true, "USING": true,
 	"WHEN": true, "MATCHED": true, "THEN": true, "OVER": true,
 	"PARTITION": true, "INT": true, "PRIMARY": true, "KEY": true,
+	"TEMPORARY": true,
 }
 
 // Lexer tokenizes a SQL string.

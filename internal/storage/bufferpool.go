@@ -10,7 +10,8 @@ import (
 // counts fetches that parked on a write-back fence — a victim's dirty flush
 // still in flight when its page was wanted back — which is the pool-level
 // signal that the working set is thrashing across eviction. Free counts ids
-// on the free list and Recycled those NewPage took from it (pool-wide only);
+// on the free lists and Recycled those NewPage took from them (pool-wide
+// only, both spaces summed);
 // Leaked counts ids Free refused (see Free), BadUnpins Unpins that found no
 // pin to release (see Unpin).
 type PoolStats struct {
@@ -26,8 +27,20 @@ type PoolStats struct {
 }
 
 // Owner is the small id a pool charges a page's traffic to: one per
-// relation name (BufferPool.Owner), 0 for a page no relation took.
+// relation name (BufferPool.Owner), 0 for a page no relation took. Its top
+// bit (InTemp) places the pages NewPageFor allocates in the temp space;
+// the name's traffic is counted in one place whatever the space.
 type Owner uint32
+
+// tempOwner is Owner's space bit.
+const tempOwner Owner = 1 << 31
+
+// InTemp returns o with the pages NewPageFor allocates for it in the temp
+// space.
+func (o Owner) InTemp() Owner { return o | tempOwner }
+
+// IsTemp reports whether o's pages are allocated in the temp space.
+func (o Owner) IsTemp() bool { return o&tempOwner != 0 }
 
 // PageCounts is the page traffic charged to one owner: Fetch calls (hits
 // and misses), the misses among them, and write-backs of its dirty pages.
@@ -51,19 +64,26 @@ const minFramesPerShard = 64
 // the engine flows through a pool, which is what makes the paper's
 // buffer-size experiments (Fig 8(b), 9(g)) meaningful.
 //
+// A pool serves two page spaces with one frame budget and one clock: the
+// database's (Disk), whose page n has id n, and the temp space (TempDisk),
+// whose page n has id TempBit|n and which holds the pages of the owners
+// marked InTemp — scratch relations, which nothing dumps or reopens. Each
+// space has its own free list, so an id never crosses between them, and
+// every read and write-back goes to the disk manager of its id's space.
+//
 // The pool is sharded by page id: each shard owns its own latch, frame
 // array and clock hand, so concurrent read sessions fetching disjoint pages
 // do not contend on a single mutex. Small pools (under 128 frames) keep a
 // single shard, preserving the exact pin-capacity semantics the unit tests
 // and the paper's tiny buffer-sweep configurations rely on.
 type BufferPool struct {
-	disk   DiskManager
 	shards []*poolShard
-	// The free list (see Free) and its ids as a set; freeMu nests in a latch.
-	freeMu   sync.Mutex
-	free     []PageID
-	listed   map[PageID]struct{}
-	recycled uint64
+	// The two spaces, database first; their free lists (see Free) and
+	// the ids on either as a set are guarded by freeMu, which nests in a
+	// latch.
+	freeMu sync.Mutex
+	spaces [2]pageSpace
+	listed map[PageID]struct{}
 	// The owners' names, by id (names[0] is no owner's); latches nest in
 	// ownerMu.
 	ownerMu sync.Mutex
@@ -73,10 +93,18 @@ type BufferPool struct {
 	missHook func(PageID)
 }
 
+// pageSpace is one space's disk manager, its free list (ids as the pool
+// names them) and the count of ids NewPage took from that list.
+type pageSpace struct {
+	disk     DiskManager
+	free     []PageID
+	recycled uint64
+}
+
 // poolShard is one latch domain of the pool.
 type poolShard struct {
 	mu     sync.Mutex
-	disk   DiskManager
+	disks  [2]DiskManager // the pool's spaces' disk managers, database first
 	frames []*Page
 	table  map[PageID]int // pageID -> frame index
 	hand   int            // clock hand
@@ -86,12 +114,13 @@ type poolShard struct {
 	// NewPage to take over (takeLocked) instead of allocating one.
 	spare []*Page
 
-	// owners holds the owner of each of the shard's page ids, the id's
-	// slot its quotient by the shard count (stride); charged holds the
-	// traffic of each owner, by its id. A resident page carries its owner
-	// (Page.owner), so a hit indexes charged and looks nothing up.
+	// owners holds the owner of each of the shard's page ids, by space,
+	// the id's slot its page number's quotient by the shard count (stride);
+	// charged holds the traffic of each owner, by its id. A resident page
+	// carries its owner (Page.owner), so a hit indexes charged and looks
+	// nothing up. Neither holds the space bit of an Owner.
 	stride  int
-	owners  []Owner
+	owners  [2][]Owner
 	charged []PageCounts
 
 	// flushing fences dirty victims whose write-back is still in flight:
@@ -104,8 +133,15 @@ type poolShard struct {
 	flushing map[PageID]chan struct{}
 }
 
-// NewBufferPool creates a pool of capacity pages (at least 8) over disk.
+// NewBufferPool creates a pool of capacity pages (at least 8) over disk,
+// its temp space in memory.
 func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
+	return NewBufferPoolWithTemp(disk, NewMemDiskManager(0), capacity)
+}
+
+// NewBufferPoolWithTemp creates a pool of capacity pages (at least 8) over
+// disk, its temp space on temp.
+func NewBufferPoolWithTemp(disk, temp DiskManager, capacity int) *BufferPool {
 	if capacity < 8 {
 		capacity = 8
 	}
@@ -116,8 +152,9 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 	if nshards < 1 {
 		nshards = 1
 	}
-	bp := &BufferPool{disk: disk, shards: make([]*poolShard, nshards), listed: make(map[PageID]struct{}),
+	bp := &BufferPool{shards: make([]*poolShard, nshards), listed: make(map[PageID]struct{}),
 		names: []string{""}, ids: map[string]Owner{}}
+	bp.spaces[0].disk, bp.spaces[1].disk = disk, temp
 	base, rem := capacity/nshards, capacity%nshards
 	for i := range bp.shards {
 		n := base
@@ -125,7 +162,7 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 			n++
 		}
 		bp.shards[i] = &poolShard{
-			disk:     disk,
+			disks:    [2]DiskManager{disk, temp},
 			frames:   make([]*Page, n),
 			table:    make(map[PageID]int, n),
 			flushing: make(map[PageID]chan struct{}),
@@ -181,29 +218,40 @@ func (bp *BufferPool) OwnerStats() map[string]PageCounts {
 // misses without the owner counters. Set it while no Fetch runs.
 func (bp *BufferPool) SetMissHook(f func(PageID)) { bp.missHook = f }
 
-// ownLocked charges id to o from now on.
+// ownLocked charges id to o (no space bit) from now on.
 func (sh *poolShard) ownLocked(id PageID, o Owner) {
-	slot := int(id) / sh.stride
-	if slot >= len(sh.owners) {
+	sp, n := id.space()
+	owners := sh.owners[sp]
+	slot := int(n) / sh.stride
+	if slot >= len(owners) {
 		if o == 0 {
 			return
 		}
-		sh.owners = append(sh.owners, make([]Owner, slot+1-len(sh.owners))...)
+		owners = append(owners, make([]Owner, slot+1-len(owners))...)
+		sh.owners[sp] = owners
 	}
-	sh.owners[slot] = o
+	owners[slot] = o
 }
 
 // ownerLocked returns the owner id is charged to.
 func (sh *poolShard) ownerLocked(id PageID) Owner {
-	if slot := int(id) / sh.stride; slot < len(sh.owners) {
-		return sh.owners[slot]
+	sp, n := id.space()
+	if slot := int(n) / sh.stride; slot < len(sh.owners[sp]) {
+		return sh.owners[sp][slot]
 	}
 	return 0
 }
 
-// shardFor maps a page id to its latch domain.
+// write writes pg back to its space's disk manager.
+func (sh *poolShard) write(pg *Page) error {
+	sp, n := pg.id.space()
+	return sh.disks[sp].WritePage(n, pg.Data[:])
+}
+
+// shardFor maps a page id to its latch domain, by its number in its space.
 func (bp *BufferPool) shardFor(id PageID) *poolShard {
-	return bp.shards[int(id)%len(bp.shards)]
+	_, n := id.space()
+	return bp.shards[int(n)%len(bp.shards)]
 }
 
 // Capacity returns the total number of frames across all shards.
@@ -218,8 +266,11 @@ func (bp *BufferPool) Capacity() int {
 // Shards returns the number of latch domains (1 for small pools).
 func (bp *BufferPool) Shards() int { return len(bp.shards) }
 
-// Disk exposes the underlying disk manager (for stats).
-func (bp *BufferPool) Disk() DiskManager { return bp.disk }
+// Disk exposes the database's disk manager (for stats).
+func (bp *BufferPool) Disk() DiskManager { return bp.spaces[0].disk }
+
+// TempDisk exposes the temp space's disk manager (for stats).
+func (bp *BufferPool) TempDisk() DiskManager { return bp.spaces[1].disk }
 
 // Stats returns cumulative counters summed over all shards.
 func (bp *BufferPool) Stats() PoolStats {
@@ -236,7 +287,10 @@ func (bp *BufferPool) Stats() PoolStats {
 		sh.mu.Unlock()
 	}
 	bp.freeMu.Lock()
-	s.Free, s.Recycled = uint64(len(bp.free)), bp.recycled
+	for _, space := range bp.spaces {
+		s.Free += uint64(len(space.free))
+		s.Recycled += space.recycled
+	}
 	bp.freeMu.Unlock()
 	return s
 }
@@ -255,31 +309,37 @@ func (bp *BufferPool) ShardStats() []PoolStats {
 	return out
 }
 
-// NewPage returns a zeroed page, pinned and dirty: the most recently freed
-// id, its frame reused in place if still resident, else a fresh id the disk
-// manager extends the file by. Stale disk bytes are never read, and only
-// the dirty victim's flush (if any) happens outside the latch. The id of a
-// NewPage that fails goes on the free list. The page is charged to no
-// owner; NewPageFor charges one.
+// NewPage returns a zeroed database page, pinned and dirty: the most
+// recently freed id, its frame reused in place if still resident, else a
+// fresh id the disk manager extends the file by. Stale disk bytes are never
+// read, and only the dirty victim's flush (if any) happens outside the
+// latch. The id of a NewPage that fails goes on the free list. The page is
+// charged to no owner; NewPageFor charges one.
 func (bp *BufferPool) NewPage() (*Page, error) { return bp.NewPageFor(0) }
 
 // NewPageFor is NewPage charging the page, a fresh or a recycled id, to
-// owner o from now on.
+// owner o from now on, in the temp space when o is InTemp.
 func (bp *BufferPool) NewPageFor(o Owner) (*Page, error) {
+	sp, tag := 0, PageID(0)
+	if o.IsTemp() {
+		sp, tag, o = 1, TempBit, o&^tempOwner
+	}
+	space := &bp.spaces[sp]
 	bp.freeMu.Lock()
-	n := len(bp.free)
+	n := len(space.free)
 	id, recycled := InvalidPageID, n > 0
 	if recycled {
-		id, bp.free = bp.free[n-1], bp.free[:n-1]
+		id, space.free = space.free[n-1], space.free[:n-1]
 		delete(bp.listed, id)
-		bp.recycled++
+		space.recycled++
 	}
 	bp.freeMu.Unlock()
 	if !recycled {
-		var err error
-		if id, err = bp.disk.AllocatePage(); err != nil {
+		fresh, err := space.disk.AllocatePage()
+		if err != nil {
 			return nil, err
 		}
+		id = fresh | tag
 	}
 	sh := bp.shardFor(id)
 	sh.mu.Lock()
@@ -303,7 +363,7 @@ func (bp *BufferPool) NewPageFor(o Owner) (*Page, error) {
 	sh.table[id] = idx
 	sh.mu.Unlock()
 	if victim != nil {
-		if err := sh.disk.WritePage(victim.id, victim.Data[:]); err != nil {
+		if err := sh.write(victim); err != nil {
 			// The victim's in-memory copy is the only one holding its
 			// updates; undo the allocation's frame grab and keep the victim
 			// resident (still dirty) instead of silently dropping it.
@@ -325,20 +385,21 @@ func (bp *BufferPool) NewPageFor(o Owner) (*Page, error) {
 	return pg, nil
 }
 
-// list puts id on the free list unless it is there already.
+// list puts id on its space's free list unless it is there already.
 func (bp *BufferPool) list(id PageID) {
 	bp.freeMu.Lock()
 	defer bp.freeMu.Unlock()
 	if _, dup := bp.listed[id]; !dup {
 		bp.listed[id] = struct{}{}
-		bp.free = append(bp.free, id)
+		sp, _ := id.space()
+		bp.spaces[sp].free = append(bp.spaces[sp].free, id)
 	}
 }
 
 // Free returns pages nothing references any more (a truncated table's
-// abandoned chain, a dropped table) to the free list, last first, so that
-// NewPage (LIFO) hands a chain back in allocation order. The list is not
-// persisted: the database file is recreated on every open. A resident
+// abandoned chain, a dropped table) to their space's free list, last
+// first, so that NewPage (LIFO) hands a chain back in allocation order.
+// The lists are not persisted: both spaces are recreated on every open. A resident
 // frame stays mapped, marked free and clean, for eviction to reclaim first
 // without a write. A frame pinned or mid-load has a holder that still
 // expects its content, and an id behind a write-back fence has a flush in
@@ -364,11 +425,12 @@ func (bp *BufferPool) Free(ids ...PageID) {
 	}
 }
 
-// FreePages lists the ids on the free list, most recently freed last.
+// FreePages lists the ids on the free lists, the database's then the temp
+// space's, each most recently freed last.
 func (bp *BufferPool) FreePages() []PageID {
 	bp.freeMu.Lock()
 	defer bp.freeMu.Unlock()
-	return append([]PageID(nil), bp.free...)
+	return append(append([]PageID(nil), bp.spaces[0].free...), bp.spaces[1].free...)
 }
 
 // Fetch pins page id, reading it from disk on a miss. The physical read
@@ -449,7 +511,7 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	// this goroutine owns the flush exclusively while concurrent fetchers of
 	// the victim's id wait on the fence instead of racing the write-back.
 	if victim != nil {
-		if werr := sh.disk.WritePage(victim.id, victim.Data[:]); werr != nil {
+		if werr := sh.write(victim); werr != nil {
 			// The victim's in-memory copy is the only one holding its
 			// updates; reinstall it (still dirty) in the frame we took and
 			// fail this fetch instead of silently dropping the writes.
@@ -471,7 +533,8 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 		sh.spare = append(sh.spare, victim)
 		sh.mu.Unlock()
 	}
-	ioErr := sh.disk.ReadPage(id, pg.Data[:])
+	sp, n := id.space()
+	ioErr := sh.disks[sp].ReadPage(n, pg.Data[:])
 
 	sh.mu.Lock()
 	if ioErr != nil {
@@ -587,14 +650,16 @@ func (sh *poolShard) victimLocked() (idx int, victim *Page, err error) {
 	return 0, nil, fmt.Errorf("storage: buffer pool shard exhausted (%d frames, all pinned)", n)
 }
 
-// FlushAll writes every dirty page back to disk (pages stay cached). Frames
+// FlushAll writes every dirty database page back to disk (pages stay
+// cached). Temp pages stay dirty: the temp space lives no longer than the
+// pool, so only an eviction that needs the frame writes one. Frames
 // mid-load are skipped: their content is not valid yet and cannot be dirty.
 func (bp *BufferPool) FlushAll() error {
 	for _, sh := range bp.shards {
 		sh.mu.Lock()
 		for _, pg := range sh.frames {
-			if pg != nil && pg.dirty && pg.loading == nil {
-				if err := sh.disk.WritePage(pg.id, pg.Data[:]); err != nil {
+			if pg != nil && pg.dirty && pg.loading == nil && !pg.id.Temp() {
+				if err := sh.write(pg); err != nil {
 					sh.mu.Unlock()
 					return err
 				}
@@ -625,7 +690,7 @@ func (bp *BufferPool) EvictAll() error {
 				continue
 			}
 			if pg.dirty {
-				if err := sh.disk.WritePage(pg.id, pg.Data[:]); err != nil {
+				if err := sh.write(pg); err != nil {
 					sh.mu.Unlock()
 					return err
 				}

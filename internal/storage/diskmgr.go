@@ -18,7 +18,9 @@ type IOStats struct {
 
 // DiskManager abstracts the page-granular backing store. Two implementations
 // exist: FileDiskManager (a real file, used by benchmarks so buffer-pool
-// misses hit the OS) and MemDiskManager (byte slices, used by unit tests).
+// misses hit the OS) and MemDiskManager (byte slices, used by unit tests
+// and in-memory databases). A buffer pool holds two, one per page space;
+// each numbers its pages from 0.
 //
 // Both implementations perform the physical transfer (and any simulated
 // latency sleep) outside their bookkeeping mutex, so concurrent sessions
@@ -246,3 +248,18 @@ func (d *MemDiskManager) SetLatency(lat time.Duration) {
 
 // Close implements DiskManager.
 func (d *MemDiskManager) Close() error { return nil }
+
+// NewSpillDiskManager is NewFileDiskManager on a file it unlinks at once:
+// its pages live as long as the manager's open file, and nothing is left
+// at path when it closes or the process dies.
+func NewSpillDiskManager(path string, latency time.Duration) (*FileDiskManager, error) {
+	d, err := NewFileDiskManager(path, latency)
+	if err != nil {
+		return nil, err
+	}
+	if err := os.Remove(path); err != nil {
+		d.Close()
+		return nil, fmt.Errorf("storage: unlink %s: %w", path, err)
+	}
+	return d, nil
+}

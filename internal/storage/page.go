@@ -1,6 +1,8 @@
 // Package storage implements the lowest layer of the embedded relational
 // engine: fixed-size pages, a disk manager that persists them to a single
-// file (or to memory for tests), and a buffer pool with clock eviction.
+// file (or to memory for tests), and a buffer pool with clock eviction
+// over two page spaces: the database's disk manager, and a temp one that
+// holds the pages of scratch relations.
 //
 // The paper's experiments depend on a genuine disk/buffer split — buffer
 // size sweeps (Fig 8(b), 9(g)) and clustered-index locality (Fig 8(c)) only
@@ -32,6 +34,23 @@ type PageID uint32
 
 // InvalidPageID is the sentinel for "no page".
 const InvalidPageID PageID = 0xFFFFFFFF
+
+// TempBit tags the ids of a pool's temp space (see BufferPool): its page n
+// there is TempBit|n, page n of the database file is n. InvalidPageID
+// carries the bit too, but no temp space reaches 2^31-1 pages.
+const TempBit PageID = 1 << 31
+
+// Temp reports whether id is a page of the temp space.
+func (id PageID) Temp() bool { return id&TempBit != 0 }
+
+// space returns the index of id's space (0 the database, 1 the temp space)
+// and the page's number in it.
+func (id PageID) space() (int, PageID) {
+	if id&TempBit != 0 {
+		return 1, id &^ TempBit
+	}
+	return 0, id
+}
 
 // Page is an in-buffer copy of one disk page plus bookkeeping used by the
 // buffer pool. Callers must hold a pin (via BufferPool.Fetch/NewPage) while

@@ -115,7 +115,8 @@ type Relation struct {
 	BelowMerge bool
 	Owner      Owner
 	// Snapshot says a snapshot of a live Owner dumps the rows and a
-	// hydration loads them back.
+	// hydration loads them back. A relation without it is transient: DDL
+	// creates it TEMPORARY.
 	Snapshot bool
 }
 
@@ -183,16 +184,22 @@ func (r Relation) Width() int { return strings.Count(r.Cols, ",") + 1 }
 // DDL renders the statements that create r under design s: the table, then
 // its indexes, each named after the table and the column (or "key", for a
 // composite one) it is on. Under SecondaryIndex the key's leading column
-// is indexed; under NoIndex nothing is.
+// is indexed; under NoIndex nothing is. A relation no snapshot dumps is a
+// TEMPORARY table: its pages, its indexes' included, live in the temp
+// space, so the database file holds only what a snapshot dumps.
 func (r Relation) DDL(s IndexStrategy) []string {
 	if !r.Follows {
 		s = ClusteredIndex
 	}
+	create := "CREATE TABLE "
+	if !r.Snapshot {
+		create = "CREATE TEMPORARY TABLE "
+	}
 	cols := strings.ReplaceAll(r.Cols, ",", " INT,") + " INT"
 	if r.PK && s == ClusteredIndex {
-		return []string{"CREATE TABLE " + r.Name + " (" + strings.Replace(cols, " INT", " INT PRIMARY KEY", 1) + ")"}
+		return []string{create + r.Name + " (" + strings.Replace(cols, " INT", " INT PRIMARY KEY", 1) + ")"}
 	}
-	ddl := []string{"CREATE TABLE " + r.Name + " (" + cols + ")"}
+	ddl := []string{create + r.Name + " (" + cols + ")"}
 	index := func(kind, suffix, on string) {
 		ddl = append(ddl, "CREATE "+kind+"INDEX "+strings.ToLower(r.Name)+"_"+suffix+" ON "+r.Name+" ("+on+")")
 	}

@@ -129,6 +129,22 @@ func (r *Runner) Schema(ctx context.Context) Schema {
 		}}
 }
 
+// Clear empties the working set the runner's sweeps and ranking filled —
+// TSeg, the staging tables below the MERGE level, the degree ranking —
+// and the tables extra names, those of them that hold rows, so that a
+// build leaves no rows behind and their pages go back to the temp space's
+// free list (rdb.DB.Truncate: no statement is counted). A build calls it
+// once it has read the last of them.
+func (r *Runner) Clear(extra ...string) error {
+	var names []string
+	for _, name := range append([]string{TblWork, tblExpand, tblExpCost, tblDeg, tblDegIn}, extra...) {
+		if t, ok := r.db.Catalog().Get(name); ok && t.RowCount() > 0 {
+			names = append(names, name)
+		}
+	}
+	return r.db.Truncate(names...)
+}
+
 // Query is a statement fragment with its bound arguments.
 type Query struct {
 	text string

@@ -153,11 +153,17 @@ type Options struct {
 	ClusterOn []int
 	// ClusterUnique marks the clustered key as unique.
 	ClusterUnique bool
+	// Temp allocates every page of the table, its indexes' included, in
+	// the pool's temp space (a TEMPORARY table).
+	Temp bool
 }
 
 // New creates an empty table.
 func New(pool *storage.BufferPool, name string, schema *record.Schema, opts Options) (*Table, error) {
 	t := &Table{Name: name, Schema: schema, pool: pool, owner: pool.Owner(name)}
+	if opts.Temp {
+		t.owner = t.owner.InTemp()
+	}
 	if len(opts.ClusterOn) > 0 {
 		key := slices.Clone(opts.ClusterOn)
 		if !opts.ClusterUnique {
@@ -177,6 +183,9 @@ func New(pool *storage.BufferPool, name string, schema *record.Schema, opts Opti
 	}
 	return t, nil
 }
+
+// Temp reports whether the table's pages are in the pool's temp space.
+func (t *Table) Temp() bool { return t.owner.IsTemp() }
 
 // Clustered returns the clustered index, or nil for heap tables.
 func (t *Table) Clustered() *Index { return t.clustered }
