@@ -236,13 +236,20 @@ func cmp(key, x []byte, offs []int) int {
 	return 0
 }
 
-// bound returns the first slot of leaf pg whose entry's key sorts after key:
-// at or after it, or with past only after it and every key it begins.
-func (t *BTree) bound(pg *storage.Page, key []byte, past bool) int {
-	lo, hi := 0, nKeys(pg)
+// before reports whether leaf pg's slot i holds a key that sorts before
+// key: before it, or with past before it or one of the keys it begins.
+func (t *BTree) before(pg *storage.Page, i int, key []byte, past bool) bool {
+	c := cmp(key, entryAt(pg, i), t.key)
+	return c > 0 || c == 0 && past
+}
+
+// bound returns the first slot from lo on of leaf pg whose entry's key does
+// not sort before key (before).
+func (t *BTree) bound(pg *storage.Page, lo int, key []byte, past bool) int {
+	hi := nKeys(pg)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c := cmp(key, entryAt(pg, mid), t.key); c > 0 || c == 0 && past {
+		if t.before(pg, mid, key, past) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -254,7 +261,7 @@ func (t *BTree) bound(pg *storage.Page, key []byte, past bool) int {
 // search returns the first slot of leaf pg whose entry's key is at or after
 // key, and whether that key is key.
 func (t *BTree) search(pg *storage.Page, key []byte) (int, bool) {
-	i := t.bound(pg, key, false)
+	i := t.bound(pg, 0, key, false)
 	return i, i < nKeys(pg) && len(key) == len(t.sep)*8 && cmp(key, entryAt(pg, i), t.key) == 0
 }
 
@@ -755,7 +762,16 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 // Two writes go through an iterator without a descent of their own:
 // Overwrite rewrites the current entry on the page its leaf copy came from,
 // and InsertAtProbe inserts an entry of the last ResetPrefix's key into the
-// leaf that descent ended at.
+// leaf that re-aim started at.
+//
+// A re-aim costs no descent when its lower bound lands on the leaf the last
+// one did (the finger): the iterator remembers that leaf's first and last
+// keys, and a bound that sorts strictly after the first (so a prefix has no
+// match in the leaf before) and at or before the last, in a tree with no
+// split, share, Pack or Reset since, has its place there. Its separators
+// bound those keys, and only those four move a separator (Delete never
+// merges), so descend would end at the same leaf. The check is a compare of
+// keys, not a fetch; a shuffled probe that misses it descends as before.
 type Iterator struct {
 	tree    *BTree
 	hi      []byte
@@ -769,8 +785,10 @@ type Iterator struct {
 	nextPg  storage.PageID
 	hiBuf   []byte         // backs hi and probe for ResetPrefix
 	probe   []byte         // the last ResetPrefix's prefix; nil after a Reset
-	probePg storage.PageID // the leaf the last Reset descended to
-	splits  uint64         // the tree's splits at that descent
+	probePg storage.PageID // the leaf the last Reset started at
+	splits  uint64         // the tree's splits when a Reset last descended
+	first   []byte         // the key probePg held first then, if any
+	last    []byte         // and the key it held last
 	cols    int            // column count of the tuples preds are checked on; 0 without preds
 	preds   []record.Pred
 	done    bool
@@ -813,19 +831,33 @@ func (it *Iterator) reset(t *BTree, lo, hi []byte, past bool, cols int, preds []
 	if len(preds) == 0 {
 		cols = 0
 	}
+	err := t.checkKey(hi)
+	if err == nil {
+		err = t.checkKey(lo)
+	}
+	finger := err == nil && it.tree == t && it.probePg != storage.InvalidPageID && it.splits == t.splits &&
+		lo != nil && len(it.last) > 0 && cmp(lo, it.first, t.sep) > 0 && cmp(lo, it.last, t.sep) <= 0
 	it.tree, it.hi, it.past, it.cols, it.preds = t, hi, past, cols, preds
 	it.pos, it.slots, it.done, it.lastErr = 0, it.slots[:0], false, nil
-	it.probePg, it.splits = storage.InvalidPageID, t.splits
-	if err := t.checkKey(hi); err != nil {
-		it.lastErr, it.done = err, true
-		return
+	var pg *storage.Page
+	switch {
+	case err != nil:
+	case finger:
+		pg, err = t.pool.Fetch(it.probePg)
+	default:
+		pg, err = t.descend(lo)
 	}
-	pg, err := t.descend(lo)
 	if err != nil {
-		it.lastErr, it.done = err, true
+		it.probePg, it.lastErr, it.done = storage.InvalidPageID, err, true
 		return
 	}
-	it.probePg = pg.ID()
+	if !finger { // a finger's leaf, splits and keys stand as they were
+		it.probePg, it.splits = pg.ID(), t.splits
+		it.first, it.last = it.first[:0], it.last[:0]
+		if n := nKeys(pg); n > 0 {
+			it.first, it.last = t.KeyOf(it.first, entryAt(pg, 0)), t.KeyOf(it.last, entryAt(pg, n-1))
+		}
+	}
 	start := 0
 	if lo != nil {
 		start, _ = t.search(pg, lo)
@@ -876,6 +908,11 @@ func match(pg *storage.Page, i, end, cols int, preds []record.Pred) (int, []byte
 	return end, nil, nil
 }
 
+// endWalk is how many slots loadLeaf steps over from its start, looking
+// for hi's place, before it binary-searches the rest of the leaf: a probe
+// usually returns a row or a few.
+const endWalk = 8
+
 // loadLeaf collects the slots of pinned leaf pg to return — from start, up
 // to hi (a leaf holding a key past hi is the scan's last), that pass the
 // filter — and copies them: the slot array, then the cells at their
@@ -888,11 +925,17 @@ func (it *Iterator) loadLeaf(pg *storage.Page, start int) {
 	if it.leaf == nil {
 		it.leaf = new(storage.Page)
 	}
-	n, end := nKeys(pg), nKeys(pg)
+	t, n, end := it.tree, nKeys(pg), nKeys(pg)
 	it.pos, it.leafPg = 0, pg.ID()
 	it.nextPg = storage.PageID(pg.U32(offNext))
 	if it.hi != nil {
-		if e := it.tree.bound(pg, it.hi, it.past); e < n {
+		e := start
+		for ; e < n && e < start+endWalk && t.before(pg, e, it.hi, it.past); e++ {
+		}
+		if e == start+endWalk {
+			e = t.bound(pg, e, it.hi, it.past)
+		}
+		if e < n {
 			end, it.nextPg = e, storage.InvalidPageID
 		}
 	}
@@ -1020,7 +1063,7 @@ func (it *Iterator) Overwrite(entry []byte) error {
 }
 
 // InsertAtProbe inserts the entry head followed by tail into the leaf the
-// last ResetPrefix descended to, when its key is that prefix, no split, Pack or Reset of the tree
+// last ResetPrefix started at, when its key is that prefix, no split, Pack or Reset of the tree
 // has happened since — so the leaf is the one Insert would descend to — and
 // the leaf has room for the cell as it stands. It then writes the bytes
 // Insert writes and reports true; otherwise it writes nothing and reports

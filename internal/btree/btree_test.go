@@ -795,3 +795,114 @@ func BenchmarkScanBTree(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
+
+// probeTree is the tree a probe test or benchmark re-aims an iterator at,
+// with its probe keys in ascending order, every other one a key the tree
+// does not hold. Point probes look up TVisited's shape: 56-byte tuples
+// keyed on their first column, n of them. Prefix probes look up TOutSegs':
+// (fid, tid, cost) entries keyed (fid, tid), three for each of n fids,
+// probed by fid.
+func probeTree(tb testing.TB, n int, prefix bool) (*BTree, [][]byte) {
+	tb.Helper()
+	pool := newPool(tb, 4096)
+	cols := []int{0}
+	if prefix {
+		cols = []int{0, 1}
+	}
+	tr, err := New(pool, cols...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var keys [][]byte
+	for i := int64(0); i < int64(2*n); i++ {
+		keys = append(keys, k(i))
+		if i%2 == 1 {
+			continue
+		}
+		if !prefix {
+			err = tr.Insert(k(i), make([]byte, 48))
+		}
+		for tid := int64(0); prefix && tid < 3 && err == nil; tid++ {
+			err = tr.Insert(append(k(i), k(i+tid)...), k(7))
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tr, keys
+}
+
+// fetches is the pages pool has fetched, hits and misses.
+func fetches(pool *storage.BufferPool) uint64 {
+	s := pool.Stats()
+	return s.Hits + s.Misses
+}
+
+// TestProbeCostsWhatItReads: point and prefix probes re-aimed through one
+// Iterator in ascending key order fetch at most 1.1 pages a probe — the
+// leaf the last probe read, without a descent, but where they cross to the
+// next leaf — and the same probes shuffled return what they should and
+// never fetch more than each does through a fresh iterator, which descends.
+func TestProbeCostsWhatItReads(t *testing.T) {
+	for _, prefix := range []bool{false, true} {
+		tr, keys := probeTree(t, 20000, prefix)
+		probe := func(it *Iterator, key []byte) uint64 {
+			t.Helper()
+			before, n := fetches(tr.pool), 0
+			for it.ResetPrefix(tr, key, 0, nil); it.Next(); n++ {
+				if !bytes.HasPrefix(it.Value(), key) {
+					t.Fatalf("a probe for %x yielded %x", key, it.Value())
+				}
+			}
+			want := 0
+			if binary.LittleEndian.Uint64(key)%2 == 0 {
+				want = map[bool]int{false: 1, true: 3}[prefix]
+			}
+			if it.Err() != nil || n != want {
+				t.Fatalf("a probe for %x: %d entries, %v; want %d", key, n, it.Err(), want)
+			}
+			return fetches(tr.pool) - before
+		}
+		var it Iterator
+		var total uint64
+		for _, key := range keys {
+			total += probe(&it, key)
+		}
+		if per := float64(total) / float64(len(keys)); per > 1.1 {
+			t.Errorf("prefix %v: %d ascending probes fetched %.3f pages each, want at most 1.1", prefix, len(keys), per)
+		}
+		rand.New(rand.NewSource(51)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		for _, key := range keys {
+			if got, descent := probe(&it, key), probe(new(Iterator), key); got > descent {
+				t.Fatalf("prefix %v: a shuffled probe for %x fetched %d pages, a descent %d", prefix, key, got, descent)
+			}
+		}
+	}
+}
+
+// BenchmarkProbeBTree re-aims one Iterator at a key an op and reads what
+// it yields, as an index scan does for each outer row: point and prefix
+// probes (probeTree), in ascending and in shuffled key order. pages/probe
+// counts the buffer-pool fetches.
+func BenchmarkProbeBTree(b *testing.B) {
+	for _, prefix := range []bool{false, true} {
+		tr, keys := probeTree(b, 50000, prefix)
+		shuffled := slices.Clone(keys)
+		rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, order := range []struct {
+			name string
+			keys [][]byte
+		}{{"ascending", keys}, {"shuffled", shuffled}} {
+			b.Run(fmt.Sprintf("%s/%s", map[bool]string{false: "point", true: "prefix"}[prefix], order.name), func(b *testing.B) {
+				var it Iterator
+				before := fetches(tr.pool)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for it.ResetPrefix(tr, order.keys[i%len(order.keys)], 0, nil); it.Next(); {
+					}
+				}
+				b.ReportMetric(float64(fetches(tr.pool)-before)/float64(b.N), "pages/probe")
+			})
+		}
+	}
+}

@@ -41,12 +41,15 @@ func order(x, y []byte) int {
 // u, as a clustered table on a non-unique key is.
 var fuzzLayouts = [][]int{{0, 1}, {1, 0}, {0, 2}}
 
-// FuzzBTree decodes its bytes into calls on a tree of entries (a, b, u,
-// payload) — Insert, Put, Delete, Get, range and prefix scans, Overwrite and
-// InsertAtProbe through a prefix probe, Pack — under a pool small enough
-// that nodes evict, and checks each call against a sorted in-memory model
-// and the tree against Check after it. The first byte picks the key layout;
-// then each call takes four: the call, a, b and the payload size.
+// FuzzBTree decodes its bytes into calls on two trees of entries (a, b, u,
+// payload) in one pool — Insert, Put, Delete, Get, range and prefix scans,
+// Overwrite and InsertAtProbe through a prefix probe, Pack, Reset — under a
+// pool small enough that nodes evict, and checks each call against a sorted
+// in-memory model and the tree against Check after it. One Iterator serves
+// every scan and probe, whichever tree it is aimed at, so a re-aim that
+// skips its descent (the finger) meets splits, Packs, Resets, deletes and
+// the other tree in between. The first byte picks the key layout; then
+// each call takes four: the call and its tree, a, b and the payload size.
 func FuzzBTree(f *testing.F) {
 	seed := func(layout byte, calls ...[4]byte) []byte {
 		out := []byte{layout}
@@ -55,7 +58,7 @@ func FuzzBTree(f *testing.F) {
 		}
 		return out
 	}
-	var extremes, run, churn, wide [][4]byte
+	var extremes, run, churn, wide, ascending [][4]byte
 	for a := byte(0); a < 7; a++ {
 		for b := byte(0); b < 7; b++ {
 			extremes = append(extremes, [4]byte{0, a, b, 3})
@@ -76,7 +79,25 @@ func FuzzBTree(f *testing.F) {
 		wide = append(wide, [4]byte{0, 20, 10 + i, 3}, [4]byte{0, 21, 10 + i, 3})
 	}
 	wide = append(wide, [4]byte{5, 21, 0, 1}, [4]byte{5, 20, 0, 1}, [4]byte{4, 21, 0, 1}, [4]byte{8, 20, 21, 0}, [4]byte{5, 21, 0, 1})
+	for a := byte(20); a < 24; a++ { // two one-leaf trees with no split yet
+		ascending = append(ascending, [4]byte{0, a, 30, 0}, [4]byte{10, a, 40, 0})
+	}
+	for a := byte(20); a < 24; a++ {
+		ascending = append(ascending, [4]byte{5, a, 0, 1}, [4]byte{15, a, 0, 1})
+	}
+	for a := byte(10); a < 50; a++ { // then both over several leaves
+		ascending = append(ascending, [4]byte{0, a, 3, 3}, [4]byte{10, a, 4, 3}, [4]byte{0, a, 5, 3})
+	}
+	// Probes and writes through them in key order, each on one tree and
+	// then the other.
+	for _, op := range [][2]byte{{5, 15}, {15, 5}, {7, 17}, {2, 12}} {
+		for a := byte(9); a < 52; a++ {
+			ascending = append(ascending, [4]byte{op[0], a, 4, 2}, [4]byte{op[1], a, 3, 1})
+		}
+		ascending = append(ascending, [4]byte{8, 0, 0, 1}, [4]byte{19, 0, 0, 0})
+	}
 	for layout := byte(0); layout < 3; layout++ {
+		f.Add(seed(layout, ascending...))
 		f.Add(seed(layout, extremes...))
 		f.Add(seed(layout, run...))
 		f.Add(seed(layout, churn...))
@@ -87,11 +108,16 @@ func FuzzBTree(f *testing.F) {
 			return
 		}
 		cols := fuzzLayouts[int(data[0])%len(fuzzLayouts)]
-		tr, err := New(newPool(t, 5), cols...)
-		if err != nil {
-			t.Fatal(err)
+		pool := newPool(t, 5)
+		var trees [2]*BTree
+		var models [2]map[string][]byte // key -> entry
+		for i := range trees {
+			var err error
+			if trees[i], err = New(pool, cols...); err != nil {
+				t.Fatal(err)
+			}
+			models[i] = map[string][]byte{}
 		}
-		model := map[string][]byte{} // key -> entry
 		keyOf := func(entry []byte) []byte {
 			var k []byte
 			for _, c := range cols {
@@ -114,6 +140,8 @@ func FuzzBTree(f *testing.F) {
 			}
 			return k
 		}
+		var tr *BTree
+		var model map[string][]byte
 		sorted := func() [][]byte {
 			keys := make([][]byte, 0, len(model))
 			for k := range model {
@@ -145,7 +173,8 @@ func FuzzBTree(f *testing.F) {
 		}
 		var it Iterator
 		for calls := data[1:]; len(calls) >= 4; calls = calls[4:] {
-			op, a, b, size := calls[0]%9, fuzzValue(calls[1]), fuzzValue(calls[2]), calls[3]
+			op, a, b, size := calls[0]%10, fuzzValue(calls[1]), fuzzValue(calls[2]), calls[3]
+			tr, model = trees[calls[0]/10%2], models[calls[0]/10%2]
 			if cols[1] == 2 { // b is payload; the key's second column the uniquifier
 				b = int64(calls[2]) % (u + 1)
 			}
@@ -256,6 +285,11 @@ func FuzzBTree(f *testing.F) {
 				if err := tr.Pack(lo, hi); err != nil {
 					t.Fatalf("pack of [%x, %x]: %v", lo, hi, err)
 				}
+			case 9: // Reset: truncate
+				if err := tr.Reset(); err != nil {
+					t.Fatalf("reset: %v", err)
+				}
+				clear(model)
 			}
 			if err := tr.Check(); err != nil {
 				t.Fatalf("after call %d (%x): %v", op, calls[:4], err)
@@ -264,7 +298,10 @@ func FuzzBTree(f *testing.F) {
 				t.Fatalf("after call %d: %d entries, the model %d", op, tr.Len(), len(model))
 			}
 		}
-		it.Reset(tr, nil, nil, 0, nil)
-		scan(&it, nil, nil, false)
+		for i := range trees {
+			tr, model = trees[i], models[i]
+			it.Reset(tr, nil, nil, 0, nil)
+			scan(&it, nil, nil, false)
+		}
 	})
 }
