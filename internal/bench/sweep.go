@@ -39,7 +39,7 @@ const (
 	MDJ
 	MBDJ
 	// The SegTable build of a column with Lthd > 0.
-	SegRows // encoding number: rows of TOutSegs + TInSegs
+	SegRows // encoding number: rows of TOutSegs + entries of its tid index
 	BuildIterations
 	BuildStatements
 	BuildMisses

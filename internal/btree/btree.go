@@ -935,7 +935,9 @@ func (it *Iterator) loadLeaf(pg *storage.Page, start int) {
 		if e == start+endWalk {
 			e = t.bound(pg, e, it.hi, it.past)
 		}
-		if e < n {
+		// A whole key's place is in this leaf: the separator after it sorts
+		// past the key, and so does every key of the leaves after it.
+		if e < n || it.past && len(it.hi) == len(t.sep)*8 {
 			end, it.nextPg = e, storage.InvalidPageID
 		}
 	}

@@ -877,7 +877,52 @@ func TestProbeCostsWhatItReads(t *testing.T) {
 				t.Fatalf("prefix %v: a shuffled probe for %x fetched %d pages, a descent %d", prefix, key, got, descent)
 			}
 		}
+		if prefix {
+			continue
+		}
+		// A whole key of this unique tree has its place in the leaf the
+		// probe reaches, so the leaf that follows is never read: a leaf's
+		// last key, through the finger the leaf's first key left, fetches
+		// that one leaf; a key absent between two leaves fetches what its
+		// descent does, no more.
+		leaves := 0
+		for id := tr.leftmostLeaf(t); id != storage.InvalidPageID; {
+			pg, err := tr.pool.Fetch(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := nKeys(pg)
+			first, last := tr.KeyOf(nil, entryAt(pg, 0)), tr.KeyOf(nil, entryAt(pg, n-1))
+			id = storage.PageID(pg.U32(offNext))
+			tr.pool.Unpin(pg, false)
+			if id == storage.InvalidPageID || n < 2 {
+				continue
+			}
+			leaves++
+			var it Iterator
+			descent := probe(&it, first)
+			if got := probe(&it, last); got != 1 {
+				t.Errorf("a probe for %x, the last key of its leaf, through the finger: %d pages, want 1", last, got)
+			}
+			past := k(int64(binary.LittleEndian.Uint64(last)) + 1)
+			if got := probe(&it, past); got != descent {
+				t.Errorf("a probe for %x, absent past the last key of its leaf: %d pages, its descent %d", past, got, descent)
+			}
+		}
+		if leaves < 10 {
+			t.Fatalf("%d leaves probed at their ends", leaves)
+		}
 	}
+}
+
+// leftmostLeaf returns the id of the first leaf.
+func (t *BTree) leftmostLeaf(tb testing.TB) storage.PageID {
+	pg, err := t.descend(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer t.pool.Unpin(pg, false)
+	return pg.ID()
 }
 
 // BenchmarkProbeBTree re-aims one Iterator at a key an op and reads what

@@ -37,7 +37,7 @@ func order(x, y []byte) int {
 
 // fuzzLayouts are the key columns of the entries (a, b, u) the fuzz target
 // stores: a unique composite key, the same with its columns out of entry
-// order (as TInSegs is keyed), and a key made unique by a uniquifier column
+// order, and a key made unique by a uniquifier column
 // u, as a clustered table on a non-unique key is.
 var fuzzLayouts = [][]int{{0, 1}, {1, 0}, {0, 2}}
 

@@ -207,8 +207,8 @@ func BenchmarkMutationBatch(b *testing.B) {
 
 // BenchmarkSegTableBuild is one BuildSegTable(20) per iteration on the
 // mutate_mix data set (graph.Power(4000,3,2011)): the original-edge fold
-// into both segment tables, the forward index-build sweep over TOutSegs
-// and the segment merge into both. rounds/op counts the sweep's rounds,
+// into TOutSegs, the forward index-build sweep over it and the segment
+// merge into it, which keeps its tid index. rounds/op counts the sweep's rounds,
 // stmts/op the statements (F and E+M a round, and the few around the
 // sweep) and pages/op (buffer-pool fetches) their passes over the working
 // set.

@@ -29,8 +29,8 @@ func TestBuildParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.OutSegs != 901 || st.InSegs != 901 || st.Iterations != 21 || st.Statements != 56 {
-			t.Errorf("BuildSegTable(20) = %v, want out=901 in=901 iters=21 stmts=56", st)
+		if st.OutSegs != 901 || st.InSegs != 901 || st.Iterations != 21 || st.Statements != 53 {
+			t.Errorf("BuildSegTable(20) = %v, want out=901 in=901 iters=21 stmts=53", st)
 		}
 		if err := e.checkSegTable(); err != nil {
 			t.Error(err)
@@ -84,7 +84,7 @@ func TestBuildParity(t *testing.T) {
 		if err := e.checkSegTable(); err != nil {
 			t.Error(err)
 		}
-		segOnly := []string{"tedges", "tinsegs", "tnodes", "toutsegs", "tseg"}
+		segOnly := []string{"tedges", "tnodes", "toutsegs", "tseg"}
 		if got := catalogNames(e); !reflect.DeepEqual(got, segOnly) {
 			t.Errorf("after BuildSegTable: catalog %v, want %v", got, segOnly)
 		}
@@ -94,7 +94,7 @@ func TestBuildParity(t *testing.T) {
 		if _, err := e.BuildLabels(); err != nil {
 			t.Fatal(err)
 		}
-		all := []string{"tdeg", "tdegin", "tedges", "tinsegs", "tlabelin", "tlabelout",
+		all := []string{"tdeg", "tdegin", "tedges", "tlabelin", "tlabelout",
 			"tlandmark", "tlblfrom", "tlblto", "tlmkfar", "tnodes", "toutsegs", "tseg"}
 		if got := catalogNames(e); !reflect.DeepEqual(got, all) {
 			t.Errorf("after all three builds: catalog %v, want %v", got, all)
@@ -124,8 +124,8 @@ func TestBuildParity(t *testing.T) {
 		if _, err := e.DeleteEdge(5, 300); err != nil {
 			t.Fatal(err)
 		}
-		mutated := []string{"tedges", "tinsegs", "tmutsrc", "tmuttouch", "tnodes",
-			"toutsegs", "tseg", "tsegexpand", "tsegexpcost", "tsegmaint", "tsegmaintin"}
+		mutated := []string{"tedges", "tmutsrc", "tmuttouch", "tnodes",
+			"toutsegs", "tseg", "tsegexpand", "tsegexpcost", "tsegmaint"}
 		if got := catalogNames(e); !reflect.DeepEqual(got, mutated) {
 			t.Errorf("after the mutations: catalog %v, want %v", got, mutated)
 		}
@@ -144,15 +144,15 @@ func TestBuildParity(t *testing.T) {
 
 // TestBatchedBuildMatchesOneBatch: a buffer pool that holds a few dozen
 // sources' working set at a time splits the SegTable sweep into batches,
-// each merged into the segment tables before the next one sweeps over their
-// direct hops. The tables must come out as the default pool's one-batch
-// build leaves them, row for row and TOutSegs' pid included, on every physical
-// design, at thresholds that keep segments short and that let them span
-// many hops.
+// each merged into TOutSegs before the next one sweeps over its direct
+// hops. The table must come out as the default pool's one-batch build
+// leaves it, row for row and pid included, its tid index agreeing
+// (checkSegTable), on every physical design, at thresholds that keep
+// segments short and that let them span many hops.
 func TestBatchedBuildMatchesOneBatch(t *testing.T) {
-	rows := func(t *testing.T, e *Engine, tbl string) [][4]int64 {
+	rows := func(t *testing.T, e *Engine) [][4]int64 {
 		t.Helper()
-		res, err := e.DB().Query("SELECT " + map[string]string{TblOutSegs: "fid, tid, pid, cost", TblInSegs: "fid, tid, 0, cost"}[tbl] + " FROM " + tbl)
+		res, err := e.DB().Query("SELECT fid, tid, pid, cost FROM " + TblOutSegs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestBatchedBuildMatchesOneBatch(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/lthd=%d/%v", gc.name, lthd, strategy), func(t *testing.T) {
 					t.Parallel()
 					var stats [2]*SegTableStats
-					var tables [2][2][][4]int64
+					var tables [2][][4]int64
 					for i, pool := range []int{8, 0} { // 0: the default pool
 						e := newTestEngine(t, gc.g, rdb.Options{BufferPoolPages: pool}, Options{Strategy: strategy})
 						st, err := e.BuildSegTable(lthd)
@@ -192,15 +192,13 @@ func TestBatchedBuildMatchesOneBatch(t *testing.T) {
 							t.Fatalf("%d-page pool: %v", pool, err)
 						}
 						stats[i] = st
-						tables[i] = [2][][4]int64{rows(t, e, TblOutSegs), rows(t, e, TblInSegs)}
+						tables[i] = rows(t, e)
 					}
 					if stats[0].Batches < 8 || stats[1].Batches != 1 {
 						t.Fatalf("batches %d on the small pool and %d on the default one, want >= 8 and 1", stats[0].Batches, stats[1].Batches)
 					}
-					for d, tbl := range []string{TblOutSegs, TblInSegs} {
-						if !slices.Equal(tables[0][d], tables[1][d]) {
-							t.Errorf("%s: %d rows in %d batches differ from %d rows in one", tbl, len(tables[0][d]), stats[0].Batches, len(tables[1][d]))
-						}
+					if !slices.Equal(tables[0], tables[1]) {
+						t.Errorf("%d rows in %d batches differ from %d rows in one", len(tables[0]), stats[0].Batches, len(tables[1]))
 					}
 					t.Logf("batches %d: %v", stats[0].Batches, stats[0])
 				})
@@ -240,19 +238,25 @@ func TestBatchSizesHoldSteady(t *testing.T) {
 	}
 }
 
-// TestSegTableFill: a build leaves the segment tables' leaves at least 90%
-// full on average — each batch's merge splits the leaves its segments land
-// in, between the fold's direct hops, and the build packs the batch's range
-// — on both graph families, at thresholds that keep segments short and
-// that let them span many hops, built in one batch or, on an 8-page pool,
-// in many. Unpacked, the splits left them 57–68% full. A churn of
-// TestMutationDifferential's size then lands the repairs' inserts at random
-// in the one-batch builds; the fill it leaves is logged, not bounded.
+// TestSegTableFill: a build leaves the leaves of TOutSegs and of its tid
+// index at least 90% full on average — each batch's merge splits the
+// leaves its segments land in, between the fold's direct hops, and the
+// build packs the batch's range of the table, and the index once after the
+// last batch — on both graph families, at thresholds that keep segments
+// short and that let them span many hops, built in one batch or, on an
+// 8-page pool, in many. Unpacked, the splits left them 57–68% full. A
+// churn of TestMutationDifferential's size then lands the repairs' inserts
+// at random in the one-batch builds; the fill it leaves is logged, not
+// bounded.
 func TestSegTableFill(t *testing.T) {
 	fill := func(t *testing.T, e *Engine, name string) float64 {
 		t.Helper()
-		tbl, _ := e.db.Catalog().Get(name)
-		levels, err := tbl.Clustered().Tree().LevelFills()
+		tbl, _ := e.db.Catalog().Get(TblOutSegs)
+		tr := tbl.Clustered().Tree()
+		if name != TblOutSegs {
+			tr = segIndex(e).Tree()
+		}
+		levels, err := tr.LevelFills()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +280,7 @@ func TestSegTableFill(t *testing.T) {
 						t.Fatal(err)
 					}
 					var fills []string
-					for _, tbl := range []string{TblOutSegs, TblInSegs} {
+					for _, tbl := range []string{TblOutSegs, segIndex(e).Name} {
 						f := fill(t, e, tbl)
 						if f < 0.9 {
 							t.Errorf("%s: leaves %.1f%% full after a build in %d batches, want at least 90%%", tbl, 100*f, st.Batches)
@@ -299,7 +303,7 @@ func TestSegTableFill(t *testing.T) {
 						applied += len(muts)
 					}
 					t.Logf("%d batches: %s; after 1000 mutations %s %.1f%%, %s %.1f%%", st.Batches, strings.Join(fills, ", "),
-						TblOutSegs, 100*fill(t, e, TblOutSegs), TblInSegs, 100*fill(t, e, TblInSegs))
+						TblOutSegs, 100*fill(t, e, TblOutSegs), segIndex(e).Name, 100*fill(t, e, segIndex(e).Name))
 				})
 			}
 		}

@@ -391,6 +391,13 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 				return err
 			}
 		}
+		// The dump is in key order, so the load filled TOutSegs' leaves,
+		// and its tid index's at random: pack those, as a build does.
+		if o == sweep.Seg {
+			if err := e.db.PackIndexes(TblOutSegs); err != nil {
+				return err
+			}
+		}
 	}
 
 	e.mu.Lock()

@@ -66,7 +66,7 @@ func TestSnapshotHydrate(t *testing.T) {
 	m.buildSeg(6)
 	m.buildOracle(4)
 	m.buildLabels()
-	if st := m.snapshot(); st.Skipped || st.Tables != 7 || st.Bytes <= 0 { // TNodes, TEdges and two tables per index
+	if st := m.snapshot(); st.Skipped || st.Tables != 6 || st.Bytes <= 0 { // TNodes, TEdges, TOutSegs, TLandmark and the two label tables
 		t.Fatalf("snapshot stats: %+v", st)
 	}
 	e := m.e
@@ -77,7 +77,7 @@ func TestSnapshotHydrate(t *testing.T) {
 	// Hydration restores the relations queries and mutations read, not the
 	// builds' scratch: the degree ranking and the farthest-point state are
 	// left to whichever build runs next.
-	want := []string{"tedges", "tinsegs", "tlabelin", "tlabelout", "tlandmark",
+	want := []string{"tedges", "tlabelin", "tlabelout", "tlandmark",
 		"tlblfrom", "tlblto", "tnodes", "toutsegs", "tseg"}
 	if got := catalogNames(m.e); !reflect.DeepEqual(got, want) {
 		t.Errorf("hydrated catalog %v, want %v", got, want)
@@ -193,7 +193,7 @@ func TestHydrateInPlaceCleanCatalog(t *testing.T) {
 	if err := e.Hydrate(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"tedges", "tinsegs", "tnodes", "toutsegs", "tseg", "tsegmaint", "tsegmaintin"}
+	want := []string{"tedges", "tnodes", "toutsegs", "tseg", "tsegmaint"}
 	if got := catalogNames(e); !reflect.DeepEqual(got, want) {
 		t.Errorf("catalog after in-place hydration %v, want %v", got, want)
 	}

@@ -116,7 +116,7 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // index builds below the engine.
 type IndexStrategy = sweep.IndexStrategy
 
-// Index strategies for TEdges(fid)/TOutSegs(fid)/TInSegs(tid)/TVisited(nid).
+// Index strategies for TEdges(fid)/TOutSegs(fid)/TVisited(nid).
 const (
 	ClusteredIndex = sweep.ClusteredIndex
 	SecondaryIndex = sweep.SecondaryIndex
@@ -257,7 +257,7 @@ type Engine struct {
 // zero value, a mutation batch that wrote nothing restores its copy, and a
 // snapshot's manifest carries it.
 type indexes struct {
-	// segBuilt says TOutSegs / TInSegs hold a complete SegTable, built at
+	// segBuilt says TOutSegs holds a complete SegTable, built at
 	// threshold segLthd.
 	segBuilt bool
 	segLthd  int64

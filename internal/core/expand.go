@@ -37,10 +37,7 @@ var sentinelArgs = []any{MaxDist, NoParent}
 // cache instead of being re-parsed like the paper's client's, which shipped
 // SQL text through JDBC every iteration.
 func (e *Engine) searchOps(sc *scratchSet, d direction, spec femSpec) fem.Ops {
-	edges, offer := spec.edgeBwd, spec.weight+" + q."+d.dist
-	if d.forward {
-		edges = spec.edgeFwd
-	}
+	edges, offer := spec.edges, spec.weight+" + q."+d.dist
 	when := "target." + d.dist + " > source.cost"
 	if spec.final {
 		offer, when = spec.weight, "target."+d.sign+" = 0 AND "+when

@@ -251,20 +251,18 @@ func segTableSnapshot(t *testing.T, e *Engine, tbl string) map[[2]int64]int64 {
 	return out
 }
 
-// sameSegTable fails t unless a's segment tables hold b's (fid, tid, cost)
+// sameSegTable fails t unless a's TOutSegs holds b's (fid, tid, cost)
 // rows, no more and no fewer; pids may differ between equal-cost paths.
 func sameSegTable(t *testing.T, a, b *Engine) {
 	t.Helper()
-	for _, tbl := range []string{TblOutSegs, TblInSegs} {
-		got, want := segTableSnapshot(t, a, tbl), segTableSnapshot(t, b, tbl)
-		for pair, w := range want {
-			if g, ok := got[pair]; !ok || g != w {
-				t.Fatalf("%s: pair %v costs %d (present %v), the other engine's %d", tbl, pair, g, ok, w)
-			}
+	got, want := segTableSnapshot(t, a, TblOutSegs), segTableSnapshot(t, b, TblOutSegs)
+	for pair, w := range want {
+		if g, ok := got[pair]; !ok || g != w {
+			t.Fatalf("pair %v costs %d (present %v), the other engine's %d", pair, g, ok, w)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d rows, the other engine's %d", tbl, len(got), len(want))
-		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, the other engine's %d", len(got), len(want))
 	}
 }
 

@@ -29,9 +29,10 @@ import (
 // counter k, the frontier minimum l, the best known cost minCost) bind as ?
 // parameters through the shape's args function.
 type femSpec struct {
-	name    string
-	edgeFwd string
-	edgeBwd string
+	name string
+	// edges is the relation both directions expand over: TEdges, or
+	// TOutSegs, which the backward direction reads through its tid index.
+	edges string
 	// weight is the offer's edge term: out.cost for every search, 1 for
 	// reachability's unit weights.
 	weight string
@@ -91,10 +92,9 @@ type stmtShape struct {
 // specBDJ: bi-directional Dijkstra, one frontier node per expansion.
 func specBDJ(sc *scratchSet) femSpec {
 	return femSpec{
-		name:    "BDJ",
-		edgeFwd: TblEdges,
-		edgeBwd: TblEdges,
-		weight:  "out.cost",
+		name:   "BDJ",
+		edges:  TblEdges,
+		weight: "out.cost",
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
 				text: fem.MarkFrontier(sc.visited, d.sign) + " AND nid = (SELECT TOP 1 nid FROM " + sc.visited +
@@ -155,10 +155,9 @@ func specMST(sc *scratchSet) femSpec {
 // distance become the frontier together (§4.1's RDB-friendly batch rule).
 func specBSDJ(sc *scratchSet) femSpec {
 	return femSpec{
-		name:    "BSDJ",
-		edgeFwd: TblEdges,
-		edgeBwd: TblEdges,
-		weight:  "out.cost",
+		name:   "BSDJ",
+		edges:  TblEdges,
+		weight: "out.cost",
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
 				text: fem.MarkFrontier(sc.visited, d.sign) + " AND " + d.dist + " = ?",
@@ -173,10 +172,9 @@ func specBSDJ(sc *scratchSet) femSpec {
 // specBBFS: bi-directional BFS — every candidate expands every round.
 func specBBFS(sc *scratchSet) femSpec {
 	return femSpec{
-		name:    "BBFS",
-		edgeFwd: TblEdges,
-		edgeBwd: TblEdges,
-		weight:  "out.cost",
+		name:   "BBFS",
+		edges:  TblEdges,
+		weight: "out.cost",
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
 				text: fem.MarkFrontier(sc.visited, d.sign),
@@ -194,10 +192,9 @@ func specBBFS(sc *scratchSet) femSpec {
 // the text never changes across iterations or thresholds.
 func specBSEG(sc *scratchSet, lthd int64) femSpec {
 	return femSpec{
-		name:    "BSEG",
-		edgeFwd: TblOutSegs,
-		edgeBwd: TblInSegs,
-		weight:  "out.cost",
+		name:   "BSEG",
+		edges:  TblOutSegs,
+		weight: "out.cost",
 		frontier: func(d direction) stmtShape {
 			return stmtShape{
 				text: fem.MarkFrontier(sc.visited, d.sign) + " AND (" + d.dist + " <= ? * ? OR " + d.dist + " = ?)",
@@ -494,7 +491,7 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 	if upper < minCost {
 		return Path{Found: true, Length: upper}, qs, nil
 	}
-	nodes, err := recoverPath(ctx, hs, owner, s, t, minCost, spec.edgeFwd != TblEdges)
+	nodes, err := recoverPath(ctx, hs, owner, s, t, minCost, spec.edges != TblEdges)
 	if err != nil {
 		return Path{}, qs, err
 	}

@@ -32,8 +32,16 @@ import (
 // and the decremental repair's own texts (sweep/, touch/, repair/, fold/*/touched) are pinned as what a
 // build, a delete and an oracle build run: the build sweeps over
 // TOutSegs, which it folded the edges into, and merges its segments over
-// both segment tables, the repair sweeps forward over TEdges, the oracle
-// both ways, and the repair's FROM order is its plan.
+// it, the repair sweeps forward over TEdges, the oracle both ways, and the
+// repair's FROM order is its plan.
+//
+// Since the incoming segments became TOutSegs' tid index, the eight texts
+// that wrote a second segment table keyed on (tid, fid) are gone
+// (maint/bwd/1-3, fold/bwd/all and fold/bwd/touched, sweep/bwd/segments,
+// repair/bwd/delete and repair/bwd/insert), and four kinds of text read
+// TOutSegs through that index where they read that table: the backward
+// search (search/bwd/TOutSegs/*, named after that table before),
+// maint/fwd/2's prefixes, and touch/prefix and touch/both.
 func TestGoldenStatementTexts(t *testing.T) {
 	golden := map[string]string{}
 	f, err := os.Open("testdata/golden_statements.txt")
@@ -85,11 +93,11 @@ func TestGoldenStatementTexts(t *testing.T) {
 			spec := specBSDJ(sc)
 			spec.prune = prune
 			if seg {
-				spec.edgeFwd, spec.edgeBwd = TblOutSegs, TblInSegs
+				spec.edges = TblOutSegs
 			}
 			ss := e.newSuperstep(sc, spec, 0)
-			checkOps(fmt.Sprintf("search/fwd/%s/prune=%v/", spec.edgeFwd, prune), ss.fwd.ops)
-			checkOps(fmt.Sprintf("search/bwd/%s/prune=%v/", spec.edgeBwd, prune), ss.bwd.ops)
+			checkOps(fmt.Sprintf("search/fwd/%s/prune=%v/", spec.edges, prune), ss.fwd.ops)
+			checkOps(fmt.Sprintf("search/bwd/%s/prune=%v/", spec.edges, prune), ss.bwd.ops)
 		}
 	}
 	var ss *superstep
@@ -103,10 +111,7 @@ func TestGoldenStatementTexts(t *testing.T) {
 	check("stats/fwd", ss.fwd.stats)
 	check("stats/bwd", ss.bwd.stats)
 	for i := 0; i < 3; i++ {
-		check(fmt.Sprintf("maint/fwd/%d", i+1),
-			fem.MergeSelect(e.level, maintShapes[TblOutSegs][i].src, segMerge(TblOutSegs)).Round(false)[0].Text)
-		check(fmt.Sprintf("maint/bwd/%d", i+1),
-			fem.MergeSelect(e.level, maintShapes[TblInSegs][i].src, segMerge(TblInSegs)).Round(false)[0].Text)
+		check(fmt.Sprintf("maint/fwd/%d", i+1), fem.MergeSelect(e.level, maintShapes[i].src, segMerge).Round(false)[0].Text)
 	}
 	check("mst", e.newSuperstep(sc, specMST(sc), 0).fwd.ops.Round(false)[0].Text)
 	check("reach/fused", e.newSuperstep(sc, specReach(sc), 0).fwd.ops.Round(false)[0].Text)

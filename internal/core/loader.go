@@ -16,7 +16,6 @@ const (
 	TblEdges   = sweep.TblEdges
 	TblVisited = sweep.TblVisited
 	TblOutSegs = sweep.TblOutSegs
-	TblInSegs  = sweep.TblInSegs
 	TblExpand  = sweep.TblExpand  // materialized E-operator output (non-fused paths)
 	TblExpCost = sweep.TblExpCost // TSQL intermediate: per-node minimal cost
 	TblSeg     = sweep.TblWork    // index-build working set, (src, nid, dist, par, f)

@@ -348,21 +348,6 @@ func TestSegTableCorrectness(t *testing.T) {
 			t.Errorf("TOutSegs edge (%d,%d): cost %d below δ %d", u, v, c, ref.Distance)
 		}
 	}
-	// TInSegs costs are distances too.
-	rows, err = e.DB().Query("SELECT fid, tid, cost FROM TInSegs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows.Data {
-		u, v, c := toExt[r[0].I], toExt[r[1].I], r[2].I
-		ref := graph.MDJ(g, u, v)
-		if !ref.Found {
-			t.Fatalf("TInSegs has pair (%d,%d) with no path", u, v)
-		}
-		if c <= 25 && c != ref.Distance {
-			t.Errorf("TInSegs (%d,%d): cost %d != δ %d", u, v, c, ref.Distance)
-		}
-	}
 }
 
 // TestSmallLthdAndUniformWeights covers threshold edge cases: lthd below

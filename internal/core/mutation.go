@@ -106,20 +106,20 @@ const (
 	mutWMinQ       = "SELECT MIN(cost) FROM " + TblEdges
 
 	// Touch-set shapes (computeTouchSet), one per decomposition case. Each
-	// starts from the few rows one clustered probe yields — the prefixes
-	// x -> u in TInSegs (keyed on tid first), the suffixes v -> y in TOutSegs
-	// (keyed on fid first) — and reaches the recorded pair s through TOutSegs'
-	// key; the planner joins left-deep in FROM order.
+	// starts from the few rows one probe yields — the prefixes x -> u
+	// through TOutSegs' tid index, the suffixes v -> y through its (fid,
+	// tid) key — and reaches the recorded pair s through that key; the
+	// planner joins left-deep in FROM order.
 	touchPairQ = "INSERT INTO " + tblMutTouch + " (fid, tid) SELECT s.fid, s.tid FROM " +
 		TblOutSegs + " s WHERE s.fid = ? AND s.tid = ? AND ? <= s.cost"
 	touchPrefixQ = "INSERT INTO " + tblMutTouch + " (fid, tid) SELECT s.fid, s.tid FROM " +
-		TblInSegs + " a, " + TblOutSegs + " s " +
+		TblOutSegs + " a, " + TblOutSegs + " s " +
 		"WHERE a.tid = ? AND a.fid <> ? AND s.fid = a.fid AND s.tid = ? AND a.cost + ? <= s.cost"
 	touchSuffixQ = "INSERT INTO " + tblMutTouch + " (fid, tid) SELECT s.fid, s.tid FROM " +
 		TblOutSegs + " s, " + TblOutSegs + " b " +
 		"WHERE s.fid = ? AND s.tid <> ? AND b.fid = ? AND b.tid = s.tid AND ? + b.cost <= s.cost"
 	touchBothQ = "INSERT INTO " + tblMutTouch + " (fid, tid) SELECT s.fid, s.tid FROM " +
-		TblInSegs + " a, " + TblOutSegs + " s, " + TblOutSegs + " b " +
+		TblOutSegs + " a, " + TblOutSegs + " s, " + TblOutSegs + " b " +
 		"WHERE a.tid = ? AND a.fid <> ? AND s.fid = a.fid AND s.tid <> ? " +
 		"AND b.fid = ? AND b.tid = s.tid AND a.cost + ? + b.cost <= s.cost"
 
@@ -128,7 +128,7 @@ const (
 )
 
 // DeleteEdge removes the (from, to) edge from TEdges and, when a SegTable is
-// built, repairs TOutSegs/TInSegs decrementally (or rebuilds them past
+// built, repairs TOutSegs decrementally (or rebuilds it past
 // DefaultRepairThreshold). Deleting a pair with no edge is an error.
 func (e *Engine) DeleteEdge(from, to int64) (*MaintStats, error) {
 	return e.ApplyMutations([]Mutation{{Op: MutDelete, From: from, To: to}})
@@ -409,9 +409,7 @@ func (e *Engine) applyOneLocked(ctx context.Context, qs *QueryStats, st *MaintSt
 // whose shortest path could route through the edge (u, v, w): the pair
 // itself, prefix-only pairs (x, v), suffix-only pairs (u, y), and
 // both-half pairs (x, y), mirroring the four insertion-maintenance cases.
-// TOutSegs and TInSegs record the same rows, so one touch set serves
-// both. Must run while TOutSegs still reflects the pre-mutation
-// graph.
+// Must run while TOutSegs still reflects the pre-mutation graph.
 func (e *Engine) computeTouchSet(ctx context.Context, qs *QueryStats, u, v, w int64) error {
 	// The scratch tables are created on first use; repairTouched clears
 	// TMutSrc before its fill.
@@ -438,9 +436,9 @@ func (e *Engine) computeTouchSet(ctx context.Context, qs *QueryStats, u, v, w in
 	if err := ins(touchSuffixQ, u, v, v, w); err != nil {
 		return err
 	}
-	// 4) x != u, y != v: both halves recorded. Both segment tables are
-	// keyed on (fid, tid), so each shape emits each pair at most once and
-	// the shapes are disjoint; TMutTouch's unique key holds them to it.
+	// 4) x != u, y != v: both halves recorded. (fid, tid) is unique, so
+	// each shape emits each pair at most once and the shapes are disjoint;
+	// TMutTouch's unique key holds them to it.
 	return ins(touchBothQ, u, u, v, v, w)
 }
 
@@ -487,16 +485,10 @@ func (e *Engine) repairTouchedLocked(ctx context.Context, qs *QueryStats, st *Ma
 	return nil
 }
 
-// repairCols selects a touched pair's re-derived row of each segment
-// table from TSeg, in segMerge's insert columns.
-var repairCols = map[string]string{TblOutSegs: "SELECT m.fid, m.tid, s.par, s.dist", TblInSegs: "SELECT m.fid, m.tid, s.dist"}
-
-// repairTouched recomputes the touched rows of both segment tables: a
-// bounded set-Dijkstra sweep forward from the touched fids over the
-// mutated TEdges, delete-and-reinsert of the touched pairs, then the
-// original-edge fold restricted to the same pairs. The two tables hold the
-// same rows, so one sweep re-derives both. It returns the rows
-// re-materialized, both tables counted.
+// repairTouched recomputes the touched rows of TOutSegs: a bounded
+// set-Dijkstra sweep forward from the touched fids over the mutated TEdges,
+// delete-and-reinsert of the touched pairs, then the original-edge fold
+// restricted to the same pairs. It returns the rows re-materialized.
 func (e *Engine) repairTouched(ctx context.Context, qs *QueryStats) (int64, error) {
 	if _, err := e.exec(ctx, qs, nil, nil, mutSrcClear); err != nil {
 		return 0, err
@@ -508,26 +500,19 @@ func (e *Engine) repairTouched(ctx context.Context, qs *QueryStats) (int64, erro
 	if _, _, err := e.sweeper(qs).Run(ctx, TblEdges, true, e.segLthd, sweep.Q(tblMutSrc), sweep.Query{}); err != nil {
 		return 0, err
 	}
-	var repaired int64
-	for _, tbl := range segTables {
-		// Drop the touched rows; distances can only have grown, so
-		// untouched rows keep valid (cost, pid) entries. The planner runs
-		// this EXISTS from TMutTouch, probing the table's index once per
-		// touched pair.
-		if _, err := e.exec(ctx, qs, nil, nil,
-			"DELETE FROM "+tbl+" WHERE EXISTS (SELECT fid FROM "+tblMutTouch+
-				" m WHERE m.fid = "+tbl+".fid AND m.tid = "+tbl+".tid)"); err != nil {
-			return 0, err
-		}
-		// Re-materialize the touched pairs that are still within lthd:
-		// touched pairs are unique, so each probes TSeg's (src, nid) key
-		// for its one row.
-		n, err := e.exec(ctx, qs, nil, nil, "INSERT INTO "+tbl+" ("+segMerge(tbl).InsertCols+") "+repairCols[tbl]+" FROM "+
-			tblMutTouch+" m, "+TblSeg+" s WHERE s.src = m.fid AND s.nid = m.tid AND s.src <> s.nid")
-		if err != nil {
-			return 0, err
-		}
-		repaired += n
+	// Drop the touched rows; distances can only have grown, so untouched
+	// rows keep valid (cost, pid) entries. The planner runs this EXISTS
+	// from TMutTouch, probing TOutSegs' key once per touched pair.
+	if _, err := e.exec(ctx, qs, nil, nil, "DELETE FROM "+TblOutSegs+" WHERE EXISTS (SELECT fid FROM "+tblMutTouch+
+		" m WHERE m.fid = "+TblOutSegs+".fid AND m.tid = "+TblOutSegs+".tid)"); err != nil {
+		return 0, err
+	}
+	// Re-materialize the touched pairs that are still within lthd: touched
+	// pairs are unique, so each probes TSeg's (src, nid) key for its one row.
+	repaired, err := e.exec(ctx, qs, nil, nil, "INSERT INTO "+TblOutSegs+" (fid, tid, pid, cost) SELECT m.fid, m.tid, s.par, s.dist FROM "+
+		tblMutTouch+" m, "+TblSeg+" s WHERE s.src = m.fid AND s.nid = m.tid AND s.src <> s.nid")
+	if err != nil {
+		return 0, err
 	}
 	// Surviving original edges on touched pairs re-enter per
 	// Definition 4(2).

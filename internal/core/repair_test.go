@@ -44,16 +44,10 @@ func TestTouchSetMatchesDefinition(t *testing.T) {
 				t.Fatal(err)
 			}
 			seg := segTableSnapshot(t, e, TblOutSegs)
-			// The prefix shapes read x -> u from TInSegs: both tables must
-			// record the same pairs at the same costs.
-			in := segTableSnapshot(t, e, TblInSegs)
-			if len(in) != len(seg) {
-				t.Fatalf("TInSegs has %d pairs, TOutSegs %d", len(in), len(seg))
-			}
-			for pair, c := range seg {
-				if in[pair] != c {
-					t.Fatalf("pair %v: TOutSegs cost %d, TInSegs %d", pair, c, in[pair])
-				}
+			// The prefix shapes read x -> u through TOutSegs' tid index: it
+			// must yield the table's pairs at their costs.
+			if err := e.checkSegTable(); err != nil {
+				t.Fatal(err)
 			}
 			dist := func(x, y int64) (int64, bool) {
 				if x == y {
@@ -125,7 +119,7 @@ func TestTouchSetMatchesDefinition(t *testing.T) {
 // gained no neighbour on the way have the same neighbourhood in both, and a
 // DeleteEdge or a weakening UpdateEdgeWeight of one of them must cost about
 // the same buffer-pool fetches (exact counts) in the SegTable eight times the
-// size. A statement that scans TOutSegs, TInSegs or TEdges to find its two
+// size. A statement that scans TOutSegs, its tid index or TEdges to find its two
 // rows grows eightfold.
 func TestRepairCostFollowsTouchSet(t *testing.T) {
 	const n, lthd, sample = 500, 20, 6

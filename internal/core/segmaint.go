@@ -16,9 +16,9 @@ import (
 // uses the new edge (u,v) exactly once decomposes into a pre-existing
 // shortest prefix x -> u (possibly empty), the edge, and a pre-existing
 // shortest suffix v -> y (possibly empty). Both halves are within lthd,
-// hence already recorded in the SegTable (or trivial). Four merges
-// per segment table — one per {x = u, x != u} x {y = v, y != v}
-// combination — therefore cover every improved pair. Weight decreases are
+// hence already recorded in the SegTable (or trivial). Four merges — one
+// per {x = u, x != u} x {y = v, y != v} combination — therefore cover
+// every improved pair. Weight decreases are
 // the same case (UpdateEdgeWeight). Edge deletions and weight increases
 // can lengthen distances and take the decremental path of mutation.go: a
 // touch set over the same four shapes, recomputed by a bounded sweep.
@@ -60,7 +60,7 @@ type MaintStats struct {
 
 // InsertEdge adds a (from, to, weight) edge — TEdges keeps the pair's
 // cheaper cost — and, when a SegTable is built, incrementally maintains
-// TOutSegs and TInSegs.
+// TOutSegs.
 func (e *Engine) InsertEdge(from, to, weight int64) (*MaintStats, error) {
 	return e.ApplyMutations([]Mutation{{Op: MutInsert, From: from, To: to, Weight: weight}})
 }
@@ -75,83 +75,60 @@ type maintShape struct {
 
 // segMerge is the M-operator every SegTable writer runs — the build's fold
 // and segment merge, insertion maintenance, the repair's fold — as an
-// internal/fem spec keyed (fid, tid): a cheaper candidate replaces the
-// recorded cost (and TOutSegs' pid with it), an unrecorded pair is
+// internal/fem spec keyed (fid, tid): a cheaper (fid, tid, pid, cost)
+// candidate replaces the recorded cost and pid, an unrecorded pair is
 // inserted. That every writer merges on the pair (the repair re-inserts
-// only pairs it just deleted) is what keeps (fid, tid) unique in both
-// segment tables. TOutSegs' candidates are (fid, tid, pid, cost) rows,
-// TInSegs' (fid, tid, cost) rows; below the MERGE level each table stages
-// them in a table of those columns, which createSegTables creates.
-func segMerge(target string) fem.Merge {
-	if target == TblInSegs {
-		return fem.Merge{Table: target, Key: []string{"fid", "tid"}, Carry: []string{"cost"}, Stage: sweep.TblSegMaintIn,
-			Matched:    fem.Branch{When: "target.cost > source.cost", Set: "cost = source.cost"},
-			InsertCols: "fid, tid, cost", InsertVals: "source.fid, source.tid, source.cost"}
-	}
-	return fem.Merge{Table: target, Key: []string{"fid", "tid"}, Carry: []string{"pid", "cost"}, Stage: sweep.TblSegMaint,
-		Matched:    fem.Branch{When: "target.cost > source.cost", Set: "cost = source.cost, pid = source.pid"},
-		InsertCols: "fid, tid, pid, cost", InsertVals: "source.fid, source.tid, source.pid, source.cost"}
-}
+// only pairs it just deleted) is what keeps (fid, tid) unique. Below the
+// MERGE level the candidates are staged in TSegMaint, which
+// createSegTables creates.
+var segMerge = fem.Merge{Table: TblOutSegs, Key: []string{"fid", "tid"}, Carry: []string{"pid", "cost"}, Stage: sweep.TblSegMaint,
+	Matched:    fem.Branch{When: "target.cost > source.cost", Set: "cost = source.cost, pid = source.pid"},
+	InsertCols: "fid, tid, pid, cost", InsertVals: "source.fid, source.tid, source.pid, source.cost"}
 
-// mergeSegs merges the candidate pairs src selects — segMerge's columns
-// for target — into the segment table target, returning the rows inserted
-// or improved.
-func (e *Engine) mergeSegs(ctx context.Context, qs *QueryStats, target, src string, args []any) (int64, error) {
-	return e.runOps(ctx, qs, fem.MergeSelect(e.level, src, segMerge(target)).Round(false), args, nil)
+// mergeSegs merges the candidate pairs src selects, segMerge's columns,
+// into TOutSegs, returning the rows inserted or improved.
+func (e *Engine) mergeSegs(ctx context.Context, qs *QueryStats, src string, args []any) (int64, error) {
+	return e.runOps(ctx, qs, fem.MergeSelect(e.level, src, segMerge).Round(false), args, nil)
 }
 
 // The candidate pairs of the {x = u, x != u} x {y = v, y != v}
 // decomposition: 1) the pair (u, v) itself; 2) x != u, y = v, prefixes
-// x -> u from TInSegs (keyed on tid first); 3) x = u, y != v, suffixes v -> y
-// from TOutSegs (keyed on fid first); 4) both halves. (fid, tid) is unique in
-// both tables, so with a.tid = u and b.fid = v fixed shape 4 emits each
-// (a.fid, b.tid) once — no dedupe. TOutSegs' pid is the predecessor of tid
-// on the path: u on the pair itself and on every x -> u -> v path, and the
-// suffix's own pid otherwise. TInSegs takes the same pairs at the same
-// costs, without the pid.
+// x -> u through TOutSegs' tid index; 3) x = u, y != v, suffixes v -> y
+// through its (fid, tid) key; 4) both halves. (fid, tid) is unique, so with
+// a.tid = u and b.fid = v fixed shape 4 emits each (a.fid, b.tid) once — no
+// dedupe. pid is the predecessor of tid on the path: u on the pair itself
+// and on every x -> u -> v path, and the suffix's own pid otherwise.
 const (
-	maintPrefixes = " FROM " + TblInSegs + " a WHERE a.tid = ? AND a.fid <> ? AND a.cost + ? <= ?"
+	maintPrefixes = " FROM " + TblOutSegs + " a WHERE a.tid = ? AND a.fid <> ? AND a.cost + ? <= ?"
 	maintSuffixes = " FROM " + TblOutSegs + " b WHERE b.fid = ? AND b.tid <> ? AND b.cost + ? <= ?"
-	maintHalves   = " FROM " + TblInSegs + " a, " + TblOutSegs + " b " +
+	maintHalves   = " FROM " + TblOutSegs + " a, " + TblOutSegs + " b " +
 		"WHERE a.tid = ? AND b.fid = ? AND a.fid <> ? AND b.tid <> ? AND a.fid <> b.tid AND a.cost + b.cost + ? <= ?"
 )
 
-// maintShapes holds each segment table's four shapes, in that order.
-var maintShapes = map[string][4]maintShape{
-	TblOutSegs: {
-		{"SELECT ?, ?, ?, ?", func(u, v, w, _ int64) []any { return []any{u, v, u, w} }},
-		{"SELECT a.fid, ?, ?, a.cost + ?" + maintPrefixes,
-			func(u, v, w, lthd int64) []any { return []any{v, u, w, u, v, w, lthd} }},
-		{"SELECT ?, b.tid, b.pid, b.cost + ?" + maintSuffixes, suffixArgs},
-		{"SELECT a.fid, b.tid, b.pid, a.cost + ? + b.cost" + maintHalves, halvesArgs},
-	},
-	TblInSegs: {
-		{"SELECT ?, ?, ?", func(u, v, w, _ int64) []any { return []any{u, v, w} }},
-		{"SELECT a.fid, ?, a.cost + ?" + maintPrefixes,
-			func(u, v, w, lthd int64) []any { return []any{v, w, u, v, w, lthd} }},
-		{"SELECT ?, b.tid, b.cost + ?" + maintSuffixes, suffixArgs},
-		{"SELECT a.fid, b.tid, a.cost + ? + b.cost" + maintHalves, halvesArgs},
-	},
+// maintShapes are the four shapes, in that order.
+var maintShapes = [4]maintShape{
+	{"SELECT ?, ?, ?, ?", func(u, v, w, _ int64) []any { return []any{u, v, u, w} }},
+	{"SELECT a.fid, ?, ?, a.cost + ?" + maintPrefixes,
+		func(u, v, w, lthd int64) []any { return []any{v, u, w, u, v, w, lthd} }},
+	{"SELECT ?, b.tid, b.pid, b.cost + ?" + maintSuffixes,
+		func(u, v, w, lthd int64) []any { return []any{u, w, v, u, w, lthd} }},
+	{"SELECT a.fid, b.tid, b.pid, a.cost + ? + b.cost" + maintHalves,
+		func(u, v, w, lthd int64) []any { return []any{w, u, v, v, u, w, lthd} }},
 }
 
-func suffixArgs(u, v, w, lthd int64) []any { return []any{u, w, v, u, w, lthd} }
-func halvesArgs(u, v, w, lthd int64) []any { return []any{w, u, v, v, u, w, lthd} }
-
-// maintainSegs updates TOutSegs and TInSegs with the consequences of the
-// new or cheaper edge (u, v, w): the four shapes, merged in turn into each
-// table with the edge bound as parameters, the improved rows added to st.
-// The shapes read halves that end at u or start at v, which no merge of
-// this edge improves (that would take a cycle through it), so both tables
-// take the same candidates and stay equal row for row.
+// maintainSegs updates TOutSegs with the consequences of the new or cheaper
+// edge (u, v, w): the four shapes, merged in turn with the edge bound as
+// parameters, the improved rows added to st. Shapes 2 and 4 read TOutSegs
+// while merging into it: they read halves that end at u or start at v,
+// which no merge of this edge improves (that would take a cycle through
+// it), and each merge reads its source whole before its first write.
 func (e *Engine) maintainSegs(ctx context.Context, qs *QueryStats, st *MaintStats, u, v, w int64) error {
-	for _, tbl := range segTables {
-		for _, sh := range maintShapes[tbl] {
-			n, err := e.mergeSegs(ctx, qs, tbl, sh.src, sh.args(u, v, w, e.segLthd))
-			if err != nil {
-				return err
-			}
-			st.Affected += n
+	for _, sh := range maintShapes {
+		n, err := e.mergeSegs(ctx, qs, sh.src, sh.args(u, v, w, e.segLthd))
+		if err != nil {
+			return err
 		}
+		st.Affected += n
 	}
 	return nil
 }

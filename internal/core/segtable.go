@@ -16,7 +16,7 @@ import (
 const (
 	// The finished sweep's segments (Definition 4(1)) as segMerge
 	// candidates, paths src -> nid with par the predecessor of nid.
-	segSweptQ = " FROM " + TblSeg + " WHERE src <> nid"
+	segSweptQ = "SELECT src, nid, par, dist FROM " + TblSeg + " WHERE src <> nid"
 	// The fold's direct hops a sweep can take, each a row of the first
 	// round's TSeg.
 	segFoldWithinQ = "SELECT COUNT(*) FROM " + TblOutSegs + " WHERE cost <= ?"
@@ -24,14 +24,6 @@ const (
 	// A batch's sources: a range [lo, hi) of the node order.
 	segBatchSeed = TblNodes + " WHERE nid >= ? AND nid < ?"
 )
-
-// segTables are the two segment tables every SegTable writer writes, the
-// same rows under the two clusterings.
-var segTables = [2]string{TblOutSegs, TblInSegs}
-
-// segCols selects a segment table's candidate columns (segMerge) from
-// TSeg: TInSegs takes no pid.
-var segCols = map[string]string{TblOutSegs: "SELECT src, nid, par, dist", TblInSegs: "SELECT src, nid, dist"}
 
 // segLeafRows is how many TSeg rows a leaf holds at the build's leaf fill:
 // two thirds full, where leaves that inserts split in halves and refill
@@ -61,16 +53,16 @@ const DefaultLthd = 20
 
 // BuildSegTable constructs the SegTable index of Definition 4: TOutSegs
 // holds every pre-computed shortest segment (u,v) with δ(u,v) <= lthd plus
-// the original edges not dominated by a segment; TInSegs holds the same
-// rows keyed on (tid, fid), the incoming direction's access path.
-// Construction itself runs through the FEM framework (§4.2) in the forward
-// direction only: the original edges are folded into both tables first,
-// then the nodes start as sources in a working table TSeg keyed on
-// (src, nid), a batch of them at a time sized to a sixth of the buffer
-// pool; bounded multi-source set-Dijkstra expands over TOutSegs' direct
-// hops until the minimal unfinalized distance exceeds lthd, and a MERGE
-// writes the batch's segments over each table, whose leaves it touched are
-// then packed full, before the next batch starts (segPass).
+// the original edges not dominated by a segment, keyed on (fid, tid); its
+// tid index, whose entries hold (tid, fid, cost), is the incoming
+// direction's access path. Construction itself runs through the FEM
+// framework (§4.2) in the forward direction only: the original edges are
+// folded into TOutSegs first, then the nodes start as sources in a working
+// table TSeg keyed on (src, nid), a batch of them at a time sized to a
+// sixth of the buffer pool; bounded multi-source set-Dijkstra expands over
+// TOutSegs' direct hops until the minimal unfinalized distance exceeds
+// lthd, and a MERGE writes the batch's segments over TOutSegs, whose leaves
+// it touched are then packed full, before the next batch starts (segPass).
 func (e *Engine) BuildSegTable(lthd int64) (*SegTableStats, error) {
 	return e.BuildSegTableContext(context.Background(), lthd)
 }
@@ -141,7 +133,7 @@ func (e *Engine) buildSegTableLocked(ctx context.Context, lthd int64, bump bool)
 	}
 
 	// One forward pass: shortest segments src -> v, par holding pre(v), the
-	// predecessor of v on the path, which becomes pid in both tables
+	// predecessor of v on the path, which becomes TOutSegs' pid
 	// (Definition 4(1)).
 	st.Iterations, st.BatchSources, err = e.segPass(ctx, qs, lthd)
 	if err != nil {
@@ -149,10 +141,13 @@ func (e *Engine) buildSegTableLocked(ctx context.Context, lthd int64, bump bool)
 	}
 	st.Batches = len(st.BatchSources)
 
-	cat := e.db.Catalog()
-	out, _ := cat.Get(TblOutSegs)
-	in, _ := cat.Get(TblInSegs)
-	st.OutSegs, st.InSegs = out.RowCount(), in.RowCount()
+	// InSegs counts the tid index's entries, or under NoIndex the rows the
+	// backward search scans.
+	out, _ := e.db.Catalog().Get(TblOutSegs)
+	st.OutSegs, st.InSegs = out.RowCount(), out.RowCount()
+	if n := len(out.Secondary); n > 0 { // the tid index is declared last
+		st.InSegs = out.Secondary[n-1].Tree().Len()
+	}
 	st.Statements = qs.Statements
 	st.BuildTime = time.Since(start)
 	e.mu.Lock()
@@ -165,7 +160,7 @@ func (e *Engine) buildSegTableLocked(ctx context.Context, lthd int64, bump bool)
 	return st, nil
 }
 
-// createSegTables (re)creates TOutSegs/TInSegs under the engine's strategy,
+// createSegTables (re)creates TOutSegs and its index under the engine's strategy,
 // the TSeg working set and, below the MERGE level, the maintenance staging
 // table, counting the statements into a non-nil qs. Shared by the
 // construction path and snapshot hydration (durability.go), which
@@ -178,17 +173,16 @@ func (e *Engine) createSegTables(qs *QueryStats) error {
 	return s.Create(rels...)
 }
 
-// segPass runs the construction: fold the original edges into both segment
-// tables (Definition 4(2)), then sweep forward over TOutSegs in batches of
-// sources and merge each batch's segments (Definition 4(1)) over both
-// tables before the next batch starts. It returns the rounds summed over
-// the batches and each batch's source count.
+// segPass runs the construction: fold the original edges into TOutSegs
+// (Definition 4(2)), then sweep forward over it in batches of sources and
+// merge each batch's segments (Definition 4(1)) over it before the next
+// batch starts. It returns the rounds summed over the batches and each
+// batch's source count.
 //
-// One direction fills both tables because they hold the same pairs at the
-// same costs: a shortest path x -> y is a shortest path x -> y whichever
-// end the search starts from. TInSegs exists for its clustering, (tid,
-// fid), which the backward search and the maintenance's prefixes probe;
-// its pid is TOutSegs', the predecessor of tid.
+// One direction serves both searches: a shortest path x -> y is a shortest
+// path x -> y whichever end the search starts from. The backward search and
+// the maintenance's prefixes probe TOutSegs' tid index, which every merge
+// keeps.
 //
 // A batch is a contiguous range of the node order, sized so that its TSeg
 // stays within a sixth of the buffer pool: every round's F and E passes
@@ -206,13 +200,11 @@ func (e *Engine) createSegTables(qs *QueryStats) error {
 // the contiguous key range of its sources, which is packed (rdb.DB.Pack)
 // before the next batch: that leaves it as full as a key-ordered load
 // would and adds at most a batch's worth of half-empty leaves to the pages
-// the file ever holds. TInSegs is keyed on tid first, and a batch's
+// the file ever holds. The tid index is keyed on tid first, and a batch's
 // segments end across most of the node order, so packing a batch's range
-// would read nearly the whole table every batch (at a cold build of
-// graph.Power(20000) behind 128 pages, 1743 of the build's 5179 misses);
-// it is packed once, after the last batch, and its split leaves fill up
-// between batches instead (that build's file peaks at 876 pages, not 847,
-// below what the searches that follow take).
+// would read nearly the whole index every batch; it is packed once, after
+// the last batch (rdb.DB.PackIndexes), and its split leaves fill up between
+// batches instead.
 //
 // The sweep expands TOutSegs' direct hops only (sweep.Run), which for the
 // first batch are exactly the fold. A later batch sees the fold minus the
@@ -242,10 +234,8 @@ func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64) (itera
 		if err != nil {
 			return 0, nil, err
 		}
-		for _, tbl := range segTables {
-			if _, err := e.mergeSegs(ctx, qs, tbl, segCols[tbl]+segSweptQ, nil); err != nil {
-				return 0, nil, err
-			}
+		if _, err := e.mergeSegs(ctx, qs, segSweptQ, nil); err != nil {
+			return 0, nil, err
 		}
 		if err := e.db.Pack(TblOutSegs, int64(lo), int64(hi)); err != nil {
 			return 0, nil, err
@@ -256,36 +246,25 @@ func (e *Engine) segPass(ctx context.Context, qs *QueryStats, lthd int64) (itera
 		perSource = float64(work.RowCount()) / float64(hi-lo)
 		lo = hi
 	}
-	if err := e.db.Pack(TblInSegs, 0, int64(n)); err != nil {
+	if err := e.db.PackIndexes(TblOutSegs); err != nil {
 		return 0, nil, err
 	}
 	return iterations, batches, sw.Clear()
 }
 
-// foldEdges merges the original edges into both segment tables
-// (Definition 4(2)), pid the direct hop's fid: an edge is discarded when a
-// recorded segment already dominates it, and a cheaper edge updates the
-// recorded cost. TEdges holds one row a pair, so the fold projects it. A
-// build folds every edge into the empty tables before its sweep: TOutSegs
-// takes the edges, and TInSegs then takes TOutSegs' rows. A non-empty
-// touchTable restricts the fold to the (fid, tid) pairs recorded there,
-// uniquely — the decremental repair path, which only re-materializes
-// touched pairs and reaches their edges from the touch table through
-// TEdges' pair key; there both tables take the touched pairs' edges
-// (reading TOutSegs' touched rows instead moved neither
-// BenchmarkMutationBatch's pages nor its time).
+// foldEdges merges the original edges into TOutSegs (Definition 4(2)),
+// pid the direct hop's fid: an edge is discarded when a recorded segment
+// already dominates it, and a cheaper edge updates the recorded cost.
+// TEdges holds one row a pair, so the fold projects it. A build folds
+// every edge into the empty table before its sweep. A non-empty touchTable
+// restricts the fold to the (fid, tid) pairs recorded there, uniquely —
+// the decremental repair path, which only re-materializes touched pairs
+// and reaches their edges from the touch table through TEdges' pair key.
 func (e *Engine) foldEdges(ctx context.Context, qs *QueryStats, touchTable string) error {
 	from := " FROM " + TblEdges + " s"
 	if touchTable != "" {
 		from = " FROM " + touchTable + " m, " + TblEdges + " s WHERE s.fid = m.fid AND s.tid = m.tid"
 	}
-	if _, err := e.mergeSegs(ctx, qs, TblOutSegs, "SELECT s.fid, s.tid, s.fid, s.cost"+from, nil); err != nil {
-		return err
-	}
-	in := "SELECT fid, tid, cost FROM " + TblOutSegs
-	if touchTable != "" {
-		in = "SELECT s.fid, s.tid, s.cost" + from
-	}
-	_, err := e.mergeSegs(ctx, qs, TblInSegs, in, nil)
+	_, err := e.mergeSegs(ctx, qs, "SELECT s.fid, s.tid, s.fid, s.cost"+from, nil)
 	return err
 }

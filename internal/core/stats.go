@@ -122,7 +122,9 @@ type Path struct {
 type SegTableStats struct {
 	Lthd    int64
 	OutSegs int // rows in TOutSegs (pre-computed segments + edges)
-	InSegs  int
+	// InSegs counts the incoming segments: the entries of TOutSegs' tid
+	// index (its rows under NoIndex), the paper's second table.
+	InSegs int
 	// Iterations sums the sweep's rounds over every batch of sources.
 	Iterations int
 	// Batches is how many batches of sources the sweep ran in: 1 when the

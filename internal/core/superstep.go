@@ -176,12 +176,12 @@ func (ss *superstep) expandHarvest(ctx context.Context, forward bool, mark, lOth
 // with sharding rather than substituting for memory.
 func (ss *superstep) prefetchFrontier(ctx context.Context, forward bool, mark int64) error {
 	e, qs := ss.e, ss.qs
-	// MIN(cost) rather than COUNT(*): cost lives only in the base rows, so
-	// the probe must fetch the same heap pages the expansion join will read,
-	// not satisfy itself from an index.
-	nidQ, probeQ := ss.sc.markedB, "SELECT MIN(cost) FROM "+ss.spec.edgeBwd+" WHERE tid = ?"
+	// MIN(cost) rather than COUNT(*): the probe reads the column the
+	// expansion join does, so it fetches the pages that join will read —
+	// the base rows, or a covering index's entries — not an index alone.
+	nidQ, probeQ := ss.sc.markedB, "SELECT MIN(cost) FROM "+ss.spec.edges+" WHERE tid = ?"
 	if forward {
-		nidQ, probeQ = ss.sc.markedF, "SELECT MIN(cost) FROM "+ss.spec.edgeFwd+" WHERE fid = ?"
+		nidQ, probeQ = ss.sc.markedF, "SELECT MIN(cost) FROM "+ss.spec.edges+" WHERE fid = ?"
 	}
 	rows, err := e.queryRows(ctx, qs, &qs.EOp, nidQ, mark)
 	if err != nil {

@@ -278,15 +278,17 @@ func opaque(e sql.Expr) bool { return exprRefs(e, func(*sql.ColumnRef) bool { re
 // writesThrough decides, at prepare time, whether a DML statement with
 // matched branch br (nil: none) on t changes each target row through its
 // scan (see mergeRows) rather than materializing its matches first. It may
-// when t takes writes through a scan (table.Table.WritesThrough), br
-// neither deletes nor assigns a clustered-key column, and none of exprs —
+// when t takes writes through a scan (table.Table.WritesThrough), scan
+// reads t in clustered order (not through a secondary index, which the
+// writes change), br neither deletes nor assigns a clustered-key column,
+// and none of exprs —
 // everything the statement evaluates while it changes t: its ON or WHERE,
 // the branch condition, SET and INSERT values — is opaque, for a subquery
 // could read t and then see the statement's own writes. A MERGE's or
 // UPDATE ... FROM's source is not among them: mergeRows reads it whole
 // before the first change.
-func writesThrough(t *table.Table, br *mergeBranch, exprs []sql.Expr) bool {
-	if !t.WritesThrough() || br != nil &&
+func writesThrough(t *table.Table, scan baseScan, br *mergeBranch, exprs []sql.Expr) bool {
+	if ix, ok := scan.(*IndexEqScan); !t.WritesThrough() || ok && ix.Index != nil || br != nil &&
 		(br.del || slices.ContainsFunc(br.setOrds, func(ord int) bool { return slices.Contains(t.Clustered().Cols, ord) })) {
 		return false
 	}
@@ -331,7 +333,7 @@ func (p *Planner) PrepareUpdate(st *sql.UpdateStmt) (*PreparedDML, error) {
 		return nil, err
 	}
 	br := &mergeBranch{setFns: setFns, setOrds: setOrds}
-	direct := writesThrough(t, br, setValues([]sql.Expr{st.Where}, st.Sets))
+	direct := writesThrough(t, scan, br, setValues([]sql.Expr{st.Where}, st.Sets))
 	return newDML(srcPlan, scan, func(in *instance) (Result, error) {
 		return mergeRows(in, t, br, nil, direct)
 	}), nil
@@ -476,7 +478,7 @@ func (p *Planner) PrepareMerge(st *sql.MergeStmt) (*PreparedDML, error) {
 		}
 		exprs = append(exprs, nm.Vals...)
 	}
-	direct := writesThrough(t, br, exprs)
+	direct := writesThrough(t, scan, br, exprs)
 	return newDML(srcPlan, scan, func(in *instance) (Result, error) {
 		return mergeRows(in, t, br, ins, direct)
 	}), nil

@@ -46,6 +46,11 @@ var genKinds = []string{
 		"WHEN NOT MATCHED THEN INSERT (k, a, b, c) VALUES (ss.k, ss.a, ss.b, ss.c)",
 	"MERGE INTO t AS tt USING (SELECT k + ?, a, b, c FROM s WHERE {w}) AS ss (k, a, b, c) ON (tt.k = ss.k) " +
 		"WHEN MATCHED THEN UPDATE SET a = ss.a WHEN NOT MATCHED THEN INSERT (k, a, b, c) VALUES (ss.k, ss.a, ss.b, ss.c)",
+	// The source reads the target through its index on a, which the
+	// statement's writes change: it is read whole before the first one.
+	"MERGE INTO t AS tt USING (SELECT k {+ 0|+ 1}, a, b, c + ? FROM t WHERE a = ? AND {w}) AS ss (k, a, b, c) ON (tt.k = ss.k) " +
+		"WHEN MATCHED AND tt.c > ss.c THEN UPDATE SET {a = ss.a + 1|c = ss.c|b = ss.b, a = tt.a - 1} " +
+		"WHEN NOT MATCHED THEN INSERT (k, a, b, c) VALUES (ss.k, ss.a, ss.b, ss.c)",
 }
 
 // gen draws statements; their bindings go to args, in the order of the ?s.
@@ -174,10 +179,11 @@ func TestGeneratedStatements(t *testing.T) {
 
 // fuzzCorpus returns FuzzExec's seed texts: the benchmark ladder's nine,
 // core's golden statements, one statement per construct outside the
-// dialect, and Prim's former frontier pick, a TOP 1 scalar subquery.
+// dialect, eight reads and writes of TOutSegs through its covering tid
+// index, and Prim's former frontier pick, a TOP 1 scalar subquery.
 func fuzzCorpus(t testing.TB) []string {
 	var out []string
-	for _, file := range []string{"../sql/testdata/ladder.txt", "../core/testdata/golden_statements.txt", "../sql/testdata/pruned.txt"} {
+	for _, file := range []string{"../sql/testdata/ladder.txt", "../core/testdata/golden_statements.txt", "../sql/testdata/pruned.txt", "../sql/testdata/segreads.txt"} {
 		data, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)

@@ -39,11 +39,20 @@ type design struct {
 // write through their scans; secondary, a heap with the second index alone;
 // pair_key, clustered uniquely on the key and the second index's column,
 // which is indexed on its own too, so that index's entries hold the two
-// columns once each (TEdges' shape).
+// columns once each (TEdges' shape); covering, clustered uniquely on the key
+// beside an index led by the second index's columns that holds every other
+// column, so that every scan through it is index-only, and UPDATE and MERGE
+// write through their scans and change its entries (TOutSegs' shape).
 func designsOf(name, cols, key, also string, names ...string) []design {
 	create := "CREATE TABLE " + name + " (" + strings.ReplaceAll(cols, ",", " INT,") + " INT)"
 	index := func(kind, on string) string {
 		return "CREATE " + kind + "INDEX " + name + "_" + strings.ReplaceAll(on, ", ", "_") + " ON " + name + " (" + on + ")"
+	}
+	covering := strings.Split(also, ", ")
+	for _, c := range strings.Split(cols, ", ") {
+		if !slices.Contains(covering, c) && !slices.Contains(strings.Split(key, ", "), c) {
+			covering = append(covering, c)
+		}
 	}
 	all := map[string][]string{
 		"clustered":        {create, index("UNIQUE CLUSTERED ", key), index("", also)},
@@ -53,6 +62,7 @@ func designsOf(name, cols, key, also string, names ...string) []design {
 		"write_through":    {create, index("UNIQUE CLUSTERED ", key)},
 		"secondary":        {create, index("", also)},
 		"pair_key":         {create, index("UNIQUE CLUSTERED ", key+", "+also), index("", also)},
+		"covering":         {create, index("UNIQUE CLUSTERED ", key), index("", strings.Join(covering, ", "))},
 	}
 	out := make([]design, len(names))
 	for i, n := range names {
@@ -61,7 +71,7 @@ func designsOf(name, cols, key, also string, names ...string) []design {
 	return out
 }
 
-var allDesigns = []string{"clustered", "heap_index", "heap", "clustered_prefix", "write_through", "pair_key"}
+var allDesigns = []string{"clustered", "heap_index", "heap", "clustered_prefix", "write_through", "pair_key", "covering"}
 
 // harness runs one case in one design.
 type harness struct {

@@ -480,6 +480,15 @@ func (db *DB) Exec(query string, args ...any) (exec.Result, error) {
 // table as a statement that writes it does. An index build calls it after a
 // bulk merge into the table.
 func (db *DB) Pack(name string, lo, hi int64) error {
+	return db.pack(name, func(t *table.Table) error { return t.Pack(lo, hi) })
+}
+
+// PackIndexes packs every leaf of table name's secondary indexes
+// (table.Table.PackIndexes), as Pack does the clustered leaves.
+func (db *DB) PackIndexes(name string) error { return db.pack(name, (*table.Table).PackIndexes) }
+
+// pack runs fn on table name, holding it as a statement that writes it does.
+func (db *DB) pack(name string, fn func(*table.Table) error) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
@@ -492,7 +501,7 @@ func (db *DB) Pack(name string, lo, hi int64) error {
 	l := db.tableLock(strings.ToLower(name))
 	l.Lock()
 	defer l.Unlock()
-	return t.Pack(lo, hi)
+	return fn(t)
 }
 
 // Truncate empties the tables names (table.Table.Truncate), holding each

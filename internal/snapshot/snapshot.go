@@ -19,9 +19,11 @@ import (
 // without the pid column no reader reads; a version 3 dump has four
 // columns where a hydration loads three. Version 5 stores TEdges keyed on
 // the pair, one row each; a version 4 dump may hold a pair's parallel
-// edges, which a hydration cannot load under that key. All four are
-// refused.
-const FormatVersion = 5
+// edges, which a hydration cannot load under that key. Version 6 drops the
+// TInSegs dump: the incoming segments are TOutSegs' tid index, which a
+// hydration rebuilds as it loads TOutSegs, and no relation of that name is
+// declared any more. All five are refused.
+const FormatVersion = 6
 
 // chunkRows bounds one chunk's row count: large tables split into multiple
 // objects so a later object-store backend uploads bounded parts.

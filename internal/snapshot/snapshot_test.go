@@ -156,9 +156,10 @@ func TestLatestEmpty(t *testing.T) {
 }
 
 // TestLatestRefusesOldFormats: a newest snapshot whose manifest says format
-// 4 (TEdges rows of parallel edges), 3 (TInSegs with a pid column), 2
-// (TInSegs pids the successor of fid) or 1 (no TNodes) is refused with
-// ErrFormat, not hydrated; the same manifest at format 5 is read back.
+// 5 (a TInSegs dump), 4 (TEdges rows of parallel edges), 3 (TInSegs with a
+// pid column), 2 (TInSegs pids the successor of fid) or 1 (no TNodes) is
+// refused with ErrFormat, not hydrated; the same manifest at format 6 is
+// read back.
 func TestLatestRefusesOldFormats(t *testing.T) {
 	store, err := NewDiskStore(t.TempDir())
 	if err != nil {
@@ -174,7 +175,7 @@ func TestLatestRefusesOldFormats(t *testing.T) {
 	if !bytes.Contains(data, []byte(current)) {
 		t.Fatalf("manifest %s does not spell %s", data, current)
 	}
-	for _, format := range []int{4, 3, 2, 1} {
+	for _, format := range []int{5, 4, 3, 2, 1} {
 		old := bytes.Replace(data, []byte(current), []byte(fmt.Sprintf(`"format": %d,`, format)), 1)
 		if err := store.Put(name, old); err != nil {
 			t.Fatal(err)
@@ -193,8 +194,8 @@ func TestLatestRefusesOldFormats(t *testing.T) {
 
 // FuzzManifest: decodeManifest never panics on any bytes, and accepts only
 // a manifest at FormatVersion. The seeds under testdata/fuzz/FuzzManifest
-// (a written manifest at formats 5, 4, 3, 2 and 1, and malformed JSON) run
-// with go test.
+// (a written manifest at formats 6, 5, 4, 3, 2 and 1, and malformed JSON)
+// run with go test; those below format 6 are refused.
 func FuzzManifest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)

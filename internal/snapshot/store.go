@@ -1,6 +1,6 @@
 // Package snapshot implements versioned, manifest-led snapshots of the
 // engine's relational state: the loaded graph (TEdges) plus every built
-// index (TOutSegs/TInSegs, TLandmark, TLabelOut/TLabelIn) and the scalar
+// index (TOutSegs, TLandmark, TLabelOut/TLabelIn) and the scalar
 // metadata needed to serve from them without a rebuild. A snapshot is a
 // set of fixed-size row chunks plus one manifest.json, written through the
 // pluggable ChunkStore interface — a disk backend ships first; the

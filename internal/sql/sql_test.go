@@ -581,6 +581,10 @@ func FuzzParse(f *testing.F) {
 	// Prim's former frontier pick, a TOP 1 scalar subquery inside an
 	// UPDATE: no client issues it any more, the grammar still takes it.
 	f.Add("UPDATE TVisited_q0 SET f = ? WHERE f = 0 AND nid = (SELECT TOP 1 nid FROM TVisited_q0 WHERE f = 0 AND d2s = (SELECT MIN(d2s) FROM TVisited_q0 WHERE f = 0))")
+	// Reads and writes of TOutSegs through its covering tid index.
+	for _, q := range testLines("testdata/segreads.txt") {
+		f.Add(q)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		st1, n1, err1 := ParseStmt(src)
 		st2, n2, err2 := ParseStmt(src)

@@ -44,27 +44,25 @@ const (
 	TblExpand  = "TExpand"  // materialized E-operator output (non-fused paths)
 	TblExpCost = "TExpCost" // per-node minimal cost, below the window level
 	TblOutSegs = "TOutSegs"
-	TblInSegs  = "TInSegs"
 	// TblWork holds one row per (source, reached node): the tentative
 	// distance, the neighbour it came from (predecessor on the path from
 	// src in a forward sweep, successor toward src in a backward one) and
 	// the flag f in internal/fem's sign protocol: 0 candidate, 1 not a
 	// candidate or pruned, n >= 2 stamped by round n-1 (fem.Stamp).
-	TblWork       = "TSeg"
-	TblSegMaint   = "TSegMaint"   // a TOutSegs merge's staged source
-	TblSegMaintIn = "TSegMaintIn" // a TInSegs merge's staged source
-	tblExpand     = "TSegExpand"
-	tblExpCost    = "TSegExpCost"
-	tblDeg        = "TDeg"
-	tblDegIn      = "TDegIn"
-	TblMutTouch   = "TMutTouch" // the touched (fid, tid) pairs of a decremental repair
-	TblMutSrc     = "TMutSrc"   // the seed nodes of its bounded sweep
-	TblLandmark   = "TLandmark"
-	TblFar        = "TLmkFar"
-	TblLabelOut   = "TLabelOut"
-	TblLabelIn    = "TLabelIn"
-	TblLblTo      = "TLblTo"
-	TblLblFrom    = "TLblFrom"
+	TblWork     = "TSeg"
+	TblSegMaint = "TSegMaint" // a TOutSegs merge's staged source
+	tblExpand   = "TSegExpand"
+	tblExpCost  = "TSegExpCost"
+	tblDeg      = "TDeg"
+	tblDegIn    = "TDegIn"
+	TblMutTouch = "TMutTouch" // the touched (fid, tid) pairs of a decremental repair
+	TblMutSrc   = "TMutSrc"   // the seed nodes of its bounded sweep
+	TblLandmark = "TLandmark"
+	TblFar      = "TLmkFar"
+	TblLabelOut = "TLabelOut"
+	TblLabelIn  = "TLabelIn"
+	TblLblTo    = "TLblTo"
+	TblLblFrom  = "TLblFrom"
 )
 
 // Owner says what a relation is dropped and created with.
@@ -102,8 +100,8 @@ type Relation struct {
 	// CREATE CLUSTERED INDEX after it (which allocates a heap page only to
 	// free it again): the paper's §2.1 / §3.3 tables are written that way.
 	PK bool
-	// Also names a column with a secondary index of its own under every
-	// design that has indexes.
+	// Also lists the columns of a secondary index under every design that
+	// has indexes, named after its leading column.
 	Also string
 	// Follows says the storage follows the engine's IndexStrategy;
 	// otherwise the relation is clustered on Key under every strategy
@@ -133,15 +131,15 @@ var Relations = []Relation{
 	{Name: TblVisited, Cols: "nid, d2s, p2s, f, d2t, p2t, b", Key: "nid", Unique: true, PK: true, Follows: true, Owner: Scratch},
 	{Name: TblExpand, Cols: "nid, par, cost", Key: "nid", Unique: true, PK: true, Follows: true, Owner: Scratch},
 	{Name: TblExpCost, Cols: "nid, cost", Key: "nid", Unique: true, PK: true, Follows: true, Owner: Scratch},
-	// Definition 4: (fid, tid) is unique in both, kept so by every writer
-	// merging on the pair. Each is keyed on it, led by the column its
-	// direction's expansion joins on. Path unfolding reads pid, the
-	// predecessor of tid, from TOutSegs only, so TInSegs stores none.
-	{Name: TblOutSegs, Cols: "fid, tid, pid, cost", Key: "fid, tid", Unique: true, Follows: true, Owner: Seg, Snapshot: true},
-	{Name: TblInSegs, Cols: "fid, tid, cost", Key: "tid, fid", Unique: true, Follows: true, Owner: Seg, Snapshot: true},
+	// Definition 4's SegTable: (fid, tid) is unique, kept so by every writer
+	// merging on the pair. The forward search joins on fid, the key's lead;
+	// the backward one on tid, through an index whose (tid, fid, cost)
+	// entries hold every column it reads, so it reads no row (the paper's
+	// incoming-segment table as an access path). pid, the predecessor of
+	// tid, is read by path unfolding only.
+	{Name: TblOutSegs, Cols: "fid, tid, pid, cost", Key: "fid, tid", Unique: true, Also: "tid, fid, cost", Follows: true, Owner: Seg, Snapshot: true},
 	{Name: TblWork, Cols: "src, nid, dist, par, f", Key: "src, nid", Unique: true, Owner: Seg},
 	{Name: TblSegMaint, Cols: "fid, tid, pid, cost", Key: "fid, tid", Unique: true, BelowMerge: true, Owner: Seg},
-	{Name: TblSegMaintIn, Cols: "fid, tid, cost", Key: "fid, tid", Unique: true, BelowMerge: true, Owner: Seg},
 	{Name: tblExpand, Cols: "src, nid, par, cost", Key: "src, nid", Unique: true, BelowMerge: true, Owner: Work},
 	{Name: tblExpCost, Cols: "src, nid, cost", Key: "src, nid", Unique: true, BelowMerge: true, Owner: Work},
 	{Name: tblDeg, Cols: "nid, deg", Key: "nid", Unique: true, Owner: Work},
@@ -224,7 +222,8 @@ func (r Relation) DDL(s IndexStrategy) []string {
 		index(unique, lead, lead)
 	}
 	if r.Also != "" {
-		index("", r.Also, r.Also)
+		also, _, _ := strings.Cut(r.Also, ",")
+		index("", also, r.Also)
 	}
 	return ddl
 }

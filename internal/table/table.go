@@ -77,6 +77,9 @@ func rowKey(dst []byte, row record.Row, cols []int) []byte {
 // an extra indirection table, and a column is stored in an entry once. A
 // unique secondary index is keyed on the columns, a non-unique one on the
 // whole entry, the location included.
+//
+// Its entries cover a scan whose columns and predicates they all hold
+// (Iterator's index-only scans).
 type Index struct {
 	Name   string
 	Cols   []int // ordinals into the table schema
@@ -84,17 +87,22 @@ type Index struct {
 	tree   *btree.BTree
 	// For a secondary index: loc[p] is the entry column that holds column p
 	// of a row's location, and tail the location columns the entry holds
-	// after the indexed ones, in location order.
-	loc, tail []int
+	// after the indexed ones, in location order. at[c] is the entry column
+	// that holds column c of the row, -1 when no entry column does.
+	loc, tail, at []int
 }
 
 // locLayout lays out the location columns of a secondary index on cols
-// (Index.loc and Index.tail): a heap's RID is stored after the indexed
-// columns; a clustered key's column is read from the indexed columns when
-// one of them is it, and stored after them otherwise.
-func (t *Table) locLayout(cols []int) (loc, tail []int) {
+// (Index.loc, Index.tail and so Index.at): a heap's RID is stored after the
+// indexed columns; a clustered key's column is read from the indexed
+// columns when one of them is it, and stored after them otherwise.
+func (t *Table) locLayout(cols []int) (loc, tail, at []int) {
+	at = make([]int, t.Schema.Len())
+	for c := range at {
+		at[c] = slices.Index(cols, c)
+	}
 	if t.clustered == nil {
-		return []int{len(cols)}, []int{0}
+		return []int{len(cols)}, []int{0}, at
 	}
 	key := t.clustered.Cols
 	if !t.clustered.Unique {
@@ -107,8 +115,11 @@ func (t *Table) locLayout(cols []int) (loc, tail []int) {
 			loc = append(loc, len(cols)+len(tail))
 			tail = append(tail, p)
 		}
+		if c < len(at) {
+			at[c] = loc[p]
+		}
 	}
-	return loc, tail
+	return loc, tail, at
 }
 
 // appendTail appends to dst the columns of loc that secondary index ix
@@ -132,6 +143,37 @@ func (ix *Index) appendLoc(dst, entry []byte) []byte {
 
 // Tree exposes the underlying B+tree (diagnostics/tests).
 func (ix *Index) Tree() *btree.BTree { return ix.tree }
+
+// covers reports whether secondary index ix's entries hold every column
+// need asks for (each one when need is nil) and every column preds read,
+// having appended to dst preds with their columns remapped to the entry's.
+func (ix *Index) covers(dst []record.Pred, need []bool, preds []record.Pred) ([]record.Pred, bool) {
+	for c, at := range ix.at {
+		if at < 0 && (need == nil || need[c]) {
+			return dst, false
+		}
+	}
+	for _, p := range preds {
+		if p.Col = ix.at[p.Col]; p.Col < 0 {
+			return dst, false
+		}
+		dst = append(dst, p)
+	}
+	return dst, true
+}
+
+// rowOf lays the columns entry holds out as a tuple of the table's n
+// columns in dst, reusing its memory; a column the entry lacks keeps
+// whatever dst held.
+func (ix *Index) rowOf(dst, entry []byte, n int) []byte {
+	dst = slices.Grow(dst[:0], 8*n)[:8*n]
+	for c, at := range ix.at {
+		if at >= 0 {
+			copy(dst[8*c:8*c+8], entry[8*at:8*at+8])
+		}
+	}
+	return dst
+}
 
 // Table is one relational table.
 type Table struct {
@@ -191,11 +233,11 @@ func (t *Table) Temp() bool { return t.owner.IsTemp() }
 func (t *Table) Clustered() *Index { return t.clustered }
 
 // WritesThrough reports whether t takes writes through a scan
-// (Iterator.Overwrite and Iterator.Insert): it is clustered on a unique key
-// and has no secondary index, so a row's key is all that locates it and no
-// other structure holds a copy of its columns.
+// (Iterator.Overwrite and Iterator.Insert): it is clustered on a unique key,
+// so a row's key is all that locates it. The writes keep its secondary
+// indexes as Update and Insert do.
 func (t *Table) WritesThrough() bool {
-	return t.clustered != nil && t.clustered.Unique && len(t.Secondary) == 0
+	return t.clustered != nil && t.clustered.Unique
 }
 
 // RowCount returns the number of live rows.
@@ -284,19 +326,29 @@ func (t *Table) Insert(row record.Row) (Loc, error) {
 		}
 		loc = Loc{RID: rid}
 	}
+	if err := t.indexRow(row, loc); err != nil {
+		return Loc{}, err
+	}
+	t.rows++
+	return loc, nil
+}
+
+// indexRow adds the entries of row, just stored at loc, to the secondary
+// indexes; a unique one that holds its key already takes the row out of
+// storage again.
+func (t *Table) indexRow(row record.Row, loc Loc) error {
 	for _, ix := range t.Secondary {
 		err := ix.tree.Insert(rowKey(nil, row, ix.Cols), ix.appendTail(nil, loc))
 		if ix.Unique && errors.Is(err, btree.ErrDuplicateKey) {
 			// Roll back the storage write to keep the table consistent.
 			t.removeStorage(loc)
-			return Loc{}, fmt.Errorf("%w: index %s", ErrUniqueViolation, ix.Name)
+			return fmt.Errorf("%w: index %s", ErrUniqueViolation, ix.Name)
 		}
 		if err != nil {
-			return Loc{}, err
+			return err
 		}
 	}
-	t.rows++
-	return loc, nil
+	return nil
 }
 
 func (t *Table) removeStorage(loc Loc) {
@@ -337,6 +389,12 @@ func (t *Table) Delete(loc Loc, row record.Row) error {
 // delete+insert of the affected index entries; a unique key the update moves
 // is checked first, so a violation leaves the table as it was.
 func (t *Table) Update(loc Loc, oldRow, newRow record.Row) (Loc, error) {
+	return t.update(loc, oldRow, newRow, nil)
+}
+
+// update is Update; a non-nil overwrite writes the new tuple of a row that
+// keeps its clustered key instead of Put.
+func (t *Table) update(loc Loc, oldRow, newRow record.Row, overwrite func([]byte) error) (Loc, error) {
 	data, err := t.encode(newRow)
 	if err != nil {
 		return Loc{}, err
@@ -356,11 +414,14 @@ func (t *Table) Update(loc Loc, oldRow, newRow record.Row) (Loc, error) {
 			}
 			return t.Insert(newRow)
 		}
-		var uniq []byte
-		if !t.clustered.Unique { // the row keeps its uniquifier, its key's last column
-			uniq = loc.Key[len(loc.Key)-8:]
+		if overwrite != nil {
+			err = overwrite(data)
+		} else if t.clustered.Unique {
+			err = t.clustered.tree.Put(data, nil)
+		} else { // the row keeps its uniquifier, its key's last column
+			err = t.clustered.tree.Put(data, loc.Key[len(loc.Key)-8:])
 		}
-		if err := t.clustered.tree.Put(data, uniq); err != nil {
+		if err != nil {
 			return Loc{}, err
 		}
 		if err := t.fixSecondaries(loc, loc, oldRow, newRow); err != nil {
@@ -446,7 +507,7 @@ func (t *Table) Fetch(loc Loc) (record.Row, bool, error) {
 // CreateIndex adds a secondary index (backfilling existing rows); a failed
 // backfill frees the index's pages.
 func (t *Table) CreateIndex(name string, cols []int, unique bool) (_ *Index, err error) {
-	loc, tail := t.locLayout(cols)
+	loc, tail, at := t.locLayout(cols)
 	key := make([]int, len(cols)) // a non-unique index is keyed on its whole entry
 	if !unique {
 		key = make([]int, len(cols)+len(tail))
@@ -463,7 +524,7 @@ func (t *Table) CreateIndex(name string, cols []int, unique bool) (_ *Index, err
 			t.pool.Free(tr.Pages()...)
 		}
 	}()
-	ix := &Index{Name: name, Cols: slices.Clone(cols), Unique: unique, tree: tr, loc: loc, tail: tail}
+	ix := &Index{Name: name, Cols: slices.Clone(cols), Unique: unique, tree: tr, loc: loc, tail: tail, at: at}
 	it := t.Scan()
 	for it.Next() {
 		if err := ix.tree.Insert(rowKey(nil, it.Row(), ix.Cols), ix.appendTail(nil, it.Loc())); err != nil {
@@ -527,6 +588,17 @@ func (t *Table) Pack(lo, hi int64) error {
 	return t.clustered.tree.Pack(binary.LittleEndian.AppendUint64(nil, uint64(lo)), binary.LittleEndian.AppendUint64(nil, uint64(hi)))
 }
 
+// PackIndexes rewrites every leaf of each secondary index full, in key
+// order (btree.Pack over the whole tree).
+func (t *Table) PackIndexes() error {
+	for _, ix := range t.Secondary {
+		if err := ix.tree.Pack(nil, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Fold runs fn on the encoded tuple of every row of t that satisfies preds,
 // in storage order, on the page that holds it while the page is pinned:
 // the storage's slot loop checks each tuple's length and preds
@@ -547,7 +619,11 @@ func (t *Table) Fold(preds []record.Pred, fn func(tuple []byte)) error {
 // secondary index key starts with given values.
 //
 // A row failing one of the iterator's preds is skipped on its encoded form,
-// before anything is copied or decoded. Row returns a buffer the iterator
+// before anything is copied or decoded. A secondary-index scan whose index
+// holds the columns to decode and the preds' is index-only: the index's
+// slot loop checks the preds on the entry and the row is read from it, with
+// no fetch of a clustered or heap page (Materialize and FullRow, which read
+// every column, fetch one the entry lacks). Row returns a buffer the iterator
 // owns: it is overwritten by the next Next, and only the columns asked for
 // are decoded into it. A caller that keeps a row past the next Next takes a
 // copy with Materialize. Start and Seek re-aim an Iterator in place, keeping its page,
@@ -564,12 +640,15 @@ type Iterator struct {
 	preds []record.Pred
 	bit   btree.Iterator
 	hit   heapfile.Iterator
-	tuple []byte // encoded current row (inside bit's or hit's page, or fetch)
-	fetch []byte // base tuple fetched through ix
-	at    []byte // the location ix's current entry leads to
-	probe []byte // encoded Seek prefix
-	null  bool   // the last Seek probed for a NULL: it yields nothing
+	tuple []byte        // encoded current row (inside bit's or hit's page, or fetch)
+	fetch []byte        // base tuple fetched through ix, or laid out from its entry
+	at    []byte        // the location ix's current entry leads to
+	probe []byte        // encoded Seek prefix
+	null  bool          // the last Seek probed for a NULL: it yields nothing
+	cover bool          // ix covers the scan: rows come from its entries
+	epred []record.Pred // preds remapped to ix's entry columns
 	row   record.Row
+	prev  record.Row // Overwrite's decoding of the row it replaces
 	err   error
 }
 
@@ -615,12 +694,16 @@ func (it *Iterator) Seek(t *Table, ix *Index, vals []record.Value, need []bool, 
 	case ix == nil: // the clustered tree's entries are the tuples themselves
 		it.bit.ResetPrefix(t.clustered.tree, it.probe, t.width(), preds)
 	default:
+		if it.epred, it.cover = ix.covers(it.epred[:0], need, preds); it.cover {
+			it.bit.ResetPrefix(ix.tree, it.probe, len(ix.Cols)+len(ix.tail), it.epred)
+			return
+		}
 		it.bit.ResetPrefix(ix.tree, it.probe, 0, nil)
 	}
 }
 
 func (it *Iterator) reset(t *Table, ix *Index, need []bool, preds []record.Pred) {
-	it.t, it.ix, it.need, it.preds, it.err, it.null = t, ix, need, preds, nil, false
+	it.t, it.ix, it.need, it.preds, it.err, it.null, it.cover = t, ix, need, preds, nil, false, false
 	if n := t.Schema.Len(); cap(it.row) < n {
 		it.row = make(record.Row, n)
 	} else {
@@ -630,33 +713,28 @@ func (it *Iterator) reset(t *Table, ix *Index, need []bool, preds []record.Pred)
 
 // Next advances the iterator to the next row its preds accept. A clustered
 // or heap scan hands its preds to the storage iterator, which checks them in
-// its slot loop on the pinned page and copies only the tuples that pass; a
-// secondary-index scan checks each fetched base tuple here.
+// its slot loop on the pinned page and copies only the tuples that pass, and
+// so does an index-only scan, on the entries; any other secondary-index scan
+// checks each fetched base tuple here.
 func (it *Iterator) Next() bool {
 	switch {
 	case it.null:
 		return false
+	case it.cover:
+		if !it.bit.Next() {
+			it.err = it.bit.Err()
+			return false
+		}
+		it.fetch = it.ix.rowOf(it.fetch, it.bit.Value(), len(it.row))
+		it.tuple = it.fetch
 	case it.ix != nil:
 		for {
 			if !it.bit.Next() {
 				it.err = it.bit.Err()
 				return false
 			}
-			// The index entry holds the base row's location.
-			var ok bool
-			if loc := it.loc(); it.t.clustered != nil {
-				it.fetch, ok, it.err = it.t.clustered.tree.GetInto(it.fetch, loc)
-			} else {
-				it.fetch, ok, it.err = it.t.heap.GetInto(it.fetch, ridFromBytes(loc))
-			}
-			if it.err == nil && !ok {
-				it.err = fmt.Errorf("table: index %s points at missing row", it.ix.Name)
-			}
-			if it.err != nil {
+			if it.err = it.fetchRow(); it.err != nil {
 				return false
-			}
-			if it.t.clustered != nil {
-				it.fetch = it.t.tupleOf(it.fetch)
 			}
 			if len(it.preds) == 0 {
 				break
@@ -670,7 +748,6 @@ func (it *Iterator) Next() bool {
 				break
 			}
 		}
-		it.tuple = it.fetch
 	case it.t.clustered != nil:
 		if !it.bit.Next() {
 			it.err = it.bit.Err()
@@ -686,6 +763,35 @@ func (it *Iterator) Next() bool {
 	}
 	_, it.err = record.DecodeInto(it.row, it.tuple, it.t.Schema, it.need)
 	return it.err == nil
+}
+
+// fetchRow reads the row the current index entry leads to (its location)
+// into it.fetch, the current tuple.
+func (it *Iterator) fetchRow() error {
+	var ok bool
+	var err error
+	if loc := it.loc(); it.t.clustered != nil {
+		it.fetch, ok, err = it.t.clustered.tree.GetInto(it.fetch, loc)
+	} else {
+		it.fetch, ok, err = it.t.heap.GetInto(it.fetch, ridFromBytes(loc))
+	}
+	if err == nil && !ok {
+		err = fmt.Errorf("table: index %s points at missing row", it.ix.Name)
+	}
+	if err == nil && it.t.clustered != nil {
+		it.fetch = it.t.tupleOf(it.fetch)
+	}
+	it.tuple = it.fetch
+	return err
+}
+
+// whole makes the current tuple hold every column: an index-only scan over
+// an index that lacks one fetches the row.
+func (it *Iterator) whole() error {
+	if it.cover && slices.Contains(it.ix.at, -1) {
+		return it.fetchRow()
+	}
+	return nil
 }
 
 // Row returns the current row: valid until the next Next, Start or Seek,
@@ -715,6 +821,9 @@ func (it *Iterator) Loc() Loc {
 // Materialize returns the current row's location and a copy of the row with
 // every column decoded, both valid for as long as the caller keeps them.
 func (it *Iterator) Materialize() (Loc, record.Row, error) {
+	if err := it.whole(); err != nil {
+		return Loc{}, nil, err
+	}
 	row, _, err := record.DecodeTuple(it.tuple, it.t.Schema)
 	return it.Loc(), row, err
 }
@@ -726,25 +835,30 @@ func (it *Iterator) Key() []byte { return it.bit.Key() }
 // FullRow decodes every column of the current row into the buffer Row
 // returns, and returns it.
 func (it *Iterator) FullRow() (record.Row, error) {
+	if err := it.whole(); err != nil {
+		return nil, err
+	}
 	_, err := record.DecodeInto(it.row, it.tuple, it.t.Schema, nil)
 	return it.row, err
 }
 
 // Overwrite replaces the current row with row, which keeps its clustered
 // key, on the page the scan read it from (btree.Iterator.Overwrite): the
-// bytes Update writes, without Update's descent. Only a clustered-order scan
-// of a table that takes writes through a scan may. The scan goes on over its
-// own copy of the leaf, so it does not meet the row again.
+// bytes Update writes, without Update's descent, and the secondary entries
+// Update changes. Only a clustered-order scan of a table that takes writes
+// through a scan may. The scan goes on over its own copy of the leaf, so it
+// does not meet the row again.
 func (it *Iterator) Overwrite(row record.Row) error {
 	t := it.t
 	if it.ix != nil || !t.WritesThrough() {
 		return fmt.Errorf("table: %s takes no write through this scan", t.Name)
 	}
-	data, err := t.encode(row)
-	if err != nil {
+	it.prev = slices.Grow(it.prev[:0], len(row))[:len(row)] // the leaf copy still holds the row
+	if _, err := record.DecodeInto(it.prev, it.tuple, t.Schema, nil); err != nil {
 		return err
 	}
-	return it.bit.Overwrite(data)
+	_, err := t.update(Loc{Key: it.bit.Key()}, it.prev, row, it.bit.Overwrite)
+	return err
 }
 
 // Insert stores row as Table.Insert does. When the last Seek probed row's
@@ -768,6 +882,11 @@ func (it *Iterator) Insert(row record.Row) error {
 	if !done {
 		_, err = t.Insert(row)
 		return err
+	}
+	if len(t.Secondary) > 0 {
+		if err := t.indexRow(row, Loc{Key: t.clustered.tree.KeyOf(nil, data)}); err != nil {
+			return err
+		}
 	}
 	t.rows++
 	return nil

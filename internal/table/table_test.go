@@ -1,6 +1,7 @@
 package table
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -634,4 +635,135 @@ func BenchmarkTruncateRefill(b *testing.B) {
 		b.Fatalf("truncate-refill grew the file from %d to %d pages in %d cycles", pages, n, b.N)
 	}
 	b.ReportMetric(float64(c.Pool().Stats().Recycled+disk.Stats().Allocs-before)/float64(b.N), "newpages/op")
+}
+
+// segTable is a TOutSegs-shaped table (fid, tid, pid, cost), clustered on
+// (fid, tid), with an index on (tid, fid, cost) whose entries hold every
+// column but pid, filled with n rows.
+func segTable(t *testing.T, n int) (*Table, *Index) {
+	t.Helper()
+	schema := record.MustSchema(
+		record.Column{Name: "fid", Type: record.TInt},
+		record.Column{Name: "tid", Type: record.TInt},
+		record.Column{Name: "pid", Type: record.TInt},
+		record.Column{Name: "cost", Type: record.TInt},
+	)
+	tb, err := newCatalog(t).Create("segs", schema, Options{ClusterOn: []int{0, 1}, ClusterUnique: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := tb.CreateIndex("segs_tid", []int{1, 0, 3}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < int64(n); i++ {
+		if _, err := tb.Insert(record.Row{record.Int(i % 97), record.Int(i / 97), record.Int(i % 5), record.Int(i * 7 % 23)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tb, ix
+}
+
+// TestIndexOnlySeek: a Seek through an index whose entries hold the
+// columns it decodes and its predicates read fetches the pages a probe of
+// the index tree alone does, no clustered page, and yields what the
+// clustered rows hold; one that decodes pid, which no entry holds, fetches
+// the rows, and Materialize of an index-only scan returns the whole row.
+func TestIndexOnlySeek(t *testing.T) {
+	tb, ix := segTable(t, 3000)
+	fetches := func() uint64 { s := tb.pool.Stats(); return s.Hits + s.Misses }
+	covered := []bool{true, true, false, true}
+	preds := []record.Pred{{Col: 3, Sat: 1 | 2, Val: 11}} // cost <= 11
+	for tid := int64(0); tid < 31; tid += 3 {
+		var it Iterator // a fresh one descends, as the raw probe does
+		probe := record.Int(tid)
+		f0 := fetches()
+		raw := ix.Tree().ScanPrefix(binary.LittleEndian.AppendUint64(nil, uint64(tid)))
+		entries := 0
+		for ; raw.Next(); entries++ {
+		}
+		want := fetches() - f0
+		f0 = fetches()
+		var got [][3]int64
+		for it.Seek(tb, ix, []record.Value{probe}, covered, preds); it.Next(); {
+			r := it.Row()
+			got = append(got, [3]int64{r[0].I, r[1].I, r[3].I})
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if f := fetches() - f0; f != want {
+			t.Errorf("tid %d: an index-only seek fetched %d pages, the index probe %d", tid, f, want)
+		}
+		var ref [][3]int64
+		for all := tb.Scan(); all.Next(); {
+			if r := all.Row(); r[1].I == tid && r[3].I <= 11 {
+				ref = append(ref, [3]int64{r[0].I, r[1].I, r[3].I})
+			}
+		}
+		if entries == 0 || fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Fatalf("tid %d: %v through the index, %v in the rows", tid, got, ref)
+		}
+		if len(got) == 0 {
+			continue
+		}
+		it.Seek(tb, ix, []record.Value{probe}, covered, preds)
+		it.Next()
+		_, row, err := it.Materialize()
+		if err != nil || row[2].I != (row[1].I*97+row[0].I)%5 {
+			t.Fatalf("tid %d: Materialize of an index-only row: %v, %v", tid, row, err)
+		}
+		f0 = fetches()
+		for it.Seek(tb, ix, []record.Value{probe}, []bool{false, false, true, false}, nil); it.Next(); {
+		}
+		if f := fetches() - f0; f <= want {
+			t.Errorf("tid %d: a seek that decodes pid fetched %d pages, the index probe %d", tid, f, want)
+		}
+	}
+}
+
+// TestWritesThroughKeepIndexes: Overwrite and Insert through a clustered
+// scan of a table with a secondary index change its entries as Update and
+// Insert do.
+func TestWritesThroughKeepIndexes(t *testing.T) {
+	tb, ix := segTable(t, 500)
+	if !tb.WritesThrough() {
+		t.Fatal("a table clustered on a unique key takes no writes through its scans")
+	}
+	var it Iterator
+	for fid := int64(0); fid < 40; fid++ {
+		key := []record.Value{record.Int(fid), record.Int(fid % 3)}
+		it.Seek(tb, nil, key, nil, nil)
+		row := record.Row{key[0], key[1], record.Int(1), record.Int(1000 + fid)}
+		var err error
+		if it.Next() {
+			row[2] = it.Row()[2]
+			err = it.Overwrite(row)
+		} else {
+			err = it.Insert(row)
+		}
+		if err = errors.Join(err, it.Err()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[[3]int64]bool{}
+	for all := tb.Scan(); all.Next(); {
+		r := all.Row()
+		want[[3]int64{r[1].I, r[0].I, r[3].I}] = true
+	}
+	entries := ix.Tree().Scan(nil, nil)
+	n := 0
+	for ; entries.Next(); n++ {
+		e := entries.Value()
+		k := [3]int64{}
+		for c := range k {
+			k[c] = int64(binary.LittleEndian.Uint64(e[8*c:]))
+		}
+		if !want[k] {
+			t.Fatalf("entry (tid, fid, cost) = %v matches no row", k)
+		}
+	}
+	if err := entries.Err(); err != nil || n != len(want) || n != tb.RowCount() {
+		t.Fatalf("%d entries, %d rows, %d counted: %v", n, len(want), tb.RowCount(), err)
+	}
 }
