@@ -440,7 +440,9 @@ type mutationResponse struct {
 }
 
 // handleEdges serves POST /edges: batched inserts, deletes and weight
-// updates with incremental SegTable repair.
+// updates with incremental SegTable repair. A batch is all or nothing: one
+// with a node out of range, a weight out of bounds, or a delete or update
+// of a pair with no edge is answered 422 and applies nothing.
 func (sv *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	sv.requests.Add(1)
 	if r.Method != http.MethodPost {
@@ -473,8 +475,9 @@ func (sv *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	st, err := sv.eng.ApplyMutations(muts)
 	resp := mutationResponse{DurationUS: time.Since(t0).Microseconds()}
 	if st != nil {
-		// On an execution error st reports the persisted prefix: clients
-		// must not read a 422 as "nothing happened" and blindly retry.
+		// A refused batch has no stats. Stats beside an error come from an
+		// execution error that stopped a logged batch mid-way: Applied is
+		// the prefix that persisted.
 		resp.Applied = st.Applied
 		resp.Affected = st.Affected
 		resp.Repaired = st.Repaired
@@ -486,8 +489,8 @@ func (sv *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		// exclusive gate admission — GraphVersion() here could already
 		// belong to a concurrent later batch.
 		resp.Version = st.Version
-		// Count the persisted prefix even on error, matching the engine's
-		// own per-op counters.
+		// Count what persisted, such a prefix included, as the engine's
+		// own per-op counters do.
 		sv.mutations.Add(uint64(st.Applied))
 	}
 	if err != nil {

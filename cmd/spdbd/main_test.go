@@ -194,7 +194,22 @@ func TestEdgesEndpoint(t *testing.T) {
 		t.Fatalf("BSEG after delete: distance %d, want %d", restored.Distance, before.Distance)
 	}
 
-	// Error paths.
+	// Error paths: each is refused whole, so the graph, its version and
+	// /stats' applied count stay where the delete left them.
+	applied := func() uint64 {
+		rec := httptest.NewRecorder()
+		sv.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var stats struct {
+			Mutations struct {
+				Applied uint64 `json:"applied"`
+			} `json:"mutations"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+			t.Fatalf("%v: %s", err, rec.Body.String())
+		}
+		return stats.Mutations.Applied
+	}
+	edges1, version1, applied1 := sv.eng.Edges(), sv.eng.GraphVersion(), applied()
 	for _, tc := range []struct {
 		body   string
 		status int
@@ -205,11 +220,15 @@ func TestEdgesEndpoint(t *testing.T) {
 		{`{"mutations":[{"op":"insert","from":1,"to":999999,"weight":1}]}`, http.StatusUnprocessableEntity},
 		{`{"mutations":[{"op":"insert","from":1,"to":2,"weight":134217729}]}`, http.StatusUnprocessableEntity}, // above core.MaxWeight
 		{`{"mutations":[{"op":"delete","from":1,"to":200}]}`, http.StatusUnprocessableEntity},                  // already gone
+		{`{"mutations":[{"op":"insert","from":1,"to":2,"weight":3},{"op":"delete","from":1,"to":200}]}`, http.StatusUnprocessableEntity},
 	} {
 		rec := httptest.NewRecorder()
 		sv.handleEdges(rec, httptest.NewRequest(http.MethodPost, "/edges", strings.NewReader(tc.body)))
 		if rec.Code != tc.status {
 			t.Errorf("%s: status %d, want %d (%s)", tc.body, rec.Code, tc.status, rec.Body.String())
+		}
+		if e, v, a := sv.eng.Edges(), sv.eng.GraphVersion(), applied(); e != edges1 || v != version1 || a != applied1 {
+			t.Errorf("%s: %d edges at v%d, %d applied; want %d at v%d, %d", tc.body, e, v, a, edges1, version1, applied1)
 		}
 	}
 	rec = httptest.NewRecorder()

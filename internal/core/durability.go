@@ -424,17 +424,13 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 		if rec.Version <= m.Version {
 			continue
 		}
-		// Every logged batch passed checkBatch before it was appended, so
-		// one that fails it now proves the log is on the wrong base.
-		if err := checkBatch(rec.Muts, e.Nodes()); err != nil {
+		// Every logged batch passed checkBatch and resolveBatch before it
+		// was appended, so a record refused now proves the log is on the
+		// wrong base; one that fails mid-way cannot reach the state it
+		// logged either. Hydration returns both.
+		if _, err := e.applyMutationsLocked(ctx, rec.Muts); err != nil {
 			return fmt.Errorf("core: WAL record v%d does not apply over snapshot v%d: %w", rec.Version, m.Version, err)
 		}
-		// Any other error is the log faithfully re-enacting history: the
-		// original batch failed the same way (e.g. a delete of a missing
-		// edge aborts before writing), and the replayed state matches the
-		// crashed engine's either way. A batch that applied a prefix
-		// re-applies the same prefix — the mutation path is deterministic.
-		_, _ = e.applyMutationsLocked(ctx, rec.Muts)
 		// Pin the version the original batch committed as; build-only
 		// bumps between batches are not logged, so the replayed count
 		// cannot be trusted to line up on its own.

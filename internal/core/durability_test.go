@@ -361,17 +361,25 @@ func TestOpenFromSnapshotEmpty(t *testing.T) {
 }
 
 // TestReplayRefusesForeignBatch: every logged batch passed the validation
-// before its append, so a WAL record that fails it now (an endpoint out of
-// range, a weight above MaxWeight) proves the log is on the wrong base.
-// Hydration returns it, naming the record's and the snapshot's versions,
-// instead of dropping the batch.
+// and the pair reads before its append, so a WAL record that fails them now
+// (an endpoint out of range, a weight above MaxWeight, a delete of a pair
+// with no edge) proves the log is on the wrong base. Hydration returns it,
+// naming the record's and the snapshot's versions, instead of dropping the
+// batch.
 func TestReplayRefusesForeignBatch(t *testing.T) {
+	g := graph.Random(20, 50, 1)
+	for _, ed := range g.Edges {
+		if ed.From == 0 && ed.To == 1 {
+			t.Fatal("test graph has edge (0,1); pick another seed")
+		}
+	}
 	for _, m := range []Mutation{
 		{Op: MutInsert, From: 25, To: 3, Weight: 1},
 		{Op: MutInsert, From: 2, To: 3, Weight: MaxWeight + 1},
+		{Op: MutDelete, From: 0, To: 1},
 	} {
 		dir := t.TempDir()
-		e := newTestEngine(t, graph.Random(20, 50, 1), rdb.Options{}, Options{DataDir: dir})
+		e := newTestEngine(t, g.Clone(), rdb.Options{}, Options{DataDir: dir})
 		ss, err := e.Snapshot(context.Background())
 		if err != nil {
 			t.Fatal(err)

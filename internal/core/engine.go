@@ -254,8 +254,7 @@ type Engine struct {
 
 // indexes is what the engine knows of its three distance indexes; the rows
 // live in the relations each one owns. A load or hydration resets it to the
-// zero value, a mutation batch that wrote nothing restores its copy, and a
-// snapshot's manifest carries it.
+// zero value, and a snapshot's manifest carries it.
 type indexes struct {
 	// segBuilt says TOutSegs holds a complete SegTable, built at
 	// threshold segLthd.

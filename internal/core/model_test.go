@@ -22,12 +22,12 @@ import (
 // The model test: one seeded model holds what the engine should be — a
 // graph.Graph mirror, which indexes are valid, what the newest snapshot and
 // the WAL behind it would recover, and the MutationCounters — and drives the
-// engine through moves: Query, ApplyMutations, the three builds, Snapshot,
-// kill + Hydrate, LoadGraph and EvictAll. After every move it compares the
-// answers with graph.MDJ and runs checkEngine. The engine's differentials
-// are move scripts over it. The seed is logged, MUTATION_DIFF_SEED overrides
-// it, and a failure names the seed, the step and the last moves, so any
-// history reproduces exactly.
+// engine through moves: Query, ApplyMutations (a refused batch included),
+// the three builds, Snapshot, kill + Hydrate, LoadGraph and EvictAll. After
+// every move it compares the answers with graph.MDJ and runs checkEngine.
+// The engine's differentials are move scripts over it. The seed is logged,
+// MUTATION_DIFF_SEED overrides it, and a failure names the seed, the step
+// and the last moves, so any history reproduces exactly.
 
 // mutationDiffSeed returns the harness seed, preferring the environment
 // override.
@@ -417,6 +417,60 @@ func (m *model) commit(muts []Mutation) *MaintStats {
 	return st
 }
 
+// badBatch draws k valid mutations against a copy of the mirror, then a
+// delete or an update of a pair with no edge after them, sometimes one the
+// batch itself deleted. The engine must refuse the whole batch with nil
+// stats before logging it: the mirror, the version, the index flags, the
+// counters and the WAL's appends stay as they were, and a later kill
+// replays only m.logged's batches.
+func (m *model) badBatch(k int) {
+	m.t.Helper()
+	nodes := m.mirror.N
+	if m.iso >= 0 {
+		nodes = m.iso
+	}
+	after := m.mirror.Clone()
+	muts := make([]Mutation, k, k+1)
+	for i := range muts {
+		muts[i] = randomMutation(m.t, m.rnd, after, nodes)
+	}
+	absent := func(u, v int64) bool {
+		has := false
+		after.OutEdges(u, func(to, _ int64) { has = has || to == v })
+		return !has
+	}
+	var gone [][2]int64
+	for _, mu := range muts {
+		if mu.Op == MutDelete && absent(mu.From, mu.To) {
+			gone = append(gone, [2]int64{mu.From, mu.To})
+		}
+	}
+	p := m.pair()
+	if len(gone) > 0 && m.rnd.Intn(2) == 0 {
+		p = gone[m.rnd.Intn(len(gone))]
+	}
+	for !absent(p[0], p[1]) {
+		p = m.pair()
+	}
+	bad := Mutation{Op: MutDelete, From: p[0], To: p[1]}
+	if m.rnd.Intn(2) == 0 {
+		bad = Mutation{Op: MutUpdate, From: p[0], To: p[1], Weight: 1 + m.rnd.Int63n(9)}
+	}
+	muts = append(muts, bad)
+	v0, appends0 := m.e.GraphVersion(), m.e.DurabilityStats().WAL.Appends
+	st, err := m.e.ApplyMutations(muts)
+	want := fmt.Sprintf("mutation %d (%s %d->%d): no edge to %s", k, bad.Op, bad.From, bad.To, bad.Op)
+	switch {
+	case err == nil || !strings.Contains(err.Error(), want):
+		m.fatalf("bad batch %v: error %v, want %q", muts, err, want)
+	case st != nil:
+		m.fatalf("bad batch %v: stats %+v, want nil", muts, st)
+	case m.e.GraphVersion() != v0 || m.e.DurabilityStats().WAL.Appends != appends0:
+		m.fatalf("bad batch %v moved the version %d -> %d and the WAL appends %d -> %d", muts, v0, m.e.GraphVersion(), appends0, m.e.DurabilityStats().WAL.Appends)
+	}
+	m.after("bad", fmt.Sprintf("bad%v", muts), nil)
+}
+
 func (m *model) pair() [2]int64 {
 	return [2]int64{m.rnd.Int63n(m.mirror.N), m.rnd.Int63n(m.mirror.N)}
 }
@@ -719,6 +773,7 @@ func TestModelHistory(t *testing.T) {
 	}{
 		{"query", func() { m.query(m.draw(2)) }},
 		{"mutate", func() { m.mutate(1 + m.rnd.Intn(6)) }},
+		{"bad", func() { m.badBatch(1 + m.rnd.Intn(4)) }},
 		{"seg", func() { m.buildSeg(4 + m.rnd.Int63n(12)) }},
 		{"oracle", func() { m.buildOracle(2 + m.rnd.Intn(3)) }},
 		{"labels", m.buildLabels},
@@ -726,6 +781,9 @@ func TestModelHistory(t *testing.T) {
 		{"kill", m.kill},
 		{"load", func() { m.load(newGraph()) }},
 		{"evict", m.evict},
+		{"reversed", func() { m.reversed(m.draw(2)) }},
+		{"renumbered", func() { m.renumbered(m.draw(2)) }},
+		{"triangle", func() { m.triangle(4) }},
 	}
 	for round := 0; round < 8; round++ {
 		deck := []int{0, 0, 1, 1, 1}

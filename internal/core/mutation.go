@@ -68,9 +68,10 @@ type MutationCounters struct {
 	Inserts uint64
 	Deletes uint64
 	Updates uint64
-	// Batches counts ApplyMutations calls that applied at least one
-	// mutation; InsertEdge, DeleteEdge and UpdateEdgeWeight are one-mutation
-	// batches and count too, so WAL replay reproduces the count.
+	// Batches counts the batches that were logged, i.e. passed checkBatch
+	// and resolveBatch; InsertEdge, DeleteEdge and UpdateEdgeWeight are
+	// one-mutation batches and count too, so WAL replay reproduces the
+	// count.
 	Batches uint64
 	// SegRepairs counts scoped decremental repairs; SegRebuilds counts
 	// threshold-exceeded fallbacks to a full BuildSegTable.
@@ -146,15 +147,14 @@ func (e *Engine) UpdateEdgeWeight(from, to, weight int64) (*MaintStats, error) {
 // acquisition: concurrent searches either complete before the batch or
 // observe its full result, never a prefix. The whole batch costs a single
 // version bump, one path-cache purge and at most one oracle invalidation.
-// Mutations are validated up front; a validation error applies nothing. An
-// execution error mid-batch leaves the applied prefix in place (the
-// version was already bumped, so no stale answer can be served either
-// way) and returns the partial MaintStats alongside the error —
-// MaintStats.Applied tells callers how much of the batch persisted. When
-// nothing wrote at all (e.g. the first delete hits a missing edge), the
-// pre-batch oracle is restored: a no-op request must not cold-stop
-// approximate service. When the failing mutation wrote nothing, the
-// SegTable and the label index keep the maintenance of the prefix.
+// A batch is all or nothing against the graph: a node out of range, a
+// weight out of bounds, or a delete or update of a pair with no edge (after
+// the batch's own earlier mutations) refuses the whole batch with nil
+// stats, before anything is logged or written. Only an execution error can
+// stop a batch that passed: the applied prefix stays (the version was
+// already bumped, so no stale answer can be served), the SegTable and the
+// label index go cold, and the partial MaintStats come back alongside the
+// error — MaintStats.Applied tells callers how much of the batch persisted.
 func (e *Engine) ApplyMutations(muts []Mutation) (*MaintStats, error) {
 	if len(muts) == 0 {
 		return &MaintStats{}, nil
@@ -174,9 +174,9 @@ func (e *Engine) ApplyMutations(muts []Mutation) (*MaintStats, error) {
 	return e.applyMutationsLocked(ctx, muts)
 }
 
-// checkBatch is the validation a batch passes before it is logged: a graph
-// of nodes nodes is loaded, every endpoint is in range, every op known and
-// every written weight in [1, MaxWeight].
+// checkBatch is the validation a batch passes before its pairs are read: a
+// graph of nodes nodes is loaded, every endpoint is in range, every op
+// known and every written weight in [1, MaxWeight].
 func checkBatch(muts []Mutation, nodes int) error {
 	if nodes == 0 {
 		return ErrNoGraph
@@ -198,6 +198,50 @@ func checkBatch(muts []Mutation, nodes int) error {
 	return nil
 }
 
+// A step is one mutation of a batch resolved against the graph the batch's
+// earlier mutations leave: its pair in internal ids, and the pair's cost
+// before and after it, MaxDist standing for "no edge".
+type step struct{ u, v, oldW, newW int64 }
+
+// resolveBatch turns a checked batch into its steps. It reads each pair's
+// cost once, in batch order, and carries the batch's own writes forward: an
+// insert's newW is the cheaper of oldW and its weight, a delete's MaxDist,
+// an update's its weight. A delete or an update of a pair with no edge
+// refuses the batch. It writes nothing.
+func (e *Engine) resolveBatch(ctx context.Context, qs *QueryStats, muts []Mutation) ([]step, error) {
+	// The log keeps the batch in external ids, so it replays under any
+	// order; the relations take internal ones.
+	toInt := e.nodeOrder().toInt
+	cost := make(map[[2]int64]int64, len(muts))
+	steps := make([]step, len(muts))
+	for i, m := range muts {
+		u, v := toInt[m.From], toInt[m.To]
+		oldW, seen := cost[[2]int64{u, v}]
+		if !seen {
+			w, null, err := e.queryInt(ctx, qs, nil, mutCostQ, u, v)
+			switch {
+			case err != nil:
+				return nil, err
+			case null:
+				w = MaxDist
+			}
+			oldW = w
+		}
+		newW := m.Weight
+		switch {
+		case m.Op == MutInsert:
+			newW = min(oldW, m.Weight)
+		case oldW == MaxDist:
+			return nil, fmt.Errorf("core: mutation %d (%s %d->%d): no edge to %s", i, m.Op, m.From, m.To, m.Op)
+		case m.Op == MutDelete:
+			newW = MaxDist
+		}
+		cost[[2]int64{u, v}] = newW
+		steps[i] = step{u, v, oldW, newW}
+	}
+	return steps, nil
+}
+
 // applyMutationsLocked is the batch body; callers hold the exclusive gate.
 // Split out so WAL replay (durability.go) — which already holds the gate
 // across the whole hydration — can re-apply logged batches without a
@@ -206,21 +250,21 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation) (*Ma
 	if err := checkBatch(muts, e.Nodes()); err != nil {
 		return nil, err
 	}
-	// Write-ahead: the whole validated batch is logged and fsynced before
+	start := time.Now()
+	qs := &QueryStats{Algorithm: "SegMaint"}
+	steps, err := e.resolveBatch(ctx, qs, muts)
+	if err != nil {
+		return nil, err
+	}
+	// Write-ahead: the whole resolved batch is logged and fsynced before
 	// the first statement touches TEdges, so a crash at any later point
-	// replays to the same state — including the applied prefix of a batch
-	// that fails mid-way, since re-applying the logged batch reproduces the
-	// same failure at the same mutation. An append failure applies nothing.
-	// The record's version is what the batch will commit as: bumps happen
-	// only under the exclusive gate, which we hold, so e.version + 1 is
-	// stable here.
+	// replays to the same state. An append failure applies nothing. The
+	// record's version is what the batch will commit as: bumps happen only
+	// under the exclusive gate, which we hold, so e.version + 1 is stable
+	// here.
 	if err := e.walAppendLocked(muts); err != nil {
 		return nil, err
 	}
-
-	st := &MaintStats{}
-	start := time.Now()
-	qs := &QueryStats{Algorithm: "SegMaint"}
 
 	// Invalidate before touching TEdges: the single version bump makes
 	// every cached answer unreachable, and a built oracle goes cold (any
@@ -228,8 +272,8 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation) (*Ma
 	// bound survives). The hub-label index is NOT invalidated up front:
 	// each mutation runs the keep-analysis of labels.go, and the index
 	// survives changes the labels themselves prove distance-preserving.
+	st := &MaintStats{}
 	e.mu.Lock()
-	prev := e.indexes
 	if e.orc != nil {
 		e.orc = nil
 		e.orcStale = true
@@ -239,142 +283,95 @@ func (e *Engine) applyMutationsLocked(ctx context.Context, muts []Mutation) (*Ma
 	e.bumpVersionLocked()
 	e.mu.Unlock()
 
-	wrote := false // some mutation of the batch wrote TEdges
-	// The log keeps the batch in external ids, so it replays under any
-	// order; the relations take internal ones.
-	toInt := e.nodeOrder().toInt
-	for i := range muts {
-		m := muts[i]
-		m.From, m.To = toInt[m.From], toInt[m.To]
-		wroteThis, err := e.applyOneLocked(ctx, qs, st, m)
-		wrote = wrote || wroteThis
-		if err != nil {
-			e.mu.Lock()
-			switch {
-			case !wrote:
-				// No mutation reached TEdges (existence checks fail
-				// before the first write), so the graph is unchanged and
-				// the pre-batch oracle and label index are still sound —
-				// restore them rather than leaving fast answers cold over
-				// a no-op request. The version bump stands; it only cost
-				// a cache purge.
-				e.indexes = prev
-				if st.OracleInvalidated {
-					e.muts.OracleInvalidations--
-				}
-				st.OracleInvalidated = false
-				if st.LabelsInvalidated {
-					e.muts.LabelInvalidations--
-				}
-				st.LabelsInvalidated = false
-			case wroteThis:
-				// The failing mutation changed the graph but a maintenance
-				// step failed, so the SegTable can be missing improvements
-				// or mid-repair: mark it cold — BSEG refuses until
-				// BuildSegTable — rather than silently serving a
-				// half-repaired index. The same goes for the label index:
-				// a keep-check that errored out proved nothing, so it must
-				// not keep serving.
-				e.segBuilt = false
-				e.invalidateLabelsLocked(st)
-			}
-			// Otherwise the failing mutation wrote nothing and every
-			// earlier one was maintained: the SegTable and the label index
-			// describe the graph as it is; the oracle stays cold, since the
-			// graph did change.
-			if st.Applied > 0 {
-				e.muts.Batches++
-			}
-			st.Version = e.version
-			e.mu.Unlock()
-			st.Statements = qs.Statements
-			st.Time = time.Since(start)
-			return st, fmt.Errorf("core: mutation %d (%s %d->%d): %w", i, muts[i].Op, muts[i].From, muts[i].To, err)
+	for i, s := range steps {
+		if err = e.applyOneLocked(ctx, qs, st, s); err != nil {
+			m := muts[i]
+			err = fmt.Errorf("core: mutation %d (%s %d->%d): %w", i, m.Op, m.From, m.To, err)
+			break
 		}
 		st.Applied++
 	}
 	e.mu.Lock()
-	e.muts.Batches++
+	if err != nil {
+		// A statement failed after the graph may have changed, so the
+		// SegTable can be missing improvements or be mid-repair: mark it
+		// cold — BSEG refuses until BuildSegTable — rather than silently
+		// serving a half-repaired index. The same goes for the label
+		// index: a keep-check that errored out proved nothing.
+		e.segBuilt = false
+		e.invalidateLabelsLocked(st)
+	}
+	e.muts.count(muts[:st.Applied])
 	st.Version = e.version
 	e.mu.Unlock()
 	st.Statements = qs.Statements
 	st.Time = time.Since(start)
-	return st, nil
+	return st, err
 }
 
-// applyOneLocked applies one validated mutation as a change of the pair's
-// cost from oldW, what TEdges holds, to newW, MaxDist standing for "no
-// edge": an insert's newW is the cheaper of oldW and its weight, a delete's
-// MaxDist, an update's its weight; a delete or an update of a pair with no
-// edge is an error. Only newW depends on the op, and the TEdges write only
-// on the two weights: an INSERT of a new pair, a DELETE of a pair whose edge
-// goes, an UPDATE otherwise. A dearer pair can only lengthen distances: its
-// touch set is taken at oldW before the write and repaired after it. A
-// cheaper pair gets the insertion maintenance at newW. An unchanged weight
-// writes nothing and moves nothing. Callers hold the exclusive gate and
-// have bumped the version; wrote reports whether TEdges was written, which
-// the batch's error path reads to tell "graph unchanged" from "prefix
-// applied".
-func (e *Engine) applyOneLocked(ctx context.Context, qs *QueryStats, st *MaintStats, m Mutation) (wrote bool, err error) {
-	oldW, null, err := e.queryInt(ctx, qs, nil, mutCostQ, m.From, m.To)
-	switch {
-	case err != nil:
-		return false, err
-	case null && m.Op != MutInsert:
-		return false, fmt.Errorf("no edge to %s", m.Op)
-	case null:
-		oldW = MaxDist
+// count adds one logged batch, and those of its mutations that applied, to
+// the counters; callers hold the engine's mu.
+func (c *MutationCounters) count(applied []Mutation) {
+	c.Batches++
+	for _, m := range applied {
+		switch m.Op {
+		case MutInsert:
+			c.Inserts++
+		case MutDelete:
+			c.Deletes++
+		case MutUpdate:
+			c.Updates++
+		}
 	}
-	newW, count := m.Weight, &e.muts.Updates
-	switch m.Op {
-	case MutInsert:
-		newW, count = min(oldW, m.Weight), &e.muts.Inserts
-	case MutDelete:
-		newW, count = MaxDist, &e.muts.Deletes
-	}
-	if newW == oldW {
-		e.mu.Lock()
-		*count++
-		e.mu.Unlock()
-		return false, nil
+}
+
+// applyOneLocked applies one resolved step as a change of the pair's cost
+// from oldW to newW. The TEdges write depends only on the two weights: an
+// INSERT of a new pair, a DELETE of a pair whose edge goes, an UPDATE
+// otherwise. A dearer pair can only lengthen distances: its touch set is
+// taken at oldW before the write and repaired after it. A cheaper pair gets
+// the insertion maintenance at newW. An unchanged weight writes nothing and
+// moves nothing. Callers hold the exclusive gate and have bumped the
+// version.
+func (e *Engine) applyOneLocked(ctx context.Context, qs *QueryStats, st *MaintStats, s step) error {
+	if s.newW == s.oldW {
+		return nil
 	}
 	e.mu.RLock()
 	segBuilt, wmin := e.segBuilt, e.wmin
 	e.mu.RUnlock()
-	if segBuilt && newW > oldW {
+	if segBuilt && s.newW > s.oldW {
 		// The touch set reads the SegTable and TEdges before the write.
-		if err := e.computeTouchSet(ctx, qs, m.From, m.To, oldW); err != nil {
-			return false, err
+		if err := e.computeTouchSet(ctx, qs, s.u, s.v, s.oldW); err != nil {
+			return err
 		}
 	}
 
-	q, args, sign := mutUpdateQ, []any{newW, m.From, m.To}, 0
+	q, args, sign := mutUpdateQ, []any{s.newW, s.u, s.v}, 0
 	switch {
-	case oldW == MaxDist:
-		q, args, sign = mutInsertEdgeQ, []any{m.From, m.To, newW}, 1
-	case newW == MaxDist:
-		q, args, sign = mutDeleteQ, []any{m.From, m.To}, -1
+	case s.oldW == MaxDist:
+		q, args, sign = mutInsertEdgeQ, []any{s.u, s.v, s.newW}, 1
+	case s.newW == MaxDist:
+		q, args, sign = mutDeleteQ, []any{s.u, s.v}, -1
 	}
 	n, err := e.exec(ctx, qs, nil, nil, q, args...)
 	if err != nil {
-		return false, err
+		return err
 	}
 	e.mu.Lock()
 	e.edges += sign * int(n)
-	*count++
 	e.mu.Unlock()
 
 	// The label keep-checks read only the label relations, which the
 	// TEdges write did not touch, so they still see pre-mutation distances.
-	switch {
-	case newW > oldW:
+	if s.newW > s.oldW {
 		// wmin is a lower bound on edge weights for the frontier-selection
 		// proof; a dearer pair can only raise the true minimum, so the
 		// refresh is an optimization, not a soundness need.
-		if oldW <= wmin {
+		if s.oldW <= wmin {
 			w, null, err := e.queryInt(ctx, qs, nil, mutWMinQ)
 			if err != nil {
-				return true, err
+				return err
 			}
 			if null || w < 1 {
 				w = 1
@@ -384,25 +381,25 @@ func (e *Engine) applyOneLocked(ctx context.Context, qs *QueryStats, st *MaintSt
 			e.mu.Unlock()
 		}
 		// Did any label entry route through the pair at its old weight?
-		if err := e.labelKeepDecrement(ctx, qs, st, m.From, m.To, oldW); err != nil {
-			return true, err
+		if err := e.labelKeepDecrement(ctx, qs, st, s.u, s.v, s.oldW); err != nil {
+			return err
 		}
 		if segBuilt {
-			return true, e.repairTouchedLocked(ctx, qs, st)
+			return e.repairTouchedLocked(ctx, qs, st)
 		}
-	case newW < oldW:
-		e.mu.Lock()
-		e.wmin = min(e.wmin, newW)
-		e.mu.Unlock()
-		// Does the old label distance already cover the new weight?
-		if err := e.labelKeepUpsert(ctx, qs, st, m.From, m.To, newW); err != nil {
-			return true, err
-		}
-		if segBuilt {
-			return true, e.maintainSegs(ctx, qs, st, m.From, m.To, newW)
-		}
+		return nil
 	}
-	return true, nil
+	e.mu.Lock()
+	e.wmin = min(e.wmin, s.newW)
+	e.mu.Unlock()
+	// Does the old label distance already cover the new weight?
+	if err := e.labelKeepUpsert(ctx, qs, st, s.u, s.v, s.newW); err != nil {
+		return err
+	}
+	if segBuilt {
+		return e.maintainSegs(ctx, qs, st, s.u, s.v, s.newW)
+	}
+	return nil
 }
 
 // computeTouchSet fills TMutTouch with every recorded (fid, tid) pair

@@ -377,16 +377,17 @@ func TestMutationOracleInvalidation(t *testing.T) {
 	checkAllAlgorithms(t, e, mirror, graph.RandomQueries(mirror, 5, 9))
 }
 
-// TestFailedMutationKeepsOracle: a mutation that fails before writing
-// anything (missing edge) must not cold-stop approximate service — the
-// graph is unchanged, so the pre-batch oracle is restored.
+// TestFailedMutationKeepsOracle: a batch with a delete or an update of a
+// pair that has no edge — none in the graph, or none after the batch's own
+// delete — is refused whole, before anything is logged or written, alone or
+// after a mutation that would have applied. The graph, its version and the
+// counters stay as they were, and approximate service stays warm.
 func TestFailedMutationKeepsOracle(t *testing.T) {
 	g := graph.Random(15, 40, 6)
 	e := newTestEngine(t, g, rdb.Options{}, Options{})
 	if _, err := e.BuildOracle(oracle.Config{K: 3}); err != nil {
 		t.Fatal(err)
 	}
-	// Find a pair with no edge so the delete fails without writing.
 	present := map[[2]int64]bool{}
 	for _, ed := range g.Edges {
 		present[[2]int64{ed.From, ed.To}] = true
@@ -400,63 +401,62 @@ func TestFailedMutationKeepsOracle(t *testing.T) {
 			}
 		}
 	}
-	st, err := e.DeleteEdge(pair[0], pair[1])
-	if err == nil {
-		t.Fatal("deleting a missing edge must fail")
-	}
-	if st == nil || st.Applied != 0 || st.OracleInvalidated {
-		t.Fatalf("partial stats after no-op failure: %+v", st)
-	}
-	if e.Oracle() == nil || e.OracleInvalidated() {
-		t.Error("a no-op failure must leave the oracle warm")
-	}
-	if ms := e.MutationStats(); ms.OracleInvalidations != 0 {
-		t.Errorf("invalidation counter after restore: %+v", ms)
-	}
-	if _, err := approxDistance(e, 0, 1); err != nil {
-		t.Errorf("approx after failed mutation: %v", err)
+	ed := g.Edges[0]
+	edges0, v0, ms0 := e.Edges(), e.GraphVersion(), e.MutationStats()
+	for _, tc := range []struct {
+		batch []Mutation
+		want  string
+	}{
+		{[]Mutation{{Op: MutDelete, From: pair[0], To: pair[1]}}, "mutation 0 (delete"},
+		{[]Mutation{{Op: MutInsert, From: pair[1], To: pair[0], Weight: 2}, {Op: MutDelete, From: pair[0], To: pair[1]}},
+			"mutation 1 (delete"},
+		{[]Mutation{{Op: MutDelete, From: ed.From, To: ed.To}, {Op: MutUpdate, From: ed.From, To: ed.To, Weight: 3}},
+			"mutation 1 (update"},
+	} {
+		st, err := e.ApplyMutations(tc.batch)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "no edge to") {
+			t.Fatalf("%v: error %v, want %q and the missing edge", tc.batch, err, tc.want)
+		}
+		if st != nil {
+			t.Errorf("%v: stats %+v for a refused batch, want nil", tc.batch, st)
+		}
+		if e.Edges() != edges0 || e.GraphVersion() != v0 || e.MutationStats() != ms0 {
+			t.Errorf("%v moved the engine: %d edges at v%d, counters %+v; was %d at v%d, %+v",
+				tc.batch, e.Edges(), e.GraphVersion(), e.MutationStats(), edges0, v0, ms0)
+		}
+		if e.Oracle() == nil || e.OracleInvalidated() {
+			t.Errorf("%v: a refused batch must leave the oracle warm", tc.batch)
+		}
+		if _, err := approxDistance(e, 0, 1); err != nil {
+			t.Errorf("approx after refused batch: %v", err)
+		}
 	}
 
-	// A batch that fails after a write keeps the prefix AND the cold
-	// oracle, reporting how much persisted.
-	edges0 := e.Edges()
-	st, err = e.ApplyMutations([]Mutation{
-		{Op: MutInsert, From: 0, To: 5, Weight: 2},
-		{Op: MutDelete, From: pair[0], To: pair[1]}, // still missing
+	// A delete of the edge the batch itself inserted applies: the batch's
+	// own writes carry forward.
+	st, err := e.ApplyMutations([]Mutation{
+		{Op: MutInsert, From: pair[0], To: pair[1], Weight: 2},
+		{Op: MutDelete, From: pair[0], To: pair[1]},
 	})
-	if err == nil {
-		t.Fatal("batch with a missing delete must fail")
+	if err != nil || st.Applied != 2 || !st.OracleInvalidated {
+		t.Fatalf("insert then delete: %+v, %v", st, err)
 	}
-	if st == nil || st.Applied != 1 {
-		t.Fatalf("prefix not reported: %+v", st)
-	}
-	if e.Edges() != edges0+1 {
-		t.Errorf("applied prefix lost: edges %d, want %d", e.Edges(), edges0+1)
-	}
-	if e.Oracle() != nil || !e.OracleInvalidated() {
-		t.Error("a written prefix must leave the oracle cold")
-	}
-	// Batches counts only batches that applied something: the failed
-	// no-op DeleteEdge above does not, the prefix batch does.
-	if ms := e.MutationStats(); ms.Batches != 1 {
-		t.Errorf("batch counter after prefix failure: %+v", ms)
+	if ms := e.MutationStats(); e.Edges() != edges0 || ms.Batches != 1 || ms.OracleInvalidations != 1 {
+		t.Errorf("insert then delete: %d edges, was %d; counters %+v", e.Edges(), edges0, ms)
 	}
 }
 
-// TestFailedMutationKeepsMaintainedIndexes: when a batch's later mutation
-// fails its existence read, it wrote nothing, and every earlier mutation
-// was maintained in full, so the SegTable and the hub labels stay built and
-// exact; only the oracle goes cold, since the graph did change. The insert
-// adds a pair at no less than its distance, which the labels keep.
+// TestFailedMutationKeepsMaintainedIndexes: a batch whose later mutation
+// deletes a pair with no edge is refused whole, so the insert before it
+// never runs: the graph, its version and the counters stay put, and the
+// SegTable, the oracle and the hub labels stay built and exact, the
+// SegTable equal to a rebuild of the unchanged graph.
 func TestFailedMutationKeepsMaintainedIndexes(t *testing.T) {
 	g := unitWeights(graph.Power(200, 3, 2))
 	for _, ed := range g.Edges {
 		if ed.From == 1 && ed.To == 2 {
 			t.Fatal("test workload has edge (1,2); pick another seed")
 		}
-	}
-	if d := graph.MDJ(g, 1, 2); !d.Found || d.Distance > 3 {
-		t.Fatalf("d(1,2) = %d, found %v: the insert would move the labels; pick another seed", d.Distance, d.Found)
 	}
 	e := newTestEngine(t, g, rdb.Options{}, Options{})
 	if _, err := e.BuildSegTable(8); err != nil {
@@ -468,6 +468,7 @@ func TestFailedMutationKeepsMaintainedIndexes(t *testing.T) {
 	if _, err := e.BuildLabels(); err != nil {
 		t.Fatal(err)
 	}
+	edges0, v0, ms0 := e.Edges(), e.GraphVersion(), e.MutationStats()
 	st, err := e.ApplyMutations([]Mutation{
 		{Op: MutInsert, From: 1, To: 2, Weight: 3},
 		{Op: MutDelete, From: 0, To: 0}, // no self-loop exists
@@ -475,29 +476,20 @@ func TestFailedMutationKeepsMaintainedIndexes(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no edge to delete") {
 		t.Fatalf("batch error %v, want the delete's missing edge", err)
 	}
-	if st == nil || st.Applied != 1 {
-		t.Fatalf("stats %+v, want the insert applied", st)
+	if st != nil {
+		t.Fatalf("stats %+v for a refused batch, want nil", st)
 	}
-	if e.Oracle() != nil || !e.OracleInvalidated() {
-		t.Error("the applied insert must leave the oracle cold")
+	if e.Edges() != edges0 || e.GraphVersion() != v0 || e.MutationStats() != ms0 {
+		t.Errorf("the refused batch moved the engine: %d edges at v%d, counters %+v; was %d at v%d, %+v",
+			e.Edges(), e.GraphVersion(), e.MutationStats(), edges0, v0, ms0)
 	}
-	if e.Labels() == nil || e.LabelsInvalidated() {
-		t.Error("the label index must stay built")
+	if e.SegLthd() != 8 || e.Oracle() == nil || e.OracleInvalidated() || e.Labels() == nil || e.LabelsInvalidated() {
+		t.Fatalf("indexes after a refused batch: lthd %d, oracle %v (stale %v), labels %v (stale %v)",
+			e.SegLthd(), e.Oracle() != nil, e.OracleInvalidated(), e.Labels() != nil, e.LabelsInvalidated())
 	}
-	mirror := g.Clone()
-	if err := mirror.InsertEdge(1, 2, 3); err != nil {
-		t.Fatal(err)
-	}
-	queries := append(graph.RandomQueries(mirror, 8, 3), [2]int64{1, 2}, [2]int64{0, 2})
-	for _, q := range queries { // BSEG first: checkAllAlgorithms skips it on a cold SegTable
-		p, _, err := shortestPath(e, AlgBSEG, q[0], q[1])
-		if err != nil {
-			t.Fatalf("BSEG s=%d t=%d: %v", q[0], q[1], err)
-		}
-		checkPath(t, mirror, AlgBSEG, q[0], q[1], p)
-	}
-	checkAllAlgorithms(t, e, mirror, queries)
-	ref := newTestEngine(t, mirror, rdb.Options{}, Options{})
+	queries := append(graph.RandomQueries(g, 8, 3), [2]int64{1, 2}, [2]int64{0, 2})
+	checkAllAlgorithms(t, e, g, queries)
+	ref := newTestEngine(t, g.Clone(), rdb.Options{}, Options{})
 	if _, err := ref.BuildSegTable(8); err != nil {
 		t.Fatal(err)
 	}

@@ -208,9 +208,11 @@ func TestBuildsEmptyTheirWorkingSet(t *testing.T) {
 // over the file of graph.Power(8000) with a SegTable at lthd 20) for 128
 // BSEG queries, and holds the pool's owner counters (rdb.Stats.Relations)
 // to an independent count: a miss hook that maps each missed page id, at
-// the miss, through the Pages() of every table in the catalog. Each
-// relation's misses must agree, and the relations' misses must add up to
-// the pool's. It logs what a cold query pays each relation.
+// the miss, through the pages of every secondary index ("table.index") and
+// then every table in the catalog. Each row's misses must agree, the rows'
+// misses must add up to the pool's, and TOutSegs' tid index, which the
+// backward search reads, must miss under a row of its own. It logs what a
+// cold query pays each relation and index.
 func TestRelationMisses(t *testing.T) {
 	const poolPages, queries = 17, 128
 	g := graph.Power(8000, 3, 2011)
@@ -237,6 +239,12 @@ func TestRelationMisses(t *testing.T) {
 	pool := e.DB().Pool()
 	pool.SetMissHook(func(id storage.PageID) {
 		for _, tb := range tables {
+			for _, ix := range tb.Secondary {
+				if slices.Contains(ix.Tree().Pages(), id) {
+					hooked[tb.Name+"."+ix.Name]++
+					return
+				}
+			}
 			if slices.Contains(tb.Pages(), id) {
 				hooked[tb.Name]++
 				return
@@ -257,7 +265,7 @@ func TestRelationMisses(t *testing.T) {
 		t.Errorf("%d misses on pages no table holds", hooked[""])
 	}
 	var sum uint64
-	rows := []string{"relation   misses/q fetches/q flushes/q"}
+	rows := []string{"relation              misses/q fetches/q flushes/q"}
 	for _, name := range slices.Sorted(maps.Keys(after.Relations)) {
 		a, b := after.Relations[name], before.Relations[name]
 		misses := a.Misses - b.Misses
@@ -266,12 +274,16 @@ func TestRelationMisses(t *testing.T) {
 			t.Errorf("%s: %d misses charged, the hook counted %d", name, misses, hooked[name])
 		}
 		if a.Fetches != b.Fetches {
-			rows = append(rows, fmt.Sprintf("%-12s %7.1f %9.1f %9.1f", name, float64(misses)/queries,
+			rows = append(rows, fmt.Sprintf("%-21s %7.1f %9.1f %9.1f", name, float64(misses)/queries,
 				float64(a.Fetches-b.Fetches)/queries, float64(a.Flushes-b.Flushes)/queries))
 		}
 	}
 	if total := after.Pool.Misses - before.Pool.Misses; sum != total || total == 0 {
 		t.Errorf("the relations were charged %d misses, the pool counted %d", sum, total)
+	}
+	missed := func(name string) uint64 { return after.Relations[name].Misses - before.Relations[name].Misses }
+	if ix := TblOutSegs + ".toutsegs_tid"; missed(ix) == 0 || missed(TblOutSegs) == 0 {
+		t.Errorf("%s was charged %d misses and %s %d: want both", ix, missed(ix), TblOutSegs, missed(TblOutSegs))
 	}
 	t.Logf("%d queries, %d-page pool:\n%s", queries, poolPages, strings.Join(rows, "\n"))
 }

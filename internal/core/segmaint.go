@@ -31,8 +31,9 @@ import (
 // ApplyMutations batch).
 type MaintStats struct {
 	// Applied counts the mutations fully applied. On success it equals the
-	// batch length; on an execution error it reports the persisted prefix
-	// (ApplyMutations returns the partial stats alongside the error).
+	// batch length; on an execution error, which stops a logged batch
+	// mid-way, it reports the persisted prefix (ApplyMutations returns the
+	// partial stats alongside the error). A refused batch has no stats.
 	Applied int
 	// Affected counts SegTable rows inserted or improved by insertion
 	// maintenance plus rows in decremental touch sets.

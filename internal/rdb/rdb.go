@@ -98,8 +98,10 @@ type Stats struct {
 	Pool        storage.PoolStats
 	// Relations is the pool's traffic by relation name: every fetch, miss
 	// and flush of a page charged to the table that held the page then,
-	// its indexes included. A name counts from the first table created
-	// under it and keeps counting across a drop and re-create.
+	// under the table's name for its clustered tree or heap and under
+	// "table.index" for each secondary index. A name counts from the first
+	// table or index created under it and keeps counting across a drop and
+	// re-create.
 	Relations map[string]storage.PageCounts
 	// IO is the database file's disk manager's; Temp the temp space's.
 	IO   storage.IOStats

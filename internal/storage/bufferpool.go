@@ -27,9 +27,10 @@ type PoolStats struct {
 }
 
 // Owner is the small id a pool charges a page's traffic to: one per
-// relation name (BufferPool.Owner), 0 for a page no relation took. Its top
-// bit (InTemp) places the pages NewPageFor allocates in the temp space;
-// the name's traffic is counted in one place whatever the space.
+// relation or index name (BufferPool.Owner), 0 for a page no relation
+// took. Its top bit (InTemp) places the pages NewPageFor allocates in the
+// temp space; the name's traffic is counted in one place whatever the
+// space.
 type Owner uint32
 
 // tempOwner is Owner's space bit.

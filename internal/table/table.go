@@ -180,7 +180,7 @@ type Table struct {
 	Name       string
 	Schema     *record.Schema
 	pool       *storage.BufferPool
-	owner      storage.Owner      // the pool's id for Name, which every page of the table is charged to
+	owner      storage.Owner      // the pool's id for Name, which the clustered tree's or the heap's pages are charged to
 	heap       *heapfile.HeapFile // nil iff clustered
 	clustered  *Index             // nil iff heap
 	Secondary  []*Index
@@ -515,7 +515,13 @@ func (t *Table) CreateIndex(name string, cols []int, unique bool) (_ *Index, err
 	for i := range key {
 		key[i] = i
 	}
-	tr, err := btree.NewOwned(t.pool, t.owner, key...)
+	// The index's pages are charged to an owner of its own, so page
+	// counters tell its traffic from the table's.
+	owner := t.pool.Owner(t.Name + "." + name)
+	if t.Temp() {
+		owner = owner.InTemp()
+	}
+	tr, err := btree.NewOwned(t.pool, owner, key...)
 	if err != nil {
 		return nil, err
 	}
