@@ -161,23 +161,28 @@ func nKeys(pg *storage.Page) int     { return int(pg.U16(offNKeys)) }
 func cellStart(pg *storage.Page) int { return int(pg.U16(offCellStart)) }
 func slotOff(i int) int              { return offSlots + 2*i }
 
-// leafCell returns the bytes of leaf slot i's cell and, inside them, its
-// entry. A length below 128 — every entry the engine stores — is one byte,
-// read without the varint loop.
-func leafCell(pg *storage.Page, i int) (cell, entry []byte) {
-	off := int(pg.U16(slotOff(i)))
-	l, w := uint64(pg.Data[off]), 1
-	if l >= 0x80 {
-		l, w = binary.Uvarint(pg.Data[off:])
+// entrySpan finds leaf slot i's entry through the slot array on the page
+// itself: it is pg.Data[off : off+n]. Its uvarint length, at the slot's
+// offset, is one byte below 128 — every entry the engine stores — and two
+// otherwise, an entry being shorter than 1<<14 (MaxEntrySize), so neither
+// takes the varint loop. Small enough to inline into the slot loop and the
+// key compares, so finding a cell costs no call.
+func entrySpan(pg *storage.Page, i int) (off, n int) {
+	off = int(binary.LittleEndian.Uint16(pg.Data[offSlots+2*i:]))
+	if n = int(pg.Data[off]); n < 0x80 {
+		return off + 1, n
 	}
-	end := off + w + int(l)
-	return pg.Data[off:end], pg.Data[off+w : end]
+	return off + 2, n&0x7f | int(pg.Data[off+1])<<7
 }
+
+// A leaf cell's length takes two bytes at most (entrySpan): this constant
+// overflows, and the package does not build, if MaxEntrySize reaches 1<<14.
+const _ = uint(1<<14 - 1 - MaxEntrySize)
 
 // entryAt returns leaf slot i's entry, on the page.
 func entryAt(pg *storage.Page, i int) []byte {
-	_, entry := leafCell(pg, i)
-	return entry
+	off, n := entrySpan(pg, i)
+	return pg.Data[off : off+n]
 }
 
 // sepAt returns internal slot i's separator key, on the page.
@@ -197,11 +202,11 @@ func (t *BTree) child(pg *storage.Page, j int) storage.PageID {
 
 // cellAt returns the bytes of slot i's cell, on the page.
 func (t *BTree) cellAt(pg *storage.Page, i int) []byte {
-	if pg.Data[offType] == nodeLeaf {
-		cell, _ := leafCell(pg, i)
-		return cell
-	}
 	off := int(pg.U16(slotOff(i)))
+	if pg.Data[offType] == nodeLeaf {
+		e, n := entrySpan(pg, i)
+		return pg.Data[off : e+n]
+	}
 	return pg.Data[off : off+len(t.sep)*8+4]
 }
 
@@ -236,20 +241,20 @@ func cmp(key, x []byte, offs []int) int {
 	return 0
 }
 
-// before reports whether leaf pg's slot i holds a key that sorts before
-// key: before it, or with past before it or one of the keys it begins.
-func (t *BTree) before(pg *storage.Page, i int, key []byte, past bool) bool {
-	c := cmp(key, entryAt(pg, i), t.key)
-	return c > 0 || c == 0 && past
-}
-
 // bound returns the first slot from lo on of leaf pg whose entry's key does
-// not sort before key (before).
-func (t *BTree) bound(pg *storage.Page, lo int, key []byte, past bool) int {
+// not sort before key: before it, or with past before it or one of the keys
+// it begins. It steps over the first walk slots one at a time, then
+// binary-searches the rest. Each step reads its key on the page (entrySpan,
+// cmp, both inlined), so no step makes a call.
+func (t *BTree) bound(pg *storage.Page, lo int, key []byte, past bool, walk int) int {
 	hi := nKeys(pg)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if t.before(pg, mid, key, past) {
+		if walk > 0 {
+			mid, walk = lo, walk-1
+		}
+		off, _ := entrySpan(pg, mid)
+		if c := cmp(key, pg.Data[off:], t.key); c > 0 || c == 0 && past {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -261,7 +266,7 @@ func (t *BTree) bound(pg *storage.Page, lo int, key []byte, past bool) int {
 // search returns the first slot of leaf pg whose entry's key is at or after
 // key, and whether that key is key.
 func (t *BTree) search(pg *storage.Page, key []byte) (int, bool) {
-	i := t.bound(pg, 0, key, false)
+	i := t.bound(pg, 0, key, false, 0)
 	return i, i < nKeys(pg) && len(key) == len(t.sep)*8 && cmp(key, entryAt(pg, i), t.key) == 0
 }
 
@@ -888,22 +893,29 @@ func (t *BTree) descend(key []byte) (*storage.Page, error) {
 }
 
 // match is a leaf's slot loop: it returns the first slot in [i, end) of pg
-// whose entry is a cols-column tuple that satisfies preds (record.Match),
-// with that entry, or end when there is none. With cols 0 every slot
-// passes, unread. An entry of the wrong length stops it with the error.
+// whose entry is a cols-column tuple that satisfies preds, with that entry,
+// or end when there is none. With cols 0 every slot passes, unread. It finds
+// each cell through the slot array (entrySpan) and decides each pred on its
+// column's 8 bytes on the page (record.Pred.Holds), both inlined, so a
+// rejected row costs no call. An entry of any length but 8·cols stops it
+// with record.ErrMalformed, as record.Match would.
 func match(pg *storage.Page, i, end, cols int, preds []record.Pred) (int, []byte, error) {
 	if cols == 0 {
 		return min(i, end), nil, nil
 	}
+next:
 	for ; i < end; i++ {
-		_, val := leafCell(pg, i)
-		ok, err := record.Match(val, cols, preds)
-		if err != nil {
-			return i, nil, err
+		off, n := entrySpan(pg, i)
+		if n != 8*cols {
+			return i, nil, record.ErrMalformed
 		}
-		if ok {
-			return i, val, nil
+		val := pg.Data[off : off+n]
+		for _, p := range preds {
+			if !p.Holds(int64(binary.LittleEndian.Uint64(val[8*p.Col:]))) {
+				continue next
+			}
 		}
+		return i, val, nil
 	}
 	return end, nil, nil
 }
@@ -929,12 +941,7 @@ func (it *Iterator) loadLeaf(pg *storage.Page, start int) {
 	it.pos, it.leafPg = 0, pg.ID()
 	it.nextPg = storage.PageID(pg.U32(offNext))
 	if it.hi != nil {
-		e := start
-		for ; e < n && e < start+endWalk && t.before(pg, e, it.hi, it.past); e++ {
-		}
-		if e == start+endWalk {
-			e = t.bound(pg, e, it.hi, it.past)
-		}
+		e := t.bound(pg, start, it.hi, it.past, endWalk)
 		// A whole key's place is in this leaf: the separator after it sorts
 		// past the key, and so does every key of the leaves after it.
 		if e < n || it.past && len(it.hi) == len(t.sep)*8 {
@@ -959,8 +966,9 @@ func (it *Iterator) loadLeaf(pg *storage.Page, start int) {
 		return
 	}
 	for _, i := range it.slots {
-		cell, _ := leafCell(pg, int(i))
-		copy(it.leaf.Data[pg.U16(slotOff(int(i))):], cell)
+		at := pg.U16(slotOff(int(i)))
+		e, n := entrySpan(pg, int(i))
+		copy(it.leaf.Data[at:e+n], pg.Data[at:e+n])
 	}
 }
 

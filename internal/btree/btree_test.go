@@ -682,6 +682,8 @@ func scanAll(t testing.TB, tr *BTree, want int) {
 // NULL-free or not, over-long or not — the first leaf too, and a truncated
 // tuple ends either with Match's error. Overwrite through a filtered scan,
 // which copied only the passing cells, rewrites the entry it stands on.
+// The same holds for 136-byte tuples, whose cells have a two-byte length,
+// under two preds, and at a cell whose length byte is wrong on the page.
 func TestFilteredScan(t *testing.T) {
 	tr := newTree(t, 64)
 	s := record.MustSchema(record.Column{Name: "a", Type: record.TInt}, record.Column{Name: "b", Type: record.TInt})
@@ -770,6 +772,99 @@ func TestFilteredScan(t *testing.T) {
 			t.Fatalf("filtered scan after repair: %d entries, %v; want %d", len(got), err, len(want))
 		}
 	}
+
+	// The slot loop's rarer branches: an entry of 128 bytes or more, whose
+	// cell length is a two-byte uvarint, more than one pred, and a cell
+	// length that is wrong on the page.
+	// tuples is a tree of n tuples of cols columns: i, then col(i, c).
+	tuples := func(t *testing.T, n, cols int, col func(i int64, c int) int64) (*BTree, [][]byte) {
+		tr := newTree(t, 64)
+		var entries [][]byte
+		for i := int64(0); i < int64(n); i++ {
+			tuple := k(i)
+			for c := 1; c < cols; c++ {
+				tuple = binary.LittleEndian.AppendUint64(tuple, uint64(col(i, c)))
+			}
+			if err := tr.Insert(tuple, nil); err != nil {
+				t.Fatal(err)
+			}
+			entries = append(entries, tuple)
+		}
+		return tr, entries
+	}
+	t.Run("17 columns", func(t *testing.T) {
+		tr, entries := tuples(t, 300, 17, func(i int64, c int) int64 { return i * int64(c+1) % 7 })
+		eq := record.Pred{Col: 16, Sat: 2, Val: 0}
+		above := record.Pred{Col: 3, Sat: 4, Val: 2}
+		checkFiltered(t, tr, entries, 17, []record.Pred{eq}, 43)
+		checkFiltered(t, tr, entries, 17, []record.Pred{eq, {Col: 0, Sat: 4, Val: 150}}, 21)
+		checkFiltered(t, tr, entries, 17, []record.Pred{above, {Col: 16, Sat: 5, Val: 3}}, 128)
+		for _, bad := range [][]byte{entries[200][:135], append(slices.Clone(entries[200]), 0), entries[200][:128]} {
+			if err := tr.Put(bad, nil); err != nil {
+				t.Fatal(err)
+			}
+			checkFiltered(t, tr, slices.Concat(entries[:200], [][]byte{bad}, entries[201:]), 17, []record.Pred{eq}, -1)
+		}
+	})
+	t.Run("two preds", func(t *testing.T) {
+		tr, entries := tuples(t, 600, 2, func(i int64, _ int) int64 { return i % 5 })
+		checkFiltered(t, tr, entries, 2, []record.Pred{{Col: 1, Sat: 2, Val: 0}, {Col: 0, Sat: 6, Val: 250}}, 70)
+		checkFiltered(t, tr, entries, 2, []record.Pred{{Col: 0, Sat: 1, Val: 40}, {Col: 1, Sat: 3, Val: 1}}, 16)
+	})
+	t.Run("corrupt cell length", func(t *testing.T) {
+		tr, entries := tuples(t, 400, 7, func(i int64, c int) int64 { return i * int64(c) % 4 })
+		// The length byte of key 250's cell on its leaf says 48, not 56.
+		pg, err := tr.descend(k(250))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i, exact := tr.search(pg, k(250))
+		if !exact || pg.Data[pg.U16(slotOff(i))] != 56 {
+			t.Fatalf("key 250 at slot %d (%v) of page %d", i, exact, pg.ID())
+		}
+		pg.Data[pg.U16(slotOff(i))] = 48
+		tr.pool.Unpin(pg, true)
+		entries[250] = entries[250][:48]
+		checkFiltered(t, tr, entries, 7, []record.Pred{{Col: 1, Sat: 2, Val: 0}}, -1)
+		checkFiltered(t, tr, entries, 7, []record.Pred{{Col: 3, Sat: 5, Val: 0}, {Col: 6, Sat: 2, Val: 2}}, -1)
+	})
+}
+
+// checkFiltered checks a filtered scan and a Fold of tr, whose entries are
+// entries in key order, against record.Match over entries: both yield
+// exactly the tuples Match passes, in order, up to the first it refuses, and
+// then Match's error. pass is how many tuples pass, or -1 for a scan that
+// meets a malformed tuple, so the check is not vacuous.
+func checkFiltered(t *testing.T, tr *BTree, entries [][]byte, cols int, preds []record.Pred, pass int) {
+	t.Helper()
+	var want [][]byte
+	var wantErr error
+	for _, e := range entries {
+		ok, err := record.Match(e, cols, preds)
+		if err != nil {
+			wantErr = err
+			break
+		}
+		if ok {
+			want = append(want, e)
+		}
+	}
+	if wantErr == nil && len(want) != pass || wantErr != nil && pass != -1 {
+		t.Fatalf("%v on %d columns: record.Match passes %d, %v; the case expects %d", preds, cols, len(want), wantErr, pass)
+	}
+	var it Iterator
+	var got [][]byte
+	for it.Reset(tr, nil, nil, cols, preds); it.Next(); {
+		got = append(got, slices.Clone(it.Value()))
+	}
+	if it.Err() != wantErr || !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("filtered scan %v on %d columns: %d tuples, %v; want %d, %v", preds, cols, len(got), it.Err(), len(want), wantErr)
+	}
+	got = got[:0]
+	err := tr.Fold(cols, preds, func(tuple []byte) { got = append(got, slices.Clone(tuple)) })
+	if err != wantErr || !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("fold %v on %d columns: %d tuples, %v; want %d, %v", preds, cols, len(got), err, len(want), wantErr)
+	}
 }
 
 // TestScanAllocsIndependentOfEntryCount: an iterator copies each leaf into
@@ -794,6 +889,51 @@ func BenchmarkScanBTree(b *testing.B) {
 		scanAll(b, tr, n)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+}
+
+// BenchmarkFoldBTree times the slot loop (match) over TVisited's shape: 175
+// tuples (nid, d2s, p2s, f, d2t, p2t, b) of 56 bytes keyed on nid, one in
+// four of them with f = 0. fold is the statistics probe's pass, a Fold with
+// f = 0; iterator is the F-select's, an Iterator with f = 0 AND d2s = ?,
+// which five rows pass. ns/row is per stored row, passing or not.
+func BenchmarkFoldBTree(b *testing.B) {
+	const n = 175
+	tr := newTree(b, 64)
+	for i := int64(0); i < n; i++ {
+		tuple := make([]byte, 0, 56)
+		for _, v := range []int64{i, i / 4 % 9, i - 1, i % 4, 1000 - i, i + 1, 0} {
+			tuple = binary.LittleEndian.AppendUint64(tuple, uint64(v))
+		}
+		if err := tr.Insert(tuple, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	f0 := record.Pred{Col: 3, Sat: 2, Val: 0}
+	d2s := record.Pred{Col: 1, Sat: 2, Val: 4}
+	b.Run("fold", func(b *testing.B) {
+		preds, rows := []record.Pred{f0}, 0
+		for i := 0; i < b.N; i++ {
+			if err := tr.Fold(7, preds, func([]byte) { rows++ }); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if rows != b.N*((n+3)/4) {
+			b.Fatalf("%d rows passed f = 0 in %d folds", rows, b.N)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+	})
+	b.Run("iterator", func(b *testing.B) {
+		var it Iterator
+		preds, rows := []record.Pred{f0, d2s}, 0
+		for i := 0; i < b.N; i++ {
+			for it.Reset(tr, nil, nil, 7, preds); it.Next(); rows++ {
+			}
+		}
+		if it.Err() != nil || rows != b.N*5 {
+			b.Fatalf("%d rows passed f = 0 AND d2s = 4 in %d scans: %v", rows, b.N, it.Err())
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+	})
 }
 
 // probeTree is the tree a probe test or benchmark re-aims an iterator at,

@@ -7,6 +7,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"repro/internal/record"
 )
 
 // fuzzValues are the column values the fuzz bytes pick from: the int64
@@ -41,6 +43,39 @@ func order(x, y []byte) int {
 // u, as a clustered table on a non-unique key is.
 var fuzzLayouts = [][]int{{0, 1}, {1, 0}, {0, 2}}
 
+// fuzzPreds decodes a scan's filter: the column count its entries are read
+// as, from the call byte c — 3, 22, 41 or 60, the tuple an entry of each
+// payload size is — and one pred, or two when c/80 is odd, from p, two bytes
+// each: the column (a, b or u) in its low two bits and Sat in the next
+// three, then the value.
+func fuzzPreds(c byte, p []byte) (int, []record.Pred) {
+	preds := make([]record.Pred, 1+int(c/80)%2)
+	for j := range preds {
+		preds[j] = record.Pred{Col: int(p[2*j]&3) % 3, Sat: p[2*j] >> 2 & 7, Val: fuzzValue(p[2*j+1])}
+	}
+	return 3 + 19*int(c/20%4), preds
+}
+
+// filtered is what a scan over entries, in key order, yields under preds
+// on cols-column tuples (none: every entry): the entries record.Match
+// passes, up to the first it refuses, with its error.
+func filtered(entries [][]byte, cols int, preds []record.Pred) ([][]byte, error) {
+	if len(preds) == 0 {
+		return entries, nil
+	}
+	var pass [][]byte
+	for _, e := range entries {
+		ok, err := record.Match(e, cols, preds)
+		if err != nil {
+			return pass, err
+		}
+		if ok {
+			pass = append(pass, e)
+		}
+	}
+	return pass, nil
+}
+
 // FuzzBTree decodes its bytes into calls on two trees of entries (a, b, u,
 // payload) in one pool — Insert, Put, Delete, Get, range and prefix scans,
 // Overwrite and InsertAtProbe through a prefix probe, Pack, Reset — under a
@@ -50,6 +85,10 @@ var fuzzLayouts = [][]int{{0, 1}, {1, 0}, {0, 2}}
 // skips its descent (the finger) meets splits, Packs, Resets, deletes and
 // the other tree in between. The first byte picks the key layout; then
 // each call takes four: the call and its tree, a, b and the payload size.
+// A scan whose call byte is 20 or more takes four more, its predicates
+// (fuzzPreds), and is followed by a Fold of its tree under them; each
+// answers what record.Match over the model does (filtered), a malformed
+// tuple's error included.
 func FuzzBTree(f *testing.F) {
 	seed := func(layout byte, calls ...[4]byte) []byte {
 		out := []byte{layout}
@@ -58,7 +97,7 @@ func FuzzBTree(f *testing.F) {
 		}
 		return out
 	}
-	var extremes, run, churn, wide, ascending [][4]byte
+	var extremes, run, churn, wide, ascending, filters [][4]byte
 	for a := byte(0); a < 7; a++ {
 		for b := byte(0); b < 7; b++ {
 			extremes = append(extremes, [4]byte{0, a, b, 3})
@@ -96,7 +135,20 @@ func FuzzBTree(f *testing.F) {
 		}
 		ascending = append(ascending, [4]byte{8, 0, 0, 1}, [4]byte{19, 0, 0, 0})
 	}
+	// 176-byte entries (a two-byte cell length) over several leaves, read
+	// as 22-column tuples under one pred and under two, then the same once
+	// 24-byte entries sit among them.
+	for i := byte(0); i < 3; i++ {
+		for a := byte(10); a < 40; a++ {
+			filters = append(filters, [4]byte{0, a, 7 + i, 1})
+		}
+		for _, c := range []byte{24, 25, 104, 105} {
+			filters = append(filters, [4]byte{c, 20, 8, 3 - i}, [4]byte{6 << 2, 25, 1 | 1<<2, 9})
+		}
+		filters = append(filters, [4]byte{0, 15, 9, 0}, [4]byte{0, 33, 9, 0})
+	}
 	for layout := byte(0); layout < 3; layout++ {
+		f.Add(seed(layout, filters...))
 		f.Add(seed(layout, ascending...))
 		f.Add(seed(layout, extremes...))
 		f.Add(seed(layout, run...))
@@ -130,7 +182,7 @@ func FuzzBTree(f *testing.F) {
 			e := binary.LittleEndian.AppendUint64(nil, uint64(a))
 			e = binary.LittleEndian.AppendUint64(e, uint64(b))
 			e = binary.LittleEndian.AppendUint64(e, uint64(u))
-			return append(e, bytes.Repeat([]byte{fill}, int(size)%4*150)...)
+			return append(e, bytes.Repeat([]byte{fill}, int(size)%4*152)...)
 		}
 		// key is a's and b's place in key order: (a, b), (b, a) or (a, u).
 		key := func(a, b int64, cols int) []byte {
@@ -155,20 +207,37 @@ func FuzzBTree(f *testing.F) {
 		within := func(k, lo, hi []byte) bool {
 			return (lo == nil || order(lo, k) <= 0) && (hi == nil || order(hi, k) > 0)
 		}
+		var pcols int           // the column count of the scan's tuples
+		var preds []record.Pred // and its filter; none: every entry
 		scan := func(it *Iterator, lo, hi []byte, prefix bool) {
 			t.Helper()
-			var want [][]byte
+			var in [][]byte
 			for _, k := range sorted() {
 				if prefix && bytes.HasPrefix(k, lo) || !prefix && within(k, lo, hi) {
-					want = append(want, model[string(k)])
+					in = append(in, model[string(k)])
 				}
 			}
+			want, wantErr := filtered(in, pcols, preds)
 			var got [][]byte
 			for it.Next() {
 				got = append(got, slices.Clone(it.Value()))
 			}
-			if it.Err() != nil || !slices.EqualFunc(got, want, bytes.Equal) {
-				t.Fatalf("scan of [%x, %x) prefix %v: %d entries, want %d: %v", lo, hi, prefix, len(got), len(want), it.Err())
+			if it.Err() != wantErr || !slices.EqualFunc(got, want, bytes.Equal) {
+				t.Fatalf("scan of [%x, %x) prefix %v under %d columns %v: %d entries, %v; want %d, %v",
+					lo, hi, prefix, pcols, preds, len(got), it.Err(), len(want), wantErr)
+			}
+			if preds == nil {
+				return
+			}
+			var all [][]byte
+			for _, k := range sorted() {
+				all = append(all, model[string(k)])
+			}
+			want, wantErr = filtered(all, pcols, preds)
+			got = got[:0]
+			err := tr.Fold(pcols, preds, func(tuple []byte) { got = append(got, slices.Clone(tuple)) })
+			if err != wantErr || !slices.EqualFunc(got, want, bytes.Equal) {
+				t.Fatalf("fold under %d columns %v: %d entries, %v; want %d, %v", pcols, preds, len(got), err, len(want), wantErr)
 			}
 		}
 		var it Iterator
@@ -181,6 +250,12 @@ func FuzzBTree(f *testing.F) {
 			full := key(a, b, 2)
 			if cols[0] == 1 {
 				full = key(b, a, 2)
+			}
+			pcols, preds = 0, nil
+			skip := 0 // the predicate bytes a filtered scan takes
+			if (op == 4 || op == 5) && calls[0] >= 20 && len(calls) >= 8 {
+				pcols, preds = fuzzPreds(calls[0], calls[4:8])
+				skip = 4
 			}
 			switch op {
 			case 0, 1: // Insert, Put
@@ -231,11 +306,11 @@ func FuzzBTree(f *testing.F) {
 				if size&4 != 0 {
 					hi = nil
 				}
-				it.Reset(tr, lo, hi, 0, nil)
+				it.Reset(tr, lo, hi, pcols, preds)
 				scan(&it, lo, hi, false)
 			case 5: // ResetPrefix on none, one or both of the key's columns
 				p := full[:8*int(size%3)]
-				it.ResetPrefix(tr, p, 0, nil)
+				it.ResetPrefix(tr, p, pcols, preds)
 				if size%3 == 0 {
 					p = nil
 				}
@@ -297,7 +372,9 @@ func FuzzBTree(f *testing.F) {
 			if tr.Len() != len(model) {
 				t.Fatalf("after call %d: %d entries, the model %d", op, tr.Len(), len(model))
 			}
+			calls = calls[skip:]
 		}
+		pcols, preds = 0, nil
 		for i := range trees {
 			tr, model = trees[i], models[i]
 			it.Reset(tr, nil, nil, 0, nil)

@@ -49,7 +49,7 @@ func DecodeTuple(src []byte, s *Schema) (Row, int, error) {
 func DecodeInto(dst Row, src []byte, s *Schema, need []bool) (int, error) {
 	n := s.Len()
 	if len(src) != 8*n {
-		return 0, errMalformed
+		return 0, ErrMalformed
 	}
 	for i := 0; i < n; i++ {
 		if need == nil || need[i] {
@@ -59,8 +59,8 @@ func DecodeInto(dst Row, src []byte, s *Schema, need []bool) (int, error) {
 	return len(src), nil
 }
 
-// errMalformed reports a tuple whose length is not 8 bytes a column.
-var errMalformed = errors.New("record: malformed tuple: its length is not 8 bytes a column")
+// ErrMalformed reports a tuple whose length is not 8 bytes a column.
+var ErrMalformed = errors.New("record: malformed tuple: its length is not 8 bytes a column")
 
 // Pred is a comparison a scan runs on the encoded tuple: column Col against
 // Val, holding when the three-way result is in Sat (bit 0 for column < Val,
@@ -71,23 +71,30 @@ type Pred struct {
 	Val int64
 }
 
+// Holds reports whether column value v satisfies p: the one definition of
+// a pred, small enough to inline into every loop that decides one, so a
+// rejected row costs no call.
+func (p Pred) Holds(v int64) bool {
+	bit := uint8(2)
+	if v < p.Val {
+		bit = 1
+	} else if v > p.Val {
+		bit = 4
+	}
+	return p.Sat&bit != 0
+}
+
 // Match reports whether the tuple src of an n-column schema satisfies every
-// pred, decoding nothing: column c is the 8 bytes at 8·c. A tuple of any
-// length other than 8·n is an error whatever the preds make of it. It is
-// small enough to inline into the storage slot loops, so a rejected row
-// costs no call.
+// pred (Holds), decoding nothing: column c is the 8 bytes at 8·c. A tuple
+// of any length other than 8·n is ErrMalformed whatever the preds make of
+// it. It inlines into the heap slot loop and the secondary-index scan; the
+// B+tree slot loop reads the cell's length itself and calls Holds.
 func Match(src []byte, n int, preds []Pred) (bool, error) {
 	if len(src) != 8*n {
-		return false, errMalformed
+		return false, ErrMalformed
 	}
 	for _, p := range preds {
-		v, bit := int64(binary.LittleEndian.Uint64(src[8*p.Col:])), uint8(2)
-		if v < p.Val {
-			bit = 1
-		} else if v > p.Val {
-			bit = 4
-		}
-		if p.Sat&bit == 0 {
+		if !p.Holds(int64(binary.LittleEndian.Uint64(src[8*p.Col:]))) {
 			return false, nil
 		}
 	}
