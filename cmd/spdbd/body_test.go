@@ -68,7 +68,7 @@ func FuzzRequestBody(f *testing.F) {
 	if err := eng.LoadGraph(graph.Power(60, 3, 42)); err != nil {
 		f.Fatal(err)
 	}
-	sv := newServer(eng, nil)
+	sv := newServer(eng)
 	endpoints := []struct {
 		url  string
 		h    http.HandlerFunc

@@ -73,17 +73,9 @@
 // the WAL suffix — skipping CSV ingest and every index rebuild — falling
 // back to -gen/-load only when the directory holds no snapshot yet.
 //
-// With -shards k the same engine coordinates a graph partitioned over k
-// databases (internal/shard): every query endpoint, /stats and /metrics
-// behave as above, /stats gains a "shard" block and /metrics the
-// spdb_shard_* families, and what needs the whole graph in one database
-// (POST /edges, POST /admin/snapshot, GET /distance, -landmarks, -labels)
-// answers 409 with the engine's core.ErrPartitioned.
-//
 // Examples:
 //
 //	spdbd -gen power:20000:3 -lthd 20 -landmarks 16 -labels -addr :8080
-//	spdbd -gen power:20000:3 -lthd 20 -shards 4 -portals 16
 //	spdbd -gen power:20000:3 -lthd 20 -data-dir /var/lib/spdb -snapshot-every 5m
 //	curl -X POST localhost:8080/query -d '{"source":17,"target":4711,"timeout_ms":250}'
 //	curl -X POST localhost:8080/query -d '{"source":17,"target":4711,"max_rel_error":0.1}'
@@ -119,7 +111,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rdb"
-	"repro/internal/shard"
 )
 
 func fail(format string, args ...any) {
@@ -128,15 +119,10 @@ func fail(format string, args ...any) {
 }
 
 // server holds the shared serving state: one engine and the request
-// counters. Under -shards the engine coordinates a partitioned graph; the
-// handlers neither know nor ask (what needs the whole graph in one database
-// comes back as core.ErrPartitioned, served as 409).
+// counters.
 type server struct {
-	eng *core.Engine
-	// shardStats renders the partition block /stats adds under -shards; nil
-	// on a single engine.
-	shardStats func() shard.Stats
-	start      time.Time
+	eng   *core.Engine
+	start time.Time
 
 	requests atomic.Uint64
 	errors   atomic.Uint64
@@ -193,15 +179,12 @@ func (sv *server) plannerDecisions() map[string]uint64 {
 }
 
 // noteQueryError classifies an engine error: cancellations (deadline,
-// timeout, client disconnect) count separately and map to 504, an operation
-// a partitioned graph cannot serve to 409, everything else to 422.
+// timeout, client disconnect) count separately and map to 504, everything
+// else to 422.
 func (sv *server) noteQueryError(err error) int {
-	switch {
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		sv.cancelled.Add(1)
 		return http.StatusGatewayTimeout
-	case errors.Is(err, core.ErrPartitioned):
-		return http.StatusConflict
 	}
 	return http.StatusUnprocessableEntity
 }
@@ -504,9 +487,9 @@ func (sv *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot serves POST /admin/snapshot: write a versioned snapshot
 // of the graph and every built index right now. 409 when the engine refuses
-// — no -data-dir, no graph, a partitioned graph —, 504 when the request is
-// cancelled, 500 when the write itself fails. A snapshot of an unmoved
-// graph version reports skipped=true and costs nothing.
+// (no -data-dir, no graph), 504 when the request is cancelled, 500 when the
+// write itself fails. A snapshot of an unmoved graph version reports
+// skipped=true and costs nothing.
 func (sv *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	sv.requests.Add(1)
 	if r.Method != http.MethodPost {
@@ -520,7 +503,7 @@ func (sv *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		sv.errors.Add(1)
 		code := http.StatusInternalServerError
 		switch {
-		case errors.Is(err, core.ErrNoDataDir) || errors.Is(err, core.ErrNoGraph) || errors.Is(err, core.ErrPartitioned):
+		case errors.Is(err, core.ErrNoDataDir) || errors.Is(err, core.ErrNoGraph):
 			code = http.StatusConflict
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			code = sv.noteQueryError(err)
@@ -728,7 +711,6 @@ func (sv *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		graphStats["oracle"] = map[string]any{
 			"landmarks": orc.Landmarks,
 			"k":         orc.K,
-			"strategy":  orc.Strategy.String(),
 			"rows":      orc.Rows,
 		}
 	}
@@ -804,28 +786,16 @@ func (sv *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"temp": dbStats.Temp,
 		},
 	}
-	if sv.shardStats != nil {
-		// Under -shards the blocks above are the coordinating engine's (graph
-		// is the whole graph's; db, concurrency and cache are shard 0's);
-		// this one carries the partition and the per-shard counters.
-		doc["shard"] = sv.shardStats()
-	}
 	writeJSON(w, http.StatusOK, doc)
 }
 
 // newServer wires the serving state over an engine: the counters and the
-// /metrics registry (engine, its database, the serving tier). part is what
-// shard.Open returned when eng coordinates a partitioned graph, nil
-// otherwise; it adds the shard block of /stats and the spdb_shard_* families.
-func newServer(eng *core.Engine, part *shard.ShardedEngine) *server {
+// /metrics registry (engine, its database, the serving tier).
+func newServer(eng *core.Engine) *server {
 	sv := &server{eng: eng, start: time.Now(), reg: obs.NewRegistry()}
 	sv.reg.Register(eng)
 	sv.reg.Register(eng.DB())
 	sv.reg.Register(sv)
-	if part != nil {
-		sv.shardStats = part.Stats
-		sv.reg.Register(part)
-	}
 	return sv
 }
 
@@ -874,7 +844,6 @@ func main() {
 		lthd     = flag.Int64("lthd", 0, "build SegTable with this threshold (required for BSEG)")
 		lmk      = flag.Int("landmarks", 0, "build a landmark oracle with this many landmarks (required for ALT and /distance)")
 		lbls     = flag.Bool("labels", false, "build the hub-label (2-hop) index at startup (required for LABEL; AUTO prefers it while valid)")
-		lmkStrat = flag.String("landmark-strategy", "degree", "landmark placement: degree|farthest")
 		cacheSz  = flag.Int("cache", 0, "path cache entries (0 = default, negative disables)")
 		poolSz   = flag.Int("pool", 0, "buffer pool pages (0 = default)")
 		seed     = flag.Int64("seed", 42, "generator seed")
@@ -884,9 +853,6 @@ func main() {
 		dataDir  = flag.String("data-dir", "", "durability directory: WAL every mutation, hydrate from snapshots at startup")
 		snapEvry = flag.Duration("snapshot-every", 0, "write a snapshot at this interval (-data-dir only, 0 disables)")
 		snapExit = flag.Bool("snapshot-on-exit", true, "write a final snapshot during graceful shutdown (-data-dir only)")
-		shards   = flag.Int("shards", 0, "serve with this many partition-parallel shard engines (0 = single engine)")
-		partStr  = flag.String("partition", "hash", "shard partition strategy: hash|range (-shards only)")
-		portals  = flag.Int("portals", 0, "cut-vertex sketch portals for superstep pruning (-shards only, 0 disables)")
 		dbgAddr  = flag.String("debug-addr", "", "serve net/http/pprof's /debug/pprof/ on this second address (empty disables)")
 	)
 	flag.Parse()
@@ -918,83 +884,47 @@ func main() {
 	}
 
 	var eng *core.Engine
-	var part *shard.ShardedEngine
-	if *shards > 0 {
-		// -shards opens the engine through shard.Open: k databases, each
-		// loaded and indexed with its partition, behind shard 0's engine.
-		// -landmarks, -labels and -alg DJ|BDJ|ALT|LABEL fail below, or per
-		// query, through the engine's own sentinels.
-		if *dataDir != "" { // which also leaves g non-nil
-			fail("-shards does not support -data-dir (snapshots and the WAL cover one database)")
-		}
-		if *cacheSz != 0 {
-			fail("-shards does not support -cache yet: shard.Open opens every shard engine, the coordinating one included, with the path cache off, and sizing it needs a shard.Options field")
-		}
-		strat, err := shard.ParseStrategy(*partStr)
-		if err != nil {
-			fail("%v", err)
-		}
-		fmt.Printf("spdbd: opening %d shard engines (%s partitioning, %d nodes / %d edges)...\n",
-			*shards, strat, g.N, g.M())
-		part, err = shard.Open(g, shard.Options{
-			Shards:          *shards,
-			Strategy:        strat,
-			Lthd:            th,
-			Portals:         *portals,
-			BufferPoolPages: *poolSz,
-		})
-		if err != nil {
-			fail("shard: %v", err)
-		}
-		defer part.Close()
-		eng = part.Engine(0)
-		st := part.Stats()
-		fmt.Printf("spdbd: sharded: %d shards, %d cut edges, seg_lthd=%d, portals=%d\n",
-			st.Shards, st.CutEdges, eng.SegLthd(), st.Portals)
-	} else {
-		db, err := rdb.Open(rdb.Options{BufferPoolPages: *poolSz})
-		if err != nil {
-			fail("%v", err)
-		}
-		defer db.Close()
-		engOpts := core.Options{CacheSize: *cacheSz, DataDir: *dataDir}
-
-		// Startup prefers hydration: the newest snapshot plus the WAL suffix
-		// restores the graph AND every index recorded in the manifest without
-		// re-ingesting CSV or rebuilding anything. Only when the data
-		// directory holds no snapshot yet does the server fall back to
-		// -gen/-load, and then it writes the first snapshot itself (below) so
-		// the next start hydrates.
-		if *dataDir != "" {
-			e, err := core.OpenFromSnapshot(db, engOpts)
-			switch {
-			case err == nil:
-				eng = e
-				ds := eng.DurabilityStats()
-				fmt.Printf("spdbd: hydrated %d nodes / %d edges from snapshot v%d (+%d WAL records replayed)\n",
-					eng.Nodes(), eng.Edges(), ds.LastSnapshotVersion, ds.ReplayedRecords)
-			case errors.Is(err, core.ErrNoSnapshot):
-				if g == nil {
-					fail("%v (and no -gen/-load to fall back to)", err)
-				}
-				fmt.Printf("spdbd: no snapshot in %s, loading from scratch\n", *dataDir)
-			default:
-				fail("hydrate: %v", err)
-			}
-		}
-		if eng == nil {
-			eng = core.NewEngine(db, engOpts)
-			fmt.Printf("spdbd: loading graph (%d nodes, %d edges)...\n", g.N, g.M())
-			if err := eng.LoadGraph(g); err != nil {
-				fail("load: %v", err)
-			}
-		}
-		defer eng.Close()
+	db, err := rdb.Open(rdb.Options{BufferPoolPages: *poolSz})
+	if err != nil {
+		fail("%v", err)
 	}
+	defer db.Close()
+	engOpts := core.Options{CacheSize: *cacheSz, DataDir: *dataDir}
+
+	// Startup prefers hydration: the newest snapshot plus the WAL suffix
+	// restores the graph AND every index recorded in the manifest without
+	// re-ingesting CSV or rebuilding anything. Only when the data
+	// directory holds no snapshot yet does the server fall back to
+	// -gen/-load, and then it writes the first snapshot itself (below) so
+	// the next start hydrates.
+	if *dataDir != "" {
+		e, err := core.OpenFromSnapshot(db, engOpts)
+		switch {
+		case err == nil:
+			eng = e
+			ds := eng.DurabilityStats()
+			fmt.Printf("spdbd: hydrated %d nodes / %d edges from snapshot v%d (+%d WAL records replayed)\n",
+				eng.Nodes(), eng.Edges(), ds.LastSnapshotVersion, ds.ReplayedRecords)
+		case errors.Is(err, core.ErrNoSnapshot):
+			if g == nil {
+				fail("%v (and no -gen/-load to fall back to)", err)
+			}
+			fmt.Printf("spdbd: no snapshot in %s, loading from scratch\n", *dataDir)
+		default:
+			fail("hydrate: %v", err)
+		}
+	}
+	if eng == nil {
+		eng = core.NewEngine(db, engOpts)
+		fmt.Printf("spdbd: loading graph (%d nodes, %d edges)...\n", g.N, g.M())
+		if err := eng.LoadGraph(g); err != nil {
+			fail("load: %v", err)
+		}
+	}
+	defer eng.Close()
 
 	// Index builds run only when requested AND missing: a hydrated engine
-	// already carries every index its snapshot recorded, and shard.Open
-	// built the per-shard SegTables.
+	// already carries every index its snapshot recorded.
 	if th > 0 && eng.SegLthd() == 0 {
 		fmt.Printf("spdbd: building SegTable (lthd=%d)...\n", th)
 		st, err := eng.BuildSegTable(th)
@@ -1004,16 +934,12 @@ func main() {
 		fmt.Printf("spdbd: %s\n", st)
 	}
 	if (*lmk > 0 || alg == core.AlgALT) && eng.Oracle() == nil {
-		strat, err := oracle.ParseStrategy(*lmkStrat)
-		if err != nil {
-			fail("%v", err)
-		}
 		k := *lmk
 		if k <= 0 {
 			k = oracle.DefaultK
 		}
-		fmt.Printf("spdbd: building landmark oracle (k=%d, %s)...\n", k, strat)
-		st, err := eng.BuildOracle(oracle.Config{K: k, Strategy: strat})
+		fmt.Printf("spdbd: building landmark oracle (k=%d)...\n", k)
+		st, err := eng.BuildOracle(oracle.Config{K: k})
 		if err != nil {
 			fail("oracle: %v", err)
 		}
@@ -1039,7 +965,7 @@ func main() {
 		}
 	}
 
-	sv := newServer(eng, part)
+	sv := newServer(eng)
 	if *slowThd > 0 {
 		sv.slowlog = obs.NewSlowLog(*slowThd, *slowCap)
 	}

@@ -30,7 +30,7 @@ func newTestServer(t *testing.T) *server {
 	if err := eng.LoadGraph(graph.Power(500, 3, 42)); err != nil {
 		t.Fatal(err)
 	}
-	return newServer(eng, nil)
+	return newServer(eng)
 }
 
 // newOracleServer is newTestServer plus a built landmark oracle, for the
@@ -611,7 +611,7 @@ func TestSnapshotStatus(t *testing.T) {
 	t.Cleanup(func() { db.Close() })
 	eng := core.NewEngine(db, core.Options{DataDir: dir})
 	t.Cleanup(func() { eng.Close() })
-	sv := newServer(eng, nil)
+	sv := newServer(eng)
 	if rec := post(sv, context.Background()); rec.Code != http.StatusConflict ||
 		!strings.Contains(rec.Body.String(), core.ErrNoGraph.Error()) {
 		t.Errorf("no graph: %d %s, want 409 with %q", rec.Code, rec.Body, core.ErrNoGraph)

@@ -113,7 +113,7 @@ func TestReadyzTransitions(t *testing.T) {
 	t.Cleanup(func() { db.Close() })
 	eng := core.NewEngine(db, core.Options{})
 	t.Cleanup(func() { eng.Close() })
-	sv := newServer(eng, nil)
+	sv := newServer(eng)
 
 	ready := func() int {
 		rec := httptest.NewRecorder()

@@ -31,7 +31,7 @@ func main() {
 
 	// Build the oracle: 8 hub landmarks, exact distances both directions,
 	// all computed relationally (single-source set-Dijkstra to fixpoint).
-	st, err := eng.BuildOracle(repro.OracleConfig{K: 8, Strategy: repro.LandmarksByDegree})
+	st, err := eng.BuildOracle(repro.OracleConfig{K: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,8 +35,6 @@ import (
 // has resources identical to the baseline and runs the same loop over one
 // handle, so it should read as the baseline; k=2 and k=4 first pay for the
 // exchange (materialize, harvest, route, inject) and must win that back.
-// No portal sketch is built — the headline numbers come from the superstep
-// protocol alone.
 //
 // The pool is sized so the graph's hot working set does NOT fit one
 // machine (5.8k pages loaded vs 256 per engine): the single engine pays a

@@ -43,7 +43,7 @@ func differentialGraphs() map[string]*graph.Graph {
 func TestALTAgainstBSDJ(t *testing.T) {
 	g := graph.Power(400, 3, 5)
 	e := newTestEngine(t, g, rdb.Options{}, Options{CacheSize: -1})
-	if _, err := e.BuildOracle(oracle.Config{K: 8, Strategy: oracle.Degree}); err != nil {
+	if _, err := e.BuildOracle(oracle.Config{K: 8}); err != nil {
 		t.Fatal(err)
 	}
 	queries := graph.RandomQueries(g, 10, 21)
@@ -90,21 +90,19 @@ func TestApproxDistanceBounds(t *testing.T) {
 		g := g
 		t.Run(name, func(t *testing.T) {
 			e := newTestEngine(t, g, rdb.Options{}, Options{})
-			for _, strat := range []oracle.Strategy{oracle.Degree, oracle.Farthest} {
-				if _, err := e.BuildOracle(oracle.Config{K: 6, Strategy: strat}); err != nil {
-					t.Fatal(err)
+			if _, err := e.BuildOracle(oracle.Config{K: 6}); err != nil {
+				t.Fatal(err)
+			}
+			iso := g.N - 1
+			pairs := graph.RandomQueries(g, 30, 17)
+			pairs = append(pairs, [2]int64{2, 2}, [2]int64{0, iso}, [2]int64{iso, 0})
+			for _, q := range pairs {
+				iv, err := approxDistance(e, q[0], q[1])
+				if err != nil {
+					t.Fatalf("approx s=%d t=%d: %v", q[0], q[1], err)
 				}
-				iso := g.N - 1
-				pairs := graph.RandomQueries(g, 30, 17)
-				pairs = append(pairs, [2]int64{2, 2}, [2]int64{0, iso}, [2]int64{iso, 0})
-				for _, q := range pairs {
-					iv, err := approxDistance(e, q[0], q[1])
-					if err != nil {
-						t.Fatalf("%v approx s=%d t=%d: %v", strat, q[0], q[1], err)
-					}
-					if err := intervalErr(iv, graph.MDJ(g, q[0], q[1])); err != nil {
-						t.Fatalf("%v s=%d t=%d: %v", strat, q[0], q[1], err)
-					}
+				if err := intervalErr(iv, graph.MDJ(g, q[0], q[1])); err != nil {
+					t.Fatalf("s=%d t=%d: %v", q[0], q[1], err)
 				}
 			}
 		})

@@ -233,8 +233,7 @@ func (e *Engine) snapshotLocked() (*SnapshotStats, error) {
 	}
 	if orc := ix.orc; orc != nil {
 		m.Oracle = &snapshot.OracleMeta{
-			K: orc.K, Strategy: orc.Strategy.String(),
-			Landmarks: orc.Landmarks, Rows: orc.Rows,
+			K: orc.K, Landmarks: orc.Landmarks, Rows: orc.Rows,
 		}
 	}
 	if lbl := ix.lbl; lbl != nil {
@@ -334,14 +333,7 @@ func (e *Engine) hydrateLocked(ctx context.Context) error {
 
 	ix := indexes{segBuilt: m.SegBuilt, segLthd: m.SegLthd}
 	if m.Oracle != nil {
-		strat, err := oracle.ParseStrategy(m.Oracle.Strategy)
-		if err != nil {
-			return fmt.Errorf("core: snapshot v%d: %w", m.Version, err)
-		}
-		ix.orc = &oracle.Oracle{
-			K: m.Oracle.K, Strategy: strat,
-			Landmarks: m.Oracle.Landmarks, Rows: m.Oracle.Rows,
-		}
+		ix.orc = &oracle.Oracle{K: m.Oracle.K, Landmarks: m.Oracle.Landmarks, Rows: m.Oracle.Rows}
 	}
 	if m.Labels != nil {
 		ix.lbl = &labels.Labels{Hubs: m.Labels.Hubs, RowsOut: m.Labels.RowsOut, RowsIn: m.Labels.RowsIn}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/rdb"
 	"repro/internal/wal"
 )
@@ -75,8 +77,8 @@ func TestSnapshotHydrate(t *testing.T) {
 		t.Fatal("the hydrated engine's WAL is not armed")
 	}
 	// Hydration restores the relations queries and mutations read, not the
-	// builds' scratch: the degree ranking and the farthest-point state are
-	// left to whichever build runs next.
+	// builds' scratch: the degree ranking is left to whichever build runs
+	// next.
 	want := []string{"tedges", "tlabelin", "tlabelout", "tlandmark",
 		"tlblfrom", "tlblto", "tnodes", "toutsegs", "tseg"}
 	if got := catalogNames(m.e); !reflect.DeepEqual(got, want) {
@@ -90,6 +92,66 @@ func TestSnapshotHydrate(t *testing.T) {
 	}
 	m.query(pairs)
 	sameSegTable(t, m.e, e) // the snapshotted engine's rows, hydrated
+}
+
+// TestHydrateIgnoresLandmarkStrategy: a format-6 manifest written while
+// landmark placement had a choice carries "strategy" in its oracle block.
+// Decoding ignores the key: the landmarks come back and ALT answers match
+// the in-memory Dijkstra.
+func TestHydrateIgnoresLandmarkStrategy(t *testing.T) {
+	g := graph.Power(200, 3, 13)
+	dir := t.TempDir()
+	e := abandonedEngine(t, g, dir)
+	built, err := e.BuildOracle(oracle.Config{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Snapshot(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	manifests, err := filepath.Glob(filepath.Join(dir, snapDirName, "v*", "manifest.json"))
+	if err != nil || len(manifests) == 0 {
+		t.Fatalf("no manifest in %s (%v)", dir, err)
+	}
+	path := manifests[len(manifests)-1]
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	orc, ok := doc["oracle"].(map[string]any)
+	if !ok {
+		t.Fatalf("manifest has no oracle block: %s", data)
+	}
+	if _, ok := orc["strategy"]; ok {
+		t.Fatalf("a new manifest writes the oracle's strategy: %s", data)
+	}
+	orc["strategy"] = "farthest"
+	if data, err = json.MarshalIndent(doc, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	h := hydrateEngine(t, dir)
+	if got := h.Oracle(); got == nil || !reflect.DeepEqual(got.Landmarks, built.Landmarks) {
+		t.Fatalf("hydrated oracle %+v, built landmarks %v", got, built.Landmarks)
+	}
+	for _, q := range graph.RandomQueries(g, 6, 3) {
+		res, err := h.Query(context.Background(), QueryRequest{Source: q[0], Target: q[1], Alg: AlgALT})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPath(t, g, AlgALT, q[0], q[1], res.Path)
+	}
 }
 
 // TestSnapshotHydrateAcrossStrategies: the manifest records the writer's

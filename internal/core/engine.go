@@ -559,8 +559,7 @@ func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t
 		return Path{}, nil, err
 	}
 	hs := []*superstep{e.newSuperstep(sc, spec, budget)}
-	owner, upper := soleOwner, int64(4*MaxDist)
-	var witness func() []int64
+	owner := soleOwner
 	if pt := e.part; pt != nil {
 		// The peer set speaks external ids; every member numbers nodes in
 		// one order (SetPeers), this engine's.
@@ -574,21 +573,11 @@ func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t
 			defer h.release()
 			hs = append(hs, h)
 		}
-		if pt.Bound != nil {
-			if u, w := pt.Bound(ord.toExt[s], ord.toExt[t]); w != nil {
-				upper, witness = u, func() []int64 { return ord.internal(w()) }
-			}
-		}
 	}
-	p, qs, err := runSupersteps(ctx, hs, owner, s, t, upper)
+	p, qs, err := runSupersteps(ctx, hs, owner, s, t)
 	if e.part != nil {
 		e.part.supersteps.Add(uint64(qs.Iterations))
 		e.part.exchanged.Add(uint64(qs.Exchanged))
-	}
-	if err == nil && p.Found && p.Nodes == nil {
-		// The search stopped against the bound before recording a meeting at
-		// that cost; the bound's owner holds the path.
-		p.Nodes = witness()
 	}
 	return p, qs, err
 }

@@ -270,16 +270,10 @@ func StopCondition(lf, lb, minCost int64) bool {
 // exact). The single engine is the one-handle case with owner ≡ 0: every
 // fold is over one value and nothing is routed.
 //
-// upper is an external upper bound on dist(s,t) — the length of a real walk
-// the caller knows, 4*MaxDist for none. It tightens termination and the
-// Theorem-1 prune; when the search stops against it before recording a
-// meeting that cheap, the path comes back Found with Length == upper and
-// nil Nodes: the caller holds the witness.
-//
 // The returned stats fold every handle's accounting; phase durations sum
 // handle wall clocks, so with peers working in parallel they read as
 // aggregate work, like CPU time. Handles serve one run.
-func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) int, s, t, upper int64) (Path, *QueryStats, error) {
+func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) int, s, t int64) (Path, *QueryStats, error) {
 	spec, e := hs[0].spec, hs[0].e
 	qs := &QueryStats{Algorithm: spec.name}
 	start := time.Now()
@@ -333,7 +327,6 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 	// the global minimum d2s AND d2t), and distances only fall, so the
 	// minimum over the rows the probes saw is the minimum over the tables.
 	minCost := int64(MaxDist)
-	var best int64 // ... or the caller's bound, if cheaper
 	limit := e.maxIters()
 	counts, probes := make([]int64, len(hs)), make([]record.Row, len(hs))
 
@@ -383,8 +376,7 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 			return Path{}, qs, fmt.Errorf("core: %s exceeded %d iterations (s=%d t=%d)", spec.name, limit, s, t)
 		}
 		qs.Iterations = iter + 1
-		best = min(minCost, upper)
-		if spec.trackL && StopCondition(fw.l, bw.l, best) {
+		if spec.trackL && StopCondition(fw.l, bw.l, minCost) {
 			break
 		}
 		if !fw.live && !bw.live {
@@ -414,11 +406,11 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 		// affects nothing (stop) or shrinks the candidate pool; a pool it
 		// empties leaves this side exhausted (its distances are final, so
 		// minCost is exact) and the loop re-checks at the top.
-		if spec.preFrontier != nil && best < MaxDist {
+		if spec.preFrontier != nil && minCost < MaxDist {
 			for cur.live {
 				n, err := tally(hs, counts, func(h *superstep) (int64, error) {
 					pre := h.side(forward).pre
-					return h.e.exec(ctx, h.qs, &h.qs.PE, &h.qs.FOp, pre.text, pre.args(best, cur.l)...)
+					return h.e.exec(ctx, h.qs, &h.qs.PE, &h.qs.FOp, pre.text, pre.args(minCost, cur.l)...)
 				})
 				if err != nil {
 					return Path{}, qs, err
@@ -455,7 +447,7 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 
 		// E + M operators (Listing 4(2)) over the rows carrying the stamp;
 		// nothing un-marks them afterwards (Listing 4(3) has no statement).
-		routed, err := expandMerge(ctx, hs, owner, forward, counts, mark, other.l, best)
+		routed, err := expandMerge(ctx, hs, owner, forward, counts, mark, other.l, minCost)
 		qs.Exchanged += routed
 		if err != nil {
 			return Path{}, qs, err
@@ -485,11 +477,8 @@ func runSupersteps(ctx context.Context, hs []*superstep, owner func(nid int64) i
 	}
 	qs.VisitedRows = int(vc)
 
-	if best >= MaxDist {
+	if minCost >= MaxDist {
 		return Path{Found: false}, qs, nil
-	}
-	if upper < minCost {
-		return Path{Found: true, Length: upper}, qs, nil
 	}
 	nodes, err := recoverPath(ctx, hs, owner, s, t, minCost, spec.edges != TblEdges)
 	if err != nil {

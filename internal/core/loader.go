@@ -123,14 +123,6 @@ func (o order) check(n int64) error {
 	return nil
 }
 
-// internal rewrites external ids as internal ones, in place.
-func (o order) internal(ids []int64) []int64 {
-	for i, v := range ids {
-		ids[i] = o.toInt[v]
-	}
-	return ids
-}
-
 // external rewrites internal ids as external ones, in place.
 func (o order) external(ids []int64) []int64 {
 	for i, v := range ids {

@@ -48,7 +48,7 @@ func (e *Engine) MinimumSpanningForest() (*MSTResult, error) {
 	start := time.Now()
 	// The forest has no endpoints: specMST seeds every node itself.
 	hs := []*superstep{e.newSuperstep(sc, specMST(sc), 0)}
-	_, qs, err := runSupersteps(ctx, hs, soleOwner, NoParent, NoParent, 4*MaxDist)
+	_, qs, err := runSupersteps(ctx, hs, soleOwner, NoParent, NoParent)
 	if err != nil {
 		return nil, err
 	}

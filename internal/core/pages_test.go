@@ -157,7 +157,7 @@ func TestScratchLeavesFileFlat(t *testing.T) {
 
 // TestBuildsEmptyTheirWorkingSet: every build and the decremental repair
 // leave the sweep's working set (TSeg), its below-MERGE staging tables,
-// the degree ranking and the farthest-point state with no rows, at the
+// and the degree ranking with no rows, at the
 // fused and the window-only SQL level.
 func TestBuildsEmptyTheirWorkingSet(t *testing.T) {
 	g := graph.Power(400, 3, 1)
@@ -165,7 +165,7 @@ func TestBuildsEmptyTheirWorkingSet(t *testing.T) {
 		e := newTestEngine(t, g, rdb.Options{Profile: profile}, Options{})
 		empty := func(after string) {
 			t.Helper()
-			for _, name := range []string{TblSeg, "TSegExpand", "TSegExpCost", "TDeg", "TDegIn", "TLmkFar"} {
+			for _, name := range []string{TblSeg, "TSegExpand", "TSegExpCost", "TDeg", "TDegIn"} {
 				if tb, ok := e.DB().Catalog().Get(name); ok && tb.RowCount() != 0 {
 					t.Errorf("%s, after %s: %s holds %d rows", profile.Name, after, name, tb.RowCount())
 				}
@@ -178,7 +178,7 @@ func TestBuildsEmptyTheirWorkingSet(t *testing.T) {
 			t.Fatal(err)
 		}
 		empty("BuildSegTable")
-		if _, err := e.BuildOracle(oracle.Config{K: 3, Strategy: oracle.Farthest}); err != nil {
+		if _, err := e.BuildOracle(oracle.Config{K: 3}); err != nil {
 			t.Fatal(err)
 		}
 		empty("BuildOracle")

@@ -36,18 +36,12 @@ type Peers struct {
 	// at both endpoints' partitions), in one node order (LoadPartition), and
 	// carries the indexes it will serve.
 	Others []*Engine
-	// Owner maps a node to the partition holding its authoritative visited
-	// row. It and Bound take and return external ids.
+	// Owner maps a node, by external id, to the partition holding its
+	// authoritative visited row.
 	Owner func(nid int64) int
 	// Edges is the whole graph's edge pair count, which Engine.Edges reports
 	// from then on (partition 0's own rows count its mirrors).
 	Edges int
-	// Bound, when set, returns the length of a real s-t walk the caller knows
-	// and a function producing that walk, or a nil witness for none. It
-	// tightens termination and the Theorem-1 prune; the witness is called
-	// only when the search stops against the bound before recording a
-	// meeting that cheap.
-	Bound func(s, t int64) (upper int64, witness func() []int64)
 }
 
 // partition is what every member of a peer set shares.

@@ -43,7 +43,7 @@ func (e *Engine) Reachable(s, t int64) (*ReachResult, error) {
 	}
 	defer e.scratch.release(sc)
 	hs := []*superstep{e.newSuperstep(sc, specReach(sc), 0)}
-	p, qs, err := runSupersteps(ctx, hs, soleOwner, s, t, 4*MaxDist)
+	p, qs, err := runSupersteps(ctx, hs, soleOwner, s, t)
 	if err != nil {
 		return nil, err
 	}

@@ -59,8 +59,8 @@ func describeCatalog(e *Engine) []string {
 }
 
 // TestGoldenSchema pins the physical design and the bytes it costs. Under
-// each strategy it loads one fixed graph, builds the SegTable, a
-// farthest-point oracle and the labels, and compares the database file's
+// each strategy it loads one fixed graph, builds the SegTable, the
+// landmark oracle and the labels, and compares the database file's
 // and the temp space's allocated page counts — on the default profile and
 // below the MERGE level —
 // with testdata/golden_schema.txt (pages re-recorded at PR 25, when DROP and
@@ -85,7 +85,7 @@ func TestGoldenSchema(t *testing.T) {
 			if _, err := e.BuildSegTable(8); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.BuildOracle(oracle.Config{K: 3, Strategy: oracle.Farthest}); err != nil {
+			if _, err := e.BuildOracle(oracle.Config{K: 3}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := e.BuildLabels(); err != nil {
@@ -155,7 +155,7 @@ func TestEveryRelationDeclared(t *testing.T) {
 			if _, err := e.BuildSegTable(6); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.BuildOracle(oracle.Config{K: 2, Strategy: oracle.Farthest}); err != nil {
+			if _, err := e.BuildOracle(oracle.Config{K: 2}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := e.BuildLabels(); err != nil {

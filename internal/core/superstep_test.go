@@ -77,7 +77,7 @@ func TestSuperstepMatchesQuery(t *testing.T) {
 		t.Cleanup(ss.release)
 		return ss
 	}
-	p, qs, err := runSupersteps(ctx, []*superstep{begin()}, soleOwner, 2, 19, 4*MaxDist)
+	p, qs, err := runSupersteps(ctx, []*superstep{begin()}, soleOwner, 2, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSuperstepMatchesQuery(t *testing.T) {
 			qs.Iterations, qs.Statements, want.Stats.Iterations, want.Stats.Statements)
 	}
 
-	p, qs, err = runSupersteps(ctx, []*superstep{begin(), begin()}, func(nid int64) int { return int(nid % 2) }, 2, 19, 4*MaxDist)
+	p, qs, err = runSupersteps(ctx, []*superstep{begin(), begin()}, func(nid int64) int { return int(nid % 2) }, 2, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,16 +98,6 @@ func TestSuperstepMatchesQuery(t *testing.T) {
 	}
 	if qs.Exchanged == 0 {
 		t.Fatal("two handles over a line must exchange candidates")
-	}
-
-	// An external bound below the true distance wins: the loop stops against
-	// it and leaves the witness to the caller.
-	p, _, err = runSupersteps(ctx, []*superstep{begin()}, soleOwner, 2, 19, want.Distance-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Found || p.Length != want.Distance-1 || p.Nodes != nil {
-		t.Fatalf("bounded run: %+v, want Found at %d with nil Nodes", p, want.Distance-1)
 	}
 }
 
@@ -214,7 +204,7 @@ func TestLoopStatisticsMatchFullScan(t *testing.T) {
 				t.Errorf("%s %v (%d,%d) fold %d: lb %d, full scan %d", name, alg, p[0], p[1], folds, lb, full)
 			}
 		}
-		got, _, err := runSupersteps(context.Background(), hs, owner, p[0], p[1], 4*MaxDist)
+		got, _, err := runSupersteps(context.Background(), hs, owner, p[0], p[1])
 		if err != nil {
 			t.Fatalf("%s %v (%d,%d): %v", name, alg, p[0], p[1], err)
 		}

@@ -23,14 +23,6 @@ const (
 		" n WHERE NOT EXISTS (SELECT nid FROM " + sweep.TblWork + " w WHERE w.src = ? AND w.nid = n.nid)"
 	foldBackwardQ = "UPDATE " + TblLandmark + " SET din = s.dist FROM " + sweep.TblWork + " s " +
 		"WHERE " + TblLandmark + ".nid = s.nid AND " + TblLandmark + ".lid = ?"
-
-	// Farthest-point state: every node starts at Unreached from the (empty)
-	// chosen set; each forward sweep lowers dmin to the nearest landmark.
-	farSeedQ = "INSERT INTO " + TblFar + " (nid, dmin) SELECT nid, ? FROM " + sweep.TblNodes
-	farFoldQ = "UPDATE " + TblFar + " SET dmin = s.dist FROM " + sweep.TblWork + " s " +
-		"WHERE " + TblFar + ".nid = s.nid AND " + TblFar + ".dmin > s.dist"
-	farPickQ = "SELECT TOP 1 nid FROM " + TblFar + " WHERE dmin > 0 AND dmin < ? AND dmin = " +
-		"(SELECT MAX(dmin) FROM " + TblFar + " WHERE dmin > 0 AND dmin < ?)"
 )
 
 // Build constructs the landmark oracle over the graph tables, issuing
@@ -52,7 +44,7 @@ func build(ctx context.Context, r *sweep.Runner, p Config) (*Oracle, *BuildStats
 	if p.K <= 0 {
 		p.K = DefaultK
 	}
-	st := &BuildStats{K: p.K, Strategy: p.Strategy}
+	st := &BuildStats{K: p.K}
 	start := time.Now()
 
 	if err := CreateTables(ctx, r); err != nil {
@@ -60,14 +52,6 @@ func build(ctx context.Context, r *sweep.Runner, p Config) (*Oracle, *BuildStats
 	}
 	if err := r.RankDegrees(ctx); err != nil {
 		return nil, nil, err
-	}
-	if p.Strategy == Farthest {
-		if err := r.Schema(ctx).Create(sweep.Rel(TblFar)); err != nil {
-			return nil, nil, err
-		}
-		if _, err := r.Exec(ctx, farSeedQ, Unreached); err != nil {
-			return nil, nil, err
-		}
 	}
 
 	nodes, _, err := r.QueryInt(ctx, countNodesQ)
@@ -81,7 +65,7 @@ func build(ctx context.Context, r *sweep.Runner, p Config) (*Oracle, *BuildStats
 
 	var landmarks []int64
 	for i := int64(0); i < int64(k); i++ {
-		l, ok, err := pickLandmark(ctx, r, p.Strategy, i)
+		l, ok, err := r.PopMaxDegree(ctx)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -99,13 +83,8 @@ func build(ctx context.Context, r *sweep.Runner, p Config) (*Oracle, *BuildStats
 			st.Iterations += iters
 			return r.ExecAll(ctx, after...)
 		}
-		// Forward: dist(l, v) over outgoing edges becomes dout; farthest-
-		// point selection feeds on the same distances.
-		fwd := []sweep.Query{sweep.Q(insReachedQ, i, Unreached), sweep.Q(insMissedQ, i, Unreached, Unreached, l)}
-		if p.Strategy == Farthest {
-			fwd = append(fwd, sweep.Q(farFoldQ))
-		}
-		if err := sweepFrom(true, fwd...); err != nil {
+		// Forward: dist(l, v) over outgoing edges becomes dout.
+		if err := sweepFrom(true, sweep.Q(insReachedQ, i, Unreached), sweep.Q(insMissedQ, i, Unreached, Unreached, l)); err != nil {
 			return nil, nil, err
 		}
 		// Backward: dist(v, l) over incoming edges becomes din.
@@ -121,7 +100,7 @@ func build(ctx context.Context, r *sweep.Runner, p Config) (*Oracle, *BuildStats
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := r.Clear(TblFar); err != nil {
+	if err := r.Clear(); err != nil {
 		return nil, nil, err
 	}
 	st.Landmarks = landmarks
@@ -130,16 +109,14 @@ func build(ctx context.Context, r *sweep.Runner, p Config) (*Oracle, *BuildStats
 	st.BuildTime = time.Since(start)
 	orc := &Oracle{
 		K:         len(landmarks),
-		Strategy:  p.Strategy,
 		Landmarks: landmarks,
 		Rows:      int(rows),
 	}
 	return orc, st, nil
 }
 
-// CreateTables (re)creates the oracle's relations — TLandmark under the
-// runner's physical design; the build-only farthest-point table is dropped
-// and left to the next build. Snapshot hydration calls it to restore the
+// CreateTables (re)creates the oracle's relation, TLandmark, under the
+// runner's physical design. Snapshot hydration calls it to restore the
 // DDL and bulk-load TLandmark rows without running a build.
 func CreateTables(ctx context.Context, r *sweep.Runner) error {
 	s := r.Schema(ctx)
@@ -147,25 +124,4 @@ func CreateTables(ctx context.Context, r *sweep.Runner) error {
 		return err
 	}
 	return s.Create(sweep.Rel(TblLandmark))
-}
-
-// pickLandmark returns the i-th landmark under the strategy. Degree: i-th
-// highest total degree. Farthest: highest degree first, then the node
-// maximizing the distance to its nearest chosen landmark.
-func pickLandmark(ctx context.Context, r *sweep.Runner, strategy Strategy, i int64) (int64, bool, error) {
-	if strategy == Farthest && i > 0 {
-		// Prefer the farthest node reachable from some landmark; fall back
-		// to an unreached node (another component) so coverage spreads.
-		l, null, err := r.QueryInt(ctx, farPickQ, Unreached, Unreached)
-		if err != nil {
-			return 0, false, err
-		}
-		if !null {
-			// Keep the degree ranking consistent for later fallbacks.
-			return l, true, r.Unrank(ctx, l)
-		}
-		// Every remaining node is unreached from the chosen set: pick the
-		// highest-degree one among them via the degree ranking below.
-	}
-	return r.PopMaxDegree(ctx)
 }

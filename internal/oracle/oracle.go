@@ -1,10 +1,10 @@
 // Package oracle implements a relational landmark distance oracle in the
 // spirit of the paper's SegTable (§4.3): precomputed shortest-path state
-// stored as a relation and queried with SQL. A small set of k landmarks is
-// selected (by degree or farthest-point), and for every landmark l the
-// exact distances dist(l, v) and dist(v, l) are computed by the SegTable
-// construction's set-Dijkstra sweep (internal/sweep), seeded with l alone
-// and run without a bound, and materialized into
+// stored as a relation and queried with SQL. The k highest-degree nodes are
+// the landmarks, and for every landmark l the exact distances dist(l, v)
+// and dist(v, l) are computed by the SegTable construction's set-Dijkstra
+// sweep (internal/sweep), seeded with l alone and run without a bound, and
+// materialized into
 //
 //	TLandmark(lid, nid, dout, din)
 //
@@ -27,21 +27,15 @@ package oracle
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/sweep"
 )
 
-// The oracle's relations (declared in internal/sweep).
-const (
-	// TblLandmark is the oracle relation: one row per (landmark, node)
-	// with the landmark's id, the node, dist(l, node) and dist(node, l).
-	TblLandmark = sweep.TblLandmark
-	// TblFar holds each node's distance to the nearest chosen landmark
-	// (farthest-point selection state, build-time only).
-	TblFar = sweep.TblFar
-)
+// TblLandmark is the oracle relation (declared in internal/sweep): one row
+// per (landmark, node) with the landmark's id, the node, dist(l, node) and
+// dist(node, l).
+const TblLandmark = sweep.TblLandmark
 
 // Unreached is the sentinel distance for (landmark, node) pairs with no
 // connecting path. It matches core.MaxDist so sentinel arithmetic stays
@@ -51,48 +45,12 @@ const (
 // per-landmark sweeps run with, i.e. none.
 const Unreached = sweep.NoBound
 
-// Strategy selects how landmarks are placed.
-type Strategy int
-
-const (
-	// Degree picks the k highest-degree nodes (in+out) — cheap, and on
-	// power-law graphs the hubs cover most shortest paths.
-	Degree Strategy = iota
-	// Farthest picks the highest-degree node first, then repeatedly the
-	// node farthest (by dist from the chosen set) from all chosen
-	// landmarks — the classic farthest-point spread, better geographic
-	// coverage on flat-degree graphs.
-	Farthest
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case Degree:
-		return "degree"
-	case Farthest:
-		return "farthest"
-	}
-	return fmt.Sprintf("Strategy(%d)", int(s))
-}
-
-// ParseStrategy maps a case-insensitive strategy name to its Strategy.
-func ParseStrategy(s string) (Strategy, error) {
-	switch strings.ToLower(s) {
-	case "degree":
-		return Degree, nil
-	case "farthest":
-		return Farthest, nil
-	}
-	return 0, fmt.Errorf("oracle: unknown strategy %q (degree|farthest)", s)
-}
-
 // Config is the caller-facing build configuration.
 type Config struct {
-	// K is the number of landmarks (0 selects DefaultK; clamped to the
-	// number of placeable nodes).
+	// K is the number of landmarks, the K highest-degree nodes (in+out):
+	// cheap, and on power-law graphs the hubs cover most shortest paths. 0
+	// selects DefaultK; K is clamped to the number of nodes.
 	K int
-	// Strategy picks landmark placement (default Degree).
-	Strategy Strategy
 }
 
 // DefaultK is the landmark count used when Config.K is zero.
@@ -102,7 +60,6 @@ const DefaultK = 8
 // metadata — the distances themselves live in TLandmark.
 type Oracle struct {
 	K         int
-	Strategy  Strategy
 	Landmarks []int64
 	// Rows is |TLandmark| = K * |V|.
 	Rows int
@@ -111,7 +68,6 @@ type Oracle struct {
 // BuildStats reports one oracle construction.
 type BuildStats struct {
 	K          int
-	Strategy   Strategy
 	Landmarks  []int64
 	Rows       int
 	Iterations int // relaxation rounds across all landmarks and directions
@@ -120,7 +76,7 @@ type BuildStats struct {
 }
 
 func (s *BuildStats) String() string {
-	return fmt.Sprintf("Oracle(k=%d, %s): rows=%d iters=%d stmts=%d time=%v",
-		s.K, s.Strategy, s.Rows, s.Iterations, s.Statements,
+	return fmt.Sprintf("Oracle(k=%d): rows=%d iters=%d stmts=%d time=%v",
+		s.K, s.Rows, s.Iterations, s.Statements,
 		s.BuildTime.Round(time.Millisecond))
 }

@@ -103,7 +103,7 @@ func TestBuildDistancesExact(t *testing.T) {
 	}
 }
 
-// TestDegreeSelectionOrder: the degree strategy must pick the k
+// TestDegreeSelectionOrder: the build must pick the k
 // highest-total-degree nodes.
 func TestDegreeSelectionOrder(t *testing.T) {
 	// A star around node 0 plus a light tail: degrees 0 >> 1 > others.
@@ -128,52 +128,12 @@ func TestDegreeSelectionOrder(t *testing.T) {
 	sess := db.Session()
 	defer sess.Close()
 	loadGraphTables(t, sess, g)
-	orc, _, err := Build(context.Background(), runner(sess, g), Config{K: 2, Strategy: Degree})
+	orc, _, err := Build(context.Background(), runner(sess, g), Config{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if orc.Landmarks[0] != 0 || orc.Landmarks[1] != 1 {
-		t.Fatalf("degree strategy should pick hub 0 then 1, got %v", orc.Landmarks)
-	}
-}
-
-// TestFarthestSpreads: farthest-point selection on a path graph must jump
-// to the far end after the first pick.
-func TestFarthestSpreads(t *testing.T) {
-	// 0 - 1 - ... - 9 bidirectional path; node 0 gets an extra edge so the
-	// first (degree) pick lands mid-path deterministically at node 1.
-	var edges []graph.Edge
-	for i := int64(0); i < 9; i++ {
-		edges = append(edges, graph.Edge{From: i, To: i + 1, Weight: 1})
-		edges = append(edges, graph.Edge{From: i + 1, To: i, Weight: 1})
-	}
-	g, err := graph.New(10, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := rdb.Open(rdb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	sess := db.Session()
-	defer sess.Close()
-	loadGraphTables(t, sess, g)
-	orc, _, err := Build(context.Background(), runner(sess, g), Config{K: 2, Strategy: Farthest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := orc.Landmarks[0]
-	second := orc.Landmarks[1]
-	// The second pick must be one of the path's endpoints — whichever is
-	// farther from the first pick.
-	wantSecond := int64(0)
-	if first < 5 {
-		wantSecond = 9
-	}
-	if second != wantSecond {
-		t.Fatalf("farthest pick after %d should be %d, got %d (landmarks %v)",
-			first, wantSecond, second, orc.Landmarks)
+		t.Fatalf("the build should pick hub 0 then 1, got %v", orc.Landmarks)
 	}
 }
 
@@ -203,17 +163,5 @@ func TestKClamp(t *testing.T) {
 	// Every node still gets rows for every placed landmark.
 	if orc.Rows != 2*3 {
 		t.Fatalf("expected 6 rows, got %d", orc.Rows)
-	}
-}
-
-func TestParseStrategy(t *testing.T) {
-	for in, want := range map[string]Strategy{"degree": Degree, "FARTHEST": Farthest} {
-		got, err := ParseStrategy(in)
-		if err != nil || got != want {
-			t.Errorf("ParseStrategy(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseStrategy("nope"); err == nil {
-		t.Error("expected an error for an unknown strategy")
 	}
 }

@@ -2,15 +2,12 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/rdb"
 )
 
@@ -18,14 +15,9 @@ import (
 type Options struct {
 	// Shards is the partition count k (>= 1).
 	Shards int
-	// Strategy maps node ids to shards (Hash default).
-	Strategy Strategy
 	// Lthd, when > 0, builds each shard's SegTable at that threshold so the
 	// coordinator can run BSEG.
 	Lthd int64
-	// Portals, when > 0, builds the cut-vertex sketch with up to that many
-	// portals (0 = no sketch).
-	Portals int
 	// BufferPoolPages is the TOTAL page budget, split evenly across the
 	// shard databases (0 = each shard gets the rdb default).
 	BufferPoolPages int
@@ -53,10 +45,8 @@ type ShardedEngine struct {
 	*coordinator
 	part   Partition
 	shards []*shardInstance
-	sk     *sketch
 
-	cutEdges   int
-	sketchWins atomic.Uint64 // queries answered at the sketch bound
+	cutEdges int
 }
 
 // shardInstance is one partition's engine over its own database.
@@ -70,7 +60,7 @@ type shardInstance struct {
 // fold covers every local edge, so relaxations along any original edge
 // remain available in the owning shard).
 func Open(g *graph.Graph, opts Options) (*ShardedEngine, error) {
-	part, err := NewPartition(g.N, opts.Shards, opts.Strategy)
+	part, err := NewPartition(g.N, opts.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -129,30 +119,12 @@ func Open(g *graph.Graph, opts Options) (*ShardedEngine, error) {
 	for _, sh := range se.shards[1:] {
 		peers.Others = append(peers.Others, sh.eng)
 	}
-	if se.sk = buildSketch(g, split.CutVertices, opts.Portals); se.sk != nil {
-		peers.Bound = se.sketchBound
-	}
 	se.coordinator = se.shards[0].eng
 	if err := se.SetPeers(peers); err != nil {
 		se.Close()
 		return nil, err
 	}
 	return se, nil
-}
-
-// sketchBound is the coordinator's Peers.Bound: the length of a real
-// s->portal->t walk is an admissible upper bound on d(s, t), and the portal
-// trees carry its witness. The witness is asked for exactly when the sketch
-// answered the query.
-func (se *ShardedEngine) sketchBound(s, t int64) (int64, func() []int64) {
-	b, portal, ok := se.sk.Bound(s, t)
-	if !ok {
-		return 0, nil
-	}
-	return b, func() []int64 {
-		se.sketchWins.Add(1)
-		return se.sk.Path(s, t, portal)
-	}
 }
 
 // Close shuts every shard engine down. Safe on a partially opened engine.
@@ -206,38 +178,27 @@ func (se *ShardedEngine) fanout(fn func(i int, sh *shardInstance) error) error {
 	return errors.Join(errs...)
 }
 
-// ShardStats is one shard's slice of the Stats block.
+// ShardStats is one shard's slice of Stats.
 type ShardStats struct {
-	Edges       int    `json:"edges"` // including mirrored cut edges
-	Statements  uint64 `json:"statements"`
-	PeakReaders int    `json:"peak_readers"`
+	Edges       int // including mirrored cut edges
+	Statements  uint64
+	PeakReaders int
 }
 
-// Stats is the shard block of /stats: what the partitioning adds to the
-// document the coordinating engine already fills (graph, db, concurrency...).
+// Stats is what the partitioning adds to the counters the coordinating
+// engine keeps as every engine does.
 type Stats struct {
-	Shards     int          `json:"shards"`
-	Strategy   string       `json:"strategy"`
-	CutEdges   int          `json:"cut_edges"`
-	Portals    int          `json:"portals"`
-	Supersteps uint64       `json:"supersteps"`
-	Exchanged  uint64       `json:"exchanged_candidates"`
-	SketchWins uint64       `json:"sketch_wins"`
-	PerShard   []ShardStats `json:"per_shard"`
+	Shards     int
+	CutEdges   int
+	Supersteps uint64
+	Exchanged  uint64 // frontier candidates routed across shard boundaries
+	PerShard   []ShardStats
 }
 
 // Stats snapshots the partition counters and per-shard engine state.
 func (se *ShardedEngine) Stats() Stats {
-	st := Stats{
-		Shards:     se.part.K,
-		Strategy:   se.part.Strategy.String(),
-		CutEdges:   se.cutEdges,
-		SketchWins: se.sketchWins.Load(),
-	}
+	st := Stats{Shards: se.part.K, CutEdges: se.cutEdges}
 	st.Supersteps, st.Exchanged = se.ExchangeStats()
-	if se.sk != nil {
-		st.Portals = len(se.sk.portals)
-	}
 	for _, sh := range se.shards {
 		st.PerShard = append(st.PerShard, ShardStats{
 			Edges:       sh.edges,
@@ -246,27 +207,4 @@ func (se *ShardedEngine) Stats() Stats {
 		})
 	}
 	return st
-}
-
-// CollectMetrics exports the partition families for /metrics, beside the
-// families the coordinating engine exports as every engine does.
-func (se *ShardedEngine) CollectMetrics(x *obs.Exporter) {
-	st := se.Stats()
-	x.Gauge("spdb_shard_count", "Configured shard count.", float64(st.Shards))
-	x.Gauge("spdb_shard_cut_edges", "Edges crossing shard boundaries.", float64(st.CutEdges))
-	x.Gauge("spdb_shard_sketch_portals", "Cut-vertex sketch portal count.", float64(st.Portals))
-	x.Counter("spdb_shard_supersteps_total", "Coordinator supersteps executed.", float64(st.Supersteps))
-	x.Counter("spdb_shard_exchanged_candidates_total", "Frontier candidates routed across shard boundaries.", float64(st.Exchanged))
-	x.Counter("spdb_shard_sketch_wins_total", "Queries answered at the cut-vertex sketch bound.", float64(st.SketchWins))
-	// The exporter requires each family's samples to be consecutive, so
-	// iterate shards once per family rather than families once per shard.
-	for i, ps := range st.PerShard {
-		x.Gauge("spdb_shard_edges", "Edge rows loaded per shard (mirrors included).", float64(ps.Edges), obs.L("shard", fmt.Sprintf("%d", i)))
-	}
-	for i, ps := range st.PerShard {
-		x.Counter("spdb_shard_statements_total", "Statements executed per shard database.", float64(ps.Statements), obs.L("shard", fmt.Sprintf("%d", i)))
-	}
-	for i, ps := range st.PerShard {
-		x.Gauge("spdb_shard_gate_peak_readers", "Peak concurrent readers admitted per shard.", float64(ps.PeakReaders), obs.L("shard", fmt.Sprintf("%d", i)))
-	}
 }

@@ -6,94 +6,39 @@
 // boundary-node (nid, parent, cost) candidates are exchanged between
 // supersteps, and the loop terminates on the same §4.1 stopping condition
 // evaluated over the global minima. What lives here is what is about
-// partitioning: the node-to-shard map and the edge split, the per-shard
-// databases and their counters, and a small cut-vertex sketch (precomputed
-// portal distances) whose admissible upper bound prunes supersteps that
-// cannot improve the answer.
+// partitioning: the node-to-shard map and the edge split, and the per-shard
+// databases and their counters.
 package shard
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/graph"
 )
 
-// Strategy picks how node ids map to shards.
-type Strategy int
-
-const (
-	// Hash assigns nid % k: consecutive ids round-robin across shards, so
-	// any locally dense frontier spreads over every shard — maximum
-	// intra-query parallelism at the price of more cut edges.
-	Hash Strategy = iota
-	// Range assigns contiguous blocks of ceil(N/k) ids per shard: id-local
-	// structure (generated graphs wire mostly nearby ids) stays intra-shard,
-	// minimizing cut edges at the price of frontier skew — a frontier
-	// confined to one block keeps the other shards idle.
-	Range
-)
-
-// ParseStrategy resolves the -partition flag values.
-func ParseStrategy(s string) (Strategy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "hash":
-		return Hash, nil
-	case "range":
-		return Range, nil
-	}
-	return 0, fmt.Errorf("shard: unknown partition strategy %q (want hash or range)", s)
-}
-
-func (s Strategy) String() string {
-	switch s {
-	case Hash:
-		return "hash"
-	case Range:
-		return "range"
-	}
-	return fmt.Sprintf("Strategy(%d)", int(s))
-}
-
-// Partition is a deterministic node-to-shard map over ids 0..N-1.
+// Partition is a deterministic node-to-shard map over ids 0..N-1: node nid
+// belongs to shard nid % K, so consecutive ids round-robin across shards and
+// any locally dense frontier spreads over every shard.
 type Partition struct {
-	K        int
-	N        int64
-	Strategy Strategy
-	block    int64 // Range block width, ceil(N/K)
+	K int
+	N int64
 }
 
 // NewPartition validates and builds the map.
-func NewPartition(n int64, k int, strat Strategy) (Partition, error) {
+func NewPartition(n int64, k int) (Partition, error) {
 	if k < 1 {
 		return Partition{}, fmt.Errorf("shard: shard count must be >= 1, got %d", k)
 	}
 	if n < 1 {
 		return Partition{}, fmt.Errorf("shard: node count must be >= 1, got %d", n)
 	}
-	if strat != Hash && strat != Range {
-		return Partition{}, fmt.Errorf("shard: invalid strategy %d", int(strat))
-	}
-	p := Partition{K: k, N: n, Strategy: strat}
-	p.block = (n + int64(k) - 1) / int64(k)
-	return p, nil
+	return Partition{K: k, N: n}, nil
 }
 
 // Owner returns the shard owning node nid.
-func (p Partition) Owner(nid int64) int {
-	if p.Strategy == Hash {
-		return int(nid % int64(p.K))
-	}
-	o := int(nid / p.block)
-	if o >= p.K { // only reachable for nid >= N; clamp defensively
-		o = p.K - 1
-	}
-	return o
-}
+func (p Partition) Owner(nid int64) int { return int(nid % int64(p.K)) }
 
-// Split is the partitioned edge set: per-shard edge lists plus the cut
-// structure the sketch builds on.
+// Split is the partitioned edge set.
 type Split struct {
 	// Edges[i] holds every edge owned by shard i (Owner(From) == i) plus a
 	// mirror of every cut edge whose head it owns (Owner(To) == i): forward
@@ -103,9 +48,6 @@ type Split struct {
 	// CutEdges counts edges whose endpoints live in different shards (each
 	// is stored twice, once per endpoint shard).
 	CutEdges int
-	// CutVertices lists, in ascending order, every node incident to a cut
-	// edge — the portal candidates for the boundary-distance sketch.
-	CutVertices []int64
 }
 
 // SplitEdges assigns every edge of g to its endpoint shards. Each edge is
@@ -114,21 +56,13 @@ type Split struct {
 // same graph + same partition => same per-shard lists in the same order.
 func (p Partition) SplitEdges(g *graph.Graph) *Split {
 	sp := &Split{Edges: make([][]graph.Edge, p.K)}
-	cut := make(map[int64]struct{})
 	for _, e := range g.Edges {
 		os, od := p.Owner(e.From), p.Owner(e.To)
 		sp.Edges[os] = append(sp.Edges[os], e)
 		if od != os {
 			sp.Edges[od] = append(sp.Edges[od], e)
 			sp.CutEdges++
-			cut[e.From] = struct{}{}
-			cut[e.To] = struct{}{}
 		}
 	}
-	sp.CutVertices = make([]int64, 0, len(cut))
-	for v := range cut {
-		sp.CutVertices = append(sp.CutVertices, v)
-	}
-	sort.Slice(sp.CutVertices, func(i, j int) bool { return sp.CutVertices[i] < sp.CutVertices[j] })
 	return sp
 }

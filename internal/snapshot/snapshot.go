@@ -55,10 +55,11 @@ type TableMeta struct {
 }
 
 // OracleMeta carries the distance-oracle parameters a hydrating engine
-// installs alongside the TLandmark rows, skipping the build.
+// installs alongside the TLandmark rows, skipping the build. A manifest
+// written while landmark placement had a choice also carries a "strategy"
+// key, which decoding ignores: the landmarks it lists are what ALT reads.
 type OracleMeta struct {
 	K         int     `json:"k"`
-	Strategy  string  `json:"strategy"`
 	Landmarks []int64 `json:"landmarks"`
 	Rows      int     `json:"rows"`
 }

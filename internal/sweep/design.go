@@ -58,7 +58,6 @@ const (
 	TblMutTouch = "TMutTouch" // the touched (fid, tid) pairs of a decremental repair
 	TblMutSrc   = "TMutSrc"   // the seed nodes of its bounded sweep
 	TblLandmark = "TLandmark"
-	TblFar      = "TLmkFar"
 	TblLabelOut = "TLabelOut"
 	TblLabelIn  = "TLabelIn"
 	TblLblTo    = "TLblTo"
@@ -147,8 +146,6 @@ var Relations = []Relation{
 	{Name: TblMutTouch, Cols: "fid, tid", Key: "fid, tid", Unique: true, Owner: Work},
 	{Name: TblMutSrc, Cols: "nid", Owner: Work},
 	{Name: TblLandmark, Cols: "lid, nid, dout, din", Key: "nid, lid", Unique: true, Follows: true, Owner: Oracle, Snapshot: true},
-	// Farthest-point selection state: a build of that strategy creates it, any build drops it.
-	{Name: TblFar, Cols: "nid, dmin", Key: "nid", Unique: true, Owner: Oracle},
 	{Name: TblLabelOut, Cols: "nid, hub, dist", Key: "nid, hub", Unique: true, Follows: true, Owner: Labels, Snapshot: true},
 	{Name: TblLabelIn, Cols: "nid, hub, dist", Key: "nid, hub", Unique: true, Follows: true, Owner: Labels, Snapshot: true},
 	{Name: TblLblTo, Cols: "nid, dist", Key: "nid", Unique: true, Owner: Labels},

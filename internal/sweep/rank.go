@@ -32,11 +32,6 @@ func (r *Runner) PopMaxDegree(ctx context.Context) (nid int64, ok bool, err erro
 	if err != nil || null {
 		return 0, false, err
 	}
-	return nid, true, r.Unrank(ctx, nid)
-}
-
-// Unrank removes nid from the ranking.
-func (r *Runner) Unrank(ctx context.Context, nid int64) error {
-	_, err := r.Exec(ctx, "DELETE FROM "+tblDeg+" WHERE nid = ?", nid)
-	return err
+	_, err = r.Exec(ctx, "DELETE FROM "+tblDeg+" WHERE nid = ?", nid)
+	return nid, true, err
 }

@@ -179,12 +179,10 @@ const (
 // Re-exported landmark-oracle types (Engine.BuildOracle,
 // Engine.DistanceInterval).
 type (
-	// OracleConfig selects the landmark count and placement strategy.
+	// OracleConfig selects the landmark count (the highest-degree nodes).
 	OracleConfig = oracle.Config
 	// OracleStats reports one oracle construction.
 	OracleStats = oracle.BuildStats
-	// LandmarkStrategy picks landmark placement (degree or farthest-point).
-	LandmarkStrategy = oracle.Strategy
 	// Interval is an approximate-distance answer bracketing the exact
 	// distance: Lower <= dist(s,t) <= Upper.
 	Interval = core.Interval
@@ -197,14 +195,6 @@ type (
 	// LabelIndex is the built label index's metadata (Engine.Labels; nil
 	// while no valid index exists).
 	LabelIndex = labels.Labels
-)
-
-// Landmark placement strategies.
-const (
-	// LandmarksByDegree picks the k highest-degree nodes.
-	LandmarksByDegree = oracle.Degree
-	// LandmarksFarthest spreads landmarks by farthest-point traversal.
-	LandmarksFarthest = oracle.Farthest
 )
 
 // Index strategies (Fig 8(c)).

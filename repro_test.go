@@ -30,7 +30,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if st.EncodingNumber() == 0 {
 		t.Fatal("empty segtable")
 	}
-	ost, err := eng.BuildOracle(repro.OracleConfig{K: 4, Strategy: repro.LandmarksByDegree})
+	ost, err := eng.BuildOracle(repro.OracleConfig{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
